@@ -11,11 +11,13 @@ package tcio_test
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"github.com/tcio/tcio/internal/art"
 	"github.com/tcio/tcio/internal/bench"
 	"github.com/tcio/tcio/internal/datatype"
+	"github.com/tcio/tcio/internal/extent"
 	"github.com/tcio/tcio/internal/stats"
 )
 
@@ -253,6 +255,79 @@ func BenchmarkAblationOneSided(b *testing.B) {
 				cfg.EmulateTwoSided = twoSided
 			})
 			b.ReportMetric(w, "simMB/s")
+		})
+	}
+}
+
+// --- Run-list hot path (DESIGN.md §6) ---
+
+// benchSink keeps the measured calls' results live.
+var benchSink int
+
+// BenchmarkViewRuns measures the view cursor that every mpiio call flattens
+// through. Under the default byte view the cost must be flat in the request
+// size (the per-byte flatten it replaced was linear: one Segment per byte);
+// under the Fig. 5 view — one 12-byte block every 512 blocks — it is
+// proportional to the runs returned.
+func BenchmarkViewRuns(b *testing.B) {
+	block, err := datatype.Contiguous(12, datatype.Byte)
+	if err != nil {
+		b.Fatal(err)
+	}
+	fig5, err := datatype.Vector(1024, 1, 512, block)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name string
+		ft   datatype.Type
+		n    int64
+	}{
+		{"byte-64B", datatype.Byte, 64},
+		{"byte-2KiB", datatype.Byte, 2 << 10},
+		{"byte-64KiB", datatype.Byte, 64 << 10},
+		{"fig5-vector", fig5, 1024 * 12},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			v, err := datatype.NewView(0, bc.ft)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var scratch []datatype.Segment
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				scratch = v.Runs(scratch[:0], int64(i%7)*bc.n, bc.n)
+			}
+			benchSink += len(scratch)
+		})
+	}
+}
+
+// BenchmarkCoalesce measures extent.Coalesce — the shared tail of view
+// flattening and of tcio's level-1 flush and dirty-run bookkeeping — on
+// 1024 runs that merge in pairs, arriving sorted and shuffled.
+func BenchmarkCoalesce(b *testing.B) {
+	sorted := make([]extent.Extent, 1024)
+	for i := range sorted {
+		sorted[i] = extent.Extent{Off: int64(i/2)*1024 + int64(i%2)*256, Len: 256}
+	}
+	shuffled := append([]extent.Extent(nil), sorted...)
+	rand.New(rand.NewSource(1)).Shuffle(len(shuffled), func(i, j int) {
+		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+	})
+	for _, bc := range []struct {
+		name string
+		in   []extent.Extent
+	}{{"sorted", sorted}, {"shuffled", shuffled}} {
+		b.Run(bc.name, func(b *testing.B) {
+			scratch := make([]extent.Extent, len(bc.in))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				copy(scratch, bc.in)
+				benchSink += len(extent.Coalesce(scratch))
+			}
 		})
 	}
 }

@@ -53,16 +53,9 @@ func (b tcioBackend) Close() error                         { return b.f.Close() 
 type vanillaBackend struct{ f *mpiio.File }
 
 func (b vanillaBackend) WriteAt(off int64, data []byte) error { return b.f.WriteAt(off, data) }
-func (b vanillaBackend) ReadAt(off int64, dst []byte) error {
-	got, err := b.f.ReadAt(off, int64(len(dst)))
-	if err != nil {
-		return err
-	}
-	copy(dst, got)
-	return nil
-}
-func (b vanillaBackend) Fetch() error { return nil }
-func (b vanillaBackend) Close() error { return b.f.Close() }
+func (b vanillaBackend) ReadAt(off int64, dst []byte) error   { return b.f.ReadAtInto(off, dst) }
+func (b vanillaBackend) Fetch() error                         { return nil }
+func (b vanillaBackend) Close() error                         { return b.f.Close() }
 
 // checkpoint file header: magic, tree count, then ntrees+1 record offsets.
 const ckptMagic = 0x41525443 // "ARTC"

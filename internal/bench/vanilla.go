@@ -45,11 +45,9 @@ func VanillaRead(c *mpi.Comm, cfg SyntheticConfig, arrays [][]byte) error {
 			width := int(cfg.TypeArray[j].Size())
 			lo := i * cfg.SizeAccess * width
 			hi := lo + cfg.SizeAccess*width
-			got, err := handle.ReadAt(pos, int64(cfg.SizeAccess*width))
-			if err != nil {
+			if err := handle.ReadAtInto(pos, arrays[j][lo:hi]); err != nil {
 				return err
 			}
-			copy(arrays[j][lo:hi], got)
 			pos += int64(cfg.SizeAccess * width)
 		}
 	}

@@ -38,26 +38,20 @@ type Type interface {
 	String() string
 }
 
-// basic is a named elementary type of fixed width.
-type basic struct {
-	name  string
-	width int64
+// basic builds a named elementary type of fixed width.
+func basic(name string, width int64) Type {
+	return &derived{name: name, size: width, extent: width, segs: []Segment{{Off: 0, Len: width}}}
 }
-
-func (b basic) Size() int64         { return b.width }
-func (b basic) Extent() int64       { return b.width }
-func (b basic) Segments() []Segment { return []Segment{{Off: 0, Len: b.width}} }
-func (b basic) String() string      { return b.name }
 
 // Elementary MPI types used by the paper's benchmark (Table I: c, s, i, f, d).
 var (
-	Byte   Type = basic{"MPI_BYTE", 1}
-	Char   Type = basic{"MPI_CHAR", 1}
-	Short  Type = basic{"MPI_SHORT", 2}
-	Int    Type = basic{"MPI_INT", 4}
-	Float  Type = basic{"MPI_FLOAT", 4}
-	Double Type = basic{"MPI_DOUBLE", 8}
-	Long   Type = basic{"MPI_LONG", 8}
+	Byte   Type = basic("MPI_BYTE", 1)
+	Char   Type = basic("MPI_CHAR", 1)
+	Short  Type = basic("MPI_SHORT", 2)
+	Int    Type = basic("MPI_INT", 4)
+	Float  Type = basic("MPI_FLOAT", 4)
+	Double Type = basic("MPI_DOUBLE", 8)
+	Long   Type = basic("MPI_LONG", 8)
 )
 
 // ByName resolves the single-letter type codes of the paper's Table I
@@ -83,7 +77,8 @@ func ByName(code string) (Type, error) {
 	}
 }
 
-// derived is the common representation of all constructed types.
+// derived is the common representation of all types; Segments returns the
+// stored list, so walking a layout never allocates.
 type derived struct {
 	name   string
 	size   int64

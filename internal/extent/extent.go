@@ -26,7 +26,8 @@
 package extent
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"github.com/tcio/tcio/internal/mutate"
 )
@@ -47,15 +48,23 @@ func (e Extent) Empty() bool { return e.Len <= 0 }
 
 // Coalesce sorts runs by offset and merges adjacent or overlapping ones.
 // Zero-length runs are dropped. The input slice may be reordered and its
-// storage reused for the result.
+// storage reused for the result. Lists that arrive sorted — flattened
+// views, level-1 blocks written in ascending order — skip the sort, and
+// no input allocates.
 func Coalesce(list []Extent) []Extent {
 	out := list[:0]
+	sorted := true
 	for _, e := range list {
 		if e.Len > 0 {
+			if n := len(out); n > 0 && e.Off < out[n-1].Off {
+				sorted = false
+			}
 			out = append(out, e)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Off < out[j].Off })
+	if !sorted {
+		slices.SortFunc(out, func(a, b Extent) int { return cmp.Compare(a.Off, b.Off) })
+	}
 	merged := out[:0]
 	for _, e := range out {
 		if n := len(merged); n > 0 && merged[n-1].End() >= e.Off {

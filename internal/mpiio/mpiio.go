@@ -15,7 +15,6 @@ import (
 	"github.com/tcio/tcio/internal/datatype"
 	"github.com/tcio/tcio/internal/faults"
 	"github.com/tcio/tcio/internal/mpi"
-	"github.com/tcio/tcio/internal/mutate"
 	"github.com/tcio/tcio/internal/pfs"
 	"github.com/tcio/tcio/internal/simtime"
 	"github.com/tcio/tcio/internal/storage"
@@ -45,9 +44,10 @@ type File struct {
 
 	pos int64 // independent file pointer, in bytes past the view
 
-	disp     int64
-	etype    datatype.Type
-	filetype datatype.Type
+	// view maps visible bytes to file runs; runs is the scratch list every
+	// call flattens into, so steady-state calls allocate nothing for it.
+	view *datatype.View
+	runs []datatype.Segment
 
 	// aggregators is the number of ranks that perform file accesses in
 	// collective calls (ROMIO's cb_nodes hint). 0 means every rank, which
@@ -111,11 +111,14 @@ func Open(c *mpi.Comm, name string) (*File, error) {
 	if name == "" {
 		return nil, fmt.Errorf("mpiio: open with empty name")
 	}
+	view, err := datatype.NewView(0, datatype.Byte)
+	if err != nil {
+		return nil, err
+	}
 	return &File{
-		c:        c,
-		store:    storage.NewClient(c.FS().Open(name), c.Node(), c.Rank(), c),
-		etype:    datatype.Byte,
-		filetype: datatype.Byte,
+		c:     c,
+		store: storage.NewClient(c.FS().Open(name), c.Node(), c.Rank(), c),
+		view:  view,
 	}, nil
 }
 
@@ -126,19 +129,18 @@ func (f *File) PFS() *pfs.File { return f.store.File() }
 // the file are those selected by repeating filetype starting at byte
 // displacement disp; etype is the elementary unit of offsets.
 func (f *File) SetView(disp int64, etype, filetype datatype.Type) error {
-	if disp < 0 {
-		return fmt.Errorf("mpiio: negative view displacement %d", disp)
-	}
-	if etype.Size() <= 0 || filetype.Size() <= 0 {
-		return fmt.Errorf("mpiio: empty etype or filetype")
+	if etype.Size() <= 0 {
+		return fmt.Errorf("mpiio: empty etype")
 	}
 	if filetype.Size()%etype.Size() != 0 {
 		return fmt.Errorf("mpiio: filetype size %d not a multiple of etype size %d",
 			filetype.Size(), etype.Size())
 	}
-	f.disp = disp
-	f.etype = etype
-	f.filetype = filetype
+	view, err := datatype.NewView(disp, filetype)
+	if err != nil {
+		return fmt.Errorf("mpiio: %w", err)
+	}
+	f.view = view
 	f.pos = 0
 	return nil
 }
@@ -152,53 +154,15 @@ func (f *File) SeekTo(pos int64) error {
 	return nil
 }
 
-// flatten maps n visible bytes starting at visible offset pos into absolute
-// file runs according to the current view.
-func (f *File) flatten(pos, n int64) ([]datatype.Segment, error) {
+// viewRuns maps n visible bytes starting at visible offset pos into
+// absolute file runs according to the current view. The result aliases the
+// handle's scratch list and is valid until the next call on f.
+func (f *File) viewRuns(pos, n int64) ([]datatype.Segment, error) {
 	if n < 0 || pos < 0 {
-		return nil, fmt.Errorf("mpiio: flatten(pos=%d, n=%d)", pos, n)
+		return nil, fmt.Errorf("mpiio: access of %d bytes at visible offset %d", n, pos)
 	}
-	if n == 0 {
-		return nil, nil
-	}
-	ftSize := f.filetype.Size()
-	ftExtent := f.filetype.Extent()
-	segs := f.filetype.Segments()
-
-	out := make([]datatype.Segment, 0, 16)
-	// Skip whole filetype instances before pos.
-	inst := pos / ftSize
-	skip := pos % ftSize
-	remaining := n
-	for remaining > 0 {
-		base := f.disp + inst*ftExtent
-		for _, s := range segs {
-			if remaining <= 0 {
-				break
-			}
-			runOff, runLen := s.Off, s.Len
-			if skip > 0 {
-				if skip >= runLen {
-					skip -= runLen
-					continue
-				}
-				runOff += skip
-				runLen -= skip
-				skip = 0
-			}
-			if runLen > remaining {
-				runLen = remaining
-			}
-			out = append(out, datatype.Segment{Off: base + runOff, Len: runLen})
-			remaining -= runLen
-		}
-		inst++
-	}
-	runs := datatype.Coalesce(out)
-	if mutate.Enabled(mutate.MPIIOFlattenDropRun) && len(runs) > 1 {
-		runs = runs[1:]
-	}
-	return runs, nil
+	f.runs = f.view.Runs(f.runs[:0], pos, n)
+	return f.runs, nil
 }
 
 // Write writes data independently at the current file pointer through the
@@ -215,7 +179,7 @@ func (f *File) Write(data []byte) error {
 // WriteAt writes data independently at the given visible byte offset.
 func (f *File) WriteAt(pos int64, data []byte) error {
 	f.chargeCPU(callCPU, 1)
-	runs, err := f.flatten(pos, int64(len(data)))
+	runs, err := f.viewRuns(pos, int64(len(data)))
 	if err != nil {
 		return err
 	}
@@ -240,39 +204,47 @@ func (f *File) Read(n int64) ([]byte, error) {
 }
 
 // ReadAt reads n visible bytes independently at the given visible offset.
-// With sieving enabled, a non-contiguous request is served by one large
-// contiguous read spanning all its runs (ROMIO's data sieving), trading
-// extra bytes on the wire for far fewer requests.
 func (f *File) ReadAt(pos, n int64) ([]byte, error) {
-	f.chargeCPU(callCPU, 1)
-	runs, err := f.flatten(pos, n)
-	if err != nil {
-		return nil, err
+	if n < 0 {
+		return nil, fmt.Errorf("mpiio: ReadAt of %d bytes", n)
 	}
 	out := make([]byte, n)
-	if f.sieving && len(runs) > 1 {
-		lo := runs[0].Off
-		hi := runs[len(runs)-1].Off + runs[len(runs)-1].Len
-		span := make([]byte, hi-lo)
-		if err := f.readRetry(lo, span); err != nil {
-			return nil, err
-		}
-		f.chargeCPU(runCPU, len(runs)) // in-memory filtering
-		filled := int64(0)
-		for _, r := range runs {
-			copy(out[filled:filled+r.Len], span[r.Off-lo:r.Off-lo+r.Len])
-			filled += r.Len
-		}
-		return out, nil
-	}
-	filled := int64(0)
-	for _, r := range runs {
-		if err := f.readRetry(r.Off, out[filled:filled+r.Len]); err != nil {
-			return nil, err
-		}
-		filled += r.Len
+	if err := f.ReadAtInto(pos, out); err != nil {
+		return nil, err
 	}
 	return out, nil
+}
+
+// ReadAtInto fills dst with the len(dst) visible bytes at the given visible
+// offset, independently. With sieving enabled, a non-contiguous request is
+// served by one large contiguous read spanning all its runs (ROMIO's data
+// sieving), trading extra bytes on the wire for far fewer requests.
+func (f *File) ReadAtInto(pos int64, dst []byte) error {
+	f.chargeCPU(callCPU, 1)
+	runs, err := f.viewRuns(pos, int64(len(dst)))
+	if err != nil {
+		return err
+	}
+	if f.sieving && len(runs) > 1 {
+		lo := runs[0].Off
+		span := make([]byte, runs[len(runs)-1].End()-lo)
+		if err := f.readRetry(lo, span); err != nil {
+			return err
+		}
+		f.chargeCPU(runCPU, len(runs)) // in-memory filtering
+		for _, r := range runs {
+			copy(dst[:r.Len], span[r.Off-lo:r.End()-lo])
+			dst = dst[r.Len:]
+		}
+		return nil
+	}
+	for _, r := range runs {
+		if err := f.readRetry(r.Off, dst[:r.Len]); err != nil {
+			return err
+		}
+		dst = dst[r.Len:]
+	}
+	return nil
 }
 
 // Close releases the handle. The shared file object persists in the

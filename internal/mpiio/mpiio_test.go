@@ -118,7 +118,7 @@ func TestFlattenThroughVectorView(t *testing.T) {
 		if err := f.SetView(100, datatype.Int, rt); err != nil {
 			return err
 		}
-		runs, err := f.flatten(2, 12)
+		runs, err := f.viewRuns(2, 12)
 		if err != nil {
 			return err
 		}
@@ -507,4 +507,75 @@ func TestOpenRejectsEmptyName(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestReadAtIntoMatchesReadAt reads the same visible range through a
+// strided view with both entry points, with and without data sieving.
+func TestReadAtIntoMatchesReadAt(t *testing.T) {
+	run(t, 1, func(c *mpi.Comm) error {
+		f, err := Open(c, "into")
+		if err != nil {
+			return err
+		}
+		img := make([]byte, 400)
+		rand.New(rand.NewSource(3)).Read(img)
+		if err := f.WriteAt(0, img); err != nil {
+			return err
+		}
+		ft, _ := datatype.Vector(3, 1, 3, datatype.Int)
+		if err := f.SetView(8, datatype.Int, ft); err != nil {
+			return err
+		}
+		for _, sieve := range []bool{false, true} {
+			f.SetSieving(sieve)
+			want, err := f.ReadAt(2, 40)
+			if err != nil {
+				return err
+			}
+			got := make([]byte, 40)
+			if err := f.ReadAtInto(2, got); err != nil {
+				return err
+			}
+			if !bytes.Equal(got, want) {
+				return fmt.Errorf("sieving=%v: ReadAtInto = %x, ReadAt = %x", sieve, got, want)
+			}
+		}
+		if err := f.ReadAtInto(-1, make([]byte, 4)); err == nil {
+			return errors.New("negative offset accepted")
+		}
+		if _, err := f.ReadAt(0, -1); err == nil {
+			return errors.New("negative length accepted")
+		}
+		return nil
+	})
+}
+
+// TestViewFlatteningDoesNotAllocate pins the independent path's host cost:
+// under the default byte view, and under a strided view once the handle's
+// scratch list has grown, mapping a request to file runs allocates nothing
+// whatever the request's size.
+func TestViewFlatteningDoesNotAllocate(t *testing.T) {
+	run(t, 1, func(c *mpi.Comm) error {
+		f, err := Open(c, "noalloc")
+		if err != nil {
+			return err
+		}
+		flatten := func() {
+			if runs, err := f.viewRuns(12345, 1<<16); err != nil || len(runs) == 0 {
+				panic(fmt.Sprint(runs, err))
+			}
+		}
+		if a := testing.AllocsPerRun(100, flatten); a != 0 {
+			return fmt.Errorf("byte view: %v allocs per flatten, want 0", a)
+		}
+		ft, _ := datatype.Vector(512, 1, 4, datatype.Int)
+		if err := f.SetView(0, datatype.Int, ft); err != nil {
+			return err
+		}
+		flatten() // grows the scratch list once
+		if a := testing.AllocsPerRun(100, flatten); a != 0 {
+			return fmt.Errorf("vector view: %v allocs per flatten, want 0", a)
+		}
+		return nil
+	})
 }

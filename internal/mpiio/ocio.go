@@ -124,7 +124,7 @@ func (as aggSet) mineDomain() extent.Extent {
 // WriteAll performs a collective write of data through the view at the
 // current independent file pointer (MPI_File_write_all), advancing it.
 func (f *File) WriteAll(data []byte) error {
-	runs, err := f.flatten(f.pos, int64(len(data)))
+	runs, err := f.viewRuns(f.pos, int64(len(data)))
 	if err != nil {
 		return err
 	}
@@ -223,7 +223,7 @@ func (f *File) WriteAll(data []byte) error {
 // ReadAll performs a collective read of n visible bytes through the view at
 // the current pointer (MPI_File_read_all), advancing it.
 func (f *File) ReadAll(n int64) ([]byte, error) {
-	runs, err := f.flatten(f.pos, n)
+	runs, err := f.viewRuns(f.pos, n)
 	if err != nil {
 		return nil, err
 	}

@@ -29,8 +29,8 @@ const (
 	// TCIOEagerWritesUncounted drops the EagerWrites accounting of the
 	// write-behind lane, breaking EagerWrites + FlushResidue == FSWrites.
 	TCIOEagerWritesUncounted = "tcio.eager-writes-uncounted"
-	// MPIIOFlattenDropRun makes mpiio's view flattening drop the first
-	// run of every multi-run request.
+	// MPIIOFlattenDropRun makes mpiio's view flattening (datatype.View.Runs)
+	// drop the first run of every multi-run request.
 	MPIIOFlattenDropRun = "mpiio.flatten-drop-run"
 	// StorageDropLastRequest makes the storage layer's serial path drop
 	// the last request of every multi-request batch.

@@ -45,7 +45,9 @@ func (f *File) WriteAt(off int64, data []byte) error {
 	}
 	f.stats.Writes++
 	f.stats.BytesWritten += int64(len(data))
-	f.emit(trace.KindWrite, f.c.Now(), int64(len(data)), fmt.Sprintf("off=%d", off))
+	if f.tracing() {
+		f.emit(trace.KindWrite, f.c.Now(), int64(len(data)), fmt.Sprintf("off=%d", off))
+	}
 	// Split at segment boundaries: a block larger than one segment "has to
 	// be subdivided and placed in different segments" (§IV.A).
 	for len(data) > 0 {

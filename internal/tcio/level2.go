@@ -264,7 +264,9 @@ func (f *File) ship(seg int64, runs []extent.Extent, payload []byte) error {
 	f.stats.PutIssue += t2.Sub(t1)
 	f.meta.addDirty(seg, runs, h.Arrival())
 	f.stats.Level1Flush++
-	f.emit(trace.KindFlush, t0, int64(len(payload)), fmt.Sprintf("seg=%d owner=%d runs=%d", seg, owner, len(runs)))
+	if f.tracing() {
+		f.emit(trace.KindFlush, t0, int64(len(payload)), fmt.Sprintf("seg=%d owner=%d runs=%d", seg, owner, len(runs)))
+	}
 	return f.maybeWriteBehind()
 }
 

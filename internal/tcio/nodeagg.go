@@ -124,7 +124,9 @@ func (f *File) depositForAggregation(seg int64, runs []extent.Extent, payload []
 	f.agg.deposit(aggKey{node: node, seg: seg},
 		aggDeposit{origin: f.c.Rank(), runs: rcopy, payload: pcopy, arrival: arrival})
 	f.stats.Level1Flush++
-	f.emit(trace.KindFlush, t0, int64(len(payload)), fmt.Sprintf("seg=%d owner=%d runs=%d", seg, owner, len(runs)))
+	if f.tracing() {
+		f.emit(trace.KindFlush, t0, int64(len(payload)), fmt.Sprintf("seg=%d owner=%d runs=%d", seg, owner, len(runs)))
+	}
 	return nil
 }
 
@@ -210,8 +212,10 @@ func (f *File) combine(seg int64, deps []aggDeposit) error {
 	if f.c.Machine().NodeOf(owner) != f.c.Node() {
 		f.stats.InterNodePutsSaved += int64(len(deps)) - 1
 	}
-	f.emit(trace.KindCombine, t0, bytes,
-		fmt.Sprintf("seg=%d owner=%d origins=%d deposits=%d", seg, owner, origins, len(deps)))
+	if f.tracing() {
+		f.emit(trace.KindCombine, t0, bytes,
+			fmt.Sprintf("seg=%d owner=%d origins=%d deposits=%d", seg, owner, origins, len(deps)))
+	}
 	return nil
 }
 

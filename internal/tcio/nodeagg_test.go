@@ -82,7 +82,11 @@ func TestNodeAggregationReducesInterNodePuts(t *testing.T) {
 
 // TestNodeAggregationSingleCoreDegenerate pins the degenerate machine: with
 // one rank per node the aggregation gate stays closed, so the message
-// stream, the stats, and the bytes are bit-identical to the plain path.
+// stream, the per-rank ledger (counters and lock/put/unlock wait sums), and
+// the bytes are bit-identical to the plain path. The makespan is not
+// compared: shared resources serve same-time arrivals in host order, so even
+// two plain runs differ there (delegate's pass-through test excludes it for
+// the same reason).
 func TestNodeAggregationSingleCoreDegenerate(t *testing.T) {
 	repOff, statsOff, imgOff := aggRun(t, 6, 1, false)
 	repOn, statsOn, imgOn := aggRun(t, 6, 1, true)
@@ -91,9 +95,6 @@ func TestNodeAggregationSingleCoreDegenerate(t *testing.T) {
 	}
 	if repOff.Net != repOn.Net {
 		t.Fatalf("net stats differ: %+v vs %+v", repOff.Net, repOn.Net)
-	}
-	if repOff.MaxTime != repOn.MaxTime {
-		t.Fatalf("virtual time differs: %v vs %v", repOff.MaxTime, repOn.MaxTime)
 	}
 	for r := range statsOff {
 		if statsOff[r] != statsOn[r] {

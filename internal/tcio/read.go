@@ -66,7 +66,9 @@ func (f *File) ReadAt(off int64, dst []byte) error {
 	}
 	f.stats.Reads++
 	f.stats.BytesRead += int64(len(dst))
-	f.emit(trace.KindRead, f.c.Now(), int64(len(dst)), fmt.Sprintf("off=%d", off))
+	if f.tracing() {
+		f.emit(trace.KindRead, f.c.Now(), int64(len(dst)), fmt.Sprintf("off=%d", off))
+	}
 	for len(dst) > 0 {
 		seg := f.globalSegment(off)
 		segOff := off % f.segSize
@@ -264,7 +266,9 @@ func (f *File) fetchGets(order []int64, bySeg map[int64][]readReq) error {
 			fetched += int64(len(r.dst))
 		}
 	}
-	f.emit(trace.KindFetch, fetchStart, fetched, fmt.Sprintf("segments=%d", len(gets)))
+	if f.tracing() {
+		f.emit(trace.KindFetch, fetchStart, fetched, fmt.Sprintf("segments=%d", len(gets)))
+	}
 	f.runPostFetch()
 	return nil
 }

@@ -97,9 +97,13 @@ type Stats struct {
 // Stats returns this rank's activity counters.
 func (f *File) Stats() Stats { return f.stats }
 
+// tracing reports whether this run records trace events. Per-call and
+// per-flush sites test it before formatting an event's detail string.
+func (f *File) tracing() bool { return f.cfg.Trace != nil }
+
 // emit records a trace event when tracing is enabled.
 func (f *File) emit(kind trace.Kind, start simtime.Time, bytes int64, detail string) {
-	if f.cfg.Trace == nil {
+	if !f.tracing() {
 		return
 	}
 	f.cfg.Trace.Record(trace.Event{

@@ -419,3 +419,35 @@ func TestTraceRecordsLibraryActivity(t *testing.T) {
 		t.Fatal("timeline missing flush events")
 	}
 }
+
+// TestUntracedWriteDoesNotAllocate pins the per-call host cost with tracing
+// off: a WriteAt that lands in the level-1 buffer builds no trace detail
+// string, so it allocates nothing.
+func TestUntracedWriteDoesNotAllocate(t *testing.T) {
+	run(t, 1, func(c *mpi.Comm) error {
+		cfg := Config{SegmentSize: 4096, NumSegments: 4}
+		f, err := Open(c, "noalloc", WriteMode, cfg)
+		if err != nil {
+			return err
+		}
+		piece := make([]byte, 8)
+		write := func(seg int64) func() {
+			i := int64(0)
+			return func() {
+				if err := f.WriteAt(seg*4096+8*(i%256), piece); err != nil {
+					panic(err)
+				}
+				i++
+			}
+		}
+		// Grow the level-1 block list on segment 1; moving to segment 2
+		// flushes it, keeping its capacity.
+		for w, i := write(1), 0; i < 256; i++ {
+			w()
+		}
+		if a := testing.AllocsPerRun(200, write(2)); a != 0 {
+			return fmt.Errorf("%v allocs per untraced WriteAt, want 0", a)
+		}
+		return f.Close()
+	})
+}
