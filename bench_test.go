@@ -18,6 +18,9 @@ import (
 	"github.com/tcio/tcio/internal/bench"
 	"github.com/tcio/tcio/internal/datatype"
 	"github.com/tcio/tcio/internal/extent"
+	"github.com/tcio/tcio/internal/mpi"
+	"github.com/tcio/tcio/internal/netsim"
+	"github.com/tcio/tcio/internal/simtime"
 	"github.com/tcio/tcio/internal/stats"
 )
 
@@ -328,6 +331,68 @@ func BenchmarkCoalesce(b *testing.B) {
 				copy(scratch, bc.in)
 				benchSink += len(extent.Coalesce(scratch))
 			}
+		})
+	}
+}
+
+// --- Two-sided exchange hot path (DESIGN.md §6) ---
+
+// BenchmarkTransferBurst measures one netsim.Transfer joining a burst that
+// holds both of its ports depth windows deep — the state OCIO's all-to-all
+// puts every NIC in (synth-ocio peaks at 5999). The cost must be near-flat
+// in the depth; the per-call scan of open windows it replaced was linear.
+func BenchmarkTransferBurst(b *testing.B) {
+	for _, depth := range []int{64, 1024, 6000} {
+		b.Run(fmt.Sprintf("depth-%d", depth), func(b *testing.B) {
+			cfg := netsim.DefaultConfig()
+			net := netsim.New(2, cfg)
+			// One departure per nanosecond, each on the wire for depth
+			// nanoseconds, keeps depth windows open on both ports.
+			size := int64(float64(depth) * cfg.NICBandwidth / float64(simtime.Second))
+			depart := simtime.Time(0)
+			transfer := func() {
+				depart++
+				benchSink = int(net.Transfer(0, 1, size, depart, netsim.TwoSided))
+			}
+			for i := 0; i < 2*depth; i++ {
+				transfer()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				transfer()
+			}
+			b.ReportMetric(float64(net.Stats().PeakOverlap), "depth")
+		})
+	}
+}
+
+// BenchmarkAlltoallv measures one whole mpi.Alltoallv — p*p messages of 64
+// bytes, the size of a synth-ocio piece — across p ranks on 12-core nodes.
+func BenchmarkAlltoallv(b *testing.B) {
+	for _, p := range []int{64, 512} {
+		b.Run(fmt.Sprintf("p-%d", p), func(b *testing.B) {
+			b.ReportAllocs()
+			_, err := mpi.Run(mpi.Config{Procs: p}, func(c *mpi.Comm) error {
+				send := make([][]byte, p)
+				for dst := range send {
+					send[dst] = make([]byte, 64)
+				}
+				for i := 0; i < b.N; i++ {
+					recv, err := c.Alltoallv(send)
+					if err != nil {
+						return err
+					}
+					for _, buf := range recv {
+						mpi.RecycleBuf(buf)
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(p*p), "ns/msg")
 		})
 	}
 }

@@ -1,0 +1,133 @@
+package mpi
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"reflect"
+	"runtime"
+	"testing"
+
+	"github.com/tcio/tcio/internal/simtime"
+)
+
+// awaitDeposits parks the calling rank until every mailbox has received at
+// least n messages. Shared ports are arbitrated in host-arrival order, so
+// two runs agree on virtual time only if their sends reach netsim in the
+// same order; the identity test uses this to send in rank order.
+func awaitDeposits(c *Comm, n uint64) error {
+	for _, rs := range c.w.ranks {
+		for {
+			rs.box.mu.Lock()
+			seq := rs.box.seq
+			rs.box.mu.Unlock()
+			if seq >= n {
+				break
+			}
+			if err := c.abortedErr(); err != nil {
+				return err
+			}
+			runtime.Gosched()
+		}
+	}
+	return nil
+}
+
+// TestAlltoallvMatchesExplicitExchange checks that Alltoallv is, to the
+// nanosecond and the counter, the Irecv×p → Isend×p → Wait×p loop the paper
+// describes: same payloads, same final clock on every rank, same netsim
+// statistics.
+func TestAlltoallvMatchesExplicitExchange(t *testing.T) {
+	const p, rounds = 8, 2
+	cfg := testCfg(p)
+	cfg.Machine.CoresPerNode = 2 // 4 nodes: both the NIC and the local-copy path
+	cfg.Machine.Net.IncastThreshold = 2
+	cfg.Machine.Net.IncastScale = 1
+
+	// Uneven sizes, some empty (0 → 0 among them, an empty self-send).
+	payload := func(round, src, dst int) []byte {
+		n := (src*7 + dst*13 + round) % 5 * 3000
+		return bytes.Repeat([]byte{byte(src<<4 | dst)}, n)
+	}
+	explicit := func(c *Comm, send [][]byte) ([][]byte, error) {
+		const tag = 7
+		reqs := make([]*Request, p)
+		for src := range reqs {
+			reqs[src] = c.Irecv(src, tag)
+		}
+		for dst := range send {
+			if _, err := c.Isend(dst, tag, send[dst]).Wait(); err != nil {
+				return nil, err
+			}
+		}
+		out := make([][]byte, p)
+		for src, r := range reqs {
+			data, err := r.Wait()
+			if err != nil {
+				return nil, err
+			}
+			out[src] = data
+		}
+		return out, nil
+	}
+	run := func(exchange func(*Comm, [][]byte) ([][]byte, error)) Report {
+		rep, err := Run(cfg, func(c *Comm) error {
+			for round := 0; round < rounds; round++ {
+				// Ranks enter out of virtual-time order.
+				c.Compute(simtime.Duration((p-c.Rank())*(round+1)) * simtime.Microsecond)
+				send := make([][]byte, p)
+				for dst := range send {
+					send[dst] = payload(round, c.Rank(), dst)
+				}
+				if err := awaitDeposits(c, uint64(round*p+c.Rank())); err != nil {
+					return err
+				}
+				recv, err := exchange(c, send)
+				if err != nil {
+					return err
+				}
+				for src := range recv {
+					if !bytes.Equal(recv[src], payload(round, src, c.Rank())) {
+						return fmt.Errorf("round %d: payload from rank %d differs", round, src)
+					}
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+
+	want := run(explicit)
+	got := run((*Comm).Alltoallv)
+	if !reflect.DeepEqual(got.RankTimes, want.RankTimes) {
+		t.Errorf("final clocks differ:\n Alltoallv %v\n explicit  %v", got.RankTimes, want.RankTimes)
+	}
+	if got.Net != want.Net {
+		t.Errorf("netsim stats differ:\n Alltoallv %+v\n explicit  %+v", got.Net, want.Net)
+	}
+	if want.Net.CongestedMsgs == 0 || want.Net.LocalMessages == 0 {
+		t.Errorf("exchange exercised no incast or no local copy: %+v", want.Net)
+	}
+}
+
+func TestAlltoallvReturnsErrAborted(t *testing.T) {
+	const p = 4
+	boom := errors.New("boom")
+	errs := make([]error, p)
+	_, _ = Run(testCfg(p), func(c *Comm) error { // the per-rank errors are checked below
+		if c.Rank() == p-1 {
+			return boom
+		}
+		// Blocks on the receive from the failed rank until the abort wakes it.
+		_, errs[c.Rank()] = c.Alltoallv(make([][]byte, p))
+		return errs[c.Rank()]
+	})
+	for r, err := range errs[:p-1] {
+		if !errors.Is(err, ErrAborted) {
+			t.Errorf("rank %d: Alltoallv returned %v, want ErrAborted", r, err)
+		}
+	}
+}

@@ -246,39 +246,23 @@ const tagAlltoall = -2
 // Alltoallv sends send[i] to rank i and returns the payloads received from
 // every rank (recv[i] from rank i). It is implemented exactly as the paper
 // describes ROMIO's exchange phase: post all receives, then all sends, then
-// wait — the all-at-once burst whose congestion TCIO avoids.
+// wait — the all-at-once burst whose congestion TCIO avoids. A receive
+// matches when it is waited on, not when it is posted (see Irecv), so the
+// posts are free and the exchange is p eager sends followed by p blocking
+// receives: the same virtual-time charges, with no Request per message.
 func (c *Comm) Alltoallv(send [][]byte) ([][]byte, error) {
-	return c.AlltoallvSized(send, nil)
-}
-
-// AlltoallvSized is Alltoallv with per-destination billed simulated sizes
-// (nil bills scaled payload lengths). The I/O layers use it to bill their
-// exchange messages as payload plus a compact descriptor rather than the
-// full in-memory encoding.
-func (c *Comm) AlltoallvSized(send [][]byte, simBytes []int64) ([][]byte, error) {
 	p := c.w.nprocs
 	if len(send) != p {
 		return nil, fmt.Errorf("mpi: Alltoallv with %d buffers for %d ranks", len(send), p)
 	}
-	if simBytes != nil && len(simBytes) != p {
-		return nil, fmt.Errorf("mpi: Alltoallv with %d sizes for %d ranks", len(simBytes), p)
-	}
-	recvReqs := make([]*Request, p)
-	for src := 0; src < p; src++ {
-		recvReqs[src] = c.Irecv(src, tagAlltoall)
-	}
 	for dst := 0; dst < p; dst++ {
-		billed := int64(-1)
-		if simBytes != nil {
-			billed = simBytes[dst]
-		}
-		if r := c.IsendSized(dst, tagAlltoall, send[dst], billed); r.err != nil {
-			return nil, r.err
+		if err := c.Send(dst, tagAlltoall, send[dst]); err != nil {
+			return nil, err
 		}
 	}
 	out := make([][]byte, p)
 	for src := 0; src < p; src++ {
-		data, err := recvReqs[src].Wait()
+		data, err := c.Recv(src, tagAlltoall)
 		if err != nil {
 			return nil, err
 		}

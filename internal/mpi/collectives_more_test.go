@@ -57,47 +57,40 @@ func TestSharedOnceIsSameObject(t *testing.T) {
 	}
 }
 
-func TestIsendSizedBillsCustomBytes(t *testing.T) {
-	// Two messages with identical payloads but different billed sizes must
-	// produce different network byte counts.
-	run := func(billed int64) int64 {
-		rep, err := Run(testCfg(2), func(c *Comm) error {
+func TestBilledBytes(t *testing.T) {
+	// A plain send bills its payload at the machine's byte scale; an RPC
+	// request bills its header at metadata scale plus the scaled payload.
+	cfg := testCfg(2)
+	cfg.Machine.ByteScale = 10
+	run := func(send func(c *Comm) error) int64 {
+		rep, err := Run(cfg, func(c *Comm) error {
 			if c.Rank() == 0 {
-				r := c.IsendSized(1, 3, make([]byte, 100), billed)
-				if _, err := r.Wait(); err != nil {
-					return err
-				}
-			} else {
-				if _, err := c.Recv(0, 3); err != nil {
-					return err
-				}
+				return send(c)
 			}
-			return nil
+			_, err := c.Recv(0, 3)
+			return err
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return rep.Net.Bytes
 	}
-	if got := run(7); got != 7 {
-		t.Fatalf("billed 7, network saw %d", got)
+	if got := run(func(c *Comm) error { return c.Send(1, 3, make([]byte, 100)) }); got != 1000 {
+		t.Fatalf("Send of 100 bytes at scale 10: network saw %d, want 1000", got)
 	}
-	if got := run(-1); got != 100 {
-		t.Fatalf("default billing, network saw %d, want 100", got)
+	req := &RPCRequest{Op: OpWrite, Data: make([]byte, 100)}
+	if got := run(func(c *Comm) error { return c.SendRequest(1, 3, req) }); got != rpcReqHeaderWire+1000 {
+		t.Fatalf("SendRequest of 100 bytes at scale 10: network saw %d, want %d", got, rpcReqHeaderWire+1000)
 	}
 }
 
-func TestAlltoallvSizedValidation(t *testing.T) {
+func TestAlltoallvValidation(t *testing.T) {
 	_, err := Run(testCfg(2), func(c *Comm) error {
 		if _, err := c.Alltoallv(make([][]byte, 5)); err == nil {
 			return errors.New("wrong buffer count accepted")
 		}
-		if _, err := c.AlltoallvSized(make([][]byte, 2), make([]int64, 1)); err == nil {
-			return errors.New("wrong size count accepted")
-		}
 		// A well-formed call must still complete on both ranks.
-		send := [][]byte{[]byte("a"), []byte("b")}
-		got, err := c.AlltoallvSized(send, []int64{1, 1})
+		got, err := c.Alltoallv([][]byte{[]byte("a"), []byte("b")})
 		if err != nil {
 			return err
 		}

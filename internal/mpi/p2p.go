@@ -285,23 +285,17 @@ const sendOverhead = 400 * simtime.Nanosecond
 // network), matching MPI's buffered-send semantics; the network model
 // decides when the bytes arrive at dst.
 func (c *Comm) Send(dst, tag int, data []byte) error {
-	return c.send(dst, tag, data, netsim.TwoSided, -1)
-}
-
-// send delivers data; simBytes is the billed simulated size, or -1 to bill
-// the scaled payload length. Billing less than the payload models compact
-// wire encodings (ROMIO ships datatype descriptors, not expanded offset
-// lists, so its exchange metadata must not be charged at payload scale).
-func (c *Comm) send(dst, tag int, data []byte, class netsim.Class, simBytes int64) error {
 	buf := getBuf(len(data))
 	copy(buf, data)
-	return c.sendStaged(dst, tag, buf, class, simBytes)
+	return c.sendStaged(dst, tag, buf, netsim.TwoSided, -1)
 }
 
 // sendStaged delivers an already-staged payload, taking ownership of buf —
 // the zero-copy entry for callers that encode their message directly into a
 // pooled staging buffer (the RPC layer). buf must not be touched after the
 // call; it reaches the receiver and re-enters the pool via Recycle.
+// simBytes is the billed simulated size, or -1 to bill the scaled payload
+// length; billing less than the payload models compact wire encodings.
 func (c *Comm) sendStaged(dst, tag int, buf []byte, class netsim.Class, simBytes int64) error {
 	if err := c.abortedErr(); err != nil {
 		recycleBuf(buf)
@@ -354,16 +348,7 @@ type Request struct {
 // Isend posts a nonblocking send. With eager buffering the message is
 // already on the network when Isend returns; Wait only reconciles clocks.
 func (c *Comm) Isend(dst, tag int, data []byte) *Request {
-	err := c.send(dst, tag, data, netsim.TwoSided, -1)
-	return &Request{c: c, done: true, err: err}
-}
-
-// IsendSized is Isend with an explicit billed simulated size — for
-// messages whose wire representation is more compact than the in-memory
-// payload (e.g. two-phase exchange descriptors).
-func (c *Comm) IsendSized(dst, tag int, data []byte, simBytes int64) *Request {
-	err := c.send(dst, tag, data, netsim.TwoSided, simBytes)
-	return &Request{c: c, done: true, err: err}
+	return &Request{c: c, done: true, err: c.Send(dst, tag, data)}
 }
 
 // Irecv posts a nonblocking receive. Matching happens at Wait time, which

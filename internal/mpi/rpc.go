@@ -92,8 +92,8 @@ const (
 )
 
 // Wire sizes billed for the fixed portions of each message. Headers ride
-// at metadata scale (like two-phase exchange descriptors — see send): a
-// scaled run's worth of requests still ships one header each.
+// at metadata scale (see sendStaged): a scaled run's worth of requests
+// still ships one header each.
 const (
 	rpcReqHeaderWire = 1 + 4 + 8 + 8 + 8 + 4 // op, handle, seq, off, len, datalen
 	rpcRepHeaderWire = 1 + 1 + 8 + 2 + 4     // ok, code, seq, errlen, datalen

@@ -1,7 +1,6 @@
 package mpiio
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -33,18 +32,15 @@ import (
 // runsMessage encodes a set of absolute file runs plus (for writes) their
 // payload bytes, for the exchange phase.
 func encodeRuns(runs []datatype.Segment, payload []byte) []byte {
-	var buf bytes.Buffer
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[:4], uint32(len(runs)))
-	buf.Write(hdr[:4])
-	var pair [16]byte
-	for _, r := range runs {
-		binary.LittleEndian.PutUint64(pair[:8], uint64(r.Off))
-		binary.LittleEndian.PutUint64(pair[8:], uint64(r.Len))
-		buf.Write(pair[:])
+	msg := make([]byte, 4+16*len(runs)+len(payload))
+	binary.LittleEndian.PutUint32(msg, uint32(len(runs)))
+	for i, r := range runs {
+		off := 4 + i*16
+		binary.LittleEndian.PutUint64(msg[off:], uint64(r.Off))
+		binary.LittleEndian.PutUint64(msg[off+8:], uint64(r.Len))
 	}
-	buf.Write(payload)
-	return buf.Bytes()
+	copy(msg[4+16*len(runs):], payload)
+	return msg
 }
 
 func decodeRuns(msg []byte) ([]datatype.Segment, []byte, error) {

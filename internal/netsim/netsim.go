@@ -104,43 +104,67 @@ func DefaultConfig() Config {
 	}
 }
 
-// interval is one inbound transfer's occupancy window at a node's ingress.
-type interval struct {
-	start, end simtime.Time
-}
-
 // flowWindow tracks the transfers that overlap in virtual time at one port
 // (a node's egress or ingress). The count of concurrently open windows is
 // the port's instantaneous load: k+1 overlapping transfers each proceed at
 // 1/(k+1) of the line rate, which keeps the model work-conserving without a
 // FIFO queue (a queue ordered by call time would suffer virtual-time
 // inversions between concurrently simulated ranks and stall the job).
+//
+// Only the instants at which open windows end matter, so the port keeps
+// them in a binary min-heap: a transfer costs O(log burst) however deep the
+// burst it joins. The heap is written out because container/heap boxes
+// every pushed element, and this path must not allocate.
 type flowWindow struct {
-	mu     sync.Mutex
-	recent []interval
+	mu   sync.Mutex
+	ends []simtime.Time // min-heap: ends[0] is the window that closes first
 }
 
-// overlapAt counts windows still open at instant t and records the new
-// window. Windows that begin after t are counted too: they belong to the
-// same burst epoch, and the port's switch state sees their connections.
-func (fw *flowWindow) overlapAt(t simtime.Time, win interval) int {
+// overlapAt counts windows still open at instant t (end > t), forgets the
+// closed ones for good, and records a new window ending at end. Windows
+// that begin after t are counted too: they belong to the same burst epoch,
+// and the port's switch state sees their connections.
+func (fw *flowWindow) overlapAt(t, end simtime.Time) int {
 	fw.mu.Lock()
 	defer fw.mu.Unlock()
-	live := fw.recent[:0]
-	n := 0
-	for _, iv := range fw.recent {
-		if iv.end > t {
-			live = append(live, iv)
-			n++
+	h := fw.ends
+	for len(h) > 0 && h[0] <= t {
+		// Pop the root: move the last leaf up and sift it down.
+		last := len(h) - 1
+		h[0] = h[last]
+		h = h[:last]
+		for i := 0; ; {
+			c := 2*i + 1
+			if c >= last {
+				break
+			}
+			if c+1 < last && h[c+1] < h[c] {
+				c++
+			}
+			if h[i] <= h[c] {
+				break
+			}
+			h[i], h[c] = h[c], h[i]
+			i = c
 		}
 	}
-	fw.recent = append(live, win)
+	n := len(h)
+	h = append(h, end)
+	for i := n; i > 0; {
+		parent := (i - 1) / 2
+		if h[parent] <= h[i] {
+			break
+		}
+		h[parent], h[i] = h[i], h[parent]
+		i = parent
+	}
+	fw.ends = h
 	return n
 }
 
 func (fw *flowWindow) reset() {
 	fw.mu.Lock()
-	fw.recent = nil
+	fw.ends = nil
 	fw.mu.Unlock()
 }
 
@@ -254,15 +278,21 @@ func (n *Network) Transfer(src, dst int, size int64, depart simtime.Time, class 
 	}
 
 	// Source NIC: k concurrent outbound flows share the line rate.
-	egOverlap := n.nodes[src].egress.overlapAt(ready, interval{start: ready, end: ready.Add(wire)})
+	end := ready.Add(wire)
+	egOverlap := n.nodes[src].egress.overlapAt(ready, end)
 	egressDur := wire * simtime.Duration(egOverlap+1)
 
 	// Destination NIC: concurrent inbound flows share the line rate, and a
 	// connection storm beyond the threshold collapses goodput superlinearly
 	// (incast).
-	inOverlap := n.nodes[dst].ingress.overlapAt(ready, interval{start: ready, end: ready.Add(wire)})
-	if int64(inOverlap) > n.peakOverlap.Load() {
-		n.peakOverlap.Store(int64(inOverlap))
+	inOverlap := n.nodes[dst].ingress.overlapAt(ready, end)
+	for {
+		// Monotone max: a plain load-then-store lets a smaller concurrent
+		// observation overwrite a larger one.
+		peak := n.peakOverlap.Load()
+		if int64(inOverlap) <= peak || n.peakOverlap.CompareAndSwap(peak, int64(inOverlap)) {
+			break
+		}
 	}
 	penalty := 1.0
 	if extra := inOverlap - n.cfg.IncastThreshold; extra > 0 {

@@ -150,53 +150,3 @@ func (r *Resource) Reset() {
 	r.busy = 0
 	r.requests = 0
 }
-
-// Gauge counts concurrently active operations (e.g. in-flight network
-// flows). It is used to scale contention penalties. Safe for concurrent use.
-type Gauge struct {
-	mu   sync.Mutex
-	cur  int
-	peak int
-}
-
-// Inc registers one more active operation and returns the new level.
-func (g *Gauge) Inc() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.cur++
-	if g.cur > g.peak {
-		g.peak = g.cur
-	}
-	return g.cur
-}
-
-// Dec unregisters one active operation.
-func (g *Gauge) Dec() {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.cur > 0 {
-		g.cur--
-	}
-}
-
-// Level reports the current number of active operations.
-func (g *Gauge) Level() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.cur
-}
-
-// Peak reports the maximum concurrency seen since the last Reset.
-func (g *Gauge) Peak() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.peak
-}
-
-// Reset zeroes the gauge.
-func (g *Gauge) Reset() {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.cur = 0
-	g.peak = 0
-}

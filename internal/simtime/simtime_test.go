@@ -171,42 +171,3 @@ func TestResourceConcurrentAcquireNoOverlap(t *testing.T) {
 		t.Fatalf("Stats = (%v,%v)", busy, n)
 	}
 }
-
-func TestGauge(t *testing.T) {
-	var g Gauge
-	if g.Inc() != 1 || g.Inc() != 2 {
-		t.Fatal("Inc sequence wrong")
-	}
-	g.Dec()
-	if g.Level() != 1 {
-		t.Fatalf("Level = %d, want 1", g.Level())
-	}
-	if g.Peak() != 2 {
-		t.Fatalf("Peak = %d, want 2", g.Peak())
-	}
-	g.Dec()
-	g.Dec() // extra Dec must not go negative
-	if g.Level() != 0 {
-		t.Fatalf("Level = %d, want 0", g.Level())
-	}
-	g.Reset()
-	if g.Peak() != 0 {
-		t.Fatal("Reset did not clear peak")
-	}
-}
-
-func TestGaugeConcurrent(t *testing.T) {
-	var g Gauge
-	var wg sync.WaitGroup
-	for i := 0; i < 100; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			g.Inc()
-		}()
-	}
-	wg.Wait()
-	if g.Level() != 100 || g.Peak() != 100 {
-		t.Fatalf("Level=%d Peak=%d, want 100/100", g.Level(), g.Peak())
-	}
-}
