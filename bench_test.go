@@ -22,6 +22,7 @@ import (
 	"github.com/tcio/tcio/internal/netsim"
 	"github.com/tcio/tcio/internal/simtime"
 	"github.com/tcio/tcio/internal/stats"
+	"github.com/tcio/tcio/internal/tcio"
 )
 
 // syntheticPoint runs one (method, procs) point of the synthetic benchmark
@@ -393,6 +394,117 @@ func BenchmarkAlltoallv(b *testing.B) {
 				b.Fatal(err)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(p*p), "ns/msg")
+		})
+	}
+}
+
+// --- One-sided ship/fetch hot path (DESIGN.md §6) ---
+
+// hotPathRanks and hotPathCfg shape the two benchmarks below: three
+// Lonestar nodes, so most one-sided operations cross the NIC, and four
+// times as many owners as PipelineDepth, so ships keep evicting epochs.
+const hotPathRanks = 32
+
+var hotPathCfg = tcio.Config{SegmentSize: 4096, NumSegments: 8}
+
+// BenchmarkShip measures one level-1 flush and ship from rank 0: an
+// untraced lock/put/unlock epoch whose indexed put carries runs blocks,
+// into a segment earlier ships already made dirty. One op is the runs
+// WriteAt calls that fill the level-1 buffer plus the ship that empties it;
+// the other ranks wait in Close.
+func BenchmarkShip(b *testing.B) {
+	for _, runs := range []int{1, 16} {
+		b.Run(fmt.Sprintf("runs-%d", runs), func(b *testing.B) {
+			b.ReportAllocs()
+			_, err := mpi.Run(mpi.Config{Procs: hotPathRanks}, func(c *mpi.Comm) error {
+				f, err := tcio.Open(c, "bench-ship", tcio.WriteMode, hotPathCfg)
+				if err != nil {
+					return err
+				}
+				if c.Rank() == 0 {
+					piece := make([]byte, 8)
+					fill := func(i int) error { // segment i%64, every other 8 bytes
+						for r := 0; r < runs; r++ {
+							if err := f.WriteAt(int64(i%64)*4096+int64(r)*16, piece); err != nil {
+								return err
+							}
+						}
+						return nil
+					}
+					for i := 0; i < 128; i++ {
+						if err := fill(i); err != nil {
+							return err
+						}
+					}
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if err := fill(i); err != nil {
+							return err
+						}
+					}
+					b.StopTimer()
+				}
+				return f.Close()
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+		})
+	}
+}
+
+// BenchmarkFetchBatch measures one lazy-read batch on rank 0: two ReadAt
+// calls in each of segs populated segments, then the Fetch that groups
+// them, locks the owners, issues one indexed get per segment and scatters.
+func BenchmarkFetchBatch(b *testing.B) {
+	for _, segs := range []int{1, 64} {
+		b.Run(fmt.Sprintf("segs-%d", segs), func(b *testing.B) {
+			b.ReportAllocs()
+			_, err := mpi.Run(mpi.Config{Procs: hotPathRanks}, func(c *mpi.Comm) error {
+				w, err := tcio.Open(c, "bench-fetch", tcio.WriteMode, hotPathCfg)
+				if err != nil {
+					return err
+				}
+				if c.Rank() == 0 {
+					if err := w.WriteAt(0, make([]byte, 64*4096)); err != nil {
+						return err
+					}
+				}
+				if err := w.Close(); err != nil {
+					return err
+				}
+				f, err := tcio.Open(c, "bench-fetch", tcio.ReadMode, hotPathCfg)
+				if err != nil {
+					return err
+				}
+				if c.Rank() == 0 {
+					dst := make([]byte, 16)
+					batch := func() error {
+						for s := 0; s < segs; s++ {
+							for half := 0; half < 2; half++ {
+								if err := f.ReadAt(int64(s*4096+half*2048), dst[half*8:half*8+8]); err != nil {
+									return err
+								}
+							}
+						}
+						return f.Fetch()
+					}
+					if err := batch(); err != nil {
+						return err
+					}
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if err := batch(); err != nil {
+							return err
+						}
+					}
+					b.StopTimer()
+				}
+				return f.Close()
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
 		})
 	}
 }

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"github.com/tcio/tcio/internal/datatype"
@@ -102,9 +103,12 @@ type winGlobal struct {
 
 // Win is one rank's handle on a window.
 type Win struct {
-	c     *Comm
-	g     *winGlobal
-	held  map[int]*heldLock
+	c    *Comm
+	g    *winGlobal
+	held map[int]*heldLock
+	// free holds the records of closed epochs: Lock reuses one instead of
+	// allocating, so a warm handle opens and closes epochs allocation-free.
+	free  []*heldLock
 	class netsim.Class
 }
 
@@ -194,7 +198,17 @@ func (w *Win) Lock(target int, exclusive bool) error {
 	w.c.clock().AdvanceTo(prevRelease)
 	net := w.c.w.machine.Net
 	w.c.clock().Advance(2*net.Latency + net.SetupOneSided)
-	w.held[target] = &heldLock{exclusive: exclusive}
+	var h *heldLock
+	if n := len(w.free); n > 0 {
+		// Reset on reuse: a recycled record must not carry the previous
+		// epoch's maxArrival, or this epoch's Unlock would wait for that
+		// one's transfers.
+		h, w.free = w.free[n-1], w.free[:n-1]
+		*h = heldLock{exclusive: exclusive}
+	} else {
+		h = &heldLock{exclusive: exclusive}
+	}
+	w.held[target] = h
 	return nil
 }
 
@@ -214,6 +228,7 @@ func (w *Win) Unlock(target int) error {
 	w.c.clock().AdvanceTo(h.maxArrival)
 	w.c.clock().Advance(net.Latency) // unlock notification
 	w.g.locks[target].release(h.exclusive, handoff)
+	w.free = append(w.free, h)
 	return nil
 }
 
@@ -257,13 +272,13 @@ type PutHandle struct {
 }
 
 // Complete waits (in virtual time) for the transfer to retire.
-func (h *PutHandle) Complete() { h.c.clock().AdvanceTo(h.arrival) }
+func (h PutHandle) Complete() { h.c.clock().AdvanceTo(h.arrival) }
 
 // Arrival reports when the transfer retires at the target, without
 // waiting. Pipelines that record where data will be use it to timestamp
 // dependent work — tcio's write-behind stores it with each dirty run so
 // the owner never drains bytes before their virtual-time arrival.
-func (h *PutHandle) Arrival() simtime.Time { return h.arrival }
+func (h PutHandle) Arrival() simtime.Time { return h.arrival }
 
 // PendingArrival reports the latest completion time among the open epoch's
 // transfers to target, without waiting — zero when no epoch is open. It is
@@ -280,21 +295,21 @@ func (w *Win) PendingArrival(target int) simtime.Time {
 // PutSegmentsAsync is PutSegments returning an Rput-style handle, so a
 // pipelined origin can bound its outstanding transfers by retiring the
 // oldest handle instead of closing whole epochs.
-func (w *Win) PutSegmentsAsync(target int, segs []datatype.Segment, data []byte) (*PutHandle, error) {
+func (w *Win) PutSegmentsAsync(target int, segs []datatype.Segment, data []byte) (PutHandle, error) {
 	h, err := w.epoch(target, "Put")
 	if err != nil {
-		return nil, err
+		return PutHandle{}, err
 	}
 	buf := w.g.bufs[target]
 	var total int64
 	for _, s := range segs {
 		if s.Off < 0 || s.Off+s.Len > int64(len(buf)) {
-			return nil, fmt.Errorf("mpi: Put segment [%d,%d) outside window of %d bytes", s.Off, s.Off+s.Len, len(buf))
+			return PutHandle{}, fmt.Errorf("mpi: Put segment [%d,%d) outside window of %d bytes", s.Off, s.Off+s.Len, len(buf))
 		}
 		total += s.Len
 	}
 	if total != int64(len(data)) {
-		return nil, fmt.Errorf("mpi: Put %d bytes for segments totalling %d", len(data), total)
+		return PutHandle{}, fmt.Errorf("mpi: Put %d bytes for segments totalling %d", len(data), total)
 	}
 	mu := &w.g.datamu[target]
 	mu.Lock()
@@ -311,7 +326,7 @@ func (w *Win) PutSegmentsAsync(target int, segs []datatype.Segment, data []byte)
 	if arrival > h.maxArrival {
 		h.maxArrival = arrival
 	}
-	return &PutHandle{c: w.c, arrival: arrival}, nil
+	return PutHandle{c: w.c, arrival: arrival}, nil
 }
 
 // FlushLocal completes all outstanding operations this rank issued to
@@ -336,7 +351,7 @@ func (w *Win) Get(target int, off, n int64) ([]byte, error) {
 // buffer — a single MPI_Get with an indexed datatype, one network transfer.
 // The caller's clock waits for the transfer (the data is needed on return).
 func (w *Win) GetSegments(target int, segs []datatype.Segment) ([]byte, error) {
-	h, err := w.GetSegmentsAsync(target, segs)
+	h, err := w.GetSegmentsAsync(target, segs, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -344,7 +359,10 @@ func (w *Win) GetSegments(target int, segs []datatype.Segment) ([]byte, error) {
 }
 
 // GetHandle is an in-flight asynchronous get. Its data is guaranteed only
-// after Complete or after unlocking the access epoch it was issued in.
+// after Complete or after unlocking the access epoch it was issued in, and
+// it aliases the destination GetSegmentsAsync appended to: a caller that
+// passed its own buffer owns the bytes and must not reuse that part of the
+// buffer while it still reads them.
 type GetHandle struct {
 	c       *Comm
 	data    []byte
@@ -352,7 +370,7 @@ type GetHandle struct {
 }
 
 // Complete waits (in virtual time) for the transfer and returns the data.
-func (h *GetHandle) Complete() []byte {
+func (h GetHandle) Complete() []byte {
 	h.c.clock().AdvanceTo(h.arrival)
 	return h.data
 }
@@ -361,21 +379,23 @@ func (h *GetHandle) Complete() []byte {
 // origin only pays the issue overhead now, and the epoch's Unlock (or the
 // handle's Complete) synchronizes with the transfer. This is how an MPI
 // program overlaps many gets within one lock epoch before a single
-// MPI_Win_unlock.
-func (w *Win) GetSegmentsAsync(target int, segs []datatype.Segment) (*GetHandle, error) {
+// MPI_Win_unlock. The gathered bytes are appended to dst (nil allocates
+// exactly what the get needs), so a caller issuing many gets can land them
+// all in one reused buffer.
+func (w *Win) GetSegmentsAsync(target int, segs []datatype.Segment, dst []byte) (GetHandle, error) {
 	h, err := w.epoch(target, "Get")
 	if err != nil {
-		return nil, err
+		return GetHandle{}, err
 	}
 	buf := w.g.bufs[target]
 	var total int64
 	for _, s := range segs {
 		if s.Off < 0 || s.Off+s.Len > int64(len(buf)) {
-			return nil, fmt.Errorf("mpi: Get segment [%d,%d) outside window of %d bytes", s.Off, s.Off+s.Len, len(buf))
+			return GetHandle{}, fmt.Errorf("mpi: Get segment [%d,%d) outside window of %d bytes", s.Off, s.Off+s.Len, len(buf))
 		}
 		total += s.Len
 	}
-	out := make([]byte, 0, total)
+	out := slices.Grow(dst, int(total))
 	mu := &w.g.datamu[target]
 	mu.Lock()
 	for _, s := range segs {
@@ -389,7 +409,7 @@ func (w *Win) GetSegmentsAsync(target int, segs []datatype.Segment) (*GetHandle,
 	if arrival > h.maxArrival {
 		h.maxArrival = arrival
 	}
-	return &GetHandle{c: w.c, data: out, arrival: arrival}, nil
+	return GetHandle{c: w.c, data: out[len(dst):], arrival: arrival}, nil
 }
 
 // Fence is the collective synchronization alternative (MPI_Win_fence).

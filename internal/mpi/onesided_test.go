@@ -54,11 +54,11 @@ func TestWinGetAsyncDataValidAfterComplete(t *testing.T) {
 		if err := win.Lock(1, false); err != nil {
 			return err
 		}
-		h1, err := win.GetSegmentsAsync(1, []datatype.Segment{{Off: 1, Len: 2}})
+		h1, err := win.GetSegmentsAsync(1, []datatype.Segment{{Off: 1, Len: 2}}, nil)
 		if err != nil {
 			return err
 		}
-		h2, err := win.GetSegmentsAsync(1, []datatype.Segment{{Off: 3, Len: 1}})
+		h2, err := win.GetSegmentsAsync(1, []datatype.Segment{{Off: 3, Len: 1}}, nil)
 		if err != nil {
 			return err
 		}
@@ -85,7 +85,7 @@ func TestWinGetAsyncWithoutLockFails(t *testing.T) {
 			return err
 		}
 		if c.Rank() == 0 {
-			if _, err := win.GetSegmentsAsync(1, []datatype.Segment{{Off: 0, Len: 1}}); err == nil {
+			if _, err := win.GetSegmentsAsync(1, []datatype.Segment{{Off: 0, Len: 1}}, nil); err == nil {
 				return errors.New("async get without lock accepted")
 			}
 		}
@@ -123,7 +123,7 @@ func TestWinAsyncGetsOverlapInVirtualTime(t *testing.T) {
 		}
 		for i := 0; i < n; i++ {
 			segs[0] = datatype.Segment{Off: int64(i), Len: 1}
-			if _, err := win.GetSegmentsAsync(1, segs); err != nil {
+			if _, err := win.GetSegmentsAsync(1, segs, nil); err != nil {
 				return err
 			}
 		}
@@ -266,6 +266,148 @@ func TestExclusiveAfterSharedObservesHandoff(t *testing.T) {
 				return fmt.Errorf("exclusive epoch began at %v, before shared handoff", c.Now())
 			}
 			return win.Unlock(0)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// secondEpoch runs two put epochs from rank 0 to rank 1 — a long transfer,
+// then a short one — and reports what the second epoch observed. With
+// reuse both run on one Win, so the second epoch gets the first one's
+// recycled record; without, the second runs on a Win that never locked.
+func secondEpoch(t *testing.T, reuse bool) (afterLock, afterPut, unlocked simtime.Time) {
+	t.Helper()
+	_, err := Run(testCfg(2), func(c *Comm) error {
+		a, err := c.WinCreate(make([]byte, 1<<16))
+		if err != nil {
+			return err
+		}
+		b, err := c.WinCreate(make([]byte, 1<<16))
+		if err != nil {
+			return err
+		}
+		if c.Rank() != 0 {
+			return nil
+		}
+		epoch := func(w *Win, n int64) error {
+			if err := w.Lock(1, false); err != nil {
+				return err
+			}
+			afterLock = w.PendingArrival(1)
+			if _, err := w.PutSegmentsAsync(1, []datatype.Segment{{Off: 0, Len: n}}, make([]byte, n)); err != nil {
+				return err
+			}
+			afterPut = w.PendingArrival(1)
+			if err := w.Unlock(1); err != nil {
+				return err
+			}
+			unlocked = c.Now()
+			return nil
+		}
+		if err := epoch(a, 1<<16); err != nil {
+			return err
+		}
+		if reuse {
+			b = a
+		}
+		return epoch(b, 8)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return
+}
+
+// TestRecycledEpochStartsFresh: Win reuses the records of closed epochs, and
+// a reused record must be reset — an epoch that inherited its predecessor's
+// latest arrival would report transfers it never issued and make Unlock
+// wait for them.
+func TestRecycledEpochStartsFresh(t *testing.T) {
+	lock, put, unlocked := secondEpoch(t, true)
+	wantLock, wantPut, wantUnlocked := secondEpoch(t, false)
+	if lock != 0 || lock != wantLock {
+		t.Errorf("PendingArrival after Lock on a recycled record = %v, want 0", lock)
+	}
+	if put != wantPut || unlocked != wantUnlocked {
+		t.Errorf("recycled epoch: arrival %v, unlocked at %v; a fresh Win's: %v, %v",
+			put, unlocked, wantPut, wantUnlocked)
+	}
+}
+
+// TestGetSegmentsAsyncIntoCallerBuffer: the append-style destination lands
+// the same bytes, at the same virtual time, as the allocating form — after
+// whatever the buffer already holds, and in place when it has the room.
+func TestGetSegmentsAsyncIntoCallerBuffer(t *testing.T) {
+	segs := []datatype.Segment{{Off: 1, Len: 2}, {Off: 5, Len: 3}}
+	get := func(dst []byte) (h GetHandle) {
+		_, err := Run(testCfg(2), func(c *Comm) error {
+			win, err := c.WinCreate([]byte{10, 11, 12, 13, 14, 15, 16, 17})
+			if err != nil || c.Rank() != 0 {
+				return err
+			}
+			if err := win.Lock(1, false); err != nil {
+				return err
+			}
+			if h, err = win.GetSegmentsAsync(1, segs, dst); err != nil {
+				return err
+			}
+			return win.Unlock(1)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h
+	}
+	want := get(nil)
+	if !bytes.Equal(want.data, []byte{11, 12, 15, 16, 17}) {
+		t.Fatalf("allocating get = %v", want.data)
+	}
+	buf := append(make([]byte, 0, 16), 1, 2, 3)
+	got := get(buf)
+	if !bytes.Equal(got.data, want.data) || got.arrival != want.arrival {
+		t.Fatalf("get into a buffer = %v at %v, allocating form %v at %v",
+			got.data, got.arrival, want.data, want.arrival)
+	}
+	if &got.data[0] != &buf[:4][3] || !bytes.Equal(buf, []byte{1, 2, 3}) {
+		t.Fatal("get did not append in place after the buffer's contents")
+	}
+}
+
+// TestWarmEpochDoesNotAllocate pins the host cost of a one-sided epoch: on
+// a Win that has closed an epoch before, lock + indexed put + unlock and
+// lock + indexed get into a caller buffer + unlock allocate nothing.
+func TestWarmEpochDoesNotAllocate(t *testing.T) {
+	_, err := Run(testCfg(2), func(c *Comm) error {
+		win, err := c.WinCreate(make([]byte, 64))
+		if err != nil || c.Rank() != 0 {
+			return err
+		}
+		segs := []datatype.Segment{{Off: 0, Len: 8}, {Off: 16, Len: 8}}
+		data, dst := make([]byte, 16), make([]byte, 0, 16)
+		epoch := func(op func() error) func() {
+			return func() {
+				if err := win.Lock(1, false); err != nil {
+					panic(err)
+				}
+				if err := op(); err != nil {
+					panic(err)
+				}
+				if err := win.Unlock(1); err != nil {
+					panic(err)
+				}
+			}
+		}
+		put := epoch(func() error { _, err := win.PutSegmentsAsync(1, segs, data); return err })
+		get := epoch(func() error { _, err := win.GetSegmentsAsync(1, segs, dst); return err })
+		put() // warm: the first epoch allocates the record every later one reuses
+		if a := testing.AllocsPerRun(200, put); a != 0 {
+			return fmt.Errorf("%v allocs per warm put epoch, want 0", a)
+		}
+		if a := testing.AllocsPerRun(200, get); a != 0 {
+			return fmt.Errorf("%v allocs per warm get epoch, want 0", a)
 		}
 		return nil
 	})

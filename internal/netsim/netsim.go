@@ -168,10 +168,17 @@ func (fw *flowWindow) reset() {
 	fw.mu.Unlock()
 }
 
-// node is the per-node interconnect state.
+// node is the per-node interconnect state. The traffic counters count what
+// the node originated: a transfer bumps only its source's, so ranks on
+// different nodes never contend for one cache line, and Stats sums them.
 type node struct {
 	egress  flowWindow
 	ingress flowWindow
+
+	oneSided  atomic.Int64
+	twoSided  atomic.Int64
+	bytes     atomic.Int64
+	congested atomic.Int64
 }
 
 // Stats summarizes network activity since construction or the last Reset.
@@ -195,14 +202,8 @@ type Network struct {
 	cfg   Config
 	nodes []*node
 
-	messages      atomic.Int64
-	bytes         atomic.Int64
 	localMessages atomic.Int64
 	peakOverlap   atomic.Int64
-	congested     atomic.Int64
-	oneSided      atomic.Int64
-	twoSided      atomic.Int64
-	setupTotal    atomic.Int64
 	setupRetries  atomic.Int64
 	slowTransfers atomic.Int64
 }
@@ -236,16 +237,15 @@ func (n *Network) Transfer(src, dst int, size int64, depart simtime.Time, class 
 	if size < 0 {
 		size = 0
 	}
-	n.messages.Add(1)
-	n.bytes.Add(size)
+	from := n.nodes[src]
 	setup := n.cfg.SetupTwoSided
 	if class == OneSided {
 		setup = n.cfg.SetupOneSided
-		n.oneSided.Add(1)
+		from.oneSided.Add(1)
 	} else {
-		n.twoSided.Add(1)
+		from.twoSided.Add(1)
 	}
-	n.setupTotal.Add(int64(setup))
+	from.bytes.Add(size)
 
 	if src == dst {
 		// Same node: a memory copy, no NIC involvement.
@@ -279,7 +279,7 @@ func (n *Network) Transfer(src, dst int, size int64, depart simtime.Time, class 
 
 	// Source NIC: k concurrent outbound flows share the line rate.
 	end := ready.Add(wire)
-	egOverlap := n.nodes[src].egress.overlapAt(ready, end)
+	egOverlap := from.egress.overlapAt(ready, end)
 	egressDur := wire * simtime.Duration(egOverlap+1)
 
 	// Destination NIC: concurrent inbound flows share the line rate, and a
@@ -308,7 +308,7 @@ func (n *Network) Transfer(src, dst int, size int64, depart simtime.Time, class 
 		if penalty > n.cfg.MaxPenalty {
 			penalty = n.cfg.MaxPenalty
 		}
-		n.congested.Add(1)
+		from.congested.Add(1)
 	}
 	ingressDur := simtime.Duration(float64(wire) * float64(inOverlap+1) * penalty)
 
@@ -319,36 +319,40 @@ func (n *Network) Transfer(src, dst int, size int64, depart simtime.Time, class 
 	return ready.Add(dur).Add(n.cfg.Latency)
 }
 
-// Stats returns a snapshot of the accumulated counters.
+// Stats returns a snapshot of the accumulated counters. SetupTimeTotal is
+// every message's configured setup charge, by class; the extra time of
+// injected setup retries is not in it (SetupRetries counts those).
 func (n *Network) Stats() Stats {
-	return Stats{
-		Messages:       n.messages.Load(),
-		Bytes:          n.bytes.Load(),
-		LocalMessages:  n.localMessages.Load(),
-		PeakOverlap:    n.peakOverlap.Load(),
-		CongestedMsgs:  n.congested.Load(),
-		OneSidedMsgs:   n.oneSided.Load(),
-		TwoSidedMsgs:   n.twoSided.Load(),
-		SetupTimeTotal: simtime.Duration(n.setupTotal.Load()),
-		SetupRetries:   n.setupRetries.Load(),
-		SlowTransfers:  n.slowTransfers.Load(),
+	s := Stats{
+		LocalMessages: n.localMessages.Load(),
+		PeakOverlap:   n.peakOverlap.Load(),
+		SetupRetries:  n.setupRetries.Load(),
+		SlowTransfers: n.slowTransfers.Load(),
 	}
+	for _, nd := range n.nodes {
+		s.TwoSidedMsgs += nd.twoSided.Load()
+		s.OneSidedMsgs += nd.oneSided.Load()
+		s.Bytes += nd.bytes.Load()
+		s.CongestedMsgs += nd.congested.Load()
+	}
+	s.Messages = s.TwoSidedMsgs + s.OneSidedMsgs
+	s.SetupTimeTotal = simtime.Duration(s.TwoSidedMsgs)*n.cfg.SetupTwoSided +
+		simtime.Duration(s.OneSidedMsgs)*n.cfg.SetupOneSided
+	return s
 }
 
 // Reset clears all counters and resource queues so the network can be
 // reused for another experiment run.
 func (n *Network) Reset() {
-	n.messages.Store(0)
-	n.bytes.Store(0)
 	n.localMessages.Store(0)
 	n.peakOverlap.Store(0)
-	n.congested.Store(0)
-	n.oneSided.Store(0)
-	n.twoSided.Store(0)
-	n.setupTotal.Store(0)
 	n.setupRetries.Store(0)
 	n.slowTransfers.Store(0)
 	for _, nd := range n.nodes {
+		nd.twoSided.Store(0)
+		nd.oneSided.Store(0)
+		nd.bytes.Store(0)
+		nd.congested.Store(0)
 		nd.egress.reset()
 		nd.ingress.reset()
 	}

@@ -143,21 +143,76 @@ func TestReset(t *testing.T) {
 	}
 }
 
-func TestConcurrentTransfersSafe(t *testing.T) {
-	net := New(8, DefaultConfig())
+// TestStatsSumPerNodeCounters: the traffic counters live in the source
+// nodes, so Stats must still equal the per-message sums after a concurrent
+// burst from every node, and Reset must zero every node — not just the
+// ones a later run happens to send from.
+func TestStatsSumPerNodeCounters(t *testing.T) {
+	const nodes = 8
+	cfg := quietConfig()
+	net := New(nodes, cfg)
 	var wg sync.WaitGroup
-	for g := 0; g < 64; g++ {
+	tallies := make([]Stats, 64)
+	for g := range tallies {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			want := &tallies[g]
 			for i := 0; i < 50; i++ {
-				net.Transfer(g%8, (g+i)%8, int64(i*100), simtime.Time(i), OneSided)
+				src, dst, size, class := g%nodes, (g+i)%nodes, int64(i*100), Class(i%2)
+				net.Transfer(src, dst, size, simtime.Time(i), class)
+				want.Messages++
+				want.Bytes += size
+				if src == dst {
+					want.LocalMessages++
+				}
+				if class == OneSided {
+					want.OneSidedMsgs++
+					want.SetupTimeTotal += cfg.SetupOneSided
+				} else {
+					want.TwoSidedMsgs++
+					want.SetupTimeTotal += cfg.SetupTwoSided
+				}
 			}
 		}(g)
 	}
 	wg.Wait()
-	if st := net.Stats(); st.Messages != 64*50 {
-		t.Fatalf("Messages = %d, want %d", st.Messages, 64*50)
+	var want Stats
+	for _, s := range tallies {
+		want.Messages += s.Messages
+		want.Bytes += s.Bytes
+		want.LocalMessages += s.LocalMessages
+		want.OneSidedMsgs += s.OneSidedMsgs
+		want.TwoSidedMsgs += s.TwoSidedMsgs
+		want.SetupTimeTotal += s.SetupTimeTotal
+	}
+	got := net.Stats()
+	want.PeakOverlap = got.PeakOverlap // a scheduling fact
+	if got != want {
+		t.Fatalf("Stats after the burst:\n got %+v\nwant %+v", got, want)
+	}
+
+	// Congestion is charged to the sender: seven nodes each send one
+	// message into node 0 at the same instant, the k-th joining k open
+	// windows, so those past the threshold are congested.
+	cfg.IncastThreshold = 2
+	net = New(nodes, cfg)
+	for src := 1; src < nodes; src++ {
+		net.Transfer(src, 0, 1000, 0, TwoSided)
+	}
+	if got := net.Stats().CongestedMsgs; got != nodes-1-3 {
+		t.Fatalf("CongestedMsgs = %d, want %d", got, nodes-1-3)
+	}
+
+	net.Reset()
+	if got := net.Stats(); got != (Stats{}) {
+		t.Fatalf("Stats after Reset: %+v", got)
+	}
+	for i, nd := range net.nodes {
+		if nd.twoSided.Load()|nd.oneSided.Load()|nd.bytes.Load()|nd.congested.Load() != 0 ||
+			len(nd.egress.ends)+len(nd.ingress.ends) != 0 {
+			t.Fatalf("node %d not zeroed by Reset", i)
+		}
 	}
 }
 

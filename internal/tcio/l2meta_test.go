@@ -1,10 +1,11 @@
 package tcio
 
-// Property test: the sharded l2meta must be observationally identical to a
-// single-lock reference holding the same five maps. A random schedule of
-// every metadata operation runs against both; every return value must
-// match. Concurrent soundness is separately covered by the -race runs of
-// the package's integration tests.
+// Property test: the sharded, one-record-per-segment l2meta must be
+// observationally identical to a single-lock reference holding one map per
+// field. A random schedule of every metadata operation runs against both,
+// with the journal's unlogged-run bookkeeping armed and disarmed; every
+// return value must match. Concurrent soundness is separately covered by
+// the -race runs of the package's integration tests.
 
 import (
 	"math/rand"
@@ -14,24 +15,29 @@ import (
 	"github.com/tcio/tcio/internal/simtime"
 )
 
-// refL2Meta is the pre-sharding implementation, kept verbatim as the
-// semantic oracle.
+// refL2Meta is the pre-sharding, map-per-field implementation, kept as the
+// semantic oracle. unlogged is nil when the journal tier is disarmed.
 type refL2Meta struct {
 	dirty     map[int64][]extent.Extent
 	pending   map[int64][]extent.Extent
 	populated map[int64]bool
 	popRuns   map[int64][]extent.Extent
 	arrival   map[int64]simtime.Time
+	unlogged  map[int64][]extent.Extent
 }
 
-func newRefL2Meta() *refL2Meta {
-	return &refL2Meta{
+func newRefL2Meta(journal bool) *refL2Meta {
+	m := &refL2Meta{
 		dirty:     make(map[int64][]extent.Extent),
 		pending:   make(map[int64][]extent.Extent),
 		populated: make(map[int64]bool),
 		popRuns:   make(map[int64][]extent.Extent),
 		arrival:   make(map[int64]simtime.Time),
 	}
+	if journal {
+		m.unlogged = make(map[int64][]extent.Extent)
+	}
+	return m
 }
 
 func (m *refL2Meta) addDirty(seg int64, runs []extent.Extent, at simtime.Time) {
@@ -40,6 +46,15 @@ func (m *refL2Meta) addDirty(seg int64, runs []extent.Extent, at simtime.Time) {
 	if at > m.arrival[seg] {
 		m.arrival[seg] = at
 	}
+	if m.unlogged != nil {
+		m.unlogged[seg] = extent.Coalesce(append(m.unlogged[seg], runs...))
+	}
+}
+
+func (m *refL2Meta) takeUnlogged(seg int64) []extent.Extent {
+	runs := m.unlogged[seg]
+	delete(m.unlogged, seg)
+	return runs
 }
 
 func (m *refL2Meta) takePending(seg int64) ([]extent.Extent, simtime.Time) {
@@ -113,13 +128,14 @@ func TestL2MetaShardedMatchesReference(t *testing.T) {
 		return runs
 	}
 	for trial := 0; trial < 20; trial++ {
-		m := newL2Meta(false)
-		ref := newRefL2Meta()
+		journal := trial%2 == 1
+		m := newL2Meta(journal)
+		ref := newRefL2Meta(journal)
 		for step := 0; step < 2000; step++ {
 			// Segment range deliberately exceeds the shard count so shards
 			// carry several segments each and collisions are exercised.
 			seg := int64(rng.Intn(5 * l2Shards))
-			switch rng.Intn(8) {
+			switch rng.Intn(9) {
 			case 0, 1:
 				runs := randRuns()
 				at := simtime.Time(rng.Intn(1000))
@@ -164,6 +180,12 @@ func TestL2MetaShardedMatchesReference(t *testing.T) {
 				if !extentsEqual(got, want) {
 					t.Fatalf("trial %d step %d missingRuns(%d, %v): got %v want %v",
 						trial, step, seg, needed, got, want)
+				}
+			case 8:
+				// Disarmed, nothing is ever unlogged: both must stay empty.
+				if got, want := m.takeUnlogged(seg), ref.takeUnlogged(seg); !extentsEqual(got, want) {
+					t.Fatalf("trial %d step %d takeUnlogged(%d) journal=%v: got %v want %v",
+						trial, step, seg, journal, got, want)
 				}
 			}
 		}

@@ -29,106 +29,117 @@ const l2Shards = 16
 // behind lane consumes them), and which segments have been populated from
 // the file system (reads).
 //
-// Every operation touches exactly one segment, so the maps are sharded by
-// segment index: with thousands of rank goroutines shipping concurrently, a
-// single mutex in front of five maps was a global serialization point. Each
-// shard carries its own lock and maps; segments hash to shards by low bits,
+// Every operation touches exactly one segment, so the records are sharded
+// by segment index: with thousands of rank goroutines shipping concurrently,
+// a single mutex in front of one map was a global serialization point. Each
+// shard carries its own lock and map; segments hash to shards by low bits,
 // which spreads the round-robin segment ownership evenly.
 type l2meta struct {
-	shards [l2Shards]l2shard
+	journal bool // arm the unlogged-run bookkeeping the epoch log consumes
+	shards  [l2Shards]l2shard
 }
 
-// l2shard holds the metadata of the segments hashing to one shard; see
-// l2meta for the field semantics.
+// l2shard holds the records of the segments hashing to one shard.
 type l2shard struct {
-	mu        sync.Mutex
-	dirty     map[int64][]extent.Extent // global segment -> runs (segment-relative)
-	pending   map[int64][]extent.Extent // dirty runs not yet drained
-	populated map[int64]bool
-	// popRuns tracks partial population (the sieved read path): the
-	// segment-relative runs of a not-fully-populated segment whose window
-	// bytes are already valid. Fully populated segments have no entry.
-	popRuns map[int64][]extent.Extent
-	// arrival is, per segment, the latest virtual-time put arrival among
-	// its pending runs. The origin records it at issue time (it knows the
-	// handle's arrival); whoever drains the runs must not depart before it
-	// — the data is not in the owner's window, in virtual time, until then.
-	arrival map[int64]simtime.Time
-	// unlogged tracks, per segment, the dirty runs the owner's journal has
-	// not recorded yet; journalEpoch consumes them at each Flush/Close.
-	// nil when the journal tier is disarmed, so the unjournaled write path
-	// does zero extra bookkeeping.
-	unlogged map[int64][]extent.Extent
+	mu   sync.Mutex
+	segs map[int64]*segState
+}
+
+// segState is everything the file knows about one global segment, so an
+// operation is one map lookup. Records are created on first touch and never
+// deleted: the take-operations hand their slice to the caller and clear the
+// field. All run lists are segment-relative and coalesced.
+type segState struct {
+	dirty   []extent.Extent // runs holding buffered data
+	pending []extent.Extent // dirty runs not yet drained
+	// arrival is the latest virtual-time put arrival among the pending
+	// runs. The origin records it at issue time (it knows the handle's
+	// arrival); whoever drains the runs must not depart before it — the
+	// data is not in the owner's window, in virtual time, until then.
+	arrival simtime.Time
+	// unlogged is the dirty runs the owner's journal has not recorded yet;
+	// journalEpoch consumes them at each Flush/Close. Always empty when the
+	// journal tier is disarmed, so the unjournaled write path does zero
+	// extra bookkeeping.
+	unlogged  []extent.Extent
+	populated bool
+	// popRuns tracks partial population (the sieved read path): the runs of
+	// a not-fully-populated segment whose window bytes are already valid.
+	// Empty once the segment is fully populated.
+	popRuns []extent.Extent
 }
 
 // newL2Meta builds empty shared metadata for one open file. journal arms
 // the unlogged-run bookkeeping the epoch log consumes.
 func newL2Meta(journal bool) *l2meta {
-	m := &l2meta{}
+	m := &l2meta{journal: journal}
 	for i := range m.shards {
-		s := &m.shards[i]
-		s.dirty = make(map[int64][]extent.Extent)
-		s.pending = make(map[int64][]extent.Extent)
-		s.populated = make(map[int64]bool)
-		s.popRuns = make(map[int64][]extent.Extent)
-		s.arrival = make(map[int64]simtime.Time)
-		if journal {
-			s.unlogged = make(map[int64][]extent.Extent)
-		}
+		m.shards[i].segs = make(map[int64]*segState)
 	}
 	return m
 }
 
-// shard returns the shard owning a global segment.
-func (m *l2meta) shard(seg int64) *l2shard {
-	return &m.shards[seg&(l2Shards-1)]
+// lock locks the shard owning a global segment and returns it with the
+// segment's record — nil when nothing was ever recorded for the segment
+// and create is false. The caller unlocks the shard.
+func (m *l2meta) lock(seg int64, create bool) (*l2shard, *segState) {
+	s := &m.shards[seg&(l2Shards-1)]
+	s.mu.Lock()
+	st := s.segs[seg]
+	if st == nil && create {
+		st = &segState{}
+		s.segs[seg] = st
+	}
+	return s, st
 }
 
 // addDirty records freshly shipped runs and the virtual time their put
 // retires at the target, so a drain consuming them can respect causality.
 func (m *l2meta) addDirty(seg int64, runs []extent.Extent, at simtime.Time) {
-	s := m.shard(seg)
-	s.mu.Lock()
+	s, st := m.lock(seg, true)
 	defer s.mu.Unlock()
-	s.dirty[seg] = extent.Coalesce(append(s.dirty[seg], runs...))
+	st.dirty = extent.Coalesce(append(st.dirty, runs...))
 	if mutate.Enabled(mutate.TCIOLostPendingRun) {
-		s.pending[seg] = extent.Coalesce(append([]extent.Extent(nil), runs...))
+		st.pending = extent.Coalesce(append([]extent.Extent(nil), runs...))
 	} else {
-		s.pending[seg] = extent.Coalesce(append(s.pending[seg], runs...))
+		st.pending = extent.Coalesce(append(st.pending, runs...))
 	}
-	if at > s.arrival[seg] {
-		s.arrival[seg] = at
+	if at > st.arrival {
+		st.arrival = at
 	}
-	if s.unlogged != nil {
-		s.unlogged[seg] = extent.Coalesce(append(s.unlogged[seg], runs...))
+	if m.journal {
+		st.unlogged = extent.Coalesce(append(st.unlogged, runs...))
 	}
 }
 
 // takeUnlogged removes and returns the segment's not-yet-journaled runs
 // (segment-relative). The owner consumes them at each journalEpoch.
 func (m *l2meta) takeUnlogged(seg int64) []extent.Extent {
-	s := m.shard(seg)
-	s.mu.Lock()
+	s, st := m.lock(seg, false)
 	defer s.mu.Unlock()
-	runs := s.unlogged[seg]
-	delete(s.unlogged, seg)
+	if st == nil {
+		return nil
+	}
+	runs := st.unlogged
+	st.unlogged = nil
 	return runs
 }
 
 func (m *l2meta) dirtyRuns(seg int64) []extent.Extent {
-	s := m.shard(seg)
-	s.mu.Lock()
+	s, st := m.lock(seg, false)
 	defer s.mu.Unlock()
-	return s.dirty[seg]
+	if st == nil {
+		return nil
+	}
+	return st.dirty
 }
 
 // hasDirty reports whether the segment still has undrained runs — the
 // prefetch cache refuses to evict such segments.
 func (m *l2meta) hasDirty(seg int64) bool {
-	s := m.shard(seg)
-	s.mu.Lock()
+	s, st := m.lock(seg, false)
 	defer s.mu.Unlock()
-	return len(s.pending[seg]) > 0
+	return st != nil && len(st.pending) > 0
 }
 
 // takePending removes and returns the segment's undrained runs and their
@@ -136,14 +147,7 @@ func (m *l2meta) hasDirty(seg int64) bool {
 // an eager drain re-enter pending, so rewrites are drained again and the
 // last bytes always win.
 func (m *l2meta) takePending(seg int64) ([]extent.Extent, simtime.Time) {
-	s := m.shard(seg)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	runs := s.pending[seg]
-	at := s.arrival[seg]
-	delete(s.pending, seg)
-	delete(s.arrival, seg)
-	return runs, at
+	return m.takeCovered(seg, 0)
 }
 
 // takeCovered is takePending gated on coverage: it removes and returns the
@@ -151,32 +155,26 @@ func (m *l2meta) takePending(seg int64) ([]extent.Extent, simtime.Time) {
 // behind trigger, evaluated and consumed under one lock so two checks can
 // never drain the same runs twice.
 func (m *l2meta) takeCovered(seg int64, need int64) ([]extent.Extent, simtime.Time) {
-	s := m.shard(seg)
-	s.mu.Lock()
+	s, st := m.lock(seg, false)
 	defer s.mu.Unlock()
-	runs := s.pending[seg]
-	if extent.Total(runs) < need {
+	if st == nil || extent.Total(st.pending) < need {
 		return nil, 0
 	}
-	at := s.arrival[seg]
-	delete(s.pending, seg)
-	delete(s.arrival, seg)
+	runs, at := st.pending, st.arrival
+	st.pending, st.arrival = nil, 0
 	return runs, at
 }
 
 func (m *l2meta) isPopulated(seg int64) bool {
-	s := m.shard(seg)
-	s.mu.Lock()
+	s, st := m.lock(seg, false)
 	defer s.mu.Unlock()
-	return s.populated[seg]
+	return st != nil && st.populated
 }
 
 func (m *l2meta) setPopulated(seg int64) {
-	s := m.shard(seg)
-	s.mu.Lock()
+	s, st := m.lock(seg, true)
 	defer s.mu.Unlock()
-	s.populated[seg] = true
-	delete(s.popRuns, seg)
+	st.populated, st.popRuns = true, nil
 }
 
 // missingRuns returns the segment-relative parts of needed whose window
@@ -184,13 +182,15 @@ func (m *l2meta) setPopulated(seg int64) {
 // runs (freshly written — newer than the file, so a sieve must never
 // overwrite them with file bytes) all count as present.
 func (m *l2meta) missingRuns(seg int64, needed []extent.Extent) []extent.Extent {
-	s := m.shard(seg)
-	s.mu.Lock()
+	s, st := m.lock(seg, false)
 	defer s.mu.Unlock()
-	if s.populated[seg] {
+	if st == nil {
+		st = &segState{}
+	}
+	if st.populated {
 		return nil
 	}
-	have := append(append([]extent.Extent(nil), s.popRuns[seg]...), s.dirty[seg]...)
+	have := append(append([]extent.Extent(nil), st.popRuns...), st.dirty...)
 	return extent.Subtract(needed, have)
 }
 
@@ -198,16 +198,14 @@ func (m *l2meta) missingRuns(seg int64, needed []extent.Extent) []extent.Extent 
 // cover the whole segment window it is promoted to fully populated, so
 // later fetches take the fast path.
 func (m *l2meta) addPopRuns(seg int64, runs []extent.Extent, segSize int64) {
-	s := m.shard(seg)
-	s.mu.Lock()
+	s, st := m.lock(seg, true)
 	defer s.mu.Unlock()
-	if s.populated[seg] {
+	if st.populated {
 		return
 	}
-	s.popRuns[seg] = extent.Coalesce(append(s.popRuns[seg], runs...))
-	if extent.Covers(s.popRuns[seg], 0, segSize) {
-		s.populated[seg] = true
-		delete(s.popRuns, seg)
+	st.popRuns = extent.Coalesce(append(st.popRuns, runs...))
+	if extent.Covers(st.popRuns, 0, segSize) {
+		st.populated, st.popRuns = true, nil
 	}
 }
 
@@ -283,8 +281,10 @@ func (f *File) openEpochFor(owner int) error {
 	// Bound the open epochs: evict the least-recently-used one once the
 	// window is full.
 	for len(f.openOwners) >= f.cfg.PipelineDepth {
+		// Copy down instead of re-slicing from the front: the backing array
+		// stays put, so the append below never re-allocates it.
 		coldest := f.openOwners[0]
-		f.openOwners = f.openOwners[1:]
+		f.openOwners = f.openOwners[:copy(f.openOwners, f.openOwners[1:])]
 		f.stats.EpochEvictions++
 		if err := f.win.Unlock(coldest); err != nil {
 			return err
@@ -302,7 +302,7 @@ func (f *File) openEpochFor(owner int) error {
 func (f *File) reserveInflight() {
 	for len(f.inflight) >= f.cfg.PipelineDepth {
 		f.inflight[0].Complete()
-		f.inflight = f.inflight[1:]
+		f.inflight = f.inflight[:copy(f.inflight, f.inflight[1:])]
 	}
 }
 
@@ -322,12 +322,12 @@ func (f *File) touchEpoch(owner int) {
 // driver. The fault roll is keyed by this rank's shipment number so chaos
 // runs replay exactly; each backoff burns virtual time on the origin, as a
 // real sender re-posting a dropped work request would.
-func (f *File) putSegmentsRetry(owner int, seg int64, runs []extent.Extent, payload []byte) (*mpi.PutHandle, error) {
+func (f *File) putSegmentsRetry(owner int, seg int64, runs []extent.Extent, payload []byte) (mpi.PutHandle, error) {
 	inj := f.c.Faults()
 	ship := f.shipCount
 	f.shipCount++
 	start := f.c.Now()
-	var handle *mpi.PutHandle
+	var handle mpi.PutHandle
 	end, retries, err := faults.Retry(start, f.retry,
 		func(at simtime.Time, attempt int64) (simtime.Time, error) {
 			f.c.AdvanceTo(at) // charge the preceding backoff, if any
@@ -346,7 +346,7 @@ func (f *File) putSegmentsRetry(owner int, seg int64, runs []extent.Extent, payl
 			fmt.Sprintf("put seg=%d owner=%d retries=%d", seg, owner, retries))
 	}
 	if err != nil {
-		return nil, fmt.Errorf("tcio: ship segment %d to rank %d: %w", seg, owner, err)
+		return mpi.PutHandle{}, fmt.Errorf("tcio: ship segment %d to rank %d: %w", seg, owner, err)
 	}
 	return handle, nil
 }

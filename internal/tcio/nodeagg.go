@@ -222,12 +222,12 @@ func (f *File) combine(seg int64, deps []aggDeposit) error {
 // putGroupedRetry is putSegmentsRetry for the combined put: same retry
 // driver, same SiteWinPut roll keyed by this rank's shipment number, so
 // chaos runs replay exactly — a failed roll never issues the put.
-func (f *File) putGroupedRetry(owner int, seg int64, groups []mpi.PutGroup) (*mpi.PutHandle, error) {
+func (f *File) putGroupedRetry(owner int, seg int64, groups []mpi.PutGroup) (mpi.PutHandle, error) {
 	inj := f.c.Faults()
 	ship := f.shipCount
 	f.shipCount++
 	start := f.c.Now()
-	var handle *mpi.PutHandle
+	var handle mpi.PutHandle
 	end, retries, err := faults.Retry(start, f.retry,
 		func(at simtime.Time, attempt int64) (simtime.Time, error) {
 			f.c.AdvanceTo(at)
@@ -246,7 +246,7 @@ func (f *File) putGroupedRetry(owner int, seg int64, groups []mpi.PutGroup) (*mp
 			fmt.Sprintf("combine seg=%d owner=%d retries=%d", seg, owner, retries))
 	}
 	if err != nil {
-		return nil, fmt.Errorf("tcio: combine segment %d to rank %d: %w", seg, owner, err)
+		return mpi.PutHandle{}, fmt.Errorf("tcio: combine segment %d to rank %d: %w", seg, owner, err)
 	}
 	return handle, nil
 }

@@ -6,10 +6,10 @@ package tcio
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/tcio/tcio/internal/datatype"
 	"github.com/tcio/tcio/internal/extent"
-	"github.com/tcio/tcio/internal/mpi"
 	"github.com/tcio/tcio/internal/trace"
 )
 
@@ -81,9 +81,10 @@ func (f *File) ReadAt(off int64, dst []byte) error {
 			return fmt.Errorf("%w: offset %d needs slot %d of %d (raise NumSegments)",
 				ErrCapacity, off, slot, f.numSeg)
 		}
-		// Track the span of queued reads; once it exceeds the batch of
-		// segments, perform the real data movement (the "file domain of
-		// cached reads exceeds the level-1 buffer" rule, batched).
+		// Count the queue's segment switches — not its distinct segments:
+		// reads alternating between two segments count one each — and once
+		// they exceed the batch, perform the real data movement (the "file
+		// domain of cached reads exceeds the level-1 buffer" rule, batched).
 		if f.pendingSeg != seg {
 			f.pendingDistinct++
 			f.pendingSeg = seg
@@ -131,7 +132,7 @@ func (f *File) fetchIndependent() error {
 		f.runPostFetch()
 		return nil
 	}
-	bySeg, order := f.groupPending()
+	groups := f.groupPending()
 
 	// Phase 1: make sure every needed segment is populated (only possible
 	// in demand mode; the default preloads at Open). Population needs the
@@ -144,7 +145,8 @@ func (f *File) fetchIndependent() error {
 	// instead of the whole segment; a staged prefetch still wins — its
 	// whole-segment read already happened, so sieving after it would only
 	// re-read bytes the cache holds.
-	for i, seg := range order {
+	for i, g := range groups {
+		seg := g.seg
 		if f.meta.isPopulated(seg) {
 			f.dropWastedPrefetch(seg)
 			continue
@@ -158,12 +160,12 @@ func (f *File) fetchIndependent() error {
 			if e, ok := f.takePrefetched(seg); ok {
 				perr = f.populateFromCache(seg, owner, slot, e)
 			} else if f.sieveArmed() {
-				perr = f.sievePopulate(seg, owner, slot, segmentRuns(bySeg[seg], f.segSize))
+				perr = f.sievePopulate(seg, owner, slot, segmentRuns(g.reqs, f.segSize))
 			} else {
 				perr = f.populate(seg, owner, slot)
 			}
 			if perr == nil {
-				perr = f.maybePrefetch(order, i)
+				perr = f.maybePrefetch(groups, i)
 			}
 			if perr != nil {
 				f.win.Unlock(owner)
@@ -176,100 +178,157 @@ func (f *File) fetchIndependent() error {
 			return err
 		}
 	}
-	return f.fetchGets(order, bySeg)
+	return f.fetchGets(groups)
+}
+
+// fetchScratch is a handle's scratch for the fetch hot path, reused across
+// batches: the queue grouped by segment (and each read's group while it is
+// being placed), the owners locked, and the arena the batch's gets land in.
+// It sits behind a pointer, made by the first fetch, to keep session — which
+// Open and newSession pass by value on every rank's stack — small.
+type fetchScratch struct {
+	grouped []readReq
+	groups  []segGroup
+	idx     []int32
+	owners  []int
+	arena   []byte
+}
+
+// segGroup is one segment's share of a fetch batch: its queued reads, in
+// queue order.
+type segGroup struct {
+	seg  int64
+	n    int       // reads counted for the segment, before they are placed
+	reqs []readReq // a slice of the handle's grouped scratch
 }
 
 // groupPending groups the queued lazy reads by global segment, in first-
 // appearance order (requests may span several segments when a single
-// ReadAt crossed a boundary), and resets the queue.
-func (f *File) groupPending() (map[int64][]readReq, []int64) {
-	bySeg := make(map[int64][]readReq)
-	var order []int64
+// ReadAt crossed a boundary), and resets the queue. It is a counting sort
+// into per-handle scratch, so the groups are valid until the next call. A
+// segment is searched for among the groups only where the queue switches
+// segments, and the FetchBatch rule bounds both the switches and the groups.
+func (f *File) groupPending() []segGroup {
+	if f.fetch == nil {
+		f.fetch = new(fetchScratch)
+	}
+	fs := f.fetch
+	// Sized up front (pendingDistinct bounds the groups), so a handle that
+	// fetches once does not pay for append's doubling.
+	groups := slices.Grow(fs.groups[:0], f.pendingDistinct)
+	idx := slices.Grow(fs.idx[:0], len(f.pending))
+	g := -1
 	for _, r := range f.pending {
 		seg := f.globalSegment(r.off)
-		if _, ok := bySeg[seg]; !ok {
-			order = append(order, seg)
+		if g < 0 || groups[g].seg != seg {
+			for g = len(groups) - 1; g >= 0 && groups[g].seg != seg; g-- {
+			}
+			if g < 0 {
+				g = len(groups)
+				groups = append(groups, segGroup{seg: seg})
+			}
 		}
-		bySeg[seg] = append(bySeg[seg], r)
+		groups[g].n++
+		idx = append(idx, int32(g))
 	}
+	fs.grouped = slices.Grow(fs.grouped[:0], len(f.pending))
+	at := 0
+	for i := range groups {
+		g := &groups[i]
+		g.reqs = fs.grouped[at : at : at+g.n]
+		at += g.n
+	}
+	for i, r := range f.pending {
+		g := &groups[idx[i]]
+		g.reqs = append(g.reqs, r)
+	}
+	fs.groups, fs.idx = groups, idx
 	f.pending = f.pending[:0]
 	f.pendingSeg = -1
 	f.pendingDistinct = 0
-	return bySeg, order
+	return groups
 }
 
 // fetchGets is the data-movement phase shared by the independent and
 // collective fetch paths: shared-lock each owner once, issue every
 // segment's get asynchronously, then unlock — Unlock synchronizes with the
 // epoch's transfers, so the waits overlap across owners and segments.
-func (f *File) fetchGets(order []int64, bySeg map[int64][]readReq) error {
-	if len(order) == 0 {
+//
+// Every owner is locked, in first-appearance order, before any get is
+// issued. The gets land back to back, in group order, in one arena the
+// handle owns and reuses; its bytes are read only by the scatter below,
+// after the unlocks that complete them. Whatever fails, every lock taken
+// here is released before returning.
+func (f *File) fetchGets(groups []segGroup) error {
+	if len(groups) == 0 {
 		f.runPostFetch()
 		return nil
 	}
-	type pendingGet struct {
-		handle *mpi.GetHandle
-		reqs   []readReq
-	}
-	owners := make(map[int]bool)
-	var lockOrder []int
-	for _, seg := range order {
-		owner, _ := f.segmentOwner(seg)
-		if !owners[owner] {
-			owners[owner] = true
-			lockOrder = append(lockOrder, owner)
+	var err error
+	owners := f.fetch.owners[:0]
+	for _, g := range groups {
+		// At most FetchBatch groups, so the scan is short.
+		if owner, _ := f.segmentOwner(g.seg); !slices.Contains(owners, owner) {
+			if err = f.win.Lock(owner, false); err != nil {
+				break
+			}
+			owners = append(owners, owner)
 		}
 	}
-	for _, owner := range lockOrder {
-		if err := f.win.Lock(owner, false); err != nil {
-			return err
+	f.fetch.owners = owners[:0]
+	if err == nil {
+		err = f.issueGets(groups)
+	}
+	for _, owner := range owners {
+		if uerr := f.win.Unlock(owner); uerr != nil && err == nil {
+			err = uerr
 		}
 	}
-	gets := make([]pendingGet, 0, len(order))
-	var issueErr error
-	for _, seg := range order {
-		owner, slot := f.segmentOwner(seg)
-		reqs := bySeg[seg]
-		runs := make([]extent.Extent, len(reqs))
-		for i, r := range reqs {
-			runs[i] = extent.Extent{Off: slot*f.segSize + r.off%f.segSize, Len: int64(len(r.dst))}
-		}
-		h, err := f.win.GetSegmentsAsync(owner, runs)
-		if err != nil {
-			issueErr = err
-			break
-		}
-		f.stats.Gets++
-		gets = append(gets, pendingGet{handle: h, reqs: reqs})
-	}
-	for _, owner := range lockOrder {
-		if err := f.win.Unlock(owner); err != nil && issueErr == nil {
-			issueErr = err
-		}
-	}
-	if issueErr != nil {
-		return issueErr
+	if err != nil {
+		return err
 	}
 	// All epochs are closed: every get's data is complete. Scatter it.
 	fetchStart := f.c.Now()
-	var fetched int64
-	for _, g := range gets {
-		data := g.handle.Complete()
-		at := int64(0)
+	at := 0
+	for _, g := range groups {
 		for _, r := range g.reqs {
-			copy(r.dst, data[at:at+int64(len(r.dst))])
-			at += int64(len(r.dst))
-		}
-	}
-	for _, g := range gets {
-		for _, r := range g.reqs {
-			fetched += int64(len(r.dst))
+			at += copy(r.dst, f.fetch.arena[at:])
 		}
 	}
 	if f.tracing() {
-		f.emit(trace.KindFetch, fetchStart, fetched, fmt.Sprintf("segments=%d", len(gets)))
+		f.emit(trace.KindFetch, fetchStart, int64(at), fmt.Sprintf("segments=%d", len(groups)))
 	}
 	f.runPostFetch()
+	return nil
+}
+
+// issueGets issues one asynchronous indexed get per group, under the shared
+// locks fetchGets holds. The fetch arena is sized to the batch first, so
+// every get appends in place, right after the one before it.
+func (f *File) issueGets(groups []segGroup) error {
+	total := 0
+	for _, g := range groups {
+		for _, r := range g.reqs {
+			total += len(r.dst)
+		}
+	}
+	arena := slices.Grow(f.fetch.arena[:0], total)[:total]
+	f.fetch.arena = arena
+	at := 0
+	for _, g := range groups {
+		owner, slot := f.segmentOwner(g.seg)
+		runs := slices.Grow(f.winRunsScratch[:0], len(g.reqs))
+		dst := arena[at:at]
+		for _, r := range g.reqs {
+			runs = append(runs, extent.Extent{Off: slot*f.segSize + r.off%f.segSize, Len: int64(len(r.dst))})
+			at += len(r.dst)
+		}
+		f.winRunsScratch = runs[:0]
+		if _, err := f.win.GetSegmentsAsync(owner, runs, dst); err != nil {
+			return err
+		}
+		f.stats.Gets++
+	}
 	return nil
 }
 

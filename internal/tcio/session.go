@@ -63,7 +63,7 @@ type session struct {
 	openOwners []int
 	// inflight is the window of outstanding Rput handles; PipelineDepth
 	// bounds its length, retiring the oldest transfer when full.
-	inflight []*mpi.PutHandle
+	inflight []mpi.PutHandle
 	// shipCount numbers this rank's one-sided shipments; it keys the
 	// deterministic fault rolls of the put path.
 	shipCount int64
@@ -115,11 +115,16 @@ type session struct {
 	pfLaneFree  simtime.Time
 
 	// Lazy read queue. pendingSeg is the most recent segment touched;
-	// pendingDistinct counts the distinct segments queued, which triggers
-	// an implicit Fetch at the FetchBatch threshold.
+	// pendingDistinct counts the segment switches in the queue — reads
+	// alternating between two segments count one each — which triggers an
+	// implicit Fetch past the FetchBatch threshold. Fetch boundaries decide
+	// virtual time, so the rule is pinned as it is.
 	pending         []readReq
 	pendingSeg      int64
 	pendingDistinct int
+	// fetch is the fetch hot path's scratch (read.go), nil until the first
+	// fetch; behind a pointer because session travels by value.
+	fetch *fetchScratch
 	// postFetch hooks run after the next completed Fetch — used by typed
 	// reads to unpack staged bytes into the caller's layout.
 	postFetch []func()

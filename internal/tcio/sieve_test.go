@@ -68,7 +68,7 @@ func TestL2MetaPopRuns(t *testing.T) {
 	if !m.isPopulated(5) {
 		t.Fatal("full coverage did not promote to populated")
 	}
-	if pr := m.shard(5).popRuns; len(pr) != 0 {
+	if pr := m.shards[5].segs[5].popRuns; len(pr) != 0 {
 		t.Fatalf("promotion left popRuns %v", pr)
 	}
 	if got := m.missingRuns(5, need); got != nil {

@@ -103,11 +103,14 @@ type Config struct {
 	// DemandPopulate, segments are instead loaded lazily by the first
 	// rank that fetches from them, under the exclusive window lock.
 	DemandPopulate bool
-	// FetchBatch is the number of distinct segments lazy reads may span
-	// before the library fetches them implicitly (the paper's "file domain
-	// of cached reads exceeds the level-1 buffer" rule, generalized to a
-	// batch so that the one-sided gets of many segments pipeline through
-	// one lock epoch per owner). 0 means 64.
+	// FetchBatch is the number of segment switches the lazy read queue may
+	// hold before the library fetches it implicitly (the paper's "file
+	// domain of cached reads exceeds the level-1 buffer" rule, generalized
+	// to a batch so that the one-sided gets of many segments pipeline
+	// through one lock epoch per owner). A switch is a read landing in
+	// another segment than the read before it, so forward reads count their
+	// distinct segments, while reads alternating between two segments count
+	// one switch each. 0 means 64.
 	FetchBatch int
 	// PipelineDepth bounds the number of put epochs a writer keeps open
 	// concurrently. Each level-1 flush leaves its epoch open so transfers
