@@ -385,7 +385,7 @@ func BenchmarkAlltoallv(b *testing.B) {
 						return err
 					}
 					for _, buf := range recv {
-						mpi.RecycleBuf(buf)
+						c.Recycle(buf)
 					}
 				}
 				return nil

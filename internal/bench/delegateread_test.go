@@ -23,6 +23,26 @@ func smallDelegateReadOpts() DelegateReadOptions {
 	}
 }
 
+// TestDelegateReadHotBeatsCold repeats TestDelegateReadSweepSmall's "armed
+// hot re-read beats its cold pass" check on one client, whose request stream
+// is totally ordered: with several clients a server takes requests in
+// host-arrival order and the pass times move with the schedule, here both
+// are exact.
+func TestDelegateReadHotBeatsCold(t *testing.T) {
+	opts := smallDelegateReadOpts()
+	opts.Clients, opts.SegsPerClient = 1, 8 // the same 2 KiB file
+	opts.CacheBlocks = []int{8}
+	_, points, err := DelegateRead(opts)
+	if err != nil {
+		t.Fatalf("DelegateRead: %v", err)
+	}
+	for _, p := range points {
+		if p.Result != "ok" || p.HotNs <= 0 || p.HotNs >= p.ColdNs {
+			t.Errorf("%s coll=%v: %s, hot pass %dns, cold %dns", p.Pattern, p.Collective, p.Result, p.HotNs, p.ColdNs)
+		}
+	}
+}
+
 func TestDelegateReadSweepSmall(t *testing.T) {
 	opts := smallDelegateReadOpts()
 	_, points, err := DelegateRead(opts)
@@ -30,8 +50,8 @@ func TestDelegateReadSweepSmall(t *testing.T) {
 		t.Fatalf("DelegateRead: %v", err)
 	}
 	fileBytes := delegateReadFileBytes(opts)
-	pieces := fileBytes / opts.ReqSize            // 32
-	blocks := fileBytes / (4 * opts.SegSize)      // domain = 4 segments
+	pieces := fileBytes / opts.ReqSize       // 32
+	blocks := fileBytes / (4 * opts.SegSize) // domain = 4 segments
 	perPass := map[string]int64{PatternPrivate: pieces, PatternShared: pieces * int64(opts.Clients)}
 	type key struct {
 		pattern string

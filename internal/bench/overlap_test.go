@@ -67,6 +67,18 @@ func TestOverlapSweep(t *testing.T) {
 		t.Fatalf("prefetch slowed the sequential read: demand %d ns, prefetch %d ns",
 			demand.VirtualTimeNs, prefetch.VirtualTimeNs)
 	}
+	// The same on one rank, whose request stream is totally ordered: at 16
+	// ranks the OSTs serve requests in host-arrival order and the two times
+	// move with the schedule, here both are exact.
+	opts.Procs = 1
+	_, _, solo, err := Overlap(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if demand, prefetch := solo.Read[0], solo.Read[1]; prefetch.PrefetchHits == 0 || prefetch.VirtualTimeNs > demand.VirtualTimeNs {
+		t.Fatalf("prefetch slowed the sequential read: demand %d ns, prefetch %d ns (%d hits)",
+			demand.VirtualTimeNs, prefetch.VirtualTimeNs, prefetch.PrefetchHits)
+	}
 }
 
 // TestOverlapChaosReproducible is the CI contract: two runs with the same

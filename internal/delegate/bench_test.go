@@ -12,9 +12,11 @@ import (
 // benchTier runs body on a 2-rank world (one client, one server) and
 // reports its allocations — the B/op meter for the server staging paths
 // the size-classed pools exist to flatten.
-func benchTier(b *testing.B, cacheBlks int, body func(tr *Tier) error) {
+func benchTier(b testing.TB, cacheBlks int, body func(tr *Tier) error) {
 	b.Helper()
-	b.ReportAllocs()
+	if b, ok := b.(*testing.B); ok {
+		b.ReportAllocs()
+	}
 	m := cluster.Lonestar()
 	m.CoresPerNode = 2
 	cfg := Config{
@@ -89,4 +91,32 @@ func BenchmarkDelegateEpochStaging(b *testing.B) {
 		}
 		return f.Close()
 	})
+}
+
+// TestDelegateHotReadReusesStaging pins what the release points buy: a
+// cached 4 KiB read — request, server-side serve, 4 KiB reply, copy-out —
+// allocates one object process-wide (ReadAt's piece list) once warm,
+// because the server releases the request and the client the reply.
+// Without either release the round trip costs a fresh staging buffer.
+func TestDelegateHotReadReusesStaging(t *testing.T) {
+	var allocs float64
+	benchTier(t, 4, func(tr *Tier) error {
+		f, err := tr.Open("pin", tcio.ReadMode)
+		if err != nil {
+			return err
+		}
+		dst := make([]byte, 4096)
+		allocs = testing.AllocsPerRun(200, func() {
+			if rerr := f.ReadAt(0, dst); rerr != nil {
+				err = rerr
+			}
+		})
+		if err != nil {
+			return err
+		}
+		return f.Close()
+	})
+	if allocs > 1 {
+		t.Fatalf("hot delegated read allocates %.0f objects per round trip, want at most 1", allocs)
+	}
 }

@@ -141,15 +141,32 @@ func (t *Tier) collectiveRead() bool {
 	return t.servers != nil && t.tcfg.CollectiveRead
 }
 
-// replyErr turns a failed reply into a client error, resurrecting the
-// typed exhausted-retries class from the wire code so callers keep their
-// errors.Is(err, faults.ErrExhaustedRetries) checks across the protocol.
-func replyErr(op, name string, rep *mpi.RPCReply) error {
-	if rep.Code == mpi.RPCErrExhausted {
-		return fmt.Errorf("delegate: %s %q: %w (server: %s)",
-			op, name, faults.ErrExhaustedRetries, rep.Err)
+// reply collects server si's next reply, turning a failed one into a client
+// error — resurrecting the typed exhausted-retries class from the wire code,
+// so errors.Is(err, faults.ErrExhaustedRetries) holds across the protocol.
+// The caller owns an OK reply and releases it once it has consumed Data.
+func (f *File) reply(si int, op string) (mpi.RPCReply, error) {
+	rep, err := f.t.c.RecvReply(f.t.servers[si], tagReply)
+	if err != nil || rep.OK {
+		return rep, err
 	}
-	return fmt.Errorf("delegate: %s %q: %s", op, name, rep.Err)
+	rep.Release() // Code and Err are copies
+	if rep.Code == mpi.RPCErrExhausted {
+		return mpi.RPCReply{}, fmt.Errorf("delegate: %s %q: %w (server: %s)",
+			op, f.name, faults.ErrExhaustedRetries, rep.Err)
+	}
+	return mpi.RPCReply{}, fmt.Errorf("delegate: %s %q: %s", op, f.name, rep.Err)
+}
+
+// awaitCredit blocks for one admission grant from server si.
+func (t *Tier) awaitCredit(si int) error {
+	grant, err := t.c.Recv(t.servers[si], tagCredit)
+	if err != nil {
+		return err
+	}
+	t.c.Recycle(grant)
+	t.credits[si]++
+	return nil
 }
 
 // Name reports the file name. Handle reports the protocol handle (-1 in
@@ -224,10 +241,9 @@ func (f *File) WriteAt(off int64, data []byte) error {
 		si := t.owner(off)
 		for t.credits[si] == 0 {
 			// Window exhausted: block for one grant from this server.
-			if _, err := t.c.Recv(t.servers[si], tagCredit); err != nil {
+			if err := t.awaitCredit(si); err != nil {
 				return err
 			}
-			t.credits[si]++
 			f.stats.CreditStalls++
 		}
 		t.credits[si]--
@@ -327,18 +343,16 @@ func (f *File) ReadAt(off int64, dst []byte) error {
 		dst = dst[n:]
 	}
 	for _, p := range reqs {
-		rep, err := t.c.RecvReply(t.servers[p.si], tagReply)
+		rep, err := f.reply(p.si, "read")
 		if err != nil {
 			return err
-		}
-		if !rep.OK {
-			return replyErr("read", f.name, rep)
 		}
 		if rep.Seq != p.seq || len(rep.Data) != len(p.dst) {
 			return fmt.Errorf("delegate: read %q: reply seq %d len %d, want seq %d len %d",
 				f.name, rep.Seq, len(rep.Data), p.seq, len(p.dst))
 		}
 		copy(p.dst, rep.Data)
+		rep.Release()
 	}
 	return nil
 }
@@ -380,12 +394,9 @@ func (f *File) fetchCollective() error {
 		}
 	}
 	for si := range t.servers {
-		rep, err := t.c.RecvReply(t.servers[si], tagReply)
+		rep, err := f.reply(si, "read")
 		if err != nil {
 			return err
-		}
-		if !rep.OK {
-			return replyErr("read", f.name, rep)
 		}
 		var want int
 		for _, p := range f.colReads[si] {
@@ -399,6 +410,7 @@ func (f *File) fetchCollective() error {
 		for _, p := range f.colReads[si] {
 			pos += copy(p.dst, rep.Data[pos:pos+len(p.dst)])
 		}
+		rep.Release()
 		f.colReads[si] = f.colReads[si][:0]
 	}
 	return nil
@@ -425,23 +437,20 @@ func (f *File) Flush() error {
 		// marker follows the last write in the same FIFO stream, so no
 		// separate write-completion handshake is needed.
 		for t.credits[si] < t.cfg.QueueDepth {
-			if _, err := t.c.Recv(t.servers[si], tagCredit); err != nil {
+			if err := t.awaitCredit(si); err != nil {
 				return err
 			}
-			t.credits[si]++
 		}
 		if err := t.request(si, &mpi.RPCRequest{Op: mpi.OpFlush, Handle: f.handle}); err != nil {
 			return err
 		}
 	}
 	for si := range t.servers {
-		rep, err := t.c.RecvReply(t.servers[si], tagReply)
+		rep, err := f.reply(si, "flush")
 		if err != nil {
 			return err
 		}
-		if !rep.OK {
-			return replyErr("flush", f.name, rep)
-		}
+		rep.Release()
 	}
 	f.stats.Flushes++
 	return nil

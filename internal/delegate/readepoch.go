@@ -121,7 +121,7 @@ func (s *server) closeReadEpoch(h *handleFile) error {
 		if s.cache != nil {
 			s.stats.CacheMisses++
 		}
-		buf := mpi.GetBuf(int(ds))
+		buf := s.c.GetBuf(int(ds))
 		blkBuf[blk] = buf
 		fetched = append(fetched, blk)
 		reqs = append(reqs, storage.Request{
@@ -163,7 +163,7 @@ func (s *server) closeReadEpoch(h *handleFile) error {
 			for _, r := range h.intents[cl] {
 				total += r.Len
 			}
-			data = mpi.GetBuf(int(total))
+			data = s.c.GetBuf(int(total))
 			var pos int64
 			for _, r := range h.intents[cl] {
 				blk := r.Off / ds
@@ -174,7 +174,7 @@ func (s *server) closeReadEpoch(h *handleFile) error {
 		}
 		err := s.c.SendReply(cl, tagReply, rep)
 		if data != nil {
-			mpi.RecycleBuf(data)
+			s.c.Recycle(data)
 		}
 		if err != nil {
 			return err
@@ -188,14 +188,14 @@ func (s *server) closeReadEpoch(h *handleFile) error {
 		key := blockKey{name: h.name, blk: blk}
 		if s.cache != nil && fillErr == nil && s.dirty[key] == 0 {
 			if displaced, evicted := s.cache.put(key, buf); displaced != nil {
-				mpi.RecycleBuf(displaced)
+				s.c.Recycle(displaced)
 				if evicted {
 					s.stats.CacheEvictions++
 				}
 			}
 			continue
 		}
-		mpi.RecycleBuf(buf)
+		s.c.Recycle(buf)
 	}
 	for cl := range h.intents {
 		delete(h.intents, cl)

@@ -17,20 +17,21 @@ import (
 	"github.com/tcio/tcio/internal/mpi"
 )
 
-// drrClient is one client rank's pending-read state.
+// drrClient is one client rank's pending-read state. Queued requests keep
+// their staging buffers on lease; the server releases each once served.
 type drrClient struct {
 	deficit int64
 	head    int
-	q       []*mpi.RPCRequest
+	q       []mpi.RPCRequest
 }
 
 func (cl *drrClient) empty() bool { return cl.head == len(cl.q) }
 
-func (cl *drrClient) push(req *mpi.RPCRequest) {
+func (cl *drrClient) push(req mpi.RPCRequest) {
 	if cl.head > 32 && cl.head*2 >= len(cl.q) {
 		n := copy(cl.q, cl.q[cl.head:])
 		for i := n; i < len(cl.q); i++ {
-			cl.q[i] = nil
+			cl.q[i] = mpi.RPCRequest{}
 		}
 		cl.q = cl.q[:n]
 		cl.head = 0
@@ -38,9 +39,9 @@ func (cl *drrClient) push(req *mpi.RPCRequest) {
 	cl.q = append(cl.q, req)
 }
 
-func (cl *drrClient) pop() *mpi.RPCRequest {
+func (cl *drrClient) pop() mpi.RPCRequest {
 	req := cl.q[cl.head]
-	cl.q[cl.head] = nil
+	cl.q[cl.head] = mpi.RPCRequest{}
 	cl.head++
 	if cl.head == len(cl.q) {
 		cl.head = 0
@@ -62,7 +63,7 @@ func newDRR(quantum int64) *drrSched {
 }
 
 // push queues one read request from rank.
-func (d *drrSched) push(rank int, req *mpi.RPCRequest) {
+func (d *drrSched) push(rank int, req mpi.RPCRequest) {
 	cl := d.clients[rank]
 	if cl == nil {
 		cl = &drrClient{}
@@ -82,8 +83,8 @@ func (d *drrSched) pending() int { return d.n }
 // round runs DRR rounds until at least one request is served (so a tiny
 // quantum still makes progress against a large head request) and returns
 // the served requests in service order. Empty scheduler returns nil.
-func (d *drrSched) round() []*mpi.RPCRequest {
-	var out []*mpi.RPCRequest
+func (d *drrSched) round() []mpi.RPCRequest {
+	var out []mpi.RPCRequest
 	for d.n > 0 && len(out) == 0 {
 		for _, r := range d.ranks {
 			cl := d.clients[r]

@@ -71,7 +71,7 @@ func TestDRRMatchesOracle(t *testing.T) {
 			if rng.Intn(3) > 0 || got.pending() == 0 {
 				rank := rng.Intn(clients) * 2 // sparse ranks
 				req := &mpi.RPCRequest{Client: rank, Seq: int64(step), Len: int64(1 + rng.Intn(8192))}
-				got.push(rank, req)
+				got.push(rank, *req)
 				want.push(rank, req)
 				continue
 			}
@@ -80,7 +80,7 @@ func TestDRRMatchesOracle(t *testing.T) {
 				t.Fatalf("seed %d step %d: round served %d, oracle %d", seed, step, len(g), len(w))
 			}
 			for i := range g {
-				if g[i] != w[i] {
+				if g[i].Client != w[i].Client || g[i].Seq != w[i].Seq {
 					t.Fatalf("seed %d step %d: service order diverges at %d: got (c%d seq%d), oracle (c%d seq%d)",
 						seed, step, i, g[i].Client, g[i].Seq, w[i].Client, w[i].Seq)
 				}
@@ -92,7 +92,7 @@ func TestDRRMatchesOracle(t *testing.T) {
 				t.Fatalf("seed %d drain: served %d, oracle %d", seed, len(g), len(w))
 			}
 			for i := range g {
-				if g[i] != w[i] {
+				if g[i].Client != w[i].Client || g[i].Seq != w[i].Seq {
 					t.Fatalf("seed %d drain diverges", seed)
 				}
 			}
@@ -111,10 +111,10 @@ func TestDRRFairnessAndOrder(t *testing.T) {
 	d := newDRR(quantum)
 	// Client 0: four large reads; client 1: four small reads.
 	for i := 0; i < 4; i++ {
-		d.push(0, &mpi.RPCRequest{Client: 0, Seq: int64(i), Len: 4096})
-		d.push(1, &mpi.RPCRequest{Client: 1, Seq: int64(i), Len: 64})
+		d.push(0, mpi.RPCRequest{Client: 0, Seq: int64(i), Len: 4096})
+		d.push(1, mpi.RPCRequest{Client: 1, Seq: int64(i), Len: 64})
 	}
-	var order []*mpi.RPCRequest
+	var order []mpi.RPCRequest
 	rounds := 0
 	for d.pending() > 0 {
 		batch := d.round()

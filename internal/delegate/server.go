@@ -83,14 +83,6 @@ func (col *Collector) Servers() []ServerStats {
 	return out
 }
 
-// writeRec is one staged client write.
-type writeRec struct {
-	client int
-	seq    int64
-	off    int64
-	data   []byte
-}
-
 // handleFile is a server's state for one open handle.
 type handleFile struct {
 	name  string
@@ -103,7 +95,9 @@ type handleFile struct {
 	// window and the fault injector's identity keys see the same
 	// per-client streams they would without delegation.
 	readers map[int]*storage.Client
-	staged  []writeRec
+	// staged holds the epoch's write requests, unreleased: epochs apply in
+	// (client, seq) order, so no record can be copied out before closeEpoch.
+	staged  []mpi.RPCRequest
 	flushed map[int]bool
 	epoch   int64
 	// intents and intentSeqs hold the current collective read epoch's
@@ -164,21 +158,25 @@ func serve(c *mpi.Comm, cfg Config, tcfg tcio.Config, serverRanks []int) error {
 	return err
 }
 
-func (s *server) handle(req *mpi.RPCRequest) error {
+// handle owns req. A write keeps its staging buffer until the epoch
+// closes; every other request is consumed here and released.
+func (s *server) handle(req mpi.RPCRequest) error {
 	s.stats.Requests++
+	if req.Op == mpi.OpWrite {
+		return s.write(req)
+	}
+	defer req.Release()
 	switch req.Op {
 	case mpi.OpOpen:
-		return s.open(req)
-	case mpi.OpWrite:
-		return s.write(req)
+		return s.open(&req)
 	case mpi.OpRead:
-		return s.read(req)
+		return s.read(&req)
 	case mpi.OpFlush:
-		return s.flush(req)
+		return s.flush(&req)
 	case mpi.OpReadIntent:
-		return s.readIntent(req)
+		return s.readIntent(&req)
 	case mpi.OpClose:
-		return s.close(req)
+		return s.close(&req)
 	}
 	return fmt.Errorf("delegate: unexpected %s", req.Op)
 }
@@ -198,8 +196,12 @@ func (s *server) loop() error {
 		}
 		if !ok {
 			if s.sched.pending() > 0 {
-				for _, rq := range s.sched.round() {
-					if err := s.read(rq); err != nil {
+				served := s.sched.round()
+				for i := range served {
+					rq := &served[i]
+					err := s.read(rq)
+					rq.Release()
+					if err != nil {
 						return fmt.Errorf("delegate: serve tag %d: %s from rank %d: %w",
 							tagRequest, rq.Op, rq.Client, err)
 					}
@@ -212,6 +214,7 @@ func (s *server) loop() error {
 		}
 		s.c.AdvanceTo(s.c.Now().Add(serverPerReq))
 		if req.Op == mpi.OpShutdown {
+			req.Release()
 			remaining--
 			continue
 		}
@@ -265,14 +268,12 @@ func (s *server) lookup(req *mpi.RPCRequest) (*handleFile, error) {
 	return h, nil
 }
 
-func (s *server) write(req *mpi.RPCRequest) error {
-	h, err := s.lookup(req)
+func (s *server) write(req mpi.RPCRequest) error {
+	h, err := s.lookup(&req)
 	if err != nil {
 		return err
 	}
-	h.staged = append(h.staged, writeRec{
-		client: req.Client, seq: req.Seq, off: req.Off, data: req.Data,
-	})
+	h.staged = append(h.staged, req)
 	s.stats.StagedWrites++
 	s.stats.StagedBytes += int64(len(req.Data))
 	if s.cache != nil {
@@ -346,7 +347,7 @@ func (s *server) read(req *mpi.RPCRequest) error {
 			})
 		}
 		s.stats.CacheMisses++
-		buf := mpi.GetBuf(int(ds))
+		buf := s.c.GetBuf(int(ds))
 		var res storage.Result
 		if mutate.Enabled(mutate.DelegateCacheStaleServe) {
 			// Planted bug: "fill" the block without reading the file
@@ -363,7 +364,7 @@ func (s *server) read(req *mpi.RPCRequest) error {
 		s.stats.FSBytes += res.Bytes
 		s.stats.Retries += res.Retries
 		if err != nil {
-			mpi.RecycleBuf(buf)
+			s.c.Recycle(buf)
 			return s.c.SendReply(req.Client, tagReply, &mpi.RPCReply{
 				Code: errCode(err), Err: err.Error(), Seq: req.Seq,
 			})
@@ -373,7 +374,7 @@ func (s *server) read(req *mpi.RPCRequest) error {
 			OK: true, Seq: req.Seq, Data: buf[rel : rel+req.Len],
 		})
 		if displaced, evicted := s.cache.put(key, buf); displaced != nil {
-			mpi.RecycleBuf(displaced)
+			s.c.Recycle(displaced)
 			if evicted {
 				s.stats.CacheEvictions++
 			}
@@ -384,7 +385,7 @@ func (s *server) read(req *mpi.RPCRequest) error {
 		// Dirty block: served, but never from or into the cache.
 		s.stats.CacheMisses++
 	}
-	buf := mpi.GetBuf(int(req.Len))
+	buf := s.c.GetBuf(int(req.Len))
 	res, err := s.reader(h, req.Client).ReadExtents("delegate-read", trace.KindFetch, []storage.Request{
 		{Off: req.Off, Data: buf, Tag: fmt.Sprintf("c%d", req.Client)},
 	})
@@ -396,7 +397,7 @@ func (s *server) read(req *mpi.RPCRequest) error {
 		rep.Code, rep.Err, rep.Data = errCode(err), err.Error(), nil
 	}
 	sendErr := s.c.SendReply(req.Client, tagReply, rep)
-	mpi.RecycleBuf(buf)
+	s.c.Recycle(buf)
 	return sendErr
 }
 
@@ -437,8 +438,8 @@ func (s *server) closeEpoch(h *handleFile) error {
 	if s.cache != nil {
 		// Every staged record retires with this epoch; a block goes clean
 		// again once its last staged write drains.
-		for _, rec := range h.staged {
-			key := blockKey{name: h.name, blk: rec.off / s.cfg.DomainSize}
+		for i := range h.staged {
+			key := blockKey{name: h.name, blk: h.staged[i].Off / s.cfg.DomainSize}
 			if n := s.dirty[key]; n <= 1 {
 				delete(s.dirty, key)
 			} else {
@@ -447,11 +448,11 @@ func (s *server) closeEpoch(h *handleFile) error {
 		}
 	}
 	sort.Slice(h.staged, func(i, j int) bool {
-		a, b := h.staged[i], h.staged[j]
-		if a.client != b.client {
-			return a.client < b.client
+		a, b := &h.staged[i], &h.staged[j]
+		if a.Client != b.Client {
+			return a.Client < b.Client
 		}
-		return a.seq < b.seq
+		return a.Seq < b.Seq
 	})
 	if mutate.Enabled(mutate.DelegateDropQueuedFlush) && len(h.staged) > 0 {
 		h.staged = h.staged[:len(h.staged)-1]
@@ -459,8 +460,9 @@ func (s *server) closeEpoch(h *handleFile) error {
 	ds := s.cfg.DomainSize
 	blocks := make(map[int64]*blockStage)
 	var order []int64
-	for _, rec := range h.staged {
-		blk := rec.off / ds
+	for i := range h.staged {
+		rec := &h.staged[i]
+		blk := rec.Off / ds
 		st := blocks[blk]
 		if st == nil {
 			// Pooled staging memory, outside the simulated-memory
@@ -470,13 +472,14 @@ func (s *server) closeEpoch(h *handleFile) error {
 			// which is safe here: the coalesced runs cover exactly the
 			// staged writes' bytes, and only run-covered slices are ever
 			// drained or written through.
-			st = &blockStage{buf: mpi.GetBuf(int(ds))}
+			st = &blockStage{buf: s.c.GetBuf(int(ds))}
 			blocks[blk] = st
 			order = append(order, blk)
 		}
-		rel := rec.off - blk*ds
-		copy(st.buf[rel:], rec.data)
-		st.runs = extent.Coalesce(append(st.runs, extent.Extent{Off: rel, Len: int64(len(rec.data))}))
+		rel := rec.Off - blk*ds
+		copy(st.buf[rel:], rec.Data)
+		st.runs = extent.Coalesce(append(st.runs, extent.Extent{Off: rel, Len: int64(len(rec.Data))}))
+		rec.Release()
 	}
 	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
 	var reqs []storage.Request
@@ -514,10 +517,10 @@ func (s *server) closeEpoch(h *handleFile) error {
 					}
 				}
 			} else if cbuf, ok := s.cache.invalidate(key); ok {
-				mpi.RecycleBuf(cbuf)
+				s.c.Recycle(cbuf)
 			}
 		}
-		mpi.RecycleBuf(st.buf)
+		s.c.Recycle(st.buf)
 	}
 	s.stats.Epochs++
 	h.epoch++

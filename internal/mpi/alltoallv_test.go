@@ -131,3 +131,62 @@ func TestAlltoallvReturnsErrAborted(t *testing.T) {
 		}
 	}
 }
+
+// TestAbortSeenOnlyWhereARankWouldBlock pins the stop-point rule behind
+// seed-pinned chaos runs: after a peer has failed, everything a rank can
+// finish on its own still succeeds — so how far it gets is a function of its
+// own operations — and the first operation that has to wait returns
+// ErrAborted.
+func TestAbortSeenOnlyWhereARankWouldBlock(t *testing.T) {
+	boom := errors.New("boom")
+	var survivor error
+	_, err := Run(testCfg(2), func(c *Comm) error {
+		win, err := c.WinCreate(make([]byte, 8))
+		if err != nil {
+			return err
+		}
+		if c.Rank() == 1 {
+			if err := c.Send(0, 1, []byte("sent before failing")); err != nil {
+				return err
+			}
+			return boom
+		}
+		for c.abortedErr() == nil {
+			runtime.Gosched()
+		}
+		survivor = func() error {
+			if err := c.Send(1, 2, []byte("eager")); err != nil {
+				return fmt.Errorf("send: %w", err)
+			}
+			if err := win.Lock(1, true); err != nil {
+				return fmt.Errorf("free lock: %w", err)
+			}
+			if err := win.Put(1, 0, []byte{1}); err != nil {
+				return fmt.Errorf("put: %w", err)
+			}
+			if err := win.Unlock(1); err != nil {
+				return fmt.Errorf("unlock: %w", err)
+			}
+			if _, ok, err := c.TryRecvRequest(1, 9); ok || err != nil {
+				return fmt.Errorf("non-blocking receive: ok=%v err=%v", ok, err)
+			}
+			if got, err := c.Recv(1, 1); err != nil || string(got) != "sent before failing" {
+				return fmt.Errorf("buffered receive: %q, %v", got, err)
+			}
+			if _, err := c.Recv(1, 1); !errors.Is(err, ErrAborted) {
+				return fmt.Errorf("blocking receive returned %v, want ErrAborted", err)
+			}
+			if err := c.Barrier(); !errors.Is(err, ErrAborted) {
+				return fmt.Errorf("barrier returned %v, want ErrAborted", err)
+			}
+			return nil
+		}()
+		return nil
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("world error %v, want the failing rank's", err)
+	}
+	if survivor != nil {
+		t.Fatal(survivor)
+	}
+}

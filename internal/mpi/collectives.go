@@ -61,9 +61,6 @@ func newCollEpoch(n int) *collEpoch {
 // combiner's reads; the channel close orders the combiner's result/final
 // writes before the waiters' reads.
 func (c *Comm) collect(val interface{}, combine func([]interface{}) interface{}, cost simtime.Duration) (interface{}, error) {
-	if err := c.abortedErr(); err != nil {
-		return nil, err
-	}
 	b := c.w.barrier
 	e := b.cur.Load()
 	e.vals[c.rank] = val
@@ -86,7 +83,13 @@ func (c *Comm) collect(val interface{}, combine func([]interface{}) interface{},
 		select {
 		case <-e.release:
 		case <-c.w.aborted:
-			return nil, ErrAborted
+			// With both ready select picks at random; the completed
+			// collective must win, or where a rank stops is a coin toss.
+			select {
+			case <-e.release:
+			default:
+				return nil, ErrAborted
+			}
 		}
 	}
 	c.clock().AdvanceTo(e.final)
@@ -200,7 +203,7 @@ func (c *Comm) Bcast(root int, data []byte) ([]byte, error) {
 	}
 	var val interface{}
 	if c.rank == root {
-		buf := getBuf(len(data))
+		buf := c.w.pool.get(len(data))
 		copy(buf, data)
 		val = buf
 	}
@@ -217,7 +220,7 @@ func (c *Comm) Bcast(root int, data []byte) ([]byte, error) {
 // AllgatherBytes gathers each rank's (possibly differently sized) payload
 // in rank order.
 func (c *Comm) AllgatherBytes(data []byte) ([][]byte, error) {
-	buf := getBuf(len(data))
+	buf := c.w.pool.get(len(data))
 	copy(buf, data)
 	res, err := c.collect(buf, func(vals []interface{}) interface{} {
 		out := make([][]byte, len(vals))

@@ -93,9 +93,6 @@ func (w *Win) PutGroupedAsync(target int, groups []PutGroup) (PutHandle, error) 
 // accounts for its time and its appearance in the network's local-message
 // counters. It fails when the peer lives on a different node.
 func (c *Comm) IntraNodeCopy(peer int, realBytes int64) (simtime.Time, error) {
-	if err := c.abortedErr(); err != nil {
-		return 0, err
-	}
 	if peer < 0 || peer >= c.w.nprocs {
 		return 0, fmt.Errorf("mpi: IntraNodeCopy to rank %d of %d", peer, c.w.nprocs)
 	}

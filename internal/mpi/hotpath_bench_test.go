@@ -114,8 +114,8 @@ func BenchmarkMailboxMatchAnySource(b *testing.B) {
 }
 
 // BenchmarkRPCEncode measures one request encode+send per op — the
-// delegation tier's client hot path. The receiver drains and recycles, so
-// the steady state exercises the staging pools, not the heap.
+// delegation tier's client hot path. The receiver drains and releases, so
+// the steady state exercises the staging pool, not the heap.
 func BenchmarkRPCEncode(b *testing.B) {
 	for _, size := range []int{64, 4096, 65536} {
 		b.Run(fmt.Sprintf("payload=%d", size), func(b *testing.B) {
@@ -138,7 +138,7 @@ func BenchmarkRPCEncode(b *testing.B) {
 					if err != nil {
 						return err
 					}
-					c.Recycle(req.Data)
+					req.Release()
 				}
 				return nil
 			})

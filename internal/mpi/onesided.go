@@ -52,9 +52,6 @@ func (l *winLock) acquire(exclusive bool, abortedErr func() error) (simtime.Time
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for {
-		if err := abortedErr(); err != nil {
-			return 0, err
-		}
 		if exclusive {
 			if !l.excl && l.shared == 0 {
 				l.excl = true
@@ -63,6 +60,10 @@ func (l *winLock) acquire(exclusive bool, abortedErr func() error) (simtime.Time
 		} else if !l.excl {
 			l.shared++
 			return l.lastExcl, nil
+		}
+		// Only a rank that has to wait looks for an abort (see abortedErr).
+		if err := abortedErr(); err != nil {
+			return 0, err
 		}
 		l.cond.Wait()
 	}
@@ -87,7 +88,12 @@ func (l *winLock) release(exclusive bool, at simtime.Time) {
 	l.cond.Broadcast()
 }
 
-func (l *winLock) wake() { l.cond.Broadcast() }
+// wake holds mu for the reason mailbox.wake does.
+func (l *winLock) wake() {
+	l.mu.Lock()
+	l.cond.Broadcast()
+	l.mu.Unlock()
+}
 
 // winGlobal is the world-wide state of one window: every rank's exposed
 // memory and per-target locks. datamu serializes the physical (real-time)

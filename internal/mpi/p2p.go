@@ -274,8 +274,13 @@ func (m *mailbox) tryTake(src, tag int) (envelope, bool) {
 	return envelope{}, false
 }
 
-// wake unblocks all waiters so they can observe an abort.
-func (m *mailbox) wake() { m.cond.Broadcast() }
+// wake unblocks all waiters so they can observe an abort. Holding mu keeps
+// the broadcast from slipping between a waiter's abort check and its Wait.
+func (m *mailbox) wake() {
+	m.mu.Lock()
+	m.cond.Broadcast()
+	m.mu.Unlock()
+}
 
 // sendOverhead is the local CPU cost of posting one message.
 const sendOverhead = 400 * simtime.Nanosecond
@@ -285,7 +290,7 @@ const sendOverhead = 400 * simtime.Nanosecond
 // network), matching MPI's buffered-send semantics; the network model
 // decides when the bytes arrive at dst.
 func (c *Comm) Send(dst, tag int, data []byte) error {
-	buf := getBuf(len(data))
+	buf := c.w.pool.get(len(data))
 	copy(buf, data)
 	return c.sendStaged(dst, tag, buf, netsim.TwoSided, -1)
 }
@@ -293,16 +298,14 @@ func (c *Comm) Send(dst, tag int, data []byte) error {
 // sendStaged delivers an already-staged payload, taking ownership of buf —
 // the zero-copy entry for callers that encode their message directly into a
 // pooled staging buffer (the RPC layer). buf must not be touched after the
-// call; it reaches the receiver and re-enters the pool via Recycle.
-// simBytes is the billed simulated size, or -1 to bill the scaled payload
-// length; billing less than the payload models compact wire encodings.
+// call; it reaches the receiver, whose Release or Recycle returns it to the
+// pool. simBytes is the billed simulated size, or -1 to bill the scaled
+// payload length; billing less than the payload models compact wire
+// encodings. An eager send completes locally, so it does not look for an
+// abort (see abortedErr).
 func (c *Comm) sendStaged(dst, tag int, buf []byte, class netsim.Class, simBytes int64) error {
-	if err := c.abortedErr(); err != nil {
-		recycleBuf(buf)
-		return err
-	}
 	if dst < 0 || dst >= c.w.nprocs {
-		recycleBuf(buf)
+		c.w.pool.put(buf)
 		return fmt.Errorf("mpi: Send to rank %d of %d", dst, c.w.nprocs)
 	}
 	if simBytes < 0 {

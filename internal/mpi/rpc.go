@@ -56,7 +56,8 @@ func (op RPCOp) String() string {
 
 // RPCRequest is one client->server message. Client is not encoded on the
 // wire: the receiver fills it from the envelope source, so a client cannot
-// impersonate another rank.
+// impersonate another rank. A received request's Data aliases its staging
+// buffer and is valid until Release.
 type RPCRequest struct {
 	Op     RPCOp
 	Client int
@@ -65,18 +66,35 @@ type RPCRequest struct {
 	Off    int64 // file offset (write, read)
 	Len    int64 // request length (read); len(Data) for writes
 	Data   []byte
+
+	// The staging buffer Data aliases and the pool Release returns it to;
+	// nil on a request that was built locally rather than received.
+	pool *bufPool
+	buf  []byte
 }
 
 // RPCReply is one server->client message. Code classifies a failure so
 // the sender's typed error survives the string flattening across the wire
-// (a reply string cannot be errors.Is-matched; the code can).
+// (a reply string cannot be errors.Is-matched; the code can). A received
+// reply's Data aliases its staging buffer and is valid until Release.
 type RPCReply struct {
 	OK   bool
 	Code RPCErrCode
 	Err  string
 	Seq  int64
 	Data []byte
+
+	pool *bufPool // as in RPCRequest
+	buf  []byte
 }
+
+// Release returns the request's staging buffer to the world's pool; Data
+// must not be read afterwards. Idempotent on one variable only: messages
+// travel by value, and a second copy's Release panics in test binaries.
+func (r *RPCRequest) Release() { r.pool.put(r.buf); r.buf, r.Data = nil, nil }
+
+// Release returns the reply's staging buffer; see RPCRequest.Release.
+func (r *RPCReply) Release() { r.pool.put(r.buf); r.buf, r.Data = nil, nil }
 
 // RPCErrCode is the wire classification of a failed reply.
 type RPCErrCode uint8
@@ -100,10 +118,10 @@ const (
 	rpcMaxErr        = 1<<16 - 1
 )
 
-// encodeRequest stages the request into a pooled buffer; the caller hands
+// encodeRequest stages the request into a buffer from p; the caller hands
 // it to sendStaged, which owns it from then on.
-func encodeRequest(r *RPCRequest) []byte {
-	buf := getBuf(rpcReqHeaderWire + len(r.Data))
+func encodeRequest(p *bufPool, r *RPCRequest) []byte {
+	buf := p.get(rpcReqHeaderWire + len(r.Data))
 	buf[0] = byte(r.Op)
 	binary.LittleEndian.PutUint32(buf[1:], uint32(r.Handle))
 	binary.LittleEndian.PutUint64(buf[5:], uint64(r.Seq))
@@ -114,35 +132,35 @@ func encodeRequest(r *RPCRequest) []byte {
 	return buf
 }
 
-func decodeRequest(buf []byte) (*RPCRequest, error) {
-	if len(buf) < rpcReqHeaderWire {
-		return nil, fmt.Errorf("mpi: rpc request truncated at %d bytes", len(buf))
+// decodeRequest parses a staged request and leases buf to it: Data aliases
+// buf until Release returns it to p. A rejected buffer goes back at once.
+func decodeRequest(p *bufPool, buf []byte) (RPCRequest, error) {
+	if len(buf) < rpcReqHeaderWire || int(binary.LittleEndian.Uint32(buf[29:])) != len(buf)-rpcReqHeaderWire {
+		p.put(buf)
+		return RPCRequest{}, fmt.Errorf("mpi: rpc request of %d bytes is truncated or disagrees with its header", len(buf))
 	}
-	r := &RPCRequest{
+	r := RPCRequest{
 		Op:     RPCOp(buf[0]),
 		Handle: int32(binary.LittleEndian.Uint32(buf[1:])),
 		Seq:    int64(binary.LittleEndian.Uint64(buf[5:])),
 		Off:    int64(binary.LittleEndian.Uint64(buf[13:])),
 		Len:    int64(binary.LittleEndian.Uint64(buf[21:])),
+		pool:   p,
+		buf:    buf,
 	}
-	n := int(binary.LittleEndian.Uint32(buf[29:]))
-	if n != len(buf)-rpcReqHeaderWire {
-		return nil, fmt.Errorf("mpi: rpc request payload %d bytes, header says %d",
-			len(buf)-rpcReqHeaderWire, n)
-	}
-	if n > 0 {
+	if len(buf) > rpcReqHeaderWire {
 		r.Data = buf[rpcReqHeaderWire:]
 	}
 	return r, nil
 }
 
-// encodeReply stages the reply into a pooled buffer; see encodeRequest.
-func encodeReply(r *RPCReply) []byte {
+// encodeReply stages the reply into a buffer from p; see encodeRequest.
+func encodeReply(p *bufPool, r *RPCReply) []byte {
 	errStr := r.Err
 	if len(errStr) > rpcMaxErr {
 		errStr = errStr[:rpcMaxErr]
 	}
-	buf := getBuf(rpcRepHeaderWire + len(errStr) + len(r.Data))
+	buf := p.get(rpcRepHeaderWire + len(errStr) + len(r.Data))
 	buf[0] = 0 // recycled buffers hold stale bytes; every byte must be set
 	if r.OK {
 		buf[0] = 1
@@ -156,95 +174,95 @@ func encodeReply(r *RPCReply) []byte {
 	return buf
 }
 
-func decodeReply(buf []byte) (*RPCReply, error) {
-	if len(buf) < rpcRepHeaderWire {
-		return nil, fmt.Errorf("mpi: rpc reply truncated at %d bytes", len(buf))
+// decodeReply is decodeRequest for replies. Err is copied out of buf, so
+// it outlives Release.
+func decodeReply(p *bufPool, buf []byte) (RPCReply, error) {
+	if len(buf) < rpcRepHeaderWire || rpcRepHeaderWire+
+		int(binary.LittleEndian.Uint16(buf[10:]))+int(binary.LittleEndian.Uint32(buf[12:])) != len(buf) {
+		p.put(buf)
+		return RPCReply{}, fmt.Errorf("mpi: rpc reply of %d bytes is truncated or disagrees with its header", len(buf))
 	}
-	r := &RPCReply{
+	dataAt := rpcRepHeaderWire + int(binary.LittleEndian.Uint16(buf[10:]))
+	r := RPCReply{
 		OK:   buf[0] != 0,
 		Code: RPCErrCode(buf[1]),
 		Seq:  int64(binary.LittleEndian.Uint64(buf[2:])),
+		Err:  string(buf[rpcRepHeaderWire:dataAt]),
+		pool: p,
+		buf:  buf,
 	}
-	errLen := int(binary.LittleEndian.Uint16(buf[10:]))
-	dataLen := int(binary.LittleEndian.Uint32(buf[12:]))
-	if rpcRepHeaderWire+errLen+dataLen != len(buf) {
-		return nil, fmt.Errorf("mpi: rpc reply %d bytes, header says %d+%d",
-			len(buf)-rpcRepHeaderWire, errLen, dataLen)
-	}
-	r.Err = string(buf[rpcRepHeaderWire : rpcRepHeaderWire+errLen])
-	if dataLen > 0 {
-		r.Data = buf[rpcRepHeaderWire+errLen:]
+	if dataAt < len(buf) {
+		r.Data = buf[dataAt:]
 	}
 	return r, nil
 }
 
 // SendRequest ships req to rank dst on tag. The header is billed at
 // metadata scale and the payload at the machine's byte scale, so bulk
-// writes pay for their data while control messages stay cheap.
+// writes pay for their data while control messages stay cheap. req.Data is
+// copied before the call returns.
 func (c *Comm) SendRequest(dst, tag int, req *RPCRequest) error {
 	sim := int64(rpcReqHeaderWire) + c.w.machine.Scale(int64(len(req.Data)))
-	return c.sendStaged(dst, tag, encodeRequest(req), netsim.TwoSided, sim)
+	return c.sendStaged(dst, tag, encodeRequest(&c.w.pool, req), netsim.TwoSided, sim)
 }
 
 // RecvRequest blocks for the next request from src (AnySource for any
 // client) on tag, advancing the clock to its arrival. Client is filled
-// from the envelope source.
-func (c *Comm) RecvRequest(src, tag int) (*RPCRequest, error) {
+// from the envelope source. The caller owns the request: its Data is valid
+// until Release.
+func (c *Comm) RecvRequest(src, tag int) (RPCRequest, error) {
 	e, err := c.w.ranks[c.rank].box.take(src, tag, c.abortedErr)
 	if err != nil {
-		return nil, err
+		return RPCRequest{}, err
 	}
-	c.clock().AdvanceTo(e.arrival)
-	req, err := decodeRequest(e.data)
-	if err != nil {
-		return nil, err
-	}
-	req.Client = e.src
-	return req, nil
+	return c.openRequest(e)
 }
 
 // TryRecvRequest is RecvRequest without blocking: it returns the next
 // matching request if one is already buffered, or ok == false immediately.
 // A scheduler loop uses it to drain queued work whenever no new request
-// has arrived, without ever parking while the queue is non-empty.
-func (c *Comm) TryRecvRequest(src, tag int) (*RPCRequest, bool, error) {
-	if err := c.abortedErr(); err != nil {
-		return nil, false, err
-	}
+// has arrived, without ever parking while the queue is non-empty. It never
+// blocks, so it does not look for an abort (see abortedErr).
+func (c *Comm) TryRecvRequest(src, tag int) (RPCRequest, bool, error) {
 	e, ok := c.w.ranks[c.rank].box.tryTake(src, tag)
 	if !ok {
-		return nil, false, nil
+		return RPCRequest{}, false, nil
 	}
+	req, err := c.openRequest(e)
+	return req, err == nil, err
+}
+
+// openRequest completes a receive: advance to the arrival, then decode.
+func (c *Comm) openRequest(e envelope) (RPCRequest, error) {
 	c.clock().AdvanceTo(e.arrival)
-	req, err := decodeRequest(e.data)
-	if err != nil {
-		return nil, false, err
-	}
+	req, err := decodeRequest(&c.w.pool, e.data)
 	req.Client = e.src
-	return req, true, nil
+	return req, err
 }
 
 // SendReply ships rep to rank dst on tag, billed like SendRequest.
 func (c *Comm) SendReply(dst, tag int, rep *RPCReply) error {
 	sim := int64(rpcRepHeaderWire) + c.w.machine.Scale(int64(len(rep.Data)))
-	return c.sendStaged(dst, tag, encodeReply(rep), netsim.TwoSided, sim)
+	return c.sendStaged(dst, tag, encodeReply(&c.w.pool, rep), netsim.TwoSided, sim)
 }
 
-// RecvReply blocks for a reply from src on tag.
-func (c *Comm) RecvReply(src, tag int) (*RPCReply, error) {
+// RecvReply blocks for a reply from src on tag. The caller owns the reply:
+// its Data is valid until Release.
+func (c *Comm) RecvReply(src, tag int) (RPCReply, error) {
 	buf, err := c.Recv(src, tag)
 	if err != nil {
-		return nil, err
+		return RPCReply{}, err
 	}
-	return decodeReply(buf)
+	return decodeReply(&c.w.pool, buf)
 }
 
 // Serve runs a request loop on tag until all clients shut down: each
 // request charges perReq of service time before the handler runs, and an
 // OpShutdown retires its sender. Handlers reply themselves (or not — the
-// delegation write path is fire-and-forget); a handler error aborts the
-// loop and is returned.
-func (c *Comm) Serve(tag, clients int, perReq simtime.Duration, handler func(*RPCRequest) error) error {
+// delegation write path is fire-and-forget) and own the request they are
+// handed: its Data is valid until the handler, or whoever it hands the
+// request on to, calls Release. A handler error aborts the loop.
+func (c *Comm) Serve(tag, clients int, perReq simtime.Duration, handler func(RPCRequest) error) error {
 	for remaining := clients; remaining > 0; {
 		req, err := c.RecvRequest(AnySource, tag)
 		if err != nil {
@@ -252,6 +270,7 @@ func (c *Comm) Serve(tag, clients int, perReq simtime.Duration, handler func(*RP
 		}
 		c.clock().Advance(perReq)
 		if req.Op == OpShutdown {
+			req.Release()
 			remaining--
 			continue
 		}

@@ -13,16 +13,29 @@ import (
 	"github.com/tcio/tcio/internal/simtime"
 )
 
+// codecRequests and codecReplies are the round-trip cases. Their encodings,
+// and TestRPCCodecRejectsCorrupt's inputs, are the fuzz targets' seed corpus
+// under testdata/fuzz, which every plain `go test` replays.
+var codecRequests = []RPCRequest{
+	{Op: OpOpen, Handle: 0, Seq: 0},
+	{Op: OpWrite, Handle: 3, Seq: 41, Off: 1 << 30, Len: 5, Data: []byte("hello")},
+	{Op: OpRead, Handle: 1, Seq: -1, Off: 7, Len: 4096},
+	{Op: OpReadIntent, Handle: 2, Seq: 3, Data: []byte{0, 0, 0, 0, 0, 0, 0, 0, 16, 0, 0, 0, 0, 0, 0, 0}},
+	{Op: OpShutdown},
+}
+
+var codecReplies = []RPCReply{
+	{OK: true, Seq: 9, Data: []byte{1, 2, 3}},
+	{OK: false, Err: "pfs: boom", Seq: 2},
+	{OK: false, Code: RPCErrExhausted, Err: "retries exhausted", Seq: 4},
+	{OK: false, Code: RPCErrGeneric, Err: "other", Seq: 5, Data: []byte{9}},
+	{},
+}
+
 func TestRPCCodecRoundTrip(t *testing.T) {
-	cases := []RPCRequest{
-		{Op: OpOpen, Handle: 0, Seq: 0},
-		{Op: OpWrite, Handle: 3, Seq: 41, Off: 1 << 30, Len: 5, Data: []byte("hello")},
-		{Op: OpRead, Handle: 1, Seq: -1, Off: 7, Len: 4096},
-		{Op: OpReadIntent, Handle: 2, Seq: 3, Data: []byte{0, 0, 0, 0, 0, 0, 0, 0, 16, 0, 0, 0, 0, 0, 0, 0}},
-		{Op: OpShutdown},
-	}
-	for _, in := range cases {
-		out, err := decodeRequest(encodeRequest(&in))
+	var p bufPool
+	for _, in := range codecRequests {
+		out, err := decodeRequest(&p, encodeRequest(&p, &in))
 		if err != nil {
 			t.Fatalf("%s: %v", in.Op, err)
 		}
@@ -30,16 +43,25 @@ func TestRPCCodecRoundTrip(t *testing.T) {
 			out.Off != in.Off || out.Len != in.Len || !bytes.Equal(out.Data, in.Data) {
 			t.Fatalf("%s round-trip: got %+v want %+v", in.Op, out, in)
 		}
+		// The decoded request holds its staging buffer until Release, which
+		// parks it exactly once however often it is called — and poisons it,
+		// so whoever kept a slice of Data reads bytes no test expects.
+		if p.idle() != 0 {
+			t.Fatalf("%s: staging buffer back in the pool before Release", in.Op)
+		}
+		kept := out.Data
+		out.Release()
+		out.Release()
+		if p.idle() != 1 || out.Data != nil {
+			t.Fatalf("%s: %d buffers parked after Release, Data %v", in.Op, p.idle(), out.Data)
+		}
+		if len(kept) > 0 && !bytes.Equal(kept, bytes.Repeat([]byte{poolPoison}, len(kept))) {
+			t.Fatalf("%s: released payload still reads %x", in.Op, kept)
+		}
+		p = bufPool{}
 	}
-	reps := []RPCReply{
-		{OK: true, Seq: 9, Data: []byte{1, 2, 3}},
-		{OK: false, Err: "pfs: boom", Seq: 2},
-		{OK: false, Code: RPCErrExhausted, Err: "retries exhausted", Seq: 4},
-		{OK: false, Code: RPCErrGeneric, Err: "other", Seq: 5, Data: []byte{9}},
-		{},
-	}
-	for i, in := range reps {
-		out, err := decodeReply(encodeReply(&in))
+	for i, in := range codecReplies {
+		out, err := decodeReply(&p, encodeReply(&p, &in))
 		if err != nil {
 			t.Fatalf("reply %d: %v", i, err)
 		}
@@ -47,23 +69,138 @@ func TestRPCCodecRoundTrip(t *testing.T) {
 			out.Seq != in.Seq || !bytes.Equal(out.Data, in.Data) {
 			t.Fatalf("reply %d round-trip: got %+v want %+v", i, out, in)
 		}
+		out.Release()
+		out.Release()
+		if p.idle() != 1 || out.Data != nil || out.Err != in.Err {
+			t.Fatalf("reply %d: %d buffers parked after Release, %+v", i, p.idle(), out)
+		}
+		p = bufPool{}
 	}
 }
 
 func TestRPCCodecRejectsCorrupt(t *testing.T) {
-	if _, err := decodeRequest([]byte{1, 2, 3}); err == nil {
+	var p bufPool
+	if _, err := decodeRequest(&p, []byte{1, 2, 3}); err == nil {
 		t.Fatal("truncated request decoded")
 	}
-	buf := encodeRequest(&RPCRequest{Op: OpWrite, Data: []byte("abcd")})
-	if _, err := decodeRequest(buf[:len(buf)-1]); err == nil {
+	buf := encodeRequest(&p, &RPCRequest{Op: OpWrite, Data: []byte("abcd")})
+	if _, err := decodeRequest(&p, buf[:len(buf)-1]); err == nil {
 		t.Fatal("short payload decoded")
 	}
-	if _, err := decodeReply([]byte{0}); err == nil {
+	if _, err := decodeReply(&p, []byte{0}); err == nil {
 		t.Fatal("truncated reply decoded")
 	}
-	rbuf := encodeReply(&RPCReply{Err: "x", Data: []byte("yz")})
-	if _, err := decodeReply(rbuf[:len(rbuf)-1]); err == nil {
+	rbuf := encodeReply(&p, &RPCReply{Err: "x", Data: []byte("yz")})
+	if _, err := decodeReply(&p, rbuf[:len(rbuf)-1]); err == nil {
 		t.Fatal("short reply decoded")
+	}
+	// A pooled buffer goes back the moment it is rejected (shortening a
+	// slice keeps its capacity), so the reply was staged in the request's
+	// buffer; the literals never belonged to the pool.
+	if n := p.idle(); n != 1 || &rbuf[0] != &buf[0] {
+		t.Fatalf("%d buffers parked after four rejections (reused: %v), want the one", n, &rbuf[0] == &buf[0])
+	}
+}
+
+// fuzzStaged copies fuzz input into a pool buffer, as the wire would
+// deliver it.
+func fuzzStaged(p *bufPool, in []byte) []byte {
+	buf := p.get(len(in))
+	copy(buf, in)
+	return buf
+}
+
+// FuzzDecodeRequest: the decoder never panics, an accepted buffer
+// re-encodes to the same bytes, and the staging buffer returns to the pool
+// exactly once whether the decode was accepted (at Release) or rejected
+// (at once; Release on the zero request must not free it again).
+func FuzzDecodeRequest(f *testing.F) {
+	f.Fuzz(func(t *testing.T, in []byte) {
+		var p bufPool
+		req, err := decodeRequest(&p, fuzzStaged(&p, in))
+		if err == nil {
+			if p.idle() != 0 {
+				t.Fatal("accepted request's buffer already parked")
+			}
+			if out := encodeRequest(&p, &req); !bytes.Equal(out, in) {
+				t.Fatalf("re-encode differs:\n in %x\nout %x", in, out)
+			}
+		}
+		req.Release()
+		req.Release()
+		if want := min(len(in), 1); p.idle() != want {
+			t.Fatalf("err=%v: %d buffers parked, want %d", err, p.idle(), want)
+		}
+	})
+}
+
+// FuzzDecodeReply is FuzzDecodeRequest for replies. A reply's OK byte
+// decodes as "non-zero", so the re-encode is compared after normalizing it.
+func FuzzDecodeReply(f *testing.F) {
+	f.Fuzz(func(t *testing.T, in []byte) {
+		var p bufPool
+		rep, err := decodeReply(&p, fuzzStaged(&p, in))
+		if err == nil {
+			if p.idle() != 0 {
+				t.Fatal("accepted reply's buffer already parked")
+			}
+			want := bytes.Clone(in)
+			if want[0] != 0 {
+				want[0] = 1
+			}
+			if out := encodeReply(&p, &rep); !bytes.Equal(out, want) {
+				t.Fatalf("re-encode differs:\n in %x\nout %x", want, out)
+			}
+		}
+		rep.Release()
+		rep.Release()
+		if want := min(len(in), 1); p.idle() != want {
+			t.Fatalf("err=%v: %d buffers parked, want %d", err, p.idle(), want)
+		}
+	})
+}
+
+// TestRPCRoundTripAllocatesNothing pins the steady state of the delegation
+// tier's message path: a 2 KiB request answered by a 2 KiB reply, both
+// released, draws every staging buffer from the world's pool.
+func TestRPCRoundTripAllocatesNothing(t *testing.T) {
+	const tag, rounds = 9, 200
+	payload := bytes.Repeat([]byte{0x5A}, 2048)
+	var allocs float64
+	_, err := Run(Config{Procs: 2}, func(c *Comm) error {
+		if c.Rank() == 1 {
+			for i := 0; i < rounds+1; i++ { // AllocsPerRun adds a warm-up call
+				req, err := c.RecvRequest(0, tag)
+				if err != nil {
+					return err
+				}
+				err = c.SendReply(0, tag+1, &RPCReply{OK: true, Seq: req.Seq, Data: req.Data})
+				req.Release()
+				if err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+		var rtErr error
+		allocs = testing.AllocsPerRun(rounds, func() {
+			if err := c.SendRequest(1, tag, &RPCRequest{Op: OpWrite, Len: 2048, Data: payload}); err != nil {
+				rtErr = err
+				return
+			}
+			rep, err := c.RecvReply(1, tag+1)
+			if err != nil || !bytes.Equal(rep.Data, payload) {
+				rtErr = fmt.Errorf("reply %+v: %v", rep, err)
+			}
+			rep.Release()
+		})
+		return rtErr
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Fatalf("warm RPC round trip allocates %.1f objects, want 0", allocs)
 	}
 }
 
@@ -79,7 +216,7 @@ func TestRPCServe(t *testing.T) {
 	)
 	_, err := Run(Config{Procs: 3, Machine: cluster.Lonestar()}, func(c *Comm) error {
 		if c.Rank() == 2 {
-			return c.Serve(tag, 2, 500*simtime.Nanosecond, func(req *RPCRequest) error {
+			return c.Serve(tag, 2, 500*simtime.Nanosecond, func(req RPCRequest) error {
 				mu.Lock()
 				seen = append(seen, fmt.Sprintf("%s c%d seq%d off%d %q",
 					req.Op, req.Client, req.Seq, req.Off, req.Data))
@@ -153,8 +290,8 @@ func TestTryRecvRequest(t *testing.T) {
 			}
 			return c.Barrier()
 		}
-		if req, ok, err := c.TryRecvRequest(AnySource, tag+1); err != nil || ok || req != nil {
-			return fmt.Errorf("empty tryTake: req=%v ok=%v err=%v", req, ok, err)
+		if _, ok, err := c.TryRecvRequest(AnySource, tag+1); err != nil || ok {
+			return fmt.Errorf("empty tryTake: ok=%v err=%v", ok, err)
 		}
 		if err := c.Barrier(); err != nil {
 			return err
@@ -186,7 +323,7 @@ func TestRPCServeHandlerError(t *testing.T) {
 	boom := errors.New("domain exploded")
 	_, err := Run(Config{Procs: 2, Machine: cluster.Lonestar()}, func(c *Comm) error {
 		if c.Rank() == 1 {
-			return c.Serve(5, 1, 0, func(req *RPCRequest) error { return boom })
+			return c.Serve(5, 1, 0, func(req RPCRequest) error { return boom })
 		}
 		return c.SendRequest(1, 5, &RPCRequest{Op: OpFlush})
 	})

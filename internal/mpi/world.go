@@ -69,6 +69,7 @@ type World struct {
 	allocRetries atomic.Int64
 
 	ranks []*rankState
+	pool  bufPool // the job's message staging buffers (bufpool.go)
 
 	abortOnce sync.Once
 	aborted   chan struct{}
@@ -330,7 +331,12 @@ func (c *Comm) Release(simBytes int64) {
 // MemUsed reports the rank's current simulated memory footprint.
 func (c *Comm) MemUsed() int64 { return c.w.mem.Used(c.rank) }
 
-// aborted reports whether the world has been torn down.
+// abortedErr reports whether the world has been torn down. A rank asks
+// only where it is about to block — a held window lock, a receive with no
+// buffered match, a collective missing arrivals — never on entry to an
+// operation that completes locally. Where it stops after a peer's failure,
+// and so how many more fault rolls it makes, is then a function of its own
+// operation sequence, not of when the host ran the failing goroutine.
 func (c *Comm) abortedErr() error {
 	select {
 	case <-c.w.aborted:

@@ -558,9 +558,9 @@ func (f *File) Truncate() {
 
 // Oplog record kinds.
 const (
-	OpOpen = iota // file created (Name, FirstOST)
-	OpStore       // bytes became durable (Name, Off, Data, Start, End)
-	OpTruncate    // file reset to empty (Name, Start, End)
+	OpOpen     = iota // file created (Name, FirstOST)
+	OpStore           // bytes became durable (Name, Off, Data, Start, End)
+	OpTruncate        // file reset to empty (Name, Start, End)
 )
 
 // OpRecord is one logged durable mutation.

@@ -100,14 +100,19 @@ func (f *File) flushLevel1() error {
 		return nil
 	}
 	blocks := extent.Coalesce(f.l1Blocks)
-	if f.payloadScratch == nil {
-		f.payloadScratch = make([]byte, 0, f.segSize)
+	// One run ships straight out of the level-1 buffer (ship's consumers
+	// copy synchronously); only a multi-run flush needs its runs packed.
+	payload := f.l1Buf[blocks[0].Off:blocks[0].End()]
+	if len(blocks) > 1 {
+		if f.payloadScratch == nil {
+			f.payloadScratch = make([]byte, 0, f.segSize)
+		}
+		payload = f.payloadScratch[:0]
+		for _, b := range blocks {
+			payload = append(payload, f.l1Buf[b.Off:b.End()]...)
+		}
+		f.payloadScratch = payload[:0]
 	}
-	payload := f.payloadScratch[:0]
-	for _, b := range blocks {
-		payload = append(payload, f.l1Buf[b.Off:b.Off+b.Len]...)
-	}
-	f.payloadScratch = payload[:0]
 	err := f.ship(f.l1Seg, blocks, payload)
 	f.l1Seg = -1
 	f.l1Blocks = f.l1Blocks[:0]

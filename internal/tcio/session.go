@@ -160,7 +160,16 @@ func newSession(c *mpi.Comm, name string, mode Mode, cfg Config) (session, error
 	}
 	// Level-1 buffer: exactly one segment (paper §IV.A: "we set them to be
 	// equal, and each level-1 buffer is aligned with one level-2 segment").
-	l1, err := c.Malloc(cfg.SegmentSize)
+	// Only writes stage through it, so a read handle charges its simulated
+	// size — the same accountant call and fault roll — without allocating
+	// host bytes nothing would touch.
+	var l1 []byte
+	var err error
+	if mode == WriteMode {
+		l1, err = c.Malloc(cfg.SegmentSize)
+	} else {
+		err = c.Reserve(c.Machine().Scale(cfg.SegmentSize))
+	}
 	if err != nil {
 		if winReserved > 0 {
 			c.Release(winReserved)
@@ -270,7 +279,7 @@ func (s *session) release() {
 	} else {
 		s.c.Free(s.win.Local())
 	}
-	s.c.Free(s.l1Buf)
+	s.c.Release(s.c.Machine().Scale(s.segSize)) // the level-1 buffer
 }
 
 // Name reports the file name the session is bound to.
