@@ -19,6 +19,7 @@ import (
 	"github.com/tcio/tcio/internal/datatype"
 	"github.com/tcio/tcio/internal/extent"
 	"github.com/tcio/tcio/internal/mpi"
+	"github.com/tcio/tcio/internal/mpiio"
 	"github.com/tcio/tcio/internal/netsim"
 	"github.com/tcio/tcio/internal/simtime"
 	"github.com/tcio/tcio/internal/stats"
@@ -368,32 +369,102 @@ func BenchmarkTransferBurst(b *testing.B) {
 	}
 }
 
-// BenchmarkAlltoallv measures one whole mpi.Alltoallv — p*p messages of 64
-// bytes, the size of a synth-ocio piece — across p ranks on 12-core nodes.
+// BenchmarkAlltoallv measures one whole all-to-all exchange — p*p messages
+// of 64 bytes, the size of a synth-ocio piece — across p ranks on 12-core
+// nodes, through both entry points: Alltoallv stages every message in its
+// own pool buffer, which the receiver recycles; AlltoallvFlat (the -flat
+// legs, the path mpiio takes) is handed one send buffer per exchange.
 func BenchmarkAlltoallv(b *testing.B) {
+	perMessage := func(c *mpi.Comm, p int) func() error {
+		send := make([][]byte, p)
+		for dst := range send {
+			send[dst] = make([]byte, 64)
+		}
+		return func() error {
+			recv, err := c.Alltoallv(send)
+			for _, buf := range recv {
+				c.Recycle(buf)
+			}
+			return err
+		}
+	}
+	flat := func(c *mpi.Comm, p int) func() error {
+		displs, recv := make([]int, p+1), make([][]byte, p)
+		for dst := range displs {
+			displs[dst] = 64 * dst
+		}
+		return func() error { return c.AlltoallvFlat(make([]byte, 64*p), displs, recv) }
+	}
+	for _, p := range []int{64, 512} {
+		for _, leg := range []struct {
+			suffix string
+			entry  func(*mpi.Comm, int) func() error
+		}{{"", perMessage}, {"-flat", flat}} {
+			b.Run(fmt.Sprintf("p-%d%s", p, leg.suffix), func(b *testing.B) {
+				b.ReportAllocs()
+				_, err := mpi.Run(mpi.Config{Procs: p}, func(c *mpi.Comm) error {
+					exchange := leg.entry(c, p)
+					for i := 0; i < b.N; i++ {
+						if err := exchange(); err != nil {
+							return err
+						}
+					}
+					return nil
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(p*p), "ns/msg")
+			})
+		}
+	}
+}
+
+// BenchmarkOCIOExchange measures one two-phase round trip as synth-ocio
+// runs it: a fresh world of p ranks, every rank an aggregator, 1024 12-byte
+// blocks per rank interleaved rank by rank (Fig. 5's piece size), one
+// WriteAll and one ReadAll through fresh handles. B/op and allocs/op are the
+// host cost of the exchange machinery per round trip.
+func BenchmarkOCIOExchange(b *testing.B) {
+	const blocks, block = 1024, 12
 	for _, p := range []int{64, 512} {
 		b.Run(fmt.Sprintf("p-%d", p), func(b *testing.B) {
 			b.ReportAllocs()
-			_, err := mpi.Run(mpi.Config{Procs: p}, func(c *mpi.Comm) error {
-				send := make([][]byte, p)
-				for dst := range send {
-					send[dst] = make([]byte, 64)
+			open := func(c *mpi.Comm) (*mpiio.File, error) {
+				f, err := mpiio.Open(c, "bench-ocio")
+				if err != nil {
+					return nil, err
 				}
-				for i := 0; i < b.N; i++ {
-					recv, err := c.Alltoallv(send)
+				etype, err := datatype.Contiguous(block, datatype.Byte)
+				if err != nil {
+					return nil, err
+				}
+				ftype, err := datatype.Vector(blocks, 1, p, etype)
+				if err != nil {
+					return nil, err
+				}
+				return f, f.SetView(int64(c.Rank())*block, etype, ftype)
+			}
+			for i := 0; i < b.N; i++ {
+				_, err := mpi.Run(mpi.Config{Procs: p}, func(c *mpi.Comm) error {
+					w, err := open(c)
 					if err != nil {
 						return err
 					}
-					for _, buf := range recv {
-						c.Recycle(buf)
+					if err := w.WriteAll(make([]byte, blocks*block)); err != nil {
+						return err
 					}
+					r, err := open(c)
+					if err != nil {
+						return err
+					}
+					_, err = r.ReadAll(blocks * block)
+					return err
+				})
+				if err != nil {
+					b.Fatal(err)
 				}
-				return nil
-			})
-			if err != nil {
-				b.Fatal(err)
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(p*p), "ns/msg")
 		})
 	}
 }

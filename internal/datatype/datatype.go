@@ -13,6 +13,7 @@ package datatype
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"github.com/tcio/tcio/internal/extent"
@@ -91,8 +92,10 @@ func (d *derived) Extent() int64       { return d.extent }
 func (d *derived) Segments() []Segment { return d.segs }
 func (d *derived) String() string      { return d.name }
 
-// expand appends count instances of t, each shifted by i*t.Extent()+base.
+// expand appends count instances of t, each shifted by i*t.Extent()+base,
+// growing dst once to hold them rather than doubling up to its length.
 func expand(dst []Segment, t Type, count int, base int64) []Segment {
+	dst = slices.Grow(dst, max(count, 0)*len(t.Segments()))
 	ext := t.Extent()
 	for i := 0; i < count; i++ {
 		off := base + int64(i)*ext
@@ -136,7 +139,7 @@ func Vector(count, blocklen, stride int, base Type) (Type, error) {
 		size:   int64(count) * int64(blocklen) * base.Size(),
 		extent: ext,
 	}
-	var segs []Segment
+	segs := make([]Segment, 0, count*blocklen*len(base.Segments()))
 	for i := 0; i < count; i++ {
 		segs = expand(segs, base, blocklen, int64(i)*int64(stride)*base.Extent())
 	}

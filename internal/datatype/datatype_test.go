@@ -323,3 +323,41 @@ func TestPackUnpackProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestConstructorsSizeSegmentListOnce pins that a constructor allocates its
+// segment list at its final size instead of doubling up to it: a type ten
+// times larger costs no more allocations — give or take the one the race
+// detector's runtime moves either way; doubling cost two to four more. (The
+// fixed part is the name and the descriptor; counts stay above 255 so boxing
+// them for the name allocates alike.) Fig. 5's file view is the first case.
+func TestConstructorsSizeSegmentListOnce(t *testing.T) {
+	etype, err := Contiguous(12, Byte)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pair, err := Struct([]int{1, 1}, []int64{0, 8}, []Type{Int, Double}) // two segments
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, build := range map[string]func(n int) (Type, error){
+		"Vector":     func(n int) (Type, error) { return Vector(n, 1, 512, etype) },
+		"Contiguous": func(n int) (Type, error) { return Contiguous(n, pair) },
+		"Struct": func(n int) (Type, error) {
+			return Struct([]int{n, n}, []int64{0, int64(n) * 64}, []Type{pair, pair})
+		},
+		"Flatten": func(n int) (Type, error) { typeSink = Flatten(pair, n, 0); return nil, nil },
+	} {
+		allocs := func(n int) float64 {
+			return testing.AllocsPerRun(20, func() {
+				if _, err := build(n); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		if small, large := allocs(300), allocs(1024); large > small+1 {
+			t.Errorf("%s: %v allocations for 1024 elements, %v for 300", name, large, small)
+		}
+	}
+}
+
+var typeSink []Segment

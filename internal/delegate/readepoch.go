@@ -15,7 +15,6 @@ package delegate
 // system fetch, not N.
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -26,32 +25,20 @@ import (
 	"github.com/tcio/tcio/internal/trace"
 )
 
-// intentRunWire is the wire width of one read-intent run: off and len,
-// both int64 little-endian.
-const intentRunWire = 16
-
-// encodeIntent packs runs into an OpReadIntent payload. Runs are already
-// split at domain-block boundaries by the client, so each decodes back to
-// a single-block extent.
+// encodeIntent packs runs into an OpReadIntent payload: extent's wire
+// records, nothing else. Runs are already split at domain-block boundaries
+// by the client, so each decodes back to a single-block extent.
 func encodeIntent(runs []extent.Extent) []byte {
-	buf := make([]byte, len(runs)*intentRunWire)
-	for i, r := range runs {
-		binary.LittleEndian.PutUint64(buf[i*intentRunWire:], uint64(r.Off))
-		binary.LittleEndian.PutUint64(buf[i*intentRunWire+8:], uint64(r.Len))
-	}
-	return buf
+	return extent.AppendRuns(make([]byte, 0, len(runs)*extent.RunWire), runs)
 }
 
 func decodeIntent(data []byte) ([]extent.Extent, error) {
-	if len(data)%intentRunWire != 0 {
+	if len(data)%extent.RunWire != 0 {
 		return nil, fmt.Errorf("delegate: read intent of %d bytes", len(data))
 	}
-	runs := make([]extent.Extent, len(data)/intentRunWire)
+	runs := make([]extent.Extent, len(data)/extent.RunWire)
 	for i := range runs {
-		runs[i] = extent.Extent{
-			Off: int64(binary.LittleEndian.Uint64(data[i*intentRunWire:])),
-			Len: int64(binary.LittleEndian.Uint64(data[i*intentRunWire+8:])),
-		}
+		runs[i] = extent.RunAt(data, i)
 	}
 	return runs, nil
 }

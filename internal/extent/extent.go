@@ -19,7 +19,9 @@
 //     boundaries).
 //   - Layout (layout.go): the paper's equations (1)-(3) round-robin
 //     offset -> (rank, segment, displacement) mapping.
-//   - Partition (partition.go): OCIO's equal contiguous file domains.
+//   - Partition (partition.go): OCIO's equal contiguous file domains, and
+//     Cut, a run list clipped at their boundaries and grouped by owner.
+//   - AppendRuns / RunAt (wire.go): the one wire codec for run lists.
 //
 // All functions treat a nil list as empty and never return zero-length
 // runs.

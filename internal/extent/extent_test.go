@@ -212,22 +212,51 @@ func TestPartitionDomainsTile(t *testing.T) {
 	}
 }
 
+// refSplit is the per-domain split Cut replaced, kept as its oracle: cut
+// runs at domain boundaries and deal the pieces to one list per domain.
+func refSplit(p Partition, runs []Extent) [][]Extent {
+	out := make([][]Extent, p.N)
+	for _, r := range runs {
+		for r.Len > 0 {
+			k, end := p.Clip(r.Off, r.End())
+			piece := Extent{Off: r.Off, Len: end - r.Off}
+			out[k] = append(out[k], piece)
+			r.Off += piece.Len
+			r.Len -= piece.Len
+		}
+	}
+	return out
+}
+
 func TestPartitionSplitPreservesRuns(t *testing.T) {
-	prop := func(raw []uint16, rawN uint8) bool {
+	prop := func(raw []uint16, rawN uint8, reuse bool) bool {
 		n := int(rawN%6) + 1
 		runs := Coalesce(randList(raw))
 		lo, hi := Span(runs)
 		p := NewPartition(lo, hi, n)
-		parts := p.Split(runs)
-		var flat []Extent
-		for k, part := range parts {
+		var dst []Extent
+		if reuse {
+			dst = make([]Extent, 3, 4)[:0] // scratch that has to grow
+		}
+		first := make([]int, n+1)
+		flat := p.Cut(dst, first, runs)
+		if !reuse && cap(flat) != len(flat) {
+			return false // a fresh list is sized to the piece count
+		}
+		if first[0] != 0 || first[n] != len(flat) {
+			return false
+		}
+		for k, want := range refSplit(p, runs) {
+			part := flat[first[k]:first[k+1]]
+			if len(part) != len(want) || (len(want) > 0 && !reflect.DeepEqual(part, want)) {
+				return false
+			}
 			d := p.Domain(k)
 			for _, e := range part {
 				if e.Off < d.Off || e.End() > d.End() {
 					return false // piece escaped its domain
 				}
 			}
-			flat = append(flat, part...)
 		}
 		return bitmap(flat) == bitmap(runs) && Total(flat) == Total(runs)
 	}
@@ -257,5 +286,25 @@ func TestCoversSpanSubtractEdges(t *testing.T) {
 	}
 	if got := SplitAt([]Extent{{3, 10}}, 4); !reflect.DeepEqual(got, []Extent{{3, 1}, {4, 4}, {8, 4}, {12, 1}}) {
 		t.Fatalf("SplitAt = %v", got)
+	}
+}
+
+// TestRunWireRoundTrip pins the one run codec every layer frames: 16 bytes
+// per run, little-endian offset then length, appended in place when dst has
+// the room.
+func TestRunWireRoundTrip(t *testing.T) {
+	runs := []Extent{{Off: 1, Len: 2}, {Off: 1 << 40, Len: 3}, {Off: -1, Len: 0}}
+	slot := make([]byte, 4+RunWire*len(runs))
+	b := AppendRuns(slot[:4], runs)
+	if &b[0] != &slot[0] || len(b) != len(slot) {
+		t.Fatalf("AppendRuns left a slot with room: %d bytes, moved=%v", len(b), &b[0] != &slot[0])
+	}
+	for i, want := range runs {
+		if got := RunAt(b[4:], i); got != want {
+			t.Errorf("run %d = %v, want %v", i, got, want)
+		}
+	}
+	if want := []byte{1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0}; !reflect.DeepEqual(b[4:4+RunWire], want) {
+		t.Errorf("wire bytes = %v, want %v", b[4:4+RunWire], want)
 	}
 }

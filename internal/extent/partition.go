@@ -73,21 +73,37 @@ func (p Partition) Clip(off, end int64) (int, int64) {
 	return k, end
 }
 
-// Split cuts runs at domain boundaries and deals the pieces to their owning
-// domains, preserving order within each domain.
-func (p Partition) Split(runs []Extent) [][]Extent {
-	out := make([][]Extent, p.N)
-	if p.N == 0 {
-		return out
+// Cut clips ascending runs at domain boundaries and appends the pieces to
+// dst, which it returns. Ascending input makes the pieces come out grouped
+// by owning domain, so one flat list and an index replace a list per
+// domain: Cut fills first, which must hold N+1 entries, so that domain k
+// owns pieces first[k] to first[k+1] of the returned list. A dst without
+// storage is sized to the piece count — one per run plus one per boundary a
+// run crosses — instead of doubling up to it.
+func (p Partition) Cut(dst []Extent, first []int, runs []Extent) []Extent {
+	if cap(dst) == 0 {
+		n := len(runs)
+		for _, r := range runs {
+			if r.Len > 0 {
+				n += p.Find(r.End()-1) - p.Find(r.Off)
+			}
+		}
+		dst = make([]Extent, 0, n)
 	}
+	k := 0
+	first[0] = len(dst)
 	for _, r := range runs {
 		for r.Len > 0 {
-			k, end := p.Clip(r.Off, r.End())
-			piece := Extent{Off: r.Off, Len: end - r.Off}
-			out[k] = append(out[k], piece)
-			r.Off += piece.Len
-			r.Len -= piece.Len
+			owner, end := p.Clip(r.Off, r.End())
+			for ; k < owner; k++ {
+				first[k+1] = len(dst)
+			}
+			dst = append(dst, Extent{Off: r.Off, Len: end - r.Off})
+			r.Off, r.Len = end, r.End()-end
 		}
 	}
-	return out
+	for ; k < p.N; k++ {
+		first[k+1] = len(dst)
+	}
+	return dst
 }

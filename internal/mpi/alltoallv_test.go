@@ -33,11 +33,20 @@ func awaitDeposits(c *Comm, n uint64) error {
 	return nil
 }
 
-// TestAlltoallvMatchesExplicitExchange checks that Alltoallv is, to the
-// nanosecond and the counter, the Irecv×p → Isend×p → Wait×p loop the paper
-// describes: same payloads, same final clock on every rank, same netsim
-// statistics.
-func TestAlltoallvMatchesExplicitExchange(t *testing.T) {
+// runOK runs fn on procs ranks and fails the test on any rank's error.
+func runOK(t *testing.T, procs int, fn func(*Comm) error) {
+	t.Helper()
+	if _, err := Run(testCfg(procs), fn); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// forcedOrderExchange runs two rounds of an uneven 8-rank all-to-all through
+// exchange, with every rank's sends forced into rank order (awaitDeposits),
+// checks the payloads, and returns the run's report: two exchanges with the
+// same sends and receives read the same clocks and netsim statistics.
+func forcedOrderExchange(t *testing.T, exchange func(*Comm, [][]byte) ([][]byte, error)) Report {
+	t.Helper()
 	const p, rounds = 8, 2
 	cfg := testCfg(p)
 	cfg.Machine.CoresPerNode = 2 // 4 nodes: both the NIC and the local-copy path
@@ -49,9 +58,43 @@ func TestAlltoallvMatchesExplicitExchange(t *testing.T) {
 		n := (src*7 + dst*13 + round) % 5 * 3000
 		return bytes.Repeat([]byte{byte(src<<4 | dst)}, n)
 	}
+	rep, err := Run(cfg, func(c *Comm) error {
+		for round := 0; round < rounds; round++ {
+			// Ranks enter out of virtual-time order.
+			c.Compute(simtime.Duration((p-c.Rank())*(round+1)) * simtime.Microsecond)
+			send := make([][]byte, p)
+			for dst := range send {
+				send[dst] = payload(round, c.Rank(), dst)
+			}
+			if err := awaitDeposits(c, uint64(round*p+c.Rank())); err != nil {
+				return err
+			}
+			recv, err := exchange(c, send)
+			if err != nil {
+				return err
+			}
+			for src := range recv {
+				if !bytes.Equal(recv[src], payload(round, src, c.Rank())) {
+					return fmt.Errorf("round %d: payload from rank %d differs", round, src)
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
+// TestAlltoallvMatchesExplicitExchange checks that Alltoallv is, to the
+// nanosecond and the counter, the Irecv×p → Isend×p → Wait×p loop the paper
+// describes: same payloads, same final clock on every rank, same netsim
+// statistics.
+func TestAlltoallvMatchesExplicitExchange(t *testing.T) {
 	explicit := func(c *Comm, send [][]byte) ([][]byte, error) {
 		const tag = 7
-		reqs := make([]*Request, p)
+		reqs := make([]*Request, len(send))
 		for src := range reqs {
 			reqs[src] = c.Irecv(src, tag)
 		}
@@ -60,7 +103,7 @@ func TestAlltoallvMatchesExplicitExchange(t *testing.T) {
 				return nil, err
 			}
 		}
-		out := make([][]byte, p)
+		out := make([][]byte, len(send))
 		for src, r := range reqs {
 			data, err := r.Wait()
 			if err != nil {
@@ -70,38 +113,9 @@ func TestAlltoallvMatchesExplicitExchange(t *testing.T) {
 		}
 		return out, nil
 	}
-	run := func(exchange func(*Comm, [][]byte) ([][]byte, error)) Report {
-		rep, err := Run(cfg, func(c *Comm) error {
-			for round := 0; round < rounds; round++ {
-				// Ranks enter out of virtual-time order.
-				c.Compute(simtime.Duration((p-c.Rank())*(round+1)) * simtime.Microsecond)
-				send := make([][]byte, p)
-				for dst := range send {
-					send[dst] = payload(round, c.Rank(), dst)
-				}
-				if err := awaitDeposits(c, uint64(round*p+c.Rank())); err != nil {
-					return err
-				}
-				recv, err := exchange(c, send)
-				if err != nil {
-					return err
-				}
-				for src := range recv {
-					if !bytes.Equal(recv[src], payload(round, src, c.Rank())) {
-						return fmt.Errorf("round %d: payload from rank %d differs", round, src)
-					}
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
-	}
 
-	want := run(explicit)
-	got := run((*Comm).Alltoallv)
+	want := forcedOrderExchange(t, explicit)
+	got := forcedOrderExchange(t, (*Comm).Alltoallv)
 	if !reflect.DeepEqual(got.RankTimes, want.RankTimes) {
 		t.Errorf("final clocks differ:\n Alltoallv %v\n explicit  %v", got.RankTimes, want.RankTimes)
 	}
@@ -111,6 +125,57 @@ func TestAlltoallvMatchesExplicitExchange(t *testing.T) {
 	if want.Net.CongestedMsgs == 0 || want.Net.LocalMessages == 0 {
 		t.Errorf("exchange exercised no incast or no local copy: %+v", want.Net)
 	}
+}
+
+// flatExchange drives AlltoallvFlat from per-destination payloads: one send
+// buffer, displacements, caller-owned receive slots.
+func flatExchange(c *Comm, send [][]byte) ([][]byte, error) {
+	displs := make([]int, len(send)+1)
+	var buf []byte
+	for dst, data := range send {
+		buf = append(buf, data...)
+		displs[dst+1] = len(buf)
+	}
+	recv := make([][]byte, len(send))
+	if err := c.AlltoallvFlat(buf, displs, recv); err != nil {
+		return nil, err
+	}
+	for src, data := range recv {
+		if cap(data) != len(data) {
+			return nil, fmt.Errorf("slice from rank %d has cap %d beyond len %d: an append would write into the sender's next message", src, cap(data), len(data))
+		}
+	}
+	return recv, nil
+}
+
+// TestAlltoallvFlatMatchesAlltoallv: the two entry points are one exchange —
+// same payloads, same final clocks, same netsim statistics.
+func TestAlltoallvFlatMatchesAlltoallv(t *testing.T) {
+	want := forcedOrderExchange(t, (*Comm).Alltoallv)
+	got := forcedOrderExchange(t, flatExchange)
+	if !reflect.DeepEqual(got.RankTimes, want.RankTimes) {
+		t.Errorf("final clocks differ:\n flat      %v\n Alltoallv %v", got.RankTimes, want.RankTimes)
+	}
+	if got.Net != want.Net {
+		t.Errorf("netsim stats differ:\n flat      %+v\n Alltoallv %+v", got.Net, want.Net)
+	}
+}
+
+func TestAlltoallvFlatValidation(t *testing.T) {
+	runOK(t, 2, func(c *Comm) error {
+		buf := []byte("abcd")
+		for name, call := range map[string]func() error{
+			"short displacements": func() error { return c.AlltoallvFlat(buf, []int{0, 4}, make([][]byte, 2)) },
+			"short receive array": func() error { return c.AlltoallvFlat(buf, []int{0, 2, 4}, make([][]byte, 1)) },
+			"descending":          func() error { return c.AlltoallvFlat(buf, []int{2, 0, 4}, make([][]byte, 2)) },
+			"past the buffer":     func() error { return c.AlltoallvFlat(buf, []int{0, 2, 5}, make([][]byte, 2)) },
+		} {
+			if call() == nil {
+				return fmt.Errorf("%s accepted", name)
+			}
+		}
+		return nil
+	})
 }
 
 func TestAlltoallvReturnsErrAborted(t *testing.T) {
@@ -130,6 +195,80 @@ func TestAlltoallvReturnsErrAborted(t *testing.T) {
 			t.Errorf("rank %d: Alltoallv returned %v, want ErrAborted", r, err)
 		}
 	}
+	_, _ = Run(testCfg(p), func(c *Comm) error { // as above
+		if c.Rank() == p-1 {
+			return boom
+		}
+		errs[c.Rank()] = c.AlltoallvFlat(nil, make([]int, p+1), make([][]byte, p))
+		return errs[c.Rank()]
+	})
+	for r, err := range errs[:p-1] {
+		if !errors.Is(err, ErrAborted) {
+			t.Errorf("rank %d: AlltoallvFlat returned %v, want ErrAborted", r, err)
+		}
+	}
+}
+
+// TestWildcardRecvSkipsCollectiveTraffic: a wildcard receive used to take
+// whatever was deposited first, a collective's message included — rank 0
+// below got rank 1's all-to-all payload from Recv(AnySource, AnyTag) and
+// its own Alltoallv then never completed. AnyTag matches user tags only.
+func TestWildcardRecvSkipsCollectiveTraffic(t *testing.T) {
+	runOK(t, 2, func(c *Comm) error {
+		if c.Rank() == 1 {
+			_, err := c.Alltoallv([][]byte{{1}, {1}})
+			return err
+		}
+		// Rank 1's collective message is buffered here before any user one.
+		if err := awaitDeposits(c, 1); err != nil {
+			return err
+		}
+		for _, src := range []int{1, AnySource} {
+			if _, ok, err := c.TryRecvRequest(src, AnyTag); ok || err != nil {
+				return fmt.Errorf("TryRecvRequest(%d, AnyTag) matched the collective's message: ok=%v err=%v", src, ok, err)
+			}
+		}
+		if err := c.Send(0, 7, []byte("user")); err != nil {
+			return err
+		}
+		if got, err := c.Recv(AnySource, AnyTag); err != nil || string(got) != "user" {
+			return fmt.Errorf("Recv(AnySource, AnyTag) = %q, %v; want the tag-7 message", got, err)
+		}
+		recv, err := c.Alltoallv([][]byte{{0}, {0}})
+		if err != nil || !bytes.Equal(recv[1], []byte{1}) {
+			return fmt.Errorf("Alltoallv after the wildcard receive = %v, %v", recv, err)
+		}
+		return nil
+	})
+}
+
+// TestUserEntryPointsRejectRuntimeTags: negative tags are the runtime's.
+func TestUserEntryPointsRejectRuntimeTags(t *testing.T) {
+	runOK(t, 1, func(c *Comm) error {
+		for _, tag := range []int{tagAlltoall, -100} {
+			_, _, tryErr := c.TryRecvRequest(0, tag)
+			_, recvErr := c.Recv(0, tag)
+			_, irecvErr := c.Irecv(0, tag).Wait()
+			_, reqErr := c.RecvRequest(0, tag)
+			_, repErr := c.RecvReply(0, tag)
+			for name, err := range map[string]error{
+				"Send": c.Send(0, tag, nil), "Isend": c.Isend(0, tag, nil).err,
+				"SendRequest": c.SendRequest(0, tag, &RPCRequest{Op: OpFlush}),
+				"SendReply":   c.SendReply(0, tag, &RPCReply{OK: true}),
+				"Recv":        recvErr, "Irecv": irecvErr, "RecvRequest": reqErr,
+				"TryRecvRequest": tryErr, "RecvReply": repErr,
+			} {
+				if err == nil {
+					return fmt.Errorf("%s accepted tag %d", name, tag)
+				}
+			}
+		}
+		// AnyTag names no message: a send cannot carry it.
+		if err := c.Send(0, AnyTag, nil); err == nil {
+			return errors.New("Send accepted AnyTag")
+		}
+		return nil
+	})
 }
 
 // TestAbortSeenOnlyWhereARankWouldBlock pins the stop-point rule behind

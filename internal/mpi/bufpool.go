@@ -24,6 +24,8 @@ import (
 // through its Release, a raw Recv or Alltoallv payload through Comm.Recycle
 // (the application's opt-in: the runtime cannot know when a receiver is done
 // with delivered bytes). One nobody returns is collected like any slice.
+// AlltoallvFlat bypasses the pool: its caller's one send buffer is the
+// staging copy, and what it delivers are slices of that buffer.
 
 const (
 	// minPoolShift is the smallest pooled size class (64 B); tinier
@@ -129,6 +131,7 @@ func (c *Comm) GetBuf(n int) []byte { return c.w.pool.get(n) }
 // staging pool. The caller must be the buffer's sole owner: point-to-point
 // payloads (Recv, Request.Wait, Alltoallv) are delivered to exactly one
 // rank and are safe to recycle once their bytes are consumed; Bcast and
-// AllgatherBytes results are shared by every rank and must never be
-// recycled. Recycling does not touch the virtual-time or fault models.
+// AllgatherBytes results are shared by every rank, and AlltoallvFlat's are
+// slices of the sender's buffer: neither is for recycling. Recycling does
+// not touch the virtual-time or fault models.
 func (c *Comm) Recycle(buf []byte) { c.w.pool.put(buf) }

@@ -5,6 +5,7 @@ import (
 	"math/bits"
 	"sync/atomic"
 
+	"github.com/tcio/tcio/internal/netsim"
 	"github.com/tcio/tcio/internal/simtime"
 )
 
@@ -203,9 +204,7 @@ func (c *Comm) Bcast(root int, data []byte) ([]byte, error) {
 	}
 	var val interface{}
 	if c.rank == root {
-		buf := c.w.pool.get(len(data))
-		copy(buf, data)
-		val = buf
+		val = c.stage(data)
 	}
 	res, err := c.collect(val, func(vals []interface{}) interface{} {
 		return vals[root]
@@ -220,9 +219,7 @@ func (c *Comm) Bcast(root int, data []byte) ([]byte, error) {
 // AllgatherBytes gathers each rank's (possibly differently sized) payload
 // in rank order.
 func (c *Comm) AllgatherBytes(data []byte) ([][]byte, error) {
-	buf := c.w.pool.get(len(data))
-	copy(buf, data)
-	res, err := c.collect(buf, func(vals []interface{}) interface{} {
+	res, err := c.collect(c.stage(data), func(vals []interface{}) interface{} {
 		out := make([][]byte, len(vals))
 		for i, raw := range vals {
 			out[i] = raw.([]byte)
@@ -243,7 +240,9 @@ func (c *Comm) SharedOnce(create func() interface{}) (interface{}, error) {
 	return c.collect(nil, func([]interface{}) interface{} { return create() }, c.treeCost(16))
 }
 
-// internal tag space (user tags must be >= 0; -1 is AnyTag).
+// tagAlltoall carries the all-to-all exchange. Negative tags are the
+// runtime's: user sends and receives reject them (userTag) and AnyTag
+// receives never match them, so no wildcard can take a collective's message.
 const tagAlltoall = -2
 
 // Alltoallv sends send[i] to rank i and returns the payloads received from
@@ -253,23 +252,57 @@ const tagAlltoall = -2
 // matches when it is waited on, not when it is posted (see Irecv), so the
 // posts are free and the exchange is p eager sends followed by p blocking
 // receives: the same virtual-time charges, with no Request per message.
+// Each payload is staged in its own pool buffer, so the receiver may
+// Recycle each result.
 func (c *Comm) Alltoallv(send [][]byte) ([][]byte, error) {
 	p := c.w.nprocs
 	if len(send) != p {
 		return nil, fmt.Errorf("mpi: Alltoallv with %d buffers for %d ranks", len(send), p)
 	}
 	for dst := 0; dst < p; dst++ {
-		if err := c.Send(dst, tagAlltoall, send[dst]); err != nil {
+		if err := c.sendStaged(dst, tagAlltoall, c.stage(send[dst]), netsim.TwoSided, -1); err != nil {
 			return nil, err
 		}
 	}
 	out := make([][]byte, p)
-	for src := 0; src < p; src++ {
-		data, err := c.Recv(src, tagAlltoall)
-		if err != nil {
-			return nil, err
-		}
-		out[src] = data
+	if err := c.recvAlltoall(out); err != nil {
+		return nil, err
 	}
 	return out, nil
+}
+
+// AlltoallvFlat is Alltoallv with MPI's own signature: rank i is sent
+// buf[displs[i]:displs[i+1]] and recv[i] is set to what rank i sent. The
+// call takes ownership of buf — it is the eager staging copy, so nothing is
+// copied or pooled per message — and every recv entry aliases its sender's
+// buffer: read-only, cap == len, valid as long as the receiver holds it, and
+// not for Recycle. Sends, receives and virtual-time charges are Alltoallv's.
+func (c *Comm) AlltoallvFlat(buf []byte, displs []int, recv [][]byte) error {
+	p := c.w.nprocs
+	if len(displs) != p+1 || len(recv) != p {
+		return fmt.Errorf("mpi: AlltoallvFlat with %d displacements and %d receive slots for %d ranks", len(displs), len(recv), p)
+	}
+	for dst := 0; dst < p; dst++ {
+		lo, hi := displs[dst], displs[dst+1]
+		if lo < 0 || hi < lo || hi > len(buf) {
+			return fmt.Errorf("mpi: AlltoallvFlat displacements [%d,%d) for rank %d in a buffer of %d bytes", lo, hi, dst, len(buf))
+		}
+		if err := c.sendStaged(dst, tagAlltoall, buf[lo:hi:hi], netsim.TwoSided, -1); err != nil {
+			return err
+		}
+	}
+	return c.recvAlltoall(recv)
+}
+
+// recvAlltoall is the receive half of both all-to-all entry points: one
+// blocking receive per source, in rank order.
+func (c *Comm) recvAlltoall(recv [][]byte) error {
+	for src := range recv {
+		e, err := c.receive(src, tagAlltoall)
+		if err != nil {
+			return err
+		}
+		recv[src] = e.data
+	}
+	return nil
 }

@@ -54,8 +54,14 @@ func (q *msgQueue) pop() envelope {
 	return e
 }
 
-// srcTag is the mailbox index key.
+// srcTag names one (source, tag) pair.
 type srcTag struct{ src, tag int }
+
+// laneWidth is how many consecutive sources of one tag share a mailbox index
+// entry. An all-to-all fills every lane, so wider is cheaper there; a
+// mailbox holding one pair per tag (scale-4096's ring) pays a whole lane
+// per pair, so narrower is cheaper there. Measured in DESIGN.md §6.
+const laneWidth = 4
 
 // wildEntry records one deposit in a wildcard side-list: which queue it
 // went to, and its mailbox-wide sequence number. An entry whose seq no
@@ -104,10 +110,12 @@ func (l *keyList) pop() {
 // stamps keep the drain order exactly what a single flat queue would have
 // produced: FIFO per pair, deposit order across pairs.
 type mailbox struct {
-	mu    sync.Mutex
-	cond  *sync.Cond
-	seq   uint64
-	keyed map[srcTag]*msgQueue
+	mu   sync.Mutex
+	cond *sync.Cond
+	seq  uint64
+	// keyed holds the per-pair queues in lanes: the entry at (src/laneWidth,
+	// tag) carries laneWidth consecutive sources. Reached through queue.
+	keyed map[srcTag]*[laneWidth]msgQueue
 	// The side-lists are maintained only once a wildcard receive has been
 	// posted (wild): ranks that only ever match exactly — the two-phase
 	// exchange hot path — pay nothing for them. The first wildcard take
@@ -119,9 +127,24 @@ type mailbox struct {
 }
 
 func newMailbox() *mailbox {
-	m := &mailbox{keyed: make(map[srcTag]*msgQueue)}
+	m := &mailbox{keyed: make(map[srcTag]*[laneWidth]msgQueue)}
 	m.cond = sync.NewCond(&m.mu)
 	return m
+}
+
+// queue returns the FIFO of one (source, tag) pair, or nil when create is
+// false and the pair's lane has never been deposited to.
+func (m *mailbox) queue(key srcTag, create bool) *msgQueue {
+	laneKey := srcTag{key.src / laneWidth, key.tag}
+	lane := m.keyed[laneKey]
+	if lane == nil {
+		if !create {
+			return nil
+		}
+		lane = new([laneWidth]msgQueue)
+		m.keyed[laneKey] = lane
+	}
+	return &lane[key.src%laneWidth]
 }
 
 // trimStale discards consumed entries at the list head. The head entry is
@@ -131,7 +154,7 @@ func newMailbox() *mailbox {
 func (m *mailbox) trimStale(l *keyList) {
 	for !l.empty() {
 		e := l.front()
-		if q := m.keyed[e.key]; q != nil && !q.empty() && q.front().seq == e.seq {
+		if q := m.queue(e.key, false); q != nil && !q.empty() && q.front().seq == e.seq {
 			return
 		}
 		l.pop()
@@ -143,12 +166,7 @@ func (m *mailbox) deposit(e envelope) {
 	e.seq = m.seq
 	m.seq++
 	key := srcTag{e.src, e.tag}
-	q := m.keyed[key]
-	if q == nil {
-		q = &msgQueue{}
-		m.keyed[key] = q
-	}
-	q.push(e)
+	m.queue(key, true).push(e)
 	if m.wild {
 		m.pushWild(wildEntry{key: key, seq: e.seq})
 	}
@@ -156,8 +174,10 @@ func (m *mailbox) deposit(e envelope) {
 	m.cond.Broadcast()
 }
 
-// pushWild records a deposit in all three side-lists, trimming each list's
-// stale head first so idle lists cannot accumulate consumed entries.
+// pushWild records a deposit in the side-lists, trimming each list's stale
+// head first so idle lists cannot accumulate consumed entries. A deposit on
+// a runtime tag (negative: a collective's traffic) stays out of the two
+// AnyTag lists, so a wildcard receive cannot take it.
 func (m *mailbox) pushWild(ent wildEntry) {
 	tl := m.byTag[ent.key.tag]
 	if tl == nil {
@@ -166,6 +186,9 @@ func (m *mailbox) pushWild(ent wildEntry) {
 	}
 	m.trimStale(tl)
 	tl.push(ent)
+	if ent.key.tag < 0 {
+		return
+	}
 	sl := m.bySrc[ent.key.src]
 	if sl == nil {
 		sl = &keyList{}
@@ -182,9 +205,11 @@ func (m *mailbox) pushWild(ent wildEntry) {
 // once, under mu, by the first wildcard take.
 func (m *mailbox) activateWild() {
 	var ents []wildEntry
-	for k, q := range m.keyed {
-		for i := q.head; i < len(q.envs); i++ {
-			ents = append(ents, wildEntry{key: k, seq: q.envs[i].seq})
+	for k, lane := range m.keyed {
+		for i := range lane {
+			for _, e := range lane[i].envs[lane[i].head:] {
+				ents = append(ents, wildEntry{key: srcTag{k.src*laneWidth + i, k.tag}, seq: e.seq})
+			}
 		}
 	}
 	sort.Slice(ents, func(i, j int) bool { return ents[i].seq < ents[j].seq })
@@ -196,57 +221,13 @@ func (m *mailbox) activateWild() {
 	}
 }
 
-// take blocks until a message matching (src, tag) is available, removing
-// and returning it. Wildcards AnySource/AnyTag match anything. It returns
-// an error when the world aborts while waiting.
-func (m *mailbox) take(src, tag int, abortedErr func() error) (envelope, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for {
-		if src != AnySource && tag != AnyTag {
-			if q := m.keyed[srcTag{src, tag}]; q != nil && !q.empty() {
-				return q.pop(), nil
-			}
-		} else {
-			if !m.wild {
-				m.activateWild()
-			}
-			var l *keyList
-			switch {
-			case src == AnySource && tag == AnyTag:
-				l = &m.all
-			case src == AnySource:
-				l = m.byTag[tag]
-			default:
-				l = m.bySrc[src]
-			}
-			if l != nil {
-				m.trimStale(l)
-				if !l.empty() {
-					// A live head entry is its queue's front, and every
-					// entry in this list matches the filter by construction.
-					e := l.front()
-					l.pop()
-					return m.keyed[e.key].pop(), nil
-				}
-			}
-		}
-		if err := abortedErr(); err != nil {
-			return envelope{}, err
-		}
-		m.cond.Wait()
-	}
-}
-
-// tryTake is take without blocking: it removes and returns a matching
-// message if one is buffered right now, else reports ok == false. The
-// matching rules (FIFO per pair, deposit order across pairs for
-// wildcards) are identical to take's.
-func (m *mailbox) tryTake(src, tag int) (envelope, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+// match removes and returns the oldest buffered message matching (src, tag)
+// — FIFO per pair, deposit order across pairs for the wildcards
+// AnySource/AnyTag — or reports ok == false. AnyTag matches user tags only
+// (see pushWild). Called under mu.
+func (m *mailbox) match(src, tag int) (envelope, bool) {
 	if src != AnySource && tag != AnyTag {
-		if q := m.keyed[srcTag{src, tag}]; q != nil && !q.empty() {
+		if q := m.queue(srcTag{src, tag}, false); q != nil && !q.empty() {
 			return q.pop(), true
 		}
 		return envelope{}, false
@@ -266,12 +247,38 @@ func (m *mailbox) tryTake(src, tag int) (envelope, bool) {
 	if l != nil {
 		m.trimStale(l)
 		if !l.empty() {
+			// A live head entry is its queue's front, and every entry in
+			// this list matches the filter by construction.
 			e := l.front()
 			l.pop()
-			return m.keyed[e.key].pop(), true
+			return m.queue(e.key, false).pop(), true
 		}
 	}
 	return envelope{}, false
+}
+
+// take blocks until a message matching (src, tag) is available, removing
+// and returning it. It returns an error when the world aborts while waiting.
+func (m *mailbox) take(src, tag int, abortedErr func() error) (envelope, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for {
+		if e, ok := m.match(src, tag); ok {
+			return e, nil
+		}
+		if err := abortedErr(); err != nil {
+			return envelope{}, err
+		}
+		m.cond.Wait()
+	}
+}
+
+// tryTake is take without blocking: it removes and returns a matching
+// message if one is buffered right now, else reports ok == false.
+func (m *mailbox) tryTake(src, tag int) (envelope, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.match(src, tag)
 }
 
 // wake unblocks all waiters so they can observe an abort. Holding mu keeps
@@ -290,9 +297,45 @@ const sendOverhead = 400 * simtime.Nanosecond
 // network), matching MPI's buffered-send semantics; the network model
 // decides when the bytes arrive at dst.
 func (c *Comm) Send(dst, tag int, data []byte) error {
+	if err := userTag("Send", tag, false); err != nil {
+		return err
+	}
+	return c.sendStaged(dst, tag, c.stage(data), netsim.TwoSided, -1)
+}
+
+// stage returns the eager copy of a payload, in a world-pool buffer.
+func (c *Comm) stage(data []byte) []byte {
 	buf := c.w.pool.get(len(data))
 	copy(buf, data)
-	return c.sendStaged(dst, tag, buf, netsim.TwoSided, -1)
+	return buf
+}
+
+// userTag rejects the runtime's tag space at the user-facing entry points:
+// negative tags carry collective traffic (tagAlltoall), and only a receive
+// may pass AnyTag.
+func userTag(op string, tag int, recv bool) error {
+	if tag >= 0 || recv && tag == AnyTag {
+		return nil
+	}
+	return fmt.Errorf("mpi: %s with tag %d: negative tags are reserved for the runtime", op, tag)
+}
+
+// receive blocks for the oldest message matching (src, tag) and advances the
+// clock to its arrival.
+func (c *Comm) receive(src, tag int) (envelope, error) {
+	e, err := c.w.ranks[c.rank].box.take(src, tag, c.abortedErr)
+	if err == nil {
+		c.clock().AdvanceTo(e.arrival)
+	}
+	return e, err
+}
+
+// receiveUser is receive behind the user-facing entry points.
+func (c *Comm) receiveUser(op string, src, tag int) (envelope, error) {
+	if err := userTag(op, tag, true); err != nil {
+		return envelope{}, err
+	}
+	return c.receive(src, tag)
 }
 
 // sendStaged delivers an already-staged payload, taking ownership of buf —
@@ -326,12 +369,8 @@ func (c *Comm) Recv(src, tag int) ([]byte, error) {
 	if src != AnySource && (src < 0 || src >= c.w.nprocs) {
 		return nil, fmt.Errorf("mpi: Recv from rank %d of %d", src, c.w.nprocs)
 	}
-	e, err := c.w.ranks[c.rank].box.take(src, tag, c.abortedErr)
-	if err != nil {
-		return nil, err
-	}
-	c.clock().AdvanceTo(e.arrival)
-	return e.data, nil
+	e, err := c.receiveUser("Recv", src, tag)
+	return e.data, err
 }
 
 // Request represents an outstanding nonblocking operation.
@@ -341,11 +380,10 @@ type Request struct {
 	src    int
 	tag    int
 
-	// send-side completion state
-	done    bool
-	data    []byte
-	arrival simtime.Time
-	err     error
+	// completion state
+	done bool
+	data []byte
+	err  error
 }
 
 // Isend posts a nonblocking send. With eager buffering the message is
@@ -368,17 +406,11 @@ func (r *Request) Wait() ([]byte, error) {
 		return r.data, r.err
 	}
 	if r.isRecv {
-		e, err := r.c.w.ranks[r.c.rank].box.take(r.src, r.tag, r.c.abortedErr)
-		if err != nil {
-			r.done, r.err = true, err
-			return nil, err
-		}
-		r.done, r.data, r.arrival = true, e.data, e.arrival
-		r.c.clock().AdvanceTo(e.arrival)
-		return r.data, nil
+		e, err := r.c.receiveUser("Irecv", r.src, r.tag)
+		r.data, r.err = e.data, err
 	}
 	r.done = true
-	return nil, nil
+	return r.data, r.err
 }
 
 // WaitAll completes all requests, returning the first error encountered.

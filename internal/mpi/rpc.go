@@ -202,6 +202,9 @@ func decodeReply(p *bufPool, buf []byte) (RPCReply, error) {
 // writes pay for their data while control messages stay cheap. req.Data is
 // copied before the call returns.
 func (c *Comm) SendRequest(dst, tag int, req *RPCRequest) error {
+	if err := userTag("SendRequest", tag, false); err != nil {
+		return err
+	}
 	sim := int64(rpcReqHeaderWire) + c.w.machine.Scale(int64(len(req.Data)))
 	return c.sendStaged(dst, tag, encodeRequest(&c.w.pool, req), netsim.TwoSided, sim)
 }
@@ -211,7 +214,7 @@ func (c *Comm) SendRequest(dst, tag int, req *RPCRequest) error {
 // from the envelope source. The caller owns the request: its Data is valid
 // until Release.
 func (c *Comm) RecvRequest(src, tag int) (RPCRequest, error) {
-	e, err := c.w.ranks[c.rank].box.take(src, tag, c.abortedErr)
+	e, err := c.receiveUser("RecvRequest", src, tag)
 	if err != nil {
 		return RPCRequest{}, err
 	}
@@ -224,6 +227,9 @@ func (c *Comm) RecvRequest(src, tag int) (RPCRequest, error) {
 // has arrived, without ever parking while the queue is non-empty. It never
 // blocks, so it does not look for an abort (see abortedErr).
 func (c *Comm) TryRecvRequest(src, tag int) (RPCRequest, bool, error) {
+	if err := userTag("TryRecvRequest", tag, true); err != nil {
+		return RPCRequest{}, false, err
+	}
 	e, ok := c.w.ranks[c.rank].box.tryTake(src, tag)
 	if !ok {
 		return RPCRequest{}, false, nil
@@ -242,6 +248,9 @@ func (c *Comm) openRequest(e envelope) (RPCRequest, error) {
 
 // SendReply ships rep to rank dst on tag, billed like SendRequest.
 func (c *Comm) SendReply(dst, tag int, rep *RPCReply) error {
+	if err := userTag("SendReply", tag, false); err != nil {
+		return err
+	}
 	sim := int64(rpcRepHeaderWire) + c.w.machine.Scale(int64(len(rep.Data)))
 	return c.sendStaged(dst, tag, encodeReply(&c.w.pool, rep), netsim.TwoSided, sim)
 }

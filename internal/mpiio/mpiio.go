@@ -49,6 +49,14 @@ type File struct {
 	view *datatype.View
 	runs []datatype.Segment
 
+	// Collective-call scratch (ocio.go), kept like runs: the request cut at
+	// file-domain boundaries, domain k owning plan[first[k]:first[k+1]], and
+	// one exchange's displacements and receive slots.
+	plan   []datatype.Segment
+	first  []int
+	displs []int
+	recv   [][]byte
+
 	// aggregators is the number of ranks that perform file accesses in
 	// collective calls (ROMIO's cb_nodes hint). 0 means every rank, which
 	// is how the paper's experiments ran ("we do not enable collective

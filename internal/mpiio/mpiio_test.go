@@ -455,30 +455,32 @@ func TestFileDomains(t *testing.T) {
 func TestSplitByDomain(t *testing.T) {
 	p := extent.NewPartition(0, 100, 2)
 	runs := []datatype.Segment{{Off: 40, Len: 20}} // spans the boundary at 50
-	parts := p.Split(runs)
-	if !reflect.DeepEqual(parts[0], []extent.Extent{{Off: 40, Len: 10}}) {
-		t.Fatalf("parts[0] = %v", parts[0])
+	first := make([]int, 3)
+	plan := p.Cut(nil, first, runs)
+	if !reflect.DeepEqual(plan, []extent.Extent{{Off: 40, Len: 10}, {Off: 50, Len: 10}}) {
+		t.Fatalf("plan = %v", plan)
 	}
-	if !reflect.DeepEqual(parts[1], []extent.Extent{{Off: 50, Len: 10}}) {
-		t.Fatalf("parts[1] = %v", parts[1])
+	if !reflect.DeepEqual(first, []int{0, 1, 2}) {
+		t.Fatalf("first = %v", first)
 	}
 }
 
 func TestEncodeDecodeRuns(t *testing.T) {
 	runs := []datatype.Segment{{Off: 1, Len: 2}, {Off: 100, Len: 3}}
 	payload := []byte{9, 8, 7, 6, 5}
-	msg := encodeRuns(runs, payload)
-	gotRuns, gotPayload, err := decodeRuns(msg)
+	msg := refEncodeRuns(runs, payload)
+	n, total, err := checkRuns(msg, extent.Extent{Off: 0, Len: 200}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(gotRuns, runs) || !bytes.Equal(gotPayload, payload) {
-		t.Fatalf("round trip: %v %v", gotRuns, gotPayload)
+	gotRuns, gotPayload := decodeChecked(msg)
+	if n != 2 || total != 5 || !reflect.DeepEqual(gotRuns, runs) || !bytes.Equal(gotPayload, payload) {
+		t.Fatalf("round trip: %d runs, %d bytes, %v %v", n, total, gotRuns, gotPayload)
 	}
-	if _, _, err := decodeRuns([]byte{1}); err == nil {
+	if _, _, err := checkRuns([]byte{1}, extent.Extent{Len: 200}, true); err == nil {
 		t.Fatal("truncated message accepted")
 	}
-	if _, _, err := decodeRuns([]byte{5, 0, 0, 0}); err == nil {
+	if _, _, err := checkRuns([]byte{5, 0, 0, 0}, extent.Extent{Len: 200}, true); err == nil {
 		t.Fatal("short run table accepted")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/tcio/tcio/internal/datatype"
 	"github.com/tcio/tcio/internal/extent"
@@ -29,36 +30,50 @@ import (
 //     twice the data size (the paper's Fig. 6 discussion: at the 48 GB
 //     dataset each process needs 1.5 GB of I/O buffers and fails).
 
-// runsMessage encodes a set of absolute file runs plus (for writes) their
-// payload bytes, for the exchange phase.
-func encodeRuns(runs []datatype.Segment, payload []byte) []byte {
-	msg := make([]byte, 4+16*len(runs)+len(payload))
-	binary.LittleEndian.PutUint32(msg, uint32(len(runs)))
-	for i, r := range runs {
-		off := 4 + i*16
-		binary.LittleEndian.PutUint64(msg[off:], uint64(r.Off))
-		binary.LittleEndian.PutUint64(msg[off+8:], uint64(r.Len))
+// An exchange message is a little-endian uint32 run count, that many
+// extent.RunWire records of absolute file runs, and (for writes) the runs'
+// payload bytes in run order; ranks that aggregate nothing get an empty one.
+//
+// checkRuns validates an incoming message before anything indexes with its
+// contents: the run table fits the message, every run is non-empty, inside
+// the receiving domain and past its predecessor (so the runs total at most
+// the domain), and what follows the table is exactly the runs' payload for
+// a write, nothing for a read request. It returns the run count and total.
+func checkRuns(msg []byte, mine extent.Extent, withData bool) (int, int64, error) {
+	if len(msg) == 0 {
+		return 0, 0, nil
 	}
-	copy(msg[4+16*len(runs):], payload)
-	return msg
+	if len(msg) < 4 || uint64(binary.LittleEndian.Uint32(msg)) > uint64(len(msg)-4)/extent.RunWire {
+		return 0, 0, fmt.Errorf("mpiio: exchange message of %d bytes is truncated or disagrees with its run count", len(msg))
+	}
+	recs, payload := runTable(msg)
+	n, total, next := len(recs)/extent.RunWire, int64(0), mine.Off
+	for i := 0; i < n; i++ {
+		r := extent.RunAt(recs, i)
+		if r.Len <= 0 || r.Off < next || r.Len > mine.End()-r.Off {
+			return 0, 0, fmt.Errorf("mpiio: exchange run [%d,+%d) out of order or outside file domain [%d,+%d)",
+				r.Off, r.Len, mine.Off, mine.Len)
+		}
+		total, next = total+r.Len, r.End()
+	}
+	want := int64(0)
+	if withData {
+		want = total
+	}
+	if int64(len(payload)) != want {
+		return 0, 0, fmt.Errorf("mpiio: exchange message carries %d payload bytes, want %d", len(payload), want)
+	}
+	return n, total, nil
 }
 
-func decodeRuns(msg []byte) ([]datatype.Segment, []byte, error) {
-	if len(msg) < 4 {
-		return nil, nil, fmt.Errorf("mpiio: truncated exchange message (%d bytes)", len(msg))
+// runTable splits a checked exchange message into its run records and the
+// payload behind them.
+func runTable(msg []byte) (recs, payload []byte) {
+	if len(msg) == 0 {
+		return nil, nil
 	}
-	n := binary.LittleEndian.Uint32(msg[:4])
-	need := 4 + int(n)*16
-	if len(msg) < need {
-		return nil, nil, fmt.Errorf("mpiio: exchange message needs %d bytes, has %d", need, len(msg))
-	}
-	runs := make([]datatype.Segment, n)
-	for i := range runs {
-		off := 4 + i*16
-		runs[i].Off = int64(binary.LittleEndian.Uint64(msg[off : off+8]))
-		runs[i].Len = int64(binary.LittleEndian.Uint64(msg[off+8 : off+16]))
-	}
-	return runs, msg[need:], nil
+	end := 4 + extent.RunWire*int(binary.LittleEndian.Uint32(msg))
+	return msg[4:end], msg[end:]
 }
 
 // aggregateDomain computes this call's [lo,hi) across all ranks.
@@ -86,8 +101,8 @@ func (f *File) aggregateDomain(runs []datatype.Segment) (int64, int64, error) {
 // subset of ranks, as ROMIO's collective buffering does.
 type aggSet struct {
 	part   extent.Partition
-	owners []int
-	mine   int // index of this rank's domain, -1 when it owns none
+	stride int           // domain k belongs to rank k*stride
+	mine   extent.Extent // this rank's domain; empty when it aggregates nothing
 }
 
 func (f *File) buildAggSet(lo, hi int64) aggSet {
@@ -95,26 +110,51 @@ func (f *File) buildAggSet(lo, hi int64) aggSet {
 	if n <= 0 || n > f.c.Size() {
 		n = f.c.Size()
 	}
-	as := aggSet{part: extent.NewPartition(lo, hi, n), owners: make([]int, n), mine: -1}
-	stride := f.c.Size() / n
-	if stride < 1 {
-		stride = 1
-	}
-	for k := 0; k < n; k++ {
-		as.owners[k] = k * stride
-		if as.owners[k] == f.c.Rank() {
-			as.mine = k
-		}
+	as := aggSet{part: extent.NewPartition(lo, hi, n), stride: f.c.Size() / n}
+	if r := f.c.Rank(); r%as.stride == 0 && r/as.stride < n {
+		as.mine = as.part.Domain(r / as.stride)
 	}
 	return as
 }
 
-// mineDomain returns this rank's file domain, or an empty extent.
-func (as aggSet) mineDomain() extent.Extent {
-	if as.mine < 0 {
-		return extent.Extent{}
+// pack builds the send buffer of a request exchange and its displacements
+// (f.displs). View runs ascend in data order, so cutting them at the file
+// domain boundaries leaves the pieces grouped by aggregator (f.plan,
+// f.first) and aggregator k's payload one contiguous range of data: each
+// message is written once, straight into its slot. data is nil for a read
+// request, whose messages end at the run table.
+func (f *File) pack(as aggSet, runs []datatype.Segment, data []byte) []byte {
+	p, n := f.c.Size(), as.part.N
+	if f.displs == nil {
+		f.displs, f.recv = make([]int, p+1), make([][]byte, p)
 	}
-	return as.part.Domain(as.mine)
+	if cap(f.first) <= n {
+		f.first = make([]int, n+1)
+	}
+	f.first = f.first[:n+1]
+	f.plan = as.part.Cut(f.plan[:0], f.first, runs)
+
+	clear(f.displs)
+	for k := 0; k < n; k++ {
+		pieces := f.plan[f.first[k]:f.first[k+1]]
+		size := 4 + extent.RunWire*len(pieces)
+		if data != nil {
+			size += int(extent.Total(pieces))
+		}
+		f.displs[k*as.stride+1] = size
+	}
+	for r := 0; r < p; r++ {
+		f.displs[r+1] += f.displs[r]
+	}
+	buf := make([]byte, f.displs[p])
+	for k := 0; k < n; k++ {
+		pieces := f.plan[f.first[k]:f.first[k+1]]
+		msg := buf[f.displs[k*as.stride]:f.displs[k*as.stride+1]]
+		binary.LittleEndian.PutUint32(msg, uint32(len(pieces)))
+		extent.AppendRuns(msg[:4], pieces) // in place: the slot has the room
+		data = data[copy(msg[4+extent.RunWire*len(pieces):], data):]
+	}
+	return buf
 }
 
 // WriteAll performs a collective write of data through the view at the
@@ -134,36 +174,12 @@ func (f *File) WriteAll(data []byte) error {
 		return f.c.Barrier()
 	}
 	as := f.buildAggSet(lo, hi)
-	mine := as.mineDomain()
-
-	// Build the exchange messages: this rank's pieces and their payload
-	// bytes for every aggregator, in one pass over the runs so run order
-	// and data order stay aligned.
-	perAgg := make([][]datatype.Segment, as.part.N)
-	payloadFor := make([][]byte, as.part.N)
-	consumed := int64(0)
-	for _, r := range runs {
-		for r.Len > 0 {
-			k, end := as.part.Clip(r.Off, r.End())
-			n := end - r.Off
-			perAgg[k] = append(perAgg[k], datatype.Segment{Off: r.Off, Len: n})
-			payloadFor[k] = append(payloadFor[k], data[consumed:consumed+n]...)
-			consumed += n
-			r.Off += n
-			r.Len -= n
-		}
-	}
-	send := make([][]byte, f.c.Size())
-	nRuns := 0
-	for k := 0; k < as.part.N; k++ {
-		send[as.owners[k]] = encodeRuns(perAgg[k], payloadFor[k])
-		nRuns += len(perAgg[k])
-	}
-	f.chargeCPU(runCPU, nRuns) // origin-side pack + descriptor encode
+	mine := as.mine
 
 	// Data exchange phase: the nonblocking all-to-all burst.
-	recv, err := f.c.Alltoallv(send)
-	if err != nil {
+	send := f.pack(as, runs, data)
+	f.chargeCPU(runCPU, len(f.plan)) // origin-side pack + descriptor encode
+	if err := f.c.AlltoallvFlat(send, f.displs, f.recv); err != nil {
 		return err
 	}
 
@@ -175,38 +191,38 @@ func (f *File) WriteAll(data []byte) error {
 		}
 		defer f.c.Free(buf)
 
-		// Decode all incoming pieces first to decide whether the domain is
-		// fully covered; holes force a read-modify-write preread.
-		type piece struct {
-			runs    []datatype.Segment
-			payload []byte
-		}
-		pieces := make([]piece, 0, len(recv))
-		covered := make([]datatype.Segment, 0, 64)
-		for _, msg := range recv {
-			if len(msg) == 0 {
-				continue
-			}
-			rs, payload, err := decodeRuns(msg)
+		// Decode all incoming runs first to decide whether the domain is
+		// fully covered; holes force a read-modify-write preread. The plan
+		// is spent once packed, so its storage holds them; Coalesce reorders
+		// it, so the scatter re-reads the runs from the wire.
+		scattered := 0
+		for _, msg := range f.recv {
+			n, _, err := checkRuns(msg, mine, true)
 			if err != nil {
 				return err
 			}
-			pieces = append(pieces, piece{runs: rs, payload: payload})
-			covered = append(covered, rs...)
+			scattered += n
 		}
-		if !extent.Covers(covered, mine.Off, mine.End()) {
+		f.plan = slices.Grow(f.plan[:0], scattered)
+		for _, msg := range f.recv {
+			recs, _ := runTable(msg)
+			for i := 0; i < len(recs)/extent.RunWire; i++ {
+				f.plan = append(f.plan, extent.RunAt(recs, i))
+			}
+		}
+		// Every run lies inside the domain, so they cover it exactly when
+		// they merge into it.
+		if covered := extent.Coalesce(f.plan); len(covered) != 1 || covered[0] != mine {
 			if err := f.readRetry(mine.Off, buf); err != nil {
 				return err
 			}
 		}
-		scattered := 0
-		for _, p := range pieces {
-			at := int64(0)
-			for _, r := range p.runs {
-				copy(buf[r.Off-mine.Off:r.Off-mine.Off+r.Len], p.payload[at:at+r.Len])
-				at += r.Len
+		for _, msg := range f.recv {
+			recs, payload := runTable(msg)
+			for i := 0; i < len(recs)/extent.RunWire; i++ {
+				r := extent.RunAt(recs, i)
+				payload = payload[copy(buf[r.Off-mine.Off:r.End()-mine.Off], payload):]
 			}
-			scattered += len(p.runs)
 		}
 		f.chargeCPU(runCPU, scattered) // aggregator-side decode + scatter
 		if err := f.writeRetry(mine.Off, buf); err != nil {
@@ -236,21 +252,14 @@ func (f *File) ReadAll(n int64) ([]byte, error) {
 		return make([]byte, n), nil
 	}
 	as := f.buildAggSet(lo, hi)
-	mine := as.mineDomain()
+	mine := as.mine
 
 	// Exchange phase 1 (ROMIO's ADIOI_Calc_others_req): every rank tells
 	// each aggregator which runs it needs — an all-to-all burst of request
 	// lists issued by all ranks at the same instant.
-	perAgg := as.part.Split(runs)
-	req := make([][]byte, f.c.Size())
-	nRuns := 0
-	for k := 0; k < as.part.N; k++ {
-		req[as.owners[k]] = encodeRuns(perAgg[k], nil)
-		nRuns += len(perAgg[k])
-	}
-	f.chargeCPU(runCPU, nRuns) // origin-side request encode
-	incoming, err := f.c.Alltoallv(req)
-	if err != nil {
+	req := f.pack(as, runs, nil)
+	f.chargeCPU(runCPU, len(f.plan)) // origin-side request encode
+	if err := f.c.AlltoallvFlat(req, f.displs, f.recv); err != nil {
 		return nil, err
 	}
 
@@ -267,49 +276,44 @@ func (f *File) ReadAll(n int64) ([]byte, error) {
 		}
 	}
 
-	// Exchange phase 2: aggregators answer with the requested bytes.
-	replies := make([][]byte, f.c.Size())
+	// Exchange phase 2: aggregators answer with the requested bytes, one
+	// reply buffer laid out by the requests' run totals. A rank that
+	// aggregates nothing received only empty requests.
 	gathered := 0
-	for src, msg := range incoming {
-		if len(msg) == 0 {
-			continue // this rank aggregates nothing, or src requested nothing
-		}
-		rs, _, err := decodeRuns(msg)
+	f.displs[0] = 0
+	for src, msg := range f.recv {
+		cnt, total, err := checkRuns(msg, mine, false)
 		if err != nil {
 			return nil, err
 		}
-		var payload []byte
-		for _, r := range rs {
-			payload = append(payload, buf[r.Off-mine.Off:r.Off-mine.Off+r.Len]...)
+		f.displs[src+1] = f.displs[src] + int(total)
+		gathered += cnt
+	}
+	replies := make([]byte, f.displs[len(f.recv)])
+	for src, msg := range f.recv {
+		recs, _ := runTable(msg)
+		reply := replies[f.displs[src]:]
+		for i := 0; i < len(recs)/extent.RunWire; i++ {
+			r := extent.RunAt(recs, i)
+			reply = reply[copy(reply, buf[r.Off-mine.Off:r.End()-mine.Off]):]
 		}
-		replies[src] = payload
-		gathered += len(rs)
 	}
 	f.chargeCPU(runCPU, gathered) // aggregator-side decode + gather
-	answers, err := f.c.Alltoallv(replies)
-	if err != nil {
+	if err := f.c.AlltoallvFlat(replies, f.displs, f.recv); err != nil {
 		return nil, err
 	}
 
-	// Assemble this rank's data in run order from the per-aggregator
-	// answer streams.
+	// Assemble this rank's data: the plan is grouped by aggregator in data
+	// order, so each answer is one contiguous range of the result.
 	out := make([]byte, n)
-	cursor := make([]int64, as.part.N)
 	filled := int64(0)
-	assembled := 0
-	for _, r := range runs {
-		for r.Len > 0 {
-			k, end := as.part.Clip(r.Off, r.End())
-			m := end - r.Off
-			copy(out[filled:filled+m], answers[as.owners[k]][cursor[k]:cursor[k]+m])
-			cursor[k] += m
-			filled += m
-			r.Off += m
-			r.Len -= m
-			assembled++
-		}
+	for k := 0; k < as.part.N; k++ {
+		filled += int64(copy(out[filled:], f.recv[k*as.stride]))
 	}
-	f.chargeCPU(runCPU, assembled) // origin-side reply assembly
+	if want := extent.Total(f.plan); filled != want {
+		return nil, fmt.Errorf("mpiio: aggregators answered %d bytes, requested %d", filled, want)
+	}
+	f.chargeCPU(runCPU, len(f.plan)) // origin-side reply assembly
 	if err := f.c.Barrier(); err != nil {
 		return nil, err
 	}

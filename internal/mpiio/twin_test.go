@@ -1,0 +1,93 @@
+package mpiio
+
+import (
+	"bytes"
+	"fmt"
+	"testing"
+
+	"github.com/tcio/tcio/internal/datatype"
+	"github.com/tcio/tcio/internal/mpi"
+)
+
+// The flat exchange plan changed what the host allocates and nothing the
+// model sees. These twins pin the model side to the numbers the
+// per-aggregator implementation it replaced produced (PR 17, commit
+// fe9dee3): the same program run there reads the same values.
+
+// blockRoundTrip writes blocks 12-byte blocks per rank through a strided
+// view (one block every stride blocks, rank r displaced by r blocks), reads
+// them back collectively, and checks the bytes.
+func blockRoundTrip(c *mpi.Comm, name string, blocks, stride, aggregators int) error {
+	f, err := Open(c, name)
+	if err != nil {
+		return err
+	}
+	if err := f.SetAggregators(aggregators); err != nil {
+		return err
+	}
+	etype, err := datatype.Contiguous(12, datatype.Byte)
+	if err != nil {
+		return err
+	}
+	ft, err := datatype.Vector(blocks, 1, stride, etype)
+	if err != nil {
+		return err
+	}
+	if ft, err = datatype.Resized(ft, int64(blocks*stride)*12); err != nil {
+		return err
+	}
+	if err := f.SetView(int64(c.Rank())*12, etype, ft); err != nil {
+		return err
+	}
+	data := bytes.Repeat([]byte{byte(c.Rank() + 1)}, blocks*12)
+	if err := f.WriteAll(data); err != nil {
+		return err
+	}
+	if err := f.SeekTo(0); err != nil {
+		return err
+	}
+	got, err := f.ReadAll(int64(len(data)))
+	if err != nil {
+		return err
+	}
+	if !bytes.Equal(got, data) {
+		return fmt.Errorf("rank %d: collective read-back mismatch", c.Rank())
+	}
+	return nil
+}
+
+// TestOneRankCollectiveMakespanTwin: a one-rank world is a totally ordered
+// program, so its makespan is exact. The view leaves a hole after every
+// block, so the write takes the read-modify-write preread.
+func TestOneRankCollectiveMakespanTwin(t *testing.T) {
+	rep := run(t, 1, func(c *mpi.Comm) error { return blockRoundTrip(c, "twin1", 64, 2, 0) })
+	if got, want := int64(rep.MaxTime), int64(twinOneRankNs); got != want {
+		t.Errorf("one-rank WriteAll+ReadAll makespan = %d ns, want the parent's %d", got, want)
+	}
+}
+
+// TestCollectiveWireTwin: multi-rank makespans depend on host arrival order
+// (ROADMAP item 1), message and byte counts do not. All, one and two
+// aggregators of four ranks.
+func TestCollectiveWireTwin(t *testing.T) {
+	for _, tc := range twinWire {
+		rep := run(t, 4, func(c *mpi.Comm) error {
+			return blockRoundTrip(c, fmt.Sprintf("twin4-%d", tc.aggregators), 64, 4, tc.aggregators)
+		})
+		if rep.Net.Messages != tc.messages || rep.Net.Bytes != tc.bytes {
+			t.Errorf("%d aggregators: %d messages / %d bytes on the wire, want the parent's %d / %d",
+				tc.aggregators, rep.Net.Messages, rep.Net.Bytes, tc.messages, tc.bytes)
+		}
+	}
+}
+
+const twinOneRankNs = 1260963
+
+var twinWire = []struct {
+	aggregators     int
+	messages, bytes int64
+}{
+	{0, 48, 14464},
+	{1, 48, 14368},
+	{2, 48, 14400},
+}

@@ -13,7 +13,6 @@ package tcio
 // from the freshly staged windows.
 
 import (
-	"encoding/binary"
 	"sort"
 
 	"github.com/tcio/tcio/internal/extent"
@@ -37,12 +36,7 @@ func (f *File) fetchCollective() error {
 		}
 	}
 	mine = extent.Coalesce(mine)
-	blob := make([]byte, 16*len(mine))
-	for i, r := range mine {
-		binary.LittleEndian.PutUint64(blob[16*i:], uint64(r.Off))
-		binary.LittleEndian.PutUint64(blob[16*i+8:], uint64(r.Len))
-	}
-	all, err := f.c.AllgatherBytes(blob)
+	all, err := f.c.AllgatherBytes(extent.AppendRuns(make([]byte, 0, extent.RunWire*len(mine)), mine))
 	if err != nil {
 		return err
 	}
@@ -67,11 +61,8 @@ func (f *File) fetchCollective() error {
 	var segOrder []int64
 	me := f.c.Rank()
 	for _, b := range all {
-		for i := 0; i+16 <= len(b); i += 16 {
-			run := extent.Extent{
-				Off: int64(binary.LittleEndian.Uint64(b[i:])),
-				Len: int64(binary.LittleEndian.Uint64(b[i+8:])),
-			}
+		for i := 0; i < len(b)/extent.RunWire; i++ {
+			run := extent.RunAt(b, i)
 			for run.Len > 0 {
 				seg := f.layout.Segment(run.Off)
 				segOff := run.Off % f.segSize
