@@ -128,9 +128,9 @@ func BenchmarkFig7(b *testing.B) {
 }
 
 // artPoint runs one (library, procs) ART checkpoint/restart point.
-func artPoint(b *testing.B, lib art.Library, procs int) (write, read float64) {
+func artPoint(b *testing.B, lib bench.Method, procs int) (write, read float64) {
 	b.Helper()
-	opts := bench.ARTOptions{
+	sweep := bench.ART(&bench.ARTGeometry{
 		Procs:      []int{procs},
 		Trees:      64,
 		Vars:       2,
@@ -138,20 +138,21 @@ func artPoint(b *testing.B, lib art.Library, procs int) (write, read float64) {
 		SigmaCells: 32,
 		Seed:       art.TableIV.Seed,
 		Scale:      1,
-	}
+	})
 	var wSum, rSum float64
 	for i := 0; i < b.N; i++ {
-		_, _, results, err := bench.Fig9And10(opts)
+		rep, err := bench.Run(sweep, bench.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, r := range results {
-			if r.Failed {
-				b.Fatalf("%v failed: %s", r.Library, r.FailReason)
+		for _, r := range rep.Rows {
+			m := r.Point.(bench.FigPoint).Method
+			if r.Result != "ok" {
+				b.Fatalf("%v failed: %s", m, r.Result)
 			}
-			if r.Library == lib {
-				wSum += r.WriteMBs
-				rSum += r.ReadMBs
+			if m == lib {
+				wSum += r.MBs
+				rSum += r.Read.MBs
 			}
 		}
 	}
@@ -160,7 +161,7 @@ func artPoint(b *testing.B, lib art.Library, procs int) (write, read float64) {
 
 // BenchmarkFig9 measures ART checkpoint write throughput, TCIO vs vanilla.
 func BenchmarkFig9(b *testing.B) {
-	for _, lib := range []art.Library{art.LibTCIO, art.LibVanilla} {
+	for _, lib := range []bench.Method{bench.MethodTCIO, bench.MethodVanilla} {
 		b.Run(lib.String(), func(b *testing.B) {
 			w, _ := artPoint(b, lib, 8)
 			b.ReportMetric(w, "simMB/s")
@@ -170,7 +171,7 @@ func BenchmarkFig9(b *testing.B) {
 
 // BenchmarkFig10 measures ART restart read throughput.
 func BenchmarkFig10(b *testing.B) {
-	for _, lib := range []art.Library{art.LibTCIO, art.LibVanilla} {
+	for _, lib := range []bench.Method{bench.MethodTCIO, bench.MethodVanilla} {
 		b.Run(lib.String(), func(b *testing.B) {
 			_, r := artPoint(b, lib, 8)
 			b.ReportMetric(r, "simMB/s")

@@ -1,79 +1,27 @@
 // Command artbench regenerates the paper's ART cosmology-application
 // artifacts: Table IV and Figures 9-10 (checkpoint write and restart read
-// throughput, TCIO vs vanilla MPI-IO, strong scaling).
+// throughput, TCIO vs vanilla MPI-IO, strong scaling). Like tciobench it
+// runs sweeps declared in internal/bench through the shared runner.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 
 	"github.com/tcio/tcio/internal/bench"
-	"github.com/tcio/tcio/internal/stats"
 )
 
 func main() {
-	var (
-		fig9   = flag.Bool("fig9", false, "regenerate Figure 9 (ART write throughput)")
-		fig10  = flag.Bool("fig10", false, "regenerate Figure 10 (ART read throughput)")
-		table4 = flag.Bool("table4", false, "print Table IV (segment generation)")
-		all    = flag.Bool("all", false, "run everything")
-		procs  = flag.String("procs", "64,128,256,512,1024", "comma-separated process counts")
-		trees  = flag.Int("trees", 1024, "number of FTT segments (Table IV: 1024)")
-		csv    = flag.Bool("csv", false, "emit CSV instead of aligned tables")
-		quiet  = flag.Bool("quiet", false, "suppress progress lines")
-	)
+	cli := bench.Artbench(flag.CommandLine)
 	flag.Parse()
-	if !*fig9 && !*fig10 && !*table4 && !*all {
+	reports, err := cli.Run(os.Stdout, os.Stderr)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "artbench:", err)
+		os.Exit(1)
+	}
+	if len(reports) == 0 {
 		flag.Usage()
 		os.Exit(2)
 	}
-	emit := func(t stats.Table) {
-		if *csv {
-			fmt.Printf("# %s\n", t.Title)
-			t.CSV(os.Stdout)
-		} else {
-			t.Render(os.Stdout)
-		}
-	}
-	if *table4 || *all {
-		emit(bench.Table4())
-	}
-	if *fig9 || *fig10 || *all {
-		opts := bench.DefaultART()
-		opts.Trees = *trees
-		if !*quiet {
-			opts.Progress = func(line string) { fmt.Fprintln(os.Stderr, "  ", line) }
-		}
-		var err error
-		if opts.Procs, err = parseProcs(*procs); err != nil {
-			fmt.Fprintln(os.Stderr, "artbench:", err)
-			os.Exit(1)
-		}
-		w, r, _, err := bench.Fig9And10(opts)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "artbench:", err)
-			os.Exit(1)
-		}
-		if *fig9 || *all {
-			emit(w)
-		}
-		if *fig10 || *all {
-			emit(r)
-		}
-	}
-}
-
-func parseProcs(spec string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(spec, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || v < 1 {
-			return nil, fmt.Errorf("bad process count %q", part)
-		}
-		out = append(out, v)
-	}
-	return out, nil
 }

@@ -1,30 +1,11 @@
-// Command tciobench regenerates the paper's synthetic-benchmark artifacts:
-// Tables I-III and Figures 5-7.
-//
-// Usage:
-//
-//	tciobench -fig5              # write+read throughput vs process count
-//	tciobench -fig6 -fig7        # throughput vs file size (incl. OOM point)
-//	tciobench -tables            # Tables I, II, III
-//	tciobench -chaos -seed 7     # fault-injection sweep (seed-deterministic)
-//	tciobench -drainsweep        # drain fan-out vs virtual write time
-//	tciobench -overlap           # write-behind / prefetch overlap sweep
-//	tciobench -overlap -chaos    # overlap under faults (counts-only table)
-//	tciobench -nodeagg           # intra-node aggregation sweep (cores/node x segment size)
-//	tciobench -nodeagg -chaos    # node aggregation under faults (counts-only table)
-//	tciobench -sieve             # noncontiguous read engine sweep (sieve budget x holes x granule)
-//	tciobench -sieve -chaos      # sieved reads under faults (counts-only table)
-//	tciobench -delegate          # I/O delegation sweep (servers x files x request size) + delegated reads
-//	tciobench -delegate -chaos   # delegation under faults (counts-only table)
-//	tciobench -delegate-read     # delegated read sweep alone (pattern x server cache x collective)
-//	tciobench -scale             # host wall-clock scale sweep (ranks x GOMAXPROCS)
-//	tciobench -scale -scale-procs 64 -scale-maxprocs 2   # one small scale point
-//	tciobench -crash             # out-of-core budgets + kill-anywhere crash recovery
-//	tciobench -crash -crash-kills 12 -crash-budgets 0,2,4,8   # denser crash sweep
-//	tciobench -overlap -json results/BENCH_pr3.json   # machine-readable results
-//	tciobench -conform -seed 1 -progs 64   # randomized differential conformance sweep
-//	tciobench -all               # everything
-//	tciobench -procs 64,128 -len-sim 1048576 -len-real 4096   # custom sweep
+// Command tciobench regenerates the paper's synthetic-benchmark artifacts
+// (Tables I-III and Figures 5-7) and the reproduction's own sweeps. Its
+// flags are generated from the sweep table in internal/bench: run it with
+// -h for the list, which says per sweep whether -all includes it. Every
+// sweep named runs; -chaos beside a sweep that has a deterministic
+// projection (-overlap, -nodeagg, -sieve, -delegate) prints that counts-only
+// table instead; -json FILE collects every sweep's rows in one document;
+// -conform runs the randomized differential conformance sweep.
 //
 // Simulated datasets follow the paper (LENarray=4M elements, files up to
 // 48 GB); -len-real controls how many elements are actually materialized
@@ -32,513 +13,51 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"strconv"
-	"strings"
 
 	"github.com/tcio/tcio/internal/bench"
 	"github.com/tcio/tcio/internal/conformance"
-	"github.com/tcio/tcio/internal/stats"
 )
 
-func main() {
-	var (
-		fig5       = flag.Bool("fig5", false, "regenerate Figure 5 (throughput vs processes)")
-		fig6       = flag.Bool("fig6", false, "regenerate Figure 6 (write throughput vs file size)")
-		fig7       = flag.Bool("fig7", false, "regenerate Figure 7 (read throughput vs file size)")
-		tables     = flag.Bool("tables", false, "print Tables I, II and III")
-		ablations  = flag.Bool("ablations", false, "run the TCIO design-choice ablations")
-		chaos      = flag.Bool("chaos", false, "run the fault-injection chaos sweep")
-		dsweep     = flag.Bool("drainsweep", false, "sweep TCIO drain fan-out on a multi-OST stripe")
-		overlap    = flag.Bool("overlap", false, "sweep write-behind and read-prefetch overlap settings")
-		nodeagg    = flag.Bool("nodeagg", false, "sweep intra-node aggregation (cores/node x segment size)")
-		sieve      = flag.Bool("sieve", false, "sweep the noncontiguous read engine (sieve budget x hole density x interleave granule)")
-		delegate   = flag.Bool("delegate", false, "sweep the I/O delegation tier (server ranks x open files x request size), plus the delegated read sweep")
-		dread      = flag.Bool("delegate-read", false, "sweep the delegated read path alone (access pattern x server cache x collective reads)")
-		scale      = flag.Bool("scale", false, "sweep host wall-clock scalability (simulated ranks x GOMAXPROCS)")
-		scProcs    = flag.String("scale-procs", "64,256,1024,4096", "comma-separated rank counts for -scale")
-		scMaxprocs = flag.String("scale-maxprocs", "1,2,4,8", "comma-separated GOMAXPROCS settings for -scale")
-		scPieces   = flag.Int("scale-pieces", 32, "strided pieces per rank for -scale")
-		scProfiles = flag.Bool("scale-profiles", true, "capture mutex/block profile top entries for -scale")
-		crash      = flag.Bool("crash", false, "run the out-of-core / crash-recovery sweep (uses -seed)")
-		crKills    = flag.Int("crash-kills", 0, "kill instants replayed per -crash configuration (0 = default)")
-		crBudgets  = flag.String("crash-budgets", "", "comma-separated resident-segment budgets for -crash (empty = default)")
-		jsonPath   = flag.String("json", "", "also write -overlap results as JSON to this path")
-		all        = flag.Bool("all", false, "run everything")
-		procs      = flag.String("procs", "64,128,256,512,1024", "comma-separated process counts for -fig5")
-		lenSim     = flag.Int("len-sim", 4<<20, "simulated LENarray (elements per array per process)")
-		lenReal    = flag.Int("len-real", 4<<10, "materialized elements per array per process")
-		seed       = flag.Int64("seed", 1, "fault-injection seed for -chaos")
-		rates      = flag.String("chaos-rates", "0,0.01,0.05", "comma-separated OST transient-error rates for -chaos")
-		cprocs     = flag.Int("chaos-procs", 64, "process count for -chaos")
-		dworkers   = flag.Int("drain-workers", 0, "TCIO drain fan-out for -chaos runs (0 or 1 = serial)")
-		verify     = flag.Bool("verify", true, "verify every byte on read-back")
-		csv        = flag.Bool("csv", false, "emit CSV instead of aligned tables")
-		quiet      = flag.Bool("quiet", false, "suppress progress lines")
-		conform    = flag.Bool("conform", false, "run the randomized differential conformance sweep (uses -seed, -progs, -corpus)")
-		progs      = flag.Int("progs", 32, "number of generated programs for -conform")
-		corpus     = flag.String("corpus", "", "directory receiving shrunk repros of -conform divergences")
-	)
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main with its inputs and outputs as parameters; it returns the
+// exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("tciobench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	cli := bench.Tciobench(fs)
+	jsonPath := fs.String("json", "", "also write one JSON document to this path: one entry (name, params, rows) per sweep that ran")
+	conform := fs.Bool("conform", false, "run the randomized differential conformance sweep (uses -seed, -progs, -corpus)")
+	progs := fs.Int("progs", 32, "number of generated programs for -conform")
+	corpus := fs.String("corpus", "", "directory receiving shrunk repros of -conform divergences")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 	if *conform {
-		failures, err := conformance.RunSweep(os.Stdout, *seed, *progs, *corpus)
+		failures, err := conformance.RunSweep(stdout, cli.Seed, *progs, *corpus)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "tciobench:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "tciobench:", err)
 		}
-		if failures > 0 {
-			os.Exit(1)
+		if err != nil || failures > 0 {
+			return 1
 		}
-		return
+		return 0
 	}
-	if *scale {
-		sopts := bench.DefaultScale()
-		sopts.PiecesPerRank = *scPieces
-		sopts.Profiles = *scProfiles
-		sopts.Verify = *verify
-		if !*quiet {
-			sopts.Progress = func(line string) { fmt.Fprintln(os.Stderr, "  ", line) }
-		}
-		var err error
-		if sopts.Procs, err = parseProcs(*scProcs); err == nil {
-			sopts.GoMaxProcs, err = parseProcs(*scMaxprocs)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tciobench:", err)
-			os.Exit(1)
-		}
-		t, report, err := bench.Scale(sopts)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tciobench:", err)
-			os.Exit(1)
-		}
-		if *csv {
-			fmt.Printf("# %s\n", t.Title)
-			err = t.CSV(os.Stdout)
-		} else {
-			err = t.Render(os.Stdout)
-		}
-		if err == nil && *jsonPath != "" {
-			var blob []byte
-			if blob, err = json.MarshalIndent(report, "", "  "); err == nil {
-				err = os.WriteFile(*jsonPath, append(blob, '\n'), 0o644)
-			}
-			if err == nil && !*quiet {
-				fmt.Fprintln(os.Stderr, "  ", "wrote", *jsonPath)
-			}
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tciobench:", err)
-			os.Exit(1)
-		}
-		return
+	reports, err := cli.Run(stdout, stderr)
+	if err == nil && len(reports) == 0 {
+		fs.Usage()
+		return 2
 	}
-	if *crash {
-		copts := bench.DefaultCrash()
-		copts.Seed = *seed
-		copts.Verify = *verify
-		if *crKills > 0 {
-			copts.Kills = *crKills
-		}
-		if !*quiet {
-			copts.Progress = func(line string) { fmt.Fprintln(os.Stderr, "  ", line) }
-		}
-		var err error
-		if *crBudgets != "" {
-			if copts.Budgets, err = parseBudgets(*crBudgets); err != nil {
-				fmt.Fprintln(os.Stderr, "tciobench:", err)
-				os.Exit(1)
-			}
-		}
-		t, report, err := bench.Crash(copts)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tciobench:", err)
-			os.Exit(1)
-		}
-		if *csv {
-			fmt.Printf("# %s\n", t.Title)
-			err = t.CSV(os.Stdout)
-		} else {
-			err = t.Render(os.Stdout)
-		}
-		if err == nil && *jsonPath != "" {
-			var blob []byte
-			if blob, err = json.MarshalIndent(report, "", "  "); err == nil {
-				err = os.WriteFile(*jsonPath, append(blob, '\n'), 0o644)
-			}
-			if err == nil && !*quiet {
-				fmt.Fprintln(os.Stderr, "  ", "wrote", *jsonPath)
-			}
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tciobench:", err)
-			os.Exit(1)
-		}
-		return
+	if err == nil && *jsonPath != "" {
+		err = bench.WriteJSON(*jsonPath, cli.Options, reports)
 	}
-	if !*fig5 && !*fig6 && !*fig7 && !*tables && !*ablations && !*chaos && !*dsweep && !*overlap && !*nodeagg && !*sieve && !*delegate && !*dread && !*all {
-		flag.Usage()
-		os.Exit(2)
+	if err != nil {
+		fmt.Fprintln(stderr, "tciobench:", err)
+		return 1
 	}
-	// "-overlap -chaos" / "-nodeagg -chaos" / "-sieve -chaos" /
-	// "-delegate -chaos" (without -all) mean the feature's chaos table
-	// alone, not the regular chaos sweep plus a clean feature sweep.
-	overlapChaos := *overlap && *chaos && !*all
-	nodeaggChaos := *nodeagg && *chaos && !*all
-	sieveChaos := *sieve && *chaos && !*all
-	delegateChaos := *delegate && *chaos && !*all
-	if err := run(*fig5 || *all, *fig6 || *all, *fig7 || *all, *tables || *all,
-		*ablations || *all, (*chaos || *all) && !overlapChaos && !nodeaggChaos && !sieveChaos && !delegateChaos, *dsweep || *all,
-		(*overlap || *all) && !overlapChaos, overlapChaos,
-		(*nodeagg || *all) && !nodeaggChaos, nodeaggChaos,
-		(*sieve || *all) && !sieveChaos, sieveChaos,
-		(*delegate || *all) && !delegateChaos, delegateChaos,
-		(*delegate || *all) && !delegateChaos || *dread, *jsonPath, *procs, *lenSim, *lenReal,
-		*seed, *rates, *cprocs, *dworkers, *verify, *csv, *quiet); err != nil {
-		fmt.Fprintln(os.Stderr, "tciobench:", err)
-		os.Exit(1)
-	}
-}
-
-func run(fig5, fig6, fig7, tables, ablations, chaos, drainsweep, overlap, overlapChaos,
-	nodeagg, nodeaggChaos, sieve, sieveChaos, delegate, delegateChaos, delegateRead bool,
-	jsonPath, procsSpec string, lenSim, lenReal int, seed int64, ratesSpec string,
-	chaosProcs, drainWorkers int, verify, csv, quiet bool) error {
-	emit := func(t stats.Table) error {
-		if csv {
-			fmt.Printf("# %s\n", t.Title)
-			return t.CSV(os.Stdout)
-		}
-		return t.Render(os.Stdout)
-	}
-	progress := func(line string) {
-		if !quiet {
-			fmt.Fprintln(os.Stderr, "  ", line)
-		}
-	}
-
-	opts := bench.DefaultSweep()
-	opts.LenSim = lenSim
-	opts.LenReal = lenReal
-	opts.Verify = verify
-	opts.Progress = progress
-	var err error
-	if opts.Procs, err = parseProcs(procsSpec); err != nil {
-		return err
-	}
-
-	if tables {
-		if err := emit(bench.Table1()); err != nil {
-			return err
-		}
-		if err := emit(bench.Table2(opts)); err != nil {
-			return err
-		}
-		if err := emit(bench.Table3()); err != nil {
-			return err
-		}
-		loc2, loc3 := bench.ProgramLines()
-		r2, r3 := bench.ProgramReadLines()
-		fmt.Printf("programming effort: OCIO write=%d read=%d lines; TCIO write=%d read=%d lines\n\n",
-			loc2, r2, loc3, r3)
-	}
-
-	if fig5 {
-		w, r, _, err := bench.Fig5(opts)
-		if err != nil {
-			return err
-		}
-		if err := emit(w); err != nil {
-			return err
-		}
-		if err := emit(r); err != nil {
-			return err
-		}
-	}
-
-	if fig6 || fig7 {
-		fopts := bench.DefaultFileSizeSweep()
-		fopts.LenReal = lenReal
-		fopts.Verify = verify
-		fopts.Progress = progress
-		w, r, _, err := bench.Fig6And7(fopts)
-		if err != nil {
-			return err
-		}
-		if fig6 {
-			if err := emit(w); err != nil {
-				return err
-			}
-		}
-		if fig7 {
-			if err := emit(r); err != nil {
-				return err
-			}
-		}
-	}
-
-	if ablations {
-		aopts := bench.DefaultAblation()
-		aopts.LenReal = lenReal
-		aopts.Progress = progress
-		t, err := bench.Ablations(aopts)
-		if err != nil {
-			return err
-		}
-		if err := emit(t); err != nil {
-			return err
-		}
-	}
-
-	if chaos {
-		copts := bench.DefaultChaos()
-		copts.Seed = seed
-		copts.Procs = chaosProcs
-		copts.LenSim = lenSim
-		copts.LenReal = lenReal
-		copts.DrainWorkers = drainWorkers
-		copts.Verify = verify
-		copts.Progress = progress
-		var err error
-		if copts.Rates, err = parseRates(ratesSpec); err != nil {
-			return err
-		}
-		t, err := bench.Chaos(copts)
-		if err != nil {
-			return err
-		}
-		if err := emit(t); err != nil {
-			return err
-		}
-	}
-
-	if drainsweep {
-		dopts := bench.DefaultDrainSweep()
-		dopts.LenSim = lenSim
-		dopts.LenReal = lenReal
-		dopts.Verify = verify
-		dopts.Progress = progress
-		if drainWorkers > 0 {
-			dopts.Workers = []int{1, drainWorkers}
-		}
-		t, err := bench.DrainSweep(dopts)
-		if err != nil {
-			return err
-		}
-		if err := emit(t); err != nil {
-			return err
-		}
-	}
-
-	if overlap || overlapChaos {
-		oopts := bench.DefaultOverlap()
-		oopts.LenSim = lenSim
-		oopts.LenReal = lenReal
-		oopts.Verify = verify
-		oopts.Progress = progress
-		if drainWorkers > 0 {
-			oopts.Workers = drainWorkers
-		}
-		if overlapChaos {
-			t, err := bench.OverlapChaos(oopts, seed)
-			if err != nil {
-				return err
-			}
-			if err := emit(t); err != nil {
-				return err
-			}
-		}
-		if overlap {
-			wt, rt, report, err := bench.Overlap(oopts)
-			if err != nil {
-				return err
-			}
-			if err := emit(wt); err != nil {
-				return err
-			}
-			if err := emit(rt); err != nil {
-				return err
-			}
-			if jsonPath != "" {
-				blob, err := json.MarshalIndent(report, "", "  ")
-				if err != nil {
-					return err
-				}
-				if err := os.WriteFile(jsonPath, append(blob, '\n'), 0o644); err != nil {
-					return err
-				}
-				if !quiet {
-					fmt.Fprintln(os.Stderr, "  ", "wrote", jsonPath)
-				}
-			}
-		}
-	}
-
-	if nodeagg || nodeaggChaos {
-		nopts := bench.DefaultNodeAgg()
-		nopts.Verify = verify
-		nopts.Progress = progress
-		if nodeaggChaos {
-			t, err := bench.NodeAggChaos(nopts, seed)
-			if err != nil {
-				return err
-			}
-			if err := emit(t); err != nil {
-				return err
-			}
-		}
-		if nodeagg {
-			t, report, err := bench.NodeAgg(nopts)
-			if err != nil {
-				return err
-			}
-			if err := emit(t); err != nil {
-				return err
-			}
-			if jsonPath != "" {
-				blob, err := json.MarshalIndent(report, "", "  ")
-				if err != nil {
-					return err
-				}
-				if err := os.WriteFile(jsonPath, append(blob, '\n'), 0o644); err != nil {
-					return err
-				}
-				if !quiet {
-					fmt.Fprintln(os.Stderr, "  ", "wrote", jsonPath)
-				}
-			}
-		}
-	}
-
-	if sieve || sieveChaos {
-		sopts := bench.DefaultSieve()
-		sopts.Verify = verify
-		sopts.Progress = progress
-		if sieveChaos {
-			t, err := bench.SieveChaos(sopts, seed)
-			if err != nil {
-				return err
-			}
-			if err := emit(t); err != nil {
-				return err
-			}
-		}
-		if sieve {
-			holes, inter, report, err := bench.Sieve(sopts)
-			if err != nil {
-				return err
-			}
-			if err := emit(holes); err != nil {
-				return err
-			}
-			if err := emit(inter); err != nil {
-				return err
-			}
-			if jsonPath != "" {
-				blob, err := json.MarshalIndent(report, "", "  ")
-				if err != nil {
-					return err
-				}
-				if err := os.WriteFile(jsonPath, append(blob, '\n'), 0o644); err != nil {
-					return err
-				}
-				if !quiet {
-					fmt.Fprintln(os.Stderr, "  ", "wrote", jsonPath)
-				}
-			}
-		}
-	}
-
-	if delegate || delegateChaos || delegateRead {
-		dlopts := bench.DefaultDelegate()
-		dlopts.Verify = verify
-		dlopts.Progress = progress
-		if delegateChaos {
-			t, err := bench.DelegateChaos(dlopts, seed)
-			if err != nil {
-				return err
-			}
-			if err := emit(t); err != nil {
-				return err
-			}
-		}
-		var report *bench.DelegateReport
-		if delegate {
-			t, rep, err := bench.Delegate(dlopts)
-			if err != nil {
-				return err
-			}
-			if err := emit(t); err != nil {
-				return err
-			}
-			report = rep
-		}
-		if delegateRead {
-			ropts := bench.DefaultDelegateRead()
-			ropts.Verify = verify
-			ropts.Progress = progress
-			t, points, err := bench.DelegateRead(ropts)
-			if err != nil {
-				return err
-			}
-			if err := emit(t); err != nil {
-				return err
-			}
-			if report != nil {
-				report.ReadPoints = points
-			}
-		}
-		if report != nil && jsonPath != "" {
-			blob, err := json.MarshalIndent(report, "", "  ")
-			if err != nil {
-				return err
-			}
-			if err := os.WriteFile(jsonPath, append(blob, '\n'), 0o644); err != nil {
-				return err
-			}
-			if !quiet {
-				fmt.Fprintln(os.Stderr, "  ", "wrote", jsonPath)
-			}
-		}
-	}
-	return nil
-}
-
-func parseRates(spec string) ([]float64, error) {
-	var out []float64
-	for _, part := range strings.Split(spec, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-		if err != nil || v < 0 || v > 1 {
-			return nil, fmt.Errorf("bad error rate %q", part)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-func parseBudgets(spec string) ([]int64, error) {
-	var out []int64
-	for _, part := range strings.Split(spec, ",") {
-		v, err := strconv.ParseInt(strings.TrimSpace(part), 10, 64)
-		if err != nil || v < 0 {
-			return nil, fmt.Errorf("bad segment budget %q", part)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-func parseProcs(spec string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(spec, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || v < 1 {
-			return nil, fmt.Errorf("bad process count %q", part)
-		}
-		out = append(out, v)
-	}
-	return out, nil
+	return 0
 }

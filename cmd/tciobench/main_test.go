@@ -1,0 +1,93 @@
+package main
+
+import (
+	"bytes"
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// tciobench runs the command line in-process.
+func tciobench(args ...string) (code int, stdout, stderr string) {
+	var out, errw bytes.Buffer
+	code = run(args, &out, &errw)
+	return code, out.String(), errw.String()
+}
+
+// TestBadLenRealIsAnError: a -len-real of zero used to panic with an
+// integer divide by zero, and one that does not divide the simulated
+// LENarray silently truncated the byte scale.
+func TestBadLenRealIsAnError(t *testing.T) {
+	for _, args := range [][]string{
+		{"-fig5", "-len-real", "0"},
+		{"-overlap", "-len-real", "0"},
+		{"-drainsweep", "-len-real", "3000"},
+	} {
+		code, _, stderr := tciobench(append(args, "-quiet")...)
+		if code != 1 || !strings.Contains(stderr, "len-real") {
+			t.Errorf("tciobench %v: exit %d, stderr %q; want exit 1 naming len-real", args, code, stderr)
+		}
+	}
+}
+
+// document is the -json output.
+type document struct {
+	Sweeps []struct {
+		Name string
+		Rows []map[string]any
+	}
+}
+
+func readJSON(t *testing.T, args ...string) document {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "out.json")
+	if code, _, stderr := tciobench(append(args, "-quiet", "-json", path)...); code != 0 {
+		t.Fatalf("tciobench %v: exit %d: %s", args, code, stderr)
+	}
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc document
+	if err := json.Unmarshal(blob, &doc); err != nil {
+		t.Fatal(err)
+	}
+	return doc
+}
+
+// TestJSONKeepsEverySweep: each sweep used to overwrite the -json file, so
+// only the last one's report survived.
+func TestJSONKeepsEverySweep(t *testing.T) {
+	doc := readJSON(t, "-nodeagg", "-sieve")
+	if len(doc.Sweeps) != 2 || doc.Sweeps[0].Name != "nodeagg" || doc.Sweeps[1].Name != "sieve" {
+		t.Fatalf("entries: %+v", doc.Sweeps)
+	}
+	for _, s := range doc.Sweeps {
+		if len(s.Rows) == 0 || s.Rows[0]["result"] != "ok" || s.Rows[0]["virtual_time_ns"] == nil {
+			t.Errorf("%s: rows %+v", s.Name, s.Rows)
+		}
+	}
+}
+
+// TestJSONDelegateRead: -delegate-read -json used to write nothing.
+func TestJSONDelegateRead(t *testing.T) {
+	doc := readJSON(t, "-delegate-read")
+	if len(doc.Sweeps) != 1 || len(doc.Sweeps[0].Rows) != 8 || doc.Sweeps[0].Rows[0]["fs_reads_cold"] == nil {
+		t.Fatalf("entries: %+v", doc.Sweeps)
+	}
+}
+
+// TestCombinationsRunEverySweep: -scale and -crash used to return early, so
+// together only the first ran.
+func TestCombinationsRunEverySweep(t *testing.T) {
+	code, stdout, stderr := tciobench("-scale", "-scale-procs", "8", "-scale-maxprocs", "1",
+		"-scale-profiles=false", "-crash", "-quiet")
+	if code != 0 || !strings.Contains(stdout, "Host scale:") || !strings.Contains(stdout, "Crash/out-of-core sweep:") {
+		t.Errorf("exit %d\n%s%s", code, stdout, stderr)
+	}
+	if code, _, stderr := tciobench(); code != 2 || !strings.Contains(stderr, "[not in -all]") {
+		t.Errorf("no sweep named: exit %d, usage %q", code, stderr)
+	}
+}

@@ -1,29 +1,10 @@
 package bench
 
-import (
-	"fmt"
+import "fmt"
 
-	"github.com/tcio/tcio/internal/datatype"
-	"github.com/tcio/tcio/internal/stats"
-)
-
-// AblationOptions parameterizes the design-choice ablation sweep
-// (DESIGN.md §5): each variant runs the synthetic workload with one TCIO
-// mechanism altered.
-type AblationOptions struct {
-	// Procs is the process count (kept moderate: ablations isolate
-	// mechanisms, not scale).
-	Procs int
-	// LenSim / LenReal as in SweepOptions.
-	LenSim, LenReal int
-	// Progress, if non-nil, receives one line per completed variant.
-	Progress func(string)
-}
-
-// DefaultAblation returns a workstation-scale ablation configuration.
-func DefaultAblation() AblationOptions {
-	return AblationOptions{Procs: 64, LenSim: 1 << 20, LenReal: 4 << 10}
-}
+// defaultAblation returns a workstation-scale ablation configuration. The
+// process count is kept moderate: ablations isolate mechanisms, not scale.
+func defaultAblation() *synthGeometry { return &synthGeometry{Procs: 64, LenSim: 1 << 20} }
 
 // ablationVariant is one row of the ablation table.
 type ablationVariant struct {
@@ -48,82 +29,63 @@ func ablationVariants() []ablationVariant {
 	}
 }
 
-// AggregatorSweep measures OCIO with different collective-buffering
-// aggregator counts (ROMIO's cb_nodes; the paper ran with the feature
-// disabled, i.e. every rank aggregating). It needs a direct workload run
-// because SyntheticConfig has no OCIO knobs — the sweep reuses the
-// Program 2 writer with SetAggregators applied through a wrapper file.
-func AggregatorSweep(opts AblationOptions, counts []int) (stats.Table, error) {
-	t := stats.Table{
-		Title:   fmt.Sprintf("OCIO collective buffering: aggregator count sweep (%d processes)", opts.Procs),
-		Headers: []string{"aggregators", "write MB/s", "read MB/s"},
+// ablationSweep is the design-choice ablation sweep (DESIGN.md §5): each
+// row runs the synthetic workload with one TCIO mechanism altered.
+func ablationSweep(g *synthGeometry) *Sweep {
+	variant := func(r *Row) ablationVariant { return r.Point.(ablationVariant) }
+	return &Sweep{
+		Name:   "ablations",
+		Help:   "run the TCIO design-choice ablations",
+		InAll:  true,
+		Params: g,
+		Points: func(bool) []any { return points(ablationVariants()) },
+		Env:    g.env,
+		Run: func(env *Env, pt any) ([]Row, error) {
+			cfg := g.config(env, MethodTCIO, "ablation")
+			if v := pt.(ablationVariant); v.mutate != nil {
+				v.mutate(&cfg)
+			}
+			return synthRow(env, pt, cfg)
+		},
+		Tables: tables(Table{
+			Title: fmt.Sprintf("TCIO design ablations (%d processes)", g.Procs),
+			Columns: []Column{
+				det("variant", "variant", func(r *Row) any { return variant(r).name }),
+				colWrite, colRead,
+				det("notes", "", func(r *Row) any { return variant(r).detail }),
+			},
+		}),
 	}
-	scale := int64(opts.LenSim / opts.LenReal)
-	for _, n := range counts {
-		env, err := NewEnv(scale)
-		if err != nil {
-			return t, err
-		}
-		cfg := SyntheticConfig{
-			Method:          MethodOCIO,
-			Procs:           opts.Procs,
-			TypeArray:       []datatype.Type{datatype.Int, datatype.Double},
-			LenArray:        opts.LenReal,
-			SizeAccess:      1,
-			Verify:          true,
-			FileName:        fmt.Sprintf("aggsweep%d", n),
-			OCIOAggregators: n,
-		}
-		res, err := RunSynthetic(env, cfg)
-		if err != nil {
-			return t, err
-		}
-		label := fmt.Sprint(n)
-		if n == 0 {
-			label = fmt.Sprintf("%d (all ranks, paper setting)", opts.Procs)
-		}
-		t.AddRow(label, phaseCell(res.Write), phaseCell(res.Read))
-		if opts.Progress != nil {
-			opts.Progress(fmt.Sprintf("aggregators=%-4s write=%s read=%s",
-				label, phaseCell(res.Write), phaseCell(res.Read)))
-		}
-	}
-	return t, nil
 }
 
-// Ablations runs every variant and returns the comparison table.
-func Ablations(opts AblationOptions) (stats.Table, error) {
-	t := stats.Table{
-		Title:   fmt.Sprintf("TCIO design ablations (%d processes)", opts.Procs),
-		Headers: []string{"variant", "write MB/s", "read MB/s", "notes"},
+// aggregatorSweep measures OCIO with the given collective-buffering
+// aggregator counts (ROMIO's cb_nodes; the paper ran with the feature
+// disabled, i.e. every rank aggregating: count 0). It is not on tciobench's
+// command line.
+func aggregatorSweep(g *synthGeometry, counts []int) *Sweep {
+	return &Sweep{
+		Name:   "aggregators",
+		Params: g,
+		Points: func(bool) []any { return points(counts) },
+		Env:    g.env,
+		Run: func(env *Env, pt any) ([]Row, error) {
+			cfg := g.config(env, MethodOCIO, fmt.Sprintf("aggsweep%d", pt.(int)))
+			cfg.OCIOAggregators = pt.(int)
+			return synthRow(env, pt, cfg)
+		},
+		Tables: func(Options) []Table {
+			label := Column{Header: "aggregators", Key: "aggregators", Det: true,
+				Value: func(r *Row) any { return r.Point.(int) },
+				Cell: func(r *Row) string {
+					if r.Point.(int) == 0 {
+						return fmt.Sprintf("%d (all ranks, paper setting)", g.Procs)
+					}
+					return fmt.Sprint(r.Point.(int))
+				}}
+			return []Table{{
+				Title:   fmt.Sprintf("OCIO collective buffering: aggregator count sweep (%d processes)", g.Procs),
+				Columns: []Column{label, colWrite, colRead},
+			}}
+		},
 	}
-	scale := int64(opts.LenSim / opts.LenReal)
-	for _, v := range ablationVariants() {
-		env, err := NewEnv(scale)
-		if err != nil {
-			return t, err
-		}
-		cfg := SyntheticConfig{
-			Method:     MethodTCIO,
-			Procs:      opts.Procs,
-			TypeArray:  []datatype.Type{datatype.Int, datatype.Double},
-			LenArray:   opts.LenReal,
-			SizeAccess: 1,
-			Verify:     true,
-			FileName:   "ablation",
-		}
-		if v.mutate != nil {
-			v.mutate(&cfg)
-		}
-		res, err := RunSynthetic(env, cfg)
-		if err != nil {
-			return t, fmt.Errorf("ablation %q: %w", v.name, err)
-		}
-		t.AddRow(v.name, phaseCell(res.Write), phaseCell(res.Read), v.detail)
-		if opts.Progress != nil {
-			opts.Progress(fmt.Sprintf("ablation %-22s write=%s read=%s",
-				v.name, phaseCell(res.Write), phaseCell(res.Read)))
-		}
-	}
-	return t, nil
 }

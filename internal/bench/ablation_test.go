@@ -9,11 +9,11 @@ func TestAblationsRunAllVariants(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run sweep")
 	}
-	opts := AblationOptions{Procs: 8, LenSim: 64 << 10, LenReal: 512}
-	table, err := Ablations(opts)
+	rep, err := Run(ablationSweep(&synthGeometry{Procs: 8, LenSim: 64 << 10}), Options{LenReal: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
+	table := rep.Tables(nil)[0]
 	if len(table.Rows) != len(ablationVariants()) {
 		t.Fatalf("%d rows, want %d", len(table.Rows), len(ablationVariants()))
 	}
@@ -32,11 +32,11 @@ func TestAggregatorSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run sweep")
 	}
-	opts := AblationOptions{Procs: 8, LenSim: 64 << 10, LenReal: 512}
-	table, err := AggregatorSweep(opts, []int{0, 2, 4})
+	rep, err := Run(aggregatorSweep(&synthGeometry{Procs: 8, LenSim: 64 << 10}, []int{0, 2, 4}), Options{LenReal: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
+	table := rep.Tables(nil)[0]
 	if len(table.Rows) != 3 {
 		t.Fatalf("%d rows", len(table.Rows))
 	}
@@ -51,21 +51,17 @@ func TestAggregatorSweep(t *testing.T) {
 }
 
 func TestDefaultConfigs(t *testing.T) {
-	s := DefaultSweep()
-	if s.LenSim != 4<<20 || s.SizeAccess != 1 || len(s.Types) != 2 {
-		t.Fatalf("DefaultSweep = %+v", s)
+	if s := defaultFig5(); s.LenSims[0] != 4<<20 || paperSizeAccess != 1 || len(paperTypes) != 2 {
+		t.Fatalf("defaultFig5 = %+v", s)
 	}
-	fsw := DefaultFileSizeSweep()
-	if fsw.Procs != 64 || len(fsw.LenSims) != 4 {
-		t.Fatalf("DefaultFileSizeSweep = %+v", fsw)
+	if fsw := defaultFig67(); fsw.Procs[0] != 64 || len(fsw.LenSims) != 4 {
+		t.Fatalf("defaultFig67 = %+v", fsw)
 	}
-	a := DefaultART()
-	if a.Trees != 1024 || a.Seed != 5 {
+	if a := DefaultART(); a.Trees != 1024 || a.Seed != 5 {
 		t.Fatalf("DefaultART = %+v", a)
 	}
-	ab := DefaultAblation()
-	if ab.Procs != 64 {
-		t.Fatalf("DefaultAblation = %+v", ab)
+	if ab := defaultAblation(); ab.Procs != 64 {
+		t.Fatalf("defaultAblation = %+v", ab)
 	}
 }
 

@@ -168,7 +168,7 @@ func TestTables(t *testing.T) {
 			t.Fatalf("%s: empty table", tb.name)
 		}
 	}
-	t2 := Table2(DefaultSweep())
+	t2 := Table2(defaultFig5(), 4<<10)
 	found := false
 	for _, row := range t2.Rows {
 		if row[0] == "SIZEaccess" && row[1] == "1" {
@@ -184,26 +184,19 @@ func TestFig5SmallScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-point sweep")
 	}
-	opts := SweepOptions{
-		Procs:      []int{4, 8},
-		LenSim:     64 << 10,
-		LenReal:    256,
-		SizeAccess: 1,
-		Types:      []datatype.Type{datatype.Int, datatype.Double},
-		Verify:     true,
-	}
-	write, read, results, err := Fig5(opts)
+	rep, err := Run(fig5Sweep(&figGeometry{Procs: []int{4, 8}, LenSims: []int{64 << 10}}), Options{LenReal: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(write.Rows) != 2 || len(read.Rows) != 2 {
-		t.Fatalf("rows: %d/%d", len(write.Rows), len(read.Rows))
+	tables := rep.Tables(nil)
+	if len(tables) != 2 || len(tables[0].Rows) != 2 || len(tables[1].Rows) != 2 {
+		t.Fatalf("tables: %v", tables)
 	}
-	if len(results) != 4 {
-		t.Fatalf("results: %d", len(results))
+	if len(rep.Rows) != 4 {
+		t.Fatalf("results: %d", len(rep.Rows))
 	}
-	for _, r := range results {
-		if r.Write.Failed || r.Read.Failed {
+	for _, r := range rep.Rows {
+		if r.Failed || r.Read.Failed {
 			t.Fatalf("point failed: %+v", r)
 		}
 	}
@@ -214,26 +207,20 @@ func TestFig6OOMReproduction(t *testing.T) {
 		t.Skip("multi-point sweep")
 	}
 	// Miniature of the paper's Fig. 6 48 GB point: per-rank simulated data
-	// that OCIO's double buffering cannot fit but TCIO can.
-	opts := FileSizeSweepOptions{
-		Procs:      12, // one full node: 2 GiB per rank
-		LenSims:    []int{64 << 20},
-		LenReal:    1 << 10,
-		SizeAccess: 1,
-		Types:      []datatype.Type{datatype.Int, datatype.Double},
-		Verify:     true,
-	}
-	write, _, results, err := Fig6And7(opts)
+	// that OCIO's double buffering cannot fit but TCIO can. 12 processes are
+	// one full node: 2 GiB per rank.
+	rep, err := Run(fig67Sweep(&figGeometry{Procs: []int{12}, LenSims: []int{64 << 20}}), Options{LenReal: 1 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
+	write := rep.Tables(nil)[0]
 	var tcioOK, ocioFailed bool
-	for _, r := range results {
-		switch r.Write.Method {
+	for _, r := range rep.Rows {
+		switch r.Point.(FigPoint).Method {
 		case MethodTCIO:
-			tcioOK = !r.Write.Failed
+			tcioOK = !r.Failed
 		case MethodOCIO:
-			ocioFailed = r.Write.Failed && r.Write.FailReason == "out of memory"
+			ocioFailed = r.Failed && r.FailReason == "out of memory"
 		}
 	}
 	if !tcioOK {
@@ -249,38 +236,56 @@ func TestFig6OOMReproduction(t *testing.T) {
 	}
 }
 
+// artThroughput runs the ART sweep and returns each library's write and
+// read MB/s at the geometry's one process count.
+func artThroughput(t *testing.T, g *ARTGeometry) (write, read map[Method]float64) {
+	t.Helper()
+	rep, err := Run(ART(g), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tables := rep.Tables(nil); len(tables[0].Rows) != 1 || len(tables[1].Rows) != 1 {
+		t.Fatal("missing rows")
+	}
+	write, read = map[Method]float64{}, map[Method]float64{}
+	for _, r := range rep.Rows {
+		m := r.Point.(FigPoint).Method
+		if r.Result != "ok" {
+			t.Fatalf("%v failed: %s", m, r.Result)
+		}
+		write[m], read[m] = r.MBs, r.Read.MBs
+	}
+	return write, read
+}
+
 func TestARTSmallScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-point sweep")
 	}
-	opts := ARTOptions{
-		Procs:      []int{4},
-		Trees:      16,
-		Vars:       2,
-		MuCells:    128,
-		SigmaCells: 16,
-		Seed:       5,
-		Scale:      32,
-	}
-	write, read, results, err := Fig9And10(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(write.Rows) != 1 || len(read.Rows) != 1 {
-		t.Fatal("missing rows")
-	}
-	var tcioW, vanW float64
-	for _, r := range results {
-		if r.Failed {
-			t.Fatalf("%v failed: %s", r.Library, r.FailReason)
-		}
-		if r.Library.String() == "TCIO" {
-			tcioW = r.WriteMBs
-		} else {
-			vanW = r.WriteMBs
-		}
-	}
-	if tcioW <= vanW {
+	write, _ := artThroughput(t, &ARTGeometry{Procs: []int{4}, Trees: 16, Vars: 2,
+		MuCells: 128, SigmaCells: 16, Seed: 5, Scale: 32})
+	if tcioW, vanW := write[MethodTCIO], write[MethodVanilla]; tcioW <= vanW {
 		t.Fatalf("TCIO (%.1f MB/s) not faster than vanilla MPI-IO (%.1f MB/s) on ART", tcioW, vanW)
+	}
+}
+
+// TestARTHeadlineFactor pins the paper's headline: at artbench's default
+// 64-rank point TCIO beats vanilla MPI-IO by well over an order of
+// magnitude (measured ~245x on write, ~110x on read). The band is wide
+// because the vanilla column moves with host speed until virtual time is
+// deterministic (ROADMAP item 1); tighten it then.
+func TestARTHeadlineFactor(t *testing.T) {
+	if testing.Short() {
+		t.Skip("64-rank sweep")
+	}
+	g := DefaultART()
+	g.Procs = []int{64}
+	write, read := artThroughput(t, g)
+	t.Logf("write %v MB/s, read %v MB/s", write, read)
+	if f := write[MethodTCIO] / write[MethodVanilla]; f < 50 {
+		t.Errorf("ART write: TCIO / MPI-IO = %.0fx, want >= 50x", f)
+	}
+	if f := read[MethodTCIO] / read[MethodVanilla]; f < 20 {
+		t.Errorf("ART read: TCIO / MPI-IO = %.0fx, want >= 20x", f)
 	}
 }

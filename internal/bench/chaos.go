@@ -1,180 +1,90 @@
 package bench
 
-import (
-	"fmt"
+import "fmt"
 
-	"github.com/tcio/tcio/internal/datatype"
-	"github.com/tcio/tcio/internal/faults"
-	"github.com/tcio/tcio/internal/pfs"
-	"github.com/tcio/tcio/internal/stats"
-)
+// This file declares the chaos ablation: the synthetic benchmark run under
+// deterministic fault injection, sweeping the OST transient-error rate
+// while the interconnect, the memory accountant, and the one-sided put path
+// misbehave at fixed background rates. Only deterministic quantities are
+// reported (counts, not virtual times), so two sweeps with the same seed
+// emit byte-identical tables — the property the chaos tests pin down.
 
-// This file implements the chaos ablation: the synthetic benchmark run
-// under deterministic fault injection, sweeping the OST transient-error
-// rate while the interconnect, the memory accountant, and the one-sided
-// put path misbehave at fixed background rates. Every injection decision
-// derives from the seed, so two runs with the same seed produce identical
-// injection and retry counts — the property the chaos tests pin down.
-
-// ChaosOptions configures the chaos sweep.
-type ChaosOptions struct {
-	// Seed drives every injection decision.
-	Seed int64
-	// Procs is the process count of each run.
-	Procs int
+// chaosGeometry configures the chaos sweep. A multi-OST StripeCount gives
+// Workers real fan-out to reorder requests across.
+type chaosGeometry struct {
+	synthGeometry
 	// Rates lists the OST transient-error probabilities to sweep (applied
 	// to both reads and writes).
 	Rates []float64
-	// SlowProb/SlowFactor inject slow OST services: with probability
-	// SlowProb a request's service time is multiplied by SlowFactor.
-	SlowProb   float64
-	SlowFactor float64
-	// NetSetupProb drops interconnect connection setups (NIC-retried).
-	NetSetupProb float64
-	// MemProb injects transient allocation pressure.
-	MemProb float64
-	// PutDropProb drops TCIO's one-sided put work requests
-	// (library-retried).
-	PutDropProb float64
-	// DrainWorkers is TCIO's per-OST drain fan-out for the sweep's runs
-	// (0 or 1 = serial). Counts stay seed-deterministic at any setting:
-	// the fan-out reorders requests across OSTs but never changes which
-	// requests are issued or how their fault rolls are keyed.
-	DrainWorkers int
-	// StripeCount overrides the file stripe width in OSTs (0 keeps the
-	// paper's single-OST striping). A multi-OST stripe gives DrainWorkers
-	// real fan-out to reorder requests across.
-	StripeCount int
-	// LenSim and LenReal size the workload like SweepOptions.
-	LenSim  int
-	LenReal int
-	// Verify makes readers check every byte against the generator.
-	Verify bool
-	// Progress receives one line per completed run.
-	Progress func(string)
+	// Rules are the background fault probabilities.
+	Rules chaosRules
 }
 
-// DefaultChaos returns the sweep reported in EXPERIMENTS.md: 64 processes,
+// defaultChaos returns the sweep reported in EXPERIMENTS.md: 64 processes,
 // OST error rates 0 / 1% / 5%, with background interconnect, memory, and
 // put-path faults.
-func DefaultChaos() ChaosOptions {
-	return ChaosOptions{
-		Seed:         1,
-		Procs:        64,
-		Rates:        []float64{0, 0.01, 0.05},
-		SlowProb:     0.02,
-		SlowFactor:   8,
-		NetSetupProb: 0.01,
-		MemProb:      0.005,
-		PutDropProb:  0.01,
-		LenSim:       4 << 20,
-		LenReal:      4 << 10,
-		Verify:       true,
+func defaultChaos() *chaosGeometry {
+	return &chaosGeometry{
+		synthGeometry: synthGeometry{Procs: 64, LenSim: 4 << 20},
+		Rates:         []float64{0, 0.01, 0.05},
+		Rules:         defaultChaosRules,
 	}
 }
 
-// ChaosInjector builds the sweep's injector for one OST error rate: the
-// rate applies to OST reads and writes, the remaining sites run at the
-// sweep's background probabilities.
-func (o ChaosOptions) ChaosInjector(rate float64) *faults.Injector {
-	return faults.New(o.Seed).
-		Set(faults.SiteOSTWrite, faults.Rule{Prob: rate}).
-		Set(faults.SiteOSTRead, faults.Rule{Prob: rate}).
-		Set(faults.SiteOSTSlow, faults.Rule{Prob: o.SlowProb, Factor: o.SlowFactor}).
-		Set(faults.SiteNetSetup, faults.Rule{Prob: o.NetSetupProb}).
-		Set(faults.SiteMemAlloc, faults.Rule{Prob: o.MemProb}).
-		Set(faults.SiteWinPut, faults.Rule{Prob: o.PutDropProb})
+// chaosPoint is one (rate, method) environment; its rows add the phase.
+type chaosPoint struct {
+	Rate   float64
+	Method Method
+	Phase  string
 }
 
-// NewChaosEnv builds a benchmark environment whose file system, network,
-// and memory accountant all inject from the given fault injector.
-func NewChaosEnv(scale int64, inj *faults.Injector) (*Env, error) {
-	env, err := NewEnv(scale)
-	if err != nil {
-		return nil, err
+// chaosSweep runs TCIO and OCIO write+read under each OST error rate and
+// tabulates injection and retry counts.
+func chaosSweep(g *chaosGeometry) *Sweep {
+	at := func(r *Row) chaosPoint { return r.Point.(chaosPoint) }
+	return &Sweep{
+		Name:   chaosName,
+		Help:   "run the fault-injection chaos sweep; with sweeps that have a deterministic projection, print that instead",
+		InAll:  true,
+		Flags:  []Flag{{"chaos-procs", "process count for -chaos", &g.Procs}},
+		Params: g,
+		Points: func(bool) []any {
+			return grid2(g.Rates, []Method{MethodTCIO, MethodOCIO},
+				func(rate float64, m Method) any { return chaosPoint{Rate: rate, Method: m} })
+		},
+		Env: func(o Options, pt any) EnvSpec {
+			spec := g.env(o, pt)
+			spec.Faults = g.Rules.injector(o.Seed, pt.(chaosPoint).Rate)
+			return spec
+		},
+		Run: func(env *Env, pt any) ([]Row, error) {
+			p := pt.(chaosPoint)
+			cfg := g.config(env, p.Method, fmt.Sprintf("chaos-%v-%d", p.Method, int(p.Rate*1000)))
+			p.Phase = "write"
+			rows := []Row{{Point: p, PhaseResult: runPhase(env, cfg, true)}}
+			if !rows[0].Failed { // else nothing on disk to read back
+				p.Phase = "read"
+				rows = append(rows, Row{Point: p, PhaseResult: runPhase(env, cfg, false)})
+			}
+			return rows, nil
+		},
+		Tables: func(o Options) []Table {
+			return []Table{{
+				Title: fmt.Sprintf("Chaos sweep: %d processes, seed %d (counts are seed-deterministic)", g.Procs, o.Seed),
+				Columns: []Column{
+					{Header: "ost-rate", Key: "ost_rate", Det: true,
+						Value: func(r *Row) any { return at(r).Rate },
+						Cell:  func(r *Row) string { return fmt.Sprintf("%.2f", at(r).Rate) }},
+					det("method", "method", func(r *Row) any { return at(r).Method.String() }),
+					det("phase", "phase", func(r *Row) any { return at(r).Phase }),
+					det("drain-workers", "drain_workers", func(r *Row) any { return max(g.Workers, 1) }),
+					colInjected, colFSRetries,
+					det("setup-retries", "setup_retries", func(r *Row) any { return r.Net.SetupRetries }),
+					det("slow-svc", "slow_services", func(r *Row) any { return r.FS.SlowServices }),
+					det("lock-storms", "lock_storms", func(r *Row) any { return r.FS.LockStorms }),
+					colAllocRetries, colResult,
+				},
+			}}
+		},
 	}
-	fscfg := env.FS.Config()
-	fscfg.Faults = inj
-	env.FS = pfs.New(fscfg)
-	env.Faults = inj
-	return env, nil
-}
-
-// Chaos runs TCIO and OCIO write+read under each OST error rate and
-// tabulates injection and retry counts. Only deterministic quantities are
-// reported (counts, not virtual times), so two sweeps with the same seed
-// emit byte-identical tables.
-func Chaos(opts ChaosOptions) (stats.Table, error) {
-	if len(opts.Rates) == 0 {
-		opts.Rates = DefaultChaos().Rates
-	}
-	t := stats.Table{
-		Title: fmt.Sprintf("Chaos sweep: %d processes, seed %d (counts are seed-deterministic)",
-			opts.Procs, opts.Seed),
-		Headers: []string{"ost-rate", "method", "phase", "drain-workers", "injected", "fs-retries",
-			"setup-retries", "slow-svc", "lock-storms", "alloc-retries", "result"},
-	}
-	types := []datatype.Type{datatype.Int, datatype.Double}
-	for _, rate := range opts.Rates {
-		for _, method := range []Method{MethodTCIO, MethodOCIO} {
-			inj := opts.ChaosInjector(rate)
-			scale := int64(opts.LenSim / opts.LenReal)
-			env, err := NewChaosEnv(scale, inj)
-			if err != nil {
-				return t, err
-			}
-			if opts.StripeCount > 1 {
-				fscfg := env.FS.Config()
-				fscfg.StripeCount = opts.StripeCount
-				env.FS = pfs.New(fscfg)
-			}
-			cfg := SyntheticConfig{
-				Method:       method,
-				Procs:        opts.Procs,
-				TypeArray:    types,
-				LenArray:     opts.LenReal,
-				SizeAccess:   1,
-				Verify:       opts.Verify,
-				FileName:     fmt.Sprintf("chaos-%v-%d", method, int(rate*1000)),
-				DrainWorkers: opts.DrainWorkers,
-			}
-			workers := opts.DrainWorkers
-			if workers < 1 {
-				workers = 1
-			}
-			for _, write := range []bool{true, false} {
-				phase := "read"
-				if write {
-					phase = "write"
-				}
-				before := inj.TotalInjected()
-				pr := runPhase(env, cfg, write)
-				result := "ok"
-				if pr.Failed {
-					result = pr.FailReason
-				}
-				t.AddRow(
-					fmt.Sprintf("%.2f", rate),
-					method.String(),
-					phase,
-					fmt.Sprintf("%d", workers),
-					fmt.Sprintf("%d", inj.TotalInjected()-before),
-					fmt.Sprintf("%d", pr.FS.Retries),
-					fmt.Sprintf("%d", pr.Net.SetupRetries),
-					fmt.Sprintf("%d", pr.FS.SlowServices),
-					fmt.Sprintf("%d", pr.FS.LockStorms),
-					fmt.Sprintf("%d", pr.AllocRetries),
-					result,
-				)
-				if opts.Progress != nil {
-					opts.Progress(fmt.Sprintf("chaos rate=%.2f %v %s: %s (injected %d)",
-						rate, method, phase, result, inj.TotalInjected()-before))
-				}
-				if pr.Failed && write {
-					break // nothing on disk to read back
-				}
-			}
-		}
-	}
-	return t, nil
 }

@@ -3,46 +3,32 @@ package bench
 import (
 	"reflect"
 	"testing"
+
+	"github.com/tcio/tcio/internal/faults"
 )
 
-func testChaosOptions() ChaosOptions {
-	return ChaosOptions{
-		Seed:         3,
-		Procs:        8,
-		Rates:        []float64{0.2},
-		SlowProb:     0.05,
-		SlowFactor:   4,
-		NetSetupProb: 0.02,
-		MemProb:      0.01,
-		PutDropProb:  0.02,
-		LenSim:       64 << 10,
-		LenReal:      256,
-		Verify:       true,
+func testChaosGeometry() *chaosGeometry {
+	return &chaosGeometry{
+		synthGeometry: synthGeometry{Procs: 8, LenSim: 64 << 10},
+		Rates:         []float64{0.2},
+		Rules: chaosRules{
+			faults.SiteOSTSlow: {Prob: 0.05, Factor: 4}, faults.SiteNetSetup: {Prob: 0.02},
+			faults.SiteMemAlloc: {Prob: 0.01}, faults.SiteWinPut: {Prob: 0.02},
+		},
 	}
 }
 
-// TestChaosDeterministic pins the acceptance property of the chaos sweep:
-// same seed, same injection and retry counts, down to the last cell.
-func TestChaosDeterministic(t *testing.T) {
-	a, err := Chaos(testChaosOptions())
+// testChaosOptions seeds the miniature chaos sweep.
+var testChaosOptions = Options{Seed: 3, LenReal: 256}
+
+// chaosRows runs the miniature chaos sweep and returns its table's rows.
+func chaosRows(t *testing.T, g *chaosGeometry, o Options) [][]string {
+	t.Helper()
+	rep, err := Run(chaosSweep(g), o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Chaos(testChaosOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a.Rows, b.Rows) {
-		t.Fatalf("chaos sweep not reproducible:\nrun 1: %v\nrun 2: %v", a.Rows, b.Rows)
-	}
-	if len(a.Rows) != 4 { // TCIO/OCIO x write/read at one rate
-		t.Fatalf("rows = %d, want 4", len(a.Rows))
-	}
-	for _, row := range a.Rows {
-		if got := row[len(row)-1]; got != "ok" {
-			t.Fatalf("run %v did not survive 20%% transient faults: %s", row[:3], got)
-		}
-	}
+	return rep.Tables(nil)[0].Rows
 }
 
 // TestChaosCountsWorkerInvariant pins the determinism contract of the
@@ -53,17 +39,13 @@ func TestChaosDeterministic(t *testing.T) {
 // change them.
 func TestChaosCountsWorkerInvariant(t *testing.T) {
 	run := func(workers int) [][]string {
-		opts := testChaosOptions()
-		opts.StripeCount = 7 // coprime with 8 procs: segments spread over OSTs
-		opts.DrainWorkers = workers
-		tbl, err := Chaos(opts)
-		if err != nil {
-			t.Fatal(err)
-		}
+		g := testChaosGeometry()
+		g.StripeCount = 7 // coprime with 8 procs: segments spread over OSTs
+		g.Workers = workers
 		const workersCol = 3
-		rows := make([][]string, len(tbl.Rows))
-		for i, row := range tbl.Rows {
-			rows[i] = append(append([]string(nil), row[:workersCol]...), row[workersCol+1:]...)
+		var rows [][]string
+		for _, row := range chaosRows(t, g, testChaosOptions) {
+			rows = append(rows, append(append([]string(nil), row[:workersCol]...), row[workersCol+1:]...))
 		}
 		return rows
 	}
@@ -77,17 +59,9 @@ func TestChaosCountsWorkerInvariant(t *testing.T) {
 // TestChaosSeedMatters checks that a different seed draws a different fault
 // pattern (the sweep is seeded, not hard-wired).
 func TestChaosSeedMatters(t *testing.T) {
-	a, err := Chaos(testChaosOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := testChaosOptions()
-	opts.Seed = 4
-	b, err := Chaos(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reflect.DeepEqual(a.Rows, b.Rows) {
+	a := chaosRows(t, testChaosGeometry(), testChaosOptions)
+	b := chaosRows(t, testChaosGeometry(), Options{Seed: 4, LenReal: 256})
+	if reflect.DeepEqual(a, b) {
 		t.Fatal("seeds 3 and 4 produced identical chaos tables")
 	}
 }

@@ -1,0 +1,188 @@
+package bench
+
+import (
+	"encoding/json"
+	"flag"
+	"fmt"
+	"io"
+	"os"
+	"strconv"
+	"strings"
+)
+
+// This file is the command line both drivers share: the flags are
+// generated from a list of sweeps, and every selected sweep goes through
+// Run.
+
+// Tciobench registers tciobench's sweeps and options on fs. Sweeps run in
+// this order.
+func Tciobench(fs *flag.FlagSet) *CLI {
+	fig5 := defaultFig5()
+	c := newCLI(fs, []*Sweep{
+		tablesSweep(fig5),
+		fig5Sweep(fig5),
+		fig67Sweep(defaultFig67()),
+		ablationSweep(defaultAblation()),
+		chaosSweep(defaultChaos()),
+		drainSweep(defaultDrainSweep()),
+		overlapSweep(defaultOverlap()),
+		nodeAggSweep(defaultNodeAgg()),
+		sieveSweep(defaultSieve()),
+		delegateSweep(defaultDelegate()),
+		delegateReadSweep(defaultDelegateRead()),
+		scaleSweep(defaultScale()),
+		crashSweep(defaultCrash()),
+	})
+	fs.IntVar(&c.LenReal, "len-real", 4<<10, "materialized elements per array per process; must divide a sweep's simulated LENarray")
+	fs.Int64Var(&c.Seed, "seed", 1, "seed of fault injection, kill draws and -conform")
+	return c
+}
+
+// Artbench registers artbench's sweeps and options on fs.
+func Artbench(fs *flag.FlagSet) *CLI {
+	return newCLI(fs, []*Sweep{table4Sweep(), ART(DefaultART())})
+}
+
+// CLI is a parsed command line over a list of sweeps.
+type CLI struct {
+	Options
+	sweeps          []*Sweep
+	on              map[string]*bool // by sweep or table flag
+	all, csv, quiet bool
+}
+
+func newCLI(fs *flag.FlagSet, sweeps []*Sweep) *CLI {
+	c := &CLI{sweeps: sweeps, on: map[string]*bool{}}
+	for _, s := range sweeps {
+		membership := pick(s.InAll, "in -all", "not in -all")
+		if s.After != "" {
+			membership = "also runs after a clean -" + s.After + ", so with -all"
+		}
+		for name, help := range s.flags() {
+			c.on[name] = fs.Bool(name, false, fmt.Sprintf("%s [%s]", help, membership))
+		}
+		for _, f := range s.Flags {
+			switch p := f.Var.(type) {
+			case *int:
+				fs.IntVar(p, f.Name, *p, f.Help)
+			case *bool:
+				fs.BoolVar(p, f.Name, *p, f.Help)
+			case *[]int: // process counts and the like
+				fs.Var(list[int]{p, 1}, f.Name, f.Help)
+			case *[]int64: // sizes and budgets
+				fs.Var(list[int64]{p, 0}, f.Name, f.Help)
+			default:
+				panic(fmt.Sprintf("bench: flag -%s bound to a %T", f.Name, f.Var))
+			}
+		}
+	}
+	fs.BoolVar(&c.all, "all", false, "run every sweep marked [in -all]")
+	fs.BoolVar(&c.csv, "csv", false, "emit CSV instead of aligned tables")
+	fs.BoolVar(&c.quiet, "quiet", false, "suppress progress lines")
+	return c
+}
+
+// named reports whether the command line names the sweep.
+func (c *CLI) named(s *Sweep) bool {
+	for name := range s.flags() {
+		if *c.on[name] {
+			return true
+		}
+	}
+	return false
+}
+
+// chaosName names the sweep whose flag does double duty: beside sweeps that
+// have a deterministic projection (and without -all) -chaos arms those and
+// prints their projections instead of running the chaos sweep itself.
+const chaosName = "chaos"
+
+// Run executes every selected sweep in order, printing each one's tables
+// to stdout as it completes and progress lines to stderr. No report and no
+// error means the command line named no sweep.
+func (c *CLI) Run(stdout, stderr io.Writer) ([]*Report, error) {
+	armed := false
+	if chaos := c.on[chaosName]; chaos != nil && *chaos && !c.all {
+		for _, s := range c.sweeps {
+			armed = armed || c.named(s) && s.Projection != nil
+		}
+	}
+	opts := c.Options
+	if !c.quiet {
+		opts.Progress = func(line string) { fmt.Fprintln(stderr, "  ", line) }
+	}
+	var reports []*Report
+	clean := map[string]bool{} // sweeps that ran unarmed
+	for _, s := range c.sweeps {
+		selected := c.named(s) || c.all && s.InAll || clean[s.After]
+		if !selected || armed && s.Name == chaosName {
+			continue
+		}
+		opts.Chaos = armed && s.Projection != nil
+		clean[s.Name] = !opts.Chaos
+		rep, err := Run(s, opts)
+		if err != nil {
+			return reports, err
+		}
+		reports = append(reports, rep)
+		shown := func(flag string) bool {
+			return flag == "" || c.all || *c.on[flag] || clean[s.After]
+		}
+		for _, t := range rep.Tables(shown) {
+			if err := t.Write(stdout, c.csv); err != nil {
+				return reports, err
+			}
+		}
+		if s.Note != nil {
+			if _, err := io.WriteString(stdout, s.Note()); err != nil {
+				return reports, err
+			}
+		}
+	}
+	return reports, nil
+}
+
+// WriteJSON writes the run's document: its options and one entry per sweep
+// that ran.
+func WriteJSON(path string, o Options, reports []*Report) error {
+	doc := struct {
+		LenReal int     `json:"len_real"`
+		Seed    int64   `json:"seed"`
+		Sweeps  []Entry `json:"sweeps"`
+	}{LenReal: o.LenReal, Seed: o.Seed}
+	for _, rep := range reports {
+		doc.Sweeps = append(doc.Sweeps, rep.Entry())
+	}
+	blob, err := json.MarshalIndent(doc, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(blob, '\n'), 0o644)
+}
+
+// list is the flag.Value of a comma-separated list whose elements must be
+// at least least.
+type list[T int | int64] struct {
+	p     *[]T
+	least T
+}
+
+func (l list[T]) Set(s string) error {
+	var out []T
+	for _, part := range strings.Split(s, ",") {
+		v, err := strconv.ParseInt(strings.TrimSpace(part), 10, 64)
+		if err != nil || T(v) < l.least {
+			return fmt.Errorf("bad value %q", part)
+		}
+		out = append(out, T(v))
+	}
+	*l.p = out
+	return nil
+}
+
+func (l list[T]) String() string {
+	if l.p == nil {
+		return ""
+	}
+	return strings.Trim(strings.ReplaceAll(fmt.Sprint(*l.p), " ", ","), "[]")
+}

@@ -19,7 +19,6 @@ package bench
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"math/rand"
 
@@ -27,19 +26,14 @@ import (
 	"github.com/tcio/tcio/internal/mpi"
 	"github.com/tcio/tcio/internal/pfs"
 	"github.com/tcio/tcio/internal/simtime"
-	"github.com/tcio/tcio/internal/stats"
 	"github.com/tcio/tcio/internal/tcio"
 	"github.com/tcio/tcio/internal/wal"
 )
 
-// CrashOptions configures the crash/out-of-core sweep.
-type CrashOptions struct {
-	// Seed drives the kill-instant draws.
-	Seed int64
-	// Procs is the rank count of every run.
-	Procs int
-	// Kills is the number of crash instants replayed per configuration.
-	Kills int
+// crashGeometry configures the crash/out-of-core sweep.
+type crashGeometry struct {
+	Procs int // rank count of every run
+	Kills int // crash instants replayed per configuration
 	// SegmentSize and NumSegments shape the level-2 windows.
 	SegmentSize int64
 	NumSegments int
@@ -55,51 +49,25 @@ type CrashOptions struct {
 	// out-of-core experiment.
 	MemPerNode   int64
 	CoresPerNode int
-	// Verify makes every completing run check its bytes.
-	Verify bool
-	// Progress receives one line per completed configuration.
-	Progress func(string) `json:"-"`
 }
 
-// DefaultCrash returns the sweep reported in EXPERIMENTS.md: 8 ranks two to
+// defaultCrash returns the sweep reported in EXPERIMENTS.md: 8 ranks two to
 // a node, 16 KiB of level-2 window per rank against 32 KiB nodes, budgets
 // of 0 / 2 / 8 segments, six kills per configuration.
-func DefaultCrash() CrashOptions {
-	return CrashOptions{
-		Seed:         1,
-		Procs:        8,
-		Kills:        6,
-		SegmentSize:  256,
-		NumSegments:  64,
-		Blocks:       192,
-		Rounds:       4,
-		Budgets:      []int64{0, 2, 8},
-		MemPerNode:   32 << 10,
-		CoresPerNode: 2,
-		Verify:       true,
+func defaultCrash() *crashGeometry {
+	return &crashGeometry{
+		Procs: 8, Kills: 6, SegmentSize: 256, NumSegments: 64, Blocks: 192, Rounds: 4,
+		Budgets: []int64{0, 2, 8}, MemPerNode: 32 << 10, CoresPerNode: 2,
 	}
 }
 
-// CrashRow is one configuration's outcome.
-type CrashRow struct {
-	Experiment   string `json:"experiment"` // "out-of-core" or "crash"
-	BudgetSegs   int64  `json:"budget_segs"`
-	Result       string `json:"result"`
-	PeakMemory   int64  `json:"peak_memory"`
-	Spills       int64  `json:"spills"`
-	CleanDrops   int64  `json:"clean_drops"`
-	RefaultBytes int64  `json:"refault_bytes"`
-	JournalBytes int64  `json:"journal_bytes"`
-	Epochs       int64  `json:"epochs"`
-	Commits      int64  `json:"commits"`
-	Kills        int    `json:"kills"`
-	KillsOK      int    `json:"kills_ok"`
-}
-
-// CrashReport is the machine-readable result of the sweep.
-type CrashReport struct {
-	Options CrashOptions `json:"options"`
-	Rows    []CrashRow   `json:"rows"`
+// crashPoint is one (experiment, budget) configuration and, for the crash
+// experiment (Kill; otherwise out-of-core), its kill tally.
+type crashPoint struct {
+	Kill       bool
+	BudgetSegs int64
+	Kills      int
+	KillsOK    int
 }
 
 const crashFile = "crash.dat"
@@ -107,14 +75,17 @@ const crashFile = "crash.dat"
 // crashByte is the deterministic payload generator of the sweep's workload.
 func crashByte(rank, block, j int) byte { return byte(rank*31 + block*7 + j + 5) }
 
-// crashImage is the complete file image the workload produces.
-func crashImage(procs, blocks int) []byte {
+// crashImage is the file image the workload produces, restricted to the
+// bytes keep admits (nil: all of them); b is a byte's file offset and i its
+// block's index in the writer's sequence.
+func crashImage(procs, blocks int, keep func(b int64, i int) bool) []byte {
 	out := make([]byte, procs*blocks*16)
 	for r := 0; r < procs; r++ {
 		for i := 0; i < blocks; i++ {
-			base := (i*procs + r) * 16
 			for j := 0; j < 16; j++ {
-				out[base+j] = crashByte(r, i, j)
+				if b := (i*procs+r)*16 + j; keep == nil || keep(int64(b), i) {
+					out[b] = crashByte(r, i, j)
+				}
 			}
 		}
 	}
@@ -143,152 +114,144 @@ func crashWorkload(c *mpi.Comm, f *tcio.File, blocks, rounds int) error {
 	return nil
 }
 
-// Crash runs the sweep and tabulates both experiments. Every reported
-// quantity is a pure function of the options (virtual-time kill draws
-// included), so two sweeps with the same options emit identical tables.
-func Crash(opts CrashOptions) (stats.Table, *CrashReport, error) {
-	if opts.Kills < 1 {
-		opts.Kills = 1
-	}
-	t := stats.Table{
-		Title: fmt.Sprintf("Crash/out-of-core sweep: %d ranks, %d kills, seed %d (all columns seed-deterministic)",
-			opts.Procs, opts.Kills, opts.Seed),
-		Headers: []string{"experiment", "budget-segs", "result", "peak-mem",
-			"spills", "clean-drops", "refault-B", "journal-B", "epochs", "commits", "kills", "kills-ok"},
-	}
-	rep := &CrashReport{Options: opts}
-	add := func(row CrashRow) {
-		rep.Rows = append(rep.Rows, row)
-		t.AddRow(row.Experiment, fmt.Sprintf("%d", row.BudgetSegs), row.Result,
-			fmt.Sprintf("%d", row.PeakMemory), fmt.Sprintf("%d", row.Spills),
-			fmt.Sprintf("%d", row.CleanDrops), fmt.Sprintf("%d", row.RefaultBytes),
-			fmt.Sprintf("%d", row.JournalBytes), fmt.Sprintf("%d", row.Epochs),
-			fmt.Sprintf("%d", row.Commits), fmt.Sprintf("%d", row.Kills), fmt.Sprintf("%d", row.KillsOK))
-		if opts.Progress != nil {
-			opts.Progress(fmt.Sprintf("crash %s budget=%d: %s", row.Experiment, row.BudgetSegs, row.Result))
-		}
-	}
-	for _, budget := range opts.Budgets {
-		add(crashOOMPoint(opts, budget))
-	}
-	for _, budget := range opts.Budgets {
-		add(crashKillPoint(opts, budget))
-	}
-	return t, rep, nil
-}
-
-// crashOOMPoint runs one out-of-core configuration on the constrained
-// machine with memory enforcement armed.
-func crashOOMPoint(opts CrashOptions, budgetSegs int64) CrashRow {
-	row := CrashRow{Experiment: "out-of-core", BudgetSegs: budgetSegs}
-	m := cluster.Lonestar()
-	m.CoresPerNode = opts.CoresPerNode
-	m.MemPerNode = opts.MemPerNode
-	fs := pfs.New(pfs.DefaultConfig())
-	cfg := tcio.Config{SegmentSize: opts.SegmentSize, NumSegments: opts.NumSegments}
-	if budgetSegs > 0 {
-		cfg.SegmentMemoryBudget = budgetSegs * opts.SegmentSize
-	}
-	sts := make([]tcio.Stats, opts.Procs)
-	mrep, err := mpi.Run(mpi.Config{Procs: opts.Procs, Machine: m, FS: fs, EnforceMemory: true},
-		func(c *mpi.Comm) error {
-			f, err := tcio.Open(c, crashFile, tcio.WriteMode, cfg)
-			if err != nil {
-				return err
-			}
-			if err := crashWorkload(c, f, opts.Blocks, opts.Rounds); err != nil {
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			sts[c.Rank()] = f.Stats()
-			return nil
-		})
-	row.PeakMemory = mrep.PeakMemory
-	for _, s := range sts {
-		row.Spills += s.SpillSegments
-		row.CleanDrops += s.CleanDrops
-		row.RefaultBytes += s.SpillRefaultBytes
-		row.JournalBytes += s.JournalBytes
-		row.Epochs += s.JournalEpochs
-		row.Commits += s.JournalCommits
-	}
-	switch {
-	case budgetSegs == 0 && errors.Is(err, cluster.ErrOutOfMemory):
-		row.Result = "OOM (windows exceed node memory)"
-	case budgetSegs == 0:
-		row.Result = fmt.Sprintf("UNEXPECTED: wanted OOM, got %v", err)
-	case err != nil:
-		row.Result = fmt.Sprintf("FAILED: %v", err)
-	case opts.Verify && !bytes.Equal(fs.Open(crashFile).Snapshot(), crashImage(opts.Procs, opts.Blocks)):
-		row.Result = "CORRUPT: image diverged"
-	default:
-		row.Result = "ok"
-	}
-	return row
-}
-
-// crashKillPoint runs one crash configuration: a clean logged run, then
-// Kills replay-recover-verify cycles.
-func crashKillPoint(opts CrashOptions, budgetSegs int64) CrashRow {
-	row := CrashRow{Experiment: "crash", BudgetSegs: budgetSegs, Kills: opts.Kills}
-	fs := pfs.New(pfs.DefaultConfig())
-	log := &pfs.Oplog{}
-	fs.SetOplog(log)
-	cfg := tcio.Config{
-		SegmentSize: opts.SegmentSize, NumSegments: opts.NumSegments, Journal: true,
-	}
-	if budgetSegs > 0 {
-		cfg.SegmentMemoryBudget = budgetSegs * opts.SegmentSize
-	}
-	sts := make([]tcio.Stats, opts.Procs)
-	mrep, err := mpi.Run(mpi.Config{Procs: opts.Procs, FS: fs}, func(c *mpi.Comm) error {
+// crashRun runs the workload once under cfg in env and totals the ranks'
+// journal and spill counters.
+func crashRun(g *crashGeometry, env *Env, cfg tcio.Config) PhaseResult {
+	return env.Run(g.Procs, 0, func(c *mpi.Comm, t *Tally) error {
 		f, err := tcio.Open(c, crashFile, tcio.WriteMode, cfg)
 		if err != nil {
 			return err
 		}
-		if err := crashWorkload(c, f, opts.Blocks, opts.Rounds); err != nil {
+		if err := crashWorkload(c, f, g.Blocks, g.Rounds); err != nil {
 			return err
 		}
 		if err := f.Close(); err != nil {
 			return err
 		}
-		sts[c.Rank()] = f.Stats()
+		t.TCIO(f.Stats())
 		return nil
 	})
-	if err != nil {
-		row.Result = fmt.Sprintf("FAILED: %v", err)
+}
+
+// config is the tcio configuration of one point.
+func (g *crashGeometry) config(p crashPoint) tcio.Config {
+	cfg := tcio.Config{SegmentSize: g.SegmentSize, NumSegments: g.NumSegments, Journal: p.Kill}
+	if p.BudgetSegs > 0 {
+		cfg.SegmentMemoryBudget = p.BudgetSegs * g.SegmentSize
+	}
+	return cfg
+}
+
+// crashOOMPoint runs one out-of-core configuration on the constrained
+// machine (memory enforcement is always armed).
+func crashOOMPoint(g *crashGeometry, p crashPoint) Row {
+	m := cluster.Lonestar()
+	m.CoresPerNode = g.CoresPerNode
+	m.MemPerNode = g.MemPerNode
+	env := &Env{Machine: m, FS: pfs.New(pfs.DefaultConfig()), Scale: 1}
+	row := Row{Point: p, PhaseResult: crashRun(g, env, g.config(p))}
+	switch {
+	case p.BudgetSegs == 0 && row.FailReason == reasonOOM:
+		row.Result = "OOM (windows exceed node memory)"
+	case p.BudgetSegs == 0:
+		row.Result = fmt.Sprintf("UNEXPECTED: wanted OOM, got %q", row.FailReason)
+	case row.Failed:
+		row.Result = "FAILED: " + row.FailReason
+	case !bytes.Equal(env.FS.Open(crashFile).Snapshot(), crashImage(g.Procs, g.Blocks, nil)):
+		row.Result = "CORRUPT: image diverged"
+	}
+	return row
+}
+
+// crashKillPoint runs one crash configuration: a clean logged run, then
+// Kills replay-recover-verify cycles at instants drawn from the seed. The
+// row reports the journal counters and the kill tally only.
+func crashKillPoint(g *crashGeometry, seed int64, p crashPoint) Row {
+	env := &Env{FS: pfs.New(pfs.DefaultConfig()), Scale: 1}
+	log := &pfs.Oplog{}
+	env.FS.SetOplog(log)
+	cfg := g.config(p)
+	run := crashRun(g, env, cfg)
+	p.Kills = g.Kills
+	row := Row{Point: p, PhaseResult: PhaseResult{TCIO: run.TCIO}}
+	if run.Failed {
+		row.Result = "FAILED: " + run.FailReason
 		return row
 	}
-	for _, s := range sts {
-		row.Spills += s.SpillSegments
-		row.CleanDrops += s.CleanDrops
-		row.RefaultBytes += s.SpillRefaultBytes
-		row.JournalBytes += s.JournalBytes
-		row.Epochs += s.JournalEpochs
-		row.Commits += s.JournalCommits
-	}
-
-	rng := rand.New(rand.NewSource(opts.Seed*1664525 + 1013904223 + budgetSegs))
-	m := int64(mrep.MaxTime)
+	rng := rand.New(rand.NewSource(seed*1664525 + 1013904223 + p.BudgetSegs))
+	m := int64(run.Time)
 	lo := 3 * m / 10
 	span := m - lo + m/20 + 1
-	for k := 0; k < opts.Kills; k++ {
+	for k := 0; k < g.Kills; k++ {
 		at := simtime.Time(lo + rng.Int63n(span))
-		if err := crashVerifyKill(opts, cfg, log, at); err != nil {
+		if err := crashVerifyKill(g, cfg, log, at); err != nil {
 			row.Result = fmt.Sprintf("KILL at %v: %v", at, err)
-			return row
+			break
 		}
-		row.KillsOK++
+		p.KillsOK++
 	}
-	row.Result = "ok"
+	row.Point = p
 	return row
+}
+
+// crashSweep tabulates both experiments. Every reported quantity is a pure
+// function of the geometry and the seed (virtual-time kill draws included),
+// so two sweeps with the same options emit identical tables.
+func crashSweep(g *crashGeometry) *Sweep {
+	at := func(r *Row) crashPoint { return r.Point.(crashPoint) }
+	return &Sweep{
+		Name: "crash",
+		Help: "run the out-of-core / crash-recovery sweep (uses -seed)",
+		Flags: []Flag{
+			{"crash-kills", "kill instants replayed per -crash configuration", &g.Kills},
+			{"crash-budgets", "comma-separated resident-segment budgets for -crash", &g.Budgets},
+		},
+		Params: g,
+		Validate: func() error {
+			if g.Kills < 1 {
+				return fmt.Errorf("bench: %d kills per crash configuration", g.Kills)
+			}
+			return nil
+		},
+		Points: func(bool) []any {
+			return grid2([]bool{false, true}, g.Budgets,
+				func(kill bool, b int64) any { return crashPoint{Kill: kill, BudgetSegs: b} })
+		},
+		// Both experiments build their own machine and file system; the
+		// runner's environment only carries the seed.
+		Env: func(Options, any) EnvSpec { return EnvSpec{Scale: 1} },
+		Run: func(env *Env, pt any) ([]Row, error) {
+			if p := pt.(crashPoint); p.Kill {
+				return []Row{crashKillPoint(g, env.Seed, p)}, nil
+			}
+			return []Row{crashOOMPoint(g, pt.(crashPoint))}, nil
+		},
+		Tables: func(o Options) []Table {
+			return []Table{{
+				Title: fmt.Sprintf("Crash/out-of-core sweep: %d ranks, %d kills, seed %d (all columns seed-deterministic)",
+					g.Procs, g.Kills, o.Seed),
+				Columns: []Column{
+					det("experiment", "experiment", func(r *Row) any { return pick(at(r).Kill, "crash", "out-of-core") }),
+					det("budget-segs", "budget_segs", func(r *Row) any { return at(r).BudgetSegs }),
+					colResult,
+					det("peak-mem", "peak_memory", func(r *Row) any { return r.PeakMemory }),
+					det("spills", "spills", func(r *Row) any { return r.TCIO.SpillSegments }),
+					det("clean-drops", "clean_drops", func(r *Row) any { return r.TCIO.CleanDrops }),
+					det("refault-B", "refault_bytes", func(r *Row) any { return r.TCIO.SpillRefaultBytes }),
+					det("journal-B", "journal_bytes", func(r *Row) any { return r.TCIO.JournalBytes }),
+					det("epochs", "epochs", func(r *Row) any { return r.TCIO.JournalEpochs }),
+					det("commits", "commits", func(r *Row) any { return r.TCIO.JournalCommits }),
+					det("kills", "kills", func(r *Row) any { return at(r).Kills }),
+					det("kills-ok", "kills_ok", func(r *Row) any { return at(r).KillsOK }),
+				},
+			}}
+		},
+	}
 }
 
 // crashVerifyKill reconstructs the crash at one instant, recovers, and
 // checks the committed-prefix expectation.
-func crashVerifyKill(opts CrashOptions, cfg tcio.Config, log *pfs.Oplog, at simtime.Time) error {
+func crashVerifyKill(opts *crashGeometry, cfg tcio.Config, log *pfs.Oplog, at simtime.Time) error {
 	crashed := pfs.New(pfs.DefaultConfig())
 	log.ReplayAt(crashed, at)
 
@@ -327,33 +290,20 @@ func crashVerifyKill(opts CrashOptions, cfg tcio.Config, log *pfs.Oplog, at simt
 	}
 
 	per := (opts.Blocks + opts.Rounds - 1) / opts.Rounds
-	expected := make([]byte, opts.Procs*opts.Blocks*16)
-	for r := 0; r < opts.Procs; r++ {
-		for i := 0; i < opts.Blocks; i++ {
-			seq := int64(i/per) + 1
-			for j := 0; j < 16; j++ {
-				b := int64((i*opts.Procs+r)*16 + j)
-				owner := int((b / opts.SegmentSize) % int64(opts.Procs))
-				if committed[owner][seq] {
-					expected[b] = crashByte(r, i, j)
-				}
-			}
-		}
-	}
+	expected := crashImage(opts.Procs, opts.Blocks, func(b int64, i int) bool {
+		owner := int((b / opts.SegmentSize) % int64(opts.Procs))
+		return committed[owner][int64(i/per)+1]
+	})
+	// Compare as if both images were zero-extended to the longer one.
 	got := crashed.Open(crashFile).Snapshot()
-	n := int64(len(expected))
-	if int64(len(got)) > n {
-		n = int64(len(got))
+	pad := func(img []byte, i int) byte {
+		if i < len(img) {
+			return img[i]
+		}
+		return 0
 	}
-	for i := int64(0); i < n; i++ {
-		var g, w byte
-		if i < int64(len(got)) {
-			g = got[i]
-		}
-		if i < int64(len(expected)) {
-			w = expected[i]
-		}
-		if g != w {
+	for i := 0; i < max(len(got), len(expected)); i++ {
+		if g, w := pad(got, i), pad(expected, i); g != w {
 			return fmt.Errorf("recovered byte %d = %#x, committed-prefix model %#x", i, g, w)
 		}
 	}

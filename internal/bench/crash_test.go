@@ -1,15 +1,14 @@
 package bench
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 )
 
-func testCrashOptions() CrashOptions {
-	o := DefaultCrash()
-	o.Kills = 4
-	return o
+func testCrashGeometry() *crashGeometry {
+	g := defaultCrash()
+	g.Kills = 4
+	return g
 }
 
 // TestCrashSweepOutcomes pins the headline claims of the -crash sweep: the
@@ -17,7 +16,7 @@ func testCrashOptions() CrashOptions {
 // point completes byte-exactly with the tightest budget actually spilling,
 // and every crash point survives all of its kill-replay-recover cycles.
 func TestCrashSweepOutcomes(t *testing.T) {
-	_, rep, err := Crash(testCrashOptions())
+	rep, err := Run(crashSweep(testCrashGeometry()), Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,47 +24,28 @@ func TestCrashSweepOutcomes(t *testing.T) {
 		t.Fatalf("rows = %d, want 6", len(rep.Rows))
 	}
 	for _, row := range rep.Rows {
+		p := row.Point.(crashPoint)
 		switch {
-		case row.Experiment == "out-of-core" && row.BudgetSegs == 0:
+		case !p.Kill && p.BudgetSegs == 0:
 			if !strings.HasPrefix(row.Result, "OOM") {
 				t.Errorf("unbudgeted out-of-core point: got %q, want OOM", row.Result)
 			}
-		case row.Experiment == "out-of-core":
+		case !p.Kill:
 			if row.Result != "ok" {
-				t.Errorf("budget %d out-of-core point: %s", row.BudgetSegs, row.Result)
+				t.Errorf("budget %d out-of-core point: %s", p.BudgetSegs, row.Result)
 			}
-			if row.BudgetSegs == 2 && row.Spills == 0 {
+			if p.BudgetSegs == 2 && row.TCIO.SpillSegments == 0 {
 				t.Errorf("tightest budget never spilled; the demo shows nothing")
 			}
-		case row.Experiment == "crash":
-			if row.Result != "ok" || row.KillsOK != row.Kills {
+		case p.Kill:
+			if row.Result != "ok" || p.KillsOK != p.Kills {
 				t.Errorf("crash point budget %d: %s (%d/%d kills ok)",
-					row.BudgetSegs, row.Result, row.KillsOK, row.Kills)
+					p.BudgetSegs, row.Result, p.KillsOK, p.Kills)
 			}
-			if row.Commits != row.Epochs {
+			if row.TCIO.JournalCommits != row.TCIO.JournalEpochs {
 				t.Errorf("crash point budget %d: %d commits for %d epochs",
-					row.BudgetSegs, row.Commits, row.Epochs)
+					p.BudgetSegs, row.TCIO.JournalCommits, row.TCIO.JournalEpochs)
 			}
 		}
-	}
-}
-
-// TestCrashSweepDeterministic pins the CI contract: two sweeps with the
-// same options produce identical rows, peak-memory and kill verdicts
-// included.
-func TestCrashSweepDeterministic(t *testing.T) {
-	ta, ra, err := Crash(testCrashOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	tb, rb, err := Crash(testCrashOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(ra.Rows, rb.Rows) {
-		t.Fatalf("crash sweep not reproducible:\nrun 1: %+v\nrun 2: %+v", ra.Rows, rb.Rows)
-	}
-	if !reflect.DeepEqual(ta.Rows, tb.Rows) {
-		t.Fatalf("crash tables differ between runs")
 	}
 }

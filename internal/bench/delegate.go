@@ -1,6 +1,6 @@
 package bench
 
-// This file implements the I/O delegation sweep: a strided small-write
+// This file declares the I/O delegation sweep: a strided small-write
 // workload run through internal/delegate while the server count, the
 // number of concurrently open files, and the request size vary.
 //
@@ -26,86 +26,51 @@ package bench
 
 import (
 	"fmt"
-	"sync"
 
 	"github.com/tcio/tcio/internal/delegate"
 	"github.com/tcio/tcio/internal/mpi"
-	"github.com/tcio/tcio/internal/stats"
 	"github.com/tcio/tcio/internal/tcio"
 )
 
-// DelegateOptions configures the delegation sweep.
-type DelegateOptions struct {
-	// Clients is the application rank count of every cell; delegated
-	// cells run Clients+servers ranks total.
-	Clients int
-	// SegSize is the real tcio segment size in bytes.
-	SegSize int64
-	// SegsPerClient is the per-client segment count; each file is exactly
-	// Clients x SegsPerClient segments.
-	SegsPerClient int
-	// Servers lists the server-rank counts swept (0 = pass-through).
-	Servers []int
-	// Files lists the concurrently-open file counts swept.
-	Files []int
-	// ReqSizes lists the real client request sizes swept.
-	ReqSizes []int64
-	// QueueDepth is the per-(client, server) admission window (0 = 8).
-	QueueDepth int
-	// Scale is the environment byte scale (simulated bytes per real byte).
-	Scale int64
-	// Verify reads every file back through the same tier configuration
-	// and checks each byte against the generator.
-	Verify bool
-	// Progress receives one line per completed cell.
-	Progress func(string)
-}
-
-// DefaultDelegate sweeps 0/1/2 servers against 1 and 2 open files and
-// 256 B / 2 KiB (real) requests, over 8 client ranks and 16 KiB (real)
-// segments.
-func DefaultDelegate() DelegateOptions {
-	return DelegateOptions{
-		Clients:       8,
-		SegSize:       16 << 10,
-		SegsPerClient: 4,
-		Servers:       []int{0, 1, 2},
-		Files:         []int{1, 2},
-		ReqSizes:      []int64{256, 2 << 10},
-		QueueDepth:    8,
-		Scale:         16,
-		Verify:        true,
+// tierConfig builds the delegation tier's configuration for a server count.
+func (g *segGeometry) tierConfig(servers int) delegate.Config {
+	return delegate.Config{
+		ServerRanks: servers,
+		TCIO: tcio.Config{
+			SegmentSize:    g.SegSize,
+			NumSegments:    g.SegsPerRank,
+			DemandPopulate: true,
+		},
 	}
 }
 
-// DelegatePoint is one cell's result. Sizes are simulated bytes.
-type DelegatePoint struct {
-	Servers       int     `json:"servers"`
-	Files         int     `json:"files"`
-	ReqSize       int64   `json:"req_size"`
-	Procs         int     `json:"procs"`
-	VirtualTimeNs int64   `json:"virtual_time_ns"`
-	MBs           float64 `json:"mbs"`
-	WriteReqs     int64   `json:"write_reqs"`
-	CreditStalls  int64   `json:"credit_stalls"`
-	Staged        int64   `json:"staged_writes"`
-	BatchedRuns   int64   `json:"batched_runs"`
-	FSWrites      int64   `json:"fs_writes"`
-	Result        string  `json:"result"`
+// delegateGeometry configures the delegation sweep.
+type delegateGeometry struct {
+	segGeometry
+	Servers    []int   // server-rank counts swept (0 = pass-through)
+	Files      []int   // concurrently-open file counts swept
+	ReqSizes   []int64 // real client request sizes swept
+	QueueDepth int     // per-(client, server) admission window (0 = 8)
 }
 
-// DelegateReport is the machine-readable result of one sweep
-// (tciobench -delegate -json).
-type DelegateReport struct {
-	Clients       int             `json:"clients"`
-	SegsPerClient int             `json:"segs_per_client"`
-	SegSize       int64           `json:"seg_size"` // simulated bytes
-	QueueDepth    int             `json:"queue_depth"`
-	Scale         int64           `json:"scale"`
-	Points        []DelegatePoint `json:"points"`
-	// ReadPoints holds the delegated read sweep's cells (DelegateRead);
-	// nil when only the write sweep ran.
-	ReadPoints []DelegateReadPoint `json:"read_points,omitempty"`
+// defaultDelegate sweeps 0/1/2 servers against 1 and 2 open files and
+// 256 B / 2 KiB (real) requests, over 8 client ranks and 16 KiB (real)
+// segments.
+func defaultDelegate() *delegateGeometry {
+	return &delegateGeometry{
+		segGeometry: segGeometry{Procs: 8, SegSize: 16 << 10, SegsPerRank: 4, Scale: 16},
+		Servers:     []int{0, 1, 2},
+		Files:       []int{1, 2},
+		ReqSizes:    []int64{256, 2 << 10},
+		QueueDepth:  8,
+	}
+}
+
+// delegatePoint is one (servers, files, request size) cell. ReqSize is in
+// real bytes.
+type delegatePoint struct {
+	Servers, Files int
+	ReqSize        int64
 }
 
 // delegateByte is the workload's deterministic content generator; the
@@ -116,348 +81,233 @@ func delegateByte(fi int, off int64) byte {
 	return byte(x * 0xD1342543DE82EF95 >> 56)
 }
 
-// delegateFileBytes is the per-file size: every client owns its share of
-// every segment, dealt in request-size blocks.
-func delegateFileBytes(opts DelegateOptions) int64 {
-	return opts.SegSize * int64(opts.SegsPerClient) * int64(opts.Clients)
+// tierProgram is one world of the strided workload: request-size blocks
+// of every file are dealt round-robin to the clients.
+type tierProgram struct {
+	Files   int
+	ReqSize int64
+	// Write makes every client write its blocks of every file, flush, and
+	// close.
+	Write bool
+	// Read makes every client then reopen the files and read Passes times
+	// — its own blocks, or with Shared every block — verifying the last
+	// pass against the generator.
+	Read   bool
+	Passes int
+	Shared bool
+}
+
+// runTier executes the program under cfg. The result totals the clients'
+// file counters (pass-through: and their tcio counters) and the servers'.
+func (g *segGeometry) runTier(env *Env, cfg delegate.Config, p tierProgram) PhaseResult {
+	env.FS.Reset()
+	fileBytes := g.fileBytes()
+	var written int64
+	if p.Write {
+		written = fileBytes * int64(p.Files) * g.Scale
+	}
+	col := &delegate.Collector{}
+	cfg.Collect = col
+	pr := env.Run(g.Procs+cfg.ServerRanks, written, func(c *mpi.Comm, t *Tally) error {
+		return delegate.Run(c, cfg, func(tr *delegate.Tier) error {
+			// session opens every file, runs body over them, and closes.
+			session := func(mode tcio.Mode, body func([]*delegate.File) error) error {
+				handles := make([]*delegate.File, p.Files)
+				for fi := range handles {
+					f, err := tr.Open(delegateFileName(fi), mode)
+					if err != nil {
+						return err
+					}
+					handles[fi] = f
+				}
+				if err := body(handles); err != nil {
+					return err
+				}
+				for _, f := range handles {
+					if err := f.Close(); err != nil {
+						return err
+					}
+					t.Client(f.Stats())
+					if !tr.IsDelegated() {
+						t.TCIO(f.TCIO().Stats())
+					}
+				}
+				return nil
+			}
+			own, stride := int64(tr.ClientIndex())*p.ReqSize, p.ReqSize*int64(g.Procs)
+			if p.Write {
+				if err := session(tcio.WriteMode, func(handles []*delegate.File) error {
+					buf := make([]byte, p.ReqSize)
+					for fi, f := range handles {
+						for off := own; off < fileBytes; off += stride {
+							for i := range buf {
+								buf[i] = delegateByte(fi, off+int64(i))
+							}
+							if err := f.WriteAt(off, buf); err != nil {
+								return err
+							}
+						}
+					}
+					for _, f := range handles {
+						if err := f.Flush(); err != nil {
+							return err
+						}
+					}
+					return nil
+				}); err != nil {
+					return err
+				}
+			}
+			if !p.Read {
+				return nil
+			}
+			first, step := own, stride
+			if p.Shared {
+				first, step = 0, p.ReqSize
+			}
+			return session(tcio.ReadMode, func(handles []*delegate.File) error {
+				for pass := 0; pass < p.Passes; pass++ {
+					// Issue every read first: pass-through reads are lazy
+					// until Fetch, delegation reads fill synchronously unless
+					// collective, where the one Fetch per pass closes the
+					// read-intent epoch.
+					type block struct {
+						fi  int
+						off int64
+						dst []byte
+					}
+					var blocks []block
+					for fi, f := range handles {
+						for off := first; off < fileBytes; off += step {
+							dst := make([]byte, p.ReqSize)
+							if err := f.ReadAt(off, dst); err != nil {
+								return err
+							}
+							blocks = append(blocks, block{fi, off, dst})
+						}
+					}
+					for _, f := range handles {
+						if err := f.Fetch(); err != nil {
+							return err
+						}
+					}
+					if pass < p.Passes-1 {
+						continue
+					}
+					for _, b := range blocks {
+						want := func(off int64) byte { return delegateByte(b.fi, off) }
+						if err := checkBytes(c.Rank(), b.off, b.dst, want); err != nil {
+							return fmt.Errorf("file %d: %w", b.fi, err)
+						}
+					}
+				}
+				return nil
+			})
+		})
+	})
+	pr.Servers = serverTotals(col)
+	return pr
 }
 
 func delegateFileName(fi int) string { return fmt.Sprintf("delegate-%d.dat", fi) }
 
-// delegateConfig builds the tier configuration for one cell.
-func delegateConfig(opts DelegateOptions, servers int) delegate.Config {
-	return delegate.Config{
-		ServerRanks: servers,
-		QueueDepth:  opts.QueueDepth,
-		TCIO: tcio.Config{
-			SegmentSize:    opts.SegSize,
-			NumSegments:    opts.SegsPerClient,
-			DemandPopulate: true,
-		},
-	}
-}
-
-// delegateAgg is the cell's aggregated protocol and server counters.
-type delegateAgg struct {
-	writeReqs    int64 // protocol write requests (pass-through: write calls)
-	creditStalls int64
-	staged       int64 // server-side; zero in pass-through
-	batchedRuns  int64
-	retries      int64
-}
-
-// delegateWrite runs one cell's write phase: every client writes its
-// round-robin blocks of every file, flushes, and closes.
-func delegateWrite(opts DelegateOptions, env *Env, servers, files int,
-	reqSize int64) (PhaseResult, delegateAgg) {
-	env.FS.Reset()
-	procs := opts.Clients + servers
-	fileBytes := delegateFileBytes(opts)
-	pr := PhaseResult{
-		Method:   MethodTCIO,
-		Procs:    procs,
-		SimBytes: fileBytes * int64(files) * opts.Scale,
-	}
-	var agg delegateAgg
-	var mu sync.Mutex
-	cfg := delegateConfig(opts, servers)
-	col := &delegate.Collector{}
-	cfg.Collect = col
-	rep, err := mpi.Run(mpi.Config{
-		Procs:   procs,
-		Machine: env.Machine,
-		FS:      env.FS,
-		Faults:  env.Faults,
-	}, func(c *mpi.Comm) error {
-		return delegate.Run(c, cfg, func(tr *delegate.Tier) error {
-			handles := make([]*delegate.File, files)
-			for fi := range handles {
-				f, err := tr.Open(delegateFileName(fi), tcio.WriteMode)
-				if err != nil {
-					return err
-				}
-				handles[fi] = f
-			}
-			buf := make([]byte, reqSize)
-			stride := reqSize * int64(opts.Clients)
-			for fi, f := range handles {
-				for off := int64(tr.ClientIndex()) * reqSize; off < fileBytes; off += stride {
-					for i := range buf {
-						buf[i] = delegateByte(fi, off+int64(i))
-					}
-					if err := f.WriteAt(off, buf); err != nil {
-						return err
-					}
-				}
-			}
-			for _, f := range handles {
-				if err := f.Flush(); err != nil {
-					return err
-				}
-			}
-			for _, f := range handles {
-				if err := f.Close(); err != nil {
-					return err
-				}
-				st := f.Stats()
-				mu.Lock()
-				if tr.IsDelegated() {
-					agg.writeReqs += st.WriteReqs
-					agg.creditStalls += st.CreditStalls
-				} else {
-					// Application calls are the request-count baseline the
-					// protocol's domain pieces compare against.
-					agg.writeReqs += st.Writes
-					agg.retries += f.TCIO().Stats().Retries
-				}
-				mu.Unlock()
-			}
-			return nil
-		})
-	})
-	if err != nil {
-		pr.Failed = true
-		pr.FailReason = failReason(err)
-		return pr, agg
-	}
-	for _, s := range col.Servers() {
-		agg.staged += s.StagedWrites
-		agg.batchedRuns += s.BatchedRuns
-		agg.retries += s.Retries
-	}
-	pr.Time = rep.MaxTime.Sub(0)
-	pr.MBs = stats.ThroughputMBs(pr.SimBytes, pr.Time)
-	pr.Net = rep.Net
-	pr.FS = rep.FS
-	pr.AllocRetries = rep.AllocRetries
-	return pr, agg
-}
-
-// delegateVerify reads every file back through the same tier
-// configuration and checks each byte each client wrote.
-func delegateVerify(opts DelegateOptions, env *Env, servers, files int,
-	reqSize int64) error {
-	env.FS.Reset()
-	fileBytes := delegateFileBytes(opts)
-	cfg := delegateConfig(opts, servers)
-	_, err := mpi.Run(mpi.Config{
-		Procs:   opts.Clients + servers,
-		Machine: env.Machine,
-		FS:      env.FS,
-		Faults:  env.Faults,
-	}, func(c *mpi.Comm) error {
-		return delegate.Run(c, cfg, func(tr *delegate.Tier) error {
-			handles := make([]*delegate.File, files)
-			for fi := range handles {
-				f, err := tr.Open(delegateFileName(fi), tcio.ReadMode)
-				if err != nil {
-					return err
-				}
-				handles[fi] = f
-			}
-			// Issue every read first: pass-through reads are lazy until
-			// Fetch, delegation reads fill synchronously either way.
-			type block struct {
-				fi  int
-				off int64
-				dst []byte
-			}
-			var blocks []block
-			stride := reqSize * int64(opts.Clients)
-			for fi, f := range handles {
-				for off := int64(tr.ClientIndex()) * reqSize; off < fileBytes; off += stride {
-					dst := make([]byte, reqSize)
-					if err := f.ReadAt(off, dst); err != nil {
-						return err
-					}
-					blocks = append(blocks, block{fi, off, dst})
-				}
-			}
-			for _, f := range handles {
-				if err := f.Fetch(); err != nil {
-					return err
-				}
-			}
-			for _, f := range handles {
-				if err := f.Close(); err != nil {
-					return err
-				}
-			}
-			for _, b := range blocks {
-				for i, got := range b.dst {
-					if want := delegateByte(b.fi, b.off+int64(i)); got != want {
-						return fmt.Errorf("file %d offset %d: got %#x want %#x",
-							b.fi, b.off+int64(i), got, want)
-					}
-				}
-			}
-			return nil
-		})
-	})
-	return err
-}
-
-// validateDelegate checks the sweep's alignment preconditions.
-func validateDelegate(opts DelegateOptions) error {
-	if opts.Clients < 1 || opts.SegsPerClient < 1 {
-		return fmt.Errorf("bench: %d clients, %d segments per client", opts.Clients, opts.SegsPerClient)
-	}
-	for _, s := range opts.Servers {
+// validate checks the sweep's alignment preconditions.
+func (g *delegateGeometry) validate() error {
+	for _, s := range g.Servers {
 		if s < 0 {
 			return fmt.Errorf("bench: %d server ranks", s)
 		}
 	}
-	for _, n := range opts.Files {
+	for _, n := range g.Files {
 		if n < 1 {
 			return fmt.Errorf("bench: %d files", n)
 		}
 	}
-	fileBytes := delegateFileBytes(opts)
-	for _, r := range opts.ReqSizes {
-		if r < 1 || fileBytes%(r*int64(opts.Clients)) != 0 {
-			return fmt.Errorf("bench: file size %d not dealt evenly by %d clients x %d B requests",
-				fileBytes, opts.Clients, r)
-		}
-	}
-	return nil
+	return g.segGeometry.validate(g.ReqSizes...)
 }
 
-// Delegate runs the full sweep: every (servers, files, request size)
-// cell in a fresh environment, write phase plus verified read-back.
-func Delegate(opts DelegateOptions) (stats.Table, *DelegateReport, error) {
-	if err := validateDelegate(opts); err != nil {
-		return stats.Table{}, nil, err
-	}
-	report := &DelegateReport{
-		Clients:       opts.Clients,
-		SegsPerClient: opts.SegsPerClient,
-		SegSize:       opts.SegSize * opts.Scale,
-		QueueDepth:    opts.QueueDepth,
-		Scale:         opts.Scale,
-	}
-	t := stats.Table{
-		Title: fmt.Sprintf("I/O delegation: strided writes, %d clients, %d B simulated segments",
-			opts.Clients, opts.SegSize*opts.Scale),
-		Headers: []string{"servers", "files", "req-size", "time", "MB/s",
-			"write-reqs", "staged", "runs", "fs-writes", "stalls", "result"},
-	}
-	for _, servers := range opts.Servers {
-		for _, files := range opts.Files {
-			for _, reqSize := range opts.ReqSizes {
-				env, err := NewEnv(opts.Scale)
-				if err != nil {
-					return t, report, err
+// delegateSweep runs every (servers, files, request size) cell in a fresh
+// environment, write phase plus verified read-back.
+//
+// The projection is a reduced grid at the first request size. Request
+// arrival order at a server races, but the staged-record set, the sorted
+// epoch drain, and hence every fault roll the drain keys are pure functions
+// of the program; credit stalls are deliberately absent (whether a grant
+// beats the next write is a scheduling fact). Its injection count is the
+// write run's alone: in the verifying read-back pass-through clients
+// demand-populate shared segments, so which rank populates what — and
+// hence the read phase's fault rolls — is a scheduling fact.
+func delegateSweep(g *delegateGeometry) *Sweep {
+	at := func(r *Row) delegatePoint { return r.Point.(delegatePoint) }
+	// Server counters print as "-" in the pass-through cells, which have no
+	// servers.
+	server := func(header, key string, v func(*Row) int64) Column {
+		return Column{Header: header, Key: key, Det: true,
+			Value: func(r *Row) any { return v(r) },
+			Cell: func(r *Row) string {
+				if at(r).Servers == 0 {
+					return "-"
 				}
-				pr, agg := delegateWrite(opts, env, servers, files, reqSize)
-				result := "ok"
-				if pr.Failed {
-					result = pr.FailReason
-				} else if opts.Verify {
-					if err := delegateVerify(opts, env, servers, files, reqSize); err != nil {
-						result = fmt.Sprintf("verify: %v", err)
-					}
-				}
-				staged, runs := fmt.Sprintf("%d", agg.staged), fmt.Sprintf("%d", agg.batchedRuns)
-				if servers == 0 {
-					staged, runs = "-", "-"
-				}
-				t.AddRow(
-					fmt.Sprintf("%d", servers),
-					fmt.Sprintf("%d", files),
-					fmt.Sprintf("%d", reqSize*opts.Scale),
-					pr.Time.String(),
-					fmt.Sprintf("%.1f", pr.MBs),
-					fmt.Sprintf("%d", agg.writeReqs),
-					staged,
-					runs,
-					fmt.Sprintf("%d", pr.FS.Writes),
-					fmt.Sprintf("%d", agg.creditStalls),
-					result,
-				)
-				report.Points = append(report.Points, DelegatePoint{
-					Servers:       servers,
-					Files:         files,
-					ReqSize:       reqSize * opts.Scale,
-					Procs:         opts.Clients + servers,
-					VirtualTimeNs: int64(pr.Time),
-					MBs:           pr.MBs,
-					WriteReqs:     agg.writeReqs,
-					CreditStalls:  agg.creditStalls,
-					Staged:        agg.staged,
-					BatchedRuns:   agg.batchedRuns,
-					FSWrites:      pr.FS.Writes,
-					Result:        result,
-				})
-				if opts.Progress != nil {
-					opts.Progress(fmt.Sprintf("delegate srv=%d files=%d req=%d: %v fs-writes=%d (%s)",
-						servers, files, reqSize*opts.Scale, pr.Time, pr.FS.Writes, result))
+				return fmt.Sprint(v(r))
+			}}
+	}
+	servers := det("servers", "servers", func(r *Row) any { return at(r).Servers })
+	files := det("files", "files", func(r *Row) any { return at(r).Files })
+	// Protocol write requests; for pass-through the application's write
+	// calls, the request-count baseline the protocol's domain pieces
+	// compare against.
+	writeReqs := det("write-reqs", "write_reqs", func(r *Row) any {
+		if at(r).Servers == 0 {
+			return r.Client.Writes
+		}
+		return r.Client.WriteReqs
+	})
+	staged := server("staged", "staged_writes", func(r *Row) int64 { return r.Servers.StagedWrites })
+	runs := server("runs", "batched_runs", func(r *Row) int64 { return r.Servers.BatchedRuns })
+	return &Sweep{
+		Name:     "delegate",
+		Help:     "sweep the I/O delegation tier (server ranks x open files x request size), plus the delegated read sweep",
+		InAll:    true,
+		Params:   g,
+		Validate: g.validate,
+		Points: func(chaos bool) []any {
+			if chaos {
+				req := g.ReqSizes[0]
+				return []any{delegatePoint{0, 1, req}, delegatePoint{1, 1, req}, delegatePoint{2, 2, req}}
+			}
+			return grid3(g.Servers, g.Files, g.ReqSizes,
+				func(s, f int, req int64) any { return delegatePoint{s, f, req} })
+		},
+		Env: g.env,
+		// The write phase, then a read-back through the same tier
+		// configuration that checks each byte each client wrote.
+		Run: func(env *Env, pt any) ([]Row, error) {
+			p := pt.(delegatePoint)
+			cfg := g.tierConfig(p.Servers)
+			cfg.QueueDepth = g.QueueDepth
+			row := Row{Point: p, PhaseResult: g.runTier(env, cfg, tierProgram{Files: p.Files, ReqSize: p.ReqSize, Write: true})}
+			if !row.Failed {
+				if v := g.runTier(env, cfg, tierProgram{Files: p.Files, ReqSize: p.ReqSize, Read: true, Passes: 1}); v.Failed {
+					row.Result = "verify: " + v.FailReason
 				}
 			}
-		}
+			return []Row{row}, nil
+		},
+		Tables: tables(Table{
+			Title: fmt.Sprintf("I/O delegation: strided writes, %d clients, %d B simulated segments",
+				g.Procs, g.SegSize*g.Scale),
+			Columns: []Column{
+				servers, files,
+				det("req-size", "req_size", func(r *Row) any { return at(r).ReqSize * g.Scale }),
+				colTime, colMBs, writeReqs, staged, runs, colFSWrites,
+				host("stalls", "credit_stalls", func(r *Row) any { return r.Client.CreditStalls }, nil),
+				colResult,
+			},
+		}),
+		Projection: &Table{
+			Title:   fmt.Sprintf("I/O delegation chaos: %d clients", g.Procs),
+			Columns: []Column{servers, files, colInjected, colRetries, writeReqs, staged, runs, colFSWrites, colResult},
+		},
+		JSON: []Column{det("procs", "procs", func(r *Row) any { return g.Procs + at(r).Servers })},
 	}
-	return t, report, nil
-}
-
-// DelegateChaos runs a reduced sweep under deterministic fault injection
-// and tabulates only seed-deterministic counts, so two runs with the same
-// seed emit byte-identical tables — the CI reproducibility check for the
-// delegation path. Request arrival order at a server races, but the
-// staged-record set, the sorted epoch drain, and hence every fault roll
-// the drain keys are pure functions of the program; credit stalls are
-// deliberately absent (whether a grant beats the next write is a
-// scheduling fact).
-func DelegateChaos(opts DelegateOptions, seed int64) (stats.Table, error) {
-	if err := validateDelegate(opts); err != nil {
-		return stats.Table{}, err
-	}
-	t := stats.Table{
-		Title: fmt.Sprintf("I/O delegation chaos: %d clients, seed %d (counts are seed-deterministic)",
-			opts.Clients, seed),
-		Headers: []string{"servers", "files", "injected", "retries",
-			"write-reqs", "staged", "runs", "fs-writes", "result"},
-	}
-	chaosBase := DefaultChaos()
-	chaosBase.Seed = seed
-	reqSize := opts.ReqSizes[0]
-	cells := []struct{ servers, files int }{{0, 1}, {1, 1}, {2, 2}}
-	for _, c := range cells {
-		inj := chaosBase.ChaosInjector(0.01)
-		env, err := NewChaosEnv(opts.Scale, inj)
-		if err != nil {
-			return t, err
-		}
-		pr, agg := delegateWrite(opts, env, c.servers, c.files, reqSize)
-		// Snapshot before the verifying read-back: pass-through clients
-		// demand-populate shared segments, so which rank populates what —
-		// and hence the read phase's fault rolls — is a scheduling fact.
-		// The write path's rolls are operation-keyed.
-		injected := inj.TotalInjected()
-		result := "ok"
-		if pr.Failed {
-			result = pr.FailReason
-		} else if opts.Verify {
-			if err := delegateVerify(opts, env, c.servers, c.files, reqSize); err != nil {
-				result = fmt.Sprintf("verify: %v", err)
-			}
-		}
-		staged, runs := fmt.Sprintf("%d", agg.staged), fmt.Sprintf("%d", agg.batchedRuns)
-		if c.servers == 0 {
-			staged, runs = "-", "-"
-		}
-		t.AddRow(
-			fmt.Sprintf("%d", c.servers),
-			fmt.Sprintf("%d", c.files),
-			fmt.Sprintf("%d", injected),
-			fmt.Sprintf("%d", agg.retries),
-			fmt.Sprintf("%d", agg.writeReqs),
-			staged,
-			runs,
-			fmt.Sprintf("%d", pr.FS.Writes),
-			result,
-		)
-		if opts.Progress != nil {
-			opts.Progress(fmt.Sprintf("delegate chaos srv=%d files=%d: %s", c.servers, c.files, result))
-		}
-	}
-	return t, nil
 }

@@ -1,47 +1,39 @@
 package bench
 
-import (
-	"bytes"
-	"testing"
-)
+import "testing"
 
 // smallDelegateOpts shrinks the sweep to test scale: 4 clients, 2 KiB
 // files, 64 B requests.
-func smallDelegateOpts() DelegateOptions {
-	return DelegateOptions{
-		Clients:       4,
-		SegSize:       256,
-		SegsPerClient: 2,
-		Servers:       []int{0, 1, 2},
-		Files:         []int{1, 2},
-		ReqSizes:      []int64{64, 256},
-		Scale:         4,
-		Verify:        true,
+func smallDelegateOpts() *delegateGeometry {
+	return &delegateGeometry{
+		segGeometry: segGeometry{Procs: 4, SegSize: 256, SegsPerRank: 2, Scale: 4},
+		Servers:     []int{0, 1, 2},
+		Files:       []int{1, 2},
+		ReqSizes:    []int64{64, 256},
 	}
 }
 
 func TestDelegateSweepSmall(t *testing.T) {
 	opts := smallDelegateOpts()
-	_, report, err := Delegate(opts)
+	rep, err := Run(delegateSweep(opts), Options{})
 	if err != nil {
 		t.Fatalf("Delegate: %v", err)
 	}
-	type key struct {
-		servers, files int
-		req            int64
-	}
-	byKey := map[key]DelegatePoint{}
-	for _, p := range report.Points {
-		if p.Result != "ok" {
-			t.Errorf("point %+v: result %q", p, p.Result)
+	// point is a cell's tabulated values, read through the JSON columns.
+	type point struct{ WriteReqs, Staged, BatchedRuns, FSWrites int64 }
+	byKey := map[delegatePoint]point{}
+	for i, p := range rep.Entry().Rows {
+		if p["result"] != "ok" {
+			t.Errorf("point %+v: result %q", p, p["result"])
 		}
-		byKey[key{p.Servers, p.Files, p.ReqSize}] = p
+		byKey[rep.Rows[i].Point.(delegatePoint)] = point{p["write_reqs"].(int64), p["staged_writes"].(int64),
+			p["batched_runs"].(int64), p["fs_writes"].(int64)}
 	}
-	fileBytes := delegateFileBytes(opts)
+	fileBytes := opts.fileBytes()
 	for _, files := range opts.Files {
 		for _, req := range opts.ReqSizes {
 			reqs := fileBytes / req * int64(files)
-			base := byKey[key{0, files, req * opts.Scale}]
+			base := byKey[delegatePoint{0, files, req}]
 			if base.WriteReqs != reqs {
 				t.Errorf("pass-through files=%d req=%d: %d write calls, want %d",
 					files, req, base.WriteReqs, reqs)
@@ -51,7 +43,7 @@ func TestDelegateSweepSmall(t *testing.T) {
 					files, req, base.Staged, base.BatchedRuns)
 			}
 			for _, servers := range opts.Servers[1:] {
-				p := byKey[key{servers, files, req * opts.Scale}]
+				p := byKey[delegatePoint{servers, files, req}]
 				// Requests never straddle a domain block here, so one
 				// protocol request per write call, all staged.
 				if p.WriteReqs != reqs || p.Staged != reqs {
@@ -74,32 +66,15 @@ func TestDelegateSweepSmall(t *testing.T) {
 	}
 }
 
-func TestDelegateChaosDeterministic(t *testing.T) {
-	opts := smallDelegateOpts()
-	var out [2]bytes.Buffer
-	for i := range out {
-		table, err := DelegateChaos(opts, 7)
-		if err != nil {
-			t.Fatalf("DelegateChaos: %v", err)
-		}
-		if err := table.Render(&out[i]); err != nil {
-			t.Fatalf("render: %v", err)
-		}
-	}
-	if !bytes.Equal(out[0].Bytes(), out[1].Bytes()) {
-		t.Errorf("chaos tables differ between same-seed runs:\n%s\n---\n%s", out[0].String(), out[1].String())
-	}
-}
-
 func TestDelegateValidate(t *testing.T) {
 	opts := smallDelegateOpts()
 	opts.ReqSizes = []int64{96} // 2048/ (96*4) does not divide
-	if _, _, err := Delegate(opts); err == nil {
+	if _, err := Run(delegateSweep(opts), Options{}); err == nil {
 		t.Errorf("misaligned request size accepted")
 	}
 	opts = smallDelegateOpts()
 	opts.Servers = []int{-1}
-	if _, _, err := Delegate(opts); err == nil {
+	if _, err := Run(delegateSweep(opts), Options{}); err == nil {
 		t.Errorf("negative server count accepted")
 	}
 }

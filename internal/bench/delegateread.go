@@ -1,6 +1,6 @@
 package bench
 
-// This file implements the delegated read sweep: the same strided
+// This file declares the delegated read sweep: the same strided
 // workload as the delegation write sweep, read back through the tier
 // while the server hot-block cache, the access pattern, and collective
 // reads vary.
@@ -31,15 +31,7 @@ package bench
 //
 // Bytes are verified on the final pass against the write generator.
 
-import (
-	"fmt"
-	"sync"
-
-	"github.com/tcio/tcio/internal/delegate"
-	"github.com/tcio/tcio/internal/mpi"
-	"github.com/tcio/tcio/internal/stats"
-	"github.com/tcio/tcio/internal/tcio"
-)
+import "fmt"
 
 // Read-sweep access patterns.
 const (
@@ -47,300 +39,138 @@ const (
 	PatternShared  = "shared"
 )
 
-// DelegateReadOptions configures the delegated read sweep.
-type DelegateReadOptions struct {
-	// Clients is the application rank count; every cell runs
-	// Clients+Servers ranks total.
-	Clients int
-	// SegSize is the real tcio segment size in bytes; the file-domain
-	// block is four segments.
-	SegSize int64
-	// SegsPerClient is the per-client segment count; the file is exactly
-	// Clients x SegsPerClient segments.
-	SegsPerClient int
+// delegateReadGeometry configures the delegated read sweep.
+type delegateReadGeometry struct {
+	segGeometry
 	// Servers is the dedicated server-rank count (at least 1 — the
 	// pass-through read path is the sieve sweep's subject, not this one's).
-	Servers int
-	// CacheBlocks lists the server cache capacities swept (0 = disarmed).
-	CacheBlocks []int
-	// Patterns lists the access patterns swept (PatternPrivate, PatternShared).
-	Patterns []string
-	// Collective lists the collective-read settings swept.
-	Collective []bool
+	Servers     int
+	CacheBlocks []int    // server cache capacities swept (0 = disarmed)
+	Patterns    []string // access patterns swept (PatternPrivate, PatternShared)
+	Collective  []bool   // collective-read settings swept
 	// ReadQuantum is the DRR fairness quantum in real bytes (0 = inline
 	// arrival order); it may reorder service but never counts, so it is a
 	// fixed option rather than an axis.
 	ReadQuantum int64
-	// ReqSize is the real per-piece request size.
-	ReqSize int64
-	// Scale is the environment byte scale (simulated bytes per real byte).
-	Scale int64
-	// Verify checks every byte of the final pass against the generator.
-	Verify bool
-	// Progress receives one line per completed cell.
-	Progress func(string)
+	ReqSize     int64 // real per-piece request size
 }
 
-// DefaultDelegateRead sweeps disarmed vs armed cache, private vs shared
+// defaultDelegateRead sweeps disarmed vs armed cache, private vs shared
 // patterns, and independent vs collective reads over 8 clients and one
 // server, with a DRR quantum armed so the artifact exercises the fair
 // scheduler.
-func DefaultDelegateRead() DelegateReadOptions {
-	return DelegateReadOptions{
-		Clients:       8,
-		SegSize:       16 << 10,
-		SegsPerClient: 4,
-		Servers:       1,
-		CacheBlocks:   []int{0, 16},
-		Patterns:      []string{PatternPrivate, PatternShared},
-		Collective:    []bool{false, true},
-		ReadQuantum:   4 << 10,
-		ReqSize:       2 << 10,
-		Scale:         16,
-		Verify:        true,
+func defaultDelegateRead() *delegateReadGeometry {
+	return &delegateReadGeometry{
+		segGeometry: segGeometry{Procs: 8, SegSize: 16 << 10, SegsPerRank: 4, Scale: 16},
+		Servers:     1,
+		CacheBlocks: []int{0, 16},
+		Patterns:    []string{PatternPrivate, PatternShared},
+		Collective:  []bool{false, true},
+		ReadQuantum: 4 << 10,
+		ReqSize:     2 << 10,
 	}
 }
 
-// DelegateReadPoint is one cell's result. Sizes are simulated bytes;
-// the Ns columns are virtual nanoseconds and, being scheduling-
-// sensitive at the margin, are excluded from CI's determinism diff.
-type DelegateReadPoint struct {
-	Pattern     string  `json:"pattern"`
-	CacheBlocks int     `json:"cache_blocks"`
-	Collective  bool    `json:"collective"`
-	ColdNs      int64   `json:"cold_ns"`
-	HotNs       int64   `json:"hot_ns"`
-	Speedup     float64 `json:"speedup"`
-	ReadReqs    int64   `json:"read_reqs"`
-	FSReadsCold int64   `json:"fs_reads_cold"`
-	FSReadsHot  int64   `json:"fs_reads_hot"`
-	CacheHits   int64   `json:"cache_hits"`
-	CacheMisses int64   `json:"cache_misses"`
-	Result      string  `json:"result"`
+// delegateReadPoint is one (pattern, cache, collective) cell and the
+// pass decomposition its three runs yield. The Ns fields are virtual
+// nanoseconds and, being scheduling-sensitive at the margin, are not Det.
+type delegateReadPoint struct {
+	Pattern     string
+	CacheBlocks int
+	Collective  bool
+
+	ColdNs, HotNs           int64
+	FSReadsCold, FSReadsHot int64
 }
 
-func delegateReadFileBytes(opts DelegateReadOptions) int64 {
-	return opts.SegSize * int64(opts.SegsPerClient) * int64(opts.Clients)
-}
-
-// validateDelegateRead checks the sweep's alignment preconditions.
-func validateDelegateRead(opts DelegateReadOptions) error {
-	if opts.Clients < 1 || opts.SegsPerClient < 1 {
-		return fmt.Errorf("bench: %d clients, %d segments per client", opts.Clients, opts.SegsPerClient)
+// validate checks the sweep's alignment preconditions.
+func (g *delegateReadGeometry) validate() error {
+	if g.Servers < 1 {
+		return fmt.Errorf("bench: read sweep needs a server rank, got %d", g.Servers)
 	}
-	if opts.Servers < 1 {
-		return fmt.Errorf("bench: read sweep needs a server rank, got %d", opts.Servers)
-	}
-	for _, c := range opts.CacheBlocks {
+	for _, c := range g.CacheBlocks {
 		if c < 0 {
 			return fmt.Errorf("bench: %d cache blocks", c)
 		}
 	}
-	for _, p := range opts.Patterns {
+	for _, p := range g.Patterns {
 		if p != PatternPrivate && p != PatternShared {
 			return fmt.Errorf("bench: unknown read pattern %q", p)
 		}
 	}
-	fileBytes := delegateReadFileBytes(opts)
-	if opts.ReqSize < 1 || fileBytes%(opts.ReqSize*int64(opts.Clients)) != 0 {
-		return fmt.Errorf("bench: file size %d not dealt evenly by %d clients x %d B requests",
-			fileBytes, opts.Clients, opts.ReqSize)
-	}
-	return nil
+	return g.segGeometry.validate(g.ReqSize)
 }
 
-// dreadRun is one simulation's outcome: the write phase plus `passes`
-// full read passes of the configured pattern.
-type dreadRun struct {
-	timeNs   int64
-	fsReads  int64 // server-side read-path FS requests
-	readReqs int64 // client-side protocol read requests
-	hits     int64
-	misses   int64
-	err      error
-}
-
-// delegateReadRun executes write + passes read passes in a fresh
-// environment and returns the totals.
-func delegateReadRun(opts DelegateReadOptions, pattern string, cacheBlks int,
-	collective bool, passes int) dreadRun {
-	var out dreadRun
-	env, err := NewEnv(opts.Scale)
-	if err != nil {
-		out.err = err
-		return out
+// delegateReadSweep runs every (pattern, cache, collective) cell, three
+// runs each for the cold/hot time split.
+func delegateReadSweep(g *delegateReadGeometry) *Sweep {
+	at := func(r *Row) delegateReadPoint { return r.Point.(delegateReadPoint) }
+	ns := func(header, key string, v func(delegateReadPoint) int64) Column {
+		return host(header, key, func(r *Row) any { return v(at(r)) }, func(r *Row) string { return fmtNs(v(at(r))) })
 	}
-	fileBytes := delegateReadFileBytes(opts)
-	pieces := fileBytes / opts.ReqSize
-	cfg := delegate.Config{
-		ServerRanks:       opts.Servers,
-		ServerCacheBlocks: cacheBlks,
-		ReadQuantum:       opts.ReadQuantum,
-		TCIO: tcio.Config{
-			SegmentSize:    opts.SegSize,
-			NumSegments:    opts.SegsPerClient,
-			DemandPopulate: true,
-			CollectiveRead: collective,
-		},
-	}
-	col := &delegate.Collector{}
-	cfg.Collect = col
-	var mu sync.Mutex
-	rep, err := mpi.Run(mpi.Config{
-		Procs:   opts.Clients + opts.Servers,
-		Machine: env.Machine,
-		FS:      env.FS,
-	}, func(c *mpi.Comm) error {
-		return delegate.Run(c, cfg, func(tr *delegate.Tier) error {
-			w, err := tr.Open("delegate-read.dat", tcio.WriteMode)
-			if err != nil {
-				return err
-			}
-			buf := make([]byte, opts.ReqSize)
-			for p := int64(0); p < pieces; p++ {
-				if p%int64(opts.Clients) != int64(tr.ClientIndex()) {
-					continue
-				}
-				off := p * opts.ReqSize
-				for i := range buf {
-					buf[i] = delegateByte(0, off+int64(i))
-				}
-				if err := w.WriteAt(off, buf); err != nil {
-					return err
-				}
-			}
-			if err := w.Flush(); err != nil {
-				return err
-			}
-			if err := w.Close(); err != nil {
-				return err
-			}
-			r, err := tr.Open("delegate-read.dat", tcio.ReadMode)
-			if err != nil {
-				return err
-			}
-			for pass := 0; pass < passes; pass++ {
-				type piece struct {
-					off int64
-					dst []byte
-				}
-				var read []piece
-				for p := int64(0); p < pieces; p++ {
-					if pattern == PatternPrivate && p%int64(opts.Clients) != int64(tr.ClientIndex()) {
-						continue
-					}
-					pc := piece{off: p * opts.ReqSize, dst: make([]byte, opts.ReqSize)}
-					if err := r.ReadAt(pc.off, pc.dst); err != nil {
-						return err
-					}
-					read = append(read, pc)
-				}
-				// One Fetch per pass: collective cells close one read-intent
-				// epoch here; independent cells already read synchronously.
-				if err := r.Fetch(); err != nil {
-					return err
-				}
-				if opts.Verify && pass == passes-1 {
-					for _, pc := range read {
-						for i, got := range pc.dst {
-							if want := delegateByte(0, pc.off+int64(i)); got != want {
-								return fmt.Errorf("offset %d: got %#x want %#x", pc.off+int64(i), got, want)
-							}
-						}
-					}
-				}
-			}
-			if err := r.Close(); err != nil {
-				return err
-			}
-			st := r.Stats()
-			mu.Lock()
-			out.readReqs += st.ReadReqs
-			mu.Unlock()
-			return nil
-		})
-	})
-	if err != nil {
-		out.err = err
-		return out
-	}
-	out.timeNs = int64(rep.MaxTime.Sub(0))
-	for _, s := range col.Servers() {
-		out.fsReads += s.FSReads
-		out.hits += s.CacheHits
-		out.misses += s.CacheMisses
-	}
-	return out
-}
-
-// DelegateRead runs the full read sweep: every (pattern, cache,
-// collective) cell, three runs each for the cold/hot time split.
-func DelegateRead(opts DelegateReadOptions) (stats.Table, []DelegateReadPoint, error) {
-	if err := validateDelegateRead(opts); err != nil {
-		return stats.Table{}, nil, err
-	}
-	t := stats.Table{
-		Title: fmt.Sprintf("Delegated reads: %d clients, %d server(s), %d B simulated requests, DRR quantum %d B",
-			opts.Clients, opts.Servers, opts.ReqSize*opts.Scale, opts.ReadQuantum*opts.Scale),
-		Headers: []string{"pattern", "cache", "coll", "cold", "hot", "speedup",
-			"read-reqs", "fs-cold", "fs-hot", "hits", "misses", "result"},
-	}
-	var points []DelegateReadPoint
-	for _, pattern := range opts.Patterns {
-		for _, cacheBlks := range opts.CacheBlocks {
-			for _, collective := range opts.Collective {
-				base := delegateReadRun(opts, pattern, cacheBlks, collective, 0)
-				cold := delegateReadRun(opts, pattern, cacheBlks, collective, 1)
-				hot := delegateReadRun(opts, pattern, cacheBlks, collective, 2)
-				pt := DelegateReadPoint{
-					Pattern:     pattern,
-					CacheBlocks: cacheBlks,
-					Collective:  collective,
-					Result:      "ok",
-				}
-				switch {
-				case base.err != nil:
-					pt.Result = failReason(base.err)
-				case cold.err != nil:
-					pt.Result = failReason(cold.err)
-				case hot.err != nil:
-					pt.Result = failReason(hot.err)
-				default:
-					pt.ColdNs = cold.timeNs - base.timeNs
-					pt.HotNs = hot.timeNs - cold.timeNs
-					if pt.HotNs > 0 {
-						pt.Speedup = float64(pt.ColdNs) / float64(pt.HotNs)
-					}
-					pt.ReadReqs = hot.readReqs
-					pt.FSReadsCold = cold.fsReads
-					pt.FSReadsHot = hot.fsReads - cold.fsReads
-					pt.CacheHits = hot.hits
-					pt.CacheMisses = hot.misses
-				}
-				t.AddRow(
-					pt.Pattern,
-					fmt.Sprintf("%d", pt.CacheBlocks),
-					fmt.Sprintf("%v", pt.Collective),
-					fmtNs(pt.ColdNs),
-					fmtNs(pt.HotNs),
-					fmt.Sprintf("%.1fx", pt.Speedup),
-					fmt.Sprintf("%d", pt.ReadReqs),
-					fmt.Sprintf("%d", pt.FSReadsCold),
-					fmt.Sprintf("%d", pt.FSReadsHot),
-					fmt.Sprintf("%d", pt.CacheHits),
-					fmt.Sprintf("%d", pt.CacheMisses),
-					pt.Result,
-				)
-				points = append(points, pt)
-				if opts.Progress != nil {
-					opts.Progress(fmt.Sprintf("delegate-read pat=%s cache=%d coll=%v: cold=%s hot=%s (%.1fx) fs=%d/%d (%s)",
-						pattern, cacheBlks, collective, fmtNs(pt.ColdNs), fmtNs(pt.HotNs),
-						pt.Speedup, pt.FSReadsCold, pt.FSReadsHot, pt.Result))
-				}
-			}
+	speedup := func(r *Row) float64 {
+		if at(r).HotNs <= 0 {
+			return 0
 		}
+		return float64(at(r).ColdNs) / float64(at(r).HotNs)
 	}
-	return t, points, nil
+	return &Sweep{
+		Name:     "delegate-read",
+		Help:     "sweep the delegated read path alone (access pattern x server cache x collective reads)",
+		After:    "delegate",
+		Params:   g,
+		Validate: g.validate,
+		Points: func(bool) []any {
+			return grid3(g.Patterns, g.CacheBlocks, g.Collective, func(pattern string, cache int, coll bool) any {
+				return delegateReadPoint{Pattern: pattern, CacheBlocks: cache, Collective: coll}
+			})
+		},
+		Env: g.env,
+		// Write only, write + one pass, write + two passes: each run in its
+		// own environment. The row carries the last run's counters.
+		Run: func(env *Env, pt any) ([]Row, error) {
+			p := pt.(delegateReadPoint)
+			var runs [3]PhaseResult
+			for passes := range runs {
+				if passes > 0 {
+					var err error
+					if env, err = env.Fresh(); err != nil {
+						return nil, err
+					}
+				}
+				cfg := g.tierConfig(g.Servers)
+				cfg.ServerCacheBlocks, cfg.ReadQuantum, cfg.TCIO.CollectiveRead = p.CacheBlocks, g.ReadQuantum, p.Collective
+				runs[passes] = g.runTier(env, cfg, tierProgram{Files: 1, ReqSize: g.ReqSize,
+					Write: true, Read: true, Passes: passes, Shared: p.Pattern == PatternShared})
+				if runs[passes].Failed {
+					return []Row{{Point: p, PhaseResult: PhaseResult{Failed: true, FailReason: runs[passes].FailReason}}}, nil
+				}
+			}
+			base, cold, hot := runs[0], runs[1], runs[2]
+			p.ColdNs, p.HotNs = int64(cold.Time-base.Time), int64(hot.Time-cold.Time)
+			p.FSReadsCold, p.FSReadsHot = cold.Servers.FSReads, hot.Servers.FSReads-cold.Servers.FSReads
+			return []Row{{Point: p, PhaseResult: hot}}, nil
+		},
+		Tables: tables(Table{
+			Title: fmt.Sprintf("Delegated reads: %d clients, %d server(s), %d B simulated requests, DRR quantum %d B",
+				g.Procs, g.Servers, g.ReqSize*g.Scale, g.ReadQuantum*g.Scale),
+			Columns: []Column{
+				det("pattern", "pattern", func(r *Row) any { return at(r).Pattern }),
+				det("cache", "cache_blocks", func(r *Row) any { return at(r).CacheBlocks }),
+				det("coll", "collective", func(r *Row) any { return at(r).Collective }),
+				ns("cold", "cold_ns", func(p delegateReadPoint) int64 { return p.ColdNs }),
+				ns("hot", "hot_ns", func(p delegateReadPoint) int64 { return p.HotNs }),
+				host("speedup", "speedup", func(r *Row) any { return speedup(r) },
+					func(r *Row) string { return fmt.Sprintf("%.1fx", speedup(r)) }),
+				det("read-reqs", "read_reqs", func(r *Row) any { return r.Client.ReadReqs }),
+				det("fs-cold", "fs_reads_cold", func(r *Row) any { return at(r).FSReadsCold }),
+				det("fs-hot", "fs_reads_hot", func(r *Row) any { return at(r).FSReadsHot }),
+				det("hits", "cache_hits", func(r *Row) any { return r.Servers.CacheHits }),
+				det("misses", "cache_misses", func(r *Row) any { return r.Servers.CacheMisses }),
+				colResult,
+			},
+		}),
+	}
 }
 
 // fmtNs renders a virtual-nanosecond count compactly.

@@ -1,26 +1,29 @@
 package bench
 
-import (
-	"reflect"
-	"testing"
-)
+import "testing"
 
 // smallDelegateReadOpts shrinks the read sweep to test scale: 4 clients,
 // 2 KiB file, 64 B requests, 1 KiB domain blocks (so 2 blocks).
-func smallDelegateReadOpts() DelegateReadOptions {
-	return DelegateReadOptions{
-		Clients:       4,
-		SegSize:       256,
-		SegsPerClient: 2,
-		Servers:       1,
-		CacheBlocks:   []int{0, 8},
-		Patterns:      []string{PatternPrivate, PatternShared},
-		Collective:    []bool{false, true},
-		ReadQuantum:   128,
-		ReqSize:       64,
-		Scale:         4,
-		Verify:        true,
+func smallDelegateReadOpts() *delegateReadGeometry {
+	return &delegateReadGeometry{
+		segGeometry: segGeometry{Procs: 4, SegSize: 256, SegsPerRank: 2, Scale: 4},
+		Servers:     1,
+		CacheBlocks: []int{0, 8},
+		Patterns:    []string{PatternPrivate, PatternShared},
+		Collective:  []bool{false, true},
+		ReadQuantum: 128,
+		ReqSize:     64,
 	}
+}
+
+// delegateReadRows runs the read sweep and returns its rows.
+func delegateReadRows(t *testing.T, opts *delegateReadGeometry) []Row {
+	t.Helper()
+	rep, err := Run(delegateReadSweep(opts), Options{})
+	if err != nil {
+		t.Fatalf("DelegateRead: %v", err)
+	}
+	return rep.Rows
 }
 
 // TestDelegateReadHotBeatsCold repeats TestDelegateReadSweepSmall's "armed
@@ -30,47 +33,45 @@ func smallDelegateReadOpts() DelegateReadOptions {
 // are exact.
 func TestDelegateReadHotBeatsCold(t *testing.T) {
 	opts := smallDelegateReadOpts()
-	opts.Clients, opts.SegsPerClient = 1, 8 // the same 2 KiB file
+	opts.Procs, opts.SegsPerRank = 1, 8 // the same 2 KiB file
 	opts.CacheBlocks = []int{8}
-	_, points, err := DelegateRead(opts)
-	if err != nil {
-		t.Fatalf("DelegateRead: %v", err)
-	}
-	for _, p := range points {
-		if p.Result != "ok" || p.HotNs <= 0 || p.HotNs >= p.ColdNs {
-			t.Errorf("%s coll=%v: %s, hot pass %dns, cold %dns", p.Pattern, p.Collective, p.Result, p.HotNs, p.ColdNs)
+	for _, r := range delegateReadRows(t, opts) {
+		if p := r.Point.(delegateReadPoint); r.Result != "ok" || p.HotNs <= 0 || p.HotNs >= p.ColdNs {
+			t.Errorf("%s coll=%v: %s, hot pass %dns, cold %dns", p.Pattern, p.Collective, r.Result, p.HotNs, p.ColdNs)
 		}
 	}
 }
 
 func TestDelegateReadSweepSmall(t *testing.T) {
 	opts := smallDelegateReadOpts()
-	_, points, err := DelegateRead(opts)
-	if err != nil {
-		t.Fatalf("DelegateRead: %v", err)
-	}
-	fileBytes := delegateReadFileBytes(opts)
+	fileBytes := opts.fileBytes()
 	pieces := fileBytes / opts.ReqSize       // 32
 	blocks := fileBytes / (4 * opts.SegSize) // domain = 4 segments
-	perPass := map[string]int64{PatternPrivate: pieces, PatternShared: pieces * int64(opts.Clients)}
+	perPass := map[string]int64{PatternPrivate: pieces, PatternShared: pieces * int64(opts.Procs)}
 	type key struct {
 		pattern string
 		cache   int
 		coll    bool
 	}
-	byKey := map[key]DelegateReadPoint{}
-	for _, p := range points {
-		if p.Result != "ok" {
-			t.Fatalf("point %+v: result %q", p, p.Result)
+	// point is a cell's axis setting, pass decomposition and counters.
+	type point struct {
+		delegateReadPoint
+		ReadReqs, CacheHits, CacheMisses int64
+	}
+	byKey := map[key]point{}
+	for _, r := range delegateReadRows(t, opts) {
+		p := r.Point.(delegateReadPoint)
+		if r.Result != "ok" {
+			t.Fatalf("point %+v: result %q", p, r.Result)
 		}
-		byKey[key{p.Pattern, p.CacheBlocks, p.Collective}] = p
+		byKey[key{p.Pattern, p.CacheBlocks, p.Collective}] = point{p, r.Client.ReadReqs, r.Servers.CacheHits, r.Servers.CacheMisses}
 	}
 	for _, pattern := range opts.Patterns {
 		reqs := 2 * perPass[pattern] // two passes
 		for _, coll := range opts.Collective {
 			dis := byKey[key{pattern, 0, coll}]
 			arm := byKey[key{pattern, 8, coll}]
-			for _, p := range []DelegateReadPoint{dis, arm} {
+			for _, p := range []point{dis, arm} {
 				if p.ReadReqs != reqs {
 					t.Errorf("%s coll=%v cache=%d: %d read reqs, want %d",
 						pattern, coll, p.CacheBlocks, p.ReadReqs, reqs)
@@ -123,52 +124,27 @@ func TestDelegateReadSweepSmall(t *testing.T) {
 		// least Clients times the collective cold pass.
 		dis := byKey[key{PatternShared, 0, false}]
 		col := byKey[key{PatternShared, 0, true}]
-		if dis.FSReadsCold < int64(opts.Clients)*col.FSReadsCold {
+		if dis.FSReadsCold < int64(opts.Procs)*col.FSReadsCold {
 			t.Errorf("shared: per-request cold pass %d fs reads, collective %d — overlap not collapsed",
 				dis.FSReadsCold, col.FSReadsCold)
 		}
 	}
 }
 
-// TestDelegateReadDeterministicColumns re-runs the sweep and requires the
-// count columns (everything but the virtual times) to be identical — the
-// property CI's double-run diff rests on.
-func TestDelegateReadDeterministicColumns(t *testing.T) {
-	opts := smallDelegateReadOpts()
-	strip := func(points []DelegateReadPoint) []DelegateReadPoint {
-		out := append([]DelegateReadPoint(nil), points...)
-		for i := range out {
-			out[i].ColdNs, out[i].HotNs, out[i].Speedup = 0, 0, 0
-		}
-		return out
-	}
-	_, a, err := DelegateRead(opts)
-	if err != nil {
-		t.Fatalf("DelegateRead: %v", err)
-	}
-	_, b, err := DelegateRead(opts)
-	if err != nil {
-		t.Fatalf("DelegateRead: %v", err)
-	}
-	if !reflect.DeepEqual(strip(a), strip(b)) {
-		t.Errorf("deterministic columns differ:\n%+v\n---\n%+v", strip(a), strip(b))
-	}
-}
-
 func TestDelegateReadValidate(t *testing.T) {
 	opts := smallDelegateReadOpts()
 	opts.Servers = 0
-	if _, _, err := DelegateRead(opts); err == nil {
+	if _, err := Run(delegateReadSweep(opts), Options{}); err == nil {
 		t.Errorf("serverless read sweep accepted")
 	}
 	opts = smallDelegateReadOpts()
 	opts.ReqSize = 96 // 2048 / (96*4) does not divide
-	if _, _, err := DelegateRead(opts); err == nil {
+	if _, err := Run(delegateReadSweep(opts), Options{}); err == nil {
 		t.Errorf("misaligned request size accepted")
 	}
 	opts = smallDelegateReadOpts()
 	opts.Patterns = []string{"zigzag"}
-	if _, _, err := DelegateRead(opts); err == nil {
+	if _, err := Run(delegateReadSweep(opts), Options{}); err == nil {
 		t.Errorf("unknown pattern accepted")
 	}
 }

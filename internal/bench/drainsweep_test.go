@@ -10,7 +10,7 @@ import (
 // drainRun executes the TCIO write phase on a file striped over seven OSTs
 // at the given drain fan-out and returns the phase result. The stripe
 // width is coprime to the process count so each rank's segments spread
-// over every OST (see DrainSweepOptions.StripeCount).
+// over every OST (see synthGeometry.StripeCount).
 func drainRun(t *testing.T, workers int) PhaseResult {
 	t.Helper()
 	env, err := NewEnv(256)
@@ -59,17 +59,17 @@ func TestDrainWorkersCutWriteTime(t *testing.T) {
 // TestDrainSweepTable runs the sweep end to end and checks every row
 // verified clean.
 func TestDrainSweepTable(t *testing.T) {
-	opts := DefaultDrainSweep()
+	opts := defaultDrainSweep()
 	opts.Procs = 8
-	opts.Workers = []int{1, 4}
+	opts.Fanouts = []int{1, 4}
 	opts.LenSim = 1 << 20
-	opts.LenReal = 4 << 10
-	tbl, err := DrainSweep(opts)
+	rep, err := Run(drainSweep(opts), Options{LenReal: 4 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tbl.Rows) != len(opts.Workers) {
-		t.Fatalf("%d rows for %d worker settings", len(tbl.Rows), len(opts.Workers))
+	tbl := rep.Tables(nil)[0]
+	if len(tbl.Rows) != len(opts.Fanouts) {
+		t.Fatalf("%d rows for %d worker settings", len(tbl.Rows), len(opts.Fanouts))
 	}
 	for _, row := range tbl.Rows {
 		if row[len(row)-1] != "ok" {

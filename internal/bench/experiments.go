@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"strings"
 
 	"github.com/tcio/tcio/internal/art"
 	"github.com/tcio/tcio/internal/datatype"
@@ -10,203 +11,161 @@ import (
 	"github.com/tcio/tcio/internal/stats"
 )
 
-// This file regenerates the paper's tables and figures. Each function
-// returns stats.Table values whose rows correspond to the points of the
-// original plot; EXPERIMENTS.md records the measured outputs next to the
-// paper's reported shapes.
+// This file declares the paper's tables and figures. Each figure is a
+// Sweep whose rows are the points of the original plot; EXPERIMENTS.md
+// records the measured outputs next to the paper's reported shapes.
 
-// SweepOptions parameterizes the synthetic sweeps (Figs. 5-7).
-type SweepOptions struct {
-	// Procs are the x-axis process counts (paper: 64..1024).
-	Procs []int
-	// LenSim is the paper-scale LENarray in elements (paper: 4M).
-	LenSim int
-	// LenReal is the real element count the run materializes; the byte
-	// scale is LenSim/LenReal.
-	LenReal int
-	// SizeAccess is SIZEaccess (paper: 1).
-	SizeAccess int
-	// Types is TYPEarray (paper: int, double).
-	Types []datatype.Type
-	// Verify turns on full byte verification during read-back.
-	Verify bool
-	// Progress, if non-nil, receives one line per completed point.
-	Progress func(string)
+// paperTypes and paperSizeAccess are Table II's TYPEarray (int, double)
+// and SIZEaccess, the same in every synthetic sweep.
+var paperTypes = []datatype.Type{datatype.Int, datatype.Double}
+
+const paperSizeAccess = 1
+
+// synthGeometry is what the sweeps of the synthetic workload share.
+type synthGeometry struct {
+	Procs  int // process count of each run
+	LenSim int // paper-scale LENarray in elements
+	// StripeCount is the file's stripe width in OSTs (0 keeps the paper's
+	// single OST, which serializes a drain no matter how it is issued).
+	// Pick a width that does not divide Procs: segments are dealt
+	// round-robin over ranks with the segment size equal to the stripe
+	// size, so when Procs is a multiple of StripeCount every segment of a
+	// rank lands on one OST and a drain fan-out has nothing to overlap.
+	StripeCount int
+	// Workers is TCIO's per-OST drain fan-out (0 or 1 = serial). Counts
+	// stay seed-deterministic at any setting: the fan-out reorders requests
+	// across OSTs but never changes which requests are issued or how their
+	// fault rolls are keyed.
+	Workers int
 }
 
-// DefaultSweep returns the paper's Table II configuration at a reduced
-// real-element count suitable for a workstation run.
-func DefaultSweep() SweepOptions {
-	return SweepOptions{
-		Procs:      []int{64, 128, 256, 512, 1024},
-		LenSim:     4 << 20,
-		LenReal:    4 << 10,
-		SizeAccess: 1,
-		Types:      []datatype.Type{datatype.Int, datatype.Double},
-		Verify:     true,
+func (g *synthGeometry) env(Options, any) EnvSpec {
+	return EnvSpec{LenSim: g.LenSim, Stripes: g.StripeCount}
+}
+
+// config is the paper's workload for one method at the geometry and the
+// environment's materialized size, every byte verified on read-back.
+func (g *synthGeometry) config(env *Env, m Method, name string) SyntheticConfig {
+	return SyntheticConfig{
+		Method:       m,
+		Procs:        g.Procs,
+		TypeArray:    paperTypes,
+		LenArray:     env.LenReal,
+		SizeAccess:   paperSizeAccess,
+		Verify:       true,
+		FileName:     name,
+		DrainWorkers: g.Workers,
 	}
 }
 
-func (o SweepOptions) scale() int64 { return int64(o.LenSim / o.LenReal) }
-
-func (o SweepOptions) report(format string, args ...interface{}) {
-	if o.Progress != nil {
-		o.Progress(fmt.Sprintf(format, args...))
+// synthRow runs the write and the read phase of cfg as one row.
+func synthRow(env *Env, pt any, cfg SyntheticConfig) ([]Row, error) {
+	res, err := RunSynthetic(env, cfg)
+	if err != nil {
+		return nil, err
 	}
+	return []Row{{Point: pt, PhaseResult: res.Write, Read: res.Read}}, nil
 }
 
-// phaseCell formats one throughput cell, or the failure it stands for.
-func phaseCell(pr PhaseResult) string {
-	if pr.Failed {
-		return "FAIL (" + pr.FailReason + ")"
-	}
-	return stats.FmtMBs(pr.MBs)
-}
-
-// Fig5 regenerates Figure 5: synthetic write and read throughput as a
-// function of the number of processes, TCIO vs OCIO.
-func Fig5(opts SweepOptions) (write, read stats.Table, results []Result, err error) {
-	write = stats.Table{
-		Title:   "Figure 5 (left): write throughput vs processes (MBytes/sec)",
-		Headers: []string{"procs", "TCIO", "OCIO"},
-	}
-	read = stats.Table{
-		Title:   "Figure 5 (right): read throughput vs processes (MBytes/sec)",
-		Headers: []string{"procs", "TCIO", "OCIO"},
-	}
-	for _, p := range opts.Procs {
-		row := map[Method]Result{}
-		for _, m := range []Method{MethodTCIO, MethodOCIO} {
-			env, e := NewEnv(opts.scale())
-			if e != nil {
-				return write, read, results, e
-			}
-			cfg := SyntheticConfig{
-				Method:     m,
-				Procs:      p,
-				TypeArray:  opts.Types,
-				LenArray:   opts.LenReal,
-				SizeAccess: opts.SizeAccess,
-				Verify:     opts.Verify,
-				FileName:   fmt.Sprintf("fig5-%v-%d", m, p),
-			}
-			res, e := RunSynthetic(env, cfg)
-			if e != nil {
-				return write, read, results, e
-			}
-			row[m] = res
-			results = append(results, res)
-			opts.report("fig5 %v procs=%d write=%s read=%s", m, p,
-				phaseCell(res.Write), phaseCell(res.Read))
-		}
-		write.AddRow(fmt.Sprint(p), phaseCell(row[MethodTCIO].Write), phaseCell(row[MethodOCIO].Write))
-		read.AddRow(fmt.Sprint(p), phaseCell(row[MethodTCIO].Read), phaseCell(row[MethodOCIO].Read))
-	}
-	return write, read, results, nil
-}
-
-// FileSizeSweepOptions parameterizes Figs. 6-7: fixed process count,
-// varying dataset size.
-type FileSizeSweepOptions struct {
-	// Procs is fixed at 64 in the paper.
+// FigPoint is one (x, method) point of the throughput figures.
+type FigPoint struct {
 	Procs int
-	// LenSims are the paper-scale LENarray values (1M..64M, i.e. file
-	// sizes 768 MB..48 GB).
+	// LenSim is the paper-scale LENarray (Figs. 5-7).
+	LenSim int
+	Method Method
+}
+
+var (
+	colProcs    = det("procs", "procs", func(r *Row) any { return r.Point.(FigPoint).Procs })
+	colMethod   = det("method", "method", func(r *Row) any { return r.Point.(FigPoint).Method.String() })
+	colFileSize = Column{Header: "file size", Key: "file_bytes", Det: true,
+		Value: func(r *Row) any { return r.SimBytes },
+		Cell:  func(r *Row) string { return stats.FmtBytes(r.SimBytes) }}
+)
+
+// figure completes a sweep whose rows are FigPoints with its two views:
+// write and read throughput over the x column, one series per method.
+func figure(s Sweep, x Column, write, read Table) *Sweep {
+	write.Columns, write.Series = []Column{x, colWrite}, &colMethod
+	read.Columns, read.Series = []Column{x, colRead}, &colMethod
+	s.Tables = tables(write, read)
+	return &s
+}
+
+// figGeometry parameterizes Figs. 5-7: the grid of process counts and
+// paper-scale LENarray values on which TCIO and OCIO are compared.
+type figGeometry struct {
+	Procs   []int
 	LenSims []int
-	// LenReal is the real element count per run.
-	LenReal int
-	// SizeAccess, Types, Verify, Progress: as in SweepOptions.
-	SizeAccess int
-	Types      []datatype.Type
-	Verify     bool
-	Progress   func(string)
 }
 
-// DefaultFileSizeSweep returns the paper's Fig. 6/7 configuration.
-func DefaultFileSizeSweep() FileSizeSweepOptions {
-	return FileSizeSweepOptions{
-		Procs:      64,
-		LenSims:    []int{1 << 20, 4 << 20, 16 << 20, 64 << 20},
-		LenReal:    4 << 10,
-		SizeAccess: 1,
-		Types:      []datatype.Type{datatype.Int, datatype.Double},
-		Verify:     true,
+// defaultFig5 returns the paper's Table II configuration: 64..1024
+// processes at LENarray 4M.
+func defaultFig5() *figGeometry {
+	return &figGeometry{Procs: []int{64, 128, 256, 512, 1024}, LenSims: []int{4 << 20}}
+}
+
+// defaultFig67 returns the paper's Fig. 6/7 configuration: 64 processes,
+// LENarray 1M..64M, i.e. file sizes 768 MB..48 GB.
+func defaultFig67() *figGeometry {
+	return &figGeometry{Procs: []int{64}, LenSims: []int{1 << 20, 4 << 20, 16 << 20, 64 << 20}}
+}
+
+// synthFigure is a Figs. 5-7 sweep over g's grid.
+func synthFigure(s Sweep, g *figGeometry, x Column, write, read Table) *Sweep {
+	s.InAll, s.Params = true, g
+	s.Points = func(bool) []any {
+		return grid3(g.Procs, g.LenSims, []Method{MethodTCIO, MethodOCIO},
+			func(p, l int, m Method) any { return FigPoint{Procs: p, LenSim: l, Method: m} })
 	}
+	s.Env = func(_ Options, pt any) EnvSpec { return EnvSpec{LenSim: pt.(FigPoint).LenSim} }
+	s.Run = func(env *Env, pt any) ([]Row, error) {
+		p := pt.(FigPoint)
+		return synthRow(env, p, (&synthGeometry{Procs: p.Procs}).config(env, p.Method, "fig.dat"))
+	}
+	return figure(s, x, write, read)
 }
 
-// Fig6And7 regenerates Figures 6 and 7: write and read throughput vs file
+// fig5Sweep regenerates Figure 5: synthetic write and read throughput as a
+// function of the number of processes, TCIO vs OCIO.
+func fig5Sweep(g *figGeometry) *Sweep {
+	return synthFigure(Sweep{
+		Name:  "fig5",
+		Help:  "regenerate Figure 5 (throughput vs processes)",
+		Flags: []Flag{{"procs", "comma-separated process counts for -fig5", &g.Procs}},
+	}, g, colProcs,
+		Table{Title: "Figure 5 (left): write throughput vs processes (MBytes/sec)"},
+		Table{Title: "Figure 5 (right): read throughput vs processes (MBytes/sec)"})
+}
+
+// fig67Sweep regenerates Figures 6 and 7: write and read throughput vs file
 // size at 64 processes. The 48 GB point reproduces the paper's headline
 // failure: OCIO runs out of memory while TCIO completes.
-func Fig6And7(opts FileSizeSweepOptions) (write, read stats.Table, results []Result, err error) {
-	write = stats.Table{
-		Title:   "Figure 6: write throughput vs file size, 64 processes (MBytes/sec)",
-		Headers: []string{"file size", "TCIO", "OCIO"},
-	}
-	read = stats.Table{
-		Title:   "Figure 7: read throughput vs file size, 64 processes (MBytes/sec)",
-		Headers: []string{"file size", "TCIO", "OCIO"},
-	}
-	for _, lenSim := range opts.LenSims {
-		row := map[Method]Result{}
-		var fileSim int64
-		for _, m := range []Method{MethodTCIO, MethodOCIO} {
-			scale := int64(lenSim / opts.LenReal)
-			env, e := NewEnv(scale)
-			if e != nil {
-				return write, read, results, e
-			}
-			cfg := SyntheticConfig{
-				Method:     m,
-				Procs:      opts.Procs,
-				TypeArray:  opts.Types,
-				LenArray:   opts.LenReal,
-				SizeAccess: opts.SizeAccess,
-				Verify:     opts.Verify,
-				FileName:   fmt.Sprintf("fig67-%v-%d", m, lenSim),
-			}
-			fileSim = cfg.FileBytes() * scale
-			res, e := RunSynthetic(env, cfg)
-			if e != nil {
-				return write, read, results, e
-			}
-			row[m] = res
-			results = append(results, res)
-			if opts.Progress != nil {
-				opts.Progress(fmt.Sprintf("fig6/7 %v size=%s write=%s read=%s",
-					m, stats.FmtBytes(fileSim), phaseCell(res.Write), phaseCell(res.Read)))
-			}
-		}
-		label := stats.FmtBytes(fileSim)
-		write.AddRow(label, phaseCell(row[MethodTCIO].Write), phaseCell(row[MethodOCIO].Write))
-		read.AddRow(label, phaseCell(row[MethodTCIO].Read), phaseCell(row[MethodOCIO].Read))
-	}
-	return write, read, results, nil
+func fig67Sweep(g *figGeometry) *Sweep {
+	return synthFigure(Sweep{Name: "fig6/7"}, g, colFileSize,
+		Table{Flag: "fig6", Title: fmt.Sprintf("Figure 6: write throughput vs file size, %d processes (MBytes/sec)", g.Procs[0])},
+		Table{Flag: "fig7", Title: fmt.Sprintf("Figure 7: read throughput vs file size, %d processes (MBytes/sec)", g.Procs[0])})
 }
 
-// ARTOptions parameterizes the cosmology-application experiment
+// ARTGeometry parameterizes the cosmology-application experiment
 // (Figs. 9-10).
-type ARTOptions struct {
-	// Procs are the x-axis process counts.
-	Procs []int
+type ARTGeometry struct {
+	Procs []int // x-axis process counts
 	// Trees is the number of FTT segments (paper Table IV: 1024).
 	Trees int
-	// Vars is the number of per-cell variables.
-	Vars int
+	Vars  int // per-cell variables
 	// MuCells, SigmaCells, Seed define the Table IV size distribution.
 	MuCells, SigmaCells float64
 	Seed                int64
-	// Scale is the environment byte scale.
-	Scale int64
+	Scale               int64 // environment byte scale
 	// VanillaCutoff is the paper's ">90 minutes" rule: vanilla MPI-IO
 	// points whose simulated runtime exceeds it are reported as such.
 	VanillaCutoff simtime.Duration
-	// Progress, if non-nil, receives one line per completed point.
-	Progress func(string)
 }
 
 // DefaultART returns the paper's §V.C configuration at workstation scale.
-func DefaultART() ARTOptions {
-	return ARTOptions{
+func DefaultART() *ARTGeometry {
+	return &ARTGeometry{
 		Procs:      []int{64, 128, 256, 512, 1024},
 		Trees:      art.TableIV.Segments,
 		Vars:       2,
@@ -222,52 +181,46 @@ func DefaultART() ARTOptions {
 	}
 }
 
-// ARTResult is one (library, procs) point of Figs. 9-10.
-type ARTResult struct {
-	Library    art.Library
-	Procs      int
-	SimBytes   int64
-	WriteTime  simtime.Duration
-	ReadTime   simtime.Duration
-	WriteMBs   float64
-	ReadMBs    float64
-	Failed     bool
-	FailReason string
-}
-
-// runART measures one checkpoint dump + restart.
-func runART(opts ARTOptions, lib art.Library, procs int) (ARTResult, error) {
-	res := ARTResult{Library: lib, Procs: procs}
-	env, err := NewEnv(opts.Scale)
-	if err != nil {
-		return res, err
+// runART measures one checkpoint dump + restart through the point's
+// library (MethodVanilla: independent MPI-IO).
+func runART(g *ARTGeometry, env *Env, p FigPoint) Row {
+	lib := art.LibTCIO
+	if p.Method == MethodVanilla {
+		lib = art.LibVanilla
 	}
-	name := fmt.Sprintf("art-%v-%d", lib, procs)
+	const name = "art.ckpt"
 	mkTrees := func(c *mpi.Comm) []*art.Tree {
-		sizes := art.SegmentSizes(opts.Trees, opts.MuCells, opts.SigmaCells, opts.Seed)
+		sizes := art.SegmentSizes(g.Trees, g.MuCells, g.SigmaCells, g.Seed)
 		var out []*art.Tree
-		for _, id := range art.OwnedBy(opts.Trees, c.Size(), c.Rank()) {
-			rng := art.TreeRNG(opts.Seed, int64(id))
-			out = append(out, art.Generate(int64(id), sizes[id], opts.Vars, rng))
+		for _, id := range art.OwnedBy(g.Trees, c.Size(), c.Rank()) {
+			rng := art.TreeRNG(g.Seed, int64(id))
+			out = append(out, art.Generate(int64(id), sizes[id], g.Vars, rng))
 		}
 		return out
 	}
-
-	// Dump phase.
-	rep, err := mpi.Run(mpi.Config{Procs: procs, Machine: env.Machine, FS: env.FS}, func(c *mpi.Comm) error {
-		return art.Dump(c, lib, name, mkTrees(c), opts.Trees, 0)
-	})
-	if err != nil {
-		res.Failed, res.FailReason = true, failReason(err)
-		return res, nil
+	// finish honours the 90-minute rule.
+	finish := func(pr *PhaseResult) {
+		if !pr.Failed && lib == art.LibVanilla && g.VanillaCutoff > 0 && pr.Time > g.VanillaCutoff {
+			pr.Omitted = fmt.Sprintf("omitted (>%v)", g.VanillaCutoff)
+		}
 	}
-	res.WriteTime = rep.MaxTime.Sub(0)
-	res.SimBytes = env.FS.Open(name).Size() * opts.Scale
-	res.WriteMBs = stats.ThroughputMBs(res.SimBytes, res.WriteTime)
+
+	// Dump phase. The checkpoint's size is known only once it is written.
+	row := Row{Point: p}
+	row.PhaseResult = env.Run(p.Procs, 0, func(c *mpi.Comm, _ *Tally) error {
+		return art.Dump(c, lib, name, mkTrees(c), g.Trees, 0)
+	})
+	if row.Failed {
+		row.Read = row.PhaseResult
+		return row
+	}
+	row.SimBytes = env.FS.Open(name).Size() * env.Scale
+	row.MBs = stats.ThroughputMBs(row.SimBytes, row.Time)
+	finish(&row.PhaseResult)
 
 	// Restart phase: read back and verify every tree.
 	env.FS.Reset()
-	rep, err = mpi.Run(mpi.Config{Procs: procs, Machine: env.Machine, FS: env.FS}, func(c *mpi.Comm) error {
+	row.Read = env.Run(p.Procs, row.SimBytes, func(c *mpi.Comm, _ *Tally) error {
 		want := mkTrees(c)
 		got, err := art.Restore(c, lib, name)
 		if err != nil {
@@ -283,59 +236,59 @@ func runART(opts ARTOptions, lib art.Library, procs int) (ARTResult, error) {
 		}
 		return nil
 	})
-	if err != nil {
-		res.Failed, res.FailReason = true, failReason(err)
-		return res, nil
-	}
-	res.ReadTime = rep.MaxTime.Sub(0)
-	res.ReadMBs = stats.ThroughputMBs(res.SimBytes, res.ReadTime)
-	return res, nil
+	finish(&row.Read)
+	return row
 }
 
-// artCell formats one Fig. 9/10 cell, honouring the paper's 90-minute rule.
-func artCell(r ARTResult, t simtime.Duration, mbs float64, cutoff simtime.Duration) string {
-	if r.Failed {
-		return "FAIL (" + r.FailReason + ")"
-	}
-	if cutoff > 0 && t > cutoff {
-		return fmt.Sprintf("omitted (>%v)", cutoff)
-	}
-	return stats.FmtMBs(mbs)
+// ART regenerates Figures 9 and 10: ART checkpoint write and restart read
+// throughput, TCIO vs vanilla MPI-IO. Its rows are FigPoints.
+func ART(g *ARTGeometry) *Sweep {
+	return figure(Sweep{
+		Name:  "fig9/10",
+		InAll: true,
+		Flags: []Flag{
+			{"procs", "comma-separated process counts", &g.Procs},
+			{"trees", "number of FTT segments (Table IV: 1024)", &g.Trees},
+		},
+		Params: g,
+		Points: func(bool) []any {
+			return grid2(g.Procs, []Method{MethodTCIO, MethodVanilla},
+				func(p int, m Method) any { return FigPoint{Procs: p, Method: m} })
+		},
+		Env: func(Options, any) EnvSpec { return EnvSpec{Scale: g.Scale} },
+		Run: func(env *Env, pt any) ([]Row, error) { return []Row{runART(g, env, pt.(FigPoint))}, nil },
+	}, colProcs,
+		Table{Flag: "fig9", Title: "Figure 9: ART write throughput vs processes (MBytes/sec)"},
+		Table{Flag: "fig10", Title: "Figure 10: ART read throughput vs processes (MBytes/sec)"})
 }
 
-// Fig9And10 regenerates Figures 9 and 10: ART checkpoint write and restart
-// read throughput, TCIO vs vanilla MPI-IO.
-func Fig9And10(opts ARTOptions) (write, read stats.Table, results []ARTResult, err error) {
-	write = stats.Table{
-		Title:   "Figure 9: ART write throughput vs processes (MBytes/sec)",
-		Headers: []string{"procs", "TCIO", "MPI-IO"},
+// tablesSweep prints Tables I-III and the programming-effort line; g is
+// Figure 5's geometry, which Table II describes.
+func tablesSweep(g *figGeometry) *Sweep {
+	return &Sweep{
+		Name:  "tables",
+		Help:  "print Tables I, II and III",
+		InAll: true,
+		Static: func(o Options) []stats.Table {
+			return []stats.Table{Table1(), Table2(g, o.LenReal), Table3()}
+		},
+		Note: func() string {
+			loc2, loc3 := ProgramLines()
+			r2, r3 := ProgramReadLines()
+			return fmt.Sprintf("programming effort: OCIO write=%d read=%d lines; TCIO write=%d read=%d lines\n\n",
+				loc2, r2, loc3, r3)
+		},
 	}
-	read = stats.Table{
-		Title:   "Figure 10: ART read throughput vs processes (MBytes/sec)",
-		Headers: []string{"procs", "TCIO", "MPI-IO"},
+}
+
+// table4Sweep prints Table IV.
+func table4Sweep() *Sweep {
+	return &Sweep{
+		Name:   "table4",
+		Help:   "print Table IV (segment generation)",
+		InAll:  true,
+		Static: func(Options) []stats.Table { return []stats.Table{Table4()} },
 	}
-	for _, p := range opts.Procs {
-		row := map[art.Library]ARTResult{}
-		for _, lib := range []art.Library{art.LibTCIO, art.LibVanilla} {
-			r, e := runART(opts, lib, p)
-			if e != nil {
-				return write, read, results, e
-			}
-			row[lib] = r
-			results = append(results, r)
-			if opts.Progress != nil {
-				opts.Progress(fmt.Sprintf("fig9/10 %v procs=%d write=%.1f MB/s read=%.1f MB/s",
-					lib, p, r.WriteMBs, r.ReadMBs))
-			}
-		}
-		write.AddRow(fmt.Sprint(p),
-			artCell(row[art.LibTCIO], row[art.LibTCIO].WriteTime, row[art.LibTCIO].WriteMBs, 0),
-			artCell(row[art.LibVanilla], row[art.LibVanilla].WriteTime, row[art.LibVanilla].WriteMBs, opts.VanillaCutoff))
-		read.AddRow(fmt.Sprint(p),
-			artCell(row[art.LibTCIO], row[art.LibTCIO].ReadTime, row[art.LibTCIO].ReadMBs, 0),
-			artCell(row[art.LibVanilla], row[art.LibVanilla].ReadTime, row[art.LibVanilla].ReadMBs, opts.VanillaCutoff))
-	}
-	return write, read, results, nil
 }
 
 // Table1 renders the paper's Table I: the benchmark's configuration
@@ -354,23 +307,20 @@ func Table1() stats.Table {
 }
 
 // Table2 renders the paper's Table II: the Fig. 5 experiment configuration.
-func Table2(opts SweepOptions) stats.Table {
+func Table2(g *figGeometry, lenReal int) stats.Table {
 	t := stats.Table{
 		Title:   "Table II: experiment configuration",
 		Headers: []string{"parameter", "value"},
 	}
-	t.AddRow("NUMarray", fmt.Sprint(len(opts.Types)))
-	names := ""
-	for i, ty := range opts.Types {
-		if i > 0 {
-			names += ","
-		}
-		names += ty.String()
+	t.AddRow("NUMarray", fmt.Sprint(len(paperTypes)))
+	names := make([]string, len(paperTypes))
+	for i, ty := range paperTypes {
+		names[i] = ty.String()
 	}
-	t.AddRow("TYPEarray", names)
-	t.AddRow("LENarray", fmt.Sprintf("%d (simulated; %d materialized)", opts.LenSim, opts.LenReal))
-	t.AddRow("SIZEaccess", fmt.Sprint(opts.SizeAccess))
-	t.AddRow("NUMproc", fmt.Sprint(opts.Procs))
+	t.AddRow("TYPEarray", strings.Join(names, ","))
+	t.AddRow("LENarray", fmt.Sprintf("%d (simulated; %d materialized)", g.LenSims[0], lenReal))
+	t.AddRow("SIZEaccess", fmt.Sprint(paperSizeAccess))
+	t.AddRow("NUMproc", fmt.Sprint(g.Procs))
 	return t
 }
 

@@ -1,6 +1,6 @@
 package bench
 
-// This file implements the node-aggregation sweep: a granule-interleaved
+// This file declares the node-aggregation sweep: a granule-interleaved
 // write workload in which every level-2 segment is written by exactly the
 // ranks of one node, run with and without tcio.Config.NodeAggregation while
 // the node width (CoresPerNode) and the segment size vary. The workload is
@@ -12,17 +12,14 @@ package bench
 // setting; aggregation may only change the message stream, never the file.
 
 import (
-	"bytes"
 	"fmt"
-	"sync"
 
 	"github.com/tcio/tcio/internal/mpi"
-	"github.com/tcio/tcio/internal/stats"
 	"github.com/tcio/tcio/internal/tcio"
 )
 
-// NodeAggOptions configures the node-aggregation sweep.
-type NodeAggOptions struct {
+// nodeAggGeometry configures the node-aggregation sweep.
+type nodeAggGeometry struct {
 	// Procs is the process count of each run. It must be a multiple of
 	// every entry of Cores so node blocks tile the rank space exactly.
 	Procs int
@@ -31,57 +28,26 @@ type NodeAggOptions struct {
 	Cores []int
 	// SegSizes lists the real segment sizes to sweep; each must be a
 	// multiple of every Cores entry.
-	SegSizes []int64
-	// SegsPerRank is the number of level-2 segments per process.
-	SegsPerRank int
-	// Scale is the environment byte scale (simulated bytes per real byte).
-	Scale int64
-	// Verify cross-checks the final file bytes against the generator.
-	Verify bool
-	// Progress receives one line per completed run.
-	Progress func(string)
+	SegSizes    []int64
+	SegsPerRank int   // level-2 segments per process
+	Scale       int64 // environment byte scale (simulated bytes per real byte)
 }
 
-// DefaultNodeAgg sweeps node widths 1/2/4/8 and two segment sizes over 16
+// defaultNodeAgg sweeps node widths 1/2/4/8 and two segment sizes over 16
 // processes. The simulated segments (16 KiB and 64 KiB) sit in the
 // message-overhead-dominated regime where collapsing per-rank puts pays:
 // one merged put saves (cores-1) x (setup + latency) per segment against an
 // intra-node staging cost of segSize/MemBandwidth, and the former dominates
 // below roughly (cores-1) x 50 KiB.
-func DefaultNodeAgg() NodeAggOptions {
-	return NodeAggOptions{
-		Procs:       16,
-		Cores:       []int{1, 2, 4, 8},
-		SegSizes:    []int64{1 << 10, 4 << 10},
-		SegsPerRank: 6,
-		Scale:       16,
-		Verify:      true,
-	}
+func defaultNodeAgg() *nodeAggGeometry {
+	return &nodeAggGeometry{Procs: 16, Cores: []int{1, 2, 4, 8}, SegSizes: []int64{1 << 10, 4 << 10}, SegsPerRank: 6, Scale: 16}
 }
 
-// NodeAggPoint is one (cores, segment size, aggregation) setting's result.
-type NodeAggPoint struct {
-	CoresPerNode  int     `json:"cores_per_node"`
-	SegSize       int64   `json:"seg_size"` // simulated bytes
-	Aggregation   bool    `json:"node_aggregation"`
-	VirtualTimeNs int64   `json:"virtual_time_ns"`
-	MBs           float64 `json:"mbs"`
-	Messages      int64   `json:"messages"`
-	LocalMsgs     int64   `json:"local_messages"`
-	InterNodeMsgs int64   `json:"inter_node_messages"`
-	NodeCombines  int64   `json:"node_combines"`
-	PutsSaved     int64   `json:"inter_node_puts_saved"`
-	FSWrites      int64   `json:"fs_writes"`
-	Result        string  `json:"result"`
-}
-
-// NodeAggReport is the machine-readable result of one sweep
-// (tciobench -nodeagg -json).
-type NodeAggReport struct {
-	Procs       int            `json:"procs"`
-	SegsPerRank int            `json:"segs_per_rank"`
-	Scale       int64          `json:"scale"`
-	Points      []NodeAggPoint `json:"points"`
+// nodeAggPoint is one (cores, segment size, aggregation) setting.
+type nodeAggPoint struct {
+	Cores   int
+	SegSize int64 // real bytes
+	Agg     bool
 }
 
 // nodeAggByte is the workload's deterministic content generator.
@@ -91,29 +57,20 @@ func nodeAggByte(off int64) byte {
 	return byte(x * 0xBF58476D1CE4E5B9 >> 56)
 }
 
-// nodeAggWrite runs the granule-interleaved write at one setting in the
-// given environment. Rank r writes every granule k with k mod P == r, so
-// segment s (granules s*cores .. s*cores+cores-1) is written by the full
-// node block (s mod (P/cores)) — the aligned pattern aggregation collapses
-// exactly.
-func nodeAggWrite(opts NodeAggOptions, env *Env, cores int, segSize int64, aggOn bool) (PhaseResult, tcio.Stats) {
-	fileBytes := segSize * int64(opts.SegsPerRank) * int64(opts.Procs)
-	granule := segSize / int64(cores)
-	pr := PhaseResult{Method: MethodTCIO, Procs: opts.Procs, SimBytes: fileBytes * opts.Scale}
-	env.Machine.CoresPerNode = cores
+// nodeAggWrite runs the granule-interleaved write at one setting. Rank r
+// writes every granule k with k mod P == r, so segment s (granules s*cores
+// .. s*cores+cores-1) is written by the full node block (s mod (P/cores)) —
+// the aligned pattern aggregation collapses exactly.
+func nodeAggWrite(g *nodeAggGeometry, env *Env, p nodeAggPoint) PhaseResult {
+	fileBytes := p.SegSize * int64(g.SegsPerRank) * int64(g.Procs)
+	granule := p.SegSize / int64(p.Cores)
+	env.Machine.CoresPerNode = p.Cores
 	cfg := tcio.Config{
-		SegmentSize:     segSize,
-		NumSegments:     opts.SegsPerRank,
-		NodeAggregation: aggOn,
+		SegmentSize:     p.SegSize,
+		NumSegments:     g.SegsPerRank,
+		NodeAggregation: p.Agg,
 	}
-	var mu sync.Mutex
-	var agg tcio.Stats
-	rep, err := mpi.Run(mpi.Config{
-		Procs:   opts.Procs,
-		Machine: env.Machine,
-		FS:      env.FS,
-		Faults:  env.Faults,
-	}, func(c *mpi.Comm) error {
+	pr := env.Run(g.Procs, fileBytes*g.Scale, func(c *mpi.Comm, t *Tally) error {
 		handle, err := tcio.Open(c, "nodeagg.dat", tcio.WriteMode, cfg)
 		if err != nil {
 			return err
@@ -129,169 +86,66 @@ func nodeAggWrite(opts NodeAggOptions, env *Env, cores int, segSize int64, aggOn
 			}
 		}
 		cerr := handle.Close()
-		st := handle.Stats()
-		mu.Lock()
-		agg.NodeCombines += st.NodeCombines
-		agg.InterNodePutsSaved += st.InterNodePutsSaved
-		agg.Retries += st.Retries
-		agg.FSWrites += st.FSWrites
-		mu.Unlock()
+		t.TCIO(handle.Stats())
 		return cerr
 	})
-	if err != nil {
-		pr.Failed = true
-		pr.FailReason = failReason(err)
-		return pr, agg
+	want := make([]byte, fileBytes)
+	for off := range want {
+		want[off] = nodeAggByte(int64(off))
 	}
-	pr.Time = rep.MaxTime.Sub(0)
-	pr.MBs = stats.ThroughputMBs(pr.SimBytes, pr.Time)
-	pr.Net = rep.Net
-	pr.FS = rep.FS
-	pr.AllocRetries = rep.AllocRetries
-	if opts.Verify {
-		got := env.FS.Open("nodeagg.dat").Snapshot()
-		want := make([]byte, fileBytes)
-		for off := range want {
-			want[off] = nodeAggByte(int64(off))
-		}
-		if int64(len(got)) < fileBytes || !bytes.Equal(got[:fileBytes], want) {
-			pr.Failed = true
-			pr.FailReason = "ground-truth mismatch"
-		}
-	}
-	return pr, agg
+	env.CheckImage(&pr, "nodeagg.dat", want)
+	return pr
 }
 
-// validateNodeAgg checks the sweep's tiling preconditions.
-func validateNodeAgg(opts NodeAggOptions) error {
-	for _, cores := range opts.Cores {
-		if cores < 1 || opts.Procs%cores != 0 {
-			return fmt.Errorf("bench: %d procs not a multiple of %d cores/node", opts.Procs, cores)
-		}
-		for _, segSize := range opts.SegSizes {
-			if segSize%int64(cores) != 0 {
-				return fmt.Errorf("bench: segment size %d not a multiple of %d cores/node", segSize, cores)
+// nodeAggSweep runs every (cores, segment size) cell with aggregation off
+// and on, tabulating inter-node message counts and the end-to-end virtual
+// time side by side.
+//
+// The projection is a reduced grid (the extreme node widths at the first
+// segment size). Virtual times are absent from it; the message stream's
+// identity, the combine bookkeeping, and every fault roll are not
+// scheduling facts: deposits never roll, and a leader's combined puts roll
+// SiteWinPut keyed by its own deterministic shipment order.
+func nodeAggSweep(g *nodeAggGeometry) *Sweep {
+	at := func(r *Row) nodeAggPoint { return r.Point.(nodeAggPoint) }
+	cores := det("cores/node", "cores_per_node", func(r *Row) any { return at(r).Cores })
+	agg := det("nodeagg", "node_aggregation", func(r *Row) any { return at(r).Agg })
+	msgs := det("msgs", "messages", func(r *Row) any { return r.Net.Messages })
+	local := det("local-msgs", "local_messages", func(r *Row) any { return r.Net.LocalMessages })
+	combines := det("combines", "node_combines", func(r *Row) any { return r.TCIO.NodeCombines })
+	saved := det("puts-saved", "inter_node_puts_saved", func(r *Row) any { return r.TCIO.InterNodePutsSaved })
+	return &Sweep{
+		Name:   "nodeagg",
+		Help:   "sweep intra-node aggregation (cores/node x segment size)",
+		InAll:  true,
+		Params: g,
+		Points: func(chaos bool) []any {
+			coreAxis, segAxis := g.Cores, g.SegSizes
+			if chaos {
+				coreAxis, segAxis = []int{1, g.Cores[len(g.Cores)-1]}, g.SegSizes[:1]
 			}
-		}
+			return grid3(coreAxis, segAxis, []bool{false, true},
+				func(c int, seg int64, on bool) any { return nodeAggPoint{Cores: c, SegSize: seg, Agg: on} })
+		},
+		Env: func(Options, any) EnvSpec { return EnvSpec{Scale: g.Scale} },
+		Run: func(env *Env, pt any) ([]Row, error) {
+			return []Row{{Point: pt, PhaseResult: nodeAggWrite(g, env, pt.(nodeAggPoint))}}, nil
+		},
+		Tables: tables(Table{
+			Title: fmt.Sprintf("Node aggregation: granule-interleaved write, %d processes, %d segments/rank",
+				g.Procs, g.SegsPerRank),
+			Columns: []Column{
+				cores,
+				det("seg-size", "seg_size", func(r *Row) any { return at(r).SegSize * g.Scale }),
+				agg, colTime, colMBs,
+				det("inter-node-msgs", "inter_node_messages", func(r *Row) any { return r.Net.Messages - r.Net.LocalMessages }),
+				local, combines, saved, colResult,
+			},
+		}),
+		Projection: &Table{
+			Title:   fmt.Sprintf("Node aggregation chaos: %d processes", g.Procs),
+			Columns: []Column{cores, agg, colInjected, colRetries, colFSWrites, msgs, local, combines, saved, colResult},
+		},
+		JSON: []Column{msgs, colFSWrites},
 	}
-	if opts.SegsPerRank < 1 {
-		return fmt.Errorf("bench: %d segments per rank", opts.SegsPerRank)
-	}
-	return nil
-}
-
-// NodeAgg runs the full sweep: every (cores, segment size) cell with
-// aggregation off and on, tabulating inter-node message counts and the
-// end-to-end virtual time side by side.
-func NodeAgg(opts NodeAggOptions) (stats.Table, *NodeAggReport, error) {
-	if err := validateNodeAgg(opts); err != nil {
-		return stats.Table{}, nil, err
-	}
-	t := stats.Table{
-		Title: fmt.Sprintf("Node aggregation: granule-interleaved write, %d processes, %d segments/rank",
-			opts.Procs, opts.SegsPerRank),
-		Headers: []string{"cores/node", "seg-size", "nodeagg", "time", "MB/s",
-			"inter-node-msgs", "local-msgs", "combines", "puts-saved", "result"},
-	}
-	report := &NodeAggReport{Procs: opts.Procs, SegsPerRank: opts.SegsPerRank, Scale: opts.Scale}
-	for _, cores := range opts.Cores {
-		for _, segSize := range opts.SegSizes {
-			for _, aggOn := range []bool{false, true} {
-				env, err := NewEnv(opts.Scale)
-				if err != nil {
-					return t, report, err
-				}
-				pr, st := nodeAggWrite(opts, env, cores, segSize, aggOn)
-				result := "ok"
-				if pr.Failed {
-					result = pr.FailReason
-				}
-				inter := pr.Net.Messages - pr.Net.LocalMessages
-				t.AddRow(
-					fmt.Sprintf("%d", cores),
-					fmt.Sprintf("%d", segSize*opts.Scale),
-					fmt.Sprintf("%v", aggOn),
-					pr.Time.String(),
-					fmt.Sprintf("%.1f", pr.MBs),
-					fmt.Sprintf("%d", inter),
-					fmt.Sprintf("%d", pr.Net.LocalMessages),
-					fmt.Sprintf("%d", st.NodeCombines),
-					fmt.Sprintf("%d", st.InterNodePutsSaved),
-					result,
-				)
-				report.Points = append(report.Points, NodeAggPoint{
-					CoresPerNode:  cores,
-					SegSize:       segSize * opts.Scale,
-					Aggregation:   aggOn,
-					VirtualTimeNs: int64(pr.Time),
-					MBs:           pr.MBs,
-					Messages:      pr.Net.Messages,
-					LocalMsgs:     pr.Net.LocalMessages,
-					InterNodeMsgs: inter,
-					NodeCombines:  st.NodeCombines,
-					PutsSaved:     st.InterNodePutsSaved,
-					FSWrites:      pr.FS.Writes,
-					Result:        result,
-				})
-				if opts.Progress != nil {
-					opts.Progress(fmt.Sprintf("nodeagg cores=%d seg=%d agg=%v: %v inter-node=%d (%s)",
-						cores, segSize*opts.Scale, aggOn, pr.Time, inter, result))
-				}
-			}
-		}
-	}
-	return t, report, nil
-}
-
-// NodeAggChaos runs a reduced sweep under deterministic fault injection and
-// tabulates only seed-deterministic counts, so two runs with the same seed
-// emit byte-identical tables — the CI reproducibility check for the
-// aggregated put path. Virtual times are deliberately absent (they depend on
-// scheduler interleaving); the message stream's identity, the combine
-// bookkeeping, and every fault roll do not: deposits never roll, and a
-// leader's combined puts roll SiteWinPut keyed by its own deterministic
-// shipment order.
-func NodeAggChaos(opts NodeAggOptions, seed int64) (stats.Table, error) {
-	if err := validateNodeAgg(opts); err != nil {
-		return stats.Table{}, err
-	}
-	t := stats.Table{
-		Title: fmt.Sprintf("Node aggregation chaos: %d processes, seed %d (counts are seed-deterministic)",
-			opts.Procs, seed),
-		Headers: []string{"cores/node", "nodeagg", "injected", "retries", "fs-writes",
-			"msgs", "local-msgs", "combines", "puts-saved", "result"},
-	}
-	chaosBase := DefaultChaos()
-	chaosBase.Seed = seed
-	segSize := opts.SegSizes[0]
-	for _, cores := range []int{1, opts.Cores[len(opts.Cores)-1]} {
-		for _, aggOn := range []bool{false, true} {
-			inj := chaosBase.ChaosInjector(0.01)
-			env, err := NewChaosEnv(opts.Scale, inj)
-			if err != nil {
-				return t, err
-			}
-			pr, st := nodeAggWrite(opts, env, cores, segSize, aggOn)
-			result := "ok"
-			if pr.Failed {
-				result = pr.FailReason
-			}
-			t.AddRow(
-				fmt.Sprintf("%d", cores),
-				fmt.Sprintf("%v", aggOn),
-				fmt.Sprintf("%d", inj.TotalInjected()),
-				fmt.Sprintf("%d", st.Retries),
-				fmt.Sprintf("%d", pr.FS.Writes),
-				fmt.Sprintf("%d", pr.Net.Messages),
-				fmt.Sprintf("%d", pr.Net.LocalMessages),
-				fmt.Sprintf("%d", st.NodeCombines),
-				fmt.Sprintf("%d", st.InterNodePutsSaved),
-				result,
-			)
-			if opts.Progress != nil {
-				opts.Progress(fmt.Sprintf("nodeagg chaos cores=%d agg=%v: %s", cores, aggOn, result))
-			}
-		}
-	}
-	return t, nil
 }

@@ -1,6 +1,6 @@
 package bench
 
-// This file implements the overlap sweep: the TCIO workload run on a
+// This file declares the overlap sweep: the TCIO workload run on a
 // multi-OST stripe while the write-behind and read-prefetch pipelines vary.
 // The write side is the paper's interleaved workload with
 // tcio.Config.WriteBehindThreshold swept against the synchronous baseline;
@@ -11,127 +11,43 @@ package bench
 // setting; only the virtual timing is allowed to change.
 
 import (
-	"bytes"
 	"fmt"
-	"sync"
 
-	"github.com/tcio/tcio/internal/datatype"
 	"github.com/tcio/tcio/internal/mpi"
-	"github.com/tcio/tcio/internal/pfs"
-	"github.com/tcio/tcio/internal/stats"
 	"github.com/tcio/tcio/internal/tcio"
 )
 
-// OverlapOptions configures the overlap sweep.
-type OverlapOptions struct {
-	// Procs is the process count of each run.
-	Procs int
-	// StripeCount is the file's stripe width in OSTs (like
-	// DrainSweepOptions, pick one coprime to Procs).
-	StripeCount int
-	// Workers is TCIO's per-OST drain fan-out for every run.
-	Workers int
+// overlapGeometry configures the overlap sweep.
+type overlapGeometry struct {
+	synthGeometry
 	// Thresholds lists the WriteBehindThreshold settings to sweep
 	// (0 = synchronous baseline).
 	Thresholds []float64
-	// Prefetch lists the PrefetchSegments settings to sweep (0 = off).
-	Prefetch []int
-	// LenSim and LenReal size the workload like SweepOptions.
-	LenSim  int
-	LenReal int
-	// Verify cross-checks file bytes (writes) and read-back bytes (reads)
-	// against the workload's generator.
-	Verify bool
-	// Progress receives one line per completed run.
-	Progress func(string)
+	Prefetch   []int // PrefetchSegments settings to sweep (0 = off)
 }
 
-// DefaultOverlap sweeps write-behind thresholds 0/0.5/1 and prefetch
+// defaultOverlap sweeps write-behind thresholds 0/0.5/1 and prefetch
 // windows 0/2/8 over a 7-way striped file with 16 processes and a 4-lane
 // drain fan-out.
-func DefaultOverlap() OverlapOptions {
-	return OverlapOptions{
-		Procs:       16,
-		StripeCount: 7,
-		Workers:     4,
-		Thresholds:  []float64{0, 0.5, 1},
-		Prefetch:    []int{0, 2, 8},
-		LenSim:      4 << 20,
-		LenReal:     4 << 10,
-		Verify:      true,
+func defaultOverlap() *overlapGeometry {
+	return &overlapGeometry{
+		synthGeometry: synthGeometry{Procs: 16, StripeCount: 7, Workers: 4, LenSim: 4 << 20},
+		Thresholds:    []float64{0, 0.5, 1},
+		Prefetch:      []int{0, 2, 8},
 	}
 }
 
-// OverlapWritePoint is one write-behind setting's result, for the JSON
-// perf-trajectory artifact.
-type OverlapWritePoint struct {
-	Threshold      float64 `json:"write_behind_threshold"`
-	VirtualTimeNs  int64   `json:"virtual_time_ns"`
-	MBs            float64 `json:"mbs"`
-	EagerDrains    int64   `json:"eager_drains"`
-	EagerWrites    int64   `json:"eager_write_requests"`
-	FlushResidue   int64   `json:"flush_residue_requests"`
-	OverlapSavedNs int64   `json:"overlap_saved_ns"`
-	FSWrites       int64   `json:"fs_writes"`
-	Retries        int64   `json:"fs_retries"`
-	Result         string  `json:"result"`
-}
-
-// OverlapReadPoint is one prefetch setting's result.
-type OverlapReadPoint struct {
-	Prefetch      int     `json:"prefetch_segments"`
-	VirtualTimeNs int64   `json:"virtual_time_ns"`
-	MBs           float64 `json:"mbs"`
-	Populations   int64   `json:"populations"`
-	PrefetchHits  int64   `json:"prefetch_hits"`
-	FSReads       int64   `json:"fs_reads"`
-	Retries       int64   `json:"fs_retries"`
-	Result        string  `json:"result"`
-}
-
-// OverlapReport is the machine-readable result of one overlap sweep
-// (tciobench -json).
-type OverlapReport struct {
-	Procs       int                 `json:"procs"`
-	StripeCount int                 `json:"stripe_count"`
-	Workers     int                 `json:"drain_workers"`
-	LenSim      int                 `json:"len_sim"`
-	LenReal     int                 `json:"len_real"`
-	Write       []OverlapWritePoint `json:"write"`
-	Read        []OverlapReadPoint  `json:"read"`
+// overlapSetting is one row's setting: a write-behind threshold on the
+// write side, a prefetch window on the read side.
+type overlapSetting struct {
+	Write     bool
+	Threshold float64
+	Prefetch  int
 }
 
 // overlapPhases is the number of barrier-separated phases of the write
 // workload's timestep loop.
 const overlapPhases = 8
-
-// overlapCfg is the sweep's fixed workload shape.
-func overlapCfg(opts OverlapOptions, name string) SyntheticConfig {
-	return SyntheticConfig{
-		Method:       MethodTCIO,
-		Procs:        opts.Procs,
-		TypeArray:    []datatype.Type{datatype.Int, datatype.Double},
-		LenArray:     opts.LenReal,
-		SizeAccess:   1,
-		FileName:     name,
-		DrainWorkers: opts.Workers,
-	}
-}
-
-// overlapEnv builds the sweep's striped environment.
-func overlapEnv(opts OverlapOptions) (*Env, error) {
-	scale := int64(opts.LenSim / opts.LenReal)
-	env, err := NewEnv(scale)
-	if err != nil {
-		return nil, err
-	}
-	if opts.StripeCount > 1 {
-		fscfg := env.FS.Config()
-		fscfg.StripeCount = opts.StripeCount
-		env.FS = pfs.New(fscfg)
-	}
-	return env, nil
-}
 
 // fileByte computes the expected byte at a file offset straight from the
 // workload definition — the ground truth the sequential readers verify
@@ -163,58 +79,16 @@ func expectedImage(cfg SyntheticConfig) []byte {
 	return img
 }
 
-// overlapStats aggregates tcio's per-rank counters over a run: counts sum,
-// the overlap saving is the maximum over ranks (comparable to the
-// makespan, which is also a maximum).
-type overlapStats struct {
-	mu  sync.Mutex
-	sum tcio.Stats
-}
-
-func (a *overlapStats) add(st tcio.Stats) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.sum.EagerDrains += st.EagerDrains
-	a.sum.EagerWrites += st.EagerWrites
-	a.sum.FlushResidue += st.FlushResidue
-	a.sum.Populations += st.Populations
-	a.sum.PrefetchIssued += st.PrefetchIssued
-	a.sum.PrefetchHits += st.PrefetchHits
-	a.sum.PrefetchWasted += st.PrefetchWasted
-	a.sum.EpochEvictions += st.EpochEvictions
-	a.sum.Retries += st.Retries
-	a.sum.FSWrites += st.FSWrites
-	if st.OverlapSaved > a.sum.OverlapSaved {
-		a.sum.OverlapSaved = st.OverlapSaved
-	}
-}
-
 // overlapWrite runs the interleaved write workload at one write-behind
 // threshold and cross-checks the file image against the ground truth.
-func overlapWrite(env *Env, opts OverlapOptions, cfg SyntheticConfig, threshold float64) (PhaseResult, tcio.Stats) {
+func overlapWrite(env *Env, cfg SyntheticConfig, threshold float64) PhaseResult {
 	env.FS.Reset()
-	pr := PhaseResult{Method: MethodTCIO, Procs: cfg.Procs, SimBytes: cfg.FileBytes() * env.Scale}
-	var agg overlapStats
-	rep, err := mpi.Run(mpi.Config{
-		Procs:         cfg.Procs,
-		Machine:       env.Machine,
-		FS:            env.FS,
-		EnforceMemory: true,
-		Faults:        env.Faults,
-	}, func(c *mpi.Comm) error {
-		arrays := make([][]byte, len(cfg.TypeArray))
-		for j := range arrays {
-			a, err := makeArray(c, cfg, j)
-			if err != nil {
-				return err
-			}
-			arrays[j] = a
+	pr := env.Run(cfg.Procs, cfg.FileBytes()*env.Scale, func(c *mpi.Comm, t *Tally) error {
+		arrays, err := makeArrays(c, cfg, true)
+		defer freeArrays(c, arrays)
+		if err != nil {
+			return err
 		}
-		defer func() {
-			for _, a := range arrays {
-				c.Free(a)
-			}
-		}()
 		tc := tcioConfigFor(c, cfg)
 		tc.WriteBehindThreshold = threshold
 		handle, err := tcio.Open(c, cfg.FileName, tcio.WriteMode, tc)
@@ -226,66 +100,31 @@ func overlapWrite(env *Env, opts OverlapOptions, cfg SyntheticConfig, threshold 
 		// writing results as it goes. The synchronization points are where
 		// write-behind earns its keep — segments finished in earlier phases
 		// drain in the background while later phases still compute.
-		blockSize := cfg.blockSize()
-		phase := cfg.iters() / overlapPhases
-		if phase < 1 {
-			phase = 1
-		}
-		for i := 0; i < cfg.iters(); i++ {
-			if i > 0 && i%phase == 0 {
+		phase, iter := max(cfg.iters()/overlapPhases, 1), 0
+		if err := eachPiece(c, cfg, arrays, func(i int, pos int64, piece []byte) error {
+			if i != iter && i%phase == 0 {
 				if err := c.Barrier(); err != nil {
 					return err
 				}
 			}
-			pos := int64(c.Rank())*blockSize + int64(i)*blockSize*int64(c.Size())
-			for j := range arrays {
-				width := int(cfg.TypeArray[j].Size())
-				lo := i * cfg.SizeAccess * width
-				hi := lo + cfg.SizeAccess*width
-				if err := handle.WriteAt(pos, arrays[j][lo:hi]); err != nil {
-					return err
-				}
-				pos += int64(cfg.SizeAccess * width)
-			}
+			iter = i
+			return handle.WriteAt(pos, piece)
+		}); err != nil {
+			return err
 		}
 		cerr := handle.Close()
-		agg.add(handle.Stats())
+		t.TCIO(handle.Stats())
 		return cerr
 	})
-	if err != nil {
-		pr.Failed = true
-		pr.FailReason = failReason(err)
-		return pr, agg.sum
-	}
-	pr.Time = rep.MaxTime.Sub(0)
-	pr.MBs = stats.ThroughputMBs(pr.SimBytes, pr.Time)
-	pr.Net = rep.Net
-	pr.FS = rep.FS
-	pr.AllocRetries = rep.AllocRetries
-	if opts.Verify {
-		want := expectedImage(cfg)
-		got := env.FS.Open(cfg.FileName).Snapshot()
-		if int64(len(got)) < int64(len(want)) || !bytes.Equal(got[:len(want)], want) {
-			pr.Failed = true
-			pr.FailReason = "ground-truth mismatch"
-		}
-	}
-	return pr, agg.sum
+	env.CheckImage(&pr, cfg.FileName, expectedImage(cfg))
+	return pr
 }
 
 // overlapRead runs the contiguous-partition sequential read at one
 // prefetch setting against the already-written file.
-func overlapRead(env *Env, opts OverlapOptions, cfg SyntheticConfig, prefetch int) (PhaseResult, tcio.Stats) {
+func overlapRead(env *Env, cfg SyntheticConfig, prefetch int) PhaseResult {
 	env.FS.Reset()
-	pr := PhaseResult{Method: MethodTCIO, Procs: cfg.Procs, SimBytes: cfg.FileBytes() * env.Scale}
-	var agg overlapStats
-	rep, err := mpi.Run(mpi.Config{
-		Procs:         cfg.Procs,
-		Machine:       env.Machine,
-		FS:            env.FS,
-		EnforceMemory: true,
-		Faults:        env.Faults,
-	}, func(c *mpi.Comm) error {
+	return env.Run(cfg.Procs, cfg.FileBytes()*env.Scale, func(c *mpi.Comm, t *Tally) error {
 		tc := tcioConfigFor(c, cfg)
 		tc.DemandPopulate = true
 		tc.PrefetchSegments = prefetch
@@ -302,10 +141,7 @@ func overlapRead(env *Env, opts OverlapOptions, cfg SyntheticConfig, prefetch in
 		defer c.Free(buf)
 		piece := cfg.blockSize()
 		for off := int64(0); off < chunk; off += piece {
-			n := piece
-			if off+n > chunk {
-				n = chunk - off
-			}
+			n := min(piece, chunk-off)
 			if err := handle.ReadAt(base+off, buf[off:off+n]); err != nil {
 				return err
 			}
@@ -313,232 +149,107 @@ func overlapRead(env *Env, opts OverlapOptions, cfg SyntheticConfig, prefetch in
 		if err := handle.Close(); err != nil {
 			return err
 		}
-		agg.add(handle.Stats())
-		if opts.Verify {
-			for off := int64(0); off < chunk; off++ {
-				if got, want := buf[off], fileByte(cfg, base+off); got != want {
-					return fmt.Errorf("rank %d offset %d: got %#x want %#x",
-						c.Rank(), base+off, got, want)
-				}
-			}
-		}
-		return nil
+		t.TCIO(handle.Stats())
+		return checkBytes(c.Rank(), base, buf, func(off int64) byte { return fileByte(cfg, off) })
 	})
-	if err != nil {
-		pr.Failed = true
-		pr.FailReason = failReason(err)
-		return pr, agg.sum
-	}
-	pr.Time = rep.MaxTime.Sub(0)
-	pr.MBs = stats.ThroughputMBs(pr.SimBytes, pr.Time)
-	pr.Net = rep.Net
-	pr.FS = rep.FS
-	pr.AllocRetries = rep.AllocRetries
-	return pr, agg.sum
 }
 
-// Overlap runs the full sweep and tabulates both sides. The write table
-// compares write-behind thresholds against the synchronous baseline; the
-// read table compares prefetch windows against pure demand population.
-func Overlap(opts OverlapOptions) (stats.Table, stats.Table, *OverlapReport, error) {
-	if len(opts.Thresholds) == 0 {
-		opts.Thresholds = DefaultOverlap().Thresholds
-	}
-	if len(opts.Prefetch) == 0 {
-		opts.Prefetch = DefaultOverlap().Prefetch
-	}
-	wt := stats.Table{
-		Title: fmt.Sprintf("Overlap: eager write-behind, %d processes, stripe over %d OSTs, %d drain workers",
-			opts.Procs, opts.StripeCount, opts.Workers),
-		Headers: []string{"wb-threshold", "write-time", "write-MB/s", "eager-drains",
-			"eager-writes", "residue-reqs", "overlap-saved", "fs-writes", "result"},
-	}
-	rt := stats.Table{
-		Title: fmt.Sprintf("Overlap: sequential read prefetch, %d processes, stripe over %d OSTs, %d drain workers",
-			opts.Procs, opts.StripeCount, opts.Workers),
-		Headers: []string{"prefetch-segs", "read-time", "read-MB/s", "populations",
-			"prefetch-hits", "fs-reads", "result"},
-	}
-	report := &OverlapReport{
-		Procs:       opts.Procs,
-		StripeCount: opts.StripeCount,
-		Workers:     opts.Workers,
-		LenSim:      opts.LenSim,
-		LenReal:     opts.LenReal,
-	}
-
-	for _, th := range opts.Thresholds {
-		env, err := overlapEnv(opts)
-		if err != nil {
-			return wt, rt, report, err
-		}
-		cfg := overlapCfg(opts, fmt.Sprintf("overlap-wb-%d", int(th*100)))
-		pr, st := overlapWrite(env, opts, cfg, th)
-		result := "ok"
-		if pr.Failed {
-			result = pr.FailReason
-		}
-		wt.AddRow(
-			fmt.Sprintf("%.2f", th),
-			pr.Time.String(),
-			fmt.Sprintf("%.1f", pr.MBs),
-			fmt.Sprintf("%d", st.EagerDrains),
-			fmt.Sprintf("%d", st.EagerWrites),
-			fmt.Sprintf("%d", st.FlushResidue),
-			st.OverlapSaved.String(),
-			fmt.Sprintf("%d", pr.FS.Writes),
-			result,
-		)
-		report.Write = append(report.Write, OverlapWritePoint{
-			Threshold:      th,
-			VirtualTimeNs:  int64(pr.Time),
-			MBs:            pr.MBs,
-			EagerDrains:    st.EagerDrains,
-			EagerWrites:    st.EagerWrites,
-			FlushResidue:   st.FlushResidue,
-			OverlapSavedNs: int64(st.OverlapSaved),
-			FSWrites:       pr.FS.Writes,
-			Retries:        pr.FS.Retries,
-			Result:         result,
-		})
-		if opts.Progress != nil {
-			opts.Progress(fmt.Sprintf("overlap write threshold=%.2f: %v eager=%d residue=%d (%s)",
-				th, pr.Time, st.EagerDrains, st.FlushResidue, result))
-		}
-	}
-
-	// One file for the read side, written with the synchronous baseline.
-	env, err := overlapEnv(opts)
-	if err != nil {
-		return wt, rt, report, err
-	}
-	cfg := overlapCfg(opts, "overlap-read")
-	if pr, _ := overlapWrite(env, opts, cfg, 0); pr.Failed {
-		return wt, rt, report, fmt.Errorf("bench: overlap read-side write failed: %s", pr.FailReason)
-	}
-	for _, pf := range opts.Prefetch {
-		pr, st := overlapRead(env, opts, cfg, pf)
-		result := "ok"
-		if pr.Failed {
-			result = pr.FailReason
-		}
-		rt.AddRow(
-			fmt.Sprintf("%d", pf),
-			pr.Time.String(),
-			fmt.Sprintf("%.1f", pr.MBs),
-			fmt.Sprintf("%d", st.Populations),
-			fmt.Sprintf("%d", st.PrefetchHits),
-			fmt.Sprintf("%d", pr.FS.Reads),
-			result,
-		)
-		report.Read = append(report.Read, OverlapReadPoint{
-			Prefetch:      pf,
-			VirtualTimeNs: int64(pr.Time),
-			MBs:           pr.MBs,
-			Populations:   st.Populations,
-			PrefetchHits:  st.PrefetchHits,
-			FSReads:       pr.FS.Reads,
-			Retries:       pr.FS.Retries,
-			Result:        result,
-		})
-		if opts.Progress != nil {
-			opts.Progress(fmt.Sprintf("overlap read prefetch=%d: %v hits=%d (%s)",
-				pf, pr.Time, st.PrefetchHits, result))
-		}
-	}
-	return wt, rt, report, nil
-}
-
-// OverlapChaos runs the overlap settings under deterministic fault
-// injection and tabulates only seed-deterministic counts, so two runs with
-// the same seed emit byte-identical tables — the CI reproducibility check.
-// Virtual times, eager-drain tallies, and overlap savings are deliberately
-// absent: they depend on scheduler interleaving; the request stream's
-// identity (and hence every count below) does not. The write side pins
+// overlapSweep tabulates both sides. The write table compares write-behind
+// thresholds against the synchronous baseline; the read table compares
+// prefetch windows against pure demand population.
+//
+// The projection leaves out virtual times, eager-drain tallies, and overlap
+// savings: they depend on scheduler interleaving; the request stream's
+// identity (and hence every count it keeps) does not. Its write side pins
 // thresholds 0 and 1 — the two settings whose file system request identity
 // is provably bit-identical.
-func OverlapChaos(opts OverlapOptions, seed int64) (stats.Table, error) {
-	t := stats.Table{
-		Title: fmt.Sprintf("Overlap chaos: %d processes, seed %d (counts are seed-deterministic)",
-			opts.Procs, seed),
-		Headers: []string{"phase", "setting", "injected", "fs-retries", "fs-writes",
-			"fs-reads", "populations", "prefetch-hits", "alloc-retries", "result"},
+func overlapSweep(g *overlapGeometry) *Sweep {
+	at := func(r *Row) overlapSetting { return r.Point.(overlapSetting) }
+	hits := det("prefetch-hits", "prefetch_hits", func(r *Row) any { return r.TCIO.PrefetchHits })
+	phase := det("phase", "phase", func(r *Row) any { return pick(at(r).Write, "write", "read") })
+	return &Sweep{
+		Name:   "overlap",
+		Help:   "sweep write-behind and read-prefetch overlap settings",
+		InAll:  true,
+		Params: g,
+		// A point is the settings that share one environment: each write
+		// setting alone; the read settings together, reading one file
+		// written with the synchronous baseline — except in the projection,
+		// where every read setting's fault rolls start from a fresh injector.
+		Points: func(chaos bool) []any {
+			thresholds, prefetch := g.Thresholds, g.Prefetch
+			if chaos {
+				thresholds, prefetch = []float64{0, 1}, []int{0, 8}
+			}
+			var pts []any
+			for _, th := range thresholds {
+				pts = append(pts, []overlapSetting{{Write: true, Threshold: th}})
+			}
+			var reads []overlapSetting
+			for _, pf := range prefetch {
+				reads = append(reads, overlapSetting{Prefetch: pf})
+			}
+			if !chaos {
+				return append(pts, reads)
+			}
+			for _, s := range reads {
+				pts = append(pts, []overlapSetting{s})
+			}
+			return pts
+		},
+		Env: g.env,
+		Run: func(env *Env, pt any) ([]Row, error) {
+			group := pt.([]overlapSetting)
+			cfg := g.config(env, MethodTCIO, "overlap")
+			if s := group[0]; s.Write {
+				return []Row{{Point: s, PhaseResult: overlapWrite(env, cfg, s.Threshold)}}, nil
+			}
+			if pr := overlapWrite(env, cfg, 0); pr.Failed {
+				return nil, fmt.Errorf("read-side write failed: %s", pr.FailReason)
+			}
+			var rows []Row
+			for _, s := range group {
+				rows = append(rows, Row{Point: s, PhaseResult: overlapRead(env, cfg, s.Prefetch)})
+			}
+			return rows, nil
+		},
+		Tables: func(Options) []Table {
+			shape := fmt.Sprintf("%d processes, stripe over %d OSTs, %d drain workers", g.Procs, g.StripeCount, g.Workers)
+			return []Table{{
+				Title: "Overlap: eager write-behind, " + shape,
+				Where: func(r *Row) bool { return at(r).Write },
+				Columns: []Column{
+					{Header: "wb-threshold", Key: "write_behind_threshold", Det: true,
+						Value: func(r *Row) any { return at(r).Threshold },
+						Cell:  func(r *Row) string { return fmt.Sprintf("%.2f", at(r).Threshold) }},
+					colTime.as("write-time"), colMBs.as("write-MB/s"),
+					host("eager-drains", "eager_drains", func(r *Row) any { return r.TCIO.EagerDrains }, nil),
+					host("eager-writes", "eager_write_requests", func(r *Row) any { return r.TCIO.EagerWrites }, nil),
+					host("residue-reqs", "flush_residue_requests", func(r *Row) any { return r.TCIO.FlushResidue }, nil),
+					host("overlap-saved", "overlap_saved_ns", func(r *Row) any { return r.TCIO.OverlapSaved }, nil),
+					colFSWrites, colResult,
+				},
+			}, {
+				Title: "Overlap: sequential read prefetch, " + shape,
+				Where: func(r *Row) bool { return !at(r).Write },
+				Columns: []Column{
+					det("prefetch-segs", "prefetch_segments", func(r *Row) any { return at(r).Prefetch }),
+					colTime.as("read-time"), colMBs.as("read-MB/s"),
+					colPopulations, hits, colFSReads, colResult,
+				},
+			}}
+		},
+		Projection: &Table{
+			Title: fmt.Sprintf("Overlap chaos: %d processes", g.Procs),
+			Columns: []Column{
+				phase,
+				det("setting", "", func(r *Row) any {
+					return pick(at(r).Write, fmt.Sprintf("wb-threshold=%.0f", at(r).Threshold), fmt.Sprintf("prefetch=%d", at(r).Prefetch))
+				}),
+				colInjected, colFSRetries, colFSWrites, colFSReads,
+				colPopulations, hits, colAllocRetries, colResult,
+			},
+		},
+		JSON: []Column{phase, colFSRetries},
 	}
-	chaosBase := DefaultChaos()
-	chaosBase.Seed = seed
-	newEnv := func() (*Env, *OverlapOptions, error) {
-		o := opts
-		env, err := overlapEnv(o)
-		if err != nil {
-			return nil, nil, err
-		}
-		inj := chaosBase.ChaosInjector(0.01)
-		fscfg := env.FS.Config()
-		fscfg.Faults = inj
-		env.FS = pfs.New(fscfg)
-		env.Faults = inj
-		return env, &o, nil
-	}
-
-	for _, th := range []float64{0, 1} {
-		env, o, err := newEnv()
-		if err != nil {
-			return t, err
-		}
-		cfg := overlapCfg(*o, fmt.Sprintf("overlap-chaos-wb-%d", int(th)))
-		before := env.Faults.TotalInjected()
-		pr, st := overlapWrite(env, *o, cfg, th)
-		result := "ok"
-		if pr.Failed {
-			result = pr.FailReason
-		}
-		t.AddRow(
-			"write",
-			fmt.Sprintf("wb-threshold=%.0f", th),
-			fmt.Sprintf("%d", env.Faults.TotalInjected()-before),
-			fmt.Sprintf("%d", pr.FS.Retries),
-			fmt.Sprintf("%d", pr.FS.Writes),
-			fmt.Sprintf("%d", pr.FS.Reads),
-			fmt.Sprintf("%d", st.Populations),
-			fmt.Sprintf("%d", st.PrefetchHits),
-			fmt.Sprintf("%d", pr.AllocRetries),
-			result,
-		)
-		if opts.Progress != nil {
-			opts.Progress(fmt.Sprintf("overlap chaos write threshold=%.0f: %s", th, result))
-		}
-	}
-
-	for _, pf := range []int{0, 8} {
-		env, o, err := newEnv()
-		if err != nil {
-			return t, err
-		}
-		cfg := overlapCfg(*o, fmt.Sprintf("overlap-chaos-pf-%d", pf))
-		if pr, _ := overlapWrite(env, *o, cfg, 0); pr.Failed {
-			return t, fmt.Errorf("bench: overlap chaos read-side write failed: %s", pr.FailReason)
-		}
-		before := env.Faults.TotalInjected()
-		pr, st := overlapRead(env, *o, cfg, pf)
-		result := "ok"
-		if pr.Failed {
-			result = pr.FailReason
-		}
-		t.AddRow(
-			"read",
-			fmt.Sprintf("prefetch=%d", pf),
-			fmt.Sprintf("%d", env.Faults.TotalInjected()-before),
-			fmt.Sprintf("%d", pr.FS.Retries),
-			fmt.Sprintf("%d", pr.FS.Writes),
-			fmt.Sprintf("%d", pr.FS.Reads),
-			fmt.Sprintf("%d", st.Populations),
-			fmt.Sprintf("%d", st.PrefetchHits),
-			fmt.Sprintf("%d", pr.AllocRetries),
-			result,
-		)
-		if opts.Progress != nil {
-			opts.Progress(fmt.Sprintf("overlap chaos read prefetch=%d: %s", pf, result))
-		}
-	}
-	return t, nil
 }

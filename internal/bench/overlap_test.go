@@ -9,93 +9,92 @@ import (
 	"testing"
 )
 
-func overlapTestOpts() OverlapOptions {
-	opts := DefaultOverlap()
-	opts.LenReal = 256
+func overlapTestOpts() *overlapGeometry {
+	opts := defaultOverlap()
 	opts.Thresholds = []float64{0, 1}
 	opts.Prefetch = []int{0, 4}
 	return opts
 }
 
-func TestOverlapSweep(t *testing.T) {
-	opts := overlapTestOpts()
-	_, _, report, err := Overlap(opts)
+// overlapTestLenReal is the miniature's materialized LENarray.
+const overlapTestLenReal = 256
+
+// overlapSides runs the clean sweep and splits its rows by side.
+func overlapSides(t *testing.T, opts *overlapGeometry) (write, read []Row) {
+	t.Helper()
+	rep, err := Run(overlapSweep(opts), Options{LenReal: overlapTestLenReal})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(report.Write) != 2 || len(report.Read) != 2 {
-		t.Fatalf("report has %d write / %d read points", len(report.Write), len(report.Read))
-	}
-	for _, p := range report.Write {
-		if p.Result != "ok" {
-			t.Fatalf("write threshold %v: %s", p.Threshold, p.Result)
+	for _, r := range rep.Rows {
+		s := r.Point.(overlapSetting)
+		if r.Result != "ok" {
+			t.Fatalf("%+v: %s", s, r.Result)
+		}
+		if s.Write {
+			write = append(write, r)
+		} else {
+			read = append(read, r)
 		}
 	}
-	for _, p := range report.Read {
-		if p.Result != "ok" {
-			t.Fatalf("read prefetch %d: %s", p.Prefetch, p.Result)
-		}
+	if len(write) != 2 || len(read) != 2 {
+		t.Fatalf("report has %d write / %d read points", len(write), len(read))
 	}
-	sync, eager := report.Write[0], report.Write[1]
+	return write, read
+}
+
+// overlapChaosRows runs the sweep's projection and returns the table.
+func overlapChaosRows(t *testing.T, opts *overlapGeometry, seed int64) [][]string {
+	t.Helper()
+	rep, err := Run(overlapSweep(opts), Options{LenReal: overlapTestLenReal, Seed: seed, Chaos: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep.Tables(nil)[0].Rows
+}
+
+func TestOverlapSweep(t *testing.T) {
+	opts := overlapTestOpts()
+	write, read := overlapSides(t, opts)
+	sync, eager := write[0], write[1]
 	// Threshold 1 coalesces each segment exactly as the final drain would,
 	// so the request count must match the synchronous baseline...
-	if sync.FSWrites != eager.FSWrites {
-		t.Fatalf("fs writes differ: sync %d, eager %d", sync.FSWrites, eager.FSWrites)
+	if sync.FS.Writes != eager.FS.Writes {
+		t.Fatalf("fs writes differ: sync %d, eager %d", sync.FS.Writes, eager.FS.Writes)
 	}
 	// ...and overlapping most of them with the timestep loop must win
 	// end-to-end. Eager coverage detection is guaranteed by the loop's
 	// barriers (contributions from earlier phases are always visible), so
 	// this holds deterministically, not just on a lucky schedule.
-	if eager.VirtualTimeNs >= sync.VirtualTimeNs {
+	if eager.Time >= sync.Time {
 		t.Fatalf("write-behind did not reduce write time: sync %d ns, eager %d ns (eager drains %d)",
-			sync.VirtualTimeNs, eager.VirtualTimeNs, eager.EagerDrains)
+			sync.Time, eager.Time, eager.TCIO.EagerDrains)
 	}
-	if eager.EagerDrains == 0 {
+	if eager.TCIO.EagerDrains == 0 {
 		t.Fatal("threshold 1 triggered no eager drains")
 	}
-	demand, prefetch := report.Read[0], report.Read[1]
-	if demand.FSReads != prefetch.FSReads {
-		t.Fatalf("fs reads differ: demand %d, prefetch %d", demand.FSReads, prefetch.FSReads)
+	demand, prefetch := read[0], read[1]
+	if demand.FS.Reads != prefetch.FS.Reads {
+		t.Fatalf("fs reads differ: demand %d, prefetch %d", demand.FS.Reads, prefetch.FS.Reads)
 	}
-	if demand.Populations != prefetch.Populations {
-		t.Fatalf("populations differ: demand %d, prefetch %d", demand.Populations, prefetch.Populations)
+	if demand.TCIO.Populations != prefetch.TCIO.Populations {
+		t.Fatalf("populations differ: demand %d, prefetch %d", demand.TCIO.Populations, prefetch.TCIO.Populations)
 	}
-	if prefetch.PrefetchHits == 0 {
+	if prefetch.TCIO.PrefetchHits == 0 {
 		t.Fatal("prefetch window 4 scored no hits")
 	}
-	if prefetch.VirtualTimeNs > demand.VirtualTimeNs {
+	if prefetch.Time > demand.Time {
 		t.Fatalf("prefetch slowed the sequential read: demand %d ns, prefetch %d ns",
-			demand.VirtualTimeNs, prefetch.VirtualTimeNs)
+			demand.Time, prefetch.Time)
 	}
 	// The same on one rank, whose request stream is totally ordered: at 16
 	// ranks the OSTs serve requests in host-arrival order and the two times
 	// move with the schedule, here both are exact.
 	opts.Procs = 1
-	_, _, solo, err := Overlap(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if demand, prefetch := solo.Read[0], solo.Read[1]; prefetch.PrefetchHits == 0 || prefetch.VirtualTimeNs > demand.VirtualTimeNs {
+	_, solo := overlapSides(t, opts)
+	if demand, prefetch := solo[0], solo[1]; prefetch.TCIO.PrefetchHits == 0 || prefetch.Time > demand.Time {
 		t.Fatalf("prefetch slowed the sequential read: demand %d ns, prefetch %d ns (%d hits)",
-			demand.VirtualTimeNs, prefetch.VirtualTimeNs, prefetch.PrefetchHits)
-	}
-}
-
-// TestOverlapChaosReproducible is the CI contract: two runs with the same
-// seed must emit byte-identical tables, because the table only carries
-// seed-deterministic counts.
-func TestOverlapChaosReproducible(t *testing.T) {
-	opts := overlapTestOpts()
-	a, err := OverlapChaos(opts, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := OverlapChaos(opts, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("chaos tables differ between identical runs:\n%+v\n%+v", a, b)
+			demand.Time, prefetch.Time, prefetch.TCIO.PrefetchHits)
 	}
 }
 
@@ -107,16 +106,9 @@ func TestOverlapChaosWorkerInvariant(t *testing.T) {
 	serial.Workers = 1
 	fanned := overlapTestOpts()
 	fanned.Workers = 4
-	a, err := OverlapChaos(serial, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := OverlapChaos(fanned, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a.Rows, b.Rows) {
-		t.Fatalf("chaos counts changed with drain workers:\n%v\n%v", a.Rows, b.Rows)
+	a, b := overlapChaosRows(t, serial, 11), overlapChaosRows(t, fanned, 11)
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("chaos counts changed with drain workers:\n%v\n%v", a, b)
 	}
 }
 
@@ -125,12 +117,9 @@ func TestOverlapChaosWorkerInvariant(t *testing.T) {
 // must agree on every fault and request count — write-behind and prefetch
 // change when requests happen, never which requests happen.
 func TestOverlapChaosSettingInvariant(t *testing.T) {
-	tbl, err := OverlapChaos(overlapTestOpts(), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tbl.Rows) != 4 {
-		t.Fatalf("chaos table has %d rows, want 4", len(tbl.Rows))
+	rows := overlapChaosRows(t, overlapTestOpts(), 3)
+	if len(rows) != 4 {
+		t.Fatalf("chaos table has %d rows, want 4", len(rows))
 	}
 	// Columns: phase, setting, injected, fs-retries, fs-writes, fs-reads,
 	// populations, prefetch-hits, alloc-retries, result. Compare the fault
@@ -140,9 +129,8 @@ func TestOverlapChaosSettingInvariant(t *testing.T) {
 		for _, col := range invariant {
 			// prefetch-hits (7) legitimately differs between prefetch 0
 			// and 8; populations (6) must not.
-			if a, b := tbl.Rows[pair[0]][col], tbl.Rows[pair[1]][col]; a != b {
-				t.Errorf("rows %d/%d column %d differ: %q vs %q (%s)",
-					pair[0], pair[1], col, a, b, tbl.Headers[col])
+			if a, b := rows[pair[0]][col], rows[pair[1]][col]; a != b {
+				t.Errorf("rows %d/%d column %d differ: %q vs %q", pair[0], pair[1], col, a, b)
 			}
 		}
 	}

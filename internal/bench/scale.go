@@ -24,79 +24,58 @@ import (
 	"time"
 
 	"github.com/tcio/tcio/internal/mpi"
-	"github.com/tcio/tcio/internal/stats"
 	"github.com/tcio/tcio/internal/tcio"
 	"github.com/tcio/tcio/internal/trace"
 )
 
-// ScaleOptions configures the wall-clock scale sweep.
-type ScaleOptions struct {
-	// Procs lists the simulated rank counts to drive.
-	Procs []int
-	// GoMaxProcs lists the runtime.GOMAXPROCS settings to sweep.
-	GoMaxProcs []int
-	// PiecesPerRank is the number of strided pieces each rank writes (and
-	// the granularity it reads back in).
-	PiecesPerRank int
-	// PieceBytes is the real size of one piece.
-	PieceBytes int64
-	// Verify cross-checks every read-back byte against the generator.
-	Verify bool
+// scaleGeometry configures the wall-clock scale sweep.
+type scaleGeometry struct {
+	Procs      []int // simulated rank counts to drive
+	GoMaxProcs []int // runtime.GOMAXPROCS settings to sweep
 	// Profiles captures mutex/block profile top entries per point (host
 	// timing facts; excluded from deterministic comparisons).
 	Profiles bool
-	// Progress receives one line per completed point.
-	Progress func(string)
 }
 
-// DefaultScale sweeps N in {64, 256, 1024, 4096} at GOMAXPROCS in
-// {1, 2, 4, 8} — the acceptance grid of the host-scalability work. The
-// piece geometry fills exactly one level-2 segment per rank: a rank's
+// defaultScale sweeps N in {64, 256, 1024, 4096} at GOMAXPROCS in
+// {1, 2, 4, 8} — the acceptance grid of the host-scalability work.
+func defaultScale() *scaleGeometry {
+	return &scaleGeometry{Procs: []int{64, 256, 1024, 4096}, GoMaxProcs: []int{1, 2, 4, 8}, Profiles: true}
+}
+
+// The piece geometry fills exactly one level-2 segment per rank: a rank's
 // drain (and preload) is then a single file-system request departing at
 // the common post-barrier instant, so the shared OST queue sees symmetric
-// customers and its makespan is host-order-independent. Two or more
-// segments per rank would chain the second request off the first's
+// customers and its makespan is host-order-independent. Fewer pieces would
+// leave holes inside the contiguous region the read phase verifies; two or
+// more segments per rank would chain the second request off the first's
 // queue-position-dependent completion and wobble the virtual time.
-func DefaultScale() ScaleOptions {
-	return ScaleOptions{
-		Procs:         []int{64, 256, 1024, 4096},
-		GoMaxProcs:    []int{1, 2, 4, 8},
-		PiecesPerRank: 32,
-		PieceBytes:    scaleSegSize / 32,
-		Verify:        true,
-		Profiles:      true,
-	}
-}
+const (
+	// scaleSegSize is the level-2 segment size of the scale program: small,
+	// so thousands of ranks fit real memory while every piece still crosses
+	// the ship path.
+	scaleSegSize = 8192
+	// scalePieces is the number of strided pieces each rank writes (and the
+	// granularity it reads back in); scalePieceBytes is one piece's size.
+	scalePieces     = 32
+	scalePieceBytes = scaleSegSize / scalePieces
+	// scalePhases is the number of barrier-separated phases of the write
+	// loop.
+	scalePhases = 4
+	// scaleByteScale is the environment byte scale.
+	scaleByteScale = 256
+)
 
-// ScalePoint is one (procs, GOMAXPROCS) cell. Wall-clock, per-op, and
+// scalePoint is one (procs, GOMAXPROCS) cell. Wall-clock, per-op, and
 // profile fields are host-timing facts and vary run to run; the virtual
 // time, request counts, and trace length are seed-deterministic.
-type ScalePoint struct {
-	Procs      int `json:"procs"`
-	GoMaxProcs int `json:"gomaxprocs"`
+type scalePoint struct {
+	Procs, GoMaxProcs int
 
-	// Host timing (nondeterministic).
-	WallNs      int64    `json:"wall_ns"`
-	NsPerOp     int64    `json:"ns_per_op"`
-	BytesPerOp  int64    `json:"b_per_op"`
-	AllocsPerOp int64    `json:"allocs_per_op"`
-	MutexTop    []string `json:"mutex_top,omitempty"`
-	BlockTop    []string `json:"block_top,omitempty"`
+	WallNs, NsPerOp, BytesPerOp, AllocsPerOp int64
+	MutexTop, BlockTop                       []string
 
-	// Deterministic (diffed by the CI scale-smoke job).
-	VirtualNs   int64  `json:"virtual_ns"`
-	FSWrites    int64  `json:"fs_writes"`
-	FSReads     int64  `json:"fs_reads"`
-	TraceEvents int64  `json:"trace_events"`
-	Result      string `json:"result"`
-}
-
-// ScaleReport is the machine-readable result of one scale sweep
-// (results/BENCH_pr8.json).
-type ScaleReport struct {
-	PiecesPerRank int          `json:"pieces_per_rank"`
-	PieceBytes    int64        `json:"piece_bytes"`
-	Points        []ScalePoint `json:"points"`
+	VirtualNs, TraceEvents int64
 }
 
 // scaleByte is the ground truth for piece i, byte b of rank r.
@@ -104,82 +83,48 @@ func scaleByte(r int, i int, b int64) byte {
 	return byte(r*131 + i*29 + int(b)*11 + 7)
 }
 
-// scaleOff is the file offset of piece i of rank r: rank r writes the
-// segments owned by rank (r+1) mod P, block-cyclically (block = one
-// segment, stride = P segments), filling each block with consecutive
-// pieces. Every level-1 ship is then a genuine cross-rank one-sided put,
-// but each owner's window lock has exactly one customer — the discipline
-// that keeps virtual time deterministic under host concurrency (see
-// DESIGN.md: shared-resource customers must stay symmetric between
-// barriers).
-func scaleOff(r, i, p int, pieceBytes int64) int64 {
-	perSeg := int(scaleSegSize / pieceBytes)
-	block := i / perSeg
-	piece := i % perSeg
-	seg := int64((r+1)%p) + int64(block)*int64(p)
-	return seg*scaleSegSize + int64(piece)*pieceBytes
+// scaleOff is the file offset of piece i of rank r: rank r fills the
+// segment owned by rank (r+1) mod P with consecutive pieces. Every level-1
+// ship is then a genuine cross-rank one-sided put, but each owner's window
+// lock has exactly one customer — the discipline that keeps virtual time
+// deterministic under host concurrency (see DESIGN.md: shared-resource
+// customers must stay symmetric between barriers).
+func scaleOff(r, i, p int) int64 {
+	return int64((r+1)%p)*scaleSegSize + int64(i)*scalePieceBytes
 }
 
 // scaleWant inverts scaleOff: the expected byte at file offset fo.
-func scaleWant(fo int64, p int, pieceBytes int64) byte {
-	perSeg := int(scaleSegSize / pieceBytes)
-	seg := fo / scaleSegSize
-	owner := int(seg % int64(p))
-	r := (owner - 1 + p) % p
-	i := int(seg/int64(p))*perSeg + int(fo%scaleSegSize)/int(pieceBytes)
-	return scaleByte(r, i, fo%pieceBytes)
+func scaleWant(fo int64, p int) byte {
+	r := (int(fo/scaleSegSize) - 1 + p) % p
+	return scaleByte(r, int(fo%scaleSegSize/scalePieceBytes), fo%scalePieceBytes)
 }
 
-// scalePhases is the number of barrier-separated phases of the write loop.
-const scalePhases = 4
-
-// scaleSegSize is the level-2 segment size of the scale program: small, so
-// thousands of ranks fit real memory while every piece still crosses the
-// ship path.
-const scaleSegSize = 8192
-
 // runScalePoint executes the strided write + contiguous read program once
-// at the given rank count and returns the deterministic columns.
-func runScalePoint(opts ScaleOptions, procs int) (ScalePoint, error) {
-	pt := ScalePoint{Procs: procs}
-	env, err := NewEnv(256)
-	if err != nil {
-		return pt, err
-	}
-	fileBytes := opts.PieceBytes * int64(opts.PiecesPerRank) * int64(procs)
-	numSeg := int((fileBytes + int64(procs)*scaleSegSize - 1) / (int64(procs) * scaleSegSize))
+// at the point's rank count and fills in the deterministic measurements.
+func runScalePoint(env *Env, p *scalePoint) Row {
+	fileBytes := int64(scaleSegSize) * int64(p.Procs)
 	rec := trace.New(0)
 	tc := tcio.Config{
 		SegmentSize:  scaleSegSize,
-		NumSegments:  numSeg,
+		NumSegments:  1,
 		DrainWorkers: 2,
 		Trace:        rec,
 	}
 	const name = "scale"
-	run := func(fn func(*mpi.Comm) error) (mpi.Report, error) {
-		return mpi.Run(mpi.Config{
-			Procs:   procs,
-			Machine: env.Machine,
-			FS:      env.FS,
-		}, fn)
-	}
 
 	// Write phase: each rank writes its strided pieces, with a collective
 	// barrier between phases and one ring exchange per phase boundary (the
 	// first exact-source, later ones AnySource — both mailbox paths stay
 	// hot).
-	wrep, err := run(func(c *mpi.Comm) error {
+	var row Row
+	row.PhaseResult = env.Run(p.Procs, fileBytes*env.Scale, func(c *mpi.Comm, _ *Tally) error {
 		h, err := tcio.Open(c, name, tcio.WriteMode, tc)
 		if err != nil {
 			return err
 		}
-		p := c.Size()
-		buf := make([]byte, opts.PieceBytes)
-		phase := opts.PiecesPerRank / scalePhases
-		if phase < 1 {
-			phase = 1
-		}
-		for i := 0; i < opts.PiecesPerRank; i++ {
+		buf := make([]byte, scalePieceBytes)
+		const phase = scalePieces / scalePhases
+		for i := 0; i < scalePieces; i++ {
 			if i > 0 && i%phase == 0 {
 				// Ring first, barrier second: the receive arrivals are
 				// host-order-assigned within a deterministic multiset, and
@@ -192,7 +137,7 @@ func runScalePoint(opts ScaleOptions, procs int) (ScalePoint, error) {
 					return err
 				}
 			}
-			off := scaleOff(c.Rank(), i, p, opts.PieceBytes)
+			off := scaleOff(c.Rank(), i, c.Size())
 			for b := range buf {
 				buf[b] = scaleByte(c.Rank(), i, int64(b))
 			}
@@ -202,16 +147,17 @@ func runScalePoint(opts ScaleOptions, procs int) (ScalePoint, error) {
 		}
 		return h.Close()
 	})
-	if err != nil {
-		pt.Result = failReason(err)
-		return pt, nil
+	if row.Failed {
+		return row
 	}
 
 	// Read phase: each rank scans its contiguous 1/P of the file back.
 	// Reads are lazy — destinations are recorded piece by piece and the
 	// bytes land on Fetch — so each piece targets its own slice of one
-	// chunk-sized buffer and verification runs after the fetch.
-	rrep, err := run(func(c *mpi.Comm) error {
+	// chunk-sized buffer and verification runs after the fetch. The file
+	// system is not reset in between: its counters accumulate across both
+	// worlds of the point, and the read phase's report carries the totals.
+	row.Read = env.Run(p.Procs, fileBytes*env.Scale, func(c *mpi.Comm, _ *Tally) error {
 		h, err := tcio.Open(c, name, tcio.ReadMode, tc)
 		if err != nil {
 			return err
@@ -225,38 +171,25 @@ func runScalePoint(opts ScaleOptions, procs int) (ScalePoint, error) {
 		chunk := fileBytes / int64(c.Size())
 		base := int64(c.Rank()) * chunk
 		buf := make([]byte, chunk)
-		for off := int64(0); off < chunk; off += opts.PieceBytes {
-			if err := h.ReadAt(base+off, buf[off:off+opts.PieceBytes]); err != nil {
+		for off := int64(0); off < chunk; off += scalePieceBytes {
+			if err := h.ReadAt(base+off, buf[off:off+scalePieceBytes]); err != nil {
 				return err
 			}
 		}
 		if err := h.Fetch(); err != nil {
 			return err
 		}
-		if opts.Verify {
-			for b, got := range buf {
-				fo := base + int64(b)
-				if want := scaleWant(fo, c.Size(), opts.PieceBytes); got != want {
-					return fmt.Errorf("rank %d offset %d: got %#x want %#x",
-						c.Rank(), fo, got, want)
-				}
-			}
+		want := func(off int64) byte { return scaleWant(off, c.Size()) }
+		if err := checkBytes(c.Rank(), base, buf, want); err != nil {
+			return err
 		}
 		return h.Close()
 	})
-	if err != nil {
-		pt.Result = failReason(err)
-		return pt, nil
+	if !row.Read.Failed {
+		p.VirtualNs = int64(row.Time + row.Read.Time)
+		p.TraceEvents = int64(rec.Len())
 	}
-
-	pt.VirtualNs = int64(wrep.MaxTime) + int64(rrep.MaxTime)
-	// FS stats accumulate across both worlds of the point; the read phase's
-	// report carries the final totals.
-	pt.FSWrites = rrep.FS.Writes
-	pt.FSReads = rrep.FS.Reads
-	pt.TraceEvents = int64(rec.Len())
-	pt.Result = "ok"
-	return pt, nil
+	return row
 }
 
 // scaleRing is the per-phase mailbox workout: the first round receives
@@ -283,125 +216,80 @@ func scaleRing(c *mpi.Comm, round int) error {
 	return nil
 }
 
-// Scale runs the full sweep and tabulates it. Points run sequentially;
-// GOMAXPROCS is restored afterwards.
-func Scale(opts ScaleOptions) (stats.Table, *ScaleReport, error) {
-	if len(opts.Procs) == 0 {
-		opts.Procs = DefaultScale().Procs
+// scaleSweep drives the program at every (procs, GOMAXPROCS) cell. Points
+// run sequentially; each restores GOMAXPROCS afterwards.
+func scaleSweep(g *scaleGeometry) *Sweep {
+	at := func(r *Row) *scalePoint { return r.Point.(*scalePoint) }
+	hostInt := func(header, key string, v func(*scalePoint) int64) Column {
+		return host(header, key, func(r *Row) any { return v(at(r)) }, nil)
 	}
-	if len(opts.GoMaxProcs) == 0 {
-		opts.GoMaxProcs = DefaultScale().GoMaxProcs
-	}
-	if opts.PiecesPerRank == 0 {
-		opts.PiecesPerRank = DefaultScale().PiecesPerRank
-	}
-	if opts.PieceBytes == 0 {
-		opts.PieceBytes = DefaultScale().PieceBytes
-	}
-	// Exactly one segment per rank: fewer pieces would leave holes inside
-	// the contiguous region the read phase verifies; more would split a
-	// rank's drain into serially chained file-system requests whose
-	// later departures depend on host-order queue positions, breaking the
-	// determinism of the virtual-time columns (see DefaultScale).
-	if perSeg := int(scaleSegSize / opts.PieceBytes); opts.PiecesPerRank != perSeg {
-		opts.PiecesPerRank = perSeg
-	}
-	t := stats.Table{
-		Title: fmt.Sprintf("Host scale: strided write+read, %d pieces x %d B per rank (wall-clock columns are host facts; virtual/count columns are deterministic)",
-			opts.PiecesPerRank, opts.PieceBytes),
-		Headers: []string{"procs", "gomaxprocs", "wall", "ns/op", "B/op", "allocs/op",
-			"virtual-time", "fs-writes", "fs-reads", "trace-events", "result"},
-	}
-	report := &ScaleReport{PiecesPerRank: opts.PiecesPerRank, PieceBytes: opts.PieceBytes}
-	prev := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(prev)
-
-	var prof *profileDelta
-	if opts.Profiles {
-		prof = newProfileDelta()
-		defer prof.stop()
-	}
-
-	for _, procs := range opts.Procs {
-		for _, g := range opts.GoMaxProcs {
-			runtime.GOMAXPROCS(g)
-			if prof != nil {
-				prof.mark()
+	return &Sweep{
+		Name: "scale",
+		Help: "sweep host wall-clock scalability (simulated ranks x GOMAXPROCS)",
+		Flags: []Flag{
+			{"scale-procs", "comma-separated rank counts for -scale", &g.Procs},
+			{"scale-maxprocs", "comma-separated GOMAXPROCS settings for -scale", &g.GoMaxProcs},
+			{"scale-profiles", "capture mutex/block profile top entries for -scale", &g.Profiles},
+		},
+		Params: g,
+		Points: func(bool) []any {
+			return grid2(g.Procs, g.GoMaxProcs,
+				func(procs, maxprocs int) any { return &scalePoint{Procs: procs, GoMaxProcs: maxprocs} })
+		},
+		Env: func(Options, any) EnvSpec { return EnvSpec{Scale: scaleByteScale} },
+		Run: func(env *Env, pt any) ([]Row, error) {
+			p := pt.(*scalePoint)
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(p.GoMaxProcs))
+			if g.Profiles {
+				// The profiles accumulate process-wide: a point reports what
+				// they gained since its start.
+				runtime.SetMutexProfileFraction(1)
+				runtime.SetBlockProfileRate(10_000) // one sample per 10µs blocked
+				mutex, block := collectProfile(runtime.MutexProfile), collectProfile(runtime.BlockProfile)
+				defer func() {
+					p.MutexTop = topSites(collectProfile(runtime.MutexProfile), mutex, 3)
+					p.BlockTop = topSites(collectProfile(runtime.BlockProfile), block, 3)
+					runtime.SetMutexProfileFraction(0)
+					runtime.SetBlockProfileRate(0)
+				}()
 			}
 			var before, after runtime.MemStats
 			runtime.GC()
 			runtime.ReadMemStats(&before)
 			start := time.Now()
-			pt, err := runScalePoint(opts, procs)
-			wall := time.Since(start)
+			row := runScalePoint(env, p)
+			p.WallNs = time.Since(start).Nanoseconds()
 			runtime.ReadMemStats(&after)
-			if err != nil {
-				return t, report, err
-			}
-			pt.GoMaxProcs = g
-			pt.WallNs = wall.Nanoseconds()
-			ops := int64(procs) * int64(opts.PiecesPerRank) * 2 // write + read pieces
-			pt.NsPerOp = pt.WallNs / ops
-			pt.BytesPerOp = int64(after.TotalAlloc-before.TotalAlloc) / ops
-			pt.AllocsPerOp = int64(after.Mallocs-before.Mallocs) / ops
-			if prof != nil {
-				pt.MutexTop, pt.BlockTop = prof.top(3)
-			}
-			report.Points = append(report.Points, pt)
-			t.AddRow(
-				fmt.Sprintf("%d", pt.Procs),
-				fmt.Sprintf("%d", pt.GoMaxProcs),
-				wall.Round(time.Millisecond).String(),
-				fmt.Sprintf("%d", pt.NsPerOp),
-				fmt.Sprintf("%d", pt.BytesPerOp),
-				fmt.Sprintf("%d", pt.AllocsPerOp),
-				fmt.Sprintf("%d", pt.VirtualNs),
-				fmt.Sprintf("%d", pt.FSWrites),
-				fmt.Sprintf("%d", pt.FSReads),
-				fmt.Sprintf("%d", pt.TraceEvents),
-				pt.Result,
-			)
-			if opts.Progress != nil {
-				opts.Progress(fmt.Sprintf("scale procs=%d gomaxprocs=%d: wall=%v ns/op=%d (%s)",
-					pt.Procs, g, wall.Round(time.Millisecond), pt.NsPerOp, pt.Result))
-			}
-		}
+			ops := int64(p.Procs) * scalePieces * 2 // write + read pieces
+			p.NsPerOp = p.WallNs / ops
+			p.BytesPerOp = int64(after.TotalAlloc-before.TotalAlloc) / ops
+			p.AllocsPerOp = int64(after.Mallocs-before.Mallocs) / ops
+			row.Point = p
+			return []Row{row}, nil
+		},
+		Tables: tables(Table{
+			Title: fmt.Sprintf("Host scale: strided write+read, %d pieces x %d B per rank (wall-clock columns are host facts; virtual/count columns are deterministic)",
+				scalePieces, scalePieceBytes),
+			Columns: []Column{
+				det("procs", "procs", func(r *Row) any { return at(r).Procs }),
+				det("gomaxprocs", "gomaxprocs", func(r *Row) any { return at(r).GoMaxProcs }),
+				host("wall", "wall_ns", func(r *Row) any { return at(r).WallNs },
+					func(r *Row) string { return time.Duration(at(r).WallNs).Round(time.Millisecond).String() }),
+				hostInt("ns/op", "ns_per_op", func(p *scalePoint) int64 { return p.NsPerOp }),
+				hostInt("B/op", "b_per_op", func(p *scalePoint) int64 { return p.BytesPerOp }),
+				hostInt("allocs/op", "allocs_per_op", func(p *scalePoint) int64 { return p.AllocsPerOp }),
+				det("virtual-time", "virtual_ns", func(r *Row) any { return at(r).VirtualNs }),
+				det("fs-writes", "fs_writes", func(r *Row) any { return r.Read.FS.Writes }),
+				det("fs-reads", "fs_reads", func(r *Row) any { return r.Read.FS.Reads }),
+				det("trace-events", "trace_events", func(r *Row) any { return at(r).TraceEvents }),
+				colResult,
+			},
+		}),
+		JSON: []Column{
+			host("", "mutex_top", func(r *Row) any { return at(r).MutexTop }, nil),
+			host("", "block_top", func(r *Row) any { return at(r).BlockTop }, nil),
+		},
 	}
-	return t, report, nil
-}
-
-// profileDelta captures per-point mutex/block contention: profiles
-// accumulate process-wide, so each point subtracts the cycles already
-// attributed at its start.
-type profileDelta struct {
-	prevMutex map[string]int64
-	prevBlock map[string]int64
-	curMutex  map[string]int64
-	curBlock  map[string]int64
-}
-
-func newProfileDelta() *profileDelta {
-	runtime.SetMutexProfileFraction(1)
-	runtime.SetBlockProfileRate(10_000) // one sample per 10µs blocked
-	return &profileDelta{}
-}
-
-func (p *profileDelta) stop() {
-	runtime.SetMutexProfileFraction(0)
-	runtime.SetBlockProfileRate(0)
-}
-
-// mark snapshots the cumulative profiles at a point's start.
-func (p *profileDelta) mark() {
-	p.prevMutex = collectProfile(runtime.MutexProfile)
-	p.prevBlock = collectProfile(runtime.BlockProfile)
-}
-
-// top returns the n hottest sites of each profile since the last mark.
-func (p *profileDelta) top(n int) (mutexTop, blockTop []string) {
-	p.curMutex = collectProfile(runtime.MutexProfile)
-	p.curBlock = collectProfile(runtime.BlockProfile)
-	return topSites(p.curMutex, p.prevMutex, n), topSites(p.curBlock, p.prevBlock, n)
 }
 
 // collectProfile aggregates a runtime profile's cycles by contention site.

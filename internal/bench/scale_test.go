@@ -5,75 +5,49 @@ package bench
 // counterpart of the CI scale-smoke diff, at a size small enough for
 // every `go test` run.
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
-func smallScale() ScaleOptions {
-	opts := DefaultScale()
-	opts.Procs = []int{8, 16}
-	opts.GoMaxProcs = []int{1, 2}
-	opts.Profiles = false
-	opts.Progress = nil
-	return opts
+func smallScale() *scaleGeometry {
+	return &scaleGeometry{Procs: []int{8, 16}, GoMaxProcs: []int{1, 2}}
 }
 
-func TestScaleDeterministicColumns(t *testing.T) {
-	_, first, err := Scale(smallScale())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Across GOMAXPROCS: each rank count's deterministic cells agree.
-	byProcs := make(map[int]ScalePoint)
-	for _, pt := range first.Points {
-		if pt.Result != "ok" {
-			t.Fatalf("procs=%d gomaxprocs=%d: %s", pt.Procs, pt.GoMaxProcs, pt.Result)
+// checkScaleAcrossGoMaxProcs requires each rank count's deterministic cells
+// to agree across GOMAXPROCS settings, and every point to verify.
+func checkScaleAcrossGoMaxProcs(t *testing.T, rep *Report) {
+	det := rep.Det() // procs, gomaxprocs, then the measured Det columns
+	byProcs := map[string][]string{}
+	for i, r := range rep.Rows {
+		if r.Result != "ok" {
+			t.Fatalf("%+v: %s", r.Point, r.Result)
 		}
-		ref, seen := byProcs[pt.Procs]
+		ref, seen := byProcs[det[i][0]]
 		if !seen {
-			byProcs[pt.Procs] = pt
-			continue
-		}
-		if pt.VirtualNs != ref.VirtualNs || pt.FSWrites != ref.FSWrites ||
-			pt.FSReads != ref.FSReads || pt.TraceEvents != ref.TraceEvents {
-			t.Errorf("procs=%d: gomaxprocs=%d deterministic columns (%d %d %d %d) differ from gomaxprocs=%d (%d %d %d %d)",
-				pt.Procs, pt.GoMaxProcs, pt.VirtualNs, pt.FSWrites, pt.FSReads, pt.TraceEvents,
-				ref.GoMaxProcs, ref.VirtualNs, ref.FSWrites, ref.FSReads, ref.TraceEvents)
-		}
-	}
-	// Across runs: a second sweep reproduces every deterministic cell.
-	_, second, err := Scale(smallScale())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, pt := range second.Points {
-		ref := first.Points[i]
-		if pt.VirtualNs != ref.VirtualNs || pt.FSWrites != ref.FSWrites ||
-			pt.FSReads != ref.FSReads || pt.TraceEvents != ref.TraceEvents || pt.Result != ref.Result {
-			t.Errorf("rerun procs=%d gomaxprocs=%d: deterministic columns changed: (%d %d %d %d %s) vs (%d %d %d %d %s)",
-				pt.Procs, pt.GoMaxProcs, pt.VirtualNs, pt.FSWrites, pt.FSReads, pt.TraceEvents, pt.Result,
-				ref.VirtualNs, ref.FSWrites, ref.FSReads, ref.TraceEvents, ref.Result)
+			byProcs[det[i][0]] = det[i]
+		} else if !reflect.DeepEqual(det[i][2:], ref[2:]) {
+			t.Errorf("procs=%s: gomaxprocs=%s deterministic columns %v differ from gomaxprocs=%s %v",
+				det[i][0], det[i][1], det[i][2:], ref[1], ref[2:])
 		}
 	}
 }
 
-// TestScaleGeometryNormalized pins the one-segment-per-rank invariant:
-// whatever pieces-per-rank a caller asks for, the harness reshapes the
-// geometry so each rank fills exactly one segment (see DefaultScale).
+// TestScaleGeometryNormalized pins the one-segment-per-rank invariant the
+// virtual-time columns' determinism rests on: the harness's pieces fill
+// exactly one segment per rank (see scalePieces).
 func TestScaleGeometryNormalized(t *testing.T) {
-	opts := smallScale()
-	opts.Procs = []int{4}
-	opts.GoMaxProcs = []int{1}
-	opts.PiecesPerRank = 7 // not a divisor of the segment size
-	_, rep, err := Scale(opts)
+	if int64(scalePieces)*scalePieceBytes != scaleSegSize {
+		t.Fatalf("geometry %d x %d B does not fill one %d B segment",
+			scalePieces, scalePieceBytes, scaleSegSize)
+	}
+	rep, err := Run(scaleSweep(&scaleGeometry{Procs: []int{4}, GoMaxProcs: []int{1}}), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if int64(rep.PiecesPerRank)*rep.PieceBytes != scaleSegSize {
-		t.Fatalf("normalized geometry %d x %d B does not fill one %d B segment",
-			rep.PiecesPerRank, rep.PieceBytes, scaleSegSize)
-	}
-	for _, pt := range rep.Points {
-		if pt.Result != "ok" {
-			t.Fatalf("procs=%d: %s", pt.Procs, pt.Result)
+	for _, r := range rep.Rows {
+		if r.Result != "ok" {
+			t.Fatalf("%+v: %s", r.Point, r.Result)
 		}
 	}
 }

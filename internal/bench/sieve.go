@@ -1,6 +1,6 @@
 package bench
 
-// This file implements the noncontiguous-read sweep: hole-y read workloads
+// This file declares the noncontiguous-read sweep: hole-y read workloads
 // run through the data-sieving read engine (tcio.Config.SieveBuffer) and the
 // two-phase collective read (tcio.Config.CollectiveRead) while the sieve
 // budget, the hole density, and the interleave granule vary.
@@ -30,83 +30,46 @@ package bench
 
 import (
 	"fmt"
-	"sync"
 
 	"github.com/tcio/tcio/internal/mpi"
-	"github.com/tcio/tcio/internal/stats"
 	"github.com/tcio/tcio/internal/tcio"
 )
 
-// SieveOptions configures the noncontiguous-read sweep.
-type SieveOptions struct {
-	// Procs is the process count of each run.
-	Procs int
-	// SegSize is the real level-2 segment size in bytes.
-	SegSize int64
-	// SegsPerRank is the number of level-2 segments per process; the file
-	// is exactly Procs x SegsPerRank segments.
-	SegsPerRank int
-	// HoleGranule is the real block size of the holes workload.
-	HoleGranule int64
-	// Densities lists hole percentages for the holes workload.
-	Densities []int
+// sieveGeometry configures the noncontiguous-read sweep.
+type sieveGeometry struct {
+	segGeometry
+	HoleGranule int64 // real block size of the holes workload
+	Densities   []int // hole percentages of the holes workload
 	// Budgets lists the real SieveBuffer settings swept by the holes
 	// workload (0 = whole-segment populate, 1 = per-run list I/O).
 	Budgets []int64
 	// Granules lists the real interleave block sizes for the collective
 	// comparison.
 	Granules []int64
-	// Scale is the environment byte scale (simulated bytes per real byte).
-	Scale int64
-	// Verify makes every rank check each byte it read against the
-	// generator.
-	Verify bool
-	// Progress receives one line per completed run.
-	Progress func(string)
 }
 
-// DefaultSieve sweeps hole densities 25/50/75% against four sieve budgets
+// defaultSieve sweeps hole densities 25/50/75% against four sieve budgets
 // and interleave granules of 4/16/64 KiB (simulated) against the two-phase
 // collective read, over 8 processes and 256 KiB (simulated) segments.
-func DefaultSieve() SieveOptions {
-	return SieveOptions{
-		Procs:       8,
-		SegSize:     16 << 10,
-		SegsPerRank: 4,
+func defaultSieve() *sieveGeometry {
+	return &sieveGeometry{
+		segGeometry: segGeometry{Procs: 8, SegSize: 16 << 10, SegsPerRank: 4, Scale: 16},
 		HoleGranule: 256,
 		Densities:   []int{25, 50, 75},
 		Budgets:     []int64{0, 1, 4 << 10, 16 << 10},
 		Granules:    []int64{256, 1 << 10, 4 << 10},
-		Scale:       16,
-		Verify:      true,
 	}
 }
 
-// SievePoint is one setting's result. Sizes are simulated bytes.
-type SievePoint struct {
-	Workload      string  `json:"workload"` // "holes" or "interleave"
-	HolePct       int     `json:"hole_pct,omitempty"`
-	Granule       int64   `json:"granule,omitempty"`
-	SieveBuffer   int64   `json:"sieve_buffer"`
-	Collective    bool    `json:"collective_read"`
-	VirtualTimeNs int64   `json:"virtual_time_ns"`
-	MBs           float64 `json:"mbs"`
-	FSReads       int64   `json:"fs_reads"`
-	SieveReads    int64   `json:"sieve_reads"`
-	SieveWaste    int64   `json:"sieve_waste_bytes"`
-	Exchanges     int64   `json:"two_phase_exchanges"`
-	Populations   int64   `json:"populations"`
-	Result        string  `json:"result"`
-}
-
-// SieveReport is the machine-readable result of one sweep
-// (tciobench -sieve -json).
-type SieveReport struct {
-	Procs       int          `json:"procs"`
-	SegsPerRank int          `json:"segs_per_rank"`
-	SegSize     int64        `json:"seg_size"` // simulated bytes
-	Scale       int64        `json:"scale"`
-	Points      []SievePoint `json:"points"`
+// sievePoint is one read setting. Sizes are real bytes.
+type sievePoint struct {
+	// Holes selects the holes workload at density HolePct; otherwise the
+	// point is the interleave workload at block size Granule.
+	Holes      bool
+	HolePct    int
+	Granule    int64
+	Budget     int64
+	Collective bool
 }
 
 // sieveByte is the workload's deterministic content generator.
@@ -128,54 +91,48 @@ func sieveHole(block int64, pct int) bool {
 // sieveRun is one contiguous read of the workload's access pattern.
 type sieveRun struct{ off, n int64 }
 
-// holeRuns builds one rank's coalesced runs for the holes workload: granule
-// blocks of the rank's contiguous quarter, minus the density-selected holes.
-func holeRuns(opts SieveOptions, rank, pct int) []sieveRun {
-	perRank := opts.SegSize * int64(opts.SegsPerRank)
-	lo, hi := int64(rank)*perRank, int64(rank+1)*perRank
+// runs builds one rank's coalesced access pattern for the point. Holes:
+// granule blocks of the rank's contiguous quarter, minus the
+// density-selected holes. Interleave: every granule block dealt round-robin
+// to the rank.
+func (g *sieveGeometry) runs(p sievePoint, rank int) []sieveRun {
 	var runs []sieveRun
-	for off := lo; off < hi; off += opts.HoleGranule {
-		if sieveHole(off/opts.HoleGranule, pct) {
+	if !p.Holes {
+		for off := int64(rank) * p.Granule; off < g.fileBytes(); off += p.Granule * int64(g.Procs) {
+			runs = append(runs, sieveRun{off, p.Granule})
+		}
+		return runs
+	}
+	perRank := g.SegSize * int64(g.SegsPerRank)
+	lo, hi := int64(rank)*perRank, int64(rank+1)*perRank
+	for off := lo; off < hi; off += g.HoleGranule {
+		if sieveHole(off/g.HoleGranule, p.HolePct) {
 			continue
 		}
 		if n := len(runs); n > 0 && runs[n-1].off+runs[n-1].n == off {
-			runs[n-1].n += opts.HoleGranule
+			runs[n-1].n += g.HoleGranule
 			continue
 		}
-		runs = append(runs, sieveRun{off, opts.HoleGranule})
+		runs = append(runs, sieveRun{off, g.HoleGranule})
 	}
 	return runs
 }
 
-// interleaveRuns builds one rank's runs for the interleave workload: every
-// granule block dealt round-robin to the rank.
-func interleaveRuns(opts SieveOptions, rank int, granule int64) []sieveRun {
-	fileBytes := opts.SegSize * int64(opts.SegsPerRank) * int64(opts.Procs)
-	var runs []sieveRun
-	for off := int64(rank) * granule; off < fileBytes; off += granule * int64(opts.Procs) {
-		runs = append(runs, sieveRun{off, granule})
-	}
-	return runs
-}
+const sieveFile = "sieve.dat"
 
 // sieveSeed writes the ground-truth file image through the library once per
 // environment: rank r writes its contiguous quarter in segment-size pieces.
-func sieveSeed(opts SieveOptions, env *Env, name string) error {
-	cfg := tcio.Config{SegmentSize: opts.SegSize, NumSegments: opts.SegsPerRank}
-	_, err := mpi.Run(mpi.Config{
-		Procs:   opts.Procs,
-		Machine: env.Machine,
-		FS:      env.FS,
-		Faults:  env.Faults,
-	}, func(c *mpi.Comm) error {
-		handle, err := tcio.Open(c, name, tcio.WriteMode, cfg)
+func sieveSeed(g *sieveGeometry, env *Env) PhaseResult {
+	cfg := tcio.Config{SegmentSize: g.SegSize, NumSegments: g.SegsPerRank}
+	return env.Run(g.Procs, 0, func(c *mpi.Comm, _ *Tally) error {
+		handle, err := tcio.Open(c, sieveFile, tcio.WriteMode, cfg)
 		if err != nil {
 			return err
 		}
-		perRank := opts.SegSize * int64(opts.SegsPerRank)
+		perRank := g.SegSize * int64(g.SegsPerRank)
 		base := int64(c.Rank()) * perRank
-		buf := make([]byte, opts.SegSize)
-		for off := int64(0); off < perRank; off += opts.SegSize {
+		buf := make([]byte, g.SegSize)
+		for off := int64(0); off < perRank; off += g.SegSize {
 			for i := range buf {
 				buf[i] = sieveByte(base + off + int64(i))
 			}
@@ -185,42 +142,32 @@ func sieveSeed(opts SieveOptions, env *Env, name string) error {
 		}
 		return handle.Close()
 	})
-	return err
 }
 
 // sieveRead runs one read setting against the seeded file: every rank
 // issues its runs lazily, fetches once (a collective call when the
 // two-phase exchange is on), closes, and verifies the bytes it read.
-func sieveRead(opts SieveOptions, env *Env, name string, runsFor func(rank int) []sieveRun,
-	budget int64, collective bool) (PhaseResult, tcio.Stats) {
+func sieveRead(g *sieveGeometry, env *Env, p sievePoint) PhaseResult {
 	env.FS.Reset()
 	var readBytes int64
-	for r := 0; r < opts.Procs; r++ {
-		for _, run := range runsFor(r) {
+	for r := 0; r < g.Procs; r++ {
+		for _, run := range g.runs(p, r) {
 			readBytes += run.n
 		}
 	}
-	pr := PhaseResult{Method: MethodTCIO, Procs: opts.Procs, SimBytes: readBytes * opts.Scale}
 	cfg := tcio.Config{
-		SegmentSize:    opts.SegSize,
-		NumSegments:    opts.SegsPerRank,
+		SegmentSize:    g.SegSize,
+		NumSegments:    g.SegsPerRank,
 		DemandPopulate: true,
-		SieveBuffer:    budget,
-		CollectiveRead: collective,
+		SieveBuffer:    p.Budget,
+		CollectiveRead: p.Collective,
 	}
-	var mu sync.Mutex
-	var agg tcio.Stats
-	rep, err := mpi.Run(mpi.Config{
-		Procs:   opts.Procs,
-		Machine: env.Machine,
-		FS:      env.FS,
-		Faults:  env.Faults,
-	}, func(c *mpi.Comm) error {
-		handle, err := tcio.Open(c, name, tcio.ReadMode, cfg)
+	return env.Run(g.Procs, readBytes*g.Scale, func(c *mpi.Comm, t *Tally) error {
+		handle, err := tcio.Open(c, sieveFile, tcio.ReadMode, cfg)
 		if err != nil {
 			return err
 		}
-		runs := runsFor(c.Rank())
+		runs := g.runs(p, c.Rank())
 		var total int64
 		for _, run := range runs {
 			total += run.n
@@ -239,268 +186,121 @@ func sieveRead(opts SieveOptions, env *Env, name string, runsFor func(rank int) 
 		if err := handle.Close(); err != nil {
 			return err
 		}
-		st := handle.Stats()
-		mu.Lock()
-		agg.SieveReads += st.SieveReads
-		agg.SieveWasteBytes += st.SieveWasteBytes
-		agg.TwoPhaseExchanges += st.TwoPhaseExchanges
-		agg.Populations += st.Populations
-		agg.Retries += st.Retries
-		mu.Unlock()
-		if opts.Verify {
-			at = 0
-			for _, run := range runs {
-				for i := int64(0); i < run.n; i++ {
-					if got, want := buf[at+i], sieveByte(run.off+i); got != want {
-						return fmt.Errorf("rank %d offset %d: got %#x want %#x",
-							c.Rank(), run.off+i, got, want)
-					}
-				}
-				at += run.n
+		t.TCIO(handle.Stats())
+		at = 0
+		for _, run := range runs {
+			if err := checkBytes(c.Rank(), run.off, buf[at:at+run.n], sieveByte); err != nil {
+				return err
 			}
+			at += run.n
 		}
 		return nil
 	})
-	if err != nil {
-		pr.Failed = true
-		pr.FailReason = failReason(err)
-		return pr, agg
-	}
-	pr.Time = rep.MaxTime.Sub(0)
-	pr.MBs = stats.ThroughputMBs(pr.SimBytes, pr.Time)
-	pr.Net = rep.Net
-	pr.FS = rep.FS
-	pr.AllocRetries = rep.AllocRetries
-	return pr, agg
 }
 
-// validateSieve checks the sweep's alignment preconditions.
-func validateSieve(opts SieveOptions) error {
-	if opts.Procs < 1 || opts.SegsPerRank < 1 {
-		return fmt.Errorf("bench: %d procs, %d segments per rank", opts.Procs, opts.SegsPerRank)
-	}
-	if opts.HoleGranule < 1 || opts.SegSize%opts.HoleGranule != 0 {
+// validate checks the sweep's alignment preconditions.
+func (g *sieveGeometry) validate() error {
+	if g.HoleGranule < 1 || g.SegSize%g.HoleGranule != 0 {
 		return fmt.Errorf("bench: segment size %d not a multiple of hole granule %d",
-			opts.SegSize, opts.HoleGranule)
+			g.SegSize, g.HoleGranule)
 	}
-	fileBytes := opts.SegSize * int64(opts.SegsPerRank) * int64(opts.Procs)
-	for _, g := range opts.Granules {
-		if g < 1 || fileBytes%g != 0 {
-			return fmt.Errorf("bench: file size %d not a multiple of granule %d", fileBytes, g)
-		}
-	}
-	for _, b := range opts.Budgets {
+	for _, b := range g.Budgets {
 		if b < 0 {
 			return fmt.Errorf("bench: sieve budget %d", b)
 		}
 	}
-	return nil
+	return g.segGeometry.validate(g.Granules...)
 }
 
-// sieveBudgetLabel renders a budget for the table: simulated bytes, with
-// the two degenerate settings named.
-func sieveBudgetLabel(opts SieveOptions, budget int64) string {
-	switch budget {
-	case 0:
-		return "off(segment)"
-	case 1:
-		return "1(list-I/O)"
-	}
-	return fmt.Sprintf("%d", budget*opts.Scale)
-}
-
-// Sieve runs the full sweep: the holes workload over every (density,
-// budget) cell, then the interleave workload over every granule with the
-// two-phase collective read off and on.
-func Sieve(opts SieveOptions) (stats.Table, stats.Table, *SieveReport, error) {
-	if err := validateSieve(opts); err != nil {
-		return stats.Table{}, stats.Table{}, nil, err
-	}
-	report := &SieveReport{
-		Procs:       opts.Procs,
-		SegsPerRank: opts.SegsPerRank,
-		SegSize:     opts.SegSize * opts.Scale,
-		Scale:       opts.Scale,
-	}
-	holes := stats.Table{
-		Title: fmt.Sprintf("Data sieving: hole-y reads, %d processes, %d B simulated segments",
-			opts.Procs, opts.SegSize*opts.Scale),
-		Headers: []string{"holes%", "sieve-buf", "time", "MB/s", "fs-reads",
-			"sieve-reads", "waste-bytes", "populations", "result"},
-	}
-	for _, pct := range opts.Densities {
-		pct := pct
-		runsFor := func(rank int) []sieveRun { return holeRuns(opts, rank, pct) }
-		for _, budget := range opts.Budgets {
-			env, err := NewEnv(opts.Scale)
-			if err != nil {
-				return holes, stats.Table{}, report, err
-			}
-			if err := sieveSeed(opts, env, "sieve.dat"); err != nil {
-				return holes, stats.Table{}, report, err
-			}
-			pr, st := sieveRead(opts, env, "sieve.dat", runsFor, budget, false)
-			result := "ok"
-			if pr.Failed {
-				result = pr.FailReason
-			}
-			holes.AddRow(
-				fmt.Sprintf("%d", pct),
-				sieveBudgetLabel(opts, budget),
-				pr.Time.String(),
-				fmt.Sprintf("%.1f", pr.MBs),
-				fmt.Sprintf("%d", pr.FS.Reads),
-				fmt.Sprintf("%d", st.SieveReads),
-				fmt.Sprintf("%d", st.SieveWasteBytes*opts.Scale),
-				fmt.Sprintf("%d", st.Populations),
-				result,
-			)
-			report.Points = append(report.Points, SievePoint{
-				Workload:      "holes",
-				HolePct:       pct,
-				SieveBuffer:   budget * opts.Scale,
-				VirtualTimeNs: int64(pr.Time),
-				MBs:           pr.MBs,
-				FSReads:       pr.FS.Reads,
-				SieveReads:    st.SieveReads,
-				SieveWaste:    st.SieveWasteBytes * opts.Scale,
-				Exchanges:     st.TwoPhaseExchanges,
-				Populations:   st.Populations,
-				Result:        result,
-			})
-			if opts.Progress != nil {
-				opts.Progress(fmt.Sprintf("sieve holes=%d%% buf=%s: %v fs-reads=%d (%s)",
-					pct, sieveBudgetLabel(opts, budget), pr.Time, pr.FS.Reads, result))
-			}
-		}
-	}
-	inter := stats.Table{
-		Title: fmt.Sprintf("Two-phase collective read: granule-interleaved reads, %d processes",
-			opts.Procs),
-		Headers: []string{"granule", "mode", "time", "MB/s", "fs-reads",
-			"sieve-reads", "waste-bytes", "exchanges", "result"},
-	}
-	for _, granule := range opts.Granules {
-		granule := granule
-		runsFor := func(rank int) []sieveRun { return interleaveRuns(opts, rank, granule) }
-		for _, collective := range []bool{false, true} {
-			env, err := NewEnv(opts.Scale)
-			if err != nil {
-				return holes, inter, report, err
-			}
-			if err := sieveSeed(opts, env, "sieve.dat"); err != nil {
-				return holes, inter, report, err
-			}
-			pr, st := sieveRead(opts, env, "sieve.dat", runsFor, opts.SegSize, collective)
-			result := "ok"
-			if pr.Failed {
-				result = pr.FailReason
-			}
-			mode := "independent"
-			if collective {
-				mode = "collective"
-			}
-			inter.AddRow(
-				fmt.Sprintf("%d", granule*opts.Scale),
-				mode,
-				pr.Time.String(),
-				fmt.Sprintf("%.1f", pr.MBs),
-				fmt.Sprintf("%d", pr.FS.Reads),
-				fmt.Sprintf("%d", st.SieveReads),
-				fmt.Sprintf("%d", st.SieveWasteBytes*opts.Scale),
-				fmt.Sprintf("%d", st.TwoPhaseExchanges),
-				result,
-			)
-			report.Points = append(report.Points, SievePoint{
-				Workload:      "interleave",
-				Granule:       granule * opts.Scale,
-				SieveBuffer:   opts.SegSize * opts.Scale,
-				Collective:    collective,
-				VirtualTimeNs: int64(pr.Time),
-				MBs:           pr.MBs,
-				FSReads:       pr.FS.Reads,
-				SieveReads:    st.SieveReads,
-				SieveWaste:    st.SieveWasteBytes * opts.Scale,
-				Exchanges:     st.TwoPhaseExchanges,
-				Populations:   st.Populations,
-				Result:        result,
-			})
-			if opts.Progress != nil {
-				opts.Progress(fmt.Sprintf("sieve interleave granule=%d %s: %v fs-reads=%d (%s)",
-					granule*opts.Scale, mode, pr.Time, pr.FS.Reads, result))
-			}
-		}
-	}
-	return holes, inter, report, nil
-}
-
-// SieveChaos runs a reduced sweep under deterministic fault injection and
-// tabulates only seed-deterministic counts, so two runs with the same seed
-// emit byte-identical tables — the CI reproducibility check for the sieved
-// read path. The settings are chosen so every FS read is a pure function of
-// the pattern: in the holes workload each segment is demanded by exactly
+// sieveSweep runs the holes workload over every (density, budget) cell,
+// then the interleave workload over every granule with the two-phase
+// collective read off and on.
+//
+// The projection's settings are chosen so every FS read is a pure function
+// of the pattern: in the holes workload each segment is demanded by exactly
 // one rank, and the collective interleave's owners populate their segments'
 // merged intents. (The independent interleave is deliberately absent — which
 // rank populates which part of a shared segment is scheduling-dependent.)
-func SieveChaos(opts SieveOptions, seed int64) (stats.Table, error) {
-	if err := validateSieve(opts); err != nil {
-		return stats.Table{}, err
+func sieveSweep(g *sieveGeometry) *Sweep {
+	at := func(r *Row) sievePoint { return r.Point.(sievePoint) }
+	workload := det("workload", "workload", func(r *Row) any { return pick(at(r).Holes, "holes", "interleave") })
+	// A budget renders as simulated bytes, the two degenerate settings named.
+	budget := Column{Header: "sieve-buf", Key: "sieve_buffer", Det: true,
+		Value: func(r *Row) any { return at(r).Budget * g.Scale },
+		Cell: func(r *Row) string {
+			switch b := at(r).Budget; b {
+			case 0:
+				return "off(segment)"
+			case 1:
+				return "1(list-I/O)"
+			default:
+				return fmt.Sprint(b * g.Scale)
+			}
+		}}
+	sieveReads := det("sieve-reads", "sieve_reads", func(r *Row) any { return r.TCIO.SieveReads })
+	waste := det("waste-bytes", "sieve_waste_bytes", func(r *Row) any { return r.TCIO.SieveWasteBytes * g.Scale })
+	exchanges := det("exchanges", "two_phase_exchanges", func(r *Row) any { return r.TCIO.TwoPhaseExchanges })
+	return &Sweep{
+		Name:     "sieve",
+		Help:     "sweep the noncontiguous read engine (sieve budget x hole density x interleave granule)",
+		InAll:    true,
+		Params:   g,
+		Validate: g.validate,
+		Points: func(chaos bool) []any {
+			if chaos {
+				return []any{
+					sievePoint{Holes: true, HolePct: 50, Budget: 1},
+					sievePoint{Holes: true, HolePct: 50, Budget: g.SegSize},
+					sievePoint{Granule: g.Granules[0], Budget: g.SegSize, Collective: true},
+				}
+			}
+			return append(
+				grid2(g.Densities, g.Budgets, func(pct int, b int64) any {
+					return sievePoint{Holes: true, HolePct: pct, Budget: b}
+				}),
+				grid2(g.Granules, []bool{false, true}, func(gr int64, coll bool) any {
+					return sievePoint{Granule: gr, Budget: g.SegSize, Collective: coll}
+				})...)
+		},
+		Env: g.env,
+		Run: func(env *Env, pt any) ([]Row, error) {
+			seed := sieveSeed(g, env)
+			if seed.Failed {
+				return nil, fmt.Errorf("seeding the file: %s", seed.FailReason)
+			}
+			row := Row{Point: pt, PhaseResult: sieveRead(g, env, pt.(sievePoint))}
+			row.Injected += seed.Injected
+			return []Row{row}, nil
+		},
+		Tables: tables(Table{
+			Title: fmt.Sprintf("Data sieving: hole-y reads, %d processes, %d B simulated segments",
+				g.Procs, g.SegSize*g.Scale),
+			Where: func(r *Row) bool { return at(r).Holes },
+			Columns: []Column{
+				det("holes%", "hole_pct", func(r *Row) any { return at(r).HolePct }),
+				budget, colTime, colMBs, colFSReads, sieveReads, waste, colPopulations, colResult,
+			},
+		}, Table{
+			Title: fmt.Sprintf("Two-phase collective read: granule-interleaved reads, %d processes", g.Procs),
+			Where: func(r *Row) bool { return !at(r).Holes },
+			Columns: []Column{
+				det("granule", "granule", func(r *Row) any { return at(r).Granule * g.Scale }),
+				{Header: "mode", Key: "collective_read", Det: true,
+					Value: func(r *Row) any { return at(r).Collective },
+					Cell:  func(r *Row) string { return pick(at(r).Collective, "collective", "independent") }},
+				colTime, colMBs, colFSReads, sieveReads, waste, exchanges, colResult,
+			},
+		}),
+		Projection: &Table{
+			Title: fmt.Sprintf("Noncontiguous-read chaos: %d processes", g.Procs),
+			Columns: []Column{
+				workload,
+				det("setting", "", func(r *Row) any {
+					return pick(at(r).Holes, fmt.Sprintf("%d%%", at(r).HolePct), fmt.Sprintf("%dB", at(r).Granule*g.Scale))
+				}),
+				budget, colInjected, colRetries, colFSReads, sieveReads, waste, exchanges, colResult,
+			},
+		},
+		JSON: []Column{workload},
 	}
-	t := stats.Table{
-		Title: fmt.Sprintf("Noncontiguous-read chaos: %d processes, seed %d (counts are seed-deterministic)",
-			opts.Procs, seed),
-		Headers: []string{"workload", "setting", "sieve-buf", "injected", "retries",
-			"fs-reads", "sieve-reads", "waste-bytes", "exchanges", "result"},
-	}
-	chaosBase := DefaultChaos()
-	chaosBase.Seed = seed
-	type cell struct {
-		workload   string
-		setting    string
-		budget     int64
-		collective bool
-		runsFor    func(rank int) []sieveRun
-	}
-	pct := 50
-	granule := opts.Granules[0]
-	cells := []cell{
-		{"holes", "50%", 1, false,
-			func(rank int) []sieveRun { return holeRuns(opts, rank, pct) }},
-		{"holes", "50%", opts.SegSize, false,
-			func(rank int) []sieveRun { return holeRuns(opts, rank, pct) }},
-		{"interleave", fmt.Sprintf("%dB", granule*opts.Scale), opts.SegSize, true,
-			func(rank int) []sieveRun { return interleaveRuns(opts, rank, granule) }},
-	}
-	for _, c := range cells {
-		inj := chaosBase.ChaosInjector(0.01)
-		env, err := NewChaosEnv(opts.Scale, inj)
-		if err != nil {
-			return t, err
-		}
-		if err := sieveSeed(opts, env, "sieve.dat"); err != nil {
-			return t, err
-		}
-		pr, st := sieveRead(opts, env, "sieve.dat", c.runsFor, c.budget, c.collective)
-		result := "ok"
-		if pr.Failed {
-			result = pr.FailReason
-		}
-		t.AddRow(
-			c.workload,
-			c.setting,
-			sieveBudgetLabel(opts, c.budget),
-			fmt.Sprintf("%d", inj.TotalInjected()),
-			fmt.Sprintf("%d", st.Retries),
-			fmt.Sprintf("%d", pr.FS.Reads),
-			fmt.Sprintf("%d", st.SieveReads),
-			fmt.Sprintf("%d", st.SieveWasteBytes*opts.Scale),
-			fmt.Sprintf("%d", st.TwoPhaseExchanges),
-			result,
-		)
-		if opts.Progress != nil {
-			opts.Progress(fmt.Sprintf("sieve chaos %s %s buf=%s: %s",
-				c.workload, c.setting, sieveBudgetLabel(opts, c.budget), result))
-		}
-	}
-	return t, nil
 }

@@ -1,0 +1,115 @@
+package bench
+
+import (
+	"bytes"
+	"flag"
+	"io"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
+	"testing"
+)
+
+// TestGoldenOutputs replays the tciobench invocations whose output is
+// byte-identical run to run and compares each with the output captured at
+// the commit before the sweeps moved onto the shared runner. It is not
+// skipped under -short: the -race leg must run it.
+func TestGoldenOutputs(t *testing.T) {
+	for file, args := range map[string]string{
+		"overlap-chaos.txt":  "-overlap -chaos -seed 7 -len-real 512",
+		"nodeagg-chaos.txt":  "-nodeagg -chaos -seed 7",
+		"sieve-chaos.txt":    "-sieve -chaos -seed 7",
+		"delegate-chaos.txt": "-delegate -chaos -seed 7",
+		"crash.csv":          "-crash -seed 7 -csv",
+		"chaos.txt":          "-chaos -seed 7 -chaos-procs 16",
+		"tables.txt":         "-tables",
+	} {
+		t.Run(file, func(t *testing.T) {
+			want, err := os.ReadFile(filepath.Join("testdata", "golden", file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			fs := flag.NewFlagSet("tciobench", flag.ContinueOnError)
+			cli := Tciobench(fs)
+			if err := fs.Parse(strings.Fields(args + " -quiet")); err != nil {
+				t.Fatal(err)
+			}
+			var got bytes.Buffer
+			if _, err := cli.Run(&got, io.Discard); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want) {
+				t.Errorf("tciobench %s:\n%s\nwant:\n%s", args, got.Bytes(), want)
+			}
+		})
+	}
+}
+
+// TestDetColumnsReproducible is the contract behind every two-run diff in
+// CI: a sweep's Det columns — the whole projection where it has one, armed
+// with a seeded injector — are identical between two runs with the same
+// options.
+func TestDetColumnsReproducible(t *testing.T) {
+	for _, tc := range []struct {
+		sweep *Sweep
+		opts  Options
+		check func(*testing.T, *Report)
+	}{
+		{sweep: chaosSweep(testChaosGeometry()), opts: testChaosOptions, check: func(t *testing.T, rep *Report) {
+			if len(rep.Rows) != 4 { // TCIO/OCIO x write/read at one rate
+				t.Fatalf("rows = %d, want 4", len(rep.Rows))
+			}
+			for _, r := range rep.Rows {
+				if r.Result != "ok" {
+					t.Fatalf("run %+v did not survive 20%% transient faults: %s", r.Point, r.Result)
+				}
+			}
+		}},
+		{sweep: overlapSweep(overlapTestOpts()), opts: Options{Seed: 7, LenReal: overlapTestLenReal}},
+		{sweep: nodeAggSweep(defaultNodeAgg()), opts: Options{Seed: 7}},
+		{sweep: sieveSweep(smallSieveOpts()), opts: Options{Seed: 7}},
+		{sweep: delegateSweep(smallDelegateOpts()), opts: Options{Seed: 7}},
+		{sweep: delegateReadSweep(smallDelegateReadOpts())},
+		{sweep: scaleSweep(smallScale()), check: checkScaleAcrossGoMaxProcs},
+		{sweep: crashSweep(testCrashGeometry()), opts: Options{Seed: 1}},
+	} {
+		t.Run(tc.sweep.Name, func(t *testing.T) {
+			tc.opts.Chaos = tc.sweep.Projection != nil
+			first, err := Run(tc.sweep, tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			second, err := Run(tc.sweep, tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a, b := first.Det(), second.Det(); len(a) == 0 || !reflect.DeepEqual(a, b) {
+				t.Errorf("deterministic columns differ between identical runs:\n%v\n---\n%v", a, b)
+			}
+			if tc.check != nil {
+				tc.check(t, first)
+			}
+		})
+	}
+}
+
+// TestRunnerRejects covers the runner's own checks: a byte scale that is
+// zero or truncating, a projection asked of a sweep that has none, and a
+// projection that lists a column not marked Det.
+func TestRunnerRejects(t *testing.T) {
+	fig5 := fig5Sweep(&figGeometry{Procs: []int{2}, LenSims: []int{1 << 10}})
+	for _, lenReal := range []int{0, -4, 3} {
+		if _, err := Run(fig5, Options{LenReal: lenReal}); err == nil {
+			t.Errorf("len-real %d against LENarray 1024 accepted", lenReal)
+		}
+	}
+	if _, err := Run(fig5, Options{LenReal: 256, Chaos: true}); err == nil {
+		t.Error("projection of a sweep without one accepted")
+	}
+	bad := nodeAggSweep(defaultNodeAgg())
+	bad.Projection = &Table{Columns: []Column{colTime}}
+	if _, err := Run(bad, Options{Chaos: true}); err == nil {
+		t.Error("projection with a host-order column accepted")
+	}
+}

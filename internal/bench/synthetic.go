@@ -19,14 +19,9 @@ import (
 	"errors"
 	"fmt"
 
-	"github.com/tcio/tcio/internal/cluster"
 	"github.com/tcio/tcio/internal/datatype"
-	"github.com/tcio/tcio/internal/faults"
 	"github.com/tcio/tcio/internal/mpi"
-	"github.com/tcio/tcio/internal/netsim"
-	"github.com/tcio/tcio/internal/pfs"
 	"github.com/tcio/tcio/internal/simtime"
-	"github.com/tcio/tcio/internal/stats"
 )
 
 // Method is Table I's `method` parameter.
@@ -44,16 +39,10 @@ const (
 
 // String names the method as the paper does.
 func (m Method) String() string {
-	switch m {
-	case MethodOCIO:
-		return "OCIO"
-	case MethodTCIO:
-		return "TCIO"
-	case MethodVanilla:
-		return "MPI-IO"
-	default:
-		return fmt.Sprintf("Method(%d)", int(m))
+	if names := [...]string{"OCIO", "TCIO", "MPI-IO"}; m >= 0 && int(m) < len(names) {
+		return names[m]
 	}
+	return fmt.Sprintf("Method(%d)", int(m))
 }
 
 // SyntheticConfig mirrors the paper's Table I configuration parameters.
@@ -153,81 +142,71 @@ func element(rank, j, e, b int) byte {
 	return byte(rank*131 + j*67 + e*29 + b*11 + 7)
 }
 
-// makeArray materializes one rank's array j, charging it to the rank's
+// makeArrays allocates one rank's arrays, charging them to the rank's
 // memory share (the application's own data counts toward the paper's
-// memory budget analysis).
-func makeArray(c *mpi.Comm, cfg SyntheticConfig, j int) ([]byte, error) {
-	width := int(cfg.TypeArray[j].Size())
-	buf, err := c.Malloc(int64(cfg.LenArray) * int64(width))
-	if err != nil {
-		return nil, fmt.Errorf("application array %d: %w", j, err)
-	}
-	for e := 0; e < cfg.LenArray; e++ {
-		for b := 0; b < width; b++ {
-			buf[e*width+b] = element(c.Rank(), j, e, b)
+// memory budget analysis), and with fill materializes their contents. On
+// error the arrays allocated so far are returned for freeing.
+func makeArrays(c *mpi.Comm, cfg SyntheticConfig, fill bool) ([][]byte, error) {
+	arrays := make([][]byte, 0, len(cfg.TypeArray))
+	for j, typ := range cfg.TypeArray {
+		width := int(typ.Size())
+		buf, err := c.Malloc(int64(cfg.LenArray) * int64(width))
+		if err != nil {
+			return arrays, fmt.Errorf("application array %d: %w", j, err)
+		}
+		arrays = append(arrays, buf)
+		for i := 0; fill && i < len(buf); i++ {
+			buf[i] = element(c.Rank(), j, i/width, i%width)
 		}
 	}
-	return buf, nil
+	return arrays, nil
 }
 
-// verifyArrays checks read-back arrays against the generator.
-func verifyArrays(c *mpi.Comm, cfg SyntheticConfig, arrays [][]byte) error {
-	for j, arr := range arrays {
-		width := int(cfg.TypeArray[j].Size())
-		for e := 0; e < cfg.LenArray; e++ {
-			for b := 0; b < width; b++ {
-				if got, want := arr[e*width+b], element(c.Rank(), j, e, b); got != want {
-					return fmt.Errorf("rank %d array %d element %d byte %d: got %#x want %#x",
-						c.Rank(), j, e, b, got, want)
-				}
+func freeArrays(c *mpi.Comm, arrays [][]byte) {
+	for _, a := range arrays {
+		c.Free(a)
+	}
+}
+
+// eachPiece visits the rank's pieces in the interleaved order of Program 3:
+// iteration i's SIZEaccess elements of every array, with the file offset
+// they belong at.
+func eachPiece(c *mpi.Comm, cfg SyntheticConfig, arrays [][]byte, visit func(i int, pos int64, piece []byte) error) error {
+	blockSize := cfg.blockSize()
+	for i := 0; i < cfg.iters(); i++ {
+		pos := int64(c.Rank())*blockSize + int64(i)*blockSize*int64(c.Size())
+		for j := range arrays {
+			n := cfg.SizeAccess * int(cfg.TypeArray[j].Size())
+			if err := visit(i, pos, arrays[j][i*n:(i+1)*n]); err != nil {
+				return err
 			}
+			pos += int64(n)
 		}
 	}
 	return nil
 }
 
-// Env is a simulated environment scaled so that paper-sized datasets fit a
-// test process: real sizes are simulated sizes divided by Scale.
-type Env struct {
-	Machine cluster.Machine
-	FS      *pfs.FileSystem
-	Scale   int64
-	// Faults, when non-nil, arms chaos injection across the environment's
-	// hardware for every run (see NewChaosEnv).
-	Faults *faults.Injector
-}
-
-// NewEnv builds a Lonestar-like environment with the given byte scale.
-// The file system stripe (and hence TCIO's default segment size) shrinks by
-// the same factor, preserving message and request counts.
-func NewEnv(scale int64) (*Env, error) {
-	if scale < 1 || (1<<20)%scale != 0 {
-		return nil, fmt.Errorf("bench: scale %d must divide 1 MiB", scale)
+// checkBytes compares bytes read from file offset base with the
+// workload's generator.
+func checkBytes(rank int, base int64, buf []byte, want func(off int64) byte) error {
+	for i, got := range buf {
+		if w := want(base + int64(i)); got != w {
+			return fmt.Errorf("rank %d offset %d: got %#x want %#x", rank, base+int64(i), got, w)
+		}
 	}
-	m := cluster.Lonestar()
-	m.ByteScale = scale
-	fscfg := pfs.DefaultConfig()
-	fscfg.ByteScale = scale
-	fscfg.StripeSize = (1 << 20) / scale
-	fscfg.ReadAhead = fscfg.StripeSize
-	return &Env{Machine: m, FS: pfs.New(fscfg), Scale: scale}, nil
+	return nil
 }
 
-// PhaseResult captures one phase (write or read) of a benchmark run.
-type PhaseResult struct {
-	Method     Method
-	Procs      int
-	SimBytes   int64 // data moved, in simulated bytes
-	Time       simtime.Duration
-	MBs        float64 // aggregate throughput, MBytes/sec (simulated)
-	Failed     bool
-	FailReason string
-	Net        netsim.Stats
-	FS         pfs.Stats
-	PeakMemory int64 // simulated bytes, max over ranks
-	// AllocRetries counts transient allocation pressure absorbed by the
-	// runtime's backoff (chaos runs only).
-	AllocRetries int64
+// verifyArrays checks read-back arrays against the generator.
+func verifyArrays(c *mpi.Comm, cfg SyntheticConfig, arrays [][]byte) error {
+	for j, arr := range arrays {
+		width := cfg.TypeArray[j].Size()
+		want := func(i int64) byte { return element(c.Rank(), j, int(i/width), int(i%width)) }
+		if err := checkBytes(c.Rank(), 0, arr, want); err != nil {
+			return fmt.Errorf("array %d: %w", j, err)
+		}
+	}
+	return nil
 }
 
 // Result is a full write+read benchmark run.
@@ -260,109 +239,35 @@ func RunSynthetic(env *Env, cfg SyntheticConfig) (Result, error) {
 // shares the environment's file system.
 func runPhase(env *Env, cfg SyntheticConfig, write bool) PhaseResult {
 	env.FS.Reset()
-	pr := PhaseResult{
-		Method:   cfg.Method,
-		Procs:    cfg.Procs,
-		SimBytes: cfg.FileBytes() * env.Scale,
-	}
-	rep, err := mpi.Run(mpi.Config{
-		Procs:         cfg.Procs,
-		Machine:       env.Machine,
-		FS:            env.FS,
-		EnforceMemory: true,
-		Faults:        env.Faults,
-	}, func(c *mpi.Comm) error {
-		if write {
-			return writeWorkload(c, cfg)
-		}
-		return readWorkload(c, cfg)
+	return env.Run(cfg.Procs, cfg.FileBytes()*env.Scale, func(c *mpi.Comm, _ *Tally) error {
+		return workload(c, cfg, write)
 	})
-	if err != nil {
-		pr.Failed = true
-		pr.FailReason = failReason(err)
-		return pr
-	}
-	pr.Time = rep.MaxTime.Sub(0)
-	pr.MBs = stats.ThroughputMBs(pr.SimBytes, pr.Time)
-	pr.Net = rep.Net
-	pr.FS = rep.FS
-	pr.PeakMemory = rep.PeakMemory
-	pr.AllocRetries = rep.AllocRetries
-	return pr
 }
 
-func failReason(err error) string {
-	if errors.Is(err, cluster.ErrOutOfMemory) {
-		return "out of memory"
-	}
-	if errors.Is(err, faults.ErrExhaustedRetries) {
-		return "retries exhausted"
-	}
-	if errors.Is(err, mpi.ErrAborted) {
-		return "aborted"
-	}
-	return err.Error()
+// programs are the methods' write and read programs.
+var programs = map[Method][2]func(*mpi.Comm, SyntheticConfig, [][]byte) error{
+	MethodOCIO:    {Program2Write, Program2Read},
+	MethodTCIO:    {Program3Write, Program3Read},
+	MethodVanilla: {VanillaWrite, VanillaRead},
 }
 
-// writeWorkload dispatches to the method's writer.
-func writeWorkload(c *mpi.Comm, cfg SyntheticConfig) error {
-	arrays := make([][]byte, len(cfg.TypeArray))
-	for j := range arrays {
-		a, err := makeArray(c, cfg, j)
-		if err != nil {
-			return err
-		}
-		arrays[j] = a
-	}
-	defer func() {
-		for _, a := range arrays {
-			c.Free(a)
-		}
-	}()
-	switch cfg.Method {
-	case MethodOCIO:
-		return Program2Write(c, cfg, arrays)
-	case MethodTCIO:
-		return Program3Write(c, cfg, arrays)
-	case MethodVanilla:
-		return VanillaWrite(c, cfg, arrays)
-	default:
+// workload runs the method's write or read program over the rank's arrays
+// and verifies a read if asked.
+func workload(c *mpi.Comm, cfg SyntheticConfig, write bool) error {
+	program, ok := programs[cfg.Method]
+	if !ok {
 		return fmt.Errorf("bench: unknown method %v", cfg.Method)
 	}
-}
-
-// readWorkload dispatches to the method's reader and verifies if asked.
-func readWorkload(c *mpi.Comm, cfg SyntheticConfig) error {
-	arrays := make([][]byte, len(cfg.TypeArray))
-	for j := range arrays {
-		width := cfg.TypeArray[j].Size()
-		a, err := c.Malloc(int64(cfg.LenArray) * width)
-		if err != nil {
-			return fmt.Errorf("application array %d: %w", j, err)
-		}
-		arrays[j] = a
-	}
-	defer func() {
-		for _, a := range arrays {
-			c.Free(a)
-		}
-	}()
-	var err error
-	switch cfg.Method {
-	case MethodOCIO:
-		err = Program2Read(c, cfg, arrays)
-	case MethodTCIO:
-		err = Program3Read(c, cfg, arrays)
-	case MethodVanilla:
-		err = VanillaRead(c, cfg, arrays)
-	default:
-		err = fmt.Errorf("bench: unknown method %v", cfg.Method)
-	}
+	arrays, err := makeArrays(c, cfg, write)
+	defer freeArrays(c, arrays)
 	if err != nil {
 		return err
 	}
-	if cfg.Verify {
-		return verifyArrays(c, cfg, arrays)
+	if write {
+		return program[0](c, cfg, arrays)
 	}
-	return nil
+	if err := program[1](c, cfg, arrays); err != nil || !cfg.Verify {
+		return err
+	}
+	return verifyArrays(c, cfg, arrays)
 }

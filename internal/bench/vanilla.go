@@ -12,44 +12,23 @@ import (
 
 // VanillaWrite writes the interleaved workload with independent MPI-IO.
 func VanillaWrite(c *mpi.Comm, cfg SyntheticConfig, arrays [][]byte) error {
-	blockSize := cfg.blockSize()
-	handle, err := mpiio.Open(c, cfg.FileName)
-	if err != nil {
-		return err
-	}
-	for i := 0; i < cfg.iters(); i++ {
-		pos := int64(c.Rank())*blockSize + int64(i)*blockSize*int64(c.Size())
-		for j := range arrays {
-			width := int(cfg.TypeArray[j].Size())
-			lo := i * cfg.SizeAccess * width
-			hi := lo + cfg.SizeAccess*width
-			if err := handle.WriteAt(pos, arrays[j][lo:hi]); err != nil {
-				return err
-			}
-			pos += int64(cfg.SizeAccess * width)
-		}
-	}
-	return handle.Close()
+	return vanilla(c, cfg, arrays, (*mpiio.File).WriteAt)
 }
 
 // VanillaRead reads the workload back with independent MPI-IO.
 func VanillaRead(c *mpi.Comm, cfg SyntheticConfig, arrays [][]byte) error {
-	blockSize := cfg.blockSize()
+	return vanilla(c, cfg, arrays, (*mpiio.File).ReadAtInto)
+}
+
+func vanilla(c *mpi.Comm, cfg SyntheticConfig, arrays [][]byte, access func(*mpiio.File, int64, []byte) error) error {
 	handle, err := mpiio.Open(c, cfg.FileName)
 	if err != nil {
 		return err
 	}
-	for i := 0; i < cfg.iters(); i++ {
-		pos := int64(c.Rank())*blockSize + int64(i)*blockSize*int64(c.Size())
-		for j := range arrays {
-			width := int(cfg.TypeArray[j].Size())
-			lo := i * cfg.SizeAccess * width
-			hi := lo + cfg.SizeAccess*width
-			if err := handle.ReadAtInto(pos, arrays[j][lo:hi]); err != nil {
-				return err
-			}
-			pos += int64(cfg.SizeAccess * width)
-		}
+	if err := eachPiece(c, cfg, arrays, func(_ int, pos int64, piece []byte) error {
+		return access(handle, pos, piece)
+	}); err != nil {
+		return err
 	}
 	return handle.Close()
 }

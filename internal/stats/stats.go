@@ -148,6 +148,18 @@ func (t *Table) CSV(w io.Writer) error {
 	return nil
 }
 
+// Write emits the table the way the drivers print one: aligned text, or
+// with csv a "# title" line followed by the CSV.
+func (t *Table) Write(w io.Writer, csv bool) error {
+	if !csv {
+		return t.Render(w)
+	}
+	if _, err := fmt.Fprintf(w, "# %s\n", t.Title); err != nil {
+		return err
+	}
+	return t.CSV(w)
+}
+
 // FmtMBs formats a throughput value the way the paper's axes do.
 func FmtMBs(v float64) string {
 	return fmt.Sprintf("%.1f", v)
