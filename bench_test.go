@@ -580,3 +580,41 @@ func BenchmarkFetchBatch(b *testing.B) {
 		})
 	}
 }
+
+// --- ART record path (DESIGN.md §6) ---
+
+// BenchmarkARTCodec measures the three things the ART workloads do to a
+// tree on the host — build it, serialize it, rebuild it from its record —
+// over one size table from a lone root cell to eight Table IV trees' worth.
+// MB/s is per record byte; allocs/op is what the record path is held to:
+// a constant per tree for encode and decode, one per level for generate.
+func BenchmarkARTCodec(b *testing.B) {
+	for _, cells := range []int{1, 256, 2048, 16384} {
+		tree := art.Generate(0, cells, 2, art.TreeRNG(art.TableIV.Seed, 0))
+		rec := tree.Encode()
+		for _, op := range []struct {
+			name string
+			run  func() int
+		}{
+			{"encode", func() int { return len(tree.Encode()) }},
+			{"decode", func() int {
+				t, err := art.Decode(rec)
+				if err != nil {
+					b.Fatal(err)
+				}
+				return t.Vars
+			}},
+			{"generate", func() int {
+				return art.Generate(0, cells, 2, art.TreeRNG(art.TableIV.Seed, 0)).Vars
+			}},
+		} {
+			b.Run(fmt.Sprintf("%s/cells-%d", op.name, cells), func(b *testing.B) {
+				b.SetBytes(tree.EncodedSize())
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					benchSink += op.run()
+				}
+			})
+		}
+	}
+}

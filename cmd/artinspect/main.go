@@ -8,7 +8,6 @@
 package main
 
 import (
-	"encoding/binary"
 	"flag"
 	"fmt"
 	"os"
@@ -73,21 +72,12 @@ func doInspect(path string) error {
 	if err != nil {
 		return err
 	}
-	if len(raw) < 12 {
-		return fmt.Errorf("file too short (%d bytes)", len(raw))
+	fromRaw := func(off int64, dst []byte) error { copy(dst, raw[off:]); return nil }
+	offsets, err := art.DecodeIndex(fromRaw, int64(len(raw)))
+	if err != nil {
+		return err
 	}
-	if got := binary.LittleEndian.Uint32(raw); got != 0x41525443 {
-		return fmt.Errorf("bad checkpoint magic %#x", got)
-	}
-	ntrees := int(binary.LittleEndian.Uint64(raw[4:]))
-	need := 12 + (ntrees+1)*8
-	if len(raw) < need {
-		return fmt.Errorf("index truncated: need %d bytes, have %d", need, len(raw))
-	}
-	offsets := make([]int64, ntrees+1)
-	for i := range offsets {
-		offsets[i] = int64(binary.LittleEndian.Uint64(raw[12+8*i:]))
-	}
+	ntrees := len(offsets) - 1
 	fmt.Printf("%s: ART checkpoint, %d trees, %d bytes\n\n", path, ntrees, len(raw))
 
 	t := stats.Table{
@@ -95,9 +85,6 @@ func doInspect(path string) error {
 	}
 	totalCells := 0
 	for i := 0; i < ntrees; i++ {
-		if offsets[i+1] > int64(len(raw)) {
-			return fmt.Errorf("tree %d extends past end of file", i)
-		}
 		rec := raw[offsets[i]:offsets[i+1]]
 		tree, err := art.Decode(rec)
 		if err != nil {

@@ -35,7 +35,10 @@ func (l Library) String() string {
 }
 
 // backend is the minimal surface Dump/Restore need; it hides whether reads
-// are lazy (TCIO) or immediate (vanilla MPI-IO).
+// are lazy (TCIO) or immediate (vanilla MPI-IO). Both directions lend the
+// library a buffer the caller keeps: WriteAt has copied data when it
+// returns, so the caller may overwrite it at once; ReadAt may fill dst any
+// time up to the next Fetch, so the caller leaves dst alone until then.
 type backend interface {
 	WriteAt(off int64, data []byte) error
 	ReadAt(off int64, dst []byte) error
@@ -62,6 +65,46 @@ const ckptMagic = 0x41525443 // "ARTC"
 
 func ckptHeaderSize(ntrees int) int64 { return 4 + 8 + int64(ntrees+1)*8 }
 
+// DecodeIndex reads (through read, which fills dst from offset off) and
+// validates the index of a size-byte checkpoint, returning its ntrees+1
+// record offsets. Nothing in a file is trusted: the index must fit the
+// file, the first record start where the index ends, every record hold at
+// least a header, and the last end where the file does.
+func DecodeIndex(read func(off int64, dst []byte) error, size int64) ([]int64, error) {
+	var head [12]byte // magic + count first, then the offset table
+	if size < ckptHeaderSize(0) {
+		return nil, fmt.Errorf("art: %d bytes cannot hold a checkpoint index", size)
+	}
+	if err := read(0, head[:]); err != nil {
+		return nil, err
+	}
+	if binary.LittleEndian.Uint32(head[:]) != ckptMagic {
+		return nil, fmt.Errorf("art: bad checkpoint magic %#x", binary.LittleEndian.Uint32(head[:]))
+	}
+	count := binary.LittleEndian.Uint64(head[4:])
+	if count > uint64(size-ckptHeaderSize(0))/8 {
+		return nil, fmt.Errorf("art: index of %d trees does not fit in %d bytes", count, size)
+	}
+	table := make([]byte, (count+1)*8)
+	if err := read(int64(len(head)), table); err != nil {
+		return nil, err
+	}
+	offsets := make([]int64, count+1)
+	// What the next entry may hold: the first is where the index ends.
+	least, most := ckptHeaderSize(int(count)), ckptHeaderSize(int(count))
+	for i := range offsets {
+		offsets[i] = int64(binary.LittleEndian.Uint64(table[8*i:]))
+		if offsets[i] < least || offsets[i] > most {
+			return nil, fmt.Errorf("art: index entry %d is %d, outside [%d,%d]", i, offsets[i], least, most)
+		}
+		least, most = offsets[i]+headerSize, size
+	}
+	if offsets[count] != size {
+		return nil, fmt.Errorf("art: records end at %d of a %d-byte checkpoint", offsets[count], size)
+	}
+	return offsets, nil
+}
+
 // segmentsFor sizes a TCIO level-2 configuration to cover total bytes.
 func segmentsFor(total, segSize int64, procs int) int {
 	perRank := (total + int64(procs)*segSize - 1) / (int64(procs) * segSize)
@@ -79,12 +122,14 @@ func Dump(c *mpi.Comm, lib Library, name string, trees []*Tree, ntrees int, segS
 	// Establish global record offsets: every rank shares (id, size) pairs.
 	blob := make([]byte, 4+16*len(trees))
 	binary.LittleEndian.PutUint32(blob, uint32(len(trees)))
+	var largest int64
 	for i, t := range trees {
 		if t.ID < 0 || t.ID >= int64(ntrees) {
 			return fmt.Errorf("art: tree id %d outside [0,%d)", t.ID, ntrees)
 		}
 		binary.LittleEndian.PutUint64(blob[4+16*i:], uint64(t.ID))
 		binary.LittleEndian.PutUint64(blob[12+16*i:], uint64(t.EncodedSize()))
+		largest = max(largest, t.EncodedSize())
 	}
 	all, err := c.AllgatherBytes(blob)
 	if err != nil {
@@ -126,13 +171,18 @@ func Dump(c *mpi.Comm, lib Library, name string, trees []*Tree, ntrees int, segS
 		}
 	}
 
-	// Each rank writes its trees piece by piece — ART's natural I/O shape.
+	// Each rank writes its trees piece by piece — ART's natural I/O shape —
+	// out of one record buffer, re-encoded into once a tree's last WriteAt
+	// has returned.
+	rec := make([]byte, 0, largest)
 	for _, t := range trees {
 		base := offsets[t.ID]
-		for _, p := range t.Pieces() {
-			if err := be.WriteAt(base+p.Off, p.Data); err != nil {
-				return err
-			}
+		rec = t.appendRecord(rec[:0])
+		err := t.shape().walk(func(_, _ int, off, n int64) error {
+			return be.WriteAt(base+off, rec[off:off+n])
+		})
+		if err != nil {
+			return err
 		}
 	}
 	if err := be.Close(); err != nil {
@@ -153,60 +203,50 @@ func Restore(c *mpi.Comm, lib Library, name string) ([]*Tree, error) {
 		return nil, err
 	}
 
-	// Read the index: magic + count first, then the offset table.
-	head := make([]byte, 12)
-	if err := be.ReadAt(0, head); err != nil {
+	// The index and each record's header are needed before anything else
+	// can be asked for, so they are fetched as they are read.
+	read := func(off int64, dst []byte) error {
+		if err := be.ReadAt(off, dst); err != nil {
+			return err
+		}
+		return be.Fetch()
+	}
+	offsets, err := DecodeIndex(read, size)
+	if err != nil {
 		return nil, err
-	}
-	if err := be.Fetch(); err != nil {
-		return nil, err
-	}
-	if binary.LittleEndian.Uint32(head) != ckptMagic {
-		return nil, fmt.Errorf("art: bad checkpoint magic %#x", binary.LittleEndian.Uint32(head))
-	}
-	ntrees := int(binary.LittleEndian.Uint64(head[4:]))
-	offTable := make([]byte, (ntrees+1)*8)
-	if err := be.ReadAt(12, offTable); err != nil {
-		return nil, err
-	}
-	if err := be.Fetch(); err != nil {
-		return nil, err
-	}
-	offsets := make([]int64, ntrees+1)
-	for i := range offsets {
-		offsets[i] = int64(binary.LittleEndian.Uint64(offTable[8*i:]))
 	}
 
-	var out []*Tree
-	for _, id := range OwnedBy(ntrees, c.Size(), c.Rank()) {
+	// One record buffer for the rank, as long as its longest record: Decode
+	// copies everything out, so the next tree is read over the last.
+	mine := OwnedBy(len(offsets)-1, c.Size(), c.Rank())
+	var largest int64
+	for _, id := range mine {
+		largest = max(largest, offsets[id+1]-offsets[id])
+	}
+	buf := make([]byte, largest)
+	out := make([]*Tree, 0, len(mine))
+	for _, id := range mine {
 		base := offsets[id]
-		rec := make([]byte, offsets[id+1]-base)
+		rec := buf[:offsets[id+1]-base]
 
 		// Header first: the record is self-describing, so the piece
 		// layout is known only after parsing it.
-		if err := be.ReadAt(base, rec[:headerSize]); err != nil {
+		if err := read(base, rec[:headerSize]); err != nil {
 			return nil, err
 		}
-		if err := be.Fetch(); err != nil {
-			return nil, err
-		}
-		_, vars, counts, err := DecodeHeader(rec[:headerSize])
+		_, s, _, err := parseHeader(rec, int64(len(rec)))
 		if err != nil {
 			return nil, fmt.Errorf("art: tree %d: %w", id, err)
 		}
 		// Then each array with its own (lazy) read call.
-		off := int64(headerSize)
-		for _, n := range counts {
-			if err := be.ReadAt(base+off, rec[off:off+int64(n)]); err != nil {
-				return nil, err
+		err = s.walk(func(l, _ int, off, n int64) error {
+			if l < 0 {
+				return nil // the header is in
 			}
-			off += int64(n)
-			for v := 0; v < vars; v++ {
-				if err := be.ReadAt(base+off, rec[off:off+int64(8*n)]); err != nil {
-					return nil, err
-				}
-				off += int64(8 * n)
-			}
+			return be.ReadAt(base+off, rec[off:off+n])
+		})
+		if err != nil {
+			return nil, err
 		}
 		if err := be.Fetch(); err != nil {
 			return nil, err

@@ -72,30 +72,35 @@ func Generate(id int64, targetCells, vars int, rng *rand.Rand) *Tree {
 		vars = 1
 	}
 	t := &Tree{ID: id, Vars: vars}
-	mkCell := func(level int) Cell {
-		vals := make([]float64, vars)
-		for v := range vals {
-			vals[v] = float64(id)*1e6 + float64(level)*1e3 + rng.Float64()
+	// vals is the backing array of the level being built: addCell carves
+	// the next cell's Vals out of it and draws them.
+	vals := make([]float64, vars)
+	addCell := func(lv []Cell, level int) []Cell {
+		cv := vals[:vars:vars]
+		vals = vals[vars:]
+		for v := range cv {
+			cv[v] = float64(id)*1e6 + float64(level)*1e3 + rng.Float64()
 		}
-		return Cell{Vals: vals}
+		return append(lv, Cell{Vals: cv})
 	}
-	t.Levels = [][]Cell{{mkCell(0)}}
+	t.Levels = [][]Cell{addCell(nil, 0)}
 	total := 1
 	for level := 0; total < targetCells && level < MaxDepth-1; level++ {
-		if level >= len(t.Levels) {
-			break
-		}
-		var next []Cell
-		for i := range t.Levels[level] {
+		cur := t.Levels[level]
+		// Children come eight at a time until the budget is met.
+		room := min(8*len(cur), (targetCells-total+7)/8*8)
+		vals = make([]float64, room*vars)
+		next := make([]Cell, 0, room)
+		for i := range cur {
 			if total >= targetCells {
 				break
 			}
 			// Refine with decreasing probability by depth, so trees get
 			// the top-heavy shape of AMR hierarchies.
 			if rng.Float64() < 0.9 {
-				t.Levels[level][i].Refined = true
+				cur[i].Refined = true
 				for c := 0; c < 8; c++ {
-					next = append(next, mkCell(level+1))
+					next = addCell(next, level+1)
 				}
 				total += 8
 			}
@@ -103,7 +108,7 @@ func Generate(id int64, targetCells, vars int, rng *rand.Rand) *Tree {
 		if len(next) == 0 {
 			break
 		}
-		t.Levels = append(t.Levels, next)
+		t.Levels = append(t.Levels, next[:len(next):len(next)])
 	}
 	return t
 }
@@ -154,104 +159,162 @@ func (t *Tree) EncodedSize() int64 {
 	return n
 }
 
-// Pieces decomposes the record into its constituent arrays, in file order:
-// header, then per level a refinement map and Vars value arrays. This is
-// the sequence of individual I/O calls ART issues per tree.
-func (t *Tree) Pieces() []Piece {
-	pieces := make([]Piece, 0, 1+len(t.Levels)*(1+t.Vars))
+// shape is what fixes a record's layout: the variable count and the cell
+// count of each level, as the header carries them.
+type shape struct {
+	vars, depth int
+	counts      [MaxDepth]int
+}
 
-	hdr := make([]byte, headerSize)
-	binary.LittleEndian.PutUint32(hdr[0:], Magic)
-	binary.LittleEndian.PutUint64(hdr[4:], uint64(t.ID))
-	binary.LittleEndian.PutUint32(hdr[12:], uint32(t.Vars))
-	binary.LittleEndian.PutUint32(hdr[16:], uint32(len(t.Levels)))
+func (t *Tree) shape() shape {
+	s := shape{vars: t.Vars, depth: len(t.Levels)}
 	for l, lv := range t.Levels {
-		binary.LittleEndian.PutUint32(hdr[20+4*l:], uint32(len(lv)))
+		s.counts[l] = len(lv)
 	}
-	pieces = append(pieces, Piece{Name: "header", Off: 0, Data: hdr})
+	return s
+}
 
+// walk calls fn with the offset and length of each array of the record, in
+// file order: the header (level -1), then per level its refinement map
+// (v -1) and vars value arrays. It stops at fn's first error. This is the
+// sequence of individual I/O calls ART issues per tree.
+func (s shape) walk(fn func(level, v int, off, n int64) error) error {
+	err := fn(-1, -1, 0, headerSize)
 	off := int64(headerSize)
-	for l, lv := range t.Levels {
-		ref := make([]byte, len(lv))
-		for i, cell := range lv {
-			if cell.Refined {
-				ref[i] = 1
+	for l := 0; l < s.depth && err == nil; l++ {
+		for v := -1; v < s.vars && err == nil; v++ {
+			n := int64(s.counts[l])
+			if v >= 0 {
+				n *= 8
 			}
-		}
-		pieces = append(pieces, Piece{Name: fmt.Sprintf("refine[%d]", l), Off: off, Data: ref})
-		off += int64(len(ref))
-		for v := 0; v < t.Vars; v++ {
-			vals := make([]byte, 8*len(lv))
-			for i, cell := range lv {
-				binary.LittleEndian.PutUint64(vals[8*i:], uint64FromFloat(cell.Vals[v]))
-			}
-			pieces = append(pieces, Piece{Name: fmt.Sprintf("var%d[%d]", v, l), Off: off, Data: vals})
-			off += int64(len(vals))
+			err = fn(l, v, off, n)
+			off += n
 		}
 	}
-	return pieces
+	return err
+}
+
+// appendRecord appends the serialized record to dst; with room in dst it
+// allocates nothing.
+func (t *Tree) appendRecord(dst []byte) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, Magic)
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(t.ID))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(t.Vars))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(t.Levels)))
+	for _, cells := range t.shape().counts { // zero-padded to MaxDepth
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(cells))
+	}
+	for _, lv := range t.Levels {
+		for i := range lv {
+			var refined byte
+			if lv[i].Refined {
+				refined = 1
+			}
+			dst = append(dst, refined)
+		}
+		for v := 0; v < t.Vars; v++ {
+			for i := range lv {
+				dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(lv[i].Vals[v]))
+			}
+		}
+	}
+	return dst
 }
 
 // Encode serializes the record densely.
 func (t *Tree) Encode() []byte {
-	out := make([]byte, t.EncodedSize())
-	for _, p := range t.Pieces() {
-		copy(out[p.Off:], p.Data)
+	return t.appendRecord(make([]byte, 0, t.EncodedSize()))
+}
+
+// Pieces decomposes the record into its constituent arrays, in file order:
+// the unit of I/O the application issues. The pieces are views of one
+// encoding, each capped at its own end.
+func (t *Tree) Pieces() []Piece {
+	rec := t.Encode()
+	pieces := make([]Piece, 0, 1+len(t.Levels)*(1+t.Vars))
+	t.shape().walk(func(l, v int, off, n int64) error {
+		name := "header"
+		if l >= 0 && v < 0 {
+			name = fmt.Sprintf("refine[%d]", l)
+		} else if l >= 0 {
+			name = fmt.Sprintf("var%d[%d]", v, l)
+		}
+		pieces = append(pieces, Piece{Name: name, Off: off, Data: rec[off : off+n : off+n]})
+		return nil
+	})
+	return pieces
+}
+
+// parseHeader parses the header of a size-byte record into the tree's ID,
+// its shape and its total cell count. Header fields are 32-bit and come
+// from disk, so every level is bounded by the bytes left for it before it
+// is multiplied by anything, and an empty level is refused (it would leave
+// vars unbounded): what a caller sizes or walks from an accepted shape is
+// O(size).
+func parseHeader(hdr []byte, size int64) (id int64, s shape, cells int, err error) {
+	if len(hdr) < headerSize {
+		return 0, s, 0, fmt.Errorf("art: header needs %d bytes, have %d", headerSize, len(hdr))
 	}
-	return out
+	if binary.LittleEndian.Uint32(hdr[0:]) != Magic {
+		return 0, s, 0, fmt.Errorf("art: bad magic %#x", binary.LittleEndian.Uint32(hdr[0:]))
+	}
+	id = int64(binary.LittleEndian.Uint64(hdr[4:]))
+	s.vars = int(binary.LittleEndian.Uint32(hdr[12:]))
+	s.depth = int(binary.LittleEndian.Uint32(hdr[16:]))
+	if s.depth < 1 || s.depth > MaxDepth {
+		return 0, s, 0, fmt.Errorf("art: depth %d out of range", s.depth)
+	}
+	left, perCell := size-headerSize, 1+8*int64(s.vars)
+	for l := 0; l < s.depth; l++ {
+		n := int64(binary.LittleEndian.Uint32(hdr[20+4*l:]))
+		if n == 0 || n > left/perCell {
+			return 0, s, 0, fmt.Errorf("art: record truncated at level with %d cells", n)
+		}
+		left -= n * perCell
+		cells += int(n)
+		s.counts[l] = int(n)
+	}
+	return id, s, cells, nil
 }
 
 // DecodeHeader parses a record header, returning vars and level counts.
 func DecodeHeader(hdr []byte) (id int64, vars int, counts []int, err error) {
-	if len(hdr) < headerSize {
-		return 0, 0, nil, fmt.Errorf("art: header needs %d bytes, have %d", headerSize, len(hdr))
+	id, s, _, err := parseHeader(hdr, math.MaxInt64)
+	if err != nil {
+		return 0, 0, nil, err
 	}
-	if binary.LittleEndian.Uint32(hdr[0:]) != Magic {
-		return 0, 0, nil, fmt.Errorf("art: bad magic %#x", binary.LittleEndian.Uint32(hdr[0:]))
-	}
-	id = int64(binary.LittleEndian.Uint64(hdr[4:]))
-	vars = int(binary.LittleEndian.Uint32(hdr[12:]))
-	depth := int(binary.LittleEndian.Uint32(hdr[16:]))
-	if depth < 1 || depth > MaxDepth {
-		return 0, 0, nil, fmt.Errorf("art: depth %d out of range", depth)
-	}
-	counts = make([]int, depth)
-	for l := 0; l < depth; l++ {
-		counts[l] = int(binary.LittleEndian.Uint32(hdr[20+4*l:]))
-	}
-	return id, vars, counts, nil
+	return id, s.vars, append([]int(nil), s.counts[:s.depth]...), nil
 }
 
-// Decode reconstructs a tree from its serialized record.
+// Decode reconstructs a tree from its serialized record. The tree aliases
+// nothing in rec; its cells are one slab and their Vals another, carved
+// with full-slice caps so an append to one cannot reach its neighbour.
 func Decode(rec []byte) (*Tree, error) {
-	id, vars, counts, err := DecodeHeader(rec)
+	id, s, cells, err := parseHeader(rec, int64(len(rec)))
 	if err != nil {
 		return nil, err
 	}
-	t := &Tree{ID: id, Vars: vars}
-	off := int64(headerSize)
-	for _, n := range counts {
-		need := off + int64(n) + int64(n)*int64(vars)*8
-		if need > int64(len(rec)) {
-			return nil, fmt.Errorf("art: record truncated at level with %d cells", n)
-		}
-		cells := make([]Cell, n)
-		for i := 0; i < n; i++ {
-			cells[i].Refined = rec[off+int64(i)] == 1
-		}
-		off += int64(n)
-		for v := 0; v < vars; v++ {
-			for i := 0; i < n; i++ {
-				bits := binary.LittleEndian.Uint64(rec[off+int64(8*i):])
-				if cells[i].Vals == nil {
-					cells[i].Vals = make([]float64, vars)
-				}
-				cells[i].Vals[v] = floatFromUint64(bits)
+	t := &Tree{ID: id, Vars: s.vars, Levels: make([][]Cell, s.depth)}
+	slab, vals := make([]Cell, cells), make([]float64, cells*s.vars)
+	s.walk(func(l, v int, off, n int64) error {
+		switch {
+		case l < 0: // the header, parsed above
+		case v < 0:
+			lv := slab[:n:n]
+			slab = slab[n:]
+			for i := range lv {
+				lv[i] = Cell{Refined: rec[off+int64(i)] == 1, Vals: vals[:s.vars:s.vars]}
+				vals = vals[s.vars:]
 			}
-			off += int64(8 * n)
+			t.Levels[l] = lv
+		default:
+			arr := rec[off : off+n]
+			for i, lv := 0, t.Levels[l]; i < len(lv); i++ {
+				lv[i].Vals[v] = math.Float64frombits(binary.LittleEndian.Uint64(arr[8*i:]))
+			}
 		}
-		t.Levels = append(t.Levels, cells)
-	}
+		return nil
+	})
 	return t, nil
 }
 
@@ -294,7 +357,3 @@ func OwnedBy(n, procs, rank int) []int {
 	}
 	return out
 }
-
-func uint64FromFloat(f float64) uint64 { return math.Float64bits(f) }
-
-func floatFromUint64(b uint64) float64 { return math.Float64frombits(b) }

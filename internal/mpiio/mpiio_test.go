@@ -581,3 +581,49 @@ func TestViewFlatteningDoesNotAllocate(t *testing.T) {
 		return nil
 	})
 }
+
+// TestWriteAtCopiesBeforeReturning pins the caller-buffer contract
+// checkpoint writers rely on (art.Dump encodes every tree into one reused
+// record buffer): data belongs to the caller again the moment an
+// independent WriteAt returns. Every rank writes all its pieces from one
+// buffer and scribbles over it after each call.
+func TestWriteAtCopiesBeforeReturning(t *testing.T) {
+	pattern := func(off int64) byte { return byte(off*31 + off>>8 + 1) }
+	sizes := []int64{5, 59, 64, 100, 200, 1}
+	const procs, stride = 3, 500
+	run(t, procs, func(c *mpi.Comm) error {
+		f, err := Open(c, "contract")
+		if err != nil {
+			return err
+		}
+		buf := make([]byte, 200)
+		off := int64(c.Rank()) * stride
+		for _, n := range sizes {
+			for i := range buf[:n] {
+				buf[i] = pattern(off + int64(i))
+			}
+			if err := f.WriteAt(off, buf[:n]); err != nil {
+				return err
+			}
+			for i := range buf {
+				buf[i] = 0xEE
+			}
+			off += n
+		}
+		if err := f.Close(); err != nil {
+			return err
+		}
+		if err := c.Barrier(); err != nil || c.Rank() != 0 {
+			return err
+		}
+		img := c.FS().Open("contract").Snapshot()
+		for r := int64(0); r < procs; r++ {
+			for o := r * stride; o < r*stride+429; o++ {
+				if img[o] != pattern(o) {
+					return fmt.Errorf("file byte %d is %#x, want %#x: WriteAt kept the caller's slice", o, img[o], pattern(o))
+				}
+			}
+		}
+		return nil
+	})
+}

@@ -709,3 +709,55 @@ func TestMemoryFootprintSmallerThanOCIO(t *testing.T) {
 		t.Fatalf("TCIO should fit in the memory share: %v", err)
 	}
 }
+
+// TestWriteAtCopiesBeforeReturning pins the caller-buffer contract
+// checkpoint writers rely on (art.Dump encodes every tree into one reused
+// record buffer): data belongs to the caller again the moment WriteAt
+// returns, whether the piece was staged in level 1, cut at a segment
+// boundary, or — with level 1 off — shipped straight from the caller's
+// slice. Every rank writes all its pieces from one buffer and scribbles
+// over it after each call.
+func TestWriteAtCopiesBeforeReturning(t *testing.T) {
+	pattern := func(off int64) byte { return byte(off*31 + off>>8 + 1) }
+	sizes := []int64{5, 59, 64, 100, 200, 1} // within, up to, exactly, across and several segments
+	const procs, stride = 3, 500
+	direct := smallCfg()
+	direct.DisableLevel1 = true
+	for name, cfg := range map[string]Config{"level1": smallCfg(), "DisableLevel1": direct} {
+		run(t, procs, func(c *mpi.Comm) error {
+			f, err := Open(c, "contract-"+name, WriteMode, cfg)
+			if err != nil {
+				return err
+			}
+			buf := make([]byte, 200)
+			off := int64(c.Rank()) * stride
+			for _, n := range sizes {
+				for i := range buf[:n] {
+					buf[i] = pattern(off + int64(i))
+				}
+				if err := f.WriteAt(off, buf[:n]); err != nil {
+					return err
+				}
+				for i := range buf {
+					buf[i] = 0xEE
+				}
+				off += n
+			}
+			if err := f.Close(); err != nil {
+				return err
+			}
+			if c.Rank() != 0 {
+				return nil
+			}
+			img := c.FS().Open("contract-" + name).Snapshot()
+			for r := int64(0); r < procs; r++ {
+				for o := r * stride; o < r*stride+429; o++ {
+					if img[o] != pattern(o) {
+						return fmt.Errorf("%s: file byte %d is %#x, want %#x: WriteAt kept the caller's slice", name, o, img[o], pattern(o))
+					}
+				}
+			}
+			return nil
+		})
+	}
+}

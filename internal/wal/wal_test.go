@@ -18,6 +18,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"github.com/tcio/tcio/internal/extent"
@@ -233,4 +234,49 @@ func TestDataExtentsAddressRunBytes(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzWALDecode: Decode faces bytes a crash or a failing disk left behind
+// (ROADMAP 5e). On any image it must not panic, must allocate in proportion
+// to the image whatever a length prefix claims, and the epochs it returns —
+// with or without an error for what follows them — must decode to
+// themselves again once re-journaled. The seeds are the shapes the property
+// tests above generate: a clean image, a torn tail, a flipped checksummed
+// byte, a zero-length record and an epoch header inside an open epoch.
+func FuzzWALDecode(f *testing.F) {
+	rng := rand.New(rand.NewSource(6))
+	img, commitEnds := buildImage([]Epoch{
+		{Rank: 3, Seq: 1, Runs: genRuns(rng, 2)},
+		{Rank: 3, Seq: 2, Runs: genRuns(rng, 1)},
+	})
+	f.Add(img)
+	f.Add(img[:commitEnds[0]+headerSize+5])
+	flipped := append([]byte(nil), img...)
+	flipped[checksummedBytes(img)[40]] ^= 0x40
+	f.Add(flipped)
+	f.Add(make([]byte, headerSize))
+	unsealed, _ := EncodeEpochRecords(0, 1, genRuns(rng, 1))
+	f.Add(append(unsealed, unsealed...))
+
+	f.Fuzz(func(t *testing.T, img []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		epochs, err := Decode(img)
+		runtime.ReadMemStats(&after)
+		// A run costs the image 25 bytes at least and the heap its data, a
+		// 40-byte Run and what append's doubling leaves behind; an epoch is
+		// cheaper. The slack covers the error and a quiet runtime.
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 16*uint64(len(img))+16<<10 {
+			t.Fatalf("Decode of %d bytes allocated %d", len(img), grew)
+		}
+		if err != nil && !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("untyped error: %v", err)
+		}
+		again, _ := buildImage(epochs)
+		got, err := Decode(again)
+		if err != nil {
+			t.Fatalf("re-journaled epochs do not decode: %v", err)
+		}
+		epochsEqual(t, got, epochs)
+	})
 }
