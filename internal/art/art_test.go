@@ -288,18 +288,6 @@ func TestDecodeRejectsOverflowingHeader(t *testing.T) {
 	}
 }
 
-// TestDecodeHeaderAlone: a bare header has no record to be checked against,
-// so anything a file could hold passes.
-func TestDecodeHeaderAlone(t *testing.T) {
-	tr := Generate(6, 700, 3, rand.New(rand.NewSource(6)))
-	hdr := tr.Encode()[:headerSize]
-	binary.LittleEndian.PutUint32(hdr[20:], 1<<31) // 50 GiB of root cells
-	id, vars, counts, err := DecodeHeader(hdr)
-	if err != nil || id != 6 || vars != 3 || len(counts) != tr.Depth() || counts[0] != 1<<31 || counts[1] != len(tr.Levels[1]) {
-		t.Fatalf("DecodeHeader = %d, %d, %v, %v", id, vars, counts, err)
-	}
-}
-
 // FuzzDecode: Decode never panics, allocates in proportion to the bytes it
 // was given whatever their header claims, and what it accepts survives
 // another trip through the codec (ROADMAP 5e). Trees are compared by their

@@ -277,15 +277,6 @@ func parseHeader(hdr []byte, size int64) (id int64, s shape, cells int, err erro
 	return id, s, cells, nil
 }
 
-// DecodeHeader parses a record header, returning vars and level counts.
-func DecodeHeader(hdr []byte) (id int64, vars int, counts []int, err error) {
-	id, s, _, err := parseHeader(hdr, math.MaxInt64)
-	if err != nil {
-		return 0, 0, nil, err
-	}
-	return id, s.vars, append([]int(nil), s.counts[:s.depth]...), nil
-}
-
 // Decode reconstructs a tree from its serialized record. The tree aliases
 // nothing in rec; its cells are one slab and their Vals another, carved
 // with full-slice caps so an append to one cannot reach its neighbour.

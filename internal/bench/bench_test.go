@@ -19,19 +19,6 @@ func smallSweepCfg(m Method, procs int, name string) SyntheticConfig {
 	}
 }
 
-func TestParseTypes(t *testing.T) {
-	types, err := ParseTypes("i,d")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(types) != 2 || types[0] != datatype.Int || types[1] != datatype.Double {
-		t.Fatalf("ParseTypes = %v", types)
-	}
-	if _, err := ParseTypes("i,x"); err == nil {
-		t.Fatal("bad type accepted")
-	}
-}
-
 func TestSyntheticConfigDerived(t *testing.T) {
 	cfg := smallSweepCfg(MethodTCIO, 4, "x")
 	if cfg.blockSize() != 12 {

@@ -113,23 +113,6 @@ func (c SyntheticConfig) validate() error {
 	return nil
 }
 
-// ParseTypes resolves Table I's TYPEarray string ("i,d") to element types.
-func ParseTypes(spec string) ([]datatype.Type, error) {
-	var out []datatype.Type
-	start := 0
-	for i := 0; i <= len(spec); i++ {
-		if i == len(spec) || spec[i] == ',' {
-			t, err := datatype.ByName(spec[start:i])
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, t)
-			start = i + 1
-		}
-	}
-	return out, nil
-}
-
 // chargePieces charges the application-level cost of touching n pieces
 // (e.g. Program 2's combine/scatter loops), scaled like all per-item costs.
 func chargePieces(c *mpi.Comm, n int) {

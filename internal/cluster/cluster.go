@@ -69,25 +69,6 @@ func (m Machine) Validate() error {
 // Scale converts a real byte count into simulated bytes.
 func (m Machine) Scale(realBytes int64) int64 { return realBytes * m.ByteScale }
 
-// PerRankMemory reports the simulated memory share one rank of an
-// nprocs-rank job receives — the same even division NewMemTracker enforces
-// (0 when the machine has no memory limit). Memory-pressure policies size
-// their budgets against it: a spill threshold chosen at or below this share
-// keeps a rank's resident segments inside what the accountant will grant.
-func (m Machine) PerRankMemory(nprocs int) int64 {
-	if m.MemPerNode == 0 {
-		return 0
-	}
-	ranksPerNode := m.CoresPerNode
-	if nprocs < ranksPerNode {
-		ranksPerNode = nprocs
-	}
-	if ranksPerNode < 1 {
-		ranksPerNode = 1
-	}
-	return m.MemPerNode / int64(ranksPerNode)
-}
-
 // NodesFor reports how many nodes a job of nprocs ranks occupies under
 // block placement (ranks 0..CoresPerNode-1 on node 0, and so on).
 func (m Machine) NodesFor(nprocs int) int {
@@ -215,17 +196,6 @@ func Unlimited() *MemTracker {
 	}
 }
 
-// PerRank reports the simulated capacity available to each rank
-// (0 when enforcement is disabled).
-func (t *MemTracker) PerRank() int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.disabled {
-		return 0
-	}
-	return t.perRank
-}
-
 // SetFaults attaches a fault injector: allocations can then fail with
 // transient pressure (faults.SiteMemAlloc) — a neighbour's page-cache
 // spike or balloon that clears moments later. Transient failures wrap
@@ -277,13 +247,6 @@ func (t *MemTracker) Used(rank int) int64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.used[rank]
-}
-
-// Peak reports the rank's high-water mark.
-func (t *MemTracker) Peak(rank int) int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.peak[rank]
 }
 
 // MaxPeak reports the largest per-rank high-water mark across all ranks.

@@ -87,13 +87,13 @@ func TestScale(t *testing.T) {
 func TestMemTrackerPerRankShare(t *testing.T) {
 	m := Lonestar() // 24 GiB / 12 ranks = 2 GiB per rank
 	tr := NewMemTracker(m, 64)
-	if got := tr.PerRank(); got != 2<<30 {
-		t.Fatalf("PerRank = %d, want 2 GiB", got)
+	if got := tr.perRank; got != 2<<30 {
+		t.Fatalf("per-rank share = %d, want 2 GiB", got)
 	}
 	// Fewer ranks than cores: they share the node evenly.
 	tr2 := NewMemTracker(m, 4)
-	if got := tr2.PerRank(); got != 6<<30 {
-		t.Fatalf("PerRank with 4 ranks = %d, want 6 GiB", got)
+	if got := tr2.perRank; got != 6<<30 {
+		t.Fatalf("per-rank share with 4 ranks = %d, want 6 GiB", got)
 	}
 }
 
@@ -129,9 +129,6 @@ func TestMemTrackerFreeAndPeak(t *testing.T) {
 	if got := tr.Used(3); got != 150 {
 		t.Fatalf("Used = %d, want 150", got)
 	}
-	if got := tr.Peak(3); got != 300 {
-		t.Fatalf("Peak = %d, want 300", got)
-	}
 	tr.Free(3, 1000) // over-free clamps
 	if got := tr.Used(3); got != 0 {
 		t.Fatalf("Used = %d after over-free, want 0", got)
@@ -145,9 +142,6 @@ func TestMemTrackerDisabled(t *testing.T) {
 	tr := Unlimited()
 	if err := tr.Alloc(0, 1<<50); err != nil {
 		t.Fatalf("unlimited tracker refused: %v", err)
-	}
-	if tr.PerRank() != 0 {
-		t.Fatal("unlimited tracker should report 0 capacity")
 	}
 	m := Lonestar()
 	m.MemPerNode = 0

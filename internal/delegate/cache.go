@@ -100,5 +100,3 @@ func (c *blockCache) invalidate(key blockKey) ([]byte, bool) {
 	delete(c.entries, ent.key)
 	return ent.buf, true
 }
-
-func (c *blockCache) len() int { return c.order.Len() }

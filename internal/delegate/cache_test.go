@@ -32,8 +32,8 @@ func TestBlockCacheLRU(t *testing.T) {
 			t.Fatalf("block %d should be resident", blk)
 		}
 	}
-	if c.len() != 2 {
-		t.Fatalf("len = %d, want 2", c.len())
+	if c.order.Len() != 2 {
+		t.Fatalf("len = %d, want 2", c.order.Len())
 	}
 }
 
@@ -49,8 +49,8 @@ func TestBlockCacheReplaceAndInvalidate(t *testing.T) {
 	if got, _ := c.get(ck(0)); &got[0] != &b0v2[0] {
 		t.Fatal("replace did not install the new buffer")
 	}
-	if c.len() != 1 {
-		t.Fatalf("len = %d after replace, want 1", c.len())
+	if c.order.Len() != 1 {
+		t.Fatalf("len = %d after replace, want 1", c.order.Len())
 	}
 	// peek must not promote: after peeking 0, inserting two more evicts 0
 	// first if 0 stayed least-recent... fill to capacity, peek the LRU,

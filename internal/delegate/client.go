@@ -5,12 +5,11 @@ package delegate
 // mode — every byte rides the request protocol to the owning server.
 // One rank may hold many files open at once; handles are the ordinal of
 // the collective Open call, so all clients agree on them without an
-// extra collective, and each File keeps its own position, counters, and
-// protocol state.
+// extra collective, and each File keeps its own counters and protocol
+// state.
 
 import (
 	"fmt"
-	"io"
 
 	"github.com/tcio/tcio/internal/extent"
 	"github.com/tcio/tcio/internal/faults"
@@ -75,7 +74,6 @@ type File struct {
 	handle int32
 	name   string
 	mode   tcio.Mode
-	pos    int64
 	closed bool
 	stats  Stats
 
@@ -169,11 +167,6 @@ func (t *Tier) awaitCredit(si int) error {
 	return nil
 }
 
-// Name reports the file name. Handle reports the protocol handle (-1 in
-// pass-through mode).
-func (f *File) Name() string  { return f.name }
-func (f *File) Handle() int32 { return f.handle }
-
 // TCIO exposes the pass-through engine, nil in delegation mode — callers
 // that want the tcio ledger (EagerWrites + FlushResidue == FSWrites and
 // friends) read it here.
@@ -182,41 +175,9 @@ func (f *File) TCIO() *tcio.File { return f.direct }
 // Stats returns the client-side counters.
 func (f *File) Stats() Stats { return f.stats }
 
-// Seek repositions the file pointer, as io.Seeker does.
-func (f *File) Seek(offset int64, whence int) (int64, error) {
-	if f.direct != nil {
-		pos, err := f.direct.Seek(offset, whence)
-		f.pos = pos
-		return pos, err
-	}
-	switch whence {
-	case io.SeekStart:
-		// offset stands alone
-	case io.SeekCurrent:
-		offset += f.pos
-	default:
-		return f.pos, fmt.Errorf("delegate: seek whence %d", whence)
-	}
-	if offset < 0 {
-		return f.pos, fmt.Errorf("delegate: seek to %d", offset)
-	}
-	f.pos = offset
-	return f.pos, nil
-}
-
-// Write stores data at the file pointer and advances it. In delegation
-// mode the data is split at domain-block boundaries and each piece ships
-// to its owning server, blocking only when the admission window to that
-// server is exhausted.
-func (f *File) Write(data []byte) error {
-	err := f.WriteAt(f.pos, data)
-	if err == nil {
-		f.pos += int64(len(data))
-	}
-	return err
-}
-
-// WriteAt stores data at an explicit offset without moving the pointer.
+// WriteAt stores data at off. In delegation mode the data is split at
+// domain-block boundaries and each piece ships to its owning server,
+// blocking only when the admission window to that server is exhausted.
 func (f *File) WriteAt(off int64, data []byte) error {
 	if f.direct != nil {
 		f.stats.Writes++
@@ -259,28 +220,11 @@ func (f *File) WriteAt(off int64, data []byte) error {
 	return nil
 }
 
-// Read returns n bytes from the file pointer and advances it. Delegated
-// reads are synchronous — the returned buffer is already filled — unless
-// collective reads are armed (delegation + CollectiveRead), which makes
-// them lazy like tcio's read queue: call Fetch before relying on the
-// bytes. (Pass-through keeps tcio's lazy semantics throughout.)
-func (f *File) Read(n int64) ([]byte, error) {
-	if f.direct != nil {
-		f.stats.Reads++
-		f.stats.ReadBytes += n
-		buf, err := f.direct.Read(n)
-		f.pos += n
-		return buf, err
-	}
-	buf := make([]byte, n)
-	if err := f.ReadAt(f.pos, buf); err != nil {
-		return nil, err
-	}
-	f.pos += n
-	return buf, nil
-}
-
-// ReadAt fills dst from an explicit offset without moving the pointer.
+// ReadAt fills dst from off. Delegated reads are synchronous — dst is
+// filled on return — unless collective reads are armed (delegation +
+// CollectiveRead), which makes them lazy like tcio's read queue: call Fetch
+// before relying on the bytes. (Pass-through keeps tcio's lazy semantics
+// throughout.)
 func (f *File) ReadAt(off int64, dst []byte) error {
 	if f.direct != nil {
 		f.stats.Reads++

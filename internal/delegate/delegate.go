@@ -151,6 +151,3 @@ func Run(c *mpi.Comm, cfg Config, body func(*Tier) error) error {
 // IsDelegated reports whether the tier runs the delegation protocol
 // (false in ServerRanks == 0 pass-through).
 func (t *Tier) IsDelegated() bool { return len(t.servers) > 0 }
-
-// Servers returns the server rank set (nil in pass-through).
-func (t *Tier) Servers() []int { return append([]int(nil), t.servers...) }

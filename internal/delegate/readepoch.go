@@ -13,9 +13,15 @@ package delegate
 // (mirroring closeEpoch's write shape), and replies to each client in
 // sorted rank order. N clients re-reading the same blocks cost one file
 // system fetch, not N.
+//
+// An intent arrives off the wire, so the server checks it before it indexes
+// anything with it (checkIntent). A malformed one is its sender's failure,
+// not the epoch's: that client's reply carries the error, it still counts
+// toward the quorum, and the other clients are served.
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"github.com/tcio/tcio/internal/extent"
@@ -57,15 +63,39 @@ func (s *server) readIntent(req *mpi.RPCRequest) error {
 			req.Handle, req.Client)
 	}
 	runs, err := decodeIntent(req.Data)
-	if err != nil {
-		return err
+	if err == nil {
+		err = s.checkIntent(runs)
 	}
-	h.intents[req.Client] = runs
-	h.intentSeqs[req.Client] = req.Seq
+	if err != nil {
+		runs = nil
+	}
+	h.intents[req.Client] = intent{runs: runs, seq: req.Seq, err: err}
 	if len(h.intents) < s.clients {
 		return nil
 	}
 	return s.closeReadEpoch(h)
+}
+
+// checkIntent validates a decoded intent the way mpiio's checkRuns validates
+// an exchange message: every run is non-empty, at a non-negative offset its
+// length cannot overflow, and inside one domain block that this server owns
+// — exactly what closeReadEpoch indexes with.
+func (s *server) checkIntent(runs []extent.Extent) error {
+	ds := s.cfg.DomainSize
+	for _, r := range runs {
+		if r.Off < 0 || r.Len <= 0 || r.Len > math.MaxInt64-r.Off {
+			return fmt.Errorf("delegate: read intent run [%d,+%d) is empty, negative or overflows", r.Off, r.Len)
+		}
+		blk := r.Off / ds
+		if (r.End()-1)/ds != blk {
+			return fmt.Errorf("delegate: read intent run [%d,+%d) crosses a %d-byte domain block", r.Off, r.Len, ds)
+		}
+		if int(blk%int64(s.nservers)) != s.index {
+			return fmt.Errorf("delegate: read intent run [%d,+%d) lies in block %d, which server %d of %d does not own",
+				r.Off, r.Len, blk, s.index, s.nservers)
+		}
+	}
+	return nil
 }
 
 // closeReadEpoch merges the epoch's intents, stages each requested block
@@ -78,8 +108,8 @@ func (s *server) readIntent(req *mpi.RPCRequest) error {
 func (s *server) closeReadEpoch(h *handleFile) error {
 	ds := s.cfg.DomainSize
 	need := make(map[int64]bool)
-	for _, runs := range h.intents {
-		for _, r := range runs {
+	for _, in := range h.intents {
+		for _, r := range in.runs {
 			need[r.Off/ds] = true
 		}
 	}
@@ -141,18 +171,21 @@ func (s *server) closeReadEpoch(h *handleFile) error {
 	}
 	sort.Ints(clients)
 	for _, cl := range clients {
-		rep := &mpi.RPCReply{Seq: h.intentSeqs[cl]}
+		in := h.intents[cl]
+		rep := &mpi.RPCReply{Seq: in.seq}
 		var data []byte
-		if fillErr != nil {
+		if in.err != nil {
+			rep.Code, rep.Err = mpi.RPCErrGeneric, in.err.Error()
+		} else if fillErr != nil {
 			rep.Code, rep.Err = errCode(fillErr), fillErr.Error()
 		} else {
 			var total int64
-			for _, r := range h.intents[cl] {
+			for _, r := range in.runs {
 				total += r.Len
 			}
 			data = s.c.GetBuf(int(total))
 			var pos int64
-			for _, r := range h.intents[cl] {
+			for _, r := range in.runs {
 				blk := r.Off / ds
 				rel := r.Off - blk*ds
 				pos += int64(copy(data[pos:], blkBuf[blk][rel:rel+r.Len]))
@@ -184,9 +217,6 @@ func (s *server) closeReadEpoch(h *handleFile) error {
 		}
 		s.c.Recycle(buf)
 	}
-	for cl := range h.intents {
-		delete(h.intents, cl)
-		delete(h.intentSeqs, cl)
-	}
+	clear(h.intents)
 	return nil
 }

@@ -11,6 +11,7 @@ package delegate
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -100,11 +101,19 @@ type handleFile struct {
 	staged  []mpi.RPCRequest
 	flushed map[int]bool
 	epoch   int64
-	// intents and intentSeqs hold the current collective read epoch's
-	// per-client intent vectors and request sequence numbers; the epoch
-	// closes when every client has contributed (the flush quorum rule).
-	intents    map[int][]extent.Extent
-	intentSeqs map[int]int64
+	// intents holds the current collective read epoch's per-client intent
+	// vectors; the epoch closes when every client has contributed (the
+	// flush quorum rule).
+	intents map[int]intent
+}
+
+// intent is one client's contribution to a collective read epoch: the runs
+// it asked for and the request's sequence number, or — for a malformed
+// request — the error its reply will carry in place of data.
+type intent struct {
+	runs []extent.Extent
+	seq  int64
+	err  error
 }
 
 type server struct {
@@ -113,8 +122,11 @@ type server struct {
 	tcfg    tcio.Config
 	retry   faults.RetryPolicy
 	clients int // client-rank count: the flush-epoch quorum
-	handles map[int32]*handleFile
-	stats   ServerStats
+	// index is this rank's position among the nservers server ranks: it
+	// owns the domain blocks ≡ index (mod nservers), as Tier.owner deals them.
+	index, nservers int
+	handles         map[int32]*handleFile
+	stats           ServerStats
 	// cache is the hot-block cache (nil when ServerCacheBlocks == 0) and
 	// dirty counts staged-but-undrained writes per (file, block): a block
 	// with dirty records bypasses the cache entirely, so a read between a
@@ -140,6 +152,7 @@ func serve(c *mpi.Comm, cfg Config, tcfg tcio.Config, serverRanks []int) error {
 		srv.retry = *tcfg.Retry
 	}
 	srv.clients = c.Size() - len(serverRanks)
+	srv.index, srv.nservers = slices.Index(serverRanks, c.Rank()), len(serverRanks)
 	if cfg.ServerCacheBlocks > 0 {
 		srv.cache = newBlockCache(cfg.ServerCacheBlocks)
 		srv.dirty = make(map[blockKey]int)
@@ -240,14 +253,13 @@ func (s *server) open(req *mpi.RPCRequest) error {
 		drain.SetRetryPolicy(s.retry)
 		drain.SetTrace(s.tcfg.Trace)
 		h = &handleFile{
-			name:       name,
-			mode:       mode,
-			pf:         pf,
-			drain:      drain,
-			readers:    make(map[int]*storage.Client),
-			flushed:    make(map[int]bool),
-			intents:    make(map[int][]extent.Extent),
-			intentSeqs: make(map[int]int64),
+			name:    name,
+			mode:    mode,
+			pf:      pf,
+			drain:   drain,
+			readers: make(map[int]*storage.Client),
+			flushed: make(map[int]bool),
+			intents: make(map[int]intent),
 		}
 		s.handles[req.Handle] = h
 	}

@@ -48,7 +48,7 @@ func TestCoalesceMatchesReference(t *testing.T) {
 			}
 			list[i] = Extent{Off: off, Len: int64(rng.Intn(10)) - 1} // -1 and 0 are dropped
 			if rng.Intn(4) > 0 {
-				off += max64(list[i].Len, 0) // adjacent to the next run
+				off += max(list[i].Len, 0) // adjacent to the next run
 			}
 		}
 		switch iter % 4 {

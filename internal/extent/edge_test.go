@@ -34,20 +34,6 @@ func TestCoalesceEdges(t *testing.T) {
 	eq(t, Coalesce([]Extent{{0, 16}, {4, 4}}), []Extent{{0, 16}}, "contained")
 }
 
-func TestIntersectEdges(t *testing.T) {
-	eq(t, Intersect(nil, nil), nil, "nil/nil")
-	eq(t, Intersect([]Extent{{0, 8}}, nil), nil, "a/nil")
-	eq(t, Intersect(nil, []Extent{{0, 8}}), nil, "nil/b")
-	eq(t, Intersect([]Extent{{0, 0}}, []Extent{{0, 8}}), nil, "zero-length a")
-	// Runs touching exactly at a boundary share no bytes.
-	eq(t, Intersect([]Extent{{0, 8}}, []Extent{{8, 8}}), nil, "touching")
-	// One shared byte at the boundary.
-	eq(t, Intersect([]Extent{{0, 9}}, []Extent{{8, 8}}), []Extent{{8, 1}}, "one byte")
-	// Equal ends on both sides must advance without losing the next run.
-	eq(t, Intersect([]Extent{{0, 8}, {8, 4}}, []Extent{{4, 4}, {8, 2}}),
-		[]Extent{{4, 6}}, "equal ends")
-}
-
 func TestSubtractEdges(t *testing.T) {
 	eq(t, Subtract(nil, nil), nil, "nil/nil")
 	eq(t, Subtract(nil, []Extent{{0, 8}}), nil, "nil minuend")
@@ -99,18 +85,8 @@ func TestCoversEdges(t *testing.T) {
 	}
 }
 
-// TestSpanTotalEdges pins the degenerate-input behavior of the two
-// accounting helpers.
+// TestSpanTotalEdges pins the degenerate-input behavior of Total.
 func TestSpanTotalEdges(t *testing.T) {
-	if lo, hi := Span(nil); lo != 0 || hi != 0 {
-		t.Errorf("Span(nil) = [%d,%d)", lo, hi)
-	}
-	if lo, hi := Span([]Extent{{7, 0}, {3, 0}}); lo != 0 || hi != 0 {
-		t.Errorf("Span(degenerate) = [%d,%d)", lo, hi)
-	}
-	if lo, hi := Span([]Extent{{8, 8}, {0, 4}}); lo != 0 || hi != 16 {
-		t.Errorf("Span = [%d,%d), want [0,16)", lo, hi)
-	}
 	if n := Total([]Extent{{0, 4}, {9, -2}, {5, 0}}); n != 4 {
 		t.Errorf("Total = %d, want 4", n)
 	}

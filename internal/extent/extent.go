@@ -13,7 +13,7 @@
 //
 //   - Coalesce: sort and merge adjacent/overlapping runs (the level-1
 //     combine step, OCIO's request flattening).
-//   - Intersect / Subtract: run-list set algebra (hole detection,
+//   - Subtract: run-list set difference (hole detection,
 //     read-modify-write prereads, cache accounting).
 //   - SplitAt: cut runs at multiples of a granularity (segment and stripe
 //     boundaries).
@@ -44,9 +44,6 @@ type Extent struct {
 
 // End returns the exclusive upper bound of the run.
 func (e Extent) End() int64 { return e.Off + e.Len }
-
-// Empty reports whether the run covers no bytes.
-func (e Extent) Empty() bool { return e.Len <= 0 }
 
 // Coalesce sorts runs by offset and merges adjacent or overlapping ones.
 // Zero-length runs are dropped. The input slice may be reordered and its
@@ -93,28 +90,6 @@ func Total(list []Extent) int64 {
 	return n
 }
 
-// Span returns the smallest half-open interval [lo, hi) containing every
-// run, or (0, 0) for an empty list.
-func Span(list []Extent) (lo, hi int64) {
-	first := true
-	for _, e := range list {
-		if e.Len <= 0 {
-			continue
-		}
-		if first || e.Off < lo {
-			lo = e.Off
-		}
-		if first || e.End() > hi {
-			hi = e.End()
-		}
-		first = false
-	}
-	if first {
-		return 0, 0
-	}
-	return lo, hi
-}
-
 // Covers reports whether the union of the runs covers [lo, hi) completely.
 // An empty interval is trivially covered.
 func Covers(list []Extent, lo, hi int64) bool {
@@ -130,30 +105,7 @@ func Covers(list []Extent, lo, hi int64) bool {
 	return false
 }
 
-// Intersect returns the coalesced runs present in both a and b.
-func Intersect(a, b []Extent) []Extent {
-	as := Coalesce(append([]Extent(nil), a...))
-	bs := Coalesce(append([]Extent(nil), b...))
-	var out []Extent
-	i, j := 0, 0
-	for i < len(as) && j < len(bs) {
-		lo := max64(as[i].Off, bs[j].Off)
-		hi := min64(as[i].End(), bs[j].End())
-		if hi > lo {
-			out = append(out, Extent{Off: lo, Len: hi - lo})
-		}
-		if as[i].End() < bs[j].End() {
-			i++
-		} else {
-			j++
-		}
-	}
-	return out
-}
-
-// Subtract returns the coalesced runs of a not covered by b — the partition
-// complement of Intersect: Intersect(a, b) and Subtract(a, b) are disjoint
-// and together cover exactly Coalesce(a).
+// Subtract returns the coalesced runs of a not covered by b.
 func Subtract(a, b []Extent) []Extent {
 	as := Coalesce(append([]Extent(nil), a...))
 	bs := Coalesce(append([]Extent(nil), b...))
@@ -209,18 +161,4 @@ func SplitAt(list []Extent, gran int64) []Extent {
 		}
 	}
 	return out
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -79,27 +79,24 @@ func TestCoalesceIdempotent(t *testing.T) {
 	}
 }
 
-// TestIntersectSubtractPartition pins the partition invariant: for every
-// byte of a, it lands in exactly one of Intersect(a,b) and Subtract(a,b),
-// decided by membership in b; no byte outside a appears in either.
-func TestIntersectSubtractPartition(t *testing.T) {
+// TestSubtractMatchesBitmap pins Subtract against the byte-set model: a
+// byte is in Subtract(a, b) exactly when it is in a and not in b, and the
+// result is well formed.
+func TestSubtractMatchesBitmap(t *testing.T) {
 	prop := func(rawA, rawB []uint16) bool {
 		a, b := randList(rawA), randList(rawB)
 		ma, mb := bitmap(a), bitmap(b)
-		inter, sub := Intersect(a, b), Subtract(a, b)
-		if !wellFormed(inter) || !wellFormed(sub) {
+		sub := Subtract(a, b)
+		if !wellFormed(sub) {
 			return false
 		}
-		mi, ms := bitmap(inter), bitmap(sub)
+		ms := bitmap(sub)
 		for x := range ma {
-			wantI := ma[x] && mb[x]
-			wantS := ma[x] && !mb[x]
-			if mi[x] != wantI || ms[x] != wantS {
+			if ms[x] != (ma[x] && !mb[x]) {
 				return false
 			}
 		}
-		// Lengths partition Coalesce(a) exactly.
-		return Total(inter)+Total(sub) == Total(Coalesce(append([]Extent(nil), a...)))
+		return true
 	}
 	if err := quick.Check(prop, quickCfg(3)); err != nil {
 		t.Fatal(err)
@@ -141,12 +138,12 @@ func TestLayoutRoundTrip(t *testing.T) {
 		if rank != int(seg%int64(l.P)) || slot != seg/int64(l.P) || disp != off%l.SegSize {
 			return false
 		}
-		// Owner agrees with Locate; Offset inverts it.
+		// Owner agrees with Locate, and SegStart places the segment.
 		or, os := l.Owner(seg)
 		if or != rank || os != slot || l.Segment(off) != seg {
 			return false
 		}
-		return l.Offset(rank, slot, disp) == off
+		return l.SegStart(seg)+disp == off
 	}
 	if err := quick.Check(prop, quickCfg(5)); err != nil {
 		t.Fatal(err)
@@ -186,14 +183,14 @@ func TestPartitionDomainsTile(t *testing.T) {
 		hi := lo + int64(rawSpan)
 		n := int(rawN%8) + 1
 		p := NewPartition(lo, hi, n)
-		doms := p.Domains()
 		// Domains are contiguous, ordered, and exactly tile [lo, hi).
 		cur := lo
-		for _, d := range doms {
+		for k := 0; k < p.N; k++ {
+			d := p.Domain(k)
 			if d.Len < 0 || (d.Len > 0 && d.Off != cur) {
 				return false
 			}
-			cur = max64(cur, d.End())
+			cur = max(cur, d.End())
 		}
 		if hi > lo && cur != hi {
 			return false
@@ -232,7 +229,10 @@ func TestPartitionSplitPreservesRuns(t *testing.T) {
 	prop := func(raw []uint16, rawN uint8, reuse bool) bool {
 		n := int(rawN%6) + 1
 		runs := Coalesce(randList(raw))
-		lo, hi := Span(runs)
+		var lo, hi int64
+		if len(runs) > 0 {
+			lo, hi = runs[0].Off, runs[len(runs)-1].End()
+		}
 		p := NewPartition(lo, hi, n)
 		var dst []Extent
 		if reuse {
@@ -275,14 +275,8 @@ func TestCoversSpanSubtractEdges(t *testing.T) {
 	if !Covers([]Extent{{0, 4}, {4, 4}}, 1, 7) {
 		t.Fatal("adjacent runs do not cover")
 	}
-	if lo, hi := Span(nil); lo != 0 || hi != 0 {
-		t.Fatalf("Span(nil) = %d,%d", lo, hi)
-	}
 	if got := Subtract([]Extent{{0, 10}}, nil); !reflect.DeepEqual(got, []Extent{{0, 10}}) {
 		t.Fatalf("Subtract identity = %v", got)
-	}
-	if got := Intersect([]Extent{{0, 10}}, nil); got != nil {
-		t.Fatalf("Intersect with empty = %v", got)
 	}
 	if got := SplitAt([]Extent{{3, 10}}, 4); !reflect.DeepEqual(got, []Extent{{3, 1}, {4, 4}, {8, 4}, {12, 1}}) {
 		t.Fatalf("SplitAt = %v", got)

@@ -41,12 +41,6 @@ func (l Layout) Owner(seg int64) (rank int, slot int64) {
 	return int(r), seg / int64(l.P)
 }
 
-// Offset inverts Locate: the file offset of displacement disp inside the
-// slot-th segment owned by rank.
-func (l Layout) Offset(rank int, slot, disp int64) int64 {
-	return (slot*int64(l.P)+int64(rank))*l.SegSize + disp
-}
-
 // SegStart returns the file offset where a global segment begins.
 func (l Layout) SegStart(seg int64) int64 { return seg * l.SegSize }
 

@@ -20,9 +20,6 @@ func NewPartition(lo, hi int64, n int) Partition {
 	return p
 }
 
-// Size reports the nominal domain length (the last domain may be shorter).
-func (p Partition) Size() int64 { return p.size }
-
 // Domain returns the k-th domain as an extent (possibly empty).
 func (p Partition) Domain(k int) Extent {
 	if p.size == 0 {
@@ -37,15 +34,6 @@ func (p Partition) Domain(k int) Extent {
 		hi = p.Hi
 	}
 	return Extent{Off: lo, Len: hi - lo}
-}
-
-// Domains materializes all N domains in order.
-func (p Partition) Domains() []Extent {
-	out := make([]Extent, p.N)
-	for k := range out {
-		out[k] = p.Domain(k)
-	}
-	return out
 }
 
 // Find returns the index of the domain owning byte off, clamped to [0, N-1].

@@ -148,14 +148,6 @@ func New(seed int64) *Injector {
 	}
 }
 
-// Seed reports the injector's seed.
-func (in *Injector) Seed() int64 {
-	if in == nil {
-		return 0
-	}
-	return in.seed
-}
-
 // Set installs (or replaces) the rule for a site. A Prob of 0 disables it.
 func (in *Injector) Set(site Site, r Rule) *Injector {
 	if in == nil {
@@ -330,18 +322,6 @@ func (in *Injector) CountsString() string {
 		out += fmt.Sprintf("%s=%d", s, counts[Site(s)])
 	}
 	return out
-}
-
-// Reset clears injection counts and decision streams (rules and seed are
-// kept), so one injector can serve consecutive experiment phases.
-func (in *Injector) Reset() {
-	if in == nil {
-		return
-	}
-	in.cmu.Lock()
-	in.injected = make(map[Site]int64)
-	in.streams = make(map[streamKey]int64)
-	in.cmu.Unlock()
 }
 
 // RetryPolicy bounds how a client absorbs transient faults: a per-request

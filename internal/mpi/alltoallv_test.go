@@ -88,24 +88,21 @@ func forcedOrderExchange(t *testing.T, exchange func(*Comm, [][]byte) ([][]byte,
 }
 
 // TestAlltoallvMatchesExplicitExchange checks that Alltoallv is, to the
-// nanosecond and the counter, the Irecv×p → Isend×p → Wait×p loop the paper
-// describes: same payloads, same final clock on every rank, same netsim
-// statistics.
+// nanosecond and the counter, the post-receives → send×p → wait×p loop the
+// paper describes, written out over Send and Recv (a posted receive matches
+// when it is waited on, so posting is free): same payloads, same final clock
+// on every rank, same netsim statistics.
 func TestAlltoallvMatchesExplicitExchange(t *testing.T) {
 	explicit := func(c *Comm, send [][]byte) ([][]byte, error) {
 		const tag = 7
-		reqs := make([]*Request, len(send))
-		for src := range reqs {
-			reqs[src] = c.Irecv(src, tag)
-		}
 		for dst := range send {
-			if _, err := c.Isend(dst, tag, send[dst]).Wait(); err != nil {
+			if err := c.Send(dst, tag, send[dst]); err != nil {
 				return nil, err
 			}
 		}
 		out := make([][]byte, len(send))
-		for src, r := range reqs {
-			data, err := r.Wait()
+		for src := range out {
+			data, err := c.Recv(src, tag)
 			if err != nil {
 				return nil, err
 			}
@@ -209,10 +206,10 @@ func TestAlltoallvReturnsErrAborted(t *testing.T) {
 	}
 }
 
-// TestWildcardRecvSkipsCollectiveTraffic: a wildcard receive used to take
-// whatever was deposited first, a collective's message included — rank 0
-// below got rank 1's all-to-all payload from Recv(AnySource, AnyTag) and
-// its own Alltoallv then never completed. AnyTag matches user tags only.
+// TestWildcardRecvSkipsCollectiveTraffic: a wildcard receive must not take
+// a collective's message, however early it was deposited — or rank 0 below
+// would get rank 1's all-to-all payload and its own Alltoallv would never
+// complete. A receive names a user tag, so it cannot.
 func TestWildcardRecvSkipsCollectiveTraffic(t *testing.T) {
 	runOK(t, 2, func(c *Comm) error {
 		if c.Rank() == 1 {
@@ -224,15 +221,15 @@ func TestWildcardRecvSkipsCollectiveTraffic(t *testing.T) {
 			return err
 		}
 		for _, src := range []int{1, AnySource} {
-			if _, ok, err := c.TryRecvRequest(src, AnyTag); ok || err != nil {
-				return fmt.Errorf("TryRecvRequest(%d, AnyTag) matched the collective's message: ok=%v err=%v", src, ok, err)
+			if _, ok, err := c.TryRecvRequest(src, 7); ok || err != nil {
+				return fmt.Errorf("TryRecvRequest(%d, 7) matched the collective's message: ok=%v err=%v", src, ok, err)
 			}
 		}
 		if err := c.Send(0, 7, []byte("user")); err != nil {
 			return err
 		}
-		if got, err := c.Recv(AnySource, AnyTag); err != nil || string(got) != "user" {
-			return fmt.Errorf("Recv(AnySource, AnyTag) = %q, %v; want the tag-7 message", got, err)
+		if got, err := c.Recv(AnySource, 7); err != nil || string(got) != "user" {
+			return fmt.Errorf("Recv(AnySource, 7) = %q, %v; want the tag-7 message", got, err)
 		}
 		recv, err := c.Alltoallv([][]byte{{0}, {0}})
 		if err != nil || !bytes.Equal(recv[1], []byte{1}) {
@@ -242,30 +239,35 @@ func TestWildcardRecvSkipsCollectiveTraffic(t *testing.T) {
 	})
 }
 
-// TestUserEntryPointsRejectRuntimeTags: negative tags are the runtime's.
+// TestUserEntryPointsRejectRuntimeTags: negative tags are the runtime's, and
+// -1 is no wildcard — a receive names its tag, from an exact source or from
+// AnySource alike.
 func TestUserEntryPointsRejectRuntimeTags(t *testing.T) {
 	runOK(t, 1, func(c *Comm) error {
-		for _, tag := range []int{tagAlltoall, -100} {
-			_, _, tryErr := c.TryRecvRequest(0, tag)
-			_, recvErr := c.Recv(0, tag)
-			_, irecvErr := c.Irecv(0, tag).Wait()
-			_, reqErr := c.RecvRequest(0, tag)
+		for _, tag := range []int{tagAlltoall, -100, -1} {
+			for _, src := range []int{0, AnySource} {
+				_, _, tryErr := c.TryRecvRequest(src, tag)
+				_, recvErr := c.Recv(src, tag)
+				_, reqErr := c.RecvRequest(src, tag)
+				for name, err := range map[string]error{
+					"Recv": recvErr, "RecvRequest": reqErr, "TryRecvRequest": tryErr,
+				} {
+					if err == nil {
+						return fmt.Errorf("%s(%d, %d) accepted the tag", name, src, tag)
+					}
+				}
+			}
 			_, repErr := c.RecvReply(0, tag)
 			for name, err := range map[string]error{
-				"Send": c.Send(0, tag, nil), "Isend": c.Isend(0, tag, nil).err,
+				"Send":        c.Send(0, tag, nil),
 				"SendRequest": c.SendRequest(0, tag, &RPCRequest{Op: OpFlush}),
 				"SendReply":   c.SendReply(0, tag, &RPCReply{OK: true}),
-				"Recv":        recvErr, "Irecv": irecvErr, "RecvRequest": reqErr,
-				"TryRecvRequest": tryErr, "RecvReply": repErr,
+				"RecvReply":   repErr,
 			} {
 				if err == nil {
 					return fmt.Errorf("%s accepted tag %d", name, tag)
 				}
 			}
-		}
-		// AnyTag names no message: a send cannot carry it.
-		if err := c.Send(0, AnyTag, nil); err == nil {
-			return errors.New("Send accepted AnyTag")
 		}
 		return nil
 	})

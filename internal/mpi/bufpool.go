@@ -129,9 +129,9 @@ func (c *Comm) GetBuf(n int) []byte { return c.w.pool.get(n) }
 
 // Recycle returns a delivered payload, or a GetBuf buffer, to the world's
 // staging pool. The caller must be the buffer's sole owner: point-to-point
-// payloads (Recv, Request.Wait, Alltoallv) are delivered to exactly one
-// rank and are safe to recycle once their bytes are consumed; Bcast and
-// AllgatherBytes results are shared by every rank, and AlltoallvFlat's are
-// slices of the sender's buffer: neither is for recycling. Recycling does
-// not touch the virtual-time or fault models.
+// payloads (Recv, Alltoallv) are delivered to exactly one rank and are safe
+// to recycle once their bytes are consumed; AllgatherBytes results are
+// shared by every rank, and AlltoallvFlat's are slices of the sender's
+// buffer: neither is for recycling. Recycling does not touch the
+// virtual-time or fault models.
 func (c *Comm) Recycle(buf []byte) { c.w.pool.put(buf) }

@@ -232,9 +232,6 @@ func TestPoolingKeepsFaultIdentity(t *testing.T) {
 		rep, err := Run(Config{Procs: 4, Machine: m, Faults: inj}, func(c *Comm) error {
 			payload := bytes.Repeat([]byte{byte(c.Rank())}, 300)
 			for i := 0; i < 20; i++ {
-				if _, err := c.Bcast(0, payload); err != nil {
-					return err
-				}
 				got, err := c.AllgatherBytes(payload[:100+i])
 				if err != nil {
 					return err

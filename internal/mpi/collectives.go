@@ -155,36 +155,6 @@ func (c *Comm) AllreduceInt64(op ReduceOp, v int64) (int64, error) {
 	return res.(int64), nil
 }
 
-// AllgatherInt64 gathers one int64 from every rank, in rank order.
-func (c *Comm) AllgatherInt64(v int64) ([]int64, error) {
-	res, err := c.collect(v, func(vals []interface{}) interface{} {
-		out := make([]int64, len(vals))
-		for i, raw := range vals {
-			out[i] = raw.(int64)
-		}
-		return out
-	}, c.allgatherCost(8))
-	if err != nil {
-		return nil, err
-	}
-	return res.([]int64), nil
-}
-
-// ExscanInt64 returns the exclusive prefix sum of v across ranks: rank r
-// receives the sum of values from ranks 0..r-1 (0 for rank 0). ART uses it
-// to place each rank's records in the shared file.
-func (c *Comm) ExscanInt64(v int64) (int64, error) {
-	all, err := c.AllgatherInt64(v)
-	if err != nil {
-		return 0, err
-	}
-	var sum int64
-	for r := 0; r < c.rank; r++ {
-		sum += all[r]
-	}
-	return sum, nil
-}
-
 // allgatherCost models a ring allgather of perRankBytes from each rank.
 func (c *Comm) allgatherCost(perRankBytes int64) simtime.Duration {
 	p := c.w.nprocs
@@ -194,26 +164,6 @@ func (c *Comm) allgatherCost(perRankBytes int64) simtime.Duration {
 	per := c.w.machine.Net.Latency + c.w.machine.Net.SetupTwoSided +
 		simtime.BytesDuration(c.w.machine.Scale(perRankBytes), c.w.machine.Net.NICBandwidth)
 	return simtime.Duration(p-1) * per
-}
-
-// Bcast distributes root's payload to every rank. Every rank passes its
-// local buf (ignored except at root) and receives the broadcast value.
-func (c *Comm) Bcast(root int, data []byte) ([]byte, error) {
-	if root < 0 || root >= c.w.nprocs {
-		return nil, fmt.Errorf("mpi: Bcast root %d of %d", root, c.w.nprocs)
-	}
-	var val interface{}
-	if c.rank == root {
-		val = c.stage(data)
-	}
-	res, err := c.collect(val, func(vals []interface{}) interface{} {
-		return vals[root]
-	}, c.treeCost(c.w.machine.Scale(int64(len(data)))))
-	if err != nil {
-		return nil, err
-	}
-	out, _ := res.([]byte)
-	return out, nil
 }
 
 // AllgatherBytes gathers each rank's (possibly differently sized) payload
@@ -241,17 +191,17 @@ func (c *Comm) SharedOnce(create func() interface{}) (interface{}, error) {
 }
 
 // tagAlltoall carries the all-to-all exchange. Negative tags are the
-// runtime's: user sends and receives reject them (userTag) and AnyTag
-// receives never match them, so no wildcard can take a collective's message.
+// runtime's: user sends and receives reject them (userTag), so no receive a
+// caller posts can take a collective's message.
 const tagAlltoall = -2
 
 // Alltoallv sends send[i] to rank i and returns the payloads received from
 // every rank (recv[i] from rank i). It is implemented exactly as the paper
 // describes ROMIO's exchange phase: post all receives, then all sends, then
-// wait — the all-at-once burst whose congestion TCIO avoids. A receive
-// matches when it is waited on, not when it is posted (see Irecv), so the
-// posts are free and the exchange is p eager sends followed by p blocking
-// receives: the same virtual-time charges, with no Request per message.
+// wait — the all-at-once burst whose congestion TCIO avoids. Sends are eager
+// and a posted receive would match only when waited on, so the posts are
+// free and the exchange is p eager sends followed by p blocking receives:
+// the same virtual-time charges, with no request object per message.
 // Each payload is staged in its own pool buffer, so the receiver may
 // Recycle each result.
 func (c *Comm) Alltoallv(send [][]byte) ([][]byte, error) {

@@ -150,13 +150,13 @@ func TestConsecutiveCollectivesKeepOrder(t *testing.T) {
 			if err := c.Barrier(); err != nil {
 				return err
 			}
-			all, err := c.AllgatherInt64(int64(c.Rank() * i))
+			all, err := c.AllgatherBytes([]byte{byte(c.Rank() * i)})
 			if err != nil {
 				return err
 			}
 			for r, v := range all {
-				if v != int64(r*i) {
-					return fmt.Errorf("round %d: all[%d] = %d", i, r, v)
+				if len(v) != 1 || v[0] != byte(r*i) {
+					return fmt.Errorf("round %d: all[%d] = %v", i, r, v)
 				}
 			}
 		}

@@ -25,7 +25,7 @@ type PutGroup struct {
 	Data   []byte
 }
 
-// PutGrouped merges several origins' run lists into one combined put to
+// PutGroupedAsync merges several origins' run lists into one combined put to
 // target — the runtime equivalent of a node leader building one
 // MPI_Type_indexed datatype over everything its node wrote to a segment
 // and issuing a single MPI_Put. Groups are applied in slice order, so on
@@ -34,14 +34,7 @@ type PutGroup struct {
 // wire is billed one message of the groups' coalesced union: setup once,
 // per-block CPU for the merged block list, and the union's byte total
 // (overlap between groups is transferred once, as a real derived datatype
-// would).
-func (w *Win) PutGrouped(target int, groups []PutGroup) error {
-	_, err := w.PutGroupedAsync(target, groups)
-	return err
-}
-
-// PutGroupedAsync is PutGrouped returning an Rput-style handle; see
-// PutSegmentsAsync.
+// would). It returns an Rput-style handle; see PutSegmentsAsync.
 func (w *Win) PutGroupedAsync(target int, groups []PutGroup) (PutHandle, error) {
 	h, err := w.epoch(target, "PutGrouped")
 	if err != nil {

@@ -1,9 +1,9 @@
 package mpi
 
-// Mailbox matching semantics: FIFO per (source, tag) with wildcard receives
-// taking the globally oldest deposit. The indexed mailbox must be
-// indistinguishable from the flat scan-in-deposit-order queue it replaced —
-// including under mixed AnySource/AnyTag and exact receives, where a naive
+// Mailbox matching semantics: FIFO per (source, tag) with (AnySource, tag)
+// receives taking the oldest deposit on that tag. The indexed mailbox must
+// be indistinguishable from the flat scan-in-deposit-order queue it replaced
+// — including under mixed AnySource and exact receives, where a naive
 // per-key index would return an arbitrary queue's head instead of the
 // oldest compatible deposit.
 
@@ -36,40 +36,42 @@ func TestMailboxFIFOPerPair(t *testing.T) {
 	}
 }
 
-// TestMailboxWildcardGlobalOrder pins that wildcard receives drain deposits
-// in global deposit order across (src, tag) pairs, interleaved with exact
-// receives that consume out of the middle.
+// TestMailboxWildcardGlobalOrder pins that AnySource receives drain a tag's
+// deposits in global deposit order across sources, interleaved with exact
+// receives that consume out of the middle, and never cross tags.
 func TestMailboxWildcardGlobalOrder(t *testing.T) {
 	m := newMailbox()
 	m.deposit(envelope{src: 1, tag: 1, data: []byte{0}}) // a
 	m.deposit(envelope{src: 2, tag: 1, data: []byte{1}}) // b
-	m.deposit(envelope{src: 1, tag: 1, data: []byte{2}}) // c
-	m.deposit(envelope{src: 2, tag: 2, data: []byte{3}}) // d
+	m.deposit(envelope{src: 2, tag: 2, data: []byte{2}}) // c
+	m.deposit(envelope{src: 1, tag: 1, data: []byte{3}}) // d
+	m.deposit(envelope{src: 3, tag: 2, data: []byte{4}}) // e
 
 	if got := mustTake(t, m, 2, 1).data[0]; got != 1 {
 		t.Fatalf("exact (2,1): got %d want 1", got)
 	}
-	// Oldest remaining deposit is a, even though b's queue was touched last.
-	if got := mustTake(t, m, AnySource, AnyTag).data[0]; got != 0 {
-		t.Fatalf("wildcard: got %d want 0", got)
+	// Oldest remaining deposit on tag 1 is a, even though b's queue was
+	// touched last.
+	if got := mustTake(t, m, AnySource, 1).data[0]; got != 0 {
+		t.Fatalf("(AnySource, 1): got %d want 0", got)
 	}
-	// AnySource with an exact tag: c (deposit 2) precedes d (deposit 3).
-	if got := mustTake(t, m, AnySource, 1).data[0]; got != 2 {
-		t.Fatalf("(AnySource, 1): got %d want 2", got)
+	// Tag 2's oldest is c, deposited before d.
+	if got := mustTake(t, m, AnySource, 2).data[0]; got != 2 {
+		t.Fatalf("(AnySource, 2): got %d want 2", got)
 	}
-	// AnyTag with an exact source.
-	if got := mustTake(t, m, 2, AnyTag).data[0]; got != 3 {
-		t.Fatalf("(2, AnyTag): got %d want 3", got)
+	if got := mustTake(t, m, AnySource, 1).data[0]; got != 3 {
+		t.Fatalf("(AnySource, 1): got %d want 3", got)
+	}
+	if got := mustTake(t, m, AnySource, 2).data[0]; got != 4 {
+		t.Fatalf("(AnySource, 2): got %d want 4", got)
 	}
 }
 
 // flatTake is the reference semantics: scan a single queue in deposit order
-// and remove the first compatible message — exactly the pre-index mailbox,
-// with the one rule added since: AnyTag matches user tags (>= 0) only, so a
-// wildcard skips the runtime's own deposits.
+// and remove the first compatible message — exactly the pre-index mailbox.
 func flatTake(queue *[]envelope, src, tag int) (envelope, bool) {
 	for i, e := range *queue {
-		if (src == AnySource || e.src == src) && (tag == AnyTag && e.tag >= 0 || e.tag == tag) {
+		if (src == AnySource || e.src == src) && e.tag == tag {
 			*queue = append((*queue)[:i], (*queue)[i+1:]...)
 			return e, true
 		}
@@ -89,7 +91,7 @@ func TestMailboxMatchesFlatReference(t *testing.T) {
 		for step := 0; step < 400; step++ {
 			if len(ref) == 0 || rng.Intn(2) == 0 {
 				// Sources straddle lane boundaries; one deposit in eight is
-				// collective traffic a wildcard must step over.
+				// collective traffic on the runtime's tag.
 				e := envelope{src: rng.Intn(3 * laneWidth), tag: rng.Intn(4), data: []byte{id}}
 				if rng.Intn(8) == 0 {
 					e.tag = tagAlltoall
@@ -100,14 +102,11 @@ func TestMailboxMatchesFlatReference(t *testing.T) {
 				continue
 			}
 			// Pick a pattern guaranteed to match: derive it from a random
-			// buffered message, with each side independently wildcarded.
+			// buffered message, with the source wildcarded half the time.
 			probe := ref[rng.Intn(len(ref))]
 			src, tag := probe.src, probe.tag
 			if rng.Intn(2) == 0 {
 				src = AnySource
-			}
-			if tag >= 0 && rng.Intn(2) == 0 {
-				tag = AnyTag
 			}
 			want, ok := flatTake(&ref, src, tag)
 			if !ok {

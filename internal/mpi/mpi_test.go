@@ -156,36 +156,6 @@ func TestFIFOPerSourceTag(t *testing.T) {
 	}
 }
 
-func TestIsendIrecvWaitAll(t *testing.T) {
-	const p = 6
-	_, err := Run(testCfg(p), func(c *Comm) error {
-		recv := make([]*Request, p)
-		for src := 0; src < p; src++ {
-			recv[src] = c.Irecv(src, 1)
-		}
-		var sends []*Request
-		for dst := 0; dst < p; dst++ {
-			sends = append(sends, c.Isend(dst, 1, []byte{byte(c.Rank())}))
-		}
-		if err := WaitAll(sends...); err != nil {
-			return err
-		}
-		for src := 0; src < p; src++ {
-			d, err := recv[src].Wait()
-			if err != nil {
-				return err
-			}
-			if d[0] != byte(src) {
-				return fmt.Errorf("from %d got %d", src, d[0])
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestSendInvalidRank(t *testing.T) {
 	_, err := Run(testCfg(2), func(c *Comm) error {
 		if c.Rank() == 0 {
@@ -274,74 +244,6 @@ func TestAllreduce(t *testing.T) {
 		}
 		if min != 1 {
 			return fmt.Errorf("min = %d", min)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestAllgatherInt64(t *testing.T) {
-	_, err := Run(testCfg(4), func(c *Comm) error {
-		got, err := c.AllgatherInt64(int64(c.Rank() * 10))
-		if err != nil {
-			return err
-		}
-		for i, v := range got {
-			if v != int64(i*10) {
-				return fmt.Errorf("got[%d] = %d", i, v)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestExscan(t *testing.T) {
-	_, err := Run(testCfg(5), func(c *Comm) error {
-		got, err := c.ExscanInt64(int64(c.Rank() + 1))
-		if err != nil {
-			return err
-		}
-		want := int64(c.Rank() * (c.Rank() + 1) / 2)
-		if got != want {
-			return fmt.Errorf("rank %d: exscan = %d, want %d", c.Rank(), got, want)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBcast(t *testing.T) {
-	_, err := Run(testCfg(6), func(c *Comm) error {
-		var payload []byte
-		if c.Rank() == 2 {
-			payload = []byte("root data")
-		}
-		got, err := c.Bcast(2, payload)
-		if err != nil {
-			return err
-		}
-		if string(got) != "root data" {
-			return fmt.Errorf("rank %d got %q", c.Rank(), got)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBcastBadRoot(t *testing.T) {
-	_, err := Run(testCfg(2), func(c *Comm) error {
-		_, err := c.Bcast(9, nil)
-		if err == nil {
-			return errors.New("bad root accepted")
 		}
 		return nil
 	})

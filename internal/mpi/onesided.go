@@ -19,7 +19,7 @@ import (
 // The paper deliberately avoids MPI_Win_fence (a collective that would
 // break TCIO's fully independent I/O calls) in favour of the lock-request
 // paradigm; this runtime therefore provides per-target shared/exclusive
-// window locks as the primary synchronization.
+// window locks and no fence.
 
 // winLock is one target's window lock. Waiting is abortable so a failed
 // rank cannot deadlock the job.
@@ -159,26 +159,14 @@ func (c *Comm) WinCreate(local []byte) (*Win, error) {
 	return &Win{c: c, g: res.(*winGlobal), held: make(map[int]*heldLock), class: netsim.OneSided}, nil
 }
 
-// Size reports the length of the window memory exposed by target.
-func (w *Win) Size(target int) int64 { return int64(len(w.g.bufs[target])) }
-
 // Local returns this rank's own exposed window memory.
 func (w *Win) Local() []byte { return w.g.bufs[w.c.rank] }
 
-// SnapshotLocal returns a private copy of [off, off+n) of this rank's own
-// window memory, serialized against the physical copies of concurrent
-// remote puts. Background lanes that read window memory outside any access
-// epoch (tcio's eager write-behind) must use it instead of slicing Local():
-// a rewrite put landing mid-read would otherwise be a data race.
-func (w *Win) SnapshotLocal(off, n int64) []byte {
-	out := make([]byte, n)
-	w.SnapshotLocalInto(out, off)
-	return out
-}
-
-// SnapshotLocalInto is SnapshotLocal copying len(dst) bytes from off into a
-// caller-owned buffer, so steady-state background lanes can reuse one
-// staging arena instead of allocating per run.
+// SnapshotLocalInto copies len(dst) bytes at off of this rank's own window
+// memory into a caller-owned buffer, serialized against the physical copies
+// of concurrent remote puts. Background lanes that read window memory outside
+// any access epoch (tcio's eager write-behind) must use it instead of slicing
+// Local(): a rewrite put landing mid-read would otherwise be a data race.
 func (w *Win) SnapshotLocalInto(dst []byte, off int64) {
 	mu := &w.g.datamu[w.c.rank]
 	mu.Lock()
@@ -286,18 +274,6 @@ func (h PutHandle) Complete() { h.c.clock().AdvanceTo(h.arrival) }
 // the owner never drains bytes before their virtual-time arrival.
 func (h PutHandle) Arrival() simtime.Time { return h.arrival }
 
-// PendingArrival reports the latest completion time among the open epoch's
-// transfers to target, without waiting — zero when no epoch is open. It is
-// the observational counterpart of FlushLocal: background pipelines use it
-// to timestamp work that depends on the epoch's data without dragging the
-// origin's clock.
-func (w *Win) PendingArrival(target int) simtime.Time {
-	if h, ok := w.held[target]; ok {
-		return h.maxArrival
-	}
-	return 0
-}
-
 // PutSegmentsAsync is PutSegments returning an Rput-style handle, so a
 // pipelined origin can bound its outstanding transfers by retiring the
 // oldest handle instead of closing whole epochs.
@@ -333,19 +309,6 @@ func (w *Win) PutSegmentsAsync(target int, segs []datatype.Segment, data []byte)
 		h.maxArrival = arrival
 	}
 	return PutHandle{c: w.c, arrival: arrival}, nil
-}
-
-// FlushLocal completes all outstanding operations this rank issued to
-// target in the current access epoch, at the origin (MPI_Win_flush_local):
-// the caller's clock waits for their transfers without releasing the lock,
-// so the epoch can keep pipelining afterwards.
-func (w *Win) FlushLocal(target int) error {
-	h, err := w.epoch(target, "FlushLocal")
-	if err != nil {
-		return err
-	}
-	w.c.clock().AdvanceTo(h.maxArrival)
-	return nil
 }
 
 // Get copies n bytes from target's window at offset off (MPI_Get).
@@ -416,12 +379,4 @@ func (w *Win) GetSegmentsAsync(target int, segs []datatype.Segment, dst []byte) 
 		h.maxArrival = arrival
 	}
 	return GetHandle{c: w.c, data: out[len(dst):], arrival: arrival}, nil
-}
-
-// Fence is the collective synchronization alternative (MPI_Win_fence).
-// TCIO does not use it — the paper rejects fences because they would force
-// collective behaviour on independent I/O calls — but it is provided for
-// completeness and for the ablation benchmarks.
-func (w *Win) Fence() error {
-	return w.c.Barrier()
 }

@@ -192,27 +192,6 @@ func TestWinSetClassChargesTwoSided(t *testing.T) {
 	}
 }
 
-func TestWinFenceSynchronizes(t *testing.T) {
-	rep, err := Run(testCfg(3), func(c *Comm) error {
-		win, err := c.WinCreate(make([]byte, 8))
-		if err != nil {
-			return err
-		}
-		if c.Rank() == 1 {
-			c.Compute(5 * simtime.Millisecond)
-		}
-		return win.Fence()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for r, rt := range rep.RankTimes {
-		if rt < simtime.Time(5*simtime.Millisecond) {
-			t.Fatalf("rank %d left fence at %v", r, rt)
-		}
-	}
-}
-
 func TestSharedLocksDoNotChainVirtualTime(t *testing.T) {
 	// Many shared epochs, each holding for 1 ms of compute, must overlap:
 	// the makespan stays near one epoch, not the sum.
@@ -296,11 +275,11 @@ func secondEpoch(t *testing.T, reuse bool) (afterLock, afterPut, unlocked simtim
 			if err := w.Lock(1, false); err != nil {
 				return err
 			}
-			afterLock = w.PendingArrival(1)
+			afterLock = w.held[1].maxArrival
 			if _, err := w.PutSegmentsAsync(1, []datatype.Segment{{Off: 0, Len: n}}, make([]byte, n)); err != nil {
 				return err
 			}
-			afterPut = w.PendingArrival(1)
+			afterPut = w.held[1].maxArrival
 			if err := w.Unlock(1); err != nil {
 				return err
 			}
@@ -329,7 +308,7 @@ func TestRecycledEpochStartsFresh(t *testing.T) {
 	lock, put, unlocked := secondEpoch(t, true)
 	wantLock, wantPut, wantUnlocked := secondEpoch(t, false)
 	if lock != 0 || lock != wantLock {
-		t.Errorf("PendingArrival after Lock on a recycled record = %v, want 0", lock)
+		t.Errorf("latest arrival after Lock on a recycled record = %v, want 0", lock)
 	}
 	if put != wantPut || unlocked != wantUnlocked {
 		t.Errorf("recycled epoch: arrival %v, unlocked at %v; a fresh Win's: %v, %v",

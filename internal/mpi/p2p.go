@@ -102,11 +102,10 @@ func (l *keyList) pop() {
 // mailbox holds a rank's unmatched inbound messages, indexed by
 // (source, tag). Matching is FIFO per (source, tag), as MPI requires; a
 // fully specified receive finds its queue in O(1) instead of scanning every
-// buffered message. Wildcard receives (AnySource/AnyTag) pop from
-// deposit-ordered side-lists — per tag, per source, and global, one for
-// each wildcard shape — whose entries go stale when an exact receive
-// consumes the message first; stale entries are discarded lazily at the
-// list heads. Every receive shape is amortized O(1), and the sequence
+// buffered message. The one wildcard shape, (AnySource, tag), pops from a
+// deposit-ordered side-list per tag whose entries go stale when an exact
+// receive consumes the message first; stale entries are discarded lazily at
+// the list heads. Both receive shapes are amortized O(1), and the sequence
 // stamps keep the drain order exactly what a single flat queue would have
 // produced: FIFO per pair, deposit order across pairs.
 type mailbox struct {
@@ -121,9 +120,7 @@ type mailbox struct {
 	// exchange hot path — pay nothing for them. The first wildcard take
 	// rebuilds them from the buffered queues.
 	wild  bool
-	byTag map[int]*keyList // for (AnySource, tag) receives
-	bySrc map[int]*keyList // for (src, AnyTag) receives
-	all   keyList          // for (AnySource, AnyTag) receives
+	byTag map[int]*keyList
 }
 
 func newMailbox() *mailbox {
@@ -174,10 +171,8 @@ func (m *mailbox) deposit(e envelope) {
 	m.cond.Broadcast()
 }
 
-// pushWild records a deposit in the side-lists, trimming each list's stale
-// head first so idle lists cannot accumulate consumed entries. A deposit on
-// a runtime tag (negative: a collective's traffic) stays out of the two
-// AnyTag lists, so a wildcard receive cannot take it.
+// pushWild records a deposit in its tag's side-list, trimming the list's
+// stale head first so an idle list cannot accumulate consumed entries.
 func (m *mailbox) pushWild(ent wildEntry) {
 	tl := m.byTag[ent.key.tag]
 	if tl == nil {
@@ -186,18 +181,6 @@ func (m *mailbox) pushWild(ent wildEntry) {
 	}
 	m.trimStale(tl)
 	tl.push(ent)
-	if ent.key.tag < 0 {
-		return
-	}
-	sl := m.bySrc[ent.key.src]
-	if sl == nil {
-		sl = &keyList{}
-		m.bySrc[ent.key.src] = sl
-	}
-	m.trimStale(sl)
-	sl.push(ent)
-	m.trimStale(&m.all)
-	m.all.push(ent)
 }
 
 // activateWild switches the mailbox into wildcard mode, rebuilding the
@@ -214,7 +197,6 @@ func (m *mailbox) activateWild() {
 	}
 	sort.Slice(ents, func(i, j int) bool { return ents[i].seq < ents[j].seq })
 	m.byTag = make(map[int]*keyList)
-	m.bySrc = make(map[int]*keyList)
 	m.wild = true
 	for _, ent := range ents {
 		m.pushWild(ent)
@@ -222,11 +204,10 @@ func (m *mailbox) activateWild() {
 }
 
 // match removes and returns the oldest buffered message matching (src, tag)
-// — FIFO per pair, deposit order across pairs for the wildcards
-// AnySource/AnyTag — or reports ok == false. AnyTag matches user tags only
-// (see pushWild). Called under mu.
+// — FIFO per pair, deposit order across pairs for AnySource — or reports
+// ok == false. Called under mu.
 func (m *mailbox) match(src, tag int) (envelope, bool) {
-	if src != AnySource && tag != AnyTag {
+	if src != AnySource {
 		if q := m.queue(srcTag{src, tag}, false); q != nil && !q.empty() {
 			return q.pop(), true
 		}
@@ -235,16 +216,7 @@ func (m *mailbox) match(src, tag int) (envelope, bool) {
 	if !m.wild {
 		m.activateWild()
 	}
-	var l *keyList
-	switch {
-	case src == AnySource && tag == AnyTag:
-		l = &m.all
-	case src == AnySource:
-		l = m.byTag[tag]
-	default:
-		l = m.bySrc[src]
-	}
-	if l != nil {
+	if l := m.byTag[tag]; l != nil {
 		m.trimStale(l)
 		if !l.empty() {
 			// A live head entry is its queue's front, and every entry in
@@ -297,7 +269,7 @@ const sendOverhead = 400 * simtime.Nanosecond
 // network), matching MPI's buffered-send semantics; the network model
 // decides when the bytes arrive at dst.
 func (c *Comm) Send(dst, tag int, data []byte) error {
-	if err := userTag("Send", tag, false); err != nil {
+	if err := userTag("Send", tag); err != nil {
 		return err
 	}
 	return c.sendStaged(dst, tag, c.stage(data), netsim.TwoSided, -1)
@@ -311,10 +283,9 @@ func (c *Comm) stage(data []byte) []byte {
 }
 
 // userTag rejects the runtime's tag space at the user-facing entry points:
-// negative tags carry collective traffic (tagAlltoall), and only a receive
-// may pass AnyTag.
-func userTag(op string, tag int, recv bool) error {
-	if tag >= 0 || recv && tag == AnyTag {
+// negative tags carry collective traffic (tagAlltoall).
+func userTag(op string, tag int) error {
+	if tag >= 0 {
 		return nil
 	}
 	return fmt.Errorf("mpi: %s with tag %d: negative tags are reserved for the runtime", op, tag)
@@ -332,7 +303,7 @@ func (c *Comm) receive(src, tag int) (envelope, error) {
 
 // receiveUser is receive behind the user-facing entry points.
 func (c *Comm) receiveUser(op string, src, tag int) (envelope, error) {
-	if err := userTag(op, tag, true); err != nil {
+	if err := userTag(op, tag); err != nil {
 		return envelope{}, err
 	}
 	return c.receive(src, tag)
@@ -363,63 +334,12 @@ func (c *Comm) sendStaged(dst, tag int, buf []byte, class netsim.Class, simBytes
 }
 
 // Recv blocks until a message from src with the given tag arrives and
-// returns its payload. Use AnySource/AnyTag as wildcards. The rank's clock
-// advances to the message's arrival instant.
+// returns its payload; src may be AnySource. The rank's clock advances to the
+// message's arrival instant.
 func (c *Comm) Recv(src, tag int) ([]byte, error) {
 	if src != AnySource && (src < 0 || src >= c.w.nprocs) {
 		return nil, fmt.Errorf("mpi: Recv from rank %d of %d", src, c.w.nprocs)
 	}
 	e, err := c.receiveUser("Recv", src, tag)
 	return e.data, err
-}
-
-// Request represents an outstanding nonblocking operation.
-type Request struct {
-	c      *Comm
-	isRecv bool
-	src    int
-	tag    int
-
-	// completion state
-	done bool
-	data []byte
-	err  error
-}
-
-// Isend posts a nonblocking send. With eager buffering the message is
-// already on the network when Isend returns; Wait only reconciles clocks.
-func (c *Comm) Isend(dst, tag int, data []byte) *Request {
-	return &Request{c: c, done: true, err: c.Send(dst, tag, data)}
-}
-
-// Irecv posts a nonblocking receive. Matching happens at Wait time, which
-// is sufficient for the runtime's eager-buffered sends (no rendezvous
-// deadlocks are possible).
-func (c *Comm) Irecv(src, tag int) *Request {
-	return &Request{c: c, isRecv: true, src: src, tag: tag}
-}
-
-// Wait blocks until the request completes and returns the received payload
-// (nil for sends).
-func (r *Request) Wait() ([]byte, error) {
-	if r.done {
-		return r.data, r.err
-	}
-	if r.isRecv {
-		e, err := r.c.receiveUser("Irecv", r.src, r.tag)
-		r.data, r.err = e.data, err
-	}
-	r.done = true
-	return r.data, r.err
-}
-
-// WaitAll completes all requests, returning the first error encountered.
-func WaitAll(reqs ...*Request) error {
-	var first error
-	for _, r := range reqs {
-		if _, err := r.Wait(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
 }

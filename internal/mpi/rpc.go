@@ -202,7 +202,7 @@ func decodeReply(p *bufPool, buf []byte) (RPCReply, error) {
 // writes pay for their data while control messages stay cheap. req.Data is
 // copied before the call returns.
 func (c *Comm) SendRequest(dst, tag int, req *RPCRequest) error {
-	if err := userTag("SendRequest", tag, false); err != nil {
+	if err := userTag("SendRequest", tag); err != nil {
 		return err
 	}
 	sim := int64(rpcReqHeaderWire) + c.w.machine.Scale(int64(len(req.Data)))
@@ -227,7 +227,7 @@ func (c *Comm) RecvRequest(src, tag int) (RPCRequest, error) {
 // has arrived, without ever parking while the queue is non-empty. It never
 // blocks, so it does not look for an abort (see abortedErr).
 func (c *Comm) TryRecvRequest(src, tag int) (RPCRequest, bool, error) {
-	if err := userTag("TryRecvRequest", tag, true); err != nil {
+	if err := userTag("TryRecvRequest", tag); err != nil {
 		return RPCRequest{}, false, err
 	}
 	e, ok := c.w.ranks[c.rank].box.tryTake(src, tag)
@@ -248,7 +248,7 @@ func (c *Comm) openRequest(e envelope) (RPCRequest, error) {
 
 // SendReply ships rep to rank dst on tag, billed like SendRequest.
 func (c *Comm) SendReply(dst, tag int, rep *RPCReply) error {
-	if err := userTag("SendReply", tag, false); err != nil {
+	if err := userTag("SendReply", tag); err != nil {
 		return err
 	}
 	sim := int64(rpcRepHeaderWire) + c.w.machine.Scale(int64(len(rep.Data)))

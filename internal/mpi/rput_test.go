@@ -1,7 +1,7 @@
 package mpi
 
-// Tests for the Rput-style nonblocking puts: PutSegmentsAsync handles,
-// FlushLocal, and the PendingArrival observer the overlap pipelines use.
+// Tests for the Rput-style nonblocking puts: PutSegmentsAsync handles and
+// the Arrival observer the overlap pipelines use.
 
 import (
 	"errors"
@@ -26,9 +26,9 @@ func TestPutSegmentsAsyncComplete(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		// PendingArrival observes the in-flight transfer without advancing
-		// the origin clock past it.
-		pending := win.PendingArrival(1)
+		// Arrival observes the in-flight transfer without advancing the
+		// origin clock past it.
+		pending := h.Arrival()
 		if pending <= c.Now() {
 			return errors.New("put arrival not after issue time")
 		}
@@ -36,38 +36,17 @@ func TestPutSegmentsAsyncComplete(t *testing.T) {
 		if c.Now() < pending {
 			return errors.New("Complete did not wait for the transfer")
 		}
-		// A second put moves the epoch's horizon; FlushLocal waits for it.
-		if _, err := win.PutSegmentsAsync(1, []datatype.Segment{{Off: 16, Len: 4}}, []byte{5, 6, 7, 8}); err != nil {
-			return err
-		}
-		horizon := win.PendingArrival(1)
-		if err := win.FlushLocal(1); err != nil {
-			return err
-		}
-		if c.Now() < horizon {
-			return errors.New("FlushLocal did not retire the epoch's transfers")
-		}
-		return win.Unlock(1)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestFlushLocalNeedsEpoch(t *testing.T) {
-	_, err := Run(testCfg(2), func(c *Comm) error {
-		win, err := c.WinCreate(make([]byte, 8))
+		// A second put moves the epoch's horizon; Unlock waits for it even
+		// though its handle is dropped.
+		h, err = win.PutSegmentsAsync(1, []datatype.Segment{{Off: 16, Len: 4}}, []byte{5, 6, 7, 8})
 		if err != nil {
 			return err
 		}
-		if c.Rank() != 0 {
-			return nil
+		if err := win.Unlock(1); err != nil {
+			return err
 		}
-		if err := win.FlushLocal(1); err == nil {
-			return errors.New("FlushLocal without an epoch succeeded")
-		}
-		if win.PendingArrival(1) != 0 {
-			return errors.New("PendingArrival nonzero without an epoch")
+		if c.Now() < h.Arrival() {
+			return errors.New("Unlock did not retire the epoch's transfers")
 		}
 		return nil
 	})

@@ -1,11 +1,15 @@
 // Package mpi is an in-process message-passing runtime with MPI semantics,
 // built so the TCIO algorithms can run unmodified in a Go simulator.
 //
-// Ranks are goroutines. The runtime provides blocking and nonblocking
-// point-to-point communication, the collectives the paper's I/O stacks
-// need (barrier, broadcast, reductions, gathers, all-to-all), and MPI-2
-// passive-target one-sided communication (windows with lock/unlock,
-// put/get, and indexed-datatype transfers).
+// Ranks are goroutines. The runtime provides exactly what the I/O stacks
+// above it call: blocking eager point-to-point (Send, Recv from a rank or
+// AnySource) and the typed request/reply messages the delegation tier rides
+// on it; the collectives barrier, allreduce, allgather of byte payloads,
+// all-to-all and SharedOnce; and MPI-2 passive-target one-sided
+// communication (windows with lock/unlock, put/get, indexed-datatype and
+// request-based transfers) — no fence, which the paper rejects. DESIGN.md
+// §2g lists every entry point with its callers and the shared state it
+// touches.
 //
 // Data movement is real: bytes are copied between rank buffers, so tests
 // can verify results exactly. Time is virtual: each rank owns a
@@ -27,11 +31,9 @@ import (
 	"github.com/tcio/tcio/internal/simtime"
 )
 
-// Wildcards for Recv matching.
-const (
-	AnySource = -1
-	AnyTag    = -1
-)
+// AnySource is the wildcard source for Recv and RecvRequest matching. Tags
+// have no wildcard: a receive names its tag.
+const AnySource = -1
 
 // Config describes one parallel job.
 type Config struct {

@@ -147,10 +147,10 @@ func TestFlatPlanMatchesPerAggregatorSplit(t *testing.T) {
 				}
 				// The aggregate domain is at least this rank's span; other
 				// ranks' requests may stretch it either way.
-				lo, hi := extent.Span(runs)
-				if len(runs) == 0 {
-					lo = int64(rng.Intn(64))
-					hi = lo
+				lo := int64(rng.Intn(64))
+				hi := lo
+				if len(runs) > 0 { // view runs ascend
+					lo, hi = runs[0].Off, runs[len(runs)-1].End()
 				}
 				lo -= min(lo, int64(rng.Intn(3)*rng.Intn(40)))
 				hi += int64(rng.Intn(3) * rng.Intn(40))

@@ -13,7 +13,6 @@ import (
 	"fmt"
 
 	"github.com/tcio/tcio/internal/datatype"
-	"github.com/tcio/tcio/internal/faults"
 	"github.com/tcio/tcio/internal/mpi"
 	"github.com/tcio/tcio/internal/pfs"
 	"github.com/tcio/tcio/internal/simtime"
@@ -42,7 +41,7 @@ type File struct {
 	// accounting in one place.
 	store *storage.Client
 
-	pos int64 // independent file pointer, in bytes past the view
+	pos int64 // file pointer of the collective calls, in bytes past the view
 
 	// view maps visible bytes to file runs; runs is the scratch list every
 	// call flattens into, so steady-state calls allocate nothing for it.
@@ -83,12 +82,6 @@ func (f *File) SetAggregators(n int) error {
 
 // SetSieving toggles data sieving for independent reads.
 func (f *File) SetSieving(on bool) { f.sieving = on }
-
-// SetRetryPolicy overrides the policy (default faults.DefaultRetryPolicy)
-// under which this handle's file system requests absorb transient injected
-// faults. A zero-budget policy (faults.NoRetry()) turns the first transient
-// fault into a permanent error wrapping faults.ErrExhaustedRetries.
-func (f *File) SetRetryPolicy(p faults.RetryPolicy) { f.store.SetRetryPolicy(p) }
 
 // Retries reports the transient faults this handle absorbed with backoff.
 func (f *File) Retries() int64 { return f.store.Retries() }
@@ -173,18 +166,9 @@ func (f *File) viewRuns(pos, n int64) ([]datatype.Segment, error) {
 	return f.runs, nil
 }
 
-// Write writes data independently at the current file pointer through the
-// view, advancing the pointer. This is the paper's "vanilla MPI-IO": each
-// piece is its own file system request — no aggregation, no coordination.
-func (f *File) Write(data []byte) error {
-	if err := f.WriteAt(f.pos, data); err != nil {
-		return err
-	}
-	f.pos += int64(len(data))
-	return nil
-}
-
-// WriteAt writes data independently at the given visible byte offset.
+// WriteAt writes data independently at the given visible byte offset,
+// through the view. This is the paper's "vanilla MPI-IO": each piece is its
+// own file system request — no aggregation, no coordination.
 func (f *File) WriteAt(pos int64, data []byte) error {
 	f.chargeCPU(callCPU, 1)
 	runs, err := f.viewRuns(pos, int64(len(data)))
@@ -199,16 +183,6 @@ func (f *File) WriteAt(pos int64, data []byte) error {
 		consumed += r.Len
 	}
 	return nil
-}
-
-// Read reads n visible bytes independently at the current pointer.
-func (f *File) Read(n int64) ([]byte, error) {
-	data, err := f.ReadAt(f.pos, n)
-	if err != nil {
-		return nil, err
-	}
-	f.pos += int64(len(data))
-	return data, nil
 }
 
 // ReadAt reads n visible bytes independently at the given visible offset.

@@ -55,10 +55,10 @@ func TestWriteAdvancesPointer(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if err := f.Write([]byte("ab")); err != nil {
+		if err := f.WriteAll([]byte("ab")); err != nil {
 			return err
 		}
-		if err := f.Write([]byte("cd")); err != nil {
+		if err := f.WriteAll([]byte("cd")); err != nil {
 			return err
 		}
 		got, err := f.ReadAt(0, 4)
@@ -71,12 +71,12 @@ func TestWriteAdvancesPointer(t *testing.T) {
 		if err := f.SeekTo(1); err != nil {
 			return err
 		}
-		r, err := f.Read(2)
+		r, err := f.ReadAll(2)
 		if err != nil {
 			return err
 		}
 		if string(r) != "bc" {
-			return fmt.Errorf("Read after Seek = %q", r)
+			return fmt.Errorf("ReadAll after SeekTo = %q", r)
 		}
 		return nil
 	})
@@ -437,18 +437,20 @@ func TestRandomInterleavedCollectiveRoundTrip(t *testing.T) {
 func TestFileDomains(t *testing.T) {
 	p := extent.NewPartition(100, 200, 4)
 	want := []extent.Extent{{Off: 100, Len: 25}, {Off: 125, Len: 25}, {Off: 150, Len: 25}, {Off: 175, Len: 25}}
-	if doms := p.Domains(); !reflect.DeepEqual(doms, want) {
-		t.Fatalf("Domains = %v", doms)
+	for k, d := range want {
+		if got := p.Domain(k); got != d {
+			t.Fatalf("Domain(%d) = %v, want %v", k, got, d)
+		}
 	}
 	// Non-divisible: last domain clipped.
 	p = extent.NewPartition(0, 10, 3)
-	if doms := p.Domains(); doms[2].End() != 10 || doms[0].Len != 4 {
-		t.Fatalf("Domains = %v", doms)
+	if p.Domain(2).End() != 10 || p.Domain(0).Len != 4 {
+		t.Fatalf("domains = %v .. %v", p.Domain(0), p.Domain(2))
 	}
 	// Empty domain.
 	p = extent.NewPartition(5, 5, 2)
-	if doms := p.Domains(); doms[0].Len != 0 || doms[1].Len != 0 {
-		t.Fatalf("Domains = %v", doms)
+	if p.Domain(0).Len != 0 || p.Domain(1).Len != 0 {
+		t.Fatalf("domains = %v, %v", p.Domain(0), p.Domain(1))
 	}
 }
 

@@ -162,12 +162,6 @@ func (fw *flowWindow) overlapAt(t, end simtime.Time) int {
 	return n
 }
 
-func (fw *flowWindow) reset() {
-	fw.mu.Lock()
-	fw.ends = nil
-	fw.mu.Unlock()
-}
-
 // node is the per-node interconnect state. The traffic counters count what
 // the node originated: a transfer bumps only its source's, so ranks on
 // different nodes never contend for one cache line, and Stats sums them.
@@ -219,12 +213,6 @@ func New(nodeCount int, cfg Config) *Network {
 	}
 	return n
 }
-
-// Config returns the network parameters.
-func (n *Network) Config() Config { return n.cfg }
-
-// NodeCount reports the number of nodes.
-func (n *Network) NodeCount() int { return len(n.nodes) }
 
 // Transfer moves size bytes from node src to node dst, departing at the
 // given virtual instant, and returns the arrival instant. The byte payload
@@ -339,21 +327,4 @@ func (n *Network) Stats() Stats {
 	s.SetupTimeTotal = simtime.Duration(s.TwoSidedMsgs)*n.cfg.SetupTwoSided +
 		simtime.Duration(s.OneSidedMsgs)*n.cfg.SetupOneSided
 	return s
-}
-
-// Reset clears all counters and resource queues so the network can be
-// reused for another experiment run.
-func (n *Network) Reset() {
-	n.localMessages.Store(0)
-	n.peakOverlap.Store(0)
-	n.setupRetries.Store(0)
-	n.slowTransfers.Store(0)
-	for _, nd := range n.nodes {
-		nd.twoSided.Store(0)
-		nd.oneSided.Store(0)
-		nd.bytes.Store(0)
-		nd.congested.Store(0)
-		nd.egress.reset()
-		nd.ingress.reset()
-	}
 }

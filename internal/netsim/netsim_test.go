@@ -127,26 +127,9 @@ func TestStatsCounting(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	net := New(2, quietConfig())
-	net.Transfer(0, 1, 5_000_000, 0, TwoSided)
-	net.Reset()
-	if st := net.Stats(); st.Messages != 0 || st.Bytes != 0 {
-		t.Fatalf("stats after reset: %+v", st)
-	}
-	// Queue must also be empty: a fresh transfer behaves like the first.
-	arrive := net.Transfer(0, 1, 5_000_000, 0, TwoSided)
-	cfg := quietConfig()
-	want := simtime.Time(cfg.SetupTwoSided + simtime.Millisecond + cfg.Latency)
-	if arrive != want {
-		t.Fatalf("post-reset arrive = %v, want %v", arrive, want)
-	}
-}
-
 // TestStatsSumPerNodeCounters: the traffic counters live in the source
 // nodes, so Stats must still equal the per-message sums after a concurrent
-// burst from every node, and Reset must zero every node — not just the
-// ones a later run happens to send from.
+// burst from every node.
 func TestStatsSumPerNodeCounters(t *testing.T) {
 	const nodes = 8
 	cfg := quietConfig()
@@ -202,17 +185,6 @@ func TestStatsSumPerNodeCounters(t *testing.T) {
 	}
 	if got := net.Stats().CongestedMsgs; got != nodes-1-3 {
 		t.Fatalf("CongestedMsgs = %d, want %d", got, nodes-1-3)
-	}
-
-	net.Reset()
-	if got := net.Stats(); got != (Stats{}) {
-		t.Fatalf("Stats after Reset: %+v", got)
-	}
-	for i, nd := range net.nodes {
-		if nd.twoSided.Load()|nd.oneSided.Load()|nd.bytes.Load()|nd.congested.Load() != 0 ||
-			len(nd.egress.ends)+len(nd.ingress.ends) != 0 {
-			t.Fatalf("node %d not zeroed by Reset", i)
-		}
 	}
 }
 

@@ -32,15 +32,7 @@ func TestOverlapAtMatchesLinearScan(t *testing.T) {
 		var fw flowWindow
 		var ref refWindow
 		var now, lastEnd simtime.Time
-		resetAt := -1
-		if seq%4 == 0 {
-			resetAt = rng.Intn(calls)
-		}
 		for i := 0; i < calls; i++ {
-			if i == resetAt {
-				fw.reset()
-				ref = refWindow{}
-			}
 			// Ranks reach the port out of virtual-time order: t wanders
 			// forward on average but often steps back.
 			switch rng.Intn(5) {

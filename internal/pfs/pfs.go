@@ -21,7 +21,6 @@
 package pfs
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -174,9 +173,6 @@ func New(cfg Config) *FileSystem {
 // Config returns the file system parameters.
 func (fs *FileSystem) Config() Config { return fs.cfg }
 
-// ErrClosed is returned for operations on a closed or deleted file.
-var ErrClosed = errors.New("pfs: file closed")
-
 // Open returns the named file, creating it if needed. Files are shared:
 // all callers opening the same name operate on the same object, as MPI
 // processes opening a shared file do.
@@ -200,13 +196,6 @@ func (fs *FileSystem) Open(name string) *File {
 		fs.oplog.append(OpRecord{Kind: OpOpen, Name: name, FirstOST: f.firstOST})
 	}
 	return f
-}
-
-// Remove deletes the named file.
-func (fs *FileSystem) Remove(name string) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	delete(fs.files, name)
 }
 
 // Stats returns a snapshot of the accumulated counters.
@@ -265,9 +254,6 @@ type File struct {
 	lockOwner map[int64]int         // stripe index -> client (node) holding its lock
 	raWindow  map[int]extent.Extent // reader (process) -> readahead window
 }
-
-// Name reports the file's name.
-func (f *File) Name() string { return f.name }
 
 // Size reports the file's current length in real bytes.
 func (f *File) Size() int64 {
@@ -528,16 +514,6 @@ func (f *File) Snapshot() []byte {
 	return out
 }
 
-// Truncate resets the file to empty (contents and lock state).
-func (f *File) Truncate() {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.pages = make(map[int64][]byte)
-	f.size = 0
-	f.lockOwner = make(map[int64]int)
-	f.raWindow = make(map[int]extent.Extent)
-}
-
 // ---------------------------------------------------------------------------
 // Crash simulation support: the operation log.
 //
@@ -669,15 +645,11 @@ func (f *File) StoreDirect(off int64, data []byte) {
 	f.storeBytes(off, data)
 }
 
-// TruncateAt resets the file to empty as a simulated client request: it
+// truncateAt resets the file to empty as a simulated client request: it
 // pays the request overhead, can fail transiently at faults.SiteWALTruncate,
 // and is logged. Unlike writes it does not count toward Stats.Writes — the
 // journal-retirement RPC is control traffic, and the conformance write
 // ledger stays an exact data identity.
-func (f *File) TruncateAt(client int, now simtime.Time) (simtime.Time, error) {
-	return f.truncateAt(client, now, 0)
-}
-
 func (f *File) truncateAt(client int, now simtime.Time, attempt int64) (simtime.Time, error) {
 	if inj := f.fs.cfg.Faults; inj.Should(faults.SiteWALTruncate, int64(client), attempt) {
 		f.fs.faultsInjected.Add(1)
@@ -697,7 +669,7 @@ func (f *File) truncateAt(client int, now simtime.Time, attempt int64) (simtime.
 	return end, nil
 }
 
-// TruncateAtRetry is TruncateAt under a retry policy; see WriteAtRetry.
+// TruncateAtRetry is truncateAt under a retry policy; see WriteAtRetry.
 func (f *File) TruncateAtRetry(client int, now simtime.Time, pol faults.RetryPolicy) (simtime.Time, int64, error) {
 	return f.retry(now, pol, func(at simtime.Time, attempt int64) (simtime.Time, error) {
 		return f.truncateAt(client, at, attempt)

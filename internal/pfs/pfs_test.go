@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"github.com/tcio/tcio/internal/faults"
 	"github.com/tcio/tcio/internal/simtime"
 )
 
@@ -108,20 +109,6 @@ func TestSharedOpenSameObject(t *testing.T) {
 	b.ReadAt(1, 0, got, 0)
 	if got[0] != 42 {
 		t.Fatal("data written via first handle not visible via second")
-	}
-}
-
-func TestRemove(t *testing.T) {
-	fs := New(testConfig())
-	f := fs.Open("gone")
-	f.WriteAt(0, 0, []byte{1}, 0)
-	fs.Remove("gone")
-	f2 := fs.Open("gone")
-	if f2 == f {
-		t.Fatal("Remove did not detach the file")
-	}
-	if f2.Size() != 0 {
-		t.Fatal("recreated file not empty")
 	}
 }
 
@@ -279,7 +266,9 @@ func TestTruncate(t *testing.T) {
 	fs := New(testConfig())
 	f := fs.Open("t")
 	f.WriteAt(0, 0, []byte{9, 9}, 0)
-	f.Truncate()
+	if _, _, err := f.TruncateAtRetry(0, 0, faults.NoRetry()); err != nil {
+		t.Fatal(err)
+	}
 	if f.Size() != 0 {
 		t.Fatal("size after truncate")
 	}
@@ -287,9 +276,6 @@ func TestTruncate(t *testing.T) {
 	f.ReadAt(0, 0, got, 0)
 	if got[0] != 0 || got[1] != 0 {
 		t.Fatal("contents survive truncate")
-	}
-	if len(f.LockOwners()) != 0 {
-		t.Fatal("locks survive truncate")
 	}
 }
 

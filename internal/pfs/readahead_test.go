@@ -97,16 +97,3 @@ func TestReadAheadContentsStillCorrect(t *testing.T) {
 		t.Fatalf("cache hit served stale data: %v", got)
 	}
 }
-
-func TestTruncateClearsReadAhead(t *testing.T) {
-	fs := New(raConfig())
-	f := fs.Open("trunc")
-	f.WriteAt(0, 0, make([]byte, 128), 0)
-	f.ReadAt(0, 0, make([]byte, 64), 0)
-	f.Truncate()
-	before := fs.Stats().CacheHits
-	f.ReadAt(0, 16, make([]byte, 16), 0)
-	if fs.Stats().CacheHits != before {
-		t.Fatal("readahead window survived Truncate")
-	}
-}

@@ -20,7 +20,7 @@ type Time int64
 
 // Duration is a span of virtual time in nanoseconds. It is deliberately a
 // distinct type from time.Duration so that real and simulated time cannot be
-// mixed by accident; use FromReal/ToReal at the boundary.
+// mixed by accident.
 type Duration int64
 
 // Common durations.
@@ -30,12 +30,6 @@ const (
 	Millisecond          = 1000 * Microsecond
 	Second               = 1000 * Millisecond
 )
-
-// FromReal converts a time.Duration into a simulated Duration.
-func FromReal(d time.Duration) Duration { return Duration(d.Nanoseconds()) }
-
-// ToReal converts a simulated Duration into a time.Duration.
-func (d Duration) ToReal() time.Duration { return time.Duration(d) }
 
 // Seconds reports the duration as floating-point seconds.
 func (d Duration) Seconds() float64 { return float64(d) / float64(Second) }
@@ -48,9 +42,6 @@ func (t Time) Add(d Duration) Time { return t + Time(d) }
 
 // Sub returns the duration t-u.
 func (t Time) Sub(u Time) Duration { return Duration(t - u) }
-
-// Seconds reports the instant as floating-point seconds since start.
-func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
 // String formats the instant as an offset from simulation start.
 func (t Time) String() string { return fmt.Sprintf("+%v", time.Duration(t)) }
@@ -115,9 +106,6 @@ type Resource struct {
 
 // NewResource creates a named serial resource.
 func NewResource(name string) *Resource { return &Resource{name: name} }
-
-// Name reports the resource's name.
-func (r *Resource) Name() string { return r.name }
 
 // Acquire reserves the resource for dur starting no earlier than now.
 // It returns the start and end instants of the reserved service window.

@@ -4,7 +4,6 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestClockStartsAtZero(t *testing.T) {
@@ -73,16 +72,6 @@ func TestTimeDurationArithmetic(t *testing.T) {
 	}
 	if got := (2 * Second).Seconds(); got != 2.0 {
 		t.Fatalf("Seconds() = %v, want 2", got)
-	}
-}
-
-func TestFromToReal(t *testing.T) {
-	d := FromReal(1500 * time.Millisecond)
-	if d != 1500*Millisecond {
-		t.Fatalf("FromReal = %v", d)
-	}
-	if d.ToReal() != 1500*time.Millisecond {
-		t.Fatalf("ToReal = %v", d.ToReal())
 	}
 }
 

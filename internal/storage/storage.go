@@ -8,22 +8,23 @@
 //     absorbed transient faults counted and traced once;
 //   - completion times learned from the file system advance the caller's
 //     virtual clock in one place;
-//   - batches of extents can fan out across per-OST worker goroutines
-//     (bounded by the Workers knob), so multi-stripe drains overlap across
-//     object storage targets instead of issuing serially.
+//   - batches of extents can fan out across per-OST lanes (bounded by the
+//     Workers knob), so multi-stripe drains overlap across object storage
+//     targets in virtual time instead of issuing serially.
 //
-// Parallel issue is deterministic per rank: requests are grouped by the
-// OST serving them, groups are dealt to workers in OST order, and each
-// worker walks its groups serially, accumulating virtual time exactly as
-// the serial path does. Two requests only overlap when they target
-// different OSTs — the hardware parallelism being modelled. Fault decisions
-// key on stable request identity (client, offset, length, attempt), so
-// chaos runs replay identically at any worker count.
+// The fan-out is modelled, not host concurrency: requests are grouped by
+// the OST serving them, groups are dealt to lanes in OST order, every lane
+// departs at the batch's start and walks its groups serially, accumulating
+// virtual time exactly as the serial path does, and the lanes themselves
+// are walked one after the other on the calling goroutine. Two requests
+// only overlap when they target different OSTs — the hardware parallelism
+// being modelled. Fault decisions key on stable request identity (client,
+// offset, length, attempt), so chaos runs replay identically at any lane
+// count.
 package storage
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"github.com/tcio/tcio/internal/faults"
@@ -60,19 +61,11 @@ type Result struct {
 	Bytes int64
 }
 
-// Backend is the storage interface the I/O libraries program against: batch
-// reads and writes of extent lists with retry, tracing, and virtual-time
-// charging handled below the call. op names the caller's operation for
-// errors and retry traces ("drain", "populate"); kind classifies the
-// per-request trace events.
-type Backend interface {
-	ReadExtents(op string, kind trace.Kind, reqs []Request) (Result, error)
-	WriteExtents(op string, kind trace.Kind, reqs []Request) (Result, error)
-	// Retries reports the cumulative transient faults this backend absorbed.
-	Retries() int64
-}
-
-// Client is the pfs-backed Backend used by tcio and mpiio.
+// Client is the pfs-backed access path tcio, mpiio and delegate program
+// against: batch reads and writes of extent lists with retry, tracing, and
+// virtual-time charging handled below the call. In its methods op names the
+// caller's operation for errors and retry traces ("drain", "populate");
+// kind classifies the per-request trace events.
 type Client struct {
 	pf    *pfs.File
 	node  int
@@ -106,9 +99,9 @@ func (c *Client) SetRetryPolicy(p faults.RetryPolicy) { c.retry = p }
 // SetTrace attaches a trace recorder (nil disables tracing).
 func (c *Client) SetTrace(rec *trace.Recorder) { c.rec = rec }
 
-// SetWorkers bounds the per-OST fan-out of extent batches. Values below 2
-// select the serial path, which preserves the exact request ordering and
-// timing of the classic one-at-a-time loop.
+// SetWorkers bounds the modelled per-OST fan-out of extent batches. Values
+// below 2 select the serial path, which preserves the exact request
+// ordering and timing of the classic one-at-a-time loop.
 func (c *Client) SetWorkers(n int) { c.workers = n }
 
 // Workers reports the configured fan-out bound.
@@ -272,14 +265,17 @@ func (c *Client) runSerial(op string, kind trace.Kind, reqs []Request, write boo
 	return res, now, nil
 }
 
-// runParallel fans the batch out across per-OST workers. All workers start
-// at the batch's departure instant; each walks its OST groups serially,
+// runParallel models the batch fanned out across per-OST lanes. Every lane
+// starts at the batch's departure instant and walks its OST groups serially,
 // accumulating virtual time within the group exactly as the serial path
-// does, so requests only overlap across distinct OSTs. The reported end is
-// the latest completion — the fan-out's makespan.
+// does, so requests only overlap — in virtual time — across distinct OSTs.
+// The lanes own disjoint OSTs, so they are walked one after the other on
+// the calling goroutine: the order in which they reach the file system is a
+// function of the batch, not of the host. The reported end is the latest
+// completion — the fan-out's makespan.
 func (c *Client) runParallel(op string, kind trace.Kind, reqs []Request, write bool, start simtime.Time) (Result, simtime.Time, error) {
 	// Group requests by serving OST, preserving request order per group and
-	// ordering groups by OST index so the worker assignment is deterministic.
+	// ordering groups by OST index so the lane assignment is deterministic.
 	groupOf := make(map[int]int)
 	var groups [][]Request
 	var osts []int
@@ -304,54 +300,27 @@ func (c *Client) runParallel(op string, kind trace.Kind, reqs []Request, write b
 		}
 	}
 
-	workers := c.Workers()
-	if workers > len(order) {
-		workers = len(order)
-	}
-	type lane struct {
-		res Result
-		end simtime.Time
-		err error
-	}
-	lanes := make([]lane, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			ln := &lanes[w]
-			ln.end = start
-			now := start
-			for oi := w; oi < len(order); oi += workers {
-				for _, r := range groups[order[oi]] {
-					depart := now
-					end, retries, err := c.issue(r, depart, write)
-					if end > ln.end {
-						ln.end = end
-					}
-					now = end
-					if ferr := c.finish(op, kind, r, depart, end, retries, err, &ln.res); ferr != nil {
-						ln.err = ferr
-						return
-					}
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-
+	workers := min(c.Workers(), len(order))
 	var res Result
 	var firstErr error
 	maxEnd := start
-	for _, ln := range lanes {
-		res.Requests += ln.res.Requests
-		res.Retries += ln.res.Retries
-		res.Bytes += ln.res.Bytes
-		if ln.end > maxEnd {
-			maxEnd = ln.end
-		}
-		if ln.err != nil && firstErr == nil {
-			firstErr = ln.err
+	for w := 0; w < workers; w++ {
+		now := start
+	lane:
+		for oi := w; oi < len(order); oi += workers {
+			for _, r := range groups[order[oi]] {
+				depart := now
+				end, retries, err := c.issue(r, depart, write)
+				maxEnd = max(maxEnd, end)
+				now = end
+				if ferr := c.finish(op, kind, r, depart, end, retries, err, &res); ferr != nil {
+					// A failed lane stops; the others still run their course.
+					if firstErr == nil {
+						firstErr = ferr
+					}
+					break lane
+				}
+			}
 		}
 	}
 	return res, maxEnd, firstErr

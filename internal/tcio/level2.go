@@ -209,11 +209,6 @@ func (m *l2meta) addPopRuns(seg int64, runs []extent.Extent, segSize int64) {
 	}
 }
 
-// locate applies the paper's equations (1)-(3) to a file offset.
-func (f *File) locate(off int64) (rank int, slot int64, disp int64) {
-	return f.layout.Locate(off)
-}
-
 // globalSegment returns the global segment index of a file offset.
 func (f *File) globalSegment(off int64) int64 { return f.layout.Segment(off) }
 

@@ -281,6 +281,3 @@ func (s *session) release() {
 	}
 	s.c.Release(s.c.Machine().Scale(s.segSize)) // the level-1 buffer
 }
-
-// Name reports the file name the session is bound to.
-func (s *session) Name() string { return s.name }

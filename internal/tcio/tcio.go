@@ -84,12 +84,14 @@ type Config struct {
 	// SegmentSize >= file size. 0 means 64.
 	NumSegments int
 
-	// DrainWorkers bounds the worker goroutines a rank fans its file
-	// system batches (drain, populate, preload) out over. Requests are
-	// grouped by the OST serving them and the groups are dealt to workers,
-	// so transfers overlap only across distinct storage targets and the
-	// issued request set stays deterministic. 0 or 1 means serial — the
-	// classic one-request-at-a-time loop.
+	// DrainWorkers bounds the lanes a rank's file system batches (drain,
+	// populate, preload) are modelled as fanning out over. Requests are
+	// grouped by the OST serving them and the groups are dealt to lanes
+	// that all depart together, so transfers overlap in virtual time, and
+	// only across distinct storage targets. It is a modelled overlap, not
+	// host concurrency: the lanes are walked in order on the rank's own
+	// goroutine. 0 or 1 means serial — the classic one-request-at-a-time
+	// loop.
 	DrainWorkers int
 
 	// DisableLevel1 is an ablation switch: every piece is shipped to the
@@ -231,9 +233,6 @@ var (
 	ErrCapacity = errors.New("tcio: access beyond level-2 buffer capacity")
 	// ErrClosed is returned for operations on a closed handle.
 	ErrClosed = errors.New("tcio: file closed")
-	// ErrUnfetched is returned by Close in read mode if pending reads
-	// could not be completed.
-	ErrUnfetched = errors.New("tcio: pending reads not fetched")
 )
 
 // File is one rank's TCIO handle on a shared file: a file pointer and a

@@ -51,7 +51,7 @@ func TestLocateEquations(t *testing.T) {
 			{1234, 0, 3, 34}, // seg 12: 12%4=0, 12/4=3
 		}
 		for _, tc := range cases {
-			r, s, d := f.locate(tc.off)
+			r, s, d := f.layout.Locate(tc.off)
 			if r != tc.rank || s != tc.slot || d != tc.disp {
 				return fmt.Errorf("locate(%d) = (%d,%d,%d), want (%d,%d,%d)",
 					tc.off, r, s, d, tc.rank, tc.slot, tc.disp)
@@ -74,7 +74,7 @@ func TestLocateBijectionProperty(t *testing.T) {
 			return nil
 		}
 		for off := int64(0); off < 1000; off++ {
-			r, s, d := f.locate(off)
+			r, s, d := f.layout.Locate(off)
 			back := (s*int64(c.Size())+int64(r))*f.segSize + d
 			if back != off {
 				return fmt.Errorf("offset %d -> (%d,%d,%d) -> %d", off, r, s, d, back)

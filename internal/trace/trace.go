@@ -8,8 +8,6 @@
 package trace
 
 import (
-	"fmt"
-	"io"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -169,33 +167,4 @@ func (r *Recorder) Summary() map[Kind]KindStats {
 		out[ev.Kind] = s
 	}
 	return out
-}
-
-// Timeline writes a human-readable event log sorted by virtual time.
-func (r *Recorder) Timeline(w io.Writer) error {
-	for _, ev := range r.Events() {
-		if _, err := fmt.Fprintf(w, "%12v rank %-4d %-9s %8dB  %s\n",
-			ev.Start, ev.Rank, ev.Kind, ev.Bytes, ev.Detail); err != nil {
-			return err
-		}
-	}
-	if d := r.Dropped(); d > 0 {
-		if _, err := fmt.Fprintf(w, "(%d events dropped by capacity bound)\n", d); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Reset discards all events.
-func (r *Recorder) Reset() {
-	for i := range r.shards {
-		s := &r.shards[i]
-		s.mu.Lock()
-		s.evs = nil
-		s.next = nil
-		s.mu.Unlock()
-	}
-	r.total.Store(0)
-	r.dropped.Store(0)
 }

@@ -1,8 +1,6 @@
 package trace
 
 import (
-	"bytes"
-	"strings"
 	"sync"
 	"testing"
 
@@ -50,32 +48,6 @@ func TestSummary(t *testing.T) {
 	}
 	if d := s[KindDrain]; d.Count != 1 || d.Bytes != 30 {
 		t.Fatalf("drain stats = %+v", d)
-	}
-}
-
-func TestTimelineOutput(t *testing.T) {
-	r := New(1)
-	r.Record(Event{Rank: 3, Start: simtime.Time(simtime.Millisecond), Kind: KindPopulate, Bytes: 512, Detail: "seg 7"})
-	r.Record(Event{Rank: 0}) // dropped
-	var buf bytes.Buffer
-	if err := r.Timeline(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"rank 3", "populate", "512B", "seg 7", "1 events dropped"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("timeline missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestReset(t *testing.T) {
-	r := New(1)
-	r.Record(Event{})
-	r.Record(Event{}) // dropped
-	r.Reset()
-	if r.Len() != 0 || r.Dropped() != 0 {
-		t.Fatal("Reset incomplete")
 	}
 }
 
