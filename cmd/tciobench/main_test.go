@@ -23,7 +23,6 @@ func TestBadLenRealIsAnError(t *testing.T) {
 	for _, args := range [][]string{
 		{"-fig5", "-len-real", "0"},
 		{"-overlap", "-len-real", "0"},
-		{"-drainsweep", "-len-real", "3000"},
 	} {
 		code, _, stderr := tciobench(append(args, "-quiet")...)
 		if code != 1 || !strings.Contains(stderr, "len-real") {

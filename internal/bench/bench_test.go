@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/tcio/tcio/internal/datatype"
+	"github.com/tcio/tcio/internal/simtime"
 )
 
 func smallSweepCfg(m Method, procs int, name string) SyntheticConfig {
@@ -274,5 +275,68 @@ func TestARTHeadlineFactor(t *testing.T) {
 	}
 	if f := read[MethodTCIO] / read[MethodVanilla]; f < 20 {
 		t.Errorf("ART read: TCIO / MPI-IO = %.0fx, want >= 20x", f)
+	}
+}
+
+// TestFig5Shape pins the shape of the paper's Figure 5 (ROADMAP 2(b), first
+// row) on the Table II sweep: collective writes favour OCIO below the
+// 512-rank crossover and TCIO from it on, and TCIO reads lead at every
+// process count. Orderings only — the levels move with host arrival order
+// until virtual time is deterministic (ROADMAP item 1).
+func TestFig5Shape(t *testing.T) {
+	if testing.Short() {
+		t.Skip("64..1024-rank sweep")
+	}
+	rep, err := Run(fig5Sweep(defaultFig5()), Options{LenReal: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type point struct {
+		procs  int
+		method Method
+	}
+	write, read := map[point]float64{}, map[point]float64{}
+	for _, r := range rep.Rows {
+		p := r.Point.(FigPoint)
+		if r.Result != "ok" {
+			t.Fatalf("%v at %d ranks failed: %s", p.Method, p.Procs, r.Result)
+		}
+		write[point{p.Procs, p.Method}], read[point{p.Procs, p.Method}] = r.MBs, r.Read.MBs
+	}
+	for _, procs := range defaultFig5().Procs {
+		tw, ow := write[point{procs, MethodTCIO}], write[point{procs, MethodOCIO}]
+		if tcioAhead := tw > ow; tcioAhead != (procs >= 512) {
+			t.Errorf("write at %d ranks: TCIO %.0f MB/s, OCIO %.0f MB/s; the crossover is at 512", procs, tw, ow)
+		}
+		if tr, or := read[point{procs, MethodTCIO}], read[point{procs, MethodOCIO}]; tr <= or {
+			t.Errorf("read at %d ranks: TCIO %.0f MB/s not above OCIO %.0f MB/s", procs, tr, or)
+		}
+	}
+}
+
+// TestTableIIWriteTimeRepeats is the world-level twin of storage's
+// TestPostedBatchesHostOrderIndependent: the 64-rank Table II TCIO write
+// ends in one posted drain per rank against the file's one OST, so however
+// the host interleaves the ranks the write phase takes the same virtual
+// nanoseconds.
+func TestTableIIWriteTimeRepeats(t *testing.T) {
+	if testing.Short() {
+		t.Skip("20 64-rank runs")
+	}
+	var first simtime.Duration
+	for run := 0; run < 20; run++ {
+		rep, err := Run(fig5Sweep(&figGeometry{Procs: []int{64}, LenSims: []int{4 << 20}}), Options{LenReal: 1024})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := rep.Rows[0]
+		if p := r.Point.(FigPoint); p.Method != MethodTCIO || r.Result != "ok" {
+			t.Fatalf("run %d: first row is %v, result %s", run, p.Method, r.Result)
+		}
+		if run == 0 {
+			first = r.Time
+		} else if r.Time != first {
+			t.Fatalf("run %d: write phase took %d ns, run 0 took %d ns", run, int64(r.Time), int64(first))
+		}
 	}
 }

@@ -9,8 +9,7 @@ import "fmt"
 // reported (counts, not virtual times), so two sweeps with the same seed
 // emit byte-identical tables — the property the chaos tests pin down.
 
-// chaosGeometry configures the chaos sweep. A multi-OST StripeCount gives
-// Workers real fan-out to reorder requests across.
+// chaosGeometry configures the chaos sweep.
 type chaosGeometry struct {
 	synthGeometry
 	// Rates lists the OST transient-error probabilities to sweep (applied
@@ -77,7 +76,6 @@ func chaosSweep(g *chaosGeometry) *Sweep {
 						Cell:  func(r *Row) string { return fmt.Sprintf("%.2f", at(r).Rate) }},
 					det("method", "method", func(r *Row) any { return at(r).Method.String() }),
 					det("phase", "phase", func(r *Row) any { return at(r).Phase }),
-					det("drain-workers", "drain_workers", func(r *Row) any { return max(g.Workers, 1) }),
 					colInjected, colFSRetries,
 					det("setup-retries", "setup_retries", func(r *Row) any { return r.Net.SetupRetries }),
 					det("slow-svc", "slow_services", func(r *Row) any { return r.FS.SlowServices }),

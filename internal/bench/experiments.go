@@ -26,17 +26,12 @@ type synthGeometry struct {
 	Procs  int // process count of each run
 	LenSim int // paper-scale LENarray in elements
 	// StripeCount is the file's stripe width in OSTs (0 keeps the paper's
-	// single OST, which serializes a drain no matter how it is issued).
-	// Pick a width that does not divide Procs: segments are dealt
-	// round-robin over ranks with the segment size equal to the stripe
-	// size, so when Procs is a multiple of StripeCount every segment of a
-	// rank lands on one OST and a drain fan-out has nothing to overlap.
+	// single OST, which serializes a drain at the target). Pick a width
+	// that does not divide Procs: segments are dealt round-robin over ranks
+	// with the segment size equal to the stripe size, so when Procs is a
+	// multiple of StripeCount every segment of a rank lands on one OST and
+	// a rank's posted drain has nothing to overlap.
 	StripeCount int
-	// Workers is TCIO's per-OST drain fan-out (0 or 1 = serial). Counts
-	// stay seed-deterministic at any setting: the fan-out reorders requests
-	// across OSTs but never changes which requests are issued or how their
-	// fault rolls are keyed.
-	Workers int
 }
 
 func (g *synthGeometry) env(Options, any) EnvSpec {
@@ -47,14 +42,13 @@ func (g *synthGeometry) env(Options, any) EnvSpec {
 // environment's materialized size, every byte verified on read-back.
 func (g *synthGeometry) config(env *Env, m Method, name string) SyntheticConfig {
 	return SyntheticConfig{
-		Method:       m,
-		Procs:        g.Procs,
-		TypeArray:    paperTypes,
-		LenArray:     env.LenReal,
-		SizeAccess:   paperSizeAccess,
-		Verify:       true,
-		FileName:     name,
-		DrainWorkers: g.Workers,
+		Method:     m,
+		Procs:      g.Procs,
+		TypeArray:  paperTypes,
+		LenArray:   env.LenReal,
+		SizeAccess: paperSizeAccess,
+		Verify:     true,
+		FileName:   name,
 	}
 }
 

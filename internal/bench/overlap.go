@@ -27,11 +27,10 @@ type overlapGeometry struct {
 }
 
 // defaultOverlap sweeps write-behind thresholds 0/0.5/1 and prefetch
-// windows 0/2/8 over a 7-way striped file with 16 processes and a 4-lane
-// drain fan-out.
+// windows 0/2/8 over a 7-way striped file with 16 processes.
 func defaultOverlap() *overlapGeometry {
 	return &overlapGeometry{
-		synthGeometry: synthGeometry{Procs: 16, StripeCount: 7, Workers: 4, LenSim: 4 << 20},
+		synthGeometry: synthGeometry{Procs: 16, StripeCount: 7, LenSim: 4 << 20},
 		Thresholds:    []float64{0, 0.5, 1},
 		Prefetch:      []int{0, 2, 8},
 	}
@@ -214,7 +213,7 @@ func overlapSweep(g *overlapGeometry) *Sweep {
 			return rows, nil
 		},
 		Tables: func(Options) []Table {
-			shape := fmt.Sprintf("%d processes, stripe over %d OSTs, %d drain workers", g.Procs, g.StripeCount, g.Workers)
+			shape := fmt.Sprintf("%d processes, stripe over %d OSTs", g.Procs, g.StripeCount)
 			return []Table{{
 				Title: "Overlap: eager write-behind, " + shape,
 				Where: func(r *Row) bool { return at(r).Write },

@@ -5,7 +5,6 @@ package bench
 // invariance across worker fan-out and pipeline settings.
 
 import (
-	"reflect"
 	"testing"
 )
 
@@ -95,20 +94,6 @@ func TestOverlapSweep(t *testing.T) {
 	if demand, prefetch := solo[0], solo[1]; prefetch.TCIO.PrefetchHits == 0 || prefetch.Time > demand.Time {
 		t.Fatalf("prefetch slowed the sequential read: demand %d ns, prefetch %d ns (%d hits)",
 			demand.Time, prefetch.Time, prefetch.TCIO.PrefetchHits)
-	}
-}
-
-// TestOverlapChaosWorkerInvariant re-runs the chaos table with a different
-// drain fan-out: the worker count reorders request completion times but
-// must not change a single counted column.
-func TestOverlapChaosWorkerInvariant(t *testing.T) {
-	serial := overlapTestOpts()
-	serial.Workers = 1
-	fanned := overlapTestOpts()
-	fanned.Workers = 4
-	a, b := overlapChaosRows(t, serial, 11), overlapChaosRows(t, fanned, 11)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("chaos counts changed with drain workers:\n%v\n%v", a, b)
 	}
 }
 

@@ -30,7 +30,6 @@ func tcioConfigFor(c *mpi.Comm, cfg SyntheticConfig) tcio.Config {
 	return tcio.Config{
 		SegmentSize:     segSize,
 		NumSegments:     int(perRank),
-		DrainWorkers:    cfg.DrainWorkers,
 		DisableLevel1:   cfg.Level1Disabled,
 		DemandPopulate:  cfg.DemandPopulate,
 		EmulateTwoSided: cfg.EmulateTwoSided,

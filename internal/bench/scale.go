@@ -105,10 +105,9 @@ func runScalePoint(env *Env, p *scalePoint) Row {
 	fileBytes := int64(scaleSegSize) * int64(p.Procs)
 	rec := trace.New(0)
 	tc := tcio.Config{
-		SegmentSize:  scaleSegSize,
-		NumSegments:  1,
-		DrainWorkers: 2,
-		Trace:        rec,
+		SegmentSize: scaleSegSize,
+		NumSegments: 1,
+		Trace:       rec,
 	}
 	const name = "scale"
 

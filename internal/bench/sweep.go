@@ -100,12 +100,9 @@ func host(header, key string, value func(*Row) any, cell func(*Row) string) Colu
 var (
 	colResult = det("result", "result", func(r *Row) any { return r.Result })
 	// A virtual duration prints as one and marshals as nanoseconds.
-	colTime     = host("time", "virtual_time_ns", func(r *Row) any { return r.Time }, nil)
-	colReadTime = host("read-time", "read_virtual_time_ns", func(r *Row) any { return r.Read.Time }, nil)
-	colMBs      = host("MB/s", "mbs", func(r *Row) any { return r.MBs },
+	colTime = host("time", "virtual_time_ns", func(r *Row) any { return r.Time }, nil)
+	colMBs  = host("MB/s", "mbs", func(r *Row) any { return r.MBs },
 		func(r *Row) string { return stats.FmtMBs(r.MBs) })
-	colReadMBs = host("read-MB/s", "read_mbs", func(r *Row) any { return r.Read.MBs },
-		func(r *Row) string { return stats.FmtMBs(r.Read.MBs) })
 	// colWrite and colRead are throughput cells that spell out a failure.
 	colWrite = host("write MB/s", "mbs", func(r *Row) any { return r.MBs },
 		func(r *Row) string { return phaseCell(r.PhaseResult) })

@@ -70,9 +70,6 @@ type SyntheticConfig struct {
 	DemandPopulate        bool
 	EmulateTwoSided       bool
 	SegmentSizeMultiplier float64 // level-2 segment size relative to the stripe (0 = 1)
-	// DrainWorkers bounds TCIO's per-OST worker fan-out for file system
-	// batches (drain, populate, preload). 0 or 1 means serial.
-	DrainWorkers int
 
 	// OCIOAggregators enables ROMIO-style collective buffering for
 	// MethodOCIO: only this many ranks aggregate (0 = all ranks, the

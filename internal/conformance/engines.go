@@ -102,7 +102,6 @@ func (p *Program) tcioConfig(rec *trace.Recorder) tcio.Config {
 	return tcio.Config{
 		SegmentSize:          p.SegmentSize,
 		NumSegments:          p.NumSegments,
-		DrainWorkers:         k.DrainWorkers,
 		DisableLevel1:        k.DisableLevel1,
 		DemandPopulate:       k.DemandPopulate,
 		FetchBatch:           k.FetchBatch,

@@ -87,8 +87,8 @@ func Generate(seed int64) *Program {
 
 // genKnobs draws the library configuration for one knob class.
 func genKnobs(rng *rand.Rand, class int, seed, segSize int64) Knobs {
+	rng.Intn(4) // the retired DrainWorkers draw, discarded: every seed still generates the same program
 	k := Knobs{
-		DrainWorkers:  []int{0, 1, 2, 4}[rng.Intn(4)],
 		DisableLevel1: rng.Intn(5) == 0,
 		FetchBatch:    []int{1, 2, 64}[rng.Intn(3)],
 		PipelineDepth: []int{1, 2, 8}[rng.Intn(3)],

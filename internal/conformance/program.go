@@ -53,7 +53,6 @@ type Round struct {
 // three engines plus the chaos rules.
 type Knobs struct {
 	// TCIO configuration (see tcio.Config).
-	DrainWorkers         int     `json:"drain_workers,omitempty"`
 	DisableLevel1        bool    `json:"disable_level1,omitempty"`
 	DemandPopulate       bool    `json:"demand_populate,omitempty"`
 	FetchBatch           int     `json:"fetch_batch,omitempty"`
@@ -234,7 +233,7 @@ func (p *Program) Validate() error {
 		return fmt.Errorf("conformance: stripe count %d", p.StripeCount)
 	case p.Knobs.WriteBehindThreshold < 0 || p.Knobs.WriteBehindThreshold > 1:
 		return fmt.Errorf("conformance: write-behind threshold %g", p.Knobs.WriteBehindThreshold)
-	case p.Knobs.DrainWorkers < 0 || p.Knobs.FetchBatch < 0 || p.Knobs.PipelineDepth < 0 ||
+	case p.Knobs.FetchBatch < 0 || p.Knobs.PipelineDepth < 0 ||
 		p.Knobs.WriteBehindQueue < 0 || p.Knobs.PrefetchSegments < 0 || p.Knobs.MaxCachedSegments < 0 ||
 		p.Knobs.SieveBuffer < 0 || p.Knobs.CoresPerNode < 0:
 		return fmt.Errorf("conformance: negative tcio knob: %+v", p.Knobs)

@@ -14,6 +14,7 @@ import (
 	"github.com/tcio/tcio/internal/art"
 	"github.com/tcio/tcio/internal/cluster"
 	"github.com/tcio/tcio/internal/datatype"
+	"github.com/tcio/tcio/internal/delegate"
 	"github.com/tcio/tcio/internal/mpi"
 	"github.com/tcio/tcio/internal/mpiio"
 	"github.com/tcio/tcio/internal/pfs"
@@ -293,5 +294,59 @@ func TestConcurrentTCIOAndVanillaFiles(t *testing.T) {
 	b := fs.Open("v.dat").Snapshot()
 	if !bytes.Equal(a, b) {
 		t.Fatalf("TCIO and vanilla files differ:\n%v\n%v", a, b)
+	}
+}
+
+// TestOverlappingWritersDrainDisjointBatches: a posted write batch must not
+// touch a byte twice (storage.ErrOverlappingBatch), and no application
+// pattern can make a drain hand one over — neighbouring ranks write
+// overlapping ranges and rewrite them across a flush, and each of the four
+// drains (tcio's final drain, write-behind, the journal append, the
+// delegation server's epoch drain) still posts coalesced, disjoint lists.
+func TestOverlappingWritersDrainDisjointBatches(t *testing.T) {
+	const clients, span = 4, 96 // rank r writes [48r, 48r+96): half overlaps rank r+1
+	program := func(rank int, f *delegate.File) error {
+		for round := 0; round < 2; round++ {
+			data := bytes.Repeat([]byte{byte(16*round + rank + 1)}, span)
+			if err := f.WriteAt(int64(rank)*span/2, data[:span/3]); err != nil {
+				return err
+			}
+			if err := f.WriteAt(int64(rank)*span/2+span/3, data[span/3:]); err != nil {
+				return err
+			}
+			if err := f.Flush(); err != nil {
+				return err
+			}
+		}
+		return f.Close()
+	}
+	for _, tc := range []struct {
+		name    string
+		cfg     tcio.Config
+		servers int
+	}{
+		{name: "drain", cfg: tcio.Config{SegmentSize: 64, NumSegments: 4}},
+		{name: "write-behind", cfg: tcio.Config{SegmentSize: 64, NumSegments: 4, WriteBehindThreshold: 0.25}},
+		{name: "journal", cfg: tcio.Config{SegmentSize: 64, NumSegments: 4, Journal: true}},
+		{name: "delegate", cfg: tcio.Config{SegmentSize: 64, NumSegments: 4}, servers: 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fs := sharedFS()
+			_, err := mpi.Run(mpi.Config{Procs: clients + tc.servers, Machine: cluster.Lonestar(), FS: fs}, func(c *mpi.Comm) error {
+				return delegate.Run(c, delegate.Config{ServerRanks: tc.servers, TCIO: tc.cfg}, func(tier *delegate.Tier) error {
+					f, err := tier.Open("overlap", tcio.WriteMode)
+					if err != nil {
+						return err
+					}
+					return program(tier.ClientIndex(), f)
+				})
+			})
+			if err != nil {
+				t.Fatalf("overlapping writers: %v", err)
+			}
+			if got, want := fs.Open("overlap").Size(), int64(clients-1)*span/2+span; got != want {
+				t.Fatalf("file is %d bytes, want %d", got, want)
+			}
+		})
 	}
 }

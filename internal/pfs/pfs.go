@@ -262,21 +262,9 @@ func (f *File) Size() int64 {
 	return f.size
 }
 
-// ostIndex maps a stripe index to the OST serving it.
-func (f *File) ostIndex(stripe int64) int {
-	return (f.firstOST + int(stripe%int64(f.fs.cfg.StripeCount))) % f.fs.cfg.OSTCount
-}
-
 // ostFor maps a stripe index to the OST resource serving it.
 func (f *File) ostFor(stripe int64) *simtime.Resource {
-	return f.fs.osts[f.ostIndex(stripe)]
-}
-
-// OSTOf reports which OST serves the byte at the given offset. The storage
-// layer groups requests by this index so independent targets can be driven
-// by parallel workers.
-func (f *File) OSTOf(off int64) int {
-	return f.ostIndex(off / f.fs.cfg.StripeSize)
+	return f.fs.osts[(f.firstOST+int(stripe%int64(f.fs.cfg.StripeCount)))%f.fs.cfg.OSTCount]
 }
 
 // readAheadHit reports whether the reader's access [off, off+n) is covered

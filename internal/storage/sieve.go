@@ -6,8 +6,8 @@ package storage
 // served by one covering read of at most budget bytes, staged in a pooled
 // buffer, and the wanted runs are scattered out of the staging afterwards.
 // The cover requests — not the caller's runs — are what the engine issues,
-// so retry handling, trace emission (trace.KindSieve), virtual-time
-// charging, and the per-OST worker fan-out all apply to them unchanged,
+// so retry handling, trace emission (trace.KindSieve), and virtual-time
+// charging (the covers are one posted batch) all apply to them unchanged,
 // and the fault-roll identity (client, offset, length, attempt) is a
 // deterministic function of the planned covers. A budget too small to
 // join any two runs degenerates to list I/O: every run is its own cover,

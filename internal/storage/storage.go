@@ -8,23 +8,30 @@
 //     absorbed transient faults counted and traced once;
 //   - completion times learned from the file system advance the caller's
 //     virtual clock in one place;
-//   - batches of extents can fan out across per-OST lanes (bounded by the
-//     Workers knob), so multi-stripe drains overlap across object storage
-//     targets in virtual time instead of issuing serially.
+//   - a batch of extents is one posted list-I/O request (Thakur et al.,
+//     "Optimizing Noncontiguous Accesses in MPI-IO"): the whole list goes
+//     to the file system at the batch's start, and the batch completes at
+//     its latest completion.
 //
-// The fan-out is modelled, not host concurrency: requests are grouped by
-// the OST serving them, groups are dealt to lanes in OST order, every lane
-// departs at the batch's start and walks its groups serially, accumulating
-// virtual time exactly as the serial path does, and the lanes themselves
-// are walked one after the other on the calling goroutine. Two requests
-// only overlap when they target different OSTs — the hardware parallelism
-// being modelled. Fault decisions key on stable request identity (client,
-// offset, length, attempt), so chaos runs replay identically at any lane
-// count.
+// Every request of a batch departs at the same instant and keeps its own
+// retry timeline, trace event, per-request server overhead and extent lock.
+// The client never waits for request k's completion and acknowledgement
+// before request k+1 departs; what serialises two requests is the OST
+// Resource they share, and requests on distinct OSTs overlap. Requests are
+// issued in list order on the calling goroutine, so a batch is one event at
+// this layer, and fault decisions key on stable request identity (client,
+// offset, length, attempt), so chaos runs replay identically.
+//
+// A batch's requests are in flight together: two writes of one batch that
+// touch the same byte have no defined order, and such a batch is rejected
+// with ErrOverlappingBatch before anything is issued.
 package storage
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"github.com/tcio/tcio/internal/faults"
@@ -72,17 +79,15 @@ type Client struct {
 	rank  int
 	clock Clock
 
-	retry   faults.RetryPolicy
-	rec     *trace.Recorder
-	workers int
+	retry faults.RetryPolicy
+	rec   *trace.Recorder
 
 	retries atomic.Int64
 }
 
 // NewClient builds a client issuing requests for the given rank on the
 // given compute node, charging completion times to clock. The default
-// configuration retries with faults.DefaultRetryPolicy, records no trace,
-// and issues serially (one worker).
+// configuration retries with faults.DefaultRetryPolicy and records no trace.
 func NewClient(pf *pfs.File, node, rank int, clock Clock) *Client {
 	return &Client{
 		pf:    pf,
@@ -98,19 +103,6 @@ func (c *Client) SetRetryPolicy(p faults.RetryPolicy) { c.retry = p }
 
 // SetTrace attaches a trace recorder (nil disables tracing).
 func (c *Client) SetTrace(rec *trace.Recorder) { c.rec = rec }
-
-// SetWorkers bounds the modelled per-OST fan-out of extent batches. Values
-// below 2 select the serial path, which preserves the exact request
-// ordering and timing of the classic one-at-a-time loop.
-func (c *Client) SetWorkers(n int) { c.workers = n }
-
-// Workers reports the configured fan-out bound.
-func (c *Client) Workers() int {
-	if c.workers < 1 {
-		return 1
-	}
-	return c.workers
-}
 
 // Retries reports the cumulative transient faults absorbed by this client.
 func (c *Client) Retries() int64 { return c.retries.Load() }
@@ -136,13 +128,13 @@ func (c *Client) WriteExtents(op string, kind trace.Kind, reqs []Request) (Resul
 // outcome. The request set, ordering, and fault-roll identity are exactly
 // those of ReadExtents; only whose clock pays is different.
 func (c *Client) ReadExtentsFrom(op string, kind trace.Kind, reqs []Request, start simtime.Time) (Result, simtime.Time, error) {
-	return c.runFrom(op, kind, reqs, false, start)
+	return c.post(op, kind, reqs, false, start)
 }
 
 // WriteExtentsFrom is the detached-start variant of WriteExtents; see
 // ReadExtentsFrom.
 func (c *Client) WriteExtentsFrom(op string, kind trace.Kind, reqs []Request, start simtime.Time) (Result, simtime.Time, error) {
-	return c.runFrom(op, kind, reqs, true, start)
+	return c.post(op, kind, reqs, true, start)
 }
 
 // Truncate resets the backing file to empty as one retried, traced,
@@ -177,25 +169,9 @@ func (c *Client) WriteAt(op string, off int64, data []byte) error {
 }
 
 func (c *Client) run(op string, kind trace.Kind, reqs []Request, write bool) (Result, error) {
-	if len(reqs) == 0 {
-		return Result{}, nil
-	}
-	res, end, err := c.runFrom(op, kind, reqs, write, c.clock.Now())
+	res, end, err := c.post(op, kind, reqs, write, c.clock.Now())
 	c.clock.AdvanceTo(end)
 	return res, err
-}
-
-// runFrom issues the batch from an explicit departure time and reports its
-// makespan end instead of advancing any clock — the shared engine under
-// both the synchronous entry points and the detached-start lanes.
-func (c *Client) runFrom(op string, kind trace.Kind, reqs []Request, write bool, start simtime.Time) (Result, simtime.Time, error) {
-	if len(reqs) == 0 {
-		return Result{}, start, nil
-	}
-	if c.Workers() > 1 && len(reqs) > 1 {
-		return c.runParallel(op, kind, reqs, write, start)
-	}
-	return c.runSerial(op, kind, reqs, write, start)
 }
 
 // issue performs one request departing at now and returns its completion
@@ -246,82 +222,57 @@ func (c *Client) finish(op string, kind trace.Kind, r Request, start, end simtim
 	return nil
 }
 
-// runSerial issues the batch one request at a time, each departing when the
-// previous completed — the classic loop, kept bit-identical for Workers <= 1.
-func (c *Client) runSerial(op string, kind trace.Kind, reqs []Request, write bool, start simtime.Time) (Result, simtime.Time, error) {
+// ErrOverlappingBatch rejects a write batch in which two requests touch the
+// same byte: a batch's requests are in flight together, so which of the two
+// lands last is not defined (and the crash Oplog could replay either order).
+var ErrOverlappingBatch = errors.New("storage: two writes of one batch overlap")
+
+// checkDisjoint returns ErrOverlappingBatch, naming the first offending
+// pair, if two non-empty requests share a byte. The drains hand over
+// ascending lists, which cost one pass and no allocation.
+func checkDisjoint(reqs []Request) error {
+	byOff := func(a, b Request) int { return cmp.Compare(a.Off, b.Off) }
+	if !slices.IsSortedFunc(reqs, byOff) {
+		reqs = slices.Clone(reqs)
+		slices.SortFunc(reqs, byOff)
+	}
+	var prev *Request
+	for i := range reqs {
+		r := &reqs[i]
+		if len(r.Data) == 0 {
+			continue
+		}
+		if prev != nil && r.Off < prev.Off+int64(len(prev.Data)) {
+			return fmt.Errorf("%w: [%d,+%d) and [%d,+%d)", ErrOverlappingBatch,
+				prev.Off, len(prev.Data), r.Off, len(r.Data))
+		}
+		prev = r
+	}
+	return nil
+}
+
+// post issues the batch as one posted list-I/O request departing at start
+// and reports its latest completion instead of advancing any clock — the
+// one engine under both the synchronous entry points and the detached-start
+// lanes. Requests are issued in list order, each on its own retry timeline
+// from start; issue stops at the first request whose retries are exhausted.
+func (c *Client) post(op string, kind trace.Kind, reqs []Request, write bool, start simtime.Time) (Result, simtime.Time, error) {
 	if mutate.Enabled(mutate.StorageDropLastRequest) && len(reqs) > 1 {
 		reqs = reqs[:len(reqs)-1]
 	}
+	if write {
+		if err := checkDisjoint(reqs); err != nil {
+			return Result{}, start, fmt.Errorf("%s: %w", op, err)
+		}
+	}
 	var res Result
-	now := start
+	end := start
 	for _, r := range reqs {
-		depart := now
-		end, retries, err := c.issue(r, depart, write)
-		now = end
-		if ferr := c.finish(op, kind, r, depart, end, retries, err, &res); ferr != nil {
-			return res, now, ferr
+		done, retries, err := c.issue(r, start, write)
+		end = max(end, done)
+		if ferr := c.finish(op, kind, r, start, done, retries, err, &res); ferr != nil {
+			return res, end, ferr
 		}
 	}
-	return res, now, nil
-}
-
-// runParallel models the batch fanned out across per-OST lanes. Every lane
-// starts at the batch's departure instant and walks its OST groups serially,
-// accumulating virtual time within the group exactly as the serial path
-// does, so requests only overlap — in virtual time — across distinct OSTs.
-// The lanes own disjoint OSTs, so they are walked one after the other on
-// the calling goroutine: the order in which they reach the file system is a
-// function of the batch, not of the host. The reported end is the latest
-// completion — the fan-out's makespan.
-func (c *Client) runParallel(op string, kind trace.Kind, reqs []Request, write bool, start simtime.Time) (Result, simtime.Time, error) {
-	// Group requests by serving OST, preserving request order per group and
-	// ordering groups by OST index so the lane assignment is deterministic.
-	groupOf := make(map[int]int)
-	var groups [][]Request
-	var osts []int
-	for _, r := range reqs {
-		ost := c.pf.OSTOf(r.Off)
-		gi, ok := groupOf[ost]
-		if !ok {
-			gi = len(groups)
-			groupOf[ost] = gi
-			groups = append(groups, nil)
-			osts = append(osts, ost)
-		}
-		groups[gi] = append(groups[gi], r)
-	}
-	order := make([]int, 0, len(groups))
-	for gi := range groups {
-		order = append(order, gi)
-	}
-	for i := 1; i < len(order); i++ { // insertion sort by OST index (tiny n)
-		for j := i; j > 0 && osts[order[j-1]] > osts[order[j]]; j-- {
-			order[j-1], order[j] = order[j], order[j-1]
-		}
-	}
-
-	workers := min(c.Workers(), len(order))
-	var res Result
-	var firstErr error
-	maxEnd := start
-	for w := 0; w < workers; w++ {
-		now := start
-	lane:
-		for oi := w; oi < len(order); oi += workers {
-			for _, r := range groups[order[oi]] {
-				depart := now
-				end, retries, err := c.issue(r, depart, write)
-				maxEnd = max(maxEnd, end)
-				now = end
-				if ferr := c.finish(op, kind, r, depart, end, retries, err, &res); ferr != nil {
-					// A failed lane stops; the others still run their course.
-					if firstErr == nil {
-						firstErr = ferr
-					}
-					break lane
-				}
-			}
-		}
-	}
-	return res, maxEnd, firstErr
+	return res, end, nil
 }

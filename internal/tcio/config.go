@@ -16,8 +16,8 @@ import (
 
 // normRule is one Config field's normalization row: where the field lives,
 // the default applied when it is zero, and the smallest legal value after
-// defaulting. Fields whose zero value is meaningful (DrainWorkers,
-// PrefetchSegments, SieveBuffer: "feature off") have no default.
+// defaulting. Fields whose zero value is meaningful (PrefetchSegments,
+// SieveBuffer: "feature off") have no default.
 type normRule struct {
 	name string // label used in error messages
 	get  func(*Config) int64
@@ -45,12 +45,6 @@ var normTable = []normRule{
 		set:  func(c *Config, v int64) { c.NumSegments = int(v) },
 		def:  func(*Config, int64) int64 { return 64 },
 		min:  1,
-	},
-	{
-		name: "drain workers",
-		get:  func(c *Config) int64 { return int64(c.DrainWorkers) },
-		set:  func(c *Config, v int64) { c.DrainWorkers = int(v) },
-		min:  0,
 	},
 	{
 		name: "fetch batch",

@@ -23,7 +23,7 @@ func TestConfigNormalize(t *testing.T) {
 			want: func(c Config) bool {
 				return c.SegmentSize == stripe && c.NumSegments == 64 &&
 					c.FetchBatch == 64 && c.PipelineDepth == 8 &&
-					c.WriteBehindQueue == 32 && c.DrainWorkers == 0 &&
+					c.WriteBehindQueue == 32 &&
 					c.PrefetchSegments == 0 && c.MaxCachedSegments == 0 &&
 					c.SieveBuffer == 0 && c.WriteBehindThreshold == 0
 			},
@@ -31,12 +31,12 @@ func TestConfigNormalize(t *testing.T) {
 		{
 			name: "explicit values survive",
 			in: Config{SegmentSize: 128, NumSegments: 3, FetchBatch: 2,
-				PipelineDepth: 1, WriteBehindQueue: 5, DrainWorkers: 4,
+				PipelineDepth: 1, WriteBehindQueue: 5,
 				PrefetchSegments: 2, MaxCachedSegments: 7, SieveBuffer: 64},
 			want: func(c Config) bool {
 				return c.SegmentSize == 128 && c.NumSegments == 3 &&
 					c.FetchBatch == 2 && c.PipelineDepth == 1 &&
-					c.WriteBehindQueue == 5 && c.DrainWorkers == 4 &&
+					c.WriteBehindQueue == 5 &&
 					c.PrefetchSegments == 2 && c.MaxCachedSegments == 7 &&
 					c.SieveBuffer == 64
 			},
@@ -58,7 +58,6 @@ func TestConfigNormalize(t *testing.T) {
 		},
 		{name: "negative segment size", in: Config{SegmentSize: -1}, err: "segment size"},
 		{name: "negative segment count", in: Config{NumSegments: -2}, err: "segment count"},
-		{name: "negative drain workers", in: Config{DrainWorkers: -1}, err: "drain workers"},
 		{name: "negative fetch batch", in: Config{FetchBatch: -1}, err: "fetch batch"},
 		{name: "negative pipeline depth", in: Config{PipelineDepth: -3}, err: "pipeline depth"},
 		{name: "negative write-behind queue", in: Config{WriteBehindQueue: -1}, err: "write-behind queue"},

@@ -3,8 +3,8 @@ package tcio
 // The file system side of TCIO: populating level-2 segments from the file
 // (reads) and draining dirty runs back to it (writes). All transfers go
 // through the storage layer, which batches retry handling, tracing, and
-// virtual-time charging — and, with Config.DrainWorkers > 1, overlaps
-// requests across distinct OSTs.
+// virtual-time charging, and posts each batch to the file system as one
+// list-I/O request.
 
 import (
 	"fmt"
@@ -53,7 +53,7 @@ func (f *File) populate(seg int64, owner int, slot int64) error {
 
 // preloadAll populates every local slot that overlaps the file — the eager
 // ablation. Each rank reads only its own segments, so the file system sees
-// P large disjoint requests; one storage batch lets them fan out per OST.
+// P large disjoint requests, each rank's posted as one storage batch.
 func (f *File) preloadAll() error {
 	size := f.store.File().Size()
 	local := f.win.Local()

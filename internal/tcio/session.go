@@ -50,8 +50,7 @@ type session struct {
 	agg        *aggStaging
 	aggEnabled bool
 	// store is the file system access path: drain, populate, and preload
-	// batches go through it for retry, tracing, virtual-time charging, and
-	// the per-OST worker fan-out.
+	// batches go through it for retry, tracing, and virtual-time charging.
 	store *storage.Client
 
 	// Level-1 buffer (write mode).
@@ -203,7 +202,6 @@ func newSession(c *mpi.Comm, name string, mode Mode, cfg Config) (session, error
 	store := storage.NewClient(c.FS().Open(name), c.Node(), c.Rank(), c)
 	store.SetRetryPolicy(retry)
 	store.SetTrace(cfg.Trace)
-	store.SetWorkers(cfg.DrainWorkers)
 	s := session{
 		c:       c,
 		cfg:     cfg,

@@ -84,16 +84,6 @@ type Config struct {
 	// SegmentSize >= file size. 0 means 64.
 	NumSegments int
 
-	// DrainWorkers bounds the lanes a rank's file system batches (drain,
-	// populate, preload) are modelled as fanning out over. Requests are
-	// grouped by the OST serving them and the groups are dealt to lanes
-	// that all depart together, so transfers overlap in virtual time, and
-	// only across distinct storage targets. It is a modelled overlap, not
-	// host concurrency: the lanes are walked in order on the rank's own
-	// goroutine. 0 or 1 means serial — the classic one-request-at-a-time
-	// loop.
-	DrainWorkers int
-
 	// DisableLevel1 is an ablation switch: every piece is shipped to the
 	// level-2 buffer immediately, with its own one-sided operation,
 	// instead of being coalesced in the level-1 buffer first.

@@ -5,8 +5,8 @@ package tcio
 // Flush/Close only wait for the residue. The queue is virtual: batches are
 // issued physically in rank program order through the storage layer's
 // detached-start path, charged to background timelines (up to
-// WriteBehindQueue in flight, overlapping across OSTs exactly as the
-// per-OST worker fan-out does), and synchronized with only at backpressure
+// WriteBehindQueue in flight, overlapping across OSTs as the requests of
+// one posted batch do), and synchronized with only at backpressure
 // and at the final drain. Request identity (node, offset, length, attempt)
 // is exactly what the synchronous drain would issue at threshold 1, so
 // chaos counts cannot tell the two apart.
