@@ -1,6 +1,8 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -94,5 +96,29 @@ func TestRepoIsClean(t *testing.T) {
 	}
 	if len(got) != 0 {
 		t.Fatalf("repository tests draw from the global generator:\n%s", strings.Join(got, "\n"))
+	}
+}
+
+// TestCheckWalksSubdirectories: one run from the root covers every package —
+// a violation two directories down is reported, testdata and dot
+// directories are skipped — so CI audits the tree with a single call.
+func TestCheckWalksSubdirectories(t *testing.T) {
+	root := t.TempDir()
+	bad := []byte("package p\n\nimport \"math/rand\"\n\nvar x = rand.Intn(3)\n")
+	for _, rel := range []string{"a/b/deep_test.go", "a/testdata/skipped_test.go", ".hidden/skipped_test.go"} {
+		path := filepath.Join(root, rel)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := Check(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || !strings.Contains(got[0], filepath.Join("a", "b", "deep_test.go")) {
+		t.Fatalf("violations = %v, want exactly the one in a/b/deep_test.go", got)
 	}
 }

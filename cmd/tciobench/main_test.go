@@ -81,8 +81,7 @@ func TestJSONDelegateRead(t *testing.T) {
 // TestCombinationsRunEverySweep: -scale and -crash used to return early, so
 // together only the first ran.
 func TestCombinationsRunEverySweep(t *testing.T) {
-	code, stdout, stderr := tciobench("-scale", "-scale-procs", "8", "-scale-maxprocs", "1",
-		"-scale-profiles=false", "-crash", "-quiet")
+	code, stdout, stderr := tciobench("-scale", "-scale-procs", "8", "-scale-maxprocs", "1", "-crash", "-quiet")
 	if code != 0 || !strings.Contains(stdout, "Host scale:") || !strings.Contains(stdout, "Crash/out-of-core sweep:") {
 		t.Errorf("exit %d\n%s%s", code, stdout, stderr)
 	}

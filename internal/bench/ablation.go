@@ -57,35 +57,3 @@ func ablationSweep(g *synthGeometry) *Sweep {
 		}),
 	}
 }
-
-// aggregatorSweep measures OCIO with the given collective-buffering
-// aggregator counts (ROMIO's cb_nodes; the paper ran with the feature
-// disabled, i.e. every rank aggregating: count 0). It is not on tciobench's
-// command line.
-func aggregatorSweep(g *synthGeometry, counts []int) *Sweep {
-	return &Sweep{
-		Name:   "aggregators",
-		Params: g,
-		Points: func(bool) []any { return points(counts) },
-		Env:    g.env,
-		Run: func(env *Env, pt any) ([]Row, error) {
-			cfg := g.config(env, MethodOCIO, fmt.Sprintf("aggsweep%d", pt.(int)))
-			cfg.OCIOAggregators = pt.(int)
-			return synthRow(env, pt, cfg)
-		},
-		Tables: func(Options) []Table {
-			label := Column{Header: "aggregators", Key: "aggregators", Det: true,
-				Value: func(r *Row) any { return r.Point.(int) },
-				Cell: func(r *Row) string {
-					if r.Point.(int) == 0 {
-						return fmt.Sprintf("%d (all ranks, paper setting)", g.Procs)
-					}
-					return fmt.Sprint(r.Point.(int))
-				}}
-			return []Table{{
-				Title:   fmt.Sprintf("OCIO collective buffering: aggregator count sweep (%d processes)", g.Procs),
-				Columns: []Column{label, colWrite, colRead},
-			}}
-		},
-	}
-}

@@ -28,28 +28,6 @@ func TestAblationsRunAllVariants(t *testing.T) {
 	}
 }
 
-func TestAggregatorSweep(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-run sweep")
-	}
-	rep, err := Run(aggregatorSweep(&synthGeometry{Procs: 8, LenSim: 64 << 10}, []int{0, 2, 4}), Options{LenReal: 512})
-	if err != nil {
-		t.Fatal(err)
-	}
-	table := rep.Tables(nil)[0]
-	if len(table.Rows) != 3 {
-		t.Fatalf("%d rows", len(table.Rows))
-	}
-	if !strings.Contains(table.Rows[0][0], "all ranks") {
-		t.Fatalf("row 0 not labelled as the paper setting: %v", table.Rows[0])
-	}
-	for _, row := range table.Rows {
-		if strings.Contains(strings.Join(row, " "), "FAIL") {
-			t.Fatalf("aggregator variant failed: %v", row)
-		}
-	}
-}
-
 func TestDefaultConfigs(t *testing.T) {
 	if s := defaultFig5(); s.LenSims[0] != 4<<20 || paperSizeAccess != 1 || len(paperTypes) != 2 {
 		t.Fatalf("defaultFig5 = %+v", s)
@@ -99,31 +77,5 @@ e
 `
 	if got := countRegion(src, "X"); got != 2 {
 		t.Fatalf("countRegion = %d, want 2 (a and d)", got)
-	}
-}
-
-func TestOCIOAggregatorsProduceSameFile(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-run comparison")
-	}
-	var snaps [][]byte
-	for _, aggs := range []int{0, 2} {
-		env, err := NewEnv(64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := smallSweepCfg(MethodOCIO, 8, "aggfile")
-		cfg.OCIOAggregators = aggs
-		res, err := RunSynthetic(env, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Write.Failed || res.Read.Failed {
-			t.Fatalf("aggs=%d failed: %+v", aggs, res)
-		}
-		snaps = append(snaps, env.FS.Open("aggfile").Snapshot())
-	}
-	if string(snaps[0]) != string(snaps[1]) {
-		t.Fatal("aggregator sub-selection changed file contents")
 	}
 }

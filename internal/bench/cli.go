@@ -64,8 +64,6 @@ func newCLI(fs *flag.FlagSet, sweeps []*Sweep) *CLI {
 			switch p := f.Var.(type) {
 			case *int:
 				fs.IntVar(p, f.Name, *p, f.Help)
-			case *bool:
-				fs.BoolVar(p, f.Name, *p, f.Help)
 			case *[]int: // process counts and the like
 				fs.Var(list[int]{p, 1}, f.Name, f.Help)
 			case *[]int64: // sizes and budgets

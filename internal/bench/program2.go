@@ -40,13 +40,6 @@ func Program2Write(c *mpi.Comm, cfg SyntheticConfig, arrays [][]byte) error {
 	if err != nil {
 		return err
 	}
-	// BEGIN EXTENSION (not part of the paper's Program 2; excluded from LoC)
-	if cfg.OCIOAggregators > 0 {
-		if err := handle.SetAggregators(cfg.OCIOAggregators); err != nil {
-			return err
-		}
-	}
-	// END EXTENSION
 	// 4.-7. Set out the file view: etype describes one combined block...
 	eType, err := datatype.Contiguous(int(blockSize), datatype.Byte)
 	if err != nil {
@@ -92,13 +85,6 @@ func Program2Read(c *mpi.Comm, cfg SyntheticConfig, arrays [][]byte) error {
 	if err != nil {
 		return err
 	}
-	// BEGIN EXTENSION (not part of the paper's Program 2; excluded from LoC)
-	if cfg.OCIOAggregators > 0 {
-		if err := handle.SetAggregators(cfg.OCIOAggregators); err != nil {
-			return err
-		}
-	}
-	// END EXTENSION
 	eType, err := datatype.Contiguous(int(blockSize), datatype.Byte)
 	if err != nil {
 		return err

@@ -19,8 +19,6 @@ package bench
 import (
 	"fmt"
 	"runtime"
-	"sort"
-	"strings"
 	"time"
 
 	"github.com/tcio/tcio/internal/mpi"
@@ -32,15 +30,12 @@ import (
 type scaleGeometry struct {
 	Procs      []int // simulated rank counts to drive
 	GoMaxProcs []int // runtime.GOMAXPROCS settings to sweep
-	// Profiles captures mutex/block profile top entries per point (host
-	// timing facts; excluded from deterministic comparisons).
-	Profiles bool
 }
 
 // defaultScale sweeps N in {64, 256, 1024, 4096} at GOMAXPROCS in
 // {1, 2, 4, 8} — the acceptance grid of the host-scalability work.
 func defaultScale() *scaleGeometry {
-	return &scaleGeometry{Procs: []int{64, 256, 1024, 4096}, GoMaxProcs: []int{1, 2, 4, 8}, Profiles: true}
+	return &scaleGeometry{Procs: []int{64, 256, 1024, 4096}, GoMaxProcs: []int{1, 2, 4, 8}}
 }
 
 // The piece geometry fills exactly one level-2 segment per rank: a rank's
@@ -66,14 +61,13 @@ const (
 	scaleByteScale = 256
 )
 
-// scalePoint is one (procs, GOMAXPROCS) cell. Wall-clock, per-op, and
-// profile fields are host-timing facts and vary run to run; the virtual
+// scalePoint is one (procs, GOMAXPROCS) cell. Wall-clock and per-op
+// fields are host-timing facts and vary run to run; the virtual
 // time, request counts, and trace length are seed-deterministic.
 type scalePoint struct {
 	Procs, GoMaxProcs int
 
 	WallNs, NsPerOp, BytesPerOp, AllocsPerOp int64
-	MutexTop, BlockTop                       []string
 
 	VirtualNs, TraceEvents int64
 }
@@ -228,7 +222,6 @@ func scaleSweep(g *scaleGeometry) *Sweep {
 		Flags: []Flag{
 			{"scale-procs", "comma-separated rank counts for -scale", &g.Procs},
 			{"scale-maxprocs", "comma-separated GOMAXPROCS settings for -scale", &g.GoMaxProcs},
-			{"scale-profiles", "capture mutex/block profile top entries for -scale", &g.Profiles},
 		},
 		Params: g,
 		Points: func(bool) []any {
@@ -239,19 +232,6 @@ func scaleSweep(g *scaleGeometry) *Sweep {
 		Run: func(env *Env, pt any) ([]Row, error) {
 			p := pt.(*scalePoint)
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(p.GoMaxProcs))
-			if g.Profiles {
-				// The profiles accumulate process-wide: a point reports what
-				// they gained since its start.
-				runtime.SetMutexProfileFraction(1)
-				runtime.SetBlockProfileRate(10_000) // one sample per 10µs blocked
-				mutex, block := collectProfile(runtime.MutexProfile), collectProfile(runtime.BlockProfile)
-				defer func() {
-					p.MutexTop = topSites(collectProfile(runtime.MutexProfile), mutex, 3)
-					p.BlockTop = topSites(collectProfile(runtime.BlockProfile), block, 3)
-					runtime.SetMutexProfileFraction(0)
-					runtime.SetBlockProfileRate(0)
-				}()
-			}
 			var before, after runtime.MemStats
 			runtime.GC()
 			runtime.ReadMemStats(&before)
@@ -284,82 +264,5 @@ func scaleSweep(g *scaleGeometry) *Sweep {
 				colResult,
 			},
 		}),
-		JSON: []Column{
-			host("", "mutex_top", func(r *Row) any { return at(r).MutexTop }, nil),
-			host("", "block_top", func(r *Row) any { return at(r).BlockTop }, nil),
-		},
 	}
-}
-
-// collectProfile aggregates a runtime profile's cycles by contention site.
-func collectProfile(get func([]runtime.BlockProfileRecord) (int, bool)) map[string]int64 {
-	records := make([]runtime.BlockProfileRecord, 64)
-	for {
-		n, ok := get(records)
-		if ok {
-			records = records[:n]
-			break
-		}
-		records = make([]runtime.BlockProfileRecord, len(records)*2)
-	}
-	out := make(map[string]int64)
-	for _, r := range records {
-		out[siteOf(r.Stack())] += r.Cycles
-	}
-	return out
-}
-
-// siteOf names a contention record by its first frame outside the runtime
-// and sync packages — the project function that held or waited on the lock.
-func siteOf(stk []uintptr) string {
-	frames := runtime.CallersFrames(stk)
-	fallback := ""
-	for {
-		f, more := frames.Next()
-		if f.Function == "" {
-			break
-		}
-		if fallback == "" {
-			fallback = f.Function
-		}
-		if !strings.HasPrefix(f.Function, "runtime.") && !strings.HasPrefix(f.Function, "sync.") {
-			return f.Function
-		}
-		if !more {
-			break
-		}
-	}
-	if fallback == "" {
-		return "unknown"
-	}
-	return fallback
-}
-
-// topSites returns the n sites with the largest cycle delta, formatted as
-// "site cycles".
-func topSites(cur, prev map[string]int64, n int) []string {
-	type kv struct {
-		site   string
-		cycles int64
-	}
-	var all []kv
-	for site, c := range cur {
-		if d := c - prev[site]; d > 0 {
-			all = append(all, kv{site, d})
-		}
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].cycles != all[j].cycles {
-			return all[i].cycles > all[j].cycles
-		}
-		return all[i].site < all[j].site
-	})
-	if len(all) > n {
-		all = all[:n]
-	}
-	out := make([]string, len(all))
-	for i, e := range all {
-		out[i] = fmt.Sprintf("%s %d", e.site, e.cycles)
-	}
-	return out
 }

@@ -70,11 +70,6 @@ type SyntheticConfig struct {
 	DemandPopulate        bool
 	EmulateTwoSided       bool
 	SegmentSizeMultiplier float64 // level-2 segment size relative to the stripe (0 = 1)
-
-	// OCIOAggregators enables ROMIO-style collective buffering for
-	// MethodOCIO: only this many ranks aggregate (0 = all ranks, the
-	// paper's setting).
-	OCIOAggregators int
 }
 
 // blockSize is one process's bytes per iteration: all arrays' SIZEaccess

@@ -71,6 +71,18 @@ func statsGrid(files, clients int) [][]delegate.Stats {
 	return g
 }
 
+// delegateConfig maps the program's knobs onto a delegate.Config.
+func (p *Program) delegateConfig(rec *trace.Recorder) delegate.Config {
+	k := p.Knobs
+	return delegate.Config{
+		ServerRanks:       k.ServerRanks,
+		QueueDepth:        k.QueueDepth,
+		ServerCacheBlocks: k.ServerCacheBlocks,
+		ReadQuantum:       k.ReadQuantum,
+		TCIO:              p.tcioConfig(rec),
+	}
+}
+
 // runDelegate executes the program through the delegation tier.
 func runDelegate(p *Program, truth []byte) *delegateRun {
 	out := &delegateRun{}
@@ -82,13 +94,7 @@ func runDelegate(p *Program, truth []byte) *delegateRun {
 	}
 	inj := p.newInjector()
 	fs := p.newFS(inj)
-	dcfg := delegate.Config{
-		ServerRanks:       k.ServerRanks,
-		QueueDepth:        k.QueueDepth,
-		ServerCacheBlocks: k.ServerCacheBlocks,
-		ReadQuantum:       k.ReadQuantum,
-		TCIO:              p.tcioConfig(trace.New(0)),
-	}
+	dcfg := p.delegateConfig(trace.New(0))
 
 	out.w = statsGrid(k.Files, clients)
 	out.passW = make([][]tcio.Stats, k.Files)

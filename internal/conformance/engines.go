@@ -109,7 +109,6 @@ func (p *Program) tcioConfig(rec *trace.Recorder) tcio.Config {
 		WriteBehindThreshold: k.WriteBehindThreshold,
 		WriteBehindQueue:     k.WriteBehindQueue,
 		PrefetchSegments:     k.PrefetchSegments,
-		MaxCachedSegments:    k.MaxCachedSegments,
 		SieveBuffer:          k.SieveBuffer,
 		CollectiveRead:       k.CollectiveRead,
 		EmulateTwoSided:      k.EmulateTwoSided,

@@ -105,7 +105,7 @@ func genKnobs(rng *rand.Rand, class int, seed, segSize int64) Knobs {
 		if rng.Intn(4) == 0 {
 			k.PrefetchSegments = 0 // demand without lookahead
 		}
-		k.MaxCachedSegments = []int{0, k.PrefetchSegments, k.PrefetchSegments + 1}[rng.Intn(3)]
+		rng.Intn(3) // the retired prefetch-cache-cap draw, discarded like DrainWorkers' above
 	case 2: // write-behind (rank-aligned territory, see genTerritory)
 		k.WriteBehindThreshold = []float64{1, 0.5, 0.25}[rng.Intn(3)]
 		k.WriteBehindQueue = []int{1, 2, 32}[rng.Intn(3)]

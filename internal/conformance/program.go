@@ -60,7 +60,6 @@ type Knobs struct {
 	WriteBehindThreshold float64 `json:"write_behind_threshold,omitempty"`
 	WriteBehindQueue     int     `json:"write_behind_queue,omitempty"`
 	PrefetchSegments     int     `json:"prefetch_segments,omitempty"`
-	MaxCachedSegments    int     `json:"max_cached_segments,omitempty"`
 	SieveBuffer          int64   `json:"sieve_buffer,omitempty"`
 	CollectiveRead       bool    `json:"collective_read,omitempty"`
 	EmulateTwoSided      bool    `json:"emulate_two_sided,omitempty"`
@@ -231,21 +230,10 @@ func (p *Program) Validate() error {
 		return fmt.Errorf("conformance: stripe size %d", p.StripeSize)
 	case p.StripeCount < 1 || p.StripeCount > maxOSTs:
 		return fmt.Errorf("conformance: stripe count %d", p.StripeCount)
-	case p.Knobs.WriteBehindThreshold < 0 || p.Knobs.WriteBehindThreshold > 1:
-		return fmt.Errorf("conformance: write-behind threshold %g", p.Knobs.WriteBehindThreshold)
-	case p.Knobs.FetchBatch < 0 || p.Knobs.PipelineDepth < 0 ||
-		p.Knobs.WriteBehindQueue < 0 || p.Knobs.PrefetchSegments < 0 || p.Knobs.MaxCachedSegments < 0 ||
-		p.Knobs.SieveBuffer < 0 || p.Knobs.CoresPerNode < 0:
-		return fmt.Errorf("conformance: negative tcio knob: %+v", p.Knobs)
 	case p.Knobs.Aggregators < 0 || p.Knobs.Aggregators > p.Procs:
 		return fmt.Errorf("conformance: %d aggregators with %d procs", p.Knobs.Aggregators, p.Procs)
-	case p.Knobs.ServerRanks < 0 || p.Knobs.ServerRanks >= p.Procs:
-		return fmt.Errorf("conformance: %d server ranks with %d procs", p.Knobs.ServerRanks, p.Procs)
-	case p.Knobs.Files < 0 || p.Knobs.QueueDepth < 0 ||
-		p.Knobs.ServerCacheBlocks < 0 || p.Knobs.ReadQuantum < 0:
-		return fmt.Errorf("conformance: negative delegation knob: %+v", p.Knobs)
-	case p.Knobs.SegmentMemoryBudget < 0 || p.Knobs.CrashKills < 0:
-		return fmt.Errorf("conformance: negative crash knob: %+v", p.Knobs)
+	case p.Knobs.Files < 0 || p.Knobs.CoresPerNode < 0 || p.Knobs.CrashKills < 0:
+		return fmt.Errorf("conformance: negative harness knob: %+v", p.Knobs)
 	case p.Knobs.CrashKills > 0 && !p.Knobs.Journal:
 		return fmt.Errorf("conformance: %d crash kills without journal", p.Knobs.CrashKills)
 	case p.Knobs.CrashKills > 0 && (p.Knobs.ServerRanks > 0 || p.Knobs.WriteBehindThreshold > 0):
@@ -253,6 +241,14 @@ func (p *Program) Validate() error {
 		// before every journal epoch commits: delegation re-times stores and
 		// write-behind drains eagerly, so both are out of scope for kills.
 		return fmt.Errorf("conformance: crash kills with delegation or write-behind: %+v", p.Knobs)
+	}
+	// Which library knob values are legal is the libraries' call: normalize
+	// the very configurations the engines open with, and report their error.
+	if _, err := p.delegateConfig(nil).Normalize(p.Procs, p.StripeSize); err != nil {
+		return err
+	}
+	if _, err := p.tcioConfig(nil).Normalize(p.StripeSize); err != nil {
+		return err
 	}
 	owner := make([]int8, p.FileBytes) // 0 = unwritten, else rank+1
 	for ri, round := range p.WriteRounds {

@@ -20,8 +20,8 @@ func benchTier(b testing.TB, cacheBlks int, body func(tr *Tier) error) {
 	m := cluster.Lonestar()
 	m.CoresPerNode = 2
 	cfg := Config{
-		ServerRanks: 1, DomainSize: 4096, ServerCacheBlocks: cacheBlks,
-		TCIO: tcio.Config{SegmentSize: 64, NumSegments: 8},
+		ServerRanks: 1, ServerCacheBlocks: cacheBlks,
+		TCIO: tcio.Config{SegmentSize: 1024, NumSegments: 8},
 	}
 	_, err := mpi.Run(mpi.Config{Procs: 2, Machine: m, FS: pfs.New(pfs.DefaultConfig())}, func(c *mpi.Comm) error {
 		return Run(c, cfg, body)

@@ -21,7 +21,6 @@ import (
 type Tier struct {
 	c       *mpi.Comm
 	cfg     Config
-	tcfg    tcio.Config
 	servers []int // nil => pass-through
 
 	// clientIdx is this rank's index among the client ranks; clients is
@@ -129,14 +128,14 @@ func (t *Tier) request(si int, req *mpi.RPCRequest) error {
 // owner maps a file offset to the index (into t.servers) of the server
 // whose domain holds it.
 func (t *Tier) owner(off int64) int {
-	return int((off / t.cfg.DomainSize) % int64(len(t.servers)))
+	return int((off / t.cfg.domainSize()) % int64(len(t.servers)))
 }
 
 // collectiveRead reports whether delegated reads run collectively: the
 // tier is delegated and the tcio CollectiveRead knob is armed, which
 // moves the two-phase intent exchange server-side (see readepoch.go).
 func (t *Tier) collectiveRead() bool {
-	return t.servers != nil && t.tcfg.CollectiveRead
+	return t.servers != nil && t.cfg.TCIO.CollectiveRead
 }
 
 // reply collects server si's next reply, turning a failed one into a client
@@ -193,7 +192,7 @@ func (f *File) WriteAt(off int64, data []byte) error {
 	f.stats.Writes++
 	f.stats.WriteBytes += int64(len(data))
 	t := f.t
-	ds := t.cfg.DomainSize
+	ds := t.cfg.domainSize()
 	for len(data) > 0 {
 		n := (off/ds+1)*ds - off // bytes left in this domain block
 		if n > int64(len(data)) {
@@ -240,7 +239,7 @@ func (f *File) ReadAt(off int64, dst []byte) error {
 	f.stats.Reads++
 	f.stats.ReadBytes += int64(len(dst))
 	t := f.t
-	ds := t.cfg.DomainSize
+	ds := t.cfg.domainSize()
 	if t.collectiveRead() {
 		// Collective mode: queue the pieces; Fetch is the collective
 		// point that ships them as read intents.

@@ -52,11 +52,6 @@ type Config struct {
 	// QueueDepth bounds the outstanding unacknowledged writes each client
 	// may have at each server (the admission window). 0 means 8.
 	QueueDepth int
-	// DomainSize is the block-cyclic file-domain granularity: the server
-	// owning offset off is servers[(off/DomainSize) % len(servers)].
-	// 0 means four tcio segments, so one domain block spans several
-	// segment drains' worth of coalescing opportunity.
-	DomainSize int64
 	// ServerCacheBlocks is each server's hot-block cache capacity in
 	// domain blocks: repeat and cross-client reads of a cached block are
 	// served from server memory instead of the file system. 0 disables
@@ -71,11 +66,42 @@ type Config struct {
 	// order, exactly as before.
 	ReadQuantum int64
 	// TCIO configures the pass-through engine (ServerRanks == 0) and
-	// supplies the segment geometry DomainSize defaults from.
+	// supplies the segment geometry the file domains derive from.
 	TCIO tcio.Config
 	// Collect, when non-nil, receives every server's final counters.
 	Collect *Collector
 }
+
+// Normalize returns the configuration a procs-rank communicator would run
+// with — QueueDepth defaulted and, when the tier is armed, TCIO normalized
+// against stripeSize — or the error Run reports for it. The pass-through
+// configuration (ServerRanks == 0) leaves TCIO to tcio.Open.
+func (cfg Config) Normalize(procs int, stripeSize int64) (Config, error) {
+	switch {
+	case cfg.ServerRanks < 0 || cfg.ServerRanks >= procs:
+		return cfg, fmt.Errorf("delegate: %d server ranks of %d", cfg.ServerRanks, procs)
+	case cfg.QueueDepth < 0:
+		return cfg, fmt.Errorf("delegate: queue depth %d", cfg.QueueDepth)
+	case cfg.ServerCacheBlocks < 0:
+		return cfg, fmt.Errorf("delegate: server cache blocks %d", cfg.ServerCacheBlocks)
+	case cfg.ReadQuantum < 0:
+		return cfg, fmt.Errorf("delegate: read quantum %d", cfg.ReadQuantum)
+	case cfg.ServerRanks == 0:
+		return cfg, nil
+	}
+	if cfg.QueueDepth == 0 {
+		cfg.QueueDepth = 8
+	}
+	var err error
+	cfg.TCIO, err = cfg.TCIO.Normalize(stripeSize)
+	return cfg, err
+}
+
+// domainSize is the block-cyclic file-domain granularity: the server owning
+// offset off is servers[(off/domainSize) % len(servers)]. Four tcio
+// segments, so one domain block spans several segment drains' worth of
+// coalescing opportunity. Defined on a normalized, armed configuration.
+func (cfg *Config) domainSize() int64 { return 4 * cfg.TCIO.SegmentSize }
 
 // Run executes body on every client rank of c, with cfg.ServerRanks ranks
 // (chosen by cluster.SpreadServers) serving the delegation protocol
@@ -84,20 +110,9 @@ type Config struct {
 // on servers once every client has done so. With ServerRanks == 0 every
 // rank is a client and body runs everywhere.
 func Run(c *mpi.Comm, cfg Config, body func(*Tier) error) error {
-	if cfg.ServerRanks < 0 || cfg.ServerRanks >= c.Size() {
-		return fmt.Errorf("delegate: %d server ranks of %d", cfg.ServerRanks, c.Size())
-	}
-	if cfg.QueueDepth < 0 {
-		return fmt.Errorf("delegate: queue depth %d", cfg.QueueDepth)
-	}
-	if cfg.DomainSize < 0 {
-		return fmt.Errorf("delegate: domain size %d", cfg.DomainSize)
-	}
-	if cfg.ServerCacheBlocks < 0 {
-		return fmt.Errorf("delegate: server cache blocks %d", cfg.ServerCacheBlocks)
-	}
-	if cfg.ReadQuantum < 0 {
-		return fmt.Errorf("delegate: read quantum %d", cfg.ReadQuantum)
+	cfg, err := cfg.Normalize(c.Size(), c.FS().Config().StripeSize)
+	if err != nil {
+		return err
 	}
 	if cfg.ServerRanks == 0 {
 		// Pass-through: no protocol, no placement, no extra collectives —
@@ -105,20 +120,10 @@ func Run(c *mpi.Comm, cfg Config, body func(*Tier) error) error {
 		// tcio use.
 		return body(&Tier{c: c, cfg: cfg, clientIdx: c.Rank(), clients: c.Size()})
 	}
-	tcfg, err := cfg.TCIO.Normalize(c.FS().Config().StripeSize)
-	if err != nil {
-		return err
-	}
-	if cfg.QueueDepth == 0 {
-		cfg.QueueDepth = 8
-	}
-	if cfg.DomainSize == 0 {
-		cfg.DomainSize = 4 * tcfg.SegmentSize
-	}
 	servers := c.Machine().SpreadServers(c.Size(), cfg.ServerRanks)
 	for _, s := range servers {
 		if s == c.Rank() {
-			return serve(c, cfg, tcfg, servers)
+			return serve(c, cfg, servers)
 		}
 	}
 	// My index among the client ranks (the ranks not serving), so work
@@ -132,7 +137,6 @@ func Run(c *mpi.Comm, cfg Config, body func(*Tier) error) error {
 	t := &Tier{
 		c:         c,
 		cfg:       cfg,
-		tcfg:      tcfg,
 		servers:   servers,
 		clientIdx: idx,
 		clients:   c.Size() - len(servers),

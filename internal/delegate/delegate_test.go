@@ -3,6 +3,7 @@ package delegate
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
 	"github.com/tcio/tcio/internal/cluster"
@@ -320,7 +321,8 @@ func TestDelegateConfigValidation(t *testing.T) {
 		{"servers eat all ranks", Config{ServerRanks: 4}},
 		{"negative servers", Config{ServerRanks: -1}},
 		{"negative queue", Config{ServerRanks: 1, QueueDepth: -2}},
-		{"negative domain", Config{ServerRanks: 1, DomainSize: -64}},
+		{"negative cache blocks", Config{ServerRanks: 1, ServerCacheBlocks: -1}},
+		{"negative quantum", Config{ServerRanks: 1, ReadQuantum: -8}},
 		{"bad tcio config", Config{ServerRanks: 1, TCIO: tcio.Config{SegmentSize: -1}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -331,5 +333,44 @@ func TestDelegateConfigValidation(t *testing.T) {
 				t.Fatal("invalid config accepted")
 			}
 		})
+	}
+}
+
+// TestConfigNormalizeDefaults: an armed tier gets its admission window and a
+// normalized tcio geometry (the domain size derives from it); the
+// pass-through configuration is left for tcio.Open to normalize.
+func TestConfigNormalizeDefaults(t *testing.T) {
+	armed, err := Config{ServerRanks: 1}.Normalize(4, 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if armed.QueueDepth != 8 || armed.TCIO.SegmentSize != 512 || armed.domainSize() != 2048 {
+		t.Fatalf("armed defaults: queue %d, segment %d, domain %d; want 8, 512, 2048",
+			armed.QueueDepth, armed.TCIO.SegmentSize, armed.domainSize())
+	}
+	pass, err := Config{}.Normalize(4, 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pass != (Config{}) {
+		t.Fatalf("pass-through config changed: %+v", pass)
+	}
+}
+
+// TestServerLoopHandlerError pins that a handler failure aborts the server's
+// request loop with the op and source rank in the error, whether reads are
+// served inline or through the scheduler.
+func TestServerLoopHandlerError(t *testing.T) {
+	for _, quantum := range []int64{0, 128} {
+		cfg := Config{ServerRanks: 1, ReadQuantum: quantum, TCIO: tcio.Config{SegmentSize: 64, NumSegments: 8}}
+		_, err := mpi.Run(mpi.Config{Procs: 2, Machine: cluster.Lonestar()}, func(c *mpi.Comm) error {
+			return Run(c, cfg, func(tr *Tier) error {
+				return tr.request(0, &mpi.RPCRequest{Op: mpi.OpFlush, Handle: 7})
+			})
+		})
+		if err == nil || !strings.Contains(err.Error(), "flush from rank") ||
+			!strings.Contains(err.Error(), "unknown handle 7") {
+			t.Fatalf("quantum %d: err = %v, want the failed op, its source and the handler's error", quantum, err)
+		}
 	}
 }

@@ -21,7 +21,7 @@ import (
 type readRunOpts struct {
 	procs      int
 	servers    int
-	domain     int64 // DomainSize (0 = 256)
+	domain     int64 // domain block size: four tcio segments (0 = 256)
 	cacheBlks  int
 	quantum    int64
 	collective bool
@@ -66,11 +66,10 @@ func readWorkload(t *testing.T, o readRunOpts) readRunOut {
 	col := &Collector{}
 	cfg := Config{
 		ServerRanks:       o.servers,
-		DomainSize:        o.domain,
 		ServerCacheBlocks: o.cacheBlks,
 		ReadQuantum:       o.quantum,
 		TCIO: tcio.Config{
-			SegmentSize: 64, NumSegments: 8,
+			SegmentSize: o.domain / 4, NumSegments: 8,
 			CollectiveRead: o.collective,
 			Retry:          o.retry,
 			Trace:          o.trace,
@@ -276,8 +275,8 @@ func TestDelegateCacheCoherence(t *testing.T) {
 	fs := pfs.New(pfs.DefaultConfig())
 	col := &Collector{}
 	cfg := Config{
-		ServerRanks: 1, DomainSize: ds, ServerCacheBlocks: 4,
-		TCIO:    tcio.Config{SegmentSize: 64, NumSegments: 8},
+		ServerRanks: 1, ServerCacheBlocks: 4,
+		TCIO:    tcio.Config{SegmentSize: ds / 4, NumSegments: 8},
 		Collect: col,
 	}
 	mk := func(v byte) []byte {
@@ -552,8 +551,8 @@ func TestMalformedReadIntentGetsErrorReply(t *testing.T) {
 			m := cluster.Lonestar()
 			m.CoresPerNode = 4
 			cfg := Config{
-				ServerRanks: 2, DomainSize: domain, ServerCacheBlocks: 4,
-				TCIO: tcio.Config{SegmentSize: 64, NumSegments: 8, CollectiveRead: true},
+				ServerRanks: 2, ServerCacheBlocks: 4,
+				TCIO: tcio.Config{SegmentSize: domain / 4, NumSegments: 8, CollectiveRead: true},
 			}
 			_, err := mpi.Run(mpi.Config{Procs: 4, Machine: m}, func(c *mpi.Comm) error {
 				return Run(c, cfg, func(tr *Tier) error {
@@ -641,7 +640,7 @@ func FuzzDecodeIntent(f *testing.F) {
 	for _, bad := range malformedIntents {
 		f.Add(bad.payload)
 	}
-	srv := &server{cfg: Config{DomainSize: 256}, nservers: 2}
+	srv := &server{cfg: Config{TCIO: tcio.Config{SegmentSize: 64}}, nservers: 2}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		runs, err := decodeIntent(data)
 		if err != nil {

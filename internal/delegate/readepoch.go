@@ -81,7 +81,7 @@ func (s *server) readIntent(req *mpi.RPCRequest) error {
 // length cannot overflow, and inside one domain block that this server owns
 // — exactly what closeReadEpoch indexes with.
 func (s *server) checkIntent(runs []extent.Extent) error {
-	ds := s.cfg.DomainSize
+	ds := s.cfg.domainSize()
 	for _, r := range runs {
 		if r.Off < 0 || r.Len <= 0 || r.Len > math.MaxInt64-r.Off {
 			return fmt.Errorf("delegate: read intent run [%d,+%d) is empty, negative or overflows", r.Off, r.Len)
@@ -106,7 +106,7 @@ func (s *server) checkIntent(runs []extent.Extent) error {
 // which also makes the fetch deterministic regardless of intent arrival
 // order.
 func (s *server) closeReadEpoch(h *handleFile) error {
-	ds := s.cfg.DomainSize
+	ds := s.cfg.domainSize()
 	need := make(map[int64]bool)
 	for _, in := range h.intents {
 		for _, r := range in.runs {

@@ -1,7 +1,7 @@
 package delegate
 
 // The server side of the tier. A server rank never runs application code:
-// it sits in an mpi.Serve loop staging client writes into per-handle,
+// it sits in one request loop staging client writes into per-handle,
 // per-domain-block buffers, and drains one coalesced batch per flush
 // epoch. Arrival order at the loop races with goroutine scheduling, so
 // nothing order-dependent happens at receive time — records are staged
@@ -119,7 +119,6 @@ type intent struct {
 type server struct {
 	c       *mpi.Comm
 	cfg     Config
-	tcfg    tcio.Config
 	retry   faults.RetryPolicy
 	clients int // client-rank count: the flush-epoch quorum
 	// index is this rank's position among the nservers server ranks: it
@@ -140,16 +139,15 @@ type server struct {
 
 // serve runs the delegation request loop on a server rank until every
 // client has shut down, then deposits the rank's counters in Collect.
-func serve(c *mpi.Comm, cfg Config, tcfg tcio.Config, serverRanks []int) error {
+func serve(c *mpi.Comm, cfg Config, serverRanks []int) error {
 	srv := &server{
 		c:       c,
 		cfg:     cfg,
-		tcfg:    tcfg,
 		retry:   faults.DefaultRetryPolicy(),
 		handles: make(map[int32]*handleFile),
 	}
-	if tcfg.Retry != nil {
-		srv.retry = *tcfg.Retry
+	if cfg.TCIO.Retry != nil {
+		srv.retry = *cfg.TCIO.Retry
 	}
 	srv.clients = c.Size() - len(serverRanks)
 	srv.index, srv.nservers = slices.Index(serverRanks, c.Rank()), len(serverRanks)
@@ -157,13 +155,10 @@ func serve(c *mpi.Comm, cfg Config, tcfg tcio.Config, serverRanks []int) error {
 		srv.cache = newBlockCache(cfg.ServerCacheBlocks)
 		srv.dirty = make(map[blockKey]int)
 	}
-	var err error
 	if cfg.ReadQuantum > 0 {
 		srv.sched = newDRR(cfg.ReadQuantum)
-		err = srv.loop()
-	} else {
-		err = c.Serve(tagRequest, srv.clients, serverPerReq, srv.handle)
 	}
+	err := srv.loop()
 	if cfg.Collect != nil {
 		srv.stats.Rank = c.Rank()
 		cfg.Collect.add(srv.stats)
@@ -174,7 +169,6 @@ func serve(c *mpi.Comm, cfg Config, tcfg tcio.Config, serverRanks []int) error {
 // handle owns req. A write keeps its staging buffer until the epoch
 // closes; every other request is consumed here and released.
 func (s *server) handle(req mpi.RPCRequest) error {
-	s.stats.Requests++
 	if req.Op == mpi.OpWrite {
 		return s.write(req)
 	}
@@ -194,36 +188,16 @@ func (s *server) handle(req mpi.RPCRequest) error {
 	return fmt.Errorf("delegate: unexpected %s", req.Op)
 }
 
-// loop is the scheduling variant of mpi.Serve, used when ReadQuantum > 0:
-// reads are queued into the DRR scheduler instead of served inline, and
-// drained one round at a time whenever no new request is waiting — that
-// is, between writes. A blocking receive happens only with an empty read
-// queue, so queued reads cannot be stranded behind it; and a client
-// always collects its read replies before it can send OpShutdown, so loop
-// exit implies an empty scheduler.
+// loop serves requests until every client has shut down: each request
+// charges serverPerReq of service time before it is handled, and an
+// OpShutdown retires its sender. With ReadQuantum == 0 a read is handled
+// inline like any other request; otherwise it is queued into the DRR
+// scheduler, which next drains between arrivals.
 func (s *server) loop() error {
 	for remaining := s.clients; remaining > 0; {
-		req, ok, err := s.c.TryRecvRequest(mpi.AnySource, tagRequest)
+		req, err := s.next()
 		if err != nil {
 			return err
-		}
-		if !ok {
-			if s.sched.pending() > 0 {
-				served := s.sched.round()
-				for i := range served {
-					rq := &served[i]
-					err := s.read(rq)
-					rq.Release()
-					if err != nil {
-						return fmt.Errorf("delegate: serve tag %d: %s from rank %d: %w",
-							tagRequest, rq.Op, rq.Client, err)
-					}
-				}
-				continue
-			}
-			if req, err = s.c.RecvRequest(mpi.AnySource, tagRequest); err != nil {
-				return err
-			}
 		}
 		s.c.AdvanceTo(s.c.Now().Add(serverPerReq))
 		if req.Op == mpi.OpShutdown {
@@ -231,17 +205,44 @@ func (s *server) loop() error {
 			remaining--
 			continue
 		}
-		if req.Op == mpi.OpRead {
-			s.stats.Requests++
+		s.stats.Requests++
+		if req.Op == mpi.OpRead && s.sched != nil {
 			s.sched.push(req.Client, req)
-			continue
-		}
-		if err := s.handle(req); err != nil {
-			return fmt.Errorf("delegate: serve tag %d: %s from rank %d: %w",
-				tagRequest, req.Op, req.Client, err)
+		} else if err := s.handle(req); err != nil {
+			return serveErr(req.Op, req.Client, err)
 		}
 	}
 	return nil
+}
+
+// next returns the next request. While reads are queued it only polls, and
+// serves them one deficit round at a time whenever no new request is
+// waiting — that is, between writes. A blocking receive happens only with an
+// empty read queue, so queued reads cannot be stranded behind it; and a
+// client always collects its read replies before it can send OpShutdown, so
+// loop exit implies an empty scheduler.
+func (s *server) next() (mpi.RPCRequest, error) {
+	for s.sched != nil && s.sched.pending() > 0 {
+		req, ok, err := s.c.TryRecvRequest(mpi.AnySource, tagRequest)
+		if ok || err != nil {
+			return req, err
+		}
+		served := s.sched.round()
+		for i := range served {
+			rq := &served[i]
+			err := s.read(rq)
+			rq.Release()
+			if err != nil {
+				return req, serveErr(rq.Op, rq.Client, err)
+			}
+		}
+	}
+	return s.c.RecvRequest(mpi.AnySource, tagRequest)
+}
+
+// serveErr names the request a failed handler was serving.
+func serveErr(op mpi.RPCOp, client int, err error) error {
+	return fmt.Errorf("delegate: serve tag %d: %s from rank %d: %w", tagRequest, op, client, err)
 }
 
 func (s *server) open(req *mpi.RPCRequest) error {
@@ -251,7 +252,7 @@ func (s *server) open(req *mpi.RPCRequest) error {
 		pf := s.c.FS().Open(name)
 		drain := storage.NewClient(pf, s.c.Node(), s.c.Rank(), s.c)
 		drain.SetRetryPolicy(s.retry)
-		drain.SetTrace(s.tcfg.Trace)
+		drain.SetTrace(s.cfg.TCIO.Trace)
 		h = &handleFile{
 			name:    name,
 			mode:    mode,
@@ -292,7 +293,7 @@ func (s *server) write(req mpi.RPCRequest) error {
 		// The block now has a staged-but-undrained write: reads must
 		// bypass the cache for it until the flush epoch drains (and
 		// writes through) — see closeEpoch.
-		s.dirty[blockKey{name: h.name, blk: req.Off / s.cfg.DomainSize}]++
+		s.dirty[blockKey{name: h.name, blk: req.Off / s.cfg.domainSize()}]++
 	}
 	// Grant the admission credit back now that the record is staged.
 	return s.c.Send(req.Client, tagCredit, []byte{1})
@@ -307,7 +308,7 @@ func (s *server) reader(h *handleFile, client int) *storage.Client {
 	if rd == nil {
 		rd = storage.NewClient(h.pf, s.c.Node(), client, s.c)
 		rd.SetRetryPolicy(s.retry)
-		rd.SetTrace(s.tcfg.Trace)
+		rd.SetTrace(s.cfg.TCIO.Trace)
 		h.readers[client] = rd
 	}
 	return rd
@@ -324,10 +325,10 @@ func errCode(err error) mpi.RPCErrCode {
 
 // traceCacheServe records one cache hit in the trace stream.
 func (s *server) traceCacheServe(bytes, blk int64) {
-	if s.tcfg.Trace == nil {
+	if s.cfg.TCIO.Trace == nil {
 		return
 	}
-	s.tcfg.Trace.Record(trace.Event{
+	s.cfg.TCIO.Trace.Record(trace.Event{
 		Rank: s.c.Rank(), Start: s.c.Now(), Kind: trace.KindCacheServe,
 		Bytes: bytes, Detail: fmt.Sprintf("blk=%d", blk),
 	})
@@ -345,7 +346,7 @@ func (s *server) read(req *mpi.RPCRequest) error {
 		return err
 	}
 	s.stats.ReadReqs++
-	ds := s.cfg.DomainSize
+	ds := s.cfg.domainSize()
 	key := blockKey{name: h.name, blk: req.Off / ds}
 	if s.cache != nil && s.dirty[key] == 0 {
 		if cbuf, ok := s.cache.get(key); ok {
@@ -451,7 +452,7 @@ func (s *server) closeEpoch(h *handleFile) error {
 		// Every staged record retires with this epoch; a block goes clean
 		// again once its last staged write drains.
 		for i := range h.staged {
-			key := blockKey{name: h.name, blk: h.staged[i].Off / s.cfg.DomainSize}
+			key := blockKey{name: h.name, blk: h.staged[i].Off / s.cfg.domainSize()}
 			if n := s.dirty[key]; n <= 1 {
 				delete(s.dirty, key)
 			} else {
@@ -469,7 +470,7 @@ func (s *server) closeEpoch(h *handleFile) error {
 	if mutate.Enabled(mutate.DelegateDropQueuedFlush) && len(h.staged) > 0 {
 		h.staged = h.staged[:len(h.staged)-1]
 	}
-	ds := s.cfg.DomainSize
+	ds := s.cfg.domainSize()
 	blocks := make(map[int64]*blockStage)
 	var order []int64
 	for i := range h.staged {

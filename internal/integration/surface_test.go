@@ -30,21 +30,20 @@ var surfaceAllow = map[string]string{
 	"*.Set":    "flag.Value",
 
 	// The calls the paper names (Programs 2 and 3, §IV.A).
-	"internal/mpi.Win.Get":           "MPI_Get, beside Put; the library itself gathers through GetSegmentsAsync",
-	"internal/tcio.File.WriteTyped":  "tcio_write with a datatype (Program 3)",
-	"internal/tcio.File.ReadTyped":   "tcio_read with a datatype (Program 3)",
-	"internal/datatype.Indexed":      "MPI_Type_indexed, the type §IV.A ships level-1 blocks with",
-	"internal/datatype.Struct":       "MPI_Type_struct, Program 2's (int, double) record",
-	"internal/datatype.ByName":       "Table I's TYPEarray codes (c, s, i, f, d), which the basic types hang off",
-	"internal/extent.Layout.Locate":  "equations (1)-(3) in one call; the layout tests pin Segment and Owner against it",
-	"internal/tcio.File.Seek":        "tcio_seek, the file pointer of the POSIX-like calls",
-	"internal/tcio.File.Read":        "tcio_read at the file pointer, beside Write",
-	"internal/bench.aggregatorSweep": "ROADMAP 4(e)'s to wire up or delete, not this census's",
-	"internal/conformance.LoadDir":   "reads back what Save writes; the corpus replay test is its reader",
-	"internal/mutate.All":            "walked by the mutation gate, which builds under conformance_mutants",
-	"internal/mutate.Built":          "tells a test binary whether the mutant hooks are live",
-	"internal/mpi.RPCErrNone":        "names the zero RPCErrCode, the wire's \"no error\"",
-	"internal/pfs.File.ReadAt":       "one un-retried request: pfs's tests roll faults and readahead through it",
+	"internal/mpi.Win.Get":          "MPI_Get, beside Put; the library itself gathers through GetSegmentsAsync",
+	"internal/tcio.File.WriteTyped": "tcio_write with a datatype (Program 3)",
+	"internal/tcio.File.ReadTyped":  "tcio_read with a datatype (Program 3)",
+	"internal/datatype.Indexed":     "MPI_Type_indexed, the type §IV.A ships level-1 blocks with",
+	"internal/datatype.Struct":      "MPI_Type_struct, Program 2's (int, double) record",
+	"internal/datatype.ByName":      "Table I's TYPEarray codes (c, s, i, f, d), which the basic types hang off",
+	"internal/extent.Layout.Locate": "equations (1)-(3) in one call; the layout tests pin Segment and Owner against it",
+	"internal/tcio.File.Seek":       "tcio_seek, the file pointer of the POSIX-like calls",
+	"internal/tcio.File.Read":       "tcio_read at the file pointer, beside Write",
+	"internal/conformance.LoadDir":  "reads back what Save writes; the corpus replay test is its reader",
+	"internal/mutate.All":           "walked by the mutation gate, which builds under conformance_mutants",
+	"internal/mutate.Built":         "tells a test binary whether the mutant hooks are live",
+	"internal/mpi.RPCErrNone":       "names the zero RPCErrCode, the wire's \"no error\"",
+	"internal/pfs.File.ReadAt":      "one un-retried request: pfs's tests roll faults and readahead through it",
 
 	// Accessors that tests of other behaviour observe state through.
 	"internal/faults.Injector.Injected": "per-site fault counts in chaos tests",

@@ -35,7 +35,7 @@ func (*batonHeap) Pop() any       { panic("fixed population") }
 // hands the baton to the new minimum — always another rank, since every
 // step exceeds the jitter's spread. "goroutines" parks ranks on channels and
 // hands over rank to rank; "iter.Pull" makes each rank a coroutine that a
-// scheduler loop resumes. Run with -cpu 1,2; EXPERIMENTS.md has the table.
+// scheduler loop resumes. Run with -cpu 1,2; results/pr21.md has the table.
 func BenchmarkRankHandoff(b *testing.B) {
 	for _, ranks := range []int{64, 512, 4096} {
 		setup := func() (batonHeap, func() int64) {

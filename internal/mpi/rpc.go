@@ -12,7 +12,6 @@ import (
 	"fmt"
 
 	"github.com/tcio/tcio/internal/netsim"
-	"github.com/tcio/tcio/internal/simtime"
 )
 
 // RPCOp identifies a request's operation.
@@ -24,8 +23,8 @@ const (
 	OpRead
 	OpFlush
 	OpClose
-	// OpShutdown retires one client from a Serve loop; the server exits
-	// once every client has sent it.
+	// OpShutdown retires one client from a server's request loop; the
+	// server exits once every client has sent it.
 	OpShutdown
 	// OpReadIntent ships one client's read-intent vector for a collective
 	// read epoch (Data holds fixed-width off/len run pairs; see
@@ -263,29 +262,4 @@ func (c *Comm) RecvReply(src, tag int) (RPCReply, error) {
 		return RPCReply{}, err
 	}
 	return decodeReply(&c.w.pool, buf)
-}
-
-// Serve runs a request loop on tag until all clients shut down: each
-// request charges perReq of service time before the handler runs, and an
-// OpShutdown retires its sender. Handlers reply themselves (or not — the
-// delegation write path is fire-and-forget) and own the request they are
-// handed: its Data is valid until the handler, or whoever it hands the
-// request on to, calls Release. A handler error aborts the loop.
-func (c *Comm) Serve(tag, clients int, perReq simtime.Duration, handler func(RPCRequest) error) error {
-	for remaining := clients; remaining > 0; {
-		req, err := c.RecvRequest(AnySource, tag)
-		if err != nil {
-			return err
-		}
-		c.clock().Advance(perReq)
-		if req.Op == OpShutdown {
-			req.Release()
-			remaining--
-			continue
-		}
-		if err := handler(req); err != nil {
-			return fmt.Errorf("mpi: serve tag %d: %s from rank %d: %w", tag, req.Op, req.Client, err)
-		}
-	}
-	return nil
 }

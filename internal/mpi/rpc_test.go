@@ -2,15 +2,12 @@ package mpi
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"testing"
 
 	"github.com/tcio/tcio/internal/cluster"
-	"github.com/tcio/tcio/internal/simtime"
 )
 
 // codecRequests and codecReplies are the round-trip cases. Their encodings,
@@ -204,9 +201,10 @@ func TestRPCRoundTripAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestRPCServe drives a 3-rank world: rank 2 serves, ranks 0-1 each send
-// two writes, one synchronous read, and a shutdown. The server must see
-// the true envelope source as Client and per-client sequence order must
+// TestRPCServe drives a 3-rank world: rank 2 serves an any-source receive
+// loop (the shape of delegate's server loop), ranks 0-1 each send two
+// writes, one synchronous read, and a shutdown. The server must see the
+// true envelope source as Client and per-client sequence order must
 // survive the any-source loop.
 func TestRPCServe(t *testing.T) {
 	const tag = 77
@@ -216,18 +214,28 @@ func TestRPCServe(t *testing.T) {
 	)
 	_, err := Run(Config{Procs: 3, Machine: cluster.Lonestar()}, func(c *Comm) error {
 		if c.Rank() == 2 {
-			return c.Serve(tag, 2, 500*simtime.Nanosecond, func(req RPCRequest) error {
+			for remaining := 2; remaining > 0; {
+				req, err := c.RecvRequest(AnySource, tag)
+				if err != nil {
+					return err
+				}
+				if req.Op == OpShutdown {
+					remaining--
+					continue
+				}
 				mu.Lock()
 				seen = append(seen, fmt.Sprintf("%s c%d seq%d off%d %q",
 					req.Op, req.Client, req.Seq, req.Off, req.Data))
 				mu.Unlock()
 				if req.Op == OpRead {
-					return c.SendReply(req.Client, tag+1, &RPCReply{
+					if err := c.SendReply(req.Client, tag+1, &RPCReply{
 						OK: true, Seq: req.Seq, Data: []byte{byte(req.Client), byte(req.Off)},
-					})
+					}); err != nil {
+						return err
+					}
 				}
-				return nil
-			})
+			}
+			return nil
 		}
 		me := c.Rank()
 		for s := 0; s < 2; s++ {
@@ -314,23 +322,5 @@ func TestTryRecvRequest(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestRPCServeHandlerError pins that a handler failure aborts the loop
-// with the op and source rank in the error.
-func TestRPCServeHandlerError(t *testing.T) {
-	boom := errors.New("domain exploded")
-	_, err := Run(Config{Procs: 2, Machine: cluster.Lonestar()}, func(c *Comm) error {
-		if c.Rank() == 1 {
-			return c.Serve(5, 1, 0, func(req RPCRequest) error { return boom })
-		}
-		return c.SendRequest(1, 5, &RPCRequest{Op: OpFlush})
-	})
-	if err == nil || !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want wrapped handler error", err)
-	}
-	if !strings.Contains(err.Error(), "flush from rank 0") {
-		t.Fatalf("err %q lacks op/source context", err)
 	}
 }

@@ -24,7 +24,7 @@ func TestConfigNormalize(t *testing.T) {
 				return c.SegmentSize == stripe && c.NumSegments == 64 &&
 					c.FetchBatch == 64 && c.PipelineDepth == 8 &&
 					c.WriteBehindQueue == 32 &&
-					c.PrefetchSegments == 0 && c.MaxCachedSegments == 0 &&
+					c.PrefetchSegments == 0 &&
 					c.SieveBuffer == 0 && c.WriteBehindThreshold == 0
 			},
 		},
@@ -32,24 +32,14 @@ func TestConfigNormalize(t *testing.T) {
 			name: "explicit values survive",
 			in: Config{SegmentSize: 128, NumSegments: 3, FetchBatch: 2,
 				PipelineDepth: 1, WriteBehindQueue: 5,
-				PrefetchSegments: 2, MaxCachedSegments: 7, SieveBuffer: 64},
+				PrefetchSegments: 2, SieveBuffer: 64},
 			want: func(c Config) bool {
 				return c.SegmentSize == 128 && c.NumSegments == 3 &&
 					c.FetchBatch == 2 && c.PipelineDepth == 1 &&
 					c.WriteBehindQueue == 5 &&
-					c.PrefetchSegments == 2 && c.MaxCachedSegments == 7 &&
+					c.PrefetchSegments == 2 &&
 					c.SieveBuffer == 64
 			},
-		},
-		{
-			name: "max cached segments defaults to prefetch lookahead",
-			in:   Config{PrefetchSegments: 3},
-			want: func(c Config) bool { return c.MaxCachedSegments == 3 },
-		},
-		{
-			name: "cache smaller than lookahead is raised to it",
-			in:   Config{PrefetchSegments: 4, MaxCachedSegments: 2},
-			want: func(c Config) bool { return c.MaxCachedSegments == 4 },
 		},
 		{
 			name: "write-behind threshold bounds pass",
@@ -62,7 +52,6 @@ func TestConfigNormalize(t *testing.T) {
 		{name: "negative pipeline depth", in: Config{PipelineDepth: -3}, err: "pipeline depth"},
 		{name: "negative write-behind queue", in: Config{WriteBehindQueue: -1}, err: "write-behind queue"},
 		{name: "negative prefetch segments", in: Config{PrefetchSegments: -1}, err: "prefetch segments"},
-		{name: "negative max cached segments", in: Config{MaxCachedSegments: -4}, err: "max cached segments"},
 		{name: "negative sieve buffer", in: Config{SieveBuffer: -8}, err: "sieve buffer"},
 		{name: "threshold below zero", in: Config{WriteBehindThreshold: -0.1}, err: "write-behind threshold"},
 		{name: "threshold above one", in: Config{WriteBehindThreshold: 1.5}, err: "write-behind threshold"},

@@ -127,7 +127,7 @@ func (f *File) enforceBudget() error {
 			continue
 		}
 		seg := f.layout.RankSegment(f.c.Rank(), slot)
-		if f.meta.hasDirty(seg) {
+		if f.meta.hasPending(seg) {
 			if mutate.Enabled(mutate.TCIOSpillDropDirty) {
 				// Mutant: discard the undrained runs instead of spilling —
 				// the drain never writes them and the bytes are lost.

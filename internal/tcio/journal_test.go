@@ -298,14 +298,13 @@ func TestDisarmedJournalZeroOverhead(t *testing.T) {
 
 // TestBudgetNormalizeComposition pins how the budget composes with the
 // prefetch knobs: a budget implies Journal, is floored at one segment, and
-// shrinks the lookahead and its cache to the resident cap.
+// shrinks the lookahead to the resident cap.
 func TestBudgetNormalizeComposition(t *testing.T) {
 	cfg, err := Config{
 		SegmentSize:         64,
 		NumSegments:         16,
 		SegmentMemoryBudget: 200, // 3 segments
 		PrefetchSegments:    8,
-		MaxCachedSegments:   12,
 	}.Normalize(1 << 20)
 	if err != nil {
 		t.Fatal(err)
@@ -313,9 +312,8 @@ func TestBudgetNormalizeComposition(t *testing.T) {
 	if !cfg.Journal {
 		t.Fatal("budget did not imply Journal")
 	}
-	if cfg.PrefetchSegments != 3 || cfg.MaxCachedSegments != 3 {
-		t.Fatalf("prefetch knobs not clamped to resident cap: prefetch=%d cache=%d",
-			cfg.PrefetchSegments, cfg.MaxCachedSegments)
+	if cfg.PrefetchSegments != 3 {
+		t.Fatalf("lookahead not clamped to resident cap: prefetch=%d", cfg.PrefetchSegments)
 	}
 	small, err := Config{SegmentSize: 64, NumSegments: 4, SegmentMemoryBudget: 10}.Normalize(1 << 20)
 	if err != nil {

@@ -157,8 +157,8 @@ func TestL2MetaShardedMatchesReference(t *testing.T) {
 						trial, step, seg, need, gr, ga, wr, wa)
 				}
 			case 4:
-				if got, want := m.hasDirty(seg), len(ref.pending[seg]) > 0; got != want {
-					t.Fatalf("trial %d step %d hasDirty(%d): got %v want %v", trial, step, seg, got, want)
+				if got, want := m.hasPending(seg), len(ref.pending[seg]) > 0; got != want {
+					t.Fatalf("trial %d step %d hasPending(%d): got %v want %v", trial, step, seg, got, want)
 				}
 				if got, want := m.dirtyRuns(seg), ref.dirty[seg]; !extentsEqual(got, want) {
 					t.Fatalf("trial %d step %d dirtyRuns(%d): got %v want %v", trial, step, seg, got, want)

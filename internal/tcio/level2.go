@@ -134,9 +134,9 @@ func (m *l2meta) dirtyRuns(seg int64) []extent.Extent {
 	return st.dirty
 }
 
-// hasDirty reports whether the segment still has undrained runs — the
-// prefetch cache refuses to evict such segments.
-func (m *l2meta) hasDirty(seg int64) bool {
+// hasPending reports whether the segment still has undrained runs — what
+// separates a spill from a free drop when the segment budget evicts a slot.
+func (m *l2meta) hasPending(seg int64) bool {
 	s, st := m.lock(seg, false)
 	defer s.mu.Unlock()
 	return st != nil && len(st.pending) > 0

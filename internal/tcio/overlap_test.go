@@ -1,8 +1,7 @@
 package tcio
 
 // Tests for the overlap pipeline: write-behind correctness and accounting,
-// l2meta under concurrent access, epoch LRU eviction, and the prefetch
-// cache's refusal to evict dirty segments.
+// l2meta under concurrent access, and epoch LRU eviction.
 
 import (
 	"bytes"
@@ -22,7 +21,6 @@ func TestOverlapConfigValidation(t *testing.T) {
 			{SegmentSize: 64, NumSegments: 4, WriteBehindThreshold: 1.5},
 			{SegmentSize: 64, NumSegments: 4, WriteBehindQueue: -2},
 			{SegmentSize: 64, NumSegments: 4, PrefetchSegments: -1},
-			{SegmentSize: 64, NumSegments: 4, PrefetchSegments: 2, MaxCachedSegments: -1},
 		}
 		for i, cfg := range bad {
 			if _, err := Open(c, fmt.Sprintf("obad%d", i), WriteMode, cfg); err == nil {
@@ -241,7 +239,7 @@ func TestL2MetaConcurrent(t *testing.T) {
 			for s := int64(0); s < segs; s++ {
 				m.addDirty(s, []extent.Extent{{Off: int64(w * perChunk), Len: perChunk}}, simtime.Time(w+1))
 				_ = m.dirtyRuns(s)
-				_ = m.hasDirty(s)
+				_ = m.hasPending(s)
 				if runs, at := m.takeCovered(s, segSize); len(runs) != 0 {
 					// Full coverage observed: put the runs back the way a
 					// drain error path would not — re-add so others see them.
@@ -293,74 +291,5 @@ func TestEpochEvictionLRU(t *testing.T) {
 			}
 		}
 		return f.Close()
-	})
-}
-
-// TestPrefetchEvictRefusesDirty drives the cache bookkeeping directly: an
-// entry whose segment still has undrained runs must survive eviction, and
-// when every entry is dirty the incoming entry is dropped instead.
-func TestPrefetchEvictRefusesDirty(t *testing.T) {
-	f := &File{session: session{
-		cfg:        Config{MaxCachedSegments: 2},
-		meta:       newL2Meta(false),
-		prefetched: make(map[int64]*prefetchEntry),
-	}}
-	f.meta.addDirty(1, []extent.Extent{{Off: 0, Len: 4}}, 0)
-	f.insertPrefetched(1, &prefetchEntry{data: []byte{1}})
-	f.insertPrefetched(2, &prefetchEntry{data: []byte{2}})
-	// Cache full (cap 2): inserting 3 must evict the clean LRU entry 2,
-	// not the dirty entry 1 — and the evicted entry's read was wasted.
-	f.insertPrefetched(3, &prefetchEntry{data: []byte{3}})
-	if _, ok := f.prefetched[1]; !ok {
-		t.Fatal("dirty segment 1 was evicted")
-	}
-	if _, ok := f.prefetched[2]; ok {
-		t.Fatal("clean segment 2 survived eviction")
-	}
-	if _, ok := f.prefetched[3]; !ok {
-		t.Fatal("segment 3 was not cached")
-	}
-	if f.stats.PrefetchWasted != 1 {
-		t.Fatalf("PrefetchWasted = %d after evicting unused entry, want 1", f.stats.PrefetchWasted)
-	}
-	// Make 3 dirty too: now every entry is dirty, so 4 must be dropped —
-	// another wasted read.
-	f.meta.addDirty(3, []extent.Extent{{Off: 0, Len: 4}}, 0)
-	f.insertPrefetched(4, &prefetchEntry{data: []byte{4}})
-	if _, ok := f.prefetched[4]; ok {
-		t.Fatal("segment 4 cached despite a fully dirty cache")
-	}
-	if len(f.prefetchLRU) != 2 {
-		t.Fatalf("LRU length %d, want 2", len(f.prefetchLRU))
-	}
-	if f.stats.PrefetchWasted != 2 {
-		t.Fatalf("PrefetchWasted = %d after dropping entry, want 2", f.stats.PrefetchWasted)
-	}
-	// Draining segment 1 (takePending) makes it evictable again.
-	f.meta.takePending(1)
-	f.insertPrefetched(5, &prefetchEntry{data: []byte{5}})
-	if _, ok := f.prefetched[1]; ok {
-		t.Fatal("drained segment 1 still cached after eviction pass")
-	}
-	if _, ok := f.prefetched[5]; !ok {
-		t.Fatal("segment 5 was not cached after eviction freed a slot")
-	}
-}
-
-// TestPrefetchCacheClamp: a cache cap below the lookahead would evict the
-// very segments the lookahead just staged (every prefetch a guaranteed
-// duplicate read), so Open raises it to PrefetchSegments.
-func TestPrefetchCacheClamp(t *testing.T) {
-	run(t, 1, func(c *mpi.Comm) error {
-		cfg := Config{SegmentSize: 64, NumSegments: 4, PrefetchSegments: 4, MaxCachedSegments: 2}
-		f, err := Open(c, "pf-clamp", WriteMode, cfg)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if f.cfg.MaxCachedSegments != 4 {
-			return fmt.Errorf("MaxCachedSegments = %d, want clamped to 4", f.cfg.MaxCachedSegments)
-		}
-		return nil
 	})
 }

@@ -3,10 +3,16 @@ package tcio
 // The read-prefetch pipeline: when Fetch walks forward-consecutive
 // segments in demand-populate mode, the upcoming segment reads are issued
 // on a background lane through the storage layer's detached-start path and
-// staged in a small LRU cache, so the file system time of segment k+1
+// staged in a map keyed by segment, so the file system time of segment k+1
 // hides behind the window traffic of segment k. Only segments the batch
 // already demands are read — never speculative ones — and they are issued
 // in the same per-rank order the demand loop would use.
+//
+// The map is the in-flight lookahead, not a cache: step i of a batch stages
+// only positions i+1..i+PrefetchSegments, and the fetch loop takes or drops
+// every staged segment when it reaches it, so the map never holds more than
+// PrefetchSegments entries and is empty when the batch ends. Nothing is
+// ever evicted, and there is no capacity to configure.
 //
 // Determinism caveat: when ranks' demand sets are disjoint (each rank
 // reads its own region — the case the bench and the CI two-run diff
@@ -38,12 +44,9 @@ type prefetchEntry struct {
 
 // maybePrefetch looks ahead from position i of the fetch batch and issues
 // background reads for up to PrefetchSegments forward-consecutive
-// segments. A break in the sequence stops the lookahead — the pipeline
-// only feeds genuinely sequential access.
+// segments (none when prefetch is off). A break in the sequence stops the
+// lookahead — the pipeline only feeds genuinely sequential access.
 func (f *File) maybePrefetch(batch []segGroup, i int) error {
-	if f.prefetched == nil {
-		return nil
-	}
 	prev := batch[i].seg
 	for j := i + 1; j < len(batch) && j <= i+f.cfg.PrefetchSegments; j++ {
 		seg := batch[j].seg
@@ -65,8 +68,8 @@ func (f *File) maybePrefetch(batch []segGroup, i int) error {
 }
 
 // prefetchSegment starts one whole-segment read on the background lane and
-// stages the bytes in the cache. The request is byte-for-byte the one
-// populate would issue for this segment, from this rank, in this order.
+// stages the bytes. The request is byte-for-byte the one populate would
+// issue for this segment, from this rank, in this order.
 func (f *File) prefetchSegment(seg int64) error {
 	base := f.layout.SegStart(seg)
 	n := f.segSize
@@ -77,7 +80,7 @@ func (f *File) prefetchSegment(seg int64) error {
 		return nil
 	}
 	// Plain staging memory, like populate's scratch buffer: outside the
-	// simulated-memory accountant so the cache cannot shift the per-rank
+	// simulated-memory accountant so the staging cannot shift the per-rank
 	// allocation fault stream.
 	buf := make([]byte, n)
 	start := simtime.Max(f.c.Now(), f.pfLaneFree)
@@ -88,65 +91,22 @@ func (f *File) prefetchSegment(seg int64) error {
 		return err
 	}
 	f.pfLaneFree = end
-	f.insertPrefetched(seg, &prefetchEntry{data: buf, ready: end})
+	f.prefetched[seg] = &prefetchEntry{data: buf, ready: end}
 	f.stats.PrefetchIssued++
 	return nil
 }
 
-// insertPrefetched stages one segment, evicting least-recently-used
-// entries past the cache cap. When nothing is evictable (every cached
-// segment still has undrained dirty runs) the new entry is dropped rather
-// than evicting dirty state; the drop wastes the read that staged it.
-func (f *File) insertPrefetched(seg int64, e *prefetchEntry) {
-	for len(f.prefetchLRU) >= f.cfg.MaxCachedSegments {
-		if !f.evictPrefetched() {
-			f.stats.PrefetchWasted++
-			return
-		}
-	}
-	f.prefetched[seg] = e
-	f.prefetchLRU = append(f.prefetchLRU, seg)
-}
-
-// evictPrefetched drops the least-recently-used entry whose segment has no
-// undrained dirty runs; it reports false when every entry is dirty. An
-// evicted entry was never consumed (takePrefetched removes consumed ones),
-// so its background read is counted wasted.
-func (f *File) evictPrefetched() bool {
-	for i, seg := range f.prefetchLRU {
-		if f.meta.hasDirty(seg) {
-			continue
-		}
-		delete(f.prefetched, seg)
-		f.prefetchLRU = append(f.prefetchLRU[:i], f.prefetchLRU[i+1:]...)
-		f.stats.PrefetchWasted++
-		return true
-	}
-	return false
-}
-
-// takePrefetched removes and returns the staged entry for seg, if any.
+// takePrefetched removes and returns the staged entry for seg, if any (never
+// one with prefetch off: the map is nil).
 func (f *File) takePrefetched(seg int64) (*prefetchEntry, bool) {
 	e, ok := f.prefetched[seg]
-	if !ok {
-		return nil, false
-	}
 	delete(f.prefetched, seg)
-	for i, s := range f.prefetchLRU {
-		if s == seg {
-			f.prefetchLRU = append(f.prefetchLRU[:i], f.prefetchLRU[i+1:]...)
-			break
-		}
-	}
-	return e, true
+	return e, ok
 }
 
 // dropWastedPrefetch discards a staged segment another rank populated
 // first — the read was real, the staging no longer needed.
 func (f *File) dropWastedPrefetch(seg int64) {
-	if f.prefetched == nil {
-		return
-	}
 	if _, ok := f.takePrefetched(seg); ok {
 		f.stats.PrefetchWasted++
 	}

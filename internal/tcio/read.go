@@ -137,48 +137,54 @@ func (f *File) fetchIndependent() error {
 	// Phase 1: make sure every needed segment is populated (only possible
 	// in demand mode; the default preloads at Open). Population needs the
 	// owner's exclusive lock. With prefetch armed, each step serves the
-	// current segment (from the cache when it was staged in time), then
+	// current segment (from its staged read when one was issued), then
 	// pushes the background lane ahead over the batch's forward-consecutive
 	// successors — after the current segment's read, so the rank's file
 	// system request order is exactly the demand loop's. With the sieve
 	// armed, only the runs the queued reads need are staged (sieve.go)
 	// instead of the whole segment; a staged prefetch still wins — its
 	// whole-segment read already happened, so sieving after it would only
-	// re-read bytes the cache holds.
-	for i, g := range groups {
-		seg := g.seg
-		if f.meta.isPopulated(seg) {
-			f.dropWastedPrefetch(seg)
-			continue
-		}
-		owner, slot := f.segmentOwner(seg)
-		if err := f.win.Lock(owner, true); err != nil {
-			return err
-		}
-		if !f.meta.isPopulated(seg) {
-			var perr error
-			if e, ok := f.takePrefetched(seg); ok {
-				perr = f.populateFromCache(seg, owner, slot, e)
-			} else if f.sieveArmed() {
-				perr = f.sievePopulate(seg, owner, slot, segmentRuns(g.reqs, f.segSize))
-			} else {
-				perr = f.populate(seg, owner, slot)
-			}
-			if perr == nil {
-				perr = f.maybePrefetch(groups, i)
-			}
-			if perr != nil {
-				f.win.Unlock(owner)
-				return perr
-			}
-		} else {
-			f.dropWastedPrefetch(seg)
-		}
-		if err := f.win.Unlock(owner); err != nil {
+	// re-read bytes the staging holds.
+	for i := range groups {
+		if err := f.ensurePopulated(groups, i); err != nil {
 			return err
 		}
 	}
 	return f.fetchGets(groups)
+}
+
+// ensurePopulated is one step of fetchIndependent's phase 1: make sure the
+// batch's i-th segment is populated, then push the lookahead past it.
+func (f *File) ensurePopulated(groups []segGroup, i int) error {
+	seg := groups[i].seg
+	if f.meta.isPopulated(seg) {
+		f.dropWastedPrefetch(seg)
+		return nil
+	}
+	owner, slot := f.segmentOwner(seg)
+	if err := f.win.Lock(owner, true); err != nil {
+		return err
+	}
+	if !f.meta.isPopulated(seg) {
+		var perr error
+		if e, ok := f.takePrefetched(seg); ok {
+			perr = f.populateFromCache(seg, owner, slot, e)
+		} else if f.sieveArmed() {
+			perr = f.sievePopulate(seg, owner, slot, segmentRuns(groups[i].reqs, f.segSize))
+		} else {
+			perr = f.populate(seg, owner, slot)
+		}
+		if perr == nil {
+			perr = f.maybePrefetch(groups, i)
+		}
+		if perr != nil {
+			f.win.Unlock(owner)
+			return perr
+		}
+	} else {
+		f.dropWastedPrefetch(seg)
+	}
+	return f.win.Unlock(owner)
 }
 
 // fetchScratch is a handle's scratch for the fetch hot path, reused across

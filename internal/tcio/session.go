@@ -25,7 +25,7 @@ import (
 
 // session is the per-file engine state of one open TCIO file on one rank.
 // Two sessions on the same rank share nothing but the communicator: their
-// windows, drain lanes, prefetch caches, and stats ledgers are fully
+// windows, drain lanes, prefetch staging, and stats ledgers are fully
 // independent, so interleaving I/O on concurrently open files cannot
 // cross-contaminate counters or staged data.
 type session struct {
@@ -107,11 +107,10 @@ type session struct {
 	winReserved int64
 	jArena      []byte
 
-	// Prefetch lane (PrefetchSegments > 0): segment staging buffers read
-	// ahead of demand, keyed by global segment, in LRU insertion order.
-	prefetched  map[int64]*prefetchEntry
-	prefetchLRU []int64
-	pfLaneFree  simtime.Time
+	// Prefetch lane (PrefetchSegments > 0): the in-flight lookahead, segment
+	// reads staged ahead of demand and keyed by global segment (prefetch.go).
+	prefetched map[int64]*prefetchEntry
+	pfLaneFree simtime.Time
 
 	// Lazy read queue. pendingSeg is the most recent segment touched;
 	// pendingDistinct counts the segment switches in the queue — reads
@@ -240,12 +239,8 @@ func newSession(c *mpi.Comm, name string, mode Mode, cfg Config) (session, error
 		s.jw = wal.NewWriter(wstore, c.Rank())
 		s.nonResident = make(map[int64]bool)
 		s.spillRefs = make(map[int64][]extent.Extent)
-		if cfg.SegmentMemoryBudget > 0 {
-			s.budgetSegs = int(cfg.SegmentMemoryBudget / cfg.SegmentSize)
-			if s.budgetSegs < 1 {
-				s.budgetSegs = 1
-			}
-		}
+		// Normalize floored the budget at one segment; 0 stays "no budget".
+		s.budgetSegs = int(cfg.SegmentMemoryBudget / cfg.SegmentSize)
 	}
 	if cfg.EmulateTwoSided {
 		win.SetClass(netsim.TwoSided)
@@ -257,7 +252,7 @@ func newSession(c *mpi.Comm, name string, mode Mode, cfg Config) (session, error
 	// path is today's, bit for bit.
 	s.aggEnabled = cfg.NodeAggregation && c.Machine().CoresPerNode > 1 && c.Size() > 1
 	if cfg.PrefetchSegments > 0 {
-		// Plain staging memory, like populate's: the cache is transient
+		// Plain staging memory, like populate's: the lookahead is transient
 		// library scratch, deliberately outside the simulated-memory
 		// accountant so arming prefetch cannot shift the per-rank
 		// allocation fault stream (see DESIGN.md §2b).

@@ -36,11 +36,11 @@ type Stats struct {
 
 	// Read prefetch (Config.PrefetchSegments > 0).
 	PrefetchIssued int64 // segment reads started on the background lane
-	PrefetchHits   int64 // populations served from the prefetch cache
+	PrefetchHits   int64 // populations served from a staged segment
 	// PrefetchWasted counts staged segments never consumed: another rank
-	// populated the segment first, or the entry was evicted or dropped
-	// before its Fetch step arrived. Each is a real file system read the
-	// demand path would not have issued (see DESIGN.md §2b).
+	// populated the segment before this rank's Fetch step reached it. Each
+	// is a real file system read the demand path would not have issued (see
+	// DESIGN.md §2b).
 	PrefetchWasted int64
 
 	// Noncontiguous read engine (Config.SieveBuffer / CollectiveRead).

@@ -102,13 +102,17 @@ type Config struct {
 	// through one lock epoch per owner). A switch is a read landing in
 	// another segment than the read before it, so forward reads count their
 	// distinct segments, while reads alternating between two segments count
-	// one switch each. 0 means 64.
+	// one switch each. 0 means 64. Oracle-driven: no sweep moves it; the
+	// conformance generator draws 1 and 2 so small programs reach the
+	// implicit fetch a default-sized queue never overflows into.
 	FetchBatch int
 	// PipelineDepth bounds the number of put epochs a writer keeps open
 	// concurrently. Each level-1 flush leaves its epoch open so transfers
 	// overlap; beyond the depth the oldest epoch is closed (waiting for
 	// its transfer). This models a bounded NIC queue: TCIO paces its
 	// traffic instead of bursting like the two-phase exchange. 0 means 8.
+	// Oracle-driven: the conformance generator draws 1 and 2 to reach the
+	// epoch eviction a program with fewer than eight owners never triggers.
 	PipelineDepth int
 	// WriteBehindThreshold arms the eager background drain: once the
 	// not-yet-drained runs of a level-2 segment cover at least this
@@ -122,7 +126,8 @@ type Config struct {
 	// queue; enqueueing past the bound waits for the earliest in-flight
 	// batch (backpressure). 0 means 32, roughly a block layer's request
 	// queue; small values throttle the application whenever the OSTs run
-	// behind.
+	// behind. Oracle-driven: the conformance generator draws 1 and 2 to
+	// reach the backpressure wait 32 slots never fill in a small program.
 	WriteBehindQueue int
 	// Journal arms the crash-consistency tier in write mode: every Flush
 	// and Close appends the epoch's not-yet-journaled dirty runs to a
@@ -143,7 +148,7 @@ type Config struct {
 	// needs them, so datasets larger than memory complete where a purely
 	// in-memory collective buffer would exhaust its share. A non-zero
 	// budget implies Journal (the spill tier is meaningless without the
-	// epoch log) and shrinks PrefetchSegments/MaxCachedSegments to fit.
+	// epoch log) and shrinks PrefetchSegments to fit.
 	// 0 disables the budget (the default).
 	SegmentMemoryBudget int64
 	// PrefetchSegments makes the demand-populate read path look ahead:
@@ -157,12 +162,6 @@ type Config struct {
 	// path would not have issued — see Stats.PrefetchWasted and DESIGN.md
 	// §2b. 0 disables prefetch (the default).
 	PrefetchSegments int
-	// MaxCachedSegments caps the prefetch cache (LRU). Eviction refuses
-	// segments with undrained dirty runs. 0 means PrefetchSegments; values
-	// below PrefetchSegments are raised to it — a smaller cache would
-	// evict the very segments the lookahead just staged, turning every
-	// prefetch into a wasted duplicate read.
-	MaxCachedSegments int
 	// SieveBuffer arms data sieving on the demand-populate read path: with
 	// DemandPopulate set, Fetch stages only the runs the queued reads
 	// actually need instead of whole level-2 segments, grouping nearby runs
