@@ -3,7 +3,9 @@ package delegate
 // The server-side hot-block cache: an LRU of whole domain-block buffers,
 // keyed by (file name, block), shared across every handle a server holds.
 // A hit serves a repeat or cross-client read from server memory; a miss
-// fills the whole block through the file system and caches it. Coherence
+// fills the block's whole line through the file system (server.fillLine)
+// and caches every block of it, each with the instant its bytes arrive.
+// Coherence
 // is the server's job, not the cache's: blocks with staged-but-undrained
 // writes are bypassed (the dirty counters in server.go), and closeEpoch
 // writes drained runs through into live entries, so a read after a flush
@@ -14,7 +16,11 @@ package delegate
 // may still be serving replies out of it — the caller recycles once no
 // reference remains.
 
-import "container/list"
+import (
+	"container/list"
+
+	"github.com/tcio/tcio/internal/simtime"
+)
 
 // blockKey names one domain block of one file.
 type blockKey struct {
@@ -22,9 +28,13 @@ type blockKey struct {
 	blk  int64
 }
 
+// cacheEntry is one resident block. ready is the instant its fill completes:
+// the bytes exist on the host as soon as the fill is posted, but a server
+// that serves them earlier in virtual time must first advance to ready.
 type cacheEntry struct {
-	key blockKey
-	buf []byte
+	key   blockKey
+	buf   []byte
+	ready simtime.Time
 }
 
 // blockCache is an LRU over domain-block buffers. Zero capacity means
@@ -43,15 +53,15 @@ func newBlockCache(capacity int) *blockCache {
 	}
 }
 
-// get returns the cached buffer for key and promotes it to most recently
+// get returns the entry cached for key and promotes it to most recently
 // used.
-func (c *blockCache) get(key blockKey) ([]byte, bool) {
+func (c *blockCache) get(key blockKey) (*cacheEntry, bool) {
 	el, ok := c.entries[key]
 	if !ok {
 		return nil, false
 	}
 	c.order.MoveToFront(el)
-	return el.Value.(*cacheEntry).buf, true
+	return el.Value.(*cacheEntry), true
 }
 
 // peek returns the cached buffer without touching recency — the
@@ -65,20 +75,20 @@ func (c *blockCache) peek(key blockKey) ([]byte, bool) {
 	return el.Value.(*cacheEntry).buf, true
 }
 
-// put inserts buf for key as most recently used and returns any displaced
-// buffer — the LRU victim when the cache is over capacity, or the key's
-// previous buffer on replacement — for the caller to recycle once it
-// holds no other reference. evicted reports whether the displacement was
-// a capacity eviction (replacements are not).
-func (c *blockCache) put(key blockKey, buf []byte) (displaced []byte, evicted bool) {
+// put inserts buf, whose bytes arrive at ready, for key as most recently
+// used and returns any displaced buffer — the LRU victim when the cache is
+// over capacity, or the key's previous buffer on replacement — for the
+// caller to recycle once it holds no other reference. evicted reports
+// whether the displacement was a capacity eviction (replacements are not).
+func (c *blockCache) put(key blockKey, buf []byte, ready simtime.Time) (displaced []byte, evicted bool) {
 	if el, ok := c.entries[key]; ok {
 		ent := el.Value.(*cacheEntry)
 		old := ent.buf
-		ent.buf = buf
+		ent.buf, ent.ready = buf, ready
 		c.order.MoveToFront(el)
 		return old, false
 	}
-	c.entries[key] = c.order.PushFront(&cacheEntry{key: key, buf: buf})
+	c.entries[key] = c.order.PushFront(&cacheEntry{key: key, buf: buf, ready: ready})
 	if c.order.Len() <= c.cap {
 		return nil, false
 	}

@@ -5,6 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -28,9 +31,14 @@ type readRunOpts struct {
 	rounds     int   // read passes over the pattern (0 = 1)
 	fileBlocks int64 // file size in domain blocks
 	shared     bool  // true: every client reads every block; false: block-disjoint slices
-	inject     *faults.Injector
-	retry      *faults.RetryPolicy
-	trace      *trace.Recorder
+	// orderSeed, when nonzero, seeds the host order requests reach the
+	// servers in: each client reads its blocks in its own shuffled order
+	// behind Gosched jitter, and the clients' first reads go out one at a
+	// time in a shuffled order. Virtual time never sees any of it.
+	orderSeed int64
+	inject    *faults.Injector
+	retry     *faults.RetryPolicy
+	trace     *trace.Recorder
 }
 
 // readRunOut is one readWorkload execution's observables.
@@ -45,9 +53,9 @@ type readRunOut struct {
 // readWorkload writes a file through the tier (fault-free writes), then
 // runs `rounds` read passes with the configured read engine and verifies
 // every byte. Reads are block-aligned: with shared=false client i reads
-// exactly the blocks ≡ i (mod clients), so per-client fill identities
-// never race; with shared=true every client reads every block — the
-// cross-client overlap case. A read error in non-collective mode is
+// exactly the blocks ≡ i (mod clients), so the disarmed tier's per-client
+// request identities never race; with shared=true every client reads every
+// block — the cross-client overlap case. A read error in non-collective mode is
 // recorded (not fatal) so the world shuts down cleanly and the test can
 // assert on the error's type.
 func readWorkload(t *testing.T, o readRunOpts) readRunOut {
@@ -79,6 +87,18 @@ func readWorkload(t *testing.T, o readRunOpts) readRunOut {
 	out := readRunOut{stats: make([]Stats, o.procs)}
 	readErrs := make([]error, o.procs)
 	fileBytes := o.fileBlocks * o.domain
+	clients := o.procs - o.servers
+	// turns[i] opens when the client in start position i may send its first
+	// read; it opens turns[i+1] once that read has been answered.
+	turns := make([]chan struct{}, clients+1)
+	for i := range turns {
+		turns[i] = make(chan struct{})
+	}
+	close(turns[0])
+	startPos := make([]int, clients)
+	if o.orderSeed != 0 {
+		startPos = rand.New(rand.NewSource(o.orderSeed)).Perm(clients)
+	}
 	rep, err := mpi.Run(mpi.Config{Procs: o.procs, Machine: m, FS: fs, Faults: o.inject}, func(c *mpi.Comm) error {
 		return Run(c, cfg, func(tr *Tier) error {
 			w, err := tr.Open("rd", tcio.WriteMode)
@@ -126,14 +146,35 @@ func readWorkload(t *testing.T, o readRunOpts) readRunOut {
 				}
 				return nil
 			}
+			var blks []int64
+			for blk := int64(0); blk < o.fileBlocks; blk++ {
+				if o.shared || blk%int64(tr.NumClients()) == int64(tr.ClientIndex()) {
+					blks = append(blks, blk)
+				}
+			}
+			rng := rand.New(rand.NewSource(o.orderSeed*131 + int64(tr.ClientIndex())))
+			myTurn := startPos[tr.ClientIndex()]
 			for round := 0; round < o.rounds; round++ {
+				if o.orderSeed != 0 {
+					rng.Shuffle(len(blks), func(i, j int) { blks[i], blks[j] = blks[j], blks[i] })
+				}
 				var pieces []piece
-				for blk := int64(0); blk < o.fileBlocks; blk++ {
-					if !o.shared && blk%int64(tr.NumClients()) != int64(tr.ClientIndex()) {
-						continue
+				for i, blk := range blks {
+					first := o.orderSeed != 0 && round == 0 && i == 0
+					if first {
+						<-turns[myTurn]
+					}
+					if o.orderSeed != 0 {
+						for range rng.Intn(8) {
+							runtime.Gosched()
+						}
 					}
 					p := piece{off: blk * o.domain, dst: make([]byte, o.domain)}
-					if err := r.ReadAt(p.off, p.dst); err != nil {
+					err := r.ReadAt(p.off, p.dst)
+					if first {
+						close(turns[myTurn+1])
+					}
+					if err != nil {
 						return fail(err)
 					}
 					if !o.collective {
@@ -357,7 +398,7 @@ func TestDelegateCacheCoherence(t *testing.T) {
 	if s.ReadReqs != 4 || s.CacheHits+s.CacheMisses != s.ReadReqs {
 		t.Fatalf("hits+misses != reads served: %+v", s)
 	}
-	// One whole-block fill plus one dirty-bypass per-request read.
+	// One line fill (the file is a single block) plus one dirty-bypass per-request read.
 	if s.FSReads != 2 {
 		t.Fatalf("fs reads = %d, want 2 (one fill, one dirty bypass)", s.FSReads)
 	}
@@ -387,8 +428,10 @@ func TestDelegateCacheHotReread(t *testing.T) {
 	if hotReads != blocks {
 		t.Fatalf("hot cache issued %d fs reads, want one fill per block (%d)", hotReads, blocks)
 	}
-	if misses != blocks || hits != served-blocks {
-		t.Fatalf("hits=%d misses=%d for %d served reads", hits, misses, int64(served))
+	// A miss fills its whole line: blocks 0-3 and 4-5 are two lines.
+	const lines = (blocks + lineBlocks - 1) / lineBlocks
+	if misses != lines || hits != served-lines {
+		t.Fatalf("hits=%d misses=%d for %d served reads, want %d misses", hits, misses, int64(served), lines)
 	}
 	if !bytes.Equal(cold.img, hot.img) {
 		t.Fatal("cache changed file bytes")
@@ -442,8 +485,8 @@ func TestDelegateCollectiveRead(t *testing.T) {
 // TestDelegateReadChaos is the read-path chaos suite: with OST read
 // faults armed, fault and retry counts must be seed-deterministic across
 // runs with the cache disarmed, armed, under DRR, and in collective mode.
-// Non-shared patterns are block-disjoint per client and the cache never
-// evicts, so fill identities cannot race.
+// Cache fills carry the server's identity and the cache never evicts, so
+// no count depends on which client's request arrived first.
 func TestDelegateReadChaos(t *testing.T) {
 	const blocks = 12
 	cases := []struct {
@@ -494,11 +537,54 @@ func TestDelegateReadChaos(t *testing.T) {
 	}
 }
 
+// TestFillArrivalOrderIndependent: every client reads every block, so which
+// client's request reaches a server first for a block is up to the host.
+// Under seeded arrival orders and GOMAXPROCS 1, 2 and 8, with OST read
+// faults armed, each server's file system reads, hits, misses and absorbed
+// retries and the injected-fault total must not move: what is fetched, and
+// under which fault-roll identity, is a function of the blocks the program
+// touches. A fill issued under the first requester's identity fails this.
+func TestFillArrivalOrderIndependent(t *testing.T) {
+	const orders = 6
+	type counts struct{ fsReads, hits, misses, retries int64 }
+	run := func(seed int64) ([]counts, int64) {
+		inj := faults.New(1234)
+		inj.Set(faults.SiteOSTRead, faults.Rule{Prob: 0.25})
+		out := readWorkload(t, readRunOpts{
+			procs: 6, servers: 2, fileBlocks: 16, cacheBlks: 16, rounds: 2,
+			shared: true, inject: inj, orderSeed: seed,
+		})
+		if out.readErr != nil {
+			t.Fatalf("order seed %d: %v", seed, out.readErr)
+		}
+		var got []counts
+		for _, s := range out.servers {
+			got = append(got, counts{s.FSReads, s.CacheHits, s.CacheMisses, s.Retries})
+		}
+		return got, inj.Injected(faults.SiteOSTRead)
+	}
+	want, wantInjected := run(1)
+	if wantInjected == 0 {
+		t.Fatal("chaos run injected nothing")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		for seed := int64(1); seed <= orders; seed++ {
+			got, injected := run(seed)
+			if !slices.Equal(got, want) || injected != wantInjected {
+				t.Fatalf("GOMAXPROCS %d, order seed %d: per-server {fsReads hits misses retries} %v, %d injected; order seed 1 gave %v, %d",
+					procs, seed, got, injected, want, wantInjected)
+			}
+		}
+	}
+}
+
 // TestDelegateReadExhaustedTyped pins the typed error path: with a
 // zero-retry budget and a certain read fault, the client must surface
 // faults.ErrExhaustedRetries through errors.Is — across the wire, where
 // only the reply's code field can carry the class. Both the per-request
-// path (cache disarmed) and the whole-block fill path (cache armed) must
+// path (cache disarmed) and the line fill path (cache armed) must
 // round-trip it.
 func TestDelegateReadExhaustedTyped(t *testing.T) {
 	for _, cacheBlks := range []int{0, 4} {

@@ -128,10 +128,11 @@ func (s *server) closeReadEpoch(h *handleFile) error {
 		s.stats.CollectiveBlocks++
 		key := blockKey{name: h.name, blk: blk}
 		if s.cache != nil && s.dirty[key] == 0 {
-			if buf, ok := s.cache.get(key); ok {
+			if ent, ok := s.cache.get(key); ok {
+				s.c.AdvanceTo(ent.ready)
 				s.stats.CacheHits++
 				s.traceCacheServe(ds, blk)
-				blkBuf[blk] = buf
+				blkBuf[blk] = ent.buf
 				continue
 			}
 		}
@@ -158,9 +159,7 @@ func (s *server) closeReadEpoch(h *handleFile) error {
 		} else {
 			res, err := h.drain.ReadExtents("delegate-colread", trace.KindFetch, reqs)
 			fillErr = err
-			s.stats.FSReads += res.Requests
-			s.stats.FSBytes += res.Bytes
-			s.stats.Retries += res.Retries
+			s.count(res)
 		}
 	}
 	s.stats.ReadEpochs++
@@ -207,12 +206,8 @@ func (s *server) closeReadEpoch(h *handleFile) error {
 		buf := blkBuf[blk]
 		key := blockKey{name: h.name, blk: blk}
 		if s.cache != nil && fillErr == nil && s.dirty[key] == 0 {
-			if displaced, evicted := s.cache.put(key, buf); displaced != nil {
-				s.c.Recycle(displaced)
-				if evicted {
-					s.stats.CacheEvictions++
-				}
-			}
+			// The server already stands at the batch's end: nothing in flight.
+			s.admit(key, buf, s.c.Now())
 			continue
 		}
 		s.c.Recycle(buf)

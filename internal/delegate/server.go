@@ -20,6 +20,7 @@ import (
 	"github.com/tcio/tcio/internal/mpi"
 	"github.com/tcio/tcio/internal/mutate"
 	"github.com/tcio/tcio/internal/pfs"
+	"github.com/tcio/tcio/internal/simtime"
 	"github.com/tcio/tcio/internal/storage"
 	"github.com/tcio/tcio/internal/tcio"
 	"github.com/tcio/tcio/internal/trace"
@@ -91,10 +92,11 @@ type handleFile struct {
 	refs  int // clients currently holding the handle open
 	pf    *pfs.File
 	drain *storage.Client
-	// readers holds one storage client per reading client rank,
-	// impersonating that rank so the parallel file system's readahead
-	// window and the fault injector's identity keys see the same
-	// per-client streams they would without delegation.
+	// readers holds one storage client per reading client rank for the
+	// bypass reads (cache disarmed, or a dirty block): each impersonates its
+	// rank, so the parallel file system's readahead window and the fault
+	// injector's identity keys see the per-client streams they would
+	// without delegation. Cache fills are the server's own and use drain.
 	readers map[int]*storage.Client
 	// staged holds the epoch's write requests, unreleased: epochs apply in
 	// (client, seq) order, so no record can be copied out before closeEpoch.
@@ -137,9 +139,8 @@ type server struct {
 	sched *drrSched
 }
 
-// serve runs the delegation request loop on a server rank until every
-// client has shut down, then deposits the rank's counters in Collect.
-func serve(c *mpi.Comm, cfg Config, serverRanks []int) error {
+// newServer builds the server state of rank c among serverRanks.
+func newServer(c *mpi.Comm, cfg Config, serverRanks []int) *server {
 	srv := &server{
 		c:       c,
 		cfg:     cfg,
@@ -158,6 +159,13 @@ func serve(c *mpi.Comm, cfg Config, serverRanks []int) error {
 	if cfg.ReadQuantum > 0 {
 		srv.sched = newDRR(cfg.ReadQuantum)
 	}
+	return srv
+}
+
+// serve runs the delegation request loop on a server rank until every
+// client has shut down, then deposits the rank's counters in Collect.
+func serve(c *mpi.Comm, cfg Config, serverRanks []int) error {
+	srv := newServer(c, cfg, serverRanks)
 	err := srv.loop()
 	if cfg.Collect != nil {
 		srv.stats.Rank = c.Rank()
@@ -300,9 +308,9 @@ func (s *server) write(req mpi.RPCRequest) error {
 }
 
 // reader returns (creating on first use) the storage client that
-// impersonates the requesting rank for h, so the parallel file system's
-// readahead window and the fault injector's identity keys see the same
-// per-client streams they would without delegation.
+// impersonates the requesting rank for h's bypass reads, which keep the
+// undelegated request identity. Nothing that enters the cache goes through
+// it: which client's request arrives first is the host's doing.
 func (s *server) reader(h *handleFile, client int) *storage.Client {
 	rd := h.readers[client]
 	if rd == nil {
@@ -334,12 +342,17 @@ func (s *server) traceCacheServe(bytes, blk int64) {
 	})
 }
 
+// lineBlocks is the fill line: a cache miss fetches the missed block's
+// aligned group of this many of the server's own domain blocks. A constant
+// beside domainSize's 4, not a knob (DESIGN.md §2e).
+const lineBlocks = 4
+
 // read serves one OpRead. Requests are split at domain-block boundaries
 // by the client, so each lies within a single block. With the cache
-// armed, a clean cached block serves from memory; a clean uncached block
-// fills whole through the requesting client's reader and is cached; a
-// dirty block (staged-but-undrained writes) bypasses the cache with a
-// per-request read, exactly the disarmed tier's shape.
+// armed, a clean block is served from its entry once the entry's bytes have
+// arrived — a miss first posts the block's fill line; a dirty block
+// (staged-but-undrained writes) bypasses the cache with a per-request
+// read, exactly the disarmed tier's shape.
 func (s *server) read(req *mpi.RPCRequest) error {
 	h, err := s.lookup(req)
 	if err != nil {
@@ -348,70 +361,114 @@ func (s *server) read(req *mpi.RPCRequest) error {
 	s.stats.ReadReqs++
 	ds := s.cfg.domainSize()
 	key := blockKey{name: h.name, blk: req.Off / ds}
+	rep := &mpi.RPCReply{Seq: req.Seq}
 	if s.cache != nil && s.dirty[key] == 0 {
-		if cbuf, ok := s.cache.get(key); ok {
-			s.stats.CacheHits++
-			s.traceCacheServe(req.Len, key.blk)
-			rel := req.Off - key.blk*ds
+		ent, hit := s.cache.get(key)
+		if !hit {
+			s.stats.CacheMisses++
+			ent, err = s.fillLine(h, key)
+		}
+		if err == nil {
+			// A hit on a block still in flight waits for its bytes; one
+			// after they arrived waits for nothing.
+			s.c.AdvanceTo(ent.ready)
+			if hit {
+				s.stats.CacheHits++
+				s.traceCacheServe(req.Len, key.blk)
+			}
 			// SendReply copies synchronously into its wire staging, so
 			// serving a slice of the live entry is safe and zero-copy.
-			return s.c.SendReply(req.Client, tagReply, &mpi.RPCReply{
-				OK: true, Seq: req.Seq, Data: cbuf[rel : rel+req.Len],
-			})
+			rel := req.Off - key.blk*ds
+			rep.OK, rep.Data = true, ent.buf[rel:rel+req.Len]
 		}
-		s.stats.CacheMisses++
-		buf := s.c.GetBuf(int(ds))
+	} else {
+		if s.cache != nil {
+			// Dirty block: served, but never from or into the cache.
+			s.stats.CacheMisses++
+		}
+		buf := s.c.GetBuf(int(req.Len))
+		defer s.c.Recycle(buf)
 		var res storage.Result
-		if mutate.Enabled(mutate.DelegateCacheStaleServe) {
-			// Planted bug: "fill" the block without reading the file
-			// system, so this reply and every later hit serve zeros.
-			for i := range buf {
-				buf[i] = 0
-			}
-		} else {
-			res, err = s.reader(h, req.Client).ReadExtents("delegate-fill", trace.KindFetch, []storage.Request{
-				{Off: key.blk * ds, Data: buf, Tag: fmt.Sprintf("c%d", req.Client)},
-			})
-		}
-		s.stats.FSReads += res.Requests
-		s.stats.FSBytes += res.Bytes
-		s.stats.Retries += res.Retries
-		if err != nil {
-			s.c.Recycle(buf)
-			return s.c.SendReply(req.Client, tagReply, &mpi.RPCReply{
-				Code: errCode(err), Err: err.Error(), Seq: req.Seq,
-			})
-		}
-		rel := req.Off - key.blk*ds
-		sendErr := s.c.SendReply(req.Client, tagReply, &mpi.RPCReply{
-			OK: true, Seq: req.Seq, Data: buf[rel : rel+req.Len],
+		res, err = s.reader(h, req.Client).ReadExtents("delegate-read", trace.KindFetch, []storage.Request{
+			{Off: req.Off, Data: buf, Tag: fmt.Sprintf("c%d", req.Client)},
 		})
-		if displaced, evicted := s.cache.put(key, buf); displaced != nil {
-			s.c.Recycle(displaced)
-			if evicted {
-				s.stats.CacheEvictions++
-			}
-		}
-		return sendErr
+		s.count(res)
+		rep.OK, rep.Data = err == nil, buf
 	}
-	if s.cache != nil {
-		// Dirty block: served, but never from or into the cache.
-		s.stats.CacheMisses++
-	}
-	buf := s.c.GetBuf(int(req.Len))
-	res, err := s.reader(h, req.Client).ReadExtents("delegate-read", trace.KindFetch, []storage.Request{
-		{Off: req.Off, Data: buf, Tag: fmt.Sprintf("c%d", req.Client)},
-	})
-	s.stats.FSReads += res.Requests
-	s.stats.FSBytes += res.Bytes
-	s.stats.Retries += res.Retries
-	rep := &mpi.RPCReply{OK: err == nil, Seq: req.Seq, Data: buf}
 	if err != nil {
 		rep.Code, rep.Err, rep.Data = errCode(err), err.Error(), nil
 	}
-	sendErr := s.c.SendReply(req.Client, tagReply, rep)
-	s.c.Recycle(buf)
-	return sendErr
+	return s.c.SendReply(req.Client, tagReply, rep)
+}
+
+// fillLine serves a miss on key critical block first: key's block, then the
+// other clean, non-resident, in-file blocks of its line, as many as the
+// cache holds, go to the file system as one posted batch departing now, on
+// the server's own client — the set fetched and every fault-roll key are a
+// function of the blocks touched, not of whose request arrived first. Each
+// block is cached with its own completion and the clock is left alone: the
+// caller waits for key's block only. A request that exhausts its retries
+// fails itself (and leaves the rest of the line unissued); the error is the
+// caller's only when it is key's.
+func (s *server) fillLine(h *handleFile, key blockKey) (*cacheEntry, error) {
+	ds, n, size := s.cfg.domainSize(), int64(s.nservers), h.pf.Size()
+	fill := func(blk int64) storage.Request {
+		return storage.Request{Off: blk * ds, Data: s.c.GetBuf(int(ds)), Tag: fmt.Sprintf("blk=%d", blk)}
+	}
+	reqs := []storage.Request{fill(key.blk)}
+	first := key.blk - (key.blk/n%lineBlocks)*n
+	for blk := first; blk < first+lineBlocks*n && len(reqs) < min(lineBlocks, s.cache.cap); blk += n {
+		k := blockKey{name: h.name, blk: blk}
+		if _, resident := s.cache.peek(k); blk != key.blk && !resident && s.dirty[k] == 0 && blk*ds < size {
+			reqs = append(reqs, fill(blk))
+		}
+	}
+	filled := len(reqs)
+	var done [lineBlocks]simtime.Time
+	var err error
+	if mutate.Enabled(mutate.DelegateCacheStaleServe) {
+		// Planted bug: "fill" the line without reading the file system, so
+		// this reply and every later hit serve zeros.
+		for _, r := range reqs {
+			clear(r.Data)
+		}
+	} else {
+		var res storage.Result
+		res, err = h.drain.ReadExtentsEach("delegate-fill", trace.KindFetch, reqs, s.c.Now(), done[:len(reqs)])
+		s.count(res)
+		filled = int(res.Requests)
+	}
+	for i, r := range reqs {
+		if i < filled {
+			s.admit(blockKey{name: h.name, blk: r.Off / ds}, r.Data, done[i])
+		} else {
+			s.c.Recycle(r.Data)
+		}
+	}
+	if filled == 0 {
+		return nil, err
+	}
+	ent, _ := s.cache.get(key)
+	return ent, nil
+}
+
+// admit caches buf, whose bytes arrive at ready, as key's block and retires
+// whatever that displaces.
+func (s *server) admit(key blockKey, buf []byte, ready simtime.Time) {
+	displaced, evicted := s.cache.put(key, buf, ready)
+	if displaced != nil {
+		s.c.Recycle(displaced)
+	}
+	if evicted {
+		s.stats.CacheEvictions++
+	}
+}
+
+// count folds one storage batch into the server's counters.
+func (s *server) count(res storage.Result) {
+	s.stats.FSReads += res.Requests
+	s.stats.FSBytes += res.Bytes
+	s.stats.Retries += res.Retries
 }
 
 func (s *server) flush(req *mpi.RPCRequest) error {

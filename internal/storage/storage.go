@@ -128,13 +128,21 @@ func (c *Client) WriteExtents(op string, kind trace.Kind, reqs []Request) (Resul
 // outcome. The request set, ordering, and fault-roll identity are exactly
 // those of ReadExtents; only whose clock pays is different.
 func (c *Client) ReadExtentsFrom(op string, kind trace.Kind, reqs []Request, start simtime.Time) (Result, simtime.Time, error) {
-	return c.post(op, kind, reqs, false, start)
+	return c.post(op, kind, reqs, false, start, nil)
+}
+
+// ReadExtentsEach is ReadExtentsFrom for a caller that serves each request's
+// bytes as they arrive instead of waiting for the batch: done, as long as
+// reqs, receives every issued request's own completion.
+func (c *Client) ReadExtentsEach(op string, kind trace.Kind, reqs []Request, start simtime.Time, done []simtime.Time) (Result, error) {
+	res, _, err := c.post(op, kind, reqs, false, start, done)
+	return res, err
 }
 
 // WriteExtentsFrom is the detached-start variant of WriteExtents; see
 // ReadExtentsFrom.
 func (c *Client) WriteExtentsFrom(op string, kind trace.Kind, reqs []Request, start simtime.Time) (Result, simtime.Time, error) {
-	return c.post(op, kind, reqs, true, start)
+	return c.post(op, kind, reqs, true, start, nil)
 }
 
 // Truncate resets the backing file to empty as one retried, traced,
@@ -169,7 +177,7 @@ func (c *Client) WriteAt(op string, off int64, data []byte) error {
 }
 
 func (c *Client) run(op string, kind trace.Kind, reqs []Request, write bool) (Result, error) {
-	res, end, err := c.post(op, kind, reqs, write, c.clock.Now())
+	res, end, err := c.post(op, kind, reqs, write, c.clock.Now(), nil)
 	c.clock.AdvanceTo(end)
 	return res, err
 }
@@ -255,8 +263,10 @@ func checkDisjoint(reqs []Request) error {
 // and reports its latest completion instead of advancing any clock — the
 // one engine under both the synchronous entry points and the detached-start
 // lanes. Requests are issued in list order, each on its own retry timeline
-// from start; issue stops at the first request whose retries are exhausted.
-func (c *Client) post(op string, kind trace.Kind, reqs []Request, write bool, start simtime.Time) (Result, simtime.Time, error) {
+// from start, and a non-nil each receives every one's own completion; issue
+// stops at the first request whose retries are exhausted, so on an error
+// exactly the first res.Requests requests succeeded.
+func (c *Client) post(op string, kind trace.Kind, reqs []Request, write bool, start simtime.Time, each []simtime.Time) (Result, simtime.Time, error) {
 	if mutate.Enabled(mutate.StorageDropLastRequest) && len(reqs) > 1 {
 		reqs = reqs[:len(reqs)-1]
 	}
@@ -267,9 +277,12 @@ func (c *Client) post(op string, kind trace.Kind, reqs []Request, write bool, st
 	}
 	var res Result
 	end := start
-	for _, r := range reqs {
+	for i, r := range reqs {
 		done, retries, err := c.issue(r, start, write)
 		end = max(end, done)
+		if each != nil {
+			each[i] = done
+		}
 		if ferr := c.finish(op, kind, r, start, done, retries, err, &res); ferr != nil {
 			return res, end, ferr
 		}

@@ -105,6 +105,40 @@ func TestPostedBatchMakespan(t *testing.T) {
 	}
 }
 
+// TestPostedBatchReportsEachCompletion: a batch writes every request's own
+// completion into the caller's slice, and it is the completion the same
+// request has when the list is posted one request at a time at the same
+// start on a twin file system — on one OST (the requests queue, every
+// completion distinct) and on eight (they finish together).
+func TestPostedBatchReportsEachCompletion(t *testing.T) {
+	const start = simtime.Time(5_000_000)
+	cfg := pfs.DefaultConfig()
+	cfg.OSTCount, cfg.ReadAhead = 8, 0
+	cfg.ByteScale = 1 << 10 // a 1 KiB read is a simulated MiB: service outlasts the request overhead
+	for _, stripes := range []int{1, 8} {
+		cfg.StripeCount = stripes
+		batch := stripedRequests(cfg.StripeSize, 4)
+		c := NewClient(pfs.New(cfg).Open("f"), 0, 0, &testClock{})
+		done := make([]simtime.Time, len(batch))
+		if _, err := c.ReadExtentsEach("read", trace.KindFetch, batch, start, done); err != nil {
+			t.Fatal(err)
+		}
+		twin := NewClient(pfs.New(cfg).Open("f"), 0, 0, &testClock{})
+		for i, r := range stripedRequests(cfg.StripeSize, 4) {
+			_, want, err := twin.ReadExtentsFrom("read", trace.KindFetch, []Request{r}, start)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if done[i] != want {
+				t.Errorf("%d OSTs: request %d done at %d in the batch, %d posted alone", stripes, i, done[i], want)
+			}
+		}
+		if distinct := done[0] != done[3]; distinct != (stripes == 1) {
+			t.Errorf("%d OSTs: first and last completions %d, %d", stripes, done[0], done[3])
+		}
+	}
+}
+
 // TestPostedBatchesHostOrderIndependent: N clients each post a batch of k
 // same-OST requests at a common start, from goroutines started in a seeded
 // shuffle with seeded Gosched jitter. Whatever order the host runs them in,
