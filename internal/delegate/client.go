@@ -125,10 +125,22 @@ func (t *Tier) request(si int, req *mpi.RPCRequest) error {
 	return t.c.SendRequest(t.servers[si], tagRequest, req)
 }
 
-// owner maps a file offset to the index (into t.servers) of the server
-// whose domain holds it.
-func (t *Tier) owner(off int64) int {
-	return int((off / t.cfg.domainSize()) % int64(len(t.servers)))
+// pieces cuts the n bytes at file offset off at domain-block boundaries and
+// calls fn on each piece in file order with the index (into t.servers) of
+// the server whose domain holds it, the piece's file offset and its length.
+func (t *Tier) pieces(off, n int64, fn func(si int, off, n int64) error) error {
+	ds := t.cfg.domainSize()
+	for end := off + n; off < end; {
+		m := (off/ds+1)*ds - off // bytes left in this domain block
+		if m > end-off {
+			m = end - off
+		}
+		if err := fn(int((off/ds)%int64(len(t.servers))), off, m); err != nil {
+			return err
+		}
+		off += m
+	}
+	return nil
 }
 
 // collectiveRead reports whether delegated reads run collectively: the
@@ -192,13 +204,8 @@ func (f *File) WriteAt(off int64, data []byte) error {
 	f.stats.Writes++
 	f.stats.WriteBytes += int64(len(data))
 	t := f.t
-	ds := t.cfg.domainSize()
-	for len(data) > 0 {
-		n := (off/ds+1)*ds - off // bytes left in this domain block
-		if n > int64(len(data)) {
-			n = int64(len(data))
-		}
-		si := t.owner(off)
+	start := off
+	return t.pieces(off, int64(len(data)), func(si int, off, n int64) error {
 		for t.credits[si] == 0 {
 			// Window exhausted: block for one grant from this server.
 			if err := t.awaitCredit(si); err != nil {
@@ -208,15 +215,13 @@ func (f *File) WriteAt(off int64, data []byte) error {
 		}
 		t.credits[si]--
 		if err := t.request(si, &mpi.RPCRequest{
-			Op: mpi.OpWrite, Handle: f.handle, Off: off, Len: n, Data: data[:n],
+			Op: mpi.OpWrite, Handle: f.handle, Off: off, Len: n, Data: data[off-start : off-start+n],
 		}); err != nil {
 			return err
 		}
 		f.stats.WriteReqs++
-		off += n
-		data = data[n:]
-	}
-	return nil
+		return nil
+	})
 }
 
 // ReadAt fills dst from off. Delegated reads are synchronous — dst is
@@ -239,25 +244,18 @@ func (f *File) ReadAt(off int64, dst []byte) error {
 	f.stats.Reads++
 	f.stats.ReadBytes += int64(len(dst))
 	t := f.t
-	ds := t.cfg.domainSize()
+	start := off
 	if t.collectiveRead() {
 		// Collective mode: queue the pieces; Fetch is the collective
 		// point that ships them as read intents.
 		if f.colReads == nil {
 			f.colReads = make([][]colRead, len(t.servers))
 		}
-		for len(dst) > 0 {
-			n := (off/ds+1)*ds - off
-			if n > int64(len(dst)) {
-				n = int64(len(dst))
-			}
-			si := t.owner(off)
-			f.colReads[si] = append(f.colReads[si], colRead{off: off, dst: dst[:n]})
+		return t.pieces(off, int64(len(dst)), func(si int, off, n int64) error {
+			f.colReads[si] = append(f.colReads[si], colRead{off: off, dst: dst[off-start : off-start+n]})
 			f.stats.ReadReqs++
-			off += n
-			dst = dst[n:]
-		}
-		return nil
+			return nil
+		})
 	}
 	// Ship every piece before collecting: per-(client, server) FIFO in
 	// both directions means replies come back in request order, so the
@@ -268,12 +266,7 @@ func (f *File) ReadAt(off int64, dst []byte) error {
 		dst []byte
 	}
 	var reqs []pending
-	for len(dst) > 0 {
-		n := (off/ds+1)*ds - off
-		if n > int64(len(dst)) {
-			n = int64(len(dst))
-		}
-		si := t.owner(off)
+	if err := t.pieces(off, int64(len(dst)), func(si int, off, n int64) error {
 		seq := t.seqs[si]
 		if err := t.request(si, &mpi.RPCRequest{
 			Op: mpi.OpRead, Handle: f.handle, Off: off, Len: n,
@@ -281,9 +274,10 @@ func (f *File) ReadAt(off int64, dst []byte) error {
 			return err
 		}
 		f.stats.ReadReqs++
-		reqs = append(reqs, pending{si: si, seq: seq, dst: dst[:n]})
-		off += n
-		dst = dst[n:]
+		reqs = append(reqs, pending{si: si, seq: seq, dst: dst[off-start : off-start+n]})
+		return nil
+	}); err != nil {
+		return err
 	}
 	for _, p := range reqs {
 		rep, err := f.reply(p.si, "read")

@@ -14,7 +14,9 @@ import (
 // windows, MPI_Win_lock / MPI_Win_unlock, MPI_Put / MPI_Get, and the
 // indexed-datatype transfers TCIO uses to ship a whole level-1 buffer in a
 // single network operation (§IV.A: "We use MPI_Type_indexed to combine
-// multiple data blocks as one derived data type instance").
+// multiple data blocks as one derived data type instance") — a node
+// leader's combined put included — plus the intra-node handoff that gets
+// co-located ranks' runs to that leader.
 //
 // The paper deliberately avoids MPI_Win_fence (a collective that would
 // break TCIO's fully independent I/O calls) in favour of the lock-request
@@ -379,4 +381,24 @@ func (w *Win) GetSegmentsAsync(target int, segs []datatype.Segment, dst []byte) 
 		h.maxArrival = arrival
 	}
 	return GetHandle{c: w.c, data: out[len(dst):], arrival: arrival}, nil
+}
+
+// IntraNodeCopy charges the virtual-time cost of handing realBytes to a
+// co-located rank over the node's shared memory — the netsim local path
+// (setup plus MemBandwidth), never the NIC — and returns the instant the
+// bytes are in place at the peer. The byte movement itself is the caller's
+// (tcio's node aggregation deposits into shared staging directly); this
+// call accounts for its time and its appearance in the network's
+// local-message counters. It fails when the peer lives on a different node.
+func (c *Comm) IntraNodeCopy(peer int, realBytes int64) (simtime.Time, error) {
+	if peer < 0 || peer >= c.w.nprocs {
+		return 0, fmt.Errorf("mpi: IntraNodeCopy to rank %d of %d", peer, c.w.nprocs)
+	}
+	src := c.w.machine.NodeOf(c.rank)
+	if dst := c.w.machine.NodeOf(peer); dst != src {
+		return 0, fmt.Errorf("mpi: IntraNodeCopy rank %d (node %d) to rank %d (node %d) crosses nodes",
+			c.rank, src, peer, dst)
+	}
+	depart := c.clock().Advance(sendOverhead)
+	return c.w.net.Transfer(src, src, c.w.machine.Scale(realBytes), depart, netsim.OneSided), nil
 }

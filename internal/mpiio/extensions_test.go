@@ -7,6 +7,7 @@ import (
 
 	"github.com/tcio/tcio/internal/datatype"
 	"github.com/tcio/tcio/internal/mpi"
+	"github.com/tcio/tcio/internal/simtime"
 )
 
 // Tests of the optional ROMIO features: aggregator sub-selection
@@ -126,10 +127,12 @@ func TestDataSievingSameBytesFewerRequests(t *testing.T) {
 	results := map[bool]struct {
 		reads int64
 		data  []byte
+		clock simtime.Time
 	}{}
 	for _, sieve := range []bool{false, true} {
 		var reads int64
 		var data []byte
+		var clock simtime.Time
 		run(t, 1, func(c *mpi.Comm) error {
 			name := fmt.Sprintf("sieve%v", sieve)
 			f, err := Open(c, name)
@@ -160,12 +163,14 @@ func TestDataSievingSameBytesFewerRequests(t *testing.T) {
 			}
 			reads = c.FS().Stats().Reads
 			data = got
+			clock = c.Now()
 			return nil
 		})
 		results[sieve] = struct {
 			reads int64
 			data  []byte
-		}{reads, data}
+			clock simtime.Time
+		}{reads, data, clock}
 	}
 	if !bytes.Equal(results[true].data, results[false].data) {
 		t.Fatal("sieving changed the data read")
@@ -175,6 +180,12 @@ func TestDataSievingSameBytesFewerRequests(t *testing.T) {
 	}
 	if results[false].reads != blocks {
 		t.Fatalf("direct path used %d reads, want %d", results[false].reads, blocks)
+	}
+	// The sieved read is one storage.ReadExtentsSieved cover since PR 25,
+	// the same request the hand-rolled span read issued: the clock it ends
+	// at is the parent's, to the nanosecond.
+	if got := results[true].clock; got != 1202685 {
+		t.Fatalf("sieved read ends at %d, want 1202685", got)
 	}
 }
 

@@ -200,7 +200,8 @@ func (f *File) ReadAt(pos, n int64) ([]byte, error) {
 // ReadAtInto fills dst with the len(dst) visible bytes at the given visible
 // offset, independently. With sieving enabled, a non-contiguous request is
 // served by one large contiguous read spanning all its runs (ROMIO's data
-// sieving), trading extra bytes on the wire for far fewer requests.
+// sieving, planned by storage.ReadExtentsSieved with the request's span as
+// its budget), trading extra bytes on the wire for far fewer requests.
 func (f *File) ReadAtInto(pos int64, dst []byte) error {
 	f.chargeCPU(callCPU, 1)
 	runs, err := f.viewRuns(pos, int64(len(dst)))
@@ -208,16 +209,16 @@ func (f *File) ReadAtInto(pos int64, dst []byte) error {
 		return err
 	}
 	if f.sieving && len(runs) > 1 {
-		lo := runs[0].Off
-		span := make([]byte, runs[len(runs)-1].End()-lo)
-		if err := f.readRetry(lo, span); err != nil {
+		reqs := make([]storage.Request, len(runs))
+		for i, r := range runs {
+			reqs[i] = storage.Request{Off: r.Off, Data: dst[:r.Len]}
+			dst = dst[r.Len:]
+		}
+		span := runs[len(runs)-1].End() - runs[0].Off
+		if _, err := f.store.ReadExtentsSieved("mpiio: read", reqs, span); err != nil {
 			return err
 		}
 		f.chargeCPU(runCPU, len(runs)) // in-memory filtering
-		for _, r := range runs {
-			copy(dst[:r.Len], span[r.Off-lo:r.End()-lo])
-			dst = dst[r.Len:]
-		}
 		return nil
 	}
 	for _, r := range runs {

@@ -3,8 +3,9 @@ package storage
 // The data-sieving read path (Thakur/Gropp/Lusk, list I/O + data sieving).
 // ReadExtentsSieved accepts the same batched noncontiguous request list as
 // ReadExtents but plans it through extent.SievePlan first: nearby runs are
-// served by one covering read of at most budget bytes, staged in a pooled
-// buffer, and the wanted runs are scattered out of the staging afterwards.
+// served by one covering read of at most budget bytes, staged in the
+// client's reused arena, and the wanted runs are scattered out of the
+// staging afterwards.
 // The cover requests — not the caller's runs — are what the engine issues,
 // so retry handling, trace emission (trace.KindSieve), and virtual-time
 // charging (the covers are one posted batch) all apply to them unchanged,
@@ -15,8 +16,6 @@ package storage
 
 import (
 	"fmt"
-	"math/bits"
-	"sync"
 
 	"github.com/tcio/tcio/internal/extent"
 	"github.com/tcio/tcio/internal/mutate"
@@ -42,41 +41,52 @@ func (c *Client) ReadExtentsSieved(op string, reqs []Request, budget int64) (Sie
 		runs[i] = extent.Extent{Off: r.Off, Len: int64(len(r.Data))}
 	}
 	groups := extent.SievePlan(runs, budget)
+	// A cover that is exactly one caller run reads straight into the
+	// caller's buffer: nothing to scatter, nothing wasted. The others are
+	// carved back to back from the client's staging arena.
+	direct := func(g extent.SieveGroup) bool {
+		return len(g.Index) == 1 && g.Cover.Len == runs[g.Index[0]].Len
+	}
+	var need int64
+	for _, g := range groups {
+		if !direct(g) {
+			need += g.Cover.Len
+		}
+	}
+	if int64(len(c.stage)) < need {
+		c.stage = make([]byte, need)
+	}
 
 	var out SieveResult
 	covers := make([]Request, 0, len(groups))
 	staged := make([]int, 0, len(groups)) // indices into groups needing a scatter
-	var stages []([]byte)
+	var at int64
 	for gi, g := range groups {
-		if len(g.Index) == 1 && g.Cover.Len == runs[g.Index[0]].Len {
-			// The cover is exactly one caller run: read straight into the
-			// caller's buffer, nothing to scatter, nothing wasted.
+		if direct(g) {
 			covers = append(covers, reqs[g.Index[0]])
 			continue
 		}
-		buf := getStage(int(g.Cover.Len))
 		covers = append(covers, Request{
 			Off:  g.Cover.Off,
-			Data: buf,
+			Data: c.stage[at : at+g.Cover.Len],
 			Tag:  fmt.Sprintf("sieve cover=%d+%d runs=%d", g.Cover.Off, g.Cover.Len, len(g.Index)),
 		})
 		staged = append(staged, gi)
-		stages = append(stages, buf)
+		at += g.Cover.Len
 		out.Waste += g.Waste(runs)
 	}
 
 	res, err := c.run(op, trace.KindSieve, covers, false)
 	out.Result = res
 	if err != nil {
-		for _, buf := range stages {
-			recycleStage(buf)
-		}
 		out.Waste = 0
 		return out, err
 	}
-	for si, gi := range staged {
+	at = 0
+	for _, gi := range staged {
 		g := groups[gi]
-		stage := stages[si]
+		stage := c.stage[at : at+g.Cover.Len]
+		at += g.Cover.Len
 		for _, i := range g.Index {
 			src := runs[i].Off - g.Cover.Off
 			if mutate.Enabled(mutate.StorageSieveScatterOffby) && runs[i].End() < g.Cover.End() {
@@ -84,50 +94,6 @@ func (c *Client) ReadExtentsSieved(op string, reqs []Request, budget int64) (Sie
 			}
 			copy(reqs[i].Data, stage[src:])
 		}
-		recycleStage(stage)
 	}
 	return out, nil
-}
-
-// Cover staging buffers are transient per-call scratch — the same
-// size-classed free-list idiom as the MPI runtime's message staging
-// (internal/mpi/bufpool.go). Plain memory, never charged to the
-// simulated-memory accountant, so sieving cannot shift allocation fault
-// streams.
-const (
-	minStageShift = 6  // 64 B
-	maxStageShift = 26 // 64 MiB; larger covers fall back to the heap
-)
-
-var stagePools [maxStageShift - minStageShift + 1]sync.Pool
-
-// getStage returns a length-n staging buffer from the pool. Every byte is
-// overwritten by the covering read before scatter, so recycled contents
-// never leak.
-func getStage(n int) []byte {
-	if n <= 0 {
-		return nil
-	}
-	shift := bits.Len(uint(n - 1))
-	if shift < minStageShift {
-		shift = minStageShift
-	}
-	if shift > maxStageShift {
-		return make([]byte, n)
-	}
-	if v := stagePools[shift-minStageShift].Get(); v != nil {
-		return (*v.(*[]byte))[:n]
-	}
-	return make([]byte, n, 1<<shift)
-}
-
-// recycleStage returns a staging buffer to its size-class pool; only
-// buffers getStage handed out (exact power-of-two capacity) are accepted.
-func recycleStage(b []byte) {
-	c := cap(b)
-	if c < 1<<minStageShift || c > 1<<maxStageShift || c&(c-1) != 0 {
-		return
-	}
-	b = b[:c]
-	stagePools[bits.TrailingZeros(uint(c))-minStageShift].Put(&b)
 }

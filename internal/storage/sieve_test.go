@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"github.com/tcio/tcio/internal/faults"
@@ -110,6 +111,43 @@ func TestSievedReadReducesRequests(t *testing.T) {
 	}
 	if res.Requests != 8 || res.Waste != 0 {
 		t.Fatalf("list I/O: %d covers waste %d, want 8 covers waste 0", res.Requests, res.Waste)
+	}
+}
+
+// TestSievedStagingReused: a warm sieved batch allocates no staging. Its
+// covers are carved from the client's arena, grown to the largest batch on
+// the first call, so a batch staging a 448 KiB cover allocates only its
+// plan and request lists — under a sixteenth of the cover — and the arena
+// is never replaced.
+func TestSievedStagingReused(t *testing.T) {
+	fs, img := sievedFile(t, nil, 1<<19)
+	c := NewClient(fs.Open("f"), 0, 0, &testClock{})
+	reqs := make([]Request, 8) // 32 B runs 64 KiB apart: one 448 KiB cover
+	for i := range reqs {
+		reqs[i] = Request{Off: int64(i) << 16, Data: make([]byte, 32)}
+	}
+	batch := func() {
+		if _, err := c.ReadExtentsSieved("sieve", reqs, 1<<19); err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range reqs {
+			if !bytes.Equal(r.Data, img[r.Off:r.Off+32]) {
+				t.Fatalf("request %d bytes differ", i)
+			}
+		}
+	}
+	batch()
+	arena := &c.stage[0]
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs := testing.AllocsPerRun(runs, batch) // runs+1 batches: one warm-up
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / (runs + 1); per > 7<<16/16 {
+		t.Fatalf("a warm 448 KiB sieved batch allocates %d bytes in %v allocations", per, allocs)
+	}
+	if &c.stage[0] != arena {
+		t.Fatal("the staging arena was replaced by a batch no larger than the first")
 	}
 }
 

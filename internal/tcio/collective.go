@@ -63,21 +63,16 @@ func (f *File) fetchCollective() error {
 	for _, b := range all {
 		for i := 0; i < len(b)/extent.RunWire; i++ {
 			run := extent.RunAt(b, i)
-			for run.Len > 0 {
-				seg := f.layout.Segment(run.Off)
-				segOff := run.Off % f.segSize
-				n := f.segSize - segOff
-				if n > run.Len {
-					n = run.Len
-				}
+			if err := f.pieces(run.Off, run.Len, func(seg, segOff, _, n int64) error {
 				if owner, _ := f.segmentOwner(seg); owner == me {
 					if _, ok := needBySeg[seg]; !ok {
 						segOrder = append(segOrder, seg)
 					}
 					needBySeg[seg] = append(needBySeg[seg], extent.Extent{Off: segOff, Len: n})
 				}
-				run.Off += n
-				run.Len -= n
+				return nil
+			}); err != nil {
+				return err
 			}
 		}
 	}
@@ -87,19 +82,10 @@ func (f *File) fetchCollective() error {
 			return err
 		}
 		for _, seg := range segOrder {
-			if f.meta.isPopulated(seg) {
-				f.dropWastedPrefetch(seg)
-				continue
-			}
 			_, slot := f.segmentOwner(seg)
-			var perr error
-			if e, ok := f.takePrefetched(seg); ok {
-				perr = f.populateFromCache(seg, me, slot, e)
-			} else if f.sieveArmed() {
-				perr = f.sievePopulate(seg, me, slot, extent.Coalesce(needBySeg[seg]))
-			} else {
-				perr = f.populate(seg, me, slot)
-			}
+			_, perr := f.stage(seg, me, slot, func() []extent.Extent {
+				return extent.Coalesce(needBySeg[seg])
+			})
 			if perr != nil {
 				f.win.Unlock(me)
 				return perr

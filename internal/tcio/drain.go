@@ -14,15 +14,22 @@ import (
 	"github.com/tcio/tcio/internal/trace"
 )
 
+// segSpan returns where a global segment starts in the file and how many of
+// its bytes the file holds: the whole segment, clipped at EOF (n <= 0 when
+// the segment lies wholly past it).
+func (f *File) segSpan(seg int64) (base, n int64) {
+	base, n = f.layout.SegStart(seg), f.segSize
+	if size := f.store.File().Size(); base+n > size {
+		n = size - base
+	}
+	return base, n
+}
+
 // populate loads one whole segment from the file system into its owner's
 // window — the aggregated read that makes TCIO's read path collective in
 // effect. The caller must hold the owner's exclusive window lock.
 func (f *File) populate(seg int64, owner int, slot int64) error {
-	base := f.layout.SegStart(seg)
-	n := f.segSize
-	if size := f.store.File().Size(); base+n > size {
-		n = size - base
-	}
+	base, n := f.segSpan(seg)
 	if n <= 0 {
 		f.meta.setPopulated(seg)
 		return nil
@@ -55,19 +62,14 @@ func (f *File) populate(seg int64, owner int, slot int64) error {
 // ablation. Each rank reads only its own segments, so the file system sees
 // P large disjoint requests, each rank's posted as one storage batch.
 func (f *File) preloadAll() error {
-	size := f.store.File().Size()
 	local := f.win.Local()
 	var reqs []storage.Request
 	var segs []int64
 	for slot := int64(0); slot < int64(f.numSeg); slot++ {
 		seg := f.layout.RankSegment(f.c.Rank(), slot)
-		base := f.layout.SegStart(seg)
-		if base >= size {
+		base, n := f.segSpan(seg)
+		if n <= 0 {
 			break
-		}
-		n := f.segSize
-		if base+n > size {
-			n = size - base
 		}
 		reqs = append(reqs, storage.Request{
 			Off:  base,

@@ -48,28 +48,10 @@ func (f *File) WriteAt(off int64, data []byte) error {
 	if f.tracing() {
 		f.emit(trace.KindWrite, f.c.Now(), int64(len(data)), fmt.Sprintf("off=%d", off))
 	}
-	// Split at segment boundaries: a block larger than one segment "has to
-	// be subdivided and placed in different segments" (§IV.A).
-	for len(data) > 0 {
-		seg := f.globalSegment(off)
-		segOff := off % f.segSize
-		n := f.segSize - segOff
-		if n > int64(len(data)) {
-			n = int64(len(data))
-		}
-		if !f.layout.InRange(seg) {
-			_, slot := f.segmentOwner(seg)
-			return fmt.Errorf("%w: offset %d needs slot %d of %d (raise NumSegments)",
-				ErrCapacity, off, slot, f.numSeg)
-		}
+	return f.pieces(off, int64(len(data)), func(seg, segOff, at, n int64) error {
 		f.c.Compute(f.pieceCPU)
-		if err := f.stageWrite(seg, segOff, data[:n]); err != nil {
-			return err
-		}
-		off += n
-		data = data[n:]
-	}
-	return nil
+		return f.stageWrite(seg, segOff, data[at:at+n])
+	})
 }
 
 // stageWrite places one within-segment piece into the level-1 buffer,
@@ -94,13 +76,21 @@ func (f *File) stageWrite(seg, segOff int64, piece []byte) error {
 // flushLevel1 ships the level-1 buffer's cached blocks to the owning
 // level-2 segment as one indexed-datatype one-sided put.
 func (f *File) flushLevel1() error {
-	if f.l1Seg < 0 || len(f.l1Blocks) == 0 {
-		f.l1Seg = -1
-		f.l1Blocks = f.l1Blocks[:0]
-		return nil
+	var err error
+	if f.l1Seg >= 0 && len(f.l1Blocks) > 0 {
+		blocks, payload := f.packLevel1()
+		err = f.ship(f.l1Seg, blocks, payload)
 	}
+	f.l1Seg = -1
+	f.l1Blocks = f.l1Blocks[:0]
+	return err
+}
+
+// packLevel1 coalesces the level-1 buffer's cached blocks and returns them
+// with their bytes packed in block order — the indexed datatype of one put.
+func (f *File) packLevel1() ([]extent.Extent, []byte) {
 	blocks := extent.Coalesce(f.l1Blocks)
-	// One run ships straight out of the level-1 buffer (ship's consumers
+	// One run ships straight out of the level-1 buffer (put's consumers
 	// copy synchronously); only a multi-run flush needs its runs packed.
 	payload := f.l1Buf[blocks[0].Off:blocks[0].End()]
 	if len(blocks) > 1 {
@@ -113,8 +103,5 @@ func (f *File) flushLevel1() error {
 		}
 		f.payloadScratch = payload[:0]
 	}
-	err := f.ship(f.l1Seg, blocks, payload)
-	f.l1Seg = -1
-	f.l1Blocks = f.l1Blocks[:0]
-	return err
+	return blocks, payload
 }

@@ -217,6 +217,32 @@ func (f *File) segmentOwner(seg int64) (rank int, slot int64) {
 	return f.layout.Owner(seg)
 }
 
+// pieces cuts the n bytes at file offset off at segment boundaries — a
+// block larger than one segment "has to be subdivided and placed in
+// different segments" (§IV.A) — and calls fn on each piece in file order
+// with its global segment, its segment-relative offset, its position in the
+// request and its length. A piece past the exposed slots is ErrCapacity.
+func (f *File) pieces(off, n int64, fn func(seg, segOff, at, n int64) error) error {
+	for at := int64(0); at < n; {
+		seg := f.globalSegment(off + at)
+		if !f.layout.InRange(seg) {
+			_, slot := f.segmentOwner(seg)
+			return fmt.Errorf("%w: offset %d needs slot %d of %d (raise NumSegments)",
+				ErrCapacity, off+at, slot, f.numSeg)
+		}
+		segOff := (off + at) % f.segSize
+		m := f.segSize - segOff
+		if m > n-at {
+			m = n - at
+		}
+		if err := fn(seg, segOff, at, m); err != nil {
+			return err
+		}
+		at += m
+	}
+	return nil
+}
+
 // ship performs the one-sided transfer of segment-relative runs into the
 // owner's window and records them as dirty.
 //
@@ -232,9 +258,28 @@ func (f *File) ship(seg int64, runs []extent.Extent, payload []byte) error {
 		// the next collective (nodeagg.go).
 		return f.depositForAggregation(seg, runs, payload)
 	}
+	t0 := f.c.Now()
+	owner, err := f.put(seg, runs, payload, 0)
+	if err != nil {
+		return err
+	}
+	f.stats.Level1Flush++
+	if f.tracing() {
+		f.emit(trace.KindFlush, t0, int64(len(payload)), fmt.Sprintf("seg=%d owner=%d runs=%d", seg, owner, len(runs)))
+	}
+	return f.maybeWriteBehind()
+}
+
+// put is the one indexed put behind every shipment — a rank's level-1
+// flush and a node leader's combine alike. It opens (or reuses) the shared
+// epoch on the segment's owner, bounds the outstanding transfers, departs
+// no earlier than notBefore, puts the segment-relative runs (coalesced,
+// their bytes packed in payload) as one PutSegmentsAsync, and records them
+// dirty with the put's arrival. It returns the owner.
+func (f *File) put(seg int64, runs []extent.Extent, payload []byte, notBefore simtime.Time) (int, error) {
 	owner, slot := f.segmentOwner(seg)
 	if slot >= int64(f.numSeg) {
-		return fmt.Errorf("%w: segment %d needs slot %d of %d", ErrCapacity, seg, slot, f.numSeg)
+		return owner, fmt.Errorf("%w: segment %d needs slot %d of %d", ErrCapacity, seg, slot, f.numSeg)
 	}
 	winRuns := f.winRunsScratch[:0]
 	for _, r := range runs {
@@ -243,24 +288,20 @@ func (f *File) ship(seg int64, runs []extent.Extent, payload []byte) error {
 	f.winRunsScratch = winRuns[:0]
 	t0 := f.c.Now()
 	if err := f.openEpochFor(owner); err != nil {
-		return err
+		return owner, err
 	}
 	f.reserveInflight()
 	t1 := f.c.Now()
+	f.c.AdvanceTo(notBefore)
 	h, err := f.putSegmentsRetry(owner, seg, winRuns, payload)
 	if err != nil {
-		return err
+		return owner, err
 	}
 	f.inflight = append(f.inflight, h)
-	t2 := f.c.Now()
 	f.stats.LockWait += t1.Sub(t0)
-	f.stats.PutIssue += t2.Sub(t1)
+	f.stats.PutIssue += f.c.Now().Sub(t1)
 	f.meta.addDirty(seg, runs, h.Arrival())
-	f.stats.Level1Flush++
-	if f.tracing() {
-		f.emit(trace.KindFlush, t0, int64(len(payload)), fmt.Sprintf("seg=%d owner=%d runs=%d", seg, owner, len(runs)))
-	}
-	return f.maybeWriteBehind()
+	return owner, nil
 }
 
 // openEpochFor ensures a shared put epoch is open on owner, touching the

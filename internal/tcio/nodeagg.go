@@ -6,17 +6,19 @@ package tcio
 // messages per destination segment — co-located ranks hand their run lists
 // and bytes to a per-segment node leader over the intra-node path (charged
 // at MemBandwidth via Comm.IntraNodeCopy, never the NIC), and the leader
-// merges everything into one combined indexed put per target segment
-// (mpi.Win.PutGrouped). This is the request-merging idea of Kang et al.'s
+// merges everything in its own level-1 buffer and ships the union as one
+// ordinary indexed put per target segment — the same put (level2.go) every
+// rank's flush issues. This is the request-merging idea of Kang et al.'s
 // intra-node aggregation applied to TCIO's independent ship path.
 //
 // Determinism. Deposits happen at ship time, but combining happens only at
 // collective boundaries: Flush/Close barrier first, so every deposit is
 // visible to its leader, then each leader sweeps its segments in ascending
 // order and merges each segment's deposits in (origin rank, per-origin
-// program order). The combined put's content, its billed block list, and
-// the leader's SiteWinPut fault rolls (keyed by the leader's shipCount) are
-// therefore independent of goroutine scheduling.
+// program order), the later deposit winning on overlap. The combined put's
+// content, its billed block list, and the leader's SiteWinPut fault rolls
+// (keyed by the leader's shipCount) are therefore independent of goroutine
+// scheduling.
 //
 // Causality. A depositor only pays the handoff's issue overhead; the
 // intra-node copy retires later, so the leader advances to the latest
@@ -35,8 +37,6 @@ import (
 	"sync"
 
 	"github.com/tcio/tcio/internal/extent"
-	"github.com/tcio/tcio/internal/faults"
-	"github.com/tcio/tcio/internal/mpi"
 	"github.com/tcio/tcio/internal/mutate"
 	"github.com/tcio/tcio/internal/simtime"
 	"github.com/tcio/tcio/internal/trace"
@@ -132,7 +132,7 @@ func (f *File) depositForAggregation(seg int64, runs []extent.Extent, payload []
 
 // leaderSweep runs after the collective barrier that makes all deposits
 // visible: this rank combines, for every segment it leads on its node, the
-// node's deposits into one grouped put to the segment owner. Sweep order
+// node's deposits into one put to the segment owner. Sweep order
 // (ascending segment) and merge order (origin ascending, program order
 // within an origin) are canonical, so the leader's put stream and fault
 // rolls are schedule-independent.
@@ -166,48 +166,35 @@ func (f *File) leaderSweep() error {
 	return nil
 }
 
-// combine issues one grouped put carrying every deposit of (node, seg) and
-// records the union of their runs as dirty with the combined arrival.
+// combine merges every deposit of (node, seg) into this leader's level-1
+// buffer — idle here, since flushLevel1 ran before the barrier — in the
+// given order, so on overlapping runs the later deposit wins, and ships the
+// union as one ordinary indexed put that departs once the last handoff
+// physically reached this leader.
 func (f *File) combine(seg int64, deps []aggDeposit) error {
-	owner, slot := f.segmentOwner(seg)
-	t0 := f.c.Now()
-	if err := f.openEpochFor(owner); err != nil {
-		return err
-	}
-	f.reserveInflight()
-	groups := make([]mpi.PutGroup, len(deps))
-	var union []extent.Extent
 	var bytes int64
 	var latest simtime.Time
 	origins := 0
 	for i, d := range deps {
-		winRuns := make([]extent.Extent, len(d.runs))
-		for j, r := range d.runs {
-			winRuns[j] = extent.Extent{Off: slot*f.segSize + r.Off, Len: r.Len}
+		pos := int64(0)
+		for _, r := range d.runs {
+			copy(f.l1Buf[r.Off:r.End()], d.payload[pos:pos+r.Len])
+			pos += r.Len
 		}
-		groups[i] = mpi.PutGroup{Origin: d.origin, Segs: winRuns, Data: d.payload}
-		union = append(union, d.runs...)
+		f.l1Blocks = append(f.l1Blocks, d.runs...)
 		bytes += int64(len(d.payload))
-		if d.arrival > latest {
-			latest = d.arrival
-		}
+		latest = simtime.Max(latest, d.arrival)
 		if i == 0 || deps[i-1].origin != d.origin {
 			origins++
 		}
 	}
-	// The combined put cannot depart before the last handoff physically
-	// reached this leader.
-	t1 := f.c.Now()
-	f.c.AdvanceTo(latest)
-	h, err := f.putGroupedRetry(owner, seg, groups)
+	blocks, payload := f.packLevel1()
+	f.l1Blocks = f.l1Blocks[:0]
+	t0 := f.c.Now()
+	owner, err := f.put(seg, blocks, payload, latest)
 	if err != nil {
 		return err
 	}
-	f.inflight = append(f.inflight, h)
-	t2 := f.c.Now()
-	f.stats.LockWait += t1.Sub(t0)
-	f.stats.PutIssue += t2.Sub(t1)
-	f.meta.addDirty(seg, extent.Coalesce(union), h.Arrival())
 	f.stats.NodeCombines++
 	if f.c.Machine().NodeOf(owner) != f.c.Node() {
 		f.stats.InterNodePutsSaved += int64(len(deps)) - 1
@@ -217,36 +204,4 @@ func (f *File) combine(seg int64, deps []aggDeposit) error {
 			fmt.Sprintf("seg=%d owner=%d origins=%d deposits=%d", seg, owner, origins, len(deps)))
 	}
 	return nil
-}
-
-// putGroupedRetry is putSegmentsRetry for the combined put: same retry
-// driver, same SiteWinPut roll keyed by this rank's shipment number, so
-// chaos runs replay exactly — a failed roll never issues the put.
-func (f *File) putGroupedRetry(owner int, seg int64, groups []mpi.PutGroup) (mpi.PutHandle, error) {
-	inj := f.c.Faults()
-	ship := f.shipCount
-	f.shipCount++
-	start := f.c.Now()
-	var handle mpi.PutHandle
-	end, retries, err := faults.Retry(start, f.retry,
-		func(at simtime.Time, attempt int64) (simtime.Time, error) {
-			f.c.AdvanceTo(at)
-			if inj.Should(faults.SiteWinPut, int64(f.c.Rank()), ship, attempt) {
-				return f.c.Now(), inj.Fault(faults.SiteWinPut, "rank=%d seg=%d owner=%d (combine)",
-					f.c.Rank(), seg, owner)
-			}
-			var perr error
-			handle, perr = f.win.PutGroupedAsync(owner, groups)
-			return f.c.Now(), perr
-		})
-	f.c.AdvanceTo(end)
-	if retries > 0 {
-		f.stats.Retries += retries
-		f.emit(trace.KindRetry, start, 0,
-			fmt.Sprintf("combine seg=%d owner=%d retries=%d", seg, owner, retries))
-	}
-	if err != nil {
-		return mpi.PutHandle{}, fmt.Errorf("tcio: combine segment %d to rank %d: %w", seg, owner, err)
-	}
-	return handle, nil
 }

@@ -7,6 +7,7 @@ import (
 	"github.com/tcio/tcio/internal/cluster"
 	"github.com/tcio/tcio/internal/mpi"
 	"github.com/tcio/tcio/internal/pfs"
+	"github.com/tcio/tcio/internal/simtime"
 )
 
 // aggRun executes the granule-interleaved write workload (writer of byte b
@@ -100,6 +101,98 @@ func TestNodeAggregationSingleCoreDegenerate(t *testing.T) {
 		if statsOff[r] != statsOn[r] {
 			t.Fatalf("rank %d stats differ:\noff %+v\non  %+v", r, statsOff[r], statsOn[r])
 		}
+	}
+}
+
+// combineRun is the smallest combine: two 2-core nodes, and only rank 1
+// writes — through write — while every rank opens, flushes and closes. On
+// node 0 segment 2's leader is rank 0 and its owner rank 2 is on node 1, so
+// rank 1's runs there travel as one deposit and one combined put. It
+// returns the leader's stats and clock after Close, the owner's window slot
+// of segment 2 after Flush, and the run report.
+func combineRun(t *testing.T, write func(f *File) error) (lead Stats, clock simtime.Time, window []byte, rep mpi.Report) {
+	t.Helper()
+	m := cluster.Lonestar()
+	m.CoresPerNode = 2
+	cfg := Config{SegmentSize: 64, NumSegments: 4, NodeAggregation: true}
+	rep, err := mpi.Run(mpi.Config{Procs: 4, Machine: m, FS: pfs.New(pfs.DefaultConfig())}, func(c *mpi.Comm) error {
+		f, err := Open(c, "combine", WriteMode, cfg)
+		if err != nil {
+			return err
+		}
+		if c.Rank() == 1 {
+			if err := write(f); err != nil {
+				return err
+			}
+		}
+		if err := f.Flush(); err != nil {
+			return err
+		}
+		if c.Rank() == 2 {
+			window = bytes.Clone(f.win.Local()[:64])
+		}
+		if err := f.Close(); err != nil {
+			return err
+		}
+		if c.Rank() == 0 {
+			lead, clock = f.Stats(), c.Now()
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return lead, clock, window, rep
+}
+
+// TestCombineTwin pins the node leader's combined put to the nanosecond:
+// one two-run deposit, shipped by the leader as one indexed put. The
+// numbers were recorded on the parent of PR 25, whose leader still issued
+// the runtime's grouped put, and repeat at every -count and -cpu.
+func TestCombineTwin(t *testing.T) {
+	lead, clock, window, rep := combineRun(t, func(f *File) error {
+		if err := f.WriteAt(2*64+4, []byte("abcdefgh")); err != nil {
+			return err
+		}
+		return f.WriteAt(2*64+20, []byte("ijklmnop"))
+	})
+	if clock != 1380459 || lead.LockWait != 4600 || lead.PutIssue != 520 {
+		t.Errorf("leader clock %d, LockWait %d, PutIssue %d; want 1380459, 4600, 520",
+			clock, lead.LockWait, lead.PutIssue)
+	}
+	if lead.NodeCombines != 1 || lead.InterNodePutsSaved != 0 {
+		t.Errorf("leader combines %d, puts saved %d; want 1, 0", lead.NodeCombines, lead.InterNodePutsSaved)
+	}
+	if rep.Net.Messages != 2 || rep.Net.LocalMessages != 1 || rep.Net.Bytes != 32 {
+		t.Errorf("net %d messages (%d local), %d bytes; want 2 (1), 32",
+			rep.Net.Messages, rep.Net.LocalMessages, rep.Net.Bytes)
+	}
+	want := make([]byte, 64)
+	copy(want[4:], "abcdefgh")
+	copy(want[20:], "ijklmnop")
+	if !bytes.Equal(window, want) {
+		t.Errorf("owner window %q, want %q", window, want)
+	}
+}
+
+// TestCombineMergeOrder: two overlapping deposits from one origin in one
+// epoch merge in program order, so the later one wins. Writing segment 0
+// between them flushes the first out of the origin's level-1 buffer.
+func TestCombineMergeOrder(t *testing.T) {
+	_, _, window, _ := combineRun(t, func(f *File) error {
+		if err := f.WriteAt(2*64+8, bytes.Repeat([]byte("A"), 16)); err != nil {
+			return err
+		}
+		if err := f.WriteAt(0, []byte("x")); err != nil {
+			return err
+		}
+		return f.WriteAt(2*64+16, bytes.Repeat([]byte("B"), 16))
+	})
+	want := make([]byte, 64)
+	copy(want[8:], bytes.Repeat([]byte("A"), 8))
+	copy(want[16:], bytes.Repeat([]byte("B"), 16))
+	if !bytes.Equal(window, want) {
+		t.Fatalf("owner window %q, want %q", window, want)
 	}
 }
 

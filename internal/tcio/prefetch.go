@@ -71,11 +71,7 @@ func (f *File) maybePrefetch(batch []segGroup, i int) error {
 // stages the bytes. The request is byte-for-byte the one populate would
 // issue for this segment, from this rank, in this order.
 func (f *File) prefetchSegment(seg int64) error {
-	base := f.layout.SegStart(seg)
-	n := f.segSize
-	if size := f.store.File().Size(); base+n > size {
-		n = size - base
-	}
+	base, n := f.segSpan(seg)
 	if n <= 0 {
 		return nil
 	}

@@ -69,18 +69,7 @@ func (f *File) ReadAt(off int64, dst []byte) error {
 	if f.tracing() {
 		f.emit(trace.KindRead, f.c.Now(), int64(len(dst)), fmt.Sprintf("off=%d", off))
 	}
-	for len(dst) > 0 {
-		seg := f.globalSegment(off)
-		segOff := off % f.segSize
-		n := f.segSize - segOff
-		if n > int64(len(dst)) {
-			n = int64(len(dst))
-		}
-		if !f.layout.InRange(seg) {
-			_, slot := f.segmentOwner(seg)
-			return fmt.Errorf("%w: offset %d needs slot %d of %d (raise NumSegments)",
-				ErrCapacity, off, slot, f.numSeg)
-		}
+	return f.pieces(off, int64(len(dst)), func(seg, _, at, n int64) error {
 		// Count the queue's segment switches — not its distinct segments:
 		// reads alternating between two segments count one each — and once
 		// they exceed the batch, perform the real data movement (the "file
@@ -100,11 +89,9 @@ func (f *File) ReadAt(off int64, dst []byte) error {
 			}
 		}
 		f.c.Compute(f.pieceCPU)
-		f.pending = append(f.pending, readReq{off: off, dst: dst[:n]})
-		off += n
-		dst = dst[n:]
-	}
-	return nil
+		f.pending = append(f.pending, readReq{off: off + at, dst: dst[at : at+n]})
+		return nil
+	})
 }
 
 // Fetch completes all recorded lazy reads (tcio_fetch). By default it is
@@ -165,26 +152,36 @@ func (f *File) ensurePopulated(groups []segGroup, i int) error {
 	if err := f.win.Lock(owner, true); err != nil {
 		return err
 	}
-	if !f.meta.isPopulated(seg) {
-		var perr error
-		if e, ok := f.takePrefetched(seg); ok {
-			perr = f.populateFromCache(seg, owner, slot, e)
-		} else if f.sieveArmed() {
-			perr = f.sievePopulate(seg, owner, slot, segmentRuns(groups[i].reqs, f.segSize))
-		} else {
-			perr = f.populate(seg, owner, slot)
-		}
-		if perr == nil {
-			perr = f.maybePrefetch(groups, i)
-		}
-		if perr != nil {
-			f.win.Unlock(owner)
-			return perr
-		}
-	} else {
-		f.dropWastedPrefetch(seg)
+	staged, err := f.stage(seg, owner, slot, func() []extent.Extent {
+		return segmentRuns(groups[i].reqs, f.segSize)
+	})
+	if err == nil && staged {
+		err = f.maybePrefetch(groups, i)
+	}
+	if err != nil {
+		f.win.Unlock(owner)
+		return err
 	}
 	return f.win.Unlock(owner)
+}
+
+// stage is the one population step of both fetch paths, under the owner's
+// exclusive window lock: a segment some rank already populated only drops a
+// wasted prefetch; otherwise a staged prefetch wins, then the sieve over the
+// runs needed() names, then a whole-segment read. It reports whether it
+// staged anything.
+func (f *File) stage(seg int64, owner int, slot int64, needed func() []extent.Extent) (bool, error) {
+	if f.meta.isPopulated(seg) {
+		f.dropWastedPrefetch(seg)
+		return false, nil
+	}
+	if e, ok := f.takePrefetched(seg); ok {
+		return true, f.populateFromCache(seg, owner, slot, e)
+	}
+	if f.sieveArmed() {
+		return true, f.sievePopulate(seg, owner, slot, needed())
+	}
+	return true, f.populate(seg, owner, slot)
 }
 
 // fetchScratch is a handle's scratch for the fetch hot path, reused across
