@@ -21,7 +21,8 @@ import (
 type Tier struct {
 	c       *mpi.Comm
 	cfg     Config
-	servers []int // nil => pass-through
+	servers []int         // nil => pass-through
+	domains extent.Layout // the owner map: block b lives on servers[domains.Owner(b)]
 
 	// clientIdx is this rank's index among the client ranks; clients is
 	// their count. In pass-through mode these are just Rank and Size.
@@ -125,24 +126,6 @@ func (t *Tier) request(si int, req *mpi.RPCRequest) error {
 	return t.c.SendRequest(t.servers[si], tagRequest, req)
 }
 
-// pieces cuts the n bytes at file offset off at domain-block boundaries and
-// calls fn on each piece in file order with the index (into t.servers) of
-// the server whose domain holds it, the piece's file offset and its length.
-func (t *Tier) pieces(off, n int64, fn func(si int, off, n int64) error) error {
-	ds := t.cfg.domainSize()
-	for end := off + n; off < end; {
-		m := (off/ds+1)*ds - off // bytes left in this domain block
-		if m > end-off {
-			m = end - off
-		}
-		if err := fn(int((off/ds)%int64(len(t.servers))), off, m); err != nil {
-			return err
-		}
-		off += m
-	}
-	return nil
-}
-
 // collectiveRead reports whether delegated reads run collectively: the
 // tier is delegated and the tcio CollectiveRead knob is armed, which
 // moves the two-phase intent exchange server-side (see readepoch.go).
@@ -195,17 +178,19 @@ func (f *File) WriteAt(off int64, data []byte) error {
 		f.stats.WriteBytes += int64(len(data))
 		return f.direct.WriteAt(off, data)
 	}
-	if f.closed {
+	switch {
+	case f.closed:
 		return fmt.Errorf("delegate: write to closed %q", f.name)
-	}
-	if f.mode != tcio.WriteMode {
+	case f.mode != tcio.WriteMode:
 		return fmt.Errorf("delegate: write to read-mode %q", f.name)
+	case off < 0:
+		return fmt.Errorf("tcio: negative offset %d", off) // the pass-through engine's message
 	}
 	f.stats.Writes++
 	f.stats.WriteBytes += int64(len(data))
 	t := f.t
-	start := off
-	return t.pieces(off, int64(len(data)), func(si int, off, n int64) error {
+	return t.domains.Pieces(off, int64(len(data)), func(blk, _, at, n int64) error {
+		si, _ := t.domains.Owner(blk)
 		for t.credits[si] == 0 {
 			// Window exhausted: block for one grant from this server.
 			if err := t.awaitCredit(si); err != nil {
@@ -215,7 +200,7 @@ func (f *File) WriteAt(off int64, data []byte) error {
 		}
 		t.credits[si]--
 		if err := t.request(si, &mpi.RPCRequest{
-			Op: mpi.OpWrite, Handle: f.handle, Off: off, Len: n, Data: data[off-start : off-start+n],
+			Op: mpi.OpWrite, Handle: f.handle, Off: off + at, Len: n, Data: data[at : at+n],
 		}); err != nil {
 			return err
 		}
@@ -235,24 +220,26 @@ func (f *File) ReadAt(off int64, dst []byte) error {
 		f.stats.ReadBytes += int64(len(dst))
 		return f.direct.ReadAt(off, dst)
 	}
-	if f.closed {
+	switch {
+	case f.closed:
 		return fmt.Errorf("delegate: read from closed %q", f.name)
-	}
-	if f.mode != tcio.ReadMode {
+	case f.mode != tcio.ReadMode:
 		return fmt.Errorf("delegate: read from write-mode %q", f.name)
+	case off < 0:
+		return fmt.Errorf("tcio: negative offset %d", off) // the pass-through engine's message
 	}
 	f.stats.Reads++
 	f.stats.ReadBytes += int64(len(dst))
 	t := f.t
-	start := off
 	if t.collectiveRead() {
 		// Collective mode: queue the pieces; Fetch is the collective
 		// point that ships them as read intents.
 		if f.colReads == nil {
 			f.colReads = make([][]colRead, len(t.servers))
 		}
-		return t.pieces(off, int64(len(dst)), func(si int, off, n int64) error {
-			f.colReads[si] = append(f.colReads[si], colRead{off: off, dst: dst[off-start : off-start+n]})
+		return t.domains.Pieces(off, int64(len(dst)), func(blk, _, at, n int64) error {
+			si, _ := t.domains.Owner(blk)
+			f.colReads[si] = append(f.colReads[si], colRead{off: off + at, dst: dst[at : at+n]})
 			f.stats.ReadReqs++
 			return nil
 		})
@@ -266,15 +253,16 @@ func (f *File) ReadAt(off int64, dst []byte) error {
 		dst []byte
 	}
 	var reqs []pending
-	if err := t.pieces(off, int64(len(dst)), func(si int, off, n int64) error {
+	if err := t.domains.Pieces(off, int64(len(dst)), func(blk, _, at, n int64) error {
+		si, _ := t.domains.Owner(blk)
 		seq := t.seqs[si]
 		if err := t.request(si, &mpi.RPCRequest{
-			Op: mpi.OpRead, Handle: f.handle, Off: off, Len: n,
+			Op: mpi.OpRead, Handle: f.handle, Off: off + at, Len: n,
 		}); err != nil {
 			return err
 		}
 		f.stats.ReadReqs++
-		reqs = append(reqs, pending{si: si, seq: seq, dst: dst[off-start : off-start+n]})
+		reqs = append(reqs, pending{si: si, seq: seq, dst: dst[at : at+n]})
 		return nil
 	}); err != nil {
 		return err
@@ -325,7 +313,7 @@ func (f *File) fetchCollective() error {
 		}
 		seqs[si] = t.seqs[si]
 		if err := t.request(si, &mpi.RPCRequest{
-			Op: mpi.OpReadIntent, Handle: f.handle, Data: encodeIntent(runs),
+			Op: mpi.OpReadIntent, Handle: f.handle, Data: extent.AppendRuns(nil, runs),
 		}); err != nil {
 			return err
 		}

@@ -27,6 +27,7 @@ package delegate
 import (
 	"fmt"
 
+	"github.com/tcio/tcio/internal/extent"
 	"github.com/tcio/tcio/internal/mpi"
 	"github.com/tcio/tcio/internal/simtime"
 	"github.com/tcio/tcio/internal/tcio"
@@ -97,12 +98,6 @@ func (cfg Config) Normalize(procs int, stripeSize int64) (Config, error) {
 	return cfg, err
 }
 
-// domainSize is the block-cyclic file-domain granularity: the server owning
-// offset off is servers[(off/domainSize) % len(servers)]. Four tcio
-// segments, so one domain block spans several segment drains' worth of
-// coalescing opportunity. Defined on a normalized, armed configuration.
-func (cfg *Config) domainSize() int64 { return 4 * cfg.TCIO.SegmentSize }
-
 // Run executes body on every client rank of c, with cfg.ServerRanks ranks
 // (chosen by cluster.SpreadServers) serving the delegation protocol
 // instead. All ranks of the communicator must call Run collectively. When
@@ -121,9 +116,12 @@ func Run(c *mpi.Comm, cfg Config, body func(*Tier) error) error {
 		return body(&Tier{c: c, cfg: cfg, clientIdx: c.Rank(), clients: c.Size()})
 	}
 	servers := c.Machine().SpreadServers(c.Size(), cfg.ServerRanks)
+	// The owner map: block-cyclic file domains of four tcio segments, so a
+	// block spans several segment drains' worth of coalescing opportunity.
+	domains := extent.Layout{P: len(servers), SegSize: 4 * cfg.TCIO.SegmentSize}
 	for _, s := range servers {
 		if s == c.Rank() {
-			return serve(c, cfg, servers)
+			return serve(c, cfg, servers, domains)
 		}
 	}
 	// My index among the client ranks (the ranks not serving), so work
@@ -138,6 +136,7 @@ func Run(c *mpi.Comm, cfg Config, body func(*Tier) error) error {
 		c:         c,
 		cfg:       cfg,
 		servers:   servers,
+		domains:   domains,
 		clientIdx: idx,
 		clients:   c.Size() - len(servers),
 		seqs:      make([]int64, len(servers)),

@@ -337,16 +337,16 @@ func TestDelegateConfigValidation(t *testing.T) {
 }
 
 // TestConfigNormalizeDefaults: an armed tier gets its admission window and a
-// normalized tcio geometry (the domain size derives from it); the
+// normalized tcio geometry (the domain blocks derive from it); the
 // pass-through configuration is left for tcio.Open to normalize.
 func TestConfigNormalizeDefaults(t *testing.T) {
 	armed, err := Config{ServerRanks: 1}.Normalize(4, 512)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if armed.QueueDepth != 8 || armed.TCIO.SegmentSize != 512 || armed.domainSize() != 2048 {
-		t.Fatalf("armed defaults: queue %d, segment %d, domain %d; want 8, 512, 2048",
-			armed.QueueDepth, armed.TCIO.SegmentSize, armed.domainSize())
+	if armed.QueueDepth != 8 || armed.TCIO.SegmentSize != 512 {
+		t.Fatalf("armed defaults: queue %d, segment %d; want 8, 512",
+			armed.QueueDepth, armed.TCIO.SegmentSize)
 	}
 	pass, err := Config{}.Normalize(4, 512)
 	if err != nil {

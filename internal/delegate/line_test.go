@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/tcio/tcio/internal/cluster"
+	"github.com/tcio/tcio/internal/extent"
 	"github.com/tcio/tcio/internal/faults"
 	"github.com/tcio/tcio/internal/mpi"
 	"github.com/tcio/tcio/internal/pfs"
@@ -104,7 +105,7 @@ func (r lineRig) run(t *testing.T, drive func(d *lineDriver) error) []lineReply 
 		if err != nil {
 			return err
 		}
-		d := &lineDriver{s: newServer(c, cfg, []int{0})}
+		d := &lineDriver{s: newServer(c, cfg, []int{0}, extent.Layout{P: 1, SegSize: lineDS})}
 		if err := d.s.open(&mpi.RPCRequest{Op: mpi.OpOpen, Client: 1, Handle: 1, Data: []byte("line"), Off: int64(tcio.ReadMode)}); err != nil {
 			return err
 		}

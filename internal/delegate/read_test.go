@@ -613,14 +613,14 @@ var malformedIntents = []struct {
 	name    string
 	payload []byte
 }{
-	{"negative offset", encodeIntent([]extent.Extent{{Off: -1, Len: 8}})},
-	{"negative offset and length", encodeIntent([]extent.Extent{{Off: -1, Len: -1}})},
-	{"zero length", encodeIntent([]extent.Extent{{Off: 0, Len: 0}})},
-	{"negative length", encodeIntent([]extent.Extent{{Off: 16, Len: -4}})},
-	{"overflowing end", encodeIntent([]extent.Extent{{Off: math.MaxInt64 - 3, Len: 8}})},
-	{"crosses its block", encodeIntent([]extent.Extent{{Off: 250, Len: 16}})},
-	{"another server's block", encodeIntent([]extent.Extent{{Off: 0, Len: 8}, {Off: 256, Len: 8}})},
-	{"truncated record", encodeIntent([]extent.Extent{{Off: 512, Len: 256}})[:15]},
+	{"negative offset", extent.AppendRuns(nil, []extent.Extent{{Off: -1, Len: 8}})},
+	{"negative offset and length", extent.AppendRuns(nil, []extent.Extent{{Off: -1, Len: -1}})},
+	{"zero length", extent.AppendRuns(nil, []extent.Extent{{Off: 0, Len: 0}})},
+	{"negative length", extent.AppendRuns(nil, []extent.Extent{{Off: 16, Len: -4}})},
+	{"overflowing end", extent.AppendRuns(nil, []extent.Extent{{Off: math.MaxInt64 - 3, Len: 8}})},
+	{"crosses its block", extent.AppendRuns(nil, []extent.Extent{{Off: 250, Len: 16}})},
+	{"another server's block", extent.AppendRuns(nil, []extent.Extent{{Off: 0, Len: 8}, {Off: 256, Len: 8}})},
+	{"truncated record", extent.AppendRuns(nil, []extent.Extent{{Off: 512, Len: 256}})[:15]},
 }
 
 // TestMalformedReadIntentGetsErrorReply (ROADMAP 5e'): a read intent is
@@ -631,80 +631,35 @@ var malformedIntents = []struct {
 // must be served, no rank may panic and the world must not abort; a clean
 // epoch afterwards shows both servers still standing.
 func TestMalformedReadIntentGetsErrorReply(t *testing.T) {
-	const domain, fileBlocks = 256, 8
 	for _, bad := range malformedIntents {
 		t.Run(bad.name, func(t *testing.T) {
-			m := cluster.Lonestar()
-			m.CoresPerNode = 4
-			cfg := Config{
-				ServerRanks: 2, ServerCacheBlocks: 4,
-				TCIO: tcio.Config{SegmentSize: domain / 4, NumSegments: 8, CollectiveRead: true},
-			}
-			_, err := mpi.Run(mpi.Config{Procs: 4, Machine: m}, func(c *mpi.Comm) error {
-				return Run(c, cfg, func(tr *Tier) error {
-					w, err := tr.Open("bad", tcio.WriteMode)
-					if err != nil {
-						return err
+			err := rigRead(rigConfig(4, true), func(tr *Tier, r *File) error {
+				if tr.ClientIndex() == 1 {
+					if err := readAll(tr, r); err != nil {
+						return fmt.Errorf("well-formed client in the malformed epoch: %w", err)
 					}
-					buf := make([]byte, domain)
-					for blk := int64(tr.ClientIndex()); blk < fileBlocks; blk += 2 {
-						for i := range buf {
-							buf[i] = expectByte(0, blk*domain+int64(i))
-						}
-						if err := w.WriteAt(blk*domain, buf); err != nil {
+				} else {
+					for si, payload := range [][]byte{bad.payload, nil} {
+						if err := tr.request(si, &mpi.RPCRequest{Op: mpi.OpReadIntent, Handle: r.handle, Data: payload}); err != nil {
 							return err
 						}
 					}
-					if err := w.Close(); err != nil {
-						return err
-					}
-					r, err := tr.Open("bad", tcio.ReadMode)
-					if err != nil {
-						return err
-					}
-					// readAll reads the whole file through one clean epoch.
-					readAll := func() error {
-						img := make([]byte, fileBlocks*domain)
-						if err := r.ReadAt(0, img); err != nil {
-							return err
-						}
-						if err := r.Fetch(); err != nil {
-							return err
-						}
-						for off, got := range img {
-							if want := expectByte(0, int64(off)); got != want {
-								return fmt.Errorf("client %d byte %d: got %d want %d", tr.ClientIndex(), off, got, want)
-							}
-						}
-						return nil
-					}
-					if tr.ClientIndex() == 1 {
-						if err := readAll(); err != nil {
-							return fmt.Errorf("well-formed client in the malformed epoch: %w", err)
-						}
-					} else {
-						for si, payload := range [][]byte{bad.payload, nil} {
-							if err := tr.request(si, &mpi.RPCRequest{Op: mpi.OpReadIntent, Handle: r.handle, Data: payload}); err != nil {
-								return err
-							}
-						}
-						rep, err := r.reply(0, "read")
-						if err == nil {
-							rep.Release()
-						}
-						if err == nil || !strings.Contains(err.Error(), "read intent") {
-							return fmt.Errorf("server 0 answered the malformed intent with %v, want a read-intent error", err)
-						}
-						if rep, err = r.reply(1, "read"); err != nil {
-							return fmt.Errorf("server 1 got a well-formed empty intent and answered %w", err)
-						}
+					rep, err := r.reply(0, "read")
+					if err == nil {
 						rep.Release()
 					}
-					if err := readAll(); err != nil {
-						return fmt.Errorf("epoch after the malformed one: %w", err)
+					if err == nil || !strings.Contains(err.Error(), "read intent") {
+						return fmt.Errorf("server 0 answered the malformed intent with %v, want a read-intent error", err)
 					}
-					return r.Close()
-				})
+					if rep, err = r.reply(1, "read"); err != nil {
+						return fmt.Errorf("server 1 got a well-formed empty intent and answered %w", err)
+					}
+					rep.Release()
+				}
+				if err := readAll(tr, r); err != nil {
+					return fmt.Errorf("epoch after the malformed one: %w", err)
+				}
+				return nil
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -713,37 +668,36 @@ func TestMalformedReadIntentGetsErrorReply(t *testing.T) {
 	}
 }
 
-// FuzzDecodeIntent: the read-intent decoder never panics, and a payload it
-// accepts re-encodes to the same bytes (ROADMAP 5e), and one the server's
-// checkIntent accepts as well is safe to index with. The records are
-// extent's run codec; the framing — a whole number of them — is this
-// package's.
+// FuzzDecodeIntent: the read-intent decoder (extent.DecodeRuns) never
+// panics, a payload it accepts re-encodes to the same bytes (ROADMAP 5e),
+// and runs the server's ownership check (server.owned) accepts as well are
+// safe to index with.
 func FuzzDecodeIntent(f *testing.F) {
 	f.Add([]byte(nil))
-	f.Add(encodeIntent([]extent.Extent{{Off: 0, Len: 256}, {Off: 1 << 40, Len: 1}}))
-	f.Add(encodeIntent([]extent.Extent{{Off: -1, Len: -1}}))
-	f.Add(encodeIntent([]extent.Extent{{Off: 512, Len: 256}})[:15])
+	f.Add(extent.AppendRuns(nil, []extent.Extent{{Off: 0, Len: 256}, {Off: 1 << 40, Len: 1}}))
+	f.Add(extent.AppendRuns(nil, []extent.Extent{{Off: -1, Len: -1}}))
+	f.Add(extent.AppendRuns(nil, []extent.Extent{{Off: 512, Len: 256}})[:15])
 	for _, bad := range malformedIntents {
 		f.Add(bad.payload)
 	}
-	srv := &server{cfg: Config{TCIO: tcio.Config{SegmentSize: 64}}, nservers: 2}
+	srv := &server{domains: extent.Layout{P: 2, SegSize: 256}}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		runs, err := decodeIntent(data)
+		runs, err := extent.DecodeRuns(nil, data)
 		if err != nil {
 			return
 		}
-		if again := encodeIntent(runs); !bytes.Equal(again, data) {
+		if again := extent.AppendRuns(nil, runs); !bytes.Equal(again, data) {
 			t.Fatalf("accepted intent does not re-encode to itself:\n got %x\nwant %x", again, data)
-		}
-		if srv.checkIntent(runs) != nil {
-			return
 		}
 		// What closeReadEpoch indexes with: a block this server owns and a
 		// slice inside it.
 		for _, r := range runs {
-			blk := r.Off / 256
-			if rel := r.Off - blk*256; blk < 0 || blk%2 != 0 || rel < 0 || r.Len <= 0 || rel+r.Len > 256 {
-				t.Fatalf("checkIntent accepted run [%d,+%d)", r.Off, r.Len)
+			blk, err := srv.owned("read intent", r)
+			if err != nil {
+				continue
+			}
+			if rel := r.Off - blk*256; blk != r.Off/256 || blk < 0 || blk%2 != 0 || rel < 0 || r.Len <= 0 || rel+r.Len > 256 {
+				t.Fatalf("owned accepted run [%d,+%d) as block %d", r.Off, r.Len, blk)
 			}
 		}
 	})

@@ -9,8 +9,10 @@ package delegate
 // order, making the drained batch and the file image deterministic.
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -99,7 +101,7 @@ type handleFile struct {
 	// without delegation. Cache fills are the server's own and use drain.
 	readers map[int]*storage.Client
 	// staged holds the epoch's write requests, unreleased: epochs apply in
-	// (client, seq) order, so no record can be copied out before closeEpoch.
+	// (block, client, seq) order, so no record is copied out before closeEpoch.
 	staged  []mpi.RPCRequest
 	flushed map[int]bool
 	epoch   int64
@@ -122,12 +124,11 @@ type server struct {
 	c       *mpi.Comm
 	cfg     Config
 	retry   faults.RetryPolicy
-	clients int // client-rank count: the flush-epoch quorum
-	// index is this rank's position among the nservers server ranks: it
-	// owns the domain blocks ≡ index (mod nservers), as Tier.owner deals them.
-	index, nservers int
-	handles         map[int32]*handleFile
-	stats           ServerStats
+	clients int           // client-rank count: the flush-epoch quorum
+	index   int           // this rank's position among the server ranks
+	domains extent.Layout // the owner map; this server owns the blocks Owner deals to index
+	handles map[int32]*handleFile
+	stats   ServerStats
 	// cache is the hot-block cache (nil when ServerCacheBlocks == 0) and
 	// dirty counts staged-but-undrained writes per (file, block): a block
 	// with dirty records bypasses the cache entirely, so a read between a
@@ -140,18 +141,19 @@ type server struct {
 }
 
 // newServer builds the server state of rank c among serverRanks.
-func newServer(c *mpi.Comm, cfg Config, serverRanks []int) *server {
+func newServer(c *mpi.Comm, cfg Config, serverRanks []int, domains extent.Layout) *server {
 	srv := &server{
 		c:       c,
 		cfg:     cfg,
 		retry:   faults.DefaultRetryPolicy(),
+		index:   slices.Index(serverRanks, c.Rank()),
+		domains: domains,
 		handles: make(map[int32]*handleFile),
 	}
 	if cfg.TCIO.Retry != nil {
 		srv.retry = *cfg.TCIO.Retry
 	}
 	srv.clients = c.Size() - len(serverRanks)
-	srv.index, srv.nservers = slices.Index(serverRanks, c.Rank()), len(serverRanks)
 	if cfg.ServerCacheBlocks > 0 {
 		srv.cache = newBlockCache(cfg.ServerCacheBlocks)
 		srv.dirty = make(map[blockKey]int)
@@ -164,8 +166,8 @@ func newServer(c *mpi.Comm, cfg Config, serverRanks []int) *server {
 
 // serve runs the delegation request loop on a server rank until every
 // client has shut down, then deposits the rank's counters in Collect.
-func serve(c *mpi.Comm, cfg Config, serverRanks []int) error {
-	srv := newServer(c, cfg, serverRanks)
+func serve(c *mpi.Comm, cfg Config, serverRanks []int, domains extent.Layout) error {
+	srv := newServer(c, cfg, serverRanks, domains)
 	err := srv.loop()
 	if cfg.Collect != nil {
 		srv.stats.Rank = c.Rank()
@@ -291,7 +293,12 @@ func (s *server) lookup(req *mpi.RPCRequest) (*handleFile, error) {
 
 func (s *server) write(req mpi.RPCRequest) error {
 	h, err := s.lookup(&req)
+	var blk int64
+	if err == nil {
+		blk, err = s.owned("write", extent.Extent{Off: req.Off, Len: int64(len(req.Data))})
+	}
 	if err != nil {
+		req.Release()
 		return err
 	}
 	h.staged = append(h.staged, req)
@@ -301,7 +308,7 @@ func (s *server) write(req mpi.RPCRequest) error {
 		// The block now has a staged-but-undrained write: reads must
 		// bypass the cache for it until the flush epoch drains (and
 		// writes through) — see closeEpoch.
-		s.dirty[blockKey{name: h.name, blk: req.Off / s.cfg.domainSize()}]++
+		s.dirty[blockKey{name: h.name, blk: blk}]++
 	}
 	// Grant the admission credit back now that the record is staged.
 	return s.c.Send(req.Client, tagCredit, []byte{1})
@@ -344,25 +351,47 @@ func (s *server) traceCacheServe(bytes, blk int64) {
 
 // lineBlocks is the fill line: a cache miss fetches the missed block's
 // aligned group of this many of the server's own domain blocks. A constant
-// beside domainSize's 4, not a knob (DESIGN.md §2e).
+// beside the domain block's four segments, not a knob (DESIGN.md §2e).
 const lineBlocks = 4
 
-// read serves one OpRead. Requests are split at domain-block boundaries
-// by the client, so each lies within a single block. With the cache
-// armed, a clean block is served from its entry once the entry's bytes have
-// arrived — a miss first posts the block's fill line; a dirty block
-// (staged-but-undrained writes) bypasses the cache with a per-request
-// read, exactly the disarmed tier's shape.
+// owned checks a run off the wire — a write record, a read, an intent's run —
+// before the server indexes with it: non-empty, non-negative, not overflowing,
+// and inside one domain block this server owns. It returns the block.
+func (s *server) owned(kind string, r extent.Extent) (int64, error) {
+	if r.Off < 0 || r.Len <= 0 || r.Len > math.MaxInt64-r.Off {
+		return 0, fmt.Errorf("delegate: %s run [%d,+%d) is empty, negative or overflows", kind, r.Off, r.Len)
+	}
+	blk := s.domains.Segment(r.Off)
+	owner, end := s.domains.Clip(r.Off, r.End())
+	if end != r.End() {
+		return 0, fmt.Errorf("delegate: %s run [%d,+%d) crosses a %d-byte domain block", kind, r.Off, r.Len, s.domains.SegSize)
+	}
+	if owner != s.index {
+		return 0, fmt.Errorf("delegate: %s run [%d,+%d) lies in block %d, which server %d of %d does not own",
+			kind, r.Off, r.Len, blk, s.index, s.domains.P)
+	}
+	return blk, nil
+}
+
+// read serves one OpRead, which must lie within one block of this server's
+// (else the sender gets an error reply). With the cache armed, a clean block
+// is served from its entry once the entry's bytes have arrived — a miss
+// first posts the block's fill line; a dirty block (staged-but-undrained
+// writes) bypasses the cache with a per-request read, exactly the disarmed
+// tier's shape.
 func (s *server) read(req *mpi.RPCRequest) error {
 	h, err := s.lookup(req)
 	if err != nil {
 		return err
 	}
 	s.stats.ReadReqs++
-	ds := s.cfg.domainSize()
-	key := blockKey{name: h.name, blk: req.Off / ds}
+	blk, err := s.owned("read", extent.Extent{Off: req.Off, Len: req.Len})
+	key := blockKey{name: h.name, blk: blk}
 	rep := &mpi.RPCReply{Seq: req.Seq}
-	if s.cache != nil && s.dirty[key] == 0 {
+	switch {
+	case err != nil:
+		// Malformed: nothing to serve; the reply carries the error.
+	case s.cache != nil && s.dirty[key] == 0:
 		ent, hit := s.cache.get(key)
 		if !hit {
 			s.stats.CacheMisses++
@@ -378,10 +407,10 @@ func (s *server) read(req *mpi.RPCRequest) error {
 			}
 			// SendReply copies synchronously into its wire staging, so
 			// serving a slice of the live entry is safe and zero-copy.
-			rel := req.Off - key.blk*ds
+			rel := req.Off - s.domains.SegStart(blk)
 			rep.OK, rep.Data = true, ent.buf[rel:rel+req.Len]
 		}
-	} else {
+	default:
 		if s.cache != nil {
 			// Dirty block: served, but never from or into the cache.
 			s.stats.CacheMisses++
@@ -411,15 +440,17 @@ func (s *server) read(req *mpi.RPCRequest) error {
 // fails itself (and leaves the rest of the line unissued); the error is the
 // caller's only when it is key's.
 func (s *server) fillLine(h *handleFile, key blockKey) (*cacheEntry, error) {
-	ds, n, size := s.cfg.domainSize(), int64(s.nservers), h.pf.Size()
+	ds, n, size := s.domains.SegSize, int64(s.domains.P), h.pf.Size()
 	fill := func(blk int64) storage.Request {
-		return storage.Request{Off: blk * ds, Data: s.c.GetBuf(int(ds)), Tag: fmt.Sprintf("blk=%d", blk)}
+		return storage.Request{Off: s.domains.SegStart(blk), Data: s.c.GetBuf(int(ds)), Tag: fmt.Sprintf("blk=%d", blk)}
 	}
 	reqs := []storage.Request{fill(key.blk)}
-	first := key.blk - (key.blk/n%lineBlocks)*n
+	// Walked from the missed block, n at a time: all owned by key's owner.
+	_, slot := s.domains.Owner(key.blk)
+	first := key.blk - slot%lineBlocks*n
 	for blk := first; blk < first+lineBlocks*n && len(reqs) < min(lineBlocks, s.cache.cap); blk += n {
 		k := blockKey{name: h.name, blk: blk}
-		if _, resident := s.cache.peek(k); blk != key.blk && !resident && s.dirty[k] == 0 && blk*ds < size {
+		if _, resident := s.cache.peek(k); blk != key.blk && !resident && s.dirty[k] == 0 && s.domains.SegStart(blk) < size {
 			reqs = append(reqs, fill(blk))
 		}
 	}
@@ -440,7 +471,7 @@ func (s *server) fillLine(h *handleFile, key blockKey) (*cacheEntry, error) {
 	}
 	for i, r := range reqs {
 		if i < filled {
-			s.admit(blockKey{name: h.name, blk: r.Off / ds}, r.Data, done[i])
+			s.admit(blockKey{name: h.name, blk: s.domains.Segment(r.Off)}, r.Data, done[i])
 		} else {
 			s.c.Recycle(r.Data)
 		}
@@ -495,21 +526,22 @@ func (s *server) flush(req *mpi.RPCRequest) error {
 
 // blockStage is one domain block's staging buffer during an epoch close.
 type blockStage struct {
+	blk  int64
 	buf  []byte
 	runs []extent.Extent // block-relative dirty runs, coalesced
 }
 
-// closeEpoch applies the epoch's staged writes in (client, seq) order —
-// last write wins, deterministically — coalesces them per domain block,
-// drains one batch, and acks the flushed clients in rank order. Drained
-// runs write through into live cache entries (and clear the blocks'
-// dirty counters), so post-flush reads hit coherent bytes.
+// closeEpoch applies the epoch's staged writes block by block, each block's
+// records in (client, seq) order — last write wins, deterministically —
+// coalesces them, drains one batch, and acks the flushed clients in rank
+// order. Drained runs write through into live cache entries (and clear the
+// blocks' dirty counters), so post-flush reads hit coherent bytes.
 func (s *server) closeEpoch(h *handleFile) error {
 	if s.cache != nil {
 		// Every staged record retires with this epoch; a block goes clean
 		// again once its last staged write drains.
 		for i := range h.staged {
-			key := blockKey{name: h.name, blk: h.staged[i].Off / s.cfg.domainSize()}
+			key := blockKey{name: h.name, blk: s.domains.Segment(h.staged[i].Off)}
 			if n := s.dirty[key]; n <= 1 {
 				delete(s.dirty, key)
 			} else {
@@ -517,51 +549,49 @@ func (s *server) closeEpoch(h *handleFile) error {
 			}
 		}
 	}
-	sort.Slice(h.staged, func(i, j int) bool {
-		a, b := &h.staged[i], &h.staged[j]
-		if a.Client != b.Client {
-			return a.Client < b.Client
-		}
-		return a.Seq < b.Seq
-	})
+	bySeq := func(a, b mpi.RPCRequest) int {
+		return cmp.Or(cmp.Compare(a.Client, b.Client), cmp.Compare(a.Seq, b.Seq))
+	}
 	if mutate.Enabled(mutate.DelegateDropQueuedFlush) && len(h.staged) > 0 {
-		h.staged = h.staged[:len(h.staged)-1]
-	}
-	ds := s.cfg.domainSize()
-	blocks := make(map[int64]*blockStage)
-	var order []int64
-	for i := range h.staged {
-		rec := &h.staged[i]
-		blk := rec.Off / ds
-		st := blocks[blk]
-		if st == nil {
-			// Pooled staging memory, outside the simulated-memory
-			// accountant: server staging must not perturb the per-rank
-			// allocation fault stream (the same rule tcio's populate and
-			// prefetch scratch follows). The pool hands back stale bytes,
-			// which is safe here: the coalesced runs cover exactly the
-			// staged writes' bytes, and only run-covered slices are ever
-			// drained or written through.
-			st = &blockStage{buf: s.c.GetBuf(int(ds))}
-			blocks[blk] = st
-			order = append(order, blk)
+		// Planted bug: the epoch loses its last record in (client, seq) order.
+		last := 0
+		for i := range h.staged {
+			if bySeq(h.staged[i], h.staged[last]) > 0 {
+				last = i
+			}
 		}
-		rel := rec.Off - blk*ds
-		copy(st.buf[rel:], rec.Data)
-		st.runs = extent.Coalesce(append(st.runs, extent.Extent{Off: rel, Len: int64(len(rec.Data))}))
-		rec.Release()
+		h.staged = slices.Delete(h.staged, last, last+1)
 	}
-	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
+	// One sort groups the records by block, each block's in apply order.
+	slices.SortFunc(h.staged, func(a, b mpi.RPCRequest) int {
+		return cmp.Or(cmp.Compare(s.domains.Segment(a.Off), s.domains.Segment(b.Off)), bySeq(a, b))
+	})
+	var stages []blockStage
 	var reqs []storage.Request
-	for _, blk := range order {
-		st := blocks[blk]
+	for i := 0; i < len(h.staged); {
+		blk := s.domains.Segment(h.staged[i].Off)
+		base := s.domains.SegStart(blk)
+		// Pooled staging memory, outside the simulated-memory accountant:
+		// server staging must not perturb the per-rank allocation fault
+		// stream (the same rule tcio's populate and prefetch scratch
+		// follows). The pool hands back stale bytes, which is safe here: the
+		// coalesced runs cover exactly the staged writes' bytes, and only
+		// run-covered slices are ever drained or written through.
+		st := blockStage{blk: blk, buf: s.c.GetBuf(int(s.domains.SegSize))}
+		for ; i < len(h.staged) && s.domains.Segment(h.staged[i].Off) == blk; i++ {
+			rec := &h.staged[i]
+			copy(st.buf[rec.Off-base:], rec.Data)
+			st.runs = extent.Coalesce(append(st.runs, extent.Extent{Off: rec.Off - base, Len: int64(len(rec.Data))}))
+			rec.Release()
+		}
 		for _, run := range st.runs {
 			reqs = append(reqs, storage.Request{
-				Off:  blk*ds + run.Off,
+				Off:  base + run.Off,
 				Data: st.buf[run.Off:run.End()],
 				Tag:  fmt.Sprintf("blk=%d", blk),
 			})
 		}
+		stages = append(stages, st)
 	}
 	var drainErr error
 	if len(reqs) > 0 {
@@ -576,10 +606,9 @@ func (s *server) closeEpoch(h *handleFile) error {
 	// coherent (a failed drain invalidates instead — the entry's bytes can
 	// no longer be trusted to match the file), then retire the pooled
 	// staging buffers.
-	for _, blk := range order {
-		st := blocks[blk]
+	for _, st := range stages {
 		if s.cache != nil {
-			key := blockKey{name: h.name, blk: blk}
+			key := blockKey{name: h.name, blk: st.blk}
 			if drainErr == nil {
 				if cbuf, ok := s.cache.peek(key); ok {
 					for _, run := range st.runs {

@@ -18,10 +18,11 @@
 //   - SplitAt: cut runs at multiples of a granularity (segment and stripe
 //     boundaries).
 //   - Layout (layout.go): the paper's equations (1)-(3) round-robin
-//     offset -> (rank, segment, displacement) mapping.
-//   - Partition (partition.go): OCIO's equal contiguous file domains, and
-//     Cut, a run list clipped at their boundaries and grouped by owner.
-//   - AppendRuns / RunAt (wire.go): the one wire codec for run lists.
+//     offset -> (rank, segment, displacement) mapping, and its piece walk.
+//   - Partition (partition.go): OCIO's equal contiguous file domains.
+//   - Cut (partition.go): the one plan — a run list clipped at either owner
+//     map's unit boundaries and grouped by owner.
+//   - AppendRuns / DecodeRuns (wire.go): the one wire codec for run lists.
 //
 // All functions treat a nil list as empty and never return zero-length
 // runs.

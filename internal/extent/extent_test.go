@@ -3,6 +3,7 @@ package extent
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -195,9 +196,10 @@ func TestPartitionDomainsTile(t *testing.T) {
 		if hi > lo && cur != hi {
 			return false
 		}
-		// Every byte's Find result owns it.
+		// Every byte's Clip result owns it.
 		for off := lo; off < hi; off++ {
-			d := p.Domain(p.Find(off))
+			k, _ := p.Clip(off, off+1)
+			d := p.Domain(k)
 			if off < d.Off || off >= d.End() {
 				return false
 			}
@@ -209,13 +211,14 @@ func TestPartitionDomainsTile(t *testing.T) {
 	}
 }
 
-// refSplit is the per-domain split Cut replaced, kept as its oracle: cut
-// runs at domain boundaries and deal the pieces to one list per domain.
-func refSplit(p Partition, runs []Extent) [][]Extent {
-	out := make([][]Extent, p.N)
+// refSplit is the per-owner split Cut replaced, kept as its oracle over any
+// owner map: cut runs at unit boundaries and deal the pieces, in input
+// order, to one list per owner.
+func refSplit(o Owners, owners int, runs []Extent) [][]Extent {
+	out := make([][]Extent, owners)
 	for _, r := range runs {
 		for r.Len > 0 {
-			k, end := p.Clip(r.Off, r.End())
+			k, end := o.Clip(r.Off, r.End())
 			piece := Extent{Off: r.Off, Len: end - r.Off}
 			out[k] = append(out[k], piece)
 			r.Off += piece.Len
@@ -225,42 +228,106 @@ func refSplit(p Partition, runs []Extent) [][]Extent {
 	return out
 }
 
-func TestPartitionSplitPreservesRuns(t *testing.T) {
-	prop := func(raw []uint16, rawN uint8, reuse bool) bool {
-		n := int(rawN%6) + 1
-		runs := Coalesce(randList(raw))
-		var lo, hi int64
-		if len(runs) > 0 {
-			lo, hi = runs[0].Off, runs[len(runs)-1].End()
-		}
-		p := NewPartition(lo, hi, n)
-		var dst []Extent
-		if reuse {
-			dst = make([]Extent, 3, 4)[:0] // scratch that has to grow
-		}
-		first := make([]int, n+1)
-		flat := p.Cut(dst, first, runs)
-		if !reuse && cap(flat) != len(flat) {
-			return false // a fresh list is sized to the piece count
-		}
-		if first[0] != 0 || first[n] != len(flat) {
+// checkCut runs the plan over o with dst holding prefix and compares it
+// with refSplit: the prefix survives, every owner's group is refSplit's list
+// (grouped, and stable in input order), inside() holds for every piece, and
+// coverage and total are preserved. A fresh list is sized to the piece count.
+func checkCut[O Owners](o O, owners int, prefix, runs []Extent, inside func(k int, e Extent) bool) bool {
+	dst := append([]Extent(nil), prefix...)
+	first := make([]int, owners+1)
+	flat := Cut(o, dst, first, runs)
+	if len(prefix) == 0 && cap(flat) != len(flat) {
+		return false
+	}
+	if !slices.Equal(flat[:len(prefix)], prefix) || first[0] != len(prefix) || first[owners] != len(flat) {
+		return false
+	}
+	pieces := flat[len(prefix):]
+	for k, want := range refSplit(o, owners, runs) {
+		part := flat[first[k]:first[k+1]]
+		if !slices.Equal(part, want) {
 			return false
 		}
-		for k, want := range refSplit(p, runs) {
-			part := flat[first[k]:first[k+1]]
-			if len(part) != len(want) || (len(want) > 0 && !reflect.DeepEqual(part, want)) {
-				return false
-			}
-			d := p.Domain(k)
-			for _, e := range part {
-				if e.Off < d.Off || e.End() > d.End() {
-					return false // piece escaped its domain
-				}
+		for _, e := range part {
+			if e.Len <= 0 || !inside(k, e) {
+				return false // empty, or escaped its unit
 			}
 		}
-		return bitmap(flat) == bitmap(runs) && Total(flat) == Total(runs)
+	}
+	return bitmap(pieces) == bitmap(runs) && Total(pieces) == Total(runs)
+}
+
+// TestPartitionSplitPreservesRuns pins the plan over OCIO's file domains:
+// ascending coalesced runs — what a view yields — and unordered, overlapping
+// ones alike.
+func TestPartitionSplitPreservesRuns(t *testing.T) {
+	prop := func(raw []uint16, rawN uint8, ascending, reuse bool) bool {
+		n := int(rawN%6) + 1
+		runs := randList(raw)
+		if ascending {
+			runs = Coalesce(runs)
+		}
+		lo, hi := int64(universe), int64(0)
+		for _, r := range runs {
+			if r.Len > 0 {
+				lo, hi = min(lo, r.Off), max(hi, r.End())
+			}
+		}
+		p := NewPartition(lo, hi, n)
+		var prefix []Extent
+		if reuse {
+			prefix = []Extent{{Off: 1, Len: 2}, {Off: 9, Len: 1}}
+		}
+		return checkCut(p, n, prefix, runs, func(k int, e Extent) bool {
+			d := p.Domain(k)
+			return e.Off >= d.Off && e.End() <= d.End()
+		})
 	}
 	if err := quick.Check(prop, quickCfg(7)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLayoutCutPreservesRuns pins the plan over the round-robin layout,
+// where even ascending runs come out regrouped: every piece lies in one
+// segment, which its owner owns.
+func TestLayoutCutPreservesRuns(t *testing.T) {
+	prop := func(raw []uint16, rawP, rawSeg uint8, reuse bool) bool {
+		l := Layout{P: int(rawP%6) + 1, SegSize: int64(rawSeg%32) + 1}
+		var prefix []Extent
+		if reuse {
+			prefix = []Extent{{Off: 5, Len: 5}}
+		}
+		return checkCut(l, l.P, prefix, randList(raw), func(k int, e Extent) bool {
+			seg := l.Segment(e.Off)
+			owner, _ := l.Owner(seg)
+			return owner == k && l.Segment(e.End()-1) == seg
+		})
+	}
+	if err := quick.Check(prop, quickCfg(8)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLayoutPiecesTileTheAccess: the piece walk visits [off, off+n) in
+// order, one segment per piece, each with its displacement (equation (3))
+// and its position in the access — the cut Clip makes, one piece at a time.
+func TestLayoutPiecesTileTheAccess(t *testing.T) {
+	prop := func(rawOff, rawN uint16, rawP, rawSeg uint8) bool {
+		l := Layout{P: int(rawP%6) + 1, SegSize: int64(rawSeg%32) + 1}
+		off, n := int64(rawOff), int64(rawN%512)
+		next := int64(0)
+		ok := true
+		err := l.Pieces(off, n, func(seg, disp, at, m int64) error {
+			_, end := l.Clip(off+at, off+n)
+			ok = ok && at == next && m > 0 && end == off+at+m &&
+				seg == l.Segment(off+at) && disp == off+at-l.SegStart(seg)
+			next = at + m
+			return nil
+		})
+		return err == nil && ok && next == n
+	}
+	if err := quick.Check(prop, quickCfg(9)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -283,9 +350,9 @@ func TestCoversSpanSubtractEdges(t *testing.T) {
 	}
 }
 
-// TestRunWireRoundTrip pins the one run codec every layer frames: 16 bytes
+// TestRunWireRoundTrip pins the one run codec every layer ships: 16 bytes
 // per run, little-endian offset then length, appended in place when dst has
-// the room.
+// the room, and decoded whole records only, onto what dst already holds.
 func TestRunWireRoundTrip(t *testing.T) {
 	runs := []Extent{{Off: 1, Len: 2}, {Off: 1 << 40, Len: 3}, {Off: -1, Len: 0}}
 	slot := make([]byte, 4+RunWire*len(runs))
@@ -293,12 +360,17 @@ func TestRunWireRoundTrip(t *testing.T) {
 	if &b[0] != &slot[0] || len(b) != len(slot) {
 		t.Fatalf("AppendRuns left a slot with room: %d bytes, moved=%v", len(b), &b[0] != &slot[0])
 	}
-	for i, want := range runs {
-		if got := RunAt(b[4:], i); got != want {
-			t.Errorf("run %d = %v, want %v", i, got, want)
-		}
+	prior := []Extent{{Off: 7, Len: 7}}
+	got, err := DecodeRuns(prior, b[4:])
+	if err != nil || !slices.Equal(got, append(prior, runs...)) {
+		t.Errorf("DecodeRuns = %v, %v; want %v after %v", got, err, runs, prior)
 	}
 	if want := []byte{1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0}; !reflect.DeepEqual(b[4:4+RunWire], want) {
 		t.Errorf("wire bytes = %v, want %v", b[4:4+RunWire], want)
+	}
+	for _, n := range []int{1, RunWire - 1, RunWire + 1, len(b) - 5} {
+		if got, err := DecodeRuns(prior, b[4:4+n]); err == nil || !slices.Equal(got, prior) {
+			t.Errorf("a %d-byte list decoded to %v, %v; want an error and dst untouched", n, got, err)
+		}
 	}
 }

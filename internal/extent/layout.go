@@ -12,7 +12,8 @@ import "github.com/tcio/tcio/internal/mutate"
 // The file is viewed as consecutive segments of SegSize bytes; segment g is
 // owned by rank g % P and lives in that rank's local slot g / P. NumSeg
 // bounds the slots each rank exposes, so P * NumSeg * SegSize bytes of file
-// are addressable.
+// are addressable. The delegation tier's domain blocks are the segments of
+// a Layout over its server ranks.
 type Layout struct {
 	// P is the number of processes sharing the file.
 	P int
@@ -39,6 +40,29 @@ func (l Layout) Owner(seg int64) (rank int, slot int64) {
 		r = (seg + 1) % int64(l.P)
 	}
 	return int(r), seg / int64(l.P)
+}
+
+// Clip locates the rank owning byte off and clips [off, end) to the end of
+// off's segment: Layout as an owner map.
+func (l Layout) Clip(off, end int64) (int, int64) {
+	seg := l.Segment(off)
+	rank, _ := l.Owner(seg)
+	return rank, min(end, l.SegStart(seg+1))
+}
+
+// Pieces cuts the n bytes at offset off at segment boundaries (§IV.A) and
+// calls fn on each piece in file order with its global segment, its
+// displacement (3), its position in the access and its length.
+func (l Layout) Pieces(off, n int64, fn func(seg, disp, at, n int64) error) error {
+	for at := int64(0); at < n; {
+		seg, disp := l.Segment(off+at), (off+at)%l.SegSize
+		m := min(l.SegSize-disp, n-at)
+		if err := fn(seg, disp, at, m); err != nil {
+			return err
+		}
+		at += m
+	}
+	return nil
 }
 
 // SegStart returns the file offset where a global segment begins.

@@ -25,73 +25,68 @@ func (p Partition) Domain(k int) Extent {
 	if p.size == 0 {
 		return Extent{Off: p.Hi}
 	}
-	lo := p.Lo + int64(k)*p.size
-	hi := lo + p.size
-	if lo > p.Hi {
-		lo = p.Hi
-	}
-	if hi > p.Hi {
-		hi = p.Hi
-	}
-	return Extent{Off: lo, Len: hi - lo}
+	lo := min(p.Lo+int64(k)*p.size, p.Hi)
+	return Extent{Off: lo, Len: min(lo+p.size, p.Hi) - lo}
 }
 
-// Find returns the index of the domain owning byte off, clamped to [0, N-1].
-func (p Partition) Find(off int64) int {
+// Clip locates the domain owning byte off, its index clamped to [0, N-1],
+// and clips [off, end) to that domain's upper bound, returning the domain
+// index and the clipped end.
+func (p Partition) Clip(off, end int64) (int, int64) {
 	k := 0
 	if p.size > 0 {
 		k = int((off - p.Lo) / p.size)
 	}
-	if k < 0 {
-		k = 0
-	}
-	if k >= p.N {
-		k = p.N - 1
-	}
-	return k
-}
-
-// Clip locates the domain owning byte off and clips [off, end) to that
-// domain's upper bound, returning the domain index and the clipped end.
-func (p Partition) Clip(off, end int64) (int, int64) {
-	k := p.Find(off)
+	k = min(max(k, 0), p.N-1)
 	if hi := p.Domain(k).End(); end > hi && hi > off {
 		end = hi
 	}
 	return k, end
 }
 
-// Cut clips ascending runs at domain boundaries and appends the pieces to
-// dst, which it returns. Ascending input makes the pieces come out grouped
-// by owning domain, so one flat list and an index replace a list per
-// domain: Cut fills first, which must hold N+1 entries, so that domain k
-// owns pieces first[k] to first[k+1] of the returned list. A dst without
-// storage is sized to the piece count — one per run plus one per boundary a
-// run crosses — instead of doubling up to it.
-func (p Partition) Cut(dst []Extent, first []int, runs []Extent) []Extent {
-	if cap(dst) == 0 {
-		n := len(runs)
-		for _, r := range runs {
-			if r.Len > 0 {
-				n += p.Find(r.End()-1) - p.Find(r.Off)
-			}
-		}
-		dst = make([]Extent, 0, n)
-	}
-	k := 0
-	first[0] = len(dst)
+// Owners is an owner map — Partition or Layout: Clip returns the unit owning
+// byte off and clips [off, end) to that unit's upper bound.
+type Owners interface {
+	Clip(off, end int64) (int, int64)
+}
+
+// Cut is the one plan of every exchange that routes runs to their owners:
+// it clips runs at the owner map's unit boundaries and appends the pieces to
+// dst grouped by owner, so that owner k's are first[k] to first[k+1] of the
+// returned list (first holds one entry per owner, plus one). The grouping is
+// a stable counting sort: runs may come in any order and overlap, and each
+// owner's pieces keep their input order. A dst without the room is replaced
+// by one sized to the piece count.
+func Cut[O Owners](o O, dst []Extent, first []int, runs []Extent) []Extent {
+	clear(first)
 	for _, r := range runs {
 		for r.Len > 0 {
-			owner, end := p.Clip(r.Off, r.End())
-			for ; k < owner; k++ {
-				first[k+1] = len(dst)
-			}
-			dst = append(dst, Extent{Off: r.Off, Len: end - r.Off})
+			k, end := o.Clip(r.Off, r.End())
+			first[k+1]++
 			r.Off, r.Len = end, r.End()-end
 		}
 	}
-	for ; k < p.N; k++ {
-		first[k+1] = len(dst)
+	// Prefix sums turn the counts into each owner's first slot.
+	base := len(dst)
+	first[0] = base
+	for k := 1; k < len(first); k++ {
+		first[k] += first[k-1]
 	}
+	total := first[len(first)-1]
+	if total > cap(dst) {
+		dst = append(make([]Extent, 0, total), dst...)
+	}
+	dst = dst[:total]
+	for _, r := range runs {
+		for r.Len > 0 {
+			k, end := o.Clip(r.Off, r.End())
+			dst[first[k]] = Extent{Off: r.Off, Len: end - r.Off}
+			first[k]++
+			r.Off, r.Len = end, r.End()-end
+		}
+	}
+	// Each owner's cursor now stands where the next owner's pieces begin.
+	copy(first[1:], first)
+	first[0] = base
 	return dst
 }

@@ -1,17 +1,23 @@
 package extent
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"fmt"
+	"slices"
+)
 
 // RunWire is the wire width of one run: offset and length, each a
 // little-endian uint64. Fixed-width and byte-order-pinned, so encoded run
 // lists are part of the deterministic replay surface. Every layer that
 // ships run lists — OCIO's exchange messages, TCIO's collective-read
-// intents, the delegation tier's read intents — frames these records its
-// own way and encodes them here.
+// intents, the delegation tier's read intents — encodes and decodes the
+// records here; OCIO alone frames them, behind a run count and ahead of a
+// payload.
 const RunWire = 16
 
-// AppendRuns appends the wire records of runs to dst.
+// AppendRuns appends the wire records of runs to dst, growing it once.
 func AppendRuns(dst []byte, runs []Extent) []byte {
+	dst = slices.Grow(dst, RunWire*len(runs))
 	for _, r := range runs {
 		dst = binary.LittleEndian.AppendUint64(dst, uint64(r.Off))
 		dst = binary.LittleEndian.AppendUint64(dst, uint64(r.Len))
@@ -19,11 +25,15 @@ func AppendRuns(dst []byte, runs []Extent) []byte {
 	return dst
 }
 
-// RunAt decodes record i of an encoded run list; b must hold it.
-func RunAt(b []byte, i int) Extent {
-	b = b[i*RunWire : (i+1)*RunWire]
-	return Extent{
-		Off: int64(binary.LittleEndian.Uint64(b)),
-		Len: int64(binary.LittleEndian.Uint64(b[8:])),
+// DecodeRuns appends the runs encoded in b, which must be whole records, to
+// dst. It does not check them: that is the caller's job.
+func DecodeRuns(dst []Extent, b []byte) ([]Extent, error) {
+	if len(b)%RunWire != 0 {
+		return dst, fmt.Errorf("extent: run list of %d bytes is not a whole number of %d-byte records", len(b), RunWire)
 	}
+	dst = slices.Grow(dst, len(b)/RunWire)
+	for le := binary.LittleEndian; len(b) > 0; b = b[RunWire:] {
+		dst = append(dst, Extent{Off: int64(le.Uint64(b)), Len: int64(le.Uint64(b[8:]))})
+	}
+	return dst, nil
 }

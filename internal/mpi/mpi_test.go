@@ -185,7 +185,7 @@ func TestRankErrorPropagatesAndUnblocksPeers(t *testing.T) {
 	if err == nil {
 		t.Fatal("expected error")
 	}
-	if !errors.Is(err, boom) && !errors.Is(err, ErrAborted) {
+	if !errors.Is(err, boom) {
 		t.Fatalf("unexpected error: %v", err)
 	}
 }
@@ -198,7 +198,7 @@ func TestPanicIsCaptured(t *testing.T) {
 		_, err := c.Recv(1, 0)
 		return err
 	})
-	if err == nil || !strings.Contains(err.Error(), "kaboom") && !errors.Is(err, ErrAborted) {
+	if err == nil || !strings.Contains(err.Error(), "kaboom") {
 		t.Fatalf("panic not reported: %v", err)
 	}
 }

@@ -117,8 +117,10 @@ type Report struct {
 }
 
 // Run executes fn on every rank of a fresh world and waits for completion.
-// The first error (by rank order) is returned; a panicking rank aborts the
-// world so blocked peers fail instead of deadlocking.
+// A failing or panicking rank aborts the world so blocked peers fail with
+// ErrAborted instead of deadlocking; Run returns the first error, by rank
+// order, that is not ErrAborted — the failure, not its echoes — and
+// ErrAborted only when nothing else failed.
 func Run(cfg Config, fn func(*Comm) error) (Report, error) {
 	w, err := newWorld(cfg)
 	if err != nil {
@@ -145,12 +147,18 @@ func Run(cfg Config, fn func(*Comm) error) (Report, error) {
 	wg.Wait()
 
 	rep := w.report()
+	// The first failure in rank order that is not the abort itself: a rank
+	// that only saw ErrAborted is a bystander of some other rank's error.
+	var aborted error
 	for _, e := range errs {
-		if e != nil {
+		if e != nil && !errors.Is(e, ErrAborted) {
 			return rep, e
 		}
+		if aborted == nil {
+			aborted = e
+		}
 	}
-	return rep, nil
+	return rep, aborted
 }
 
 func newWorld(cfg Config) (*World, error) {

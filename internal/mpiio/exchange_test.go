@@ -55,16 +55,6 @@ func refExchangeMessages(as aggSet, ranks int, runs []datatype.Segment, data []b
 	return send
 }
 
-// decodeChecked lists the runs and payload of a message checkRuns accepted.
-func decodeChecked(msg []byte) ([]datatype.Segment, []byte) {
-	recs, payload := runTable(msg)
-	runs := make([]datatype.Segment, len(recs)/extent.RunWire)
-	for i := range runs {
-		runs[i] = extent.RunAt(recs, i)
-	}
-	return runs, payload
-}
-
 // randomFiletype draws a filetype from every datatype constructor.
 func randomFiletype(rng *rand.Rand) (datatype.Type, error) {
 	base := []datatype.Type{datatype.Byte, datatype.Int, datatype.Double}[rng.Intn(3)]
@@ -228,13 +218,17 @@ func TestCheckRunsRejectsBadGeometry(t *testing.T) {
 		{"count beyond the message", huge, true, false},
 		{"truncated count", []byte{1, 0}, true, false},
 	} {
-		n, total, err := checkRuns(tc.msg, mine, tc.withData)
+		prior := []extent.Extent{seg(0, 1)}
+		runs, total, err := checkRuns(prior, tc.msg, mine, tc.withData)
 		if (err == nil) != tc.ok {
-			t.Errorf("%s: checkRuns = (%d, %d, %v), want ok=%v", tc.name, n, total, err, tc.ok)
+			t.Errorf("%s: checkRuns = (%v, %d, %v), want ok=%v", tc.name, runs, total, err, tc.ok)
+		}
+		if len(runs) < 1 || runs[0] != prior[0] || err != nil && len(runs) != 1 {
+			t.Errorf("%s: checkRuns left %v behind the runs it was handed, err %v", tc.name, runs, err)
 		}
 	}
 	// A rank that aggregates nothing accepts only the empty message.
-	if _, _, err := checkRuns(refEncodeRuns([]datatype.Segment{seg(0, 1)}, nil), extent.Extent{}, false); err == nil {
+	if _, _, err := checkRuns(nil, refEncodeRuns([]datatype.Segment{seg(0, 1)}, nil), extent.Extent{}, false); err == nil {
 		t.Error("a run was accepted into an empty domain")
 	}
 }
@@ -244,13 +238,13 @@ func TestCheckRunsRejectsBadGeometry(t *testing.T) {
 func FuzzDecodeRuns(f *testing.F) {
 	f.Fuzz(func(t *testing.T, msg []byte, off, length int64, withData bool) {
 		mine := extent.Extent{Off: off, Len: length}
-		n, total, err := checkRuns(msg, mine, withData)
+		runs, total, err := checkRuns(nil, msg, mine, withData)
 		if err != nil || len(msg) == 0 {
 			return
 		}
-		runs, payload := decodeChecked(msg)
-		if len(runs) != n || extent.Total(runs) != total || total > max(mine.Len, 0) {
-			t.Fatalf("accepted %d runs totalling %d in a domain of %d; decoded %v", n, total, mine.Len, runs)
+		recs, payload := runTable(msg)
+		if len(runs) != len(recs)/extent.RunWire || extent.Total(runs) != total || total > max(mine.Len, 0) {
+			t.Fatalf("accepted %d records totalling %d in a domain of %d; decoded %v", len(recs)/extent.RunWire, total, mine.Len, runs)
 		}
 		if again := refEncodeRuns(runs, payload); !bytes.Equal(again, msg) {
 			t.Fatalf("accepted message does not re-encode to itself:\n got %v\nwant %v", again, msg)

@@ -458,7 +458,7 @@ func TestSplitByDomain(t *testing.T) {
 	p := extent.NewPartition(0, 100, 2)
 	runs := []datatype.Segment{{Off: 40, Len: 20}} // spans the boundary at 50
 	first := make([]int, 3)
-	plan := p.Cut(nil, first, runs)
+	plan := extent.Cut(p, nil, first, runs)
 	if !reflect.DeepEqual(plan, []extent.Extent{{Off: 40, Len: 10}, {Off: 50, Len: 10}}) {
 		t.Fatalf("plan = %v", plan)
 	}
@@ -471,18 +471,18 @@ func TestEncodeDecodeRuns(t *testing.T) {
 	runs := []datatype.Segment{{Off: 1, Len: 2}, {Off: 100, Len: 3}}
 	payload := []byte{9, 8, 7, 6, 5}
 	msg := refEncodeRuns(runs, payload)
-	n, total, err := checkRuns(msg, extent.Extent{Off: 0, Len: 200}, true)
+	gotRuns, total, err := checkRuns(nil, msg, extent.Extent{Off: 0, Len: 200}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotRuns, gotPayload := decodeChecked(msg)
-	if n != 2 || total != 5 || !reflect.DeepEqual(gotRuns, runs) || !bytes.Equal(gotPayload, payload) {
-		t.Fatalf("round trip: %d runs, %d bytes, %v %v", n, total, gotRuns, gotPayload)
+	_, gotPayload := runTable(msg)
+	if total != 5 || !reflect.DeepEqual(gotRuns, runs) || !bytes.Equal(gotPayload, payload) {
+		t.Fatalf("round trip: %d bytes, %v %v", total, gotRuns, gotPayload)
 	}
-	if _, _, err := checkRuns([]byte{1}, extent.Extent{Len: 200}, true); err == nil {
+	if _, _, err := checkRuns(nil, []byte{1}, extent.Extent{Len: 200}, true); err == nil {
 		t.Fatal("truncated message accepted")
 	}
-	if _, _, err := checkRuns([]byte{5, 0, 0, 0}, extent.Extent{Len: 200}, true); err == nil {
+	if _, _, err := checkRuns(nil, []byte{5, 0, 0, 0}, extent.Extent{Len: 200}, true); err == nil {
 		t.Fatal("short run table accepted")
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"slices"
 
 	"github.com/tcio/tcio/internal/datatype"
 	"github.com/tcio/tcio/internal/extent"
@@ -34,24 +33,26 @@ import (
 // extent.RunWire records of absolute file runs, and (for writes) the runs'
 // payload bytes in run order; ranks that aggregate nothing get an empty one.
 //
-// checkRuns validates an incoming message before anything indexes with its
-// contents: the run table fits the message, every run is non-empty, inside
-// the receiving domain and past its predecessor (so the runs total at most
-// the domain), and what follows the table is exactly the runs' payload for
-// a write, nothing for a read request. It returns the run count and total.
-func checkRuns(msg []byte, mine extent.Extent, withData bool) (int, int64, error) {
+// checkRuns decodes an incoming message's runs onto dst and validates them
+// before anything indexes with them: the run table fits the message, every
+// run is non-empty, inside the receiving domain and past its predecessor (so
+// the runs total at most the domain), and what follows the table is exactly
+// the runs' payload for a write, nothing for a read request. It returns dst
+// with the runs appended, and their total; a bad message appends nothing.
+func checkRuns(dst []extent.Extent, msg []byte, mine extent.Extent, withData bool) ([]extent.Extent, int64, error) {
 	if len(msg) == 0 {
-		return 0, 0, nil
+		return dst, 0, nil
 	}
 	if len(msg) < 4 || uint64(binary.LittleEndian.Uint32(msg)) > uint64(len(msg)-4)/extent.RunWire {
-		return 0, 0, fmt.Errorf("mpiio: exchange message of %d bytes is truncated or disagrees with its run count", len(msg))
+		return dst, 0, fmt.Errorf("mpiio: exchange message of %d bytes is truncated or disagrees with its run count", len(msg))
 	}
 	recs, payload := runTable(msg)
-	n, total, next := len(recs)/extent.RunWire, int64(0), mine.Off
-	for i := 0; i < n; i++ {
-		r := extent.RunAt(recs, i)
+	n := len(dst)
+	dst, _ = extent.DecodeRuns(dst, recs) // runTable cuts whole records
+	total, next := int64(0), mine.Off
+	for _, r := range dst[n:] {
 		if r.Len <= 0 || r.Off < next || r.Len > mine.End()-r.Off {
-			return 0, 0, fmt.Errorf("mpiio: exchange run [%d,+%d) out of order or outside file domain [%d,+%d)",
+			return dst[:n], 0, fmt.Errorf("mpiio: exchange run [%d,+%d) out of order or outside file domain [%d,+%d)",
 				r.Off, r.Len, mine.Off, mine.Len)
 		}
 		total, next = total+r.Len, r.End()
@@ -61,9 +62,9 @@ func checkRuns(msg []byte, mine extent.Extent, withData bool) (int, int64, error
 		want = total
 	}
 	if int64(len(payload)) != want {
-		return 0, 0, fmt.Errorf("mpiio: exchange message carries %d payload bytes, want %d", len(payload), want)
+		return dst[:n], 0, fmt.Errorf("mpiio: exchange message carries %d payload bytes, want %d", len(payload), want)
 	}
-	return n, total, nil
+	return dst, total, nil
 }
 
 // runTable splits a checked exchange message into its run records and the
@@ -118,11 +119,10 @@ func (f *File) buildAggSet(lo, hi int64) aggSet {
 }
 
 // pack builds the send buffer of a request exchange and its displacements
-// (f.displs). View runs ascend in data order, so cutting them at the file
-// domain boundaries leaves the pieces grouped by aggregator (f.plan,
-// f.first) and aggregator k's payload one contiguous range of data: each
-// message is written once, straight into its slot. data is nil for a read
-// request, whose messages end at the run table.
+// (f.displs). The plan groups the pieces by aggregator (f.plan, f.first);
+// view runs ascend in data order, so aggregator k's payload is one
+// contiguous range of data: each message is written once, straight into its
+// slot. data is nil for a read request, whose messages end at the run table.
 func (f *File) pack(as aggSet, runs []datatype.Segment, data []byte) []byte {
 	p, n := f.c.Size(), as.part.N
 	if f.displs == nil {
@@ -132,7 +132,7 @@ func (f *File) pack(as aggSet, runs []datatype.Segment, data []byte) []byte {
 		f.first = make([]int, n+1)
 	}
 	f.first = f.first[:n+1]
-	f.plan = as.part.Cut(f.plan[:0], f.first, runs)
+	f.plan = extent.Cut(as.part, f.plan[:0], f.first, runs)
 
 	clear(f.displs)
 	for k := 0; k < n; k++ {
@@ -194,22 +194,14 @@ func (f *File) WriteAll(data []byte) error {
 		// Decode all incoming runs first to decide whether the domain is
 		// fully covered; holes force a read-modify-write preread. The plan
 		// is spent once packed, so its storage holds them; Coalesce reorders
-		// it, so the scatter re-reads the runs from the wire.
-		scattered := 0
+		// it, so the scatter decodes each message again.
+		f.plan = f.plan[:0]
 		for _, msg := range f.recv {
-			n, _, err := checkRuns(msg, mine, true)
-			if err != nil {
+			if f.plan, _, err = checkRuns(f.plan, msg, mine, true); err != nil {
 				return err
 			}
-			scattered += n
 		}
-		f.plan = slices.Grow(f.plan[:0], scattered)
-		for _, msg := range f.recv {
-			recs, _ := runTable(msg)
-			for i := 0; i < len(recs)/extent.RunWire; i++ {
-				f.plan = append(f.plan, extent.RunAt(recs, i))
-			}
-		}
+		scattered := len(f.plan)
 		// Every run lies inside the domain, so they cover it exactly when
 		// they merge into it.
 		if covered := extent.Coalesce(f.plan); len(covered) != 1 || covered[0] != mine {
@@ -219,8 +211,8 @@ func (f *File) WriteAll(data []byte) error {
 		}
 		for _, msg := range f.recv {
 			recs, payload := runTable(msg)
-			for i := 0; i < len(recs)/extent.RunWire; i++ {
-				r := extent.RunAt(recs, i)
+			f.plan, _ = extent.DecodeRuns(f.plan[:0], recs) // checked above
+			for _, r := range f.plan {
 				payload = payload[copy(buf[r.Off-mine.Off:r.End()-mine.Off], payload):]
 			}
 		}
@@ -278,42 +270,39 @@ func (f *File) ReadAll(n int64) ([]byte, error) {
 
 	// Exchange phase 2: aggregators answer with the requested bytes, one
 	// reply buffer laid out by the requests' run totals. A rank that
-	// aggregates nothing received only empty requests.
-	gathered := 0
+	// aggregates nothing received only empty requests. The spent plan's
+	// storage holds the requests' runs, in source order.
+	pieces, want := len(f.plan), extent.Total(f.plan)
+	f.plan = f.plan[:0]
 	f.displs[0] = 0
 	for src, msg := range f.recv {
-		cnt, total, err := checkRuns(msg, mine, false)
-		if err != nil {
+		var total int64
+		if f.plan, total, err = checkRuns(f.plan, msg, mine, false); err != nil {
 			return nil, err
 		}
 		f.displs[src+1] = f.displs[src] + int(total)
-		gathered += cnt
 	}
 	replies := make([]byte, f.displs[len(f.recv)])
-	for src, msg := range f.recv {
-		recs, _ := runTable(msg)
-		reply := replies[f.displs[src]:]
-		for i := 0; i < len(recs)/extent.RunWire; i++ {
-			r := extent.RunAt(recs, i)
-			reply = reply[copy(reply, buf[r.Off-mine.Off:r.End()-mine.Off]):]
-		}
+	at := 0
+	for _, r := range f.plan {
+		at += copy(replies[at:], buf[r.Off-mine.Off:r.End()-mine.Off])
 	}
-	f.chargeCPU(runCPU, gathered) // aggregator-side decode + gather
+	f.chargeCPU(runCPU, len(f.plan)) // aggregator-side decode + gather
 	if err := f.c.AlltoallvFlat(replies, f.displs, f.recv); err != nil {
 		return nil, err
 	}
 
-	// Assemble this rank's data: the plan is grouped by aggregator in data
+	// Assemble this rank's data: its plan was grouped by aggregator in data
 	// order, so each answer is one contiguous range of the result.
 	out := make([]byte, n)
 	filled := int64(0)
 	for k := 0; k < as.part.N; k++ {
 		filled += int64(copy(out[filled:], f.recv[k*as.stride]))
 	}
-	if want := extent.Total(f.plan); filled != want {
+	if filled != want {
 		return nil, fmt.Errorf("mpiio: aggregators answered %d bytes, requested %d", filled, want)
 	}
-	f.chargeCPU(runCPU, len(f.plan)) // origin-side reply assembly
+	f.chargeCPU(runCPU, pieces) // origin-side reply assembly
 	if err := f.c.Barrier(); err != nil {
 		return nil, err
 	}

@@ -13,8 +13,6 @@ package tcio
 // from the freshly staged windows.
 
 import (
-	"sort"
-
 	"github.com/tcio/tcio/internal/extent"
 	"github.com/tcio/tcio/internal/mutate"
 )
@@ -35,8 +33,7 @@ func (f *File) fetchCollective() error {
 			mine = append(mine, extent.Extent{Off: r.off, Len: int64(len(r.dst))})
 		}
 	}
-	mine = extent.Coalesce(mine)
-	all, err := f.c.AllgatherBytes(extent.AppendRuns(make([]byte, 0, extent.RunWire*len(mine)), mine))
+	all, err := f.c.AllgatherBytes(extent.AppendRuns(nil, extent.Coalesce(mine)))
 	if err != nil {
 		return err
 	}
@@ -53,42 +50,32 @@ func (f *File) fetchCollective() error {
 			}
 		}
 	}
-
-	// Stage the union of all intents falling in this rank's own segments.
-	// Splitting at segment boundaries and keying by owner assigns every
-	// intended byte to exactly one rank's staging loop.
-	needBySeg := make(map[int64][]extent.Extent)
-	var segOrder []int64
-	me := f.c.Rank()
+	var intents []extent.Extent
 	for _, b := range all {
-		for i := 0; i < len(b)/extent.RunWire; i++ {
-			run := extent.RunAt(b, i)
-			if err := f.pieces(run.Off, run.Len, func(seg, segOff, _, n int64) error {
-				if owner, _ := f.segmentOwner(seg); owner == me {
-					if _, ok := needBySeg[seg]; !ok {
-						segOrder = append(segOrder, seg)
-					}
-					needBySeg[seg] = append(needBySeg[seg], extent.Extent{Off: segOff, Len: n})
-				}
-				return nil
-			}); err != nil {
-				return err
-			}
+		if intents, err = extent.DecodeRuns(intents, b); err != nil {
+			return err
 		}
 	}
-	sort.Slice(segOrder, func(i, j int) bool { return segOrder[i] < segOrder[j] })
-	if len(segOrder) > 0 {
+
+	me := f.c.Rank()
+	need := ownStaging(f.layout, me, intents)
+	if len(need) > 0 {
 		if err := f.win.Lock(me, true); err != nil {
 			return err
 		}
-		for _, seg := range segOrder {
-			_, slot := f.segmentOwner(seg)
-			_, perr := f.stage(seg, me, slot, func() []extent.Extent {
-				return extent.Coalesce(needBySeg[seg])
-			})
-			if perr != nil {
+		for len(need) > 0 {
+			// The segment's runs lead the list; stage takes them relative.
+			seg := f.layout.Segment(need[0].Off)
+			base, n := f.layout.SegStart(seg), 0
+			for ; n < len(need) && need[n].Off < f.layout.SegStart(seg+1); n++ {
+				need[n].Off -= base
+			}
+			runs := need[:n]
+			need = need[n:]
+			_, slot := f.layout.Owner(seg)
+			if _, err := f.stage(seg, me, slot, func() []extent.Extent { return runs }); err != nil {
 				f.win.Unlock(me)
-				return perr
+				return err
 			}
 		}
 		if err := f.win.Unlock(me); err != nil {
@@ -101,4 +88,14 @@ func (f *File) fetchCollective() error {
 		return err
 	}
 	return f.fetchGets(groups)
+}
+
+// ownStaging is rank me's share of the intents: the plan (extent.Cut) cuts
+// them at segment boundaries and groups the pieces by owner, so each byte is
+// one rank's to stage. Me's group comes back merged, re-cut at segment
+// boundaries and ascending, each segment's runs contiguous.
+func ownStaging(l extent.Layout, me int, intents []extent.Extent) []extent.Extent {
+	first := make([]int, l.P+1)
+	plan := extent.Cut(l, nil, first, intents)
+	return extent.SplitAt(extent.Coalesce(plan[first[me]:first[me+1]]), l.SegSize)
 }

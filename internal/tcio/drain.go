@@ -18,7 +18,7 @@ import (
 // its bytes the file holds: the whole segment, clipped at EOF (n <= 0 when
 // the segment lies wholly past it).
 func (f *File) segSpan(seg int64) (base, n int64) {
-	base, n = f.layout.SegStart(seg), f.segSize
+	base, n = f.layout.SegStart(seg), f.layout.SegSize
 	if size := f.store.File().Size(); base+n > size {
 		n = size - base
 	}
@@ -41,7 +41,7 @@ func (f *File) populate(seg int64, owner int, slot int64) error {
 	// accountant (only Malloc/Reserve roll SiteMemAlloc), so the per-rank
 	// allocation fault stream is unchanged.
 	if f.popBuf == nil {
-		f.popBuf = make([]byte, f.segSize)
+		f.popBuf = make([]byte, f.layout.SegSize)
 	}
 	buf := f.popBuf[:n]
 	res, err := f.store.ReadExtents("tcio: populate", trace.KindPopulate,
@@ -50,7 +50,7 @@ func (f *File) populate(seg int64, owner int, slot int64) error {
 	if err != nil {
 		return err
 	}
-	if err := f.win.PutSegments(owner, []extent.Extent{{Off: slot * f.segSize, Len: n}}, buf); err != nil {
+	if err := f.win.PutSegments(owner, []extent.Extent{{Off: slot * f.layout.SegSize, Len: n}}, buf); err != nil {
 		return err
 	}
 	f.meta.setPopulated(seg)
@@ -65,7 +65,7 @@ func (f *File) preloadAll() error {
 	local := f.win.Local()
 	var reqs []storage.Request
 	var segs []int64
-	for slot := int64(0); slot < int64(f.numSeg); slot++ {
+	for slot := int64(0); slot < int64(f.layout.NumSeg); slot++ {
 		seg := f.layout.RankSegment(f.c.Rank(), slot)
 		base, n := f.segSpan(seg)
 		if n <= 0 {
@@ -73,7 +73,7 @@ func (f *File) preloadAll() error {
 		}
 		reqs = append(reqs, storage.Request{
 			Off:  base,
-			Data: local[slot*f.segSize : slot*f.segSize+n],
+			Data: local[slot*f.layout.SegSize : slot*f.layout.SegSize+n],
 			Tag:  fmt.Sprintf("seg=%d (preload)", seg),
 		})
 		segs = append(segs, seg)
@@ -104,7 +104,7 @@ func (f *File) drain() error {
 	}
 	local := f.win.Local()
 	var reqs []storage.Request
-	for slot := int64(0); slot < int64(f.numSeg); slot++ {
+	for slot := int64(0); slot < int64(f.layout.NumSeg); slot++ {
 		seg := f.layout.RankSegment(f.c.Rank(), slot)
 		runs, arrival := f.meta.takePending(seg)
 		if len(runs) == 0 {
@@ -118,7 +118,7 @@ func (f *File) drain() error {
 		for _, r := range runs {
 			reqs = append(reqs, storage.Request{
 				Off:  base + r.Off,
-				Data: local[slot*f.segSize+r.Off : slot*f.segSize+r.Off+r.Len],
+				Data: local[slot*f.layout.SegSize+r.Off : slot*f.layout.SegSize+r.Off+r.Len],
 				Tag:  fmt.Sprintf("seg=%d off=%d", seg, base+r.Off),
 			})
 		}

@@ -38,8 +38,7 @@ func TestGroupPendingMatchesReference(t *testing.T) {
 	const segSize = 64
 	rng := rand.New(rand.NewSource(15))
 	f := &File{session: session{
-		layout:  extent.Layout{P: 4, SegSize: segSize, NumSeg: 1 << 20},
-		segSize: segSize,
+		layout: extent.Layout{P: 4, SegSize: segSize, NumSeg: 1 << 20},
 	}}
 	backing := make([]byte, 1<<16)
 	for trial := 0; trial < 2500; trial++ {

@@ -54,7 +54,7 @@ func (f *File) journalEpoch() error {
 		runs []extent.Extent
 	}
 	var collected []slotRuns
-	for slot := int64(0); slot < int64(f.numSeg); slot++ {
+	for slot := int64(0); slot < int64(f.layout.NumSeg); slot++ {
 		seg := f.layout.RankSegment(f.c.Rank(), slot)
 		un := f.meta.takeUnlogged(seg)
 		if len(un) == 0 {
@@ -81,7 +81,7 @@ func (f *File) journalEpoch() error {
 		for _, sr := range collected {
 			for _, r := range sr.runs {
 				dst := f.jArena[pos : pos+r.Len]
-				f.win.SnapshotLocalInto(dst, sr.slot*f.segSize+r.Off)
+				f.win.SnapshotLocalInto(dst, sr.slot*f.layout.SegSize+r.Off)
 				runs = append(runs, wal.Run{
 					Extent: extent.Extent{Off: sr.base + r.Off, Len: r.Len},
 					Data:   dst,
@@ -117,12 +117,12 @@ func (f *File) enforceBudget() error {
 		return nil
 	}
 	resident := 0
-	for slot := int64(0); slot < int64(f.numSeg); slot++ {
+	for slot := int64(0); slot < int64(f.layout.NumSeg); slot++ {
 		if f.slotResident(slot) {
 			resident++
 		}
 	}
-	for slot := int64(0); slot < int64(f.numSeg) && resident > f.budgetSegs; slot++ {
+	for slot := int64(0); slot < int64(f.layout.NumSeg) && resident > f.budgetSegs; slot++ {
 		if !f.slotResident(slot) {
 			continue
 		}
@@ -184,7 +184,7 @@ func (f *File) refaultSpilled() error {
 	if f.jw == nil {
 		return nil
 	}
-	for slot := int64(0); slot < int64(f.numSeg); slot++ {
+	for slot := int64(0); slot < int64(f.layout.NumSeg); slot++ {
 		if !f.nonResident[slot] {
 			continue
 		}

@@ -95,7 +95,7 @@ func (f *File) packLevel1() ([]extent.Extent, []byte) {
 	payload := f.l1Buf[blocks[0].Off:blocks[0].End()]
 	if len(blocks) > 1 {
 		if f.payloadScratch == nil {
-			f.payloadScratch = make([]byte, 0, f.segSize)
+			f.payloadScratch = make([]byte, 0, f.layout.SegSize)
 		}
 		payload = f.payloadScratch[:0]
 		for _, b := range blocks {

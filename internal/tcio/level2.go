@@ -209,38 +209,17 @@ func (m *l2meta) addPopRuns(seg int64, runs []extent.Extent, segSize int64) {
 	}
 }
 
-// globalSegment returns the global segment index of a file offset.
-func (f *File) globalSegment(off int64) int64 { return f.layout.Segment(off) }
-
-// segmentOwner returns the owning rank and local slot of a global segment.
-func (f *File) segmentOwner(seg int64) (rank int, slot int64) {
-	return f.layout.Owner(seg)
-}
-
-// pieces cuts the n bytes at file offset off at segment boundaries — a
-// block larger than one segment "has to be subdivided and placed in
-// different segments" (§IV.A) — and calls fn on each piece in file order
-// with its global segment, its segment-relative offset, its position in the
-// request and its length. A piece past the exposed slots is ErrCapacity.
+// pieces is the layout's piece walk (extent.Layout.Pieces) bounded by the
+// exposed slots: a piece past them is ErrCapacity.
 func (f *File) pieces(off, n int64, fn func(seg, segOff, at, n int64) error) error {
-	for at := int64(0); at < n; {
-		seg := f.globalSegment(off + at)
+	return f.layout.Pieces(off, n, func(seg, segOff, at, m int64) error {
 		if !f.layout.InRange(seg) {
-			_, slot := f.segmentOwner(seg)
+			_, slot := f.layout.Owner(seg)
 			return fmt.Errorf("%w: offset %d needs slot %d of %d (raise NumSegments)",
-				ErrCapacity, off+at, slot, f.numSeg)
+				ErrCapacity, off+at, slot, f.layout.NumSeg)
 		}
-		segOff := (off + at) % f.segSize
-		m := f.segSize - segOff
-		if m > n-at {
-			m = n - at
-		}
-		if err := fn(seg, segOff, at, m); err != nil {
-			return err
-		}
-		at += m
-	}
-	return nil
+		return fn(seg, segOff, at, m)
+	})
 }
 
 // ship performs the one-sided transfer of segment-relative runs into the
@@ -277,13 +256,10 @@ func (f *File) ship(seg int64, runs []extent.Extent, payload []byte) error {
 // their bytes packed in payload) as one PutSegmentsAsync, and records them
 // dirty with the put's arrival. It returns the owner.
 func (f *File) put(seg int64, runs []extent.Extent, payload []byte, notBefore simtime.Time) (int, error) {
-	owner, slot := f.segmentOwner(seg)
-	if slot >= int64(f.numSeg) {
-		return owner, fmt.Errorf("%w: segment %d needs slot %d of %d", ErrCapacity, seg, slot, f.numSeg)
-	}
+	owner, slot := f.layout.Owner(seg)
 	winRuns := f.winRunsScratch[:0]
 	for _, r := range runs {
-		winRuns = append(winRuns, extent.Extent{Off: slot*f.segSize + r.Off, Len: r.Len})
+		winRuns = append(winRuns, extent.Extent{Off: slot*f.layout.SegSize + r.Off, Len: r.Len})
 	}
 	f.winRunsScratch = winRuns[:0]
 	t0 := f.c.Now()

@@ -105,10 +105,7 @@ func (a *aggStaging) takeLed(node int, keep func(seg int64) bool) ([]int64, [][]
 // accounting — Level1Flush and the flush trace event count deposits exactly
 // as they count baseline puts, so per-rank counters are aggregation-blind.
 func (f *File) depositForAggregation(seg int64, runs []extent.Extent, payload []byte) error {
-	owner, slot := f.segmentOwner(seg)
-	if slot >= int64(f.numSeg) {
-		return fmt.Errorf("%w: segment %d needs slot %d of %d", ErrCapacity, seg, slot, f.numSeg)
-	}
+	owner, _ := f.layout.Owner(seg)
 	node := f.c.Node()
 	leader := f.c.Machine().NodeLeader(node, f.c.Size(), seg)
 	t0 := f.c.Now()

@@ -116,7 +116,7 @@ func (f *File) populateFromCache(seg int64, owner int, slot int64, e *prefetchEn
 	f.c.AdvanceTo(e.ready)
 	if len(e.data) > 0 && !mutate.Enabled(mutate.TCIOStalePrefetchServe) {
 		if err := f.win.PutSegments(owner,
-			[]extent.Extent{{Off: slot * f.segSize, Len: int64(len(e.data))}}, e.data); err != nil {
+			[]extent.Extent{{Off: slot * f.layout.SegSize, Len: int64(len(e.data))}}, e.data); err != nil {
 			return err
 		}
 	}

@@ -148,12 +148,12 @@ func (f *File) ensurePopulated(groups []segGroup, i int) error {
 		f.dropWastedPrefetch(seg)
 		return nil
 	}
-	owner, slot := f.segmentOwner(seg)
+	owner, slot := f.layout.Owner(seg)
 	if err := f.win.Lock(owner, true); err != nil {
 		return err
 	}
 	staged, err := f.stage(seg, owner, slot, func() []extent.Extent {
-		return segmentRuns(groups[i].reqs, f.segSize)
+		return segmentRuns(groups[i].reqs, f.layout.SegSize)
 	})
 	if err == nil && staged {
 		err = f.maybePrefetch(groups, i)
@@ -222,7 +222,7 @@ func (f *File) groupPending() []segGroup {
 	idx := slices.Grow(fs.idx[:0], len(f.pending))
 	g := -1
 	for _, r := range f.pending {
-		seg := f.globalSegment(r.off)
+		seg := f.layout.Segment(r.off)
 		if g < 0 || groups[g].seg != seg {
 			for g = len(groups) - 1; g >= 0 && groups[g].seg != seg; g-- {
 			}
@@ -271,7 +271,7 @@ func (f *File) fetchGets(groups []segGroup) error {
 	owners := f.fetch.owners[:0]
 	for _, g := range groups {
 		// At most FetchBatch groups, so the scan is short.
-		if owner, _ := f.segmentOwner(g.seg); !slices.Contains(owners, owner) {
+		if owner, _ := f.layout.Owner(g.seg); !slices.Contains(owners, owner) {
 			if err = f.win.Lock(owner, false); err != nil {
 				break
 			}
@@ -319,11 +319,11 @@ func (f *File) issueGets(groups []segGroup) error {
 	f.fetch.arena = arena
 	at := 0
 	for _, g := range groups {
-		owner, slot := f.segmentOwner(g.seg)
+		owner, slot := f.layout.Owner(g.seg)
 		runs := slices.Grow(f.winRunsScratch[:0], len(g.reqs))
 		dst := arena[at:at]
 		for _, r := range g.reqs {
-			runs = append(runs, extent.Extent{Off: slot*f.segSize + r.off%f.segSize, Len: int64(len(r.dst))})
+			runs = append(runs, extent.Extent{Off: slot*f.layout.SegSize + r.off%f.layout.SegSize, Len: int64(len(r.dst))})
 			at += len(r.dst)
 		}
 		f.winRunsScratch = runs[:0]

@@ -36,8 +36,6 @@ type session struct {
 
 	// layout is the round-robin offset mapping of equations (1)-(3).
 	layout   extent.Layout
-	segSize  int64
-	numSeg   int
 	pieceCPU simtime.Duration // per-piece library processing cost
 	retry    faults.RetryPolicy
 
@@ -202,20 +200,18 @@ func newSession(c *mpi.Comm, name string, mode Mode, cfg Config) (session, error
 	store.SetRetryPolicy(retry)
 	store.SetTrace(cfg.Trace)
 	s := session{
-		c:       c,
-		cfg:     cfg,
-		mode:    mode,
-		name:    name,
-		layout:  extent.Layout{P: c.Size(), SegSize: cfg.SegmentSize, NumSeg: cfg.NumSegments},
-		segSize: cfg.SegmentSize,
-		numSeg:  cfg.NumSegments,
-		win:     win,
-		meta:    ss.meta,
-		agg:     ss.agg,
-		store:   store,
-		retry:   retry,
-		l1Seg:   -1,
-		l1Buf:   l1,
+		c:      c,
+		cfg:    cfg,
+		mode:   mode,
+		name:   name,
+		layout: extent.Layout{P: c.Size(), SegSize: cfg.SegmentSize, NumSeg: cfg.NumSegments},
+		win:    win,
+		meta:   ss.meta,
+		agg:    ss.agg,
+		store:  store,
+		retry:  retry,
+		l1Seg:  -1,
+		l1Buf:  l1,
 		// Each POSIX-like call costs library CPU (offset mapping, block
 		// bookkeeping, copies). Scaled runs stand for ByteScale times as
 		// many pieces, so the charge scales accordingly. Reads are cheaper:
@@ -272,5 +268,5 @@ func (s *session) release() {
 	} else {
 		s.c.Free(s.win.Local())
 	}
-	s.c.Release(s.c.Machine().Scale(s.segSize)) // the level-1 buffer
+	s.c.Release(s.c.Machine().Scale(s.layout.SegSize)) // the level-1 buffer
 }

@@ -65,7 +65,7 @@ func (f *File) sievePopulate(seg int64, owner int, slot int64, needed []extent.E
 		// Reused staging, like populate's: the missing runs of one segment
 		// total at most segSize bytes, packed back to back in run order.
 		if f.popBuf == nil {
-			f.popBuf = make([]byte, f.segSize)
+			f.popBuf = make([]byte, f.layout.SegSize)
 		}
 		reqs := make([]storage.Request, len(reads))
 		var at int64
@@ -86,12 +86,12 @@ func (f *File) sievePopulate(seg int64, owner int, slot int64, needed []extent.E
 		}
 		winRuns := make([]extent.Extent, len(reads))
 		for i, r := range reads {
-			winRuns[i] = extent.Extent{Off: slot*f.segSize + r.Off, Len: r.Len}
+			winRuns[i] = extent.Extent{Off: slot*f.layout.SegSize + r.Off, Len: r.Len}
 		}
 		if err := f.win.PutSegments(owner, winRuns, f.popBuf[:at]); err != nil {
 			return err
 		}
 	}
-	f.meta.addPopRuns(seg, missing, f.segSize)
+	f.meta.addPopRuns(seg, missing, f.layout.SegSize)
 	return nil
 }

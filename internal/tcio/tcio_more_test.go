@@ -38,11 +38,11 @@ func TestDefaultsFromFileSystem(t *testing.T) {
 		}
 		defer f.Close()
 		stripe := c.FS().Config().StripeSize
-		if f.segSize != stripe {
-			return fmt.Errorf("segment size %d, want stripe %d", f.segSize, stripe)
+		if f.layout.SegSize != stripe {
+			return fmt.Errorf("segment size %d, want stripe %d", f.layout.SegSize, stripe)
 		}
-		if f.numSeg != 64 || f.cfg.FetchBatch != 64 || f.cfg.PipelineDepth != 8 {
-			return fmt.Errorf("defaults = %d/%d/%d", f.numSeg, f.cfg.FetchBatch, f.cfg.PipelineDepth)
+		if f.layout.NumSeg != 64 || f.cfg.FetchBatch != 64 || f.cfg.PipelineDepth != 8 {
+			return fmt.Errorf("defaults = %d/%d/%d", f.layout.NumSeg, f.cfg.FetchBatch, f.cfg.PipelineDepth)
 		}
 		if f.Capacity() != stripe*64 {
 			return fmt.Errorf("Capacity = %d", f.Capacity())

@@ -75,7 +75,7 @@ func TestLocateBijectionProperty(t *testing.T) {
 		}
 		for off := int64(0); off < 1000; off++ {
 			r, s, d := f.layout.Locate(off)
-			back := (s*int64(c.Size())+int64(r))*f.segSize + d
+			back := (s*int64(c.Size())+int64(r))*f.layout.SegSize + d
 			if back != off {
 				return fmt.Errorf("offset %d -> (%d,%d,%d) -> %d", off, r, s, d, back)
 			}

@@ -29,11 +29,11 @@ func (f *File) maybeWriteBehind() error {
 	if f.cfg.WriteBehindThreshold <= 0 || f.mode != WriteMode {
 		return nil
 	}
-	need := int64(f.cfg.WriteBehindThreshold * float64(f.segSize))
+	need := int64(f.cfg.WriteBehindThreshold * float64(f.layout.SegSize))
 	if need < 1 {
 		need = 1
 	}
-	for slot := int64(0); slot < int64(f.numSeg); slot++ {
+	for slot := int64(0); slot < int64(f.layout.NumSeg); slot++ {
 		seg := f.layout.RankSegment(f.c.Rank(), slot)
 		runs, arrival := f.meta.takeCovered(seg, need)
 		if len(runs) == 0 {
@@ -73,7 +73,7 @@ func (f *File) eagerDrain(seg, slot int64, runs []extent.Extent, arrival simtime
 	// segment, so they always fit. Plain memory — not a fault site, see
 	// populate — so reuse cannot shift any alloc roll.
 	if f.wbArena == nil {
-		f.wbArena = make([]byte, f.segSize)
+		f.wbArena = make([]byte, f.layout.SegSize)
 	}
 	used := int64(0)
 	for _, r := range runs {
@@ -83,7 +83,7 @@ func (f *File) eagerDrain(seg, slot int64, runs []extent.Extent, arrival simtime
 		// version the snapshot catches, the last bytes still win.
 		dst := f.wbArena[used : used+r.Len]
 		used += r.Len
-		f.win.SnapshotLocalInto(dst, slot*f.segSize+r.Off)
+		f.win.SnapshotLocalInto(dst, slot*f.layout.SegSize+r.Off)
 		reqs = append(reqs, storage.Request{
 			Off:  base + r.Off,
 			Data: dst,
