@@ -265,7 +265,7 @@ func BenchmarkAblationOneSided(b *testing.B) {
 	}
 }
 
-// --- Run-list hot path (DESIGN.md §6) ---
+// --- Run-list hot path (results/design-history.md, "View cursor / run-list hot path") ---
 
 // benchSink keeps the measured calls' results live.
 var benchSink int
@@ -338,7 +338,7 @@ func BenchmarkCoalesce(b *testing.B) {
 	}
 }
 
-// --- Two-sided exchange hot path (DESIGN.md §6) ---
+// --- Two-sided exchange hot path (results/design-history.md) ---
 
 // BenchmarkTransferBurst measures one netsim.Transfer joining a burst that
 // holds both of its ports depth windows deep — the state OCIO's all-to-all
@@ -470,7 +470,7 @@ func BenchmarkOCIOExchange(b *testing.B) {
 	}
 }
 
-// --- One-sided ship/fetch hot path (DESIGN.md §6) ---
+// --- One-sided ship/fetch hot path (results/design-history.md) ---
 
 // hotPathRanks and hotPathCfg shape the two benchmarks below: three
 // Lonestar nodes, so most one-sided operations cross the NIC, and four
@@ -581,7 +581,7 @@ func BenchmarkFetchBatch(b *testing.B) {
 	}
 }
 
-// --- ART record path (DESIGN.md §6) ---
+// --- ART record path (results/design-history.md, "ART record path and buffer ownership") ---
 
 // BenchmarkARTCodec measures the three things the ART workloads do to a
 // tree on the host — build it, serialize it, rebuild it from its record —

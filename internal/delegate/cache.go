@@ -12,7 +12,7 @@ package delegate
 // epoch never sees stale bytes.
 //
 // Buffers are drawn from the mpi size-classed pools; put and invalidate
-// return the displaced buffer instead of recycling it, because the caller
+// return the evicted buffer instead of recycling it, because the caller
 // may still be serving replies out of it — the caller recycles once no
 // reference remains.
 
@@ -75,28 +75,21 @@ func (c *blockCache) peek(key blockKey) ([]byte, bool) {
 	return el.Value.(*cacheEntry).buf, true
 }
 
-// put inserts buf, whose bytes arrive at ready, for key as most recently
-// used and returns any displaced buffer — the LRU victim when the cache is
-// over capacity, or the key's previous buffer on replacement — for the
-// caller to recycle once it holds no other reference. evicted reports
-// whether the displacement was a capacity eviction (replacements are not).
-func (c *blockCache) put(key blockKey, buf []byte, ready simtime.Time) (displaced []byte, evicted bool) {
-	if el, ok := c.entries[key]; ok {
-		ent := el.Value.(*cacheEntry)
-		old := ent.buf
-		ent.buf, ent.ready = buf, ready
-		c.order.MoveToFront(el)
-		return old, false
-	}
+// put inserts buf, whose bytes arrive at ready, for key — which must not be
+// resident: both callers admit only blocks they just found absent — as most
+// recently used, and returns the LRU victim's buffer when the cache is over
+// capacity (nil otherwise) for the caller to recycle once it holds no other
+// reference.
+func (c *blockCache) put(key blockKey, buf []byte, ready simtime.Time) (evicted []byte) {
 	c.entries[key] = c.order.PushFront(&cacheEntry{key: key, buf: buf, ready: ready})
 	if c.order.Len() <= c.cap {
-		return nil, false
+		return nil
 	}
 	victim := c.order.Back()
 	ent := victim.Value.(*cacheEntry)
 	c.order.Remove(victim)
 	delete(c.entries, ent.key)
-	return ent.buf, true
+	return ent.buf
 }
 
 // invalidate removes key, returning its buffer for the caller to recycle.

@@ -78,12 +78,14 @@ type File struct {
 	stats  Stats
 
 	// colReads queues read pieces per server index between collective
-	// points when collectiveRead is armed; Fetch ships them as intents
-	// and scatters the replies.
+	// points; it is nil unless the handle reads collectively (delegated,
+	// CollectiveRead, read mode). Fetch ships each server's list as one
+	// read intent and scatters the replies.
 	colReads [][]colRead
 }
 
-// colRead is one queued collective read piece (within one domain block).
+// colRead is one read piece (within one domain block): queued until Fetch
+// when collective, or awaiting its reply.
 type colRead struct {
 	off int64
 	dst []byte
@@ -113,7 +115,13 @@ func (t *Tier) Open(name string, mode tcio.Mode) (*File, error) {
 			return nil, err
 		}
 	}
-	return &File{t: t, handle: h, name: name, mode: mode}, nil
+	f := &File{t: t, handle: h, name: name, mode: mode}
+	if t.cfg.TCIO.CollectiveRead && mode == tcio.ReadMode {
+		// The tcio CollectiveRead knob moves the two-phase intent exchange
+		// server-side (see readepoch.go).
+		f.colReads = make([][]colRead, len(t.servers))
+	}
+	return f, nil
 }
 
 // request sends one protocol message to server si, consuming a sequence
@@ -124,13 +132,6 @@ func (t *Tier) request(si int, req *mpi.RPCRequest) error {
 	req.Seq = t.seqs[si]
 	t.seqs[si]++
 	return t.c.SendRequest(t.servers[si], tagRequest, req)
-}
-
-// collectiveRead reports whether delegated reads run collectively: the
-// tier is delegated and the tcio CollectiveRead knob is armed, which
-// moves the two-phase intent exchange server-side (see readepoch.go).
-func (t *Tier) collectiveRead() bool {
-	return t.servers != nil && t.cfg.TCIO.CollectiveRead
 }
 
 // reply collects server si's next reply, turning a failed one into a client
@@ -231,53 +232,59 @@ func (f *File) ReadAt(off int64, dst []byte) error {
 	f.stats.Reads++
 	f.stats.ReadBytes += int64(len(dst))
 	t := f.t
-	if t.collectiveRead() {
-		// Collective mode: queue the pieces; Fetch is the collective
-		// point that ships them as read intents.
-		if f.colReads == nil {
-			f.colReads = make([][]colRead, len(t.servers))
-		}
-		return t.domains.Pieces(off, int64(len(dst)), func(blk, _, at, n int64) error {
-			si, _ := t.domains.Owner(blk)
-			f.colReads[si] = append(f.colReads[si], colRead{off: off + at, dst: dst[at : at+n]})
-			f.stats.ReadReqs++
-			return nil
-		})
-	}
-	// Ship every piece before collecting: per-(client, server) FIFO in
-	// both directions means replies come back in request order, so the
-	// pieces pipeline across servers instead of round-tripping one by one.
+	// Collective mode queues each piece for Fetch, the collective point that
+	// ships each server's pieces as one read intent. Otherwise every piece
+	// ships before any reply is collected: per-(client, server) FIFO in both
+	// directions means replies come back in request order, so the pieces
+	// pipeline across servers instead of round-tripping one by one.
 	type pending struct {
 		si  int
 		seq int64
-		dst []byte
+		colRead
 	}
 	var reqs []pending
 	if err := t.domains.Pieces(off, int64(len(dst)), func(blk, _, at, n int64) error {
 		si, _ := t.domains.Owner(blk)
-		seq := t.seqs[si]
-		if err := t.request(si, &mpi.RPCRequest{
-			Op: mpi.OpRead, Handle: f.handle, Off: off + at, Len: n,
-		}); err != nil {
+		piece, seq := colRead{off + at, dst[at : at+n]}, t.seqs[si]
+		if f.colReads != nil {
+			f.colReads[si] = append(f.colReads[si], piece)
+		} else if err := t.request(si, &mpi.RPCRequest{Op: mpi.OpRead, Handle: f.handle, Off: piece.off, Len: n}); err != nil {
 			return err
+		} else {
+			reqs = append(reqs, pending{si, seq, piece})
 		}
 		f.stats.ReadReqs++
-		reqs = append(reqs, pending{si: si, seq: seq, dst: dst[at : at+n]})
 		return nil
 	}); err != nil {
 		return err
 	}
 	for _, p := range reqs {
-		rep, err := f.reply(p.si, "read")
-		if err != nil {
+		if err := f.readReply(p.si, p.seq, []colRead{p.colRead}); err != nil {
 			return err
 		}
-		if rep.Seq != p.seq || len(rep.Data) != len(p.dst) {
-			return fmt.Errorf("delegate: read %q: reply seq %d len %d, want seq %d len %d",
-				f.name, rep.Seq, len(rep.Data), p.seq, len(p.dst))
-		}
-		copy(p.dst, rep.Data)
-		rep.Release()
+	}
+	return nil
+}
+
+// readReply collects server si's reply to read request seq, which must carry
+// exactly the pieces' bytes, and copies them into the pieces back to back.
+func (f *File) readReply(si int, seq int64, pieces []colRead) error {
+	rep, err := f.reply(si, "read")
+	if err != nil {
+		return err
+	}
+	defer rep.Release()
+	want := 0
+	for _, p := range pieces {
+		want += len(p.dst)
+	}
+	if rep.Seq != seq || len(rep.Data) != want {
+		return fmt.Errorf("delegate: read %q: reply seq %d len %d, want seq %d len %d",
+			f.name, rep.Seq, len(rep.Data), seq, want)
+	}
+	data := rep.Data
+	for _, p := range pieces {
+		data = data[copy(p.dst, data):]
 	}
 	return nil
 }
@@ -291,7 +298,7 @@ func (f *File) Fetch() error {
 	if f.direct != nil {
 		return f.direct.Fetch()
 	}
-	if f.t.collectiveRead() && f.mode == tcio.ReadMode {
+	if f.colReads != nil {
 		return f.fetchCollective()
 	}
 	return nil
@@ -302,16 +309,11 @@ func (f *File) Fetch() error {
 // server order and scattered back into the queued pieces' buffers.
 func (f *File) fetchCollective() error {
 	t := f.t
-	if f.colReads == nil {
-		f.colReads = make([][]colRead, len(t.servers))
-	}
-	seqs := make([]int64, len(t.servers))
 	for si := range t.servers {
 		runs := make([]extent.Extent, len(f.colReads[si]))
 		for i, p := range f.colReads[si] {
 			runs[i] = extent.Extent{Off: p.off, Len: int64(len(p.dst))}
 		}
-		seqs[si] = t.seqs[si]
 		if err := t.request(si, &mpi.RPCRequest{
 			Op: mpi.OpReadIntent, Handle: f.handle, Data: extent.AppendRuns(nil, runs),
 		}); err != nil {
@@ -319,23 +321,10 @@ func (f *File) fetchCollective() error {
 		}
 	}
 	for si := range t.servers {
-		rep, err := f.reply(si, "read")
-		if err != nil {
+		// Each intent is the last request this client sent its server.
+		if err := f.readReply(si, t.seqs[si]-1, f.colReads[si]); err != nil {
 			return err
 		}
-		var want int
-		for _, p := range f.colReads[si] {
-			want += len(p.dst)
-		}
-		if rep.Seq != seqs[si] || len(rep.Data) != want {
-			return fmt.Errorf("delegate: read %q: intent reply seq %d len %d, want seq %d len %d",
-				f.name, rep.Seq, len(rep.Data), seqs[si], want)
-		}
-		pos := 0
-		for _, p := range f.colReads[si] {
-			pos += copy(p.dst, rep.Data[pos:pos+len(p.dst)])
-		}
-		rep.Release()
 		f.colReads[si] = f.colReads[si][:0]
 	}
 	return nil
@@ -395,7 +384,7 @@ func (f *File) Close() error {
 		}
 	}
 	t := f.t
-	if f.mode == tcio.ReadMode && t.collectiveRead() {
+	if f.colReads != nil {
 		// One final collective epoch materializes any still-queued reads
 		// and keeps every server's quorum complete — Close is collective
 		// over the clients, like Open.

@@ -119,15 +119,14 @@ func Run(c *mpi.Comm, cfg Config, body func(*Tier) error) error {
 	// The owner map: block-cyclic file domains of four tcio segments, so a
 	// block spans several segment drains' worth of coalescing opportunity.
 	domains := extent.Layout{P: len(servers), SegSize: 4 * cfg.TCIO.SegmentSize}
+	// A server rank serves. A client finds its index among the client ranks
+	// (the ranks not serving), so work decomposition over clients needs no
+	// communication.
+	idx := c.Rank()
 	for _, s := range servers {
 		if s == c.Rank() {
 			return serve(c, cfg, servers, domains)
 		}
-	}
-	// My index among the client ranks (the ranks not serving), so work
-	// decomposition over clients needs no communication.
-	idx := c.Rank()
-	for _, s := range servers {
 		if s < c.Rank() {
 			idx--
 		}

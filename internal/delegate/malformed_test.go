@@ -2,8 +2,10 @@ package delegate
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/tcio/tcio/internal/cluster"
 	"github.com/tcio/tcio/internal/mpi"
@@ -23,14 +25,28 @@ func rigConfig(cacheBlks int, collective bool) Config {
 	}
 }
 
+// rigDeadline bounds one rig run, which takes milliseconds: a server that
+// never answers fails the test instead of hanging it.
+const rigDeadline = 20 * time.Second
+
 // rigRun runs body on each client of the rig's 4-rank world.
 func rigRun(cfg Config, body func(tr *Tier) error) error {
 	m := cluster.Lonestar()
 	m.CoresPerNode = 4
-	_, err := mpi.Run(mpi.Config{Procs: 4, Machine: m}, func(c *mpi.Comm) error {
-		return Run(c, cfg, body)
-	})
-	return err
+	// Room for the result: a run the deadline gave up on can still finish.
+	done := make(chan error, 1)
+	go func() {
+		_, err := mpi.Run(mpi.Config{Procs: 4, Machine: m}, func(c *mpi.Comm) error {
+			return Run(c, cfg, body)
+		})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		return err
+	case <-time.After(rigDeadline):
+		return fmt.Errorf("rig: no result within %v", rigDeadline)
+	}
 }
 
 // rigRead writes the rig's file — rigBlocks blocks of expectByte(0, ·), dealt
@@ -82,12 +98,15 @@ func readAll(tr *Tier, r *File) error {
 	return nil
 }
 
-// malformedRuns are OpWrite and OpRead geometries, as sent to server 0,
-// that it must turn away before it indexes with them.
-var malformedRuns = []struct {
+// badRun is one request geometry the rig's server 0 must turn away.
+type badRun struct {
 	name   string
 	off, n int64
-}{
+}
+
+// malformedRuns are OpWrite and OpRead geometries, as sent to server 0,
+// that it must turn away before it indexes with them.
+var malformedRuns = []badRun{
 	{"negative offset", -5, 8},
 	{"empty", 2 * rigDomain, 0},
 	{"crosses its block", rigDomain - 6, 16},
@@ -99,30 +118,42 @@ var malformedRuns = []struct {
 // negative offset panicked the server rank, a run past its block read past
 // the buffer, another server's block was served. Each bad read must now get
 // an error reply naming the read, and a clean read afterwards shows the
-// server still standing, cache armed or not.
+// server still standing, cache armed or not, reads served inline or through
+// the DRR queue. A DRR-armed server used to queue a read before checking it,
+// then add quantum to the deficit until the oversized one fit: about 2^56
+// rounds, so it never answered.
 func TestMalformedReadGetsErrorReply(t *testing.T) {
-	for _, cacheBlks := range []int{0, 4} {
-		for _, bad := range malformedRuns {
-			t.Run(fmt.Sprintf("cache=%d/%s", cacheBlks, bad.name), func(t *testing.T) {
-				err := rigRead(rigConfig(cacheBlks, false), func(tr *Tier, r *File) error {
-					if tr.ClientIndex() == 0 {
-						if err := tr.request(0, &mpi.RPCRequest{Op: mpi.OpRead, Handle: r.handle, Off: bad.off, Len: bad.n}); err != nil {
-							return err
-						}
-						rep, err := r.reply(0, "read")
-						if err == nil {
-							rep.Release()
-						}
-						if err == nil || !strings.Contains(err.Error(), "delegate: read run") {
-							return fmt.Errorf("server 0 answered read [%d,+%d) with %v, want a read-run error", bad.off, bad.n, err)
-						}
-					}
-					return readAll(tr, r)
-				})
-				if err != nil {
-					t.Fatal(err)
+	reads := append(slices.Clip(malformedRuns), badRun{"oversized", 0, 1 << 62})
+	for _, quantum := range []int64{0, 64} {
+		for _, cacheBlks := range []int{0, 4} {
+			for _, bad := range reads {
+				name := fmt.Sprintf("cache=%d/%s", cacheBlks, bad.name)
+				if quantum > 0 {
+					name = fmt.Sprintf("quantum=%d/%s", quantum, name)
 				}
-			})
+				t.Run(name, func(t *testing.T) {
+					cfg := rigConfig(cacheBlks, false)
+					cfg.ReadQuantum = quantum
+					err := rigRead(cfg, func(tr *Tier, r *File) error {
+						if tr.ClientIndex() == 0 {
+							if err := tr.request(0, &mpi.RPCRequest{Op: mpi.OpRead, Handle: r.handle, Off: bad.off, Len: bad.n}); err != nil {
+								return err
+							}
+							rep, err := r.reply(0, "read")
+							if err == nil {
+								rep.Release()
+							}
+							if err == nil || !strings.Contains(err.Error(), "delegate: read run") {
+								return fmt.Errorf("server 0 answered read [%d,+%d) with %v, want a read-run error", bad.off, bad.n, err)
+							}
+						}
+						return readAll(tr, r)
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
 		}
 	}
 }

@@ -5,14 +5,13 @@ package delegate
 // knob is armed, clients stop shipping one OpRead per domain piece and
 // instead queue pieces locally; Fetch becomes the collective point where
 // every client ships its read-intent vector (fixed-width off/len runs)
-// to every server in one OpReadIntent. A server holds the intents until
-// all clients have contributed — the same static quorum flush epochs use
-// — then closes the read epoch: it merges the union of requested blocks
-// across clients, stages each block once through the hot-block cache,
-// fetches the missing blocks in one coalesced ReadExtents batch
-// (mirroring closeEpoch's write shape), and replies to each client in
-// sorted rank order. N clients re-reading the same blocks cost one file
-// system fetch, not N.
+// to every server in one OpReadIntent. A server holds each vector in the
+// handle's quorum until all clients have contributed — the quorum flush
+// epochs use — then closes the read epoch: it merges the union of requested
+// blocks across clients, stages each block once through the hot-block
+// cache, fetches the missing blocks in one posted batch (server.fetch, the
+// line fill's), and replies to each client in ascending rank order. N
+// clients re-reading the same blocks cost one file system fetch, not N.
 //
 // An intent is extent run records, each run inside one domain block. It
 // arrives off the wire, so the server checks every run (server.owned) before
@@ -26,24 +25,12 @@ import (
 
 	"github.com/tcio/tcio/internal/extent"
 	"github.com/tcio/tcio/internal/mpi"
-	"github.com/tcio/tcio/internal/mutate"
-	"github.com/tcio/tcio/internal/storage"
-	"github.com/tcio/tcio/internal/trace"
 )
 
-// readIntent stages one client's intent vector and closes the read epoch
-// once every client has contributed. Like flush markers, intents ride the
-// same per-client FIFO stream as data requests, so the quorum needs no
-// extra handshake.
+// readIntent counts one client's intent vector toward its handle's read
+// epoch. Like a flush marker, a read intent rides the same per-client FIFO
+// stream as data requests, so the quorum needs no extra handshake.
 func (s *server) readIntent(req *mpi.RPCRequest) error {
-	h, err := s.lookup(req)
-	if err != nil {
-		return err
-	}
-	if _, dup := h.intents[req.Client]; dup {
-		return fmt.Errorf("delegate: double read intent for handle %d from rank %d",
-			req.Handle, req.Client)
-	}
 	runs, err := extent.DecodeRuns(nil, req.Data)
 	if err != nil {
 		err = fmt.Errorf("delegate: read intent: %w", err)
@@ -54,24 +41,17 @@ func (s *server) readIntent(req *mpi.RPCRequest) error {
 	if err != nil {
 		runs = nil
 	}
-	h.intents[req.Client] = intent{runs: runs, seq: req.Seq, err: err}
-	if len(h.intents) < s.clients {
-		return nil
-	}
-	return s.closeReadEpoch(h)
+	return s.contribute(req, contribution{runs: runs, seq: req.Seq, err: err}, s.closeReadEpoch)
 }
 
-// closeReadEpoch merges the epoch's intents, stages each requested block
-// once through the cache, fetches the rest in one coalesced batch, and
-// scatters per-client replies in sorted rank order. The union fetch is
-// the server's own doing — no single client asked for it — so it runs on
-// the server's drain client and carries the server's fault identity,
-// which also makes the fetch deterministic regardless of intent arrival
-// order.
+// closeReadEpoch merges the epoch's intent vectors, stages each requested
+// block once through the cache, fetches the rest in one batch, waits for all
+// of it, and scatters per-client replies in ascending rank order. The union
+// fetch is the server's own doing — no single client asked for it.
 func (s *server) closeReadEpoch(h *handleFile) error {
 	// The epoch's block union, ascending, in one sort; bufs[i] stages blks[i].
 	var blks []int64
-	for _, in := range h.intents {
+	for _, in := range h.quorum {
 		for _, r := range in.runs {
 			blks = append(blks, s.domains.Segment(r.Off))
 		}
@@ -82,16 +62,14 @@ func (s *server) closeReadEpoch(h *handleFile) error {
 
 	// Stage every block: cache hits serve in place, everything else — misses,
 	// dirty-bypassed blocks, the disarmed tier — joins one fetch batch.
-	var fetched []int
-	var reqs []storage.Request
+	var fetched []int  // indexes into blks
+	var missed []int64 // the blocks at those indexes
 	for i, blk := range blks {
 		s.stats.CollectiveBlocks++
 		key := blockKey{name: h.name, blk: blk}
 		if s.cache != nil && s.dirty[key] == 0 {
 			if ent, ok := s.cache.get(key); ok {
-				s.c.AdvanceTo(ent.ready)
-				s.stats.CacheHits++
-				s.traceCacheServe(s.domains.SegSize, blk)
+				s.serveHit(ent, s.domains.SegSize)
 				bufs[i] = ent.buf
 				continue
 			}
@@ -99,43 +77,29 @@ func (s *server) closeReadEpoch(h *handleFile) error {
 		if s.cache != nil {
 			s.stats.CacheMisses++
 		}
-		bufs[i] = s.c.GetBuf(int(s.domains.SegSize))
 		fetched = append(fetched, i)
-		reqs = append(reqs, storage.Request{
-			Off: s.domains.SegStart(blk), Data: bufs[i], Tag: fmt.Sprintf("blk=%d", blk),
-		})
+		missed = append(missed, blk)
 	}
 	var fillErr error
-	if len(reqs) > 0 {
-		if mutate.Enabled(mutate.DelegateCacheStaleServe) && s.cache != nil {
-			// Planted bug: "fill" the missing blocks without ever reading
-			// the file system, so replies and later hits serve zeros.
-			for _, r := range reqs {
-				clear(r.Data)
-			}
-		} else {
-			res, err := h.drain.ReadExtents("delegate-colread", trace.KindFetch, reqs)
-			fillErr = err
-			s.count(res)
+	if len(missed) > 0 {
+		fbufs, done, _, err := s.fetch(h, "delegate-colread", missed)
+		for j, i := range fetched {
+			bufs[i] = fbufs[j]
 		}
+		s.c.AdvanceTo(slices.Max(done))
+		fillErr = err
 	}
 	s.stats.ReadEpochs++
 
-	clients := make([]int, 0, len(h.intents))
-	for cl := range h.intents {
-		clients = append(clients, cl)
-	}
-	slices.Sort(clients)
-	for _, cl := range clients {
-		in := h.intents[cl]
+	err := s.answer(h, func(cl int, in contribution) error {
 		rep := &mpi.RPCReply{Seq: in.seq}
-		var data []byte
 		if in.err != nil {
 			rep.Code, rep.Err = mpi.RPCErrGeneric, in.err.Error()
 		} else if fillErr != nil {
 			rep.Code, rep.Err = errCode(fillErr), fillErr.Error()
 		} else {
-			data = s.c.GetBuf(int(extent.Total(in.runs)))
+			data := s.c.GetBuf(int(extent.Total(in.runs)))
+			defer s.c.Recycle(data)
 			var pos int64
 			for _, r := range in.runs {
 				i, _ := slices.BinarySearch(blks, s.domains.Segment(r.Off))
@@ -144,13 +108,10 @@ func (s *server) closeReadEpoch(h *handleFile) error {
 			}
 			rep.OK, rep.Data = true, data
 		}
-		err := s.c.SendReply(cl, tagReply, rep)
-		if data != nil {
-			s.c.Recycle(data)
-		}
-		if err != nil {
-			return err
-		}
+		return s.c.SendReply(cl, tagReply, rep)
+	})
+	if err != nil {
+		return err
 	}
 	// Retire the fetched buffers only now that no reply references any
 	// block buffer: inserting earlier could evict — and recycle — a
@@ -164,6 +125,5 @@ func (s *server) closeReadEpoch(h *handleFile) error {
 		}
 		s.c.Recycle(bufs[i])
 	}
-	clear(h.intents)
 	return nil
 }

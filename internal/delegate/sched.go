@@ -11,11 +11,7 @@ package delegate
 // preserved (the reply-matching invariant the client relies on); only the
 // cross-client interleaving changes, which is the point.
 
-import (
-	"sort"
-
-	"github.com/tcio/tcio/internal/mpi"
-)
+import "github.com/tcio/tcio/internal/mpi"
 
 // drrClient is one client rank's pending-read state. Queued requests keep
 // their staging buffers on lease; the server releases each once served.
@@ -53,27 +49,20 @@ func (cl *drrClient) pop() mpi.RPCRequest {
 // drrSched holds the queued read requests of every client.
 type drrSched struct {
 	quantum int64
-	clients map[int]*drrClient
-	ranks   []int // sorted; fixes the round's visit order
+	clients []drrClient // indexed by rank: a round visits them in ascending rank order
 	n       int
 }
 
 func newDRR(quantum int64) *drrSched {
-	return &drrSched{quantum: quantum, clients: make(map[int]*drrClient)}
+	return &drrSched{quantum: quantum}
 }
 
 // push queues one read request from rank.
 func (d *drrSched) push(rank int, req mpi.RPCRequest) {
-	cl := d.clients[rank]
-	if cl == nil {
-		cl = &drrClient{}
-		d.clients[rank] = cl
-		i := sort.SearchInts(d.ranks, rank)
-		d.ranks = append(d.ranks, 0)
-		copy(d.ranks[i+1:], d.ranks[i:])
-		d.ranks[i] = rank
+	if rank >= len(d.clients) {
+		d.clients = append(d.clients, make([]drrClient, rank+1-len(d.clients))...)
 	}
-	cl.push(req)
+	d.clients[rank].push(req)
 	d.n++
 }
 
@@ -86,8 +75,8 @@ func (d *drrSched) pending() int { return d.n }
 func (d *drrSched) round() []mpi.RPCRequest {
 	var out []mpi.RPCRequest
 	for d.n > 0 && len(out) == 0 {
-		for _, r := range d.ranks {
-			cl := d.clients[r]
+		for r := range d.clients {
+			cl := &d.clients[r]
 			if cl.empty() {
 				continue
 			}

@@ -89,32 +89,29 @@ func (col *Collector) Servers() []ServerStats {
 
 // handleFile is a server's state for one open handle.
 type handleFile struct {
-	name  string
-	mode  tcio.Mode
-	refs  int // clients currently holding the handle open
-	pf    *pfs.File
-	drain *storage.Client
-	// readers holds one storage client per reading client rank for the
-	// bypass reads (cache disarmed, or a dirty block): each impersonates its
-	// rank, so the parallel file system's readahead window and the fault
-	// injector's identity keys see the per-client streams they would
-	// without delegation. Cache fills are the server's own and use drain.
-	readers map[int]*storage.Client
+	name string
+	mode tcio.Mode
+	refs int // clients currently holding the handle open
+	pf   *pfs.File
+	// stores holds one storage client per rank h's reads go out as (see
+	// store); drain is the server's own, which drains, cache fills and the
+	// read epochs' union fetch use.
+	stores map[int]*storage.Client
+	drain  *storage.Client
 	// staged holds the epoch's write requests, unreleased: epochs apply in
 	// (block, client, seq) order, so no record is copied out before closeEpoch.
-	staged  []mpi.RPCRequest
-	flushed map[int]bool
-	epoch   int64
-	// intents holds the current collective read epoch's per-client intent
-	// vectors; the epoch closes when every client has contributed (the
-	// flush quorum rule).
-	intents map[int]intent
+	staged []mpi.RPCRequest
+	epoch  int64
+	// quorum holds this epoch's contributions by client rank — a flush
+	// marker each on a write handle, a read intent each on a read handle; the
+	// epoch closes when every client has contributed (contribute).
+	quorum map[int]contribution
 }
 
-// intent is one client's contribution to a collective read epoch: the runs
-// it asked for and the request's sequence number, or — for a malformed
+// contribution is one client's part of an epoch: the request's sequence
+// number and, for a read intent, the runs it asked for or — for a malformed
 // request — the error its reply will carry in place of data.
-type intent struct {
+type contribution struct {
 	runs []extent.Extent
 	seq  int64
 	err  error
@@ -124,7 +121,7 @@ type server struct {
 	c       *mpi.Comm
 	cfg     Config
 	retry   faults.RetryPolicy
-	clients int           // client-rank count: the flush-epoch quorum
+	clients int           // client-rank count: every epoch's quorum
 	index   int           // this rank's position among the server ranks
 	domains extent.Layout // the owner map; this server owns the blocks Owner deals to index
 	handles map[int32]*handleFile
@@ -188,9 +185,15 @@ func (s *server) handle(req mpi.RPCRequest) error {
 		return s.open(&req)
 	case mpi.OpRead:
 		return s.read(&req)
-	case mpi.OpFlush:
-		return s.flush(&req)
-	case mpi.OpReadIntent:
+	case mpi.OpFlush, mpi.OpReadIntent:
+		// A flush marker closes a write epoch and a read intent a read epoch;
+		// no File method sends either on the other kind of handle.
+		if h := s.handles[req.Handle]; h != nil && (req.Op == mpi.OpFlush) != (h.mode == tcio.WriteMode) {
+			return fmt.Errorf("delegate: %s on %s handle %d", req.Op, h.mode, req.Handle)
+		}
+		if req.Op == mpi.OpFlush {
+			return s.flush(&req)
+		}
 		return s.readIntent(&req)
 	case mpi.OpClose:
 		return s.close(&req)
@@ -201,8 +204,9 @@ func (s *server) handle(req mpi.RPCRequest) error {
 // loop serves requests until every client has shut down: each request
 // charges serverPerReq of service time before it is handled, and an
 // OpShutdown retires its sender. With ReadQuantum == 0 a read is handled
-// inline like any other request; otherwise it is queued into the DRR
-// scheduler, which next drains between arrivals.
+// inline like any other request; otherwise a read that passes its checks
+// on arrival is queued into the DRR scheduler, which next drains between
+// arrivals, and any other read is answered at once (with its error).
 func (s *server) loop() error {
 	for remaining := s.clients; remaining > 0; {
 		req, err := s.next()
@@ -216,7 +220,7 @@ func (s *server) loop() error {
 			continue
 		}
 		s.stats.Requests++
-		if req.Op == mpi.OpRead && s.sched != nil {
+		if req.Op == mpi.OpRead && s.sched != nil && s.queueable(&req) {
 			s.sched.push(req.Client, req)
 		} else if err := s.handle(req); err != nil {
 			return serveErr(req.Op, req.Client, err)
@@ -237,17 +241,21 @@ func (s *server) next() (mpi.RPCRequest, error) {
 		if ok || err != nil {
 			return req, err
 		}
-		served := s.sched.round()
-		for i := range served {
-			rq := &served[i]
-			err := s.read(rq)
-			rq.Release()
-			if err != nil {
-				return req, serveErr(rq.Op, rq.Client, err)
+		for _, rq := range s.sched.round() {
+			if err := s.handle(rq); err != nil {
+				return rq, serveErr(rq.Op, rq.Client, err)
 			}
 		}
 	}
 	return s.c.RecvRequest(mpi.AnySource, tagRequest)
+}
+
+// queueable reports whether a read may wait in the DRR queue: its handle is
+// open and its run lies in one block this server owns, so no queued read is
+// longer than a block and every round can serve it.
+func (s *server) queueable(req *mpi.RPCRequest) bool {
+	_, err := s.owned("read", extent.Extent{Off: req.Off, Len: req.Len})
+	return err == nil && s.handles[req.Handle] != nil
 }
 
 // serveErr names the request a failed handler was serving.
@@ -259,19 +267,14 @@ func (s *server) open(req *mpi.RPCRequest) error {
 	name, mode := string(req.Data), tcio.Mode(req.Off)
 	h := s.handles[req.Handle]
 	if h == nil {
-		pf := s.c.FS().Open(name)
-		drain := storage.NewClient(pf, s.c.Node(), s.c.Rank(), s.c)
-		drain.SetRetryPolicy(s.retry)
-		drain.SetTrace(s.cfg.TCIO.Trace)
 		h = &handleFile{
-			name:    name,
-			mode:    mode,
-			pf:      pf,
-			drain:   drain,
-			readers: make(map[int]*storage.Client),
-			flushed: make(map[int]bool),
-			intents: make(map[int]intent),
+			name:   name,
+			mode:   mode,
+			pf:     s.c.FS().Open(name),
+			stores: make(map[int]*storage.Client),
+			quorum: make(map[int]contribution),
 		}
+		h.drain = s.store(h, s.c.Rank())
 		s.handles[req.Handle] = h
 	}
 	if h.name != name || h.mode != mode {
@@ -314,19 +317,22 @@ func (s *server) write(req mpi.RPCRequest) error {
 	return s.c.Send(req.Client, tagCredit, []byte{1})
 }
 
-// reader returns (creating on first use) the storage client that
-// impersonates the requesting rank for h's bypass reads, which keep the
-// undelegated request identity. Nothing that enters the cache goes through
-// it: which client's request arrives first is the host's doing.
-func (s *server) reader(h *handleFile, client int) *storage.Client {
-	rd := h.readers[client]
-	if rd == nil {
-		rd = storage.NewClient(h.pf, s.c.Node(), client, s.c)
-		rd.SetRetryPolicy(s.retry)
-		rd.SetTrace(s.cfg.TCIO.Trace)
-		h.readers[client] = rd
+// store returns (creating on first use) h's storage client whose reads
+// identify as rank. The bypass reads (cache disarmed, or a dirty block) use
+// the requesting client's, so they keep the undelegated request identity:
+// the parallel file system's readahead window and the fault injector's
+// identity keys see the per-client streams they would without delegation.
+// Nothing that enters the cache goes through a client's: which client's
+// request arrives first is the host's doing.
+func (s *server) store(h *handleFile, rank int) *storage.Client {
+	st := h.stores[rank]
+	if st == nil {
+		st = storage.NewClient(h.pf, s.c.Node(), rank, s.c)
+		st.SetRetryPolicy(s.retry)
+		st.SetTrace(s.cfg.TCIO.Trace)
+		h.stores[rank] = st
 	}
-	return rd
+	return st
 }
 
 // errCode classifies a storage-layer error for the reply's wire code, so
@@ -338,15 +344,18 @@ func errCode(err error) mpi.RPCErrCode {
 	return mpi.RPCErrGeneric
 }
 
-// traceCacheServe records one cache hit in the trace stream.
-func (s *server) traceCacheServe(bytes, blk int64) {
-	if s.cfg.TCIO.Trace == nil {
-		return
+// serveHit serves bytes of a cache hit on ent: a hit on a block still in
+// flight waits for its bytes, one after they arrived waits for nothing. It
+// counts the hit and records it in the trace stream.
+func (s *server) serveHit(ent *cacheEntry, bytes int64) {
+	s.c.AdvanceTo(ent.ready)
+	s.stats.CacheHits++
+	if s.cfg.TCIO.Trace != nil {
+		s.cfg.TCIO.Trace.Record(trace.Event{
+			Rank: s.c.Rank(), Start: s.c.Now(), Kind: trace.KindCacheServe,
+			Bytes: bytes, Detail: fmt.Sprintf("blk=%d", ent.key.blk),
+		})
 	}
-	s.cfg.TCIO.Trace.Record(trace.Event{
-		Rank: s.c.Rank(), Start: s.c.Now(), Kind: trace.KindCacheServe,
-		Bytes: bytes, Detail: fmt.Sprintf("blk=%d", blk),
-	})
 }
 
 // lineBlocks is the fill line: a cache miss fetches the missed block's
@@ -393,18 +402,13 @@ func (s *server) read(req *mpi.RPCRequest) error {
 		// Malformed: nothing to serve; the reply carries the error.
 	case s.cache != nil && s.dirty[key] == 0:
 		ent, hit := s.cache.get(key)
-		if !hit {
+		if hit {
+			s.serveHit(ent, req.Len)
+		} else {
 			s.stats.CacheMisses++
 			ent, err = s.fillLine(h, key)
 		}
 		if err == nil {
-			// A hit on a block still in flight waits for its bytes; one
-			// after they arrived waits for nothing.
-			s.c.AdvanceTo(ent.ready)
-			if hit {
-				s.stats.CacheHits++
-				s.traceCacheServe(req.Len, key.blk)
-			}
 			// SendReply copies synchronously into its wire staging, so
 			// serving a slice of the live entry is safe and zero-copy.
 			rel := req.Off - s.domains.SegStart(blk)
@@ -418,10 +422,10 @@ func (s *server) read(req *mpi.RPCRequest) error {
 		buf := s.c.GetBuf(int(req.Len))
 		defer s.c.Recycle(buf)
 		var res storage.Result
-		res, err = s.reader(h, req.Client).ReadExtents("delegate-read", trace.KindFetch, []storage.Request{
+		res, err = s.store(h, req.Client).ReadExtents("delegate-read", trace.KindFetch, []storage.Request{
 			{Off: req.Off, Data: buf, Tag: fmt.Sprintf("c%d", req.Client)},
 		})
-		s.count(res)
+		s.count(res, &s.stats.FSReads)
 		rep.OK, rep.Data = err == nil, buf
 	}
 	if err != nil {
@@ -432,96 +436,121 @@ func (s *server) read(req *mpi.RPCRequest) error {
 
 // fillLine serves a miss on key critical block first: key's block, then the
 // other clean, non-resident, in-file blocks of its line, as many as the
-// cache holds, go to the file system as one posted batch departing now, on
-// the server's own client — the set fetched and every fault-roll key are a
-// function of the blocks touched, not of whose request arrived first. Each
-// block is cached with its own completion and the clock is left alone: the
-// caller waits for key's block only. A request that exhausts its retries
-// fails itself (and leaves the rest of the line unissued); the error is the
-// caller's only when it is key's.
+// cache holds, are fetched as one batch. Each block is cached with its own
+// completion, and the server waits for key's block only. A request that
+// exhausts its retries fails itself (and leaves the rest of the line
+// unissued); the error is the caller's only when it is key's.
 func (s *server) fillLine(h *handleFile, key blockKey) (*cacheEntry, error) {
-	ds, n, size := s.domains.SegSize, int64(s.domains.P), h.pf.Size()
-	fill := func(blk int64) storage.Request {
-		return storage.Request{Off: s.domains.SegStart(blk), Data: s.c.GetBuf(int(ds)), Tag: fmt.Sprintf("blk=%d", blk)}
-	}
-	reqs := []storage.Request{fill(key.blk)}
+	n := int64(s.domains.P)
+	blks := []int64{key.blk}
 	// Walked from the missed block, n at a time: all owned by key's owner.
 	_, slot := s.domains.Owner(key.blk)
 	first := key.blk - slot%lineBlocks*n
-	for blk := first; blk < first+lineBlocks*n && len(reqs) < min(lineBlocks, s.cache.cap); blk += n {
+	for blk := first; blk < first+lineBlocks*n && len(blks) < min(lineBlocks, s.cache.cap); blk += n {
 		k := blockKey{name: h.name, blk: blk}
-		if _, resident := s.cache.peek(k); blk != key.blk && !resident && s.dirty[k] == 0 && s.domains.SegStart(blk) < size {
-			reqs = append(reqs, fill(blk))
+		if _, resident := s.cache.peek(k); blk != key.blk && !resident && s.dirty[k] == 0 && s.domains.SegStart(blk) < h.pf.Size() {
+			blks = append(blks, blk)
 		}
 	}
-	filled := len(reqs)
-	var done [lineBlocks]simtime.Time
-	var err error
-	if mutate.Enabled(mutate.DelegateCacheStaleServe) {
-		// Planted bug: "fill" the line without reading the file system, so
-		// this reply and every later hit serve zeros.
-		for _, r := range reqs {
-			clear(r.Data)
-		}
-	} else {
-		var res storage.Result
-		res, err = h.drain.ReadExtentsEach("delegate-fill", trace.KindFetch, reqs, s.c.Now(), done[:len(reqs)])
-		s.count(res)
-		filled = int(res.Requests)
-	}
-	for i, r := range reqs {
+	bufs, done, filled, err := s.fetch(h, "delegate-fill", blks)
+	for i, blk := range blks {
 		if i < filled {
-			s.admit(blockKey{name: h.name, blk: s.domains.Segment(r.Off)}, r.Data, done[i])
+			s.admit(blockKey{name: h.name, blk: blk}, bufs[i], done[i])
 		} else {
-			s.c.Recycle(r.Data)
+			s.c.Recycle(bufs[i])
 		}
 	}
 	if filled == 0 {
 		return nil, err
 	}
 	ent, _ := s.cache.get(key)
+	s.c.AdvanceTo(ent.ready)
 	return ent, nil
 }
 
-// admit caches buf, whose bytes arrive at ready, as key's block and retires
-// whatever that displaces.
-func (s *server) admit(key blockKey, buf []byte, ready simtime.Time) {
-	displaced, evicted := s.cache.put(key, buf, ready)
-	if displaced != nil {
-		s.c.Recycle(displaced)
+// fetch posts whole domain blocks blks as one batch departing at the
+// server's present, on the server's own storage client: the fetch is the
+// server's doing, so the set fetched and every fault-roll key are a function
+// of the blocks, not of whose request arrived first. It leaves the clock
+// alone and returns each block's buffer and completion, and how many blocks
+// were read — issue stops at the first request that exhausts its retries.
+func (s *server) fetch(h *handleFile, op string, blks []int64) (bufs [][]byte, done []simtime.Time, filled int, err error) {
+	bufs, done = make([][]byte, len(blks)), make([]simtime.Time, len(blks))
+	reqs := make([]storage.Request, len(blks))
+	for i, blk := range blks {
+		bufs[i] = s.c.GetBuf(int(s.domains.SegSize))
+		reqs[i] = storage.Request{Off: s.domains.SegStart(blk), Data: bufs[i], Tag: fmt.Sprintf("blk=%d", blk)}
 	}
-	if evicted {
+	if s.cache != nil && mutate.Enabled(mutate.DelegateCacheStaleServe) {
+		// Planted bug: "fetch" the blocks without reading the file system,
+		// so the replies and every later hit serve zeros.
+		for _, b := range bufs {
+			clear(b)
+		}
+		return bufs, done, len(blks), nil
+	}
+	res, err := h.drain.ReadExtentsEach(op, trace.KindFetch, reqs, s.c.Now(), done)
+	s.count(res, &s.stats.FSReads)
+	return bufs, done, int(res.Requests), err
+}
+
+// admit caches buf, whose bytes arrive at ready, as key's block and retires
+// the block that evicts.
+func (s *server) admit(key blockKey, buf []byte, ready simtime.Time) {
+	if victim := s.cache.put(key, buf, ready); victim != nil {
+		s.c.Recycle(victim)
 		s.stats.CacheEvictions++
 	}
 }
 
-// count folds one storage batch into the server's counters.
-func (s *server) count(res storage.Result) {
-	s.stats.FSReads += res.Requests
+// count folds one storage batch into the server's counters, its requests
+// into reqs (FSReads or FSWrites).
+func (s *server) count(res storage.Result, reqs *int64) {
+	*reqs += res.Requests
 	s.stats.FSBytes += res.Bytes
 	s.stats.Retries += res.Retries
 }
 
+// flush counts one client's flush marker toward its handle's write epoch.
 func (s *server) flush(req *mpi.RPCRequest) error {
+	return s.contribute(req, contribution{seq: req.Seq}, s.closeEpoch)
+}
+
+// contribute records one client's part of its handle's epoch and closes the
+// epoch with closeFn once every client has contributed. The quorum is the
+// static client count, not the opens seen so far: a fast client's open,
+// writes, and marker can all arrive before a slow client has even opened
+// the file, and closing on a partial quorum would drain an epoch missing the
+// slow clients' writes. Open is collective over the clients, so every client
+// contributes exactly once per epoch, and FIFO per client orders a
+// contribution after the client's earlier requests.
+func (s *server) contribute(req *mpi.RPCRequest, c contribution, closeFn func(*handleFile) error) error {
 	h, err := s.lookup(req)
 	if err != nil {
 		return err
 	}
-	if h.flushed[req.Client] {
-		return fmt.Errorf("delegate: double flush of handle %d from rank %d",
-			req.Handle, req.Client)
+	if _, dup := h.quorum[req.Client]; dup {
+		return fmt.Errorf("delegate: double %s of handle %d from rank %d", req.Op, req.Handle, req.Client)
 	}
-	h.flushed[req.Client] = true
-	// The quorum is the static client count, not the opens seen so far: a
-	// fast client's open, writes, and marker can all arrive before a slow
-	// client has even opened the file, and closing on a partial quorum
-	// would drain an epoch missing the slow clients' writes. Open is
-	// collective over the clients, so every client contributes exactly one
-	// marker per epoch, and FIFO per client orders marker after writes.
-	if len(h.flushed) < s.clients {
+	h.quorum[req.Client] = c
+	if len(h.quorum) < s.clients {
 		return nil
 	}
-	return s.closeEpoch(h)
+	return closeFn(h)
+}
+
+// answer sends each contributor of h's epoch its reply in ascending rank
+// order, then clears the quorum for the next epoch.
+func (s *server) answer(h *handleFile, reply func(client int, c contribution) error) error {
+	for cl := range s.c.Size() {
+		if c, ok := h.quorum[cl]; ok {
+			if err := reply(cl, c); err != nil {
+				return err
+			}
+		}
+	}
+	clear(h.quorum)
+	return nil
 }
 
 // blockStage is one domain block's staging buffer during an epoch close.
@@ -533,8 +562,8 @@ type blockStage struct {
 
 // closeEpoch applies the epoch's staged writes block by block, each block's
 // records in (client, seq) order — last write wins, deterministically —
-// coalesces them, drains one batch, and acks the flushed clients in rank
-// order. Drained runs write through into live cache entries (and clear the
+// coalesces them, drains one batch, and acks every client in rank order.
+// Drained runs write through into live cache entries (and clear the
 // blocks' dirty counters), so post-flush reads hit coherent bytes.
 func (s *server) closeEpoch(h *handleFile) error {
 	if s.cache != nil {
@@ -598,9 +627,7 @@ func (s *server) closeEpoch(h *handleFile) error {
 		res, err := h.drain.WriteExtents("delegate-drain", trace.KindDrain, reqs)
 		drainErr = err
 		s.stats.BatchedRuns += int64(len(reqs))
-		s.stats.FSWrites += res.Requests
-		s.stats.FSBytes += res.Bytes
-		s.stats.Retries += res.Retries
+		s.count(res, &s.stats.FSWrites)
 	}
 	// Write the drained runs through into live cache entries so they stay
 	// coherent (a failed drain invalidates instead — the entry's bytes can
@@ -623,23 +650,14 @@ func (s *server) closeEpoch(h *handleFile) error {
 	}
 	s.stats.Epochs++
 	h.epoch++
-	acked := make([]int, 0, len(h.flushed))
-	for cl := range h.flushed {
-		acked = append(acked, cl)
-	}
-	sort.Ints(acked)
-	for _, cl := range acked {
+	h.staged = nil
+	return s.answer(h, func(cl int, _ contribution) error {
 		rep := &mpi.RPCReply{OK: drainErr == nil, Seq: h.epoch}
 		if drainErr != nil {
 			rep.Code, rep.Err = errCode(drainErr), drainErr.Error()
 		}
-		if err := s.c.SendReply(cl, tagReply, rep); err != nil {
-			return err
-		}
-	}
-	h.staged = nil
-	h.flushed = make(map[int]bool)
-	return nil
+		return s.c.SendReply(cl, tagReply, rep)
+	})
 }
 
 func (s *server) close(req *mpi.RPCRequest) error {

@@ -58,9 +58,9 @@ func (q *msgQueue) pop() envelope {
 type srcTag struct{ src, tag int }
 
 // laneWidth is how many consecutive sources of one tag share a mailbox index
-// entry. An all-to-all fills every lane, so wider is cheaper there; a
-// mailbox holding one pair per tag (scale-4096's ring) pays a whole lane
-// per pair, so narrower is cheaper there. Measured in DESIGN.md §6.
+// entry. An all-to-all fills every lane, so wider is cheaper there; a mailbox
+// holding one pair per tag (scale-4096's ring) pays a whole lane per pair, so
+// narrower is cheaper there (results/design-history.md has the measurement).
 const laneWidth = 4
 
 // wildEntry records one deposit in a wildcard side-list: which queue it

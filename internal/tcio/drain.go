@@ -35,15 +35,12 @@ func (f *File) populate(seg int64, owner int, slot int64) error {
 		return nil
 	}
 	// Reused staging: both the file system read and the window put move
-	// their bytes physically before returning, so one segment-sized buffer
-	// serves every population this rank performs. Plain memory, like the
-	// per-call allocation it replaces: never charged to the simulated-memory
-	// accountant (only Malloc/Reserve roll SiteMemAlloc), so the per-rank
-	// allocation fault stream is unchanged.
-	if f.popBuf == nil {
-		f.popBuf = make([]byte, f.layout.SegSize)
-	}
-	buf := f.popBuf[:n]
+	// their bytes physically before returning, so the session's staging
+	// buffer serves every population this rank performs. Plain memory, like
+	// the per-call allocation it replaces: never charged to the
+	// simulated-memory accountant (only Malloc/Reserve roll SiteMemAlloc), so
+	// the per-rank allocation fault stream is unchanged.
+	buf := f.stagingBuf(n)
 	res, err := f.store.ReadExtents("tcio: populate", trace.KindPopulate,
 		[]storage.Request{{Off: base, Data: buf, Tag: fmt.Sprintf("seg=%d", seg)}})
 	f.stats.Retries += res.Retries

@@ -1,8 +1,9 @@
 package tcio
 
-// Tests for the one-sided ship/fetch hot path (DESIGN.md §6): the counting
-// groupPending against the map-based grouping it replaced, the fetch's lock
-// hygiene and batch rule, and the zero-allocation pins.
+// Tests for the one-sided ship/fetch hot path (results/design-history.md,
+// "One-sided ship/fetch hot path"): the counting groupPending against the
+// map-based grouping it replaced, the fetch's lock hygiene and batch rule,
+// and the zero-allocation pins.
 
 import (
 	"errors"

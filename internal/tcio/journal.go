@@ -71,16 +71,14 @@ func (f *File) journalEpoch() error {
 		need += extent.Total(un)
 	}
 	if len(collected) > 0 {
-		// Snapshot the window bytes into the reused arena: every consumer
-		// (the wal encoder) copies before AppendEpoch returns, so one
-		// buffer serves all epochs (the wbArena discipline).
-		if int64(len(f.jArena)) < need {
-			f.jArena = make([]byte, need)
-		}
+		// Snapshot the window bytes into the session's staging buffer: every
+		// consumer (the wal encoder) copies before AppendEpoch returns, so one
+		// buffer serves all epochs.
+		arena := f.stagingBuf(need)
 		var pos int64
 		for _, sr := range collected {
 			for _, r := range sr.runs {
-				dst := f.jArena[pos : pos+r.Len]
+				dst := arena[pos : pos+r.Len]
 				f.win.SnapshotLocalInto(dst, sr.slot*f.layout.SegSize+r.Off)
 				runs = append(runs, wal.Run{
 					Extent: extent.Extent{Off: sr.base + r.Off, Len: r.Len},
@@ -163,10 +161,7 @@ func (f *File) slotResident(slot int64) bool {
 // spilled segment in — and marks the slot resident again.
 func (f *File) refaultSlot(slot int64) error {
 	for _, ref := range f.spillRefs[slot] {
-		if int64(len(f.jArena)) < ref.Len {
-			f.jArena = make([]byte, ref.Len)
-		}
-		if err := f.jw.ReadBack(ref, f.jArena[:ref.Len]); err != nil {
+		if err := f.jw.ReadBack(ref, f.stagingBuf(ref.Len)); err != nil {
 			return fmt.Errorf("tcio: re-fault slot %d: %w", slot, err)
 		}
 		f.stats.SpillRefaultBytes += ref.Len

@@ -80,11 +80,12 @@ type session struct {
 	wbBusy        simtime.Duration
 	wbWaited      simtime.Duration
 
-	// Reused staging buffers (plain memory, outside the simulated-memory
-	// accountant — see drain.go): popBuf stages demand populations, wbArena
-	// stages one write-behind batch's run snapshots.
-	popBuf  []byte
-	wbArena []byte
+	// staging is the session's one reused staging buffer, handed out by
+	// stagingBuf: demand populations and sieves, write-behind run snapshots,
+	// journal epoch snapshots and re-faults. Plain memory, outside the
+	// simulated-memory accountant (see populate). A session stages one of
+	// them at a time, and each copies its bytes out before it returns.
+	staging []byte
 
 	// Journal tier (Config.Journal, write mode; DESIGN.md §2f). jw appends
 	// this rank's flush epochs to its per-file journal; epoch is the
@@ -95,15 +96,12 @@ type session struct {
 	// budgetSegs is the resident-segment cap (0 = unlimited); winReserved
 	// is the simulated charge taken for the window under a budget (the
 	// budget, not the full window), which release must return in kind.
-	// jArena is the reused epoch-snapshot/refault staging buffer (plain
-	// memory, outside the simulated accountant, like wbArena).
 	jw          *wal.Writer
 	epoch       int64
 	nonResident map[int64]bool
 	spillRefs   map[int64][]extent.Extent
 	budgetSegs  int
 	winReserved int64
-	jArena      []byte
 
 	// Prefetch lane (PrefetchSegments > 0): the in-flight lookahead, segment
 	// reads staged ahead of demand and keyed by global segment (prefetch.go).
@@ -256,6 +254,16 @@ func newSession(c *mpi.Comm, name string, mode Mode, cfg Config) (session, error
 	}
 	s.pendingSeg = -1
 	return s, nil
+}
+
+// stagingBuf returns the first n bytes of the session's staging buffer,
+// growing it (to at least one segment) when it is shorter. The bytes are
+// stale: every caller fills what it hands on.
+func (s *session) stagingBuf(n int64) []byte {
+	if int64(len(s.staging)) < n {
+		s.staging = make([]byte, max(n, s.layout.SegSize))
+	}
+	return s.staging[:n]
 }
 
 // release returns the session's accounted memory (Close calls it). Under a

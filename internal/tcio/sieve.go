@@ -64,15 +64,13 @@ func (f *File) sievePopulate(seg int64, owner int, slot int64, needed []extent.E
 	if len(reads) > 0 {
 		// Reused staging, like populate's: the missing runs of one segment
 		// total at most segSize bytes, packed back to back in run order.
-		if f.popBuf == nil {
-			f.popBuf = make([]byte, f.layout.SegSize)
-		}
+		buf := f.stagingBuf(f.layout.SegSize)
 		reqs := make([]storage.Request, len(reads))
 		var at int64
 		for i, r := range reads {
 			reqs[i] = storage.Request{
 				Off:  base + r.Off,
-				Data: f.popBuf[at : at+r.Len],
+				Data: buf[at : at+r.Len],
 				Tag:  fmt.Sprintf("seg=%d off=%d (sieve)", seg, base+r.Off),
 			}
 			at += r.Len
@@ -88,7 +86,7 @@ func (f *File) sievePopulate(seg int64, owner int, slot int64, needed []extent.E
 		for i, r := range reads {
 			winRuns[i] = extent.Extent{Off: slot*f.layout.SegSize + r.Off, Len: r.Len}
 		}
-		if err := f.win.PutSegments(owner, winRuns, f.popBuf[:at]); err != nil {
+		if err := f.win.PutSegments(owner, winRuns, buf[:at]); err != nil {
 			return err
 		}
 	}

@@ -66,22 +66,20 @@ func (f *File) eagerDrain(seg, slot int64, runs []extent.Extent, arrival simtime
 	}
 	base := f.layout.SegStart(seg)
 	reqs := make([]storage.Request, 0, len(runs))
-	// One segment-sized arena stages the whole batch's snapshots: the
+	// The session's staging buffer holds the whole batch's snapshots: the
 	// detached-start write below moves every byte physically before
-	// returning (only its completion time is deferred), so the arena is
+	// returning (only its completion time is deferred), so the buffer is
 	// free again for the next batch. The runs are coalesced within one
 	// segment, so they always fit. Plain memory — not a fault site, see
 	// populate — so reuse cannot shift any alloc roll.
-	if f.wbArena == nil {
-		f.wbArena = make([]byte, f.layout.SegSize)
-	}
+	arena := f.stagingBuf(f.layout.SegSize)
 	used := int64(0)
 	for _, r := range runs {
 		// Snapshot the run's bytes under the window's data mutex: remote
 		// rewrite puts may be physically copying into this very region.
 		// A rewrite's runs re-enter pending and drain again, so whichever
 		// version the snapshot catches, the last bytes still win.
-		dst := f.wbArena[used : used+r.Len]
+		dst := arena[used : used+r.Len]
 		used += r.Len
 		f.win.SnapshotLocalInto(dst, slot*f.layout.SegSize+r.Off)
 		reqs = append(reqs, storage.Request{
