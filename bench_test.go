@@ -474,7 +474,7 @@ func BenchmarkOCIOExchange(b *testing.B) {
 
 // hotPathRanks and hotPathCfg shape the two benchmarks below: three
 // Lonestar nodes, so most one-sided operations cross the NIC, and four
-// times as many owners as PipelineDepth, so ships keep evicting epochs.
+// times as many owners as the pipeline depth, so ships keep evicting epochs.
 const hotPathRanks = 32
 
 var hotPathCfg = tcio.Config{SegmentSize: 4096, NumSegments: 8}

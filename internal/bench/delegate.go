@@ -47,10 +47,9 @@ func (g *segGeometry) tierConfig(servers int) delegate.Config {
 // delegateGeometry configures the delegation sweep.
 type delegateGeometry struct {
 	segGeometry
-	Servers    []int   // server-rank counts swept (0 = pass-through)
-	Files      []int   // concurrently-open file counts swept
-	ReqSizes   []int64 // real client request sizes swept
-	QueueDepth int     // per-(client, server) admission window (0 = 8)
+	Servers  []int   // server-rank counts swept (0 = pass-through)
+	Files    []int   // concurrently-open file counts swept
+	ReqSizes []int64 // real client request sizes swept
 }
 
 // defaultDelegate sweeps 0/1/2 servers against 1 and 2 open files and
@@ -62,7 +61,6 @@ func defaultDelegate() *delegateGeometry {
 		Servers:     []int{0, 1, 2},
 		Files:       []int{1, 2},
 		ReqSizes:    []int64{256, 2 << 10},
-		QueueDepth:  8,
 	}
 }
 
@@ -284,7 +282,6 @@ func delegateSweep(g *delegateGeometry) *Sweep {
 		Run: func(env *Env, pt any) ([]Row, error) {
 			p := pt.(delegatePoint)
 			cfg := g.tierConfig(p.Servers)
-			cfg.QueueDepth = g.QueueDepth
 			row := Row{Point: p, PhaseResult: g.runTier(env, cfg, tierProgram{Files: p.Files, ReqSize: p.ReqSize, Write: true})}
 			if !row.Failed {
 				if v := g.runTier(env, cfg, tierProgram{Files: p.Files, ReqSize: p.ReqSize, Read: true, Passes: 1}); v.Failed {

@@ -371,8 +371,8 @@ func (p *Program) summarize(tc, oc, va *engineRun, dl *delegateRun, cr *crashRun
 		if dl.err != "" {
 			mark = " err"
 		}
-		fmt.Fprintf(&b, " del[srv=%d files=%d q=%d staged=%d runs=%d fs=%d%s]",
-			p.Knobs.ServerRanks, p.Knobs.Files, p.Knobs.QueueDepth, staged, runs, dl.fsWrites, mark)
+		fmt.Fprintf(&b, " del[srv=%d files=%d staged=%d runs=%d fs=%d%s]",
+			p.Knobs.ServerRanks, p.Knobs.Files, staged, runs, dl.fsWrites, mark)
 		if len(dl.rservers) > 0 {
 			// Read-phase totals are per-block quantities (first touch fills,
 			// epoch unions are program-determined, the generator's cache

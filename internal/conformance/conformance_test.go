@@ -98,9 +98,6 @@ func TestValidateRejectsIllegalKnobs(t *testing.T) {
 		set  func(*Knobs)
 		want string
 	}{
-		{"fetch batch", func(k *Knobs) { k.FetchBatch = -1 }, "tcio: fetch batch -1"},
-		{"pipeline depth", func(k *Knobs) { k.PipelineDepth = -3 }, "tcio: pipeline depth -3"},
-		{"write-behind queue", func(k *Knobs) { k.WriteBehindQueue = -2 }, "tcio: write-behind queue -2"},
 		{"prefetch segments", func(k *Knobs) { k.PrefetchSegments = -1 }, "tcio: prefetch segments -1"},
 		{"sieve buffer", func(k *Knobs) { k.SieveBuffer = -8 }, "tcio: sieve buffer -8"},
 		{"threshold above one", func(k *Knobs) { k.WriteBehindThreshold = 1.5 }, "tcio: write-behind threshold 1.5"},
@@ -108,7 +105,6 @@ func TestValidateRejectsIllegalKnobs(t *testing.T) {
 		{"segment budget", func(k *Knobs) { k.SegmentMemoryBudget = -1 }, "tcio: segment memory budget -1"},
 		{"negative servers", func(k *Knobs) { k.ServerRanks = -1 }, "delegate: -1 server ranks of 2"},
 		{"servers eat all ranks", func(k *Knobs) { k.ServerRanks = 2 }, "delegate: 2 server ranks of 2"},
-		{"queue depth", func(k *Knobs) { k.QueueDepth = -1 }, "delegate: queue depth -1"},
 		{"server cache blocks", func(k *Knobs) { k.ServerCacheBlocks = -4 }, "delegate: server cache blocks -4"},
 		{"read quantum", func(k *Knobs) { k.ReadQuantum = -8 }, "delegate: read quantum -8"},
 	} {

@@ -76,7 +76,6 @@ func (p *Program) delegateConfig(rec *trace.Recorder) delegate.Config {
 	k := p.Knobs
 	return delegate.Config{
 		ServerRanks:       k.ServerRanks,
-		QueueDepth:        k.QueueDepth,
 		ServerCacheBlocks: k.ServerCacheBlocks,
 		ReadQuantum:       k.ReadQuantum,
 		TCIO:              p.tcioConfig(rec),

@@ -104,10 +104,7 @@ func (p *Program) tcioConfig(rec *trace.Recorder) tcio.Config {
 		NumSegments:          p.NumSegments,
 		DisableLevel1:        k.DisableLevel1,
 		DemandPopulate:       k.DemandPopulate,
-		FetchBatch:           k.FetchBatch,
-		PipelineDepth:        k.PipelineDepth,
 		WriteBehindThreshold: k.WriteBehindThreshold,
-		WriteBehindQueue:     k.WriteBehindQueue,
 		PrefetchSegments:     k.PrefetchSegments,
 		SieveBuffer:          k.SieveBuffer,
 		CollectiveRead:       k.CollectiveRead,

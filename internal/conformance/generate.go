@@ -87,13 +87,11 @@ func Generate(seed int64) *Program {
 
 // genKnobs draws the library configuration for one knob class.
 func genKnobs(rng *rand.Rand, class int, seed, segSize int64) Knobs {
-	rng.Intn(4) // the retired DrainWorkers draw, discarded: every seed still generates the same program
-	k := Knobs{
-		DisableLevel1: rng.Intn(5) == 0,
-		FetchBatch:    []int{1, 2, 64}[rng.Intn(3)],
-		PipelineDepth: []int{1, 2, 8}[rng.Intn(3)],
-		Sieving:       rng.Intn(2) == 0,
-	}
+	rng.Intn(4) // retired DrainWorkers: the draw is discarded so every seed keeps its program
+	k := Knobs{DisableLevel1: rng.Intn(5) == 0}
+	rng.Intn(3) // retired FetchBatch, discarded likewise
+	rng.Intn(3) // retired PipelineDepth, discarded likewise
+	k.Sieving = rng.Intn(2) == 0
 	if rng.Intn(4) == 0 {
 		k.EmulateTwoSided = true
 	}
@@ -105,10 +103,10 @@ func genKnobs(rng *rand.Rand, class int, seed, segSize int64) Knobs {
 		if rng.Intn(4) == 0 {
 			k.PrefetchSegments = 0 // demand without lookahead
 		}
-		rng.Intn(3) // the retired prefetch-cache-cap draw, discarded like DrainWorkers' above
+		rng.Intn(3) // the retired prefetch-cache-cap draw, discarded
 	case 2: // write-behind (rank-aligned territory, see genTerritory)
 		k.WriteBehindThreshold = []float64{1, 0.5, 0.25}[rng.Intn(3)]
-		k.WriteBehindQueue = []int{1, 2, 32}[rng.Intn(3)]
+		rng.Intn(3) // the retired WriteBehindQueue draw, discarded
 	case 3: // chaos
 		k.ChaosSeed = seed
 		if k.ChaosSeed == 0 {
@@ -151,7 +149,7 @@ func genKnobs(rng *rand.Rand, class int, seed, segSize int64) Knobs {
 			k.ServerRanks = 0 // the pass-through contract stays in rotation
 		}
 		k.Files = 1 + rng.Intn(3)
-		k.QueueDepth = []int{1, 2, 8}[rng.Intn(3)]
+		rng.Intn(3) // the retired QueueDepth draw, discarded
 		if rng.Intn(3) == 0 {
 			k.DemandPopulate = true // pass-through read-path variety
 		}

@@ -55,10 +55,7 @@ type Knobs struct {
 	// TCIO configuration (see tcio.Config).
 	DisableLevel1        bool    `json:"disable_level1,omitempty"`
 	DemandPopulate       bool    `json:"demand_populate,omitempty"`
-	FetchBatch           int     `json:"fetch_batch,omitempty"`
-	PipelineDepth        int     `json:"pipeline_depth,omitempty"`
 	WriteBehindThreshold float64 `json:"write_behind_threshold,omitempty"`
-	WriteBehindQueue     int     `json:"write_behind_queue,omitempty"`
 	PrefetchSegments     int     `json:"prefetch_segments,omitempty"`
 	SieveBuffer          int64   `json:"sieve_buffer,omitempty"`
 	CollectiveRead       bool    `json:"collective_read,omitempty"`
@@ -72,11 +69,9 @@ type Knobs struct {
 	// Delegation tier (class 6). Files > 0 additionally routes the program
 	// through internal/delegate with that many concurrently open files;
 	// ServerRanks carves that many dedicated server ranks out of Procs
-	// (0 = pass-through), and QueueDepth is the per-(client, server)
-	// admission window.
+	// (0 = pass-through).
 	ServerRanks int `json:"server_ranks,omitempty"`
 	Files       int `json:"files,omitempty"`
-	QueueDepth  int `json:"queue_depth,omitempty"`
 	// ServerCacheBlocks arms each delegation server's hot-block read
 	// cache (0 = disarmed, the bit-identical pass-through); ReadQuantum
 	// arms deficit-round-robin read scheduling on the servers (0 = inline

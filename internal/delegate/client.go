@@ -33,9 +33,9 @@ type Tier struct {
 	// epoch's staged writes by (client, seq), so the pair must be unique
 	// and monotone per (client, server) stream.
 	seqs []int64
-	// credits is the remaining admission window per server. A write
-	// consumes one; the server grants it back once the record is staged.
-	credits []int
+	// unacked counts the writes per server still holding an admission
+	// credit; the server grants it back once the record is staged.
+	unacked []int
 
 	nextHandle int32
 }
@@ -158,7 +158,7 @@ func (t *Tier) awaitCredit(si int) error {
 		return err
 	}
 	t.c.Recycle(grant)
-	t.credits[si]++
+	t.unacked[si]--
 	return nil
 }
 
@@ -192,14 +192,14 @@ func (f *File) WriteAt(off int64, data []byte) error {
 	t := f.t
 	return t.domains.Pieces(off, int64(len(data)), func(blk, _, at, n int64) error {
 		si, _ := t.domains.Owner(blk)
-		for t.credits[si] == 0 {
+		for t.unacked[si] == queueDepth {
 			// Window exhausted: block for one grant from this server.
 			if err := t.awaitCredit(si); err != nil {
 				return err
 			}
 			f.stats.CreditStalls++
 		}
-		t.credits[si]--
+		t.unacked[si]++
 		if err := t.request(si, &mpi.RPCRequest{
 			Op: mpi.OpWrite, Handle: f.handle, Off: off + at, Len: n, Data: data[at : at+n],
 		}); err != nil {
@@ -350,7 +350,7 @@ func (f *File) Flush() error {
 		// Reclaim outstanding grants so the window is full again; the
 		// marker follows the last write in the same FIFO stream, so no
 		// separate write-completion handshake is needed.
-		for t.credits[si] < t.cfg.QueueDepth {
+		for t.unacked[si] > 0 {
 			if err := t.awaitCredit(si); err != nil {
 				return err
 			}

@@ -15,7 +15,7 @@
 // last-write-wins into the domain blocks. The drained batch and the final
 // file image are therefore pure functions of the program, independent of
 // scheduling. Flow control is a per-(client, server) credit window of
-// QueueDepth outstanding writes — admission control that bounds server
+// queueDepth outstanding writes — admission control that bounds server
 // staging without timestamps.
 //
 // With ServerRanks == 0 the tier is a pass-through: Open returns a handle
@@ -45,14 +45,14 @@ const (
 // handling it — the cost of the admission queue's bookkeeping.
 const serverPerReq = 1 * simtime.Microsecond
 
+// queueDepth is the credit window of unacknowledged writes per (client, server).
+const queueDepth = 8
+
 // Config parameterizes the tier.
 type Config struct {
 	// ServerRanks is the number of ranks withdrawn from the application
 	// to run as dedicated I/O servers. 0 disables the tier entirely.
 	ServerRanks int
-	// QueueDepth bounds the outstanding unacknowledged writes each client
-	// may have at each server (the admission window). 0 means 8.
-	QueueDepth int
 	// ServerCacheBlocks is each server's hot-block cache capacity in
 	// domain blocks: repeat and cross-client reads of a cached block are
 	// served from server memory instead of the file system. 0 disables
@@ -74,24 +74,19 @@ type Config struct {
 }
 
 // Normalize returns the configuration a procs-rank communicator would run
-// with — QueueDepth defaulted and, when the tier is armed, TCIO normalized
-// against stripeSize — or the error Run reports for it. The pass-through
-// configuration (ServerRanks == 0) leaves TCIO to tcio.Open.
+// with — when the tier is armed, TCIO normalized against stripeSize — or
+// the error Run reports for it. The pass-through configuration
+// (ServerRanks == 0) leaves TCIO to tcio.Open.
 func (cfg Config) Normalize(procs int, stripeSize int64) (Config, error) {
 	switch {
 	case cfg.ServerRanks < 0 || cfg.ServerRanks >= procs:
 		return cfg, fmt.Errorf("delegate: %d server ranks of %d", cfg.ServerRanks, procs)
-	case cfg.QueueDepth < 0:
-		return cfg, fmt.Errorf("delegate: queue depth %d", cfg.QueueDepth)
 	case cfg.ServerCacheBlocks < 0:
 		return cfg, fmt.Errorf("delegate: server cache blocks %d", cfg.ServerCacheBlocks)
 	case cfg.ReadQuantum < 0:
 		return cfg, fmt.Errorf("delegate: read quantum %d", cfg.ReadQuantum)
 	case cfg.ServerRanks == 0:
 		return cfg, nil
-	}
-	if cfg.QueueDepth == 0 {
-		cfg.QueueDepth = 8
 	}
 	var err error
 	cfg.TCIO, err = cfg.TCIO.Normalize(stripeSize)
@@ -139,10 +134,7 @@ func Run(c *mpi.Comm, cfg Config, body func(*Tier) error) error {
 		clientIdx: idx,
 		clients:   c.Size() - len(servers),
 		seqs:      make([]int64, len(servers)),
-		credits:   make([]int, len(servers)),
-	}
-	for i := range t.credits {
-		t.credits[i] = cfg.QueueDepth
+		unacked:   make([]int, len(servers)),
 	}
 	if err := body(t); err != nil {
 		return err

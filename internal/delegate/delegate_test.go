@@ -19,7 +19,7 @@ func expectByte(file int, off int64) byte { return byte(off*7 + int64(file)*131 
 // delegateRun executes a granule-interleaved write-then-read workload
 // through the tier and returns the run report, the file image, the
 // per-client stats, and the server collector.
-func delegateRun(t *testing.T, procs, serverRanks, queueDepth int, granule, fileBytes int64) (mpi.Report, []byte, []Stats, *Collector) {
+func delegateRun(t *testing.T, procs, serverRanks int, granule, fileBytes int64) (mpi.Report, []byte, []Stats, *Collector) {
 	t.Helper()
 	m := cluster.Lonestar()
 	m.CoresPerNode = 4
@@ -27,7 +27,6 @@ func delegateRun(t *testing.T, procs, serverRanks, queueDepth int, granule, file
 	col := &Collector{}
 	cfg := Config{
 		ServerRanks: serverRanks,
-		QueueDepth:  queueDepth,
 		TCIO:        tcio.Config{SegmentSize: 64, NumSegments: 8},
 		Collect:     col,
 	}
@@ -94,7 +93,7 @@ func delegateRun(t *testing.T, procs, serverRanks, queueDepth int, granule, file
 func TestDelegateWriteReadRoundTrip(t *testing.T) {
 	const procs, servers = 8, 2
 	const granule, fileBytes = int64(32), int64(32 * 96)
-	rep, img, stats, col := delegateRun(t, procs, servers, 0, granule, fileBytes)
+	rep, img, stats, col := delegateRun(t, procs, servers, granule, fileBytes)
 
 	for off := int64(0); off < fileBytes; off++ {
 		if img[off] != expectByte(0, off) {
@@ -193,23 +192,29 @@ func TestDelegateLastWriteWins(t *testing.T) {
 	}
 }
 
-// TestDelegateBackpressure pins the admission window: with QueueDepth 1
-// a client must stall on credits, and the bytes still land intact.
+// TestDelegateBackpressure pins the admission window: one client issuing
+// 64 block-aligned writes to its one server in a single epoch spends the
+// queueDepth credits on the first writes and stalls for one grant on every
+// write after them, and the bytes still land intact.
 func TestDelegateBackpressure(t *testing.T) {
-	const procs, servers = 4, 1
+	const procs, servers = 2, 1
 	const granule, fileBytes = int64(16), int64(16 * 64)
-	_, img, stats, _ := delegateRun(t, procs, servers, 1, granule, fileBytes)
+	_, img, stats, _ := delegateRun(t, procs, servers, granule, fileBytes)
 	for off := int64(0); off < fileBytes; off++ {
 		if img[off] != expectByte(0, off) {
 			t.Fatalf("file byte %d corrupted under backpressure", off)
 		}
 	}
-	var stalls int64
-	for _, st := range stats {
-		stalls += st.CreditStalls
+	var st Stats // the one client's counters; the server's slot stays zero
+	for _, s := range stats {
+		st.WriteReqs += s.WriteReqs
+		st.CreditStalls += s.CreditStalls
 	}
-	if stalls == 0 {
-		t.Fatal("queue depth 1 never stalled a writer")
+	if st.WriteReqs != fileBytes/granule {
+		t.Fatalf("write requests = %d, want %d", st.WriteReqs, fileBytes/granule)
+	}
+	if want := st.WriteReqs - queueDepth; st.CreditStalls != want {
+		t.Fatalf("credit stalls = %d, want writes - %d = %d", st.CreditStalls, queueDepth, want)
 	}
 }
 
@@ -219,8 +224,8 @@ func TestDelegateBackpressure(t *testing.T) {
 func TestDelegateDeterministicImage(t *testing.T) {
 	const procs, servers = 8, 3
 	const granule, fileBytes = int64(24), int64(24 * 80)
-	_, img1, _, col1 := delegateRun(t, procs, servers, 2, granule, fileBytes)
-	_, img2, _, col2 := delegateRun(t, procs, servers, 2, granule, fileBytes)
+	_, img1, _, col1 := delegateRun(t, procs, servers, granule, fileBytes)
+	_, img2, _, col2 := delegateRun(t, procs, servers, granule, fileBytes)
 	if !bytes.Equal(img1, img2) {
 		t.Fatal("same workload produced different file images")
 	}
@@ -320,7 +325,6 @@ func TestDelegateConfigValidation(t *testing.T) {
 	}{
 		{"servers eat all ranks", Config{ServerRanks: 4}},
 		{"negative servers", Config{ServerRanks: -1}},
-		{"negative queue", Config{ServerRanks: 1, QueueDepth: -2}},
 		{"negative cache blocks", Config{ServerRanks: 1, ServerCacheBlocks: -1}},
 		{"negative quantum", Config{ServerRanks: 1, ReadQuantum: -8}},
 		{"bad tcio config", Config{ServerRanks: 1, TCIO: tcio.Config{SegmentSize: -1}}},
@@ -336,17 +340,15 @@ func TestDelegateConfigValidation(t *testing.T) {
 	}
 }
 
-// TestConfigNormalizeDefaults: an armed tier gets its admission window and a
-// normalized tcio geometry (the domain blocks derive from it); the
+// TestConfigNormalizeDefaults: an armed tier gets a normalized tcio geometry (the domain blocks derive from it); the
 // pass-through configuration is left for tcio.Open to normalize.
 func TestConfigNormalizeDefaults(t *testing.T) {
 	armed, err := Config{ServerRanks: 1}.Normalize(4, 512)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if armed.QueueDepth != 8 || armed.TCIO.SegmentSize != 512 {
-		t.Fatalf("armed defaults: queue %d, segment %d; want 8, 512",
-			armed.QueueDepth, armed.TCIO.SegmentSize)
+	if armed.TCIO.SegmentSize != 512 {
+		t.Fatalf("armed default segment %d; want 512", armed.TCIO.SegmentSize)
 	}
 	pass, err := Config{}.Normalize(4, 512)
 	if err != nil {

@@ -127,7 +127,7 @@ func TestCloseKillPointMatrix(t *testing.T) {
 		// Eager drain: write-behind pushes threshold-full segments to the
 		// file system mid-stream, on the background lane.
 		{"eager-drain", faults.SiteOSTWrite, 0.5, 0,
-			func(c *tcio.Config) { c.WriteBehindThreshold = 0.25; c.WriteBehindQueue = 4 }},
+			func(c *tcio.Config) { c.WriteBehindThreshold = 0.25 }},
 		// Final drain: the only OST writes happen inside Close.
 		{"final-drain", faults.SiteOSTWrite, 0.5, 0, nil},
 		// Journal truncate: the session is clean until the control RPC that

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+	"time"
 
 	"github.com/tcio/tcio/internal/simtime"
 )
@@ -271,6 +272,41 @@ func TestUserEntryPointsRejectRuntimeTags(t *testing.T) {
 		}
 		return nil
 	})
+}
+
+// TestUserEntryPointsRejectBadSources: a receive from a rank outside the
+// world can never match, so every receive entry point rejects it instead of
+// blocking. The world runs under a deadline so a regression fails rather
+// than hangs.
+func TestUserEntryPointsRejectBadSources(t *testing.T) {
+	const procs = 2
+	done := make(chan error, 1)
+	go func() {
+		_, err := Run(testCfg(procs), func(c *Comm) error {
+			for _, src := range []int{procs, -2} {
+				_, _, tryErr := c.TryRecvRequest(src, 3)
+				_, recvErr := c.Recv(src, 3)
+				_, reqErr := c.RecvRequest(src, 3)
+				for name, err := range map[string]error{
+					"Recv": recvErr, "RecvRequest": reqErr, "TryRecvRequest": tryErr,
+				} {
+					if err == nil {
+						return fmt.Errorf("%s(%d, 3) accepted the source", name, src)
+					}
+				}
+			}
+			return nil
+		})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("a receive from a rank outside the world blocked")
+	}
 }
 
 // TestAbortSeenOnlyWhereARankWouldBlock pins the stop-point rule behind

@@ -301,9 +301,17 @@ func (c *Comm) receive(src, tag int) (envelope, error) {
 	return e, err
 }
 
+// checkRecv rejects a receive that could never match or takes a reserved tag.
+func (c *Comm) checkRecv(op string, src, tag int) error {
+	if src != AnySource && (src < 0 || src >= c.w.nprocs) {
+		return fmt.Errorf("mpi: %s from rank %d of %d", op, src, c.w.nprocs)
+	}
+	return userTag(op, tag)
+}
+
 // receiveUser is receive behind the user-facing entry points.
 func (c *Comm) receiveUser(op string, src, tag int) (envelope, error) {
-	if err := userTag(op, tag); err != nil {
+	if err := c.checkRecv(op, src, tag); err != nil {
 		return envelope{}, err
 	}
 	return c.receive(src, tag)
@@ -337,9 +345,6 @@ func (c *Comm) sendStaged(dst, tag int, buf []byte, class netsim.Class, simBytes
 // returns its payload; src may be AnySource. The rank's clock advances to the
 // message's arrival instant.
 func (c *Comm) Recv(src, tag int) ([]byte, error) {
-	if src != AnySource && (src < 0 || src >= c.w.nprocs) {
-		return nil, fmt.Errorf("mpi: Recv from rank %d of %d", src, c.w.nprocs)
-	}
 	e, err := c.receiveUser("Recv", src, tag)
 	return e.data, err
 }

@@ -226,7 +226,7 @@ func (c *Comm) RecvRequest(src, tag int) (RPCRequest, error) {
 // has arrived, without ever parking while the queue is non-empty. It never
 // blocks, so it does not look for an abort (see abortedErr).
 func (c *Comm) TryRecvRequest(src, tag int) (RPCRequest, bool, error) {
-	if err := userTag("TryRecvRequest", tag); err != nil {
+	if err := c.checkRecv("TryRecvRequest", src, tag); err != nil {
 		return RPCRequest{}, false, err
 	}
 	e, ok := c.w.ranks[c.rank].box.tryTake(src, tag)

@@ -26,31 +26,16 @@ func (cfg Config) Normalize(stripeSize int64) (Config, error) {
 	if cfg.NumSegments == 0 {
 		cfg.NumSegments = 64
 	}
-	if cfg.FetchBatch == 0 {
-		cfg.FetchBatch = 64
-	}
-	if cfg.PipelineDepth == 0 {
-		cfg.PipelineDepth = 8
-	}
-	if cfg.WriteBehindQueue == 0 {
-		cfg.WriteBehindQueue = 32
-	}
 	switch {
 	case cfg.SegmentSize < 1:
 		return cfg, fmt.Errorf("tcio: segment size %d", cfg.SegmentSize)
 	case cfg.NumSegments < 1:
 		return cfg, fmt.Errorf("tcio: segment count %d", cfg.NumSegments)
-	case cfg.FetchBatch < 1:
-		return cfg, fmt.Errorf("tcio: fetch batch %d", cfg.FetchBatch)
-	case cfg.PipelineDepth < 1:
-		return cfg, fmt.Errorf("tcio: pipeline depth %d", cfg.PipelineDepth)
-	case cfg.WriteBehindQueue < 1:
-		return cfg, fmt.Errorf("tcio: write-behind queue %d", cfg.WriteBehindQueue)
 	case cfg.PrefetchSegments < 0:
 		return cfg, fmt.Errorf("tcio: prefetch segments %d", cfg.PrefetchSegments)
 	case cfg.SieveBuffer < 0:
 		return cfg, fmt.Errorf("tcio: sieve buffer %d", cfg.SieveBuffer)
-	case cfg.WriteBehindThreshold < 0 || cfg.WriteBehindThreshold > 1:
+	case !(cfg.WriteBehindThreshold >= 0 && cfg.WriteBehindThreshold <= 1): // rejects NaN
 		return cfg, fmt.Errorf("tcio: write-behind threshold %g", cfg.WriteBehindThreshold)
 	case cfg.SegmentMemoryBudget < 0:
 		return cfg, fmt.Errorf("tcio: segment memory budget %d", cfg.SegmentMemoryBudget)

@@ -1,6 +1,7 @@
 package tcio
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -22,21 +23,16 @@ func TestConfigNormalize(t *testing.T) {
 			in:   Config{},
 			want: func(c Config) bool {
 				return c.SegmentSize == stripe && c.NumSegments == 64 &&
-					c.FetchBatch == 64 && c.PipelineDepth == 8 &&
-					c.WriteBehindQueue == 32 &&
 					c.PrefetchSegments == 0 &&
 					c.SieveBuffer == 0 && c.WriteBehindThreshold == 0
 			},
 		},
 		{
 			name: "explicit values survive",
-			in: Config{SegmentSize: 128, NumSegments: 3, FetchBatch: 2,
-				PipelineDepth: 1, WriteBehindQueue: 5,
+			in: Config{SegmentSize: 128, NumSegments: 3,
 				PrefetchSegments: 2, SieveBuffer: 64},
 			want: func(c Config) bool {
 				return c.SegmentSize == 128 && c.NumSegments == 3 &&
-					c.FetchBatch == 2 && c.PipelineDepth == 1 &&
-					c.WriteBehindQueue == 5 &&
 					c.PrefetchSegments == 2 &&
 					c.SieveBuffer == 64
 			},
@@ -48,13 +44,11 @@ func TestConfigNormalize(t *testing.T) {
 		},
 		{name: "negative segment size", in: Config{SegmentSize: -1}, err: "segment size"},
 		{name: "negative segment count", in: Config{NumSegments: -2}, err: "segment count"},
-		{name: "negative fetch batch", in: Config{FetchBatch: -1}, err: "fetch batch"},
-		{name: "negative pipeline depth", in: Config{PipelineDepth: -3}, err: "pipeline depth"},
-		{name: "negative write-behind queue", in: Config{WriteBehindQueue: -1}, err: "write-behind queue"},
 		{name: "negative prefetch segments", in: Config{PrefetchSegments: -1}, err: "prefetch segments"},
 		{name: "negative sieve buffer", in: Config{SieveBuffer: -8}, err: "sieve buffer"},
 		{name: "threshold below zero", in: Config{WriteBehindThreshold: -0.1}, err: "write-behind threshold"},
 		{name: "threshold above one", in: Config{WriteBehindThreshold: 1.5}, err: "write-behind threshold"},
+		{name: "threshold NaN", in: Config{WriteBehindThreshold: math.NaN()}, err: "write-behind threshold"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

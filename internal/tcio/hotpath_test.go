@@ -6,6 +6,7 @@ package tcio
 // and the zero-allocation pins.
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -66,13 +67,13 @@ func TestGroupPendingMatchesReference(t *testing.T) {
 				n -= piece
 			}
 		}
-		f.pendingSeg, f.pendingDistinct = 7, 3
+		f.pendingSeg, f.pendingSwitches = 7, 3
 		bySeg, order := refGroupPending(f.pending, segSize)
 
 		groups := f.groupPending()
-		if len(f.pending) != 0 || f.pendingSeg != -1 || f.pendingDistinct != 0 {
+		if len(f.pending) != 0 || f.pendingSeg != -1 || f.pendingSwitches != 0 {
 			t.Fatalf("trial %d: queue not reset: %d pending, seg %d, distinct %d",
-				trial, len(f.pending), f.pendingSeg, f.pendingDistinct)
+				trial, len(f.pending), f.pendingSeg, f.pendingSwitches)
 		}
 		if len(groups) != len(order) {
 			t.Fatalf("trial %d: %d groups, want %d", trial, len(groups), len(order))
@@ -155,29 +156,32 @@ func TestFetchFailureReleasesLocks(t *testing.T) {
 
 // TestFetchBatchCountsSegmentSwitches pins the implicit-fetch rule as it
 // is: the queue counts segment switches, not distinct segments, so reads
-// alternating between two segments trip FetchBatch 4 on every fourth
+// alternating between two segments trip fetchBatch on every fetchBatch-th
 // switch although only two segments are ever queued. Fetch boundaries
 // decide virtual time, so the rule must not drift.
 func TestFetchBatchCountsSegmentSwitches(t *testing.T) {
+	const reads = 4 * fetchBatch
 	run(t, 1, func(c *mpi.Comm) error {
-		if err := seedReadFile(c, "switches", 1024); err != nil {
+		if err := seedReadFile(c, "switches", 2048); err != nil {
 			return err
 		}
-		f, err := Open(c, "switches", ReadMode, Config{SegmentSize: 64, NumSegments: 16, FetchBatch: 4})
+		f, err := Open(c, "switches", ReadMode, Config{SegmentSize: 1024, NumSegments: 16})
 		if err != nil {
 			return err
 		}
 		// Read i lands in segment i%2. The queue switches segment on every
-		// read, so reads 5, 9 and 13 each overflow the batch and fetch the
-		// two segments queued: 3 implicit fetches, 6 gets, before Close
-		// fetches reads 13..16 with 2 more.
-		dsts := make([][]byte, 16)
+		// read, so reads fetchBatch+1, 2*fetchBatch+1 and 3*fetchBatch+1
+		// each overflow the batch and fetch the two segments queued: 3
+		// implicit fetches, 6 gets, before Close fetches the last batch
+		// with 2 more.
+		at := func(i int) int64 { return int64(i%2)*1024 + int64(2*(i/2)) }
+		dsts := make([][]byte, reads)
 		for i := range dsts {
 			dsts[i] = make([]byte, 2)
-			if err := f.ReadAt(int64(i%2)*64+int64(2*i), dsts[i]); err != nil {
+			if err := f.ReadAt(at(i), dsts[i]); err != nil {
 				return err
 			}
-			if want := int64(i / 4 * 2); f.Stats().Gets != want {
+			if want := int64(i / fetchBatch * 2); f.Stats().Gets != want {
 				return fmt.Errorf("after read %d: %d gets, want %d", i+1, f.Stats().Gets, want)
 			}
 		}
@@ -188,7 +192,7 @@ func TestFetchBatchCountsSegmentSwitches(t *testing.T) {
 			return fmt.Errorf("%d gets after Close, want 8", got)
 		}
 		for i, dst := range dsts {
-			if off := int64(i%2)*64 + int64(2*i); dst[0] != wantReadByte(off) || dst[1] != wantReadByte(off+1) {
+			if off := at(i); dst[0] != wantReadByte(off) || dst[1] != wantReadByte(off+1) {
 				return fmt.Errorf("read %d = %v", i+1, dst)
 			}
 		}
@@ -198,20 +202,21 @@ func TestFetchBatchCountsSegmentSwitches(t *testing.T) {
 
 // TestShipDoesNotAllocate pins the ship's host cost: an untraced WriteAt
 // that flushes the level-1 buffer and ships it to an already-dirty segment
-// allocates nothing — with more owners than PipelineDepth, so every ship
-// also evicts an epoch and opens another on a recycled lock record. The
-// other ranks wait in Close meanwhile.
+// allocates nothing — with one owner more than pipelineDepth, so every
+// ship also evicts an epoch and opens another on a recycled lock record.
+// The other ranks wait in Close meanwhile.
 func TestShipDoesNotAllocate(t *testing.T) {
-	run(t, 4, func(c *mpi.Comm) error {
-		f, err := Open(c, "ship-noalloc", WriteMode, Config{SegmentSize: 64, NumSegments: 16, PipelineDepth: 2})
+	const owners = pipelineDepth + 1
+	run(t, owners+1, func(c *mpi.Comm) error {
+		f, err := Open(c, "ship-noalloc", WriteMode, Config{SegmentSize: 64, NumSegments: 16})
 		if err != nil {
 			return err
 		}
+		piece := []byte{1, 2, 3, 4, 5, 6, 7, 8}
 		if c.Rank() == 0 {
-			piece := make([]byte, 8)
 			i := int64(0)
-			write := func() { // segments 1, 2, 3, 1, ...: each call ships the one before
-				if err := f.WriteAt((1+i%3)*64+8, piece); err != nil {
+			write := func() { // segments 1, 2, ..., owners, 1, ...: each call ships the one before
+				if err := f.WriteAt((1+i%owners)*64+8, piece); err != nil {
 					panic(err)
 				}
 				i++
@@ -219,20 +224,35 @@ func TestShipDoesNotAllocate(t *testing.T) {
 			for range 64 {
 				write()
 			}
-			ships := f.Stats().Level1Flush
+			ships, evictions := f.Stats().Level1Flush, f.Stats().EpochEvictions
 			if a := testing.AllocsPerRun(1000, write); a != 0 {
 				return fmt.Errorf("%v allocs per shipping WriteAt, want 0", a)
 			}
 			if got := f.Stats().Level1Flush - ships; got != 1001 {
 				return fmt.Errorf("%d ships in 1001 writes", got)
 			}
+			if got := f.Stats().EpochEvictions - evictions; got != 1001 {
+				return fmt.Errorf("%d epoch evictions in 1001 ships, want one each", got)
+			}
 		}
-		return f.Close()
+		if err := f.Close(); err != nil {
+			return err
+		}
+		if c.Rank() == 0 {
+			want := make([]byte, owners*64+16)
+			for s := 1; s <= owners; s++ {
+				copy(want[s*64+8:], piece)
+			}
+			if got := c.FS().Open("ship-noalloc").Snapshot(); !bytes.Equal(got, want) {
+				return fmt.Errorf("file image differs:\n got %v\nwant %v", got, want)
+			}
+		}
+		return nil
 	})
 }
 
 // TestFetchDoesNotAllocate pins the fetch's host cost: queueing a full
-// default FetchBatch — two reads in each of 64 populated segments — and
+// fetchBatch — two reads in each of 64 populated segments — and
 // fetching it allocates nothing once the handle's scratch is warm.
 func TestFetchDoesNotAllocate(t *testing.T) {
 	const procs, segs = 4, 64

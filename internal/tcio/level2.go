@@ -3,7 +3,7 @@ package tcio
 // The level-2 layer (paper §IV.A): segments exposed through an MPI
 // one-sided window, addressed by the round-robin mapping of equations
 // (1)-(3), and fed by passive-target puts whose epochs pipeline up to
-// Config.PipelineDepth.
+// pipelineDepth.
 
 import (
 	"errors"
@@ -292,7 +292,7 @@ func (f *File) openEpochFor(owner int) error {
 	}
 	// Bound the open epochs: evict the least-recently-used one once the
 	// window is full.
-	for len(f.openOwners) >= f.cfg.PipelineDepth {
+	for len(f.openOwners) >= pipelineDepth {
 		// Copy down instead of re-slicing from the front: the backing array
 		// stays put, so the append below never re-allocates it.
 		coldest := f.openOwners[0]
@@ -312,7 +312,7 @@ func (f *File) openEpochFor(owner int) error {
 // reserveInflight bounds the outstanding transfers, independently of the
 // epochs: the oldest Rput handle retires when the pipeline window is full.
 func (f *File) reserveInflight() {
-	for len(f.inflight) >= f.cfg.PipelineDepth {
+	for len(f.inflight) >= pipelineDepth {
 		f.inflight[0].Complete()
 		f.inflight = f.inflight[:copy(f.inflight, f.inflight[1:])]
 	}

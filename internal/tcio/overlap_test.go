@@ -19,7 +19,6 @@ func TestOverlapConfigValidation(t *testing.T) {
 		bad := []Config{
 			{SegmentSize: 64, NumSegments: 4, WriteBehindThreshold: -0.1},
 			{SegmentSize: 64, NumSegments: 4, WriteBehindThreshold: 1.5},
-			{SegmentSize: 64, NumSegments: 4, WriteBehindQueue: -2},
 			{SegmentSize: 64, NumSegments: 4, PrefetchSegments: -1},
 		}
 		for i, cfg := range bad {
@@ -91,6 +90,54 @@ func TestWriteBehindBytesIdentical(t *testing.T) {
 		if eager.EagerWrites != eager.EagerDrains {
 			return fmt.Errorf("threshold 1: eager writes %d != eager drains %d (covered segments must coalesce)",
 				eager.EagerWrites, eager.EagerDrains)
+		}
+		return nil
+	})
+}
+
+// TestWriteBehindBackpressure fills the eager drain queue: one rank covers
+// more segments than writeBehindQueue at threshold 1, so every drain past
+// the bound waits for the earliest in-flight batch first, and the queue
+// never holds more than writeBehindQueue batches.
+func TestWriteBehindBackpressure(t *testing.T) {
+	const segs, segSize = writeBehindQueue + 16, 64
+	run(t, 1, func(c *mpi.Comm) error {
+		cfg := Config{SegmentSize: segSize, NumSegments: segs, WriteBehindThreshold: 1}
+		f, err := Open(c, "wb-backpressure", WriteMode, cfg)
+		if err != nil {
+			return err
+		}
+		want := make([]byte, segs*segSize)
+		for i := range want {
+			want[i] = byte(i*5 + i>>6)
+		}
+		peak := 0
+		for s := 0; s < segs; s++ {
+			// Covering segment s ships segment s-1, which is then covered.
+			if err := f.WriteAt(int64(s*segSize), want[s*segSize:(s+1)*segSize]); err != nil {
+				return err
+			}
+			if got := f.Stats().EagerDrains; got != int64(s) {
+				return fmt.Errorf("after segment %d: %d eager drains, want %d", s, got, s)
+			}
+			if n := len(f.wbOutstanding); n > writeBehindQueue {
+				return fmt.Errorf("after segment %d: %d drains in flight, bound %d", s, n, writeBehindQueue)
+			} else if n > peak {
+				peak = n
+			}
+		}
+		if peak != writeBehindQueue {
+			return fmt.Errorf("peak in-flight drains %d, want the full queue %d", peak, writeBehindQueue)
+		}
+		if err := f.Close(); err != nil {
+			return err
+		}
+		if st := f.Stats(); st.EagerDrains != segs || st.FlushResidue != 0 || st.EagerWrites+st.FlushResidue != st.FSWrites {
+			return fmt.Errorf("eager drains %d, residue %d, fs writes %d: want %d eager drains, one request each",
+				st.EagerDrains, st.FlushResidue, st.FSWrites, segs)
+		}
+		if got := c.FS().Open("wb-backpressure").Snapshot(); !bytes.Equal(got, want) {
+			return fmt.Errorf("file image differs after backpressured drains")
 		}
 		return nil
 	})
@@ -262,34 +309,56 @@ func TestL2MetaConcurrent(t *testing.T) {
 }
 
 // TestEpochEvictionLRU checks that reusing an open epoch protects it from
-// eviction: with PipelineDepth 2 and the ship pattern A B A C, the cold
-// epoch B is evicted, not the recently reused A.
+// eviction: with pipelineDepth open epochs to owners A, B, ..., reusing A
+// and then shipping to one more owner evicts the cold B, not A.
 func TestEpochEvictionLRU(t *testing.T) {
-	const procs = 4
+	const procs = pipelineDepth + 2
 	run(t, procs, func(c *mpi.Comm) error {
-		cfg := Config{SegmentSize: 16, NumSegments: 16, PipelineDepth: 2}
+		cfg := Config{SegmentSize: 16, NumSegments: 16}
 		f, err := Open(c, "lru", WriteMode, cfg)
 		if err != nil {
 			return err
 		}
+		// Segment s is owned by rank s%procs. Each write realigns the
+		// level-1 buffer and ships the PREVIOUS segment, so the ship
+		// sequence of owners is 1..pipelineDepth, then 1 again (reused),
+		// then pipelineDepth+1: that last ship must evict the cold owner 2.
+		var segs []int64
+		for o := int64(1); o <= pipelineDepth; o++ {
+			segs = append(segs, o)
+		}
+		segs = append(segs, procs+1, pipelineDepth+1, procs+2)
 		if c.Rank() == 0 {
-			// Segment s is owned by rank s%procs. Each write realigns the
-			// level-1 buffer and ships the PREVIOUS segment, so the ship
-			// sequence of owners is 1 (A), 2 (B), 1 (A, reused), 3 (C):
-			// shipping to C with depth 2 must evict the cold B, not the
-			// recently reused A.
-			for _, seg := range []int64{1, 2, 17, 3, 5} {
-				if err := f.WriteAt(seg*16, []byte{9}); err != nil {
+			for _, seg := range segs {
+				if err := f.WriteAt(seg*16, []byte{byte(seg)}); err != nil {
 					return err
 				}
 			}
-			if len(f.openOwners) != 2 || f.openOwners[0] != 1 || f.openOwners[1] != 3 {
-				return fmt.Errorf("open epochs %v, want [1 3] (LRU kept the reused epoch)", f.openOwners)
+			var want []int
+			for o := 3; o <= pipelineDepth; o++ {
+				want = append(want, o)
+			}
+			want = append(want, 1, pipelineDepth+1)
+			if fmt.Sprint(f.openOwners) != fmt.Sprint(want) {
+				return fmt.Errorf("open epochs %v, want %v (LRU kept the reused epoch)", f.openOwners, want)
 			}
 			if f.stats.EpochEvictions != 1 {
 				return fmt.Errorf("EpochEvictions = %d, want 1", f.stats.EpochEvictions)
 			}
 		}
-		return f.Close()
+		if err := f.Close(); err != nil {
+			return err
+		}
+		if c.Rank() == 0 {
+			got := c.FS().Open("lru").Snapshot()
+			want := make([]byte, (procs+2)*16+1)
+			for _, seg := range segs {
+				want[seg*16] = byte(seg)
+			}
+			if !bytes.Equal(got, want) {
+				return fmt.Errorf("file image differs:\n got %v\nwant %v", got, want)
+			}
+		}
+		return nil
 	})
 }

@@ -70,21 +70,18 @@ func (f *File) ReadAt(off int64, dst []byte) error {
 		f.emit(trace.KindRead, f.c.Now(), int64(len(dst)), fmt.Sprintf("off=%d", off))
 	}
 	return f.pieces(off, int64(len(dst)), func(seg, _, at, n int64) error {
-		// Count the queue's segment switches — not its distinct segments:
-		// reads alternating between two segments count one each — and once
-		// they exceed the batch, perform the real data movement (the "file
-		// domain of cached reads exceeds the level-1 buffer" rule, batched).
+		// The fetchBatch rule: past the batch, move the queued data first.
 		if f.pendingSeg != seg {
-			f.pendingDistinct++
+			f.pendingSwitches++
 			f.pendingSeg = seg
-			if f.pendingDistinct > f.cfg.FetchBatch {
+			if f.pendingSwitches > fetchBatch {
 				// Always the independent path, even under CollectiveRead: a
 				// rank-local batch overflow cannot be a collective call —
 				// peers may be anywhere in their own compute.
 				if err := f.fetchIndependent(); err != nil {
 					return err
 				}
-				f.pendingDistinct = 1
+				f.pendingSwitches = 1
 				f.pendingSeg = seg
 			}
 		}
@@ -115,7 +112,7 @@ func (f *File) Fetch() error {
 func (f *File) fetchIndependent() error {
 	if len(f.pending) == 0 {
 		f.pendingSeg = -1
-		f.pendingDistinct = 0
+		f.pendingSwitches = 0
 		f.runPostFetch()
 		return nil
 	}
@@ -210,15 +207,15 @@ type segGroup struct {
 // ReadAt crossed a boundary), and resets the queue. It is a counting sort
 // into per-handle scratch, so the groups are valid until the next call. A
 // segment is searched for among the groups only where the queue switches
-// segments, and the FetchBatch rule bounds both the switches and the groups.
+// segments, and the fetchBatch rule bounds both the switches and the groups.
 func (f *File) groupPending() []segGroup {
 	if f.fetch == nil {
 		f.fetch = new(fetchScratch)
 	}
 	fs := f.fetch
-	// Sized up front (pendingDistinct bounds the groups), so a handle that
+	// Sized up front (pendingSwitches bounds the groups), so a handle that
 	// fetches once does not pay for append's doubling.
-	groups := slices.Grow(fs.groups[:0], f.pendingDistinct)
+	groups := slices.Grow(fs.groups[:0], f.pendingSwitches)
 	idx := slices.Grow(fs.idx[:0], len(f.pending))
 	g := -1
 	for _, r := range f.pending {
@@ -248,7 +245,7 @@ func (f *File) groupPending() []segGroup {
 	fs.groups, fs.idx = groups, idx
 	f.pending = f.pending[:0]
 	f.pendingSeg = -1
-	f.pendingDistinct = 0
+	f.pendingSwitches = 0
 	return groups
 }
 
@@ -270,7 +267,7 @@ func (f *File) fetchGets(groups []segGroup) error {
 	var err error
 	owners := f.fetch.owners[:0]
 	for _, g := range groups {
-		// At most FetchBatch groups, so the scan is short.
+		// At most fetchBatch groups, so the scan is short.
 		if owner, _ := f.layout.Owner(g.seg); !slices.Contains(owners, owner) {
 			if err = f.win.Lock(owner, false); err != nil {
 				break

@@ -58,7 +58,7 @@ type session struct {
 	// openOwners lists the targets with an open shared put epoch, in
 	// least-recently-used order (front = coldest, evicted first).
 	openOwners []int
-	// inflight is the window of outstanding Rput handles; PipelineDepth
+	// inflight is the window of outstanding Rput handles; pipelineDepth
 	// bounds its length, retiring the oldest transfer when full.
 	inflight []mpi.PutHandle
 	// shipCount numbers this rank's one-sided shipments; it keys the
@@ -109,13 +109,10 @@ type session struct {
 	pfLaneFree simtime.Time
 
 	// Lazy read queue. pendingSeg is the most recent segment touched;
-	// pendingDistinct counts the segment switches in the queue — reads
-	// alternating between two segments count one each — which triggers an
-	// implicit Fetch past the FetchBatch threshold. Fetch boundaries decide
-	// virtual time, so the rule is pinned as it is.
+	// pendingSwitches counts the queue's segment switches (see fetchBatch).
 	pending         []readReq
 	pendingSeg      int64
-	pendingDistinct int
+	pendingSwitches int
 	// fetch is the fetch hot path's scratch (read.go), nil until the first
 	// fetch; behind a pointer because session travels by value.
 	fetch *fetchScratch

@@ -72,6 +72,30 @@ func (m Mode) String() string {
 	}
 }
 
+const (
+	// fetchBatch is the number of segment switches the lazy read queue may
+	// hold before the library fetches it implicitly (the paper's "file
+	// domain of cached reads exceeds the level-1 buffer" rule, generalized
+	// to a batch so that the one-sided gets of many segments pipeline
+	// through one lock epoch per owner). A switch is a read landing in
+	// another segment than the read before it, so forward reads count their
+	// distinct segments, while reads alternating between two segments count
+	// one switch each. Fetch boundaries decide virtual time, so the rule is
+	// pinned as it is.
+	fetchBatch = 64
+	// pipelineDepth bounds the number of put epochs a writer keeps open
+	// concurrently, and the outstanding Rput handles. Each level-1 flush
+	// leaves its epoch open so transfers overlap; beyond the depth the
+	// oldest epoch is closed (waiting for its transfer). This models a
+	// bounded NIC queue: TCIO paces its traffic instead of bursting like the
+	// two-phase exchange.
+	pipelineDepth = 8
+	// writeBehindQueue bounds the eager drains in flight on the background
+	// queue; enqueueing past the bound waits for the earliest in-flight
+	// batch (backpressure) — roughly a block layer's request queue.
+	writeBehindQueue = 32
+)
+
 // Config tunes the library. The zero value is usable: SegmentSize defaults
 // to the file system stripe size and NumSegments to 64.
 type Config struct {
@@ -95,25 +119,6 @@ type Config struct {
 	// DemandPopulate, segments are instead loaded lazily by the first
 	// rank that fetches from them, under the exclusive window lock.
 	DemandPopulate bool
-	// FetchBatch is the number of segment switches the lazy read queue may
-	// hold before the library fetches it implicitly (the paper's "file
-	// domain of cached reads exceeds the level-1 buffer" rule, generalized
-	// to a batch so that the one-sided gets of many segments pipeline
-	// through one lock epoch per owner). A switch is a read landing in
-	// another segment than the read before it, so forward reads count their
-	// distinct segments, while reads alternating between two segments count
-	// one switch each. 0 means 64. Oracle-driven: no sweep moves it; the
-	// conformance generator draws 1 and 2 so small programs reach the
-	// implicit fetch a default-sized queue never overflows into.
-	FetchBatch int
-	// PipelineDepth bounds the number of put epochs a writer keeps open
-	// concurrently. Each level-1 flush leaves its epoch open so transfers
-	// overlap; beyond the depth the oldest epoch is closed (waiting for
-	// its transfer). This models a bounded NIC queue: TCIO paces its
-	// traffic instead of bursting like the two-phase exchange. 0 means 8.
-	// Oracle-driven: the conformance generator draws 1 and 2 to reach the
-	// epoch eviction a program with fewer than eight owners never triggers.
-	PipelineDepth int
 	// WriteBehindThreshold arms the eager background drain: once the
 	// not-yet-drained runs of a level-2 segment cover at least this
 	// fraction of it, the owning rank drains the segment on a background
@@ -122,13 +127,6 @@ type Config struct {
 	// file system request identity bit-identical to the synchronous
 	// drain); 0 disables write-behind (the default).
 	WriteBehindThreshold float64
-	// WriteBehindQueue bounds the eager drains in flight on the background
-	// queue; enqueueing past the bound waits for the earliest in-flight
-	// batch (backpressure). 0 means 32, roughly a block layer's request
-	// queue; small values throttle the application whenever the OSTs run
-	// behind. Oracle-driven: the conformance generator draws 1 and 2 to
-	// reach the backpressure wait 32 slots never fill in a small program.
-	WriteBehindQueue int
 	// Journal arms the crash-consistency tier in write mode: every Flush
 	// and Close appends the epoch's not-yet-journaled dirty runs to a
 	// per-rank journal file (name + ".wal.<rank>") as length-prefixed,
@@ -182,7 +180,7 @@ type Config struct {
 	// local window write instead of remote exclusive-lock traffic, and a
 	// barrier publishes the windows before the usual overlapped gets
 	// redistribute the runs. Implicit fetches (a ReadAt overflowing
-	// FetchBatch) stay independent — a rank-local event cannot be
+	// fetchBatch) stay independent — a rank-local event cannot be
 	// collective. Off (the default) keeps today's independent fetch path
 	// bit-identical, including its fault rolls — the same discipline as
 	// NodeAggregation. See DESIGN.md §2d.

@@ -9,7 +9,6 @@ import (
 	"github.com/tcio/tcio/internal/cluster"
 	"github.com/tcio/tcio/internal/datatype"
 	"github.com/tcio/tcio/internal/mpi"
-	"github.com/tcio/tcio/internal/simtime"
 	"github.com/tcio/tcio/internal/trace"
 )
 
@@ -18,8 +17,6 @@ func TestConfigValidation(t *testing.T) {
 		bad := []Config{
 			{SegmentSize: -1},
 			{SegmentSize: 64, NumSegments: -2},
-			{SegmentSize: 64, NumSegments: 4, FetchBatch: -1},
-			{SegmentSize: 64, NumSegments: 4, PipelineDepth: -3},
 		}
 		for i, cfg := range bad {
 			if _, err := Open(c, fmt.Sprintf("bad%d", i), WriteMode, cfg); err == nil {
@@ -41,8 +38,8 @@ func TestDefaultsFromFileSystem(t *testing.T) {
 		if f.layout.SegSize != stripe {
 			return fmt.Errorf("segment size %d, want stripe %d", f.layout.SegSize, stripe)
 		}
-		if f.layout.NumSeg != 64 || f.cfg.FetchBatch != 64 || f.cfg.PipelineDepth != 8 {
-			return fmt.Errorf("defaults = %d/%d/%d", f.layout.NumSeg, f.cfg.FetchBatch, f.cfg.PipelineDepth)
+		if f.layout.NumSeg != 64 {
+			return fmt.Errorf("default segment count = %d", f.layout.NumSeg)
 		}
 		if f.Capacity() != stripe*64 {
 			return fmt.Errorf("Capacity = %d", f.Capacity())
@@ -51,25 +48,44 @@ func TestDefaultsFromFileSystem(t *testing.T) {
 	})
 }
 
+// TestPipelineDepthBoundsOpenEpochs: every rank ships to every owner in
+// turn, one owner more than pipelineDepth, so the open epochs fill up to
+// the bound and each later ship to a new owner evicts the coldest one.
 func TestPipelineDepthBoundsOpenEpochs(t *testing.T) {
-	const procs = 8
+	const procs, segs = pipelineDepth + 2, 40
 	run(t, procs, func(c *mpi.Comm) error {
-		cfg := Config{SegmentSize: 16, NumSegments: 64, PipelineDepth: 3}
-		f, err := Open(c, "pipe", WriteMode, cfg)
+		f, err := Open(c, "pipe", WriteMode, Config{SegmentSize: 16, NumSegments: 64})
 		if err != nil {
 			return err
 		}
-		// Touch many segments owned by distinct ranks.
-		for s := 0; s < 32; s++ {
-			off := int64(s)*16*int64(procs) + int64(c.Rank())*16
-			if err := f.WriteAt(off, []byte{1, 2}); err != nil {
+		// Segment s is owned by rank s%procs; each rank writes its own byte
+		// of every segment, and each write ships the segment before it.
+		for s := 0; s < segs; s++ {
+			if err := f.WriteAt(int64(s*16+c.Rank()), []byte{byte(s + c.Rank() + 1)}); err != nil {
 				return err
 			}
-			if got := len(f.openOwners); got > 3 {
-				return fmt.Errorf("after segment %d: %d open epochs, cap 3", s, got)
+			if got, want := len(f.openOwners), min(s, pipelineDepth); got != want {
+				return fmt.Errorf("after segment %d: %d open epochs, want %d", s, got, want)
 			}
 		}
-		return f.Close()
+		if got, want := f.Stats().EpochEvictions, int64(segs-1-pipelineDepth); got != want {
+			return fmt.Errorf("EpochEvictions = %d, want %d", got, want)
+		}
+		if err := f.Close(); err != nil {
+			return err
+		}
+		if c.Rank() == 0 {
+			want := make([]byte, (segs-1)*16+procs)
+			for s := 0; s < segs; s++ {
+				for r := 0; r < procs; r++ {
+					want[s*16+r] = byte(s + r + 1)
+				}
+			}
+			if got := c.FS().Open("pipe").Snapshot(); !bytes.Equal(got, want) {
+				return fmt.Errorf("file image differs:\n got %v\nwant %v", got, want)
+			}
+		}
+		return nil
 	})
 }
 
@@ -101,38 +117,45 @@ func TestEmulateTwoSidedShiftsTraffic(t *testing.T) {
 	}
 }
 
+// TestFetchBatchTriggersImplicitFetch: forward reads over fetchBatch+1
+// distinct segments fetch the first fetchBatch of them implicitly, on the
+// read that lands in the last one.
 func TestFetchBatchTriggersImplicitFetch(t *testing.T) {
+	const segs = fetchBatch + 1
 	run(t, 1, func(c *mpi.Comm) error {
-		pf := c.FS().Open("batch")
-		content := make([]byte, 1024)
-		for i := range content {
-			content[i] = byte(i)
-		}
-		if _, err := pf.WriteAt(0, 0, content, 0); err != nil {
+		if err := seedReadFile(c, "batch", segs*64); err != nil {
 			return err
 		}
-		cfg := Config{SegmentSize: 64, NumSegments: 16, FetchBatch: 4}
-		f, err := Open(c, "batch", ReadMode, cfg)
+		f, err := Open(c, "batch", ReadMode, Config{SegmentSize: 64, NumSegments: segs})
 		if err != nil {
 			return err
 		}
-		dsts := make([][]byte, 8)
-		for s := 0; s < 8; s++ { // spans 8 segments > batch of 4
+		dsts := make([][]byte, segs)
+		for s := range dsts {
 			dsts[s] = make([]byte, 4)
 			if err := f.ReadAt(int64(s*64), dsts[s]); err != nil {
 				return err
 			}
+			want := int64(0)
+			if s == fetchBatch {
+				want = fetchBatch
+			}
+			if got := f.Stats().Gets; got != want {
+				return fmt.Errorf("after read %d: %d gets, want %d", s+1, got, want)
+			}
 		}
 		// Crossing the batch threshold must have fetched the early reads.
-		if dsts[0][0] != 0 || dsts[0][1] != 1 {
-			return errors.New("batch threshold did not trigger a fetch")
+		if !bytes.Equal(dsts[0], []byte{wantReadByte(0), wantReadByte(1), wantReadByte(2), wantReadByte(3)}) {
+			return fmt.Errorf("batch threshold did not trigger a fetch: %v", dsts[0])
 		}
 		if err := f.Close(); err != nil {
 			return err
 		}
-		for s := 0; s < 8; s++ {
-			if dsts[s][0] != byte(s*64) {
-				return fmt.Errorf("segment %d read wrong: %v", s, dsts[s])
+		for s, dst := range dsts {
+			for i, b := range dst {
+				if off := int64(s*64 + i); b != wantReadByte(off) {
+					return fmt.Errorf("segment %d byte %d = %d, want %d", s, i, b, wantReadByte(off))
+				}
 			}
 		}
 		return nil
@@ -264,49 +287,6 @@ func TestWriteModeMemoryChargedAndFreed(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestOneSidedPipelineOverlap(t *testing.T) {
-	// A deep pipeline defers transfer completion to the epoch-retire wave;
-	// a depth-1 pipeline (the paper's strictly synchronous flush) stalls in
-	// the retire path on every flush. Compare the retire-stall time.
-	retireStall := func(depth int) simtime.Duration {
-		var stall simtime.Duration
-		m := cluster.Lonestar()
-		m.ByteScale = 1 << 12 // make wire time visible
-		_, err := mpi.Run(mpi.Config{Procs: 4, Machine: m}, func(c *mpi.Comm) error {
-			cfg := Config{SegmentSize: 16, NumSegments: 64, PipelineDepth: depth}
-			f, err := Open(c, fmt.Sprintf("pipe%d", depth), WriteMode, cfg)
-			if err != nil {
-				return err
-			}
-			// A contiguous 1 KiB range per rank spans 64 segments whose
-			// owners cycle through all ranks, so each flush opens a new
-			// remote epoch.
-			base := int64(c.Rank()) * 1024
-			for s := 0; s < 64; s++ {
-				if err := f.WriteAt(base+int64(s*16), make([]byte, 16)); err != nil {
-					return err
-				}
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			if c.Rank() == 0 {
-				stall = f.Stats().LockWait // includes waits to retire the oldest epoch
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return stall
-	}
-	deep := retireStall(16)
-	shallow := retireStall(1)
-	if deep >= shallow {
-		t.Fatalf("deep pipeline stalled %v, not less than synchronous %v", deep, shallow)
 	}
 }
 

@@ -211,41 +211,66 @@ func TestLazyReadNotFilledBeforeFetch(t *testing.T) {
 	})
 }
 
+// TestReadRealignmentTriggersFetch: the fetchBatch+1-th segment switch can
+// fall inside one ReadAt. A read straddling a segment boundary then fetches
+// everything queued before it — its own first piece included — and queues
+// only its second piece.
 func TestReadRealignmentTriggersFetch(t *testing.T) {
 	run(t, 1, func(c *mpi.Comm) error {
-		pf := c.FS().Open("realign")
-		content := make([]byte, 256)
-		for i := range content {
-			content[i] = byte(i)
-		}
-		if _, err := pf.WriteAt(0, 0, content, 0); err != nil {
+		if err := seedReadFile(c, "realign", 256); err != nil {
 			return err
 		}
-		cfg := smallCfg() // 64-byte segments
-		cfg.FetchBatch = 1
-		f, err := Open(c, "realign", ReadMode, cfg)
+		f, err := Open(c, "realign", ReadMode, smallCfg()) // 64-byte segments
 		if err != nil {
 			return err
 		}
-		a := make([]byte, 4)
-		if err := f.ReadAt(0, a); err != nil {
+		// fetchBatch reads alternating between segments 0 and 1: as many
+		// switches as the batch holds, the last read in segment 1.
+		at := func(i int) int64 { return int64(i%2)*64 + int64(i/2%30*2) }
+		a := make([][]byte, fetchBatch)
+		for i := range a {
+			a[i] = make([]byte, 2)
+			if err := f.ReadAt(at(i), a[i]); err != nil {
+				return err
+			}
+		}
+		if f.Stats().Gets != 0 {
+			return fmt.Errorf("%d gets before the batch overflowed", f.Stats().Gets)
+		}
+		// b covers bytes 124..131: its second piece is the next switch.
+		b := make([]byte, 8)
+		if err := f.ReadAt(124, b); err != nil {
 			return err
 		}
-		// Reading from a different segment must implicitly fetch `a`.
-		b := make([]byte, 4)
-		if err := f.ReadAt(200, b); err != nil {
-			return err
+		if f.Stats().Gets != 2 {
+			return fmt.Errorf("%d gets after the straddling read, want 2", f.Stats().Gets)
 		}
-		if a[0] != 0 || a[1] != 1 {
-			return fmt.Errorf("a not auto-fetched on realignment: %v", a)
+		for i := range b {
+			want := wantReadByte(124 + int64(i))
+			if i >= 4 {
+				want = 0 // the second piece waits in the queue
+			}
+			if b[i] != want {
+				return fmt.Errorf("b before Fetch = %v", b)
+			}
 		}
 		if err := f.Fetch(); err != nil {
 			return err
 		}
-		if b[0] != 200 {
-			return fmt.Errorf("b = %v", b)
+		if err := f.Close(); err != nil {
+			return err
 		}
-		return f.Close()
+		for i := range b {
+			if b[i] != wantReadByte(124+int64(i)) {
+				return fmt.Errorf("b = %v", b)
+			}
+		}
+		for i, dst := range a {
+			if off := at(i); dst[0] != wantReadByte(off) || dst[1] != wantReadByte(off+1) {
+				return fmt.Errorf("read %d = %v", i+1, dst)
+			}
+		}
+		return nil
 	})
 }
 

@@ -5,7 +5,7 @@ package tcio
 // Flush/Close only wait for the residue. The queue is virtual: batches are
 // issued physically in rank program order through the storage layer's
 // detached-start path, charged to background timelines (up to
-// WriteBehindQueue in flight, overlapping across OSTs as the requests of
+// writeBehindQueue in flight, overlapping across OSTs as the requests of
 // one posted batch do), and synchronized with only at backpressure
 // and at the final drain. Request identity (node, offset, length, attempt)
 // is exactly what the synchronous drain would issue at threshold 1, so
@@ -47,14 +47,14 @@ func (f *File) maybeWriteBehind() error {
 }
 
 // eagerDrain enqueues one segment's runs onto the background drain queue:
-// up to WriteBehindQueue batches may be in flight at once, each departing
+// up to writeBehindQueue batches may be in flight at once, each departing
 // at the rank's current instant and completing on its own background
 // timeline (the per-OST service queues arbitrate genuine contention). The
 // caller's clock waits only when the queue is full — backpressure — and at
 // the final drain.
 func (f *File) eagerDrain(seg, slot int64, runs []extent.Extent, arrival simtime.Time) error {
 	// Bounded queue: wait for the earliest in-flight batch when full.
-	for len(f.wbOutstanding) >= f.cfg.WriteBehindQueue {
+	for len(f.wbOutstanding) >= writeBehindQueue {
 		i := 0
 		for j, t := range f.wbOutstanding {
 			if t < f.wbOutstanding[i] {
