@@ -29,8 +29,9 @@ type blockKey struct {
 }
 
 // cacheEntry is one resident block. ready is the instant its fill completes:
-// the bytes exist on the host as soon as the fill is posted, but a server
-// that serves them earlier in virtual time must first advance to ready.
+// the bytes exist on the host as soon as the fill is posted, but a reply
+// that carries them departs no earlier than ready (RPCReply.Ready). The
+// server's clock never waits for it.
 type cacheEntry struct {
 	key   blockKey
 	buf   []byte

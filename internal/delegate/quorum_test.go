@@ -22,15 +22,19 @@ type readEpochTwin struct {
 // client means one request stream, so every instant is a function of the
 // program. Armed at four blocks, round one fills all six and evicts two, and
 // round two misses the evicted pair and hits the rest; disarmed, every epoch
-// fetches all six. The values were read on the tree before the epoch and the
-// block fetch were merged and repeat under -count=50 -cpu 1,2,8.
+// fetches all six. The counters were read on the tree before the epoch and
+// the block fetch were merged and repeat under -count=50 -cpu 1,2,8. The
+// clock read 4 281 356 ns while the server waited for each batch and then
+// paid the reply's 400 ns send; a reply now departs at its blocks' arrival,
+// its send paid while they arrive, so each of the two epochs that fetch
+// lands the client 400 ns earlier (the closing epoch is empty).
 func TestReadEpochTwin(t *testing.T) {
 	for _, tc := range []struct {
 		cacheBlks int
 		want      readEpochTwin
 	}{
-		{4, readEpochTwin{clock: 4281356, fsReads: 8, hits: 4, misses: 8, evictions: 4, rEpochs: 3}},
-		{0, readEpochTwin{clock: 4281356, fsReads: 12, rEpochs: 3}},
+		{4, readEpochTwin{clock: 4281356 - 2*400, fsReads: 8, hits: 4, misses: 8, evictions: 4, rEpochs: 3}},
+		{0, readEpochTwin{clock: 4281356 - 2*400, fsReads: 12, rEpochs: 3}},
 	} {
 		t.Run(fmt.Sprintf("cache=%d", tc.cacheBlks), func(t *testing.T) {
 			o := readWorkload(t, readRunOpts{procs: 2, servers: 1, fileBlocks: 6, rounds: 2, collective: true, cacheBlks: tc.cacheBlks})

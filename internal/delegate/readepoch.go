@@ -25,6 +25,7 @@ import (
 
 	"github.com/tcio/tcio/internal/extent"
 	"github.com/tcio/tcio/internal/mpi"
+	"github.com/tcio/tcio/internal/simtime"
 )
 
 // readIntent counts one client's intent vector toward its handle's read
@@ -45,11 +46,14 @@ func (s *server) readIntent(req *mpi.RPCRequest) error {
 }
 
 // closeReadEpoch merges the epoch's intent vectors, stages each requested
-// block once through the cache, fetches the rest in one batch, waits for all
-// of it, and scatters per-client replies in ascending rank order. The union
-// fetch is the server's own doing — no single client asked for it.
+// block once through the cache, fetches the rest in one batch, and scatters
+// per-client replies in ascending rank order. The server waits for none of
+// it: each reply departs when the latest of its own blocks lands, and each
+// fetched block is cached with its own completion. The union fetch is the
+// server's own doing — no single client asked for it.
 func (s *server) closeReadEpoch(h *handleFile) error {
-	// The epoch's block union, ascending, in one sort; bufs[i] stages blks[i].
+	// The epoch's block union, ascending, in one sort; bufs[i] stages blks[i],
+	// whose bytes exist from ready[i] on.
 	var blks []int64
 	for _, in := range h.quorum {
 		for _, r := range in.runs {
@@ -58,7 +62,7 @@ func (s *server) closeReadEpoch(h *handleFile) error {
 	}
 	slices.Sort(blks)
 	blks = slices.Compact(blks)
-	bufs := make([][]byte, len(blks))
+	bufs, ready := make([][]byte, len(blks)), make([]simtime.Time, len(blks))
 
 	// Stage every block: cache hits serve in place, everything else — misses,
 	// dirty-bypassed blocks, the disarmed tier — joins one fetch batch.
@@ -70,7 +74,7 @@ func (s *server) closeReadEpoch(h *handleFile) error {
 		if s.cache != nil && s.dirty[key] == 0 {
 			if ent, ok := s.cache.get(key); ok {
 				s.serveHit(ent, s.domains.SegSize)
-				bufs[i] = ent.buf
+				bufs[i], ready[i] = ent.buf, ent.ready
 				continue
 			}
 		}
@@ -84,15 +88,18 @@ func (s *server) closeReadEpoch(h *handleFile) error {
 	if len(missed) > 0 {
 		fbufs, done, _, err := s.fetch(h, "delegate-colread", missed)
 		for j, i := range fetched {
-			bufs[i] = fbufs[j]
+			bufs[i], ready[i] = fbufs[j], done[j]
 		}
-		s.c.AdvanceTo(slices.Max(done))
 		fillErr = err
 	}
 	s.stats.ReadEpochs++
 
 	err := s.answer(h, func(cl int, in contribution) error {
 		rep := &mpi.RPCReply{Seq: in.seq}
+		for _, r := range in.runs {
+			i, _ := slices.BinarySearch(blks, s.domains.Segment(r.Off))
+			rep.Ready = max(rep.Ready, ready[i])
+		}
 		if in.err != nil {
 			rep.Code, rep.Err = mpi.RPCErrGeneric, in.err.Error()
 		} else if fillErr != nil {
@@ -119,8 +126,7 @@ func (s *server) closeReadEpoch(h *handleFile) error {
 	for _, i := range fetched {
 		key := blockKey{name: h.name, blk: blks[i]}
 		if s.cache != nil && fillErr == nil && s.dirty[key] == 0 {
-			// The server already stands at the batch's end: nothing in flight.
-			s.admit(key, bufs[i], s.c.Now())
+			s.admit(key, bufs[i], ready[i])
 			continue
 		}
 		s.c.Recycle(bufs[i])

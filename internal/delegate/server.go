@@ -344,15 +344,15 @@ func errCode(err error) mpi.RPCErrCode {
 	return mpi.RPCErrGeneric
 }
 
-// serveHit serves bytes of a cache hit on ent: a hit on a block still in
-// flight waits for its bytes, one after they arrived waits for nothing. It
-// counts the hit and records it in the trace stream.
+// serveHit counts a cache hit serving bytes of ent and traces it when those
+// bytes can leave: at the block's arrival while it is still in flight, at the
+// server's present once it has landed. The server's clock never waits for
+// the block; the reply carrying it does (RPCReply.Ready).
 func (s *server) serveHit(ent *cacheEntry, bytes int64) {
-	s.c.AdvanceTo(ent.ready)
 	s.stats.CacheHits++
 	if s.cfg.TCIO.Trace != nil {
 		s.cfg.TCIO.Trace.Record(trace.Event{
-			Rank: s.c.Rank(), Start: s.c.Now(), Kind: trace.KindCacheServe,
+			Rank: s.c.Rank(), Start: max(s.c.Now(), ent.ready), Kind: trace.KindCacheServe,
 			Bytes: bytes, Detail: fmt.Sprintf("blk=%d", ent.key.blk),
 		})
 	}
@@ -384,10 +384,11 @@ func (s *server) owned(kind string, r extent.Extent) (int64, error) {
 
 // read serves one OpRead, which must lie within one block of this server's
 // (else the sender gets an error reply). With the cache armed, a clean block
-// is served from its entry once the entry's bytes have arrived — a miss
-// first posts the block's fill line; a dirty block (staged-but-undrained
-// writes) bypasses the cache with a per-request read, exactly the disarmed
-// tier's shape.
+// is served from its entry — a miss first posts the block's fill line; a
+// dirty block (staged-but-undrained writes) bypasses the cache with a
+// per-request read posted at the server's present, exactly the disarmed
+// tier's shape. Either way the reply departs when its bytes exist, the
+// entry's ready or the read's completion, and the server goes on serving.
 func (s *server) read(req *mpi.RPCRequest) error {
 	h, err := s.lookup(req)
 	if err != nil {
@@ -412,7 +413,7 @@ func (s *server) read(req *mpi.RPCRequest) error {
 			// SendReply copies synchronously into its wire staging, so
 			// serving a slice of the live entry is safe and zero-copy.
 			rel := req.Off - s.domains.SegStart(blk)
-			rep.OK, rep.Data = true, ent.buf[rel:rel+req.Len]
+			rep.OK, rep.Data, rep.Ready = true, ent.buf[rel:rel+req.Len], ent.ready
 		}
 	default:
 		if s.cache != nil {
@@ -422,9 +423,9 @@ func (s *server) read(req *mpi.RPCRequest) error {
 		buf := s.c.GetBuf(int(req.Len))
 		defer s.c.Recycle(buf)
 		var res storage.Result
-		res, err = s.store(h, req.Client).ReadExtents("delegate-read", trace.KindFetch, []storage.Request{
+		res, rep.Ready, err = s.store(h, req.Client).ReadExtentsFrom("delegate-read", trace.KindFetch, []storage.Request{
 			{Off: req.Off, Data: buf, Tag: fmt.Sprintf("c%d", req.Client)},
-		})
+		}, s.c.Now())
 		s.count(res, &s.stats.FSReads)
 		rep.OK, rep.Data = err == nil, buf
 	}
@@ -437,9 +438,10 @@ func (s *server) read(req *mpi.RPCRequest) error {
 // fillLine serves a miss on key critical block first: key's block, then the
 // other clean, non-resident, in-file blocks of its line, as many as the
 // cache holds, are fetched as one batch. Each block is cached with its own
-// completion, and the server waits for key's block only. A request that
-// exhausts its retries fails itself (and leaves the rest of the line
-// unissued); the error is the caller's only when it is key's.
+// completion, and the server waits for none of them: the caller's reply
+// departs at key's. A request that exhausts its retries fails itself (and
+// leaves the rest of the line unissued); the error is the caller's only
+// when it is key's.
 func (s *server) fillLine(h *handleFile, key blockKey) (*cacheEntry, error) {
 	n := int64(s.domains.P)
 	blks := []int64{key.blk}
@@ -464,7 +466,6 @@ func (s *server) fillLine(h *handleFile, key blockKey) (*cacheEntry, error) {
 		return nil, err
 	}
 	ent, _ := s.cache.get(key)
-	s.c.AdvanceTo(ent.ready)
 	return ent, nil
 }
 

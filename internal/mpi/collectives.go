@@ -210,7 +210,7 @@ func (c *Comm) Alltoallv(send [][]byte) ([][]byte, error) {
 		return nil, fmt.Errorf("mpi: Alltoallv with %d buffers for %d ranks", len(send), p)
 	}
 	for dst := 0; dst < p; dst++ {
-		if err := c.sendStaged(dst, tagAlltoall, c.stage(send[dst]), netsim.TwoSided, -1); err != nil {
+		if err := c.sendStaged(dst, tagAlltoall, c.stage(send[dst]), netsim.TwoSided, -1, 0); err != nil {
 			return nil, err
 		}
 	}
@@ -237,7 +237,7 @@ func (c *Comm) AlltoallvFlat(buf []byte, displs []int, recv [][]byte) error {
 		if lo < 0 || hi < lo || hi > len(buf) {
 			return fmt.Errorf("mpi: AlltoallvFlat displacements [%d,%d) for rank %d in a buffer of %d bytes", lo, hi, dst, len(buf))
 		}
-		if err := c.sendStaged(dst, tagAlltoall, buf[lo:hi:hi], netsim.TwoSided, -1); err != nil {
+		if err := c.sendStaged(dst, tagAlltoall, buf[lo:hi:hi], netsim.TwoSided, -1, 0); err != nil {
 			return err
 		}
 	}

@@ -272,7 +272,7 @@ func (c *Comm) Send(dst, tag int, data []byte) error {
 	if err := userTag("Send", tag); err != nil {
 		return err
 	}
-	return c.sendStaged(dst, tag, c.stage(data), netsim.TwoSided, -1)
+	return c.sendStaged(dst, tag, c.stage(data), netsim.TwoSided, -1, 0)
 }
 
 // stage returns the eager copy of a payload, in a world-pool buffer.
@@ -323,9 +323,12 @@ func (c *Comm) receiveUser(op string, src, tag int) (envelope, error) {
 // call; it reaches the receiver, whose Release or Recycle returns it to the
 // pool. simBytes is the billed simulated size, or -1 to bill the scaled
 // payload length; billing less than the payload models compact wire
-// encodings. An eager send completes locally, so it does not look for an
-// abort (see abortedErr).
-func (c *Comm) sendStaged(dst, tag int, buf []byte, class netsim.Class, simBytes int64) error {
+// encodings. The message departs once the sender has paid sendOverhead, or
+// at floor if that is later: a floor is when the payload's bytes exist, and
+// the sender's clock does not wait for it. Every send but a reply with
+// RPCReply.Ready passes 0. An eager send completes locally, so it does not
+// look for an abort (see abortedErr).
+func (c *Comm) sendStaged(dst, tag int, buf []byte, class netsim.Class, simBytes int64, floor simtime.Time) error {
 	if dst < 0 || dst >= c.w.nprocs {
 		c.w.pool.put(buf)
 		return fmt.Errorf("mpi: Send to rank %d of %d", dst, c.w.nprocs)
@@ -333,7 +336,7 @@ func (c *Comm) sendStaged(dst, tag int, buf []byte, class netsim.Class, simBytes
 	if simBytes < 0 {
 		simBytes = c.w.machine.Scale(int64(len(buf)))
 	}
-	depart := c.clock().Advance(sendOverhead)
+	depart := max(c.clock().Advance(sendOverhead), floor)
 	arrival := c.w.net.Transfer(
 		c.w.machine.NodeOf(c.rank), c.w.machine.NodeOf(dst),
 		simBytes, depart, class)

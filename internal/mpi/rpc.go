@@ -12,6 +12,7 @@ import (
 	"fmt"
 
 	"github.com/tcio/tcio/internal/netsim"
+	"github.com/tcio/tcio/internal/simtime"
 )
 
 // RPCOp identifies a request's operation.
@@ -82,6 +83,10 @@ type RPCReply struct {
 	Err  string
 	Seq  int64
 	Data []byte
+	// Ready is when Data's bytes exist on the sender — a block still
+	// arriving from the file system. Not encoded: it sets the departure
+	// floor only (SendReply), and a received reply's is zero.
+	Ready simtime.Time
 
 	pool *bufPool // as in RPCRequest
 	buf  []byte
@@ -205,7 +210,7 @@ func (c *Comm) SendRequest(dst, tag int, req *RPCRequest) error {
 		return err
 	}
 	sim := int64(rpcReqHeaderWire) + c.w.machine.Scale(int64(len(req.Data)))
-	return c.sendStaged(dst, tag, encodeRequest(&c.w.pool, req), netsim.TwoSided, sim)
+	return c.sendStaged(dst, tag, encodeRequest(&c.w.pool, req), netsim.TwoSided, sim, 0)
 }
 
 // RecvRequest blocks for the next request from src (AnySource for any
@@ -245,13 +250,15 @@ func (c *Comm) openRequest(e envelope) (RPCRequest, error) {
 	return req, err
 }
 
-// SendReply ships rep to rank dst on tag, billed like SendRequest.
+// SendReply ships rep to rank dst on tag, billed like SendRequest. It
+// departs no earlier than rep.Ready, and the sender's clock does not wait
+// for it.
 func (c *Comm) SendReply(dst, tag int, rep *RPCReply) error {
 	if err := userTag("SendReply", tag); err != nil {
 		return err
 	}
 	sim := int64(rpcRepHeaderWire) + c.w.machine.Scale(int64(len(rep.Data)))
-	return c.sendStaged(dst, tag, encodeReply(&c.w.pool, rep), netsim.TwoSided, sim)
+	return c.sendStaged(dst, tag, encodeReply(&c.w.pool, rep), netsim.TwoSided, sim, rep.Ready)
 }
 
 // RecvReply blocks for a reply from src on tag. The caller owns the reply:
