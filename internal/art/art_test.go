@@ -497,12 +497,20 @@ func TestLibraryString(t *testing.T) {
 // before the record buffers were pooled (PR 19, commit af15c10, where this
 // test reads the same numbers). If one moves, a request or a virtual-time
 // charge moved, not just an allocation.
+//
+// TCIO's makespan is 5 120 ns shorter since read-mode Open stopped waiting
+// for its preload: the index's first ReadAt (60 ns of lazy recording), its
+// shared Lock (2 × 2 µs latency + 0.6 µs one-sided setup = 4 600 ns) and its
+// get's issue (0.4 µs send overhead + 60 ns for its one run = 460 ns) now run
+// while the file's one segment is still landing, and the get's bytes leave
+// the instant it lands. A one-rank barrier costs nothing, so nothing else
+// moves.
 func TestOneRankCheckpointTwin(t *testing.T) {
 	for _, tc := range []struct {
 		lib                            Library
 		ns, fsWrites, fsReads, netMsgs int64
 	}{
-		{LibTCIO, 1594915, 1, 1, 19},
+		{LibTCIO, 1594915 - 5120, 1, 1, 19},
 		{LibVanilla, 77381600, 105, 106, 0},
 	} {
 		rep, err := mpi.Run(mpi.Config{Procs: 1, Machine: cluster.Lonestar()}, func(c *mpi.Comm) error {

@@ -155,9 +155,11 @@ func runScalePoint(env *Env, p *scalePoint) Row {
 		if err != nil {
 			return err
 		}
-		// Open's preload leaves each rank at a host-order-assigned point of
-		// the FS completion multiset; synchronize before the fetch traffic
-		// shares NIC ports so the gets depart symmetrically.
+		// Open posts the preload and leaves every rank at its barrier's
+		// instant; each rank's one segment lands at a host-order-assigned
+		// point of the FS completion multiset, and its get's bytes leave then.
+		// The extra barrier keeps this program the benchmark's scale
+		// workload step for step.
 		if err := c.Barrier(); err != nil {
 			return err
 		}

@@ -322,7 +322,7 @@ func (w *Win) Get(target int, off, n int64) ([]byte, error) {
 // buffer — a single MPI_Get with an indexed datatype, one network transfer.
 // The caller's clock waits for the transfer (the data is needed on return).
 func (w *Win) GetSegments(target int, segs []datatype.Segment) ([]byte, error) {
-	h, err := w.GetSegmentsAsync(target, segs, nil)
+	h, err := w.GetSegmentsAsync(target, segs, nil, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -353,7 +353,16 @@ func (h GetHandle) Complete() []byte {
 // MPI_Win_unlock. The gathered bytes are appended to dst (nil allocates
 // exactly what the get needs), so a caller issuing many gets can land them
 // all in one reused buffer.
-func (w *Win) GetSegmentsAsync(target int, segs []datatype.Segment, dst []byte) (GetHandle, error) {
+//
+// floor is when the target's bytes exist (a segment still landing from the
+// file system); a get of settled bytes passes 0. A get issued before its
+// floor completes floor − departure later than the same get of settled
+// bytes: it takes the transfer it was issued into, port shares included, and
+// starts it at the floor. The network sees every get at its issue, as it
+// sees every put, so a fetch burst reaches the ports as one burst whatever
+// the order the file system landed its segments in. The origin's clock does
+// not wait for the floor.
+func (w *Win) GetSegmentsAsync(target int, segs []datatype.Segment, dst []byte, floor simtime.Time) (GetHandle, error) {
 	h, err := w.epoch(target, "Get")
 	if err != nil {
 		return GetHandle{}, err
@@ -377,6 +386,9 @@ func (w *Win) GetSegmentsAsync(target int, segs []datatype.Segment, dst []byte) 
 	arrival := w.c.w.net.Transfer(
 		w.c.w.machine.NodeOf(target), w.c.w.machine.NodeOf(w.c.rank),
 		w.c.w.machine.Scale(total), depart, w.class)
+	if floor > depart {
+		arrival = arrival.Add(floor.Sub(depart))
+	}
 	if arrival > h.maxArrival {
 		h.maxArrival = arrival
 	}

@@ -54,11 +54,11 @@ func TestWinGetAsyncDataValidAfterComplete(t *testing.T) {
 		if err := win.Lock(1, false); err != nil {
 			return err
 		}
-		h1, err := win.GetSegmentsAsync(1, []datatype.Segment{{Off: 1, Len: 2}}, nil)
+		h1, err := win.GetSegmentsAsync(1, []datatype.Segment{{Off: 1, Len: 2}}, nil, 0)
 		if err != nil {
 			return err
 		}
-		h2, err := win.GetSegmentsAsync(1, []datatype.Segment{{Off: 3, Len: 1}}, nil)
+		h2, err := win.GetSegmentsAsync(1, []datatype.Segment{{Off: 3, Len: 1}}, nil, 0)
 		if err != nil {
 			return err
 		}
@@ -85,7 +85,7 @@ func TestWinGetAsyncWithoutLockFails(t *testing.T) {
 			return err
 		}
 		if c.Rank() == 0 {
-			if _, err := win.GetSegmentsAsync(1, []datatype.Segment{{Off: 0, Len: 1}}, nil); err == nil {
+			if _, err := win.GetSegmentsAsync(1, []datatype.Segment{{Off: 0, Len: 1}}, nil, 0); err == nil {
 				return errors.New("async get without lock accepted")
 			}
 		}
@@ -93,6 +93,63 @@ func TestWinGetAsyncWithoutLockFails(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestGetFloorDelaysTheTransferNotTheOrigin: a get issued before its floor
+// completes floor − departure later than the same get of settled bytes, and
+// its origin's clock pays only the issue cost. The ranks sit on two nodes and
+// the get follows another one to the same target, so the transfer it keeps
+// is the shared one of its issue instant, not a lone one at the floor.
+func TestGetFloorDelaysTheTransferNotTheOrigin(t *testing.T) {
+	const size = 1 << 20
+	// run issues two gets back to back, the second with a floor floorAfter
+	// past its issue start (none for 0), and reports the first get's
+	// transfer, the second's departure and its arrival.
+	run := func(floorAfter simtime.Duration) (first simtime.Duration, floor, depart, arrival simtime.Time) {
+		cfg := testCfg(2)
+		cfg.Machine.CoresPerNode = 1
+		_, err := Run(cfg, func(c *Comm) error {
+			win, err := c.WinCreate(make([]byte, size))
+			if err != nil {
+				return err
+			}
+			if c.Rank() != 0 {
+				return nil
+			}
+			if err := win.Lock(1, false); err != nil {
+				return err
+			}
+			segs := []datatype.Segment{{Off: 0, Len: size}}
+			h, err := win.GetSegmentsAsync(1, segs, nil, 0)
+			if err != nil {
+				return err
+			}
+			first = h.arrival.Sub(c.Now())
+			if floorAfter > 0 {
+				floor = c.Now().Add(floorAfter)
+			}
+			if h, err = win.GetSegmentsAsync(1, segs, nil, floor); err != nil {
+				return err
+			}
+			depart, arrival = c.Now(), h.arrival
+			return win.Unlock(1)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return first, floor, depart, arrival
+	}
+	first, _, depart, settled := run(0)
+	_, floor, floorDepart, floored := run(simtime.Second)
+	if shared := settled.Sub(depart); shared <= first {
+		t.Fatalf("the second settled get took %d, no more than the first's %d: the two did not share a port", shared, first)
+	}
+	if floorDepart != depart {
+		t.Errorf("issuing the floored get moved the origin to %d, want %d as without a floor", floorDepart, depart)
+	}
+	if want := settled.Add(floor.Sub(depart)); floored != want {
+		t.Errorf("the floored get arrives at %d, want the settled get's %d + (floor %d - departure %d)", floored, settled, floor, depart)
 	}
 }
 
@@ -123,7 +180,7 @@ func TestWinAsyncGetsOverlapInVirtualTime(t *testing.T) {
 		}
 		for i := 0; i < n; i++ {
 			segs[0] = datatype.Segment{Off: int64(i), Len: 1}
-			if _, err := win.GetSegmentsAsync(1, segs, nil); err != nil {
+			if _, err := win.GetSegmentsAsync(1, segs, nil, 0); err != nil {
 				return err
 			}
 		}
@@ -330,7 +387,7 @@ func TestGetSegmentsAsyncIntoCallerBuffer(t *testing.T) {
 			if err := win.Lock(1, false); err != nil {
 				return err
 			}
-			if h, err = win.GetSegmentsAsync(1, segs, dst); err != nil {
+			if h, err = win.GetSegmentsAsync(1, segs, dst, 0); err != nil {
 				return err
 			}
 			return win.Unlock(1)
@@ -380,7 +437,7 @@ func TestWarmEpochDoesNotAllocate(t *testing.T) {
 			}
 		}
 		put := epoch(func() error { _, err := win.PutSegmentsAsync(1, segs, data); return err })
-		get := epoch(func() error { _, err := win.GetSegmentsAsync(1, segs, dst); return err })
+		get := epoch(func() error { _, err := win.GetSegmentsAsync(1, segs, dst, 0); return err })
 		put() // warm: the first epoch allocates the record every later one reuses
 		if a := testing.AllocsPerRun(200, put); a != 0 {
 			return fmt.Errorf("%v allocs per warm put epoch, want 0", a)

@@ -10,6 +10,7 @@ import (
 	"fmt"
 
 	"github.com/tcio/tcio/internal/extent"
+	"github.com/tcio/tcio/internal/simtime"
 	"github.com/tcio/tcio/internal/storage"
 	"github.com/tcio/tcio/internal/trace"
 )
@@ -31,7 +32,7 @@ func (f *File) segSpan(seg int64) (base, n int64) {
 func (f *File) populate(seg int64, owner int, slot int64) error {
 	base, n := f.segSpan(seg)
 	if n <= 0 {
-		f.meta.setPopulated(seg)
+		f.meta.setPopulated(seg, 0)
 		return nil
 	}
 	// Reused staging: both the file system read and the window put move
@@ -50,14 +51,18 @@ func (f *File) populate(seg int64, owner int, slot int64) error {
 	if err := f.win.PutSegments(owner, []extent.Extent{{Off: slot * f.layout.SegSize, Len: n}}, buf); err != nil {
 		return err
 	}
-	f.meta.setPopulated(seg)
+	f.meta.setPopulated(seg, 0)
 	f.stats.Populations++
 	return nil
 }
 
-// preloadAll populates every local slot that overlaps the file — the eager
-// ablation. Each rank reads only its own segments, so the file system sees
-// P large disjoint requests, each rank's posted as one storage batch.
+// preloadAll posts the load of every local slot that overlaps the file —
+// the default read population. Each rank reads only its own segments, so the
+// file system sees P large disjoint requests, each rank's posted as one
+// storage batch at the rank's present. Open does not wait for the batch: each
+// segment is marked populated with its own landing instant, a get of it
+// starts no earlier (issueGets), and Close waits for the whole batch before
+// the window is freed.
 func (f *File) preloadAll() error {
 	local := f.win.Local()
 	var reqs []storage.Request
@@ -75,14 +80,16 @@ func (f *File) preloadAll() error {
 		})
 		segs = append(segs, seg)
 	}
-	res, err := f.store.ReadExtents("tcio: preload", trace.KindPopulate, reqs)
+	done := make([]simtime.Time, len(reqs))
+	res, err := f.store.ReadExtentsEach("tcio: preload", trace.KindPopulate, reqs, f.c.Now(), done)
 	f.stats.Retries += res.Retries
 	f.stats.Populations += res.Requests
 	if err != nil {
 		return err
 	}
-	for _, seg := range segs {
-		f.meta.setPopulated(seg)
+	for i, seg := range segs {
+		f.meta.setPopulated(seg, done[i])
+		f.preloadEnd = max(f.preloadEnd, done[i])
 	}
 	return f.c.Barrier()
 }

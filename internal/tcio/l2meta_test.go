@@ -164,7 +164,7 @@ func TestL2MetaShardedMatchesReference(t *testing.T) {
 					t.Fatalf("trial %d step %d dirtyRuns(%d): got %v want %v", trial, step, seg, got, want)
 				}
 			case 5:
-				m.setPopulated(seg)
+				m.setPopulated(seg, 0)
 				ref.setPopulated(seg)
 			case 6:
 				runs := randRuns()

@@ -49,7 +49,7 @@ func (f *File) WriteAt(off int64, data []byte) error {
 		f.emit(trace.KindWrite, f.c.Now(), int64(len(data)), fmt.Sprintf("off=%d", off))
 	}
 	return f.pieces(off, int64(len(data)), func(seg, segOff, at, n int64) error {
-		f.c.Compute(f.pieceCPU)
+		f.c.Compute(f.pieceCharge(at))
 		return f.stageWrite(seg, segOff, data[at:at+n])
 	})
 }

@@ -52,10 +52,13 @@ type l2shard struct {
 type segState struct {
 	dirty   []extent.Extent // runs holding buffered data
 	pending []extent.Extent // dirty runs not yet drained
-	// arrival is the latest virtual-time put arrival among the pending
-	// runs. The origin records it at issue time (it knows the handle's
-	// arrival); whoever drains the runs must not depart before it — the
-	// data is not in the owner's window, in virtual time, until then.
+	// arrival is when the segment's newest bytes are in the owner's window
+	// in virtual time; nothing may move them out before it. On a write
+	// handle it is the latest put arrival among the pending runs, recorded
+	// by the origin at issue (it knows the handle's arrival) and consumed
+	// with the runs by whoever drains them. On a read handle it is when the
+	// owner's posted preload lands the segment (setPopulated), and a get of
+	// the segment starts no earlier; a synchronous population leaves it 0.
 	arrival simtime.Time
 	// unlogged is the dirty runs the owner's journal has not recorded yet;
 	// journalEpoch consumes them at each Flush/Close. Always empty when the
@@ -171,10 +174,25 @@ func (m *l2meta) isPopulated(seg int64) bool {
 	return st != nil && st.populated
 }
 
-func (m *l2meta) setPopulated(seg int64) {
+// setPopulated marks the segment's window bytes valid, landing at at (0 when
+// they are in place already).
+func (m *l2meta) setPopulated(seg int64, at simtime.Time) {
 	s, st := m.lock(seg, true)
 	defer s.mu.Unlock()
 	st.populated, st.popRuns = true, nil
+	if at > st.arrival {
+		st.arrival = at
+	}
+}
+
+// arrivalOf reports the segment's arrival: the floor of a get of it.
+func (m *l2meta) arrivalOf(seg int64) simtime.Time {
+	s, st := m.lock(seg, false)
+	defer s.mu.Unlock()
+	if st == nil {
+		return 0
+	}
+	return st.arrival
 }
 
 // missingRuns returns the segment-relative parts of needed whose window
@@ -220,6 +238,18 @@ func (f *File) pieces(off, n int64, fn func(seg, segOff, at, n int64) error) err
 		}
 		return fn(seg, segOff, at, m)
 	})
+}
+
+// pieceCharge is the library CPU of the piece at byte at of one application
+// call. A scaled run stands for ByteScale times as many calls, not as many
+// segment boundaries, so the call's first piece pays the scaled pieceCPU and
+// each further piece of the same call the unscaled share: at ByteScale 1
+// every piece pays pieceCPU.
+func (f *File) pieceCharge(at int64) simtime.Duration {
+	if at == 0 {
+		return f.pieceCPU
+	}
+	return f.pieceCPU / simtime.Duration(f.c.Machine().ByteScale)
 }
 
 // ship performs the one-sided transfer of segment-relative runs into the

@@ -292,7 +292,7 @@ func TestL2MetaConcurrent(t *testing.T) {
 					// drain error path would not — re-add so others see them.
 					m.addDirty(s, runs, at)
 				}
-				m.setPopulated(s)
+				m.setPopulated(s, 0)
 				_ = m.isPopulated(s)
 			}
 		}(w)

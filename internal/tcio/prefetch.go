@@ -120,7 +120,7 @@ func (f *File) populateFromCache(seg int64, owner int, slot int64, e *prefetchEn
 			return err
 		}
 	}
-	f.meta.setPopulated(seg)
+	f.meta.setPopulated(seg, 0)
 	f.stats.Populations++
 	f.stats.PrefetchHits++
 	return nil

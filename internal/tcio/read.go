@@ -85,7 +85,7 @@ func (f *File) ReadAt(off int64, dst []byte) error {
 				f.pendingSeg = seg
 			}
 		}
-		f.c.Compute(f.pieceCPU)
+		f.c.Compute(f.pieceCharge(at))
 		f.pending = append(f.pending, readReq{off: off + at, dst: dst[at : at+n]})
 		return nil
 	})
@@ -304,7 +304,9 @@ func (f *File) fetchGets(groups []segGroup) error {
 
 // issueGets issues one asynchronous indexed get per group, under the shared
 // locks fetchGets holds. The fetch arena is sized to the batch first, so
-// every get appends in place, right after the one before it.
+// every get appends in place, right after the one before it. A get leaves
+// its owner when its segment has landed (l2meta.arrivalOf): the owner's
+// clock never waits for its preload, and the origin's waits only at Unlock.
 func (f *File) issueGets(groups []segGroup) error {
 	total := 0
 	for _, g := range groups {
@@ -324,7 +326,7 @@ func (f *File) issueGets(groups []segGroup) error {
 			at += len(r.dst)
 		}
 		f.winRunsScratch = runs[:0]
-		if _, err := f.win.GetSegmentsAsync(owner, runs, dst); err != nil {
+		if _, err := f.win.GetSegmentsAsync(owner, runs, dst, f.meta.arrivalOf(g.seg)); err != nil {
 			return err
 		}
 		f.stats.Gets++

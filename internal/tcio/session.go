@@ -36,7 +36,7 @@ type session struct {
 
 	// layout is the round-robin offset mapping of equations (1)-(3).
 	layout   extent.Layout
-	pieceCPU simtime.Duration // per-piece library processing cost
+	pieceCPU simtime.Duration // per-call library processing cost (pieceCharge)
 	retry    faults.RetryPolicy
 
 	win  *mpi.Win
@@ -107,6 +107,10 @@ type session struct {
 	// reads staged ahead of demand and keyed by global segment (prefetch.go).
 	prefetched map[int64]*prefetchEntry
 	pfLaneFree simtime.Time
+
+	// preloadEnd is when this rank's posted preload finishes landing in its
+	// window (preloadAll); a read handle's Close waits for it.
+	preloadEnd simtime.Time
 
 	// Lazy read queue. pendingSeg is the most recent segment touched;
 	// pendingSwitches counts the queue's segment switches (see fetchBatch).
@@ -209,8 +213,8 @@ func newSession(c *mpi.Comm, name string, mode Mode, cfg Config) (session, error
 		l1Buf:  l1,
 		// Each POSIX-like call costs library CPU (offset mapping, block
 		// bookkeeping, copies). Scaled runs stand for ByteScale times as
-		// many pieces, so the charge scales accordingly. Reads are cheaper:
-		// lazy recording touches no data until Fetch.
+		// many calls, so the charge scales accordingly (pieceCharge). Reads
+		// are cheaper: lazy recording touches no data until Fetch.
 		pieceCPU: simtime.Duration(150) * simtime.Duration(c.Machine().ByteScale),
 	}
 	s.winReserved = winReserved

@@ -335,7 +335,9 @@ func (f *File) Flush() error {
 // Close ends the session (tcio_close). It is collective: in write mode the
 // level-1 buffers are drained, all ranks synchronize, and each rank writes
 // its own populated level-2 segments to the file system as large aligned
-// requests; in read mode any still-pending lazy reads are fetched first.
+// requests; in read mode any still-pending lazy reads are fetched first, and
+// the rank waits for its own preload to finish landing before its window is
+// freed.
 func (f *File) Close() error {
 	if f.closed {
 		return ErrClosed
@@ -359,6 +361,7 @@ func (f *File) Close() error {
 		}
 	case ReadMode:
 		opErr = f.Fetch()
+		f.c.AdvanceTo(f.preloadEnd)
 	}
 	if err := f.c.Barrier(); err != nil {
 		return err

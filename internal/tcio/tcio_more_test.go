@@ -9,6 +9,7 @@ import (
 	"github.com/tcio/tcio/internal/cluster"
 	"github.com/tcio/tcio/internal/datatype"
 	"github.com/tcio/tcio/internal/mpi"
+	"github.com/tcio/tcio/internal/simtime"
 	"github.com/tcio/tcio/internal/trace"
 )
 
@@ -422,4 +423,49 @@ func TestUntracedWriteDoesNotAllocate(t *testing.T) {
 		}
 		return f.Close()
 	})
+}
+
+// TestSplitCallPaysOnePieceCharge: a scaled run stands for ByteScale times
+// as many application calls, not as many segment boundaries. A WriteAt and a
+// ReadAt that straddle a segment boundary each pay the scaled piece charge
+// for their first piece and the unscaled one for the second. The write's
+// only other cost is the put that ships its first piece when the second
+// realigns the level-1 buffer (Stats.LockWait + PutIssue).
+func TestSplitCallPaysOnePieceCharge(t *testing.T) {
+	const scale = 1024
+	m := cluster.Lonestar()
+	m.ByteScale = scale
+	cfg := Config{SegmentSize: 64, NumSegments: 4}
+	_, err := mpi.Run(mpi.Config{Procs: 1, Machine: m}, func(c *mpi.Comm) error {
+		w, err := Open(c, "split", WriteMode, cfg)
+		if err != nil {
+			return err
+		}
+		before := c.Now()
+		if err := w.WriteAt(60, make([]byte, 8)); err != nil {
+			return err
+		}
+		st := w.Stats()
+		if got, want := c.Now().Sub(before), 150*(scale+1)+st.LockWait+st.PutIssue; got != want {
+			return fmt.Errorf("straddling WriteAt cost %d, want 150 ns × (%d + 1) + the first piece's put %d", got, scale, st.LockWait+st.PutIssue)
+		}
+		if err := w.Close(); err != nil {
+			return err
+		}
+		r, err := Open(c, "split", ReadMode, cfg)
+		if err != nil {
+			return err
+		}
+		before = c.Now()
+		if err := r.ReadAt(60, make([]byte, 8)); err != nil {
+			return err
+		}
+		if got, want := c.Now().Sub(before), simtime.Duration(60*(scale+1)); got != want {
+			return fmt.Errorf("straddling ReadAt cost %d, want 60 ns × (%d + 1)", got, scale)
+		}
+		return r.Close()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 }
