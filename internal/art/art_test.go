@@ -13,6 +13,7 @@ import (
 
 	"github.com/tcio/tcio/internal/cluster"
 	"github.com/tcio/tcio/internal/mpi"
+	"github.com/tcio/tcio/internal/simtime"
 )
 
 func TestGenerateMeetsTarget(t *testing.T) {
@@ -505,14 +506,24 @@ func TestLibraryString(t *testing.T) {
 // while the file's one segment is still landing, and the get's bytes leave
 // the instant it lands. A one-rank barrier costs nothing, so nothing else
 // moves.
+//
+// The last row arms the touch hook at every touch, yielding the host thread
+// each time: one rank has no host order to perturb, so the hook could show
+// here only by charging virtual time.
 func TestOneRankCheckpointTwin(t *testing.T) {
 	for _, tc := range []struct {
 		lib                            Library
 		ns, fsWrites, fsReads, netMsgs int64
+		hooked                         bool
 	}{
-		{LibTCIO, 1594915 - 5120, 1, 1, 19},
-		{LibVanilla, 77381600, 105, 106, 0},
+		{LibTCIO, 1594915 - 5120, 1, 1, 19, false},
+		{LibVanilla, 77381600, 105, 106, 0, false},
+		{LibTCIO, 1594915 - 5120, 1, 1, 19, true},
 	} {
+		touches := 0
+		if tc.hooked {
+			mpi.SetTouchHook(func(int, string, simtime.Time) { touches++; runtime.Gosched() })
+		}
 		rep, err := mpi.Run(mpi.Config{Procs: 1, Machine: cluster.Lonestar()}, func(c *mpi.Comm) error {
 			trees := GenerateForRank(8, 2, 1, 0, 7)
 			if err := Dump(c, tc.lib, "twin", trees, len(trees), 0); err != nil {
@@ -529,8 +540,12 @@ func TestOneRankCheckpointTwin(t *testing.T) {
 			}
 			return nil
 		})
+		mpi.SetTouchHook(nil)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if tc.hooked && touches == 0 {
+			t.Error("the hooked run passed no touch")
 		}
 		if int64(rep.MaxTime) != tc.ns || rep.FS.Writes != tc.fsWrites || rep.FS.Reads != tc.fsReads || rep.Net.Messages != tc.netMsgs {
 			t.Errorf("%v: %d ns, %d fs writes, %d fs reads, %d messages; the parent read %d, %d, %d, %d",

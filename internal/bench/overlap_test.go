@@ -1,8 +1,8 @@
 package bench
 
 // Tests for the overlap sweep: the write-behind win and byte verification,
-// chaos reproducibility (the CI run-twice-diff contract), and count
-// invariance across worker fan-out and pipeline settings.
+// and count invariance across worker fan-out and pipeline settings;
+// TestHostOrderRatchet holds the chaos projection to its seed.
 
 import (
 	"testing"

@@ -63,11 +63,8 @@ type Column struct {
 	Key    string
 	// Det promises that at every point of the sweep's projection (for a
 	// sweep without one: at every point) the value is a pure function of
-	// the options and the seed — identical run to run, at any GOMAXPROCS,
-	// armed or not. Virtual times of multi-rank runs are not (shared
-	// resources serve in host-arrival order); request, message, retry and
-	// injection counts of a request stream that is fixed by the program
-	// are.
+	// the options and the seed, whatever the host schedule.
+	// TestHostOrderRatchet holds every Det cell of its miniatures to it.
 	Det   bool
 	Value func(*Row) any
 	// Cell formats the table cell; nil prints Value with %v.

@@ -6,7 +6,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 )
@@ -41,54 +40,6 @@ func TestGoldenOutputs(t *testing.T) {
 			}
 			if !bytes.Equal(got.Bytes(), want) {
 				t.Errorf("tciobench %s:\n%s\nwant:\n%s", args, got.Bytes(), want)
-			}
-		})
-	}
-}
-
-// TestDetColumnsReproducible is the contract behind every two-run diff in
-// CI: a sweep's Det columns — the whole projection where it has one, armed
-// with a seeded injector — are identical between two runs with the same
-// options.
-func TestDetColumnsReproducible(t *testing.T) {
-	for _, tc := range []struct {
-		sweep *Sweep
-		opts  Options
-		check func(*testing.T, *Report)
-	}{
-		{sweep: chaosSweep(testChaosGeometry()), opts: testChaosOptions, check: func(t *testing.T, rep *Report) {
-			if len(rep.Rows) != 4 { // TCIO/OCIO x write/read at one rate
-				t.Fatalf("rows = %d, want 4", len(rep.Rows))
-			}
-			for _, r := range rep.Rows {
-				if r.Result != "ok" {
-					t.Fatalf("run %+v did not survive 20%% transient faults: %s", r.Point, r.Result)
-				}
-			}
-		}},
-		{sweep: overlapSweep(overlapTestOpts()), opts: Options{Seed: 7, LenReal: overlapTestLenReal}},
-		{sweep: nodeAggSweep(defaultNodeAgg()), opts: Options{Seed: 7}},
-		{sweep: sieveSweep(smallSieveOpts()), opts: Options{Seed: 7}},
-		{sweep: delegateSweep(smallDelegateOpts()), opts: Options{Seed: 7}},
-		{sweep: delegateReadSweep(smallDelegateReadOpts())},
-		{sweep: scaleSweep(smallScale()), check: checkScaleAcrossGoMaxProcs},
-		{sweep: crashSweep(testCrashGeometry()), opts: Options{Seed: 1}},
-	} {
-		t.Run(tc.sweep.Name, func(t *testing.T) {
-			tc.opts.Chaos = tc.sweep.Projection != nil
-			first, err := Run(tc.sweep, tc.opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			second, err := Run(tc.sweep, tc.opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if a, b := first.Det(), second.Det(); len(a) == 0 || !reflect.DeepEqual(a, b) {
-				t.Errorf("deterministic columns differ between identical runs:\n%v\n---\n%v", a, b)
-			}
-			if tc.check != nil {
-				tc.check(t, first)
 			}
 		})
 	}

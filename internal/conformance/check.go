@@ -22,7 +22,7 @@ package conformance
 //
 // The Summary line is deliberately built only from scheduling-independent
 // quantities, so two runs of the same seed must produce identical lines
-// (CI diffs them).
+// (internal/bench's TestHostOrderRatchet compares them under jitter).
 
 import (
 	"fmt"

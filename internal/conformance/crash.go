@@ -128,7 +128,7 @@ func runCrash(p *Program) *crashRun {
 	// the run (the early tail is all setup; epochs and drains live late),
 	// extending slightly past the end so the post-completion no-op recovery
 	// stays in rotation. Integer arithmetic only — the draw must reproduce
-	// bit-identically across runs (CI diffs the summary lines).
+	// bit-identically across runs (TestHostOrderRatchet compares summaries).
 	rng := rand.New(rand.NewSource(p.Seed ^ 0x5DEECE66D))
 	m := int64(out.maxTime)
 	lo := 3 * m / 10

@@ -42,19 +42,6 @@ func TestCrashClassRecoversAcrossSeeds(t *testing.T) {
 	}
 }
 
-// TestCrashSummaryDeterministic re-runs class-7 seeds and requires
-// byte-identical summary lines — kill instants derive from the virtual-time
-// log, so the ok-count is part of the diffable fingerprint CI compares.
-func TestCrashSummaryDeterministic(t *testing.T) {
-	for _, seed := range []int64{7, 15, 23} {
-		a := Check(Generate(seed))
-		b := Check(Generate(seed))
-		if a.Summary != b.Summary {
-			t.Errorf("seed %d summaries differ:\n  %s\n  %s", seed, a.Summary, b.Summary)
-		}
-	}
-}
-
 // TestDecodeWALIndexTornAndCorrupt pins the checker's own journal decoder
 // against the format rules: torn tails stop cleanly, structural damage is
 // an error — independent of package wal's decoder, which it cross-checks.

@@ -56,8 +56,9 @@ var surfaceAllow = map[string]string{
 	"internal/stats.Sample.Min":         "sample bounds in the stats tests",
 	"internal/stats.Sample.Max":         "sample bounds in the stats tests",
 	"internal/delegate.Tier.NumClients": "with ClientIndex, how the delegate tests deal blocks to clients",
-	"internal/bench.Report.Det":         "the deterministic projection two runs are compared on",
+	"internal/bench.Report.Det":         "the deterministic projection the host-order ratchet compares exactly",
 	"internal/simtime.Resource.Stats":   "busy time and request count, the only readers of those counters",
+	"internal/mpi.SetTouchHook":         "the host-order ratchet's jitter and touch census; production leaves the gate empty",
 }
 
 // TestSurfaceHasCallers is the census behind DESIGN.md's "every name has a

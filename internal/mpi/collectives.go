@@ -62,6 +62,7 @@ func newCollEpoch(n int) *collEpoch {
 // combiner's reads; the channel close orders the combiner's result/final
 // writes before the waiters' reads.
 func (c *Comm) collect(val interface{}, combine func([]interface{}) interface{}, cost simtime.Duration) (interface{}, error) {
+	c.w.touch(c.rank, "collect", c.clock().Now())
 	b := c.w.barrier
 	e := b.cur.Load()
 	e.vals[c.rank] = val

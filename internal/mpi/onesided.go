@@ -185,6 +185,7 @@ func (w *Win) Lock(target int, exclusive bool) error {
 	if _, dup := w.held[target]; dup {
 		return fmt.Errorf("mpi: Win.Lock target %d already locked by rank %d", target, w.c.rank)
 	}
+	w.c.w.touch(w.c.rank, "lock", w.c.clock().Now())
 	prevRelease, err := w.g.locks[target].acquire(exclusive, w.c.abortedErr)
 	if err != nil {
 		return err
@@ -295,6 +296,8 @@ func (w *Win) PutSegmentsAsync(target int, segs []datatype.Segment, data []byte)
 	if total != int64(len(data)) {
 		return PutHandle{}, fmt.Errorf("mpi: Put %d bytes for segments totalling %d", len(data), total)
 	}
+	depart := w.c.clock().Advance(sendOverhead + simtime.Duration(len(segs))*perSegmentCPU)
+	w.c.w.touch(w.c.rank, "put", depart)
 	mu := &w.g.datamu[target]
 	mu.Lock()
 	pos := int64(0)
@@ -303,7 +306,6 @@ func (w *Win) PutSegmentsAsync(target int, segs []datatype.Segment, data []byte)
 		pos += s.Len
 	}
 	mu.Unlock()
-	depart := w.c.clock().Advance(sendOverhead + simtime.Duration(len(segs))*perSegmentCPU)
 	arrival := w.c.w.net.Transfer(
 		w.c.w.machine.NodeOf(w.c.rank), w.c.w.machine.NodeOf(target),
 		w.c.w.machine.Scale(total), depart, w.class)
@@ -375,6 +377,8 @@ func (w *Win) GetSegmentsAsync(target int, segs []datatype.Segment, dst []byte, 
 		}
 		total += s.Len
 	}
+	depart := w.c.clock().Advance(sendOverhead + simtime.Duration(len(segs))*perSegmentCPU)
+	w.c.w.touch(w.c.rank, "get", depart)
 	out := slices.Grow(dst, int(total))
 	mu := &w.g.datamu[target]
 	mu.Lock()
@@ -382,7 +386,6 @@ func (w *Win) GetSegmentsAsync(target int, segs []datatype.Segment, dst []byte, 
 		out = append(out, buf[s.Off:s.Off+s.Len]...)
 	}
 	mu.Unlock()
-	depart := w.c.clock().Advance(sendOverhead + simtime.Duration(len(segs))*perSegmentCPU)
 	arrival := w.c.w.net.Transfer(
 		w.c.w.machine.NodeOf(target), w.c.w.machine.NodeOf(w.c.rank),
 		w.c.w.machine.Scale(total), depart, w.class)
@@ -412,5 +415,6 @@ func (c *Comm) IntraNodeCopy(peer int, realBytes int64) (simtime.Time, error) {
 			c.rank, src, peer, dst)
 	}
 	depart := c.clock().Advance(sendOverhead)
+	c.w.touch(c.rank, "intranode", depart)
 	return c.w.net.Transfer(src, src, c.w.machine.Scale(realBytes), depart, netsim.OneSided), nil
 }

@@ -294,6 +294,7 @@ func userTag(op string, tag int) error {
 // receive blocks for the oldest message matching (src, tag) and advances the
 // clock to its arrival.
 func (c *Comm) receive(src, tag int) (envelope, error) {
+	c.w.touch(c.rank, "recv", c.clock().Now())
 	e, err := c.w.ranks[c.rank].box.take(src, tag, c.abortedErr)
 	if err == nil {
 		c.clock().AdvanceTo(e.arrival)
@@ -337,6 +338,7 @@ func (c *Comm) sendStaged(dst, tag int, buf []byte, class netsim.Class, simBytes
 		simBytes = c.w.machine.Scale(int64(len(buf)))
 	}
 	depart := max(c.clock().Advance(sendOverhead), floor)
+	c.w.touch(c.rank, "send", depart) // the network, then dst's mailbox
 	arrival := c.w.net.Transfer(
 		c.w.machine.NodeOf(c.rank), c.w.machine.NodeOf(dst),
 		simBytes, depart, class)

@@ -234,6 +234,7 @@ func (c *Comm) TryRecvRequest(src, tag int) (RPCRequest, bool, error) {
 	if err := c.checkRecv("TryRecvRequest", src, tag); err != nil {
 		return RPCRequest{}, false, err
 	}
+	c.w.touch(c.rank, "tryrecv", c.clock().Now())
 	e, ok := c.w.ranks[c.rank].box.tryTake(src, tag)
 	if !ok {
 		return RPCRequest{}, false, nil

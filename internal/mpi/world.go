@@ -218,6 +218,24 @@ func newWorld(cfg Config) (*World, error) {
 	return w, nil
 }
 
+// touchHook, when set, runs at every touch (SetTouchHook).
+var touchHook func(rank int, site string, t simtime.Time)
+
+// touch is the one gate a rank passes, at virtual instant t, just before it
+// reads or writes simulated state another rank can reach: where a min-clock
+// scheduler will take the baton (ROADMAP item 1).
+func (w *World) touch(rank int, site string, t simtime.Time) {
+	if touchHook != nil {
+		touchHook(rank, site, t)
+	}
+}
+
+// Touch is touch for storage.Client, before each file-system request.
+func (c *Comm) Touch(site string, t simtime.Time) { c.w.touch(c.rank, site, t) }
+
+// SetTouchHook installs fn at every touch (nil removes it) while no world runs.
+func SetTouchHook(fn func(rank int, site string, t simtime.Time)) { touchHook = fn }
+
 // ErrAborted is returned by blocking operations when the world has been
 // torn down because some rank failed.
 var ErrAborted = errors.New("mpi: world aborted")
@@ -316,6 +334,7 @@ func (c *Comm) Reserve(simBytes int64) error {
 func (c *Comm) alloc(simBytes int64) error {
 	pol := c.w.allocRetry
 	for attempt := 0; ; attempt++ {
+		c.w.touch(c.rank, "alloc", c.clock().Now())
 		err := c.w.mem.Alloc(c.rank, simBytes)
 		if err == nil || !faults.IsTransient(err) {
 			return err
@@ -330,11 +349,13 @@ func (c *Comm) alloc(simBytes int64) error {
 
 // Free returns the simulated memory held by buf to this rank's share.
 func (c *Comm) Free(buf []byte) {
+	c.w.touch(c.rank, "free", c.clock().Now())
 	c.w.mem.Free(c.rank, c.w.machine.Scale(int64(len(buf))))
 }
 
 // Release returns previously Reserved simulated bytes.
 func (c *Comm) Release(simBytes int64) {
+	c.w.touch(c.rank, "free", c.clock().Now())
 	c.w.mem.Free(c.rank, simBytes)
 }
 

@@ -92,10 +92,12 @@ func (c *Clock) AdvanceTo(t Time) Time {
 	return c.now
 }
 
-// Resource is a shared serial server with a FIFO-in-virtual-time queue:
-// think of one NIC, one storage target, or one metadata server. Acquire
-// reserves the resource for a duration, returning when the work starts and
-// ends. Resources are safe for concurrent use by many rank goroutines.
+// Resource is a shared serial server: one NIC, storage target or metadata
+// server. Acquire reserves it for a duration, returning when the work starts
+// and ends. It serves in call order, not virtual-time order: a request
+// stamped earlier that calls later waits behind a later-stamped one, so the
+// outcome follows host goroutine order (internal/bench's
+// TestHostOrderRatchet names what moves). Safe for concurrent use.
 type Resource struct {
 	mu       sync.Mutex
 	name     string

@@ -157,6 +157,7 @@ func (c *Client) WriteExtentsFrom(op string, kind trace.Kind, reqs []Request, st
 // trace event.
 func (c *Client) Truncate(op string, kind trace.Kind) error {
 	start := c.clock.Now()
+	c.touch("fs.truncate", start)
 	end, retries, err := c.pf.TruncateAtRetry(c.node, start, c.retry)
 	c.clock.AdvanceTo(end)
 	if retries > 0 {
@@ -188,6 +189,14 @@ func (c *Client) run(op string, kind trace.Kind, reqs []Request, write bool) (Re
 	return res, err
 }
 
+// touch passes the clock's gate (*mpi.Comm's), if it has one, before a
+// request reaches the file system other ranks share.
+func (c *Client) touch(site string, t simtime.Time) {
+	if g, ok := c.clock.(interface{ Touch(string, simtime.Time) }); ok {
+		g.Touch(site, t)
+	}
+}
+
 // issue performs one request departing at now and returns its completion
 // time and absorbed retries. Writes identify as the node (extent locks are
 // node-granular, like Lustre's); reads identify as the rank, so the file
@@ -195,8 +204,10 @@ func (c *Client) run(op string, kind trace.Kind, reqs []Request, write bool) (Re
 // history.
 func (c *Client) issue(r Request, now simtime.Time, write bool) (simtime.Time, int64, error) {
 	if write {
+		c.touch("fs.write", now)
 		return c.pf.WriteAtRetry(c.node, r.Off, r.Data, now, c.retry)
 	}
+	c.touch("fs.read", now)
 	return c.pf.ReadAtRetry(c.rank, r.Off, r.Data, now, c.retry)
 }
 

@@ -15,7 +15,7 @@ package tcio
 // ever evicted, and there is no capacity to configure.
 //
 // Determinism caveat: when ranks' demand sets are disjoint (each rank
-// reads its own region — the case the bench and the CI two-run diff
+// reads its own region — the case the bench and its host-order ratchet
 // validate), the per-rank request stream and every fault roll are
 // identical at any PrefetchSegments setting. When ranks contend for the
 // same segments, a prefetched read can be wasted — another rank populates
