@@ -6,49 +6,100 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/tcio/tcio/internal/simtime"
 )
 
-// awaitDeposits parks the calling rank until every mailbox has received at
-// least n messages. Shared ports are arbitrated in host-arrival order, so
-// two runs agree on virtual time only if their sends reach netsim in the
-// same order; the identity test uses this to send in rank order.
-func awaitDeposits(c *Comm, n uint64) error {
-	for _, rs := range c.w.ranks {
-		for {
-			rs.box.mu.Lock()
-			seq := rs.box.seq
-			rs.box.mu.Unlock()
-			if seq >= n {
-				break
-			}
-			if err := c.abortedErr(); err != nil {
-				return err
-			}
-			runtime.Gosched()
-		}
+// runWithin runs fn on a world of cfg under a deadline, so a regression
+// that blocks a rank forever fails the test instead of hanging it.
+func runWithin(t *testing.T, cfg Config, fn func(*Comm) error) (Report, error) {
+	t.Helper()
+	type result struct {
+		rep Report
+		err error
 	}
-	return nil
+	done := make(chan result, 1)
+	go func() {
+		rep, err := Run(cfg, fn)
+		done <- result{rep, err}
+	}()
+	select {
+	case r := <-done:
+		return r.rep, r.err
+	case <-time.After(time.Minute):
+		t.Fatal("a rank was still blocked after a minute")
+		return Report{}, nil
+	}
 }
 
 // runOK runs fn on procs ranks and fails the test on any rank's error.
 func runOK(t *testing.T, procs int, fn func(*Comm) error) {
 	t.Helper()
-	if _, err := Run(testCfg(procs), fn); err != nil {
+	if _, err := runWithin(t, testCfg(procs), fn); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// forcedOrderExchange runs two rounds of an uneven 8-rank all-to-all through
-// exchange, with every rank's sends forced into rank order (awaitDeposits),
-// checks the payloads, and returns the run's report: two exchanges with the
-// same sends and receives read the same clocks and netsim statistics.
-func forcedOrderExchange(t *testing.T, exchange func(*Comm, [][]byte) ([][]byte, error)) Report {
+// clockOrder lets ranks through one at a time in (entry clock, rank) order,
+// round after round, so an exchange written out over Send and Recv hands
+// its messages to the network in the order Alltoallv's combiner does.
+type clockOrder struct {
+	clocks  []simtime.Time // rank-owned: this round's entry clocks
+	rounds  []int          // rank-owned: rounds entered
+	arrived atomic.Int64   // clocks published, over all rounds
+	passed  atomic.Int64   // turns taken, over all rounds
+}
+
+func newClockOrder(p int) *clockOrder {
+	return &clockOrder{clocks: make([]simtime.Time, p), rounds: make([]int, p)}
+}
+
+// spin yields until cond holds or the world aborts.
+func spin(c *Comm, cond func() bool) error {
+	for !cond() {
+		if err := c.abortedErr(); err != nil {
+			return err
+		}
+		runtime.Gosched()
+	}
+	return nil
+}
+
+// wait publishes c's entry clock and returns once every rank has published
+// its own and every rank ahead of c has called pass.
+func (o *clockOrder) wait(c *Comm) error {
+	p, round := int64(c.Size()), int64(o.rounds[c.Rank()])
+	o.rounds[c.Rank()]++
+	o.clocks[c.Rank()] = c.Now()
+	o.arrived.Add(1)
+	if err := spin(c, func() bool { return o.arrived.Load() >= p*(round+1) }); err != nil {
+		return err
+	}
+	ahead := int64(0)
+	for r, t := range o.clocks {
+		if t < c.Now() || t == c.Now() && r < c.Rank() {
+			ahead++
+		}
+	}
+	return spin(c, func() bool { return o.passed.Load() == p*round+ahead })
+}
+
+func (o *clockOrder) pass() { o.passed.Add(1) }
+
+// exchangeProcs ranks, two to a node, run exchangeRounds.
+const exchangeProcs = 8
+
+// exchangeRounds runs two rounds of an uneven all-to-all through exchange,
+// the ranks arriving in host order and their entry clocks descending with
+// the rank, checks the payloads, and returns the run's report: two exchanges that hand
+// the network the same messages in the same order read the same clocks and
+// netsim statistics.
+func exchangeRounds(t *testing.T, exchange func(*Comm, [][]byte) ([][]byte, error)) Report {
 	t.Helper()
-	const p, rounds = 8, 2
+	const p, rounds = exchangeProcs, 2
 	cfg := testCfg(p)
 	cfg.Machine.CoresPerNode = 2 // 4 nodes: both the NIC and the local-copy path
 	cfg.Machine.Net.IncastThreshold = 2
@@ -59,16 +110,13 @@ func forcedOrderExchange(t *testing.T, exchange func(*Comm, [][]byte) ([][]byte,
 		n := (src*7 + dst*13 + round) % 5 * 3000
 		return bytes.Repeat([]byte{byte(src<<4 | dst)}, n)
 	}
-	rep, err := Run(cfg, func(c *Comm) error {
+	rep, err := runWithin(t, cfg, func(c *Comm) error {
 		for round := 0; round < rounds; round++ {
-			// Ranks enter out of virtual-time order.
+			// Entry clocks descend with the rank.
 			c.Compute(simtime.Duration((p-c.Rank())*(round+1)) * simtime.Microsecond)
 			send := make([][]byte, p)
 			for dst := range send {
 				send[dst] = payload(round, c.Rank(), dst)
-			}
-			if err := awaitDeposits(c, uint64(round*p+c.Rank())); err != nil {
-				return err
 			}
 			recv, err := exchange(c, send)
 			if err != nil {
@@ -91,16 +139,22 @@ func forcedOrderExchange(t *testing.T, exchange func(*Comm, [][]byte) ([][]byte,
 // TestAlltoallvMatchesExplicitExchange checks that Alltoallv is, to the
 // nanosecond and the counter, the post-receives → send×p → wait×p loop the
 // paper describes, written out over Send and Recv (a posted receive matches
-// when it is waited on, so posting is free): same payloads, same final clock
-// on every rank, same netsim statistics.
+// when it is waited on, so posting is free) with the sources' sends taken in
+// (entry clock, rank) order: same payloads, same final clock on every rank,
+// same netsim statistics.
 func TestAlltoallvMatchesExplicitExchange(t *testing.T) {
+	order := newClockOrder(exchangeProcs)
 	explicit := func(c *Comm, send [][]byte) ([][]byte, error) {
 		const tag = 7
+		if err := order.wait(c); err != nil {
+			return nil, err
+		}
 		for dst := range send {
 			if err := c.Send(dst, tag, send[dst]); err != nil {
 				return nil, err
 			}
 		}
+		order.pass()
 		out := make([][]byte, len(send))
 		for src := range out {
 			data, err := c.Recv(src, tag)
@@ -112,8 +166,8 @@ func TestAlltoallvMatchesExplicitExchange(t *testing.T) {
 		return out, nil
 	}
 
-	want := forcedOrderExchange(t, explicit)
-	got := forcedOrderExchange(t, (*Comm).Alltoallv)
+	want := exchangeRounds(t, explicit)
+	got := exchangeRounds(t, (*Comm).Alltoallv)
 	if !reflect.DeepEqual(got.RankTimes, want.RankTimes) {
 		t.Errorf("final clocks differ:\n Alltoallv %v\n explicit  %v", got.RankTimes, want.RankTimes)
 	}
@@ -149,14 +203,40 @@ func flatExchange(c *Comm, send [][]byte) ([][]byte, error) {
 // TestAlltoallvFlatMatchesAlltoallv: the two entry points are one exchange —
 // same payloads, same final clocks, same netsim statistics.
 func TestAlltoallvFlatMatchesAlltoallv(t *testing.T) {
-	want := forcedOrderExchange(t, (*Comm).Alltoallv)
-	got := forcedOrderExchange(t, flatExchange)
+	want := exchangeRounds(t, (*Comm).Alltoallv)
+	got := exchangeRounds(t, flatExchange)
 	if !reflect.DeepEqual(got.RankTimes, want.RankTimes) {
 		t.Errorf("final clocks differ:\n flat      %v\n Alltoallv %v", got.RankTimes, want.RankTimes)
 	}
 	if got.Net != want.Net {
 		t.Errorf("netsim stats differ:\n flat      %+v\n Alltoallv %+v", got.Net, want.Net)
 	}
+}
+
+// TestAlltoallvDepositsNothing: the last arrival delivers every payload, so
+// both entry points leave every mailbox as they found it.
+func TestAlltoallvDepositsNothing(t *testing.T) {
+	const p = 4
+	runOK(t, p, func(c *Comm) error {
+		if _, err := c.Alltoallv([][]byte{{1}, {2}, {3}, {4}}); err != nil {
+			return err
+		}
+		if err := c.AlltoallvFlat([]byte{1, 2, 3, 4}, []int{0, 1, 2, 3, 4}, make([][]byte, p)); err != nil {
+			return err
+		}
+		if err := c.Barrier(); err != nil {
+			return err
+		}
+		for r, rs := range c.w.ranks {
+			rs.box.mu.Lock()
+			seq := rs.box.seq
+			rs.box.mu.Unlock()
+			if seq != 0 {
+				return fmt.Errorf("rank %d's mailbox took %d deposits", r, seq)
+			}
+		}
+		return nil
+	})
 }
 
 func TestAlltoallvFlatValidation(t *testing.T) {
@@ -207,45 +287,12 @@ func TestAlltoallvReturnsErrAborted(t *testing.T) {
 	}
 }
 
-// TestWildcardRecvSkipsCollectiveTraffic: a wildcard receive must not take
-// a collective's message, however early it was deposited — or rank 0 below
-// would get rank 1's all-to-all payload and its own Alltoallv would never
-// complete. A receive names a user tag, so it cannot.
-func TestWildcardRecvSkipsCollectiveTraffic(t *testing.T) {
-	runOK(t, 2, func(c *Comm) error {
-		if c.Rank() == 1 {
-			_, err := c.Alltoallv([][]byte{{1}, {1}})
-			return err
-		}
-		// Rank 1's collective message is buffered here before any user one.
-		if err := awaitDeposits(c, 1); err != nil {
-			return err
-		}
-		for _, src := range []int{1, AnySource} {
-			if _, ok, err := c.TryRecvRequest(src, 7); ok || err != nil {
-				return fmt.Errorf("TryRecvRequest(%d, 7) matched the collective's message: ok=%v err=%v", src, ok, err)
-			}
-		}
-		if err := c.Send(0, 7, []byte("user")); err != nil {
-			return err
-		}
-		if got, err := c.Recv(AnySource, 7); err != nil || string(got) != "user" {
-			return fmt.Errorf("Recv(AnySource, 7) = %q, %v; want the tag-7 message", got, err)
-		}
-		recv, err := c.Alltoallv([][]byte{{0}, {0}})
-		if err != nil || !bytes.Equal(recv[1], []byte{1}) {
-			return fmt.Errorf("Alltoallv after the wildcard receive = %v, %v", recv, err)
-		}
-		return nil
-	})
-}
-
 // TestUserEntryPointsRejectRuntimeTags: negative tags are the runtime's, and
 // -1 is no wildcard — a receive names its tag, from an exact source or from
 // AnySource alike.
 func TestUserEntryPointsRejectRuntimeTags(t *testing.T) {
 	runOK(t, 1, func(c *Comm) error {
-		for _, tag := range []int{tagAlltoall, -100, -1} {
+		for _, tag := range []int{-2, -100, -1} {
 			for _, src := range []int{0, AnySource} {
 				_, _, tryErr := c.TryRecvRequest(src, tag)
 				_, recvErr := c.Recv(src, tag)
@@ -280,33 +327,21 @@ func TestUserEntryPointsRejectRuntimeTags(t *testing.T) {
 // than hangs.
 func TestUserEntryPointsRejectBadSources(t *testing.T) {
 	const procs = 2
-	done := make(chan error, 1)
-	go func() {
-		_, err := Run(testCfg(procs), func(c *Comm) error {
-			for _, src := range []int{procs, -2} {
-				_, _, tryErr := c.TryRecvRequest(src, 3)
-				_, recvErr := c.Recv(src, 3)
-				_, reqErr := c.RecvRequest(src, 3)
-				for name, err := range map[string]error{
-					"Recv": recvErr, "RecvRequest": reqErr, "TryRecvRequest": tryErr,
-				} {
-					if err == nil {
-						return fmt.Errorf("%s(%d, 3) accepted the source", name, src)
-					}
+	runOK(t, procs, func(c *Comm) error {
+		for _, src := range []int{procs, -2} {
+			_, _, tryErr := c.TryRecvRequest(src, 3)
+			_, recvErr := c.Recv(src, 3)
+			_, reqErr := c.RecvRequest(src, 3)
+			for name, err := range map[string]error{
+				"Recv": recvErr, "RecvRequest": reqErr, "TryRecvRequest": tryErr,
+			} {
+				if err == nil {
+					return fmt.Errorf("%s(%d, 3) accepted the source", name, src)
 				}
 			}
-			return nil
-		})
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
 		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("a receive from a rank outside the world blocked")
-	}
+		return nil
+	})
 }
 
 // TestAbortSeenOnlyWhereARankWouldBlock pins the stop-point rule behind

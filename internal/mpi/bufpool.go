@@ -21,11 +21,11 @@ import (
 // behind a 33-byte RPC header costs 2 560 B, not the next power of two.
 //
 // A buffer re-enters the pool when its last owner says so: an RPC message
-// through its Release, a raw Recv or Alltoallv payload through Comm.Recycle
-// (the application's opt-in: the runtime cannot know when a receiver is done
-// with delivered bytes). One nobody returns is collected like any slice.
-// AlltoallvFlat bypasses the pool: its caller's one send buffer is the
-// staging copy, and what it delivers are slices of that buffer.
+// through its Release; a Recv payload, or an Alltoallv one (staged per
+// destination, handed to its one receiver by the exchange's last arrival),
+// through Comm.Recycle, the application's opt-in. One nobody returns is
+// collected like any slice. AlltoallvFlat bypasses the pool: it delivers
+// slices of its caller's one send buffer.
 
 const (
 	// minPoolShift is the smallest pooled size class (64 B); tinier
@@ -128,10 +128,9 @@ func (p *bufPool) put(b []byte) {
 func (c *Comm) GetBuf(n int) []byte { return c.w.pool.get(n) }
 
 // Recycle returns a delivered payload, or a GetBuf buffer, to the world's
-// staging pool. The caller must be the buffer's sole owner: point-to-point
-// payloads (Recv, Alltoallv) are delivered to exactly one rank and are safe
-// to recycle once their bytes are consumed; AllgatherBytes results are
-// shared by every rank, and AlltoallvFlat's are slices of the sender's
-// buffer: neither is for recycling. Recycling does not touch the
-// virtual-time or fault models.
+// staging pool. The caller must be the buffer's sole owner: Recv and
+// Alltoallv payloads each reach exactly one rank, so they may be recycled
+// once consumed; AllgatherBytes results are shared by every rank and
+// AlltoallvFlat's are slices of the sender's buffer, so neither may.
+// Recycling does not touch the virtual-time or fault models.
 func (c *Comm) Recycle(buf []byte) { c.w.pool.put(buf) }

@@ -1,101 +1,112 @@
 package mpi
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync/atomic"
 
 	"github.com/tcio/tcio/internal/netsim"
 	"github.com/tcio/tcio/internal/simtime"
 )
 
-// timeBarrier coordinates collective operations. All ranks arrive with a
-// value and their current clock; the last arrival combines the values; all
-// leave with the combined result and a clock advanced to the latest arrival
-// plus the collective's cost. Epochs recycle, so the barrier serves any
-// number of consecutive collectives (which, as in MPI, every rank must
-// invoke in the same order).
-//
-// The arrival path is lock-free: each rank deposits its value and clock in
-// slots it alone writes, then increments the arrival counter. The counter
-// reaching n elects the incrementing rank the combiner; it alone folds the
-// clocks, evaluates the reduction, installs the next epoch, and only then
-// closes the release channel. With thousands of rank goroutines arriving
-// nearly at once, the previous global mutex serialized every arrival; now
-// the only shared write is one atomic add per rank.
+// timeBarrier is the world's one collective rendezvous (Comm.rendezvous),
+// reused by every collective, so every rank must call the collectives in the
+// same order, as in MPI. Slots, channels and scratch are made once.
 type timeBarrier struct {
-	n   int
-	cur atomic.Pointer[collEpoch]
-}
-
-type collEpoch struct {
-	release chan struct{}
-	vals    []interface{}  // rank-owned deposit slots
-	times   []simtime.Time // rank-owned arrival clocks
 	arrived atomic.Int32
-	result  interface{}
-	final   simtime.Time
+	vals    []interface{}   // rank-owned deposit slots
+	times   []simtime.Time  // rank-owned entry clocks
+	wake    []chan struct{} // rank-owned tokens; see newTimeBarrier
+	a2a     []a2aSlot       // rank-owned all-to-all sides
+	result  interface{}     // the combiner's, read after the tokens
+	final   simtime.Time    // likewise
+	order   []int           // likewise: sortByClock's
+	turn    int             // InClockOrder: index in order of the turn's rank
 }
 
 func newTimeBarrier(n int) *timeBarrier {
-	b := &timeBarrier{n: n}
-	b.cur.Store(newCollEpoch(n))
+	b := &timeBarrier{vals: make([]interface{}, n), times: make([]simtime.Time, n),
+		wake: make([]chan struct{}, n), a2a: make([]a2aSlot, n), order: make([]int, n)}
+	for r := range b.wake {
+		// Two deep: in InClockOrder a rank's turn token may come before
+		// its release token, and a rank gone on an abort may be sent both.
+		b.wake[r], b.order[r] = make(chan struct{}, 2), r
+	}
 	return b
 }
 
-func newCollEpoch(n int) *collEpoch {
-	return &collEpoch{
-		release: make(chan struct{}),
-		vals:    make([]interface{}, n),
-		times:   make([]simtime.Time, n),
+// rendezvous is every collective's synchronization. The rank deposits val
+// and its clock and increments the arrival counter, its one shared write;
+// the last arrival runs resolve over every slot, resets the counter, then
+// hands each other rank a token on its own wake channel. The add orders the
+// slot writes before resolve; the token orders resolve before the rank's
+// reads and its next slot writes. A collective inside an InClockOrder turn
+// is an error: the peers wait for their turns, not for it.
+func (c *Comm) rendezvous(val interface{}, resolve func(*timeBarrier)) (*timeBarrier, error) {
+	if c.w.ranks[c.rank].inTurn {
+		return nil, errors.New("mpi: collective called inside an InClockOrder turn")
 	}
-}
-
-// collect runs one collective. combine (may be nil) is evaluated once, by
-// the last-arriving rank; cost is the collective's virtual-time duration
-// beyond the synchronization point.
-//
-// Epoch lifetime: a rank can only reach epoch k+1 after being released from
-// epoch k, and the combiner installs k+1 before closing k's release channel,
-// so the pointer loaded here is always the epoch this rank's collective
-// belongs to. The atomic add orders each rank's slot writes before the
-// combiner's reads; the channel close orders the combiner's result/final
-// writes before the waiters' reads.
-func (c *Comm) collect(val interface{}, combine func([]interface{}) interface{}, cost simtime.Duration) (interface{}, error) {
 	c.w.touch(c.rank, "collect", c.clock().Now())
 	b := c.w.barrier
-	e := b.cur.Load()
-	e.vals[c.rank] = val
-	e.times[c.rank] = c.clock().Now()
-
-	if int(e.arrived.Add(1)) == b.n {
-		maxT := e.times[0]
-		for _, t := range e.times[1:] {
-			if t > maxT {
-				maxT = t
-			}
-		}
-		if combine != nil {
-			e.result = combine(e.vals)
-		}
-		e.final = maxT.Add(cost)
-		b.cur.Store(newCollEpoch(b.n))
-		close(e.release)
-	} else {
-		select {
-		case <-e.release:
-		case <-c.w.aborted:
-			// With both ready select picks at random; the completed
-			// collective must win, or where a rank stops is a coin toss.
-			select {
-			case <-e.release:
-			default:
-				return nil, ErrAborted
-			}
+	for len(b.wake[c.rank]) > 0 { // left by a collective abandoned on abort
+		<-b.wake[c.rank]
+	}
+	b.vals[c.rank] = val
+	b.times[c.rank] = c.clock().Now()
+	if int(b.arrived.Add(1)) < len(b.times) {
+		return b, c.await(b)
+	}
+	resolve(b)
+	b.arrived.Store(0)
+	for r, ch := range b.wake {
+		if r != c.rank {
+			ch <- struct{}{}
 		}
 	}
-	c.clock().AdvanceTo(e.final)
-	return e.result, nil
+	return b, nil
+}
+
+// await blocks for the rank's token, or fails once the world aborts.
+func (c *Comm) await(b *timeBarrier) error {
+	select {
+	case <-b.wake[c.rank]:
+	case <-c.w.aborted:
+		// Both ready: the completed collective wins, not a coin toss.
+		select {
+		case <-b.wake[c.rank]:
+		default:
+			return ErrAborted
+		}
+	}
+	return nil
+}
+
+// collect runs one collective that leaves every clock synchronized.
+// combine (may be nil) is evaluated once, by the last-arriving rank; cost is
+// the collective's virtual-time duration beyond the latest arrival.
+func (c *Comm) collect(val interface{}, combine func([]interface{}) interface{}, cost simtime.Duration) (interface{}, error) {
+	b, err := c.rendezvous(val, func(b *timeBarrier) {
+		b.final, b.result = slices.Max(b.times).Add(cost), nil
+		if combine != nil {
+			b.result = combine(b.vals)
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	c.clock().AdvanceTo(b.final)
+	return b.result, nil
+}
+
+// sortByClock sorts b.order, a permutation of the ranks, by (entry clock,
+// rank): a total order, so the result does not depend on the permutation.
+func (b *timeBarrier) sortByClock() {
+	slices.SortFunc(b.order, func(x, y int) int {
+		return cmp.Or(cmp.Compare(b.times[x], b.times[y]), cmp.Compare(x, y))
+	})
 }
 
 // treeCost models a binomial-tree collective: log2(P) rounds, each a short
@@ -134,18 +145,13 @@ func (c *Comm) AllreduceInt64(op ReduceOp, v int64) (int64, error) {
 	res, err := c.collect(v, func(vals []interface{}) interface{} {
 		acc := vals[0].(int64)
 		for _, raw := range vals[1:] {
-			x := raw.(int64)
-			switch op {
+			switch x := raw.(int64); op {
 			case OpSum:
 				acc += x
 			case OpMax:
-				if x > acc {
-					acc = x
-				}
+				acc = max(acc, x)
 			case OpMin:
-				if x < acc {
-					acc = x
-				}
+				acc = min(acc, x)
 			}
 		}
 		return acc
@@ -191,32 +197,75 @@ func (c *Comm) SharedOnce(create func() interface{}) (interface{}, error) {
 	return c.collect(nil, func([]interface{}) interface{} { return create() }, c.treeCost(16))
 }
 
-// tagAlltoall carries the all-to-all exchange. Negative tags are the
-// runtime's: user sends and receives reject them (userTag), so no receive a
-// caller posts can take a collective's message.
-const tagAlltoall = -2
+// InClockOrder is a collective that runs fn on every rank, one rank at a
+// time, in (entry clock, rank) order, each rank handing the turn on when its
+// fn returns. No clock moves; what it orders is the host, so a resource that
+// serves its callers first come, first served (an OST) sees the ranks'
+// requests in virtual-time order. fn must not wait for a peer: a collective
+// called inside it returns an error. A rank whose fn fails keeps the turn;
+// the peers still waiting for theirs fail with ErrAborted once the world
+// aborts.
+func (c *Comm) InClockOrder(fn func() error) error {
+	// Tokens are interchangeable: a turn's may beat its rank's release.
+	b, err := c.rendezvous(nil, func(b *timeBarrier) {
+		b.sortByClock()
+		b.turn = 0
+		b.wake[b.order[0]] <- struct{}{}
+	})
+	if err == nil {
+		err = c.await(b) // the rank's turn
+	}
+	if err != nil {
+		return err
+	}
+	rs := c.w.ranks[c.rank]
+	rs.inTurn = true
+	err = fn()
+	rs.inTurn = false
+	if b.turn++; err == nil && b.turn < len(b.order) {
+		b.wake[b.order[b.turn]] <- struct{}{}
+	}
+	return err
+}
+
+// a2aSlot is one rank's side of an all-to-all: what it sends rank dst (to),
+// where what each rank sends it goes, and when its part of it ends.
+type a2aSlot struct {
+	buf    []byte
+	displs []int
+	staged [][]byte
+	recv   [][]byte
+	finish simtime.Time
+}
+
+func (s *a2aSlot) to(dst int) []byte {
+	if s.staged != nil {
+		return s.staged[dst]
+	}
+	lo, hi := s.displs[dst], s.displs[dst+1]
+	return s.buf[lo:hi:hi]
+}
 
 // Alltoallv sends send[i] to rank i and returns the payloads received from
-// every rank (recv[i] from rank i). It is implemented exactly as the paper
-// describes ROMIO's exchange phase: post all receives, then all sends, then
-// wait — the all-at-once burst whose congestion TCIO avoids. Sends are eager
-// and a posted receive would match only when waited on, so the posts are
-// free and the exchange is p eager sends followed by p blocking receives:
-// the same virtual-time charges, with no request object per message.
-// Each payload is staged in its own pool buffer, so the receiver may
-// Recycle each result.
+// every rank (recv[i] from rank i): ROMIO's exchange phase, every rank
+// posting its receives, then all its sends, then waiting — the burst whose
+// congestion TCIO avoids. The last arrival makes every transfer: sources in
+// (entry clock, rank) order, each source's p eager sends consecutive, the
+// one to rank k departing k+1 send overheads after the source's entry. A
+// rank leaves at the later of its last departure and the latest arrival into
+// it; no mailbox is involved. Each payload is staged in its own pool buffer,
+// so the receiver may Recycle each result.
 func (c *Comm) Alltoallv(send [][]byte) ([][]byte, error) {
 	p := c.w.nprocs
 	if len(send) != p {
 		return nil, fmt.Errorf("mpi: Alltoallv with %d buffers for %d ranks", len(send), p)
 	}
-	for dst := 0; dst < p; dst++ {
-		if err := c.sendStaged(dst, tagAlltoall, c.stage(send[dst]), netsim.TwoSided, -1, 0); err != nil {
-			return nil, err
-		}
+	staged := make([][]byte, p)
+	for dst := range staged {
+		staged[dst] = c.stage(send[dst])
 	}
 	out := make([][]byte, p)
-	if err := c.recvAlltoall(out); err != nil {
+	if err := c.alltoall(a2aSlot{staged: staged, recv: out}); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -227,7 +276,7 @@ func (c *Comm) Alltoallv(send [][]byte) ([][]byte, error) {
 // call takes ownership of buf — it is the eager staging copy, so nothing is
 // copied or pooled per message — and every recv entry aliases its sender's
 // buffer: read-only, cap == len, valid as long as the receiver holds it, and
-// not for Recycle. Sends, receives and virtual-time charges are Alltoallv's.
+// not for Recycle. Transfers and virtual-time charges are Alltoallv's.
 func (c *Comm) AlltoallvFlat(buf []byte, displs []int, recv [][]byte) error {
 	p := c.w.nprocs
 	if len(displs) != p+1 || len(recv) != p {
@@ -238,22 +287,39 @@ func (c *Comm) AlltoallvFlat(buf []byte, displs []int, recv [][]byte) error {
 		if lo < 0 || hi < lo || hi > len(buf) {
 			return fmt.Errorf("mpi: AlltoallvFlat displacements [%d,%d) for rank %d in a buffer of %d bytes", lo, hi, dst, len(buf))
 		}
-		if err := c.sendStaged(dst, tagAlltoall, buf[lo:hi:hi], netsim.TwoSided, -1, 0); err != nil {
-			return err
-		}
 	}
-	return c.recvAlltoall(recv)
+	return c.alltoall(a2aSlot{buf: buf, displs: displs, recv: recv})
 }
 
-// recvAlltoall is the receive half of both all-to-all entry points: one
-// blocking receive per source, in rank order.
-func (c *Comm) recvAlltoall(recv [][]byte) error {
-	for src := range recv {
-		e, err := c.receive(src, tagAlltoall)
-		if err != nil {
-			return err
-		}
-		recv[src] = e.data
+// alltoall deposits this rank's side of an exchange, lets the last arrival
+// make every transfer (scheduleAlltoall), and leaves at the rank's finish.
+func (c *Comm) alltoall(side a2aSlot) error {
+	c.w.barrier.a2a[c.rank] = side
+	b, err := c.rendezvous(nil, c.w.scheduleAlltoall)
+	if err != nil {
+		return err
 	}
+	slot := &b.a2a[c.rank]
+	c.clock().AdvanceTo(slot.finish)
+	*slot = a2aSlot{} // drop the payload references
 	return nil
+}
+
+// scheduleAlltoall is the last arrival's pass over all p² messages, in the
+// order and at the departures Alltoallv's comment gives, delivering each.
+func (w *World) scheduleAlltoall(b *timeBarrier) {
+	b.sortByClock()
+	for _, src := range b.order {
+		s := &b.a2a[src]
+		for dst := range b.a2a {
+			msg := s.to(dst)
+			depart := b.times[src].Add(simtime.Duration(dst+1) * sendOverhead)
+			arrival := w.net.Transfer(w.machine.NodeOf(src), w.machine.NodeOf(dst),
+				w.machine.Scale(int64(len(msg))), depart, netsim.TwoSided)
+			d := &b.a2a[dst]
+			d.recv[src] = msg
+			d.finish = max(d.finish, arrival)
+		}
+		s.finish = max(s.finish, b.times[src].Add(simtime.Duration(len(b.a2a))*sendOverhead))
+	}
 }

@@ -1,12 +1,15 @@
 package mpi
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"testing"
 
 	"github.com/tcio/tcio/internal/cluster"
+	"github.com/tcio/tcio/internal/simtime"
 )
 
 func TestSharedOnceSingleEvaluation(t *testing.T) {
@@ -195,4 +198,121 @@ func TestLocalRanksCommunicateThroughMemory(t *testing.T) {
 	if rep.Net.LocalMessages != 1 {
 		t.Fatalf("LocalMessages = %d, want 1", rep.Net.LocalMessages)
 	}
+}
+
+// inClockOrderClock is rank r's entry clock in the InClockOrder tests:
+// pairs of ranks tie, and neither clocks nor ties follow rank order.
+func inClockOrderClock(r int) simtime.Time {
+	return simtime.Time((r*5%8)/2) * simtime.Time(simtime.Microsecond)
+}
+
+// TestInClockOrderRunsInClockOrder: every rank's turn runs alone, in (entry
+// clock, rank) order, and no clock moves.
+func TestInClockOrderRunsInClockOrder(t *testing.T) {
+	const p = 8
+	var ran []int // appended only inside a turn
+	var running atomic.Int32
+	runOK(t, p, func(c *Comm) error {
+		c.AdvanceTo(inClockOrderClock(c.Rank()))
+		entry := c.Now()
+		if err := c.InClockOrder(func() error {
+			if running.Add(1) != 1 {
+				return errors.New("two turns ran at once")
+			}
+			defer running.Add(-1)
+			ran = append(ran, c.Rank())
+			if c.Now() != entry {
+				return fmt.Errorf("clock %v at the turn, entered at %v", c.Now(), entry)
+			}
+			return nil
+		}); err != nil {
+			return err
+		}
+		if c.Now() != entry {
+			return fmt.Errorf("clock %v after InClockOrder, entered at %v", c.Now(), entry)
+		}
+		return nil
+	})
+	want := make([]int, p)
+	for r := range want {
+		want[r] = r
+	}
+	slices.SortFunc(want, func(x, y int) int {
+		return cmp.Or(cmp.Compare(inClockOrderClock(x), inClockOrderClock(y)), cmp.Compare(x, y))
+	})
+	if !slices.Equal(ran, want) {
+		t.Fatalf("turns ran in order %v, want %v", ran, want)
+	}
+}
+
+// TestInClockOrderFailureAbortsPeers: a rank that fails or panics in its
+// turn keeps it, and every peer still waiting for its own fails with
+// ErrAborted instead of blocking. A rank that fails right after the first
+// turn blocks nobody either, though the abort may reach a later rank before
+// its release token and the turn token do.
+func TestInClockOrderFailureAbortsPeers(t *testing.T) {
+	const p = 64
+	boom := errors.New("boom")
+	for _, tc := range []struct {
+		name  string
+		rank  int          // the failing rank; clocks ascend with the rank
+		turn  func() error // its turn
+		after error        // what it returns once its turn is done
+	}{
+		{"error", 2, func() error { return boom }, nil},
+		{"panic", 2, func() error { panic("boom") }, nil},
+		{"after the first turn", 0, func() error { return nil }, boom},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			errs := make([]error, p)
+			_, err := runWithin(t, testCfg(p), func(c *Comm) error {
+				c.Compute(simtime.Duration(c.Rank()) * simtime.Microsecond)
+				errs[c.Rank()] = c.InClockOrder(func() error {
+					if c.Rank() == tc.rank {
+						return tc.turn()
+					}
+					return nil
+				})
+				if c.Rank() == tc.rank && errs[c.Rank()] == nil {
+					return tc.after
+				}
+				if errs[c.Rank()] == nil {
+					return c.Barrier() // blocks until the abort
+				}
+				return errs[c.Rank()]
+			})
+			if err == nil || errors.Is(err, ErrAborted) {
+				t.Fatalf("world error %v, want the failing rank's", err)
+			}
+			for r := tc.rank + 1; r < p && tc.after == nil; r++ {
+				if !errors.Is(errs[r], ErrAborted) {
+					t.Errorf("rank %d waiting for its turn: %v, want ErrAborted", r, errs[r])
+				}
+			}
+		})
+	}
+}
+
+// TestInClockOrderRejectsNestedCollectives: a turn's peers are waiting for
+// their own turns, so a collective called inside one returns an error
+// instead of waiting for them; the turn, and later collectives, complete.
+func TestInClockOrderRejectsNestedCollectives(t *testing.T) {
+	const p = 3
+	runOK(t, p, func(c *Comm) error {
+		if err := c.InClockOrder(func() error {
+			for name, call := range map[string]func() error{
+				"Barrier":      c.Barrier,
+				"InClockOrder": func() error { return c.InClockOrder(func() error { return nil }) },
+				"Alltoallv":    func() error { _, err := c.Alltoallv(make([][]byte, p)); return err },
+			} {
+				if call() == nil {
+					return fmt.Errorf("%s inside a turn succeeded", name)
+				}
+			}
+			return nil
+		}); err != nil {
+			return err
+		}
+		return c.Barrier()
+	})
 }

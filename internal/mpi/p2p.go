@@ -57,12 +57,6 @@ func (q *msgQueue) pop() envelope {
 // srcTag names one (source, tag) pair.
 type srcTag struct{ src, tag int }
 
-// laneWidth is how many consecutive sources of one tag share a mailbox index
-// entry. An all-to-all fills every lane, so wider is cheaper there; a mailbox
-// holding one pair per tag (scale-4096's ring) pays a whole lane per pair, so
-// narrower is cheaper there (results/design-history.md has the measurement).
-const laneWidth = 4
-
 // wildEntry records one deposit in a wildcard side-list: which queue it
 // went to, and its mailbox-wide sequence number. An entry whose seq no
 // longer matches its queue's front was consumed through another path and
@@ -109,39 +103,32 @@ func (l *keyList) pop() {
 // stamps keep the drain order exactly what a single flat queue would have
 // produced: FIFO per pair, deposit order across pairs.
 type mailbox struct {
-	mu   sync.Mutex
-	cond *sync.Cond
-	seq  uint64
-	// keyed holds the per-pair queues in lanes: the entry at (src/laneWidth,
-	// tag) carries laneWidth consecutive sources. Reached through queue.
-	keyed map[srcTag]*[laneWidth]msgQueue
+	mu    sync.Mutex
+	cond  *sync.Cond
+	seq   uint64
+	keyed map[srcTag]*msgQueue // reached through queue
 	// The side-lists are maintained only once a wildcard receive has been
-	// posted (wild): ranks that only ever match exactly — the two-phase
-	// exchange hot path — pay nothing for them. The first wildcard take
-	// rebuilds them from the buffered queues.
+	// posted (wild): ranks that only ever match exactly pay nothing for
+	// them. The first wildcard take rebuilds them from the buffered queues.
 	wild  bool
 	byTag map[int]*keyList
 }
 
 func newMailbox() *mailbox {
-	m := &mailbox{keyed: make(map[srcTag]*[laneWidth]msgQueue)}
+	m := &mailbox{keyed: make(map[srcTag]*msgQueue)}
 	m.cond = sync.NewCond(&m.mu)
 	return m
 }
 
 // queue returns the FIFO of one (source, tag) pair, or nil when create is
-// false and the pair's lane has never been deposited to.
+// false and the pair has never been deposited to.
 func (m *mailbox) queue(key srcTag, create bool) *msgQueue {
-	laneKey := srcTag{key.src / laneWidth, key.tag}
-	lane := m.keyed[laneKey]
-	if lane == nil {
-		if !create {
-			return nil
-		}
-		lane = new([laneWidth]msgQueue)
-		m.keyed[laneKey] = lane
+	q := m.keyed[key]
+	if q == nil && create {
+		q = &msgQueue{}
+		m.keyed[key] = q
 	}
-	return &lane[key.src%laneWidth]
+	return q
 }
 
 // trimStale discards consumed entries at the list head. The head entry is
@@ -188,11 +175,9 @@ func (m *mailbox) pushWild(ent wildEntry) {
 // once, under mu, by the first wildcard take.
 func (m *mailbox) activateWild() {
 	var ents []wildEntry
-	for k, lane := range m.keyed {
-		for i := range lane {
-			for _, e := range lane[i].envs[lane[i].head:] {
-				ents = append(ents, wildEntry{key: srcTag{k.src*laneWidth + i, k.tag}, seq: e.seq})
-			}
+	for k, q := range m.keyed {
+		for _, e := range q.envs[q.head:] {
+			ents = append(ents, wildEntry{key: k, seq: e.seq})
 		}
 	}
 	sort.Slice(ents, func(i, j int) bool { return ents[i].seq < ents[j].seq })
@@ -283,7 +268,7 @@ func (c *Comm) stage(data []byte) []byte {
 }
 
 // userTag rejects the runtime's tag space at the user-facing entry points:
-// negative tags carry collective traffic (tagAlltoall).
+// negative tags are reserved, and -1 is no wildcard.
 func userTag(op string, tag int) error {
 	if tag >= 0 {
 		return nil

@@ -5,7 +5,7 @@
 // above it call: blocking eager point-to-point (Send, Recv from a rank or
 // AnySource) and the typed request/reply messages the delegation tier rides
 // on it; the collectives barrier, allreduce, allgather of byte payloads,
-// all-to-all and SharedOnce; and MPI-2 passive-target one-sided
+// all-to-all, SharedOnce and InClockOrder; and MPI-2 passive-target one-sided
 // communication (windows with lock/unlock, put/get, indexed-datatype and
 // request-based transfers) — no fence, which the paper rejects. DESIGN.md
 // §2g lists every entry point with its callers and the shared state it
@@ -84,9 +84,10 @@ type World struct {
 
 // rankState is the per-rank runtime state.
 type rankState struct {
-	rank  int
-	clock *simtime.Clock
-	box   *mailbox
+	rank   int
+	clock  *simtime.Clock
+	box    *mailbox
+	inTurn bool // running its InClockOrder turn
 }
 
 // Comm is rank's handle to the world — the equivalent of

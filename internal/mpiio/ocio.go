@@ -24,10 +24,11 @@ import (
 //     all receives posted, then all sends, then wait. This is the traffic
 //     burst whose congestion TCIO's paced one-sided transfers avoid.
 //  4. I/O phase: each aggregator performs one large contiguous file system
-//     access for its whole domain. For writes the aggregator buffer holds
-//     the entire domain, which is why OCIO's memory footprint is roughly
-//     twice the data size (the paper's Fig. 6 discussion: at the 48 GB
-//     dataset each process needs 1.5 GB of I/O buffers and fails).
+//     access for its whole domain, in clock order (mpi.Comm.InClockOrder).
+//     For writes the aggregator buffer holds the entire domain, which is
+//     why OCIO's memory footprint is roughly twice the data size (the
+//     paper's Fig. 6 discussion: at the 48 GB dataset each process needs
+//     1.5 GB of I/O buffers and fails).
 
 // An exchange message is a little-endian uint32 run count, that many
 // extent.RunWire records of absolute file runs, and (for writes) the runs'
@@ -183,14 +184,18 @@ func (f *File) WriteAll(data []byte) error {
 		return err
 	}
 
-	// I/O phase: assemble the domain buffer and issue one large write.
+	// I/O phase, aggregators in clock order: assemble the domain, write it.
+	var buf []byte
 	if mine.Len > 0 {
-		buf, err := f.c.Malloc(mine.Len)
-		if err != nil {
+		if buf, err = f.c.Malloc(mine.Len); err != nil {
 			return fmt.Errorf("mpiio: aggregator buffer of %d bytes: %w", mine.Len, err)
 		}
 		defer f.c.Free(buf)
-
+	}
+	if err := f.c.InClockOrder(func() error {
+		if mine.Len == 0 {
+			return nil
+		}
 		// Decode all incoming runs first to decide whether the domain is
 		// fully covered; holes force a read-modify-write preread. The plan
 		// is spent once packed, so its storage holds them; Coalesce reorders
@@ -217,9 +222,9 @@ func (f *File) WriteAll(data []byte) error {
 			}
 		}
 		f.chargeCPU(runCPU, scattered) // aggregator-side decode + scatter
-		if err := f.writeRetry(mine.Off, buf); err != nil {
-			return err
-		}
+		return f.writeRetry(mine.Off, buf)
+	}); err != nil {
+		return err
 	}
 	return f.c.Barrier()
 }
@@ -255,17 +260,21 @@ func (f *File) ReadAll(n int64) ([]byte, error) {
 		return nil, err
 	}
 
-	// I/O phase: each aggregator reads its whole domain.
+	// I/O phase, aggregators in clock order: each reads its whole domain.
 	var buf []byte
 	if mine.Len > 0 {
-		buf, err = f.c.Malloc(mine.Len)
-		if err != nil {
+		if buf, err = f.c.Malloc(mine.Len); err != nil {
 			return nil, fmt.Errorf("mpiio: aggregator buffer of %d bytes: %w", mine.Len, err)
 		}
 		defer f.c.Free(buf)
-		if err := f.readRetry(mine.Off, buf); err != nil {
-			return nil, err
+	}
+	if err := f.c.InClockOrder(func() error {
+		if mine.Len == 0 {
+			return nil
 		}
+		return f.readRetry(mine.Off, buf)
+	}); err != nil {
+		return nil, err
 	}
 
 	// Exchange phase 2: aggregators answer with the requested bytes, one

@@ -3,10 +3,16 @@ package mpiio
 import (
 	"bytes"
 	"fmt"
+	"hash/fnv"
+	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
+	"github.com/tcio/tcio/internal/cluster"
 	"github.com/tcio/tcio/internal/datatype"
 	"github.com/tcio/tcio/internal/mpi"
+	"github.com/tcio/tcio/internal/simtime"
 )
 
 // The flat exchange plan changed what the host allocates and nothing the
@@ -90,4 +96,48 @@ var twinWire = []struct {
 	{0, 48, 14464},
 	{1, 48, 14368},
 	{2, 48, 14400},
+}
+
+// TestTwoPhaseHostOrderFree: the exchange is resolved by its last arrival
+// and the I/O phase runs in clock order, so no host schedule moves a clock,
+// a network counter or a file system counter of a collective write and read.
+// A seeded jitter at every touch of shared state perturbs the schedule.
+func TestTwoPhaseHostOrderFree(t *testing.T) {
+	m := cluster.Lonestar()
+	m.CoresPerNode = 2 // 8 ranks on 4 nodes
+	m.Net.IncastThreshold = 2
+	m.Net.IncastScale = 1
+	roundTrip := func(seed uint64) mpi.Report {
+		mpi.SetTouchHook(func(rank int, site string, at simtime.Time) {
+			if seed == 0 {
+				return
+			}
+			h := fnv.New64a()
+			fmt.Fprint(h, seed, rank, site, at)
+			if v := h.Sum64(); v%2 == 0 {
+				for n := v / 2 % 4; n > 0; n-- {
+					runtime.Gosched()
+				}
+			} else if v%16 == 1 {
+				time.Sleep(time.Duration(v/16%20) * time.Microsecond)
+			}
+		})
+		defer mpi.SetTouchHook(nil)
+		rep, err := mpi.Run(mpi.Config{Procs: 8, Machine: m}, func(c *mpi.Comm) error {
+			c.Compute(simtime.Duration(c.Rank()*37%11) * simtime.Microsecond)
+			return blockRoundTrip(c, "hostorder", 256, 9, 0) // stride 9: holes, so a preread
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	want := roundTrip(0)
+	for seed := uint64(1); seed <= 20; seed++ {
+		got := roundTrip(seed)
+		if !reflect.DeepEqual(got.RankTimes, want.RankTimes) || got.Net != want.Net || got.FS != want.FS {
+			t.Fatalf("jitter seed %d moved the run:\n clocks %v\n want   %v\n net %+v\n want %+v\n fs %+v\n want %+v",
+				seed, got.RankTimes, want.RankTimes, got.Net, want.Net, got.FS, want.FS)
+		}
+	}
 }
