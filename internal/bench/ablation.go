@@ -22,7 +22,7 @@ func ablationVariants() []ablationVariant {
 			func(c *SyntheticConfig) { c.SegmentSizeMultiplier = 0.25 }},
 		{"segment = 4 stripes", "level-2 segments above the lock granularity",
 			func(c *SyntheticConfig) { c.SegmentSizeMultiplier = 4 }},
-		{"demand populate", "reads load segments under the exclusive lock",
+		{"demand populate", "the first fetch of a segment posts its load",
 			func(c *SyntheticConfig) { c.DemandPopulate = true }},
 		{"two-sided transfers", "exchange charged as matched send/recv",
 			func(c *SyntheticConfig) { c.EmulateTwoSided = true }},

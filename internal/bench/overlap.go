@@ -1,14 +1,14 @@
 package bench
 
 // This file declares the overlap sweep: the TCIO workload run on a
-// multi-OST stripe while the write-behind and read-prefetch pipelines vary.
-// The write side is the paper's interleaved workload with
+// multi-OST stripe while the write-behind pipeline varies, plus a demand
+// read. The write side is the paper's interleaved workload with
 // tcio.Config.WriteBehindThreshold swept against the synchronous baseline;
 // the read side is a contiguous-partition sequential read (each rank scans
 // its own 1/P of the file, so every segment is demand-populated by exactly
-// one, deterministic, rank) with Config.PrefetchSegments swept. Byte
-// contents are cross-checked against the workload's ground truth at every
-// setting; only the virtual timing is allowed to change.
+// one, deterministic, rank, and a fetch posts its batch's segments at once).
+// Byte contents are cross-checked against the workload's ground truth at
+// every setting; only the virtual timing is allowed to change.
 
 import (
 	"fmt"
@@ -23,25 +23,22 @@ type overlapGeometry struct {
 	// Thresholds lists the WriteBehindThreshold settings to sweep
 	// (0 = synchronous baseline).
 	Thresholds []float64
-	Prefetch   []int // PrefetchSegments settings to sweep (0 = off)
 }
 
-// defaultOverlap sweeps write-behind thresholds 0/0.5/1 and prefetch
-// windows 0/2/8 over a 7-way striped file with 16 processes.
+// defaultOverlap sweeps write-behind thresholds 0/0.5/1, then reads, over a
+// 7-way striped file with 16 processes.
 func defaultOverlap() *overlapGeometry {
 	return &overlapGeometry{
 		synthGeometry: synthGeometry{Procs: 16, StripeCount: 7, LenSim: 4 << 20},
 		Thresholds:    []float64{0, 0.5, 1},
-		Prefetch:      []int{0, 2, 8},
 	}
 }
 
 // overlapSetting is one row's setting: a write-behind threshold on the
-// write side, a prefetch window on the read side.
+// write side; the read side is one row.
 type overlapSetting struct {
 	Write     bool
 	Threshold float64
-	Prefetch  int
 }
 
 // overlapPhases is the number of barrier-separated phases of the write
@@ -119,14 +116,13 @@ func overlapWrite(env *Env, cfg SyntheticConfig, threshold float64) PhaseResult 
 	return pr
 }
 
-// overlapRead runs the contiguous-partition sequential read at one
-// prefetch setting against the already-written file.
-func overlapRead(env *Env, cfg SyntheticConfig, prefetch int) PhaseResult {
+// overlapRead runs the contiguous-partition sequential read, demand
+// populated, against the already-written file.
+func overlapRead(env *Env, cfg SyntheticConfig) PhaseResult {
 	env.FS.Reset()
 	return env.Run(cfg.Procs, cfg.FileBytes()*env.Scale, func(c *mpi.Comm, t *Tally) error {
 		tc := tcioConfigFor(c, cfg)
 		tc.DemandPopulate = true
-		tc.PrefetchSegments = prefetch
 		handle, err := tcio.Open(c, cfg.FileName, tcio.ReadMode, tc)
 		if err != nil {
 			return err
@@ -154,8 +150,8 @@ func overlapRead(env *Env, cfg SyntheticConfig, prefetch int) PhaseResult {
 }
 
 // overlapSweep tabulates both sides. The write table compares write-behind
-// thresholds against the synchronous baseline; the read table compares
-// prefetch windows against pure demand population.
+// thresholds against the synchronous baseline; the read table is the
+// demand read, every fetch batch's populations posted at once.
 //
 // The projection leaves out virtual times, eager-drain tallies, and overlap
 // savings: they depend on scheduler interleaving; the request stream's
@@ -164,53 +160,36 @@ func overlapRead(env *Env, cfg SyntheticConfig, prefetch int) PhaseResult {
 // is provably bit-identical.
 func overlapSweep(g *overlapGeometry) *Sweep {
 	at := func(r *Row) overlapSetting { return r.Point.(overlapSetting) }
-	hits := det("prefetch-hits", "prefetch_hits", func(r *Row) any { return r.TCIO.PrefetchHits })
 	phase := det("phase", "phase", func(r *Row) any { return pick(at(r).Write, "write", "read") })
 	return &Sweep{
 		Name:   "overlap",
-		Help:   "sweep write-behind and read-prefetch overlap settings",
+		Help:   "sweep write-behind overlap settings, then a demand read",
 		InAll:  true,
 		Params: g,
-		// A point is the settings that share one environment: each write
-		// setting alone; the read settings together, reading one file
-		// written with the synchronous baseline — except in the projection,
-		// where every read setting's fault rolls start from a fresh injector.
+		// Each point runs in its own environment; the read reads one file
+		// written with the synchronous baseline.
 		Points: func(chaos bool) []any {
-			thresholds, prefetch := g.Thresholds, g.Prefetch
+			thresholds := g.Thresholds
 			if chaos {
-				thresholds, prefetch = []float64{0, 1}, []int{0, 8}
+				thresholds = []float64{0, 1}
 			}
 			var pts []any
 			for _, th := range thresholds {
-				pts = append(pts, []overlapSetting{{Write: true, Threshold: th}})
+				pts = append(pts, overlapSetting{Write: true, Threshold: th})
 			}
-			var reads []overlapSetting
-			for _, pf := range prefetch {
-				reads = append(reads, overlapSetting{Prefetch: pf})
-			}
-			if !chaos {
-				return append(pts, reads)
-			}
-			for _, s := range reads {
-				pts = append(pts, []overlapSetting{s})
-			}
-			return pts
+			return append(pts, overlapSetting{})
 		},
 		Env: g.env,
 		Run: func(env *Env, pt any) ([]Row, error) {
-			group := pt.([]overlapSetting)
+			s := pt.(overlapSetting)
 			cfg := g.config(env, MethodTCIO, "overlap")
-			if s := group[0]; s.Write {
+			if s.Write {
 				return []Row{{Point: s, PhaseResult: overlapWrite(env, cfg, s.Threshold)}}, nil
 			}
 			if pr := overlapWrite(env, cfg, 0); pr.Failed {
 				return nil, fmt.Errorf("read-side write failed: %s", pr.FailReason)
 			}
-			var rows []Row
-			for _, s := range group {
-				rows = append(rows, Row{Point: s, PhaseResult: overlapRead(env, cfg, s.Prefetch)})
-			}
-			return rows, nil
+			return []Row{{Point: s, PhaseResult: overlapRead(env, cfg)}}, nil
 		},
 		Tables: func(Options) []Table {
 			shape := fmt.Sprintf("%d processes, stripe over %d OSTs", g.Procs, g.StripeCount)
@@ -229,12 +208,11 @@ func overlapSweep(g *overlapGeometry) *Sweep {
 					colFSWrites, colResult,
 				},
 			}, {
-				Title: "Overlap: sequential read prefetch, " + shape,
+				Title: "Overlap: sequential demand read, " + shape,
 				Where: func(r *Row) bool { return !at(r).Write },
 				Columns: []Column{
-					det("prefetch-segs", "prefetch_segments", func(r *Row) any { return at(r).Prefetch }),
 					colTime.as("read-time"), colMBs.as("read-MB/s"),
-					colPopulations, hits, colFSReads, colResult,
+					colPopulations, colFSReads, colResult,
 				},
 			}}
 		},
@@ -243,10 +221,10 @@ func overlapSweep(g *overlapGeometry) *Sweep {
 			Columns: []Column{
 				phase,
 				det("setting", "", func(r *Row) any {
-					return pick(at(r).Write, fmt.Sprintf("wb-threshold=%.0f", at(r).Threshold), fmt.Sprintf("prefetch=%d", at(r).Prefetch))
+					return pick(at(r).Write, fmt.Sprintf("wb-threshold=%.0f", at(r).Threshold), "demand")
 				}),
 				colInjected, colFSRetries, colFSWrites, colFSReads,
-				colPopulations, hits, colAllocRetries, colResult,
+				colPopulations, colAllocRetries, colResult,
 			},
 		},
 		JSON: []Column{phase, colFSRetries},

@@ -11,7 +11,6 @@ import (
 func overlapTestOpts() *overlapGeometry {
 	opts := defaultOverlap()
 	opts.Thresholds = []float64{0, 1}
-	opts.Prefetch = []int{0, 4}
 	return opts
 }
 
@@ -36,7 +35,7 @@ func overlapSides(t *testing.T, opts *overlapGeometry) (write, read []Row) {
 			read = append(read, r)
 		}
 	}
-	if len(write) != 2 || len(read) != 2 {
+	if len(write) != 2 || len(read) != 1 {
 		t.Fatalf("report has %d write / %d read points", len(write), len(read))
 	}
 	return write, read
@@ -72,51 +71,58 @@ func TestOverlapSweep(t *testing.T) {
 	if eager.TCIO.EagerDrains == 0 {
 		t.Fatal("threshold 1 triggered no eager drains")
 	}
-	demand, prefetch := read[0], read[1]
-	if demand.FS.Reads != prefetch.FS.Reads {
-		t.Fatalf("fs reads differ: demand %d, prefetch %d", demand.FS.Reads, prefetch.FS.Reads)
+	// The demand read reads every segment exactly once: whichever rank
+	// fetches a segment first posts it.
+	demand := read[0]
+	if demand.TCIO.Populations != demand.FS.Reads || demand.FS.Reads == 0 {
+		t.Fatalf("populations %d, fs reads %d: a segment was read twice, or none was",
+			demand.TCIO.Populations, demand.FS.Reads)
 	}
-	if demand.TCIO.Populations != prefetch.TCIO.Populations {
-		t.Fatalf("populations differ: demand %d, prefetch %d", demand.TCIO.Populations, prefetch.TCIO.Populations)
+	// A fetch posts its batch at once, so the demand read needs no lookahead
+	// lane to hide the file system: it is no slower than the lane's window 4
+	// was on this miniature. At 16 ranks the OSTs serve requests in
+	// host-arrival order and both times move with the schedule.
+	if demand.Time > lanePrefetch4Ns {
+		t.Fatalf("the posted demand read took %d ns, the prefetch lane's window 4 took %d ns",
+			demand.Time, lanePrefetch4Ns)
 	}
-	if prefetch.TCIO.PrefetchHits == 0 {
-		t.Fatal("prefetch window 4 scored no hits")
-	}
-	if prefetch.Time > demand.Time {
-		t.Fatalf("prefetch slowed the sequential read: demand %d ns, prefetch %d ns",
-			demand.Time, prefetch.Time)
-	}
-	// The same on one rank, whose request stream is totally ordered: at 16
-	// ranks the OSTs serve requests in host-arrival order and the two times
-	// move with the schedule, here both are exact.
+	// On one rank the request stream is totally ordered and the time exact.
 	opts.Procs = 1
 	_, solo := overlapSides(t, opts)
-	if demand, prefetch := solo[0], solo[1]; prefetch.TCIO.PrefetchHits == 0 || prefetch.Time > demand.Time {
-		t.Fatalf("prefetch slowed the sequential read: demand %d ns, prefetch %d ns (%d hits)",
-			demand.Time, prefetch.Time, prefetch.TCIO.PrefetchHits)
+	if got := solo[0].Time; got != soloDemandNs || got > soloPrefetch4Ns {
+		t.Fatalf("one rank's demand read took %d ns, want %d (the lane's window 4 took %d)",
+			got, soloDemandNs, soloPrefetch4Ns)
 	}
 }
 
+// The overlap miniature's read times, in virtual ns: the posted demand read
+// on one rank (exact), and the deleted prefetch lane's window-4 read on 16
+// ranks (its most common time, 142 of 300 runs at -cpu 1,2,8; the runs
+// spanned 372 760 365 – 482 664 857) and on one rank (exact).
+const (
+	soloDemandNs    = 252579028
+	lanePrefetch4Ns = 481471286
+	soloPrefetch4Ns = 264566904
+)
+
 // TestOverlapChaosSettingInvariant reads the invariance off a single table:
-// the write rows (thresholds 0 and 1) and the read rows (prefetch 0 and 8)
-// must agree on every fault and request count — write-behind and prefetch
-// change when requests happen, never which requests happen.
+// the write rows (thresholds 0 and 1) must agree on every fault and request
+// count — write-behind changes when requests happen, never which requests
+// happen — and the demand read populates each segment it reads once.
 func TestOverlapChaosSettingInvariant(t *testing.T) {
 	rows := overlapChaosRows(t, overlapTestOpts(), 3)
-	if len(rows) != 4 {
-		t.Fatalf("chaos table has %d rows, want 4", len(rows))
+	if len(rows) != 3 {
+		t.Fatalf("chaos table has %d rows, want 3", len(rows))
 	}
 	// Columns: phase, setting, injected, fs-retries, fs-writes, fs-reads,
-	// populations, prefetch-hits, alloc-retries, result. Compare the fault
-	// and request counts (indices 2-6) plus alloc-retries (8).
-	invariant := []int{2, 3, 4, 5, 6, 8}
-	for _, pair := range [][2]int{{0, 1}, {2, 3}} {
-		for _, col := range invariant {
-			// prefetch-hits (7) legitimately differs between prefetch 0
-			// and 8; populations (6) must not.
-			if a, b := rows[pair[0]][col], rows[pair[1]][col]; a != b {
-				t.Errorf("rows %d/%d column %d differ: %q vs %q", pair[0], pair[1], col, a, b)
-			}
+	// populations, alloc-retries, result. Compare the fault and request
+	// counts (indices 2-7).
+	for col := 2; col <= 7; col++ {
+		if a, b := rows[0][col], rows[1][col]; a != b {
+			t.Errorf("write rows column %d differ: %q vs %q", col, a, b)
 		}
+	}
+	if reads, pops := rows[2][5], rows[2][6]; reads != pops {
+		t.Errorf("the demand read issued %s fs reads for %s populations", reads, pops)
 	}
 }

@@ -12,8 +12,6 @@ package conformance
 //   - the write-behind ledger balances: EagerWrites + FlushResidue ==
 //     FSWrites on every rank, under any scheduling;
 //   - the file system's own write count equals the ranks' FSWrites sum;
-//   - prefetch counters satisfy Hits + Wasted <= Issued, and are zero
-//     when the feature is disarmed;
 //   - population counts match the mode (preload: per-rank slot walk;
 //     demand: one population per demanded segment, summed — the split
 //     across ranks is scheduling-dependent);
@@ -186,14 +184,6 @@ func (o *Outcome) checkTCIOStats(p *Program, run *engineRun) {
 			o.diverge("tcio", "stats", "rank %d counted %d reads/%d bytes, program has %d/%d",
 				rank, s.Reads, s.BytesRead, wantN, wantBytes)
 		}
-		if s.PrefetchHits+s.PrefetchWasted > s.PrefetchIssued {
-			o.diverge("tcio", "stats", "rank %d prefetch: hits %d + wasted %d > issued %d",
-				rank, s.PrefetchHits, s.PrefetchWasted, s.PrefetchIssued)
-		}
-		if p.Knobs.PrefetchSegments == 0 && s.PrefetchIssued != 0 {
-			o.diverge("tcio", "stats", "rank %d issued %d prefetches with prefetch disarmed",
-				rank, s.PrefetchIssued)
-		}
 		if (p.Knobs.SieveBuffer == 0 || !p.Knobs.DemandPopulate) &&
 			(s.SieveReads != 0 || s.SieveWasteBytes != 0) {
 			o.diverge("tcio", "stats", "rank %d issued %d sieve covers (%d waste) with the sieve disarmed",
@@ -224,8 +214,7 @@ func (o *Outcome) checkTCIOStats(p *Program, run *engineRun) {
 		if p.Knobs.SieveBuffer > 0 {
 			// Sieved stagings are partial and deliberately not counted as
 			// populations, so the exact-count oracle relaxes to an upper
-			// bound: only prefetch-cache hits and still-whole populations
-			// remain, never more than one per demanded segment.
+			// bound: never more than one per demanded segment.
 			if popSum > want {
 				o.diverge("tcio", "stats", "ranks populated %d segments with the sieve armed, cap %d", popSum, want)
 			}

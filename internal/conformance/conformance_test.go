@@ -85,7 +85,6 @@ func TestValidateRejectsIllegalKnobs(t *testing.T) {
 		set  func(*Knobs)
 		want string
 	}{
-		{"prefetch segments", func(k *Knobs) { k.PrefetchSegments = -1 }, "tcio: prefetch segments -1"},
 		{"sieve buffer", func(k *Knobs) { k.SieveBuffer = -8 }, "tcio: sieve buffer -8"},
 		{"threshold above one", func(k *Knobs) { k.WriteBehindThreshold = 1.5 }, "tcio: write-behind threshold 1.5"},
 		{"threshold below zero", func(k *Knobs) { k.WriteBehindThreshold = -0.5 }, "tcio: write-behind threshold -0.5"},

@@ -105,7 +105,6 @@ func (p *Program) tcioConfig(rec *trace.Recorder) tcio.Config {
 		DisableLevel1:        k.DisableLevel1,
 		DemandPopulate:       k.DemandPopulate,
 		WriteBehindThreshold: k.WriteBehindThreshold,
-		PrefetchSegments:     k.PrefetchSegments,
 		SieveBuffer:          k.SieveBuffer,
 		CollectiveRead:       k.CollectiveRead,
 		EmulateTwoSided:      k.EmulateTwoSided,

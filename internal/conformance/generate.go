@@ -7,7 +7,7 @@ package conformance
 // bite on) within a small budget:
 //
 //	class 0 — baseline: preloaded reads, random drain/pipeline knobs.
-//	class 1 — demand-populate reads with prefetch lookahead.
+//	class 1 — demand-populate reads.
 //	class 2 — write-behind, with writes aligned to each rank's own
 //	          segments (the configuration whose eager/residue counters
 //	          are scheduling-independent; see DESIGN.md §5e).
@@ -97,13 +97,11 @@ func genKnobs(rng *rand.Rand, class int, seed, segSize int64) Knobs {
 	}
 	k.Aggregators = rng.Intn(3) // clamped to Procs by the engine driver
 	switch class {
-	case 1: // demand-populate + prefetch
+	case 1: // demand-populate
 		k.DemandPopulate = true
-		k.PrefetchSegments = 1 + rng.Intn(3)
-		if rng.Intn(4) == 0 {
-			k.PrefetchSegments = 0 // demand without lookahead
-		}
-		rng.Intn(3) // the retired prefetch-cache-cap draw, discarded
+		rng.Intn(3) // the retired lookahead-window draws, discarded
+		rng.Intn(4)
+		rng.Intn(3)
 	case 2: // write-behind (rank-aligned territory, see genTerritory)
 		k.WriteBehindThreshold = []float64{1, 0.5, 0.25}[rng.Intn(3)]
 		rng.Intn(3) // the retired WriteBehindQueue draw, discarded
@@ -139,9 +137,7 @@ func genKnobs(rng *rand.Rand, class int, seed, segSize int64) Knobs {
 		// (cover assembly, scatter, waste accounting) for mutants to bite.
 		k.CollectiveRead = rng.Intn(3) == 0
 		if !k.CollectiveRead && rng.Intn(3) == 0 {
-			// Prefetch/sieve interplay — only on the independent path, where
-			// the lookahead runs.
-			k.PrefetchSegments = 1 + rng.Intn(2)
+			rng.Intn(2) // the retired lookahead-window draw, discarded
 		}
 	case 6: // delegation tier (multi-file, server ranks carved from Procs)
 		k.ServerRanks = 1 + rng.Intn(2)
@@ -290,8 +286,8 @@ func genHoleReadRound(rng *rand.Rand, p *Program, phase int) Round {
 }
 
 // genReadRound emits each rank's read ops for one round. The first round
-// leans sequential — contiguous spans walked in segment-sized steps, the
-// pattern that drives the prefetch lookahead — and later rounds read
+// leans sequential — contiguous spans walked in segment-sized steps, so one
+// fetch batch posts several consecutive segments — and later rounds read
 // random (possibly overlapping, possibly never-written) ranges.
 func genReadRound(rng *rand.Rand, p *Program, sequential bool) Round {
 	var round Round

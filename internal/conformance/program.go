@@ -4,9 +4,9 @@
 // bytes identical to independent MPI-IO and to OCIO's two-phase collective
 // path. This package generates seed-deterministic workload programs —
 // random rank counts, geometries, interleaved/strided/rewriting read and
-// write patterns, and random library knobs including write-behind, prefetch
-// and chaos fault rules — executes each program through all three engines
-// plus an in-memory ground-truth model, and diffs final file bytes,
+// write patterns, and random library knobs including write-behind, demand
+// population and chaos fault rules — executes each program through all
+// three engines plus an in-memory ground-truth model, and diffs final file bytes,
 // read-back bytes, stats-accounting identities, and trace invariants. On
 // divergence the failing program is shrunk by delta debugging to a minimal
 // repro and serialized to testdata/corpus/ as a replayable golden case.
@@ -56,7 +56,6 @@ type Knobs struct {
 	DisableLevel1        bool    `json:"disable_level1,omitempty"`
 	DemandPopulate       bool    `json:"demand_populate,omitempty"`
 	WriteBehindThreshold float64 `json:"write_behind_threshold,omitempty"`
-	PrefetchSegments     int     `json:"prefetch_segments,omitempty"`
 	SieveBuffer          int64   `json:"sieve_buffer,omitempty"`
 	CollectiveRead       bool    `json:"collective_read,omitempty"`
 	EmulateTwoSided      bool    `json:"emulate_two_sided,omitempty"`

@@ -273,6 +273,9 @@ func Flatten(t Type, count int, base int64) []Segment {
 // Pack gathers count instances of t from src into a dense byte slice.
 // src must cover count*t.Extent() bytes.
 func Pack(src []byte, t Type, count int) ([]byte, error) {
+	if count < 0 {
+		return nil, fmt.Errorf("datatype: Pack of %d elements", count)
+	}
 	need := int64(count) * t.Extent()
 	if int64(len(src)) < need {
 		return nil, fmt.Errorf("datatype: Pack needs %d bytes of source, have %d", need, len(src))
@@ -292,6 +295,9 @@ func Pack(src []byte, t Type, count int) ([]byte, error) {
 // data must hold exactly count*t.Size() bytes and dst must cover
 // count*t.Extent() bytes.
 func Unpack(data, dst []byte, t Type, count int) error {
+	if count < 0 {
+		return fmt.Errorf("datatype: Unpack of %d elements", count)
+	}
 	if int64(len(data)) != int64(count)*t.Size() {
 		return fmt.Errorf("datatype: Unpack data %d bytes, want %d", len(data), int64(count)*t.Size())
 	}

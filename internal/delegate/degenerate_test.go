@@ -15,7 +15,7 @@ import (
 // degenerateRun executes a strided write+read workload either through
 // delegate.Run with ServerRanks == 0 or directly through tcio, returning
 // the report, file image, per-rank tcio stats, and the trace summary.
-// overlap arms write-behind and prefetch on top of the base config.
+// overlap arms write-behind on top of the base config.
 func degenerateRun(t *testing.T, viaTier, overlap bool) (mpi.Report, []byte, []tcio.Stats, map[trace.Kind]trace.KindStats) {
 	t.Helper()
 	const procs = 6
@@ -31,7 +31,6 @@ func degenerateRun(t *testing.T, viaTier, overlap bool) (mpi.Report, []byte, []t
 	}
 	if overlap {
 		tcfg.WriteBehindThreshold = 0.5
-		tcfg.PrefetchSegments = 2
 	}
 	stats := make([]tcio.Stats, procs)
 

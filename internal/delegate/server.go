@@ -603,8 +603,8 @@ func (s *server) closeEpoch(h *handleFile) error {
 		base := s.domains.SegStart(blk)
 		// Pooled staging memory, outside the simulated-memory accountant:
 		// server staging must not perturb the per-rank allocation fault
-		// stream (the same rule tcio's populate and prefetch scratch
-		// follows). The pool hands back stale bytes, which is safe here: the
+		// stream (the same rule tcio's session staging follows). The pool
+		// hands back stale bytes, which is safe here: the
 		// coalesced runs cover exactly the staged writes' bytes, and only
 		// run-covered slices are ever drained or written through.
 		st := blockStage{blk: blk, buf: s.c.GetBuf(int(s.domains.SegSize))}

@@ -20,9 +20,10 @@ const (
 	// ExtentLayoutOwnerSkew offsets equation (1)'s owner rank by one in
 	// Layout.Owner only, making it inconsistent with Locate/RankSegment.
 	ExtentLayoutOwnerSkew = "extent.layout-owner-skew"
-	// TCIOStalePrefetchServe makes populateFromCache mark a segment
-	// populated without copying the staged bytes into the window.
-	TCIOStalePrefetchServe = "tcio.stale-prefetch-serve"
+	// TCIOStalePopulate makes a posted population of another owner's
+	// segment mark it populated without putting the bytes into that owner's
+	// window.
+	TCIOStalePopulate = "tcio.stale-populate"
 	// TCIOLostPendingRun makes l2meta.addDirty overwrite a segment's
 	// pending runs instead of appending, losing earlier undrained data.
 	TCIOLostPendingRun = "tcio.lost-pending-run"
@@ -71,7 +72,7 @@ func All() []string {
 	return []string{
 		ExtentDroppedCoalesce,
 		ExtentLayoutOwnerSkew,
-		TCIOStalePrefetchServe,
+		TCIOStalePopulate,
 		TCIOLostPendingRun,
 		TCIOEagerWritesUncounted,
 		MPIIOFlattenDropRun,

@@ -19,6 +19,7 @@ import (
 
 	"github.com/tcio/tcio/internal/extent"
 	"github.com/tcio/tcio/internal/mutate"
+	"github.com/tcio/tcio/internal/simtime"
 	"github.com/tcio/tcio/internal/trace"
 )
 
@@ -36,6 +37,16 @@ type SieveResult struct {
 // and may overlap; zero-length requests are ignored. With budget <= 0 (or
 // any budget below the smallest joinable pair) the plan is pure list I/O.
 func (c *Client) ReadExtentsSieved(op string, reqs []Request, budget int64) (SieveResult, error) {
+	res, end, err := c.ReadExtentsSievedFrom(op, reqs, budget, c.clock.Now())
+	c.clock.AdvanceTo(end)
+	return res, err
+}
+
+// ReadExtentsSievedFrom is the detached-start variant of ReadExtentsSieved
+// (see ReadExtentsFrom): the covers depart at start, the caller's clock is
+// untouched, and the covers' latest completion is returned. Calls sharing one
+// start are one posted batch, so a caller can post several plans together.
+func (c *Client) ReadExtentsSievedFrom(op string, reqs []Request, budget int64, start simtime.Time) (SieveResult, simtime.Time, error) {
 	runs := make([]extent.Extent, len(reqs))
 	for i, r := range reqs {
 		runs[i] = extent.Extent{Off: r.Off, Len: int64(len(r.Data))}
@@ -76,11 +87,11 @@ func (c *Client) ReadExtentsSieved(op string, reqs []Request, budget int64) (Sie
 		out.Waste += g.Waste(runs)
 	}
 
-	res, err := c.run(op, trace.KindSieve, covers, false)
+	res, end, err := c.post(op, trace.KindSieve, covers, false, start, nil)
 	out.Result = res
 	if err != nil {
 		out.Waste = 0
-		return out, err
+		return out, end, err
 	}
 	at = 0
 	for _, gi := range staged {
@@ -95,5 +106,5 @@ func (c *Client) ReadExtentsSieved(op string, reqs []Request, budget int64) (Sie
 			copy(reqs[i].Data, stage[src:])
 		}
 	}
-	return out, nil
+	return out, end, nil
 }

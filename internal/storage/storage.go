@@ -128,11 +128,11 @@ func (c *Client) WriteExtents(op string, kind trace.Kind, reqs []Request) (Resul
 
 // ReadExtentsFrom issues the batch departing at start without touching the
 // caller's clock, and returns the batch's completion time alongside the
-// result. This is the detached-start path backing the overlap pipeline:
-// tcio's write-behind and prefetch lanes charge transfers to a background
-// timeline and synchronize with it only when the caller actually needs the
-// outcome. The request set, ordering, and fault-roll identity are exactly
-// those of ReadExtents; only whose clock pays is different.
+// result. This is the detached-start path of posted reads: tcio's segment
+// populations and the delegation server's reads record when their bytes land
+// and let only the consumer of those bytes wait. The request set, ordering,
+// and fault-roll identity are exactly those of ReadExtents; only whose clock
+// pays is different.
 func (c *Client) ReadExtentsFrom(op string, kind trace.Kind, reqs []Request, start simtime.Time) (Result, simtime.Time, error) {
 	return c.post(op, kind, reqs, false, start, nil)
 }

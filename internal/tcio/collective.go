@@ -3,14 +3,14 @@ package tcio
 // The two-phase collective read (Config.CollectiveRead, DESIGN.md §2d) —
 // OCIO's read-side discipline grafted onto TCIO's window machinery. Phase
 // one: the ranks exchange their queued read intents (coalesced
-// file-absolute runs) with one allgather, and each rank stages the union
-// of all intents falling in its own segments — through the data sieve when
-// SieveBuffer > 0, as whole-segment populations otherwise — with local
-// window writes under its own lock, so each file-domain extent is fetched
-// exactly once, by its owner, with no remote exclusive-lock traffic. A
-// barrier publishes the windows. Phase two is the usual overlapped
+// file-absolute runs) with one allgather, and each rank posts the union of
+// all intents falling in its own segments — through the data sieve when
+// SieveBuffer > 0, as whole-segment populations otherwise — into its own
+// window under its own lock (populate), so each file-domain extent is
+// fetched exactly once, by its owner, with no remote exclusive-lock traffic.
+// A barrier publishes the windows. Phase two is the usual overlapped
 // one-sided gets (read.go fetchGets), which redistribute every rank's runs
-// from the freshly staged windows.
+// as their segments land.
 
 import (
 	"github.com/tcio/tcio/internal/extent"
@@ -58,27 +58,28 @@ func (f *File) fetchCollective() error {
 	}
 
 	me := f.c.Rank()
-	need := ownStaging(f.layout, me, intents)
-	if len(need) > 0 {
+	if need := ownStaging(f.layout, me, intents); len(need) > 0 {
 		if err := f.win.Lock(me, true); err != nil {
 			return err
 		}
+		var jobs []popJob
 		for len(need) > 0 {
-			// The segment's runs lead the list; stage takes them relative.
+			// The segment's runs lead the list; populate takes them relative.
 			seg := f.layout.Segment(need[0].Off)
 			base, n := f.layout.SegStart(seg), 0
 			for ; n < len(need) && need[n].Off < f.layout.SegStart(seg+1); n++ {
 				need[n].Off -= base
 			}
-			runs := need[:n]
-			need = need[n:]
-			_, slot := f.layout.Owner(seg)
-			if _, err := f.stage(seg, me, slot, func() []extent.Extent { return runs }); err != nil {
-				f.win.Unlock(me)
-				return err
+			if !f.meta.isPopulated(seg) {
+				jobs = append(jobs, popJob{seg: seg, runs: need[:n]})
 			}
+			need = need[n:]
 		}
-		if err := f.win.Unlock(me); err != nil {
+		err := f.populate(jobs)
+		if uerr := f.win.Unlock(me); err == nil {
+			err = uerr
+		}
+		if err != nil {
 			return err
 		}
 	}

@@ -15,8 +15,8 @@ import (
 
 // Normalize returns the configuration with every zero field replaced by
 // its documented default and every out-of-range field rejected. Fields
-// whose zero value is meaningful (PrefetchSegments, SieveBuffer: "feature
-// off") have no default. stripeSize supplies SegmentSize's default — the
+// whose zero value is meaningful (SieveBuffer: "feature off") have no
+// default. stripeSize supplies SegmentSize's default — the
 // file system's lock granularity, as §IV.A prescribes. The receiver is
 // unchanged.
 func (cfg Config) Normalize(stripeSize int64) (Config, error) {
@@ -31,8 +31,6 @@ func (cfg Config) Normalize(stripeSize int64) (Config, error) {
 		return cfg, fmt.Errorf("tcio: segment size %d", cfg.SegmentSize)
 	case cfg.NumSegments < 1:
 		return cfg, fmt.Errorf("tcio: segment count %d", cfg.NumSegments)
-	case cfg.PrefetchSegments < 0:
-		return cfg, fmt.Errorf("tcio: prefetch segments %d", cfg.PrefetchSegments)
 	case cfg.SieveBuffer < 0:
 		return cfg, fmt.Errorf("tcio: sieve buffer %d", cfg.SieveBuffer)
 	case !(cfg.WriteBehindThreshold >= 0 && cfg.WriteBehindThreshold <= 1): // rejects NaN
@@ -46,14 +44,6 @@ func (cfg Config) Normalize(stripeSize int64) (Config, error) {
 		cfg.Journal = true
 		if cfg.SegmentMemoryBudget < cfg.SegmentSize {
 			cfg.SegmentMemoryBudget = cfg.SegmentSize
-		}
-		// The prefetch lookahead — and with it the staging map, which never
-		// holds more than the lookahead — must fit the same budget the window
-		// does, or arming the budget would move pressure into unaccounted
-		// staging instead of relieving it.
-		maxResident := int(cfg.SegmentMemoryBudget / cfg.SegmentSize)
-		if cfg.PrefetchSegments > maxResident {
-			cfg.PrefetchSegments = maxResident
 		}
 	}
 	return cfg, nil

@@ -23,18 +23,14 @@ func TestConfigNormalize(t *testing.T) {
 			in:   Config{},
 			want: func(c Config) bool {
 				return c.SegmentSize == stripe && c.NumSegments == 64 &&
-					c.PrefetchSegments == 0 &&
 					c.SieveBuffer == 0 && c.WriteBehindThreshold == 0
 			},
 		},
 		{
 			name: "explicit values survive",
-			in: Config{SegmentSize: 128, NumSegments: 3,
-				PrefetchSegments: 2, SieveBuffer: 64},
+			in:   Config{SegmentSize: 128, NumSegments: 3, SieveBuffer: 64},
 			want: func(c Config) bool {
-				return c.SegmentSize == 128 && c.NumSegments == 3 &&
-					c.PrefetchSegments == 2 &&
-					c.SieveBuffer == 64
+				return c.SegmentSize == 128 && c.NumSegments == 3 && c.SieveBuffer == 64
 			},
 		},
 		{
@@ -44,7 +40,6 @@ func TestConfigNormalize(t *testing.T) {
 		},
 		{name: "negative segment size", in: Config{SegmentSize: -1}, err: "segment size"},
 		{name: "negative segment count", in: Config{NumSegments: -2}, err: "segment count"},
-		{name: "negative prefetch segments", in: Config{PrefetchSegments: -1}, err: "prefetch segments"},
 		{name: "negative sieve buffer", in: Config{SieveBuffer: -8}, err: "sieve buffer"},
 		{name: "threshold below zero", in: Config{WriteBehindThreshold: -0.1}, err: "write-behind threshold"},
 		{name: "threshold above one", in: Config{WriteBehindThreshold: 1.5}, err: "write-behind threshold"},
@@ -73,7 +68,7 @@ func TestConfigNormalize(t *testing.T) {
 // the property the delegation client relies on when it re-normalizes a
 // config the caller may already have normalized.
 func TestConfigNormalizeIdempotent(t *testing.T) {
-	once, err := Config{PrefetchSegments: 2}.Normalize(512)
+	once, err := Config{SieveBuffer: 64}.Normalize(512)
 	if err != nil {
 		t.Fatal(err)
 	}

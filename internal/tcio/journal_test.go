@@ -296,24 +296,19 @@ func TestDisarmedJournalZeroOverhead(t *testing.T) {
 	}
 }
 
-// TestBudgetNormalizeComposition pins how the budget composes with the
-// prefetch knobs: a budget implies Journal, is floored at one segment, and
-// shrinks the lookahead to the resident cap.
+// TestBudgetNormalizeComposition pins how Normalize composes the budget: a
+// budget implies Journal and is floored at one segment.
 func TestBudgetNormalizeComposition(t *testing.T) {
 	cfg, err := Config{
 		SegmentSize:         64,
 		NumSegments:         16,
 		SegmentMemoryBudget: 200, // 3 segments
-		PrefetchSegments:    8,
 	}.Normalize(1 << 20)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !cfg.Journal {
 		t.Fatal("budget did not imply Journal")
-	}
-	if cfg.PrefetchSegments != 3 {
-		t.Fatalf("lookahead not clamped to resident cap: prefetch=%d", cfg.PrefetchSegments)
 	}
 	small, err := Config{SegmentSize: 64, NumSegments: 4, SegmentMemoryBudget: 10}.Normalize(1 << 20)
 	if err != nil {

@@ -51,7 +51,7 @@ func BenchmarkL2MetaMissingRuns(b *testing.B) {
 			m := newL2Meta(false)
 			for s := int64(0); s < segs; s++ {
 				m.addDirty(s, []extent.Extent{{Off: 128, Len: 256}}, 1)
-				m.addPopRuns(s, []extent.Extent{{Off: 1024, Len: 512}}, segSize)
+				m.addPopRuns(s, []extent.Extent{{Off: 1024, Len: 512}}, segSize, 0)
 			}
 			need := []extent.Extent{{Off: 0, Len: 2048}}
 			b.ReportAllocs()

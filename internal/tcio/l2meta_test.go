@@ -168,7 +168,7 @@ func TestL2MetaShardedMatchesReference(t *testing.T) {
 				ref.setPopulated(seg)
 			case 6:
 				runs := randRuns()
-				m.addPopRuns(seg, runs, segSize)
+				m.addPopRuns(seg, runs, segSize, 0)
 				ref.addPopRuns(seg, runs, segSize)
 				if got, want := m.isPopulated(seg), ref.populated[seg]; got != want {
 					t.Fatalf("trial %d step %d isPopulated(%d): got %v want %v", trial, step, seg, got, want)

@@ -57,8 +57,8 @@ type segState struct {
 	// handle it is the latest put arrival among the pending runs, recorded
 	// by the origin at issue (it knows the handle's arrival) and consumed
 	// with the runs by whoever drains them. On a read handle it is when the
-	// owner's posted preload lands the segment (setPopulated), and a get of
-	// the segment starts no earlier; a synchronous population leaves it 0.
+	// segment's posted population lands in the owner's window (populate),
+	// and a get of the segment starts no earlier.
 	arrival simtime.Time
 	// unlogged is the dirty runs the owner's journal has not recorded yet;
 	// journalEpoch consumes them at each Flush/Close. Always empty when the
@@ -212,15 +212,16 @@ func (m *l2meta) missingRuns(seg int64, needed []extent.Extent) []extent.Extent 
 	return extent.Subtract(needed, have)
 }
 
-// addPopRuns records sieved (partial) population; once the recorded runs
-// cover the whole segment window it is promoted to fully populated, so
-// later fetches take the fast path.
-func (m *l2meta) addPopRuns(seg int64, runs []extent.Extent, segSize int64) {
+// addPopRuns records sieved (partial) population landing at at; once the
+// recorded runs cover the whole segment window it is promoted to fully
+// populated, so later fetches take the fast path.
+func (m *l2meta) addPopRuns(seg int64, runs []extent.Extent, segSize int64, at simtime.Time) {
 	s, st := m.lock(seg, true)
 	defer s.mu.Unlock()
 	if st.populated {
 		return
 	}
+	st.arrival = max(st.arrival, at)
 	st.popRuns = extent.Coalesce(append(st.popRuns, runs...))
 	if extent.Covers(st.popRuns, 0, segSize) {
 		st.populated, st.popRuns = true, nil

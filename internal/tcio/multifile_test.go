@@ -11,7 +11,7 @@ import (
 
 // Multi-file regression tests for the session refactor: one rank holding
 // several concurrently open TCIO files must keep every piece of per-file
-// engine state — ledgers, write-behind lanes, prefetch caches — fully
+// engine state — ledgers, write-behind lanes, landing records — fully
 // independent.
 
 func mfByte(file int, off int64) byte { return byte(off*11 + int64(file)*59 + 1) }
@@ -97,11 +97,11 @@ func TestMultiFileIndependentLedgers(t *testing.T) {
 	}
 }
 
-// TestMultiFileIndependentPrefetch opens two read-mode files with
-// prefetch armed and alternates reads between them: each file's prefetch
-// cache must stage and serve its own segments — a shared cache would
-// serve file A's bytes for file B.
-func TestMultiFileIndependentPrefetch(t *testing.T) {
+// TestMultiFileIndependentDemand opens two demand-populated read-mode files
+// and alternates reads between them: each file's posted populations must
+// land in its own window and count in its own ledger — a shared window or
+// landing record would serve file A's bytes for file B.
+func TestMultiFileIndependentDemand(t *testing.T) {
 	const procs = 2
 	const segSize, numSeg = int64(64), 4
 	fileBytes := segSize * numSeg * procs
@@ -117,10 +117,7 @@ func TestMultiFileIndependentPrefetch(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	cfg := Config{
-		SegmentSize: segSize, NumSegments: numSeg,
-		PrefetchSegments: 2, DemandPopulate: true,
-	}
+	cfg := Config{SegmentSize: segSize, NumSegments: numSeg, DemandPopulate: true}
 	statsCh := make([]([2]Stats), procs)
 	_, err := mpi.Run(mpi.Config{Procs: procs, Machine: cluster.Lonestar(), FS: fs}, func(c *mpi.Comm) error {
 		fa, err := Open(c, "pf-a", ReadMode, cfg)
@@ -132,7 +129,7 @@ func TestMultiFileIndependentPrefetch(t *testing.T) {
 			return err
 		}
 		// Each ReadAt spans two consecutive segments, so every Fetch batch
-		// gives the lookahead a forward-sequential run to prefetch into.
+		// posts two populations.
 		step := 2 * segSize
 		n := fileBytes / int64(c.Size())
 		base := int64(c.Rank()) * n
@@ -174,10 +171,11 @@ func TestMultiFileIndependentPrefetch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Each rank demands its own region, numSeg segments of each file.
 	for r, st := range statsCh {
 		for fi := range st {
-			if st[fi].PrefetchIssued == 0 {
-				t.Fatalf("rank %d file %d: prefetch never armed: %+v", r, fi, st[fi])
+			if st[fi].Populations != numSeg {
+				t.Fatalf("rank %d file %d: %d populations, want %d: %+v", r, fi, st[fi].Populations, numSeg, st[fi])
 			}
 		}
 	}
@@ -203,7 +201,7 @@ func TestMultiFileInterleavedRace(t *testing.T) {
 		t.Fatal(err)
 	}
 	wcfg := Config{SegmentSize: segSize, NumSegments: numSeg, WriteBehindThreshold: 0.25}
-	rcfg := Config{SegmentSize: segSize, NumSegments: numSeg, PrefetchSegments: 1, DemandPopulate: true}
+	rcfg := Config{SegmentSize: segSize, NumSegments: numSeg, DemandPopulate: true}
 	_, err := mpi.Run(mpi.Config{Procs: procs, Machine: cluster.Lonestar(), FS: fs}, func(c *mpi.Comm) error {
 		fa, err := Open(c, "race-a", WriteMode, wcfg)
 		if err != nil {

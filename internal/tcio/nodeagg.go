@@ -27,7 +27,7 @@ package tcio
 // then bound their departures exactly as they do for per-rank puts.
 //
 // Staging memory. Deposited run lists and payload bytes live in plain Go
-// memory, like populate's and prefetch's staging: transient library
+// memory, like the session's staging: transient library
 // scratch, deliberately outside the simulated-memory accountant so arming
 // aggregation cannot shift the per-rank allocation fault stream.
 

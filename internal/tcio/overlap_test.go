@@ -19,7 +19,6 @@ func TestOverlapConfigValidation(t *testing.T) {
 		bad := []Config{
 			{SegmentSize: 64, NumSegments: 4, WriteBehindThreshold: -0.1},
 			{SegmentSize: 64, NumSegments: 4, WriteBehindThreshold: 1.5},
-			{SegmentSize: 64, NumSegments: 4, PrefetchSegments: -1},
 		}
 		for i, cfg := range bad {
 			if _, err := Open(c, fmt.Sprintf("obad%d", i), WriteMode, cfg); err == nil {

@@ -1,8 +1,9 @@
 package tcio
 
 // The lazy read path (paper §IV.B): Read/ReadAt only record destination
-// buffers; Fetch performs the real one-sided gets, batched per owner so
-// the epochs' transfer waits overlap.
+// buffers; Fetch posts whatever population its batch still needs and then
+// performs the real one-sided gets, batched per owner so the epochs'
+// transfer waits overlap.
 
 import (
 	"fmt"
@@ -36,6 +37,9 @@ func (f *File) Read(n int64) ([]byte, error) {
 // tcio_read(fh, data, count, MPI_Datatype) entry point. Like all TCIO
 // reads, mem is defined only after Fetch (or Close).
 func (f *File) ReadTyped(mem []byte, count int, t datatype.Type) error {
+	if count < 0 {
+		return fmt.Errorf("tcio: ReadTyped of %d elements", count)
+	}
 	need := int64(count) * t.Extent()
 	if int64(len(mem)) < need {
 		return fmt.Errorf("tcio: ReadTyped needs %d bytes of destination, have %d", need, len(mem))
@@ -105,10 +109,10 @@ func (f *File) Fetch() error {
 	return f.fetchIndependent()
 }
 
-// fetchIndependent is the rank-local fetch: gets for all queued segments
-// are issued asynchronously under concurrently held shared window locks —
-// one epoch per owner — so their wire times overlap instead of
-// serializing.
+// fetchIndependent is the rank-local fetch: the batch's unpopulated segments
+// are posted first (populateBatch), then gets for all queued segments are
+// issued asynchronously under concurrently held shared window locks — one
+// epoch per owner — so their wire times overlap instead of serializing.
 func (f *File) fetchIndependent() error {
 	if len(f.pending) == 0 {
 		f.pendingSeg = -1
@@ -117,80 +121,106 @@ func (f *File) fetchIndependent() error {
 		return nil
 	}
 	groups := f.groupPending()
-
-	// Phase 1: make sure every needed segment is populated (only possible
-	// in demand mode; the default preloads at Open). Population needs the
-	// owner's exclusive lock. With prefetch armed, each step serves the
-	// current segment (from its staged read when one was issued), then
-	// pushes the background lane ahead over the batch's forward-consecutive
-	// successors — after the current segment's read, so the rank's file
-	// system request order is exactly the demand loop's. With the sieve
-	// armed, only the runs the queued reads need are staged (sieve.go)
-	// instead of the whole segment; a staged prefetch still wins — its
-	// whole-segment read already happened, so sieving after it would only
-	// re-read bytes the staging holds.
-	for i := range groups {
-		if err := f.ensurePopulated(groups, i); err != nil {
-			return err
-		}
+	if err := f.populateBatch(groups); err != nil {
+		return err
 	}
 	return f.fetchGets(groups)
 }
 
-// ensurePopulated is one step of fetchIndependent's phase 1: make sure the
-// batch's i-th segment is populated, then push the lookahead past it.
-func (f *File) ensurePopulated(groups []segGroup, i int) error {
-	seg := groups[i].seg
-	if f.meta.isPopulated(seg) {
-		f.dropWastedPrefetch(seg)
+// populateBatch posts the population of every segment of the batch that no
+// rank has populated yet (only possible in demand mode; the default preloads
+// at Open) as one batch. It holds the owners' exclusive window locks across
+// the post, not the landing — the gets that follow wait for the landings —
+// and checks each segment again under them, so no segment is read twice.
+// With the sieve armed a segment's job carries the runs its reads need.
+func (f *File) populateBatch(groups []segGroup) error {
+	jobs := f.fetch.jobs[:0]
+	for _, g := range groups {
+		if f.meta.isPopulated(g.seg) {
+			continue
+		}
+		j := popJob{seg: g.seg}
+		if f.sieveArmed() {
+			j.runs = segmentRuns(g.reqs, f.layout.SegSize)
+		}
+		jobs = append(jobs, j)
+	}
+	f.fetch.jobs = jobs[:0]
+	if len(jobs) == 0 {
 		return nil
 	}
-	owner, slot := f.layout.Owner(seg)
-	if err := f.win.Lock(owner, true); err != nil {
+	owners := f.fetch.owners[:0]
+	for _, j := range jobs {
+		owners = f.withOwner(owners, j.seg)
+	}
+	f.fetch.owners = owners[:0]
+	if err := f.lockOwners(owners, true); err != nil {
 		return err
 	}
-	staged, err := f.stage(seg, owner, slot, func() []extent.Extent {
-		return segmentRuns(groups[i].reqs, f.layout.SegSize)
-	})
-	if err == nil && staged {
-		err = f.maybePrefetch(groups, i)
+	live := jobs[:0]
+	for _, j := range jobs {
+		if !f.meta.isPopulated(j.seg) { // another rank may have come first
+			live = append(live, j)
+		}
 	}
-	if err != nil {
-		f.win.Unlock(owner)
-		return err
+	err := f.populate(live)
+	if uerr := f.unlockOwners(owners); err == nil {
+		err = uerr
 	}
-	return f.win.Unlock(owner)
+	return err
 }
 
-// stage is the one population step of both fetch paths, under the owner's
-// exclusive window lock: a segment some rank already populated only drops a
-// wasted prefetch; otherwise a staged prefetch wins, then the sieve over the
-// runs needed() names, then a whole-segment read. It reports whether it
-// staged anything.
-func (f *File) stage(seg int64, owner int, slot int64, needed func() []extent.Extent) (bool, error) {
-	if f.meta.isPopulated(seg) {
-		f.dropWastedPrefetch(seg)
-		return false, nil
+// withOwner appends seg's owner to owners unless it is listed already. A
+// batch holds at most fetchBatch segments, so the scan is short.
+func (f *File) withOwner(owners []int, seg int64) []int {
+	if owner, _ := f.layout.Owner(seg); !slices.Contains(owners, owner) {
+		return append(owners, owner)
 	}
-	if e, ok := f.takePrefetched(seg); ok {
-		return true, f.populateFromCache(seg, owner, slot, e)
+	return owners
+}
+
+// lockOwners locks every owner in ascending rank order, whatever order they
+// are listed in: one global order for every multi-lock acquisition of the
+// read path, so no two fetches can each hold a lock the other waits for.
+// On an error it releases the locks it took.
+func (f *File) lockOwners(owners []int, exclusive bool) error {
+	sorted := append(f.fetch.sorted[:0], owners...)
+	slices.Sort(sorted)
+	f.fetch.sorted = sorted[:0]
+	for i, owner := range sorted {
+		if err := f.win.Lock(owner, exclusive); err != nil {
+			f.unlockOwners(sorted[:i])
+			return err
+		}
 	}
-	if f.sieveArmed() {
-		return true, f.sievePopulate(seg, owner, slot, needed())
+	return nil
+}
+
+// unlockOwners unlocks every owner in the order listed and reports the first
+// error; every lock is released whatever fails.
+func (f *File) unlockOwners(owners []int) error {
+	var err error
+	for _, owner := range owners {
+		if uerr := f.win.Unlock(owner); uerr != nil && err == nil {
+			err = uerr
+		}
 	}
-	return true, f.populate(seg, owner, slot)
+	return err
 }
 
 // fetchScratch is a handle's scratch for the fetch hot path, reused across
 // batches: the queue grouped by segment (and each read's group while it is
-// being placed), the owners locked, and the arena the batch's gets land in.
-// It sits behind a pointer, made by the first fetch, to keep session — which
-// Open and newSession pass by value on every rank's stack — small.
+// being placed), the owners locked and their lock order, the segments left
+// to populate, and the arena the batch's gets land in. It sits behind a
+// pointer, made by the first fetch, to keep session — which Open and
+// newSession pass by value on every rank's stack — small.
 type fetchScratch struct {
 	grouped []readReq
 	groups  []segGroup
 	idx     []int32
 	owners  []int
+	sorted  []int
+	jobs    []popJob
 	arena   []byte
 }
 
@@ -254,35 +284,27 @@ func (f *File) groupPending() []segGroup {
 // segment's get asynchronously, then unlock — Unlock synchronizes with the
 // epoch's transfers, so the waits overlap across owners and segments.
 //
-// Every owner is locked, in first-appearance order, before any get is
-// issued. The gets land back to back, in group order, in one arena the
-// handle owns and reuses; its bytes are read only by the scatter below,
-// after the unlocks that complete them. Whatever fails, every lock taken
-// here is released before returning.
+// Every owner is locked (lockOwners) before any get is issued, and the
+// epochs close in the owners' first-appearance order. The gets land back to
+// back, in group order, in one arena the handle owns and reuses; its bytes
+// are read only by the scatter below, after the unlocks that complete them.
+// Whatever fails, every lock taken here is released before returning.
 func (f *File) fetchGets(groups []segGroup) error {
 	if len(groups) == 0 {
 		f.runPostFetch()
 		return nil
 	}
-	var err error
 	owners := f.fetch.owners[:0]
 	for _, g := range groups {
-		// At most fetchBatch groups, so the scan is short.
-		if owner, _ := f.layout.Owner(g.seg); !slices.Contains(owners, owner) {
-			if err = f.win.Lock(owner, false); err != nil {
-				break
-			}
-			owners = append(owners, owner)
-		}
+		owners = f.withOwner(owners, g.seg)
 	}
 	f.fetch.owners = owners[:0]
-	if err == nil {
-		err = f.issueGets(groups)
+	if err := f.lockOwners(owners, false); err != nil {
+		return err
 	}
-	for _, owner := range owners {
-		if uerr := f.win.Unlock(owner); uerr != nil && err == nil {
-			err = uerr
-		}
+	err := f.issueGets(groups)
+	if uerr := f.unlockOwners(owners); err == nil {
+		err = uerr
 	}
 	if err != nil {
 		return err
@@ -305,8 +327,8 @@ func (f *File) fetchGets(groups []segGroup) error {
 // issueGets issues one asynchronous indexed get per group, under the shared
 // locks fetchGets holds. The fetch arena is sized to the batch first, so
 // every get appends in place, right after the one before it. A get leaves
-// its owner when its segment has landed (l2meta.arrivalOf): the owner's
-// clock never waits for its preload, and the origin's waits only at Unlock.
+// its owner when its segment has landed (l2meta.arrivalOf): no clock waits
+// for a posted population, and the origin's waits only at Unlock.
 func (f *File) issueGets(groups []segGroup) error {
 	total := 0
 	for _, g := range groups {

@@ -2,8 +2,8 @@ package tcio
 
 // The per-file session. Until the delegation refactor, tcio.File carried a
 // one-file assumption: every piece of engine state — the level-1 buffer,
-// the level-2 window and its shared metadata, the write-behind and
-// prefetch lanes, the lazy read queue, the stats ledger — lived directly
+// the level-2 window and its shared metadata, the write-behind lane, the
+// lazy read queue, the stats ledger — lived directly
 // on the handle struct, and nothing separated "state of this open file"
 // from "state of this handle". session is that separation: one rank may
 // hold many concurrently open files, each an independent session with its
@@ -25,9 +25,9 @@ import (
 
 // session is the per-file engine state of one open TCIO file on one rank.
 // Two sessions on the same rank share nothing but the communicator: their
-// windows, drain lanes, prefetch staging, and stats ledgers are fully
-// independent, so interleaving I/O on concurrently open files cannot
-// cross-contaminate counters or staged data.
+// windows, drain lanes, staging, and stats ledgers are fully independent,
+// so interleaving I/O on concurrently open files cannot cross-contaminate
+// counters or staged data.
 type session struct {
 	c    *mpi.Comm
 	cfg  Config
@@ -81,10 +81,12 @@ type session struct {
 	wbWaited      simtime.Duration
 
 	// staging is the session's one reused staging buffer, handed out by
-	// stagingBuf: demand populations and sieves, write-behind run snapshots,
+	// stagingBuf: populations for another owner, write-behind run snapshots,
 	// journal epoch snapshots and re-faults. Plain memory, outside the
-	// simulated-memory accountant (see populate). A session stages one of
-	// them at a time, and each copies its bytes out before it returns.
+	// simulated-memory accountant (only Malloc and Reserve roll allocation
+	// faults, so staging cannot shift the per-rank fault stream). A session
+	// stages one of them at a time, and each copies its bytes out before the
+	// next.
 	staging []byte
 
 	// Journal tier (Config.Journal, write mode; DESIGN.md §2f). jw appends
@@ -103,14 +105,10 @@ type session struct {
 	budgetSegs  int
 	winReserved int64
 
-	// Prefetch lane (PrefetchSegments > 0): the in-flight lookahead, segment
-	// reads staged ahead of demand and keyed by global segment (prefetch.go).
-	prefetched map[int64]*prefetchEntry
-	pfLaneFree simtime.Time
-
-	// preloadEnd is when this rank's posted preload finishes landing in its
-	// window (preloadAll); a read handle's Close waits for it.
-	preloadEnd simtime.Time
+	// landed is when the last population this rank posted lands in its
+	// owner's window (populate); a read handle's Close waits for it, so no
+	// window is freed while a posted read is still landing in it.
+	landed simtime.Time
 
 	// Lazy read queue. pendingSeg is the most recent segment touched;
 	// pendingSwitches counts the queue's segment switches (see fetchBatch).
@@ -246,13 +244,6 @@ func newSession(c *mpi.Comm, name string, mode Mode, cfg Config) (session, error
 	// core per node (or a single rank) the predicate is false and the ship
 	// path is today's, bit for bit.
 	s.aggEnabled = cfg.NodeAggregation && c.Machine().CoresPerNode > 1 && c.Size() > 1
-	if cfg.PrefetchSegments > 0 {
-		// Plain staging memory, like populate's: the lookahead is transient
-		// library scratch, deliberately outside the simulated-memory
-		// accountant so arming prefetch cannot shift the per-rank
-		// allocation fault stream (see DESIGN.md §2b).
-		s.prefetched = make(map[int64]*prefetchEntry)
-	}
 	s.pendingSeg = -1
 	return s, nil
 }

@@ -1,9 +1,9 @@
 package tcio
 
 // Tests for the noncontiguous read engine: the sieved demand-populate
-// path, the partial-population bookkeeping, the prefetch/sieve dedupe, the
-// two-phase collective read, and the degenerate-config pin that keeps the
-// knobs-off path bit-identical to the pre-sieve library.
+// path, the partial-population bookkeeping, the two-phase collective read,
+// and the degenerate-config pin that keeps the knobs-off path bit-identical
+// to the pre-sieve library.
 
 import (
 	"bytes"
@@ -57,14 +57,14 @@ func TestL2MetaPopRuns(t *testing.T) {
 	if got := m.missingRuns(5, need); extent.Total(got) != 40 {
 		t.Fatalf("dirty run not excluded: missing %v", got)
 	}
-	m.addPopRuns(5, []extent.Extent{{Off: 0, Len: 32}}, segSize)
+	m.addPopRuns(5, []extent.Extent{{Off: 0, Len: 32}}, segSize, 0)
 	if m.isPopulated(5) {
 		t.Fatal("partial runs promoted too early")
 	}
 	if got := m.missingRuns(5, need); extent.Total(got) != 16 {
 		t.Fatalf("after partial population: missing %v", got)
 	}
-	m.addPopRuns(5, []extent.Extent{{Off: 32, Len: 32}}, segSize)
+	m.addPopRuns(5, []extent.Extent{{Off: 32, Len: 32}}, segSize, 0)
 	if !m.isPopulated(5) {
 		t.Fatal("full coverage did not promote to populated")
 	}
@@ -208,51 +208,6 @@ func TestSieveDirtyOverlapNotStale(t *testing.T) {
 				return fmt.Errorf("byte %d: got %d want %d (stale file bytes over dirty window data)",
 					i, dst[i], want)
 			}
-		}
-		return f.Close()
-	})
-}
-
-// TestPrefetchSieveDedupe is the double-charge regression: when prefetch
-// stages a whole segment and the sieve would stage runs of the same
-// segment, the staged prefetch wins — one file system read per segment,
-// every prefetch consumed, nothing counted wasted.
-func TestPrefetchSieveDedupe(t *testing.T) {
-	run(t, 1, func(c *mpi.Comm) error {
-		if err := seedReadFile(c, "sv-pf", 1024); err != nil {
-			return err
-		}
-		cfg := smallCfg()
-		cfg.DemandPopulate = true
-		cfg.SieveBuffer = 64
-		cfg.PrefetchSegments = 4
-		f, err := Open(c, "sv-pf", ReadMode, cfg)
-		if err != nil {
-			return err
-		}
-		// Forward-consecutive segments 0..7, hole-y runs in each, one batch.
-		for off := int64(0); off < 512; off += 16 {
-			if err := f.ReadAt(off, make([]byte, 8)); err != nil {
-				return err
-			}
-		}
-		if err := f.Fetch(); err != nil {
-			return err
-		}
-		st := f.Stats()
-		if st.PrefetchIssued == 0 {
-			return fmt.Errorf("lookahead never ran")
-		}
-		if st.PrefetchHits != st.PrefetchIssued {
-			return fmt.Errorf("prefetch hits %d != issued %d", st.PrefetchHits, st.PrefetchIssued)
-		}
-		if st.PrefetchWasted != 0 {
-			return fmt.Errorf("PrefetchWasted = %d: a staged segment was re-read", st.PrefetchWasted)
-		}
-		// Only segments the cache missed go through the sieve: segment 0
-		// (before any lookahead) and any past the lookahead horizon.
-		if st.SieveReads+st.PrefetchIssued < 8 || st.SieveReads >= 8 {
-			return fmt.Errorf("SieveReads=%d PrefetchIssued=%d: sieve/prefetch split off", st.SieveReads, st.PrefetchIssued)
 		}
 		return f.Close()
 	})

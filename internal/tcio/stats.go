@@ -14,7 +14,7 @@ type Stats struct {
 	Reads        int64 // application read calls
 	Level1Flush  int64 // level-1 -> level-2 shipments (one-sided puts)
 	Gets         int64 // level-2 -> application transfers (one-sided gets)
-	Populations  int64 // segments demand-populated from the file system
+	Populations  int64 // whole segments this rank read from the file system (preload or demand)
 	FSWrites     int64 // file system write requests (eager drains + Close/drain)
 	BytesWritten int64
 	BytesRead    int64
@@ -33,15 +33,6 @@ type Stats struct {
 	// rank actually paid for it (backpressure plus the final drain's
 	// synchronization) — the drain work hidden behind the application.
 	OverlapSaved simtime.Duration
-
-	// Read prefetch (Config.PrefetchSegments > 0).
-	PrefetchIssued int64 // segment reads started on the background lane
-	PrefetchHits   int64 // populations served from a staged segment
-	// PrefetchWasted counts staged segments never consumed: another rank
-	// populated the segment before this rank's Fetch step reached it. Each
-	// is a real file system read the demand path would not have issued (see
-	// DESIGN.md §2b).
-	PrefetchWasted int64
 
 	// Noncontiguous read engine (Config.SieveBuffer / CollectiveRead).
 	// SieveReads counts covering reads issued by the data sieve; each

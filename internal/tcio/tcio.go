@@ -117,7 +117,8 @@ type Config struct {
 	// file system (the paper's aggregators acting "as I/O delegators to
 	// move the data from files to their temporary buffers"). With
 	// DemandPopulate, segments are instead loaded lazily by the first
-	// rank that fetches from them, under the exclusive window lock.
+	// rank that fetches from them: a fetch posts its batch's missing
+	// segments at once, under their owners' exclusive window locks.
 	DemandPopulate bool
 	// WriteBehindThreshold arms the eager background drain: once the
 	// not-yet-drained runs of a level-2 segment cover at least this
@@ -146,20 +147,8 @@ type Config struct {
 	// needs them, so datasets larger than memory complete where a purely
 	// in-memory collective buffer would exhaust its share. A non-zero
 	// budget implies Journal (the spill tier is meaningless without the
-	// epoch log) and shrinks PrefetchSegments to fit.
-	// 0 disables the budget (the default).
+	// epoch log). 0 disables the budget (the default).
 	SegmentMemoryBudget int64
-	// PrefetchSegments makes the demand-populate read path look ahead:
-	// when Fetch walks forward-consecutive segments, up to this many
-	// upcoming segment reads are issued on a background lane so the file
-	// system time hides behind the window traffic. Only segments the batch
-	// already demands are read — never speculative ones — so when ranks
-	// read disjoint regions the per-rank request stream is unchanged.
-	// When ranks contend for the same segments a prefetched read can be
-	// wasted (another rank populates the segment first), which the demand
-	// path would not have issued — see Stats.PrefetchWasted and DESIGN.md
-	// §2b. 0 disables prefetch (the default).
-	PrefetchSegments int
 	// SieveBuffer arms data sieving on the demand-populate read path: with
 	// DemandPopulate set, Fetch stages only the runs the queued reads
 	// actually need instead of whole level-2 segments, grouping nearby runs
@@ -336,8 +325,8 @@ func (f *File) Flush() error {
 // level-1 buffers are drained, all ranks synchronize, and each rank writes
 // its own populated level-2 segments to the file system as large aligned
 // requests; in read mode any still-pending lazy reads are fetched first, and
-// the rank waits for its own preload to finish landing before its window is
-// freed.
+// the rank waits for every population it posted to land before any window
+// is freed.
 func (f *File) Close() error {
 	if f.closed {
 		return ErrClosed
@@ -361,7 +350,7 @@ func (f *File) Close() error {
 		}
 	case ReadMode:
 		opErr = f.Fetch()
-		f.c.AdvanceTo(f.preloadEnd)
+		f.c.AdvanceTo(f.landed)
 	}
 	if err := f.c.Barrier(); err != nil {
 		return err

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"github.com/tcio/tcio/internal/cluster"
@@ -354,6 +355,54 @@ func TestReadTypedShortDestination(t *testing.T) {
 		}
 		return nil
 	})
+}
+
+// TestNegativeCountRejected: a negative element count is an error from
+// every typed entry point, never a makeslice panic.
+func TestNegativeCountRejected(t *testing.T) {
+	empty, err := datatype.Contiguous(0, datatype.Int) // no bytes: any count "fits"
+	if err != nil {
+		t.Fatal(err)
+	}
+	run(t, 1, func(c *mpi.Comm) error {
+		w, err := Open(c, "negcount-w", WriteMode, smallCfg())
+		if err != nil {
+			return err
+		}
+		defer w.Close()
+		r, err := Open(c, "negcount-r", ReadMode, smallCfg())
+		if err != nil {
+			return err
+		}
+		defer r.Close()
+		mem := make([]byte, 64)
+		for _, tc := range []struct {
+			name string
+			call func() error
+		}{
+			{"Pack", func() error { _, err := datatype.Pack(mem, datatype.Int, -1); return err }},
+			{"Unpack", func() error { return datatype.Unpack(nil, mem, empty, -1) }},
+			{"WriteTyped", func() error { return w.WriteTyped(mem, -1, datatype.Int) }},
+			{"ReadTyped", func() error { return r.ReadTyped(mem, -1, datatype.Int) }},
+		} {
+			if err := recovered(tc.call); err == nil {
+				t.Errorf("%s accepted a count of -1", tc.name)
+			} else if msg := err.Error(); strings.HasPrefix(msg, "panic") {
+				t.Errorf("%s: %s", tc.name, msg)
+			}
+		}
+		return nil
+	})
+}
+
+// recovered runs call and turns a panic into an error that says so.
+func recovered(call func() error) (err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("panic: %v", p)
+		}
+	}()
+	return call()
 }
 
 func TestTraceRecordsLibraryActivity(t *testing.T) {
