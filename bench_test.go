@@ -248,23 +248,6 @@ func BenchmarkAblationPopulate(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationOneSided compares TCIO's one-sided transfers against an
-// emulation that charges two-sided messaging costs for the same traffic.
-func BenchmarkAblationOneSided(b *testing.B) {
-	for _, twoSided := range []bool{false, true} {
-		name := "oneSided"
-		if twoSided {
-			name = "twoSided"
-		}
-		b.Run(name, func(b *testing.B) {
-			w, _ := syntheticPoint(b, bench.MethodTCIO, 16, 1024, 256, func(cfg *bench.SyntheticConfig) {
-				cfg.EmulateTwoSided = twoSided
-			})
-			b.ReportMetric(w, "simMB/s")
-		})
-	}
-}
-
 // --- Run-list hot path (results/design-history.md, "View cursor / run-list hot path") ---
 
 // benchSink keeps the measured calls' results live.

@@ -3,7 +3,7 @@
 // flags are generated from the sweep table in internal/bench: run it with
 // -h for the list, which says per sweep whether -all includes it. Every
 // sweep named runs; -chaos beside a sweep that has a deterministic
-// projection (-overlap, -nodeagg, -sieve, -delegate) prints that counts-only
+// projection (-overlap, -sieve, -delegate) prints that counts-only
 // table instead; -json FILE collects every sweep's rows in one document;
 // -conform runs the randomized differential conformance sweep.
 //

@@ -56,11 +56,29 @@ func readJSON(t *testing.T, args ...string) document {
 	return doc
 }
 
+// TestBadCountIsAnError: a -chaos-procs of zero or below used to exit 0
+// with every row failed, and -conform -progs of zero or below reported
+// success with nothing checked.
+func TestBadCountIsAnError(t *testing.T) {
+	for _, args := range [][]string{
+		{"-chaos", "-chaos-procs", "0"},
+		{"-chaos", "-chaos-procs", "-3"},
+		{"-conform", "-progs", "0"},
+		{"-conform", "-progs", "-5"},
+	} {
+		code, stdout, stderr := tciobench(append(args, "-quiet")...)
+		if code == 0 || !strings.Contains(stderr, args[2]) {
+			t.Errorf("tciobench %v: exit %d, stdout %q, stderr %q; want a non-zero exit naming %s",
+				args, code, stdout, stderr, args[2])
+		}
+	}
+}
+
 // TestJSONKeepsEverySweep: each sweep used to overwrite the -json file, so
 // only the last one's report survived.
 func TestJSONKeepsEverySweep(t *testing.T) {
-	doc := readJSON(t, "-nodeagg", "-sieve")
-	if len(doc.Sweeps) != 2 || doc.Sweeps[0].Name != "nodeagg" || doc.Sweeps[1].Name != "sieve" {
+	doc := readJSON(t, "-overlap", "-sieve", "-len-real", "512")
+	if len(doc.Sweeps) != 2 || doc.Sweeps[0].Name != "overlap" || doc.Sweeps[1].Name != "sieve" {
 		t.Fatalf("entries: %+v", doc.Sweeps)
 	}
 	for _, s := range doc.Sweeps {

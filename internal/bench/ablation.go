@@ -24,8 +24,6 @@ func ablationVariants() []ablationVariant {
 			func(c *SyntheticConfig) { c.SegmentSizeMultiplier = 4 }},
 		{"demand populate", "the first fetch of a segment posts its load",
 			func(c *SyntheticConfig) { c.DemandPopulate = true }},
-		{"two-sided transfers", "exchange charged as matched send/recv",
-			func(c *SyntheticConfig) { c.EmulateTwoSided = true }},
 	}
 }
 

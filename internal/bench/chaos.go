@@ -47,6 +47,12 @@ func chaosSweep(g *chaosGeometry) *Sweep {
 		InAll:  true,
 		Flags:  []Flag{{"chaos-procs", "process count for -chaos", &g.Procs}},
 		Params: g,
+		Validate: func() error {
+			if g.Procs < 1 {
+				return fmt.Errorf("bench: -chaos-procs %d", g.Procs)
+			}
+			return nil
+		},
 		Points: func(bool) []any {
 			return grid2(g.Rates, []Method{MethodTCIO, MethodOCIO},
 				func(rate float64, m Method) any { return chaosPoint{Rate: rate, Method: m} })

@@ -25,7 +25,6 @@ func Tciobench(fs *flag.FlagSet) *CLI {
 		ablationSweep(defaultAblation()),
 		chaosSweep(defaultChaos()),
 		overlapSweep(defaultOverlap()),
-		nodeAggSweep(defaultNodeAgg()),
 		sieveSweep(defaultSieve()),
 		delegateSweep(defaultDelegate()),
 		delegateReadSweep(defaultDelegateRead()),

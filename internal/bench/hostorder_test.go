@@ -45,7 +45,7 @@ const (
 // touchSites are the gates production code passes: mpi's own and
 // storage.Client's. Some program must reach each one.
 var touchSites = []string{
-	"send", "recv", "tryrecv", "lock", "put", "get", "intranode", "collect", "alloc", "free",
+	"send", "recv", "tryrecv", "lock", "put", "get", "collect", "alloc", "free",
 	"fs.read", "fs.write", "fs.truncate",
 }
 
@@ -121,8 +121,7 @@ func ratchetPrograms() []ratchetProgram {
 		sweep func() *Sweep
 		opts  Options
 	}{
-		{"overlap", func() *Sweep { return overlapSweep(overlapTestOpts()) }, Options{Seed: 7, LenReal: overlapTestLenReal}},
-		{"nodeagg", func() *Sweep { return nodeAggSweep(defaultNodeAgg()) }, Options{Seed: 7}},
+		{"overlap", func() *Sweep { return overlapSweep(defaultOverlap()) }, Options{Seed: 7, LenReal: overlapTestLenReal}},
 		{"sieve", func() *Sweep { return sieveSweep(smallSieveOpts()) }, Options{Seed: 7}},
 		{"delegate", func() *Sweep { return delegateSweep(smallDelegateOpts()) }, Options{Seed: 7}},
 	} {

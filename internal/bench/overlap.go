@@ -3,7 +3,7 @@ package bench
 // This file declares the overlap sweep: the TCIO workload run on a
 // multi-OST stripe while the write-behind pipeline varies, plus a demand
 // read. The write side is the paper's interleaved workload with
-// tcio.Config.WriteBehindThreshold swept against the synchronous baseline;
+// tcio.Config.WriteBehind on against the synchronous baseline;
 // the read side is a contiguous-partition sequential read (each rank scans
 // its own 1/P of the file, so every segment is demand-populated by exactly
 // one, deterministic, rank, and a fetch posts its batch's segments at once).
@@ -17,28 +17,17 @@ import (
 	"github.com/tcio/tcio/internal/tcio"
 )
 
-// overlapGeometry configures the overlap sweep.
-type overlapGeometry struct {
-	synthGeometry
-	// Thresholds lists the WriteBehindThreshold settings to sweep
-	// (0 = synchronous baseline).
-	Thresholds []float64
-}
-
-// defaultOverlap sweeps write-behind thresholds 0/0.5/1, then reads, over a
+// defaultOverlap writes with write-behind off and on, then reads, over a
 // 7-way striped file with 16 processes.
-func defaultOverlap() *overlapGeometry {
-	return &overlapGeometry{
-		synthGeometry: synthGeometry{Procs: 16, StripeCount: 7, LenSim: 4 << 20},
-		Thresholds:    []float64{0, 0.5, 1},
-	}
+func defaultOverlap() *synthGeometry {
+	return &synthGeometry{Procs: 16, StripeCount: 7, LenSim: 4 << 20}
 }
 
-// overlapSetting is one row's setting: a write-behind threshold on the
-// write side; the read side is one row.
+// overlapSetting is one row's setting: write-behind off or on on the write
+// side; the read side is one row.
 type overlapSetting struct {
-	Write     bool
-	Threshold float64
+	Write       bool
+	WriteBehind bool
 }
 
 // overlapPhases is the number of barrier-separated phases of the write
@@ -75,9 +64,9 @@ func expectedImage(cfg SyntheticConfig) []byte {
 	return img
 }
 
-// overlapWrite runs the interleaved write workload at one write-behind
-// threshold and cross-checks the file image against the ground truth.
-func overlapWrite(env *Env, cfg SyntheticConfig, threshold float64) PhaseResult {
+// overlapWrite runs the interleaved write workload with write-behind off or
+// on and cross-checks the file image against the ground truth.
+func overlapWrite(env *Env, cfg SyntheticConfig, writeBehind bool) PhaseResult {
 	env.FS.Reset()
 	pr := env.Run(cfg.Procs, cfg.FileBytes()*env.Scale, func(c *mpi.Comm, t *Tally) error {
 		arrays, err := makeArrays(c, cfg, true)
@@ -86,7 +75,7 @@ func overlapWrite(env *Env, cfg SyntheticConfig, threshold float64) PhaseResult 
 			return err
 		}
 		tc := tcioConfigFor(c, cfg)
-		tc.WriteBehindThreshold = threshold
+		tc.WriteBehind = writeBehind
 		handle, err := tcio.Open(c, cfg.FileName, tcio.WriteMode, tc)
 		if err != nil {
 			return err
@@ -150,15 +139,14 @@ func overlapRead(env *Env, cfg SyntheticConfig) PhaseResult {
 }
 
 // overlapSweep tabulates both sides. The write table compares write-behind
-// thresholds against the synchronous baseline; the read table is the
-// demand read, every fetch batch's populations posted at once.
+// against the synchronous baseline; the read table is the demand read,
+// every fetch batch's populations posted at once.
 //
 // The projection leaves out virtual times, eager-drain tallies, and overlap
 // savings: they depend on scheduler interleaving; the request stream's
-// identity (and hence every count it keeps) does not. Its write side pins
-// thresholds 0 and 1 — the two settings whose file system request identity
-// is provably bit-identical.
-func overlapSweep(g *overlapGeometry) *Sweep {
+// identity (and hence every count it keeps) does not. Both write settings
+// issue a provably bit-identical file system request identity.
+func overlapSweep(g *synthGeometry) *Sweep {
 	at := func(r *Row) overlapSetting { return r.Point.(overlapSetting) }
 	phase := det("phase", "phase", func(r *Row) any { return pick(at(r).Write, "write", "read") })
 	return &Sweep{
@@ -168,25 +156,17 @@ func overlapSweep(g *overlapGeometry) *Sweep {
 		Params: g,
 		// Each point runs in its own environment; the read reads one file
 		// written with the synchronous baseline.
-		Points: func(chaos bool) []any {
-			thresholds := g.Thresholds
-			if chaos {
-				thresholds = []float64{0, 1}
-			}
-			var pts []any
-			for _, th := range thresholds {
-				pts = append(pts, overlapSetting{Write: true, Threshold: th})
-			}
-			return append(pts, overlapSetting{})
+		Points: func(bool) []any {
+			return []any{overlapSetting{Write: true}, overlapSetting{Write: true, WriteBehind: true}, overlapSetting{}}
 		},
 		Env: g.env,
 		Run: func(env *Env, pt any) ([]Row, error) {
 			s := pt.(overlapSetting)
 			cfg := g.config(env, MethodTCIO, "overlap")
 			if s.Write {
-				return []Row{{Point: s, PhaseResult: overlapWrite(env, cfg, s.Threshold)}}, nil
+				return []Row{{Point: s, PhaseResult: overlapWrite(env, cfg, s.WriteBehind)}}, nil
 			}
-			if pr := overlapWrite(env, cfg, 0); pr.Failed {
+			if pr := overlapWrite(env, cfg, false); pr.Failed {
 				return nil, fmt.Errorf("read-side write failed: %s", pr.FailReason)
 			}
 			return []Row{{Point: s, PhaseResult: overlapRead(env, cfg)}}, nil
@@ -197,9 +177,9 @@ func overlapSweep(g *overlapGeometry) *Sweep {
 				Title: "Overlap: eager write-behind, " + shape,
 				Where: func(r *Row) bool { return at(r).Write },
 				Columns: []Column{
-					{Header: "wb-threshold", Key: "write_behind_threshold", Det: true,
-						Value: func(r *Row) any { return at(r).Threshold },
-						Cell:  func(r *Row) string { return fmt.Sprintf("%.2f", at(r).Threshold) }},
+					{Header: "write-behind", Key: "write_behind", Det: true,
+						Value: func(r *Row) any { return at(r).WriteBehind },
+						Cell:  func(r *Row) string { return pick(at(r).WriteBehind, "on", "off") }},
 					colTime.as("write-time"), colMBs.as("write-MB/s"),
 					host("eager-drains", "eager_drains", func(r *Row) any { return r.TCIO.EagerDrains }, nil),
 					host("eager-writes", "eager_write_requests", func(r *Row) any { return r.TCIO.EagerWrites }, nil),
@@ -221,7 +201,7 @@ func overlapSweep(g *overlapGeometry) *Sweep {
 			Columns: []Column{
 				phase,
 				det("setting", "", func(r *Row) any {
-					return pick(at(r).Write, fmt.Sprintf("wb-threshold=%.0f", at(r).Threshold), "demand")
+					return pick(at(r).Write, pick(at(r).WriteBehind, "write-behind=1", "write-behind=0"), "demand")
 				}),
 				colInjected, colFSRetries, colFSWrites, colFSReads,
 				colPopulations, colAllocRetries, colResult,

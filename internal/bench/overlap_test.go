@@ -8,17 +8,11 @@ import (
 	"testing"
 )
 
-func overlapTestOpts() *overlapGeometry {
-	opts := defaultOverlap()
-	opts.Thresholds = []float64{0, 1}
-	return opts
-}
-
 // overlapTestLenReal is the miniature's materialized LENarray.
 const overlapTestLenReal = 256
 
 // overlapSides runs the clean sweep and splits its rows by side.
-func overlapSides(t *testing.T, opts *overlapGeometry) (write, read []Row) {
+func overlapSides(t *testing.T, opts *synthGeometry) (write, read []Row) {
 	t.Helper()
 	rep, err := Run(overlapSweep(opts), Options{LenReal: overlapTestLenReal})
 	if err != nil {
@@ -42,7 +36,7 @@ func overlapSides(t *testing.T, opts *overlapGeometry) (write, read []Row) {
 }
 
 // overlapChaosRows runs the sweep's projection and returns the table.
-func overlapChaosRows(t *testing.T, opts *overlapGeometry, seed int64) [][]string {
+func overlapChaosRows(t *testing.T, opts *synthGeometry, seed int64) [][]string {
 	t.Helper()
 	rep, err := Run(overlapSweep(opts), Options{LenReal: overlapTestLenReal, Seed: seed, Chaos: true})
 	if err != nil {
@@ -52,10 +46,10 @@ func overlapChaosRows(t *testing.T, opts *overlapGeometry, seed int64) [][]strin
 }
 
 func TestOverlapSweep(t *testing.T) {
-	opts := overlapTestOpts()
+	opts := defaultOverlap()
 	write, read := overlapSides(t, opts)
 	sync, eager := write[0], write[1]
-	// Threshold 1 coalesces each segment exactly as the final drain would,
+	// Write-behind coalesces each segment exactly as the final drain would,
 	// so the request count must match the synchronous baseline...
 	if sync.FS.Writes != eager.FS.Writes {
 		t.Fatalf("fs writes differ: sync %d, eager %d", sync.FS.Writes, eager.FS.Writes)
@@ -69,7 +63,7 @@ func TestOverlapSweep(t *testing.T) {
 			sync.Time, eager.Time, eager.TCIO.EagerDrains)
 	}
 	if eager.TCIO.EagerDrains == 0 {
-		t.Fatal("threshold 1 triggered no eager drains")
+		t.Fatal("write-behind triggered no eager drains")
 	}
 	// The demand read reads every segment exactly once: whichever rank
 	// fetches a segment first posts it.
@@ -106,11 +100,11 @@ const (
 )
 
 // TestOverlapChaosSettingInvariant reads the invariance off a single table:
-// the write rows (thresholds 0 and 1) must agree on every fault and request
+// the write rows (write-behind off and on) must agree on every fault and request
 // count — write-behind changes when requests happen, never which requests
 // happen — and the demand read populates each segment it reads once.
 func TestOverlapChaosSettingInvariant(t *testing.T) {
-	rows := overlapChaosRows(t, overlapTestOpts(), 3)
+	rows := overlapChaosRows(t, defaultOverlap(), 3)
 	if len(rows) != 3 {
 		t.Fatalf("chaos table has %d rows, want 3", len(rows))
 	}

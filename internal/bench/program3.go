@@ -28,11 +28,10 @@ func tcioConfigFor(c *mpi.Comm, cfg SyntheticConfig) tcio.Config {
 		perRank = 1
 	}
 	return tcio.Config{
-		SegmentSize:     segSize,
-		NumSegments:     int(perRank),
-		DisableLevel1:   cfg.Level1Disabled,
-		DemandPopulate:  cfg.DemandPopulate,
-		EmulateTwoSided: cfg.EmulateTwoSided,
+		SegmentSize:    segSize,
+		NumSegments:    int(perRank),
+		DisableLevel1:  cfg.Level1Disabled,
+		DemandPopulate: cfg.DemandPopulate,
 	}
 }
 

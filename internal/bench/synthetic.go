@@ -68,7 +68,6 @@ type SyntheticConfig struct {
 	// corresponding tcio.Config switches).
 	Level1Disabled        bool
 	DemandPopulate        bool
-	EmulateTwoSided       bool
 	SegmentSizeMultiplier float64 // level-2 segment size relative to the stripe (0 = 1)
 }
 

@@ -93,20 +93,6 @@ func (m Machine) NodeRankRange(node, nprocs int) (lo, hi int) {
 	return lo, hi
 }
 
-// NodeLeader elects the rank on node that acts on the node's behalf for the
-// entity identified by key (for example a destination segment index). The
-// election is a pure function of the placement and the key, so every rank
-// computes the same leader without communicating, and spreading keys across
-// the node's ranks keeps one rank from serializing all combined traffic.
-func (m Machine) NodeLeader(node, nprocs int, key int64) int {
-	lo, hi := m.NodeRankRange(node, nprocs)
-	n := hi - lo
-	if n <= 1 {
-		return lo
-	}
-	return lo + int(((key%int64(n))+int64(n))%int64(n))
-}
-
 // SpreadServers picks which ranks of an nprocs-rank job become dedicated
 // I/O delegation servers, spreading them across the job's nodes so server
 // traffic does not concentrate on one node's link. Server j prefers the

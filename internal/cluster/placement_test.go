@@ -31,46 +31,3 @@ func TestNodeRankRangePartition(t *testing.T) {
 		}
 	}
 }
-
-// TestNodeLeaderDeterministicInRange checks that the leader election is a
-// pure function of placement and key, always lands on the node it serves,
-// and spreads distinct keys across the node's ranks.
-func TestNodeLeaderDeterministicInRange(t *testing.T) {
-	m := Lonestar()
-	for _, cores := range []int{1, 2, 4, 12} {
-		m.CoresPerNode = cores
-		nprocs := 3*cores + 1 // last node partially filled
-		for node := 0; node < m.NodesFor(nprocs); node++ {
-			lo, hi := m.NodeRankRange(node, nprocs)
-			hit := make(map[int]bool)
-			for key := int64(-5); key < 40; key++ {
-				leader := m.NodeLeader(node, nprocs, key)
-				if leader < lo || leader >= hi {
-					t.Fatalf("cores=%d node=%d key=%d: leader %d outside [%d,%d)",
-						cores, node, key, leader, lo, hi)
-				}
-				if again := m.NodeLeader(node, nprocs, key); again != leader {
-					t.Fatalf("cores=%d node=%d key=%d: leader %d then %d", cores, node, key, leader, again)
-				}
-				hit[leader] = true
-			}
-			if hi-lo > 1 && len(hit) != hi-lo {
-				t.Fatalf("cores=%d node=%d: keys hit %d of %d ranks", cores, node, len(hit), hi-lo)
-			}
-		}
-	}
-}
-
-// TestNodeLeaderSingleCore pins the degenerate machine: with one rank per
-// node every rank leads its own node for every key.
-func TestNodeLeaderSingleCore(t *testing.T) {
-	m := Lonestar()
-	m.CoresPerNode = 1
-	for rank := 0; rank < 8; rank++ {
-		for key := int64(0); key < 10; key++ {
-			if got := m.NodeLeader(m.NodeOf(rank), 8, key); got != rank {
-				t.Fatalf("rank %d key %d: leader %d", rank, key, got)
-			}
-		}
-	}
-}

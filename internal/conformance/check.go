@@ -138,13 +138,9 @@ func (o *Outcome) checkTCIOStats(p *Program, run *engineRun) {
 				o.diverge("tcio", "stats", "rank %d ledger: EagerWrites %d + FlushResidue %d != FSWrites %d",
 					rank, s.EagerWrites, s.FlushResidue, s.FSWrites)
 			}
-			if p.Knobs.WriteBehindThreshold == 0 && (s.EagerDrains != 0 || s.EagerWrites != 0) {
+			if !p.Knobs.WriteBehind && (s.EagerDrains != 0 || s.EagerWrites != 0) {
 				o.diverge("tcio", "stats", "rank %d eager-drained %d batches with write-behind disarmed",
 					rank, s.EagerDrains)
-			}
-			if !p.Knobs.NodeAggregation && (s.NodeCombines != 0 || s.InterNodePutsSaved != 0) {
-				o.diverge("tcio", "stats", "rank %d combined %d puts (saved %d) with node aggregation disarmed",
-					rank, s.NodeCombines, s.InterNodePutsSaved)
 			}
 			journalArmed := p.Knobs.Journal || p.Knobs.SegmentMemoryBudget > 0
 			if !journalArmed && (s.JournalEpochs != 0 || s.JournalAppends != 0 ||
@@ -317,24 +313,13 @@ func (p *Program) summarize(tc, oc, va *engineRun, dl *delegateRun, cr *crashRun
 	}
 	fmt.Fprintf(&b, " tcio[fs=%d pop=%d ret=%d inj=%s%s]",
 		fsw, pops, tc.retries, orDash(tc.injected), phaseMark(tc))
-	if p.Knobs.WriteBehindThreshold > 0 {
+	if p.Knobs.WriteBehind {
 		var eager, residue int64
 		for _, s := range tc.wStats {
 			eager += s.EagerWrites
 			residue += s.FlushResidue
 		}
 		fmt.Fprintf(&b, " wb[eager=%d residue=%d]", eager, residue)
-	}
-	if p.Knobs.NodeAggregation {
-		// Combine counts are a pure function of the program (leaders are
-		// elected deterministically, deposits complete before every sweep),
-		// so they belong in the diffable fingerprint.
-		var comb, saved int64
-		for _, s := range tc.wStats {
-			comb += s.NodeCombines
-			saved += s.InterNodePutsSaved
-		}
-		fmt.Fprintf(&b, " agg[cores=%d comb=%d saved=%d]", p.Knobs.CoresPerNode, comb, saved)
 	}
 	if p.Knobs.SieveBuffer > 0 || p.Knobs.CollectiveRead {
 		// Exchange counts are collective structure (one per round plus

@@ -20,6 +20,9 @@ const shrinkBudget = 150
 // reports the number of divergent programs. corpusDir, when non-empty,
 // receives the shrunk repro of every divergence.
 func RunSweep(w io.Writer, baseSeed int64, progs int, corpusDir string) (int, error) {
+	if progs < 1 {
+		return 0, fmt.Errorf("conformance: %d programs", progs)
+	}
 	failures := 0
 	for i := 0; i < progs; i++ {
 		seed := baseSeed + int64(i)

@@ -100,18 +100,16 @@ func (p *Program) machine() cluster.Machine {
 func (p *Program) tcioConfig(rec *trace.Recorder) tcio.Config {
 	k := p.Knobs
 	return tcio.Config{
-		SegmentSize:          p.SegmentSize,
-		NumSegments:          p.NumSegments,
-		DisableLevel1:        k.DisableLevel1,
-		DemandPopulate:       k.DemandPopulate,
-		WriteBehindThreshold: k.WriteBehindThreshold,
-		SieveBuffer:          k.SieveBuffer,
-		CollectiveRead:       k.CollectiveRead,
-		EmulateTwoSided:      k.EmulateTwoSided,
-		NodeAggregation:      k.NodeAggregation,
-		Journal:              k.Journal,
-		SegmentMemoryBudget:  k.SegmentMemoryBudget,
-		Trace:                rec,
+		SegmentSize:         p.SegmentSize,
+		NumSegments:         p.NumSegments,
+		DisableLevel1:       k.DisableLevel1,
+		DemandPopulate:      k.DemandPopulate,
+		WriteBehind:         k.WriteBehind,
+		SieveBuffer:         k.SieveBuffer,
+		CollectiveRead:      k.CollectiveRead,
+		Journal:             k.Journal,
+		SegmentMemoryBudget: k.SegmentMemoryBudget,
+		Trace:               rec,
 	}
 }
 

@@ -12,8 +12,8 @@ package conformance
 //	          segments (the configuration whose eager/residue counters
 //	          are scheduling-independent; see DESIGN.md §5e).
 //	class 3 — chaos: OST and one-sided put fault rules armed.
-//	class 4 — node aggregation: several ranks per node, co-located
-//	          ranks' shipments merged by per-segment node leaders.
+//	class 4 — multi-core placement: several ranks per node, so
+//	          co-located ranks share a NIC and a memory share.
 //	class 5 — noncontiguous read engine: read-heavy interleaved rounds
 //	          with holes, sweeping the sieve budget (list I/O through
 //	          whole-segment covers) and the two-phase collective read.
@@ -92,9 +92,7 @@ func genKnobs(rng *rand.Rand, class int, seed, segSize int64) Knobs {
 	rng.Intn(3) // retired FetchBatch, discarded likewise
 	rng.Intn(3) // retired PipelineDepth, discarded likewise
 	k.Sieving = rng.Intn(2) == 0
-	if rng.Intn(4) == 0 {
-		k.EmulateTwoSided = true
-	}
+	rng.Intn(4)                 // retired EmulateTwoSided, discarded likewise
 	k.Aggregators = rng.Intn(3) // clamped to Procs by the engine driver
 	switch class {
 	case 1: // demand-populate
@@ -103,7 +101,8 @@ func genKnobs(rng *rand.Rand, class int, seed, segSize int64) Knobs {
 		rng.Intn(4)
 		rng.Intn(3)
 	case 2: // write-behind (rank-aligned territory, see genTerritory)
-		k.WriteBehindThreshold = []float64{1, 0.5, 0.25}[rng.Intn(3)]
+		k.WriteBehind = true
+		rng.Intn(3) // the retired threshold draw, discarded
 		rng.Intn(3) // the retired WriteBehindQueue draw, discarded
 	case 3: // chaos
 		k.ChaosSeed = seed
@@ -117,9 +116,8 @@ func genKnobs(rng *rand.Rand, class int, seed, segSize int64) Knobs {
 		if k.OSTWriteProb == 0 && k.OSTReadProb == 0 && k.WinPutProb == 0 {
 			k.OSTWriteProb = 0.05
 		}
-	case 4: // node aggregation (block-cyclic territory interleaves ranks
-		// within segments, so co-located ranks' runs genuinely merge)
-		k.NodeAggregation = true
+	case 4: // multi-core placement (block-cyclic territory interleaves
+		// co-located ranks within segments)
 		k.CoresPerNode = []int{1, 2, 3, 4}[rng.Intn(4)]
 		if rng.Intn(3) == 0 {
 			k.DemandPopulate = true

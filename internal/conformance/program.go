@@ -53,16 +53,14 @@ type Round struct {
 // three engines plus the chaos rules.
 type Knobs struct {
 	// TCIO configuration (see tcio.Config).
-	DisableLevel1        bool    `json:"disable_level1,omitempty"`
-	DemandPopulate       bool    `json:"demand_populate,omitempty"`
-	WriteBehindThreshold float64 `json:"write_behind_threshold,omitempty"`
-	SieveBuffer          int64   `json:"sieve_buffer,omitempty"`
-	CollectiveRead       bool    `json:"collective_read,omitempty"`
-	EmulateTwoSided      bool    `json:"emulate_two_sided,omitempty"`
-	NodeAggregation      bool    `json:"node_aggregation,omitempty"`
+	DisableLevel1  bool  `json:"disable_level1,omitempty"`
+	DemandPopulate bool  `json:"demand_populate,omitempty"`
+	WriteBehind    bool  `json:"write_behind,omitempty"`
+	SieveBuffer    int64 `json:"sieve_buffer,omitempty"`
+	CollectiveRead bool  `json:"collective_read,omitempty"`
 	// CoresPerNode overrides the simulated machine's rank placement
 	// (0 = the default testbed). Class 4 draws small values so several
-	// ranks share a node and the intra-node aggregation path is exercised.
+	// ranks share a node.
 	CoresPerNode int `json:"cores_per_node,omitempty"`
 
 	// Delegation tier (class 6). Files > 0 additionally routes the program
@@ -230,11 +228,11 @@ func (p *Program) Validate() error {
 		return fmt.Errorf("conformance: negative harness knob: %+v", p.Knobs)
 	case p.Knobs.CrashKills > 0 && !p.Knobs.Journal:
 		return fmt.Errorf("conformance: %d crash kills without journal", p.Knobs.CrashKills)
-	case p.Knobs.CrashKills > 0 && (p.Knobs.ServerRanks > 0 || p.Knobs.WriteBehindThreshold > 0):
+	case p.Knobs.CrashKills > 0 && (p.Knobs.ServerRanks > 0 || p.Knobs.WriteBehind):
 		// The committed-prefix crash model assumes no data-file store starts
 		// before every journal epoch commits: delegation re-times stores and
 		// write-behind drains eagerly, so both are out of scope for kills.
-		return fmt.Errorf("conformance: crash kills with delegation or write-behind: %+v", p.Knobs)
+		return fmt.Errorf("conformance: %d crash kills with delegation or write-behind", p.Knobs.CrashKills)
 	}
 	// Which library knob values are legal is the libraries' call: normalize
 	// the very configurations the engines open with, and report their error.

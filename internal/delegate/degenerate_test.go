@@ -30,7 +30,7 @@ func degenerateRun(t *testing.T, viaTier, overlap bool) (mpi.Report, []byte, []t
 		Trace: rec,
 	}
 	if overlap {
-		tcfg.WriteBehindThreshold = 0.5
+		tcfg.WriteBehind = true
 	}
 	stats := make([]tcio.Stats, procs)
 

@@ -124,10 +124,13 @@ func TestCloseKillPointMatrix(t *testing.T) {
 		// one-sided put epoch.
 		{"direct-ship", faults.SiteWinPut, 0.3, 0,
 			func(c *tcio.Config) { c.DisableLevel1 = true }},
-		// Eager drain: write-behind pushes threshold-full segments to the
-		// file system mid-stream, on the background lane.
+		// Eager drain: write-behind pushes fully covered segments to the
+		// file system mid-stream, on the background lane. Segments of one
+		// piece are each written by their owner alone, so every ship covers
+		// one and its drain follows at once: no peer's timing decides
+		// which drain a fault lands in.
 		{"eager-drain", faults.SiteOSTWrite, 0.5, 0,
-			func(c *tcio.Config) { c.WriteBehindThreshold = 0.25 }},
+			func(c *tcio.Config) { c.WriteBehind, c.SegmentSize = true, closeChaosPiece }},
 		// Final drain: the only OST writes happen inside Close.
 		{"final-drain", faults.SiteOSTWrite, 0.5, 0, nil},
 		// Journal truncate: the session is clean until the control RPC that

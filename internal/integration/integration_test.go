@@ -326,7 +326,7 @@ func TestOverlappingWritersDrainDisjointBatches(t *testing.T) {
 		servers int
 	}{
 		{name: "drain", cfg: tcio.Config{SegmentSize: 64, NumSegments: 4}},
-		{name: "write-behind", cfg: tcio.Config{SegmentSize: 64, NumSegments: 4, WriteBehindThreshold: 0.25}},
+		{name: "write-behind", cfg: tcio.Config{SegmentSize: 64, NumSegments: 4, WriteBehind: true}},
 		{name: "journal", cfg: tcio.Config{SegmentSize: 64, NumSegments: 4, Journal: true}},
 		{name: "delegate", cfg: tcio.Config{SegmentSize: 64, NumSegments: 4}, servers: 1},
 	} {

@@ -14,9 +14,7 @@ import (
 // windows, MPI_Win_lock / MPI_Win_unlock, MPI_Put / MPI_Get, and the
 // indexed-datatype transfers TCIO uses to ship a whole level-1 buffer in a
 // single network operation (§IV.A: "We use MPI_Type_indexed to combine
-// multiple data blocks as one derived data type instance") — a node
-// leader's combined put included — plus the intra-node handoff that gets
-// co-located ranks' runs to that leader.
+// multiple data blocks as one derived data type instance").
 //
 // The paper deliberately avoids MPI_Win_fence (a collective that would
 // break TCIO's fully independent I/O calls) in favour of the lock-request
@@ -116,15 +114,8 @@ type Win struct {
 	held map[int]*heldLock
 	// free holds the records of closed epochs: Lock reuses one instead of
 	// allocating, so a warm handle opens and closes epochs allocation-free.
-	free  []*heldLock
-	class netsim.Class
+	free []*heldLock
 }
-
-// SetClass overrides the network message class used by this handle's puts
-// and gets. The default is OneSided (RDMA); forcing TwoSided charges each
-// transfer the send/receive matching costs instead — the ablation isolating
-// the paper's claim that one-sided communication is what lets TCIO scale.
-func (w *Win) SetClass(class netsim.Class) { w.class = class }
 
 type heldLock struct {
 	exclusive  bool
@@ -158,7 +149,7 @@ func (c *Comm) WinCreate(local []byte) (*Win, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Win{c: c, g: res.(*winGlobal), held: make(map[int]*heldLock), class: netsim.OneSided}, nil
+	return &Win{c: c, g: res.(*winGlobal), held: make(map[int]*heldLock)}, nil
 }
 
 // Local returns this rank's own exposed window memory.
@@ -308,7 +299,7 @@ func (w *Win) PutSegmentsAsync(target int, segs []datatype.Segment, data []byte)
 	mu.Unlock()
 	arrival := w.c.w.net.Transfer(
 		w.c.w.machine.NodeOf(w.c.rank), w.c.w.machine.NodeOf(target),
-		w.c.w.machine.Scale(total), depart, w.class)
+		w.c.w.machine.Scale(total), depart, netsim.OneSided)
 	if arrival > h.maxArrival {
 		h.maxArrival = arrival
 	}
@@ -388,7 +379,7 @@ func (w *Win) GetSegmentsAsync(target int, segs []datatype.Segment, dst []byte, 
 	mu.Unlock()
 	arrival := w.c.w.net.Transfer(
 		w.c.w.machine.NodeOf(target), w.c.w.machine.NodeOf(w.c.rank),
-		w.c.w.machine.Scale(total), depart, w.class)
+		w.c.w.machine.Scale(total), depart, netsim.OneSided)
 	if floor > depart {
 		arrival = arrival.Add(floor.Sub(depart))
 	}
@@ -396,25 +387,4 @@ func (w *Win) GetSegmentsAsync(target int, segs []datatype.Segment, dst []byte, 
 		h.maxArrival = arrival
 	}
 	return GetHandle{c: w.c, data: out[len(dst):], arrival: arrival}, nil
-}
-
-// IntraNodeCopy charges the virtual-time cost of handing realBytes to a
-// co-located rank over the node's shared memory — the netsim local path
-// (setup plus MemBandwidth), never the NIC — and returns the instant the
-// bytes are in place at the peer. The byte movement itself is the caller's
-// (tcio's node aggregation deposits into shared staging directly); this
-// call accounts for its time and its appearance in the network's
-// local-message counters. It fails when the peer lives on a different node.
-func (c *Comm) IntraNodeCopy(peer int, realBytes int64) (simtime.Time, error) {
-	if peer < 0 || peer >= c.w.nprocs {
-		return 0, fmt.Errorf("mpi: IntraNodeCopy to rank %d of %d", peer, c.w.nprocs)
-	}
-	src := c.w.machine.NodeOf(c.rank)
-	if dst := c.w.machine.NodeOf(peer); dst != src {
-		return 0, fmt.Errorf("mpi: IntraNodeCopy rank %d (node %d) to rank %d (node %d) crosses nodes",
-			c.rank, src, peer, dst)
-	}
-	depart := c.clock().Advance(sendOverhead)
-	c.w.touch(c.rank, "intranode", depart)
-	return c.w.net.Transfer(src, src, c.w.machine.Scale(realBytes), depart, netsim.OneSided), nil
 }

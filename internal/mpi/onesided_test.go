@@ -213,19 +213,23 @@ func runOneSidedTimed(t *testing.T, fn func(*Comm, *Win) error) simtime.Time {
 	return rep.MaxTime
 }
 
-func TestWinSetClassChargesTwoSided(t *testing.T) {
-	count := func(class netsim.Class) netsim.Stats {
+// TestWinTransfersAreOneSided: a put and a get are each one one-sided
+// message, never a two-sided one.
+func TestWinTransfersAreOneSided(t *testing.T) {
+	count := func(transfer bool) netsim.Stats {
 		rep, err := Run(testCfg(2), func(c *Comm) error {
 			win, err := c.WinCreate(make([]byte, 8))
 			if err != nil {
 				return err
 			}
-			win.SetClass(class)
-			if c.Rank() == 0 {
+			if c.Rank() == 0 && transfer {
 				if err := win.Lock(1, true); err != nil {
 					return err
 				}
 				if err := win.Put(1, 0, []byte{1}); err != nil {
+					return err
+				}
+				if _, err := win.Get(1, 0, 1); err != nil {
 					return err
 				}
 				if err := win.Unlock(1); err != nil {
@@ -239,13 +243,12 @@ func TestWinSetClassChargesTwoSided(t *testing.T) {
 		}
 		return rep.Net
 	}
-	one := count(netsim.OneSided)
-	two := count(netsim.TwoSided)
-	if one.OneSidedMsgs == 0 {
-		t.Fatal("default class did not record one-sided traffic")
+	idle, busy := count(false), count(true)
+	if got := busy.OneSidedMsgs - idle.OneSidedMsgs; got != 2 {
+		t.Fatalf("a put and a get recorded %d one-sided messages, want 2", got)
 	}
-	if two.TwoSidedMsgs <= one.TwoSidedMsgs {
-		t.Fatalf("SetClass(TwoSided) did not shift traffic: %+v vs %+v", two, one)
+	if busy.TwoSidedMsgs != idle.TwoSidedMsgs {
+		t.Fatalf("a put and a get recorded two-sided traffic: %+v vs %+v", busy, idle)
 	}
 }
 

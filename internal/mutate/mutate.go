@@ -36,10 +36,6 @@ const (
 	// StorageDropLastRequest makes the storage layer's serial path drop
 	// the last request of every multi-request batch.
 	StorageDropLastRequest = "storage.drop-last-request"
-	// TCIONodeAggDropDeposit makes the node-aggregation merge drop the
-	// last co-located origin's deposited runs when combining a segment's
-	// traffic into one put — that rank's bytes never reach the owner.
-	TCIONodeAggDropDeposit = "tcio.nodeagg-drop-deposit"
 	// StorageSieveScatterOffby makes the data-sieving scatter copy a run
 	// out of its covering read one byte late whenever the cover has room —
 	// the classic off-by-one a hand-rolled sieve buffer invites.
@@ -77,7 +73,6 @@ func All() []string {
 		TCIOEagerWritesUncounted,
 		MPIIOFlattenDropRun,
 		StorageDropLastRequest,
-		TCIONodeAggDropDeposit,
 		StorageSieveScatterOffby,
 		TCIOTwoPhaseDropIntent,
 		DelegateDropQueuedFlush,

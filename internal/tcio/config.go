@@ -33,8 +33,6 @@ func (cfg Config) Normalize(stripeSize int64) (Config, error) {
 		return cfg, fmt.Errorf("tcio: segment count %d", cfg.NumSegments)
 	case cfg.SieveBuffer < 0:
 		return cfg, fmt.Errorf("tcio: sieve buffer %d", cfg.SieveBuffer)
-	case !(cfg.WriteBehindThreshold >= 0 && cfg.WriteBehindThreshold <= 1): // rejects NaN
-		return cfg, fmt.Errorf("tcio: write-behind threshold %g", cfg.WriteBehindThreshold)
 	case cfg.SegmentMemoryBudget < 0:
 		return cfg, fmt.Errorf("tcio: segment memory budget %d", cfg.SegmentMemoryBudget)
 	}

@@ -1,7 +1,6 @@
 package tcio
 
 import (
-	"math"
 	"strings"
 	"testing"
 
@@ -23,7 +22,7 @@ func TestConfigNormalize(t *testing.T) {
 			in:   Config{},
 			want: func(c Config) bool {
 				return c.SegmentSize == stripe && c.NumSegments == 64 &&
-					c.SieveBuffer == 0 && c.WriteBehindThreshold == 0
+					c.SieveBuffer == 0 && !c.WriteBehind
 			},
 		},
 		{
@@ -34,16 +33,13 @@ func TestConfigNormalize(t *testing.T) {
 			},
 		},
 		{
-			name: "write-behind threshold bounds pass",
-			in:   Config{WriteBehindThreshold: 1},
-			want: func(c Config) bool { return c.WriteBehindThreshold == 1 },
+			name: "write-behind passes",
+			in:   Config{WriteBehind: true},
+			want: func(c Config) bool { return c.WriteBehind },
 		},
 		{name: "negative segment size", in: Config{SegmentSize: -1}, err: "segment size"},
 		{name: "negative segment count", in: Config{NumSegments: -2}, err: "segment count"},
 		{name: "negative sieve buffer", in: Config{SieveBuffer: -8}, err: "sieve buffer"},
-		{name: "threshold below zero", in: Config{WriteBehindThreshold: -0.1}, err: "write-behind threshold"},
-		{name: "threshold above one", in: Config{WriteBehindThreshold: 1.5}, err: "write-behind threshold"},
-		{name: "threshold NaN", in: Config{WriteBehindThreshold: math.NaN()}, err: "write-behind threshold"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -253,8 +253,11 @@ func (f *File) pieceCharge(at int64) simtime.Duration {
 	return f.pieceCPU / simtime.Duration(f.c.Machine().ByteScale)
 }
 
-// ship performs the one-sided transfer of segment-relative runs into the
-// owner's window and records them as dirty.
+// ship is the one indexed put behind every level-1 shipment. It opens (or
+// reuses) the shared epoch on the segment's owner, bounds the outstanding
+// transfers, puts the segment-relative runs (coalesced, their bytes packed
+// in payload) as one PutSegmentsAsync, and records them dirty with the
+// put's arrival.
 //
 // A shared lock suffices: different ranks put into disjoint byte ranges of
 // the segment (their own blocks), so concurrent epochs are safe. The epoch
@@ -262,31 +265,6 @@ func (f *File) pieceCharge(at int64) simtime.Duration {
 // same owner pipeline; Flush and Close end all open epochs with one wave of
 // unlocks whose completion waits overlap.
 func (f *File) ship(seg int64, runs []extent.Extent, payload []byte) error {
-	if f.aggEnabled {
-		// Aggregated path: hand the runs to this segment's node leader over
-		// the intra-node fabric; the leader puts the node's merged runs at
-		// the next collective (nodeagg.go).
-		return f.depositForAggregation(seg, runs, payload)
-	}
-	t0 := f.c.Now()
-	owner, err := f.put(seg, runs, payload, 0)
-	if err != nil {
-		return err
-	}
-	f.stats.Level1Flush++
-	if f.tracing() {
-		f.emit(trace.KindFlush, t0, int64(len(payload)), fmt.Sprintf("seg=%d owner=%d runs=%d", seg, owner, len(runs)))
-	}
-	return f.maybeWriteBehind()
-}
-
-// put is the one indexed put behind every shipment — a rank's level-1
-// flush and a node leader's combine alike. It opens (or reuses) the shared
-// epoch on the segment's owner, bounds the outstanding transfers, departs
-// no earlier than notBefore, puts the segment-relative runs (coalesced,
-// their bytes packed in payload) as one PutSegmentsAsync, and records them
-// dirty with the put's arrival. It returns the owner.
-func (f *File) put(seg int64, runs []extent.Extent, payload []byte, notBefore simtime.Time) (int, error) {
 	owner, slot := f.layout.Owner(seg)
 	winRuns := f.winRunsScratch[:0]
 	for _, r := range runs {
@@ -295,20 +273,23 @@ func (f *File) put(seg int64, runs []extent.Extent, payload []byte, notBefore si
 	f.winRunsScratch = winRuns[:0]
 	t0 := f.c.Now()
 	if err := f.openEpochFor(owner); err != nil {
-		return owner, err
+		return err
 	}
 	f.reserveInflight()
 	t1 := f.c.Now()
-	f.c.AdvanceTo(notBefore)
 	h, err := f.putSegmentsRetry(owner, seg, winRuns, payload)
 	if err != nil {
-		return owner, err
+		return err
 	}
 	f.inflight = append(f.inflight, h)
 	f.stats.LockWait += t1.Sub(t0)
 	f.stats.PutIssue += f.c.Now().Sub(t1)
 	f.meta.addDirty(seg, runs, h.Arrival())
-	return owner, nil
+	f.stats.Level1Flush++
+	if f.tracing() {
+		f.emit(trace.KindFlush, t0, int64(len(payload)), fmt.Sprintf("seg=%d owner=%d runs=%d", seg, owner, len(runs)))
+	}
+	return f.maybeWriteBehind()
 }
 
 // openEpochFor ensures a shared put epoch is open on owner, touching the

@@ -24,7 +24,7 @@ func TestMultiFileIndependentLedgers(t *testing.T) {
 	const segSize, numSeg, granule = int64(64), 4, int64(16)
 	sizes := []int64{segSize * numSeg * procs, segSize * numSeg * procs / 2}
 	fs := pfs.New(pfs.DefaultConfig())
-	cfg := Config{SegmentSize: segSize, NumSegments: numSeg, WriteBehindThreshold: 0.5}
+	cfg := Config{SegmentSize: segSize, NumSegments: numSeg, WriteBehind: true}
 	type pair struct{ a, b Stats }
 	ledgers := make([]pair, procs)
 	_, err := mpi.Run(mpi.Config{Procs: procs, Machine: cluster.Lonestar(), FS: fs}, func(c *mpi.Comm) error {
@@ -200,7 +200,7 @@ func TestMultiFileInterleavedRace(t *testing.T) {
 	if _, err := pf.WriteAt(0, 0, seed, 0); err != nil {
 		t.Fatal(err)
 	}
-	wcfg := Config{SegmentSize: segSize, NumSegments: numSeg, WriteBehindThreshold: 0.25}
+	wcfg := Config{SegmentSize: segSize, NumSegments: numSeg, WriteBehind: true}
 	rcfg := Config{SegmentSize: segSize, NumSegments: numSeg, DemandPopulate: true}
 	_, err := mpi.Run(mpi.Config{Procs: procs, Machine: cluster.Lonestar(), FS: fs}, func(c *mpi.Comm) error {
 		fa, err := Open(c, "race-a", WriteMode, wcfg)

@@ -14,29 +14,14 @@ import (
 	"github.com/tcio/tcio/internal/simtime"
 )
 
-func TestOverlapConfigValidation(t *testing.T) {
-	run(t, 1, func(c *mpi.Comm) error {
-		bad := []Config{
-			{SegmentSize: 64, NumSegments: 4, WriteBehindThreshold: -0.1},
-			{SegmentSize: 64, NumSegments: 4, WriteBehindThreshold: 1.5},
-		}
-		for i, cfg := range bad {
-			if _, err := Open(c, fmt.Sprintf("obad%d", i), WriteMode, cfg); err == nil {
-				return fmt.Errorf("config %d accepted: %+v", i, cfg)
-			}
-		}
-		return nil
-	})
-}
-
 // TestWriteBehindBytesIdentical writes the same interleaved data twice —
 // synchronously and with the eager write-behind armed — and requires
 // byte-identical files and an identical file system write request count.
 func TestWriteBehindBytesIdentical(t *testing.T) {
 	const procs = 4
-	write := func(c *mpi.Comm, name string, threshold float64) (Stats, error) {
+	write := func(c *mpi.Comm, name string, writeBehind bool) (Stats, error) {
 		cfg := smallCfg()
-		cfg.WriteBehindThreshold = threshold
+		cfg.WriteBehind = writeBehind
 		f, err := Open(c, name, WriteMode, cfg)
 		if err != nil {
 			return Stats{}, err
@@ -57,11 +42,11 @@ func TestWriteBehindBytesIdentical(t *testing.T) {
 		return f.Stats(), nil
 	}
 	run(t, procs, func(c *mpi.Comm) error {
-		sync0, err := write(c, "wb-sync", 0)
+		sync0, err := write(c, "wb-sync", false)
 		if err != nil {
 			return err
 		}
-		eager, err := write(c, "wb-eager", 1)
+		eager, err := write(c, "wb-eager", true)
 		if err != nil {
 			return err
 		}
@@ -76,18 +61,18 @@ func TestWriteBehindBytesIdentical(t *testing.T) {
 			}
 		}
 		if sync0.EagerDrains != 0 {
-			return fmt.Errorf("threshold 0 ran %d eager drains", sync0.EagerDrains)
+			return fmt.Errorf("write-behind off ran %d eager drains", sync0.EagerDrains)
 		}
 		// Accounting must balance: every file system write request is
 		// either an eager batch's or the final residue's. (EagerDrains
-		// counts batches, not requests — at threshold 1 a covered segment
-		// coalesces to one request per batch, so both identities hold here.)
+		// counts batches, not requests — a covered segment coalesces to one
+		// request per batch, so both identities hold here.)
 		if eager.EagerWrites+eager.FlushResidue != eager.FSWrites {
 			return fmt.Errorf("eager writes %d + residue %d != fs writes %d",
 				eager.EagerWrites, eager.FlushResidue, eager.FSWrites)
 		}
 		if eager.EagerWrites != eager.EagerDrains {
-			return fmt.Errorf("threshold 1: eager writes %d != eager drains %d (covered segments must coalesce)",
+			return fmt.Errorf("eager writes %d != eager drains %d (covered segments must coalesce)",
 				eager.EagerWrites, eager.EagerDrains)
 		}
 		return nil
@@ -95,13 +80,13 @@ func TestWriteBehindBytesIdentical(t *testing.T) {
 }
 
 // TestWriteBehindBackpressure fills the eager drain queue: one rank covers
-// more segments than writeBehindQueue at threshold 1, so every drain past
-// the bound waits for the earliest in-flight batch first, and the queue
-// never holds more than writeBehindQueue batches.
+// more segments than writeBehindQueue, so every drain past the bound waits
+// for the earliest in-flight batch first, and the queue never holds more
+// than writeBehindQueue batches.
 func TestWriteBehindBackpressure(t *testing.T) {
 	const segs, segSize = writeBehindQueue + 16, 64
 	run(t, 1, func(c *mpi.Comm) error {
-		cfg := Config{SegmentSize: segSize, NumSegments: segs, WriteBehindThreshold: 1}
+		cfg := Config{SegmentSize: segSize, NumSegments: segs, WriteBehind: true}
 		f, err := Open(c, "wb-backpressure", WriteMode, cfg)
 		if err != nil {
 			return err
@@ -128,6 +113,10 @@ func TestWriteBehindBackpressure(t *testing.T) {
 		if peak != writeBehindQueue {
 			return fmt.Errorf("peak in-flight drains %d, want the full queue %d", peak, writeBehindQueue)
 		}
+		// Only backpressure waits before Close, so the rank has paid for one.
+		if f.wbWaited <= 0 {
+			return fmt.Errorf("%d drains through a queue of %d never waited", segs, writeBehindQueue)
+		}
 		if err := f.Close(); err != nil {
 			return err
 		}
@@ -142,39 +131,43 @@ func TestWriteBehindBackpressure(t *testing.T) {
 	})
 }
 
-// TestWriteBehindGappedAccounting drives a fractional threshold where each
-// eager batch holds two runs separated by a gap, so one EagerDrain issues
-// two file system requests: the per-request EagerWrites counter — not the
-// batch count — is what balances against FSWrites.
+// TestWriteBehindGappedAccounting mixes eager batches with a gapped
+// residue: every segment is half covered by two runs separated by a gap,
+// and half of each rank's segments then get their gaps filled. A covered
+// segment drains early as one request; a gapped one never does, and drains
+// at Close as two requests — so the per-request EagerWrites and
+// FlushResidue counters, not the batch count, balance against FSWrites.
 func TestWriteBehindGappedAccounting(t *testing.T) {
 	const procs = 4
-	write := func(c *mpi.Comm, name string, threshold float64) (Stats, error) {
-		cfg := smallCfg() // 64-byte segments: threshold 0.5 needs 32 bytes
-		cfg.WriteBehindThreshold = threshold
+	write := func(c *mpi.Comm, name string, writeBehind bool) (Stats, error) {
+		cfg := smallCfg() // 64-byte segments, rank r owns segments 4k+r
+		cfg.WriteBehind = writeBehind
 		f, err := Open(c, name, WriteMode, cfg)
 		if err != nil {
 			return Stats{}, err
 		}
-		// Ranks 0 and 2 cover half of every segment with a gap between
-		// their runs: bytes [0,16) and [32,48).
-		if c.Rank()%2 == 0 {
-			for seg := int64(0); seg < 64; seg++ {
-				var block [16]byte
-				for b := range block {
-					block[b] = byte(int64(c.Rank())*31 + seg + int64(b))
-				}
-				if err := f.WriteAt(seg*64+int64(c.Rank())*16, block[:]); err != nil {
-					return Stats{}, err
-				}
+		// Ranks 0 and 2 write bytes [0,16) and [32,48) of every segment;
+		// ranks 1 and 3 fill the gaps [16,32) and [48,64) only where
+		// seg%8 < 4 — half of every owner's segments.
+		for seg := int64(0); seg < 64; seg++ {
+			if c.Rank()%2 == 1 && seg%8 >= 4 {
+				continue
+			}
+			var block [16]byte
+			for b := range block {
+				block[b] = byte(int64(c.Rank())*31 + seg + int64(b))
+			}
+			if err := f.WriteAt(seg*64+int64(c.Rank())*16, block[:]); err != nil {
+				return Stats{}, err
 			}
 		}
 		if err := f.Flush(); err != nil {
 			return Stats{}, err
 		}
-		// Every rank then ships one byte into its own segment 60+r (into
-		// the [48,64) gap), so each rank's write-behind scan provably runs
-		// after all the gapped runs above are recorded: every half-covered
-		// segment eager-drains.
+		// Every rank then ships one byte into the [48,64) gap of its own
+		// segment 60+r, which stays gapped, so each rank's write-behind scan
+		// provably runs after all the runs above are recorded: every covered
+		// segment has eager-drained by Close's final drain.
 		if err := f.WriteAt((60+int64(c.Rank()))*64+48, []byte{7}); err != nil {
 			return Stats{}, err
 		}
@@ -184,10 +177,10 @@ func TestWriteBehindGappedAccounting(t *testing.T) {
 		return f.Stats(), nil
 	}
 	run(t, procs, func(c *mpi.Comm) error {
-		if _, err := write(c, "wbg-sync", 0); err != nil {
+		if _, err := write(c, "wbg-sync", false); err != nil {
 			return err
 		}
-		eager, err := write(c, "wbg-eager", 0.5)
+		eager, err := write(c, "wbg-eager", true)
 		if err != nil {
 			return err
 		}
@@ -201,12 +194,12 @@ func TestWriteBehindGappedAccounting(t *testing.T) {
 				return fmt.Errorf("gapped write-behind changed file bytes (%d vs %d)", len(a), len(b))
 			}
 		}
-		// Each rank owns 16 segments, every one half-covered by two gapped
-		// runs: 16 eager batches of 2 requests each. The books must balance
-		// on requests; the batch count deliberately does not.
-		if eager.EagerDrains != 16 || eager.EagerWrites != 32 {
-			return fmt.Errorf("eager drains %d (want 16), eager writes %d (want 32)",
-				eager.EagerDrains, eager.EagerWrites)
+		// Each rank owns 16 segments: 8 covered ones drain early, one
+		// request each, and 8 gapped ones are left for Close, two requests
+		// each. The books must balance on requests.
+		if eager.EagerDrains != 8 || eager.EagerWrites != 8 || eager.FlushResidue != 16 {
+			return fmt.Errorf("eager drains %d (want 8), eager writes %d (want 8), residue %d (want 16)",
+				eager.EagerDrains, eager.EagerWrites, eager.FlushResidue)
 		}
 		if eager.EagerWrites+eager.FlushResidue != eager.FSWrites {
 			return fmt.Errorf("eager writes %d + residue %d != fs writes %d",
@@ -217,14 +210,15 @@ func TestWriteBehindGappedAccounting(t *testing.T) {
 }
 
 // TestWriteBehindRewriteRace is the -race regression for rewrite traffic
-// racing the eager drain: with a low threshold every shipped run can drain
-// immediately, while a second pass of writes keeps physically copying into
-// the same window regions the drains are snapshotting. Last bytes must win.
+// racing the eager drain: every segment drains as soon as the four ranks'
+// runs cover it, while a second pass of writes keeps physically copying
+// into the same window regions the drains are snapshotting. Last bytes
+// must win.
 func TestWriteBehindRewriteRace(t *testing.T) {
 	const procs = 4
 	run(t, procs, func(c *mpi.Comm) error {
 		cfg := smallCfg()
-		cfg.WriteBehindThreshold = 0.25 // each 16-byte run triggers a drain
+		cfg.WriteBehind = true // the fourth 16-byte run triggers a drain
 		f, err := Open(c, "wb-rewrite", WriteMode, cfg)
 		if err != nil {
 			return err

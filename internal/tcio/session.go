@@ -17,7 +17,6 @@ import (
 	"github.com/tcio/tcio/internal/extent"
 	"github.com/tcio/tcio/internal/faults"
 	"github.com/tcio/tcio/internal/mpi"
-	"github.com/tcio/tcio/internal/netsim"
 	"github.com/tcio/tcio/internal/simtime"
 	"github.com/tcio/tcio/internal/storage"
 	"github.com/tcio/tcio/internal/wal"
@@ -41,12 +40,6 @@ type session struct {
 
 	win  *mpi.Win
 	meta *l2meta
-	// agg is the node-shared deposit staging of the aggregation tier;
-	// aggEnabled arms the tier (NodeAggregation on a multi-core machine —
-	// a global predicate, identical on every rank, because Flush/Close
-	// insert an extra collective when it holds).
-	agg        *aggStaging
-	aggEnabled bool
 	// store is the file system access path: drain, populate, and preload
 	// batches go through it for retry, tracing, and virtual-time charging.
 	store *storage.Client
@@ -66,12 +59,12 @@ type session struct {
 	shipCount int64
 	// Per-handle scratch for the flush/ship hot path. Safe to reuse across
 	// calls because every consumer copies synchronously: PutSegmentsAsync
-	// copies payload into the window before returning, depositForAggregation
-	// makes private copies, and addDirty appends run values.
+	// copies payload into the window before returning, and addDirty appends
+	// run values.
 	payloadScratch []byte
 	winRunsScratch []extent.Extent
 
-	// Write-behind lane (WriteBehindThreshold > 0): laneFree is when the
+	// Write-behind lane (WriteBehind): laneFree is when the
 	// background drain lane frees up, outstanding the completion times of
 	// enqueued eager batches, busy/waited the accounting behind
 	// Stats.OverlapSaved.
@@ -175,23 +168,15 @@ func newSession(c *mpi.Comm, name string, mode Mode, cfg Config) (session, error
 	if err != nil {
 		return session{}, err
 	}
-	type sharedState struct {
-		meta *l2meta
-		agg  *aggStaging
-	}
 	// SharedOnce is a fresh collective per call, so every Open — including
 	// a second or third concurrent one on the same communicator — gets its
-	// own l2meta and aggregation staging.
+	// own l2meta.
 	shared, err := c.SharedOnce(func() interface{} {
-		return &sharedState{
-			meta: newL2Meta(cfg.Journal && mode == WriteMode),
-			agg:  newAggStaging(),
-		}
+		return newL2Meta(cfg.Journal && mode == WriteMode)
 	})
 	if err != nil {
 		return session{}, err
 	}
-	ss := shared.(*sharedState)
 	retry := cfg.retryPolicy()
 	store := storage.NewClient(c.FS().Open(name), c.Node(), c.Rank(), c)
 	store.SetRetryPolicy(retry)
@@ -203,8 +188,7 @@ func newSession(c *mpi.Comm, name string, mode Mode, cfg Config) (session, error
 		name:   name,
 		layout: extent.Layout{P: c.Size(), SegSize: cfg.SegmentSize, NumSeg: cfg.NumSegments},
 		win:    win,
-		meta:   ss.meta,
-		agg:    ss.agg,
+		meta:   shared.(*l2meta),
 		store:  store,
 		retry:  retry,
 		l1Seg:  -1,
@@ -235,15 +219,6 @@ func newSession(c *mpi.Comm, name string, mode Mode, cfg Config) (session, error
 		// Normalize floored the budget at one segment; 0 stays "no budget".
 		s.budgetSegs = int(cfg.SegmentMemoryBudget / cfg.SegmentSize)
 	}
-	if cfg.EmulateTwoSided {
-		win.SetClass(netsim.TwoSided)
-	}
-	// The aggregation tier arms only when a node can host more than one
-	// rank — a property of the machine, not of any particular rank, so all
-	// ranks agree on the collective structure of Flush and Close. With one
-	// core per node (or a single rank) the predicate is false and the ship
-	// path is today's, bit for bit.
-	s.aggEnabled = cfg.NodeAggregation && c.Machine().CoresPerNode > 1 && c.Size() > 1
 	s.pendingSeg = -1
 	return s, nil
 }

@@ -22,11 +22,11 @@ type Stats struct {
 	// across all library paths (file system RPCs and one-sided puts).
 	Retries int64
 
-	// Write-behind pipeline (Config.WriteBehindThreshold > 0).
+	// Write-behind pipeline (Config.WriteBehind).
 	EagerDrains int64 // background drain batches (one covered segment each)
 	// EagerWrites counts the file system write requests those batches
 	// issued (a gapped segment drains as several requests), so
-	// EagerWrites + FlushResidue == FSWrites at any threshold.
+	// EagerWrites + FlushResidue == FSWrites.
 	EagerWrites  int64
 	FlushResidue int64 // file system write requests left for the final drain
 	// OverlapSaved is the background lane's busy time minus the waits the
@@ -44,13 +44,6 @@ type Stats struct {
 	SieveReads        int64
 	SieveWasteBytes   int64
 	TwoPhaseExchanges int64
-
-	// Node aggregation (Config.NodeAggregation).
-	NodeCombines int64 // combined puts this rank issued as a node leader
-	// InterNodePutsSaved counts the inter-node one-sided puts the combine
-	// avoided: for each combined put to a remote owner, one fewer than the
-	// deposits merged (each deposit would have been its own put).
-	InterNodePutsSaved int64
 
 	// Journal tier (Config.Journal / SegmentMemoryBudget; DESIGN.md §2f).
 	// JournalEpochs counts non-empty epoch batches appended to this rank's

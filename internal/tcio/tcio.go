@@ -120,14 +120,13 @@ type Config struct {
 	// rank that fetches from them: a fetch posts its batch's missing
 	// segments at once, under their owners' exclusive window locks.
 	DemandPopulate bool
-	// WriteBehindThreshold arms the eager background drain: once the
-	// not-yet-drained runs of a level-2 segment cover at least this
-	// fraction of it, the owning rank drains the segment on a background
-	// lane instead of waiting for Close, so the final drain only handles
-	// the residue. 1 drains only fully covered segments (which keeps the
-	// file system request identity bit-identical to the synchronous
-	// drain); 0 disables write-behind (the default).
-	WriteBehindThreshold float64
+	// WriteBehind arms the eager background drain: once the not-yet-
+	// drained runs of a level-2 segment cover all of it, the owning rank
+	// drains the segment on a background lane instead of waiting for
+	// Close, so the final drain only handles the residue. The file system
+	// request identity stays bit-identical to the synchronous drain. Off
+	// (the default) drains everything at Close.
+	WriteBehind bool
 	// Journal arms the crash-consistency tier in write mode: every Flush
 	// and Close appends the epoch's not-yet-journaled dirty runs to a
 	// per-rank journal file (name + ".wal.<rank>") as length-prefixed,
@@ -171,25 +170,8 @@ type Config struct {
 	// redistribute the runs. Implicit fetches (a ReadAt overflowing
 	// fetchBatch) stay independent — a rank-local event cannot be
 	// collective. Off (the default) keeps today's independent fetch path
-	// bit-identical, including its fault rolls — the same discipline as
-	// NodeAggregation. See DESIGN.md §2d.
+	// bit-identical, including its fault rolls. See DESIGN.md §2d.
 	CollectiveRead bool
-	// NodeAggregation inserts an intra-node aggregation tier between the
-	// level-1 flush and the level-2 one-sided ship: co-located ranks hand
-	// their dirty runs to a deterministic per-segment node leader over the
-	// intra-node path (MemBandwidth, not the NIC), and at each collective
-	// (Flush/Close) the leader merges a segment's deposits into one
-	// combined indexed put — one inter-node message per (node, segment)
-	// instead of one per (rank, segment). Off (the default) keeps today's
-	// per-rank ship path bit-identical, including its fault rolls; on a
-	// machine with one core per node the tier disables itself and the path
-	// is likewise unchanged. See DESIGN.md §2c.
-	NodeAggregation bool
-	// EmulateTwoSided is an ablation switch: level-1 <-> level-2 transfers
-	// are charged as two-sided (matched send/receive) messages instead of
-	// one-sided RDMA, isolating the paper's claim that one-sided
-	// communication is key to TCIO's scalability.
-	EmulateTwoSided bool
 	// Trace, when non-nil, records the library's operations (writes,
 	// flushes, fetches, populations, drains) with virtual timestamps.
 	Trace *trace.Recorder
@@ -283,16 +265,6 @@ func (f *File) Flush() error {
 		if err := f.flushLevel1(); err != nil {
 			return err
 		}
-		if f.aggEnabled {
-			// Every rank's deposits must be staged before any leader
-			// combines; the leaders then issue the node's merged puts.
-			if err := f.c.Barrier(); err != nil {
-				return err
-			}
-			if err := f.leaderSweep(); err != nil {
-				return err
-			}
-		}
 		if err := f.closeEpochs(); err != nil {
 			return err
 		}
@@ -312,12 +284,6 @@ func (f *File) Flush() error {
 			return err
 		}
 	}
-	if f.mode == WriteMode && f.aggEnabled {
-		// Runs become dirty only at the combine, so the write-behind scan
-		// runs here instead of per shipment; the barrier above put every
-		// combined arrival in this rank's past.
-		return f.maybeWriteBehind()
-	}
 	return nil
 }
 
@@ -335,16 +301,6 @@ func (f *File) Close() error {
 	switch f.mode {
 	case WriteMode:
 		opErr = f.flushLevel1()
-		if f.aggEnabled {
-			// Collective even under a local error: peers are already in the
-			// barrier, and an aborted world surfaces through it.
-			if err := f.c.Barrier(); err != nil {
-				return err
-			}
-			if err := f.leaderSweep(); err != nil && opErr == nil {
-				opErr = err
-			}
-		}
 		if err := f.closeEpochs(); err != nil && opErr == nil {
 			opErr = err
 		}

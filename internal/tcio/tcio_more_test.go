@@ -91,34 +91,6 @@ func TestPipelineDepthBoundsOpenEpochs(t *testing.T) {
 	})
 }
 
-func TestEmulateTwoSidedShiftsTraffic(t *testing.T) {
-	stats := func(twoSided bool) int64 {
-		var twoMsgs int64
-		rep, err := mpi.Run(mpi.Config{Procs: 2, Machine: cluster.Lonestar()}, func(c *mpi.Comm) error {
-			cfg := smallCfg()
-			cfg.EmulateTwoSided = twoSided
-			f, err := Open(c, fmt.Sprintf("class%v", twoSided), WriteMode, cfg)
-			if err != nil {
-				return err
-			}
-			if err := f.WriteAt(int64(c.Rank())*64, make([]byte, 64)); err != nil {
-				return err
-			}
-			return f.Close()
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		twoMsgs = rep.Net.TwoSidedMsgs
-		return twoMsgs
-	}
-	base := stats(false)
-	emu := stats(true)
-	if emu <= base {
-		t.Fatalf("EmulateTwoSided recorded %d two-sided msgs vs baseline %d", emu, base)
-	}
-}
-
 // TestFetchBatchTriggersImplicitFetch: forward reads over fetchBatch+1
 // distinct segments fetch the first fetchBatch of them implicitly, on the
 // read that lands in the last one.

@@ -1,15 +1,15 @@
 package tcio
 
 // The write-behind pipeline: eager background drains of level-2 segments
-// whose undrained runs already cover them (Config.WriteBehindThreshold), so
+// whose undrained runs already cover them (Config.WriteBehind), so
 // Flush/Close only wait for the residue. The queue is virtual: batches are
 // issued physically in rank program order through the storage layer's
 // detached-start path, charged to background timelines (up to
 // writeBehindQueue in flight, overlapping across OSTs as the requests of
 // one posted batch do), and synchronized with only at backpressure
 // and at the final drain. Request identity (node, offset, length, attempt)
-// is exactly what the synchronous drain would issue at threshold 1, so
-// chaos counts cannot tell the two apart.
+// is exactly what the synchronous drain would issue, so chaos counts cannot
+// tell the two apart.
 
 import (
 	"fmt"
@@ -22,20 +22,16 @@ import (
 )
 
 // maybeWriteBehind scans this rank's own segments after each shipment and
-// eagerly drains any whose undrained runs reach the coverage threshold.
+// eagerly drains any whose undrained runs cover the whole segment.
 // Only the owner drains a segment, so the single-writer-per-stripe locking
 // discipline of the synchronous drain is preserved.
 func (f *File) maybeWriteBehind() error {
-	if f.cfg.WriteBehindThreshold <= 0 || f.mode != WriteMode {
+	if !f.cfg.WriteBehind || f.mode != WriteMode {
 		return nil
-	}
-	need := int64(f.cfg.WriteBehindThreshold * float64(f.layout.SegSize))
-	if need < 1 {
-		need = 1
 	}
 	for slot := int64(0); slot < int64(f.layout.NumSeg); slot++ {
 		seg := f.layout.RankSegment(f.c.Rank(), slot)
-		runs, arrival := f.meta.takeCovered(seg, need)
+		runs, arrival := f.meta.takeCovered(seg, f.layout.SegSize)
 		if len(runs) == 0 {
 			continue
 		}
