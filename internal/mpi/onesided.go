@@ -109,17 +109,33 @@ type winGlobal struct {
 
 // Win is one rank's handle on a window.
 type Win struct {
-	c    *Comm
-	g    *winGlobal
-	held map[int]*heldLock
-	// free holds the records of closed epochs: Lock reuses one instead of
-	// allocating, so a warm handle opens and closes epochs allocation-free.
-	free []*heldLock
+	c *Comm
+	g *winGlobal
+	// held is this rank's open epochs, sorted by target and found by binary
+	// search. A rank holds a few at a time, and a warm handle opens and
+	// closes epochs allocation-free.
+	held []heldLock
 }
 
 type heldLock struct {
+	target     int
 	exclusive  bool
 	maxArrival simtime.Time // latest completion among this epoch's puts
+}
+
+// find returns the index of target's epoch in held, or where it would go.
+// It is written out: slices.BinarySearchFunc, calling a comparison function
+// per step, cost several times as much on the put and get paths.
+func (w *Win) find(target int) (int, bool) {
+	i, j := 0, len(w.held)
+	for i < j {
+		if m := int(uint(i+j) >> 1); w.held[m].target < target {
+			i = m + 1
+		} else {
+			j = m
+		}
+	}
+	return i, i < len(w.held) && w.held[i].target == target
 }
 
 // perSegmentCPU is the local cost of describing one block in an indexed
@@ -149,7 +165,7 @@ func (c *Comm) WinCreate(local []byte) (*Win, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Win{c: c, g: res.(*winGlobal), held: make(map[int]*heldLock)}, nil
+	return &Win{c: c, g: res.(*winGlobal)}, nil
 }
 
 // Local returns this rank's own exposed window memory.
@@ -173,7 +189,8 @@ func (w *Win) Lock(target int, exclusive bool) error {
 	if target < 0 || target >= len(w.g.bufs) {
 		return fmt.Errorf("mpi: Win.Lock target %d of %d", target, len(w.g.bufs))
 	}
-	if _, dup := w.held[target]; dup {
+	i, dup := w.find(target)
+	if dup {
 		return fmt.Errorf("mpi: Win.Lock target %d already locked by rank %d", target, w.c.rank)
 	}
 	w.c.w.touch(w.c.rank, "lock", w.c.clock().Now())
@@ -186,17 +203,9 @@ func (w *Win) Lock(target int, exclusive bool) error {
 	w.c.clock().AdvanceTo(prevRelease)
 	net := w.c.w.machine.Net
 	w.c.clock().Advance(2*net.Latency + net.SetupOneSided)
-	var h *heldLock
-	if n := len(w.free); n > 0 {
-		// Reset on reuse: a recycled record must not carry the previous
-		// epoch's maxArrival, or this epoch's Unlock would wait for that
-		// one's transfers.
-		h, w.free = w.free[n-1], w.free[:n-1]
-		*h = heldLock{exclusive: exclusive}
-	} else {
-		h = &heldLock{exclusive: exclusive}
-	}
-	w.held[target] = h
+	w.held = append(w.held, heldLock{})
+	copy(w.held[i+1:], w.held[i:])
+	w.held[i] = heldLock{target: target, exclusive: exclusive}
 	return nil
 }
 
@@ -206,33 +215,34 @@ func (w *Win) Lock(target int, exclusive bool) error {
 // hands off at the end of the critical section (operations issued), so
 // successors queue behind the epoch's bookkeeping, not its wire time.
 func (w *Win) Unlock(target int) error {
-	h, ok := w.held[target]
+	i, ok := w.find(target)
 	if !ok {
 		return fmt.Errorf("mpi: Win.Unlock target %d not locked by rank %d", target, w.c.rank)
 	}
-	delete(w.held, target)
+	h := w.held[i]
+	w.held = w.held[:i+copy(w.held[i:], w.held[i+1:])]
 	net := w.c.w.machine.Net
 	handoff := w.c.clock().Now().Add(net.Latency)
 	w.c.clock().AdvanceTo(h.maxArrival)
 	w.c.clock().Advance(net.Latency) // unlock notification
 	w.g.locks[target].release(h.exclusive, handoff)
-	w.free = append(w.free, h)
 	return nil
 }
 
 // Held reports whether this rank currently holds a lock on target.
 func (w *Win) Held(target int) bool {
-	_, ok := w.held[target]
+	_, ok := w.find(target)
 	return ok
 }
 
 // epoch returns the held-lock record, erroring when the caller skipped Lock.
+// The record is valid until the next Lock or Unlock.
 func (w *Win) epoch(target int, op string) (*heldLock, error) {
-	h, ok := w.held[target]
+	i, ok := w.find(target)
 	if !ok {
 		return nil, fmt.Errorf("mpi: %s to target %d without holding its window lock", op, target)
 	}
-	return h, nil
+	return &w.held[i], nil
 }
 
 // Put copies data into target's window at offset off (MPI_Put). The

@@ -42,6 +42,49 @@ func TestWinHeld(t *testing.T) {
 	}
 }
 
+// TestEpochTableOutOfOrder: epochs opened and closed in any target order
+// keep each target's record — its lock mode and its latest put arrival —
+// while the table shifts around it.
+func TestEpochTableOutOfOrder(t *testing.T) {
+	_, err := Run(testCfg(4), func(c *Comm) error {
+		win, err := c.WinCreate(make([]byte, 1<<12))
+		if err != nil || c.Rank() != 0 {
+			return err
+		}
+		arrival := map[int]simtime.Time{}
+		for _, target := range []int{3, 1, 2} {
+			if err := win.Lock(target, target == 2); err != nil {
+				return err
+			}
+			n := int64(target) << 10
+			h, err := win.PutSegmentsAsync(target, []datatype.Segment{{Off: 0, Len: n}}, make([]byte, n))
+			if err != nil {
+				return err
+			}
+			arrival[target] = h.Arrival()
+		}
+		for _, target := range []int{2, 3, 1} {
+			h, err := win.epoch(target, "Put")
+			if err != nil {
+				return err
+			}
+			if h.target != target || h.exclusive != (target == 2) || h.maxArrival != arrival[target] {
+				return fmt.Errorf("target %d: record %+v, want its own (arrival %v)", target, *h, arrival[target])
+			}
+			if err := win.Unlock(target); err != nil {
+				return err
+			}
+			if win.Held(target) {
+				return fmt.Errorf("target %d Held after Unlock", target)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestWinGetAsyncDataValidAfterComplete(t *testing.T) {
 	_, err := Run(testCfg(2), func(c *Comm) error {
 		win, err := c.WinCreate([]byte{10, 20, 30, 40})
@@ -335,11 +378,15 @@ func secondEpoch(t *testing.T, reuse bool) (afterLock, afterPut, unlocked simtim
 			if err := w.Lock(1, false); err != nil {
 				return err
 			}
-			afterLock = w.held[1].maxArrival
+			h, err := w.epoch(1, "Put")
+			if err != nil {
+				return err
+			}
+			afterLock = h.maxArrival
 			if _, err := w.PutSegmentsAsync(1, []datatype.Segment{{Off: 0, Len: n}}, make([]byte, n)); err != nil {
 				return err
 			}
-			afterPut = w.held[1].maxArrival
+			afterPut = h.maxArrival
 			if err := w.Unlock(1); err != nil {
 				return err
 			}
@@ -360,10 +407,10 @@ func secondEpoch(t *testing.T, reuse bool) (afterLock, afterPut, unlocked simtim
 	return
 }
 
-// TestRecycledEpochStartsFresh: Win reuses the records of closed epochs, and
-// a reused record must be reset — an epoch that inherited its predecessor's
-// latest arrival would report transfers it never issued and make Unlock
-// wait for them.
+// TestRecycledEpochStartsFresh: a re-opened epoch reuses the slot of the
+// closed one in the Win's epoch table, and must start fresh — an epoch that
+// inherited its predecessor's latest arrival would report transfers it never
+// issued and make Unlock wait for them.
 func TestRecycledEpochStartsFresh(t *testing.T) {
 	lock, put, unlocked := secondEpoch(t, true)
 	wantLock, wantPut, wantUnlocked := secondEpoch(t, false)
@@ -441,7 +488,7 @@ func TestWarmEpochDoesNotAllocate(t *testing.T) {
 		}
 		put := epoch(func() error { _, err := win.PutSegmentsAsync(1, segs, data); return err })
 		get := epoch(func() error { _, err := win.GetSegmentsAsync(1, segs, dst, 0); return err })
-		put() // warm: the first epoch allocates the record every later one reuses
+		put() // warm: the first epoch grows the table every later one reuses
 		if a := testing.AllocsPerRun(200, put); a != 0 {
 			return fmt.Errorf("%v allocs per warm put epoch, want 0", a)
 		}

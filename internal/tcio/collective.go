@@ -70,7 +70,7 @@ func (f *File) fetchCollective() error {
 			for ; n < len(need) && need[n].Off < f.layout.SegStart(seg+1); n++ {
 				need[n].Off -= base
 			}
-			if !f.meta.isPopulated(seg) {
+			if !f.populated(seg) {
 				jobs = append(jobs, popJob{seg: seg, runs: need[:n]})
 			}
 			need = need[n:]

@@ -162,6 +162,7 @@ func (f *File) land(owner int, slot, base int64, reqs []storage.Request, data []
 func (f *File) preloadAll() error {
 	var jobs []popJob
 	size := f.store.File().Size()
+	f.preloaded = size
 	for slot := int64(0); slot < int64(f.layout.NumSeg); slot++ {
 		seg := f.layout.RankSegment(f.c.Rank(), slot)
 		if f.layout.SegStart(seg) >= size {

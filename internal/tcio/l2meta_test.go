@@ -1,8 +1,7 @@
 package tcio
 
-// Property test: the sharded, one-record-per-segment l2meta must be
-// observationally identical to a single-lock reference holding one map per
-// field. A random schedule of every metadata operation runs against both,
+// Property test: the dense, one-record-per-segment l2meta must be
+// observationally identical to a reference holding one map per field. A random schedule of every metadata operation runs against both,
 // with the journal's unlogged-run bookkeeping armed and disarmed; every
 // return value must match. Concurrent soundness is separately covered by
 // the -race runs of the package's integration tests.
@@ -15,7 +14,7 @@ import (
 	"github.com/tcio/tcio/internal/simtime"
 )
 
-// refL2Meta is the pre-sharding, map-per-field implementation, kept as the
+// refL2Meta is the original map-per-field implementation, kept as the
 // semantic oracle. unlogged is nil when the journal tier is disarmed.
 type refL2Meta struct {
 	dirty     map[int64][]extent.Extent
@@ -111,8 +110,8 @@ func extentsEqual(a, b []extent.Extent) bool {
 	return true
 }
 
-func TestL2MetaShardedMatchesReference(t *testing.T) {
-	const segSize = int64(4096)
+func TestL2MetaMatchesReference(t *testing.T) {
+	const segSize, segs = int64(4096), 80
 	rng := rand.New(rand.NewSource(7))
 	randRuns := func() []extent.Extent {
 		n := 1 + rng.Intn(3)
@@ -129,12 +128,10 @@ func TestL2MetaShardedMatchesReference(t *testing.T) {
 	}
 	for trial := 0; trial < 20; trial++ {
 		journal := trial%2 == 1
-		m := newL2Meta(journal)
+		m := newL2Meta(segs, journal)
 		ref := newRefL2Meta(journal)
 		for step := 0; step < 2000; step++ {
-			// Segment range deliberately exceeds the shard count so shards
-			// carry several segments each and collisions are exercised.
-			seg := int64(rng.Intn(5 * l2Shards))
+			seg := int64(rng.Intn(segs))
 			switch rng.Intn(9) {
 			case 0, 1:
 				runs := randRuns()

@@ -18,38 +18,28 @@ import (
 	"github.com/tcio/tcio/internal/trace"
 )
 
-// l2Shards is the shard count of the shared segment metadata — a power of
-// two so the shard of a segment is a mask, sized to keep collisions rare at
-// realistic worker counts without bloating small files.
-const l2Shards = 16
-
 // l2meta is the bookkeeping shared by all ranks of one TCIO file: which
 // parts of each global segment hold buffered data (dirty, writes), which of
 // those runs have not reached the file system yet (pending — the write-
 // behind lane consumes them), and which segments have been populated from
 // the file system (reads).
 //
-// Every operation touches exactly one segment, so the records are sharded
-// by segment index: with thousands of rank goroutines shipping concurrently,
-// a single mutex in front of one map was a global serialization point. Each
-// shard carries its own lock and map; segments hash to shards by low bits,
-// which spreads the round-robin segment ownership evenly.
+// It is one record per global segment, indexed by the segment's number:
+// the P × NumSegments records are allocated at Open, each with its own
+// mutex, so an operation is an index and one uncontended lock, and ranks
+// shipping to different segments never meet. Every caller passed the
+// layout's range check (pieces), so the index is in bounds. A record costs
+// well under the window bytes of the one segment it describes.
 type l2meta struct {
 	journal bool // arm the unlogged-run bookkeeping the epoch log consumes
-	shards  [l2Shards]l2shard
+	segs    []segState
 }
 
-// l2shard holds the records of the segments hashing to one shard.
-type l2shard struct {
-	mu   sync.Mutex
-	segs map[int64]*segState
-}
-
-// segState is everything the file knows about one global segment, so an
-// operation is one map lookup. Records are created on first touch and never
-// deleted: the take-operations hand their slice to the caller and clear the
-// field. All run lists are segment-relative and coalesced.
+// segState is everything the file knows about one global segment. The
+// take-operations hand their slice to the caller and clear the field. All
+// run lists are segment-relative and coalesced.
 type segState struct {
+	mu      sync.Mutex
 	dirty   []extent.Extent // runs holding buffered data
 	pending []extent.Extent // dirty runs not yet drained
 	// arrival is when the segment's newest bytes are in the owner's window
@@ -72,35 +62,25 @@ type segState struct {
 	popRuns []extent.Extent
 }
 
-// newL2Meta builds empty shared metadata for one open file. journal arms
-// the unlogged-run bookkeeping the epoch log consumes.
-func newL2Meta(journal bool) *l2meta {
-	m := &l2meta{journal: journal}
-	for i := range m.shards {
-		m.shards[i].segs = make(map[int64]*segState)
-	}
-	return m
+// newL2Meta builds empty shared metadata for an open file of segs global
+// segments. journal arms the unlogged-run bookkeeping the epoch log
+// consumes.
+func newL2Meta(segs int64, journal bool) *l2meta {
+	return &l2meta{journal: journal, segs: make([]segState, segs)}
 }
 
-// lock locks the shard owning a global segment and returns it with the
-// segment's record — nil when nothing was ever recorded for the segment
-// and create is false. The caller unlocks the shard.
-func (m *l2meta) lock(seg int64, create bool) (*l2shard, *segState) {
-	s := &m.shards[seg&(l2Shards-1)]
-	s.mu.Lock()
-	st := s.segs[seg]
-	if st == nil && create {
-		st = &segState{}
-		s.segs[seg] = st
-	}
-	return s, st
+// lock locks and returns the segment's record; the caller unlocks it.
+func (m *l2meta) lock(seg int64) *segState {
+	st := &m.segs[seg]
+	st.mu.Lock()
+	return st
 }
 
 // addDirty records freshly shipped runs and the virtual time their put
 // retires at the target, so a drain consuming them can respect causality.
 func (m *l2meta) addDirty(seg int64, runs []extent.Extent, at simtime.Time) {
-	s, st := m.lock(seg, true)
-	defer s.mu.Unlock()
+	st := m.lock(seg)
+	defer st.mu.Unlock()
 	st.dirty = extent.Coalesce(append(st.dirty, runs...))
 	if mutate.Enabled(mutate.TCIOLostPendingRun) {
 		st.pending = extent.Coalesce(append([]extent.Extent(nil), runs...))
@@ -118,31 +98,25 @@ func (m *l2meta) addDirty(seg int64, runs []extent.Extent, at simtime.Time) {
 // takeUnlogged removes and returns the segment's not-yet-journaled runs
 // (segment-relative). The owner consumes them at each journalEpoch.
 func (m *l2meta) takeUnlogged(seg int64) []extent.Extent {
-	s, st := m.lock(seg, false)
-	defer s.mu.Unlock()
-	if st == nil {
-		return nil
-	}
+	st := m.lock(seg)
+	defer st.mu.Unlock()
 	runs := st.unlogged
 	st.unlogged = nil
 	return runs
 }
 
 func (m *l2meta) dirtyRuns(seg int64) []extent.Extent {
-	s, st := m.lock(seg, false)
-	defer s.mu.Unlock()
-	if st == nil {
-		return nil
-	}
+	st := m.lock(seg)
+	defer st.mu.Unlock()
 	return st.dirty
 }
 
 // hasPending reports whether the segment still has undrained runs — what
 // separates a spill from a free drop when the segment budget evicts a slot.
 func (m *l2meta) hasPending(seg int64) bool {
-	s, st := m.lock(seg, false)
-	defer s.mu.Unlock()
-	return st != nil && len(st.pending) > 0
+	st := m.lock(seg)
+	defer st.mu.Unlock()
+	return len(st.pending) > 0
 }
 
 // takePending removes and returns the segment's undrained runs and their
@@ -158,9 +132,9 @@ func (m *l2meta) takePending(seg int64) ([]extent.Extent, simtime.Time) {
 // behind trigger, evaluated and consumed under one lock so two checks can
 // never drain the same runs twice.
 func (m *l2meta) takeCovered(seg int64, need int64) ([]extent.Extent, simtime.Time) {
-	s, st := m.lock(seg, false)
-	defer s.mu.Unlock()
-	if st == nil || extent.Total(st.pending) < need {
+	st := m.lock(seg)
+	defer st.mu.Unlock()
+	if extent.Total(st.pending) < need {
 		return nil, 0
 	}
 	runs, at := st.pending, st.arrival
@@ -169,16 +143,16 @@ func (m *l2meta) takeCovered(seg int64, need int64) ([]extent.Extent, simtime.Ti
 }
 
 func (m *l2meta) isPopulated(seg int64) bool {
-	s, st := m.lock(seg, false)
-	defer s.mu.Unlock()
-	return st != nil && st.populated
+	st := m.lock(seg)
+	defer st.mu.Unlock()
+	return st.populated
 }
 
 // setPopulated marks the segment's window bytes valid, landing at at (0 when
 // they are in place already).
 func (m *l2meta) setPopulated(seg int64, at simtime.Time) {
-	s, st := m.lock(seg, true)
-	defer s.mu.Unlock()
+	st := m.lock(seg)
+	defer st.mu.Unlock()
 	st.populated, st.popRuns = true, nil
 	if at > st.arrival {
 		st.arrival = at
@@ -187,11 +161,8 @@ func (m *l2meta) setPopulated(seg int64, at simtime.Time) {
 
 // arrivalOf reports the segment's arrival: the floor of a get of it.
 func (m *l2meta) arrivalOf(seg int64) simtime.Time {
-	s, st := m.lock(seg, false)
-	defer s.mu.Unlock()
-	if st == nil {
-		return 0
-	}
+	st := m.lock(seg)
+	defer st.mu.Unlock()
 	return st.arrival
 }
 
@@ -200,11 +171,8 @@ func (m *l2meta) arrivalOf(seg int64) simtime.Time {
 // runs (freshly written — newer than the file, so a sieve must never
 // overwrite them with file bytes) all count as present.
 func (m *l2meta) missingRuns(seg int64, needed []extent.Extent) []extent.Extent {
-	s, st := m.lock(seg, false)
-	defer s.mu.Unlock()
-	if st == nil {
-		st = &segState{}
-	}
+	st := m.lock(seg)
+	defer st.mu.Unlock()
 	if st.populated {
 		return nil
 	}
@@ -216,8 +184,8 @@ func (m *l2meta) missingRuns(seg int64, needed []extent.Extent) []extent.Extent 
 // recorded runs cover the whole segment window it is promoted to fully
 // populated, so later fetches take the fast path.
 func (m *l2meta) addPopRuns(seg int64, runs []extent.Extent, segSize int64, at simtime.Time) {
-	s, st := m.lock(seg, true)
-	defer s.mu.Unlock()
+	st := m.lock(seg)
+	defer st.mu.Unlock()
 	if st.populated {
 		return
 	}

@@ -264,13 +264,13 @@ func TestWriteBehindRewriteRace(t *testing.T) {
 // state the write-behind scan reads while remote ships record runs. Run
 // under -race this is the regression test for the pending/dirty bookkeeping.
 func TestL2MetaConcurrent(t *testing.T) {
-	m := newL2Meta(false)
 	const (
 		workers  = 8
 		segs     = 16
 		segSize  = 64
 		perChunk = segSize / workers
 	)
+	m := newL2Meta(segs, false)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)

@@ -136,7 +136,7 @@ func (f *File) fetchIndependent() error {
 func (f *File) populateBatch(groups []segGroup) error {
 	jobs := f.fetch.jobs[:0]
 	for _, g := range groups {
-		if f.meta.isPopulated(g.seg) {
+		if f.populated(g.seg) {
 			continue
 		}
 		j := popJob{seg: g.seg}
@@ -168,6 +168,13 @@ func (f *File) populateBatch(groups []segGroup) error {
 		err = uerr
 	}
 	return err
+}
+
+// populated reports whether seg's window bytes are valid. A segment starting
+// below the size the read Open preloaded up to is, and needs no look at
+// l2meta; past it the segment's record says.
+func (f *File) populated(seg int64) bool {
+	return f.layout.SegStart(seg) < f.preloaded || f.meta.isPopulated(seg)
 }
 
 // withOwner appends seg's owner to owners unless it is listed already. A

@@ -102,6 +102,9 @@ type session struct {
 	// owner's window (populate); a read handle's Close waits for it, so no
 	// window is freed while a posted read is still landing in it.
 	landed simtime.Time
+	// preloaded is the file size the read Open preloaded up to (0 without a
+	// preload): every segment starting below it is populated (populated).
+	preloaded int64
 
 	// Lazy read queue. pendingSeg is the most recent segment touched;
 	// pendingSwitches counts the queue's segment switches (see fetchBatch).
@@ -172,7 +175,7 @@ func newSession(c *mpi.Comm, name string, mode Mode, cfg Config) (session, error
 	// a second or third concurrent one on the same communicator — gets its
 	// own l2meta.
 	shared, err := c.SharedOnce(func() interface{} {
-		return newL2Meta(cfg.Journal && mode == WriteMode)
+		return newL2Meta(int64(c.Size())*int64(cfg.NumSegments), cfg.Journal && mode == WriteMode)
 	})
 	if err != nil {
 		return session{}, err

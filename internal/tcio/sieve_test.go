@@ -47,7 +47,7 @@ func TestSieveConfigValidation(t *testing.T) {
 // missing runs shrink as popRuns accumulate, dirty runs count as present,
 // and full coverage promotes the segment to populated.
 func TestL2MetaPopRuns(t *testing.T) {
-	m := newL2Meta(false)
+	m := newL2Meta(8, false)
 	const segSize = 64
 	need := []extent.Extent{{Off: 0, Len: 32}, {Off: 48, Len: 16}}
 	if got := m.missingRuns(5, need); extent.Total(got) != 48 {
@@ -68,7 +68,7 @@ func TestL2MetaPopRuns(t *testing.T) {
 	if !m.isPopulated(5) {
 		t.Fatal("full coverage did not promote to populated")
 	}
-	if pr := m.shards[5].segs[5].popRuns; len(pr) != 0 {
+	if pr := m.segs[5].popRuns; len(pr) != 0 {
 		t.Fatalf("promotion left popRuns %v", pr)
 	}
 	if got := m.missingRuns(5, need); got != nil {

@@ -322,8 +322,20 @@ func (f *File) Close() error {
 			return err
 		}
 	}
-	if f.mode == WriteMode && opErr == nil {
-		opErr = f.drain()
+	if f.mode == WriteMode {
+		// The drains run one rank at a time in (clock, rank) order, so the
+		// OSTs serve them in virtual-time order. Every rank takes its turn,
+		// one that already failed included, and a failed drain keeps its
+		// error and passes the turn on: the peers still waiting for theirs
+		// must reach the barrier below.
+		if err := f.c.InClockOrder(func() error {
+			if opErr == nil {
+				opErr = f.drain()
+			}
+			return nil
+		}); err != nil {
+			return err
+		}
 	}
 	// Final synchronization so every rank leaves Close at the same
 	// virtual time, as MPI_File_close would.

@@ -6,11 +6,14 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/tcio/tcio/internal/cluster"
 	"github.com/tcio/tcio/internal/datatype"
+	"github.com/tcio/tcio/internal/extent"
 	"github.com/tcio/tcio/internal/mpi"
 	"github.com/tcio/tcio/internal/simtime"
+	"github.com/tcio/tcio/internal/storage"
 	"github.com/tcio/tcio/internal/trace"
 )
 
@@ -488,5 +491,97 @@ func TestSplitCallPaysOnePieceCharge(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCloseFailurePassesTheTurn: Close's drains run one rank at a time in
+// clock order, and a rank whose Close fails must still pass the turn on —
+// whether it reached the drain already holding an error or its own drain
+// failed in its turn. Four ranks close under a deadline: every rank returns,
+// the failing rank with its own error and the others with none.
+func TestCloseFailurePassesTheTurn(t *testing.T) {
+	const procs, bad = 4, 2
+	for _, tc := range []struct {
+		name  string
+		plant func(f *File) error // on rank bad, after the last Flush
+		check func(err error) bool
+	}{
+		{
+			// An epoch closed behind the handle's back makes Close's own
+			// closeEpochs fail before the drain.
+			name: "error before the drain",
+			plant: func(f *File) error {
+				if err := f.flushLevel1(); err != nil {
+					return err
+				}
+				return f.win.Unlock(f.openOwners[0])
+			},
+			check: func(err error) bool { return err != nil && strings.Contains(err.Error(), "not locked") },
+		},
+		{
+			// Two overlapping pending runs in one of the rank's own segments
+			// make its drain batch fail in its turn, before anything is issued.
+			name: "drain fails in its turn",
+			plant: func(f *File) error {
+				st := f.meta.lock(f.layout.RankSegment(bad, 0))
+				st.pending = append(st.pending, extent.Extent{Off: 0, Len: 8}, extent.Extent{Off: 4, Len: 8})
+				st.mu.Unlock()
+				return nil
+			},
+			check: func(err error) bool { return errors.Is(err, storage.ErrOverlappingBatch) },
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			errs := make([]error, procs)
+			done := make(chan error, 1)
+			go func() {
+				_, err := mpi.Run(mpi.Config{Procs: procs, Machine: cluster.Lonestar()}, func(c *mpi.Comm) error {
+					cfg := smallCfg()
+					f, err := Open(c, "close-fail", WriteMode, cfg)
+					if err != nil {
+						return err
+					}
+					// Each rank writes its own block of every rank's first
+					// segment, then a block of the next segment it leaves
+					// in level 1 for Close; clocks descend with the rank.
+					for seg := int64(0); seg < procs; seg++ {
+						if err := f.WriteAt(seg*cfg.SegmentSize+int64(c.Rank())*8, bytes.Repeat([]byte{byte(c.Rank() + 1)}, 8)); err != nil {
+							return err
+						}
+					}
+					if err := f.Flush(); err != nil {
+						return err
+					}
+					c.Compute(simtime.Duration(procs-c.Rank()) * simtime.Microsecond)
+					if err := f.WriteAt(int64(procs+(c.Rank()+1)%procs)*cfg.SegmentSize+int64(c.Rank())*8, []byte{1}); err != nil {
+						return err
+					}
+					if c.Rank() == bad {
+						if err := tc.plant(f); err != nil {
+							return err
+						}
+					}
+					errs[c.Rank()] = f.Close()
+					return nil
+				})
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(time.Minute):
+				t.Fatal("a rank was still in Close after a minute")
+			}
+			for r, err := range errs {
+				if r == bad && !tc.check(err) {
+					t.Errorf("failing rank %d: Close returned %v", r, err)
+				}
+				if r != bad && err != nil {
+					t.Errorf("rank %d: Close returned %v, want nil", r, err)
+				}
+			}
+		})
 	}
 }
