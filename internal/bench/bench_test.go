@@ -281,7 +281,10 @@ func TestARTHeadlineFactor(t *testing.T) {
 // TestFig5Shape pins the shape of the paper's Figure 5 (ROADMAP 2(b), first
 // row) on the Table II sweep: collective writes favour OCIO below the
 // 512-rank crossover and TCIO from it on, and TCIO reads lead at every
-// process count. Orderings only — the levels move with host arrival order
+// process count. OCIO's columns are exact (ROADMAP 2(b), second row): the
+// exchange resolves at its last arrival and the I/O phase runs in clock
+// order, so its write and read phases take the same virtual nanoseconds on
+// every run. TCIO's are orderings only: they move with host arrival order
 // until virtual time is deterministic (ROADMAP item 1).
 func TestFig5Shape(t *testing.T) {
 	if testing.Short() {
@@ -295,6 +298,14 @@ func TestFig5Shape(t *testing.T) {
 		procs  int
 		method Method
 	}
+	// OCIO's write and read phases by process count, in virtual ns.
+	ocioNs := map[int][2]simtime.Duration{
+		64:   {4_955_627_524, 2_586_247_926},
+		128:  {7_954_190_260, 3_037_931_373},
+		256:  {16_143_329_914, 5_303_878_753},
+		512:  {43_128_940_062, 16_224_338_190},
+		1024: {145_173_677_364, 68_991_661_084},
+	}
 	write, read := map[point]float64{}, map[point]float64{}
 	for _, r := range rep.Rows {
 		p := r.Point.(FigPoint)
@@ -302,6 +313,13 @@ func TestFig5Shape(t *testing.T) {
 			t.Fatalf("%v at %d ranks failed: %s", p.Method, p.Procs, r.Result)
 		}
 		write[point{p.Procs, p.Method}], read[point{p.Procs, p.Method}] = r.MBs, r.Read.MBs
+		if p.Method != MethodOCIO {
+			continue
+		}
+		if want := ocioNs[p.Procs]; r.Time != want[0] || r.Read.Time != want[1] {
+			t.Errorf("OCIO at %d ranks: write %d ns, read %d ns; want %d and %d",
+				p.Procs, int64(r.Time), int64(r.Read.Time), int64(want[0]), int64(want[1]))
+		}
 	}
 	for _, procs := range defaultFig5().Procs {
 		tw, ow := write[point{procs, MethodTCIO}], write[point{procs, MethodOCIO}]

@@ -139,7 +139,9 @@ func ratchetPrograms() []ratchetProgram {
 }
 
 // flatten records every exported leaf of v under path, an embedded struct's
-// fields promoted as Go spells them (Row.Time, not Row.PhaseResult.Time).
+// fields promoted as Go spells them (Row.Time, not Row.PhaseResult.Time). A
+// field tagged ratchet:"host" is a host measurement (a wall clock, an
+// allocation count), never free of host order, and is skipped.
 func flatten(out map[cell]string, row int, path string, v reflect.Value) {
 	switch v.Kind() {
 	case reflect.Pointer, reflect.Interface:
@@ -151,6 +153,7 @@ func flatten(out map[cell]string, row int, path string, v reflect.Value) {
 	case reflect.Struct:
 		for i := 0; i < v.NumField(); i++ {
 			switch f := v.Type().Field(i); {
+			case f.Tag.Get("ratchet") == "host":
 			case f.Anonymous:
 				flatten(out, row, path, v.Field(i))
 			case f.IsExported():

@@ -62,12 +62,13 @@ const (
 )
 
 // scalePoint is one (procs, GOMAXPROCS) cell. Wall-clock and per-op
-// fields are host-timing facts and vary run to run; the virtual
-// time, request counts, and trace length are seed-deterministic.
+// fields are host-timing facts and vary run to run (tagged host: the
+// host-order ratchet skips them); the virtual time, request counts, and
+// trace length are seed-deterministic.
 type scalePoint struct {
 	Procs, GoMaxProcs int
 
-	WallNs, NsPerOp, BytesPerOp, AllocsPerOp int64
+	WallNs, NsPerOp, BytesPerOp, AllocsPerOp int64 `ratchet:"host"`
 
 	VirtualNs, TraceEvents int64
 }

@@ -25,6 +25,7 @@ type timeBarrier struct {
 	final   simtime.Time    // likewise
 	order   []int           // likewise: sortByClock's
 	turn    int             // InClockOrder: index in order of the turn's rank
+	chunk   []netsim.Msg    // scheduleAlltoall's: one source's p messages
 }
 
 func newTimeBarrier(n int) *timeBarrier {
@@ -307,18 +308,24 @@ func (c *Comm) alltoall(side a2aSlot) error {
 
 // scheduleAlltoall is the last arrival's pass over all p² messages, in the
 // order and at the departures Alltoallv's comment gives, delivering each.
+// Each source's p messages are posted to the network as one burst.
 func (w *World) scheduleAlltoall(b *timeBarrier) {
 	b.sortByClock()
+	if b.chunk == nil {
+		b.chunk = make([]netsim.Msg, len(b.a2a))
+	}
 	for _, src := range b.order {
-		s := &b.a2a[src]
-		for dst := range b.a2a {
-			msg := s.to(dst)
-			depart := b.times[src].Add(simtime.Duration(dst+1) * sendOverhead)
-			arrival := w.net.Transfer(w.machine.NodeOf(src), w.machine.NodeOf(dst),
-				w.machine.Scale(int64(len(msg))), depart, netsim.TwoSided)
+		s, node := &b.a2a[src], w.machine.NodeOf(src)
+		for dst := range b.chunk {
+			m := &b.chunk[dst] // Post sets the rest
+			m.Src, m.Dst, m.Size = node, w.machine.NodeOf(dst), w.machine.Scale(int64(len(s.to(dst))))
+			m.Depart = b.times[src].Add(simtime.Duration(dst+1) * sendOverhead)
+		}
+		w.net.Post(b.chunk, netsim.TwoSided)
+		for dst := range b.chunk {
 			d := &b.a2a[dst]
-			d.recv[src] = msg
-			d.finish = max(d.finish, arrival)
+			d.recv[src] = s.to(dst)
+			d.finish = max(d.finish, b.chunk[dst].Arrival)
 		}
 		s.finish = max(s.finish, b.times[src].Add(simtime.Duration(len(b.a2a))*sendOverhead))
 	}

@@ -3,9 +3,12 @@ package mpiio
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
+	"time"
 
 	"github.com/tcio/tcio/internal/datatype"
 	"github.com/tcio/tcio/internal/extent"
@@ -306,4 +309,88 @@ func TestSecondCollectiveCallAllocations(t *testing.T) {
 		}
 		return nil
 	})
+}
+
+// TestWriteAllTurnFailure: an aggregator that receives a malformed exchange
+// message fails in its I/O turn with checkRuns' error, and every peer —
+// those whose turns came first, those still waiting, and the sender — fails
+// with ErrAborted instead of hanging. Rank 1 plays WriteAll's collectives by
+// hand, contributing nothing to the domain and sending rank 2 one bad
+// message; ranks 0, 2 and 3 each write one 16-byte domain. The turns before
+// the failing one still write: the error is returned in its turn, where it
+// was found before the checks moved ahead of the turns.
+func TestWriteAllTurnFailure(t *testing.T) {
+	const procs, block, sender, victim = 4, 16, 1, 2
+	seg := func(off, n int64) datatype.Segment { return datatype.Segment{Off: off, Len: n} }
+	for _, tc := range []struct {
+		name string
+		msg  func(dom extent.Extent) []byte
+		want string
+	}{
+		{"runs out of order", func(dom extent.Extent) []byte {
+			return refEncodeRuns([]datatype.Segment{seg(dom.Off+8, 4), seg(dom.Off, 4)}, make([]byte, 8))
+		}, "out of order"},
+		{"payload of the wrong length", func(dom extent.Extent) []byte {
+			return refEncodeRuns([]datatype.Segment{seg(dom.Off, 4)}, make([]byte, 3))
+		}, "payload bytes"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			errs := make([]error, procs)
+			var rep mpi.Report
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				rep, _ = mpi.Run(mpi.Config{Procs: procs}, func(c *mpi.Comm) error {
+					errs[c.Rank()] = func() error {
+						f, err := Open(c, "turn-failure")
+						if err != nil {
+							return err
+						}
+						if c.Rank() != sender {
+							if err := f.SeekTo(int64(c.Rank()) * block); err != nil {
+								return err
+							}
+							return f.WriteAll(make([]byte, block))
+						}
+						lo, hi, err := f.aggregateDomain(nil)
+						if err != nil {
+							return err
+						}
+						msg := tc.msg(f.buildAggSet(lo, hi).part.Domain(victim))
+						displs := make([]int, procs+1)
+						for r := victim + 1; r <= procs; r++ {
+							displs[r] = len(msg)
+						}
+						if err := c.AlltoallvFlat(msg, displs, make([][]byte, procs)); err != nil {
+							return err
+						}
+						if err := c.InClockOrder(func() error { return nil }); err != nil {
+							return err
+						}
+						return c.Barrier()
+					}()
+					return errs[c.Rank()]
+				})
+			}()
+			select {
+			case <-done:
+			case <-time.After(time.Minute):
+				t.Fatal("a rank still waits a minute after the bad message")
+			}
+			// Rank 0 enters the turns first (clock ties go to the lower rank)
+			// and writes its domain; rank 3 enters after the aggregator and
+			// never gets a turn.
+			if rep.FS.Writes != 1 || rep.FS.BytesWritten != block {
+				t.Errorf("the file system saw %d writes of %d bytes, want rank 0's one write of %d", rep.FS.Writes, rep.FS.BytesWritten, block)
+			}
+			for r, err := range errs {
+				switch {
+				case r == victim && (err == nil || !strings.Contains(err.Error(), tc.want)):
+					t.Errorf("aggregator %d returned %v, want the checkRuns error (%q)", r, err, tc.want)
+				case r != victim && !errors.Is(err, mpi.ErrAborted):
+					t.Errorf("rank %d returned %v, want ErrAborted", r, err)
+				}
+			}
+		})
+	}
 }

@@ -184,7 +184,9 @@ func (f *File) WriteAll(data []byte) error {
 		return err
 	}
 
-	// I/O phase, aggregators in clock order: assemble the domain, write it.
+	// I/O phase, aggregators in clock order. A domain the runs cover is
+	// assembled before the turn; the turn holds only what the order must
+	// see: the preread of a domain with holes, the CPU charge and the write.
 	var buf []byte
 	if mine.Len > 0 {
 		if buf, err = f.c.Malloc(mine.Len); err != nil {
@@ -192,34 +194,19 @@ func (f *File) WriteAll(data []byte) error {
 		}
 		defer f.c.Free(buf)
 	}
+	scattered, covered, bad := f.assemble(mine, buf)
 	if err := f.c.InClockOrder(func() error {
-		if mine.Len == 0 {
+		switch {
+		case mine.Len == 0:
 			return nil
-		}
-		// Decode all incoming runs first to decide whether the domain is
-		// fully covered; holes force a read-modify-write preread. The plan
-		// is spent once packed, so its storage holds them; Coalesce reorders
-		// it, so the scatter decodes each message again.
-		f.plan = f.plan[:0]
-		for _, msg := range f.recv {
-			if f.plan, _, err = checkRuns(f.plan, msg, mine, true); err != nil {
-				return err
-			}
-		}
-		scattered := len(f.plan)
-		// Every run lies inside the domain, so they cover it exactly when
-		// they merge into it.
-		if covered := extent.Coalesce(f.plan); len(covered) != 1 || covered[0] != mine {
+		case bad != nil: // returned in the turn, as if found there
+			return bad
+		case !covered:
+			// Holes force a read-modify-write: preread, then scatter.
 			if err := f.readRetry(mine.Off, buf); err != nil {
 				return err
 			}
-		}
-		for _, msg := range f.recv {
-			recs, payload := runTable(msg)
-			f.plan, _ = extent.DecodeRuns(f.plan[:0], recs) // checked above
-			for _, r := range f.plan {
-				payload = payload[copy(buf[r.Off-mine.Off:r.End()-mine.Off], payload):]
-			}
+			f.scatter(mine, buf)
 		}
 		f.chargeCPU(runCPU, scattered) // aggregator-side decode + scatter
 		return f.writeRetry(mine.Off, buf)
@@ -227,6 +214,44 @@ func (f *File) WriteAll(data []byte) error {
 		return err
 	}
 	return f.c.Barrier()
+}
+
+// assemble decodes and checks the runs an aggregator received for its
+// domain and reports how many there are, and whether they cover the domain;
+// when they do, it scatters their payloads into buf. The plan is spent once
+// packed, so its storage holds the runs. A message that fails checkRuns is
+// the error.
+func (f *File) assemble(mine extent.Extent, buf []byte) (runs int, covered bool, err error) {
+	if mine.Len == 0 {
+		return 0, false, nil
+	}
+	f.plan = f.plan[:0]
+	for _, msg := range f.recv {
+		if f.plan, _, err = checkRuns(f.plan, msg, mine, true); err != nil {
+			return 0, false, err
+		}
+	}
+	runs = len(f.plan)
+	// Every run lies inside the domain, so they cover it exactly when they
+	// merge into it.
+	merged := extent.Coalesce(f.plan)
+	if covered = len(merged) == 1 && merged[0] == mine; covered {
+		f.scatter(mine, buf)
+	}
+	return runs, covered, nil
+}
+
+// scatter copies every checked message's payload to its runs' places in the
+// domain buffer. Coalesce reordered the plan, so it decodes each message
+// again.
+func (f *File) scatter(mine extent.Extent, buf []byte) {
+	for _, msg := range f.recv {
+		recs, payload := runTable(msg)
+		f.plan, _ = extent.DecodeRuns(f.plan[:0], recs) // checked by assemble
+		for _, r := range f.plan {
+			payload = payload[copy(buf[r.Off-mine.Off:r.End()-mine.Off], payload):]
+		}
+	}
 }
 
 // ReadAll performs a collective read of n visible bytes through the view at
