@@ -317,14 +317,15 @@ func (w *World) scheduleAlltoall(b *timeBarrier) {
 	for _, src := range b.order {
 		s, node := &b.a2a[src], w.machine.NodeOf(src)
 		for dst := range b.chunk {
+			msg := s.to(dst)
+			b.a2a[dst].recv[src] = msg
 			m := &b.chunk[dst] // Post sets the rest
-			m.Src, m.Dst, m.Size = node, w.machine.NodeOf(dst), w.machine.Scale(int64(len(s.to(dst))))
+			m.Src, m.Dst, m.Size = node, w.machine.NodeOf(dst), w.machine.Scale(int64(len(msg)))
 			m.Depart = b.times[src].Add(simtime.Duration(dst+1) * sendOverhead)
 		}
 		w.net.Post(b.chunk, netsim.TwoSided)
 		for dst := range b.chunk {
 			d := &b.a2a[dst]
-			d.recv[src] = s.to(dst)
 			d.finish = max(d.finish, b.chunk[dst].Arrival)
 		}
 		s.finish = max(s.finish, b.times[src].Add(simtime.Duration(len(b.a2a))*sendOverhead))
