@@ -117,7 +117,7 @@ func DefaultConfig() Config {
 // burst it joins. The heap is written out because container/heap boxes
 // every pushed element, and this path must not allocate.
 type flowWindow struct {
-	mu   sync.Mutex     // held by Post across a run of messages at the port
+	mu   sync.Mutex     // held by join, or by Post across a run of messages
 	ends []simtime.Time // min-heap: ends[0] is the window that closes first
 }
 
@@ -159,6 +159,13 @@ func (fw *flowWindow) overlapAt(t, end simtime.Time) int {
 	}
 	fw.ends = h
 	return n
+}
+
+// join is overlapAt under the port's lock: one message's window.
+func (fw *flowWindow) join(t, end simtime.Time) int {
+	fw.mu.Lock()
+	defer fw.mu.Unlock()
+	return fw.overlapAt(t, end)
 }
 
 // node is the per-node interconnect state. The traffic counters count what
@@ -227,14 +234,29 @@ type Msg struct {
 }
 
 // Transfer moves size bytes from node src to node dst, departing at the
-// given virtual instant, and returns the arrival instant: Post of a
-// one-message burst. The byte payload itself is moved by the caller (the
-// MPI layer); Transfer only accounts for time. Transfer is safe for
-// concurrent use.
+// given virtual instant, and returns the arrival instant: what Post of a
+// one-message burst returns, through the same per-message steps without
+// the passes. The byte payload itself is moved by the caller (the MPI
+// layer); Transfer only accounts for time. Transfer is safe for concurrent
+// use.
 func (n *Network) Transfer(src, dst int, size int64, depart simtime.Time, class Class) simtime.Time {
-	m := [1]Msg{{Src: src, Dst: dst, Size: size, Depart: depart}}
-	n.Post(m[:], class)
-	return m[0].Arrival
+	m := Msg{Src: src, Dst: dst, Size: size, Depart: depart}
+	retries, slow := n.open(&m, class)
+	var local, congested int64
+	peak := 0
+	if m.Src == m.Dst {
+		local = 1
+	} else {
+		m.egress = n.nodes[m.Src].egress.join(m.ready, m.ready.Add(m.wire))
+		m.ingress = n.nodes[m.Dst].ingress.join(m.ready, m.ready.Add(m.wire))
+		if n.arrive(&m) {
+			congested = 1
+		}
+		peak = m.ingress
+	}
+	n.nodes[m.Src].count(class, 1, m.Size, congested)
+	n.addTotals(local, retries, slow, peak)
+	return m.Arrival
 }
 
 // Post moves a burst of messages of one class and sets each one's Arrival.
@@ -246,54 +268,15 @@ func (n *Network) Transfer(src, dst int, size int64, depart simtime.Time, class 
 // concurrent callers' messages interleave with the burst's only between
 // runs. A negative Size is taken as zero.
 func (n *Network) Post(msgs []Msg, class Class) {
-	setup := n.cfg.SetupTwoSided
-	if class == OneSided {
-		setup = n.cfg.SetupOneSided
-	}
-	inj := n.cfg.Faults
 	var local, retries, slow int64
 	for i := range msgs {
-		m := &msgs[i]
-		if m.Src < 0 || m.Src >= len(n.nodes) || m.Dst < 0 || m.Dst >= len(n.nodes) {
-			panic(fmt.Sprintf("netsim: transfer %d->%d outside %d nodes", m.Src, m.Dst, len(n.nodes)))
-		}
-		m.Size = max(m.Size, 0)
-		if m.Src == m.Dst {
-			// Same node: a memory copy, no NIC involvement.
+		r, sl := n.open(&msgs[i], class)
+		retries, slow = retries+r, slow+sl
+		if msgs[i].Src == msgs[i].Dst {
 			local++
-			m.Arrival = m.Depart.Add(setup).Add(simtime.BytesDuration(m.Size, n.cfg.MemBandwidth))
-			continue
-		}
-
-		// Injected connection-setup drops: IB fabrics retry a failed work
-		// request in hardware after a timeout, so the failure surfaces only
-		// as burned virtual time. Bounded so a probability of 1 cannot spin.
-		s := setup
-		if inj.Enabled(faults.SiteNetSetup) {
-			retryDelay := n.cfg.SetupRetryDelay
-			if retryDelay <= 0 {
-				retryDelay = 200 * simtime.Microsecond
-			}
-			for tries := 0; tries < 8 && inj.ShouldNext(faults.SiteNetSetup, int64(m.Src), int64(m.Dst)); tries++ {
-				s += retryDelay
-				retries++
-			}
-		}
-		m.ready = m.Depart.Add(s)
-		m.wire = simtime.BytesDuration(m.Size, n.cfg.NICBandwidth)
-
-		// Injected slow transfer: a degraded link or cable serves this flow
-		// at a fraction of line rate.
-		if inj != nil && inj.ShouldNext(faults.SiteNetSlow, int64(m.Src), int64(m.Dst)) {
-			m.wire = simtime.Duration(float64(m.wire) * inj.Factor(faults.SiteNetSlow))
-			slow++
 		}
 	}
 
-	// Source NIC: k concurrent outbound flows share the line rate.
-	// Destination NIC: concurrent inbound flows share the line rate, and a
-	// connection storm beyond the threshold collapses goodput superlinearly
-	// (incast).
 	n.joinPorts(msgs, false)
 	n.joinPorts(msgs, true)
 
@@ -312,25 +295,85 @@ func (n *Network) Post(msgs []Msg, class Class) {
 			continue
 		}
 		peak = max(peak, m.ingress)
-		penalty := 1.0
-		if extra := m.ingress - n.cfg.IncastThreshold; extra > 0 {
-			scale := n.cfg.IncastScale
-			if scale <= 0 {
-				scale = 1
-			}
-			exp := n.cfg.IncastExponent
-			if exp <= 0 {
-				exp = 1
-			}
-			penalty = min(1+math.Pow(float64(extra)/scale, exp), n.cfg.MaxPenalty)
+		if n.arrive(m) {
 			congested++
 		}
-		egressDur := m.wire * simtime.Duration(m.egress+1)
-		ingressDur := simtime.Duration(float64(m.wire) * float64(m.ingress+1) * penalty)
-		m.Arrival = m.ready.Add(max(egressDur, ingressDur)).Add(n.cfg.Latency)
 	}
 	from.count(class, sent, bytes, congested)
+	n.addTotals(local, retries, slow, peak)
+}
 
+// open validates a message and charges what precedes the wire: its setup,
+// the injected setup drops and slowdown (it reports how many of each it
+// rolled), and its unshared wire time. A same-node message is a memory copy
+// with no NIC involvement, and open sets its Arrival.
+func (n *Network) open(m *Msg, class Class) (retries, slow int64) {
+	if m.Src < 0 || m.Src >= len(n.nodes) || m.Dst < 0 || m.Dst >= len(n.nodes) {
+		panic(fmt.Sprintf("netsim: transfer %d->%d outside %d nodes", m.Src, m.Dst, len(n.nodes)))
+	}
+	m.Size = max(m.Size, 0)
+	setup := n.cfg.SetupTwoSided
+	if class == OneSided {
+		setup = n.cfg.SetupOneSided
+	}
+	if m.Src == m.Dst {
+		m.Arrival = m.Depart.Add(setup).Add(simtime.BytesDuration(m.Size, n.cfg.MemBandwidth))
+		return 0, 0
+	}
+
+	// Injected connection-setup drops: IB fabrics retry a failed work
+	// request in hardware after a timeout, so the failure surfaces only as
+	// burned virtual time. Bounded so a probability of 1 cannot spin.
+	inj := n.cfg.Faults
+	if inj.Enabled(faults.SiteNetSetup) {
+		retryDelay := n.cfg.SetupRetryDelay
+		if retryDelay <= 0 {
+			retryDelay = 200 * simtime.Microsecond
+		}
+		for ; retries < 8 && inj.ShouldNext(faults.SiteNetSetup, int64(m.Src), int64(m.Dst)); retries++ {
+			setup += retryDelay
+		}
+	}
+	m.ready = m.Depart.Add(setup)
+	m.wire = simtime.BytesDuration(m.Size, n.cfg.NICBandwidth)
+
+	// Injected slow transfer: a degraded link or cable serves this flow at
+	// a fraction of line rate.
+	if inj != nil && inj.ShouldNext(faults.SiteNetSlow, int64(m.Src), int64(m.Dst)) {
+		m.wire = simtime.Duration(float64(m.wire) * inj.Factor(faults.SiteNetSlow))
+		slow = 1
+	}
+	return retries, slow
+}
+
+// arrive sets a remote message's Arrival from the windows it joined and
+// reports whether it paid the incast penalty. Source NIC: k concurrent
+// outbound flows share the line rate. Destination NIC: concurrent inbound
+// flows share the line rate, and a connection storm beyond the threshold
+// collapses goodput superlinearly (incast).
+func (n *Network) arrive(m *Msg) (congested bool) {
+	penalty := 1.0
+	if extra := m.ingress - n.cfg.IncastThreshold; extra > 0 {
+		scale := n.cfg.IncastScale
+		if scale <= 0 {
+			scale = 1
+		}
+		exp := n.cfg.IncastExponent
+		if exp <= 0 {
+			exp = 1
+		}
+		penalty = min(1+math.Pow(float64(extra)/scale, exp), n.cfg.MaxPenalty)
+		congested = true
+	}
+	egressDur := m.wire * simtime.Duration(m.egress+1)
+	ingressDur := simtime.Duration(float64(m.wire) * float64(m.ingress+1) * penalty)
+	m.Arrival = m.ready.Add(max(egressDur, ingressDur)).Add(n.cfg.Latency)
+	return congested
+}
+
+// addTotals adds to the network-wide counters: same-node copies, setup
+// retries and slowed transfers, and the largest ingress overlap seen.
+func (n *Network) addTotals(local, retries, slow int64, peak int) {
 	if local > 0 {
 		n.localMessages.Add(local)
 	}
