@@ -3,9 +3,9 @@
 // flags are generated from the sweep table in internal/bench: run it with
 // -h for the list, which says per sweep whether -all includes it. Every
 // sweep named runs; -chaos beside a sweep that has a deterministic
-// projection (-overlap, -sieve, -delegate) prints that counts-only
-// table instead; -json FILE collects every sweep's rows in one document;
-// -conform runs the randomized differential conformance sweep.
+// projection (-overlap, -delegate) prints that counts-only table instead;
+// -json FILE collects every sweep's rows in one document; -conform runs the
+// randomized differential conformance sweep.
 //
 // Simulated datasets follow the paper (LENarray=4M elements, files up to
 // 48 GB); -len-real controls how many elements are actually materialized

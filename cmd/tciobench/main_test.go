@@ -77,12 +77,14 @@ func TestBadCountIsAnError(t *testing.T) {
 // TestJSONKeepsEverySweep: each sweep used to overwrite the -json file, so
 // only the last one's report survived.
 func TestJSONKeepsEverySweep(t *testing.T) {
-	doc := readJSON(t, "-overlap", "-sieve", "-len-real", "512")
-	if len(doc.Sweeps) != 2 || doc.Sweeps[0].Name != "overlap" || doc.Sweeps[1].Name != "sieve" {
+	doc := readJSON(t, "-overlap", "-scale", "-scale-procs", "16", "-scale-maxprocs", "1", "-len-real", "512")
+	if len(doc.Sweeps) != 2 || doc.Sweeps[0].Name != "overlap" || doc.Sweeps[1].Name != "scale" {
 		t.Fatalf("entries: %+v", doc.Sweeps)
 	}
+	// Each sweep names its virtual-time column in its own table.
+	timeKey := map[string]string{"overlap": "virtual_time_ns", "scale": "virtual_ns"}
 	for _, s := range doc.Sweeps {
-		if len(s.Rows) == 0 || s.Rows[0]["result"] != "ok" || s.Rows[0]["virtual_time_ns"] == nil {
+		if len(s.Rows) == 0 || s.Rows[0]["result"] != "ok" || s.Rows[0][timeKey[s.Name]] == nil {
 			t.Errorf("%s: rows %+v", s.Name, s.Rows)
 		}
 	}

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"strings"
 	"testing"
 
 	"github.com/tcio/tcio/internal/datatype"
@@ -128,21 +127,6 @@ func TestSizeAccessLargerThanOne(t *testing.T) {
 	}
 }
 
-func TestProgramLinesComparison(t *testing.T) {
-	loc2, loc3 := ProgramLines()
-	if loc2 == 0 || loc3 == 0 {
-		t.Fatalf("LoC = %d/%d; markers missing?", loc2, loc3)
-	}
-	// The paper's Table III: OCIO requires substantially more code.
-	if loc3 >= loc2 {
-		t.Fatalf("TCIO program (%d lines) not shorter than OCIO (%d lines)", loc3, loc2)
-	}
-	r2, r3 := ProgramReadLines()
-	if r3 >= r2 {
-		t.Fatalf("TCIO read program (%d) not shorter than OCIO (%d)", r3, r2)
-	}
-}
-
 func TestTables(t *testing.T) {
 	for _, tb := range []struct {
 		name string
@@ -190,40 +174,6 @@ func TestFig5SmallScale(t *testing.T) {
 	}
 }
 
-func TestFig6OOMReproduction(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-point sweep")
-	}
-	// Miniature of the paper's Fig. 6 48 GB point: per-rank simulated data
-	// that OCIO's double buffering cannot fit but TCIO can. 12 processes are
-	// one full node: 2 GiB per rank.
-	rep, err := Run(fig67Sweep(&figGeometry{Procs: []int{12}, LenSims: []int{64 << 20}}), Options{LenReal: 1 << 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	write := rep.Tables(nil)[0]
-	var tcioOK, ocioFailed bool
-	for _, r := range rep.Rows {
-		switch r.Point.(FigPoint).Method {
-		case MethodTCIO:
-			tcioOK = !r.Failed
-		case MethodOCIO:
-			ocioFailed = r.Failed && r.FailReason == "out of memory"
-		}
-	}
-	if !tcioOK {
-		t.Fatalf("TCIO failed the large-dataset point: %v", write.Rows)
-	}
-	if !ocioFailed {
-		t.Fatalf("OCIO did not fail with OOM at the large-dataset point: %v", write.Rows)
-	}
-	// The rendered table must show the failure, as the paper's text does.
-	joined := strings.Join(write.Rows[0], " ")
-	if !strings.Contains(joined, "FAIL") {
-		t.Fatalf("table does not show the failure: %q", joined)
-	}
-}
-
 // artThroughput runs the ART sweep and returns each library's write and
 // read MB/s at the geometry's one process count.
 func artThroughput(t *testing.T, g *ARTGeometry) (write, read map[Method]float64) {
@@ -254,81 +204,6 @@ func TestARTSmallScale(t *testing.T) {
 		MuCells: 128, SigmaCells: 16, Seed: 5, Scale: 32})
 	if tcioW, vanW := write[MethodTCIO], write[MethodVanilla]; tcioW <= vanW {
 		t.Fatalf("TCIO (%.1f MB/s) not faster than vanilla MPI-IO (%.1f MB/s) on ART", tcioW, vanW)
-	}
-}
-
-// TestARTHeadlineFactor pins the paper's headline: at artbench's default
-// 64-rank point TCIO beats vanilla MPI-IO by well over an order of
-// magnitude (measured ~245x on write, ~110x on read). The band is wide
-// because the vanilla column moves with host speed until virtual time is
-// deterministic (ROADMAP item 1); tighten it then.
-func TestARTHeadlineFactor(t *testing.T) {
-	if testing.Short() {
-		t.Skip("64-rank sweep")
-	}
-	g := DefaultART()
-	g.Procs = []int{64}
-	write, read := artThroughput(t, g)
-	t.Logf("write %v MB/s, read %v MB/s", write, read)
-	if f := write[MethodTCIO] / write[MethodVanilla]; f < 50 {
-		t.Errorf("ART write: TCIO / MPI-IO = %.0fx, want >= 50x", f)
-	}
-	if f := read[MethodTCIO] / read[MethodVanilla]; f < 20 {
-		t.Errorf("ART read: TCIO / MPI-IO = %.0fx, want >= 20x", f)
-	}
-}
-
-// TestFig5Shape pins the shape of the paper's Figure 5 (ROADMAP 2(b), first
-// row) on the Table II sweep: collective writes favour OCIO below the
-// 512-rank crossover and TCIO from it on, and TCIO reads lead at every
-// process count. OCIO's columns are exact (ROADMAP 2(b), second row): the
-// exchange resolves at its last arrival and the I/O phase runs in clock
-// order, so its write and read phases take the same virtual nanoseconds on
-// every run. TCIO's are orderings only: they move with host arrival order
-// until virtual time is deterministic (ROADMAP item 1).
-func TestFig5Shape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("64..1024-rank sweep")
-	}
-	rep, err := Run(fig5Sweep(defaultFig5()), Options{LenReal: 1024})
-	if err != nil {
-		t.Fatal(err)
-	}
-	type point struct {
-		procs  int
-		method Method
-	}
-	// OCIO's write and read phases by process count, in virtual ns.
-	ocioNs := map[int][2]simtime.Duration{
-		64:   {4_955_627_524, 2_586_247_926},
-		128:  {7_954_190_260, 3_037_931_373},
-		256:  {16_143_329_914, 5_303_878_753},
-		512:  {43_128_940_062, 16_224_338_190},
-		1024: {145_173_677_364, 68_991_661_084},
-	}
-	write, read := map[point]float64{}, map[point]float64{}
-	for _, r := range rep.Rows {
-		p := r.Point.(FigPoint)
-		if r.Result != "ok" {
-			t.Fatalf("%v at %d ranks failed: %s", p.Method, p.Procs, r.Result)
-		}
-		write[point{p.Procs, p.Method}], read[point{p.Procs, p.Method}] = r.MBs, r.Read.MBs
-		if p.Method != MethodOCIO {
-			continue
-		}
-		if want := ocioNs[p.Procs]; r.Time != want[0] || r.Read.Time != want[1] {
-			t.Errorf("OCIO at %d ranks: write %d ns, read %d ns; want %d and %d",
-				p.Procs, int64(r.Time), int64(r.Read.Time), int64(want[0]), int64(want[1]))
-		}
-	}
-	for _, procs := range defaultFig5().Procs {
-		tw, ow := write[point{procs, MethodTCIO}], write[point{procs, MethodOCIO}]
-		if tcioAhead := tw > ow; tcioAhead != (procs >= 512) {
-			t.Errorf("write at %d ranks: TCIO %.0f MB/s, OCIO %.0f MB/s; the crossover is at 512", procs, tw, ow)
-		}
-		if tr, or := read[point{procs, MethodTCIO}], read[point{procs, MethodOCIO}]; tr <= or {
-			t.Errorf("read at %d ranks: TCIO %.0f MB/s not above OCIO %.0f MB/s", procs, tr, or)
-		}
 	}
 }
 

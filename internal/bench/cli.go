@@ -25,7 +25,6 @@ func Tciobench(fs *flag.FlagSet) *CLI {
 		ablationSweep(defaultAblation()),
 		chaosSweep(defaultChaos()),
 		overlapSweep(defaultOverlap()),
-		sieveSweep(defaultSieve()),
 		delegateSweep(defaultDelegate()),
 		delegateReadSweep(defaultDelegateRead()),
 		scaleSweep(defaultScale()),

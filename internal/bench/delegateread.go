@@ -42,8 +42,8 @@ const (
 // delegateReadGeometry configures the delegated read sweep.
 type delegateReadGeometry struct {
 	segGeometry
-	// Servers is the dedicated server-rank count (at least 1 — the
-	// pass-through read path is the sieve sweep's subject, not this one's).
+	// Servers is the dedicated server-rank count (at least 1: a collective
+	// read needs servers, and the pass-through read path is plain tcio).
 	Servers     int
 	CacheBlocks []int    // server cache capacities swept (0 = disarmed)
 	Patterns    []string // access patterns swept (PatternPrivate, PatternShared)
@@ -139,7 +139,7 @@ func delegateReadSweep(g *delegateReadGeometry) *Sweep {
 					}
 				}
 				cfg := g.tierConfig(g.Servers)
-				cfg.ServerCacheBlocks, cfg.ReadQuantum, cfg.TCIO.CollectiveRead = p.CacheBlocks, g.ReadQuantum, p.Collective
+				cfg.ServerCacheBlocks, cfg.ReadQuantum, cfg.CollectiveRead = p.CacheBlocks, g.ReadQuantum, p.Collective
 				runs[passes] = g.runTier(env, cfg, tierProgram{Files: 1, ReqSize: g.ReqSize,
 					Write: true, Read: true, Passes: passes, Shared: p.Pattern == PatternShared})
 				if runs[passes].Failed {

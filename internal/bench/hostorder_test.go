@@ -122,7 +122,6 @@ func ratchetPrograms() []ratchetProgram {
 		opts  Options
 	}{
 		{"overlap", func() *Sweep { return overlapSweep(defaultOverlap()) }, Options{Seed: 7, LenReal: overlapTestLenReal}},
-		{"sieve", func() *Sweep { return sieveSweep(smallSieveOpts()) }, Options{Seed: 7}},
 		{"delegate", func() *Sweep { return delegateSweep(smallDelegateOpts()) }, Options{Seed: 7}},
 	} {
 		chaos := s.opts

@@ -17,7 +17,6 @@ import (
 func TestGoldenOutputs(t *testing.T) {
 	for file, args := range map[string]string{
 		"overlap-chaos.txt":  "-overlap -chaos -seed 7 -len-real 512",
-		"sieve-chaos.txt":    "-sieve -chaos -seed 7",
 		"delegate-chaos.txt": "-delegate -chaos -seed 7",
 		"crash.csv":          "-crash -seed 7 -csv",
 		"chaos.txt":          "-chaos -seed 7 -chaos-procs 16",
@@ -57,7 +56,7 @@ func TestRunnerRejects(t *testing.T) {
 	if _, err := Run(fig5, Options{LenReal: 256, Chaos: true}); err == nil {
 		t.Error("projection of a sweep without one accepted")
 	}
-	bad := sieveSweep(smallSieveOpts())
+	bad := delegateSweep(smallDelegateOpts())
 	bad.Projection = &Table{Columns: []Column{colTime}}
 	if _, err := Run(bad, Options{Chaos: true}); err == nil {
 		t.Error("projection with a host-order column accepted")

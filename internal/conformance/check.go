@@ -180,22 +180,6 @@ func (o *Outcome) checkTCIOStats(p *Program, run *engineRun) {
 			o.diverge("tcio", "stats", "rank %d counted %d reads/%d bytes, program has %d/%d",
 				rank, s.Reads, s.BytesRead, wantN, wantBytes)
 		}
-		if (p.Knobs.SieveBuffer == 0 || !p.Knobs.DemandPopulate) &&
-			(s.SieveReads != 0 || s.SieveWasteBytes != 0) {
-			o.diverge("tcio", "stats", "rank %d issued %d sieve covers (%d waste) with the sieve disarmed",
-				rank, s.SieveReads, s.SieveWasteBytes)
-		}
-		if !p.Knobs.CollectiveRead && s.TwoPhaseExchanges != 0 {
-			o.diverge("tcio", "stats", "rank %d counted %d intent exchanges with collective read off",
-				rank, s.TwoPhaseExchanges)
-		}
-		if p.Knobs.CollectiveRead && s.TwoPhaseExchanges != int64(len(p.ReadRounds))+1 {
-			// One exchange per explicit Fetch (one per round) plus Close's;
-			// implicit batch-overflow fetches stay independent and must not
-			// bump the counter.
-			o.diverge("tcio", "stats", "rank %d counted %d intent exchanges, want %d (rounds+close)",
-				rank, s.TwoPhaseExchanges, len(p.ReadRounds)+1)
-		}
 		if !p.Knobs.DemandPopulate {
 			want := expectedPreload(p, rank, run.fileSize)
 			if s.Populations != want {
@@ -206,15 +190,7 @@ func (o *Outcome) checkTCIOStats(p *Program, run *engineRun) {
 		popSum += s.Populations
 	}
 	if p.Knobs.DemandPopulate {
-		want := expectedDemandPopulations(p, run.fileSize)
-		if p.Knobs.SieveBuffer > 0 {
-			// Sieved stagings are partial and deliberately not counted as
-			// populations, so the exact-count oracle relaxes to an upper
-			// bound: never more than one per demanded segment.
-			if popSum > want {
-				o.diverge("tcio", "stats", "ranks populated %d segments with the sieve armed, cap %d", popSum, want)
-			}
-		} else if popSum != want {
+		if want := expectedDemandPopulations(p, run.fileSize); popSum != want {
 			o.diverge("tcio", "stats", "ranks populated %d segments on demand, want %d", popSum, want)
 		}
 	}
@@ -320,18 +296,6 @@ func (p *Program) summarize(tc, oc, va *engineRun, dl *delegateRun, cr *crashRun
 			residue += s.FlushResidue
 		}
 		fmt.Fprintf(&b, " wb[eager=%d residue=%d]", eager, residue)
-	}
-	if p.Knobs.SieveBuffer > 0 || p.Knobs.CollectiveRead {
-		// Exchange counts are collective structure (one per round plus
-		// Close, on every rank), so they diff cleanly; sieve cover counts
-		// are deliberately excluded — on the independent path, which rank
-		// stages a contended segment's runs is scheduling-dependent.
-		var xch int64
-		for _, s := range tc.rStats {
-			xch += s.TwoPhaseExchanges
-		}
-		fmt.Fprintf(&b, " sieve[buf=%d coll=%v xch=%d]",
-			p.Knobs.SieveBuffer, p.Knobs.CollectiveRead, xch)
 	}
 	if dl != nil {
 		// Staged-record and batched-run totals are sorted-epoch quantities

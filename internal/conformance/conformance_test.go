@@ -85,7 +85,6 @@ func TestValidateRejectsIllegalKnobs(t *testing.T) {
 		set  func(*Knobs)
 		want string
 	}{
-		{"sieve buffer", func(k *Knobs) { k.SieveBuffer = -8 }, "tcio: sieve buffer -8"},
 		{"crash kills with write-behind", func(k *Knobs) { k.Journal, k.CrashKills, k.WriteBehind = true, 2, true },
 			"conformance: 2 crash kills with delegation or write-behind"},
 		{"crash kills with servers", func(k *Knobs) { k.Journal, k.CrashKills, k.ServerRanks = true, 2, 1 },
@@ -95,6 +94,7 @@ func TestValidateRejectsIllegalKnobs(t *testing.T) {
 		{"servers eat all ranks", func(k *Knobs) { k.ServerRanks = 2 }, "delegate: 2 server ranks of 2"},
 		{"server cache blocks", func(k *Knobs) { k.ServerCacheBlocks = -4 }, "delegate: server cache blocks -4"},
 		{"read quantum", func(k *Knobs) { k.ReadQuantum = -8 }, "delegate: read quantum -8"},
+		{"collective read without servers", func(k *Knobs) { k.CollectiveRead = true }, "delegate: collective read without server ranks"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p := &Program{

@@ -78,6 +78,7 @@ func (p *Program) delegateConfig(rec *trace.Recorder) delegate.Config {
 		ServerRanks:       k.ServerRanks,
 		ServerCacheBlocks: k.ServerCacheBlocks,
 		ReadQuantum:       k.ReadQuantum,
+		CollectiveRead:    k.CollectiveRead,
 		TCIO:              p.tcioConfig(rec),
 	}
 }
@@ -362,8 +363,7 @@ func (o *Outcome) checkDelegateRead(p *Program, dl *delegateRun) {
 		}
 		if k.CollectiveRead {
 			// One intent epoch per file per collective point: each read
-			// round's Fetch plus Close's, on every server — the delegated
-			// mirror of tcio's TwoPhaseExchanges count.
+			// round's Fetch plus Close's, on every server.
 			if want := int64(k.Files) * int64(len(p.ReadRounds)+1); s.ReadEpochs != want {
 				o.diverge("delegate", "stats", "server %d closed %d read epochs, want %d (files x rounds+close)",
 					s.Rank, s.ReadEpochs, want)

@@ -9,6 +9,7 @@ package conformance
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 
 	"github.com/tcio/tcio/internal/cluster"
@@ -105,8 +106,6 @@ func (p *Program) tcioConfig(rec *trace.Recorder) tcio.Config {
 		DisableLevel1:       k.DisableLevel1,
 		DemandPopulate:      k.DemandPopulate,
 		WriteBehind:         k.WriteBehind,
-		SieveBuffer:         k.SieveBuffer,
-		CollectiveRead:      k.CollectiveRead,
 		Journal:             k.Journal,
 		SegmentMemoryBudget: k.SegmentMemoryBudget,
 		Trace:               rec,
@@ -309,15 +308,26 @@ func runVanilla(p *Program, truth []byte) *engineRun {
 		f.SetSieving(p.Knobs.Sieving)
 		var caps []readCapture
 		for _, round := range p.ReadRounds {
-			for _, op := range round.Ops {
-				if op.Rank != c.Rank() {
-					continue
-				}
-				got, err := f.ReadAt(op.Off, op.Len)
+			if p.Knobs.Sieving {
+				// Sieving only acts on a noncontiguous request, so the rank
+				// reads the whole round through its view in one independent
+				// read: the round's runs reach the sieve together.
+				got, err := readRound(f, round, c.Rank(), func(n int64) ([]byte, error) { return f.ReadAt(0, n) })
 				if err != nil {
 					return err
 				}
-				caps = append(caps, readCapture{op: op, got: got})
+				caps = append(caps, got...)
+			} else {
+				for _, op := range round.Ops {
+					if op.Rank != c.Rank() {
+						continue
+					}
+					got, err := f.ReadAt(op.Off, op.Len)
+					if err != nil {
+						return err
+					}
+					caps = append(caps, readCapture{op: op, got: got})
+				}
 			}
 			if err := c.Barrier(); err != nil {
 				return err
@@ -450,6 +460,43 @@ func setRoundView(f *mpiio.File, offs, lens []int64) error {
 	return f.SeekTo(0)
 }
 
+// readRound reads rank's share of round through the round's Hindexed view
+// in one call of read, which gets the byte count, and maps each of the
+// rank's ops onto the bytes it returned, so they verify like per-op reads.
+func readRound(f *mpiio.File, round Round, rank int, read func(int64) ([]byte, error)) ([]readCapture, error) {
+	offs, lens := rankRoundRead(round, rank)
+	if err := setRoundView(f, offs, lens); err != nil {
+		return nil, err
+	}
+	packed := make([]int64, len(offs)+1) // where each run starts in the read
+	for i, n := range lens {
+		packed[i+1] = packed[i] + n
+	}
+	got, err := read(packed[len(offs)])
+	if err != nil {
+		return nil, err
+	}
+	if int64(len(got)) != packed[len(offs)] {
+		return nil, fmt.Errorf("rank %d read %d bytes through its round view, want %d", rank, len(got), packed[len(offs)])
+	}
+	var caps []readCapture
+	for _, op := range round.Ops {
+		if op.Rank != rank {
+			continue
+		}
+		c := readCapture{op: op}
+		if op.Len > 0 {
+			// The runs are the union of the ops, so the last run starting at
+			// or before an op holds all of it.
+			i := sort.Search(len(offs), func(i int) bool { return offs[i] > op.Off }) - 1
+			at := packed[i] + op.Off - offs[i]
+			c.got = got[at : at+op.Len]
+		}
+		caps = append(caps, c)
+	}
+	return caps, nil
+}
+
 // runOCIO executes the program through ROMIO-style two-phase collective
 // I/O: each round becomes one WriteAll/ReadAll under a per-round
 // Hindexed file view.
@@ -501,42 +548,12 @@ func runOCIO(p *Program, truth []byte) *engineRun {
 			return err
 		}
 		for _, round := range p.ReadRounds {
-			offs, lens := rankRoundRead(round, c.Rank())
-			if err := setRoundView(f, offs, lens); err != nil {
-				return err
-			}
-			var total int64
-			for _, n := range lens {
-				total += n
-			}
-			got, err := f.ReadAll(total)
+			caps, err := readRound(f, round, c.Rank(), f.ReadAll)
 			if err != nil {
 				return err
 			}
-			// Verify every original op against the truth through the
-			// fetched union bytes.
-			at := int64(0)
-			fetched := make(map[int64]byte, total)
-			for i := range offs {
-				for j := int64(0); j < lens[i]; j++ {
-					fetched[offs[i]+j] = got[at]
-					at++
-				}
-			}
-			for _, op := range round.Ops {
-				if op.Rank != c.Rank() {
-					continue
-				}
-				for i := int64(0); i < op.Len; i++ {
-					var want byte
-					if op.Off+i < int64(len(truth)) {
-						want = truth[op.Off+i]
-					}
-					if fetched[op.Off+i] != want {
-						return fmt.Errorf("collective read-back mismatch: rank %d off=%d len=%d byte %d got %#x want %#x",
-							op.Rank, op.Off, op.Len, i, fetched[op.Off+i], want)
-					}
-				}
+			if err := verifyCaptures(truth, caps); err != nil {
+				return err
 			}
 		}
 		mu.Lock()

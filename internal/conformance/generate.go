@@ -14,9 +14,9 @@ package conformance
 //	class 3 — chaos: OST and one-sided put fault rules armed.
 //	class 4 — multi-core placement: several ranks per node, so
 //	          co-located ranks share a NIC and a memory share.
-//	class 5 — noncontiguous read engine: read-heavy interleaved rounds
-//	          with holes, sweeping the sieve budget (list I/O through
-//	          whole-segment covers) and the two-phase collective read.
+//	class 5 — hole-y reads: read-heavy interleaved rounds with holes,
+//	          populated on demand (and read by vanilla MPI-IO through
+//	          each round's view when its sieving draw is on).
 //	class 6 — delegation tier: dedicated server ranks carved out of the
 //	          communicator, several concurrently open files per client,
 //	          credit-window admission. Ops span only the client ranks.
@@ -122,20 +122,15 @@ func genKnobs(rng *rand.Rand, class int, seed, segSize int64) Knobs {
 		if rng.Intn(3) == 0 {
 			k.DemandPopulate = true
 		}
-	case 5: // noncontiguous read engine (hole-y rounds, see genHoleReadRound)
+	case 5: // hole-y demand-populate reads (see genHoleReadRound)
 		k.DemandPopulate = true
-		// Budgets lean large so segments' runs actually join under covers
-		// (the scatter mutant only bites on multi-run covers); the
-		// occasional 0 keeps the degenerate whole-segment path in rotation.
-		k.SieveBuffer = []int64{16, segSize / 2, segSize, 2 * segSize}[rng.Intn(4)]
-		if rng.Intn(8) == 0 {
-			k.SieveBuffer = 0
-		}
-		// Lean toward the independent sieve path: it has the most machinery
-		// (cover assembly, scatter, waste accounting) for mutants to bite.
-		k.CollectiveRead = rng.Intn(3) == 0
-		if !k.CollectiveRead && rng.Intn(3) == 0 {
-			rng.Intn(2) // the retired lookahead-window draw, discarded
+		// The retired SieveBuffer and CollectiveRead draws, and the
+		// lookahead-window draw behind them, are discarded in the order
+		// they were made, so every seed keeps its program.
+		rng.Intn(4)
+		rng.Intn(8)
+		if rng.Intn(3) != 0 && rng.Intn(3) == 0 {
+			rng.Intn(2)
 		}
 	case 6: // delegation tier (multi-file, server ranks carved from Procs)
 		k.ServerRanks = 1 + rng.Intn(2)
@@ -151,14 +146,14 @@ func genKnobs(rng *rand.Rand, class int, seed, segSize int64) Knobs {
 		// lives behind it) with a capacity above any program's total block
 		// count, so the one racy counter — eviction order — never reaches
 		// the differential run. The quantum sweeps the DRR scheduler, whose
-		// oracle is that nothing but service order may change. Collective
-		// reads (delegated intent epochs when ServerRanks > 0, tcio's
-		// two-phase exchange in pass-through) pair with DemandPopulate, the
-		// read mode the two-phase staging assumes.
+		// oracle is that nothing but service order may change. The draw
+		// that arms delegated collective reads also arms DemandPopulate, so
+		// the pass-through programs it hits keep their read mode; the
+		// collective knob itself needs servers.
 		k.ServerCacheBlocks = []int{0, 64, 64, 64}[rng.Intn(4)]
 		k.ReadQuantum = []int64{0, 8, 32, 128}[rng.Intn(4)]
 		if rng.Intn(2) == 0 {
-			k.CollectiveRead = true
+			k.CollectiveRead = k.ServerRanks > 0
 			k.DemandPopulate = true
 		}
 	case 7: // crash consistency: journaled epochs, kill-anywhere replay

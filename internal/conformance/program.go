@@ -53,11 +53,9 @@ type Round struct {
 // three engines plus the chaos rules.
 type Knobs struct {
 	// TCIO configuration (see tcio.Config).
-	DisableLevel1  bool  `json:"disable_level1,omitempty"`
-	DemandPopulate bool  `json:"demand_populate,omitempty"`
-	WriteBehind    bool  `json:"write_behind,omitempty"`
-	SieveBuffer    int64 `json:"sieve_buffer,omitempty"`
-	CollectiveRead bool  `json:"collective_read,omitempty"`
+	DisableLevel1  bool `json:"disable_level1,omitempty"`
+	DemandPopulate bool `json:"demand_populate,omitempty"`
+	WriteBehind    bool `json:"write_behind,omitempty"`
 	// CoresPerNode overrides the simulated machine's rank placement
 	// (0 = the default testbed). Class 4 draws small values so several
 	// ranks share a node.
@@ -72,10 +70,11 @@ type Knobs struct {
 	// ServerCacheBlocks arms each delegation server's hot-block read
 	// cache (0 = disarmed, the bit-identical pass-through); ReadQuantum
 	// arms deficit-round-robin read scheduling on the servers (0 = inline
-	// arrival order). CollectiveRead above additionally switches delegated
-	// reads to server-merged intent epochs when ServerRanks > 0.
+	// arrival order); CollectiveRead switches delegated reads to
+	// server-merged intent epochs (it needs ServerRanks > 0).
 	ServerCacheBlocks int   `json:"server_cache_blocks,omitempty"`
 	ReadQuantum       int64 `json:"read_quantum,omitempty"`
+	CollectiveRead    bool  `json:"collective_read,omitempty"`
 
 	// Crash class (class 7). Journal arms tcio's journaled-epoch tier;
 	// SegmentMemoryBudget bounds the resident level-2 segments (the spill

@@ -116,9 +116,7 @@ func (t *Tier) Open(name string, mode tcio.Mode) (*File, error) {
 		}
 	}
 	f := &File{t: t, handle: h, name: name, mode: mode}
-	if t.cfg.TCIO.CollectiveRead && mode == tcio.ReadMode {
-		// The tcio CollectiveRead knob moves the two-phase intent exchange
-		// server-side (see readepoch.go).
+	if t.cfg.CollectiveRead && mode == tcio.ReadMode {
 		f.colReads = make([][]colRead, len(t.servers))
 	}
 	return f, nil

@@ -66,6 +66,13 @@ type Config struct {
 	// starve another's small reads. 0 serves each read inline in arrival
 	// order, exactly as before.
 	ReadQuantum int64
+	// CollectiveRead turns delegated reads into server-merged intent
+	// epochs (readepoch.go): clients queue read pieces, Fetch and Close are
+	// collective points that ship each server one intent, and a server
+	// fetches the union of requested blocks once. It needs servers, so
+	// Normalize rejects it with ServerRanks == 0. Off (the default) ships
+	// every piece as its own read request.
+	CollectiveRead bool
 	// TCIO configures the pass-through engine (ServerRanks == 0) and
 	// supplies the segment geometry the file domains derive from.
 	TCIO tcio.Config
@@ -85,6 +92,8 @@ func (cfg Config) Normalize(procs int, stripeSize int64) (Config, error) {
 		return cfg, fmt.Errorf("delegate: server cache blocks %d", cfg.ServerCacheBlocks)
 	case cfg.ReadQuantum < 0:
 		return cfg, fmt.Errorf("delegate: read quantum %d", cfg.ReadQuantum)
+	case cfg.CollectiveRead && cfg.ServerRanks == 0:
+		return cfg, fmt.Errorf("delegate: collective read without server ranks")
 	case cfg.ServerRanks == 0:
 		return cfg, nil
 	}

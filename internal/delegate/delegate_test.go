@@ -327,6 +327,7 @@ func TestDelegateConfigValidation(t *testing.T) {
 		{"negative servers", Config{ServerRanks: -1}},
 		{"negative cache blocks", Config{ServerRanks: 1, ServerCacheBlocks: -1}},
 		{"negative quantum", Config{ServerRanks: 1, ReadQuantum: -8}},
+		{"collective read without servers", Config{CollectiveRead: true}},
 		{"bad tcio config", Config{ServerRanks: 1, TCIO: tcio.Config{SegmentSize: -1}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -20,8 +20,8 @@ const rigDomain, rigBlocks = 256, 8
 // rigConfig is the rig's tier; collective arms delegated collective reads.
 func rigConfig(cacheBlks int, collective bool) Config {
 	return Config{
-		ServerRanks: 2, ServerCacheBlocks: cacheBlks,
-		TCIO: tcio.Config{SegmentSize: rigDomain / 4, NumSegments: 8, CollectiveRead: collective},
+		ServerRanks: 2, ServerCacheBlocks: cacheBlks, CollectiveRead: collective,
+		TCIO: tcio.Config{SegmentSize: rigDomain / 4, NumSegments: 8},
 	}
 }
 
@@ -193,11 +193,12 @@ func TestMalformedWriteFailsNamingIt(t *testing.T) {
 
 // TestNegativeOffsetRejectedLikePassThrough: a negative offset is the
 // caller's error, with the pass-through engine's message, whether the tier
-// is delegated or not, cached or not, and reads are collective or not. A
-// delegated WriteAt used to ship it, and the owning server panicked.
+// is delegated or not, cached or not, and delegated reads are collective or
+// not (a collective read needs servers). A delegated WriteAt used to ship
+// it, and the owning server panicked.
 func TestNegativeOffsetRejectedLikePassThrough(t *testing.T) {
 	for _, servers := range []int{0, 2} {
-		for _, collective := range []bool{false, true} {
+		for _, collective := range []bool{false, servers > 0} {
 			cfg := rigConfig(4, collective)
 			cfg.ServerRanks = servers
 			err := rigRun(cfg, func(tr *Tier) error {

@@ -76,11 +76,11 @@ func readWorkload(t *testing.T, o readRunOpts) readRunOut {
 		ServerRanks:       o.servers,
 		ServerCacheBlocks: o.cacheBlks,
 		ReadQuantum:       o.quantum,
+		CollectiveRead:    o.collective,
 		TCIO: tcio.Config{
 			SegmentSize: o.domain / 4, NumSegments: 8,
-			CollectiveRead: o.collective,
-			Retry:          o.retry,
-			Trace:          o.trace,
+			Retry: o.retry,
+			Trace: o.trace,
 		},
 		Collect: col,
 	}

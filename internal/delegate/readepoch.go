@@ -1,11 +1,11 @@
 package delegate
 
-// Delegated collective reads: the server-side half of tcio's two-phase
-// read exchange. When the tier is delegated and the tcio CollectiveRead
-// knob is armed, clients stop shipping one OpRead per domain piece and
-// instead queue pieces locally; Fetch becomes the collective point where
-// every client ships its read-intent vector (fixed-width off/len runs)
-// to every server in one OpReadIntent. A server holds each vector in the
+// Delegated collective reads: a two-phase read exchange whose aggregators
+// are the servers. When the tier is delegated and Config.CollectiveRead is
+// armed, clients stop shipping one OpRead per domain piece and instead
+// queue pieces locally; Fetch becomes the collective point where every
+// client ships its read-intent vector (fixed-width off/len runs) to every
+// server in one OpReadIntent. A server holds each vector in the
 // handle's quorum until all clients have contributed — the quorum flush
 // epochs use — then closes the read epoch: it merges the union of requested
 // blocks across clients, stages each block once through the hot-block

@@ -34,24 +34,6 @@ func TestCoalesceEdges(t *testing.T) {
 	eq(t, Coalesce([]Extent{{0, 16}, {4, 4}}), []Extent{{0, 16}}, "contained")
 }
 
-func TestSubtractEdges(t *testing.T) {
-	eq(t, Subtract(nil, nil), nil, "nil/nil")
-	eq(t, Subtract(nil, []Extent{{0, 8}}), nil, "nil minuend")
-	eq(t, Subtract([]Extent{{0, 8}}, nil), []Extent{{0, 8}}, "nil subtrahend")
-	eq(t, Subtract([]Extent{{0, 0}}, nil), nil, "zero-length minuend")
-	eq(t, Subtract([]Extent{{0, 8}}, []Extent{{3, 0}}), []Extent{{0, 8}},
-		"zero-length subtrahend inside")
-	// Subtracting a touching neighbour changes nothing.
-	eq(t, Subtract([]Extent{{0, 8}}, []Extent{{8, 8}}), []Extent{{0, 8}}, "touching right")
-	eq(t, Subtract([]Extent{{8, 8}}, []Extent{{0, 8}}), []Extent{{8, 8}}, "touching left")
-	// Exact cover leaves nothing; a hole splits the run cleanly.
-	eq(t, Subtract([]Extent{{0, 8}}, []Extent{{0, 8}}), nil, "exact")
-	eq(t, Subtract([]Extent{{0, 12}}, []Extent{{4, 4}}),
-		[]Extent{{0, 4}, {8, 4}}, "hole")
-	// Subtrahend boundary exactly at minuend start.
-	eq(t, Subtract([]Extent{{4, 8}}, []Extent{{0, 4}}), []Extent{{4, 8}}, "ends at start")
-}
-
 func TestSplitAtEdges(t *testing.T) {
 	eq(t, SplitAt(nil, 8), nil, "nil")
 	eq(t, SplitAt([]Extent{{0, 0}, {5, 0}}, 8), nil, "zero-length only")
@@ -61,28 +43,11 @@ func TestSplitAtEdges(t *testing.T) {
 	eq(t, SplitAt([]Extent{{8, 9}}, 8), []Extent{{8, 8}, {16, 1}}, "one past")
 	// A run strictly inside one cell is untouched.
 	eq(t, SplitAt([]Extent{{9, 3}}, 8), []Extent{{9, 3}}, "interior")
+	// A run crossing several cells, starting and ending inside one.
+	eq(t, SplitAt([]Extent{{3, 10}}, 4), []Extent{{3, 1}, {4, 4}, {8, 4}, {12, 1}}, "straddling")
 	// Non-positive granularity only filters degenerates.
 	eq(t, SplitAt([]Extent{{3, 5}, {9, 0}}, 0), []Extent{{3, 5}}, "gran 0")
 	eq(t, SplitAt([]Extent{{3, 5}}, -4), []Extent{{3, 5}}, "gran negative")
-}
-
-func TestCoversEdges(t *testing.T) {
-	if !Covers(nil, 5, 5) {
-		t.Error("empty interval not covered by empty list")
-	}
-	if Covers(nil, 0, 1) {
-		t.Error("empty list covers a byte")
-	}
-	if !Covers([]Extent{{0, 4}, {4, 4}}, 0, 8) {
-		t.Error("touching runs do not cover their union")
-	}
-	if Covers([]Extent{{0, 4}, {5, 4}}, 0, 9) {
-		t.Error("gapped runs cover across the gap")
-	}
-	// Zero-length run at the probe boundary must not count as coverage.
-	if Covers([]Extent{{0, 4}, {4, 0}}, 0, 5) {
-		t.Error("zero-length run extended coverage")
-	}
 }
 
 // TestSpanTotalEdges pins the degenerate-input behavior of Total.

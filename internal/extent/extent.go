@@ -13,8 +13,6 @@
 //
 //   - Coalesce: sort and merge adjacent/overlapping runs (the level-1
 //     combine step, OCIO's request flattening).
-//   - Subtract: run-list set difference (hole detection,
-//     read-modify-write prereads, cache accounting).
 //   - SplitAt: cut runs at multiples of a granularity (segment and stripe
 //     boundaries).
 //   - Layout (layout.go): the paper's equations (1)-(3) round-robin
@@ -91,55 +89,9 @@ func Total(list []Extent) int64 {
 	return n
 }
 
-// Covers reports whether the union of the runs covers [lo, hi) completely.
-// An empty interval is trivially covered.
-func Covers(list []Extent, lo, hi int64) bool {
-	if hi <= lo {
-		return true
-	}
-	merged := Coalesce(append([]Extent(nil), list...))
-	for _, e := range merged {
-		if e.Off <= lo && e.End() >= hi {
-			return true
-		}
-	}
-	return false
-}
-
-// Subtract returns the coalesced runs of a not covered by b.
-func Subtract(a, b []Extent) []Extent {
-	as := Coalesce(append([]Extent(nil), a...))
-	bs := Coalesce(append([]Extent(nil), b...))
-	var out []Extent
-	j := 0
-	for _, e := range as {
-		cur := e.Off
-		for j < len(bs) && bs[j].End() <= cur {
-			j++
-		}
-		k := j
-		for cur < e.End() {
-			if k >= len(bs) || bs[k].Off >= e.End() {
-				out = append(out, Extent{Off: cur, Len: e.End() - cur})
-				break
-			}
-			if bs[k].Off > cur {
-				out = append(out, Extent{Off: cur, Len: bs[k].Off - cur})
-			}
-			if bs[k].End() > cur {
-				cur = bs[k].End()
-			}
-			k++
-		}
-	}
-	return out
-}
-
 // SplitAt cuts every run at multiples of the granularity, so no returned
-// run crosses a boundary — the subdivision rule shared by TCIO's
-// segment-aligned staging (§IV.A: an access larger than one segment "has to
-// be subdivided and placed in different segments") and the file system's
-// stripe-by-stripe cost accounting. Run order and coverage are preserved;
+// run crosses a boundary — the file system's stripe-by-stripe cost
+// accounting. Run order and coverage are preserved;
 // gran < 1 returns the non-empty runs unchanged.
 func SplitAt(list []Extent, gran int64) []Extent {
 	out := make([]Extent, 0, len(list))

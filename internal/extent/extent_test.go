@@ -80,30 +80,6 @@ func TestCoalesceIdempotent(t *testing.T) {
 	}
 }
 
-// TestSubtractMatchesBitmap pins Subtract against the byte-set model: a
-// byte is in Subtract(a, b) exactly when it is in a and not in b, and the
-// result is well formed.
-func TestSubtractMatchesBitmap(t *testing.T) {
-	prop := func(rawA, rawB []uint16) bool {
-		a, b := randList(rawA), randList(rawB)
-		ma, mb := bitmap(a), bitmap(b)
-		sub := Subtract(a, b)
-		if !wellFormed(sub) {
-			return false
-		}
-		ms := bitmap(sub)
-		for x := range ma {
-			if ms[x] != (ma[x] && !mb[x]) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, quickCfg(3)); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestSplitAtPreservesCoverageAndBoundaries(t *testing.T) {
 	prop := func(raw []uint16, g uint8) bool {
 		gran := int64(g%32) + 1
@@ -329,24 +305,6 @@ func TestLayoutPiecesTileTheAccess(t *testing.T) {
 	}
 	if err := quick.Check(prop, quickCfg(9)); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestCoversSpanSubtractEdges(t *testing.T) {
-	if !Covers(nil, 5, 5) {
-		t.Fatal("empty interval not covered")
-	}
-	if Covers(nil, 0, 1) {
-		t.Fatal("nil list covers bytes")
-	}
-	if !Covers([]Extent{{0, 4}, {4, 4}}, 1, 7) {
-		t.Fatal("adjacent runs do not cover")
-	}
-	if got := Subtract([]Extent{{0, 10}}, nil); !reflect.DeepEqual(got, []Extent{{0, 10}}) {
-		t.Fatalf("Subtract identity = %v", got)
-	}
-	if got := SplitAt([]Extent{{3, 10}}, 4); !reflect.DeepEqual(got, []Extent{{3, 1}, {4, 4}, {8, 4}, {12, 1}}) {
-		t.Fatalf("SplitAt = %v", got)
 	}
 }
 

@@ -487,15 +487,35 @@ func TestEncodeDecodeRuns(t *testing.T) {
 	}
 }
 
+// TestCoversDomain pins the aggregator's coverage decision: runs that tile
+// its domain skip the preread and land in the buffer; a hole, or no runs at
+// all, leaves the buffer for the read-modify-write.
 func TestCoversDomain(t *testing.T) {
-	if !extent.Covers([]datatype.Segment{{Off: 10, Len: 10}, {Off: 20, Len: 10}}, 10, 30) {
-		t.Fatal("full coverage not detected")
-	}
-	if extent.Covers([]datatype.Segment{{Off: 10, Len: 5}, {Off: 20, Len: 10}}, 10, 30) {
-		t.Fatal("hole not detected")
-	}
-	if extent.Covers(nil, 10, 30) {
-		t.Fatal("empty coverage accepted")
+	mine := extent.Extent{Off: 10, Len: 20}
+	for _, tc := range []struct {
+		name string
+		msgs [][]datatype.Segment
+		want bool
+	}{
+		{"two senders tile it", [][]datatype.Segment{{{Off: 20, Len: 10}}, {{Off: 10, Len: 10}}}, true},
+		{"hole", [][]datatype.Segment{{{Off: 10, Len: 5}, {Off: 20, Len: 10}}}, false},
+		{"no runs", [][]datatype.Segment{nil, nil}, false},
+	} {
+		f := &File{}
+		for _, runs := range tc.msgs {
+			payload := bytes.Repeat([]byte{7}, int(extent.Total(runs)))
+			f.recv = append(f.recv, refEncodeRuns(runs, payload))
+		}
+		buf := make([]byte, mine.Len)
+		runs, covered, err := f.assemble(mine, buf)
+		switch {
+		case err != nil:
+			t.Fatalf("%s: %v", tc.name, err)
+		case covered != tc.want:
+			t.Errorf("%s: covered = %v, want %v (%d runs)", tc.name, covered, tc.want, runs)
+		case covered && !bytes.Equal(buf, bytes.Repeat([]byte{7}, int(mine.Len))):
+			t.Errorf("%s: covered domain not scattered: %v", tc.name, buf)
+		}
 	}
 }
 

@@ -40,10 +40,6 @@ const (
 	// out of its covering read one byte late whenever the cover has room —
 	// the classic off-by-one a hand-rolled sieve buffer invites.
 	StorageSieveScatterOffby = "storage.sieve-scatter-offby"
-	// TCIOTwoPhaseDropIntent makes the two-phase collective read drop the
-	// highest-ranked origin's read intents from the exchange, so
-	// aggregators never stage the runs only that rank asked for.
-	TCIOTwoPhaseDropIntent = "tcio.twophase-drop-intent"
 	// DelegateDropQueuedFlush makes a delegation server forget the last
 	// queued write record when a flush closes the epoch — the bytes a
 	// client believes acknowledged never reach the file system.
@@ -74,7 +70,6 @@ func All() []string {
 		MPIIOFlattenDropRun,
 		StorageDropLastRequest,
 		StorageSieveScatterOffby,
-		TCIOTwoPhaseDropIntent,
 		DelegateDropQueuedFlush,
 		WALSkipCommitMarker,
 		TCIOSpillDropDirty,

@@ -19,7 +19,6 @@ import (
 
 	"github.com/tcio/tcio/internal/extent"
 	"github.com/tcio/tcio/internal/mutate"
-	"github.com/tcio/tcio/internal/simtime"
 	"github.com/tcio/tcio/internal/trace"
 )
 
@@ -33,20 +32,12 @@ type SieveResult struct {
 }
 
 // ReadExtentsSieved fills every request's Data from the file through
-// data-sieving covers of at most budget bytes. Requests may be unsorted
-// and may overlap; zero-length requests are ignored. With budget <= 0 (or
-// any budget below the smallest joinable pair) the plan is pure list I/O.
+// data-sieving covers of at most budget bytes, posted as one batch at the
+// caller's present; the caller's clock advances to the latest completion.
+// Requests may be unsorted and may overlap; zero-length requests are
+// ignored. With budget <= 0 (or any budget below the smallest joinable
+// pair) the plan is pure list I/O.
 func (c *Client) ReadExtentsSieved(op string, reqs []Request, budget int64) (SieveResult, error) {
-	res, end, err := c.ReadExtentsSievedFrom(op, reqs, budget, c.clock.Now())
-	c.clock.AdvanceTo(end)
-	return res, err
-}
-
-// ReadExtentsSievedFrom is the detached-start variant of ReadExtentsSieved
-// (see ReadExtentsFrom): the covers depart at start, the caller's clock is
-// untouched, and the covers' latest completion is returned. Calls sharing one
-// start are one posted batch, so a caller can post several plans together.
-func (c *Client) ReadExtentsSievedFrom(op string, reqs []Request, budget int64, start simtime.Time) (SieveResult, simtime.Time, error) {
 	runs := make([]extent.Extent, len(reqs))
 	for i, r := range reqs {
 		runs[i] = extent.Extent{Off: r.Off, Len: int64(len(r.Data))}
@@ -87,11 +78,12 @@ func (c *Client) ReadExtentsSievedFrom(op string, reqs []Request, budget int64, 
 		out.Waste += g.Waste(runs)
 	}
 
-	res, end, err := c.post(op, trace.KindSieve, covers, false, start, nil)
+	res, end, err := c.post(op, trace.KindSieve, covers, false, c.clock.Now(), nil)
+	c.clock.AdvanceTo(end)
 	out.Result = res
 	if err != nil {
 		out.Waste = 0
-		return out, end, err
+		return out, err
 	}
 	at = 0
 	for _, gi := range staged {
@@ -106,5 +98,5 @@ func (c *Client) ReadExtentsSievedFrom(op string, reqs []Request, budget int64, 
 			copy(reqs[i].Data, stage[src:])
 		}
 	}
-	return out, end, nil
+	return out, nil
 }

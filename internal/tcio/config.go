@@ -14,11 +14,9 @@ import (
 )
 
 // Normalize returns the configuration with every zero field replaced by
-// its documented default and every out-of-range field rejected. Fields
-// whose zero value is meaningful (SieveBuffer: "feature off") have no
-// default. stripeSize supplies SegmentSize's default — the
-// file system's lock granularity, as §IV.A prescribes. The receiver is
-// unchanged.
+// its documented default and every out-of-range field rejected. stripeSize
+// supplies SegmentSize's default — the file system's lock granularity, as
+// §IV.A prescribes. The receiver is unchanged.
 func (cfg Config) Normalize(stripeSize int64) (Config, error) {
 	if cfg.SegmentSize == 0 {
 		cfg.SegmentSize = stripeSize
@@ -31,8 +29,6 @@ func (cfg Config) Normalize(stripeSize int64) (Config, error) {
 		return cfg, fmt.Errorf("tcio: segment size %d", cfg.SegmentSize)
 	case cfg.NumSegments < 1:
 		return cfg, fmt.Errorf("tcio: segment count %d", cfg.NumSegments)
-	case cfg.SieveBuffer < 0:
-		return cfg, fmt.Errorf("tcio: sieve buffer %d", cfg.SieveBuffer)
 	case cfg.SegmentMemoryBudget < 0:
 		return cfg, fmt.Errorf("tcio: segment memory budget %d", cfg.SegmentMemoryBudget)
 	}

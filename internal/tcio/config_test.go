@@ -21,15 +21,14 @@ func TestConfigNormalize(t *testing.T) {
 			name: "zero value defaults every field",
 			in:   Config{},
 			want: func(c Config) bool {
-				return c.SegmentSize == stripe && c.NumSegments == 64 &&
-					c.SieveBuffer == 0 && !c.WriteBehind
+				return c.SegmentSize == stripe && c.NumSegments == 64 && !c.WriteBehind
 			},
 		},
 		{
 			name: "explicit values survive",
-			in:   Config{SegmentSize: 128, NumSegments: 3, SieveBuffer: 64},
+			in:   Config{SegmentSize: 128, NumSegments: 3},
 			want: func(c Config) bool {
-				return c.SegmentSize == 128 && c.NumSegments == 3 && c.SieveBuffer == 64
+				return c.SegmentSize == 128 && c.NumSegments == 3
 			},
 		},
 		{
@@ -39,7 +38,6 @@ func TestConfigNormalize(t *testing.T) {
 		},
 		{name: "negative segment size", in: Config{SegmentSize: -1}, err: "segment size"},
 		{name: "negative segment count", in: Config{NumSegments: -2}, err: "segment count"},
-		{name: "negative sieve buffer", in: Config{SieveBuffer: -8}, err: "sieve buffer"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -64,7 +62,7 @@ func TestConfigNormalize(t *testing.T) {
 // the property the delegation client relies on when it re-normalizes a
 // config the caller may already have normalized.
 func TestConfigNormalizeIdempotent(t *testing.T) {
-	once, err := Config{SieveBuffer: 64}.Normalize(512)
+	once, err := Config{SegmentMemoryBudget: 64}.Normalize(512)
 	if err != nil {
 		t.Fatal(err)
 	}

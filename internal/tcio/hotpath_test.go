@@ -16,6 +16,23 @@ import (
 	"github.com/tcio/tcio/internal/mpi"
 )
 
+// seedReadFile writes a deterministic pattern so read sessions have bytes
+// to fetch; every rank must call it (it ends on a barrier).
+func seedReadFile(c *mpi.Comm, name string, size int) error {
+	if c.Rank() == 0 {
+		content := make([]byte, size)
+		for i := range content {
+			content[i] = byte(i*7 + i>>8)
+		}
+		if _, err := c.FS().Open(name).WriteAt(0, 0, content, 0); err != nil {
+			return err
+		}
+	}
+	return c.Barrier()
+}
+
+func wantReadByte(i int64) byte { return byte(i*7 + i>>8) }
+
 // refGroupPending is the grouping groupPending replaced, kept as the
 // oracle: a map of per-segment slices plus the first-appearance order.
 func refGroupPending(pending []readReq, segSize int64) (map[int64][]readReq, []int64) {

@@ -40,32 +40,3 @@ func BenchmarkL2Meta(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkL2MetaMissingRuns measures the read-side query the sieved read
-// path issues per fetch: coverage subtraction against dirty and partially
-// populated runs.
-func BenchmarkL2MetaMissingRuns(b *testing.B) {
-	const segSize = 8192
-	for _, segs := range []int64{16, 256} {
-		b.Run(fmt.Sprintf("segs=%d", segs), func(b *testing.B) {
-			m := newL2Meta(segs, false)
-			for s := int64(0); s < segs; s++ {
-				m.addDirty(s, []extent.Extent{{Off: 128, Len: 256}}, 1)
-				m.addPopRuns(s, []extent.Extent{{Off: 1024, Len: 512}}, segSize, 0)
-			}
-			need := []extent.Extent{{Off: 0, Len: 2048}}
-			b.ReportAllocs()
-			b.SetBytes(2048)
-			var next atomic.Int64
-			b.RunParallel(func(pb *testing.PB) {
-				seg := next.Add(1) % segs
-				for pb.Next() {
-					if got := m.missingRuns(seg, need); len(got) == 0 {
-						b.Error("missing runs vanished")
-						return
-					}
-				}
-			})
-		})
-	}
-}

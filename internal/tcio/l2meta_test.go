@@ -20,7 +20,6 @@ type refL2Meta struct {
 	dirty     map[int64][]extent.Extent
 	pending   map[int64][]extent.Extent
 	populated map[int64]bool
-	popRuns   map[int64][]extent.Extent
 	arrival   map[int64]simtime.Time
 	unlogged  map[int64][]extent.Extent
 }
@@ -30,7 +29,6 @@ func newRefL2Meta(journal bool) *refL2Meta {
 		dirty:     make(map[int64][]extent.Extent),
 		pending:   make(map[int64][]extent.Extent),
 		populated: make(map[int64]bool),
-		popRuns:   make(map[int64][]extent.Extent),
 		arrival:   make(map[int64]simtime.Time),
 	}
 	if journal {
@@ -76,26 +74,6 @@ func (m *refL2Meta) takeCovered(seg int64, need int64) ([]extent.Extent, simtime
 
 func (m *refL2Meta) setPopulated(seg int64) {
 	m.populated[seg] = true
-	delete(m.popRuns, seg)
-}
-
-func (m *refL2Meta) missingRuns(seg int64, needed []extent.Extent) []extent.Extent {
-	if m.populated[seg] {
-		return nil
-	}
-	have := append(append([]extent.Extent(nil), m.popRuns[seg]...), m.dirty[seg]...)
-	return extent.Subtract(needed, have)
-}
-
-func (m *refL2Meta) addPopRuns(seg int64, runs []extent.Extent, segSize int64) {
-	if m.populated[seg] {
-		return
-	}
-	m.popRuns[seg] = extent.Coalesce(append(m.popRuns[seg], runs...))
-	if extent.Covers(m.popRuns[seg], 0, segSize) {
-		m.populated[seg] = true
-		delete(m.popRuns, seg)
-	}
 }
 
 func extentsEqual(a, b []extent.Extent) bool {
@@ -132,7 +110,7 @@ func TestL2MetaMatchesReference(t *testing.T) {
 		ref := newRefL2Meta(journal)
 		for step := 0; step < 2000; step++ {
 			seg := int64(rng.Intn(segs))
-			switch rng.Intn(9) {
+			switch rng.Intn(7) {
 			case 0, 1:
 				runs := randRuns()
 				at := simtime.Time(rng.Intn(1000))
@@ -160,25 +138,13 @@ func TestL2MetaMatchesReference(t *testing.T) {
 				if got, want := m.dirtyRuns(seg), ref.dirty[seg]; !extentsEqual(got, want) {
 					t.Fatalf("trial %d step %d dirtyRuns(%d): got %v want %v", trial, step, seg, got, want)
 				}
+				if got, want := m.isPopulated(seg), ref.populated[seg]; got != want {
+					t.Fatalf("trial %d step %d isPopulated(%d): got %v want %v", trial, step, seg, got, want)
+				}
 			case 5:
 				m.setPopulated(seg, 0)
 				ref.setPopulated(seg)
 			case 6:
-				runs := randRuns()
-				m.addPopRuns(seg, runs, segSize, 0)
-				ref.addPopRuns(seg, runs, segSize)
-				if got, want := m.isPopulated(seg), ref.populated[seg]; got != want {
-					t.Fatalf("trial %d step %d isPopulated(%d): got %v want %v", trial, step, seg, got, want)
-				}
-			case 7:
-				needed := randRuns()
-				got := m.missingRuns(seg, needed)
-				want := ref.missingRuns(seg, needed)
-				if !extentsEqual(got, want) {
-					t.Fatalf("trial %d step %d missingRuns(%d, %v): got %v want %v",
-						trial, step, seg, needed, got, want)
-				}
-			case 8:
 				// Disarmed, nothing is ever unlogged: both must stay empty.
 				if got, want := m.takeUnlogged(seg), ref.takeUnlogged(seg); !extentsEqual(got, want) {
 					t.Fatalf("trial %d step %d takeUnlogged(%d) journal=%v: got %v want %v",

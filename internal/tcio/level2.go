@@ -56,10 +56,6 @@ type segState struct {
 	// extra bookkeeping.
 	unlogged  []extent.Extent
 	populated bool
-	// popRuns tracks partial population (the sieved read path): the runs of
-	// a not-fully-populated segment whose window bytes are already valid.
-	// Empty once the segment is fully populated.
-	popRuns []extent.Extent
 }
 
 // newL2Meta builds empty shared metadata for an open file of segs global
@@ -153,7 +149,7 @@ func (m *l2meta) isPopulated(seg int64) bool {
 func (m *l2meta) setPopulated(seg int64, at simtime.Time) {
 	st := m.lock(seg)
 	defer st.mu.Unlock()
-	st.populated, st.popRuns = true, nil
+	st.populated = true
 	if at > st.arrival {
 		st.arrival = at
 	}
@@ -164,36 +160,6 @@ func (m *l2meta) arrivalOf(seg int64) simtime.Time {
 	st := m.lock(seg)
 	defer st.mu.Unlock()
 	return st.arrival
-}
-
-// missingRuns returns the segment-relative parts of needed whose window
-// bytes are not yet valid. Full population, earlier sieved runs, and dirty
-// runs (freshly written — newer than the file, so a sieve must never
-// overwrite them with file bytes) all count as present.
-func (m *l2meta) missingRuns(seg int64, needed []extent.Extent) []extent.Extent {
-	st := m.lock(seg)
-	defer st.mu.Unlock()
-	if st.populated {
-		return nil
-	}
-	have := append(append([]extent.Extent(nil), st.popRuns...), st.dirty...)
-	return extent.Subtract(needed, have)
-}
-
-// addPopRuns records sieved (partial) population landing at at; once the
-// recorded runs cover the whole segment window it is promoted to fully
-// populated, so later fetches take the fast path.
-func (m *l2meta) addPopRuns(seg int64, runs []extent.Extent, segSize int64, at simtime.Time) {
-	st := m.lock(seg)
-	defer st.mu.Unlock()
-	if st.populated {
-		return
-	}
-	st.arrival = max(st.arrival, at)
-	st.popRuns = extent.Coalesce(append(st.popRuns, runs...))
-	if extent.Covers(st.popRuns, 0, segSize) {
-		st.populated, st.popRuns = true, nil
-	}
 }
 
 // pieces is the layout's piece walk (extent.Layout.Pieces) bounded by the

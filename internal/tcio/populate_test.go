@@ -67,14 +67,13 @@ func getWire(t *testing.T, n int64) simtime.Duration {
 	return wire
 }
 
-// populationEvents reads every population request of a trace — whole
-// segments, and sieve covers that serve one run — as each segment's latest
-// completion and the set of departure instants.
+// populationEvents reads every population request of a trace as each
+// segment's completion and the set of departure instants.
 func populationEvents(rec *trace.Recorder) (land map[int64]simtime.Time, starts map[simtime.Time]bool) {
 	land, starts = make(map[int64]simtime.Time), make(map[simtime.Time]bool)
 	for _, ev := range rec.Events() {
 		var seg, off int64
-		if ev.Kind != trace.KindPopulate && ev.Kind != trace.KindSieve {
+		if ev.Kind != trace.KindPopulate {
 			continue
 		}
 		if _, err := fmt.Sscanf(ev.Detail, "seg=%d off=%d", &seg, &off); err == nil {
@@ -227,68 +226,62 @@ func TestReadCloseWaitsForOwnPreload(t *testing.T) {
 }
 
 // TestDemandBatchIsOnePost: a demand fetch posts its batch's populations
-// together — every request, whole segment or sieve cover, departs at one
-// instant — and marks each segment populated at its own landing, the floor
-// of the gets that follow. Close waits for the last landing.
+// together — every request departs at one instant — and marks each segment
+// populated at its own landing, the floor of the gets that follow. Close
+// waits for the last landing.
 func TestDemandBatchIsOnePost(t *testing.T) {
 	const segs = 4
-	for _, sieve := range []int64{0, preSeg} {
-		rec := &trace.Recorder{}
-		var land map[int64]simtime.Time
-		var starts map[simtime.Time]bool
-		var closed simtime.Time
-		var st Stats
-		_, err := mpi.Run(mpi.Config{Procs: 1, Machine: cluster.Lonestar(), FS: preFS(segs)}, func(c *mpi.Comm) error {
-			f, err := Open(c, "pre", ReadMode, Config{SegmentSize: preSeg, NumSegments: segs,
-				DemandPopulate: true, SieveBuffer: sieve, Trace: rec})
-			if err != nil {
-				return err
-			}
-			dsts := make([][]byte, segs)
-			for seg := range dsts {
-				dsts[seg] = make([]byte, 16)
-				if err := f.ReadAt(int64(seg)*preSeg+8, dsts[seg]); err != nil {
-					return err
-				}
-			}
-			if err := f.Fetch(); err != nil {
-				return err
-			}
-			land, starts = populationEvents(rec)
-			for seg, dst := range dsts {
-				if got := f.meta.arrivalOf(int64(seg)); got != land[int64(seg)] {
-					return fmt.Errorf("segment %d: recorded arrival %d, its read completed at %d", seg, got, land[int64(seg)])
-				}
-				for i, b := range dst {
-					if want := preByte(int64(seg)*preSeg + 8 + int64(i)); b != want {
-						return fmt.Errorf("segment %d byte %d is %#x, want %#x", seg, i, b, want)
-					}
-				}
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			closed, st = c.Now(), f.Stats()
-			return nil
-		})
+	rec := &trace.Recorder{}
+	var land map[int64]simtime.Time
+	var starts map[simtime.Time]bool
+	var closed simtime.Time
+	var st Stats
+	_, err := mpi.Run(mpi.Config{Procs: 1, Machine: cluster.Lonestar(), FS: preFS(segs)}, func(c *mpi.Comm) error {
+		f, err := Open(c, "pre", ReadMode, Config{SegmentSize: preSeg, NumSegments: segs,
+			DemandPopulate: true, Trace: rec})
 		if err != nil {
-			t.Fatalf("sieve %d: %v", sieve, err)
+			return err
 		}
-		if len(land) != segs || len(starts) != 1 {
-			t.Fatalf("sieve %d: %d segments read at %d departure instants, want %d at one", sieve, len(land), len(starts), segs)
-		}
-		for seg, at := range land {
-			if closed < at {
-				t.Errorf("sieve %d: Close returned at %d, before segment %d landed at %d", sieve, closed, seg, at)
+		dsts := make([][]byte, segs)
+		for seg := range dsts {
+			dsts[seg] = make([]byte, 16)
+			if err := f.ReadAt(int64(seg)*preSeg+8, dsts[seg]); err != nil {
+				return err
 			}
 		}
-		whole, covers := int64(segs), int64(0)
-		if sieve > 0 {
-			whole, covers = 0, segs
+		if err := f.Fetch(); err != nil {
+			return err
 		}
-		if st.Populations != whole || st.SieveReads != covers {
-			t.Errorf("sieve %d: %d populations and %d sieve covers, want %d and %d", sieve, st.Populations, st.SieveReads, whole, covers)
+		land, starts = populationEvents(rec)
+		for seg, dst := range dsts {
+			if got := f.meta.arrivalOf(int64(seg)); got != land[int64(seg)] {
+				return fmt.Errorf("segment %d: recorded arrival %d, its read completed at %d", seg, got, land[int64(seg)])
+			}
+			for i, b := range dst {
+				if want := preByte(int64(seg)*preSeg + 8 + int64(i)); b != want {
+					return fmt.Errorf("segment %d byte %d is %#x, want %#x", seg, i, b, want)
+				}
+			}
 		}
+		if err := f.Close(); err != nil {
+			return err
+		}
+		closed, st = c.Now(), f.Stats()
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(land) != segs || len(starts) != 1 {
+		t.Fatalf("%d segments read at %d departure instants, want %d at one", len(land), len(starts), segs)
+	}
+	for seg, at := range land {
+		if closed < at {
+			t.Errorf("Close returned at %d, before segment %d landed at %d", closed, seg, at)
+		}
+	}
+	if st.Populations != segs {
+		t.Errorf("%d populations, want %d", st.Populations, segs)
 	}
 }
 

@@ -79,10 +79,7 @@ func (f *File) ReadAt(off int64, dst []byte) error {
 			f.pendingSwitches++
 			f.pendingSeg = seg
 			if f.pendingSwitches > fetchBatch {
-				// Always the independent path, even under CollectiveRead: a
-				// rank-local batch overflow cannot be a collective call —
-				// peers may be anywhere in their own compute.
-				if err := f.fetchIndependent(); err != nil {
+				if err := f.Fetch(); err != nil {
 					return err
 				}
 				f.pendingSwitches = 1
@@ -95,25 +92,15 @@ func (f *File) ReadAt(off int64, dst []byte) error {
 	})
 }
 
-// Fetch completes all recorded lazy reads (tcio_fetch). By default it is
-// independent: only the calling rank participates. Under
-// Config.CollectiveRead it is instead the two-phase collective exchange of
-// collective.go — every rank of the read session must call it together.
+// Fetch completes all recorded lazy reads (tcio_fetch). It is independent:
+// only the calling rank participates. The batch's unpopulated segments are
+// posted first (populateBatch), then gets for all queued segments are
+// issued asynchronously under concurrently held shared window locks — one
+// epoch per owner — so their wire times overlap instead of serializing.
 func (f *File) Fetch() error {
 	if f.closed {
 		return ErrClosed
 	}
-	if f.cfg.CollectiveRead && f.mode == ReadMode {
-		return f.fetchCollective()
-	}
-	return f.fetchIndependent()
-}
-
-// fetchIndependent is the rank-local fetch: the batch's unpopulated segments
-// are posted first (populateBatch), then gets for all queued segments are
-// issued asynchronously under concurrently held shared window locks — one
-// epoch per owner — so their wire times overlap instead of serializing.
-func (f *File) fetchIndependent() error {
 	if len(f.pending) == 0 {
 		f.pendingSeg = -1
 		f.pendingSwitches = 0
@@ -132,35 +119,29 @@ func (f *File) fetchIndependent() error {
 // at Open) as one batch. It holds the owners' exclusive window locks across
 // the post, not the landing — the gets that follow wait for the landings —
 // and checks each segment again under them, so no segment is read twice.
-// With the sieve armed a segment's job carries the runs its reads need.
 func (f *File) populateBatch(groups []segGroup) error {
-	jobs := f.fetch.jobs[:0]
+	segs := f.fetch.segs[:0]
 	for _, g := range groups {
-		if f.populated(g.seg) {
-			continue
+		if !f.populated(g.seg) {
+			segs = append(segs, g.seg)
 		}
-		j := popJob{seg: g.seg}
-		if f.sieveArmed() {
-			j.runs = segmentRuns(g.reqs, f.layout.SegSize)
-		}
-		jobs = append(jobs, j)
 	}
-	f.fetch.jobs = jobs[:0]
-	if len(jobs) == 0 {
+	f.fetch.segs = segs[:0]
+	if len(segs) == 0 {
 		return nil
 	}
 	owners := f.fetch.owners[:0]
-	for _, j := range jobs {
-		owners = f.withOwner(owners, j.seg)
+	for _, seg := range segs {
+		owners = f.withOwner(owners, seg)
 	}
 	f.fetch.owners = owners[:0]
 	if err := f.lockOwners(owners, true); err != nil {
 		return err
 	}
-	live := jobs[:0]
-	for _, j := range jobs {
-		if !f.meta.isPopulated(j.seg) { // another rank may have come first
-			live = append(live, j)
+	live := segs[:0]
+	for _, seg := range segs {
+		if !f.meta.isPopulated(seg) { // another rank may have come first
+			live = append(live, seg)
 		}
 	}
 	err := f.populate(live)
@@ -227,7 +208,7 @@ type fetchScratch struct {
 	idx     []int32
 	owners  []int
 	sorted  []int
-	jobs    []popJob
+	segs    []int64
 	arena   []byte
 }
 
@@ -286,10 +267,10 @@ func (f *File) groupPending() []segGroup {
 	return groups
 }
 
-// fetchGets is the data-movement phase shared by the independent and
-// collective fetch paths: shared-lock each owner once, issue every
-// segment's get asynchronously, then unlock — Unlock synchronizes with the
-// epoch's transfers, so the waits overlap across owners and segments.
+// fetchGets is the fetch's data-movement phase: shared-lock each owner once,
+// issue every segment's get asynchronously, then unlock — Unlock
+// synchronizes with the epoch's transfers, so the waits overlap across
+// owners and segments.
 //
 // Every owner is locked (lockOwners) before any get is issued, and the
 // epochs close in the owners' first-appearance order. The gets land back to

@@ -34,17 +34,6 @@ type Stats struct {
 	// synchronization) — the drain work hidden behind the application.
 	OverlapSaved simtime.Duration
 
-	// Noncontiguous read engine (Config.SieveBuffer / CollectiveRead).
-	// SieveReads counts covering reads issued by the data sieve; each
-	// replaces one or more per-run demand reads. SieveWasteBytes counts
-	// hole bytes those covers moved without delivering — the price of the
-	// request reduction. TwoPhaseExchanges counts the read-intent exchange
-	// rounds of the two-phase collective read (one per collective Fetch,
-	// including the one inside Close).
-	SieveReads        int64
-	SieveWasteBytes   int64
-	TwoPhaseExchanges int64
-
 	// Journal tier (Config.Journal / SegmentMemoryBudget; DESIGN.md §2f).
 	// JournalEpochs counts non-empty epoch batches appended to this rank's
 	// journal; JournalAppends the storage write requests they issued

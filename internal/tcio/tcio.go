@@ -148,30 +148,6 @@ type Config struct {
 	// budget implies Journal (the spill tier is meaningless without the
 	// epoch log). 0 disables the budget (the default).
 	SegmentMemoryBudget int64
-	// SieveBuffer arms data sieving on the demand-populate read path: with
-	// DemandPopulate set, Fetch stages only the runs the queued reads
-	// actually need instead of whole level-2 segments, grouping nearby runs
-	// under covering file system reads of at most SieveBuffer bytes each
-	// (ROMIO's data sieving; the covers are what the storage layer issues,
-	// so retry/trace/virtual-time handling and chaos fault rolls key on
-	// them). A buffer too small to join two runs degenerates to list I/O:
-	// one read per needed run. 0 disables sieving (the default): demand
-	// population reads whole segments, bit-identical to the path before the
-	// knob existed. Ignored without DemandPopulate (preload already reads
-	// every byte once). See DESIGN.md §2d.
-	SieveBuffer int64
-	// CollectiveRead turns explicit Fetch calls into an OCIO-style
-	// two-phase collective read: all ranks must call Fetch (and Close)
-	// together; they exchange read intents, each rank stages the union of
-	// all intents falling in its own segments — through the sieve when
-	// SieveBuffer > 0, as whole-segment populations otherwise — with one
-	// local window write instead of remote exclusive-lock traffic, and a
-	// barrier publishes the windows before the usual overlapped gets
-	// redistribute the runs. Implicit fetches (a ReadAt overflowing
-	// fetchBatch) stay independent — a rank-local event cannot be
-	// collective. Off (the default) keeps today's independent fetch path
-	// bit-identical, including its fault rolls. See DESIGN.md §2d.
-	CollectiveRead bool
 	// Trace, when non-nil, records the library's operations (writes,
 	// flushes, fetches, populations, drains) with virtual timestamps.
 	Trace *trace.Recorder
@@ -208,7 +184,7 @@ type File struct {
 // Open starts a TCIO session on the named shared file. It is collective:
 // every rank must call it with the same name, mode, and configuration —
 // and when several files are open concurrently, every rank must issue
-// their collective calls (Open, Flush, Fetch, Close) in the same order.
+// their collective calls (Open, Flush, Close) in the same order.
 // Window memory (NumSegments * SegmentSize) plus one level-1 buffer is
 // charged against the rank's simulated memory share.
 func Open(c *mpi.Comm, name string, mode Mode, cfg Config) (*File, error) {
