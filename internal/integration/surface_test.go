@@ -30,7 +30,7 @@ var surfaceAllow = map[string]string{
 	"*.Set":    "flag.Value",
 
 	// The calls the paper names (Programs 2 and 3, §IV.A).
-	"internal/mpi.Win.Get":          "MPI_Get, beside Put; the library itself gathers through GetSegmentsAsync",
+	"internal/mpi.Win.Get":          "MPI_Get, beside Put; the library itself gathers through GetSegmentsIntoAsync",
 	"internal/tcio.File.WriteTyped": "tcio_write with a datatype (Program 3)",
 	"internal/tcio.File.ReadTyped":  "tcio_read with a datatype (Program 3)",
 	"internal/datatype.Indexed":     "MPI_Type_indexed, the type §IV.A ships level-1 blocks with",

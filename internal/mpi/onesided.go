@@ -366,26 +366,66 @@ func (h GetHandle) Complete() []byte {
 // the order the file system landed its segments in. The origin's clock does
 // not wait for the floor.
 func (w *Win) GetSegmentsAsync(target int, segs []datatype.Segment, dst []byte, floor simtime.Time) (GetHandle, error) {
-	h, err := w.epoch(target, "Get")
+	out := dst
+	arrival, err := w.get(target, segs, floor, func(buf []byte, total int64) {
+		out = slices.Grow(out, int(total))
+		for _, s := range segs {
+			out = append(out, buf[s.Off:s.Off+s.Len]...)
+		}
+	})
 	if err != nil {
 		return GetHandle{}, err
+	}
+	return GetHandle{c: w.c, data: out[len(dst):], arrival: arrival}, nil
+}
+
+// GetSegmentsIntoAsync is GetSegmentsAsync with the origin side an indexed
+// datatype too: segment i's bytes land in dst[i], which must be exactly
+// segs[i].Len long, so the data is in the caller's buffers without a second
+// copy. dst is written in order, so where two destinations overlap the
+// later one's bytes win. The bytes are the caller's to read once the
+// epoch's Unlock returns; the charge, transfer and floor are
+// GetSegmentsAsync's.
+func (w *Win) GetSegmentsIntoAsync(target int, segs []datatype.Segment, dst [][]byte, floor simtime.Time) error {
+	if len(dst) != len(segs) {
+		return fmt.Errorf("mpi: Get of %d segments into %d destinations", len(segs), len(dst))
+	}
+	for i, s := range segs {
+		if int64(len(dst[i])) != s.Len {
+			return fmt.Errorf("mpi: Get segment of %d bytes into a destination of %d", s.Len, len(dst[i]))
+		}
+	}
+	_, err := w.get(target, segs, floor, func(buf []byte, _ int64) {
+		for i, s := range segs {
+			copy(dst[i], buf[s.Off:s.Off+s.Len])
+		}
+	})
+	return err
+}
+
+// get is one indexed get of segs from target's window: it checks the epoch
+// and the segments, charges the origin the issue, runs gather — the
+// physical copy out of the window, given the get's total bytes — under the
+// target's data mutex, then times the transfer, no earlier than floor, and
+// records its arrival against the epoch.
+func (w *Win) get(target int, segs []datatype.Segment, floor simtime.Time, gather func(buf []byte, total int64)) (simtime.Time, error) {
+	h, err := w.epoch(target, "Get")
+	if err != nil {
+		return 0, err
 	}
 	buf := w.g.bufs[target]
 	var total int64
 	for _, s := range segs {
 		if s.Off < 0 || s.Off+s.Len > int64(len(buf)) {
-			return GetHandle{}, fmt.Errorf("mpi: Get segment [%d,%d) outside window of %d bytes", s.Off, s.Off+s.Len, len(buf))
+			return 0, fmt.Errorf("mpi: Get segment [%d,%d) outside window of %d bytes", s.Off, s.Off+s.Len, len(buf))
 		}
 		total += s.Len
 	}
 	depart := w.c.clock().Advance(sendOverhead + simtime.Duration(len(segs))*perSegmentCPU)
 	w.c.w.touch(w.c.rank, "get", depart)
-	out := slices.Grow(dst, int(total))
 	mu := &w.g.datamu[target]
 	mu.Lock()
-	for _, s := range segs {
-		out = append(out, buf[s.Off:s.Off+s.Len]...)
-	}
+	gather(buf, total)
 	mu.Unlock()
 	arrival := w.c.w.net.Transfer(
 		w.c.w.machine.NodeOf(target), w.c.w.machine.NodeOf(w.c.rank),
@@ -396,5 +436,5 @@ func (w *Win) GetSegmentsAsync(target int, segs []datatype.Segment, dst []byte, 
 	if arrival > h.maxArrival {
 		h.maxArrival = arrival
 	}
-	return GetHandle{c: w.c, data: out[len(dst):], arrival: arrival}, nil
+	return arrival, nil
 }

@@ -462,9 +462,84 @@ func TestGetSegmentsAsyncIntoCallerBuffer(t *testing.T) {
 	}
 }
 
+// TestGetSegmentsIntoAsyncMatchesAppendForm: a get whose origin side is
+// one destination per segment lands each segment's bytes in its own
+// destination — the later one winning where two overlap — and charges the
+// origin exactly what the append form does: the same departure, arrival and
+// unlock instant, floored or not. A destination of the wrong length is an
+// error that moves no clock.
+func TestGetSegmentsIntoAsyncMatchesAppendForm(t *testing.T) {
+	segs := []datatype.Segment{{Off: 1, Len: 2}, {Off: 5, Len: 3}, {Off: 0, Len: 2}}
+	type timing struct{ issued, unlocked simtime.Time }
+	get := func(into bool, floor simtime.Time, dst [][]byte) (tm timing) {
+		_, err := Run(testCfg(2), func(c *Comm) error {
+			win, err := c.WinCreate([]byte{10, 11, 12, 13, 14, 15, 16, 17})
+			if err != nil || c.Rank() != 0 {
+				return err
+			}
+			if err := win.Lock(1, false); err != nil {
+				return err
+			}
+			if into {
+				err = win.GetSegmentsIntoAsync(1, segs, dst, floor)
+			} else {
+				_, err = win.GetSegmentsAsync(1, segs, nil, floor)
+			}
+			if err != nil {
+				return err
+			}
+			tm.issued = c.Now()
+			if err := win.Unlock(1); err != nil {
+				return err
+			}
+			tm.unlocked = c.Now()
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tm
+	}
+	buf := make([]byte, 6)
+	dst := [][]byte{buf[0:2], buf[2:5], buf[1:3]} // the third overlaps both
+	for _, floor := range []simtime.Time{0, simtime.Time(5 * simtime.Millisecond)} {
+		clear(buf)
+		if got, want := get(true, floor, dst), get(false, floor, nil); got != want {
+			t.Fatalf("floor %v: into-destinations get issued/unlocked at %v, append form at %v", floor, got, want)
+		}
+		if want := []byte{11, 10, 11, 16, 17, 0}; !bytes.Equal(buf, want) {
+			t.Fatalf("floor %v: destinations hold %v, want %v", floor, buf, want)
+		}
+	}
+	_, err := Run(testCfg(2), func(c *Comm) error {
+		win, err := c.WinCreate(make([]byte, 8))
+		if err != nil || c.Rank() != 0 {
+			return err
+		}
+		if err := win.Lock(1, false); err != nil {
+			return err
+		}
+		before := c.Now()
+		if err := win.GetSegmentsIntoAsync(1, segs, dst[:2], 0); err == nil {
+			return fmt.Errorf("three segments into two destinations: no error")
+		}
+		if err := win.GetSegmentsIntoAsync(1, segs, [][]byte{buf[0:2], buf[2:4], buf[1:3]}, 0); err == nil {
+			return fmt.Errorf("3-byte segment into a 2-byte destination: no error")
+		}
+		if c.Now() != before {
+			return fmt.Errorf("rejected gets moved the clock %v -> %v", before, c.Now())
+		}
+		return win.Unlock(1)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestWarmEpochDoesNotAllocate pins the host cost of a one-sided epoch: on
 // a Win that has closed an epoch before, lock + indexed put + unlock and
-// lock + indexed get into a caller buffer + unlock allocate nothing.
+// lock + indexed get into a caller buffer (appended, or one destination
+// per segment) + unlock allocate nothing.
 func TestWarmEpochDoesNotAllocate(t *testing.T) {
 	_, err := Run(testCfg(2), func(c *Comm) error {
 		win, err := c.WinCreate(make([]byte, 64))
@@ -488,12 +563,17 @@ func TestWarmEpochDoesNotAllocate(t *testing.T) {
 		}
 		put := epoch(func() error { _, err := win.PutSegmentsAsync(1, segs, data); return err })
 		get := epoch(func() error { _, err := win.GetSegmentsAsync(1, segs, dst, 0); return err })
+		into := [][]byte{data[:8], data[8:]}
+		getInto := epoch(func() error { return win.GetSegmentsIntoAsync(1, segs, into, 0) })
 		put() // warm: the first epoch grows the table every later one reuses
 		if a := testing.AllocsPerRun(200, put); a != 0 {
 			return fmt.Errorf("%v allocs per warm put epoch, want 0", a)
 		}
 		if a := testing.AllocsPerRun(200, get); a != 0 {
 			return fmt.Errorf("%v allocs per warm get epoch, want 0", a)
+		}
+		if a := testing.AllocsPerRun(200, getInto); a != 0 {
+			return fmt.Errorf("%v allocs per warm get epoch into per-segment destinations, want 0", a)
 		}
 		return nil
 	})

@@ -90,7 +90,9 @@ func (f *File) land(owner int, slot int64, data []byte, done simtime.Time) (simt
 // preloadAll posts the load of every local slot that overlaps the file — the
 // default read population, through populate. Each rank reads only its own
 // segments, so the file system sees P large disjoint requests, each rank's
-// posted at its present; Open does not wait for them.
+// posted at its present; Open does not wait for them. The ranks post one at
+// a time in (clock, rank) order (Comm.InClockOrder), as the write Close
+// drains, so the OST queues see the batches in virtual-time order.
 func (f *File) preloadAll() error {
 	var segs []int64
 	size := f.store.File().Size()
@@ -102,7 +104,7 @@ func (f *File) preloadAll() error {
 		}
 		segs = append(segs, seg)
 	}
-	if err := f.populate(segs); err != nil {
+	if err := f.c.InClockOrder(func() error { return f.populate(segs) }); err != nil {
 		return err
 	}
 	return f.c.Barrier()

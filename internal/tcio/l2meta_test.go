@@ -17,7 +17,7 @@ import (
 // refL2Meta is the original map-per-field implementation, kept as the
 // semantic oracle. unlogged is nil when the journal tier is disarmed.
 type refL2Meta struct {
-	dirty     map[int64][]extent.Extent
+	written   map[int64]bool
 	pending   map[int64][]extent.Extent
 	populated map[int64]bool
 	arrival   map[int64]simtime.Time
@@ -26,7 +26,7 @@ type refL2Meta struct {
 
 func newRefL2Meta(journal bool) *refL2Meta {
 	m := &refL2Meta{
-		dirty:     make(map[int64][]extent.Extent),
+		written:   make(map[int64]bool),
 		pending:   make(map[int64][]extent.Extent),
 		populated: make(map[int64]bool),
 		arrival:   make(map[int64]simtime.Time),
@@ -38,7 +38,7 @@ func newRefL2Meta(journal bool) *refL2Meta {
 }
 
 func (m *refL2Meta) addDirty(seg int64, runs []extent.Extent, at simtime.Time) {
-	m.dirty[seg] = extent.Coalesce(append(m.dirty[seg], runs...))
+	m.written[seg] = true
 	m.pending[seg] = extent.Coalesce(append(m.pending[seg], runs...))
 	if at > m.arrival[seg] {
 		m.arrival[seg] = at
@@ -135,8 +135,8 @@ func TestL2MetaMatchesReference(t *testing.T) {
 				if got, want := m.hasPending(seg), len(ref.pending[seg]) > 0; got != want {
 					t.Fatalf("trial %d step %d hasPending(%d): got %v want %v", trial, step, seg, got, want)
 				}
-				if got, want := m.dirtyRuns(seg), ref.dirty[seg]; !extentsEqual(got, want) {
-					t.Fatalf("trial %d step %d dirtyRuns(%d): got %v want %v", trial, step, seg, got, want)
+				if got, want := m.isWritten(seg), ref.written[seg]; got != want {
+					t.Fatalf("trial %d step %d isWritten(%d): got %v want %v", trial, step, seg, got, want)
 				}
 				if got, want := m.isPopulated(seg), ref.populated[seg]; got != want {
 					t.Fatalf("trial %d step %d isPopulated(%d): got %v want %v", trial, step, seg, got, want)

@@ -3,9 +3,16 @@ package tcio
 // The level-1 buffer (paper §IV.A): one segment-sized, segment-aligned
 // per-process buffer that coalesces small sequential writes before they
 // travel to the level-2 window as a single indexed-datatype put.
+//
+// The whole segment is charged to the rank's simulated memory at Open; the
+// host holds only the bytes in flight. Its pages are materialised when an
+// epoch's pieces first touch them and go back to the handle's free list at
+// the flush, so a rank that stages one 35 KB record of a 1 MiB segment per
+// epoch holds one or two pages, not the segment.
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/tcio/tcio/internal/datatype"
 	"github.com/tcio/tcio/internal/extent"
@@ -68,7 +75,7 @@ func (f *File) stageWrite(seg, segOff int64, piece []byte) error {
 		}
 		f.l1Seg = seg
 	}
-	copy(f.l1Buf[segOff:segOff+int64(len(piece))], piece)
+	f.l1.put(segOff, piece)
 	f.l1Blocks = append(f.l1Blocks, extent.Extent{Off: segOff, Len: int64(len(piece))})
 	return nil
 }
@@ -78,30 +85,92 @@ func (f *File) stageWrite(seg, segOff int64, piece []byte) error {
 func (f *File) flushLevel1() error {
 	var err error
 	if f.l1Seg >= 0 && len(f.l1Blocks) > 0 {
-		blocks, payload := f.packLevel1()
-		err = f.ship(f.l1Seg, blocks, payload)
+		blocks := extent.Coalesce(f.l1Blocks)
+		err = f.ship(f.l1Seg, blocks, f.l1.pack(blocks))
+		f.l1.recycle(blocks)
 	}
 	f.l1Seg = -1
 	f.l1Blocks = f.l1Blocks[:0]
 	return err
 }
 
-// packLevel1 coalesces the level-1 buffer's cached blocks and returns them
-// with their bytes packed in block order — the indexed datatype of one put.
-func (f *File) packLevel1() ([]extent.Extent, []byte) {
-	blocks := extent.Coalesce(f.l1Blocks)
-	// One run ships straight out of the level-1 buffer (put's consumers
-	// copy synchronously); only a multi-run flush needs its runs packed.
-	payload := f.l1Buf[blocks[0].Off:blocks[0].End()]
-	if len(blocks) > 1 {
-		if f.payloadScratch == nil {
-			f.payloadScratch = make([]byte, 0, f.layout.SegSize)
+// l1PageSize caps a level-1 host page. A page is the unit the host
+// materialises, so it bounds what an epoch that touches a few bytes of a
+// large segment holds; it is a constant, not a knob, because no simulated
+// number depends on it.
+const l1PageSize = 64 << 10
+
+// level1 is a write handle's level-1 buffer in host memory: a page table
+// over the aligned segment (nil where the epoch has not written), the
+// pages earlier epochs gave back, and the scratch a flush packs its runs
+// into. It sits behind a pointer to keep session small. Bytes of a
+// recycled page are stale until the epoch writes them, and only the
+// epoch's staged runs are ever read, so no page is cleared.
+type level1 struct {
+	pageSize int64
+	pages    [][]byte
+	free     [][]byte
+	payload  []byte
+}
+
+// newLevel1 builds an empty level-1 buffer over a segment of segSize bytes.
+func newLevel1(segSize int64) *level1 {
+	ps := min(segSize, l1PageSize)
+	return &level1{pageSize: ps, pages: make([][]byte, (segSize+ps-1)/ps)}
+}
+
+// page returns page i, materialising it from the free list (or the heap)
+// on the epoch's first touch.
+func (l *level1) page(i int64) []byte {
+	if l.pages[i] == nil {
+		if n := len(l.free); n > 0 {
+			l.pages[i], l.free = l.free[n-1], l.free[:n-1]
+		} else {
+			l.pages[i] = make([]byte, l.pageSize)
 		}
-		payload = f.payloadScratch[:0]
-		for _, b := range blocks {
-			payload = append(payload, f.l1Buf[b.Off:b.End()]...)
-		}
-		f.payloadScratch = payload[:0]
 	}
-	return blocks, payload
+	return l.pages[i]
+}
+
+// put copies piece to segment offset off, page by page.
+func (l *level1) put(off int64, piece []byte) {
+	for len(piece) > 0 {
+		n := copy(l.page(off / l.pageSize)[off%l.pageSize:], piece)
+		piece = piece[n:]
+		off += int64(n)
+	}
+}
+
+// pack returns the coalesced blocks' bytes in block order — the payload of
+// one indexed put. A lone run inside one page ships straight from the page
+// (put's consumers copy synchronously); anything else is packed into the
+// payload scratch, grown to the payload's size.
+func (l *level1) pack(blocks []extent.Extent) []byte {
+	if b := blocks[0]; len(blocks) == 1 && b.Off/l.pageSize == (b.End()-1)/l.pageSize {
+		at := b.Off % l.pageSize
+		return l.pages[b.Off/l.pageSize][at : at+b.Len]
+	}
+	payload := slices.Grow(l.payload[:0], int(extent.Total(blocks)))
+	for _, b := range blocks {
+		for off := b.Off; off < b.End(); {
+			at := off % l.pageSize
+			n := min(l.pageSize-at, b.End()-off)
+			payload = append(payload, l.pages[off/l.pageSize][at:at+n]...)
+			off += n
+		}
+	}
+	l.payload = payload[:0]
+	return payload
+}
+
+// recycle returns every page the coalesced blocks touch to the free list.
+func (l *level1) recycle(blocks []extent.Extent) {
+	for _, b := range blocks {
+		for i := b.Off / l.pageSize; i <= (b.End()-1)/l.pageSize; i++ {
+			if p := l.pages[i]; p != nil {
+				l.free = append(l.free, p)
+				l.pages[i] = nil
+			}
+		}
+	}
 }

@@ -18,10 +18,10 @@ import (
 	"github.com/tcio/tcio/internal/trace"
 )
 
-// l2meta is the bookkeeping shared by all ranks of one TCIO file: which
-// parts of each global segment hold buffered data (dirty, writes), which of
-// those runs have not reached the file system yet (pending — the write-
-// behind lane consumes them), and which segments have been populated from
+// l2meta is the bookkeeping shared by all ranks of one TCIO file: whether
+// each global segment holds buffered data (written), which of its runs have
+// not reached the file system yet (pending — the write-behind lane and the
+// final drain consume them), and which segments have been populated from
 // the file system (reads).
 //
 // It is one record per global segment, indexed by the segment's number:
@@ -40,8 +40,7 @@ type l2meta struct {
 // run lists are segment-relative and coalesced.
 type segState struct {
 	mu      sync.Mutex
-	dirty   []extent.Extent // runs holding buffered data
-	pending []extent.Extent // dirty runs not yet drained
+	pending []extent.Extent // written runs not yet drained
 	// arrival is when the segment's newest bytes are in the owner's window
 	// in virtual time; nothing may move them out before it. On a write
 	// handle it is the latest put arrival among the pending runs, recorded
@@ -54,7 +53,10 @@ type segState struct {
 	// journalEpoch consumes them at each Flush/Close. Always empty when the
 	// journal tier is disarmed, so the unjournaled write path does zero
 	// extra bookkeeping.
-	unlogged  []extent.Extent
+	unlogged []extent.Extent
+	// written is set by the first put into the segment and never cleared:
+	// the slot holds buffered bytes that count against the segment budget.
+	written   bool
 	populated bool
 }
 
@@ -77,7 +79,7 @@ func (m *l2meta) lock(seg int64) *segState {
 func (m *l2meta) addDirty(seg int64, runs []extent.Extent, at simtime.Time) {
 	st := m.lock(seg)
 	defer st.mu.Unlock()
-	st.dirty = extent.Coalesce(append(st.dirty, runs...))
+	st.written = true
 	if mutate.Enabled(mutate.TCIOLostPendingRun) {
 		st.pending = extent.Coalesce(append([]extent.Extent(nil), runs...))
 	} else {
@@ -101,10 +103,11 @@ func (m *l2meta) takeUnlogged(seg int64) []extent.Extent {
 	return runs
 }
 
-func (m *l2meta) dirtyRuns(seg int64) []extent.Extent {
+// isWritten reports whether any put has recorded runs in the segment.
+func (m *l2meta) isWritten(seg int64) bool {
 	st := m.lock(seg)
 	defer st.mu.Unlock()
-	return st.dirty
+	return st.written
 }
 
 // hasPending reports whether the segment still has undrained runs — what

@@ -262,7 +262,7 @@ func TestWriteBehindRewriteRace(t *testing.T) {
 
 // TestL2MetaConcurrent hammers one l2meta from many goroutines — the shared
 // state the write-behind scan reads while remote ships record runs. Run
-// under -race this is the regression test for the pending/dirty bookkeeping.
+// under -race this is the regression test for the pending/written bookkeeping.
 func TestL2MetaConcurrent(t *testing.T) {
 	const (
 		workers  = 8
@@ -278,7 +278,7 @@ func TestL2MetaConcurrent(t *testing.T) {
 			defer wg.Done()
 			for s := int64(0); s < segs; s++ {
 				m.addDirty(s, []extent.Extent{{Off: int64(w * perChunk), Len: perChunk}}, simtime.Time(w+1))
-				_ = m.dirtyRuns(s)
+				_ = m.isWritten(s)
 				_ = m.hasPending(s)
 				if runs, at := m.takeCovered(s, segSize); len(runs) != 0 {
 					// Full coverage observed: put the runs back the way a
@@ -292,8 +292,13 @@ func TestL2MetaConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 	for s := int64(0); s < segs; s++ {
-		if got := extent.Total(m.dirtyRuns(s)); got != segSize {
-			t.Fatalf("segment %d: dirty total %d, want %d", s, got, segSize)
+		// Every taken run was put back, so pending still covers every
+		// worker's chunk: the runs the drain would write.
+		if runs, _ := m.takePending(s); extent.Total(runs) != segSize {
+			t.Fatalf("segment %d: pending total %d, want %d", s, extent.Total(runs), segSize)
+		}
+		if !m.isWritten(s) {
+			t.Fatalf("segment %d lost written flag", s)
 		}
 		if !m.isPopulated(s) {
 			t.Fatalf("segment %d lost populated flag", s)

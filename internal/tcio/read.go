@@ -199,9 +199,9 @@ func (f *File) unlockOwners(owners []int) error {
 // fetchScratch is a handle's scratch for the fetch hot path, reused across
 // batches: the queue grouped by segment (and each read's group while it is
 // being placed), the owners locked and their lock order, the segments left
-// to populate, and the arena the batch's gets land in. It sits behind a
-// pointer, made by the first fetch, to keep session — which Open and
-// newSession pass by value on every rank's stack — small.
+// to populate, and one get's destinations. It sits behind a pointer, made
+// by the first fetch, to keep session — which Open and newSession pass by
+// value on every rank's stack — small.
 type fetchScratch struct {
 	grouped []readReq
 	groups  []segGroup
@@ -209,7 +209,7 @@ type fetchScratch struct {
 	owners  []int
 	sorted  []int
 	segs    []int64
-	arena   []byte
+	dsts    [][]byte
 }
 
 // segGroup is one segment's share of a fetch batch: its queued reads, in
@@ -273,10 +273,10 @@ func (f *File) groupPending() []segGroup {
 // owners and segments.
 //
 // Every owner is locked (lockOwners) before any get is issued, and the
-// epochs close in the owners' first-appearance order. The gets land back to
-// back, in group order, in one arena the handle owns and reuses; its bytes
-// are read only by the scatter below, after the unlocks that complete them.
-// Whatever fails, every lock taken here is released before returning.
+// epochs close in the owners' first-appearance order. Each get lands
+// straight in its requests' destinations, which are defined once the
+// unlocks that complete the gets return. Whatever fails, every lock taken
+// here is released before returning.
 func (f *File) fetchGets(groups []segGroup) error {
 	if len(groups) == 0 {
 		f.runPostFetch()
@@ -297,46 +297,36 @@ func (f *File) fetchGets(groups []segGroup) error {
 	if err != nil {
 		return err
 	}
-	// All epochs are closed: every get's data is complete. Scatter it.
-	fetchStart := f.c.Now()
-	at := 0
-	for _, g := range groups {
-		for _, r := range g.reqs {
-			at += copy(r.dst, f.fetch.arena[at:])
-		}
-	}
 	if f.tracing() {
-		f.emit(trace.KindFetch, fetchStart, int64(at), fmt.Sprintf("segments=%d", len(groups)))
+		var n int64
+		for _, g := range groups {
+			for _, r := range g.reqs {
+				n += int64(len(r.dst))
+			}
+		}
+		f.emit(trace.KindFetch, f.c.Now(), n, fmt.Sprintf("segments=%d", len(groups)))
 	}
 	f.runPostFetch()
 	return nil
 }
 
 // issueGets issues one asynchronous indexed get per group, under the shared
-// locks fetchGets holds. The fetch arena is sized to the batch first, so
-// every get appends in place, right after the one before it. A get leaves
-// its owner when its segment has landed (l2meta.arrivalOf): no clock waits
-// for a posted population, and the origin's waits only at Unlock.
+// locks fetchGets holds, each gathering the group's runs straight into its
+// requests' destinations in request order — so, groups going in order,
+// where two destinations overlap the later request's bytes win. A get
+// leaves its owner when its segment has landed (l2meta.arrivalOf): no clock
+// waits for a posted population, and the origin waits only at Unlock.
 func (f *File) issueGets(groups []segGroup) error {
-	total := 0
-	for _, g := range groups {
-		for _, r := range g.reqs {
-			total += len(r.dst)
-		}
-	}
-	arena := slices.Grow(f.fetch.arena[:0], total)[:total]
-	f.fetch.arena = arena
-	at := 0
 	for _, g := range groups {
 		owner, slot := f.layout.Owner(g.seg)
 		runs := slices.Grow(f.winRunsScratch[:0], len(g.reqs))
-		dst := arena[at:at]
+		dsts := slices.Grow(f.fetch.dsts[:0], len(g.reqs))
 		for _, r := range g.reqs {
 			runs = append(runs, extent.Extent{Off: slot*f.layout.SegSize + r.off%f.layout.SegSize, Len: int64(len(r.dst))})
-			at += len(r.dst)
+			dsts = append(dsts, r.dst)
 		}
-		f.winRunsScratch = runs[:0]
-		if _, err := f.win.GetSegmentsAsync(owner, runs, dst, f.meta.arrivalOf(g.seg)); err != nil {
+		f.winRunsScratch, f.fetch.dsts = runs[:0], dsts[:0]
+		if err := f.win.GetSegmentsIntoAsync(owner, runs, dsts, f.meta.arrivalOf(g.seg)); err != nil {
 			return err
 		}
 		f.stats.Gets++

@@ -44,10 +44,11 @@ type session struct {
 	// batches go through it for retry, tracing, and virtual-time charging.
 	store *storage.Client
 
-	// Level-1 buffer (write mode).
-	l1Seg    int64 // aligned global segment; -1 when empty
-	l1Buf    []byte
-	l1Blocks []extent.Extent // segment-relative cached runs
+	// Level-1 buffer (write mode): the segment it is aligned with (-1 when
+	// empty), its cached runs (segment-relative), and its host pages.
+	l1Seg    int64
+	l1Blocks []extent.Extent
+	l1       *level1
 	// openOwners lists the targets with an open shared put epoch, in
 	// least-recently-used order (front = coldest, evicted first).
 	openOwners []int
@@ -57,11 +58,9 @@ type session struct {
 	// shipCount numbers this rank's one-sided shipments; it keys the
 	// deterministic fault rolls of the put path.
 	shipCount int64
-	// Per-handle scratch for the flush/ship hot path. Safe to reuse across
-	// calls because every consumer copies synchronously: PutSegmentsAsync
-	// copies payload into the window before returning, and addDirty appends
-	// run values.
-	payloadScratch []byte
+	// Per-handle scratch for the ship and get paths. Safe to reuse across
+	// calls because every consumer is done with it when it returns: the
+	// window's puts and gets copy their bytes during the call.
 	winRunsScratch []extent.Extent
 
 	// Write-behind lane (WriteBehind): laneFree is when the
@@ -148,18 +147,11 @@ func newSession(c *mpi.Comm, name string, mode Mode, cfg Config) (session, error
 		}
 	}
 	// Level-1 buffer: exactly one segment (paper §IV.A: "we set them to be
-	// equal, and each level-1 buffer is aligned with one level-2 segment").
-	// Only writes stage through it, so a read handle charges its simulated
-	// size — the same accountant call and fault roll — without allocating
-	// host bytes nothing would touch.
-	var l1 []byte
-	var err error
-	if mode == WriteMode {
-		l1, err = c.Malloc(cfg.SegmentSize)
-	} else {
-		err = c.Reserve(c.Machine().Scale(cfg.SegmentSize))
-	}
-	if err != nil {
+	// equal, and each level-1 buffer is aligned with one level-2 segment"),
+	// charged to the rank's simulated share whole. The host holds only the
+	// pages an epoch's pieces touch (newLevel1), and a read handle, which
+	// never stages, holds none.
+	if err := c.Reserve(c.Machine().Scale(cfg.SegmentSize)); err != nil {
 		if winReserved > 0 {
 			c.Release(winReserved)
 		} else {
@@ -195,7 +187,6 @@ func newSession(c *mpi.Comm, name string, mode Mode, cfg Config) (session, error
 		store:  store,
 		retry:  retry,
 		l1Seg:  -1,
-		l1Buf:  l1,
 		// Each POSIX-like call costs library CPU (offset mapping, block
 		// bookkeeping, copies). Scaled runs stand for ByteScale times as
 		// many calls, so the charge scales accordingly (pieceCharge). Reads
@@ -203,7 +194,9 @@ func newSession(c *mpi.Comm, name string, mode Mode, cfg Config) (session, error
 		pieceCPU: simtime.Duration(150) * simtime.Duration(c.Machine().ByteScale),
 	}
 	s.winReserved = winReserved
-	if mode == ReadMode {
+	if mode == WriteMode {
+		s.l1 = newLevel1(cfg.SegmentSize)
+	} else {
 		s.pieceCPU = simtime.Duration(60) * simtime.Duration(c.Machine().ByteScale)
 	}
 	if cfg.Journal && mode == WriteMode {
