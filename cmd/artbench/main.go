@@ -7,21 +7,31 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"github.com/tcio/tcio/internal/bench"
 )
 
-func main() {
-	cli := bench.Artbench(flag.CommandLine)
-	flag.Parse()
-	reports, err := cli.Run(os.Stdout, os.Stderr)
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main with its inputs and outputs as parameters; it returns the
+// exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("artbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	cli := bench.Artbench(fs)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	reports, err := cli.Run(stdout, stderr)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "artbench:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "artbench:", err)
+		return 1
 	}
 	if len(reports) == 0 {
-		flag.Usage()
-		os.Exit(2)
+		fs.Usage()
+		return 2
 	}
+	return 0
 }

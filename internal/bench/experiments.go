@@ -245,6 +245,12 @@ func ART(g *ARTGeometry) *Sweep {
 			{"trees", "number of FTT segments (Table IV: 1024)", &g.Trees},
 		},
 		Params: g,
+		Validate: func() error {
+			if g.Trees < 1 {
+				return fmt.Errorf("bench: -trees %d", g.Trees)
+			}
+			return nil
+		},
 		Points: func(bool) []any {
 			return grid2(g.Procs, []Method{MethodTCIO, MethodVanilla},
 				func(p int, m Method) any { return FigPoint{Procs: p, Method: m} })

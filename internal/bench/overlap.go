@@ -1,14 +1,13 @@
 package bench
 
-// This file declares the overlap sweep: the TCIO workload run on a
-// multi-OST stripe while the write-behind pipeline varies, plus a demand
-// read. The write side is the paper's interleaved workload with
-// tcio.Config.WriteBehind on against the synchronous baseline;
+// This file declares the overlap sweep: the TCIO workload on a multi-OST
+// stripe, written and then read back. The write side is the paper's
+// interleaved workload in barrier-separated phases, drained once at Close;
 // the read side is a contiguous-partition sequential read (each rank scans
 // its own 1/P of the file, so every segment is demand-populated by exactly
 // one, deterministic, rank, and a fetch posts its batch's segments at once).
-// Byte contents are cross-checked against the workload's ground truth at
-// every setting; only the virtual timing is allowed to change.
+// Byte contents are cross-checked against the workload's ground truth on
+// both sides.
 
 import (
 	"fmt"
@@ -17,17 +16,15 @@ import (
 	"github.com/tcio/tcio/internal/tcio"
 )
 
-// defaultOverlap writes with write-behind off and on, then reads, over a
-// 7-way striped file with 16 processes.
+// defaultOverlap writes, then reads, a 7-way striped file with 16
+// processes.
 func defaultOverlap() *synthGeometry {
 	return &synthGeometry{Procs: 16, StripeCount: 7, LenSim: 4 << 20}
 }
 
-// overlapSetting is one row's setting: write-behind off or on on the write
-// side; the read side is one row.
+// overlapSetting is one row's side: the write or the read.
 type overlapSetting struct {
-	Write       bool
-	WriteBehind bool
+	Write bool
 }
 
 // overlapPhases is the number of barrier-separated phases of the write
@@ -64,9 +61,9 @@ func expectedImage(cfg SyntheticConfig) []byte {
 	return img
 }
 
-// overlapWrite runs the interleaved write workload with write-behind off or
-// on and cross-checks the file image against the ground truth.
-func overlapWrite(env *Env, cfg SyntheticConfig, writeBehind bool) PhaseResult {
+// overlapWrite runs the interleaved write workload and cross-checks the file
+// image against the ground truth.
+func overlapWrite(env *Env, cfg SyntheticConfig) PhaseResult {
 	env.FS.Reset()
 	pr := env.Run(cfg.Procs, cfg.FileBytes()*env.Scale, func(c *mpi.Comm, t *Tally) error {
 		arrays, err := makeArrays(c, cfg, true)
@@ -74,17 +71,13 @@ func overlapWrite(env *Env, cfg SyntheticConfig, writeBehind bool) PhaseResult {
 		if err != nil {
 			return err
 		}
-		tc := tcioConfigFor(c, cfg)
-		tc.WriteBehind = writeBehind
-		handle, err := tcio.Open(c, cfg.FileName, tcio.WriteMode, tc)
+		handle, err := tcio.Open(c, cfg.FileName, tcio.WriteMode, tcioConfigFor(c, cfg))
 		if err != nil {
 			return err
 		}
 		// Timestep loop: the interleaved write pattern of Program 3, split
 		// into phases separated by barriers, like a computational code
-		// writing results as it goes. The synchronization points are where
-		// write-behind earns its keep — segments finished in earlier phases
-		// drain in the background while later phases still compute.
+		// writing results as it goes.
 		phase, iter := max(cfg.iters()/overlapPhases, 1), 0
 		if err := eachPiece(c, cfg, arrays, func(i int, pos int64, piece []byte) error {
 			if i != iter && i%phase == 0 {
@@ -138,35 +131,34 @@ func overlapRead(env *Env, cfg SyntheticConfig) PhaseResult {
 	})
 }
 
-// overlapSweep tabulates both sides. The write table compares write-behind
-// against the synchronous baseline; the read table is the demand read,
-// every fetch batch's populations posted at once.
+// overlapSweep tabulates both sides: the synchronous write, drained at
+// Close, and the demand read, every fetch batch's populations posted at
+// once.
 //
-// The projection leaves out virtual times, eager-drain tallies, and overlap
-// savings: they depend on scheduler interleaving; the request stream's
-// identity (and hence every count it keeps) does not. Both write settings
-// issue a provably bit-identical file system request identity.
+// The projection leaves out virtual times: they depend on scheduler
+// interleaving; the request stream's identity (and hence every count it
+// keeps) does not.
 func overlapSweep(g *synthGeometry) *Sweep {
 	at := func(r *Row) overlapSetting { return r.Point.(overlapSetting) }
 	phase := det("phase", "phase", func(r *Row) any { return pick(at(r).Write, "write", "read") })
 	return &Sweep{
 		Name:   "overlap",
-		Help:   "sweep write-behind overlap settings, then a demand read",
+		Help:   "write synchronously over a multi-OST stripe, then a demand read",
 		InAll:  true,
 		Params: g,
-		// Each point runs in its own environment; the read reads one file
-		// written with the synchronous baseline.
+		// Each point runs in its own environment; the read point writes the
+		// file the same way first, then reads it.
 		Points: func(bool) []any {
-			return []any{overlapSetting{Write: true}, overlapSetting{Write: true, WriteBehind: true}, overlapSetting{}}
+			return []any{overlapSetting{Write: true}, overlapSetting{}}
 		},
 		Env: g.env,
 		Run: func(env *Env, pt any) ([]Row, error) {
 			s := pt.(overlapSetting)
 			cfg := g.config(env, MethodTCIO, "overlap")
 			if s.Write {
-				return []Row{{Point: s, PhaseResult: overlapWrite(env, cfg, s.WriteBehind)}}, nil
+				return []Row{{Point: s, PhaseResult: overlapWrite(env, cfg)}}, nil
 			}
-			if pr := overlapWrite(env, cfg, false); pr.Failed {
+			if pr := overlapWrite(env, cfg); pr.Failed {
 				return nil, fmt.Errorf("read-side write failed: %s", pr.FailReason)
 			}
 			return []Row{{Point: s, PhaseResult: overlapRead(env, cfg)}}, nil
@@ -174,17 +166,10 @@ func overlapSweep(g *synthGeometry) *Sweep {
 		Tables: func(Options) []Table {
 			shape := fmt.Sprintf("%d processes, stripe over %d OSTs", g.Procs, g.StripeCount)
 			return []Table{{
-				Title: "Overlap: eager write-behind, " + shape,
+				Title: "Overlap: synchronous write, " + shape,
 				Where: func(r *Row) bool { return at(r).Write },
 				Columns: []Column{
-					{Header: "write-behind", Key: "write_behind", Det: true,
-						Value: func(r *Row) any { return at(r).WriteBehind },
-						Cell:  func(r *Row) string { return pick(at(r).WriteBehind, "on", "off") }},
 					colTime.as("write-time"), colMBs.as("write-MB/s"),
-					host("eager-drains", "eager_drains", func(r *Row) any { return r.TCIO.EagerDrains }, nil),
-					host("eager-writes", "eager_write_requests", func(r *Row) any { return r.TCIO.EagerWrites }, nil),
-					host("residue-reqs", "flush_residue_requests", func(r *Row) any { return r.TCIO.FlushResidue }, nil),
-					host("overlap-saved", "overlap_saved_ns", func(r *Row) any { return r.TCIO.OverlapSaved }, nil),
 					colFSWrites, colResult,
 				},
 			}, {
@@ -200,9 +185,7 @@ func overlapSweep(g *synthGeometry) *Sweep {
 			Title: fmt.Sprintf("Overlap chaos: %d processes", g.Procs),
 			Columns: []Column{
 				phase,
-				det("setting", "", func(r *Row) any {
-					return pick(at(r).Write, pick(at(r).WriteBehind, "write-behind=1", "write-behind=0"), "demand")
-				}),
+				det("setting", "", func(r *Row) any { return pick(at(r).Write, "sync", "demand") }),
 				colInjected, colFSRetries, colFSWrites, colFSReads,
 				colPopulations, colAllocRetries, colResult,
 			},

@@ -9,8 +9,6 @@ package conformance
 //   - every read op observed exactly the truth bytes (verified inside
 //     the engine drivers, surfaced here as read-phase errors);
 //   - tcio call counters match the program (Writes/Reads/Bytes*);
-//   - the write-behind ledger balances: EagerWrites + FlushResidue ==
-//     FSWrites on every rank, under any scheduling;
 //   - the file system's own write count equals the ranks' FSWrites sum;
 //   - population counts match the mode (preload: per-rank slot walk;
 //     demand: one population per demanded segment, summed — the split
@@ -133,14 +131,6 @@ func (o *Outcome) checkTCIOStats(p *Program, run *engineRun) {
 			if s.Writes != wantN || s.BytesWritten != wantBytes {
 				o.diverge("tcio", "stats", "rank %d counted %d writes/%d bytes, program has %d/%d",
 					rank, s.Writes, s.BytesWritten, wantN, wantBytes)
-			}
-			if s.EagerWrites+s.FlushResidue != s.FSWrites {
-				o.diverge("tcio", "stats", "rank %d ledger: EagerWrites %d + FlushResidue %d != FSWrites %d",
-					rank, s.EagerWrites, s.FlushResidue, s.FSWrites)
-			}
-			if !p.Knobs.WriteBehind && (s.EagerDrains != 0 || s.EagerWrites != 0) {
-				o.diverge("tcio", "stats", "rank %d eager-drained %d batches with write-behind disarmed",
-					rank, s.EagerDrains)
 			}
 			journalArmed := p.Knobs.Journal || p.Knobs.SegmentMemoryBudget > 0
 			if !journalArmed && (s.JournalEpochs != 0 || s.JournalAppends != 0 ||
@@ -289,14 +279,6 @@ func (p *Program) summarize(tc, oc, va *engineRun, dl *delegateRun, cr *crashRun
 	}
 	fmt.Fprintf(&b, " tcio[fs=%d pop=%d ret=%d inj=%s%s]",
 		fsw, pops, tc.retries, orDash(tc.injected), phaseMark(tc))
-	if p.Knobs.WriteBehind {
-		var eager, residue int64
-		for _, s := range tc.wStats {
-			eager += s.EagerWrites
-			residue += s.FlushResidue
-		}
-		fmt.Fprintf(&b, " wb[eager=%d residue=%d]", eager, residue)
-	}
 	if dl != nil {
 		// Staged-record and batched-run totals are sorted-epoch quantities
 		// (DESIGN.md §2e): deterministic despite racy request arrival.

@@ -85,10 +85,8 @@ func TestValidateRejectsIllegalKnobs(t *testing.T) {
 		set  func(*Knobs)
 		want string
 	}{
-		{"crash kills with write-behind", func(k *Knobs) { k.Journal, k.CrashKills, k.WriteBehind = true, 2, true },
-			"conformance: 2 crash kills with delegation or write-behind"},
 		{"crash kills with servers", func(k *Knobs) { k.Journal, k.CrashKills, k.ServerRanks = true, 2, 1 },
-			"conformance: 2 crash kills with delegation or write-behind"},
+			"conformance: 2 crash kills with delegation"},
 		{"segment budget", func(k *Knobs) { k.SegmentMemoryBudget = -1 }, "tcio: segment memory budget -1"},
 		{"negative servers", func(k *Knobs) { k.ServerRanks = -1 }, "delegate: -1 server ranks of 2"},
 		{"servers eat all ranks", func(k *Knobs) { k.ServerRanks = 2 }, "delegate: 2 server ranks of 2"},

@@ -15,7 +15,7 @@ package conformance
 //
 // The model is sound because the journal tier orders every epoch commit
 // before any data-file drain of the session (journalEpoch + barrier precede
-// drain; Validate rejects write-behind and delegation with kills), and a
+// drain; Validate rejects delegation with kills), and a
 // durable journal truncate implies the rank's final drain had settled.
 //
 // Independently of the kills, the checker audits the full journal images

@@ -105,7 +105,6 @@ func (p *Program) tcioConfig(rec *trace.Recorder) tcio.Config {
 		NumSegments:         p.NumSegments,
 		DisableLevel1:       k.DisableLevel1,
 		DemandPopulate:      k.DemandPopulate,
-		WriteBehind:         k.WriteBehind,
 		Journal:             k.Journal,
 		SegmentMemoryBudget: k.SegmentMemoryBudget,
 		Trace:               rec,

@@ -8,9 +8,8 @@ package conformance
 //
 //	class 0 — baseline: preloaded reads, random drain/pipeline knobs.
 //	class 1 — demand-populate reads.
-//	class 2 — write-behind, with writes aligned to each rank's own
-//	          segments (the configuration whose eager/residue counters
-//	          are scheduling-independent; see DESIGN.md §5e).
+//	class 2 — rank-aligned territory: writes aligned to each rank's own
+//	          segments, so every segment has one writer, its owner.
 //	class 3 — chaos: OST and one-sided put fault rules armed.
 //	class 4 — multi-core placement: several ranks per node, so
 //	          co-located ranks share a NIC and a memory share.
@@ -100,10 +99,11 @@ func genKnobs(rng *rand.Rand, class int, seed, segSize int64) Knobs {
 		rng.Intn(3) // the retired lookahead-window draws, discarded
 		rng.Intn(4)
 		rng.Intn(3)
-	case 2: // write-behind (rank-aligned territory, see genTerritory)
-		k.WriteBehind = true
-		rng.Intn(3) // the retired threshold draw, discarded
-		rng.Intn(3) // the retired WriteBehindQueue draw, discarded
+	case 2: // rank-aligned territory, see genTerritory
+		// The retired write-behind threshold and WriteBehindQueue draws,
+		// discarded likewise.
+		rng.Intn(3)
+		rng.Intn(3)
 	case 3: // chaos
 		k.ChaosSeed = seed
 		if k.ChaosSeed == 0 {
@@ -169,8 +169,8 @@ func genKnobs(rng *rand.Rand, class int, seed, segSize int64) Knobs {
 }
 
 // genTerritory deals every file byte to exactly one rank. Class 2 aligns
-// territories with equation (1)'s segment ownership so write-behind's
-// eager-drain counters are scheduling-independent; the other classes use a
+// territories with equation (1)'s segment ownership, so every segment has
+// one writer, its owner; the other classes use a
 // random block-cyclic deal over a random granule, which produces the
 // cross-rank interleaving within segments that stresses the one-sided
 // paths. Returns each rank's territory as maximal contiguous runs.

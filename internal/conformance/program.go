@@ -4,8 +4,8 @@
 // bytes identical to independent MPI-IO and to OCIO's two-phase collective
 // path. This package generates seed-deterministic workload programs —
 // random rank counts, geometries, interleaved/strided/rewriting read and
-// write patterns, and random library knobs including write-behind, demand
-// population and chaos fault rules — executes each program through all
+// write patterns, and random library knobs including demand population,
+// delegation, the journal and chaos fault rules — executes each program through all
 // three engines plus an in-memory ground-truth model, and diffs final file bytes,
 // read-back bytes, stats-accounting identities, and trace invariants. On
 // divergence the failing program is shrunk by delta debugging to a minimal
@@ -55,7 +55,6 @@ type Knobs struct {
 	// TCIO configuration (see tcio.Config).
 	DisableLevel1  bool `json:"disable_level1,omitempty"`
 	DemandPopulate bool `json:"demand_populate,omitempty"`
-	WriteBehind    bool `json:"write_behind,omitempty"`
 	// CoresPerNode overrides the simulated machine's rank placement
 	// (0 = the default testbed). Class 4 draws small values so several
 	// ranks share a node.
@@ -80,9 +79,9 @@ type Knobs struct {
 	// SegmentMemoryBudget bounds the resident level-2 segments (the spill
 	// tier — implies Journal inside tcio); CrashKills is the number of
 	// simulated crash instants the checker replays and recovers per
-	// program. CrashKills requires Journal, no delegation servers, and no
-	// write-behind: the committed-prefix crash model assumes every epoch
-	// commits before any data-file drain starts.
+	// program. CrashKills requires Journal and no delegation servers: the
+	// committed-prefix crash model assumes every epoch commits before any
+	// data-file store starts.
 	Journal             bool  `json:"journal,omitempty"`
 	SegmentMemoryBudget int64 `json:"segment_memory_budget,omitempty"`
 	CrashKills          int   `json:"crash_kills,omitempty"`
@@ -227,11 +226,11 @@ func (p *Program) Validate() error {
 		return fmt.Errorf("conformance: negative harness knob: %+v", p.Knobs)
 	case p.Knobs.CrashKills > 0 && !p.Knobs.Journal:
 		return fmt.Errorf("conformance: %d crash kills without journal", p.Knobs.CrashKills)
-	case p.Knobs.CrashKills > 0 && (p.Knobs.ServerRanks > 0 || p.Knobs.WriteBehind):
+	case p.Knobs.CrashKills > 0 && p.Knobs.ServerRanks > 0:
 		// The committed-prefix crash model assumes no data-file store starts
-		// before every journal epoch commits: delegation re-times stores and
-		// write-behind drains eagerly, so both are out of scope for kills.
-		return fmt.Errorf("conformance: %d crash kills with delegation or write-behind", p.Knobs.CrashKills)
+		// before every journal epoch commits: delegation re-times stores, so
+		// it is out of scope for kills.
+		return fmt.Errorf("conformance: %d crash kills with delegation", p.Knobs.CrashKills)
 	}
 	// Which library knob values are legal is the libraries' call: normalize
 	// the very configurations the engines open with, and report their error.

@@ -161,8 +161,7 @@ func (t *Tier) awaitCredit(si int) error {
 }
 
 // TCIO exposes the pass-through engine, nil in delegation mode — callers
-// that want the tcio ledger (EagerWrites + FlushResidue == FSWrites and
-// friends) read it here.
+// that want the tcio ledger read it here.
 func (f *File) TCIO() *tcio.File { return f.direct }
 
 // Stats returns the client-side counters.

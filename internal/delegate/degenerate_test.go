@@ -15,8 +15,7 @@ import (
 // degenerateRun executes a strided write+read workload either through
 // delegate.Run with ServerRanks == 0 or directly through tcio, returning
 // the report, file image, per-rank tcio stats, and the trace summary.
-// overlap arms write-behind on top of the base config.
-func degenerateRun(t *testing.T, viaTier, overlap bool) (mpi.Report, []byte, []tcio.Stats, map[trace.Kind]trace.KindStats) {
+func degenerateRun(t *testing.T, viaTier bool) (mpi.Report, []byte, []tcio.Stats, map[trace.Kind]trace.KindStats) {
 	t.Helper()
 	const procs = 6
 	const segSize, numSeg, granule = int64(64), 4, int64(16)
@@ -28,9 +27,6 @@ func degenerateRun(t *testing.T, viaTier, overlap bool) (mpi.Report, []byte, []t
 	tcfg := tcio.Config{
 		SegmentSize: segSize, NumSegments: numSeg,
 		Trace: rec,
-	}
-	if overlap {
-		tcfg.WriteBehind = true
 	}
 	stats := make([]tcio.Stats, procs)
 
@@ -100,7 +96,7 @@ func degenerateRun(t *testing.T, viaTier, overlap bool) (mpi.Report, []byte, []t
 // dropDurations zeroes a ledger's virtual-duration aggregates, leaving
 // the scheduling-independent counters.
 func dropDurations(s tcio.Stats) tcio.Stats {
-	s.LockWait, s.PutIssue, s.UnlockWait, s.OverlapSaved = 0, 0, 0, 0
+	s.LockWait, s.PutIssue, s.UnlockWait = 0, 0, 0
 	return s
 }
 
@@ -128,54 +124,32 @@ func dropTraceDurations(sum map[trace.Kind]trace.KindStats) map[trace.Kind]trace
 // file system activity, per-rank tcio ledgers, trace profile — not
 // virtual completion times: even two *direct* runs order same-time queue
 // arrivals differently, so makespans are scheduling facts (the
-// conformance summary excludes them for the same reason). With fractional
-// write-behind armed (the overlap config) the eager-drain count is itself
-// a scheduling fact, so only the byte totals, the read counts, and the
-// EagerWrites + FlushResidue == FSWrites identity are pinned there.
+// conformance summary excludes them for the same reason).
 func TestDelegateDegeneratePassThrough(t *testing.T) {
-	for _, overlap := range []bool{false, true} {
-		name := "synchronous"
-		if overlap {
-			name = "overlap"
-		}
-		t.Run(name, func(t *testing.T) {
-			repDirect, imgDirect, statsDirect, sumDirect := degenerateRun(t, false, overlap)
-			repTier, imgTier, statsTier, sumTier := degenerateRun(t, true, overlap)
+	t.Run("synchronous", func(t *testing.T) {
+		repDirect, imgDirect, statsDirect, sumDirect := degenerateRun(t, false)
+		repTier, imgTier, statsTier, sumTier := degenerateRun(t, true)
 
-			if !bytes.Equal(imgDirect, imgTier) {
-				t.Fatal("pass-through changed the file bytes")
+		if !bytes.Equal(imgDirect, imgTier) {
+			t.Fatal("pass-through changed the file bytes")
+		}
+		if repDirect.Net != repTier.Net {
+			t.Fatalf("pass-through changed network totals:\ndirect %+v\ntier   %+v", repDirect.Net, repTier.Net)
+		}
+		if dropFSConflicts(repDirect.FS) != dropFSConflicts(repTier.FS) {
+			t.Fatalf("pass-through changed file system activity:\ndirect %+v\ntier   %+v", repDirect.FS, repTier.FS)
+		}
+		for r := range statsDirect {
+			// The duration aggregates (LockWait etc.) are queue-wait
+			// sums, scheduling facts like the makespan; the counters
+			// are the request identity.
+			d, ti := dropDurations(statsDirect[r]), dropDurations(statsTier[r])
+			if d != ti {
+				t.Fatalf("rank %d ledger differs:\ndirect %+v\ntier   %+v", r, d, ti)
 			}
-			if repDirect.Net != repTier.Net {
-				t.Fatalf("pass-through changed network totals:\ndirect %+v\ntier   %+v", repDirect.Net, repTier.Net)
-			}
-			if overlap {
-				d, ti := repDirect.FS, repTier.FS
-				if d.Reads != ti.Reads || d.BytesRead != ti.BytesRead || d.BytesWritten != ti.BytesWritten {
-					t.Fatalf("pass-through changed file system bytes:\ndirect %+v\ntier   %+v", d, ti)
-				}
-				for r, s := range statsTier {
-					if s.EagerWrites+s.FlushResidue != s.FSWrites {
-						t.Fatalf("rank %d tier ledger broken: EagerWrites %d + FlushResidue %d != FSWrites %d",
-							r, s.EagerWrites, s.FlushResidue, s.FSWrites)
-					}
-				}
-				return
-			}
-			if dropFSConflicts(repDirect.FS) != dropFSConflicts(repTier.FS) {
-				t.Fatalf("pass-through changed file system activity:\ndirect %+v\ntier   %+v", repDirect.FS, repTier.FS)
-			}
-			for r := range statsDirect {
-				// The duration aggregates (LockWait etc.) are queue-wait
-				// sums, scheduling facts like the makespan; the counters
-				// are the request identity.
-				d, ti := dropDurations(statsDirect[r]), dropDurations(statsTier[r])
-				if d != ti {
-					t.Fatalf("rank %d ledger differs:\ndirect %+v\ntier   %+v", r, d, ti)
-				}
-			}
-			if !reflect.DeepEqual(dropTraceDurations(sumDirect), dropTraceDurations(sumTier)) {
-				t.Fatalf("trace profile differs:\ndirect %+v\ntier   %+v", sumDirect, sumTier)
-			}
-		})
-	}
+		}
+		if !reflect.DeepEqual(dropTraceDurations(sumDirect), dropTraceDurations(sumTier)) {
+			t.Fatalf("trace profile differs:\ndirect %+v\ntier   %+v", sumDirect, sumTier)
+		}
+	})
 }

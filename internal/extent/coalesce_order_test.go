@@ -6,8 +6,8 @@ import (
 )
 
 // TestCoalesceAdjacentUnsorted feeds Coalesce runs that are adjacent but
-// arrive out of offset order — the shape the write-behind pending lists
-// produce when ranks ship their interleaved pieces in arbitrary order. The
+// arrive out of offset order — the shape tcio's pending lists take when
+// ranks ship their interleaved pieces in arbitrary order. The
 // merge must not depend on arrival order.
 func TestCoalesceAdjacentUnsorted(t *testing.T) {
 	cases := []struct {

@@ -3,8 +3,7 @@ package integration
 // Crash consistency of the write path under chaos, as a kill-point matrix:
 // each case arms exactly one fault site so the injected transients can fire
 // only inside one stage of the session — the level-1 flush shipping runs,
-// the direct ship of unbuffered writes, the eager write-behind drain, the
-// final drain inside Close, or the journal-truncate RPC that retires the
+// the direct ship of unbuffered writes, the final drain inside Close, or the journal-truncate RPC that retires the
 // epoch log. With a zero retry budget the first transient becomes permanent
 // and the session must surface the typed faults.ErrExhaustedRetries — never
 // success over a silently partial file. Every case is seed-pinned: the same
@@ -47,8 +46,8 @@ func closeChaosConfig(retry *faults.RetryPolicy, mod func(*tcio.Config)) tcio.Co
 // block-cyclic pieces, flushes once mid-stream, and closes — and returns
 // each rank's first session error, the injector, and the file system for
 // post-mortem. A mid-stream Flush gives every kill point at least two
-// windows (two level-1 flush epochs, two journal epochs, residue for the
-// final drain).
+// windows (two level-1 flush epochs, two journal epochs) before the final
+// drain.
 func closeChaosWrite(t *testing.T, seed int64, site faults.Site, prob float64,
 	retry *faults.RetryPolicy, mod func(*tcio.Config)) (map[int]error, *faults.Injector, *pfs.FileSystem) {
 	t.Helper()
@@ -124,13 +123,6 @@ func TestCloseKillPointMatrix(t *testing.T) {
 		// one-sided put epoch.
 		{"direct-ship", faults.SiteWinPut, 0.3, 0,
 			func(c *tcio.Config) { c.DisableLevel1 = true }},
-		// Eager drain: write-behind pushes fully covered segments to the
-		// file system mid-stream, on the background lane. Segments of one
-		// piece are each written by their owner alone, so every ship covers
-		// one and its drain follows at once: no peer's timing decides
-		// which drain a fault lands in.
-		{"eager-drain", faults.SiteOSTWrite, 0.5, 0,
-			func(c *tcio.Config) { c.WriteBehind, c.SegmentSize = true, closeChaosPiece }},
 		// Final drain: the only OST writes happen inside Close.
 		{"final-drain", faults.SiteOSTWrite, 0.5, 0, nil},
 		// Journal truncate: the session is clean until the control RPC that

@@ -300,9 +300,9 @@ func TestConcurrentTCIOAndVanillaFiles(t *testing.T) {
 // TestOverlappingWritersDrainDisjointBatches: a posted write batch must not
 // touch a byte twice (storage.ErrOverlappingBatch), and no application
 // pattern can make a drain hand one over — neighbouring ranks write
-// overlapping ranges and rewrite them across a flush, and each of the four
-// drains (tcio's final drain, write-behind, the journal append, the
-// delegation server's epoch drain) still posts coalesced, disjoint lists.
+// overlapping ranges and rewrite them across a flush, and each of the three
+// drains (tcio's final drain, the journal append, the delegation server's
+// epoch drain) still posts coalesced, disjoint lists.
 func TestOverlappingWritersDrainDisjointBatches(t *testing.T) {
 	const clients, span = 4, 96 // rank r writes [48r, 48r+96): half overlaps rank r+1
 	program := func(rank int, f *delegate.File) error {
@@ -326,7 +326,6 @@ func TestOverlappingWritersDrainDisjointBatches(t *testing.T) {
 		servers int
 	}{
 		{name: "drain", cfg: tcio.Config{SegmentSize: 64, NumSegments: 4}},
-		{name: "write-behind", cfg: tcio.Config{SegmentSize: 64, NumSegments: 4, WriteBehind: true}},
 		{name: "journal", cfg: tcio.Config{SegmentSize: 64, NumSegments: 4, Journal: true}},
 		{name: "delegate", cfg: tcio.Config{SegmentSize: 64, NumSegments: 4}, servers: 1},
 	} {

@@ -173,9 +173,9 @@ func (w *Win) Local() []byte { return w.g.bufs[w.c.rank] }
 
 // SnapshotLocalInto copies len(dst) bytes at off of this rank's own window
 // memory into a caller-owned buffer, serialized against the physical copies
-// of concurrent remote puts. Background lanes that read window memory outside
-// any access epoch (tcio's eager write-behind) must use it instead of slicing
-// Local(): a rewrite put landing mid-read would otherwise be a data race.
+// of concurrent remote puts. Readers of window memory outside any access
+// epoch (tcio's journal snapshots) use it instead of slicing Local(): a put
+// landing mid-read would otherwise be a data race.
 func (w *Win) SnapshotLocalInto(dst []byte, off int64) {
 	mu := &w.g.datamu[w.c.rank]
 	mu.Lock()
@@ -274,8 +274,8 @@ func (h PutHandle) Complete() { h.c.clock().AdvanceTo(h.arrival) }
 
 // Arrival reports when the transfer retires at the target, without
 // waiting. Pipelines that record where data will be use it to timestamp
-// dependent work — tcio's write-behind stores it with each dirty run so
-// the owner never drains bytes before their virtual-time arrival.
+// dependent work — tcio stores it with each dirty run so the owner never
+// drains bytes before their virtual-time arrival.
 func (h PutHandle) Arrival() simtime.Time { return h.arrival }
 
 // PutSegmentsAsync is PutSegments returning an Rput-style handle, so a

@@ -27,9 +27,6 @@ const (
 	// TCIOLostPendingRun makes l2meta.addDirty overwrite a segment's
 	// pending runs instead of appending, losing earlier undrained data.
 	TCIOLostPendingRun = "tcio.lost-pending-run"
-	// TCIOEagerWritesUncounted drops the EagerWrites accounting of the
-	// write-behind lane, breaking EagerWrites + FlushResidue == FSWrites.
-	TCIOEagerWritesUncounted = "tcio.eager-writes-uncounted"
 	// MPIIOFlattenDropRun makes mpiio's view flattening (datatype.View.Runs)
 	// drop the first run of every multi-run request.
 	MPIIOFlattenDropRun = "mpiio.flatten-drop-run"
@@ -66,7 +63,6 @@ func All() []string {
 		ExtentLayoutOwnerSkew,
 		TCIOStalePopulate,
 		TCIOLostPendingRun,
-		TCIOEagerWritesUncounted,
 		MPIIOFlattenDropRun,
 		StorageDropLastRequest,
 		StorageSieveScatterOffby,

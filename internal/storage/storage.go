@@ -145,12 +145,6 @@ func (c *Client) ReadExtentsEach(op string, kind trace.Kind, reqs []Request, sta
 	return res, err
 }
 
-// WriteExtentsFrom is the detached-start variant of WriteExtents; see
-// ReadExtentsFrom.
-func (c *Client) WriteExtentsFrom(op string, kind trace.Kind, reqs []Request, start simtime.Time) (Result, simtime.Time, error) {
-	return c.post(op, kind, reqs, true, start, nil)
-}
-
 // Truncate resets the backing file to empty as one retried, traced,
 // virtual-time-charged control request — the journal-retirement path. op
 // names the operation for errors and retry traces; kind classifies the

@@ -94,13 +94,13 @@ func TestPostedBatchMakespan(t *testing.T) {
 		{"one OST", 1, start.Add(8*service + ack)},
 	} {
 		cfg.OSTCount, cfg.StripeCount = 8, tc.stripes
-		c := NewClient(pfs.New(cfg).Open("f"), 0, 0, &testClock{})
-		_, end, err := c.WriteExtentsFrom("write", trace.KindDrain, stripedRequests(cfg.StripeSize, 8), start)
-		if err != nil {
+		clock := &testClock{now: start}
+		c := NewClient(pfs.New(cfg).Open("f"), 0, 0, clock)
+		if _, err := c.WriteExtents("write", trace.KindDrain, stripedRequests(cfg.StripeSize, 8)); err != nil {
 			t.Fatal(err)
 		}
-		if end != tc.want {
-			t.Errorf("%s: batch ends at %d, want %d", tc.name, end, tc.want)
+		if clock.now != tc.want {
+			t.Errorf("%s: batch ends at %d, want %d", tc.name, clock.now, tc.want)
 		}
 	}
 }
@@ -172,7 +172,7 @@ func TestPostedBatchesHostOrderIndependent(t *testing.T) {
 					defer wg.Done()
 					// Each client is its own node writing its own stripes:
 					// no extent lock changes hands, every service is equal.
-					c := NewClient(pf, cl, cl, &testClock{})
+					c := NewClient(pf, cl, cl, &testClock{now: start})
 					c.SetTrace(rec)
 					reqs := stripedRequests(cfg.StripeSize, perBatch)
 					for i := range reqs {
@@ -181,7 +181,7 @@ func TestPostedBatchesHostOrderIndependent(t *testing.T) {
 					for range jitter[cl] {
 						runtime.Gosched()
 					}
-					if _, _, err := c.WriteExtentsFrom("write", trace.KindDrain, reqs, start); err != nil {
+					if _, err := c.WriteExtents("write", trace.KindDrain, reqs); err != nil {
 						t.Error(err)
 					}
 				}()
@@ -264,18 +264,19 @@ func TestIssueStopsAtFirstExhaustedRequest(t *testing.T) {
 // may overlap freely.
 func TestOverlappingWriteBatchRejected(t *testing.T) {
 	fs := multiOSTFS(nil)
-	c := NewClient(fs.Open("f"), 0, 0, &testClock{now: 5})
+	clock := &testClock{now: 5}
+	c := NewClient(fs.Open("f"), 0, 0, clock)
 	reqs := []Request{
 		{Off: 4096, Data: make([]byte, 100)},
 		{Off: 0, Data: make([]byte, 10)},
 		{Off: 4195, Data: make([]byte, 1)}, // last byte of the first
 	}
-	res, end, err := c.WriteExtentsFrom("write", trace.KindDrain, reqs, 5)
+	res, err := c.WriteExtents("write", trace.KindDrain, reqs)
 	if !errors.Is(err, ErrOverlappingBatch) {
 		t.Fatalf("error %v is not ErrOverlappingBatch", err)
 	}
-	if res != (Result{}) || end != 5 || fs.Stats().Writes != 0 {
-		t.Fatalf("rejected batch still issued: result %+v, end %d, %d writes", res, end, fs.Stats().Writes)
+	if res != (Result{}) || clock.now != 5 || fs.Stats().Writes != 0 {
+		t.Fatalf("rejected batch still issued: result %+v, end %d, %d writes", res, clock.now, fs.Stats().Writes)
 	}
 	if _, err := c.ReadExtents("read", trace.KindFetch, reqs); err != nil {
 		t.Fatalf("overlapping reads rejected: %v", err)

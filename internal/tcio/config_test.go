@@ -21,7 +21,7 @@ func TestConfigNormalize(t *testing.T) {
 			name: "zero value defaults every field",
 			in:   Config{},
 			want: func(c Config) bool {
-				return c.SegmentSize == stripe && c.NumSegments == 64 && !c.WriteBehind
+				return c.SegmentSize == stripe && c.NumSegments == 64
 			},
 		},
 		{
@@ -30,11 +30,6 @@ func TestConfigNormalize(t *testing.T) {
 			want: func(c Config) bool {
 				return c.SegmentSize == 128 && c.NumSegments == 3
 			},
-		},
-		{
-			name: "write-behind passes",
-			in:   Config{WriteBehind: true},
-			want: func(c Config) bool { return c.WriteBehind },
 		},
 		{name: "negative segment size", in: Config{SegmentSize: -1}, err: "segment size"},
 		{name: "negative segment count", in: Config{NumSegments: -2}, err: "segment count"},

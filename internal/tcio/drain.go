@@ -111,10 +111,8 @@ func (f *File) preloadAll() error {
 }
 
 // drain writes this rank's still-undrained level-2 runs to the file system
-// as one storage batch of large aligned requests. With write-behind armed,
-// most segments already left on the background lane and only the residue
-// remains; the rank then synchronizes with the lane so Close returns with
-// every byte on disk.
+// as one storage batch of large aligned requests, once, at Close (paper
+// §IV).
 func (f *File) drain() error {
 	// Spilled slots first: their bytes live in the journal, not (in
 	// simulated terms) in the window, so the drain pays the read-back
@@ -146,7 +144,5 @@ func (f *File) drain() error {
 	res, err := f.store.WriteExtents("tcio: drain", trace.KindDrain, reqs)
 	f.stats.Retries += res.Retries
 	f.stats.FSWrites += res.Requests
-	f.stats.FlushResidue += res.Requests
-	f.settleWriteBehind()
 	return err
 }

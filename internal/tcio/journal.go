@@ -108,8 +108,9 @@ func (f *File) journalEpoch() error {
 // most budgetSegs remain. Every dirty byte was journaled by the epoch that
 // just closed, so a dirty eviction is a pure spill: mark the slot
 // non-resident and leave its pending runs for the drain, which re-faults
-// the bytes from the journal. A slot whose buffered runs are already
-// durable on the data file (write-behind drained them) drops for free.
+// the bytes from the journal. A slot with nothing undrained would drop for
+// free; the budget runs only before the final drain, so no slot reaches it
+// (Stats.CleanDrops stays 0).
 func (f *File) enforceBudget() error {
 	if f.budgetSegs <= 0 {
 		return nil

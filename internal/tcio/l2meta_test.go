@@ -3,11 +3,12 @@ package tcio
 // Property test: the dense, one-record-per-segment l2meta must be
 // observationally identical to a reference holding one map per field. A random schedule of every metadata operation runs against both,
 // with the journal's unlogged-run bookkeeping armed and disarmed; every
-// return value must match. Concurrent soundness is separately covered by
-// the -race runs of the package's integration tests.
+// return value must match. TestL2MetaConcurrent covers concurrent
+// soundness under -race.
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
 	"github.com/tcio/tcio/internal/extent"
@@ -61,17 +62,6 @@ func (m *refL2Meta) takePending(seg int64) ([]extent.Extent, simtime.Time) {
 	return runs, at
 }
 
-func (m *refL2Meta) takeCovered(seg int64, need int64) ([]extent.Extent, simtime.Time) {
-	runs := m.pending[seg]
-	if extent.Total(runs) < need {
-		return nil, 0
-	}
-	at := m.arrival[seg]
-	delete(m.pending, seg)
-	delete(m.arrival, seg)
-	return runs, at
-}
-
 func (m *refL2Meta) setPopulated(seg int64) {
 	m.populated[seg] = true
 }
@@ -110,7 +100,7 @@ func TestL2MetaMatchesReference(t *testing.T) {
 		ref := newRefL2Meta(journal)
 		for step := 0; step < 2000; step++ {
 			seg := int64(rng.Intn(segs))
-			switch rng.Intn(7) {
+			switch rng.Intn(6) {
 			case 0, 1:
 				runs := randRuns()
 				at := simtime.Time(rng.Intn(1000))
@@ -124,14 +114,6 @@ func TestL2MetaMatchesReference(t *testing.T) {
 						trial, step, seg, gr, ga, wr, wa)
 				}
 			case 3:
-				need := int64(rng.Intn(600))
-				gr, ga := m.takeCovered(seg, need)
-				wr, wa := ref.takeCovered(seg, need)
-				if !extentsEqual(gr, wr) || ga != wa {
-					t.Fatalf("trial %d step %d takeCovered(%d, %d): got (%v, %v) want (%v, %v)",
-						trial, step, seg, need, gr, ga, wr, wa)
-				}
-			case 4:
 				if got, want := m.hasPending(seg), len(ref.pending[seg]) > 0; got != want {
 					t.Fatalf("trial %d step %d hasPending(%d): got %v want %v", trial, step, seg, got, want)
 				}
@@ -141,16 +123,73 @@ func TestL2MetaMatchesReference(t *testing.T) {
 				if got, want := m.isPopulated(seg), ref.populated[seg]; got != want {
 					t.Fatalf("trial %d step %d isPopulated(%d): got %v want %v", trial, step, seg, got, want)
 				}
-			case 5:
+			case 4:
 				m.setPopulated(seg, 0)
 				ref.setPopulated(seg)
-			case 6:
+			case 5:
 				// Disarmed, nothing is ever unlogged: both must stay empty.
 				if got, want := m.takeUnlogged(seg), ref.takeUnlogged(seg); !extentsEqual(got, want) {
 					t.Fatalf("trial %d step %d takeUnlogged(%d) journal=%v: got %v want %v",
 						trial, step, seg, journal, got, want)
 				}
 			}
+		}
+	}
+}
+
+// TestL2MetaConcurrent hammers one l2meta from many goroutines, as remote
+// ships record runs while a taker drains them. Every worker adds its own
+// chunk of every segment and then takes whatever is pending; under -race
+// this is the regression test for the pending/written bookkeeping, and
+// every chunk must be taken exactly once.
+func TestL2MetaConcurrent(t *testing.T) {
+	const (
+		workers  = 8
+		segs     = 16
+		segSize  = 64
+		perChunk = segSize / workers
+	)
+	m := newL2Meta(segs, false)
+	var mu sync.Mutex
+	taken := make([][segSize]int, segs) // times each byte was taken
+	take := func(s int64) {
+		runs, _ := m.takePending(s)
+		mu.Lock()
+		defer mu.Unlock()
+		for _, r := range runs {
+			for b := r.Off; b < r.Off+r.Len; b++ {
+				taken[s][b]++
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for s := int64(0); s < segs; s++ {
+				m.addDirty(s, []extent.Extent{{Off: int64(w * perChunk), Len: perChunk}}, simtime.Time(w+1))
+				_ = m.isWritten(s)
+				_ = m.hasPending(s)
+				take(s)
+				m.setPopulated(s, 0)
+				_ = m.isPopulated(s)
+			}
+		}(w)
+	}
+	wg.Wait()
+	for s := int64(0); s < segs; s++ {
+		take(s) // every take above raced an add; nothing may be left
+		for b, n := range taken[s] {
+			if n != 1 {
+				t.Fatalf("segment %d byte %d taken %d times, want once", s, b, n)
+			}
+		}
+		if !m.isWritten(s) {
+			t.Fatalf("segment %d lost written flag", s)
+		}
+		if !m.isPopulated(s) {
+			t.Fatalf("segment %d lost populated flag", s)
 		}
 	}
 }

@@ -20,8 +20,8 @@ import (
 
 // l2meta is the bookkeeping shared by all ranks of one TCIO file: whether
 // each global segment holds buffered data (written), which of its runs have
-// not reached the file system yet (pending — the write-behind lane and the
-// final drain consume them), and which segments have been populated from
+// not reached the file system yet (pending — the final drain consumes
+// them), and which segments have been populated from
 // the file system (reads).
 //
 // It is one record per global segment, indexed by the segment's number:
@@ -119,23 +119,11 @@ func (m *l2meta) hasPending(seg int64) bool {
 }
 
 // takePending removes and returns the segment's undrained runs and their
-// latest put arrival. The final drain uses it directly; runs written after
-// an eager drain re-enter pending, so rewrites are drained again and the
-// last bytes always win.
+// latest put arrival, under one lock so two takers can never drain the same
+// runs twice. The final drain consumes them.
 func (m *l2meta) takePending(seg int64) ([]extent.Extent, simtime.Time) {
-	return m.takeCovered(seg, 0)
-}
-
-// takeCovered is takePending gated on coverage: it removes and returns the
-// undrained runs only when they total at least need bytes — the write-
-// behind trigger, evaluated and consumed under one lock so two checks can
-// never drain the same runs twice.
-func (m *l2meta) takeCovered(seg int64, need int64) ([]extent.Extent, simtime.Time) {
 	st := m.lock(seg)
 	defer st.mu.Unlock()
-	if extent.Total(st.pending) < need {
-		return nil, 0
-	}
 	runs, at := st.pending, st.arrival
 	st.pending, st.arrival = nil, 0
 	return runs, at
@@ -226,7 +214,7 @@ func (f *File) ship(seg int64, runs []extent.Extent, payload []byte) error {
 	if f.tracing() {
 		f.emit(trace.KindFlush, t0, int64(len(payload)), fmt.Sprintf("seg=%d owner=%d runs=%d", seg, owner, len(runs)))
 	}
-	return f.maybeWriteBehind()
+	return nil
 }
 
 // openEpochFor ensures a shared put epoch is open on owner, touching the

@@ -11,20 +11,20 @@ import (
 
 // Multi-file regression tests for the session refactor: one rank holding
 // several concurrently open TCIO files must keep every piece of per-file
-// engine state — ledgers, write-behind lanes, landing records — fully
+// engine state — ledgers, level-1 buffers, landing records — fully
 // independent.
 
 func mfByte(file int, off int64) byte { return byte(off*11 + int64(file)*59 + 1) }
 
 // TestMultiFileIndependentLedgers interleaves writes to two concurrently
-// open write-behind files and checks each file's image and the per-file
-// conservation law EagerWrites + FlushResidue == FSWrites.
+// open files and checks each file's image and that each file's ledger
+// counts its own writes only.
 func TestMultiFileIndependentLedgers(t *testing.T) {
 	const procs = 4
 	const segSize, numSeg, granule = int64(64), 4, int64(16)
 	sizes := []int64{segSize * numSeg * procs, segSize * numSeg * procs / 2}
 	fs := pfs.New(pfs.DefaultConfig())
-	cfg := Config{SegmentSize: segSize, NumSegments: numSeg, WriteBehind: true}
+	cfg := Config{SegmentSize: segSize, NumSegments: numSeg}
 	type pair struct{ a, b Stats }
 	ledgers := make([]pair, procs)
 	_, err := mpi.Run(mpi.Config{Procs: procs, Machine: cluster.Lonestar(), FS: fs}, func(c *mpi.Comm) error {
@@ -44,7 +44,7 @@ func TestMultiFileIndependentLedgers(t *testing.T) {
 		}
 		// Strict interleaving: alternate files between consecutive writes
 		// so any cross-file state bleed (shared level-1 buffer, shared
-		// lane clocks, shared ledgers) corrupts bytes or counters.
+		// ledgers) corrupts bytes or counters.
 		for k := int64(c.Rank()); k*granule < sizes[0]; k += int64(c.Size()) {
 			off := k * granule
 			fill(0, off)
@@ -78,10 +78,6 @@ func TestMultiFileIndependentLedgers(t *testing.T) {
 	}
 	for r, l := range ledgers {
 		for name, s := range map[string]Stats{"mf-a": l.a, "mf-b": l.b} {
-			if s.EagerWrites+s.FlushResidue != s.FSWrites {
-				t.Fatalf("rank %d %s: EagerWrites %d + FlushResidue %d != FSWrites %d",
-					r, name, s.EagerWrites, s.FlushResidue, s.FSWrites)
-			}
 			if s.Writes == 0 || s.FSWrites == 0 {
 				t.Fatalf("rank %d %s: empty ledger %+v", r, name, s)
 			}
@@ -182,7 +178,7 @@ func TestMultiFileIndependentDemand(t *testing.T) {
 }
 
 // TestMultiFileInterleavedRace is the -race interleaving canary: many
-// ranks, three files each (two write-mode with background lanes, one
+// ranks, three files each (two write-mode, one demand-populated
 // read-mode), with tightly interleaved operations. It exists to let the
 // race detector see concurrent multi-file traffic; correctness of the
 // bytes is checked too.
@@ -200,7 +196,7 @@ func TestMultiFileInterleavedRace(t *testing.T) {
 	if _, err := pf.WriteAt(0, 0, seed, 0); err != nil {
 		t.Fatal(err)
 	}
-	wcfg := Config{SegmentSize: segSize, NumSegments: numSeg, WriteBehind: true}
+	wcfg := Config{SegmentSize: segSize, NumSegments: numSeg}
 	rcfg := Config{SegmentSize: segSize, NumSegments: numSeg, DemandPopulate: true}
 	_, err := mpi.Run(mpi.Config{Procs: procs, Machine: cluster.Lonestar(), FS: fs}, func(c *mpi.Comm) error {
 		fa, err := Open(c, "race-a", WriteMode, wcfg)

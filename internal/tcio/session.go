@@ -2,13 +2,13 @@ package tcio
 
 // The per-file session. Until the delegation refactor, tcio.File carried a
 // one-file assumption: every piece of engine state — the level-1 buffer,
-// the level-2 window and its shared metadata, the write-behind lane, the
-// lazy read queue, the stats ledger — lived directly
+// the level-2 window and its shared metadata, the lazy read queue, the
+// stats ledger — lived directly
 // on the handle struct, and nothing separated "state of this open file"
 // from "state of this handle". session is that separation: one rank may
 // hold many concurrently open files, each an independent session with its
 // own window memory, shared metadata (SharedOnce hands every collective
-// Open a fresh instance), background lanes, and counters. File is now a
+// Open a fresh instance), landing records, and counters. File is now a
 // thin handle — a file pointer and a closed flag — over its session.
 
 import (
@@ -24,7 +24,7 @@ import (
 
 // session is the per-file engine state of one open TCIO file on one rank.
 // Two sessions on the same rank share nothing but the communicator: their
-// windows, drain lanes, staging, and stats ledgers are fully independent,
+// windows, landing records, staging, and stats ledgers are fully independent,
 // so interleaving I/O on concurrently open files cannot cross-contaminate
 // counters or staged data.
 type session struct {
@@ -63,18 +63,9 @@ type session struct {
 	// window's puts and gets copy their bytes during the call.
 	winRunsScratch []extent.Extent
 
-	// Write-behind lane (WriteBehind): laneFree is when the
-	// background drain lane frees up, outstanding the completion times of
-	// enqueued eager batches, busy/waited the accounting behind
-	// Stats.OverlapSaved.
-	wbLaneFree    simtime.Time
-	wbOutstanding []simtime.Time
-	wbBusy        simtime.Duration
-	wbWaited      simtime.Duration
-
 	// staging is the session's one reused staging buffer, handed out by
-	// stagingBuf: populations for another owner, write-behind run snapshots,
-	// journal epoch snapshots and re-faults. Plain memory, outside the
+	// stagingBuf: populations for another owner, journal epoch snapshots and
+	// re-faults. Plain memory, outside the
 	// simulated-memory accountant (only Malloc and Reserve roll allocation
 	// faults, so staging cannot shift the per-rank fault stream). A session
 	// stages one of them at a time, and each copies its bytes out before the

@@ -15,24 +15,12 @@ type Stats struct {
 	Level1Flush  int64 // level-1 -> level-2 shipments (one-sided puts)
 	Gets         int64 // level-2 -> application transfers (one-sided gets)
 	Populations  int64 // whole segments this rank read from the file system (preload or demand)
-	FSWrites     int64 // file system write requests (eager drains + Close/drain)
+	FSWrites     int64 // file system write requests (the drain at Close)
 	BytesWritten int64
 	BytesRead    int64
 	// Retries counts transient faults this rank absorbed with backoff
 	// across all library paths (file system RPCs and one-sided puts).
 	Retries int64
-
-	// Write-behind pipeline (Config.WriteBehind).
-	EagerDrains int64 // background drain batches (one covered segment each)
-	// EagerWrites counts the file system write requests those batches
-	// issued (a gapped segment drains as several requests), so
-	// EagerWrites + FlushResidue == FSWrites.
-	EagerWrites  int64
-	FlushResidue int64 // file system write requests left for the final drain
-	// OverlapSaved is the background lane's busy time minus the waits the
-	// rank actually paid for it (backpressure plus the final drain's
-	// synchronization) — the drain work hidden behind the application.
-	OverlapSaved simtime.Duration
 
 	// Journal tier (Config.Journal / SegmentMemoryBudget; DESIGN.md §2f).
 	// JournalEpochs counts non-empty epoch batches appended to this rank's

@@ -90,10 +90,6 @@ const (
 	// bounded NIC queue: TCIO paces its traffic instead of bursting like the
 	// two-phase exchange.
 	pipelineDepth = 8
-	// writeBehindQueue bounds the eager drains in flight on the background
-	// queue; enqueueing past the bound waits for the earliest in-flight
-	// batch (backpressure) — roughly a block layer's request queue.
-	writeBehindQueue = 32
 )
 
 // Config tunes the library. The zero value is usable: SegmentSize defaults
@@ -120,13 +116,6 @@ type Config struct {
 	// rank that fetches from them: a fetch posts its batch's missing
 	// segments at once, under their owners' exclusive window locks.
 	DemandPopulate bool
-	// WriteBehind arms the eager background drain: once the not-yet-
-	// drained runs of a level-2 segment cover all of it, the owning rank
-	// drains the segment on a background lane instead of waiting for
-	// Close, so the final drain only handles the residue. The file system
-	// request identity stays bit-identical to the synchronous drain. Off
-	// (the default) drains everything at Close.
-	WriteBehind bool
 	// Journal arms the crash-consistency tier in write mode: every Flush
 	// and Close appends the epoch's not-yet-journaled dirty runs to a
 	// per-rank journal file (name + ".wal.<rank>") as length-prefixed,
@@ -172,7 +161,7 @@ var (
 // File is one rank's TCIO handle on a shared file: a file pointer and a
 // closed flag over the per-file session (see session.go). A rank may hold
 // any number of concurrently open Files; each one's session — window
-// memory, shared level-2 metadata, background lanes, stats — is fully
+// memory, shared level-2 metadata, landing records, stats — is fully
 // independent of the others'.
 type File struct {
 	session
