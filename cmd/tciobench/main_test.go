@@ -18,11 +18,15 @@ func tciobench(args ...string) (code int, stdout, stderr string) {
 
 // TestBadLenRealIsAnError: a -len-real of zero used to panic with an
 // integer divide by zero, and one that does not divide the simulated
-// LENarray silently truncated the byte scale.
+// LENarray silently truncated the byte scale. -tables printed Table II
+// with whatever -len-real it was given.
 func TestBadLenRealIsAnError(t *testing.T) {
 	for _, args := range [][]string{
 		{"-fig5", "-len-real", "0"},
 		{"-overlap", "-len-real", "0"},
+		{"-tables", "-len-real", "0"},
+		{"-tables", "-len-real", "-5"},
+		{"-tables", "-len-real", "3"},
 	} {
 		code, _, stderr := tciobench(append(args, "-quiet")...)
 		if code != 1 || !strings.Contains(stderr, "len-real") {
@@ -102,7 +106,7 @@ func TestJSONDelegateRead(t *testing.T) {
 // together only the first ran.
 func TestCombinationsRunEverySweep(t *testing.T) {
 	code, stdout, stderr := tciobench("-scale", "-scale-procs", "8", "-scale-maxprocs", "1", "-crash", "-quiet")
-	if code != 0 || !strings.Contains(stdout, "Host scale:") || !strings.Contains(stdout, "Crash/out-of-core sweep:") {
+	if code != 0 || !strings.Contains(stdout, "Host scale:") || !strings.Contains(stdout, "Crash sweep:") {
 		t.Errorf("exit %d\n%s%s", code, stdout, stderr)
 	}
 	if code, _, stderr := tciobench(); code != 2 || !strings.Contains(stderr, "[not in -all]") {

@@ -63,9 +63,7 @@ func newCLI(fs *flag.FlagSet, sweeps []*Sweep) *CLI {
 			case *int:
 				fs.IntVar(p, f.Name, *p, f.Help)
 			case *[]int: // process counts and the like
-				fs.Var(list[int]{p, 1}, f.Name, f.Help)
-			case *[]int64: // sizes and budgets
-				fs.Var(list[int64]{p, 0}, f.Name, f.Help)
+				fs.Var(list{p}, f.Name, f.Help)
 			default:
 				panic(fmt.Sprintf("bench: flag -%s bound to a %T", f.Name, f.Var))
 			}
@@ -156,26 +154,23 @@ func WriteJSON(path string, o Options, reports []*Report) error {
 }
 
 // list is the flag.Value of a comma-separated list whose elements must be
-// at least least.
-type list[T int | int64] struct {
-	p     *[]T
-	least T
-}
+// at least 1.
+type list struct{ p *[]int }
 
-func (l list[T]) Set(s string) error {
-	var out []T
+func (l list) Set(s string) error {
+	var out []int
 	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.ParseInt(strings.TrimSpace(part), 10, 64)
-		if err != nil || T(v) < l.least {
+		v, err := strconv.Atoi(strings.TrimSpace(part))
+		if err != nil || v < 1 {
 			return fmt.Errorf("bad value %q", part)
 		}
-		out = append(out, T(v))
+		out = append(out, v)
 	}
 	*l.p = out
 	return nil
 }
 
-func (l list[T]) String() string {
+func (l list) String() string {
 	if l.p == nil {
 		return ""
 	}

@@ -1,28 +1,18 @@
 package bench
 
-// The crash/out-of-core sweep (-crash): two experiments over the journaled
-// level-2 tier, both fully seed-deterministic so CI can diff two runs.
-//
-// The out-of-core experiment runs a strided write workload on a machine
-// whose enforced per-node memory cannot hold the level-2 windows: the
-// unbudgeted configuration must die with the typed out-of-memory error,
-// while every budgeted configuration completes byte-exactly by spilling
-// journaled segments and re-faulting them at drain time — the workload OCIO
-// (which must buffer entire windows) cannot run at this memory point.
-//
-// The crash experiment runs the same workload cleanly under a pfs operation
-// log, then replays the log at several seed-drawn virtual kill instants,
-// runs tcio.Recover over each reconstructed disk, and verifies the result
-// against the committed-prefix expectation (a byte appears iff its owner's
-// journal committed the byte's flush epoch by the kill instant, or the
-// owner's journal was already durably truncated).
+// The crash sweep (-crash): the journaled level-2 tier under simulated
+// crashes, fully seed-deterministic so two runs diff empty. It runs a
+// strided write workload cleanly under a pfs operation log, then replays
+// the log at several seed-drawn virtual kill instants, runs tcio.Recover
+// over each reconstructed disk, and verifies the result against the
+// committed-prefix expectation (a byte appears iff its owner's journal
+// committed the byte's flush epoch by the kill instant, or the owner's
+// journal was already durably truncated).
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 
-	"github.com/tcio/tcio/internal/cluster"
 	"github.com/tcio/tcio/internal/mpi"
 	"github.com/tcio/tcio/internal/pfs"
 	"github.com/tcio/tcio/internal/simtime"
@@ -30,10 +20,10 @@ import (
 	"github.com/tcio/tcio/internal/wal"
 )
 
-// crashGeometry configures the crash/out-of-core sweep.
+// crashGeometry configures the crash sweep.
 type crashGeometry struct {
 	Procs int // rank count of every run
-	Kills int // crash instants replayed per configuration
+	Kills int // crash instants replayed
 	// SegmentSize and NumSegments shape the level-2 windows.
 	SegmentSize int64
 	NumSegments int
@@ -41,33 +31,18 @@ type crashGeometry struct {
 	// interleaved across ranks; Rounds splits them into flush epochs.
 	Blocks int
 	Rounds int
-	// Budgets lists the resident-segment budgets to sweep. 0 means
-	// unbudgeted: expected to OOM in the out-of-core experiment, and run
-	// journal-only (no spill) in the crash experiment.
-	Budgets []int64
-	// MemPerNode and CoresPerNode define the constrained machine of the
-	// out-of-core experiment.
-	MemPerNode   int64
-	CoresPerNode int
 }
 
-// defaultCrash returns the sweep reported in EXPERIMENTS.md: 8 ranks two to
-// a node, 16 KiB of level-2 window per rank against 32 KiB nodes, budgets
-// of 0 / 2 / 8 segments, six kills per configuration.
+// defaultCrash returns the sweep reported in EXPERIMENTS.md: 8 ranks with
+// 16 KiB of level-2 window each, six kills.
 func defaultCrash() *crashGeometry {
-	return &crashGeometry{
-		Procs: 8, Kills: 6, SegmentSize: 256, NumSegments: 64, Blocks: 192, Rounds: 4,
-		Budgets: []int64{0, 2, 8}, MemPerNode: 32 << 10, CoresPerNode: 2,
-	}
+	return &crashGeometry{Procs: 8, Kills: 6, SegmentSize: 256, NumSegments: 64, Blocks: 192, Rounds: 4}
 }
 
-// crashPoint is one (experiment, budget) configuration and, for the crash
-// experiment (Kill; otherwise out-of-core), its kill tally.
+// crashPoint is the sweep's one configuration and its kill tally.
 type crashPoint struct {
-	Kill       bool
-	BudgetSegs int64
-	Kills      int
-	KillsOK    int
+	Kills   int
+	KillsOK int
 }
 
 const crashFile = "crash.dat"
@@ -76,14 +51,14 @@ const crashFile = "crash.dat"
 func crashByte(rank, block, j int) byte { return byte(rank*31 + block*7 + j + 5) }
 
 // crashImage is the file image the workload produces, restricted to the
-// bytes keep admits (nil: all of them); b is a byte's file offset and i its
-// block's index in the writer's sequence.
+// bytes keep admits; b is a byte's file offset and i its block's index in
+// the writer's sequence.
 func crashImage(procs, blocks int, keep func(b int64, i int) bool) []byte {
 	out := make([]byte, procs*blocks*16)
 	for r := 0; r < procs; r++ {
 		for i := 0; i < blocks; i++ {
 			for j := 0; j < 16; j++ {
-				if b := (i*procs+r)*16 + j; keep == nil || keep(int64(b), i) {
+				if b := (i*procs+r)*16 + j; keep(int64(b), i) {
 					out[b] = crashByte(r, i, j)
 				}
 			}
@@ -115,7 +90,7 @@ func crashWorkload(c *mpi.Comm, f *tcio.File, blocks, rounds int) error {
 }
 
 // crashRun runs the workload once under cfg in env and totals the ranks'
-// journal and spill counters.
+// journal counters.
 func crashRun(g *crashGeometry, env *Env, cfg tcio.Config) PhaseResult {
 	return env.Run(g.Procs, 0, func(c *mpi.Comm, t *Tally) error {
 		f, err := tcio.Open(c, crashFile, tcio.WriteMode, cfg)
@@ -133,52 +108,22 @@ func crashRun(g *crashGeometry, env *Env, cfg tcio.Config) PhaseResult {
 	})
 }
 
-// config is the tcio configuration of one point.
-func (g *crashGeometry) config(p crashPoint) tcio.Config {
-	cfg := tcio.Config{SegmentSize: g.SegmentSize, NumSegments: g.NumSegments, Journal: p.Kill}
-	if p.BudgetSegs > 0 {
-		cfg.SegmentMemoryBudget = p.BudgetSegs * g.SegmentSize
-	}
-	return cfg
-}
-
-// crashOOMPoint runs one out-of-core configuration on the constrained
-// machine (memory enforcement is always armed).
-func crashOOMPoint(g *crashGeometry, p crashPoint) Row {
-	m := cluster.Lonestar()
-	m.CoresPerNode = g.CoresPerNode
-	m.MemPerNode = g.MemPerNode
-	env := &Env{Machine: m, FS: pfs.New(pfs.DefaultConfig()), Scale: 1}
-	row := Row{Point: p, PhaseResult: crashRun(g, env, g.config(p))}
-	switch {
-	case p.BudgetSegs == 0 && row.FailReason == reasonOOM:
-		row.Result = "OOM (windows exceed node memory)"
-	case p.BudgetSegs == 0:
-		row.Result = fmt.Sprintf("UNEXPECTED: wanted OOM, got %q", row.FailReason)
-	case row.Failed:
-		row.Result = "FAILED: " + row.FailReason
-	case !bytes.Equal(env.FS.Open(crashFile).Snapshot(), crashImage(g.Procs, g.Blocks, nil)):
-		row.Result = "CORRUPT: image diverged"
-	}
-	return row
-}
-
-// crashKillPoint runs one crash configuration: a clean logged run, then
+// crashKillPoint runs the sweep's configuration: a clean logged run, then
 // Kills replay-recover-verify cycles at instants drawn from the seed. The
 // row reports the journal counters and the kill tally only.
-func crashKillPoint(g *crashGeometry, seed int64, p crashPoint) Row {
+func crashKillPoint(g *crashGeometry, seed int64) Row {
 	env := &Env{FS: pfs.New(pfs.DefaultConfig()), Scale: 1}
 	log := &pfs.Oplog{}
 	env.FS.SetOplog(log)
-	cfg := g.config(p)
+	cfg := tcio.Config{SegmentSize: g.SegmentSize, NumSegments: g.NumSegments, Journal: true}
 	run := crashRun(g, env, cfg)
-	p.Kills = g.Kills
+	p := crashPoint{Kills: g.Kills}
 	row := Row{Point: p, PhaseResult: PhaseResult{TCIO: run.TCIO}}
 	if run.Failed {
 		row.Result = "FAILED: " + run.FailReason
 		return row
 	}
-	rng := rand.New(rand.NewSource(seed*1664525 + 1013904223 + p.BudgetSegs))
+	rng := rand.New(rand.NewSource(seed*1664525 + 1013904223))
 	m := int64(run.Time)
 	lo := 3 * m / 10
 	span := m - lo + m/20 + 1
@@ -194,17 +139,16 @@ func crashKillPoint(g *crashGeometry, seed int64, p crashPoint) Row {
 	return row
 }
 
-// crashSweep tabulates both experiments. Every reported quantity is a pure
-// function of the geometry and the seed (virtual-time kill draws included),
-// so two sweeps with the same options emit identical tables.
+// crashSweep tabulates the crash experiment. Every reported quantity is a
+// pure function of the geometry and the seed (virtual-time kill draws
+// included), so two sweeps with the same options emit identical tables.
 func crashSweep(g *crashGeometry) *Sweep {
 	at := func(r *Row) crashPoint { return r.Point.(crashPoint) }
 	return &Sweep{
 		Name: "crash",
-		Help: "run the out-of-core / crash-recovery sweep (uses -seed)",
+		Help: "run the crash-recovery sweep (uses -seed)",
 		Flags: []Flag{
-			{"crash-kills", "kill instants replayed per -crash configuration", &g.Kills},
-			{"crash-budgets", "comma-separated resident-segment budgets for -crash", &g.Budgets},
+			{"crash-kills", "kill instants replayed by -crash", &g.Kills},
 		},
 		Params: g,
 		Validate: func() error {
@@ -213,31 +157,19 @@ func crashSweep(g *crashGeometry) *Sweep {
 			}
 			return nil
 		},
-		Points: func(bool) []any {
-			return grid2([]bool{false, true}, g.Budgets,
-				func(kill bool, b int64) any { return crashPoint{Kill: kill, BudgetSegs: b} })
-		},
-		// Both experiments build their own machine and file system; the
-		// runner's environment only carries the seed.
+		Points: func(bool) []any { return []any{crashPoint{}} },
+		// The experiment builds its own file system; the runner's
+		// environment only carries the seed.
 		Env: func(Options, any) EnvSpec { return EnvSpec{Scale: 1} },
-		Run: func(env *Env, pt any) ([]Row, error) {
-			if p := pt.(crashPoint); p.Kill {
-				return []Row{crashKillPoint(g, env.Seed, p)}, nil
-			}
-			return []Row{crashOOMPoint(g, pt.(crashPoint))}, nil
+		Run: func(env *Env, _ any) ([]Row, error) {
+			return []Row{crashKillPoint(g, env.Seed)}, nil
 		},
 		Tables: func(o Options) []Table {
 			return []Table{{
-				Title: fmt.Sprintf("Crash/out-of-core sweep: %d ranks, %d kills, seed %d (all columns seed-deterministic)",
+				Title: fmt.Sprintf("Crash sweep: %d ranks, %d kills, seed %d (all columns seed-deterministic)",
 					g.Procs, g.Kills, o.Seed),
 				Columns: []Column{
-					det("experiment", "experiment", func(r *Row) any { return pick(at(r).Kill, "crash", "out-of-core") }),
-					det("budget-segs", "budget_segs", func(r *Row) any { return at(r).BudgetSegs }),
 					colResult,
-					det("peak-mem", "peak_memory", func(r *Row) any { return r.PeakMemory }),
-					det("spills", "spills", func(r *Row) any { return r.TCIO.SpillSegments }),
-					det("clean-drops", "clean_drops", func(r *Row) any { return r.TCIO.CleanDrops }),
-					det("refault-B", "refault_bytes", func(r *Row) any { return r.TCIO.SpillRefaultBytes }),
 					det("journal-B", "journal_bytes", func(r *Row) any { return r.TCIO.JournalBytes }),
 					det("epochs", "epochs", func(r *Row) any { return r.TCIO.JournalEpochs }),
 					det("commits", "commits", func(r *Row) any { return r.TCIO.JournalCommits }),

@@ -128,16 +128,27 @@ func (r chaosRules) injector(seed int64, rate float64) *faults.Injector {
 	return inj
 }
 
+// byteScale is the byte scale at which -len-real materialized elements
+// stand for a simulated LENarray of lenSim, or the error naming a
+// -len-real that cannot.
+func (o Options) byteScale(lenSim int) (int64, error) {
+	if o.LenReal < 1 || lenSim%o.LenReal != 0 {
+		return 0, fmt.Errorf("bench: len-real %d must be positive and divide LENarray %d", o.LenReal, lenSim)
+	}
+	return int64(lenSim / o.LenReal), nil
+}
+
 // newEnv builds the environment a point asked for: the byte scale is
 // computed and checked here, once, and a projection's injector is armed on
 // the file system, the network and the memory accountant alike.
 func (o Options) newEnv(spec EnvSpec) (*Env, error) {
 	scale, lenReal := spec.Scale, 0
 	if spec.LenSim > 0 {
-		if o.LenReal < 1 || spec.LenSim%o.LenReal != 0 {
-			return nil, fmt.Errorf("bench: len-real %d must be positive and divide LENarray %d", o.LenReal, spec.LenSim)
+		var err error
+		if scale, err = o.byteScale(spec.LenSim); err != nil {
+			return nil, err
 		}
-		scale, lenReal = int64(spec.LenSim/o.LenReal), o.LenReal
+		lenReal = o.LenReal
 	}
 	env, err := NewEnv(scale)
 	if err != nil {

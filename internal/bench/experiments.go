@@ -269,8 +269,11 @@ func tablesSweep(g *figGeometry) *Sweep {
 		Name:  "tables",
 		Help:  "print Tables I, II and III",
 		InAll: true,
-		Static: func(o Options) []stats.Table {
-			return []stats.Table{Table1(), Table2(g, o.LenReal), Table3()}
+		Static: func(o Options) ([]stats.Table, error) {
+			if _, err := o.byteScale(g.LenSims[0]); err != nil {
+				return nil, err
+			}
+			return []stats.Table{Table1(), Table2(g, o.LenReal), Table3()}, nil
 		},
 		Note: func() string {
 			loc2, loc3 := ProgramLines()
@@ -287,7 +290,7 @@ func table4Sweep() *Sweep {
 		Name:   "table4",
 		Help:   "print Table IV (segment generation)",
 		InAll:  true,
-		Static: func(Options) []stats.Table { return []stats.Table{Table4()} },
+		Static: func(Options) ([]stats.Table, error) { return []stats.Table{Table4()}, nil },
 	}
 }
 

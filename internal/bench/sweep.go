@@ -203,8 +203,7 @@ func (v Table) render(rows []Row) stats.Table {
 }
 
 // Flag is one sweep-specific command-line flag, bound to a field of the
-// sweep's geometry: Var is a *int, *bool, *[]int (elements at least 1) or
-// *[]int64 (at least 0).
+// sweep's geometry: Var is a *int or a *[]int (elements at least 1).
 type Flag struct {
 	Name, Help string
 	Var        any
@@ -250,7 +249,7 @@ type Sweep struct {
 	JSON []Column
 
 	// Static, for the paper's literal tables, replaces all of the above.
-	Static func(o Options) []stats.Table
+	Static func(o Options) ([]stats.Table, error)
 	// Note is printed after the sweep's tables.
 	Note func() string
 }
@@ -318,7 +317,10 @@ type Report struct {
 func Run(s *Sweep, o Options) (*Report, error) {
 	rep := &Report{Sweep: s, Options: o}
 	if s.Static != nil {
-		rep.static = s.Static(o)
+		var err error
+		if rep.static, err = s.Static(o); err != nil {
+			return nil, err
+		}
 		return rep, nil
 	}
 	if s.Validate != nil {

@@ -132,22 +132,16 @@ func (o *Outcome) checkTCIOStats(p *Program, run *engineRun) {
 				o.diverge("tcio", "stats", "rank %d counted %d writes/%d bytes, program has %d/%d",
 					rank, s.Writes, s.BytesWritten, wantN, wantBytes)
 			}
-			journalArmed := p.Knobs.Journal || p.Knobs.SegmentMemoryBudget > 0
-			if !journalArmed && (s.JournalEpochs != 0 || s.JournalAppends != 0 ||
+			if !p.Knobs.Journal && (s.JournalEpochs != 0 || s.JournalAppends != 0 ||
 				s.JournalBytes != 0 || s.JournalCommits != 0) {
 				o.diverge("tcio", "stats", "rank %d journaled %d epochs (%d appends) with the journal disarmed",
 					rank, s.JournalEpochs, s.JournalAppends)
 			}
-			if journalArmed && s.JournalCommits != s.JournalEpochs {
+			if p.Knobs.Journal && s.JournalCommits != s.JournalEpochs {
 				// Every appended epoch batch is sealed by its own commit
 				// marker — the identity the skip-commit-marker mutant breaks.
 				o.diverge("tcio", "stats", "rank %d sealed %d of %d journal epochs",
 					rank, s.JournalCommits, s.JournalEpochs)
-			}
-			if p.Knobs.SegmentMemoryBudget == 0 &&
-				(s.SpillSegments != 0 || s.CleanDrops != 0 || s.SpillRefaultBytes != 0) {
-				o.diverge("tcio", "stats", "rank %d spilled %d/%d segments (%dB refaulted) with no memory budget",
-					rank, s.SpillSegments, s.CleanDrops, s.SpillRefaultBytes)
 			}
 			fsSum += s.FSWrites
 			jrnSum += s.JournalAppends
@@ -311,25 +305,22 @@ func (p *Program) summarize(tc, oc, va *engineRun, dl *delegateRun, cr *crashRun
 				rreq, repoch, hit, miss, rfs)
 		}
 	}
-	if p.Knobs.Journal || p.Knobs.SegmentMemoryBudget > 0 {
-		// Epoch/commit/spill totals are collective-point quantities (journal
-		// appends and evictions happen after the flush barrier, on state that
-		// is a pure function of the program), so they diff cleanly; the kill
-		// verdicts derive from the deterministic virtual-time log.
-		var eps, commits, spill, drop, refault int64
+	if p.Knobs.Journal {
+		// Epoch/commit totals are collective-point quantities (journal
+		// appends happen after the flush barrier, on state that is a pure
+		// function of the program), so they diff cleanly; the kill verdicts
+		// derive from the deterministic virtual-time log.
+		var eps, commits int64
 		for _, s := range tc.wStats {
 			eps += s.JournalEpochs
 			commits += s.JournalCommits
-			spill += s.SpillSegments
-			drop += s.CleanDrops
-			refault += s.SpillRefaultBytes
 		}
 		okKills := 0
 		if cr != nil {
 			okKills = cr.okKills
 		}
-		fmt.Fprintf(&b, " crash[kills=%d ok=%d epochs=%d commits=%d spill=%d drop=%d refault=%dB]",
-			p.Knobs.CrashKills, okKills, eps, commits, spill, drop, refault)
+		fmt.Fprintf(&b, " crash[kills=%d ok=%d epochs=%d commits=%d]",
+			p.Knobs.CrashKills, okKills, eps, commits)
 	}
 	fmt.Fprintf(&b, " ocio[ret=%d inj=%s%s] van[ret=%d inj=%s%s]",
 		oc.retries, orDash(oc.injected), phaseMark(oc),

@@ -86,8 +86,7 @@ func TestValidateRejectsIllegalKnobs(t *testing.T) {
 		want string
 	}{
 		{"crash kills with servers", func(k *Knobs) { k.Journal, k.CrashKills, k.ServerRanks = true, 2, 1 },
-			"conformance: 2 crash kills with delegation"},
-		{"segment budget", func(k *Knobs) { k.SegmentMemoryBudget = -1 }, "tcio: segment memory budget -1"},
+			"delegate: journal with 1 server ranks"},
 		{"negative servers", func(k *Knobs) { k.ServerRanks = -1 }, "delegate: -1 server ranks of 2"},
 		{"servers eat all ranks", func(k *Knobs) { k.ServerRanks = 2 }, "delegate: 2 server ranks of 2"},
 		{"server cache blocks", func(k *Knobs) { k.ServerCacheBlocks = -4 }, "delegate: server cache blocks -4"},

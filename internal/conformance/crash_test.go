@@ -8,20 +8,13 @@ import (
 // TestCrashClassRecoversAcrossSeeds is the crash-conformance acceptance
 // sweep: 24 class-7 seeds, each replayed at every generated kill instant
 // and required to recover byte-exactly against the committed-prefix model.
-// The sweep also requires the generator to keep the out-of-core rotation
-// honest — a healthy fraction of the programs must arm a segment budget
-// and actually spill.
 func TestCrashClassRecoversAcrossSeeds(t *testing.T) {
 	const n = 24
-	budgeted, spilled := 0, 0
 	for k := 0; k < n; k++ {
 		seed := int64(7 + 8*k) // every 8th seed lands in class 7
 		p := Generate(seed)
 		if p.Knobs.CrashKills == 0 || !p.Knobs.Journal {
 			t.Fatalf("seed %d: expected class-7 knobs, got %+v", seed, p.Knobs)
-		}
-		if p.Knobs.SegmentMemoryBudget > 0 {
-			budgeted++
 		}
 		out := Check(p)
 		for _, d := range out.Divergences {
@@ -30,15 +23,6 @@ func TestCrashClassRecoversAcrossSeeds(t *testing.T) {
 		if !strings.Contains(out.Summary, " crash[") {
 			t.Errorf("seed %d summary lacks the crash block: %s", seed, out.Summary)
 		}
-		if strings.Contains(out.Summary, "refault=0B") == false {
-			spilled++
-		}
-	}
-	if budgeted < n/4 {
-		t.Errorf("only %d/%d class-7 programs armed a segment budget", budgeted, n)
-	}
-	if spilled == 0 {
-		t.Errorf("no class-7 program spilled and re-faulted under its budget")
 	}
 }
 

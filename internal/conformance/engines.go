@@ -101,13 +101,12 @@ func (p *Program) machine() cluster.Machine {
 func (p *Program) tcioConfig(rec *trace.Recorder) tcio.Config {
 	k := p.Knobs
 	return tcio.Config{
-		SegmentSize:         p.SegmentSize,
-		NumSegments:         p.NumSegments,
-		DisableLevel1:       k.DisableLevel1,
-		DemandPopulate:      k.DemandPopulate,
-		Journal:             k.Journal,
-		SegmentMemoryBudget: k.SegmentMemoryBudget,
-		Trace:               rec,
+		SegmentSize:    p.SegmentSize,
+		NumSegments:    p.NumSegments,
+		DisableLevel1:  k.DisableLevel1,
+		DemandPopulate: k.DemandPopulate,
+		Journal:        k.Journal,
+		Trace:          rec,
 	}
 }
 

@@ -19,9 +19,8 @@ package conformance
 //	class 6 — delegation tier: dedicated server ranks carved out of the
 //	          communicator, several concurrently open files per client,
 //	          credit-window admission. Ops span only the client ranks.
-//	class 7 — crash consistency: the journaled-epoch tier armed (often
-//	          with a segment memory budget small enough to force spills),
-//	          then several simulated kill instants replayed from the file
+//	class 7 — crash consistency: the journaled-epoch tier armed, then
+//	          several simulated kill instants replayed from the file
 //	          system's write log, each followed by tcio.Recover and a
 //	          byte-exact diff against the committed-prefix model.
 //
@@ -50,7 +49,7 @@ func Generate(seed int64) *Program {
 	stripes := []int64{16, 32, 64, 128, 256}
 	p.StripeSize = stripes[rng.Intn(len(stripes))]
 	p.StripeCount = 1 + rng.Intn(4)
-	p.Knobs = genKnobs(rng, class, seed, p.SegmentSize)
+	p.Knobs = genKnobs(rng, class, seed)
 	if p.Knobs.Aggregators > p.Procs {
 		// The knob is drawn before Procs-dependent shaping; an
 		// over-subscribed draw would fail Validate (the engine driver only
@@ -85,7 +84,7 @@ func Generate(seed int64) *Program {
 }
 
 // genKnobs draws the library configuration for one knob class.
-func genKnobs(rng *rand.Rand, class int, seed, segSize int64) Knobs {
+func genKnobs(rng *rand.Rand, class int, seed int64) Knobs {
 	rng.Intn(4) // retired DrainWorkers: the draw is discarded so every seed keeps its program
 	k := Knobs{DisableLevel1: rng.Intn(5) == 0}
 	rng.Intn(3) // retired FetchBatch, discarded likewise
@@ -160,9 +159,7 @@ func genKnobs(rng *rand.Rand, class int, seed, segSize int64) Knobs {
 		k.Journal = true
 		k.CrashKills = 2 + rng.Intn(4)
 		if rng.Intn(3) != 0 {
-			// Budget of one or two segments: small enough that block-cyclic
-			// territories spill (and re-fault) mid-run.
-			k.SegmentMemoryBudget = segSize * int64(1+rng.Intn(2))
+			rng.Intn(2) // the retired SegmentMemoryBudget draw, discarded
 		}
 	}
 	return k

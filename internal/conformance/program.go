@@ -76,15 +76,12 @@ type Knobs struct {
 	CollectiveRead    bool  `json:"collective_read,omitempty"`
 
 	// Crash class (class 7). Journal arms tcio's journaled-epoch tier;
-	// SegmentMemoryBudget bounds the resident level-2 segments (the spill
-	// tier — implies Journal inside tcio); CrashKills is the number of
-	// simulated crash instants the checker replays and recovers per
-	// program. CrashKills requires Journal and no delegation servers: the
-	// committed-prefix crash model assumes every epoch commits before any
-	// data-file store starts.
-	Journal             bool  `json:"journal,omitempty"`
-	SegmentMemoryBudget int64 `json:"segment_memory_budget,omitempty"`
-	CrashKills          int   `json:"crash_kills,omitempty"`
+	// CrashKills is the number of simulated crash instants the checker
+	// replays and recovers per program. CrashKills requires Journal, which
+	// the delegation tier rejects with servers: the committed-prefix crash
+	// model assumes every epoch commits before any data-file store starts.
+	Journal    bool `json:"journal,omitempty"`
+	CrashKills int  `json:"crash_kills,omitempty"`
 
 	// OCIO / vanilla MPI-IO configuration.
 	Aggregators int  `json:"aggregators,omitempty"` // 0 = every rank
@@ -226,11 +223,6 @@ func (p *Program) Validate() error {
 		return fmt.Errorf("conformance: negative harness knob: %+v", p.Knobs)
 	case p.Knobs.CrashKills > 0 && !p.Knobs.Journal:
 		return fmt.Errorf("conformance: %d crash kills without journal", p.Knobs.CrashKills)
-	case p.Knobs.CrashKills > 0 && p.Knobs.ServerRanks > 0:
-		// The committed-prefix crash model assumes no data-file store starts
-		// before every journal epoch commits: delegation re-times stores, so
-		// it is out of scope for kills.
-		return fmt.Errorf("conformance: %d crash kills with delegation", p.Knobs.CrashKills)
 	}
 	// Which library knob values are legal is the libraries' call: normalize
 	// the very configurations the engines open with, and report their error.

@@ -74,7 +74,8 @@ type Config struct {
 	// every piece as its own read request.
 	CollectiveRead bool
 	// TCIO configures the pass-through engine (ServerRanks == 0) and
-	// supplies the segment geometry the file domains derive from.
+	// supplies the segment geometry the file domains derive from. Servers
+	// keep no journal, so Normalize rejects TCIO.Journal with servers.
 	TCIO tcio.Config
 	// Collect, when non-nil, receives every server's final counters.
 	Collect *Collector
@@ -94,6 +95,9 @@ func (cfg Config) Normalize(procs int, stripeSize int64) (Config, error) {
 		return cfg, fmt.Errorf("delegate: read quantum %d", cfg.ReadQuantum)
 	case cfg.CollectiveRead && cfg.ServerRanks == 0:
 		return cfg, fmt.Errorf("delegate: collective read without server ranks")
+	case cfg.TCIO.Journal && cfg.ServerRanks > 0:
+		// Servers write the data file themselves and keep no journal.
+		return cfg, fmt.Errorf("delegate: journal with %d server ranks", cfg.ServerRanks)
 	case cfg.ServerRanks == 0:
 		return cfg, nil
 	}

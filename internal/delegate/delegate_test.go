@@ -329,6 +329,7 @@ func TestDelegateConfigValidation(t *testing.T) {
 		{"negative quantum", Config{ServerRanks: 1, ReadQuantum: -8}},
 		{"collective read without servers", Config{CollectiveRead: true}},
 		{"bad tcio config", Config{ServerRanks: 1, TCIO: tcio.Config{SegmentSize: -1}}},
+		{"journal with servers", Config{ServerRanks: 1, TCIO: tcio.Config{Journal: true}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := mpi.Run(mpi.Config{Procs: 4, Machine: cluster.Lonestar()}, func(c *mpi.Comm) error {

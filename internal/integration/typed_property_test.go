@@ -128,9 +128,9 @@ func writePOSIX(plan [][]propOp) (*mpiiFS, error) {
 	return fs, err
 }
 
-// readBackTCIO reads every record of the plan back through ReadTyped and
+// readTypedTCIO reads every record of the plan back through ReadTyped and
 // checks it against the plan.
-func readBackTCIO(fs *mpiiFS, plan [][]propOp) error {
+func readTypedTCIO(fs *mpiiFS, plan [][]propOp) error {
 	return fs.run(func(c *mpi.Comm) error {
 		f, err := tcio.Open(c, "prop", tcio.ReadMode, tcio.Config{SegmentSize: 256, NumSegments: 8})
 		if err != nil {
@@ -211,7 +211,7 @@ func TestTypedPlansRoundTrip(t *testing.T) {
 				return false
 			}
 		}
-		if err := readBackTCIO(tcioFS, plan); err != nil {
+		if err := readTypedTCIO(tcioFS, plan); err != nil {
 			failure = fmt.Errorf("seed %d: tcio read-back: %w", seed, err)
 			return false
 		}

@@ -45,11 +45,6 @@ const (
 	// append that seals an epoch: records land but no epoch ever commits,
 	// so recovery after a crash silently discards every journaled byte.
 	WALSkipCommitMarker = "wal.skip-commit-marker"
-	// TCIOSpillDropDirty makes the memory-pressure spill policy evict a
-	// dirty level-2 segment without journaling its unlogged runs first —
-	// the exact bug SegmentMemoryBudget's "spill, never drop" rule exists
-	// to prevent.
-	TCIOSpillDropDirty = "tcio.spill-drop-dirty"
 	// DelegateCacheStaleServe makes a delegation server's hot-block cache
 	// fill skip the file system read, caching (and serving) zeroed blocks
 	// — the stale-serve bug the cache's coherence rules exist to prevent.
@@ -68,7 +63,6 @@ func All() []string {
 		StorageSieveScatterOffby,
 		DelegateDropQueuedFlush,
 		WALSkipCommitMarker,
-		TCIOSpillDropDirty,
 		DelegateCacheStaleServe,
 	}
 }

@@ -29,16 +29,6 @@ func (cfg Config) Normalize(stripeSize int64) (Config, error) {
 		return cfg, fmt.Errorf("tcio: segment size %d", cfg.SegmentSize)
 	case cfg.NumSegments < 1:
 		return cfg, fmt.Errorf("tcio: segment count %d", cfg.NumSegments)
-	case cfg.SegmentMemoryBudget < 0:
-		return cfg, fmt.Errorf("tcio: segment memory budget %d", cfg.SegmentMemoryBudget)
-	}
-	if cfg.SegmentMemoryBudget > 0 {
-		// The budget only makes sense over the epoch log: spilling a dirty
-		// segment is free exactly because its bytes are already journaled.
-		cfg.Journal = true
-		if cfg.SegmentMemoryBudget < cfg.SegmentSize {
-			cfg.SegmentMemoryBudget = cfg.SegmentSize
-		}
 	}
 	return cfg, nil
 }

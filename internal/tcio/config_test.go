@@ -55,11 +55,16 @@ func TestConfigNormalize(t *testing.T) {
 
 // TestConfigNormalizeIdempotent pins that normalizing twice is a no-op —
 // the property the delegation client relies on when it re-normalizes a
-// config the caller may already have normalized.
+// config the caller may already have normalized. The zero config's
+// geometry is rewritten by the first pass, so the second has defaults to
+// keep.
 func TestConfigNormalizeIdempotent(t *testing.T) {
-	once, err := Config{SegmentMemoryBudget: 64}.Normalize(512)
+	once, err := Config{}.Normalize(512)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if once.SegmentSize != 512 || once.NumSegments != 64 {
+		t.Fatalf("first Normalize kept the zero geometry: %+v", once)
 	}
 	twice, err := once.Normalize(512)
 	if err != nil {

@@ -114,12 +114,6 @@ func (f *File) preloadAll() error {
 // as one storage batch of large aligned requests, once, at Close (paper
 // §IV).
 func (f *File) drain() error {
-	// Spilled slots first: their bytes live in the journal, not (in
-	// simulated terms) in the window, so the drain pays the read-back
-	// before it may write them (journal.go).
-	if err := f.refaultSpilled(); err != nil {
-		return err
-	}
 	local := f.win.Local()
 	var reqs []storage.Request
 	for slot := int64(0); slot < int64(f.layout.NumSeg); slot++ {

@@ -1,16 +1,13 @@
 package tcio
 
 // Tests of the journal tier: clean-run truncation, crash recovery to a
-// byte-exact image, the out-of-core segment budget (spill + re-fault), and
-// the disarmed path's zero-overhead guarantee.
+// byte-exact image, and the disarmed path's zero-overhead guarantee.
 
 import (
 	"bytes"
-	"errors"
 	"strings"
 	"testing"
 
-	"github.com/tcio/tcio/internal/cluster"
 	"github.com/tcio/tcio/internal/mpi"
 	"github.com/tcio/tcio/internal/pfs"
 	"github.com/tcio/tcio/internal/simtime"
@@ -149,92 +146,6 @@ func TestCrashBeforeDrainRecoversByteExact(t *testing.T) {
 	}
 }
 
-// TestBudgetSpillsAndStaysByteExact is the out-of-core regression: a
-// budget far below the working set must spill (never silently drop) dirty
-// segments and still produce the byte-exact file.
-func TestBudgetSpillsAndStaysByteExact(t *testing.T) {
-	const procs, blocks = 2, 64
-	fs := pfs.New(pfs.DefaultConfig())
-	// Working set: 2048 bytes = 16 dirty slots of 64 bytes per rank;
-	// budget admits 2 resident slots.
-	cfg := Config{SegmentSize: 64, NumSegments: 16, SegmentMemoryBudget: 128}
-	stats := make([]Stats, procs)
-	if _, err := mpi.Run(mpi.Config{Procs: procs, FS: fs}, func(c *mpi.Comm) error {
-		f, err := Open(c, "budget", WriteMode, cfg)
-		if err != nil {
-			return err
-		}
-		if err := journalPattern(c, f, blocks, 4); err != nil {
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		stats[c.Rank()] = f.Stats()
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := fs.Open("budget").Snapshot(), journalExpected(procs, blocks); !bytes.Equal(got, want) {
-		t.Fatalf("budgeted run diverged (%d vs %d bytes)", len(got), len(want))
-	}
-	for r := 0; r < procs; r++ {
-		s := stats[r]
-		if s.SpillSegments == 0 {
-			t.Fatalf("rank %d: budget below working set never spilled", r)
-		}
-		if s.SpillRefaultBytes == 0 {
-			t.Fatalf("rank %d: spilled segments drained without journal read-back", r)
-		}
-	}
-}
-
-// TestBudgetFitsWhereUnbudgetedOOMs pins the out-of-core claim against the
-// simulated memory accountant: a machine share too small for the full
-// window admits the budgeted session and rejects the unbudgeted one with
-// ErrOutOfMemory.
-func TestBudgetFitsWhereUnbudgetedOOMs(t *testing.T) {
-	const procs, blocks = 2, 64
-	machine := cluster.Lonestar()
-	machine.CoresPerNode = 2
-	// Full window: 16*64 = 1024 B; plus the level-1 segment. Grant 512 B
-	// per rank (1024 per 2-core node): the full window cannot fit, a
-	// 128-byte budget plus the 64-byte level-1 buffer can.
-	machine.MemPerNode = 1024
-	for _, tc := range []struct {
-		name   string
-		budget int64
-		ok     bool
-	}{
-		{"unbudgeted", 0, false},
-		{"budgeted", 128, true},
-	} {
-		fs := pfs.New(pfs.DefaultConfig())
-		cfg := Config{SegmentSize: 64, NumSegments: 16, Journal: true, SegmentMemoryBudget: tc.budget}
-		_, err := mpi.Run(mpi.Config{Procs: procs, Machine: machine, FS: fs, EnforceMemory: true},
-			func(c *mpi.Comm) error {
-				f, err := Open(c, "oom-"+tc.name, WriteMode, cfg)
-				if err != nil {
-					return err
-				}
-				if err := journalPattern(c, f, blocks, 2); err != nil {
-					return err
-				}
-				return f.Close()
-			})
-		if tc.ok {
-			if err != nil {
-				t.Fatalf("%s: %v", tc.name, err)
-			}
-			if got, want := fs.Open("oom-"+tc.name).Snapshot(), journalExpected(procs, blocks); !bytes.Equal(got, want) {
-				t.Fatalf("%s: diverged", tc.name)
-			}
-		} else if !errors.Is(err, cluster.ErrOutOfMemory) {
-			t.Fatalf("%s: want ErrOutOfMemory, got %v", tc.name, err)
-		}
-	}
-}
-
 // TestDisarmedJournalZeroOverhead runs the same workload with and without
 // the journal: the disarmed run must issue exactly the data-file request
 // stream of the armed run (the journal adds side-file requests, never
@@ -285,39 +196,12 @@ func TestDisarmedJournalZeroOverhead(t *testing.T) {
 	for r := 0; r < procs; r++ {
 		d, a := off.stats[r], on.stats[r]
 		if d.JournalEpochs != 0 || d.JournalAppends != 0 || d.JournalBytes != 0 ||
-			d.JournalCommits != 0 || d.SpillSegments != 0 || d.CleanDrops != 0 ||
-			d.SpillRefaultBytes != 0 {
+			d.JournalCommits != 0 {
 			t.Fatalf("rank %d: disarmed run counted journal activity: %+v", r, d)
 		}
 		if d.FSWrites != a.FSWrites || d.BytesWritten != a.BytesWritten {
 			t.Fatalf("rank %d: journal changed the data request stream: fsWrites %d vs %d",
 				r, d.FSWrites, a.FSWrites)
 		}
-	}
-}
-
-// TestBudgetNormalizeComposition pins how Normalize composes the budget: a
-// budget implies Journal and is floored at one segment.
-func TestBudgetNormalizeComposition(t *testing.T) {
-	cfg, err := Config{
-		SegmentSize:         64,
-		NumSegments:         16,
-		SegmentMemoryBudget: 200, // 3 segments
-	}.Normalize(1 << 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !cfg.Journal {
-		t.Fatal("budget did not imply Journal")
-	}
-	small, err := Config{SegmentSize: 64, NumSegments: 4, SegmentMemoryBudget: 10}.Normalize(1 << 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if small.SegmentMemoryBudget != 64 {
-		t.Fatalf("sub-segment budget not floored to one segment: %d", small.SegmentMemoryBudget)
-	}
-	if _, err := (Config{SegmentMemoryBudget: -1}).Normalize(1 << 20); err == nil {
-		t.Fatal("negative budget accepted")
 	}
 }

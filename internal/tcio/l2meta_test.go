@@ -18,7 +18,6 @@ import (
 // refL2Meta is the original map-per-field implementation, kept as the
 // semantic oracle. unlogged is nil when the journal tier is disarmed.
 type refL2Meta struct {
-	written   map[int64]bool
 	pending   map[int64][]extent.Extent
 	populated map[int64]bool
 	arrival   map[int64]simtime.Time
@@ -27,7 +26,6 @@ type refL2Meta struct {
 
 func newRefL2Meta(journal bool) *refL2Meta {
 	m := &refL2Meta{
-		written:   make(map[int64]bool),
 		pending:   make(map[int64][]extent.Extent),
 		populated: make(map[int64]bool),
 		arrival:   make(map[int64]simtime.Time),
@@ -39,7 +37,6 @@ func newRefL2Meta(journal bool) *refL2Meta {
 }
 
 func (m *refL2Meta) addDirty(seg int64, runs []extent.Extent, at simtime.Time) {
-	m.written[seg] = true
 	m.pending[seg] = extent.Coalesce(append(m.pending[seg], runs...))
 	if at > m.arrival[seg] {
 		m.arrival[seg] = at
@@ -114,12 +111,6 @@ func TestL2MetaMatchesReference(t *testing.T) {
 						trial, step, seg, gr, ga, wr, wa)
 				}
 			case 3:
-				if got, want := m.hasPending(seg), len(ref.pending[seg]) > 0; got != want {
-					t.Fatalf("trial %d step %d hasPending(%d): got %v want %v", trial, step, seg, got, want)
-				}
-				if got, want := m.isWritten(seg), ref.written[seg]; got != want {
-					t.Fatalf("trial %d step %d isWritten(%d): got %v want %v", trial, step, seg, got, want)
-				}
 				if got, want := m.isPopulated(seg), ref.populated[seg]; got != want {
 					t.Fatalf("trial %d step %d isPopulated(%d): got %v want %v", trial, step, seg, got, want)
 				}
@@ -140,7 +131,7 @@ func TestL2MetaMatchesReference(t *testing.T) {
 // TestL2MetaConcurrent hammers one l2meta from many goroutines, as remote
 // ships record runs while a taker drains them. Every worker adds its own
 // chunk of every segment and then takes whatever is pending; under -race
-// this is the regression test for the pending/written bookkeeping, and
+// this is the regression test for the pending bookkeeping, and
 // every chunk must be taken exactly once.
 func TestL2MetaConcurrent(t *testing.T) {
 	const (
@@ -169,8 +160,6 @@ func TestL2MetaConcurrent(t *testing.T) {
 			defer wg.Done()
 			for s := int64(0); s < segs; s++ {
 				m.addDirty(s, []extent.Extent{{Off: int64(w * perChunk), Len: perChunk}}, simtime.Time(w+1))
-				_ = m.isWritten(s)
-				_ = m.hasPending(s)
 				take(s)
 				m.setPopulated(s, 0)
 				_ = m.isPopulated(s)
@@ -184,9 +173,6 @@ func TestL2MetaConcurrent(t *testing.T) {
 			if n != 1 {
 				t.Fatalf("segment %d byte %d taken %d times, want once", s, b, n)
 			}
-		}
-		if !m.isWritten(s) {
-			t.Fatalf("segment %d lost written flag", s)
 		}
 		if !m.isPopulated(s) {
 			t.Fatalf("segment %d lost populated flag", s)

@@ -18,11 +18,10 @@ import (
 	"github.com/tcio/tcio/internal/trace"
 )
 
-// l2meta is the bookkeeping shared by all ranks of one TCIO file: whether
-// each global segment holds buffered data (written), which of its runs have
-// not reached the file system yet (pending — the final drain consumes
-// them), and which segments have been populated from
-// the file system (reads).
+// l2meta is the bookkeeping shared by all ranks of one TCIO file: which of
+// each global segment's runs have not reached the file system yet (pending
+// — the final drain consumes them), and which segments have been populated
+// from the file system (reads).
 //
 // It is one record per global segment, indexed by the segment's number:
 // the P × NumSegments records are allocated at Open, each with its own
@@ -53,10 +52,7 @@ type segState struct {
 	// journalEpoch consumes them at each Flush/Close. Always empty when the
 	// journal tier is disarmed, so the unjournaled write path does zero
 	// extra bookkeeping.
-	unlogged []extent.Extent
-	// written is set by the first put into the segment and never cleared:
-	// the slot holds buffered bytes that count against the segment budget.
-	written   bool
+	unlogged  []extent.Extent
 	populated bool
 }
 
@@ -79,7 +75,6 @@ func (m *l2meta) lock(seg int64) *segState {
 func (m *l2meta) addDirty(seg int64, runs []extent.Extent, at simtime.Time) {
 	st := m.lock(seg)
 	defer st.mu.Unlock()
-	st.written = true
 	if mutate.Enabled(mutate.TCIOLostPendingRun) {
 		st.pending = extent.Coalesce(append([]extent.Extent(nil), runs...))
 	} else {
@@ -101,21 +96,6 @@ func (m *l2meta) takeUnlogged(seg int64) []extent.Extent {
 	runs := st.unlogged
 	st.unlogged = nil
 	return runs
-}
-
-// isWritten reports whether any put has recorded runs in the segment.
-func (m *l2meta) isWritten(seg int64) bool {
-	st := m.lock(seg)
-	defer st.mu.Unlock()
-	return st.written
-}
-
-// hasPending reports whether the segment still has undrained runs — what
-// separates a spill from a free drop when the segment budget evicts a slot.
-func (m *l2meta) hasPending(seg int64) bool {
-	st := m.lock(seg)
-	defer st.mu.Unlock()
-	return len(st.pending) > 0
 }
 
 // takePending removes and returns the segment's undrained runs and their

@@ -64,29 +64,18 @@ type session struct {
 	winRunsScratch []extent.Extent
 
 	// staging is the session's one reused staging buffer, handed out by
-	// stagingBuf: populations for another owner, journal epoch snapshots and
-	// re-faults. Plain memory, outside the
-	// simulated-memory accountant (only Malloc and Reserve roll allocation
-	// faults, so staging cannot shift the per-rank fault stream). A session
-	// stages one of them at a time, and each copies its bytes out before the
-	// next.
+	// stagingBuf: populations for another owner and journal epoch
+	// snapshots. Plain memory, outside the simulated-memory accountant (only
+	// Malloc and Reserve roll allocation faults, so staging cannot shift the
+	// per-rank fault stream). A session stages one of them at a time, and
+	// each copies its bytes out before the next.
 	staging []byte
 
 	// Journal tier (Config.Journal, write mode; DESIGN.md §2f). jw appends
 	// this rank's flush epochs to its per-file journal; epoch is the
 	// collective flush-epoch counter, advanced identically on every rank.
-	// nonResident marks local slots whose segment was spilled (dirty,
-	// journaled) or dropped (clean) under memory pressure; spillRefs holds
-	// the journal-file extents a slot's journaled bytes re-fault from.
-	// budgetSegs is the resident-segment cap (0 = unlimited); winReserved
-	// is the simulated charge taken for the window under a budget (the
-	// budget, not the full window), which release must return in kind.
-	jw          *wal.Writer
-	epoch       int64
-	nonResident map[int64]bool
-	spillRefs   map[int64][]extent.Extent
-	budgetSegs  int
-	winReserved int64
+	jw    *wal.Writer
+	epoch int64
 
 	// landed is when the last population this rank posted lands in its
 	// owner's window (populate); a read handle's Close waits for it, so no
@@ -116,26 +105,9 @@ type session struct {
 // and the storage access path. cfg must already be normalized.
 func newSession(c *mpi.Comm, name string, mode Mode, cfg Config) (session, error) {
 	// Level-2 window memory: NumSegments segments of SegmentSize each.
-	// Under a segment budget (write mode) only the budget's worth is
-	// charged to the rank's simulated share — the spill tier guarantees at
-	// most that many segments stay resident — while the host-side window
-	// stays full-size, so spilled slots keep their bytes for the
-	// simulation and re-faults are pure accounting.
-	winBytes := int64(cfg.NumSegments) * cfg.SegmentSize
-	var winBuf []byte
-	var winReserved int64
-	if cfg.SegmentMemoryBudget > 0 && mode == WriteMode {
-		winReserved = c.Machine().Scale(cfg.SegmentMemoryBudget)
-		if err := c.Reserve(winReserved); err != nil {
-			return session{}, fmt.Errorf("tcio: level-2 buffer: %w", err)
-		}
-		winBuf = make([]byte, winBytes)
-	} else {
-		var err error
-		winBuf, err = c.Malloc(winBytes)
-		if err != nil {
-			return session{}, fmt.Errorf("tcio: level-2 buffer: %w", err)
-		}
+	winBuf, err := c.Malloc(int64(cfg.NumSegments) * cfg.SegmentSize)
+	if err != nil {
+		return session{}, fmt.Errorf("tcio: level-2 buffer: %w", err)
 	}
 	// Level-1 buffer: exactly one segment (paper §IV.A: "we set them to be
 	// equal, and each level-1 buffer is aligned with one level-2 segment"),
@@ -143,11 +115,7 @@ func newSession(c *mpi.Comm, name string, mode Mode, cfg Config) (session, error
 	// pages an epoch's pieces touch (newLevel1), and a read handle, which
 	// never stages, holds none.
 	if err := c.Reserve(c.Machine().Scale(cfg.SegmentSize)); err != nil {
-		if winReserved > 0 {
-			c.Release(winReserved)
-		} else {
-			c.Free(winBuf)
-		}
+		c.Free(winBuf)
 		return session{}, fmt.Errorf("tcio: level-1 buffer: %w", err)
 	}
 	win, err := c.WinCreate(winBuf)
@@ -184,7 +152,6 @@ func newSession(c *mpi.Comm, name string, mode Mode, cfg Config) (session, error
 		// are cheaper: lazy recording touches no data until Fetch.
 		pieceCPU: simtime.Duration(150) * simtime.Duration(c.Machine().ByteScale),
 	}
-	s.winReserved = winReserved
 	if mode == WriteMode {
 		s.l1 = newLevel1(cfg.SegmentSize)
 	} else {
@@ -201,10 +168,6 @@ func newSession(c *mpi.Comm, name string, mode Mode, cfg Config) (session, error
 		wstore.SetRetryPolicy(retry)
 		wstore.SetTrace(cfg.Trace)
 		s.jw = wal.NewWriter(wstore, c.Rank())
-		s.nonResident = make(map[int64]bool)
-		s.spillRefs = make(map[int64][]extent.Extent)
-		// Normalize floored the budget at one segment; 0 stays "no budget".
-		s.budgetSegs = int(cfg.SegmentMemoryBudget / cfg.SegmentSize)
 	}
 	s.pendingSeg = -1
 	return s, nil
@@ -220,15 +183,8 @@ func (s *session) stagingBuf(n int64) []byte {
 	return s.staging[:n]
 }
 
-// release returns the session's accounted memory (Close calls it). Under a
-// segment budget the window was charged by Reserve — only the budget, not
-// the full host-side buffer — so the same amount is Released; freeing the
-// buffer's length would return memory the rank never charged.
+// release returns the session's accounted memory (Close calls it).
 func (s *session) release() {
-	if s.winReserved > 0 {
-		s.c.Release(s.winReserved)
-	} else {
-		s.c.Free(s.win.Local())
-	}
+	s.c.Free(s.win.Local())
 	s.c.Release(s.c.Machine().Scale(s.layout.SegSize)) // the level-1 buffer
 }

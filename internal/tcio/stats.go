@@ -22,7 +22,7 @@ type Stats struct {
 	// across all library paths (file system RPCs and one-sided puts).
 	Retries int64
 
-	// Journal tier (Config.Journal / SegmentMemoryBudget; DESIGN.md §2f).
+	// Journal tier (Config.Journal; DESIGN.md §2f).
 	// JournalEpochs counts non-empty epoch batches appended to this rank's
 	// journal; JournalAppends the storage write requests they issued
 	// (batches plus commit markers — the journal's contribution to the
@@ -34,15 +34,6 @@ type Stats struct {
 	JournalAppends int64
 	JournalBytes   int64
 	JournalCommits int64
-	// Memory-pressure spill (SegmentMemoryBudget > 0). SpillSegments
-	// counts dirty segments marked non-resident (their bytes live in the
-	// journal until re-faulted); CleanDrops counts evicted segments whose
-	// buffered runs were already durable on the data file, so dropping
-	// them cost nothing; SpillRefaultBytes counts journal bytes read back
-	// when a spilled segment's data was needed again (re-dirty or drain).
-	SpillSegments     int64
-	CleanDrops        int64
-	SpillRefaultBytes int64
 
 	// EpochEvictions counts put epochs closed early because the pipeline
 	// window was full — churn the LRU eviction policy is meant to minimize.

@@ -126,17 +126,6 @@ type Config struct {
 	// time. Off (the default) keeps the write path bit-identical to the
 	// unjournaled library, including its fault rolls. See DESIGN.md §2f.
 	Journal bool
-	// SegmentMemoryBudget bounds the level-2 segments a rank keeps
-	// resident in write mode, in bytes (rounded down to whole segments,
-	// minimum one). When the segments holding buffered data exceed the
-	// budget, the journal tier spills them: clean segments are dropped,
-	// dirty segments — whose bytes every epoch already journaled — are
-	// marked non-resident and re-faulted from the journal when the drain
-	// needs them, so datasets larger than memory complete where a purely
-	// in-memory collective buffer would exhaust its share. A non-zero
-	// budget implies Journal (the spill tier is meaningless without the
-	// epoch log). 0 disables the budget (the default).
-	SegmentMemoryBudget int64
 	// Trace, when non-nil, records the library's operations (writes,
 	// flushes, fetches, populations, drains) with virtual timestamps.
 	Trace *trace.Recorder

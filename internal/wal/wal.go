@@ -81,8 +81,7 @@ func appendRecord(buf []byte, payload []byte) []byte {
 
 // EncodeEpochRecords renders the header and run records of one epoch (no
 // commit marker) as one contiguous byte batch, returning the batch and the
-// journal-relative extent each run's DATA bytes occupy within it — the
-// re-fault addresses a spilled segment is read back from.
+// batch-relative extent each run's DATA bytes occupy within it.
 func EncodeEpochRecords(rank int, seq int64, runs []Run) (batch []byte, dataAt []extent.Extent) {
 	var p [runPayloadMin]byte
 	p[0] = recEpoch
@@ -223,20 +222,16 @@ func (w *Writer) Stats() Stats { return w.stats }
 
 // AppendEpoch journals one flush epoch: the header-plus-runs batch as one
 // write request, then the commit marker as a second, separately-faultable
-// request. It returns the journal-file extent each run's data bytes landed
-// at (the spill re-fault addresses). An empty run list appends nothing.
-func (w *Writer) AppendEpoch(seq int64, runs []Run) ([]extent.Extent, error) {
+// request. An empty run list appends nothing.
+func (w *Writer) AppendEpoch(seq int64, runs []Run) error {
 	if len(runs) == 0 {
-		return nil, nil
+		return nil
 	}
-	batch, dataAt := EncodeEpochRecords(w.rank, seq, runs)
-	for i := range dataAt {
-		dataAt[i].Off += w.pos
-	}
+	batch, _ := EncodeEpochRecords(w.rank, seq, runs)
 	if _, err := w.store.WriteExtents("wal: append", trace.KindJournal, []storage.Request{
 		{Off: w.pos, Data: batch, Tag: fmt.Sprintf("epoch=%d runs=%d", seq, len(runs))},
 	}); err != nil {
-		return nil, err
+		return err
 	}
 	w.pos += int64(len(batch))
 	w.stats.Epochs++
@@ -248,23 +243,14 @@ func (w *Writer) AppendEpoch(seq int64, runs []Run) ([]extent.Extent, error) {
 		if _, err := w.store.WriteExtents("wal: commit", trace.KindJournal, []storage.Request{
 			{Off: w.pos, Data: commit, Tag: fmt.Sprintf("commit=%d", seq)},
 		}); err != nil {
-			return nil, err
+			return err
 		}
 		w.pos += int64(len(commit))
 		w.stats.Appends++
 		w.stats.Bytes += int64(len(commit))
 		w.stats.Commits++
 	}
-	return dataAt, nil
-}
-
-// ReadBack fills dst with journal bytes from the given journal-file extent
-// through the same charged storage path — the spill re-fault read.
-func (w *Writer) ReadBack(ext extent.Extent, dst []byte) error {
-	_, err := w.store.ReadExtents("wal: refault", trace.KindJournal, []storage.Request{
-		{Off: ext.Off, Data: dst[:ext.Len], Tag: fmt.Sprintf("off=%d", ext.Off)},
-	})
-	return err
+	return nil
 }
 
 // Truncate retires the journal after the file's final drain settled: the

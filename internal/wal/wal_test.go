@@ -217,9 +217,9 @@ func TestUncommittedEpochsAreStructuralCorruption(t *testing.T) {
 	}
 }
 
-// TestDataExtentsAddressRunBytes verifies the journal-relative extents
+// TestDataExtentsAddressRunBytes verifies the batch-relative extents
 // EncodeEpochRecords reports: slicing the batch at each extent must yield
-// exactly that run's data — the invariant the spill re-fault path relies on.
+// exactly that run's data.
 func TestDataExtentsAddressRunBytes(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 100; trial++ {
