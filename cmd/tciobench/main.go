@@ -2,8 +2,8 @@
 // (Tables I-III and Figures 5-7) and the reproduction's own sweeps. Its
 // flags are generated from the sweep table in internal/bench: run it with
 // -h for the list, which says per sweep whether -all includes it. Every
-// sweep named runs; -chaos beside a sweep that has a deterministic
-// projection (-overlap, -delegate) prints that counts-only table instead;
+// sweep named runs; -chaos beside -delegate, the sweep with a deterministic
+// projection, prints that counts-only table instead;
 // -json FILE collects every sweep's rows in one document; -conform runs the
 // randomized differential conformance sweep.
 //

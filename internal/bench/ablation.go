@@ -50,6 +50,9 @@ func ablationSweep(g *synthGeometry) *Sweep {
 			Columns: []Column{
 				det("variant", "variant", func(r *Row) any { return variant(r).name }),
 				colWrite, colRead,
+				// The write phase's one-sided messages: the count the
+				// level-1 buffer coalesces.
+				det("1s-msgs", "one_sided_msgs", func(r *Row) any { return r.Net.OneSidedMsgs }),
 				det("notes", "", func(r *Row) any { return variant(r).detail }),
 			},
 		}),

@@ -26,6 +26,12 @@ func TestAblationsRunAllVariants(t *testing.T) {
 	if table.Rows[0][0] != "baseline" {
 		t.Fatalf("first row = %v", table.Rows[0])
 	}
+	// Without level-1 every piece is its own put: more one-sided messages.
+	base, noL1 := rep.Rows[0], rep.Rows[1]
+	if noL1.Point.(ablationVariant).name != "no level-1 buffer" || noL1.Net.OneSidedMsgs <= base.Net.OneSidedMsgs {
+		t.Fatalf("%s: %d one-sided messages, baseline %d",
+			noL1.Point.(ablationVariant).name, noL1.Net.OneSidedMsgs, base.Net.OneSidedMsgs)
+	}
 }
 
 func TestDefaultConfigs(t *testing.T) {

@@ -24,7 +24,6 @@ func Tciobench(fs *flag.FlagSet) *CLI {
 		fig67Sweep(defaultFig67()),
 		ablationSweep(defaultAblation()),
 		chaosSweep(defaultChaos()),
-		overlapSweep(defaultOverlap()),
 		delegateSweep(defaultDelegate()),
 		delegateReadSweep(defaultDelegateRead()),
 		scaleSweep(defaultScale()),

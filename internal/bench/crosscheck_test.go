@@ -38,30 +38,37 @@ func groundTruth(cfg SyntheticConfig) []byte {
 // aggregation, and vanilla MPI-IO's POSIX-style independent writes —
 // against the independently computed file image. A shared-algebra bug that
 // shifted every extent consistently would pass round-trip verification;
-// it cannot pass this.
+// it cannot pass this. The demand case reads the seven-OST file back with
+// DemandPopulate, every byte verified against the element generator.
 func TestWritersMatchGroundTruth(t *testing.T) {
 	cases := []struct {
 		name    string
 		method  Method
 		stripes int
+		demand  bool
 	}{
-		{"tcio-serial-drain", MethodTCIO, 1},
-		{"tcio-parallel-drain", MethodTCIO, 7},
-		{"ocio", MethodOCIO, 1},
-		{"vanilla", MethodVanilla, 1},
+		{"tcio-serial-drain", MethodTCIO, 1, false},
+		{"tcio-parallel-drain", MethodTCIO, 7, false},
+		{"tcio-demand-read", MethodTCIO, 7, true},
+		{"ocio", MethodOCIO, 1, false},
+		{"vanilla", MethodVanilla, 1, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			env, err := NewEnv(64)
+			// 1 KiB stripes: the 12 KiB file spans twelve, so a seven-OST
+			// stripe puts segments on every target.
+			env, err := NewEnv(1024)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if tc.stripes > 1 {
-				fscfg := env.FS.Config()
-				fscfg.StripeCount = tc.stripes
-				env.FS = pfs.New(fscfg)
-			}
 			cfg := smallSweepCfg(tc.method, 4, "truth-"+tc.name)
+			cfg.DemandPopulate = tc.demand
+			fscfg := env.FS.Config()
+			if span := int64(tc.stripes) * fscfg.StripeSize; cfg.FileBytes() < span {
+				t.Fatalf("a %d B file does not reach all %d OSTs of a %d B stripe", cfg.FileBytes(), tc.stripes, fscfg.StripeSize)
+			}
+			fscfg.StripeCount = tc.stripes
+			env.FS = pfs.New(fscfg)
 			res, err := RunSynthetic(env, cfg)
 			if err != nil {
 				t.Fatal(err)

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"reflect"
@@ -57,9 +56,6 @@ type EnvSpec struct {
 	// Scale is the byte scale of sweeps whose geometry is given in real
 	// bytes (used when LenSim is 0).
 	Scale int64
-	// Stripes is the file stripe width in OSTs (0 keeps the paper's single
-	// OST).
-	Stripes int
 	// Faults is a sweep's own injector (the chaos sweep's). Projections do
 	// not set it: the runner arms them itself.
 	Faults *faults.Injector
@@ -159,11 +155,8 @@ func (o Options) newEnv(spec EnvSpec) (*Env, error) {
 	if o.Chaos {
 		env.Faults = defaultChaosRules.injector(o.Seed, projectionRate)
 	}
-	if spec.Stripes > 0 || env.Faults != nil {
+	if env.Faults != nil {
 		fscfg := env.FS.Config()
-		if spec.Stripes > 0 {
-			fscfg.StripeCount = spec.Stripes
-		}
 		fscfg.Faults = env.Faults
 		env.FS = pfs.New(fscfg)
 	}
@@ -273,17 +266,6 @@ func (e *Env) Run(procs int, simBytes int64, fn func(*mpi.Comm, *Tally) error) P
 	pr.FS = rep.FS
 	pr.AllocRetries = rep.AllocRetries
 	return pr
-}
-
-// CheckImage fails the phase unless the named file starts with want, the
-// workload's independently computed ground truth.
-func (e *Env) CheckImage(pr *PhaseResult, name string, want []byte) {
-	if pr.Failed {
-		return
-	}
-	if got := e.FS.Open(name).Snapshot(); len(got) < len(want) || !bytes.Equal(got[:len(want)], want) {
-		pr.Failed, pr.FailReason = true, "ground-truth mismatch"
-	}
 }
 
 // reasonOOM is the failure reason of a run that exceeded simulated memory.

@@ -25,18 +25,9 @@ const paperSizeAccess = 1
 type synthGeometry struct {
 	Procs  int // process count of each run
 	LenSim int // paper-scale LENarray in elements
-	// StripeCount is the file's stripe width in OSTs (0 keeps the paper's
-	// single OST, which serializes a drain at the target). Pick a width
-	// that does not divide Procs: segments are dealt round-robin over ranks
-	// with the segment size equal to the stripe size, so when Procs is a
-	// multiple of StripeCount every segment of a rank lands on one OST and
-	// a rank's posted drain has nothing to overlap.
-	StripeCount int
 }
 
-func (g *synthGeometry) env(Options, any) EnvSpec {
-	return EnvSpec{LenSim: g.LenSim, Stripes: g.StripeCount}
-}
+func (g *synthGeometry) env(Options, any) EnvSpec { return EnvSpec{LenSim: g.LenSim} }
 
 // config is the paper's workload for one method at the geometry and the
 // environment's materialized size, every byte verified on read-back.

@@ -104,7 +104,8 @@ func ratchetPrograms() []ratchetProgram {
 			}
 		}
 	}
-	progs := []ratchetProgram{
+	delegate := func() *Sweep { return delegateSweep(smallDelegateOpts()) }
+	return []ratchetProgram{
 		sweepProgram("chaos", func() *Sweep { return chaosSweep(testChaosGeometry()) }, testChaosOptions, chaosOK),
 		sweepProgram("delegate-read", func() *Sweep { return delegateReadSweep(smallDelegateReadOpts()) }, Options{}, nil),
 		sweepProgram("scale", func() *Sweep { return scaleSweep(smallScale()) }, Options{}, checkScaleAcrossGoMaxProcs),
@@ -115,26 +116,16 @@ func ratchetPrograms() []ratchetProgram {
 		sweepProgram("art", func() *Sweep {
 			return ART(&ARTGeometry{Procs: []int{16}, Trees: 64, Vars: 2, MuCells: 128, SigmaCells: 16, Seed: 5, Scale: 16})
 		}, Options{}, nil),
+		sweepProgram("delegate", delegate, Options{Seed: 7}, nil),
+		sweepProgram("delegate-chaos", delegate, Options{Seed: 7, Chaos: true}, nil),
+		{name: "conform", run: func(t *testing.T) record {
+			var out bytes.Buffer
+			if _, err := conformance.RunSweep(&out, 1, 24, ""); err != nil {
+				t.Fatal(err)
+			}
+			return record{exact: strings.Split(out.String(), "\n")}
+		}},
 	}
-	for _, s := range []struct {
-		name  string
-		sweep func() *Sweep
-		opts  Options
-	}{
-		{"overlap", func() *Sweep { return overlapSweep(defaultOverlap()) }, Options{Seed: 7, LenReal: overlapTestLenReal}},
-		{"delegate", func() *Sweep { return delegateSweep(smallDelegateOpts()) }, Options{Seed: 7}},
-	} {
-		chaos := s.opts
-		chaos.Chaos = true
-		progs = append(progs, sweepProgram(s.name, s.sweep, s.opts, nil), sweepProgram(s.name+"-chaos", s.sweep, chaos, nil))
-	}
-	return append(progs, ratchetProgram{name: "conform", run: func(t *testing.T) record {
-		var out bytes.Buffer
-		if _, err := conformance.RunSweep(&out, 1, 24, ""); err != nil {
-			t.Fatal(err)
-		}
-		return record{exact: strings.Split(out.String(), "\n")}
-	}})
 }
 
 // flatten records every exported leaf of v under path, an embedded struct's

@@ -78,12 +78,6 @@ func (c Column) cell(r *Row) string {
 	return fmt.Sprint(c.Value(r))
 }
 
-// as renames the column's header for one table.
-func (c Column) as(header string) Column {
-	c.Header = header
-	return c
-}
-
 // det and host build the two kinds of column.
 func det(header, key string, value func(*Row) any) Column {
 	return Column{Header: header, Key: key, Det: true, Value: value}
@@ -108,12 +102,10 @@ var (
 	colInjected     = det("injected", "injected", func(r *Row) any { return r.Injected })
 	colFSRetries    = det("fs-retries", "fs_retries", func(r *Row) any { return r.FS.Retries })
 	colFSWrites     = det("fs-writes", "fs_writes", func(r *Row) any { return r.FS.Writes })
-	colFSReads      = det("fs-reads", "fs_reads", func(r *Row) any { return r.FS.Reads })
 	colAllocRetries = det("alloc-retries", "alloc_retries", func(r *Row) any { return r.AllocRetries })
 	// colRetries is the library-level retry count: tcio's own plus, under
 	// delegation, the servers'.
-	colRetries     = det("retries", "retries", func(r *Row) any { return r.TCIO.Retries + r.Servers.Retries })
-	colPopulations = det("populations", "populations", func(r *Row) any { return r.TCIO.Populations })
+	colRetries = det("retries", "retries", func(r *Row) any { return r.TCIO.Retries + r.Servers.Retries })
 )
 
 // pick names a two-valued setting.

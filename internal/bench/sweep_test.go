@@ -16,7 +16,6 @@ import (
 // skipped under -short: the -race leg must run it.
 func TestGoldenOutputs(t *testing.T) {
 	for file, args := range map[string]string{
-		"overlap-chaos.txt":  "-overlap -chaos -seed 7 -len-real 512",
 		"delegate-chaos.txt": "-delegate -chaos -seed 7",
 		"crash.csv":          "-crash -seed 7 -csv",
 		"chaos.txt":          "-chaos -seed 7 -chaos-procs 16",

@@ -9,6 +9,7 @@ import (
 
 	"github.com/tcio/tcio/internal/cluster"
 	"github.com/tcio/tcio/internal/extent"
+	"github.com/tcio/tcio/internal/faults"
 	"github.com/tcio/tcio/internal/mpi"
 	"github.com/tcio/tcio/internal/pfs"
 	"github.com/tcio/tcio/internal/simtime"
@@ -27,9 +28,25 @@ func preByte(off int64) byte { return byte(off*7 + off>>6 + 3) }
 
 // preFS returns a file system holding segs segments of preByte, stored
 // host-side: no OST has served anything yet.
-func preFS(segs int) *pfs.FileSystem {
+func preFS(segs int) *pfs.FileSystem { return storePre(preConfig(), segs) }
+
+// preConfig is preFS's file system configuration.
+func preConfig() pfs.Config {
 	cfg := pfs.DefaultConfig()
 	cfg.ByteScale, cfg.ReadAhead = (4<<20)/preSeg, 0
+	return cfg
+}
+
+// stripedPreFS is preFS striped one segment per stripe over width OSTs, so
+// consecutive segments sit on consecutive targets, with inj armed.
+func stripedPreFS(segs, width int, inj *faults.Injector) *pfs.FileSystem {
+	cfg := preConfig()
+	cfg.StripeSize, cfg.StripeCount, cfg.Faults = preSeg, width, inj
+	return storePre(cfg, segs)
+}
+
+// storePre stores segs segments of preByte in a file system built to cfg.
+func storePre(cfg pfs.Config, segs int) *pfs.FileSystem {
 	fs := pfs.New(cfg)
 	img := make([]byte, segs*preSeg)
 	for i := range img {
@@ -364,6 +381,91 @@ func TestContendedDemandPopulatesOnce(t *testing.T) {
 		if sum != segs || rep.FS.Reads != segs {
 			t.Fatalf("seed %d: %d populations (%v) and %d file system reads, want %d of each",
 				seed, sum, pops, rep.FS.Reads, segs)
+		}
+	}
+}
+
+// sequentialDemandRead has each rank read its contiguous 1/P of the striped
+// file in 12-byte pieces, demand populated, and checks every byte once
+// Close has landed them. It returns the world's report and the ranks'
+// summed populations.
+func sequentialDemandRead(t *testing.T, procs, segs int, inj *faults.Injector) (mpi.Report, int64) {
+	t.Helper()
+	const piece = 12
+	pops := make([]int64, procs)
+	rep, err := mpi.Run(mpi.Config{Procs: procs, Machine: cluster.Lonestar(), FS: stripedPreFS(segs, 7, inj), Faults: inj},
+		func(c *mpi.Comm) error {
+			f, err := Open(c, "pre", ReadMode, Config{SegmentSize: preSeg, NumSegments: segs / procs, DemandPopulate: true})
+			if err != nil {
+				return err
+			}
+			chunk := int64(segs / procs * preSeg)
+			base := int64(c.Rank()) * chunk
+			buf := make([]byte, chunk)
+			for off := int64(0); off < chunk; off += piece {
+				if err := f.ReadAt(base+off, buf[off:min(off+piece, chunk)]); err != nil {
+					return err
+				}
+			}
+			if err := f.Close(); err != nil {
+				return err
+			}
+			pops[c.Rank()] = f.Stats().Populations
+			for i, b := range buf {
+				if want := preByte(base + int64(i)); b != want {
+					return fmt.Errorf("rank %d offset %d is %#x, want %#x", c.Rank(), base+int64(i), b, want)
+				}
+			}
+			return nil
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sum int64
+	for _, n := range pops {
+		sum += n
+	}
+	return rep, sum
+}
+
+// TestSoloDemandReadTime pins one rank's sequential demand read over a
+// seven-OST stripe to the nanosecond: with one rank the request stream is
+// totally ordered, so the time is exact, and a change to what a posted
+// population or a get charges moves it.
+func TestSoloDemandReadTime(t *testing.T) {
+	const segs = 48
+	rep, pops := sequentialDemandRead(t, 1, segs, nil)
+	if pops != segs || rep.FS.Reads != segs {
+		t.Errorf("%d populations and %d file system reads, want %d of each", pops, rep.FS.Reads, segs)
+	}
+	if got := rep.MaxTime.Sub(0); got != soloDemandNs {
+		t.Errorf("the one-rank demand read took %d ns, want %d", got, soloDemandNs)
+	}
+}
+
+// soloDemandNs is TestSoloDemandReadTime's makespan in virtual ns.
+const soloDemandNs = 4389163
+
+// TestDemandPopulatesOnceUnderFaults: under seeded OST read errors and
+// slowdowns, dropped connection setups and one-sided put drops, four ranks
+// demand-read disjoint partitions of a seven-OST file. Every failed read is
+// retried inside its population, so the ranks' populations still equal the
+// file system's reads, one per segment, and every byte is the file's.
+func TestDemandPopulatesOnceUnderFaults(t *testing.T) {
+	const procs, segs = 4, 48
+	for seed := int64(1); seed <= 4; seed++ {
+		inj := faults.New(seed).
+			Set(faults.SiteOSTRead, faults.Rule{Prob: 0.2}).
+			Set(faults.SiteOSTSlow, faults.Rule{Prob: 0.1, Factor: 8}).
+			Set(faults.SiteNetSetup, faults.Rule{Prob: 0.05}).
+			Set(faults.SiteWinPut, faults.Rule{Prob: 0.05})
+		rep, pops := sequentialDemandRead(t, procs, segs, inj)
+		if rep.FS.Retries == 0 {
+			t.Fatalf("seed %d: no population read was retried; the injector missed the read path", seed)
+		}
+		if pops != segs || rep.FS.Reads != segs {
+			t.Errorf("seed %d: %d populations and %d file system reads (%d retries), want %d of each",
+				seed, pops, rep.FS.Reads, rep.FS.Retries, segs)
 		}
 	}
 }
