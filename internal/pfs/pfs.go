@@ -358,10 +358,12 @@ func (f *File) chargeAccess(client int, off, n int64, now simtime.Time, write bo
 // With fault injection enabled it can fail with a transient error (wrapping
 // faults.ErrInjected); WriteAtRetry absorbs those under a retry policy.
 func (f *File) WriteAt(client int, off int64, data []byte, now simtime.Time) (simtime.Time, error) {
-	return f.writeAt(client, off, data, now, 0)
+	return f.writeAt(client, off, data, now, 0, false)
 }
 
-func (f *File) writeAt(client int, off int64, data []byte, now simtime.Time, attempt int64) (simtime.Time, error) {
+// writeAt performs one write attempt. handOver says the caller gives data up
+// (storeBytes); it changes what the store allocates, never what is charged.
+func (f *File) writeAt(client int, off int64, data []byte, now simtime.Time, attempt int64, handOver bool) (simtime.Time, error) {
 	if off < 0 {
 		return now, fmt.Errorf("pfs: negative offset %d", off)
 	}
@@ -376,7 +378,7 @@ func (f *File) writeAt(client int, off int64, data []byte, now simtime.Time, att
 	f.fs.writes.Add(1)
 	f.fs.bytesWritten.Add(int64(len(data)))
 	end := f.chargeAccess(client, off, int64(len(data)), now, true, attempt)
-	f.storeAndLog(off, data, now, end)
+	f.storeAndLog(off, data, now, end, handOver)
 	return end, nil
 }
 
@@ -422,7 +424,18 @@ func (f *File) readAt(reader int, off int64, dst []byte, now simtime.Time, attem
 // final injected cause.
 func (f *File) WriteAtRetry(client int, off int64, data []byte, now simtime.Time, pol faults.RetryPolicy) (simtime.Time, int64, error) {
 	return f.retry(now, pol, func(at simtime.Time, attempt int64) (simtime.Time, error) {
-		return f.writeAt(client, off, data, at, attempt)
+		return f.writeAt(client, off, data, at, attempt, false)
+	})
+}
+
+// HandOverAtRetry is WriteAtRetry for a caller that gives data up: every
+// page the request covers whole is kept by reference, not copied
+// (storeBytes). The caller must never write data again once the call
+// returns — on an error too, since an attempt may have stored it. Charges,
+// fault rolls, counters and the oplog record are those of WriteAtRetry.
+func (f *File) HandOverAtRetry(client int, off int64, data []byte, now simtime.Time, pol faults.RetryPolicy) (simtime.Time, int64, error) {
+	return f.retry(now, pol, func(at simtime.Time, attempt int64) (simtime.Time, error) {
+		return f.writeAt(client, off, data, at, attempt, true)
 	})
 }
 
@@ -443,8 +456,14 @@ func (f *File) retry(now simtime.Time, pol faults.RetryPolicy, op func(simtime.T
 	return end, retries, err
 }
 
-// storeBytes copies data into the sparse page store.
-func (f *File) storeBytes(off int64, data []byte) {
+// storeBytes puts data into the sparse page store. It copies, unless
+// handOver says the caller has given data up: then a page the data covers
+// whole (aligned in the file, full length) becomes data's own sub-slice,
+// capacity-capped so nothing can grow into its neighbour, and the page it
+// replaces is dropped. Head and tail fragments are copied either way. A kept
+// page is the store's from then on: later writes, truncates and reads treat
+// it like any other.
+func (f *File) storeBytes(off int64, data []byte, handOver bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if end := off + int64(len(data)); end > f.size {
@@ -457,12 +476,16 @@ func (f *File) storeBytes(off int64, data []byte) {
 		if room := pageSize - in; n > room {
 			n = room
 		}
-		p, ok := f.pages[page]
-		if !ok {
-			p = make([]byte, pageSize)
-			f.pages[page] = p
+		if handOver && n == pageSize {
+			f.pages[page] = data[:pageSize:pageSize]
+		} else {
+			p, ok := f.pages[page]
+			if !ok {
+				p = make([]byte, pageSize)
+				f.pages[page] = p
+			}
+			copy(p[in:in+n], data[:n])
 		}
-		copy(p[in:in+n], data[:n])
 		off += n
 		data = data[n:]
 	}
@@ -616,8 +639,9 @@ func (f *File) FirstOST() int { return f.firstOST }
 // storeAndLog is storeBytes plus oplog recording of the store's service
 // interval. The replay prefix cut divides the written length over
 // [start, end), so callers pass the request's true departure and completion.
-func (f *File) storeAndLog(off int64, data []byte, start, end simtime.Time) {
-	f.storeBytes(off, data)
+// The record keeps its own copy, handed over or not.
+func (f *File) storeAndLog(off int64, data []byte, start, end simtime.Time, handOver bool) {
+	f.storeBytes(off, data, handOver)
 	if l := f.fs.getOplog(); l != nil {
 		l.append(OpRecord{
 			Kind: OpStore, Name: f.name, Off: off,
@@ -630,7 +654,7 @@ func (f *File) storeAndLog(off int64, data []byte, start, end simtime.Time) {
 // rolls, no statistics, no oplog. It is the materialization primitive of
 // crash replay and recovery verification, not part of the simulated path.
 func (f *File) StoreDirect(off int64, data []byte) {
-	f.storeBytes(off, data)
+	f.storeBytes(off, data, false)
 }
 
 // truncateAt resets the file to empty as a simulated client request: it

@@ -78,7 +78,7 @@ func (c *Client) ReadExtentsSieved(op string, reqs []Request, budget int64) (Sie
 		out.Waste += g.Waste(runs)
 	}
 
-	res, end, err := c.post(op, trace.KindSieve, covers, false, c.clock.Now(), nil)
+	res, end, err := c.post(op, trace.KindSieve, covers, read, c.clock.Now(), nil)
 	c.clock.AdvanceTo(end)
 	out.Result = res
 	if err != nil {

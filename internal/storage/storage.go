@@ -116,14 +116,32 @@ func (c *Client) Retries() int64 { return c.retries.Load() }
 // File exposes the underlying simulated file (verification helper).
 func (c *Client) File() *pfs.File { return c.pf }
 
+// access is what a batch does with its requests' bytes.
+type access int
+
+const (
+	read     access = iota // fill Data from the file
+	write                  // store a copy of Data
+	handOver               // store Data, keeping whole file pages by reference
+)
+
 // ReadExtents fills every request's Data from the file.
 func (c *Client) ReadExtents(op string, kind trace.Kind, reqs []Request) (Result, error) {
-	return c.run(op, kind, reqs, false)
+	return c.run(op, kind, reqs, read)
 }
 
 // WriteExtents stores every request's Data into the file.
 func (c *Client) WriteExtents(op string, kind trace.Kind, reqs []Request) (Result, error) {
-	return c.run(op, kind, reqs, true)
+	return c.run(op, kind, reqs, write)
+}
+
+// HandOverExtents is WriteExtents for a caller that gives every request's
+// Data up: the file system keeps each file page a request covers whole by
+// reference instead of copying it (pfs.File.HandOverAtRetry). The caller
+// must never write those bytes again once the call returns, whatever it
+// returns. Requests, charges, fault rolls and counters are WriteExtents'.
+func (c *Client) HandOverExtents(op string, kind trace.Kind, reqs []Request) (Result, error) {
+	return c.run(op, kind, reqs, handOver)
 }
 
 // ReadExtentsFrom issues the batch departing at start without touching the
@@ -134,14 +152,14 @@ func (c *Client) WriteExtents(op string, kind trace.Kind, reqs []Request) (Resul
 // and fault-roll identity are exactly those of ReadExtents; only whose clock
 // pays is different.
 func (c *Client) ReadExtentsFrom(op string, kind trace.Kind, reqs []Request, start simtime.Time) (Result, simtime.Time, error) {
-	return c.post(op, kind, reqs, false, start, nil)
+	return c.post(op, kind, reqs, read, start, nil)
 }
 
 // ReadExtentsEach is ReadExtentsFrom for a caller that serves each request's
 // bytes as they arrive instead of waiting for the batch: done, as long as
 // reqs, receives every issued request's own completion.
 func (c *Client) ReadExtentsEach(op string, kind trace.Kind, reqs []Request, start simtime.Time, done []simtime.Time) (Result, error) {
-	res, _, err := c.post(op, kind, reqs, false, start, done)
+	res, _, err := c.post(op, kind, reqs, read, start, done)
 	return res, err
 }
 
@@ -177,8 +195,8 @@ func (c *Client) WriteAt(op string, off int64, data []byte) error {
 	return err
 }
 
-func (c *Client) run(op string, kind trace.Kind, reqs []Request, write bool) (Result, error) {
-	res, end, err := c.post(op, kind, reqs, write, c.clock.Now(), nil)
+func (c *Client) run(op string, kind trace.Kind, reqs []Request, acc access) (Result, error) {
+	res, end, err := c.post(op, kind, reqs, acc, c.clock.Now(), nil)
 	c.clock.AdvanceTo(end)
 	return res, err
 }
@@ -196,10 +214,14 @@ func (c *Client) touch(site string, t simtime.Time) {
 // node-granular, like Lustre's); reads identify as the rank, so the file
 // system's per-process readahead window sees only this rank's sequential
 // history.
-func (c *Client) issue(r Request, now simtime.Time, write bool) (simtime.Time, int64, error) {
-	if write {
+func (c *Client) issue(r Request, now simtime.Time, acc access) (simtime.Time, int64, error) {
+	switch acc {
+	case write:
 		c.touch("fs.write", now)
 		return c.pf.WriteAtRetry(c.node, r.Off, r.Data, now, c.retry)
+	case handOver:
+		c.touch("fs.write", now)
+		return c.pf.HandOverAtRetry(c.node, r.Off, r.Data, now, c.retry)
 	}
 	c.touch("fs.read", now)
 	return c.pf.ReadAtRetry(c.rank, r.Off, r.Data, now, c.retry)
@@ -277,11 +299,11 @@ func checkDisjoint(reqs []Request) error {
 // from start, and a non-nil each receives every one's own completion; issue
 // stops at the first request whose retries are exhausted, so on an error
 // exactly the first res.Requests requests succeeded.
-func (c *Client) post(op string, kind trace.Kind, reqs []Request, write bool, start simtime.Time, each []simtime.Time) (Result, simtime.Time, error) {
+func (c *Client) post(op string, kind trace.Kind, reqs []Request, acc access, start simtime.Time, each []simtime.Time) (Result, simtime.Time, error) {
 	if mutate.Enabled(mutate.StorageDropLastRequest) && len(reqs) > 1 {
 		reqs = reqs[:len(reqs)-1]
 	}
-	if write {
+	if acc != read {
 		if err := checkDisjoint(reqs); err != nil {
 			return Result{}, start, fmt.Errorf("%s: %w", op, err)
 		}
@@ -289,7 +311,7 @@ func (c *Client) post(op string, kind trace.Kind, reqs []Request, write bool, st
 	var res Result
 	end := start
 	for i, r := range reqs {
-		done, retries, err := c.issue(r, start, write)
+		done, retries, err := c.issue(r, start, acc)
 		end = max(end, done)
 		if each != nil {
 			each[i] = done

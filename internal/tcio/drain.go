@@ -45,7 +45,7 @@ func (f *File) populate(segs []int64) error {
 			} else {
 				buf = f.stagingBuf(f.layout.SegSize)[:n]
 			}
-			req[0] = storage.Request{Off: base, Data: buf, Tag: fmt.Sprintf("seg=%d off=%d", seg, base)}
+			req[0] = storage.Request{Off: base, Data: buf, Tag: f.tag(seg, base)}
 			res, end, err := f.store.ReadExtentsFrom("tcio: populate", trace.KindPopulate, req, start)
 			f.stats.Retries += res.Retries
 			f.stats.Populations += res.Requests
@@ -110,9 +110,27 @@ func (f *File) preloadAll() error {
 	return f.c.Barrier()
 }
 
+// tag is a population or drain request's trace detail, "seg=S off=O". It is
+// built only when tracing; an untraced error names the request by the
+// storage layer's "N bytes at OFF" instead.
+func (f *File) tag(seg, off int64) string {
+	if !f.tracing() {
+		return ""
+	}
+	return fmt.Sprintf("seg=%d off=%d", seg, off)
+}
+
 // drain writes this rank's still-undrained level-2 runs to the file system
 // as one storage batch of large aligned requests, once, at Close (paper
 // §IV).
+//
+// The batch hands the window over (storage.HandOverExtents): the file
+// system keeps every file page a run covers whole as a slice of this rank's
+// window instead of copying it. That is safe because nothing writes the
+// window again. The drain runs after the barrier that retired every put,
+// it is the handle's only drain, and Close then releases the window to the
+// accountant only, never to a pool (session.release). Head and tail
+// fragments of a run, and runs shorter than a page, are still copied.
 func (f *File) drain() error {
 	local := f.win.Local()
 	var reqs []storage.Request
@@ -131,11 +149,11 @@ func (f *File) drain() error {
 			reqs = append(reqs, storage.Request{
 				Off:  base + r.Off,
 				Data: local[slot*f.layout.SegSize+r.Off : slot*f.layout.SegSize+r.Off+r.Len],
-				Tag:  fmt.Sprintf("seg=%d off=%d", seg, base+r.Off),
+				Tag:  f.tag(seg, base+r.Off),
 			})
 		}
 	}
-	res, err := f.store.WriteExtents("tcio: drain", trace.KindDrain, reqs)
+	res, err := f.store.HandOverExtents("tcio: drain", trace.KindDrain, reqs)
 	f.stats.Retries += res.Retries
 	f.stats.FSWrites += res.Requests
 	return err

@@ -183,7 +183,10 @@ func (s *session) stagingBuf(n int64) []byte {
 	return s.staging[:n]
 }
 
-// release returns the session's accounted memory (Close calls it).
+// release returns the session's accounted memory (Close calls it). A write
+// handle's drain handed whole pages of the window to the file system, which
+// keeps them as file contents (drain), so the window's bytes are returned to
+// the accountant only: window memory is never pooled or reused after Close.
 func (s *session) release() {
 	s.c.Free(s.win.Local())
 	s.c.Release(s.c.Machine().Scale(s.layout.SegSize)) // the level-1 buffer
