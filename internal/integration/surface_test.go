@@ -51,6 +51,7 @@ var surfaceAllow = map[string]string{
 	"internal/mpiio.File.PFS":           "the file behind a handle, for byte verification",
 	"internal/mpi.Comm.MemUsed":         "a rank's simulated footprint, for leak checks",
 	"internal/pfs.File.LockOwners":      "extent-lock state after conflicting writes",
+	"internal/pfs.File.PageAt":          "the store's page at an offset, for hand-over aliasing checks",
 	"internal/tcio.File.Capacity":       "the level-2 capacity the ErrCapacity tests aim past",
 	"internal/stats.Sample.N":           "sample size in the stats tests",
 	"internal/stats.Sample.Min":         "sample bounds in the stats tests",

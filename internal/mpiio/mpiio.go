@@ -17,6 +17,7 @@ import (
 	"github.com/tcio/tcio/internal/pfs"
 	"github.com/tcio/tcio/internal/simtime"
 	"github.com/tcio/tcio/internal/storage"
+	"github.com/tcio/tcio/internal/trace"
 )
 
 // Per-item library CPU costs, multiplied by the machine's ByteScale (a
@@ -90,6 +91,15 @@ func (f *File) Retries() int64 { return f.store.Retries() }
 // advances the rank's clock through backoffs and the final attempt.
 func (f *File) writeRetry(off int64, data []byte) error {
 	return f.store.WriteAt("mpiio: write", off, data)
+}
+
+// handOverRetry is writeRetry for bytes the caller gives up: the file
+// system keeps every page data covers whole by reference instead of copying
+// it (storage.HandOverExtents). The request, charge and trace are
+// writeRetry's; the caller must never write data again.
+func (f *File) handOverRetry(off int64, data []byte) error {
+	_, err := f.store.HandOverExtents("mpiio: write", trace.KindDrain, []storage.Request{{Off: off, Data: data}})
+	return err
 }
 
 // readRetry is writeRetry's read-side counterpart.

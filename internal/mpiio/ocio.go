@@ -187,6 +187,10 @@ func (f *File) WriteAll(data []byte) error {
 	// I/O phase, aggregators in clock order. A domain the runs cover is
 	// assembled before the turn; the turn holds only what the order must
 	// see: the preread of a domain with holes, the CPU charge and the write.
+	// The write hands buf over (handOverRetry): the file system keeps every
+	// page the domain covers whole as a slice of it. That is safe because
+	// nothing writes buf again: it is this call's own Malloc, written once
+	// before the write, and Free returns it to the accountant only.
 	var buf []byte
 	if mine.Len > 0 {
 		if buf, err = f.c.Malloc(mine.Len); err != nil {
@@ -209,7 +213,7 @@ func (f *File) WriteAll(data []byte) error {
 			f.scatter(mine, buf)
 		}
 		f.chargeCPU(runCPU, scattered) // aggregator-side decode + scatter
-		return f.writeRetry(mine.Off, buf)
+		return f.handOverRetry(mine.Off, buf)
 	}); err != nil {
 		return err
 	}

@@ -134,6 +134,12 @@ type Stats struct {
 type FileSystem struct {
 	cfg  Config
 	osts []*simtime.Resource
+	// page is the sparse store's page in real bytes: the stripe, capped at
+	// maxPage. A stripe-sized, stripe-aligned run — a TCIO level-2 segment,
+	// an aligned OCIO file domain — then covers whole pages at every byte
+	// scale, so a hand-over keeps it by reference (storeBytes). The page is
+	// host layout only: nothing charged, counted or logged depends on it.
+	page int64
 
 	mu      sync.Mutex
 	files   map[string]*File
@@ -162,7 +168,7 @@ func New(cfg Config) *FileSystem {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	fs := &FileSystem{cfg: cfg, files: make(map[string]*File)}
+	fs := &FileSystem{cfg: cfg, page: min(cfg.StripeSize, maxPage), files: make(map[string]*File)}
 	fs.osts = make([]*simtime.Resource, cfg.OSTCount)
 	for i := range fs.osts {
 		fs.osts[i] = simtime.NewResource(fmt.Sprintf("ost%d", i))
@@ -239,8 +245,8 @@ func (fs *FileSystem) faultTimeout() simtime.Duration {
 	return 2 * simtime.Millisecond
 }
 
-// pageSize is the granularity of the sparse backing store (real bytes).
-const pageSize = 64 << 10
+// maxPage caps the sparse backing store's page (real bytes; FileSystem.page).
+const maxPage = 64 << 10
 
 // File is one shared file. Methods are safe for concurrent use.
 type File struct {
@@ -469,19 +475,20 @@ func (f *File) storeBytes(off int64, data []byte, handOver bool) {
 	if end := off + int64(len(data)); end > f.size {
 		f.size = end
 	}
+	ps := f.fs.page
 	for len(data) > 0 {
-		page := off / pageSize
-		in := off % pageSize
+		page := off / ps
+		in := off % ps
 		n := int64(len(data))
-		if room := pageSize - in; n > room {
+		if room := ps - in; n > room {
 			n = room
 		}
-		if handOver && n == pageSize {
-			f.pages[page] = data[:pageSize:pageSize]
+		if handOver && n == ps {
+			f.pages[page] = data[:ps:ps]
 		} else {
 			p, ok := f.pages[page]
 			if !ok {
-				p = make([]byte, pageSize)
+				p = make([]byte, ps)
 				f.pages[page] = p
 			}
 			copy(p[in:in+n], data[:n])
@@ -495,11 +502,12 @@ func (f *File) storeBytes(off int64, data []byte, handOver bool) {
 func (f *File) loadBytes(off int64, dst []byte) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	ps := f.fs.page
 	for len(dst) > 0 {
-		page := off / pageSize
-		in := off % pageSize
+		page := off / ps
+		in := off % ps
 		n := int64(len(dst))
-		if room := pageSize - in; n > room {
+		if room := ps - in; n > room {
 			n = room
 		}
 		if p, ok := f.pages[page]; ok {
@@ -728,6 +736,14 @@ func (l *Oplog) ReplayAt(dst *FileSystem, t simtime.Time) {
 			}
 		}
 	}
+}
+
+// PageAt returns the store's page holding offset off, nil in a hole — a
+// test helper for asserting what a hand-over kept by reference.
+func (f *File) PageAt(off int64) []byte {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.pages[off/f.fs.page]
 }
 
 // LockOwners returns the stripes currently owned, in stripe order —

@@ -84,11 +84,11 @@ func TestSparseReadsZeroFill(t *testing.T) {
 func TestWriteAcrossPageBoundary(t *testing.T) {
 	fs := New(testConfig())
 	f := fs.Open("pages")
-	payload := make([]byte, 3*pageSize)
+	payload := make([]byte, 3*fs.page)
 	for i := range payload {
 		payload[i] = byte(i * 7)
 	}
-	off := int64(pageSize - 100)
+	off := fs.page - 100
 	f.WriteAt(0, off, payload, 0)
 	got := make([]byte, len(payload))
 	f.ReadAt(0, off, got, 0)

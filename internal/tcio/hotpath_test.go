@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/tcio/tcio/internal/extent"
@@ -312,4 +313,146 @@ func TestFetchDoesNotAllocate(t *testing.T) {
 		}
 		return f.Close()
 	})
+}
+
+// TestStageWriteTailMergeMatchesAppend: stageWrite extends the level-1 block
+// list's last block when a piece abuts it instead of appending. Over seeded
+// piece sequences — abutting runs, overlaps, rewrites of earlier bytes, out
+// of order — Coalesce of the tail-merged list equals Coalesce of the
+// append-only list it replaced, and a purely sequential epoch keeps one
+// block.
+func TestStageWriteTailMergeMatchesAppend(t *testing.T) {
+	const segSize = 4096
+	rng := rand.New(rand.NewSource(43))
+	f := &File{session: session{l1Seg: 5, l1: newLevel1(segSize)}}
+	piece := make([]byte, segSize)
+	for trial := 0; trial < 3000; trial++ {
+		var ref []extent.Extent // the append-only list
+		f.l1Blocks = f.l1Blocks[:0]
+		sequential := trial%7 == 0
+		at := int64(rng.Intn(segSize / 2))
+		for i, n := 0, 1+rng.Intn(40); i < n && at < segSize; i++ {
+			size := 1 + rng.Int63n(min(200, segSize-at))
+			off := at
+			switch kind := rng.Intn(5); {
+			case sequential || kind <= 1: // abuts the last piece
+			case kind == 2 && len(ref) > 0: // overlaps the last piece
+				last := ref[len(ref)-1]
+				off = last.Off + rng.Int63n(last.Len)
+			case kind == 3 && len(ref) > 0: // rewrites an earlier piece
+				off = ref[rng.Intn(len(ref))].Off
+			default: // anywhere
+				off = rng.Int63n(segSize)
+			}
+			size = min(size, segSize-off)
+			if err := f.stageWrite(5, off, piece[:size]); err != nil {
+				t.Fatal(err)
+			}
+			ref = append(ref, extent.Extent{Off: off, Len: size})
+			at = off + size
+		}
+		got := extent.Coalesce(append([]extent.Extent(nil), f.l1Blocks...))
+		want := extent.Coalesce(ref)
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d: tail-merged list coalesces to %v, append-only to %v (pieces %v)", trial, got, want, ref)
+		}
+		if sequential && len(f.l1Blocks) != 1 {
+			t.Fatalf("trial %d: a sequential epoch of %d pieces keeps %d blocks, want 1", trial, len(ref), len(f.l1Blocks))
+		}
+	}
+}
+
+// TestGroupRunsMatchesCountingSort: a queue that visits each segment in one
+// stretch is grouped by groupRuns, as slices of the queue itself; any other
+// takes groupInterleaved, the counting sort. Over seeded queues of both
+// kinds, groupPending returns the counting sort's groups, in its order,
+// each group's reads in queue order, and an interleaved queue's groups are
+// the counting sort's scratch, not the queue.
+func TestGroupRunsMatchesCountingSort(t *testing.T) {
+	const segSize = 64
+	rng := rand.New(rand.NewSource(44))
+	layout := extent.Layout{P: 4, SegSize: segSize, NumSeg: 1 << 20}
+	f := &File{session: session{layout: layout}}
+	ref := &File{session: session{layout: layout}}
+	ref.fetch = new(fetchScratch)
+	backing := make([]byte, 1<<16)
+	var grouped, interleaved int
+	for trial := 0; trial < 2500; trial++ {
+		pool := 1 + int64(rng.Intn(20))
+		base := int64(rng.Intn(1000))
+		at := 0
+		for i, reads := 0, rng.Intn(100); i < reads; i++ {
+			off := (base+rng.Int63n(pool))*segSize + rng.Int63n(segSize)
+			n := 1 + rng.Int63n(3*segSize/2)
+			for n > 0 { // ReadAt's split
+				piece := min(n, segSize-off%segSize)
+				f.pending = append(f.pending, readReq{off: off, dst: backing[at : at+int(piece)]})
+				at += int(piece)
+				off += piece
+				n -= piece
+			}
+		}
+		if trial%2 == 0 { // stable-sort by first appearance: a grouped queue
+			first := map[int64]int{}
+			for i, r := range f.pending {
+				if _, ok := first[r.off/segSize]; !ok {
+					first[r.off/segSize] = i
+				}
+			}
+			slices.SortStableFunc(f.pending, func(a, b readReq) int {
+				return first[a.off/segSize] - first[b.off/segSize]
+			})
+		}
+		ref.pending = append(ref.pending[:0], f.pending...)
+		want := ref.groupInterleaved(ref.fetch.groups[:0])
+		ref.fetch.groups = want
+		// The queue is grouped when it switches segment once per group.
+		stretches := 0
+		for i, r := range f.pending {
+			if i == 0 || r.off/segSize != f.pending[i-1].off/segSize {
+				stretches++
+			}
+		}
+		isGrouped := stretches == len(want)
+		f.pendingSwitches = stretches
+		var queue *readReq
+		if len(f.pending) > 0 {
+			queue = &f.pending[0]
+		}
+		got := f.groupPending()
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: %d groups, want %d", trial, len(got), len(want))
+		}
+		for i, g := range got {
+			w := want[i]
+			if g.seg != w.seg || len(g.reqs) != len(w.reqs) {
+				t.Fatalf("trial %d group %d: segment %d with %d reads, want segment %d with %d",
+					trial, i, g.seg, len(g.reqs), w.seg, len(w.reqs))
+			}
+			for j, r := range g.reqs {
+				if r.off != w.reqs[j].off || len(r.dst) != len(w.reqs[j].dst) || &r.dst[0] != &w.reqs[j].dst[0] {
+					t.Fatalf("trial %d group %d read %d differs from the counting sort's", trial, i, j)
+				}
+			}
+		}
+		if len(got) == 0 {
+			continue
+		}
+		switch zeroCopy := &got[0].reqs[0] == queue; {
+		case isGrouped && !zeroCopy:
+			t.Fatalf("trial %d: a grouped queue's groups are not slices of the queue", trial)
+		case !isGrouped && zeroCopy:
+			t.Fatalf("trial %d: an interleaved queue did not take the counting sort", trial)
+		case isGrouped:
+			grouped++
+		default:
+			interleaved++
+		}
+		if trial%2 == 0 && !isGrouped {
+			t.Fatalf("trial %d: a queue sorted by first appearance was not taken as grouped", trial)
+		}
+	}
+	if grouped < 1000 || interleaved < 500 {
+		t.Fatalf("%d grouped and %d interleaved queues: the generator misses a path", grouped, interleaved)
+	}
 }

@@ -76,6 +76,13 @@ func (f *File) stageWrite(seg, segOff int64, piece []byte) error {
 		f.l1Seg = seg
 	}
 	f.l1.put(segOff, piece)
+	// A piece that abuts the last block extends it: Coalesce merges abutting
+	// runs, so flushLevel1 ships the same runs, and a sequential epoch keeps
+	// one block instead of one per piece.
+	if n := len(f.l1Blocks); n > 0 && f.l1Blocks[n-1].End() == segOff {
+		f.l1Blocks[n-1].Len += int64(len(piece))
+		return nil
+	}
 	f.l1Blocks = append(f.l1Blocks, extent.Extent{Off: segOff, Len: int64(len(piece))})
 	return nil
 }

@@ -222,10 +222,13 @@ type segGroup struct {
 
 // groupPending groups the queued lazy reads by global segment, in first-
 // appearance order (requests may span several segments when a single
-// ReadAt crossed a boundary), and resets the queue. It is a counting sort
-// into per-handle scratch, so the groups are valid until the next call. A
-// segment is searched for among the groups only where the queue switches
-// segments, and the fetchBatch rule bounds both the switches and the groups.
+// ReadAt crossed a boundary), and resets the queue. A queue that visits
+// each segment once in one stretch is already grouped, and its groups are
+// slices of the queue itself; any other goes through groupInterleaved's
+// counting sort. Either way the groups are valid until the queue is next
+// appended to. A segment is searched for among the groups only where the
+// queue switches segments, and the fetchBatch rule bounds both the switches
+// and the groups.
 func (f *File) groupPending() []segGroup {
 	if f.fetch == nil {
 		f.fetch = new(fetchScratch)
@@ -233,7 +236,51 @@ func (f *File) groupPending() []segGroup {
 	fs := f.fetch
 	// Sized up front (pendingSwitches bounds the groups), so a handle that
 	// fetches once does not pay for append's doubling.
-	groups := slices.Grow(fs.groups[:0], f.pendingSwitches)
+	groups, grouped := f.groupRuns(slices.Grow(fs.groups[:0], f.pendingSwitches))
+	if !grouped {
+		groups = f.groupInterleaved(groups[:0])
+	}
+	fs.groups = groups
+	f.pending = f.pending[:0]
+	f.pendingSeg = -1
+	f.pendingSwitches = 0
+	return groups
+}
+
+// groupRuns appends one group per stretch of the queue that stays in one
+// segment, its reads a capacity-capped slice of the queue. It reports false
+// as soon as a stretch returns to a segment an earlier one had: the queue is
+// interleaved, and the groups are unfinished.
+func (f *File) groupRuns(groups []segGroup) ([]segGroup, bool) {
+	start := 0
+	for i, r := range f.pending {
+		seg := f.layout.Segment(r.off)
+		n := len(groups)
+		if n > 0 && groups[n-1].seg == seg {
+			continue
+		}
+		if n > 0 {
+			groups[n-1].reqs = f.pending[start:i:i]
+		}
+		for _, g := range groups {
+			if g.seg == seg {
+				return groups, false
+			}
+		}
+		groups, start = append(groups, segGroup{seg: seg}), i
+	}
+	if n := len(groups); n > 0 {
+		groups[n-1].reqs = f.pending[start:len(f.pending):len(f.pending)]
+	}
+	return groups, true
+}
+
+// groupInterleaved is groupPending for a queue that returns to a segment
+// after another intervened: a counting sort of the queue into the handle's
+// grouped scratch, groups in first-appearance order, each group's reads in
+// queue order.
+func (f *File) groupInterleaved(groups []segGroup) []segGroup {
+	fs := f.fetch
 	idx := slices.Grow(fs.idx[:0], len(f.pending))
 	g := -1
 	for _, r := range f.pending {
@@ -260,10 +307,7 @@ func (f *File) groupPending() []segGroup {
 		g := &groups[idx[i]]
 		g.reqs = append(g.reqs, r)
 	}
-	fs.groups, fs.idx = groups, idx
-	f.pending = f.pending[:0]
-	f.pendingSeg = -1
-	f.pendingSwitches = 0
+	fs.idx = idx
 	return groups
 }
 
