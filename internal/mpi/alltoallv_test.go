@@ -17,6 +17,12 @@ import (
 // that blocks a rank forever fails the test instead of hanging it.
 func runWithin(t *testing.T, cfg Config, fn func(*Comm) error) (Report, error) {
 	t.Helper()
+	return runFor(t, time.Minute, cfg, fn)
+}
+
+// runFor is runWithin with the deadline limit.
+func runFor(t *testing.T, limit time.Duration, cfg Config, fn func(*Comm) error) (Report, error) {
+	t.Helper()
 	type result struct {
 		rep Report
 		err error
@@ -29,8 +35,8 @@ func runWithin(t *testing.T, cfg Config, fn func(*Comm) error) (Report, error) {
 	select {
 	case r := <-done:
 		return r.rep, r.err
-	case <-time.After(time.Minute):
-		t.Fatal("a rank was still blocked after a minute")
+	case <-time.After(limit):
+		t.Fatalf("a rank was still blocked after %v", limit)
 		return Report{}, nil
 	}
 }
@@ -57,10 +63,18 @@ func newClockOrder(p int) *clockOrder {
 	return &clockOrder{clocks: make([]simtime.Time, p), rounds: make([]int, p)}
 }
 
+// abortedErr reports ErrAborted once c's world has aborted.
+func abortedErr(c *Comm) error {
+	if c.w.aborted.Load() {
+		return ErrAborted
+	}
+	return nil
+}
+
 // spin yields until cond holds or the world aborts.
 func spin(c *Comm, cond func() bool) error {
 	for !cond() {
-		if err := c.abortedErr(); err != nil {
+		if err := abortedErr(c); err != nil {
 			return err
 		}
 		runtime.Gosched()
@@ -344,26 +358,57 @@ func TestUserEntryPointsRejectBadSources(t *testing.T) {
 	})
 }
 
+// parkedOn reports what rank r of c's world is parked on ("" when it is not).
+func parkedOn(c *Comm, r int) string {
+	rs := c.w.ranks[r]
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	return rs.wait.String()
+}
+
 // TestAbortSeenOnlyWhereARankWouldBlock pins the stop-point rule behind
-// seed-pinned chaos runs: after a peer has failed, everything a rank can
-// finish on its own still succeeds — so how far it gets is a function of its
-// own operations — and the first operation that has to wait returns
-// ErrAborted.
+// seed-pinned chaos runs: a rank parked when a peer fails — on a window lock
+// the failed rank holds, on a reply it will never send — is released with
+// ErrAborted; after the failure, everything a rank can finish on its own
+// still succeeds — so how far it gets is a function of its own operations —
+// and the first operation that has to wait returns ErrAborted.
 func TestAbortSeenOnlyWhereARankWouldBlock(t *testing.T) {
 	boom := errors.New("boom")
-	var survivor error
-	_, err := Run(testCfg(2), func(c *Comm) error {
+	var survivor, replyWaiter error
+	_, err := runWithin(t, testCfg(3), func(c *Comm) error {
 		win, err := c.WinCreate(make([]byte, 8))
 		if err != nil {
 			return err
 		}
-		if c.Rank() == 1 {
+		switch c.Rank() {
+		case 1:
 			if err := c.Send(0, 1, []byte("sent before failing")); err != nil {
 				return err
 			}
+			if err := win.Lock(0, true); err != nil {
+				return err
+			}
+			if err := c.Send(0, 3, []byte("locked")); err != nil {
+				return err
+			}
+			for parkedOn(c, 0) != "lock target=0 shared" || parkedOn(c, 2) != "recv src=1 tag=4" {
+				runtime.Gosched()
+			}
 			return boom
+		case 2:
+			if _, err := c.RecvReply(1, 4); !errors.Is(err, ErrAborted) {
+				replyWaiter = fmt.Errorf("blocked RecvReply returned %v, want ErrAborted", err)
+			}
+			return nil
 		}
-		for c.abortedErr() == nil {
+		if _, err := c.Recv(1, 3); err != nil {
+			return err
+		}
+		if err := win.Lock(0, false); !errors.Is(err, ErrAborted) {
+			survivor = fmt.Errorf("lock held by the failed rank returned %v, want ErrAborted", err)
+			return nil
+		}
+		for abortedErr(c) == nil {
 			runtime.Gosched()
 		}
 		survivor = func() error {
@@ -400,5 +445,8 @@ func TestAbortSeenOnlyWhereARankWouldBlock(t *testing.T) {
 	}
 	if survivor != nil {
 		t.Fatal(survivor)
+	}
+	if replyWaiter != nil {
+		t.Fatal(replyWaiter)
 	}
 }

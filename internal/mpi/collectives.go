@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"sync/atomic"
+	"sync"
 
 	"github.com/tcio/tcio/internal/netsim"
 	"github.com/tcio/tcio/internal/simtime"
@@ -14,82 +14,64 @@ import (
 
 // timeBarrier is the world's one collective rendezvous (Comm.rendezvous),
 // reused by every collective, so every rank must call the collectives in the
-// same order, as in MPI. Slots, channels and scratch are made once.
+// same order, as in MPI. Slots and scratch are made once.
 type timeBarrier struct {
-	arrived atomic.Int32
-	vals    []interface{}   // rank-owned deposit slots
-	times   []simtime.Time  // rank-owned entry clocks
-	wake    []chan struct{} // rank-owned tokens; see newTimeBarrier
-	a2a     []a2aSlot       // rank-owned all-to-all sides
-	result  interface{}     // the combiner's, read after the tokens
-	final   simtime.Time    // likewise
-	order   []int           // likewise: sortByClock's
-	turn    int             // InClockOrder: index in order of the turn's rank
-	chunk   []netsim.Msg    // scheduleAlltoall's: one source's p messages
+	mu      sync.Mutex // guards arrived and turn
+	arrived int
+	vals    []interface{}  // rank-owned deposit slots
+	times   []simtime.Time // rank-owned entry clocks
+	a2a     []a2aSlot      // rank-owned all-to-all sides
+	result  interface{}    // the combiner's, read after the unpark
+	final   simtime.Time   // likewise
+	order   []int          // likewise: sortByClock's
+	turn    int            // InClockOrder: index in order of the turn's rank
+	chunk   []netsim.Msg   // scheduleAlltoall's: one source's p messages
 }
 
 func newTimeBarrier(n int) *timeBarrier {
 	b := &timeBarrier{vals: make([]interface{}, n), times: make([]simtime.Time, n),
-		wake: make([]chan struct{}, n), a2a: make([]a2aSlot, n), order: make([]int, n)}
-	for r := range b.wake {
-		// Two deep: in InClockOrder a rank's turn token may come before
-		// its release token, and a rank gone on an abort may be sent both.
-		b.wake[r], b.order[r] = make(chan struct{}, 2), r
+		a2a: make([]a2aSlot, n), order: make([]int, n)}
+	for r := range b.order {
+		b.order[r] = r
 	}
 	return b
 }
 
-// rendezvous is every collective's synchronization. The rank deposits val
-// and its clock and increments the arrival counter, its one shared write;
-// the last arrival runs resolve over every slot, resets the counter, then
-// hands each other rank a token on its own wake channel. The add orders the
-// slot writes before resolve; the token orders resolve before the rank's
-// reads and its next slot writes. A collective inside an InClockOrder turn
-// is an error: the peers wait for their turns, not for it.
-func (c *Comm) rendezvous(val interface{}, resolve func(*timeBarrier)) (*timeBarrier, error) {
+// rendezvous is every collective's synchronization. The rank fills its own
+// slots, counts itself in under mu and parks on site; the last arrival runs
+// resolve over every slot and unparks the rest, or for InClockOrder's "turn"
+// only the first in order. The count orders the slot writes before resolve;
+// the unpark orders resolve before the rank's reads and its next slot
+// writes. A collective inside an InClockOrder turn is an error: the peers
+// wait for their turns, not for it.
+func (c *Comm) rendezvous(val interface{}, site string, resolve func(*timeBarrier)) (*timeBarrier, error) {
 	if c.w.ranks[c.rank].inTurn {
 		return nil, errors.New("mpi: collective called inside an InClockOrder turn")
 	}
 	c.w.touch(c.rank, "collect", c.clock().Now())
-	b := c.w.barrier
-	for len(b.wake[c.rank]) > 0 { // left by a collective abandoned on abort
-		<-b.wake[c.rank]
-	}
+	w, b := c.w, c.w.barrier
 	b.vals[c.rank] = val
 	b.times[c.rank] = c.clock().Now()
-	if int(b.arrived.Add(1)) < len(b.times) {
-		return b, c.await(b)
+	b.mu.Lock()
+	if b.arrived++; b.arrived < len(b.times) {
+		return b, w.park(c.rank, wait{site: site}, &b.mu)
 	}
+	b.arrived = 0
+	b.mu.Unlock()
 	resolve(b)
-	b.arrived.Store(0)
-	for r, ch := range b.wake {
-		if r != c.rank {
-			ch <- struct{}{}
+	for r := range b.times {
+		if site == "collect" || r == b.order[0] {
+			w.unpark(r, nil)
 		}
 	}
 	return b, nil
-}
-
-// await blocks for the rank's token, or fails once the world aborts.
-func (c *Comm) await(b *timeBarrier) error {
-	select {
-	case <-b.wake[c.rank]:
-	case <-c.w.aborted:
-		// Both ready: the completed collective wins, not a coin toss.
-		select {
-		case <-b.wake[c.rank]:
-		default:
-			return ErrAborted
-		}
-	}
-	return nil
 }
 
 // collect runs one collective that leaves every clock synchronized.
 // combine (may be nil) is evaluated once, by the last-arriving rank; cost is
 // the collective's virtual-time duration beyond the latest arrival.
 func (c *Comm) collect(val interface{}, combine func([]interface{}) interface{}, cost simtime.Duration) (interface{}, error) {
-	b, err := c.rendezvous(val, func(b *timeBarrier) {
+	b, err := c.rendezvous(val, "collect", func(b *timeBarrier) {
 		b.final, b.result = slices.Max(b.times).Add(cost), nil
 		if combine != nil {
 			b.result = combine(b.vals)
@@ -207,24 +189,30 @@ func (c *Comm) SharedOnce(create func() interface{}) (interface{}, error) {
 // the peers still waiting for theirs fail with ErrAborted once the world
 // aborts.
 func (c *Comm) InClockOrder(fn func() error) error {
-	// Tokens are interchangeable: a turn's may beat its rank's release.
-	b, err := c.rendezvous(nil, func(b *timeBarrier) {
+	b, err := c.rendezvous(nil, "turn", func(b *timeBarrier) {
 		b.sortByClock()
 		b.turn = 0
-		b.wake[b.order[0]] <- struct{}{}
 	})
-	if err == nil {
-		err = c.await(b) // the rank's turn
-	}
 	if err != nil {
 		return err
 	}
-	rs := c.w.ranks[c.rank]
+	w := c.w
+	b.mu.Lock() // the last arrival may come before its turn
+	if b.order[b.turn] == c.rank {
+		b.mu.Unlock()
+	} else if err := w.park(c.rank, wait{site: "turn"}, &b.mu); err != nil {
+		return err
+	}
+	rs := w.ranks[c.rank]
 	rs.inTurn = true
 	err = fn()
 	rs.inTurn = false
-	if b.turn++; err == nil && b.turn < len(b.order) {
-		b.wake[b.order[b.turn]] <- struct{}{}
+	if err == nil { // a failed turn is kept: the peers wait for the abort
+		b.mu.Lock()
+		if b.turn++; b.turn < len(b.order) {
+			w.unpark(b.order[b.turn], nil)
+		}
+		b.mu.Unlock()
 	}
 	return err
 }
@@ -296,7 +284,7 @@ func (c *Comm) AlltoallvFlat(buf []byte, displs []int, recv [][]byte) error {
 // make every transfer (scheduleAlltoall), and leaves at the rank's finish.
 func (c *Comm) alltoall(side a2aSlot) error {
 	c.w.barrier.a2a[c.rank] = side
-	b, err := c.rendezvous(nil, c.w.scheduleAlltoall)
+	b, err := c.rendezvous(nil, "collect", c.w.scheduleAlltoall)
 	if err != nil {
 		return err
 	}

@@ -73,7 +73,6 @@ func benchMailbox(depth int) (*mailbox, int, int) {
 // each queue depth. The taken message is put back so the depth stays
 // constant across iterations.
 func BenchmarkMailboxMatch(b *testing.B) {
-	noAbort := func() error { return nil }
 	for _, depth := range []int{1, 16, 256, 4096} {
 		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
 			m, src, tag := benchMailbox(depth)
@@ -81,7 +80,7 @@ func BenchmarkMailboxMatch(b *testing.B) {
 			b.SetBytes(1)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				e, err := m.take(src, tag, noAbort)
+				e, err := m.take(src, tag, neverPark)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -95,7 +94,6 @@ func BenchmarkMailboxMatch(b *testing.B) {
 // take with an exact tag must still find the globally earliest deposit of
 // that tag.
 func BenchmarkMailboxMatchAnySource(b *testing.B) {
-	noAbort := func() error { return nil }
 	for _, depth := range []int{1, 16, 256, 4096} {
 		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
 			m, _, tag := benchMailbox(depth)
@@ -103,7 +101,7 @@ func BenchmarkMailboxMatchAnySource(b *testing.B) {
 			b.SetBytes(1)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				e, err := m.take(AnySource, tag, noAbort)
+				e, err := m.take(AnySource, tag, neverPark)
 				if err != nil {
 					b.Fatal(err)
 				}

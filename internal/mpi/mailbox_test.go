@@ -8,15 +8,23 @@ package mpi
 // oldest compatible deposit.
 
 import (
+	"errors"
 	"math/rand"
+	"sync"
 	"testing"
 )
 
-func noAbortErr() error { return nil }
+var errWouldPark = errors.New("take would park")
+
+// neverPark is take's park for a mailbox that must hold a match.
+func neverPark(mu *sync.Mutex) error {
+	mu.Unlock()
+	return errWouldPark
+}
 
 func mustTake(t *testing.T, m *mailbox, src, tag int) envelope {
 	t.Helper()
-	e, err := m.take(src, tag, noAbortErr)
+	e, err := m.take(src, tag, neverPark)
 	if err != nil {
 		t.Fatalf("take(%d, %d): %v", src, tag, err)
 	}

@@ -21,8 +21,8 @@ import (
 // paradigm; this runtime therefore provides per-target shared/exclusive
 // window locks and no fence.
 
-// winLock is one target's window lock. Waiting is abortable so a failed
-// rank cannot deadlock the job.
+// winLock is one target's window lock. A rank that finds it held
+// incompatibly parks until a release.
 //
 // Virtual-time semantics: exclusive epochs serialize against everything;
 // shared epochs serialize only against exclusive epochs (readers do not
@@ -32,66 +32,52 @@ import (
 // wire time here would doubly serialize back-to-back epochs in a way real
 // RDMA hardware does not.
 type winLock struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	excl   bool
-	shared int
+	mu      sync.Mutex
+	excl    bool
+	shared  int
+	waiters []int // parked ranks, all unparked by the next release
 	// lastExcl / lastShared carry virtual time between epochs: when the
 	// most recent exclusive (resp. shared) epoch handed off.
 	lastExcl   simtime.Time
 	lastShared simtime.Time
 }
 
-func newWinLock() *winLock {
-	l := &winLock{}
-	l.cond = sync.NewCond(&l.mu)
-	return l
-}
-
-func (l *winLock) acquire(exclusive bool, abortedErr func() error) (simtime.Time, error) {
+func (l *winLock) acquire(w *World, rank, target int, exclusive bool) (simtime.Time, error) {
+	wt := wait{"lock", target, 0}
+	if exclusive {
+		wt.b = 1
+	}
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	for {
-		if exclusive {
-			if !l.excl && l.shared == 0 {
-				l.excl = true
-				return simtime.Max(l.lastExcl, l.lastShared), nil
-			}
-		} else if !l.excl {
-			l.shared++
-			return l.lastExcl, nil
-		}
-		// Only a rank that has to wait looks for an abort (see abortedErr).
-		if err := abortedErr(); err != nil {
+	for l.excl || exclusive && l.shared > 0 {
+		l.waiters = append(l.waiters, rank)
+		if err := w.park(rank, wt, &l.mu); err != nil {
 			return 0, err
 		}
-		l.cond.Wait()
+		l.mu.Lock()
 	}
+	defer l.mu.Unlock()
+	if exclusive {
+		l.excl = true
+		return simtime.Max(l.lastExcl, l.lastShared), nil
+	}
+	l.shared++
+	return l.lastExcl, nil
 }
 
-func (l *winLock) release(exclusive bool, at simtime.Time) {
+func (l *winLock) release(w *World, exclusive bool, at simtime.Time) {
 	l.mu.Lock()
 	if exclusive {
-		l.excl = false
-		if at > l.lastExcl {
-			l.lastExcl = at
-		}
+		l.excl, l.lastExcl = false, max(l.lastExcl, at)
 	} else {
 		if l.shared > 0 {
 			l.shared--
 		}
-		if at > l.lastShared {
-			l.lastShared = at
-		}
+		l.lastShared = max(l.lastShared, at)
 	}
-	l.mu.Unlock()
-	l.cond.Broadcast()
-}
-
-// wake holds mu for the reason mailbox.wake does.
-func (l *winLock) wake() {
-	l.mu.Lock()
-	l.cond.Broadcast()
+	for _, r := range l.waiters {
+		w.unpark(r, nil)
+	}
+	l.waiters = l.waiters[:0]
 	l.mu.Unlock()
 }
 
@@ -101,10 +87,9 @@ func (l *winLock) wake() {
 // discipline orders transfers logically, but rewrite traffic means two
 // goroutines can touch the same bytes at the same wall-clock instant.
 type winGlobal struct {
-	id     int
 	bufs   [][]byte
 	datamu []sync.Mutex
-	locks  []*winLock
+	locks  []winLock
 }
 
 // Win is one rank's handle on a window.
@@ -150,16 +135,11 @@ func (c *Comm) WinCreate(local []byte) (*Win, error) {
 		g := &winGlobal{
 			bufs:   make([][]byte, len(vals)),
 			datamu: make([]sync.Mutex, len(vals)),
-			locks:  make([]*winLock, len(vals)),
+			locks:  make([]winLock, len(vals)),
 		}
 		for i, raw := range vals {
 			g.bufs[i], _ = raw.([]byte)
-			g.locks[i] = newWinLock()
 		}
-		c.w.winMu.Lock()
-		g.id = len(c.w.windows)
-		c.w.windows = append(c.w.windows, g)
-		c.w.winMu.Unlock()
 		return g
 	}, c.treeCost(16))
 	if err != nil {
@@ -194,7 +174,7 @@ func (w *Win) Lock(target int, exclusive bool) error {
 		return fmt.Errorf("mpi: Win.Lock target %d already locked by rank %d", target, w.c.rank)
 	}
 	w.c.w.touch(w.c.rank, "lock", w.c.clock().Now())
-	prevRelease, err := w.g.locks[target].acquire(exclusive, w.c.abortedErr)
+	prevRelease, err := w.g.locks[target].acquire(w.c.w, w.c.rank, target, exclusive)
 	if err != nil {
 		return err
 	}
@@ -225,7 +205,7 @@ func (w *Win) Unlock(target int) error {
 	handoff := w.c.clock().Now().Add(net.Latency)
 	w.c.clock().AdvanceTo(h.maxArrival)
 	w.c.clock().Advance(net.Latency) // unlock notification
-	w.g.locks[target].release(h.exclusive, handoff)
+	w.g.locks[target].release(w.c.w, h.exclusive, handoff)
 	return nil
 }
 
@@ -310,9 +290,7 @@ func (w *Win) PutSegmentsAsync(target int, segs []datatype.Segment, data []byte)
 	arrival := w.c.w.net.Transfer(
 		w.c.w.machine.NodeOf(w.c.rank), w.c.w.machine.NodeOf(target),
 		w.c.w.machine.Scale(total), depart, netsim.OneSided)
-	if arrival > h.maxArrival {
-		h.maxArrival = arrival
-	}
+	h.maxArrival = max(h.maxArrival, arrival)
 	return PutHandle{c: w.c, arrival: arrival}, nil
 }
 
@@ -433,8 +411,6 @@ func (w *Win) get(target int, segs []datatype.Segment, floor simtime.Time, gathe
 	if floor > depart {
 		arrival = arrival.Add(floor.Sub(depart))
 	}
-	if arrival > h.maxArrival {
-		h.maxArrival = arrival
-	}
+	h.maxArrival = max(h.maxArrival, arrival)
 	return arrival, nil
 }

@@ -18,38 +18,34 @@ type envelope struct {
 	arrival simtime.Time // virtual instant the last byte reaches the receiver
 }
 
-// msgQueue is the FIFO of unmatched messages for one (source, tag) pair —
-// a slice with a head index, compacted whenever it drains, so steady-state
-// traffic reuses one backing array instead of reallocating per message.
-type msgQueue struct {
+// fifo is a queue — of unmatched messages for one (source, tag) pair, or of
+// a wildcard side-list's entries — held as a slice with a head index and
+// compacted whenever it drains, so steady-state traffic reuses one backing
+// array instead of reallocating per message.
+type fifo[T any] struct {
 	head int
-	envs []envelope
+	buf  []T
 }
 
-func (q *msgQueue) empty() bool      { return q.head == len(q.envs) }
-func (q *msgQueue) front() *envelope { return &q.envs[q.head] }
+func (q *fifo[T]) empty() bool { return q.head == len(q.buf) }
+func (q *fifo[T]) front() *T   { return &q.buf[q.head] }
 
-func (q *msgQueue) push(e envelope) {
-	if q.head > 32 && q.head*2 >= len(q.envs) {
+func (q *fifo[T]) push(e T) {
+	if q.head > 32 && q.head*2 >= len(q.buf) {
 		// Reclaim the consumed prefix so a queue that never fully drains
 		// cannot grow its backing array without bound.
-		n := copy(q.envs, q.envs[q.head:])
-		for i := n; i < len(q.envs); i++ {
-			q.envs[i] = envelope{}
-		}
-		q.envs = q.envs[:n]
-		q.head = 0
+		n := copy(q.buf, q.buf[q.head:])
+		clear(q.buf[n:])
+		q.buf, q.head = q.buf[:n], 0
 	}
-	q.envs = append(q.envs, e)
+	q.buf = append(q.buf, e)
 }
 
-func (q *msgQueue) pop() envelope {
-	e := q.envs[q.head]
-	q.envs[q.head] = envelope{} // drop the payload reference
-	q.head++
-	if q.head == len(q.envs) {
-		q.head = 0
-		q.envs = q.envs[:0]
+func (q *fifo[T]) pop() T {
+	e := q.buf[q.head]
+	clear(q.buf[q.head : q.head+1]) // drop the payload reference
+	if q.head++; q.head == len(q.buf) {
+		q.buf, q.head = q.buf[:0], 0
 	}
 	return e
 }
@@ -66,33 +62,6 @@ type wildEntry struct {
 	seq uint64
 }
 
-// keyList is a FIFO of wildEntry with the same head-index compaction as
-// msgQueue.
-type keyList struct {
-	head int
-	ents []wildEntry
-}
-
-func (l *keyList) empty() bool      { return l.head == len(l.ents) }
-func (l *keyList) front() wildEntry { return l.ents[l.head] }
-
-func (l *keyList) push(e wildEntry) {
-	if l.head > 32 && l.head*2 >= len(l.ents) {
-		n := copy(l.ents, l.ents[l.head:])
-		l.ents = l.ents[:n]
-		l.head = 0
-	}
-	l.ents = append(l.ents, e)
-}
-
-func (l *keyList) pop() {
-	l.head++
-	if l.head == len(l.ents) {
-		l.head = 0
-		l.ents = l.ents[:0]
-	}
-}
-
 // mailbox holds a rank's unmatched inbound messages, indexed by
 // (source, tag). Matching is FIFO per (source, tag), as MPI requires; a
 // fully specified receive finds its queue in O(1) instead of scanning every
@@ -103,29 +72,28 @@ func (l *keyList) pop() {
 // stamps keep the drain order exactly what a single flat queue would have
 // produced: FIFO per pair, deposit order across pairs.
 type mailbox struct {
-	mu    sync.Mutex
-	cond  *sync.Cond
-	seq   uint64
-	keyed map[srcTag]*msgQueue // reached through queue
+	mu      sync.Mutex
+	waiting bool   // the owner is parked in take, for a message matching want
+	want    srcTag // (AnySource, tag) takes any source
+	seq     uint64
+	keyed   map[srcTag]*fifo[envelope] // reached through queue
 	// The side-lists are maintained only once a wildcard receive has been
 	// posted (wild): ranks that only ever match exactly pay nothing for
 	// them. The first wildcard take rebuilds them from the buffered queues.
 	wild  bool
-	byTag map[int]*keyList
+	byTag map[int]*fifo[wildEntry]
 }
 
 func newMailbox() *mailbox {
-	m := &mailbox{keyed: make(map[srcTag]*msgQueue)}
-	m.cond = sync.NewCond(&m.mu)
-	return m
+	return &mailbox{keyed: make(map[srcTag]*fifo[envelope])}
 }
 
 // queue returns the FIFO of one (source, tag) pair, or nil when create is
 // false and the pair has never been deposited to.
-func (m *mailbox) queue(key srcTag, create bool) *msgQueue {
+func (m *mailbox) queue(key srcTag, create bool) *fifo[envelope] {
 	q := m.keyed[key]
 	if q == nil && create {
-		q = &msgQueue{}
+		q = &fifo[envelope]{}
 		m.keyed[key] = q
 	}
 	return q
@@ -135,7 +103,7 @@ func (m *mailbox) queue(key srcTag, create bool) *msgQueue {
 // live exactly when its queue's front carries its seq: per-pair FIFO means
 // any smaller seq of that pair was deposited earlier, so a front seq that
 // moved past the entry's proves the entry's message is gone.
-func (m *mailbox) trimStale(l *keyList) {
+func (m *mailbox) trimStale(l *fifo[wildEntry]) {
 	for !l.empty() {
 		e := l.front()
 		if q := m.queue(e.key, false); q != nil && !q.empty() && q.front().seq == e.seq {
@@ -145,7 +113,8 @@ func (m *mailbox) trimStale(l *keyList) {
 	}
 }
 
-func (m *mailbox) deposit(e envelope) {
+// deposit buffers e and reports whether the caller must unpark the owner.
+func (m *mailbox) deposit(e envelope) (wake bool) {
 	m.mu.Lock()
 	e.seq = m.seq
 	m.seq++
@@ -154,8 +123,11 @@ func (m *mailbox) deposit(e envelope) {
 	if m.wild {
 		m.pushWild(wildEntry{key: key, seq: e.seq})
 	}
+	if m.waiting && key.tag == m.want.tag && (m.want.src == AnySource || key.src == m.want.src) {
+		m.waiting, wake = false, true
+	}
 	m.mu.Unlock()
-	m.cond.Broadcast()
+	return wake
 }
 
 // pushWild records a deposit in its tag's side-list, trimming the list's
@@ -163,7 +135,7 @@ func (m *mailbox) deposit(e envelope) {
 func (m *mailbox) pushWild(ent wildEntry) {
 	tl := m.byTag[ent.key.tag]
 	if tl == nil {
-		tl = &keyList{}
+		tl = &fifo[wildEntry]{}
 		m.byTag[ent.key.tag] = tl
 	}
 	m.trimStale(tl)
@@ -176,12 +148,12 @@ func (m *mailbox) pushWild(ent wildEntry) {
 func (m *mailbox) activateWild() {
 	var ents []wildEntry
 	for k, q := range m.keyed {
-		for _, e := range q.envs[q.head:] {
+		for _, e := range q.buf[q.head:] {
 			ents = append(ents, wildEntry{key: k, seq: e.seq})
 		}
 	}
 	sort.Slice(ents, func(i, j int) bool { return ents[i].seq < ents[j].seq })
-	m.byTag = make(map[int]*keyList)
+	m.byTag = make(map[int]*fifo[wildEntry])
 	m.wild = true
 	for _, ent := range ents {
 		m.pushWild(ent)
@@ -206,27 +178,26 @@ func (m *mailbox) match(src, tag int) (envelope, bool) {
 		if !l.empty() {
 			// A live head entry is its queue's front, and every entry in
 			// this list matches the filter by construction.
-			e := l.front()
-			l.pop()
-			return m.queue(e.key, false).pop(), true
+			return m.queue(l.pop().key, false).pop(), true
 		}
 	}
 	return envelope{}, false
 }
 
-// take blocks until a message matching (src, tag) is available, removing
-// and returning it. It returns an error when the world aborts while waiting.
-func (m *mailbox) take(src, tag int, abortedErr func() error) (envelope, error) {
+// take removes and returns the oldest message matching (src, tag), calling
+// park, which releases mu (World.park), while none is buffered.
+func (m *mailbox) take(src, tag int, park func(*sync.Mutex) error) (envelope, error) {
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	for {
 		if e, ok := m.match(src, tag); ok {
+			m.mu.Unlock()
 			return e, nil
 		}
-		if err := abortedErr(); err != nil {
+		m.waiting, m.want = true, srcTag{src, tag}
+		if err := park(&m.mu); err != nil {
 			return envelope{}, err
 		}
-		m.cond.Wait()
+		m.mu.Lock()
 	}
 }
 
@@ -236,14 +207,6 @@ func (m *mailbox) tryTake(src, tag int) (envelope, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.match(src, tag)
-}
-
-// wake unblocks all waiters so they can observe an abort. Holding mu keeps
-// the broadcast from slipping between a waiter's abort check and its Wait.
-func (m *mailbox) wake() {
-	m.mu.Lock()
-	m.cond.Broadcast()
-	m.mu.Unlock()
 }
 
 // sendOverhead is the local CPU cost of posting one message.
@@ -276,11 +239,16 @@ func userTag(op string, tag int) error {
 	return fmt.Errorf("mpi: %s with tag %d: negative tags are reserved for the runtime", op, tag)
 }
 
-// receive blocks for the oldest message matching (src, tag) and advances the
-// clock to its arrival.
-func (c *Comm) receive(src, tag int) (envelope, error) {
+// receive blocks, behind the user-facing entry points, for the oldest
+// message matching (src, tag) and advances the clock to its arrival.
+func (c *Comm) receive(op string, src, tag int) (envelope, error) {
+	if err := c.checkRecv(op, src, tag); err != nil {
+		return envelope{}, err
+	}
 	c.w.touch(c.rank, "recv", c.clock().Now())
-	e, err := c.w.ranks[c.rank].box.take(src, tag, c.abortedErr)
+	e, err := c.w.ranks[c.rank].box.take(src, tag, func(mu *sync.Mutex) error {
+		return c.w.park(c.rank, wait{"recv", src, tag}, mu)
+	})
 	if err == nil {
 		c.clock().AdvanceTo(e.arrival)
 	}
@@ -295,14 +263,6 @@ func (c *Comm) checkRecv(op string, src, tag int) error {
 	return userTag(op, tag)
 }
 
-// receiveUser is receive behind the user-facing entry points.
-func (c *Comm) receiveUser(op string, src, tag int) (envelope, error) {
-	if err := c.checkRecv(op, src, tag); err != nil {
-		return envelope{}, err
-	}
-	return c.receive(src, tag)
-}
-
 // sendStaged delivers an already-staged payload, taking ownership of buf —
 // the zero-copy entry for callers that encode their message directly into a
 // pooled staging buffer (the RPC layer). buf must not be touched after the
@@ -313,7 +273,7 @@ func (c *Comm) receiveUser(op string, src, tag int) (envelope, error) {
 // at floor if that is later: a floor is when the payload's bytes exist, and
 // the sender's clock does not wait for it. Every send but a reply with
 // RPCReply.Ready passes 0. An eager send completes locally, so it does not
-// look for an abort (see abortedErr).
+// look for an abort (see World.park).
 func (c *Comm) sendStaged(dst, tag int, buf []byte, class netsim.Class, simBytes int64, floor simtime.Time) error {
 	if dst < 0 || dst >= c.w.nprocs {
 		c.w.pool.put(buf)
@@ -327,7 +287,9 @@ func (c *Comm) sendStaged(dst, tag int, buf []byte, class netsim.Class, simBytes
 	arrival := c.w.net.Transfer(
 		c.w.machine.NodeOf(c.rank), c.w.machine.NodeOf(dst),
 		simBytes, depart, class)
-	c.w.ranks[dst].box.deposit(envelope{src: c.rank, tag: tag, data: buf, arrival: arrival})
+	if c.w.ranks[dst].box.deposit(envelope{src: c.rank, tag: tag, data: buf, arrival: arrival}) {
+		c.w.unpark(dst, nil)
+	}
 	return nil
 }
 
@@ -335,6 +297,6 @@ func (c *Comm) sendStaged(dst, tag int, buf []byte, class netsim.Class, simBytes
 // returns its payload; src may be AnySource. The rank's clock advances to the
 // message's arrival instant.
 func (c *Comm) Recv(src, tag int) ([]byte, error) {
-	e, err := c.receiveUser("Recv", src, tag)
+	e, err := c.receive("Recv", src, tag)
 	return e.data, err
 }

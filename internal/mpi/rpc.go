@@ -218,7 +218,7 @@ func (c *Comm) SendRequest(dst, tag int, req *RPCRequest) error {
 // from the envelope source. The caller owns the request: its Data is valid
 // until Release.
 func (c *Comm) RecvRequest(src, tag int) (RPCRequest, error) {
-	e, err := c.receiveUser("RecvRequest", src, tag)
+	e, err := c.receive("RecvRequest", src, tag)
 	if err != nil {
 		return RPCRequest{}, err
 	}
@@ -229,7 +229,7 @@ func (c *Comm) RecvRequest(src, tag int) (RPCRequest, error) {
 // matching request if one is already buffered, or ok == false immediately.
 // A scheduler loop uses it to drain queued work whenever no new request
 // has arrived, without ever parking while the queue is non-empty. It never
-// blocks, so it does not look for an abort (see abortedErr).
+// blocks, so it does not look for an abort (see World.park).
 func (c *Comm) TryRecvRequest(src, tag int) (RPCRequest, bool, error) {
 	if err := c.checkRecv("TryRecvRequest", src, tag); err != nil {
 		return RPCRequest{}, false, err

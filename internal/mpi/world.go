@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -58,7 +59,7 @@ type Config struct {
 }
 
 // World is the shared state of one job: the network, the file system, the
-// memory accountant, and all rank mailboxes and windows.
+// memory accountant, and all rank mailboxes.
 type World struct {
 	nprocs  int
 	machine cluster.Machine
@@ -73,21 +74,20 @@ type World struct {
 	ranks []*rankState
 	pool  bufPool // the job's message staging buffers (bufpool.go)
 
-	abortOnce sync.Once
-	aborted   chan struct{}
-
-	barrier *timeBarrier
-
-	winMu   sync.Mutex
-	windows []*winGlobal
+	parked, live atomic.Int32 // ranks parked; ranks whose function has not returned
+	aborted      atomic.Bool
+	deadlock     *DeadlockError // set before the abort that reports it
+	barrier      *timeBarrier
 }
 
 // rankState is the per-rank runtime state.
 type rankState struct {
-	rank   int
 	clock  *simtime.Clock
 	box    *mailbox
-	inTurn bool // running its InClockOrder turn
+	inTurn bool       // running its InClockOrder turn
+	mu     sync.Mutex // guards wait
+	wait   wait       // what the rank is parked on; zero when it is not
+	wake   chan error
 }
 
 // Comm is rank's handle to the world — the equivalent of
@@ -118,10 +118,11 @@ type Report struct {
 }
 
 // Run executes fn on every rank of a fresh world and waits for completion.
-// A failing or panicking rank aborts the world so blocked peers fail with
+// A failing or panicking rank aborts the world so parked peers fail with
 // ErrAborted instead of deadlocking; Run returns the first error, by rank
 // order, that is not ErrAborted — the failure, not its echoes — and
-// ErrAborted only when nothing else failed.
+// ErrAborted only when nothing else failed. A world in which every rank
+// still running is parked aborts too, and Run returns its *DeadlockError.
 func Run(cfg Config, fn func(*Comm) error) (Report, error) {
 	w, err := newWorld(cfg)
 	if err != nil {
@@ -136,18 +137,20 @@ func Run(cfg Config, fn func(*Comm) error) (Report, error) {
 			defer func() {
 				if p := recover(); p != nil {
 					errs[r] = fmt.Errorf("rank %d panicked: %v\n%s", r, p, debug.Stack())
-					w.abort()
 				}
+				w.exit(errs[r] != nil)
 			}()
 			if err := fn(&Comm{w: w, rank: r}); err != nil {
 				errs[r] = fmt.Errorf("rank %d: %w", r, err)
-				w.abort()
 			}
 		}(r)
 	}
 	wg.Wait()
 
 	rep := w.report()
+	if w.deadlock != nil {
+		return rep, w.deadlock
+	}
 	// The first failure in rank order that is not the abort itself: a rank
 	// that only saw ErrAborted is a bystander of some other rank's error.
 	var aborted error
@@ -205,15 +208,15 @@ func newWorld(cfg Config) (*World, error) {
 		mem:        mem,
 		faults:     cfg.Faults,
 		allocRetry: allocRetry,
-		aborted:    make(chan struct{}),
 		barrier:    newTimeBarrier(cfg.Procs),
 	}
+	w.live.Store(int32(cfg.Procs))
 	w.ranks = make([]*rankState, cfg.Procs)
 	for r := range w.ranks {
 		w.ranks[r] = &rankState{
-			rank:  r,
 			clock: simtime.NewClock(),
 			box:   newMailbox(),
+			wake:  make(chan error, 1),
 		}
 	}
 	return w, nil
@@ -241,20 +244,102 @@ func SetTouchHook(fn func(rank int, site string, t simtime.Time)) { touchHook = 
 // torn down because some rank failed.
 var ErrAborted = errors.New("mpi: world aborted")
 
-func (w *World) abort() {
-	w.abortOnce.Do(func() {
-		close(w.aborted)
-		for _, rs := range w.ranks {
-			rs.box.wake()
+// DeadlockError is Run's error when every running rank was parked. Waits[r]
+// is rank r's wait — "recv src=1 tag=7", "lock target=1 excl", "collect" or
+// "turn" — or "" if its function had returned.
+type DeadlockError struct{ Waits []string }
+
+func (e *DeadlockError) Error() string {
+	var waits []string
+	for r, wt := range e.Waits {
+		if wt != "" {
+			waits = append(waits, fmt.Sprintf("rank %d in %s", r, wt))
 		}
-		w.winMu.Lock()
-		for _, g := range w.windows {
-			for _, l := range g.locks {
-				l.wake()
-			}
+	}
+	return "mpi: deadlock: every running rank is parked: " + strings.Join(waits, "; ")
+}
+
+// wait is what a parked rank waits for, formatted only into a DeadlockError.
+type wait struct {
+	site string // "recv", "lock", "collect" or "turn"
+	a, b int    // recv: src, tag; lock: target, 1 if exclusive
+}
+
+func (wt wait) String() string {
+	switch wt.site {
+	case "recv":
+		return fmt.Sprintf("recv src=%d tag=%d", wt.a, wt.b)
+	case "lock":
+		return fmt.Sprintf("lock target=%d %s", wt.a, [2]string{"shared", "excl"}[wt.b])
+	}
+	return wt.site
+}
+
+// park is the one place a rank blocks on another. The caller holds mu and has
+// left its waker a note to unpark it; park releases mu and returns once
+// woken: nil from the waker, ErrAborted from an abort. A rank parks only
+// where it would really block — a held window lock, a receive with no
+// buffered match, a collective missing arrivals, a turn not yet its own —
+// never on entry to something it can finish alone, so where it stops after a
+// peer's failure, and how many fault rolls it makes first, is a function of
+// its own operation sequence, not of host scheduling.
+func (w *World) park(rank int, wt wait, mu *sync.Mutex) error {
+	rs := w.ranks[rank]
+	rs.mu.Lock()
+	mu.Unlock()
+	if w.aborted.Load() {
+		rs.mu.Unlock()
+		return ErrAborted
+	}
+	rs.wait = wt
+	rs.mu.Unlock()
+	if w.parked.Add(1) == w.live.Load() {
+		w.stop(true)
+	}
+	return <-rs.wake
+}
+
+// unpark wakes rank with err if it is parked. The waker clears the wait
+// before the wake, so a wake in flight never looks like a deadlock.
+func (w *World) unpark(rank int, err error) {
+	rs := w.ranks[rank]
+	rs.mu.Lock()
+	if rs.wait.site != "" {
+		rs.wait = wait{}
+		w.parked.Add(-1)
+		rs.wake <- err // one token per park: the channel's one slot is free
+	}
+	rs.mu.Unlock()
+}
+
+// exit retires a rank whose function returned; a failed one aborts first.
+func (w *World) exit(failed bool) {
+	if failed {
+		w.stop(false)
+	}
+	if live := w.live.Add(-1); live > 0 && w.parked.Load() == live {
+		w.stop(true)
+	}
+}
+
+// stop aborts the world once, waking every parked rank with ErrAborted; on
+// a deadlock — every live rank parked — it first records their waits.
+func (w *World) stop(deadlock bool) {
+	if !w.aborted.CompareAndSwap(false, true) {
+		return
+	}
+	if deadlock {
+		dl := &DeadlockError{Waits: make([]string, len(w.ranks))}
+		for r, rs := range w.ranks {
+			rs.mu.Lock()
+			dl.Waits[r] = rs.wait.String()
+			rs.mu.Unlock()
 		}
-		w.winMu.Unlock()
-	})
+		w.deadlock = dl
+	}
+	for r := range w.ranks {
+		w.unpark(r, ErrAborted)
+	}
 }
 
 func (w *World) report() Report {
@@ -265,9 +350,7 @@ func (w *World) report() Report {
 	}
 	for r, rs := range w.ranks {
 		rep.RankTimes[r] = rs.clock.Now()
-		if rs.clock.Now() > rep.MaxTime {
-			rep.MaxTime = rs.clock.Now()
-		}
+		rep.MaxTime = max(rep.MaxTime, rs.clock.Now())
 	}
 	rep.PeakMemory = w.mem.MaxPeak()
 	rep.AllocRetries = w.allocRetries.Load()
@@ -362,18 +445,3 @@ func (c *Comm) Release(simBytes int64) {
 
 // MemUsed reports the rank's current simulated memory footprint.
 func (c *Comm) MemUsed() int64 { return c.w.mem.Used(c.rank) }
-
-// abortedErr reports whether the world has been torn down. A rank asks
-// only where it is about to block — a held window lock, a receive with no
-// buffered match, a collective missing arrivals — never on entry to an
-// operation that completes locally. Where it stops after a peer's failure,
-// and so how many more fault rolls it makes, is then a function of its own
-// operation sequence, not of when the host ran the failing goroutine.
-func (c *Comm) abortedErr() error {
-	select {
-	case <-c.w.aborted:
-		return ErrAborted
-	default:
-		return nil
-	}
-}
