@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -83,13 +84,73 @@ func (l *winLock) release(w *World, exclusive bool, at simtime.Time) {
 
 // winGlobal is the world-wide state of one window: every rank's exposed
 // memory and per-target locks. datamu serializes the physical (real-time)
-// copies into and out of each target's buffer: the virtual-time epoch
+// copies into and out of each target's memory: the virtual-time epoch
 // discipline orders transfers logically, but rewrite traffic means two
 // goroutines can touch the same bytes at the same wall-clock instant.
 type winGlobal struct {
-	bufs   [][]byte
+	mems   []winMem
 	datamu []sync.Mutex
 	locks  []winLock
+}
+
+// winMem is one rank's exposed memory: size bytes in a table of equal pages
+// of 1<<shift bytes, so a page index is a shift, not a divide. An absent
+// (nil) page reads as zeros, and a put allocates it on its first write. A
+// page Install set by reference is lent: the window never writes it in
+// place, and a put copies it into a page of the window's own first.
+// WinCreate's memory is one page, shorter than 1<<onePage bytes.
+type winMem struct {
+	size  int64
+	shift uint
+	pages [][]byte
+	lent  []bool // nil until the first Install by reference
+}
+
+// onePage is the shift of a window whose memory is one page, whatever its
+// length: every offset falls in page 0.
+const onePage = 62
+
+// locate returns the page holding off and off's place in it.
+func (m *winMem) locate(off int64) (int64, int64) {
+	return off >> m.shift, off & (1<<m.shift - 1)
+}
+
+// read copies the bytes at off into dst, zeros where a page is absent.
+func (m *winMem) read(dst []byte, off int64) {
+	for len(dst) > 0 {
+		i, in := m.locate(off)
+		var n int
+		if p := m.pages[i]; p != nil {
+			n = copy(dst, p[in:])
+		} else {
+			n = int(min(int64(len(dst)), 1<<m.shift-in))
+			clear(dst[:n])
+		}
+		dst, off = dst[n:], off+int64(n)
+	}
+}
+
+// write copies data into the window at off.
+func (m *winMem) write(off int64, data []byte) {
+	for len(data) > 0 {
+		i, in := m.locate(off)
+		n := copy(m.own(i)[in:], data)
+		data, off = data[n:], off+int64(n)
+	}
+}
+
+// own returns page i to write in: allocated when absent, and copied into a
+// page of the window's own when lent.
+func (m *winMem) own(i int64) []byte {
+	p := m.pages[i]
+	if p == nil || m.lent != nil && m.lent[i] {
+		p = append(make([]byte, 0, 1<<m.shift), p...)[:1<<m.shift]
+		m.pages[i] = p
+		if m.lent != nil {
+			m.lent[i] = false
+		}
+	}
+	return p
 }
 
 // Win is one rank's handle on a window.
@@ -129,16 +190,34 @@ const perSegmentCPU = 60 * simtime.Nanosecond
 
 // WinCreate is collective: every rank contributes local as its exposed
 // window memory and receives a handle. Window memory is read and written
-// by remote ranks only between Lock and Unlock.
+// by remote ranks only between Lock and Unlock. local is the rank's page
+// table as it stands — one page, not copied — so puts write into local and
+// gets read from it.
 func (c *Comm) WinCreate(local []byte) (*Win, error) {
-	res, err := c.collect(local, func(vals []interface{}) interface{} {
+	return c.winCreate(winMem{size: int64(len(local)), shift: onePage, pages: [][]byte{local}})
+}
+
+// WinCreatePaged is WinCreate for a rank that exposes size bytes in pages of
+// page bytes, a power of two, every one absent: the window reads as zeros
+// until puts fill it or Install lends it pages. It allocates only the page
+// table.
+func (c *Comm) WinCreatePaged(size, page int64) (*Win, error) {
+	if size < 0 || page < 1 || page&(page-1) != 0 {
+		return nil, fmt.Errorf("mpi: WinCreatePaged(%d, %d)", size, page)
+	}
+	shift := uint(bits.TrailingZeros64(uint64(page)))
+	return c.winCreate(winMem{size: size, shift: shift, pages: make([][]byte, (size+page-1)>>shift)})
+}
+
+func (c *Comm) winCreate(m winMem) (*Win, error) {
+	res, err := c.collect(m, func(vals []interface{}) interface{} {
 		g := &winGlobal{
-			bufs:   make([][]byte, len(vals)),
+			mems:   make([]winMem, len(vals)),
 			datamu: make([]sync.Mutex, len(vals)),
 			locks:  make([]winLock, len(vals)),
 		}
 		for i, raw := range vals {
-			g.bufs[i], _ = raw.([]byte)
+			g.mems[i] = raw.(winMem)
 		}
 		return g
 	}, c.treeCost(16))
@@ -148,8 +227,47 @@ func (c *Comm) WinCreate(local []byte) (*Win, error) {
 	return &Win{c: c, g: res.(*winGlobal)}, nil
 }
 
-// Local returns this rank's own exposed window memory.
-func (w *Win) Local() []byte { return w.g.bufs[w.c.rank] }
+// Local returns the memory this rank gave WinCreate, which puts write into;
+// nil for a WinCreatePaged window, whose memory is pages.
+func (w *Win) Local() []byte {
+	if m := &w.g.mems[w.c.rank]; m.shift == onePage {
+		return m.pages[0]
+	}
+	return nil
+}
+
+// Install sets this rank's own window bytes [off, off+n) to the bytes from
+// skip on of src, a table of srcPage-byte pages (nil reads as zeros) lent
+// by an owner that never writes them in place again (pfs.File.LendAtRetry).
+// A window page the range covers whole, at src's page size and phase,
+// becomes src's page by reference, lent; the rest is copied into pages of
+// the window's own. Like SnapshotLocalInto it is an owner-side access
+// outside any epoch, serialized against remote puts and gets, and charges
+// nothing: a population lands in its own rank's slot with it.
+func (w *Win) Install(off int64, src [][]byte, srcPage, skip, n int64) {
+	mu := &w.g.datamu[w.c.rank]
+	mu.Lock()
+	defer mu.Unlock()
+	m := &w.g.mems[w.c.rank]
+	page := int64(1) << m.shift
+	for n > 0 {
+		i, in := m.locate(off)
+		j, sin := skip/srcPage, skip%srcPage
+		k := min(n, page-in, srcPage-sin)
+		switch p := src[j]; {
+		case k == page && srcPage == page:
+			if m.lent == nil {
+				m.lent = make([]bool, len(m.pages))
+			}
+			m.pages[i], m.lent[i] = p, p != nil
+		case p != nil:
+			copy(m.own(i)[in:in+k], p[sin:])
+		case m.pages[i] != nil:
+			clear(m.own(i)[in : in+k])
+		}
+		off, skip, n = off+k, skip+k, n-k
+	}
+}
 
 // SnapshotLocalInto copies len(dst) bytes at off of this rank's own window
 // memory into a caller-owned buffer, serialized against the physical copies
@@ -159,15 +277,15 @@ func (w *Win) Local() []byte { return w.g.bufs[w.c.rank] }
 func (w *Win) SnapshotLocalInto(dst []byte, off int64) {
 	mu := &w.g.datamu[w.c.rank]
 	mu.Lock()
-	copy(dst, w.g.bufs[w.c.rank][off:off+int64(len(dst))])
+	w.g.mems[w.c.rank].read(dst, off)
 	mu.Unlock()
 }
 
 // Lock opens an access epoch on target's window (MPI_Win_lock). exclusive
 // corresponds to MPI_LOCK_EXCLUSIVE; otherwise MPI_LOCK_SHARED.
 func (w *Win) Lock(target int, exclusive bool) error {
-	if target < 0 || target >= len(w.g.bufs) {
-		return fmt.Errorf("mpi: Win.Lock target %d of %d", target, len(w.g.bufs))
+	if target < 0 || target >= len(w.g.mems) {
+		return fmt.Errorf("mpi: Win.Lock target %d of %d", target, len(w.g.mems))
 	}
 	i, dup := w.find(target)
 	if dup {
@@ -266,11 +384,11 @@ func (w *Win) PutSegmentsAsync(target int, segs []datatype.Segment, data []byte)
 	if err != nil {
 		return PutHandle{}, err
 	}
-	buf := w.g.bufs[target]
+	m := &w.g.mems[target]
 	var total int64
 	for _, s := range segs {
-		if s.Off < 0 || s.Off+s.Len > int64(len(buf)) {
-			return PutHandle{}, fmt.Errorf("mpi: Put segment [%d,%d) outside window of %d bytes", s.Off, s.Off+s.Len, len(buf))
+		if s.Off < 0 || s.Off+s.Len > m.size {
+			return PutHandle{}, fmt.Errorf("mpi: Put segment [%d,%d) outside window of %d bytes", s.Off, s.Off+s.Len, m.size)
 		}
 		total += s.Len
 	}
@@ -283,7 +401,7 @@ func (w *Win) PutSegmentsAsync(target int, segs []datatype.Segment, data []byte)
 	mu.Lock()
 	pos := int64(0)
 	for _, s := range segs {
-		copy(buf[s.Off:s.Off+s.Len], data[pos:pos+s.Len])
+		m.write(s.Off, data[pos:pos+s.Len])
 		pos += s.Len
 	}
 	mu.Unlock()
@@ -345,10 +463,12 @@ func (h GetHandle) Complete() []byte {
 // not wait for the floor.
 func (w *Win) GetSegmentsAsync(target int, segs []datatype.Segment, dst []byte, floor simtime.Time) (GetHandle, error) {
 	out := dst
-	arrival, err := w.get(target, segs, floor, func(buf []byte, total int64) {
+	arrival, err := w.get(target, segs, floor, func(m *winMem, total int64) {
 		out = slices.Grow(out, int(total))
 		for _, s := range segs {
-			out = append(out, buf[s.Off:s.Off+s.Len]...)
+			n := len(out)
+			out = out[:n+int(s.Len)]
+			m.read(out[n:], s.Off)
 		}
 	})
 	if err != nil {
@@ -373,9 +493,9 @@ func (w *Win) GetSegmentsIntoAsync(target int, segs []datatype.Segment, dst [][]
 			return fmt.Errorf("mpi: Get segment of %d bytes into a destination of %d", s.Len, len(dst[i]))
 		}
 	}
-	_, err := w.get(target, segs, floor, func(buf []byte, _ int64) {
+	_, err := w.get(target, segs, floor, func(m *winMem, _ int64) {
 		for i, s := range segs {
-			copy(dst[i], buf[s.Off:s.Off+s.Len])
+			m.read(dst[i], s.Off)
 		}
 	})
 	return err
@@ -386,16 +506,16 @@ func (w *Win) GetSegmentsIntoAsync(target int, segs []datatype.Segment, dst [][]
 // physical copy out of the window, given the get's total bytes — under the
 // target's data mutex, then times the transfer, no earlier than floor, and
 // records its arrival against the epoch.
-func (w *Win) get(target int, segs []datatype.Segment, floor simtime.Time, gather func(buf []byte, total int64)) (simtime.Time, error) {
+func (w *Win) get(target int, segs []datatype.Segment, floor simtime.Time, gather func(m *winMem, total int64)) (simtime.Time, error) {
 	h, err := w.epoch(target, "Get")
 	if err != nil {
 		return 0, err
 	}
-	buf := w.g.bufs[target]
+	m := &w.g.mems[target]
 	var total int64
 	for _, s := range segs {
-		if s.Off < 0 || s.Off+s.Len > int64(len(buf)) {
-			return 0, fmt.Errorf("mpi: Get segment [%d,%d) outside window of %d bytes", s.Off, s.Off+s.Len, len(buf))
+		if s.Off < 0 || s.Off+s.Len > m.size {
+			return 0, fmt.Errorf("mpi: Get segment [%d,%d) outside window of %d bytes", s.Off, s.Off+s.Len, m.size)
 		}
 		total += s.Len
 	}
@@ -403,7 +523,7 @@ func (w *Win) get(target int, segs []datatype.Segment, floor simtime.Time, gathe
 	w.c.w.touch(w.c.rank, "get", depart)
 	mu := &w.g.datamu[target]
 	mu.Lock()
-	gather(buf, total)
+	gather(m, total)
 	mu.Unlock()
 	arrival := w.c.w.net.Transfer(
 		w.c.w.machine.NodeOf(target), w.c.w.machine.NodeOf(w.c.rank),

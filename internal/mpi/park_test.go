@@ -3,6 +3,7 @@ package mpi
 import (
 	"errors"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 )
@@ -88,5 +89,37 @@ func TestDeadlockIsAnError(t *testing.T) {
 			}
 			t.Logf("%v in %v", err, time.Since(start))
 		})
+	}
+}
+
+// TestParkVerdictReadsOneInstant: a rank parks in a receive, and its peer
+// sends — unparking it — and returns, all between the parked rank's count and
+// its deadlock verdict (countHook holds the verdict until the peer has
+// retired). Read afresh, the live count then equals the stale parked count,
+// and the world would stop with a DeadlockError that lists no wait. The
+// verdict must come from the one value the rank's own count returned.
+func TestParkVerdictReadsOneInstant(t *testing.T) {
+	defer func() { countHook = nil }()
+	for i := 0; i < 20; i++ {
+		parked, retired := make(chan struct{}), make(chan struct{})
+		var first [2]sync.Once
+		countHook = func(rank int) {
+			if rank == 0 { // its first count is the receive's park
+				first[0].Do(func() { close(parked); <-retired })
+			} else { // its first count is its retirement
+				first[1].Do(func() { close(retired) })
+			}
+		}
+		_, err := runFor(t, time.Second, testCfg(2), func(c *Comm) error {
+			if c.Rank() == 1 {
+				<-parked
+				return c.Send(0, 9, []byte{1})
+			}
+			_, err := c.Recv(1, 9)
+			return err
+		})
+		if err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
 	}
 }

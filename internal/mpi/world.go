@@ -74,10 +74,10 @@ type World struct {
 	ranks []*rankState
 	pool  bufPool // the job's message staging buffers (bufpool.go)
 
-	parked, live atomic.Int32 // ranks parked; ranks whose function has not returned
-	aborted      atomic.Bool
-	deadlock     *DeadlockError // set before the abort that reports it
-	barrier      *timeBarrier
+	count    atomic.Int64 // ranks whose function has not returned <<32 + ranks parked
+	aborted  atomic.Bool
+	deadlock *DeadlockError // set before the abort that reports it
+	barrier  *timeBarrier
 }
 
 // rankState is the per-rank runtime state.
@@ -138,7 +138,10 @@ func Run(cfg Config, fn func(*Comm) error) (Report, error) {
 				if p := recover(); p != nil {
 					errs[r] = fmt.Errorf("rank %d panicked: %v\n%s", r, p, debug.Stack())
 				}
-				w.exit(errs[r] != nil)
+				if errs[r] != nil {
+					w.stop(false) // a failed rank aborts before it retires
+				}
+				w.verdict(r, w.count.Add(-1<<32))
 			}()
 			if err := fn(&Comm{w: w, rank: r}); err != nil {
 				errs[r] = fmt.Errorf("rank %d: %w", r, err)
@@ -210,14 +213,10 @@ func newWorld(cfg Config) (*World, error) {
 		allocRetry: allocRetry,
 		barrier:    newTimeBarrier(cfg.Procs),
 	}
-	w.live.Store(int32(cfg.Procs))
+	w.count.Store(int64(cfg.Procs) << 32)
 	w.ranks = make([]*rankState, cfg.Procs)
 	for r := range w.ranks {
-		w.ranks[r] = &rankState{
-			clock: simtime.NewClock(),
-			box:   newMailbox(),
-			wake:  make(chan error, 1),
-		}
+		w.ranks[r] = &rankState{clock: simtime.NewClock(), box: newMailbox(), wake: make(chan error, 1)}
 	}
 	return w, nil
 }
@@ -293,9 +292,7 @@ func (w *World) park(rank int, wt wait, mu *sync.Mutex) error {
 	}
 	rs.wait = wt
 	rs.mu.Unlock()
-	if w.parked.Add(1) == w.live.Load() {
-		w.stop(true)
-	}
+	w.verdict(rank, w.count.Add(1))
 	return <-rs.wake
 }
 
@@ -306,18 +303,21 @@ func (w *World) unpark(rank int, err error) {
 	rs.mu.Lock()
 	if rs.wait.site != "" {
 		rs.wait = wait{}
-		w.parked.Add(-1)
+		w.count.Add(-1)
 		rs.wake <- err // one token per park: the channel's one slot is free
 	}
 	rs.mu.Unlock()
 }
 
-// exit retires a rank whose function returned; a failed one aborts first.
-func (w *World) exit(failed bool) {
-	if failed {
-		w.stop(false)
+// countHook, when set, runs between a park's or a retirement's count and its verdict.
+var countHook func(rank int)
+
+// verdict stops the world as deadlocked if v, what rank's own Add returned, has every live rank parked.
+func (w *World) verdict(rank int, v int64) {
+	if countHook != nil {
+		countHook(rank)
 	}
-	if live := w.live.Add(-1); live > 0 && w.parked.Load() == live {
+	if parked := int64(int32(v)); parked > 0 && parked == (v-parked)>>32 {
 		w.stop(true)
 	}
 }

@@ -179,6 +179,9 @@ func New(cfg Config) *FileSystem {
 // Config returns the file system parameters.
 func (fs *FileSystem) Config() Config { return fs.cfg }
 
+// Page reports the sparse store's page in real bytes: what LendAtRetry lends.
+func (fs *FileSystem) Page() int64 { return fs.page }
+
 // Open returns the named file, creating it if needed. Files are shared:
 // all callers opening the same name operate on the same object, as MPI
 // processes opening a shared file do.
@@ -254,8 +257,11 @@ type File struct {
 	name     string
 	firstOST int
 
-	mu        sync.Mutex
-	pages     map[int64][]byte
+	mu    sync.Mutex
+	pages map[int64][]byte
+	// lent is a bit per page, set on the pages LendAtRetry gave out, which
+	// the store never writes in place again (storeBytes).
+	lent      []uint64
 	size      int64
 	lockOwner map[int64]int         // stripe index -> client (node) holding its lock
 	raWindow  map[int]extent.Extent // reader (process) -> readahead window
@@ -400,26 +406,33 @@ func (f *File) ReadAt(reader int, off int64, dst []byte, now simtime.Time) (simt
 }
 
 func (f *File) readAt(reader int, off int64, dst []byte, now simtime.Time, attempt int64) (simtime.Time, error) {
+	end, err := f.chargeRead(reader, off, int64(len(dst)), now, attempt)
+	if err == nil {
+		f.loadBytes(off, dst)
+	}
+	return end, err
+}
+
+// chargeRead is one read attempt of n bytes at off, moving no bytes: its
+// fault roll, counters, readahead and service charge. It returns the
+// completion time.
+func (f *File) chargeRead(reader int, off, n int64, now simtime.Time, attempt int64) (simtime.Time, error) {
 	if off < 0 {
 		return now, fmt.Errorf("pfs: negative offset %d", off)
 	}
-	if inj := f.fs.cfg.Faults; inj.Should(faults.SiteOSTRead, int64(reader), off, int64(len(dst)), attempt) {
+	if inj := f.fs.cfg.Faults; inj.Should(faults.SiteOSTRead, int64(reader), off, n, attempt) {
 		f.fs.faultsInjected.Add(1)
 		end := now.Add(f.fs.cfg.RequestOverhead + f.fs.faultTimeout())
 		return end, fmt.Errorf("pfs: read %s: %w", f.name,
-			inj.Fault(faults.SiteOSTRead, "reader=%d off=%d len=%d", reader, off, len(dst)))
+			inj.Fault(faults.SiteOSTRead, "reader=%d off=%d len=%d", reader, off, n))
 	}
 	f.fs.reads.Add(1)
-	f.fs.bytesRead.Add(int64(len(dst)))
-	var end simtime.Time
-	if f.readAheadHit(reader, off, int64(len(dst))) {
+	f.fs.bytesRead.Add(n)
+	if f.readAheadHit(reader, off, n) {
 		f.fs.cacheHits.Add(1)
-		end = now.Add(f.fs.cfg.CacheHit)
-	} else {
-		end = f.chargeAccess(reader, off, int64(len(dst)), now, false, attempt)
+		return now.Add(f.fs.cfg.CacheHit), nil
 	}
-	f.loadBytes(off, dst)
-	return end, nil
+	return f.chargeAccess(reader, off, n, now, false, attempt), nil
 }
 
 // WriteAtRetry is WriteAt under a retry policy: transient injected faults
@@ -452,6 +465,51 @@ func (f *File) ReadAtRetry(reader int, off int64, dst []byte, now simtime.Time, 
 	})
 }
 
+// LendAtRetry is ReadAtRetry for a reader that takes the n bytes at off by
+// reference instead of a copy: pages[i] receives the store's page holding
+// off − off%Page() + i·Page() — nil in a hole — for every page the bytes
+// touch, and each page given out is lent: the store never writes it in
+// place again (storeBytes), so the reader holds the bytes as they were at
+// the lend, whatever is written to the file later. The reader must not
+// write them either. Charges, fault rolls, counters and readahead are
+// ReadAtRetry's for n bytes.
+func (f *File) LendAtRetry(reader int, off, n int64, pages [][]byte, now simtime.Time, pol faults.RetryPolicy) (simtime.Time, int64, error) {
+	return f.retry(now, pol, func(at simtime.Time, attempt int64) (simtime.Time, error) {
+		end, err := f.chargeRead(reader, off, n, at, attempt)
+		if err == nil {
+			f.lend(off, n, pages)
+		}
+		return end, err
+	})
+}
+
+// lend fills pages with the store's pages the n bytes at off touch and
+// marks them lent.
+func (f *File) lend(off, n int64, pages [][]byte) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	ps := f.fs.page
+	first := off / ps
+	for i := range (off%ps + n + ps - 1) / ps {
+		page := first + i
+		if pages[i] = f.pages[page]; pages[i] != nil {
+			if w := int(page >> 6); w >= len(f.lent) {
+				f.lent = append(f.lent, make([]uint64, w+1-len(f.lent))...)
+			}
+			f.lent[page>>6] |= 1 << (page & 63)
+		}
+	}
+}
+
+// unlend clears page's lent bit, reporting whether it was set.
+func (f *File) unlend(page int64) bool {
+	if w := int(page >> 6); w < len(f.lent) && f.lent[w]&(1<<(page&63)) != 0 {
+		f.lent[w] &^= 1 << (page & 63)
+		return true
+	}
+	return false
+}
+
 // retry drives one request through the shared faults.Retry loop, folding
 // the absorbed faults into the file system's counters.
 func (f *File) retry(now simtime.Time, pol faults.RetryPolicy, op func(simtime.Time, int64) (simtime.Time, error)) (simtime.Time, int64, error) {
@@ -468,7 +526,8 @@ func (f *File) retry(now simtime.Time, pol faults.RetryPolicy, op func(simtime.T
 // capacity-capped so nothing can grow into its neighbour, and the page it
 // replaces is dropped. Head and tail fragments are copied either way. A kept
 // page is the store's from then on: later writes, truncates and reads treat
-// it like any other.
+// it like any other. A copy into a lent page goes into a fresh copy of it,
+// which replaces it: the borrower keeps the page it was lent.
 func (f *File) storeBytes(off int64, data []byte, handOver bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -485,10 +544,11 @@ func (f *File) storeBytes(off int64, data []byte, handOver bool) {
 		}
 		if handOver && n == ps {
 			f.pages[page] = data[:ps:ps]
+			f.unlend(page)
 		} else {
-			p, ok := f.pages[page]
-			if !ok {
-				p = make([]byte, ps)
+			p := f.pages[page]
+			if f.unlend(page) || p == nil {
+				p = append(make([]byte, 0, ps), p...)[:ps]
 				f.pages[page] = p
 			}
 			copy(p[in:in+n], data[:n])
@@ -680,7 +740,7 @@ func (f *File) truncateAt(client int, now simtime.Time, attempt int64) (simtime.
 	start := now
 	end := now.Add(f.fs.cfg.RequestOverhead)
 	f.mu.Lock()
-	f.pages = make(map[int64][]byte)
+	f.pages, f.lent = make(map[int64][]byte), nil
 	f.size = 0
 	f.mu.Unlock()
 	if l := f.fs.getOplog(); l != nil {

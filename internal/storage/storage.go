@@ -51,11 +51,23 @@ type Clock interface {
 
 // Request is one contiguous extent transfer: fill Data from the file at
 // Off (reads) or store Data at Off (writes). Tag is a short description
-// carried into trace events and error messages ("seg=12").
+// carried into trace events and error messages ("seg=12"). A lend
+// (LendExtentsFrom) moves no bytes and has no Data: it reads Len bytes at
+// Off into Pages, by reference.
 type Request struct {
-	Off  int64
-	Data []byte
-	Tag  string
+	Off   int64
+	Data  []byte
+	Tag   string
+	Len   int64
+	Pages [][]byte
+}
+
+// size is the request's length in bytes.
+func (r Request) size() int64 {
+	if r.Pages != nil {
+		return r.Len
+	}
+	return int64(len(r.Data))
 }
 
 // Result summarizes one ReadExtents/WriteExtents batch.
@@ -123,6 +135,7 @@ const (
 	read     access = iota // fill Data from the file
 	write                  // store a copy of Data
 	handOver               // store Data, keeping whole file pages by reference
+	lend                   // fill Pages with the file's pages, by reference
 )
 
 // ReadExtents fills every request's Data from the file.
@@ -153,6 +166,17 @@ func (c *Client) HandOverExtents(op string, kind trace.Kind, reqs []Request) (Re
 // pays is different.
 func (c *Client) ReadExtentsFrom(op string, kind trace.Kind, reqs []Request, start simtime.Time) (Result, simtime.Time, error) {
 	return c.post(op, kind, reqs, read, start, nil)
+}
+
+// LendExtentsFrom is ReadExtentsFrom for a caller that takes the file's
+// bytes by reference instead of a copy: each request's Pages, long enough for
+// every file page its Len bytes touch, receives those pages, lent
+// (pfs.File.LendAtRetry): the file system never writes them in place again,
+// and the caller must not write them. Requests, charges, fault rolls,
+// counters and traces are ReadExtentsFrom's for the same offsets and
+// lengths.
+func (c *Client) LendExtentsFrom(op string, kind trace.Kind, reqs []Request, start simtime.Time) (Result, simtime.Time, error) {
+	return c.post(op, kind, reqs, lend, start, nil)
 }
 
 // ReadExtentsEach is ReadExtentsFrom for a caller that serves each request's
@@ -222,6 +246,9 @@ func (c *Client) issue(r Request, now simtime.Time, acc access) (simtime.Time, i
 	case handOver:
 		c.touch("fs.write", now)
 		return c.pf.HandOverAtRetry(c.node, r.Off, r.Data, now, c.retry)
+	case lend:
+		c.touch("fs.read", now)
+		return c.pf.LendAtRetry(c.rank, r.Off, r.Len, r.Pages, now, c.retry)
 	}
 	c.touch("fs.read", now)
 	return c.pf.ReadAtRetry(c.rank, r.Off, r.Data, now, c.retry)
@@ -255,11 +282,11 @@ func (c *Client) finish(op string, kind trace.Kind, r Request, start, end simtim
 		if r.Tag != "" {
 			return fmt.Errorf("%s %s: %w", op, r.Tag, err)
 		}
-		return fmt.Errorf("%s %d bytes at %d: %w", op, len(r.Data), r.Off, err)
+		return fmt.Errorf("%s %d bytes at %d: %w", op, r.size(), r.Off, err)
 	}
 	res.Requests++
-	res.Bytes += int64(len(r.Data))
-	c.emit(kind, start, end, int64(len(r.Data)), r.Tag)
+	res.Bytes += r.size()
+	c.emit(kind, start, end, r.size(), r.Tag)
 	return nil
 }
 
@@ -303,7 +330,7 @@ func (c *Client) post(op string, kind trace.Kind, reqs []Request, acc access, st
 	if mutate.Enabled(mutate.StorageDropLastRequest) && len(reqs) > 1 {
 		reqs = reqs[:len(reqs)-1]
 	}
-	if acc != read {
+	if acc == write || acc == handOver {
 		if err := checkDisjoint(reqs); err != nil {
 			return Result{}, start, fmt.Errorf("%s: %w", op, err)
 		}

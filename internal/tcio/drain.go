@@ -22,40 +22,46 @@ import (
 // waits for the batch: a get of a segment leaves no earlier than its landing
 // (issueGets), and a read Close waits for the latest landing this rank
 // posted. A segment is read whole, clipped at EOF. A segment this rank owns
-// is read straight into its window slot; another owner's is read into
-// staging and put there (land). The caller holds the exclusive window lock
-// of every owner, or owns the slots outright (the preload, before Open's
-// barrier), so the bytes are in the window before the flag is set.
+// is lent the file system's pages (storage.LendExtentsFrom), which its
+// window slot installs by reference (mpi.Win.Install; a SegmentSize that is
+// not a multiple of the file system's page copies them instead); another
+// owner's is read into staging and put there (land). The caller holds the
+// exclusive window lock of every owner, or owns the slots outright (the
+// preload, before Open's barrier), so the bytes are in the window before
+// the flag is set.
 func (f *File) populate(segs []int64) error {
-	start, size := f.c.Now(), f.store.File().Size()
+	start, size, page := f.c.Now(), f.store.File().Size(), f.c.FS().Page()
 	req := make([]storage.Request, 1)
+	var lent [][]byte // a lend's page table, until the slot installs its pages
 	for _, seg := range segs {
 		owner, slot := f.layout.Owner(seg)
 		base := f.layout.SegStart(seg)
-		// A segment at or past EOF reads nothing: the window's zeros are what
-		// the (hole-extended) file holds.
+		// A segment at or past EOF reads nothing: the window's absent pages
+		// read as the zeros the (hole-extended) file holds.
 		var landed simtime.Time
 		if n := min(f.layout.SegSize, size-base); n > 0 {
-			// buf is the segment's bytes: its window slot when this rank owns
-			// it, else the session's staging, put there after the read.
 			local := owner == f.c.Rank()
-			var buf []byte
+			req[0] = storage.Request{Off: base, Tag: f.tag(seg, base)}
+			read := f.store.ReadExtentsFrom
 			if local {
-				buf = f.win.Local()[slot*f.layout.SegSize : slot*f.layout.SegSize+n]
+				if np := int((base%page + n + page - 1) / page); len(lent) < np {
+					lent = make([][]byte, np)
+				}
+				req[0].Len, req[0].Pages = n, lent
+				read = f.store.LendExtentsFrom
 			} else {
-				buf = f.stagingBuf(f.layout.SegSize)[:n]
+				req[0].Data = f.stagingBuf(f.layout.SegSize)[:n]
 			}
-			req[0] = storage.Request{Off: base, Data: buf, Tag: f.tag(seg, base)}
-			res, end, err := f.store.ReadExtentsFrom("tcio: populate", trace.KindPopulate, req, start)
+			res, end, err := read("tcio: populate", trace.KindPopulate, req, start)
 			f.stats.Retries += res.Retries
 			f.stats.Populations += res.Requests
 			if err != nil {
 				return err
 			}
-			if landed = end; !local {
-				if landed, err = f.land(owner, slot, buf, landed); err != nil {
-					return err
-				}
+			if landed = end; local {
+				f.win.Install(slot*f.layout.SegSize, lent, page, base%page, n)
+			} else if landed, err = f.land(owner, slot, req[0].Data, end); err != nil {
+				return err
 			}
 		}
 		f.meta.setPopulated(seg, landed)
@@ -133,7 +139,7 @@ func (f *File) tag(seg, off int64) string {
 // fragments of a run, and runs shorter than a page, are still copied.
 func (f *File) drain() error {
 	local := f.win.Local()
-	var reqs []storage.Request
+	reqs := make([]storage.Request, 0, f.layout.NumSeg) // a run a segment, commonly
 	for slot := int64(0); slot < int64(f.layout.NumSeg); slot++ {
 		seg := f.layout.RankSegment(f.c.Rank(), slot)
 		runs, arrival := f.meta.takePending(seg)

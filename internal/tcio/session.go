@@ -13,6 +13,7 @@ package tcio
 
 import (
 	"fmt"
+	"math/bits"
 
 	"github.com/tcio/tcio/internal/extent"
 	"github.com/tcio/tcio/internal/faults"
@@ -104,9 +105,13 @@ type session struct {
 // charged to the rank's simulated share, the collective shared metadata,
 // and the storage access path. cfg must already be normalized.
 func newSession(c *mpi.Comm, name string, mode Mode, cfg Config) (session, error) {
-	// Level-2 window memory: NumSegments segments of SegmentSize each.
-	winBuf, err := c.Malloc(int64(cfg.NumSegments) * cfg.SegmentSize)
-	if err != nil {
+	// Level-2 window: NumSegments segments of SegmentSize each, charged to
+	// the rank's simulated share whole. A write handle's is host memory its
+	// puts fill and its drain hands over; a read handle's is a table of the
+	// file system's pages, every one absent until a population installs it
+	// (populate), so a read handle keeps no second image of its file.
+	winSize := int64(cfg.NumSegments) * cfg.SegmentSize
+	if err := c.Reserve(c.Machine().Scale(winSize)); err != nil {
 		return session{}, fmt.Errorf("tcio: level-2 buffer: %w", err)
 	}
 	// Level-1 buffer: exactly one segment (paper §IV.A: "we set them to be
@@ -115,10 +120,25 @@ func newSession(c *mpi.Comm, name string, mode Mode, cfg Config) (session, error
 	// pages an epoch's pieces touch (newLevel1), and a read handle, which
 	// never stages, holds none.
 	if err := c.Reserve(c.Machine().Scale(cfg.SegmentSize)); err != nil {
-		c.Free(winBuf)
+		c.Release(c.Machine().Scale(winSize))
 		return session{}, fmt.Errorf("tcio: level-1 buffer: %w", err)
 	}
-	win, err := c.WinCreate(winBuf)
+	var win *mpi.Win
+	var err error
+	if mode == WriteMode {
+		win, err = c.WinCreate(make([]byte, winSize))
+	} else {
+		// The window's page is the file system's, so a population installs
+		// whole pages. A segment that is no whole number of them, or a page
+		// that is no power of two (a window page is one), gets pages of the
+		// window's own, the largest power of two in a segment, and its
+		// populations copy.
+		page := c.FS().Page()
+		if cfg.SegmentSize%page != 0 || page&(page-1) != 0 {
+			page = 1 << (bits.Len64(uint64(cfg.SegmentSize)) - 1)
+		}
+		win, err = c.WinCreatePaged(winSize, page)
+	}
 	if err != nil {
 		return session{}, err
 	}
@@ -185,9 +205,10 @@ func (s *session) stagingBuf(n int64) []byte {
 
 // release returns the session's accounted memory (Close calls it). A write
 // handle's drain handed whole pages of the window to the file system, which
-// keeps them as file contents (drain), so the window's bytes are returned to
-// the accountant only: window memory is never pooled or reused after Close.
+// keeps them as file contents (drain), and a read handle's window holds
+// pages the file system lent it, so the window's bytes are returned to the
+// accountant only: window memory is never pooled or reused after Close.
 func (s *session) release() {
-	s.c.Free(s.win.Local())
-	s.c.Release(s.c.Machine().Scale(s.layout.SegSize)) // the level-1 buffer
+	s.c.Release(s.c.Machine().Scale(int64(s.layout.NumSeg) * s.layout.SegSize)) // the window
+	s.c.Release(s.c.Machine().Scale(s.layout.SegSize))                          // the level-1 buffer
 }
