@@ -75,16 +75,6 @@ func (p *Program) newFS(inj *faults.Injector) *pfs.FileSystem {
 	return pfs.New(cfg)
 }
 
-// aggregators clamps the Aggregators knob to the rank count (the knob is
-// drawn before Procs is known to be large enough).
-func (p *Program) aggregators() int {
-	n := p.Knobs.Aggregators
-	if n > p.Procs {
-		n = p.Procs
-	}
-	return n
-}
-
 // machine builds the program's simulated machine: the default testbed,
 // with the rank placement overridden when the CoresPerNode knob is set.
 // Every engine runs on the same machine so the placement cannot itself
@@ -268,7 +258,6 @@ func runVanilla(p *Program, truth []byte) *engineRun {
 		if err != nil {
 			return err
 		}
-		f.SetSieving(p.Knobs.Sieving)
 		var opErr error
 		for _, round := range p.WriteRounds {
 			for _, op := range round.Ops {
@@ -303,13 +292,11 @@ func runVanilla(p *Program, truth []byte) *engineRun {
 		if err != nil {
 			return err
 		}
-		f.SetSieving(p.Knobs.Sieving)
 		var caps []readCapture
 		for _, round := range p.ReadRounds {
-			if p.Knobs.Sieving {
-				// Sieving only acts on a noncontiguous request, so the rank
-				// reads the whole round through its view in one independent
-				// read: the round's runs reach the sieve together.
+			if p.Knobs.ViewRead {
+				// The rank reads the whole round through its view in one
+				// independent call: one request per run of the view.
 				got, err := readRound(f, round, c.Rank(), func(n int64) ([]byte, error) { return f.ReadAt(0, n) })
 				if err != nil {
 					return err
@@ -509,9 +496,6 @@ func runOCIO(p *Program, truth []byte) *engineRun {
 		if err != nil {
 			return err
 		}
-		if err := f.SetAggregators(p.aggregators()); err != nil {
-			return err
-		}
 		var opErr error
 		for _, round := range p.WriteRounds {
 			offs, lens, payload := rankRoundWrite(p, round, c.Rank())
@@ -540,9 +524,6 @@ func runOCIO(p *Program, truth []byte) *engineRun {
 	_, err = mpi.Run(mpi.Config{Procs: p.Procs, Machine: p.machine(), FS: fs, Faults: inj}, func(c *mpi.Comm) error {
 		f, err := mpiio.Open(c, confFile)
 		if err != nil {
-			return err
-		}
-		if err := f.SetAggregators(p.aggregators()); err != nil {
 			return err
 		}
 		for _, round := range p.ReadRounds {

@@ -15,7 +15,7 @@ package conformance
 //	          co-located ranks share a NIC and a memory share.
 //	class 5 — hole-y reads: read-heavy interleaved rounds with holes,
 //	          populated on demand (and read by vanilla MPI-IO through
-//	          each round's view when its sieving draw is on).
+//	          each round's view when its view-read draw is on).
 //	class 6 — delegation tier: dedicated server ranks carved out of the
 //	          communicator, several concurrently open files per client,
 //	          credit-window admission. Ops span only the client ranks.
@@ -50,12 +50,6 @@ func Generate(seed int64) *Program {
 	p.StripeSize = stripes[rng.Intn(len(stripes))]
 	p.StripeCount = 1 + rng.Intn(4)
 	p.Knobs = genKnobs(rng, class, seed)
-	if p.Knobs.Aggregators > p.Procs {
-		// The knob is drawn before Procs-dependent shaping; an
-		// over-subscribed draw would fail Validate (the engine driver only
-		// clamps at run time).
-		p.Knobs.Aggregators = p.Procs
-	}
 	if p.Knobs.ServerRanks >= p.Procs {
 		p.Knobs.ServerRanks = p.Procs - 1 // at least one client remains
 	}
@@ -89,9 +83,9 @@ func genKnobs(rng *rand.Rand, class int, seed int64) Knobs {
 	k := Knobs{DisableLevel1: rng.Intn(5) == 0}
 	rng.Intn(3) // retired FetchBatch, discarded likewise
 	rng.Intn(3) // retired PipelineDepth, discarded likewise
-	k.Sieving = rng.Intn(2) == 0
-	rng.Intn(4)                 // retired EmulateTwoSided, discarded likewise
-	k.Aggregators = rng.Intn(3) // clamped to Procs by the engine driver
+	k.ViewRead = rng.Intn(2) == 0
+	rng.Intn(4) // retired EmulateTwoSided, discarded likewise
+	rng.Intn(3) // retired Aggregators, discarded likewise
 	switch class {
 	case 1: // demand-populate
 		k.DemandPopulate = true
@@ -247,10 +241,9 @@ func genWriteRound(rng *rand.Rand, p *Program, territory [][]Op, nextID *int64) 
 // genHoleReadRound emits one class-5 read round: the file is cut into
 // granule blocks dealt to ranks round-robin (rotated by the round number,
 // so consecutive rounds shift the interleave), and each rank reads only a
-// random subset of its blocks — leaving holes between its runs, the
-// pattern data sieving trades request count against. Some runs shrink
-// within their block, producing sub-granule holes that never align with
-// segment boundaries.
+// random subset of its blocks — leaving holes between its runs. Some runs
+// shrink within their block, producing sub-granule holes that never align
+// with segment boundaries.
 func genHoleReadRound(rng *rand.Rand, p *Program, phase int) Round {
 	var round Round
 	gran := []int64{4, 8, 16}[rng.Intn(3)] * int64(1+rng.Intn(2))

@@ -83,9 +83,11 @@ type Knobs struct {
 	Journal    bool `json:"journal,omitempty"`
 	CrashKills int  `json:"crash_kills,omitempty"`
 
-	// OCIO / vanilla MPI-IO configuration.
-	Aggregators int  `json:"aggregators,omitempty"` // 0 = every rank
-	Sieving     bool `json:"sieving,omitempty"`     // vanilla read data sieving
+	// ViewRead makes vanilla MPI-IO read each round through the round's
+	// file view in one independent call instead of one call per op. Its
+	// JSON name is the data-sieving knob's it replaced, so corpus programs
+	// replay unedited.
+	ViewRead bool `json:"sieving,omitempty"`
 
 	// Chaos rules: ChaosSeed == 0 disarms injection entirely. Probabilities
 	// apply to the OST read/write RPC and one-sided put sites.
@@ -217,8 +219,6 @@ func (p *Program) Validate() error {
 		return fmt.Errorf("conformance: stripe size %d", p.StripeSize)
 	case p.StripeCount < 1 || p.StripeCount > maxOSTs:
 		return fmt.Errorf("conformance: stripe count %d", p.StripeCount)
-	case p.Knobs.Aggregators < 0 || p.Knobs.Aggregators > p.Procs:
-		return fmt.Errorf("conformance: %d aggregators with %d procs", p.Knobs.Aggregators, p.Procs)
 	case p.Knobs.Files < 0 || p.Knobs.CoresPerNode < 0 || p.Knobs.CrashKills < 0:
 		return fmt.Errorf("conformance: negative harness knob: %+v", p.Knobs)
 	case p.Knobs.CrashKills > 0 && !p.Knobs.Journal:

@@ -58,14 +58,3 @@ func SievePlan(runs []Extent, budget int64) []SieveGroup {
 	}
 	return groups
 }
-
-// Waste reports the bytes of the cover not claimed by any member run —
-// the hole bytes a sieved read moves without delivering. runs must be the
-// list the plan was computed from.
-func (g SieveGroup) Waste(runs []Extent) int64 {
-	members := make([]Extent, 0, len(g.Index))
-	for _, i := range g.Index {
-		members = append(members, runs[i])
-	}
-	return g.Cover.Len - Total(Coalesce(members))
-}

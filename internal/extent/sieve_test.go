@@ -67,9 +67,6 @@ func TestSievePlanCoverContainsRuns(t *testing.T) {
 			if g.Cover.Len > budget && len(g.Index) > 1 {
 				t.Fatalf("trial %d: multi-run cover %+v exceeds budget %d", trial, g.Cover, budget)
 			}
-			if w := g.Waste(runs); w < 0 || w >= g.Cover.Len {
-				t.Fatalf("trial %d: waste %d out of range for cover %+v", trial, w, g.Cover)
-			}
 		}
 		for i, r := range runs {
 			if r.Len > 0 && !seen[i] {
@@ -128,7 +125,7 @@ func TestSieveScatterMatchesNaive(t *testing.T) {
 
 // TestSievePlanBudgetMonotonic: with an unbounded budget all runs share
 // one cover spanning their union; with budget <= 0 every run is its own
-// cover with zero waste.
+// cover.
 func TestSievePlanBudgetMonotonic(t *testing.T) {
 	runs := []Extent{{Off: 100, Len: 10}, {Off: 130, Len: 5}, {Off: 200, Len: 20}, {Off: 0, Len: 3}}
 	one := SievePlan(runs, 1<<40)
@@ -143,8 +140,8 @@ func TestSievePlanBudgetMonotonic(t *testing.T) {
 		t.Fatalf("zero budget: %d covers, want %d", len(each), len(runs))
 	}
 	for _, g := range each {
-		if w := g.Waste(runs); w != 0 {
-			t.Fatalf("zero budget: cover %+v has waste %d", g.Cover, w)
+		if len(g.Index) != 1 || g.Cover != runs[g.Index[0]] {
+			t.Fatalf("zero budget: cover %+v serves runs %v, want exactly one", g.Cover, g.Index)
 		}
 	}
 }

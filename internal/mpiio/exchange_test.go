@@ -32,9 +32,8 @@ func refEncodeRuns(runs []datatype.Segment, payload []byte) []byte {
 // refExchangeMessages is the exchange build the flat plan replaced, kept as
 // its oracle: split the runs into one list per aggregator, gather each
 // aggregator's payload by appending piece by piece, and encode one message
-// per aggregator. It returns the message for every destination rank (nil
-// for ranks that aggregate nothing).
-func refExchangeMessages(as aggSet, ranks int, runs []datatype.Segment, data []byte) [][]byte {
+// per aggregator. It returns the message for every destination rank.
+func refExchangeMessages(as aggSet, runs []datatype.Segment, data []byte) [][]byte {
 	perAgg := make([][]datatype.Segment, as.part.N)
 	payloadFor := make([][]byte, as.part.N)
 	consumed := int64(0)
@@ -51,9 +50,9 @@ func refExchangeMessages(as aggSet, ranks int, runs []datatype.Segment, data []b
 			r.Len -= n
 		}
 	}
-	send := make([][]byte, ranks)
-	for k := 0; k < as.part.N; k++ {
-		send[k*as.stride] = refEncodeRuns(perAgg[k], payloadFor[k])
+	send := make([][]byte, as.part.N)
+	for k := range send {
+		send[k] = refEncodeRuns(perAgg[k], payloadFor[k])
 	}
 	return send
 }
@@ -105,9 +104,10 @@ func randomFiletype(rng *rand.Rand) (datatype.Type, error) {
 // TestFlatPlanMatchesPerAggregatorSplit compares, byte for byte and
 // destination by destination, the send buffer pack lays out with the
 // messages the per-aggregator build produced: every datatype constructor,
-// random request windows, 1..P aggregators, and aggregate domains that cut
-// runs, leave aggregators empty and leave holes. The handle is reused, so
-// the scratch lists carry state from case to case as they do in a run.
+// random request windows, every rank aggregating, and aggregate domains
+// that cut runs, leave a rank's domain empty and leave holes. The handle is
+// reused, so the scratch lists carry state from case to case as they do in
+// a run.
 func TestFlatPlanMatchesPerAggregatorSplit(t *testing.T) {
 	const cases = 2400
 	cut, empty, holes := 0, 0, 0
@@ -150,19 +150,18 @@ func TestFlatPlanMatchesPerAggregatorSplit(t *testing.T) {
 				if hi <= lo {
 					hi = lo + 1
 				}
-				f.aggregators = rng.Intn(ranks + 1)
 				as := f.buildAggSet(lo, hi)
 
 				for _, payload := range [][]byte{data, nil} {
-					want := refExchangeMessages(as, ranks, runs, payload)
+					want := refExchangeMessages(as, runs, payload)
 					buf := f.pack(as, runs, payload)
 					if len(f.displs) != ranks+1 || f.displs[0] != 0 || f.displs[ranks] != len(buf) {
 						return fmt.Errorf("case %d: displacements %v over %d bytes", i, f.displs, len(buf))
 					}
 					for dst := range want {
 						if got := buf[f.displs[dst]:f.displs[dst+1]]; !bytes.Equal(got, want[dst]) {
-							return fmt.Errorf("case %d (%s, %d aggregators, domain [%d,%d)): message to rank %d\n got %v\nwant %v",
-								i, ft, as.part.N, lo, hi, dst, got, want[dst])
+							return fmt.Errorf("case %d (%s, domain [%d,%d)): message to rank %d\n got %v\nwant %v",
+								i, ft, lo, hi, dst, got, want[dst])
 						}
 					}
 				}

@@ -56,33 +56,7 @@ type File struct {
 	first  []int
 	displs []int
 	recv   [][]byte
-
-	// aggregators is the number of ranks that perform file accesses in
-	// collective calls (ROMIO's cb_nodes hint). 0 means every rank, which
-	// is how the paper's experiments ran ("we do not enable collective
-	// buffering"). See SetAggregators.
-	aggregators int
-
-	// sieving enables data sieving for independent reads (ROMIO's other
-	// classic optimization): a non-contiguous request is served by one
-	// large contiguous read spanning it, then filtered in memory.
-	sieving bool
 }
-
-// SetAggregators restricts collective I/O to n aggregator ranks (ROMIO's
-// collective-buffering cb_nodes hint; the paper's related work, [20][21]).
-// n = 0 restores the default of every rank aggregating. The aggregator set
-// is ranks 0, P/n, 2P/n, ... — one per node group, as ROMIO picks.
-func (f *File) SetAggregators(n int) error {
-	if n < 0 || n > f.c.Size() {
-		return fmt.Errorf("mpiio: %d aggregators with %d ranks", n, f.c.Size())
-	}
-	f.aggregators = n
-	return nil
-}
-
-// SetSieving toggles data sieving for independent reads.
-func (f *File) SetSieving(on bool) { f.sieving = on }
 
 // Retries reports the transient faults this handle absorbed with backoff.
 func (f *File) Retries() int64 { return f.store.Retries() }
@@ -208,28 +182,12 @@ func (f *File) ReadAt(pos, n int64) ([]byte, error) {
 }
 
 // ReadAtInto fills dst with the len(dst) visible bytes at the given visible
-// offset, independently. With sieving enabled, a non-contiguous request is
-// served by one large contiguous read spanning all its runs (ROMIO's data
-// sieving, planned by storage.ReadExtentsSieved with the request's span as
-// its budget), trading extra bytes on the wire for far fewer requests.
+// offset, independently: one file system request per run of the view.
 func (f *File) ReadAtInto(pos int64, dst []byte) error {
 	f.chargeCPU(callCPU, 1)
 	runs, err := f.viewRuns(pos, int64(len(dst)))
 	if err != nil {
 		return err
-	}
-	if f.sieving && len(runs) > 1 {
-		reqs := make([]storage.Request, len(runs))
-		for i, r := range runs {
-			reqs[i] = storage.Request{Off: r.Off, Data: dst[:r.Len]}
-			dst = dst[r.Len:]
-		}
-		span := runs[len(runs)-1].End() - runs[0].Off
-		if _, err := f.store.ReadExtentsSieved("mpiio: read", reqs, span); err != nil {
-			return err
-		}
-		f.chargeCPU(runCPU, len(runs)) // in-memory filtering
-		return nil
 	}
 	for _, r := range runs {
 		if err := f.readRetry(r.Off, dst[:r.Len]); err != nil {

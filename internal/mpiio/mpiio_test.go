@@ -534,7 +534,8 @@ func TestOpenRejectsEmptyName(t *testing.T) {
 }
 
 // TestReadAtIntoMatchesReadAt reads the same visible range through a
-// strided view with both entry points, with and without data sieving.
+// strided view with both entry points. A strided ReadAt issues one file
+// system request per run of the view and returns the bytes written there.
 func TestReadAtIntoMatchesReadAt(t *testing.T) {
 	run(t, 1, func(c *mpi.Comm) error {
 		f, err := Open(c, "into")
@@ -550,25 +551,78 @@ func TestReadAtIntoMatchesReadAt(t *testing.T) {
 		if err := f.SetView(8, datatype.Int, ft); err != nil {
 			return err
 		}
-		for _, sieve := range []bool{false, true} {
-			f.SetSieving(sieve)
-			want, err := f.ReadAt(2, 40)
-			if err != nil {
-				return err
-			}
-			got := make([]byte, 40)
-			if err := f.ReadAtInto(2, got); err != nil {
-				return err
-			}
-			if !bytes.Equal(got, want) {
-				return fmt.Errorf("sieving=%v: ReadAtInto = %x, ReadAt = %x", sieve, got, want)
-			}
+		want, err := f.ReadAt(2, 40)
+		if err != nil {
+			return err
+		}
+		got := make([]byte, 40)
+		if err := f.ReadAtInto(2, got); err != nil {
+			return err
+		}
+		if !bytes.Equal(got, want) {
+			return fmt.Errorf("ReadAtInto = %x, ReadAt = %x", got, want)
 		}
 		if err := f.ReadAtInto(-1, make([]byte, 4)); err == nil {
 			return errors.New("negative offset accepted")
 		}
 		if _, err := f.ReadAt(0, -1); err == nil {
 			return errors.New("negative length accepted")
+		}
+		return nil
+	})
+}
+
+// TestDataSievingSameBytesFewerRequests: reading a strided pattern in one
+// call through a view (what conformance's "sieving" knob selects for the
+// vanilla engine) returns the bytes that reading it one element at a time
+// returns, in one file system request per contiguous run instead of one per
+// element.
+func TestDataSievingSameBytesFewerRequests(t *testing.T) {
+	// Two 4-byte elements every 16 bytes: 32 runs of 8 bytes.
+	const blocks = 32
+	run(t, 1, func(c *mpi.Comm) error {
+		f, err := Open(c, "viewread")
+		if err != nil {
+			return err
+		}
+		img := make([]byte, blocks*16)
+		rand.New(rand.NewSource(5)).Read(img)
+		if err := f.WriteAt(0, img); err != nil {
+			return err
+		}
+		c.FS().Reset()
+		var perElement []byte
+		for i := 0; i < blocks; i++ {
+			for e := 0; e < 2; e++ {
+				b, err := f.ReadAt(int64(i*16+e*4), 4)
+				if err != nil {
+					return err
+				}
+				perElement = append(perElement, b...)
+			}
+		}
+		if reads := c.FS().Stats().Reads; reads != 2*blocks {
+			return fmt.Errorf("element-wise reads issued %d file system reads, want %d", reads, 2*blocks)
+		}
+		vt, _ := datatype.Vector(blocks, 2, 4, datatype.Int)
+		if err := f.SetView(0, datatype.Int, vt); err != nil {
+			return err
+		}
+		c.FS().Reset()
+		got, err := f.ReadAt(0, blocks*8)
+		if err != nil {
+			return err
+		}
+		if reads := c.FS().Stats().Reads; reads != blocks {
+			return fmt.Errorf("view read of %d runs issued %d file system reads", blocks, reads)
+		}
+		if !bytes.Equal(got, perElement) {
+			return fmt.Errorf("view read = %x, element-wise reads = %x", got, perElement)
+		}
+		for i := 0; i < blocks; i++ {
+			if !bytes.Equal(got[i*8:i*8+8], img[i*16:i*16+8]) {
+				return fmt.Errorf("run %d = %x, wrote %x", i, got[i*8:i*8+8], img[i*16:i*16+8])
+			}
 		}
 		return nil
 	})

@@ -17,8 +17,7 @@ import (
 //     agree (allreduce) on the aggregate file domain [lo, hi).
 //  2. The domain is split into equal, disjoint, contiguous file domains,
 //     one per aggregator. As in the paper's experiments, every process is
-//     an aggregator (collective buffering's aggregator sub-selection is
-//     disabled).
+//     an aggregator (no collective buffering).
 //  3. Data exchange phase: each rank ships the pieces of its request to
 //     the owning aggregators with nonblocking all-to-all communication —
 //     all receives posted, then all sends, then wait. This is the traffic
@@ -32,7 +31,8 @@ import (
 
 // An exchange message is a little-endian uint32 run count, that many
 // extent.RunWire records of absolute file runs, and (for writes) the runs'
-// payload bytes in run order; ranks that aggregate nothing get an empty one.
+// payload bytes in run order; a rank whose domain holds none of the sender's
+// runs gets a zero count.
 //
 // checkRuns decodes an incoming message's runs onto dst and validates them
 // before anything indexes with them: the run table fits the message, every
@@ -97,26 +97,17 @@ func (f *File) aggregateDomain(runs []datatype.Segment) (int64, int64, error) {
 }
 
 // aggSet is the aggregator layout of one collective call: the equal-size
-// partition of the aggregate domain into file domains (extent.Partition)
-// and the ranks that own them. With SetAggregators(0) — the paper's setup —
-// every rank is an aggregator; otherwise the domains are dealt to a strided
-// subset of ranks, as ROMIO's collective buffering does.
+// partition of the aggregate domain into file domains (extent.Partition),
+// domain k belonging to rank k, and this rank's domain. Every rank is an
+// aggregator, as in the paper's experiments.
 type aggSet struct {
-	part   extent.Partition
-	stride int           // domain k belongs to rank k*stride
-	mine   extent.Extent // this rank's domain; empty when it aggregates nothing
+	part extent.Partition
+	mine extent.Extent // this rank's domain; empty when it aggregates nothing
 }
 
 func (f *File) buildAggSet(lo, hi int64) aggSet {
-	n := f.aggregators
-	if n <= 0 || n > f.c.Size() {
-		n = f.c.Size()
-	}
-	as := aggSet{part: extent.NewPartition(lo, hi, n), stride: f.c.Size() / n}
-	if r := f.c.Rank(); r%as.stride == 0 && r/as.stride < n {
-		as.mine = as.part.Domain(r / as.stride)
-	}
-	return as
+	part := extent.NewPartition(lo, hi, f.c.Size())
+	return aggSet{part: part, mine: part.Domain(f.c.Rank())}
 }
 
 // pack builds the send buffer of a request exchange and its displacements
@@ -125,32 +116,24 @@ func (f *File) buildAggSet(lo, hi int64) aggSet {
 // contiguous range of data: each message is written once, straight into its
 // slot. data is nil for a read request, whose messages end at the run table.
 func (f *File) pack(as aggSet, runs []datatype.Segment, data []byte) []byte {
-	p, n := f.c.Size(), as.part.N
+	p := as.part.N // one domain per rank
 	if f.displs == nil {
-		f.displs, f.recv = make([]int, p+1), make([][]byte, p)
+		f.displs, f.first, f.recv = make([]int, p+1), make([]int, p+1), make([][]byte, p)
 	}
-	if cap(f.first) <= n {
-		f.first = make([]int, n+1)
-	}
-	f.first = f.first[:n+1]
 	f.plan = extent.Cut(as.part, f.plan[:0], f.first, runs)
 
-	clear(f.displs)
-	for k := 0; k < n; k++ {
+	for k := 0; k < p; k++ {
 		pieces := f.plan[f.first[k]:f.first[k+1]]
 		size := 4 + extent.RunWire*len(pieces)
 		if data != nil {
 			size += int(extent.Total(pieces))
 		}
-		f.displs[k*as.stride+1] = size
-	}
-	for r := 0; r < p; r++ {
-		f.displs[r+1] += f.displs[r]
+		f.displs[k+1] = f.displs[k] + size
 	}
 	buf := make([]byte, f.displs[p])
-	for k := 0; k < n; k++ {
+	for k := 0; k < p; k++ {
 		pieces := f.plan[f.first[k]:f.first[k+1]]
-		msg := buf[f.displs[k*as.stride]:f.displs[k*as.stride+1]]
+		msg := buf[f.displs[k]:f.displs[k+1]]
 		binary.LittleEndian.PutUint32(msg, uint32(len(pieces)))
 		extent.AppendRuns(msg[:4], pieces) // in place: the slot has the room
 		data = data[copy(msg[4+extent.RunWire*len(pieces):], data):]
@@ -335,7 +318,7 @@ func (f *File) ReadAll(n int64) ([]byte, error) {
 	out := make([]byte, n)
 	filled := int64(0)
 	for k := 0; k < as.part.N; k++ {
-		filled += int64(copy(out[filled:], f.recv[k*as.stride]))
+		filled += int64(copy(out[filled:], f.recv[k]))
 	}
 	if filled != want {
 		return nil, fmt.Errorf("mpiio: aggregators answered %d bytes, requested %d", filled, want)

@@ -23,12 +23,9 @@ import (
 // blockRoundTrip writes blocks 12-byte blocks per rank through a strided
 // view (one block every stride blocks, rank r displaced by r blocks), reads
 // them back collectively, and checks the bytes.
-func blockRoundTrip(c *mpi.Comm, name string, blocks, stride, aggregators int) error {
+func blockRoundTrip(c *mpi.Comm, name string, blocks, stride int) error {
 	f, err := Open(c, name)
 	if err != nil {
-		return err
-	}
-	if err := f.SetAggregators(aggregators); err != nil {
 		return err
 	}
 	etype, err := datatype.Contiguous(12, datatype.Byte)
@@ -66,37 +63,27 @@ func blockRoundTrip(c *mpi.Comm, name string, blocks, stride, aggregators int) e
 // program, so its makespan is exact. The view leaves a hole after every
 // block, so the write takes the read-modify-write preread.
 func TestOneRankCollectiveMakespanTwin(t *testing.T) {
-	rep := run(t, 1, func(c *mpi.Comm) error { return blockRoundTrip(c, "twin1", 64, 2, 0) })
+	rep := run(t, 1, func(c *mpi.Comm) error { return blockRoundTrip(c, "twin1", 64, 2) })
 	if got, want := int64(rep.MaxTime), int64(twinOneRankNs); got != want {
 		t.Errorf("one-rank WriteAll+ReadAll makespan = %d ns, want the parent's %d", got, want)
 	}
 }
 
 // TestCollectiveWireTwin: multi-rank makespans depend on host arrival order
-// (ROADMAP item 1), message and byte counts do not. All, one and two
-// aggregators of four ranks.
+// (ROADMAP item 1), message and byte counts do not. Four ranks, every one
+// an aggregator.
 func TestCollectiveWireTwin(t *testing.T) {
-	for _, tc := range twinWire {
-		rep := run(t, 4, func(c *mpi.Comm) error {
-			return blockRoundTrip(c, fmt.Sprintf("twin4-%d", tc.aggregators), 64, 4, tc.aggregators)
-		})
-		if rep.Net.Messages != tc.messages || rep.Net.Bytes != tc.bytes {
-			t.Errorf("%d aggregators: %d messages / %d bytes on the wire, want the parent's %d / %d",
-				tc.aggregators, rep.Net.Messages, rep.Net.Bytes, tc.messages, tc.bytes)
-		}
+	rep := run(t, 4, func(c *mpi.Comm) error { return blockRoundTrip(c, "twin4", 64, 4) })
+	if rep.Net.Messages != twinWireMessages || rep.Net.Bytes != twinWireBytes {
+		t.Errorf("%d messages / %d bytes on the wire, want the parent's %d / %d",
+			rep.Net.Messages, rep.Net.Bytes, twinWireMessages, twinWireBytes)
 	}
 }
 
-const twinOneRankNs = 1260963
-
-var twinWire = []struct {
-	aggregators     int
-	messages, bytes int64
-}{
-	{0, 48, 14464},
-	{1, 48, 14368},
-	{2, 48, 14400},
-}
+const (
+	twinOneRankNs                   = 1260963
+	twinWireMessages, twinWireBytes = 48, 14464
+)
 
 // TestTwoPhaseHostOrderFree: the exchange is resolved by its last arrival
 // and the I/O phase runs in clock order, so no host schedule moves a clock,
@@ -125,7 +112,7 @@ func TestTwoPhaseHostOrderFree(t *testing.T) {
 		defer mpi.SetTouchHook(nil)
 		rep, err := mpi.Run(mpi.Config{Procs: 8, Machine: m}, func(c *mpi.Comm) error {
 			c.Compute(simtime.Duration(c.Rank()*37%11) * simtime.Microsecond)
-			return blockRoundTrip(c, "hostorder", 256, 9, 0) // stride 9: holes, so a preread
+			return blockRoundTrip(c, "hostorder", 256, 9) // stride 9: holes, so a preread
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -33,10 +33,6 @@ const (
 	// StorageDropLastRequest makes the storage layer's serial path drop
 	// the last request of every multi-request batch.
 	StorageDropLastRequest = "storage.drop-last-request"
-	// StorageSieveScatterOffby makes the data-sieving scatter copy a run
-	// out of its covering read one byte late whenever the cover has room —
-	// the classic off-by-one a hand-rolled sieve buffer invites.
-	StorageSieveScatterOffby = "storage.sieve-scatter-offby"
 	// DelegateDropQueuedFlush makes a delegation server forget the last
 	// queued write record when a flush closes the epoch — the bytes a
 	// client believes acknowledged never reach the file system.
@@ -60,7 +56,6 @@ func All() []string {
 		TCIOLostPendingRun,
 		MPIIOFlattenDropRun,
 		StorageDropLastRequest,
-		StorageSieveScatterOffby,
 		DelegateDropQueuedFlush,
 		WALSkipCommitMarker,
 		DelegateCacheStaleServe,

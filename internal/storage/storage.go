@@ -95,12 +95,6 @@ type Client struct {
 	rec   *trace.Recorder
 
 	retries atomic.Int64
-
-	// stage is the sieved reads' cover staging (sieve.go): one arena, grown
-	// to the largest batch and reused — safe because a client is driven by
-	// one goroutine. Plain memory, never charged to the simulated-memory
-	// accountant, so sieving cannot shift allocation fault streams.
-	stage []byte
 }
 
 // NewClient builds a client issuing requests for the given rank on the

@@ -200,33 +200,73 @@ func TestPostedBatchesHostOrderIndependent(t *testing.T) {
 }
 
 // TestRetriesDeterministicAcrossListOrders checks that the absorbed fault
-// count depends only on the request identities, not on where in the batch a
-// request sits.
+// count of a write batch and of a read batch depends only on the request
+// identities, not on where in the batch a request sits.
 func TestRetriesDeterministicAcrossListOrders(t *testing.T) {
 	stripe := pfs.DefaultConfig().StripeSize
-	run := func(perm []int) int64 {
-		inj := faults.New(42).Set(faults.SiteOSTWrite, faults.Rule{Prob: 0.5})
-		c := NewClient(multiOSTFS(inj).Open("f"), 0, 0, &testClock{})
-		reqs := stripedRequests(stripe, 8)
-		shuffled := make([]Request, len(reqs))
-		for i, j := range perm {
-			shuffled[i] = reqs[j]
+	for _, leg := range []struct {
+		site faults.Site
+		post func(c *Client, reqs []Request) (Result, error)
+	}{
+		{faults.SiteOSTWrite, func(c *Client, reqs []Request) (Result, error) {
+			return c.WriteExtents("write", trace.KindDrain, reqs)
+		}},
+		{faults.SiteOSTRead, func(c *Client, reqs []Request) (Result, error) {
+			return c.ReadExtents("read", trace.KindPopulate, reqs)
+		}},
+	} {
+		run := func(perm []int) int64 {
+			inj := faults.New(42).Set(leg.site, faults.Rule{Prob: 0.5})
+			c := NewClient(multiOSTFS(inj).Open("f"), 0, 0, &testClock{})
+			reqs := stripedRequests(stripe, 8)
+			shuffled := make([]Request, len(reqs))
+			for i, j := range perm {
+				shuffled[i] = reqs[j]
+			}
+			if _, err := leg.post(c, shuffled); err != nil {
+				t.Fatal(err)
+			}
+			return c.Retries()
 		}
-		if _, err := c.WriteExtents("write", trace.KindDrain, shuffled); err != nil {
+		base := run([]int{0, 1, 2, 3, 4, 5, 6, 7})
+		rng := rand.New(rand.NewSource(1))
+		for range 4 {
+			perm := rng.Perm(8)
+			if got := run(perm); got != base {
+				t.Fatalf("%s: list order %v: %d retries, ascending order absorbed %d", leg.site, perm, got, base)
+			}
+		}
+		if base == 0 {
+			t.Fatalf("%s: fault rate 0.5 absorbed no faults; injection broken", leg.site)
+		}
+	}
+}
+
+// TestSievedReadChaosDeterministic: a read batch of scattered requests under
+// injected read faults ends at the same result, with the same retries, every
+// time it is run.
+func TestSievedReadChaosDeterministic(t *testing.T) {
+	run := func() (Result, int64) {
+		inj := faults.New(11).Set(faults.SiteOSTRead, faults.Rule{Prob: 0.2})
+		fs := multiOSTFS(inj)
+		c := NewClient(fs.Open("f"), 0, 3, &testClock{})
+		reqs := make([]Request, 6)
+		for i := range reqs {
+			reqs[i] = Request{Off: int64(i) * 300, Data: make([]byte, 100)}
+		}
+		res, err := c.ReadExtents("read", trace.KindPopulate, reqs)
+		if err != nil {
 			t.Fatal(err)
 		}
-		return c.Retries()
+		return res, c.Retries()
 	}
-	base := run([]int{0, 1, 2, 3, 4, 5, 6, 7})
-	rng := rand.New(rand.NewSource(1))
-	for range 4 {
-		perm := rng.Perm(8)
-		if got := run(perm); got != base {
-			t.Fatalf("list order %v: %d retries, ascending order absorbed %d", perm, got, base)
-		}
+	r1, ret1 := run()
+	r2, ret2 := run()
+	if r1 != r2 || ret1 != ret2 {
+		t.Fatalf("chaos read runs diverge: %+v/%d vs %+v/%d", r1, ret1, r2, ret2)
 	}
-	if base == 0 {
-		t.Fatal("fault rate 0.5 absorbed no faults; injection broken")
+	if ret1 == 0 {
+		t.Fatal("fault rate 0.2 absorbed no faults; injection broken")
 	}
 }
 

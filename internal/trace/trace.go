@@ -27,7 +27,6 @@ const (
 	KindPopulate Kind = "populate" // segment loaded from the file system
 	KindDrain    Kind = "drain"    // level-2 -> file system write
 	KindRetry    Kind = "retry"    // transient fault absorbed by backoff
-	KindSieve    Kind = "sieve"    // covering read of a data-sieving group
 	KindJournal  Kind = "journal"  // epoch record batch appended to the WAL tier
 	// KindCacheServe marks a delegation-server read served from the
 	// hot-block cache instead of the file system.
