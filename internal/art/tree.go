@@ -287,21 +287,23 @@ func Decode(rec []byte) (*Tree, error) {
 	}
 	t := &Tree{ID: id, Vars: s.vars, Levels: make([][]Cell, s.depth)}
 	slab, vals := make([]Cell, cells), make([]float64, cells*s.vars)
+	var lvals []float64 // the level's values, cell by cell: value v of cell i at i*vars+v
 	s.walk(func(l, v int, off, n int64) error {
 		switch {
 		case l < 0: // the header, parsed above
 		case v < 0:
 			lv := slab[:n:n]
 			slab = slab[n:]
+			lvals, vals = vals[:len(lv)*s.vars], vals[len(lv)*s.vars:]
 			for i := range lv {
-				lv[i] = Cell{Refined: rec[off+int64(i)] == 1, Vals: vals[:s.vars:s.vars]}
-				vals = vals[s.vars:]
+				lv[i] = Cell{Refined: rec[off+int64(i)] == 1, Vals: lvals[i*s.vars : (i+1)*s.vars : (i+1)*s.vars]}
 			}
 			t.Levels[l] = lv
 		default:
 			arr := rec[off : off+n]
-			for i, lv := 0, t.Levels[l]; i < len(lv); i++ {
-				lv[i].Vals[v] = math.Float64frombits(binary.LittleEndian.Uint64(arr[8*i:]))
+			for i := v; i < len(lvals); i += s.vars {
+				lvals[i] = math.Float64frombits(binary.LittleEndian.Uint64(arr))
+				arr = arr[8:]
 			}
 		}
 		return nil

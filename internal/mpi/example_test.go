@@ -53,7 +53,9 @@ func Example_onesided() {
 			return err
 		}
 		if c.Rank() == 1 {
-			fmt.Printf("rank 1's window holds %d\n", win.Local()[0])
+			b := make([]byte, 1)
+			win.SnapshotLocalInto(b, 0)
+			fmt.Printf("rank 1's window holds %d\n", b[0])
 		}
 		return nil
 	})

@@ -368,10 +368,11 @@ func TestWindowSegmentsRoundTrip(t *testing.T) {
 			return err
 		}
 		if c.Rank() == 1 {
-			local := win.Local()
+			local := make([]byte, 13)
+			win.SnapshotLocalInto(local, 0)
 			want := []byte{1, 2, 0, 0, 0, 0, 0, 0, 0, 0, 3, 4, 5}
-			if !bytes.Equal(local[:13], want) {
-				return fmt.Errorf("local window = %v", local[:13])
+			if !bytes.Equal(local, want) {
+				return fmt.Errorf("local window = %v", local)
 			}
 		}
 		return nil

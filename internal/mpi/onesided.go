@@ -94,11 +94,13 @@ type winGlobal struct {
 }
 
 // winMem is one rank's exposed memory: size bytes in a table of equal pages
-// of 1<<shift bytes, so a page index is a shift, not a divide. An absent
-// (nil) page reads as zeros, and a put allocates it on its first write. A
-// page Install set by reference is lent: the window never writes it in
-// place, and a put copies it into a page of the window's own first.
-// WinCreate's memory is one page, shorter than 1<<onePage bytes.
+// of 1<<shift bytes, so a page index is a shift, not a divide; the last
+// page may be shorter (pageLen). An absent (nil) page reads as zeros, and a
+// put allocates it on its first write. A page Install set by reference is
+// lent: the window never writes it in place, and a put copies it into a
+// page of the window's own first. A page GivePageAsync set by reference is
+// the window's own. WinCreate's memory is one page, shorter than
+// 1<<onePage bytes.
 type winMem struct {
 	size  int64
 	shift uint
@@ -139,18 +141,42 @@ func (m *winMem) write(off int64, data []byte) {
 	}
 }
 
+// pageLen is the length of page i: 1<<shift, or what the window has left.
+func (m *winMem) pageLen(i int64) int64 {
+	return min(1<<m.shift, m.size-i<<m.shift)
+}
+
 // own returns page i to write in: allocated when absent, and copied into a
 // page of the window's own when lent.
 func (m *winMem) own(i int64) []byte {
 	p := m.pages[i]
 	if p == nil || m.lent != nil && m.lent[i] {
-		p = append(make([]byte, 0, 1<<m.shift), p...)[:1<<m.shift]
+		n := m.pageLen(i)
+		p = append(make([]byte, 0, n), p...)[:n]
 		m.pages[i] = p
 		if m.lent != nil {
 			m.lent[i] = false
 		}
 	}
 	return p
+}
+
+// give keeps page, the bytes at off, by reference as the window's own page
+// when they are one whole page of a paged window, full length and in phase,
+// that is absent or lent; it copies them otherwise. It reports whether it
+// kept page.
+func (m *winMem) give(off int64, page []byte) bool {
+	i, in := m.locate(off)
+	if m.shift == onePage || in != 0 || len(page) == 0 || int64(len(page)) != m.pageLen(i) ||
+		m.pages[i] != nil && (m.lent == nil || !m.lent[i]) {
+		m.write(off, page)
+		return false
+	}
+	m.pages[i] = page
+	if m.lent != nil {
+		m.lent[i] = false
+	}
+	return true
 }
 
 // Win is one rank's handle on a window.
@@ -227,10 +253,12 @@ func (c *Comm) winCreate(m winMem) (*Win, error) {
 	return &Win{c: c, g: res.(*winGlobal)}, nil
 }
 
-// Local returns the memory this rank gave WinCreate, which puts write into;
-// nil for a WinCreatePaged window, whose memory is pages.
+// Local returns this rank's window memory by reference when it is one page
+// — WinCreate's, or a WinCreatePaged window no longer than its page — and
+// nil otherwise, or while that page is absent. It is a drain's owner-side
+// access: the caller reads it only after every epoch that wrote it closed.
 func (w *Win) Local() []byte {
-	if m := &w.g.mems[w.c.rank]; m.shift == onePage {
+	if m := &w.g.mems[w.c.rank]; len(m.pages) == 1 {
 		return m.pages[0]
 	}
 	return nil
@@ -380,6 +408,34 @@ func (h PutHandle) Arrival() simtime.Time { return h.arrival }
 // pipelined origin can bound its outstanding transfers by retiring the
 // oldest handle instead of closing whole epochs.
 func (w *Win) PutSegmentsAsync(target int, segs []datatype.Segment, data []byte) (PutHandle, error) {
+	return w.put(target, segs, data, func(m *winMem) {
+		pos := int64(0)
+		for _, s := range segs {
+			m.write(s.Off, data[pos:pos+s.Len])
+			pos += s.Len
+		}
+	})
+}
+
+// GivePageAsync is PutSegmentsAsync of the one run page at off, for an
+// origin that offers page up — the write-side mirror of Install. When the
+// run is one whole page of target's WinCreatePaged window, full length and
+// in phase, and that page is absent or lent, the window keeps page by
+// reference as its own, later puts write into it in place, and kept is true:
+// the origin must never read or write page again. Otherwise its bytes are
+// copied and page stays the origin's. The charge, touch and transfer are
+// PutSegmentsAsync's.
+func (w *Win) GivePageAsync(target int, off int64, page []byte) (h PutHandle, kept bool, err error) {
+	seg := [1]datatype.Segment{{Off: off, Len: int64(len(page))}}
+	h, err = w.put(target, seg[:], page, func(m *winMem) { kept = m.give(off, page) })
+	return h, kept, err
+}
+
+// put is one indexed put of data into target's window at segs: it checks
+// the epoch and the segments, charges the origin the issue, runs scatter —
+// the physical copy into the window — under the target's data mutex, then
+// times the transfer and records its arrival against the epoch.
+func (w *Win) put(target int, segs []datatype.Segment, data []byte, scatter func(m *winMem)) (PutHandle, error) {
 	h, err := w.epoch(target, "Put")
 	if err != nil {
 		return PutHandle{}, err
@@ -399,11 +455,7 @@ func (w *Win) PutSegmentsAsync(target int, segs []datatype.Segment, data []byte)
 	w.c.w.touch(w.c.rank, "put", depart)
 	mu := &w.g.datamu[target]
 	mu.Lock()
-	pos := int64(0)
-	for _, s := range segs {
-		m.write(s.Off, data[pos:pos+s.Len])
-		pos += s.Len
-	}
+	scatter(m)
 	mu.Unlock()
 	arrival := w.c.w.net.Transfer(
 		w.c.w.machine.NodeOf(w.c.rank), w.c.w.machine.NodeOf(target),

@@ -170,3 +170,145 @@ func TestInstallLendsWholePages(t *testing.T) {
 		})
 	}
 }
+
+// TestGivenPageIsKept: rank 0 offers rank 1's paged window pages
+// (GivePageAsync). A whole absent page is kept by reference — a later
+// partial put writes into it in place — and so is a short last page; a page
+// already present, and a run off phase, are copied, and their offered pages
+// stay untouched. A run into a lent page copies it, and a whole page
+// offered over a lent one replaces it by reference, leaving the lender's
+// page untouched. A put into an absent short page allocates only its
+// length.
+func TestGivenPageIsKept(t *testing.T) {
+	const size = 3*tpage + 12 // a short last page
+	fill := func(n int, b byte) []byte { return bytes.Repeat([]byte{b}, n) }
+	a, b, short, off, lent, d := fill(tpage, 1), fill(tpage, 2), fill(12, 3), fill(tpage, 4), fill(tpage, 5), fill(tpage, 6)
+	lent0 := fill(tpage, 10)
+	_, err := Run(testCfg(2), func(c *Comm) error {
+		win, err := c.WinCreatePaged(size, tpage)
+		if err != nil {
+			return err
+		}
+		if c.Rank() == 1 {
+			win.Install(0, [][]byte{lent0, nil, lent}, tpage, 0, 3*tpage) // page 1 stays absent
+		}
+		if err := c.Barrier(); err != nil {
+			return err
+		}
+		if c.Rank() == 0 {
+			m := &win.g.mems[1]
+			if err := win.Lock(1, true); err != nil {
+				return err
+			}
+			for _, g := range []struct {
+				name string
+				off  int64
+				page []byte
+				kept bool
+			}{
+				{"a whole absent page", tpage, a, true},
+				{"a present page", tpage, b, false},
+				{"a short last page", 3 * tpage, short, true},
+				{"a run off phase, into a lent page", 3, off, false},
+				{"a whole lent page", 2 * tpage, d, true},
+			} {
+				if _, kept, err := win.GivePageAsync(1, g.off, g.page); err != nil {
+					return err
+				} else if kept != g.kept {
+					return fmt.Errorf("%s: kept = %v, want %v", g.name, kept, g.kept)
+				}
+				if i := g.off / tpage; g.kept && &m.pages[i][0] != &g.page[0] {
+					return fmt.Errorf("%s: window page %d is not the offered page", g.name, i)
+				}
+			}
+			if err := win.Put(1, tpage+2, []byte{9, 9, 9}); err != nil {
+				return err
+			}
+			if err := win.Put(1, 3*tpage+11, []byte{8}); err != nil {
+				return err
+			}
+			if err := win.Put(1, 2*tpage, []byte{7}); err != nil {
+				return err
+			}
+			if err := win.Unlock(1); err != nil {
+				return err
+			}
+			// a holds b's copy, then the run off phase's tail, then the put.
+			if !bytes.Equal(a[:6], []byte{4, 4, 9, 9, 9, 2}) || short[11] != 8 || d[0] != 7 {
+				return fmt.Errorf("kept pages were not written in place: %v, %v, %v", a[:6], short, d[:2])
+			}
+		}
+		return c.Barrier()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(b, fill(tpage, 2)) || !bytes.Equal(off, fill(tpage, 4)) ||
+		!bytes.Equal(lent0, fill(tpage, 10)) || !bytes.Equal(lent, fill(tpage, 5)) {
+		t.Fatal("a copied or lent page was written in place")
+	}
+	_, err = Run(testCfg(2), func(c *Comm) error {
+		win, err := c.WinCreatePaged(12, tpage)
+		if err != nil {
+			return err
+		}
+		if c.Rank() == 0 {
+			if err := win.Lock(1, true); err != nil {
+				return err
+			}
+			if err := win.Put(1, 5, []byte{1}); err != nil {
+				return err
+			}
+			if err := win.Unlock(1); err != nil {
+				return err
+			}
+			if p := win.g.mems[1].pages[0]; len(p) != 12 || cap(p) != 12 {
+				return fmt.Errorf("a put allocated a page of %d bytes (cap %d), want the window's 12", len(p), cap(p))
+			}
+		}
+		return c.Barrier()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestGiveChargesAsAPut: a world whose rank 0 gives rank 1 a whole page and
+// one that puts the same bytes end with the same clocks and network
+// counters.
+func TestGiveChargesAsAPut(t *testing.T) {
+	var reps [2]Report
+	for i, give := range []bool{false, true} {
+		rep, err := Run(testCfg(2), func(c *Comm) error {
+			win, err := c.WinCreatePaged(4*tpage, tpage)
+			if err != nil {
+				return err
+			}
+			if c.Rank() == 0 {
+				if err := win.Lock(1, false); err != nil {
+					return err
+				}
+				page := bytes.Repeat([]byte{3}, tpage)
+				if give {
+					_, _, err = win.GivePageAsync(1, tpage, page)
+				} else {
+					_, err = win.PutSegmentsAsync(1, []datatype.Segment{{Off: tpage, Len: tpage}}, page)
+				}
+				if err != nil {
+					return err
+				}
+				if err := win.Unlock(1); err != nil {
+					return err
+				}
+			}
+			return c.Barrier()
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		reps[i] = rep
+	}
+	if fmt.Sprint(reps[0].RankTimes, reps[0].Net) != fmt.Sprint(reps[1].RankTimes, reps[1].Net) {
+		t.Fatalf("put %v %+v, give %v %+v", reps[0].RankTimes, reps[0].Net, reps[1].RankTimes, reps[1].Net)
+	}
+}

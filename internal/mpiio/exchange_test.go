@@ -258,8 +258,8 @@ func FuzzDecodeRuns(f *testing.F) {
 // warmed-up handle allocates: beyond what its collectives and its file
 // system requests cost on their own, a WriteAll makes the send buffer and
 // the Malloc'ed domain buffer; a ReadAll makes the request and reply
-// buffers, the domain buffer and the returned slice — whatever the number
-// of runs.
+// buffers, the lent domain's page table and the returned slice — whatever
+// the number of runs.
 func TestSecondCollectiveCallAllocations(t *testing.T) {
 	run(t, 1, func(c *mpi.Comm) error {
 		f, err := Open(c, "allocs")

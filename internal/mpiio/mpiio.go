@@ -13,6 +13,7 @@ import (
 	"fmt"
 
 	"github.com/tcio/tcio/internal/datatype"
+	"github.com/tcio/tcio/internal/extent"
 	"github.com/tcio/tcio/internal/mpi"
 	"github.com/tcio/tcio/internal/pfs"
 	"github.com/tcio/tcio/internal/simtime"
@@ -79,6 +80,19 @@ func (f *File) handOverRetry(off int64, data []byte) error {
 // readRetry is writeRetry's read-side counterpart.
 func (f *File) readRetry(off int64, dst []byte) error {
 	return f.store.ReadAt("mpiio: read", off, dst)
+}
+
+// lendRetry is readRetry of the extent d for a reader that borrows the
+// file's pages instead of copying them (storage.LendExtentsFrom, departing
+// at the rank's present): the request, charge, fault roll, counters and
+// trace are readRetry's. It returns the table of the pages d touches, the
+// first holding d.Off; the reader must not write them.
+func (f *File) lendRetry(d extent.Extent) ([][]byte, error) {
+	ps := f.c.FS().Page()
+	req := []storage.Request{{Off: d.Off, Len: d.Len, Pages: make([][]byte, (d.Off%ps+d.Len+ps-1)/ps)}}
+	_, end, err := f.store.LendExtentsFrom("mpiio: read", trace.KindFetch, req, f.c.Now())
+	f.c.AdvanceTo(end)
+	return req[0].Pages, err
 }
 
 // chargeCPU charges n items' worth of per-item processing cost.

@@ -272,19 +272,23 @@ func (f *File) ReadAll(n int64) ([]byte, error) {
 		return nil, err
 	}
 
-	// I/O phase, aggregators in clock order: each reads its whole domain.
-	var buf []byte
+	// I/O phase, aggregators in clock order: each reads its whole domain,
+	// borrowing the file system's pages instead of copying them (lendRetry).
+	// The domain buffer it stands for is still charged, as Malloc would.
+	var pages [][]byte
 	if mine.Len > 0 {
-		if buf, err = f.c.Malloc(mine.Len); err != nil {
+		if err := f.c.Reserve(f.c.Machine().Scale(mine.Len)); err != nil {
 			return nil, fmt.Errorf("mpiio: aggregator buffer of %d bytes: %w", mine.Len, err)
 		}
-		defer f.c.Free(buf)
+		defer f.c.Release(f.c.Machine().Scale(mine.Len))
 	}
 	if err := f.c.InClockOrder(func() error {
 		if mine.Len == 0 {
 			return nil
 		}
-		return f.readRetry(mine.Off, buf)
+		var err error
+		pages, err = f.lendRetry(mine)
+		return err
 	}); err != nil {
 		return nil, err
 	}
@@ -304,9 +308,10 @@ func (f *File) ReadAll(n int64) ([]byte, error) {
 		f.displs[src+1] = f.displs[src] + int(total)
 	}
 	replies := make([]byte, f.displs[len(f.recv)])
-	at := 0
+	at, ps := int64(0), f.c.FS().Page()
 	for _, r := range f.plan {
-		at += copy(replies[at:], buf[r.Off-mine.Off:r.End()-mine.Off])
+		gather(replies[at:at+r.Len], pages, mine.Off-mine.Off%ps, ps, r.Off)
+		at += r.Len
 	}
 	f.chargeCPU(runCPU, len(f.plan)) // aggregator-side decode + gather
 	if err := f.c.AlltoallvFlat(replies, f.displs, f.recv); err != nil {
@@ -328,4 +333,20 @@ func (f *File) ReadAll(n int64) ([]byte, error) {
 		return nil, err
 	}
 	return out, nil
+}
+
+// gather copies the file bytes at off into dst from pages, the page table a
+// lend filled: ps-byte pages from base on, a nil page a hole of zeros.
+func gather(dst []byte, pages [][]byte, base, ps, off int64) {
+	for len(dst) > 0 {
+		i, in := (off-base)/ps, (off-base)%ps
+		var n int
+		if p := pages[i]; p != nil {
+			n = copy(dst, p[in:])
+		} else {
+			n = int(min(int64(len(dst)), ps-in))
+			clear(dst[:n])
+		}
+		dst, off = dst[n:], off+int64(n)
+	}
 }

@@ -132,11 +132,12 @@ func (f *File) tag(seg, off int64) string {
 //
 // The batch hands the window over (storage.HandOverExtents): the file
 // system keeps every file page a run covers whole as a slice of this rank's
-// window instead of copying it. That is safe because nothing writes the
-// window again. The drain runs after the barrier that retired every put,
-// it is the handle's only drain, and Close then releases the window to the
-// accountant only, never to a pool (session.release). Head and tail
-// fragments of a run, and runs shorter than a page, are still copied.
+// window, whose memory is one page (Win.Local), instead of copying it. That
+// is safe because nothing writes the window again. The drain runs after the
+// barrier that retired every put, it is the handle's only drain, and Close
+// then releases the window to the accountant only, never to a pool
+// (session.release). Head and tail fragments of a run, and runs shorter
+// than a page, are still copied.
 func (f *File) drain() error {
 	local := f.win.Local()
 	reqs := make([]storage.Request, 0, f.layout.NumSeg) // a run a segment, commonly

@@ -67,7 +67,7 @@ func (f *File) WriteAt(off int64, data []byte) error {
 func (f *File) stageWrite(seg, segOff int64, piece []byte) error {
 	if f.cfg.DisableLevel1 {
 		// Ablation: ship the piece immediately with its own one-sided op.
-		return f.ship(seg, []extent.Extent{{Off: segOff, Len: int64(len(piece))}}, piece)
+		return f.ship(seg, []extent.Extent{{Off: segOff, Len: int64(len(piece))}}, piece, nil)
 	}
 	if f.l1Seg != seg {
 		if err := f.flushLevel1(); err != nil {
@@ -88,12 +88,14 @@ func (f *File) stageWrite(seg, segOff int64, piece []byte) error {
 }
 
 // flushLevel1 ships the level-1 buffer's cached blocks to the owning
-// level-2 segment as one indexed-datatype one-sided put.
+// level-2 segment as one indexed-datatype one-sided put. When they fill one
+// whole page, the put offers the page itself (Win.GivePageAsync): a window
+// that keeps it takes it out of the page table, so it is never recycled.
 func (f *File) flushLevel1() error {
 	var err error
 	if f.l1Seg >= 0 && len(f.l1Blocks) > 0 {
 		blocks := extent.Coalesce(f.l1Blocks)
-		err = f.ship(f.l1Seg, blocks, f.l1.pack(blocks))
+		err = f.ship(f.l1Seg, blocks, f.l1.pack(blocks), f.l1.whole(blocks))
 		f.l1.recycle(blocks)
 	}
 	f.l1Seg = -1
@@ -168,6 +170,15 @@ func (l *level1) pack(blocks []extent.Extent) []byte {
 	}
 	l.payload = payload[:0]
 	return payload
+}
+
+// whole returns the page table slot of the page the coalesced blocks fill
+// exactly, or nil.
+func (l *level1) whole(blocks []extent.Extent) *[]byte {
+	if b := blocks[0]; len(blocks) == 1 && b.Off%l.pageSize == 0 && b.Len == l.pageSize {
+		return &l.pages[b.Off/l.pageSize]
+	}
+	return nil
 }
 
 // recycle returns every page the coalesced blocks touch to the free list.

@@ -162,14 +162,16 @@ func (f *File) pieceCharge(at int64) simtime.Duration {
 // reuses) the shared epoch on the segment's owner, bounds the outstanding
 // transfers, puts the segment-relative runs (coalesced, their bytes packed
 // in payload) as one PutSegmentsAsync, and records them dirty with the
-// put's arrival.
+// put's arrival. A non-nil give is the level-1 page table slot of payload,
+// one whole page: the put offers it (GivePageAsync), and a window that keeps
+// it clears the slot.
 //
 // A shared lock suffices: different ranks put into disjoint byte ranges of
 // the segment (their own blocks), so concurrent epochs are safe. The epoch
 // is left open (recorded in openOwners) so that successive flushes to the
 // same owner pipeline; Flush and Close end all open epochs with one wave of
 // unlocks whose completion waits overlap.
-func (f *File) ship(seg int64, runs []extent.Extent, payload []byte) error {
+func (f *File) ship(seg int64, runs []extent.Extent, payload []byte, give *[]byte) error {
 	owner, slot := f.layout.Owner(seg)
 	winRuns := f.winRunsScratch[:0]
 	for _, r := range runs {
@@ -182,7 +184,7 @@ func (f *File) ship(seg int64, runs []extent.Extent, payload []byte) error {
 	}
 	f.reserveInflight()
 	t1 := f.c.Now()
-	h, err := f.putSegmentsRetry(owner, seg, winRuns, payload)
+	h, err := f.putSegmentsRetry(owner, seg, winRuns, payload, give)
 	if err != nil {
 		return err
 	}
@@ -250,8 +252,9 @@ func (f *File) touchEpoch(owner int) {
 // work-request drops (faults.SiteWinPut) under the shared faults.Retry
 // driver. The fault roll is keyed by this rank's shipment number so chaos
 // runs replay exactly; each backoff burns virtual time on the origin, as a
-// real sender re-posting a dropped work request would.
-func (f *File) putSegmentsRetry(owner int, seg int64, runs []extent.Extent, payload []byte) (mpi.PutHandle, error) {
+// real sender re-posting a dropped work request would. A dropped attempt
+// puts nothing, so a page offered through give is offered once.
+func (f *File) putSegmentsRetry(owner int, seg int64, runs []extent.Extent, payload []byte, give *[]byte) (mpi.PutHandle, error) {
 	inj := f.c.Faults()
 	ship := f.shipCount
 	f.shipCount++
@@ -265,7 +268,14 @@ func (f *File) putSegmentsRetry(owner int, seg int64, runs []extent.Extent, payl
 					f.c.Rank(), seg, owner)
 			}
 			var perr error
-			handle, perr = f.win.PutSegmentsAsync(owner, runs, payload)
+			if give == nil {
+				handle, perr = f.win.PutSegmentsAsync(owner, runs, payload)
+			} else {
+				var kept bool
+				if handle, kept, perr = f.win.GivePageAsync(owner, runs[0].Off, payload); kept {
+					*give = nil
+				}
+			}
 			return f.c.Now(), perr
 		})
 	f.c.AdvanceTo(end)

@@ -106,10 +106,12 @@ type session struct {
 // and the storage access path. cfg must already be normalized.
 func newSession(c *mpi.Comm, name string, mode Mode, cfg Config) (session, error) {
 	// Level-2 window: NumSegments segments of SegmentSize each, charged to
-	// the rank's simulated share whole. A write handle's is host memory its
-	// puts fill and its drain hands over; a read handle's is a table of the
-	// file system's pages, every one absent until a population installs it
-	// (populate), so a read handle keeps no second image of its file.
+	// the rank's simulated share whole. A write handle's is one page, absent
+	// until the first put allocates it or a flush gives it a level-1 page
+	// (flushLevel1), and its drain hands it over; a read handle's is a table
+	// of the file system's pages, every one absent until a population
+	// installs it (populate), so a read handle keeps no second image of its
+	// file.
 	winSize := int64(cfg.NumSegments) * cfg.SegmentSize
 	if err := c.Reserve(c.Machine().Scale(winSize)); err != nil {
 		return session{}, fmt.Errorf("tcio: level-2 buffer: %w", err)
@@ -123,22 +125,21 @@ func newSession(c *mpi.Comm, name string, mode Mode, cfg Config) (session, error
 		c.Release(c.Machine().Scale(winSize))
 		return session{}, fmt.Errorf("tcio: level-1 buffer: %w", err)
 	}
-	var win *mpi.Win
-	var err error
-	if mode == WriteMode {
-		win, err = c.WinCreate(make([]byte, winSize))
-	} else {
+	// A write window's page is the window rounded up to a power of two, so
+	// every drained run lies in it (drain).
+	page := int64(1) << bits.Len64(uint64(winSize-1))
+	if mode == ReadMode {
 		// The window's page is the file system's, so a population installs
 		// whole pages. A segment that is no whole number of them, or a page
 		// that is no power of two (a window page is one), gets pages of the
 		// window's own, the largest power of two in a segment, and its
 		// populations copy.
-		page := c.FS().Page()
+		page = c.FS().Page()
 		if cfg.SegmentSize%page != 0 || page&(page-1) != 0 {
 			page = 1 << (bits.Len64(uint64(cfg.SegmentSize)) - 1)
 		}
-		win, err = c.WinCreatePaged(winSize, page)
 	}
+	win, err := c.WinCreatePaged(winSize, page)
 	if err != nil {
 		return session{}, err
 	}
