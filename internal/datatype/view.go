@@ -18,7 +18,11 @@ type View struct {
 	size   int64     // visible bytes per filetype instance
 	extent int64     // stride between instances
 	segs   []Segment // one instance's runs
-	prefix []int64   // prefix[i] = visible bytes of an instance before segs[i]
+	// prefix[i] = visible bytes of an instance before segs[i]. A uniform
+	// filetype, every segment seglen bytes long (a Vector or Subarray of a
+	// contiguous etype), keeps no table: prefix[i] is i*seglen.
+	prefix []int64
+	seglen int64
 
 	// dense: the filetype has no holes, so the view is the identity shifted
 	// by disp. ordered: runs come out sorted and disjoint when instances are
@@ -41,15 +45,17 @@ func NewView(disp int64, filetype Type) (*View, error) {
 		size:    filetype.Size(),
 		extent:  filetype.Extent(),
 		segs:    filetype.Segments(),
+		seglen:  filetype.Segments()[0].Len,
 		ordered: true,
 	}
-	v.prefix = make([]int64, len(v.segs))
 	var seen, end int64
 	for i, s := range v.segs {
 		if s.Len <= 0 {
 			return nil, fmt.Errorf("datatype: filetype %s has empty segment %d", filetype, i)
 		}
-		v.prefix[i] = seen
+		if s.Len != v.seglen {
+			v.seglen = 0
+		}
 		seen += s.Len
 		if i > 0 && s.Off < end {
 			v.ordered = false
@@ -59,6 +65,12 @@ func NewView(disp int64, filetype Type) (*View, error) {
 	if seen != v.size {
 		return nil, fmt.Errorf("datatype: filetype %s has %d segment bytes but size %d", filetype, seen, v.size)
 	}
+	if v.seglen == 0 {
+		v.prefix = make([]int64, len(v.segs))
+		for i := 1; i < len(v.segs); i++ {
+			v.prefix[i] = v.prefix[i-1] + v.segs[i-1].Len
+		}
+	}
 	if v.extent < end-v.segs[0].Off {
 		v.ordered = false
 	}
@@ -67,9 +79,13 @@ func NewView(disp int64, filetype Type) (*View, error) {
 }
 
 // segmentAt returns the index of the segment holding visible byte b of an
-// instance: the last one with prefix <= b.
-func (v *View) segmentAt(b int64) int {
-	return sort.Search(len(v.segs), func(k int) bool { return v.prefix[k] > b }) - 1
+// instance, the last one with prefix <= b, and b's offset in it.
+func (v *View) segmentAt(b int64) (int, int64) {
+	if v.seglen > 0 {
+		return int(b / v.seglen), b % v.seglen
+	}
+	i := sort.Search(len(v.segs), func(k int) bool { return v.prefix[k] > b }) - 1
+	return i, b - v.prefix[i]
 }
 
 // Runs appends to dst the absolute file runs holding the n visible bytes
@@ -88,16 +104,16 @@ func (v *View) Runs(dst []Segment, pos, n int64) []Segment {
 	if v.dense {
 		return append(dst, Segment{Off: v.disp + pos, Len: n})
 	}
-	inst, skip := pos/v.size, pos%v.size
-	i := v.segmentAt(skip)
-	skip -= v.prefix[i]
+	inst := pos / v.size
+	i, skip := v.segmentAt(pos % v.size)
 	if cap(dst) == 0 {
 		// A handle's first request sizes its scratch to the walk's piece
 		// count (an upper bound: abutting pieces merge) instead of doubling
 		// up to it. One collective call per handle is the whole of
 		// synth-ocio, where this is 37 MB of its 650 MB per rep.
 		last := pos + n - 1
-		dst = make([]Segment, 0, int(last/v.size-inst)*len(v.segs)+v.segmentAt(last%v.size)-i+1)
+		j, _ := v.segmentAt(last % v.size)
+		dst = make([]Segment, 0, int(last/v.size-inst)*len(v.segs)+j-i+1)
 	}
 	for base := v.disp + inst*v.extent; n > 0; base += v.extent {
 		for ; i < len(v.segs) && n > 0; i++ {

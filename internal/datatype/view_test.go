@@ -3,6 +3,7 @@ package datatype
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -266,3 +267,111 @@ func TestViewRunsDoesNotAllocate(t *testing.T) {
 }
 
 var runsSink []Segment
+
+// randomUniformType draws a Contiguous, Vector or Subarray of a basic type:
+// the filetypes whose segments usually share one length.
+func randomUniformType(rng *rand.Rand) Type {
+	base := []Type{Byte, Short, Int, Double}[rng.Intn(4)]
+	var t Type
+	var err error
+	switch rng.Intn(3) {
+	case 0:
+		t, err = Contiguous(1+rng.Intn(8), base)
+	case 1:
+		blocklen := 1 + rng.Intn(4)
+		t, err = Vector(1+rng.Intn(64), blocklen, blocklen+rng.Intn(5), base)
+	default:
+		dims := 2 + rng.Intn(2)
+		sizes, sub, start := make([]int, dims), make([]int, dims), make([]int, dims)
+		for d := range sizes {
+			sizes[d] = 1 + rng.Intn(6)
+			sub[d] = 1 + rng.Intn(sizes[d])
+			start[d] = rng.Intn(sizes[d] - sub[d] + 1)
+		}
+		t, err = Subarray(sizes, sub, start, base)
+	}
+	if err != nil {
+		panic(err)
+	}
+	return t
+}
+
+// TestUniformViewMatchesPrefixWalk: a view over a filetype whose segments
+// share one length keeps no prefix table, and its division-based lookup
+// returns exactly the runs the prefix-table walk returns, over random
+// requests that start and end mid-segment and span instances.
+func TestUniformViewMatchesPrefixWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(49))
+	uniform := 0
+	for iter := 0; iter < 2000; iter++ {
+		ft := randomUniformType(rng)
+		v, err := NewView(int64(rng.Intn(64)), ft)
+		if err != nil {
+			t.Fatalf("iter %d: NewView(%s): %v", iter, ft, err)
+		}
+		segs := ft.Segments()
+		same := true
+		for _, s := range segs {
+			same = same && s.Len == segs[0].Len
+		}
+		if same != (v.prefix == nil) {
+			t.Fatalf("iter %d: %s (segments %v) keeps a prefix table of %d entries", iter, ft, segs, len(v.prefix))
+		}
+		if !same {
+			continue
+		}
+		uniform++
+		walk := *v
+		walk.seglen, walk.prefix = 0, make([]int64, len(segs))
+		for i := 1; i < len(segs); i++ {
+			walk.prefix[i] = walk.prefix[i-1] + segs[i-1].Len
+		}
+		for req := 0; req < 12; req++ {
+			pos := int64(rng.Intn(int(3*ft.Size()) + 1))
+			n := int64(rng.Intn(int(4*ft.Size())) + 1)
+			if got, want := v.Runs(nil, pos, n), walk.Runs(nil, pos, n); !reflect.DeepEqual(got, want) {
+				t.Fatalf("iter %d: %s Runs(%d, %d)\n got  %v\n want %v", iter, ft, pos, n, got, want)
+			}
+		}
+	}
+	if uniform < 1500 {
+		t.Fatalf("corpus too thin: %d uniform filetypes of 2000", uniform)
+	}
+}
+
+// TestNewViewBytesFlatOverUniformSegments: what NewView allocates does not
+// grow with a uniform filetype's segment count; a ragged filetype's prefix
+// table does, 8 B a segment.
+func TestNewViewBytesFlatOverUniformSegments(t *testing.T) {
+	perView := func(ft Type) int64 {
+		const n = 100
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < n; i++ {
+			viewSink, _ = NewView(0, ft)
+		}
+		runtime.ReadMemStats(&after)
+		return int64(after.TotalAlloc-before.TotalAlloc) / n
+	}
+	ragged := func(count int) Type {
+		lens, displs := make([]int, count), make([]int, count)
+		for i := range lens {
+			lens[i], displs[i] = 1+i%2, 3*i
+		}
+		t, err := Indexed(lens, displs, Int)
+		if err != nil {
+			panic(err)
+		}
+		return t
+	}
+	small, _ := Vector(16, 1, 2, Int)
+	large, _ := Vector(4096, 1, 2, Int)
+	if s, l := perView(small), perView(large); l > s+64 {
+		t.Errorf("NewView allocates %d B over a 16-segment vector, %d B over a 4096-segment one", s, l)
+	}
+	if s, l := perView(ragged(16)), perView(ragged(4096)); l < s+8*(4096-16) {
+		t.Errorf("NewView allocates %d B over 16 ragged segments, %d B over 4096: no prefix table measured", s, l)
+	}
+}
+
+var viewSink *View

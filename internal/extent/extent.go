@@ -18,9 +18,8 @@
 //   - Layout (layout.go): the paper's equations (1)-(3) round-robin
 //     offset -> (rank, segment, displacement) mapping, and its piece walk.
 //   - Partition (partition.go): OCIO's equal contiguous file domains.
-//   - Cut (partition.go): the one plan — a run list clipped at either owner
-//     map's unit boundaries and grouped by owner.
-//   - AppendRuns / DecodeRuns (wire.go): the one wire codec for run lists.
+//   - PutRun / AppendRuns / DecodeRuns (wire.go): the one wire codec for
+//     run lists.
 //
 // All functions treat a nil list as empty and never return zero-length
 // runs.

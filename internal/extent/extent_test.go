@@ -187,98 +187,74 @@ func TestPartitionDomainsTile(t *testing.T) {
 	}
 }
 
-// refSplit is the per-owner split Cut replaced, kept as its oracle over any
-// owner map: cut runs at unit boundaries and deal the pieces, in input
-// order, to one list per owner.
-func refSplit(o Owners, owners int, runs []Extent) [][]Extent {
-	out := make([][]Extent, owners)
+// clipAll cuts every run at the owner map's unit boundaries, as an exchange
+// does piece by piece, and returns the pieces in input order with the owner
+// Clip named for each.
+func clipAll(clip func(off, end int64) (int, int64), runs []Extent) (pieces []Extent, owners []int) {
 	for _, r := range runs {
-		for r.Len > 0 {
-			k, end := o.Clip(r.Off, r.End())
-			piece := Extent{Off: r.Off, Len: end - r.Off}
-			out[k] = append(out[k], piece)
-			r.Off += piece.Len
-			r.Len -= piece.Len
+		for off := r.Off; off < r.End(); {
+			k, end := clip(off, r.End())
+			if end <= off || end > r.End() {
+				return nil, nil // no progress, or past the run
+			}
+			pieces, owners = append(pieces, Extent{Off: off, Len: end - off}), append(owners, k)
+			off = end
 		}
 	}
-	return out
+	return pieces, owners
 }
 
-// checkCut runs the plan over o with dst holding prefix and compares it
-// with refSplit: the prefix survives, every owner's group is refSplit's list
-// (grouped, and stable in input order), inside() holds for every piece, and
-// coverage and total are preserved. A fresh list is sized to the piece count.
-func checkCut[O Owners](o O, owners int, prefix, runs []Extent, inside func(k int, e Extent) bool) bool {
-	dst := append([]Extent(nil), prefix...)
-	first := make([]int, owners+1)
-	flat := Cut(o, dst, first, runs)
-	if len(prefix) == 0 && cap(flat) != len(flat) {
-		return false
-	}
-	if !slices.Equal(flat[:len(prefix)], prefix) || first[0] != len(prefix) || first[owners] != len(flat) {
-		return false
-	}
-	pieces := flat[len(prefix):]
-	for k, want := range refSplit(o, owners, runs) {
-		part := flat[first[k]:first[k+1]]
-		if !slices.Equal(part, want) {
+// TestPartitionSplitPreservesRuns pins Partition.Clip as OCIO's pack uses
+// it: ascending coalesced runs — what a view yields — cut over the domains
+// of their own span come out ascending, each piece inside its domain, with
+// owners that never decrease (so each domain's pieces are one stretch of
+// the cut list) and the same bytes.
+func TestPartitionSplitPreservesRuns(t *testing.T) {
+	prop := func(raw []uint16, rawN uint8) bool {
+		n := int(rawN%6) + 1
+		runs := Coalesce(randList(raw))
+		if len(runs) == 0 {
+			return true
+		}
+		p := NewPartition(runs[0].Off, runs[len(runs)-1].End(), n)
+		pieces, owners := clipAll(p.Clip, runs)
+		if pieces == nil {
 			return false
 		}
-		for _, e := range part {
-			if e.Len <= 0 || !inside(k, e) {
-				return false // empty, or escaped its unit
+		for i, e := range pieces {
+			d := p.Domain(owners[i])
+			if e.Off < d.Off || e.End() > d.End() {
+				return false // escaped its domain
+			}
+			if i > 0 && (owners[i] < owners[i-1] || e.Off < pieces[i-1].End()) {
+				return false // out of order
 			}
 		}
-	}
-	return bitmap(pieces) == bitmap(runs) && Total(pieces) == Total(runs)
-}
-
-// TestPartitionSplitPreservesRuns pins the plan over OCIO's file domains:
-// ascending coalesced runs — what a view yields — and unordered, overlapping
-// ones alike.
-func TestPartitionSplitPreservesRuns(t *testing.T) {
-	prop := func(raw []uint16, rawN uint8, ascending, reuse bool) bool {
-		n := int(rawN%6) + 1
-		runs := randList(raw)
-		if ascending {
-			runs = Coalesce(runs)
-		}
-		lo, hi := int64(universe), int64(0)
-		for _, r := range runs {
-			if r.Len > 0 {
-				lo, hi = min(lo, r.Off), max(hi, r.End())
-			}
-		}
-		p := NewPartition(lo, hi, n)
-		var prefix []Extent
-		if reuse {
-			prefix = []Extent{{Off: 1, Len: 2}, {Off: 9, Len: 1}}
-		}
-		return checkCut(p, n, prefix, runs, func(k int, e Extent) bool {
-			d := p.Domain(k)
-			return e.Off >= d.Off && e.End() <= d.End()
-		})
+		return bitmap(pieces) == bitmap(runs) && Total(pieces) == Total(runs)
 	}
 	if err := quick.Check(prop, quickCfg(7)); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestLayoutCutPreservesRuns pins the plan over the round-robin layout,
-// where even ascending runs come out regrouped: every piece lies in one
-// segment, which its owner owns.
+// TestLayoutCutPreservesRuns pins Layout.Clip, the delegate server's owner
+// check, over unordered, overlapping runs: every piece lies in one segment,
+// which the owner Clip names owns, and the pieces keep the runs' bytes.
 func TestLayoutCutPreservesRuns(t *testing.T) {
-	prop := func(raw []uint16, rawP, rawSeg uint8, reuse bool) bool {
+	prop := func(raw []uint16, rawP, rawSeg uint8) bool {
 		l := Layout{P: int(rawP%6) + 1, SegSize: int64(rawSeg%32) + 1}
-		var prefix []Extent
-		if reuse {
-			prefix = []Extent{{Off: 5, Len: 5}}
+		runs := randList(raw)
+		pieces, owners := clipAll(l.Clip, runs)
+		if pieces == nil && Total(runs) > 0 {
+			return false
 		}
-		return checkCut(l, l.P, prefix, randList(raw), func(k int, e Extent) bool {
+		for i, e := range pieces {
 			seg := l.Segment(e.Off)
-			owner, _ := l.Owner(seg)
-			return owner == k && l.Segment(e.End()-1) == seg
-		})
+			if owner, _ := l.Owner(seg); owner != owners[i] || l.Segment(e.End()-1) != seg {
+				return false
+			}
+		}
+		return bitmap(pieces) == bitmap(runs) && Total(pieces) == Total(runs)
 	}
 	if err := quick.Check(prop, quickCfg(8)); err != nil {
 		t.Fatal(err)

@@ -43,50 +43,3 @@ func (p Partition) Clip(off, end int64) (int, int64) {
 	}
 	return k, end
 }
-
-// Owners is an owner map — Partition or Layout: Clip returns the unit owning
-// byte off and clips [off, end) to that unit's upper bound.
-type Owners interface {
-	Clip(off, end int64) (int, int64)
-}
-
-// Cut is the one plan of every exchange that routes runs to their owners:
-// it clips runs at the owner map's unit boundaries and appends the pieces to
-// dst grouped by owner, so that owner k's are first[k] to first[k+1] of the
-// returned list (first holds one entry per owner, plus one). The grouping is
-// a stable counting sort: runs may come in any order and overlap, and each
-// owner's pieces keep their input order. A dst without the room is replaced
-// by one sized to the piece count.
-func Cut[O Owners](o O, dst []Extent, first []int, runs []Extent) []Extent {
-	clear(first)
-	for _, r := range runs {
-		for r.Len > 0 {
-			k, end := o.Clip(r.Off, r.End())
-			first[k+1]++
-			r.Off, r.Len = end, r.End()-end
-		}
-	}
-	// Prefix sums turn the counts into each owner's first slot.
-	base := len(dst)
-	first[0] = base
-	for k := 1; k < len(first); k++ {
-		first[k] += first[k-1]
-	}
-	total := first[len(first)-1]
-	if total > cap(dst) {
-		dst = append(make([]Extent, 0, total), dst...)
-	}
-	dst = dst[:total]
-	for _, r := range runs {
-		for r.Len > 0 {
-			k, end := o.Clip(r.Off, r.End())
-			dst[first[k]] = Extent{Off: r.Off, Len: end - r.Off}
-			first[k]++
-			r.Off, r.Len = end, r.End()-end
-		}
-	}
-	// Each owner's cursor now stands where the next owner's pieces begin.
-	copy(first[1:], first)
-	first[0] = base
-	return dst
-}

@@ -15,12 +15,18 @@ import (
 // payload.
 const RunWire = 16
 
+// PutRun writes the wire record of r at the front of b.
+func PutRun(b []byte, r Extent) {
+	binary.LittleEndian.PutUint64(b, uint64(r.Off))
+	binary.LittleEndian.PutUint64(b[8:], uint64(r.Len))
+}
+
 // AppendRuns appends the wire records of runs to dst, growing it once.
 func AppendRuns(dst []byte, runs []Extent) []byte {
-	dst = slices.Grow(dst, RunWire*len(runs))
-	for _, r := range runs {
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(r.Off))
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(r.Len))
+	n := len(dst)
+	dst = slices.Grow(dst, RunWire*len(runs))[:n+RunWire*len(runs)]
+	for i, r := range runs {
+		PutRun(dst[n+RunWire*i:], r)
 	}
 	return dst
 }

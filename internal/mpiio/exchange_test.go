@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -15,8 +16,8 @@ import (
 	"github.com/tcio/tcio/internal/mpi"
 )
 
-// refEncodeRuns is the allocating per-message encoder the flat plan
-// replaced: count, run records, payload.
+// refEncodeRuns is the allocating per-message encoder pack replaced: count,
+// run records, payload.
 func refEncodeRuns(runs []datatype.Segment, payload []byte) []byte {
 	msg := make([]byte, 4+16*len(runs)+len(payload))
 	binary.LittleEndian.PutUint32(msg, uint32(len(runs)))
@@ -29,8 +30,8 @@ func refEncodeRuns(runs []datatype.Segment, payload []byte) []byte {
 	return msg
 }
 
-// refExchangeMessages is the exchange build the flat plan replaced, kept as
-// its oracle: split the runs into one list per aggregator, gather each
+// refExchangeMessages is the per-aggregator exchange build pack replaced,
+// kept as its oracle: split the runs into one list per aggregator, gather each
 // aggregator's payload by appending piece by piece, and encode one message
 // per aggregator. It returns the message for every destination rank.
 func refExchangeMessages(as aggSet, runs []datatype.Segment, data []byte) [][]byte {
@@ -154,22 +155,28 @@ func TestFlatPlanMatchesPerAggregatorSplit(t *testing.T) {
 
 				for _, payload := range [][]byte{data, nil} {
 					want := refExchangeMessages(as, runs, payload)
-					buf := f.pack(as, runs, payload)
+					buf, pieces, total := f.pack(as, runs, payload)
 					if len(f.displs) != ranks+1 || f.displs[0] != 0 || f.displs[ranks] != len(buf) {
 						return fmt.Errorf("case %d: displacements %v over %d bytes", i, f.displs, len(buf))
 					}
+					records := 0
 					for dst := range want {
 						if got := buf[f.displs[dst]:f.displs[dst+1]]; !bytes.Equal(got, want[dst]) {
 							return fmt.Errorf("case %d (%s, domain [%d,%d)): message to rank %d\n got %v\nwant %v",
 								i, ft, lo, hi, dst, got, want[dst])
 						}
+						records += int(binary.LittleEndian.Uint32(want[dst]))
+					}
+					if pieces != records || total != extent.Total(runs) {
+						return fmt.Errorf("case %d: pack counted %d pieces of %d bytes, want %d of %d",
+							i, pieces, total, records, extent.Total(runs))
+					}
+					if payload == nil && pieces > len(runs) {
+						cut++
 					}
 				}
-				if len(f.plan) > len(runs) {
-					cut++
-				}
 				for k := 0; k < as.part.N; k++ {
-					if f.first[k] == f.first[k+1] {
+					if f.displs[k+1]-f.displs[k] == 4 { // a bare zero count
 						empty++
 						break
 					}
@@ -304,6 +311,66 @@ func TestSecondCollectiveCallAllocations(t *testing.T) {
 			}
 			if want := collectives + fsRead + 4; read != want {
 				return fmt.Errorf("%d blocks: second ReadAll allocates %v times, want %v", blocks, read, want)
+			}
+		}
+		return nil
+	})
+}
+
+// TestFirstCollectiveCallAllocatesOneRunList pins what a fresh handle's
+// first WriteAll and ReadAll allocate beyond its second, on a file and a
+// communicator already warm: the handle's one run list, 16 B a run, sized
+// once by the view walk and reused for the runs the aggregator receives,
+// and the two P-slot exchange tables — not a second, per-aggregator list
+// beside it.
+func TestFirstCollectiveCallAllocatesOneRunList(t *testing.T) {
+	run(t, 1, func(c *mpi.Comm) error {
+		for _, blocks := range []int{16, 1024} {
+			ft, err := datatype.Vector(blocks, 1, 2, datatype.Int)
+			if err != nil {
+				return err
+			}
+			data := make([]byte, 4*blocks)
+			for _, op := range []string{"WriteAll", "ReadAll"} {
+				call := func(f *File) error {
+					if err := f.SeekTo(0); err != nil {
+						return err
+					}
+					if op == "WriteAll" {
+						return f.WriteAll(data)
+					}
+					_, err := f.ReadAll(int64(len(data)))
+					return err
+				}
+				allocated := func(f *File) (int64, error) {
+					var before, after runtime.MemStats
+					runtime.ReadMemStats(&before)
+					err := call(f)
+					runtime.ReadMemStats(&after)
+					return int64(after.TotalAlloc - before.TotalAlloc), err
+				}
+				var first, second int64
+				for i := 0; i < 4; i++ { // handles 0-2 warm the file and the communicator
+					f, err := Open(c, "first-call")
+					if err != nil {
+						return err
+					}
+					if err := f.SetView(0, datatype.Int, ft); err != nil {
+						return err
+					}
+					if first, err = allocated(f); err != nil {
+						return err
+					}
+					if second, err = allocated(f); err != nil {
+						return err
+					}
+				}
+				// An Extent is two int64s; the slots are 8(P+1) + 24P bytes.
+				runList := int64(16 * blocks)
+				if extra := first - second; extra < runList || extra > runList+64 {
+					return fmt.Errorf("%d blocks: a first %s allocates %d B beyond the second, want one run list of %d B and the exchange slots",
+						blocks, op, extra, runList)
+				}
 			}
 		}
 		return nil

@@ -46,15 +46,14 @@ type File struct {
 	pos int64 // file pointer of the collective calls, in bytes past the view
 
 	// view maps visible bytes to file runs; runs is the scratch list every
-	// call flattens into, so steady-state calls allocate nothing for it.
+	// call flattens into, so steady-state calls allocate nothing for it. A
+	// collective call packs its exchange straight from it and then reuses it
+	// for the runs it receives (ocio.go).
 	view *datatype.View
 	runs []datatype.Segment
 
-	// Collective-call scratch (ocio.go), kept like runs: the request cut at
-	// file-domain boundaries, domain k owning plan[first[k]:first[k+1]], and
-	// one exchange's displacements and receive slots.
-	plan   []datatype.Segment
-	first  []int
+	// Collective-call scratch (ocio.go), kept like runs: one exchange's
+	// displacements and receive slots.
 	displs []int
 	recv   [][]byte
 }

@@ -454,16 +454,24 @@ func TestFileDomains(t *testing.T) {
 	}
 }
 
+// TestSplitByDomain: pack cuts a run that spans a domain boundary into two
+// records, one in each aggregator's message, each with its own payload.
 func TestSplitByDomain(t *testing.T) {
-	p := extent.NewPartition(0, 100, 2)
+	f := &File{}
+	as := aggSet{part: extent.NewPartition(0, 100, 2)}
 	runs := []datatype.Segment{{Off: 40, Len: 20}} // spans the boundary at 50
-	first := make([]int, 3)
-	plan := extent.Cut(p, nil, first, runs)
-	if !reflect.DeepEqual(plan, []extent.Extent{{Off: 40, Len: 10}, {Off: 50, Len: 10}}) {
-		t.Fatalf("plan = %v", plan)
+	data := []byte("0123456789abcdefghij")
+	buf, pieces, total := f.pack(as, runs, data)
+	if pieces != 2 || total != 20 {
+		t.Fatalf("pack counted %d pieces of %d bytes, want 2 of 20", pieces, total)
 	}
-	if !reflect.DeepEqual(first, []int{0, 1, 2}) {
-		t.Fatalf("first = %v", first)
+	for k, want := range [][]byte{
+		refEncodeRuns([]datatype.Segment{{Off: 40, Len: 10}}, data[:10]),
+		refEncodeRuns([]datatype.Segment{{Off: 50, Len: 10}}, data[10:]),
+	} {
+		if got := buf[f.displs[k]:f.displs[k+1]]; !bytes.Equal(got, want) {
+			t.Fatalf("message to rank %d = %v, want %v", k, got, want)
+		}
 	}
 }
 

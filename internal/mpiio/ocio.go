@@ -111,34 +111,52 @@ func (f *File) buildAggSet(lo, hi int64) aggSet {
 }
 
 // pack builds the send buffer of a request exchange and its displacements
-// (f.displs). The plan groups the pieces by aggregator (f.plan, f.first);
-// view runs ascend in data order, so aggregator k's payload is one
-// contiguous range of data: each message is written once, straight into its
-// slot. data is nil for a read request, whose messages end at the run table.
-func (f *File) pack(as aggSet, runs []datatype.Segment, data []byte) []byte {
+// (f.displs) straight from runs, which ascend (View.Runs): cut at the
+// ascending domain boundaries, each aggregator's pieces are one stretch of
+// the list and its payload one stretch of data. A sizing pass sums each
+// message into its displs slot; a writing pass fills the messages in order,
+// each with its count, run records and payload. data is nil for a read
+// request, whose messages end at the run table. pack returns the buffer,
+// the pieces cut and their bytes.
+func (f *File) pack(as aggSet, runs []datatype.Segment, data []byte) (buf []byte, pieces int, total int64) {
 	p := as.part.N // one domain per rank
 	if f.displs == nil {
-		f.displs, f.first, f.recv = make([]int, p+1), make([]int, p+1), make([][]byte, p)
+		f.displs, f.recv = make([]int, p+1), make([][]byte, p)
 	}
-	f.plan = extent.Cut(as.part, f.plan[:0], f.first, runs)
-
-	for k := 0; k < p; k++ {
-		pieces := f.plan[f.first[k]:f.first[k+1]]
-		size := 4 + extent.RunWire*len(pieces)
-		if data != nil {
-			size += int(extent.Total(pieces))
+	clear(f.displs)
+	for _, r := range runs {
+		for off := r.Off; off < r.End(); pieces++ {
+			k, end := as.part.Clip(off, r.End())
+			f.displs[k+1] += extent.RunWire
+			if data != nil {
+				f.displs[k+1] += int(end - off)
+			}
+			off = end
 		}
-		f.displs[k+1] = f.displs[k] + size
+		total += r.Len
 	}
-	buf := make([]byte, f.displs[p])
 	for k := 0; k < p; k++ {
-		pieces := f.plan[f.first[k]:f.first[k+1]]
-		msg := buf[f.displs[k]:f.displs[k+1]]
-		binary.LittleEndian.PutUint32(msg, uint32(len(pieces)))
-		extent.AppendRuns(msg[:4], pieces) // in place: the slot has the room
-		data = data[copy(msg[4+extent.RunWire*len(pieces):], data):]
+		f.displs[k+1] += f.displs[k] + 4
 	}
-	return buf
+	buf = make([]byte, f.displs[p])
+	rest, off := runs, int64(0) // the runs not yet cut, the first from off on
+	for k := 0; k < p; k++ {
+		msg, n := buf[f.displs[k]:f.displs[k+1]], 0
+		for ; len(rest) > 0; n++ {
+			off = max(off, rest[0].Off)
+			j, end := as.part.Clip(off, rest[0].End())
+			if j != k {
+				break
+			}
+			extent.PutRun(msg[4+extent.RunWire*n:], extent.Extent{Off: off, Len: end - off})
+			if off = end; off == rest[0].End() {
+				rest = rest[1:]
+			}
+		}
+		binary.LittleEndian.PutUint32(msg, uint32(n))
+		data = data[copy(msg[4+extent.RunWire*n:], data):]
+	}
+	return buf, pieces, total
 }
 
 // WriteAll performs a collective write of data through the view at the
@@ -161,8 +179,8 @@ func (f *File) WriteAll(data []byte) error {
 	mine := as.mine
 
 	// Data exchange phase: the nonblocking all-to-all burst.
-	send := f.pack(as, runs, data)
-	f.chargeCPU(runCPU, len(f.plan)) // origin-side pack + descriptor encode
+	send, pieces, _ := f.pack(as, runs, data)
+	f.chargeCPU(runCPU, pieces) // origin-side pack + descriptor encode
 	if err := f.c.AlltoallvFlat(send, f.displs, f.recv); err != nil {
 		return err
 	}
@@ -205,23 +223,23 @@ func (f *File) WriteAll(data []byte) error {
 
 // assemble decodes and checks the runs an aggregator received for its
 // domain and reports how many there are, and whether they cover the domain;
-// when they do, it scatters their payloads into buf. The plan is spent once
-// packed, so its storage holds the runs. A message that fails checkRuns is
-// the error.
+// when they do, it scatters their payloads into buf. The handle's run list
+// is spent once packed, so its storage holds the runs. A message that fails
+// checkRuns is the error.
 func (f *File) assemble(mine extent.Extent, buf []byte) (runs int, covered bool, err error) {
 	if mine.Len == 0 {
 		return 0, false, nil
 	}
-	f.plan = f.plan[:0]
+	f.runs = f.runs[:0]
 	for _, msg := range f.recv {
-		if f.plan, _, err = checkRuns(f.plan, msg, mine, true); err != nil {
+		if f.runs, _, err = checkRuns(f.runs, msg, mine, true); err != nil {
 			return 0, false, err
 		}
 	}
-	runs = len(f.plan)
+	runs = len(f.runs)
 	// Every run lies inside the domain, so they cover it exactly when they
 	// merge into it.
-	merged := extent.Coalesce(f.plan)
+	merged := extent.Coalesce(f.runs)
 	if covered = len(merged) == 1 && merged[0] == mine; covered {
 		f.scatter(mine, buf)
 	}
@@ -229,13 +247,13 @@ func (f *File) assemble(mine extent.Extent, buf []byte) (runs int, covered bool,
 }
 
 // scatter copies every checked message's payload to its runs' places in the
-// domain buffer. Coalesce reordered the plan, so it decodes each message
+// domain buffer. Coalesce merged the run list, so it decodes each message
 // again.
 func (f *File) scatter(mine extent.Extent, buf []byte) {
 	for _, msg := range f.recv {
 		recs, payload := runTable(msg)
-		f.plan, _ = extent.DecodeRuns(f.plan[:0], recs) // checked by assemble
-		for _, r := range f.plan {
+		f.runs, _ = extent.DecodeRuns(f.runs[:0], recs) // checked by assemble
+		for _, r := range f.runs {
 			payload = payload[copy(buf[r.Off-mine.Off:r.End()-mine.Off], payload):]
 		}
 	}
@@ -266,8 +284,8 @@ func (f *File) ReadAll(n int64) ([]byte, error) {
 	// Exchange phase 1 (ROMIO's ADIOI_Calc_others_req): every rank tells
 	// each aggregator which runs it needs — an all-to-all burst of request
 	// lists issued by all ranks at the same instant.
-	req := f.pack(as, runs, nil)
-	f.chargeCPU(runCPU, len(f.plan)) // origin-side request encode
+	req, pieces, want := f.pack(as, runs, nil)
+	f.chargeCPU(runCPU, pieces) // origin-side request encode
 	if err := f.c.AlltoallvFlat(req, f.displs, f.recv); err != nil {
 		return nil, err
 	}
@@ -295,30 +313,29 @@ func (f *File) ReadAll(n int64) ([]byte, error) {
 
 	// Exchange phase 2: aggregators answer with the requested bytes, one
 	// reply buffer laid out by the requests' run totals. A rank that
-	// aggregates nothing received only empty requests. The spent plan's
+	// aggregates nothing received only empty requests. The spent run list's
 	// storage holds the requests' runs, in source order.
-	pieces, want := len(f.plan), extent.Total(f.plan)
-	f.plan = f.plan[:0]
+	f.runs = f.runs[:0]
 	f.displs[0] = 0
 	for src, msg := range f.recv {
 		var total int64
-		if f.plan, total, err = checkRuns(f.plan, msg, mine, false); err != nil {
+		if f.runs, total, err = checkRuns(f.runs, msg, mine, false); err != nil {
 			return nil, err
 		}
 		f.displs[src+1] = f.displs[src] + int(total)
 	}
 	replies := make([]byte, f.displs[len(f.recv)])
 	at, ps := int64(0), f.c.FS().Page()
-	for _, r := range f.plan {
+	for _, r := range f.runs {
 		gather(replies[at:at+r.Len], pages, mine.Off-mine.Off%ps, ps, r.Off)
 		at += r.Len
 	}
-	f.chargeCPU(runCPU, len(f.plan)) // aggregator-side decode + gather
+	f.chargeCPU(runCPU, len(f.runs)) // aggregator-side decode + gather
 	if err := f.c.AlltoallvFlat(replies, f.displs, f.recv); err != nil {
 		return nil, err
 	}
 
-	// Assemble this rank's data: its plan was grouped by aggregator in data
+	// Assemble this rank's data: its pieces went to the aggregators in data
 	// order, so each answer is one contiguous range of the result.
 	out := make([]byte, n)
 	filled := int64(0)

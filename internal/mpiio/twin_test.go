@@ -15,10 +15,11 @@ import (
 	"github.com/tcio/tcio/internal/simtime"
 )
 
-// The flat exchange plan changed what the host allocates and nothing the
-// model sees. These twins pin the model side to the numbers the
-// per-aggregator implementation it replaced produced (PR 17, commit
-// fe9dee3): the same program run there reads the same values.
+// The exchange's rebuilds (a flat plan, then a pack cut straight from the
+// view) changed what the host allocates and nothing the model sees. These
+// twins pin the model side to the numbers the per-aggregator implementation
+// produced (commit fe9dee3): the same program run there reads the same
+// values.
 
 // blockRoundTrip writes blocks 12-byte blocks per rank through a strided
 // view (one block every stride blocks, rank r displaced by r blocks), reads
