@@ -97,7 +97,7 @@ func TestJSONKeepsEverySweep(t *testing.T) {
 // TestJSONDelegateRead: -delegate-read -json used to write nothing.
 func TestJSONDelegateRead(t *testing.T) {
 	doc := readJSON(t, "-delegate-read")
-	if len(doc.Sweeps) != 1 || len(doc.Sweeps[0].Rows) != 8 || doc.Sweeps[0].Rows[0]["fs_reads_cold"] == nil {
+	if len(doc.Sweeps) != 1 || len(doc.Sweeps[0].Rows) != 4 || doc.Sweeps[0].Rows[0]["fs_reads_cold"] == nil {
 		t.Fatalf("entries: %+v", doc.Sweeps)
 	}
 }

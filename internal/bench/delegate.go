@@ -10,9 +10,9 @@ package bench
 // application work (same clients, same bytes) and only moves where the
 // aggregation happens:
 //
-//   - servers = 0 is the pass-through baseline: the tier dissolves and
-//     every rank writes through tcio directly, so the file system sees
-//     tcio's per-owner segment drains.
+//   - servers = 0 is the baseline: no tier, every rank opens the files
+//     through tcio directly, so the file system sees tcio's per-owner
+//     segment drains.
 //
 //   - servers > 0 withdraws that many extra ranks as dedicated I/O
 //     servers. Clients ship domain-sized pieces over the request
@@ -47,7 +47,7 @@ func (g *segGeometry) tierConfig(servers int) delegate.Config {
 // delegateGeometry configures the delegation sweep.
 type delegateGeometry struct {
 	segGeometry
-	Servers  []int   // server-rank counts swept (0 = pass-through)
+	Servers  []int   // server-rank counts swept (0 = tcio directly)
 	Files    []int   // concurrently-open file counts swept
 	ReqSizes []int64 // real client request sizes swept
 }
@@ -95,8 +95,17 @@ type tierProgram struct {
 	Shared bool
 }
 
-// runTier executes the program under cfg. The result totals the clients'
-// file counters (pass-through: and their tcio counters) and the servers'.
+// tierFile is an open file of either engine: *tcio.File or *delegate.File.
+type tierFile interface {
+	WriteAt(off int64, data []byte) error
+	ReadAt(off int64, dst []byte) error
+	Fetch() error
+	Flush() error
+	Close() error
+}
+
+// runTier executes the program under cfg, through tcio alone when cfg has no
+// servers. The result totals the clients' file counters and the servers'.
 func (g *segGeometry) runTier(env *Env, cfg delegate.Config, p tierProgram) PhaseResult {
 	env.FS.Reset()
 	fileBytes := g.fileBytes()
@@ -107,12 +116,12 @@ func (g *segGeometry) runTier(env *Env, cfg delegate.Config, p tierProgram) Phas
 	col := &delegate.Collector{}
 	cfg.Collect = col
 	pr := env.Run(g.Procs+cfg.ServerRanks, written, func(c *mpi.Comm, t *Tally) error {
-		return delegate.Run(c, cfg, func(tr *delegate.Tier) error {
+		program := func(client int, open func(string, tcio.Mode) (tierFile, error)) error {
 			// session opens every file, runs body over them, and closes.
-			session := func(mode tcio.Mode, body func([]*delegate.File) error) error {
-				handles := make([]*delegate.File, p.Files)
+			session := func(mode tcio.Mode, body func([]tierFile) error) error {
+				handles := make([]tierFile, p.Files)
 				for fi := range handles {
-					f, err := tr.Open(delegateFileName(fi), mode)
+					f, err := open(delegateFileName(fi), mode)
 					if err != nil {
 						return err
 					}
@@ -125,16 +134,17 @@ func (g *segGeometry) runTier(env *Env, cfg delegate.Config, p tierProgram) Phas
 					if err := f.Close(); err != nil {
 						return err
 					}
-					t.Client(f.Stats())
-					if !tr.IsDelegated() {
-						t.TCIO(f.TCIO().Stats())
+					if tf, ok := f.(*tcio.File); ok {
+						t.TCIO(tf.Stats())
+					} else {
+						t.Client(f.(*delegate.File).Stats())
 					}
 				}
 				return nil
 			}
-			own, stride := int64(tr.ClientIndex())*p.ReqSize, p.ReqSize*int64(g.Procs)
+			own, stride := int64(client)*p.ReqSize, p.ReqSize*int64(g.Procs)
 			if p.Write {
-				if err := session(tcio.WriteMode, func(handles []*delegate.File) error {
+				if err := session(tcio.WriteMode, func(handles []tierFile) error {
 					buf := make([]byte, p.ReqSize)
 					for fi, f := range handles {
 						for off := own; off < fileBytes; off += stride {
@@ -163,12 +173,10 @@ func (g *segGeometry) runTier(env *Env, cfg delegate.Config, p tierProgram) Phas
 			if p.Shared {
 				first, step = 0, p.ReqSize
 			}
-			return session(tcio.ReadMode, func(handles []*delegate.File) error {
+			return session(tcio.ReadMode, func(handles []tierFile) error {
 				for pass := 0; pass < p.Passes; pass++ {
-					// Issue every read first: pass-through reads are lazy
-					// until Fetch, delegation reads fill synchronously unless
-					// collective, where the one Fetch per pass closes the
-					// read-intent epoch.
+					// Issue every read first: tcio reads are lazy until Fetch,
+					// delegated reads fill synchronously.
 					type block struct {
 						fi  int
 						off int64
@@ -201,6 +209,12 @@ func (g *segGeometry) runTier(env *Env, cfg delegate.Config, p tierProgram) Phas
 				}
 				return nil
 			})
+		}
+		if cfg.ServerRanks == 0 {
+			return program(c.Rank(), func(name string, mode tcio.Mode) (tierFile, error) { return tcio.Open(c, name, mode, cfg.TCIO) })
+		}
+		return delegate.Run(c, cfg, func(tr *delegate.Tier) error {
+			return program(tr.ClientIndex(), func(name string, mode tcio.Mode) (tierFile, error) { return tr.Open(name, mode) })
 		})
 	})
 	pr.Servers = serverTotals(col)
@@ -232,13 +246,12 @@ func (g *delegateGeometry) validate() error {
 // epoch drain, and hence every fault roll the drain keys are pure functions
 // of the program; credit stalls are deliberately absent (whether a grant
 // beats the next write is a scheduling fact). Its injection count is the
-// write run's alone: in the verifying read-back pass-through clients
-// demand-populate shared segments, so which rank populates what — and
+// write run's alone: in the verifying read-back of a servers = 0 cell tcio
+// ranks demand-populate shared segments, so which rank populates what — and
 // hence the read phase's fault rolls — is a scheduling fact.
 func delegateSweep(g *delegateGeometry) *Sweep {
 	at := func(r *Row) delegatePoint { return r.Point.(delegatePoint) }
-	// Server counters print as "-" in the pass-through cells, which have no
-	// servers.
+	// Server counters print as "-" in the servers = 0 cells.
 	server := func(header, key string, v func(*Row) int64) Column {
 		return Column{Header: header, Key: key, Det: true,
 			Value: func(r *Row) any { return v(r) },
@@ -251,12 +264,11 @@ func delegateSweep(g *delegateGeometry) *Sweep {
 	}
 	servers := det("servers", "servers", func(r *Row) any { return at(r).Servers })
 	files := det("files", "files", func(r *Row) any { return at(r).Files })
-	// Protocol write requests; for pass-through the application's write
-	// calls, the request-count baseline the protocol's domain pieces
-	// compare against.
+	// Protocol write requests; with no servers, tcio's count of the
+	// application's write calls, the baseline the domain pieces compare against.
 	writeReqs := det("write-reqs", "write_reqs", func(r *Row) any {
 		if at(r).Servers == 0 {
-			return r.Client.Writes
+			return r.TCIO.Writes
 		}
 		return r.Client.WriteReqs
 	})

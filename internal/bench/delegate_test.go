@@ -35,11 +35,11 @@ func TestDelegateSweepSmall(t *testing.T) {
 			reqs := fileBytes / req * int64(files)
 			base := byKey[delegatePoint{0, files, req}]
 			if base.WriteReqs != reqs {
-				t.Errorf("pass-through files=%d req=%d: %d write calls, want %d",
+				t.Errorf("tcio files=%d req=%d: %d write calls, want %d",
 					files, req, base.WriteReqs, reqs)
 			}
 			if base.Staged != 0 || base.BatchedRuns != 0 {
-				t.Errorf("pass-through files=%d req=%d reported server counters %d/%d",
+				t.Errorf("tcio files=%d req=%d reported server counters %d/%d",
 					files, req, base.Staged, base.BatchedRuns)
 			}
 			for _, servers := range opts.Servers[1:] {
@@ -54,7 +54,7 @@ func TestDelegateSweepSmall(t *testing.T) {
 				// file system in far fewer, longer requests than tcio's
 				// per-owner segment drains.
 				if p.FSWrites >= base.FSWrites {
-					t.Errorf("srv=%d files=%d req=%d: %d fs-writes, pass-through %d",
+					t.Errorf("srv=%d files=%d req=%d: %d fs-writes, tcio %d",
 						servers, files, req, p.FSWrites, base.FSWrites)
 				}
 				if p.BatchedRuns != p.FSWrites {

@@ -2,8 +2,7 @@ package bench
 
 // This file declares the delegated read sweep: the same strided
 // workload as the delegation write sweep, read back through the tier
-// while the server hot-block cache, the access pattern, and collective
-// reads vary.
+// while the server hot-block cache and the access pattern vary.
 //
 // Each cell writes the file once and then reads it twice — a cold pass
 // and a hot re-read — and reports the two passes' virtual times
@@ -24,11 +23,6 @@ package bench
 //     blocks once, the hot pass is served from server memory without a
 //     single file system read.
 //
-//   - collective off ships one protocol request per piece; collective on
-//     batches each pass into one read-intent epoch per client, and the
-//     server stages the merged union once per domain block — overlapping
-//     requests across clients collapse before the file system sees them.
-//
 // Bytes are verified on the final pass against the write generator.
 
 import "fmt"
@@ -42,12 +36,9 @@ const (
 // delegateReadGeometry configures the delegated read sweep.
 type delegateReadGeometry struct {
 	segGeometry
-	// Servers is the dedicated server-rank count (at least 1: a collective
-	// read needs servers, and the pass-through read path is plain tcio).
-	Servers     int
+	Servers     int      // dedicated server ranks (at least 1)
 	CacheBlocks []int    // server cache capacities swept (0 = disarmed)
 	Patterns    []string // access patterns swept (PatternPrivate, PatternShared)
-	Collective  []bool   // collective-read settings swept
 	// ReadQuantum is the DRR fairness quantum in real bytes (0 = inline
 	// arrival order); it may reorder service but never counts, so it is a
 	// fixed option rather than an axis.
@@ -55,9 +46,8 @@ type delegateReadGeometry struct {
 	ReqSize     int64 // real per-piece request size
 }
 
-// defaultDelegateRead sweeps disarmed vs armed cache, private vs shared
-// patterns, and independent vs collective reads over 8 clients and one
-// server, with a DRR quantum armed so the artifact exercises the fair
+// defaultDelegateRead sweeps disarmed vs armed cache and private vs shared
+// patterns over 8 clients and one server, with a DRR quantum armed so the artifact exercises the fair
 // scheduler.
 func defaultDelegateRead() *delegateReadGeometry {
 	return &delegateReadGeometry{
@@ -65,19 +55,17 @@ func defaultDelegateRead() *delegateReadGeometry {
 		Servers:     1,
 		CacheBlocks: []int{0, 16},
 		Patterns:    []string{PatternPrivate, PatternShared},
-		Collective:  []bool{false, true},
 		ReadQuantum: 4 << 10,
 		ReqSize:     2 << 10,
 	}
 }
 
-// delegateReadPoint is one (pattern, cache, collective) cell and the
-// pass decomposition its three runs yield. The Ns fields are virtual
+// delegateReadPoint is one (pattern, cache) cell and the pass
+// decomposition its three runs yield. The Ns fields are virtual
 // nanoseconds and, being scheduling-sensitive at the margin, are not Det.
 type delegateReadPoint struct {
 	Pattern     string
 	CacheBlocks int
-	Collective  bool
 
 	ColdNs, HotNs           int64
 	FSReadsCold, FSReadsHot int64
@@ -101,8 +89,8 @@ func (g *delegateReadGeometry) validate() error {
 	return g.segGeometry.validate(g.ReqSize)
 }
 
-// delegateReadSweep runs every (pattern, cache, collective) cell, three
-// runs each for the cold/hot time split.
+// delegateReadSweep runs every (pattern, cache) cell, three runs each for
+// the cold/hot time split.
 func delegateReadSweep(g *delegateReadGeometry) *Sweep {
 	at := func(r *Row) delegateReadPoint { return r.Point.(delegateReadPoint) }
 	ns := func(header, key string, v func(delegateReadPoint) int64) Column {
@@ -116,13 +104,13 @@ func delegateReadSweep(g *delegateReadGeometry) *Sweep {
 	}
 	return &Sweep{
 		Name:     "delegate-read",
-		Help:     "sweep the delegated read path alone (access pattern x server cache x collective reads)",
+		Help:     "sweep the delegated read path alone (access pattern x server cache)",
 		After:    "delegate",
 		Params:   g,
 		Validate: g.validate,
 		Points: func(bool) []any {
-			return grid3(g.Patterns, g.CacheBlocks, g.Collective, func(pattern string, cache int, coll bool) any {
-				return delegateReadPoint{Pattern: pattern, CacheBlocks: cache, Collective: coll}
+			return grid2(g.Patterns, g.CacheBlocks, func(pattern string, cache int) any {
+				return delegateReadPoint{Pattern: pattern, CacheBlocks: cache}
 			})
 		},
 		Env: g.env,
@@ -139,7 +127,7 @@ func delegateReadSweep(g *delegateReadGeometry) *Sweep {
 					}
 				}
 				cfg := g.tierConfig(g.Servers)
-				cfg.ServerCacheBlocks, cfg.ReadQuantum, cfg.CollectiveRead = p.CacheBlocks, g.ReadQuantum, p.Collective
+				cfg.ServerCacheBlocks, cfg.ReadQuantum = p.CacheBlocks, g.ReadQuantum
 				runs[passes] = g.runTier(env, cfg, tierProgram{Files: 1, ReqSize: g.ReqSize,
 					Write: true, Read: true, Passes: passes, Shared: p.Pattern == PatternShared})
 				if runs[passes].Failed {
@@ -157,7 +145,6 @@ func delegateReadSweep(g *delegateReadGeometry) *Sweep {
 			Columns: []Column{
 				det("pattern", "pattern", func(r *Row) any { return at(r).Pattern }),
 				det("cache", "cache_blocks", func(r *Row) any { return at(r).CacheBlocks }),
-				det("coll", "collective", func(r *Row) any { return at(r).Collective }),
 				ns("cold", "cold_ns", func(p delegateReadPoint) int64 { return p.ColdNs }),
 				ns("hot", "hot_ns", func(p delegateReadPoint) int64 { return p.HotNs }),
 				host("speedup", "speedup", func(r *Row) any { return speedup(r) },

@@ -10,7 +10,6 @@ func smallDelegateReadOpts() *delegateReadGeometry {
 		Servers:     1,
 		CacheBlocks: []int{0, 8},
 		Patterns:    []string{PatternPrivate, PatternShared},
-		Collective:  []bool{false, true},
 		ReadQuantum: 128,
 		ReqSize:     64,
 	}
@@ -37,7 +36,7 @@ func TestDelegateReadHotBeatsCold(t *testing.T) {
 	opts.CacheBlocks = []int{8}
 	for _, r := range delegateReadRows(t, opts) {
 		if p := r.Point.(delegateReadPoint); r.Result != "ok" || p.HotNs <= 0 || p.HotNs >= p.ColdNs {
-			t.Errorf("%s coll=%v: %s, hot pass %dns, cold %dns", p.Pattern, p.Collective, r.Result, p.HotNs, p.ColdNs)
+			t.Errorf("%s: %s, hot pass %dns, cold %dns", p.Pattern, r.Result, p.HotNs, p.ColdNs)
 		}
 	}
 }
@@ -51,7 +50,6 @@ func TestDelegateReadSweepSmall(t *testing.T) {
 	type key struct {
 		pattern string
 		cache   int
-		coll    bool
 	}
 	// point is a cell's axis setting, pass decomposition and counters.
 	type point struct {
@@ -64,76 +62,42 @@ func TestDelegateReadSweepSmall(t *testing.T) {
 		if r.Result != "ok" {
 			t.Fatalf("point %+v: result %q", p, r.Result)
 		}
-		byKey[key{p.Pattern, p.CacheBlocks, p.Collective}] = point{p, r.Client.ReadReqs, r.Servers.CacheHits, r.Servers.CacheMisses}
+		byKey[key{p.Pattern, p.CacheBlocks}] = point{p, r.Client.ReadReqs, r.Servers.CacheHits, r.Servers.CacheMisses}
 	}
 	for _, pattern := range opts.Patterns {
 		reqs := 2 * perPass[pattern] // two passes
-		for _, coll := range opts.Collective {
-			dis := byKey[key{pattern, 0, coll}]
-			arm := byKey[key{pattern, 8, coll}]
-			for _, p := range []point{dis, arm} {
-				if p.ReadReqs != reqs {
-					t.Errorf("%s coll=%v cache=%d: %d read reqs, want %d",
-						pattern, coll, p.CacheBlocks, p.ReadReqs, reqs)
-				}
-			}
-			// Disarmed: no cache counters, and the hot pass repeats the cold
-			// pass's file system requests exactly.
-			if dis.CacheHits != 0 || dis.CacheMisses != 0 {
-				t.Errorf("%s coll=%v disarmed: cache counters %d/%d", pattern, coll, dis.CacheHits, dis.CacheMisses)
-			}
-			if dis.FSReadsHot != dis.FSReadsCold {
-				t.Errorf("%s coll=%v disarmed: hot pass %d fs reads, cold %d",
-					pattern, coll, dis.FSReadsHot, dis.FSReadsCold)
-			}
-			wantCold := perPass[pattern]
-			if coll {
-				// Collective epochs stage the merged union once per block.
-				wantCold = blocks
-			}
-			if dis.FSReadsCold != wantCold {
-				t.Errorf("%s coll=%v disarmed: cold pass %d fs reads, want %d",
-					pattern, coll, dis.FSReadsCold, wantCold)
-			}
-			// Armed: the cold pass fills each block once, the hot pass never
-			// reaches the file system, and every request or collective block
-			// is a hit or a miss.
-			if arm.FSReadsCold != blocks || arm.FSReadsHot != 0 {
-				t.Errorf("%s coll=%v armed: fs reads %d/%d, want %d/0",
-					pattern, coll, arm.FSReadsCold, arm.FSReadsHot, blocks)
-			}
-			// An independent miss is a line fill: it brings in its aligned
-			// group of four blocks, so only one request per group misses. A
-			// collective epoch stages block by block.
-			wantMisses := (blocks + 3) / 4
-			if coll {
-				wantMisses = blocks
-			}
-			if arm.CacheMisses != wantMisses {
-				t.Errorf("%s coll=%v armed: %d misses, want %d", pattern, coll, arm.CacheMisses, wantMisses)
-			}
-			served := reqs
-			if coll {
-				served = 2 * blocks // one staging per block per epoch
-			}
-			if arm.CacheHits+arm.CacheMisses != served {
-				t.Errorf("%s coll=%v armed: hits+misses %d, want %d",
-					pattern, coll, arm.CacheHits+arm.CacheMisses, served)
-			}
-			// The armed hot re-read must beat its cold pass.
-			if arm.HotNs >= arm.ColdNs {
-				t.Errorf("%s coll=%v armed: hot pass %dns not faster than cold %dns",
-					pattern, coll, arm.HotNs, arm.ColdNs)
+		dis := byKey[key{pattern, 0}]
+		arm := byKey[key{pattern, 8}]
+		for _, p := range []point{dis, arm} {
+			if p.ReadReqs != reqs {
+				t.Errorf("%s cache=%d: %d read reqs, want %d", pattern, p.CacheBlocks, p.ReadReqs, reqs)
 			}
 		}
-		// Collective reads collapse overlapping requests before the file
-		// system: the shared pattern's per-request cold pass must cost at
-		// least Clients times the collective cold pass.
-		dis := byKey[key{PatternShared, 0, false}]
-		col := byKey[key{PatternShared, 0, true}]
-		if dis.FSReadsCold < int64(opts.Procs)*col.FSReadsCold {
-			t.Errorf("shared: per-request cold pass %d fs reads, collective %d — overlap not collapsed",
-				dis.FSReadsCold, col.FSReadsCold)
+		// Disarmed: no cache counters, and every piece of either pass is one
+		// file system request.
+		if dis.CacheHits != 0 || dis.CacheMisses != 0 {
+			t.Errorf("%s disarmed: cache counters %d/%d", pattern, dis.CacheHits, dis.CacheMisses)
+		}
+		if dis.FSReadsCold != perPass[pattern] || dis.FSReadsHot != perPass[pattern] {
+			t.Errorf("%s disarmed: fs reads %d/%d, want %d each pass",
+				pattern, dis.FSReadsCold, dis.FSReadsHot, perPass[pattern])
+		}
+		// Armed: the cold pass fills each block once, the hot pass never
+		// reaches the file system, and every request is a hit or a miss.
+		if arm.FSReadsCold != blocks || arm.FSReadsHot != 0 {
+			t.Errorf("%s armed: fs reads %d/%d, want %d/0", pattern, arm.FSReadsCold, arm.FSReadsHot, blocks)
+		}
+		// A miss is a line fill: it brings in its aligned group of four
+		// blocks, so only one request per group misses.
+		if wantMisses := (blocks + 3) / 4; arm.CacheMisses != wantMisses {
+			t.Errorf("%s armed: %d misses, want %d", pattern, arm.CacheMisses, wantMisses)
+		}
+		if arm.CacheHits+arm.CacheMisses != reqs {
+			t.Errorf("%s armed: hits+misses %d, want %d", pattern, arm.CacheHits+arm.CacheMisses, reqs)
+		}
+		// The armed hot re-read must beat its cold pass.
+		if arm.HotNs >= arm.ColdNs {
+			t.Errorf("%s armed: hot pass %dns not faster than cold %dns", pattern, arm.HotNs, arm.ColdNs)
 		}
 	}
 }

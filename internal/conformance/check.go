@@ -289,20 +289,18 @@ func (p *Program) summarize(tc, oc, va *engineRun, dl *delegateRun, cr *crashRun
 			p.Knobs.ServerRanks, p.Knobs.Files, staged, runs, dl.fsWrites, mark)
 		if len(dl.rservers) > 0 {
 			// Read-phase totals are per-block quantities (first touch fills,
-			// epoch unions are program-determined, the generator's cache
-			// capacity rules out evictions), so hit/miss sums diff cleanly
-			// even though which client triggers a fill races.
-			var rreq, repoch, hit, miss, rfs int64
+			// the generator's cache capacity rules out evictions), so hit/miss
+			// sums diff cleanly even though which client triggers a fill
+			// races.
+			var rreq, hit, miss, rfs int64
 			for _, s := range dl.rservers {
 				rreq += s.ReadReqs
-				repoch += s.ReadEpochs
 				hit += s.CacheHits
 				miss += s.CacheMisses
 				rfs += s.FSReads
 			}
-			fmt.Fprintf(&b, " dread[cache=%d quant=%d coll=%v req=%d epoch=%d hit=%d miss=%d fs=%d]",
-				p.Knobs.ServerCacheBlocks, p.Knobs.ReadQuantum, p.Knobs.CollectiveRead,
-				rreq, repoch, hit, miss, rfs)
+			fmt.Fprintf(&b, " dread[cache=%d quant=%d req=%d hit=%d miss=%d fs=%d]",
+				p.Knobs.ServerCacheBlocks, p.Knobs.ReadQuantum, rreq, hit, miss, rfs)
 		}
 	}
 	if p.Knobs.Journal {

@@ -6,8 +6,7 @@ package conformance
 // a per-file constant, so any cross-file bleed — shared staging, a
 // misrouted domain piece, pooled counters — shows up as a byte or
 // counter divergence against that file's own truth. ServerRanks == 0
-// routes the same program through the tier's pass-through path, keeping
-// the off switch inside the differential harness too.
+// runs the same multi-file program through tcio directly on every rank.
 
 import (
 	"fmt"
@@ -48,11 +47,11 @@ type delegateRun struct {
 	images   [][]byte // per-file bytes after the write phase
 	fsWrites int64    // file system write requests after the write phase
 
-	// w and r are the per-file, per-client protocol counters of the write
-	// and read phases; passW holds the pass-through tcio ledgers instead
-	// when ServerRanks == 0.
-	w, r  [][]delegate.Stats
-	passW [][]tcio.Stats
+	// w and r are the per-file, per-client call and protocol counters of
+	// the write and read phases; passFSWrites totals the write phase's tcio
+	// ledgers' FSWrites when ServerRanks == 0.
+	w, r         [][]delegate.Stats
+	passFSWrites int64
 	// servers and rservers are the write and read phases' per-server
 	// counters (delegation only — the phases run in separate worlds, so
 	// each server reports twice).
@@ -78,9 +77,39 @@ func (p *Program) delegateConfig(rec *trace.Recorder) delegate.Config {
 		ServerRanks:       k.ServerRanks,
 		ServerCacheBlocks: k.ServerCacheBlocks,
 		ReadQuantum:       k.ReadQuantum,
-		CollectiveRead:    k.CollectiveRead,
 		TCIO:              p.tcioConfig(rec),
 	}
+}
+
+// tierFile is an open file of either engine: *tcio.File or *delegate.File.
+type tierFile interface {
+	WriteAt(off int64, data []byte) error
+	ReadAt(off int64, dst []byte) error
+	Fetch() error
+	Flush() error
+	Close() error
+}
+
+// runTier runs body on every client rank of c with the rank's client index
+// and an opener: the tier's, or tcio's on every rank when cfg has no
+// servers.
+func runTier(c *mpi.Comm, cfg delegate.Config, body func(client int, open func(string, tcio.Mode) (tierFile, error)) error) error {
+	if cfg.ServerRanks == 0 {
+		return body(c.Rank(), func(name string, mode tcio.Mode) (tierFile, error) { return tcio.Open(c, name, mode, cfg.TCIO) })
+	}
+	return delegate.Run(c, cfg, func(tr *delegate.Tier) error {
+		return body(tr.ClientIndex(), func(name string, mode tcio.Mode) (tierFile, error) { return tr.Open(name, mode) })
+	})
+}
+
+// fileStats returns f's call and protocol counters and, for a tcio file,
+// its ledger's FSWrites; it reads a tcio file's call counters off the ledger.
+func fileStats(f tierFile) (delegate.Stats, int64) {
+	if tf, ok := f.(*tcio.File); ok {
+		s := tf.Stats()
+		return delegate.Stats{Writes: s.Writes, WriteBytes: s.BytesWritten, Reads: s.Reads, ReadBytes: s.BytesRead}, s.FSWrites
+	}
+	return f.(*delegate.File).Stats(), 0
 }
 
 // runDelegate executes the program through the delegation tier.
@@ -97,19 +126,15 @@ func runDelegate(p *Program, truth []byte) *delegateRun {
 	dcfg := p.delegateConfig(trace.New(0))
 
 	out.w = statsGrid(k.Files, clients)
-	out.passW = make([][]tcio.Stats, k.Files)
-	for fi := range out.passW {
-		out.passW[fi] = make([]tcio.Stats, clients)
-	}
 	col := &delegate.Collector{}
 	wcfg := dcfg
 	wcfg.Collect = col
 	var mu sync.Mutex
 	_, err := mpi.Run(mpi.Config{Procs: p.Procs, Machine: p.machine(), FS: fs, Faults: inj}, func(c *mpi.Comm) error {
-		return delegate.Run(c, wcfg, func(tr *delegate.Tier) error {
-			files := make([]*delegate.File, k.Files)
+		return runTier(c, wcfg, func(client int, open func(string, tcio.Mode) (tierFile, error)) error {
+			files := make([]tierFile, k.Files)
 			for fi := range files {
-				f, err := tr.Open(delegateName(fi), tcio.WriteMode)
+				f, err := open(delegateName(fi), tcio.WriteMode)
 				if err != nil {
 					return err
 				}
@@ -117,7 +142,7 @@ func runDelegate(p *Program, truth []byte) *delegateRun {
 			}
 			for _, round := range p.WriteRounds {
 				for _, op := range round.Ops {
-					if op.Rank != tr.ClientIndex() {
+					if op.Rank != client {
 						continue
 					}
 					payload := p.Payload(op)
@@ -144,11 +169,10 @@ func runDelegate(p *Program, truth []byte) *delegateRun {
 				if err := f.Close(); err != nil {
 					return err
 				}
+				st, fsWrites := fileStats(f)
 				mu.Lock()
-				out.w[fi][tr.ClientIndex()] = f.Stats()
-				if !tr.IsDelegated() {
-					out.passW[fi][tr.ClientIndex()] = f.TCIO().Stats()
-				}
+				out.w[fi][client] = st
+				out.passFSWrites += fsWrites
 				mu.Unlock()
 			}
 			return nil
@@ -171,10 +195,10 @@ func runDelegate(p *Program, truth []byte) *delegateRun {
 	rcfg.Collect = rcol
 	fsReadsBefore := fs.Stats().Reads
 	_, err = mpi.Run(mpi.Config{Procs: p.Procs, Machine: p.machine(), FS: fs, Faults: inj}, func(c *mpi.Comm) error {
-		return delegate.Run(c, rcfg, func(tr *delegate.Tier) error {
-			files := make([]*delegate.File, k.Files)
+		return runTier(c, rcfg, func(client int, open func(string, tcio.Mode) (tierFile, error)) error {
+			files := make([]tierFile, k.Files)
 			for fi := range files {
-				f, err := tr.Open(delegateName(fi), tcio.ReadMode)
+				f, err := open(delegateName(fi), tcio.ReadMode)
 				if err != nil {
 					return err
 				}
@@ -187,7 +211,7 @@ func runDelegate(p *Program, truth []byte) *delegateRun {
 			var caps []fileCapture
 			for _, round := range p.ReadRounds {
 				for _, op := range round.Ops {
-					if op.Rank != tr.ClientIndex() {
+					if op.Rank != client {
 						continue
 					}
 					for fi, f := range files {
@@ -198,10 +222,8 @@ func runDelegate(p *Program, truth []byte) *delegateRun {
 						caps = append(caps, fileCapture{fi: fi, cap: readCapture{op: op, got: dst}})
 					}
 				}
-				// Materialize the round's lazy reads: pass-through defers to
-				// tcio's fetch queue, and delegated collective reads ship the
-				// round's intent epoch here. (Synchronous delegated reads make
-				// this a no-op.)
+				// Materialize the round's lazy tcio reads (delegated reads are
+				// synchronous, and Fetch is a no-op).
 				for _, f := range files {
 					if err := f.Fetch(); err != nil {
 						return err
@@ -213,7 +235,7 @@ func runDelegate(p *Program, truth []byte) *delegateRun {
 					return err
 				}
 				mu.Lock()
-				out.r[fi][tr.ClientIndex()] = f.Stats()
+				out.r[fi][client], _ = fileStats(f)
 				mu.Unlock()
 			}
 			for _, fc := range caps {
@@ -284,15 +306,9 @@ func (o *Outcome) checkDelegate(p *Program, dl *delegateRun, truth []byte) {
 		}
 	}
 	if p.Knobs.ServerRanks == 0 {
-		var fsSum int64
-		for fi := range dl.passW {
-			for _, s := range dl.passW[fi] {
-				fsSum += s.FSWrites
-			}
-		}
-		if fsSum != dl.fsWrites {
-			o.diverge("delegate", "stats", "pass-through ranks report %d FSWrites, file system served %d",
-				fsSum, dl.fsWrites)
+		if dl.passFSWrites != dl.fsWrites {
+			o.diverge("delegate", "stats", "tcio ranks report %d FSWrites, file system served %d",
+				dl.passFSWrites, dl.fsWrites)
 		}
 		return
 	}
@@ -334,50 +350,34 @@ func (o *Outcome) checkDelegateRead(p *Program, dl *delegateRun) {
 			pieceSum += rs.ReadReqs
 		}
 	}
-	var readReqs, colBlocks, fsReads int64
+	var readReqs, fsReads int64
 	for _, s := range dl.rservers {
 		readReqs += s.ReadReqs
-		colBlocks += s.CollectiveBlocks
 		fsReads += s.FSReads
 		if k.ServerCacheBlocks == 0 && s.CacheHits+s.CacheMisses+s.CacheEvictions != 0 {
 			o.diverge("delegate", "stats", "server %d counted cache traffic (%d/%d/%d) with the cache disarmed",
 				s.Rank, s.CacheHits, s.CacheMisses, s.CacheEvictions)
 		}
 		if k.ServerCacheBlocks > 0 {
-			// Every served read request and every collective block is exactly
-			// one hit or one miss while the cache is armed.
-			if s.CacheHits+s.CacheMisses != s.ReadReqs+s.CollectiveBlocks {
-				o.diverge("delegate", "stats", "server %d cache hits %d + misses %d != reads %d + collective blocks %d",
-					s.Rank, s.CacheHits, s.CacheMisses, s.ReadReqs, s.CollectiveBlocks)
+			// Every served read request is exactly one hit or one miss while
+			// the cache is armed.
+			if s.CacheHits+s.CacheMisses != s.ReadReqs {
+				o.diverge("delegate", "stats", "server %d cache hits %d + misses %d != reads %d",
+					s.Rank, s.CacheHits, s.CacheMisses, s.ReadReqs)
 			}
 			if s.CacheEvictions > s.CacheMisses {
 				o.diverge("delegate", "stats", "server %d evicted %d blocks but filled only %d",
 					s.Rank, s.CacheEvictions, s.CacheMisses)
 			}
 		}
-		if k.CollectiveRead {
-			// One intent epoch per file per collective point: each read
-			// round's Fetch plus Close's, on every server.
-			if want := int64(k.Files) * int64(len(p.ReadRounds)+1); s.ReadEpochs != want {
-				o.diverge("delegate", "stats", "server %d closed %d read epochs, want %d (files x rounds+close)",
-					s.Rank, s.ReadEpochs, want)
-			}
-			if s.ReadReqs != 0 {
-				o.diverge("delegate", "stats", "server %d served %d inline reads in collective mode",
-					s.Rank, s.ReadReqs)
-			}
-		} else if s.ReadEpochs != 0 || s.CollectiveBlocks != 0 {
-			o.diverge("delegate", "stats", "server %d closed %d read epochs (%d blocks) with collective read off",
-				s.Rank, s.ReadEpochs, s.CollectiveBlocks)
-		}
 	}
-	if !k.CollectiveRead && readReqs != pieceSum {
+	if readReqs != pieceSum {
 		o.diverge("delegate", "stats", "servers served %d read requests, clients sent %d pieces", readReqs, pieceSum)
 	}
 	if fsReads != dl.fsReads {
 		o.diverge("delegate", "stats", "servers report %d FSReads, file system served %d", fsReads, dl.fsReads)
 	}
-	if k.ServerCacheBlocks == 0 && !k.CollectiveRead && fsReads != pieceSum {
+	if k.ServerCacheBlocks == 0 && fsReads != pieceSum {
 		// The disarmed read path keeps the per-request identity: one file
 		// system read of exactly the piece's length per client piece.
 		o.diverge("delegate", "stats", "disarmed read path issued %d fs reads for %d client pieces", fsReads, pieceSum)

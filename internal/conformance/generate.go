@@ -128,25 +128,23 @@ func genKnobs(rng *rand.Rand, class int, seed int64) Knobs {
 	case 6: // delegation tier (multi-file, server ranks carved from Procs)
 		k.ServerRanks = 1 + rng.Intn(2)
 		if rng.Intn(5) == 0 {
-			k.ServerRanks = 0 // the pass-through contract stays in rotation
+			k.ServerRanks = 0 // tcio directly, over the same multi-file program
 		}
 		k.Files = 1 + rng.Intn(3)
 		rng.Intn(3) // the retired QueueDepth draw, discarded
 		if rng.Intn(3) == 0 {
-			k.DemandPopulate = true // pass-through read-path variety
+			k.DemandPopulate = true // servers = 0 read-path variety
 		}
 		// Read-path knobs. The cache leans armed (the stale-serve mutant
 		// lives behind it) with a capacity above any program's total block
 		// count, so the one racy counter — eviction order — never reaches
 		// the differential run. The quantum sweeps the DRR scheduler, whose
-		// oracle is that nothing but service order may change. The draw
-		// that arms delegated collective reads also arms DemandPopulate, so
-		// the pass-through programs it hits keep their read mode; the
-		// collective knob itself needs servers.
+		// oracle is that nothing but service order may change.
 		k.ServerCacheBlocks = []int{0, 64, 64, 64}[rng.Intn(4)]
 		k.ReadQuantum = []int64{0, 8, 32, 128}[rng.Intn(4)]
 		if rng.Intn(2) == 0 {
-			k.CollectiveRead = k.ServerRanks > 0
+			// The retired CollectiveRead draw. The DemandPopulate it armed
+			// stays, so every seed keeps the rest of its program.
 			k.DemandPopulate = true
 		}
 	case 7: // crash consistency: journaled epochs, kill-anywhere replay

@@ -63,17 +63,15 @@ type Knobs struct {
 	// Delegation tier (class 6). Files > 0 additionally routes the program
 	// through internal/delegate with that many concurrently open files;
 	// ServerRanks carves that many dedicated server ranks out of Procs
-	// (0 = pass-through).
+	// (0 = the same files through tcio directly).
 	ServerRanks int `json:"server_ranks,omitempty"`
 	Files       int `json:"files,omitempty"`
 	// ServerCacheBlocks arms each delegation server's hot-block read
-	// cache (0 = disarmed, the bit-identical pass-through); ReadQuantum
-	// arms deficit-round-robin read scheduling on the servers (0 = inline
-	// arrival order); CollectiveRead switches delegated reads to
-	// server-merged intent epochs (it needs ServerRanks > 0).
+	// cache (0 = disarmed, one file system read per client piece);
+	// ReadQuantum arms deficit-round-robin read scheduling on the servers
+	// (0 = inline arrival order).
 	ServerCacheBlocks int   `json:"server_cache_blocks,omitempty"`
 	ReadQuantum       int64 `json:"read_quantum,omitempty"`
-	CollectiveRead    bool  `json:"collective_read,omitempty"`
 
 	// Crash class (class 7). Journal arms tcio's journaled-epoch tier;
 	// CrashKills is the number of simulated crash instants the checker
@@ -226,8 +224,11 @@ func (p *Program) Validate() error {
 	}
 	// Which library knob values are legal is the libraries' call: normalize
 	// the very configurations the engines open with, and report their error.
-	if _, err := p.delegateConfig(nil).Normalize(p.Procs, p.StripeSize); err != nil {
-		return err
+	// With no server ranks the delegation engine opens tcio alone.
+	if p.Knobs.ServerRanks != 0 {
+		if _, err := p.delegateConfig(nil).Normalize(p.Procs, p.StripeSize); err != nil {
+			return err
+		}
 	}
 	if _, err := p.tcioConfig(nil).Normalize(p.StripeSize); err != nil {
 		return err

@@ -1,8 +1,8 @@
 package delegate
 
 // The client side of the tier: a Tier handle per client rank, and a File
-// per open file. A client never touches the file system in delegation
-// mode — every byte rides the request protocol to the owning server.
+// per open file. A client never touches the file system — every byte
+// rides the request protocol to the owning server.
 // One rank may hold many files open at once; handles are the ordinal of
 // the collective Open call, so all clients agree on them without an
 // extra collective, and each File keeps its own counters and protocol
@@ -20,12 +20,11 @@ import (
 // Tier is one client rank's view of the delegation tier.
 type Tier struct {
 	c       *mpi.Comm
-	cfg     Config
-	servers []int         // nil => pass-through
+	servers []int         // the server ranks, by server index
 	domains extent.Layout // the owner map: block b lives on servers[domains.Owner(b)]
 
 	// clientIdx is this rank's index among the client ranks; clients is
-	// their count. In pass-through mode these are just Rank and Size.
+	// their count.
 	clientIdx int
 	clients   int
 
@@ -49,9 +48,8 @@ func (t *Tier) Comm() *mpi.Comm { return t.c }
 func (t *Tier) ClientIndex() int { return t.clientIdx }
 func (t *Tier) NumClients() int  { return t.clients }
 
-// Stats counts one client file's activity. In delegation mode the
-// request counters describe protocol traffic; in pass-through mode only
-// the call counters are populated (the tcio ledger lives on TCIO()).
+// Stats counts one client file's activity: application calls and the
+// protocol traffic they made.
 type Stats struct {
 	// Writes and WriteBytes count application write calls and their bytes.
 	Writes, WriteBytes int64
@@ -69,42 +67,19 @@ type Stats struct {
 // File is one open file on one client rank.
 type File struct {
 	t      *Tier
-	direct *tcio.File // pass-through engine; nil in delegation mode
-
 	handle int32
 	name   string
 	mode   tcio.Mode
 	closed bool
 	stats  Stats
-
-	// colReads queues read pieces per server index between collective
-	// points; it is nil unless the handle reads collectively (delegated,
-	// CollectiveRead, read mode). Fetch ships each server's list as one
-	// read intent and scatters the replies.
-	colReads [][]colRead
 }
 
-// colRead is one read piece (within one domain block): queued until Fetch
-// when collective, or awaiting its reply.
-type colRead struct {
-	off int64
-	dst []byte
-}
-
-// Open opens name on every server (or directly through tcio in
-// pass-through mode). Open is collective over the client ranks: all
-// clients must open the same files in the same order, which is what
-// makes the handle — the call ordinal — agree everywhere for free.
+// Open opens name on every server. Open is collective over the client
+// ranks: all clients must open the same files in the same order, which is
+// what makes the handle — the call ordinal — agree everywhere for free.
 func (t *Tier) Open(name string, mode tcio.Mode) (*File, error) {
 	if mode != tcio.WriteMode && mode != tcio.ReadMode {
 		return nil, fmt.Errorf("delegate: open %q: bad mode %v", name, mode)
-	}
-	if t.servers == nil {
-		df, err := tcio.Open(t.c, name, mode, t.cfg.TCIO)
-		if err != nil {
-			return nil, err
-		}
-		return &File{t: t, direct: df, name: name, mode: mode, handle: -1}, nil
 	}
 	h := t.nextHandle
 	t.nextHandle++
@@ -115,11 +90,7 @@ func (t *Tier) Open(name string, mode tcio.Mode) (*File, error) {
 			return nil, err
 		}
 	}
-	f := &File{t: t, handle: h, name: name, mode: mode}
-	if t.cfg.CollectiveRead && mode == tcio.ReadMode {
-		f.colReads = make([][]colRead, len(t.servers))
-	}
-	return f, nil
+	return &File{t: t, handle: h, name: name, mode: mode}, nil
 }
 
 // request sends one protocol message to server si, consuming a sequence
@@ -160,29 +131,20 @@ func (t *Tier) awaitCredit(si int) error {
 	return nil
 }
 
-// TCIO exposes the pass-through engine, nil in delegation mode — callers
-// that want the tcio ledger read it here.
-func (f *File) TCIO() *tcio.File { return f.direct }
-
 // Stats returns the client-side counters.
 func (f *File) Stats() Stats { return f.stats }
 
-// WriteAt stores data at off. In delegation mode the data is split at
-// domain-block boundaries and each piece ships to its owning server,
-// blocking only when the admission window to that server is exhausted.
+// WriteAt stores data at off. The data is split at domain-block
+// boundaries and each piece ships to its owning server, blocking only when
+// the admission window to that server is exhausted.
 func (f *File) WriteAt(off int64, data []byte) error {
-	if f.direct != nil {
-		f.stats.Writes++
-		f.stats.WriteBytes += int64(len(data))
-		return f.direct.WriteAt(off, data)
-	}
 	switch {
 	case f.closed:
 		return fmt.Errorf("delegate: write to closed %q", f.name)
 	case f.mode != tcio.WriteMode:
 		return fmt.Errorf("delegate: write to read-mode %q", f.name)
 	case off < 0:
-		return fmt.Errorf("tcio: negative offset %d", off) // the pass-through engine's message
+		return fmt.Errorf("tcio: negative offset %d", off) // tcio's own message
 	}
 	f.stats.Writes++
 	f.stats.WriteBytes += int64(len(data))
@@ -207,56 +169,42 @@ func (f *File) WriteAt(off int64, data []byte) error {
 	})
 }
 
-// ReadAt fills dst from off. Delegated reads are synchronous — dst is
-// filled on return — unless collective reads are armed (delegation +
-// CollectiveRead), which makes them lazy like tcio's read queue: call Fetch
-// before relying on the bytes. (Pass-through keeps tcio's lazy semantics
-// throughout.)
+// ReadAt fills dst from off; dst is filled on return. Every piece ships
+// before any reply is collected: per-(client, server) FIFO in both
+// directions means replies come back in request order, so the pieces
+// pipeline across servers instead of round-tripping one by one.
 func (f *File) ReadAt(off int64, dst []byte) error {
-	if f.direct != nil {
-		f.stats.Reads++
-		f.stats.ReadBytes += int64(len(dst))
-		return f.direct.ReadAt(off, dst)
-	}
 	switch {
 	case f.closed:
 		return fmt.Errorf("delegate: read from closed %q", f.name)
 	case f.mode != tcio.ReadMode:
 		return fmt.Errorf("delegate: read from write-mode %q", f.name)
 	case off < 0:
-		return fmt.Errorf("tcio: negative offset %d", off) // the pass-through engine's message
+		return fmt.Errorf("tcio: negative offset %d", off) // tcio's own message
 	}
 	f.stats.Reads++
 	f.stats.ReadBytes += int64(len(dst))
 	t := f.t
-	// Collective mode queues each piece for Fetch, the collective point that
-	// ships each server's pieces as one read intent. Otherwise every piece
-	// ships before any reply is collected: per-(client, server) FIFO in both
-	// directions means replies come back in request order, so the pieces
-	// pipeline across servers instead of round-tripping one by one.
 	type pending struct {
 		si  int
 		seq int64
-		colRead
+		dst []byte
 	}
 	var reqs []pending
 	if err := t.domains.Pieces(off, int64(len(dst)), func(blk, _, at, n int64) error {
 		si, _ := t.domains.Owner(blk)
-		piece, seq := colRead{off + at, dst[at : at+n]}, t.seqs[si]
-		if f.colReads != nil {
-			f.colReads[si] = append(f.colReads[si], piece)
-		} else if err := t.request(si, &mpi.RPCRequest{Op: mpi.OpRead, Handle: f.handle, Off: piece.off, Len: n}); err != nil {
+		seq := t.seqs[si]
+		if err := t.request(si, &mpi.RPCRequest{Op: mpi.OpRead, Handle: f.handle, Off: off + at, Len: n}); err != nil {
 			return err
-		} else {
-			reqs = append(reqs, pending{si, seq, piece})
 		}
+		reqs = append(reqs, pending{si, seq, dst[at : at+n]})
 		f.stats.ReadReqs++
 		return nil
 	}); err != nil {
 		return err
 	}
 	for _, p := range reqs {
-		if err := f.readReply(p.si, p.seq, []colRead{p.colRead}); err != nil {
+		if err := f.readReply(p.si, p.seq, p.dst); err != nil {
 			return err
 		}
 	}
@@ -264,68 +212,25 @@ func (f *File) ReadAt(off int64, dst []byte) error {
 }
 
 // readReply collects server si's reply to read request seq, which must carry
-// exactly the pieces' bytes, and copies them into the pieces back to back.
-func (f *File) readReply(si int, seq int64, pieces []colRead) error {
+// exactly len(dst) bytes, and copies them into dst.
+func (f *File) readReply(si int, seq int64, dst []byte) error {
 	rep, err := f.reply(si, "read")
 	if err != nil {
 		return err
 	}
 	defer rep.Release()
-	want := 0
-	for _, p := range pieces {
-		want += len(p.dst)
-	}
-	if rep.Seq != seq || len(rep.Data) != want {
+	if rep.Seq != seq || len(rep.Data) != len(dst) {
 		return fmt.Errorf("delegate: read %q: reply seq %d len %d, want seq %d len %d",
-			f.name, rep.Seq, len(rep.Data), seq, want)
+			f.name, rep.Seq, len(rep.Data), seq, len(dst))
 	}
-	data := rep.Data
-	for _, p := range pieces {
-		data = data[copy(p.dst, data):]
-	}
+	copy(dst, rep.Data)
 	return nil
 }
 
-// Fetch materializes queued lazy reads. In pass-through mode it defers
-// to tcio; with collective reads armed it is the collective point that
-// runs one delegated read epoch (every client of the file must call it,
-// even with nothing queued — the server's epoch quorum is all clients);
-// otherwise delegated reads are synchronous and it is a no-op.
-func (f *File) Fetch() error {
-	if f.direct != nil {
-		return f.direct.Fetch()
-	}
-	if f.colReads != nil {
-		return f.fetchCollective()
-	}
-	return nil
-}
-
-// fetchCollective runs one collective read epoch: one intent per server
-// (empty ones included, completing the quorum), then replies collected in
-// server order and scattered back into the queued pieces' buffers.
-func (f *File) fetchCollective() error {
-	t := f.t
-	for si := range t.servers {
-		runs := make([]extent.Extent, len(f.colReads[si]))
-		for i, p := range f.colReads[si] {
-			runs[i] = extent.Extent{Off: p.off, Len: int64(len(p.dst))}
-		}
-		if err := t.request(si, &mpi.RPCRequest{
-			Op: mpi.OpReadIntent, Handle: f.handle, Data: extent.AppendRuns(nil, runs),
-		}); err != nil {
-			return err
-		}
-	}
-	for si := range t.servers {
-		// Each intent is the last request this client sent its server.
-		if err := f.readReply(si, t.seqs[si]-1, f.colReads[si]); err != nil {
-			return err
-		}
-		f.colReads[si] = f.colReads[si][:0]
-	}
-	return nil
-}
+// Fetch does nothing: delegated reads are synchronous, so ReadAt has
+// filled dst already. It is here so that a program written against tcio's
+// lazy reads, which Fetch materializes, runs unchanged on the tier.
+func (f *File) Fetch() error { return nil }
 
 // Flush closes a write epoch: the client drains its admission windows,
 // sends a flush marker to every server, and waits for each server's ack,
@@ -333,9 +238,6 @@ func (f *File) fetchCollective() error {
 // file system. Flush is collective over the clients that opened the file
 // — a server closes the epoch when it holds markers from all of them.
 func (f *File) Flush() error {
-	if f.direct != nil {
-		return f.direct.Flush()
-	}
 	if f.closed {
 		return fmt.Errorf("delegate: flush of closed %q", f.name)
 	}
@@ -369,9 +271,6 @@ func (f *File) Flush() error {
 
 // Close flushes (write mode) and releases the handle on every server.
 func (f *File) Close() error {
-	if f.direct != nil {
-		return f.direct.Close()
-	}
 	if f.closed {
 		return fmt.Errorf("delegate: double close of %q", f.name)
 	}
@@ -381,14 +280,6 @@ func (f *File) Close() error {
 		}
 	}
 	t := f.t
-	if f.colReads != nil {
-		// One final collective epoch materializes any still-queued reads
-		// and keeps every server's quorum complete — Close is collective
-		// over the clients, like Open.
-		if err := f.fetchCollective(); err != nil {
-			return err
-		}
-	}
 	for si := range t.servers {
 		if err := t.request(si, &mpi.RPCRequest{Op: mpi.OpClose, Handle: f.handle}); err != nil {
 			return err

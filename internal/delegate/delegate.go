@@ -18,10 +18,9 @@
 // queueDepth outstanding writes — admission control that bounds server
 // staging without timestamps.
 //
-// With ServerRanks == 0 the tier is a pass-through: Open returns a handle
-// backed directly by tcio.Open with the caller's Config, every rank is a
-// client, and the run is bit-identical to not using the package at all
-// (pinned by TestDelegateDegeneratePassThrough).
+// Delegated reads are synchronous: each domain piece is one read request,
+// answered by its owning server. A tier always has servers; an
+// application that wants none opens tcio directly.
 package delegate
 
 import (
@@ -51,7 +50,7 @@ const queueDepth = 8
 // Config parameterizes the tier.
 type Config struct {
 	// ServerRanks is the number of ranks withdrawn from the application
-	// to run as dedicated I/O servers. 0 disables the tier entirely.
+	// to run as dedicated I/O servers, at least 1.
 	ServerRanks int
 	// ServerCacheBlocks is each server's hot-block cache capacity in
 	// domain blocks: repeat and cross-client reads of a cached block are
@@ -66,40 +65,28 @@ type Config struct {
 	// starve another's small reads. 0 serves each read inline in arrival
 	// order, exactly as before.
 	ReadQuantum int64
-	// CollectiveRead turns delegated reads into server-merged intent
-	// epochs (readepoch.go): clients queue read pieces, Fetch and Close are
-	// collective points that ship each server one intent, and a server
-	// fetches the union of requested blocks once. It needs servers, so
-	// Normalize rejects it with ServerRanks == 0. Off (the default) ships
-	// every piece as its own read request.
-	CollectiveRead bool
-	// TCIO configures the pass-through engine (ServerRanks == 0) and
-	// supplies the segment geometry the file domains derive from. Servers
-	// keep no journal, so Normalize rejects TCIO.Journal with servers.
+	// TCIO supplies the segment geometry the file domains derive from and
+	// the servers' retry policy and trace. Servers keep no journal, so
+	// Normalize rejects TCIO.Journal.
 	TCIO tcio.Config
 	// Collect, when non-nil, receives every server's final counters.
 	Collect *Collector
 }
 
 // Normalize returns the configuration a procs-rank communicator would run
-// with — when the tier is armed, TCIO normalized against stripeSize — or
-// the error Run reports for it. The pass-through configuration
-// (ServerRanks == 0) leaves TCIO to tcio.Open.
+// with — TCIO normalized against stripeSize — or the error Run reports for
+// it.
 func (cfg Config) Normalize(procs int, stripeSize int64) (Config, error) {
 	switch {
-	case cfg.ServerRanks < 0 || cfg.ServerRanks >= procs:
+	case cfg.ServerRanks < 1 || cfg.ServerRanks >= procs:
 		return cfg, fmt.Errorf("delegate: %d server ranks of %d", cfg.ServerRanks, procs)
 	case cfg.ServerCacheBlocks < 0:
 		return cfg, fmt.Errorf("delegate: server cache blocks %d", cfg.ServerCacheBlocks)
 	case cfg.ReadQuantum < 0:
 		return cfg, fmt.Errorf("delegate: read quantum %d", cfg.ReadQuantum)
-	case cfg.CollectiveRead && cfg.ServerRanks == 0:
-		return cfg, fmt.Errorf("delegate: collective read without server ranks")
-	case cfg.TCIO.Journal && cfg.ServerRanks > 0:
+	case cfg.TCIO.Journal:
 		// Servers write the data file themselves and keep no journal.
 		return cfg, fmt.Errorf("delegate: journal with %d server ranks", cfg.ServerRanks)
-	case cfg.ServerRanks == 0:
-		return cfg, nil
 	}
 	var err error
 	cfg.TCIO, err = cfg.TCIO.Normalize(stripeSize)
@@ -110,18 +97,11 @@ func (cfg Config) Normalize(procs int, stripeSize int64) (Config, error) {
 // (chosen by cluster.SpreadServers) serving the delegation protocol
 // instead. All ranks of the communicator must call Run collectively. When
 // body returns on a client, the client releases its servers; Run returns
-// on servers once every client has done so. With ServerRanks == 0 every
-// rank is a client and body runs everywhere.
+// on servers once every client has done so.
 func Run(c *mpi.Comm, cfg Config, body func(*Tier) error) error {
 	cfg, err := cfg.Normalize(c.Size(), c.FS().Config().StripeSize)
 	if err != nil {
 		return err
-	}
-	if cfg.ServerRanks == 0 {
-		// Pass-through: no protocol, no placement, no extra collectives —
-		// the degenerate configuration must stay bit-identical to direct
-		// tcio use.
-		return body(&Tier{c: c, cfg: cfg, clientIdx: c.Rank(), clients: c.Size()})
 	}
 	servers := c.Machine().SpreadServers(c.Size(), cfg.ServerRanks)
 	// The owner map: block-cyclic file domains of four tcio segments, so a
@@ -141,7 +121,6 @@ func Run(c *mpi.Comm, cfg Config, body func(*Tier) error) error {
 	}
 	t := &Tier{
 		c:         c,
-		cfg:       cfg,
 		servers:   servers,
 		domains:   domains,
 		clientIdx: idx,
@@ -154,7 +133,3 @@ func Run(c *mpi.Comm, cfg Config, body func(*Tier) error) error {
 	}
 	return t.shutdown()
 }
-
-// IsDelegated reports whether the tier runs the delegation protocol
-// (false in ServerRanks == 0 pass-through).
-func (t *Tier) IsDelegated() bool { return len(t.servers) > 0 }

@@ -327,7 +327,7 @@ func TestDelegateConfigValidation(t *testing.T) {
 		{"negative servers", Config{ServerRanks: -1}},
 		{"negative cache blocks", Config{ServerRanks: 1, ServerCacheBlocks: -1}},
 		{"negative quantum", Config{ServerRanks: 1, ReadQuantum: -8}},
-		{"collective read without servers", Config{CollectiveRead: true}},
+		{"no servers", Config{}},
 		{"bad tcio config", Config{ServerRanks: 1, TCIO: tcio.Config{SegmentSize: -1}}},
 		{"journal with servers", Config{ServerRanks: 1, TCIO: tcio.Config{Journal: true}}},
 	} {
@@ -342,8 +342,8 @@ func TestDelegateConfigValidation(t *testing.T) {
 	}
 }
 
-// TestConfigNormalizeDefaults: an armed tier gets a normalized tcio geometry (the domain blocks derive from it); the
-// pass-through configuration is left for tcio.Open to normalize.
+// TestConfigNormalizeDefaults: a tier gets a normalized tcio geometry (the
+// domain blocks derive from it).
 func TestConfigNormalizeDefaults(t *testing.T) {
 	armed, err := Config{ServerRanks: 1}.Normalize(4, 512)
 	if err != nil {
@@ -351,13 +351,6 @@ func TestConfigNormalizeDefaults(t *testing.T) {
 	}
 	if armed.TCIO.SegmentSize != 512 {
 		t.Fatalf("armed default segment %d; want 512", armed.TCIO.SegmentSize)
-	}
-	pass, err := Config{}.Normalize(4, 512)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pass != (Config{}) {
-		t.Fatalf("pass-through config changed: %+v", pass)
 	}
 }
 

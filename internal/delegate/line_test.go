@@ -211,17 +211,6 @@ func (d *lineDriver) readAs(client int, blk, n int64) error {
 	return d.s.read(&mpi.RPCRequest{Op: mpi.OpRead, Client: client, Handle: 1, Seq: d.seq, Off: blk * lineDS, Len: n})
 }
 
-// intent contributes client's read intent for the whole of blks to the
-// handle's collective read epoch.
-func (d *lineDriver) intent(client int, blks ...int64) error {
-	d.seq++
-	var runs []extent.Extent
-	for _, blk := range blks {
-		runs = append(runs, extent.Extent{Off: blk * lineDS, Len: lineDS})
-	}
-	return d.s.readIntent(&mpi.RPCRequest{Op: mpi.OpReadIntent, Client: client, Handle: 1, Seq: d.seq, Data: extent.AppendRuns(nil, runs)})
-}
-
 // write stages data at the start of blk (the credit it grants is never
 // collected).
 func (d *lineDriver) write(blk int64, data []byte) error {
@@ -355,59 +344,6 @@ func TestServerServesDuringFill(t *testing.T) {
 	}
 	if want := fill.Add(miss.wire); miss.at != want {
 		t.Errorf("client 1's miss arrived at %d, want its block's arrival %d + transfer %d", miss.at, fill, miss.wire)
-	}
-}
-
-// TestReadEpochRepliesWhenItsBlocksLand: a collective read epoch answers
-// each client when its own blocks exist, not at the batch's end, and admits
-// what it fetched with each block's own completion. Client 1's miss on block
-// 0 leaves the line 0-3 in flight. In the epoch client 1 asks only for block
-// 3, a hit still arriving, and client 2 for block 5, which the epoch fetches
-// behind the line. Client 1's reply reaches it at block 3's arrival plus the
-// transfer, before block 5 lands; client 2's at block 5's. Client 1's later
-// independent read of block 5 is a hit that waits exactly until block 5
-// lands.
-func TestReadEpochRepliesWhenItsBlocksLand(t *testing.T) {
-	rig := lineRig{cacheBlks: 8, fileBytes: 8 * lineDS, clients: 2}
-	var ready3, ready5 simtime.Time
-	got := rig.run(t, func(d *lineDriver) error {
-		if err := d.readAs(1, 0, lineDS); err != nil {
-			return err
-		}
-		if err := d.intent(1, 3); err != nil {
-			return err
-		}
-		if err := d.intent(2, 5); err != nil {
-			return err
-		}
-		ready3, ready5 = d.ready(3), d.ready(5)
-		if ready3 >= ready5 {
-			return fmt.Errorf("block 3 lands at %d, block 5 at %d: want 5 queued behind the line", ready3, ready5)
-		}
-		if err := d.readAs(1, 5, lineDS); err != nil {
-			return err
-		}
-		if st := d.s.stats; st.FSReads != 5 || st.CacheMisses != 2 || st.CacheHits != 2 || st.ReadEpochs != 1 || st.CollectiveBlocks != 2 {
-			return fmt.Errorf("counters %+v, want 5 fs reads, 2 misses, 2 hits, 1 epoch of 2 blocks", st)
-		}
-		return nil
-	})
-	for _, tc := range []struct {
-		name  string
-		rep   lineReply
-		blk   int64
-		ready simtime.Time
-	}{
-		{"client 1's epoch reply", got[1][1], 3, ready3},
-		{"client 2's epoch reply", got[2][0], 5, ready5},
-		{"client 1's later hit", got[1][2], 5, ready5},
-	} {
-		if !tc.rep.ok || !bytes.Equal(tc.rep.data, expectBlock(tc.blk, lineDS)) {
-			t.Errorf("%s: ok=%v, bytes diverge from block %d", tc.name, tc.rep.ok, tc.blk)
-		}
-		if want := tc.ready.Add(tc.rep.wire); tc.rep.at != want {
-			t.Errorf("%s arrived at %d, want block %d's arrival %d + transfer %d", tc.name, tc.rep.at, tc.blk, tc.ready, tc.rep.wire)
-		}
 	}
 }
 

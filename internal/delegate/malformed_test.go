@@ -17,10 +17,10 @@ import (
 // Tier.request, as no File method would send them.
 const rigDomain, rigBlocks = 256, 8
 
-// rigConfig is the rig's tier; collective arms delegated collective reads.
-func rigConfig(cacheBlks int, collective bool) Config {
+// rigConfig is the rig's tier.
+func rigConfig(cacheBlks int) Config {
 	return Config{
-		ServerRanks: 2, ServerCacheBlocks: cacheBlks, CollectiveRead: collective,
+		ServerRanks: 2, ServerCacheBlocks: cacheBlks,
 		TCIO: tcio.Config{SegmentSize: rigDomain / 4, NumSegments: 8},
 	}
 }
@@ -87,9 +87,6 @@ func readAll(tr *Tier, r *File) error {
 	if err := r.ReadAt(0, img); err != nil {
 		return err
 	}
-	if err := r.Fetch(); err != nil {
-		return err
-	}
 	for off, got := range img {
 		if want := expectByte(0, int64(off)); got != want {
 			return fmt.Errorf("client %d byte %d: got %d want %d", tr.ClientIndex(), off, got, want)
@@ -132,7 +129,7 @@ func TestMalformedReadGetsErrorReply(t *testing.T) {
 					name = fmt.Sprintf("quantum=%d/%s", quantum, name)
 				}
 				t.Run(name, func(t *testing.T) {
-					cfg := rigConfig(cacheBlks, false)
+					cfg := rigConfig(cacheBlks)
 					cfg.ReadQuantum = quantum
 					err := rigRead(cfg, func(tr *Tier, r *File) error {
 						if tr.ClientIndex() == 0 {
@@ -168,7 +165,7 @@ func TestMalformedReadGetsErrorReply(t *testing.T) {
 func TestMalformedWriteFailsNamingIt(t *testing.T) {
 	for _, bad := range malformedRuns {
 		t.Run(bad.name, func(t *testing.T) {
-			err := rigRun(rigConfig(4, false), func(tr *Tier) error {
+			err := rigRun(rigConfig(4), func(tr *Tier) error {
 				w, err := tr.Open("bad", tcio.WriteMode)
 				if err != nil {
 					return err
@@ -191,43 +188,61 @@ func TestMalformedWriteFailsNamingIt(t *testing.T) {
 	}
 }
 
-// TestNegativeOffsetRejectedLikePassThrough: a negative offset is the
-// caller's error, with the pass-through engine's message, whether the tier
-// is delegated or not, cached or not, and delegated reads are collective or
-// not (a collective read needs servers). A delegated WriteAt used to ship
-// it, and the owning server panicked.
-func TestNegativeOffsetRejectedLikePassThrough(t *testing.T) {
-	for _, servers := range []int{0, 2} {
-		for _, collective := range []bool{false, servers > 0} {
-			cfg := rigConfig(4, collective)
-			cfg.ServerRanks = servers
-			err := rigRun(cfg, func(tr *Tier) error {
-				w, err := tr.Open("neg", tcio.WriteMode)
-				if err != nil {
-					return err
-				}
-				werr := w.WriteAt(-5, make([]byte, 8))
-				if err := w.Close(); err != nil {
-					return err
-				}
-				r, err := tr.Open("neg", tcio.ReadMode)
-				if err != nil {
-					return err
-				}
-				rerr := r.ReadAt(-5, make([]byte, 8))
-				if err := r.Close(); err != nil {
-					return err
-				}
-				for _, err := range []error{werr, rerr} {
-					if err == nil || err.Error() != "tcio: negative offset -5" {
-						return fmt.Errorf("%d servers, collective %v: got %v, want tcio: negative offset -5", servers, collective, err)
-					}
-				}
-				return nil
-			})
+// TestNegativeOffsetRejectedLikeTCIO: a negative offset is the caller's
+// error, in tcio.Open's own words, whether the server cache is armed or not.
+// A delegated WriteAt used to ship it, and the owning server panicked.
+func TestNegativeOffsetRejectedLikeTCIO(t *testing.T) {
+	type file interface {
+		WriteAt(int64, []byte) error
+		ReadAt(int64, []byte) error
+		Close() error
+	}
+	// rejections writes, then reads, at -5 through open and returns the two
+	// errors' text.
+	rejections := func(open func(string, tcio.Mode) (file, error)) (got [2]string, err error) {
+		for i, mode := range []tcio.Mode{tcio.WriteMode, tcio.ReadMode} {
+			f, err := open("neg", mode)
 			if err != nil {
-				t.Fatal(err)
+				return got, err
 			}
+			if mode == tcio.WriteMode {
+				err = f.WriteAt(-5, make([]byte, 8))
+			} else {
+				err = f.ReadAt(-5, make([]byte, 8))
+			}
+			if err == nil {
+				return got, fmt.Errorf("%v at offset -5 accepted", mode)
+			}
+			got[i] = err.Error()
+			if err := f.Close(); err != nil {
+				return got, err
+			}
+		}
+		return got, nil
+	}
+	var want [2]string
+	_, err := mpi.Run(mpi.Config{Procs: 2, Machine: cluster.Lonestar()}, func(c *mpi.Comm) error {
+		got, err := rejections(func(name string, mode tcio.Mode) (file, error) {
+			return tcio.Open(c, name, mode, rigConfig(0).TCIO)
+		})
+		if c.Rank() == 0 {
+			want = got
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cacheBlks := range []int{0, 4} {
+		err := rigRun(rigConfig(cacheBlks), func(tr *Tier) error {
+			got, err := rejections(func(name string, mode tcio.Mode) (file, error) { return tr.Open(name, mode) })
+			if err == nil && got != want {
+				err = fmt.Errorf("cache %d: the tier rejects with %q, tcio with %q", cacheBlks, got, want)
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
 	}
 }

@@ -4,15 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"runtime"
 	"slices"
-	"strings"
 	"testing"
 
 	"github.com/tcio/tcio/internal/cluster"
-	"github.com/tcio/tcio/internal/extent"
 	"github.com/tcio/tcio/internal/faults"
 	"github.com/tcio/tcio/internal/mpi"
 	"github.com/tcio/tcio/internal/pfs"
@@ -27,7 +24,6 @@ type readRunOpts struct {
 	domain     int64 // domain block size: four tcio segments (0 = 256)
 	cacheBlks  int
 	quantum    int64
-	collective bool
 	rounds     int   // read passes over the pattern (0 = 1)
 	fileBlocks int64 // file size in domain blocks
 	shared     bool  // true: every client reads every block; false: block-disjoint slices
@@ -51,13 +47,12 @@ type readRunOut struct {
 }
 
 // readWorkload writes a file through the tier (fault-free writes), then
-// runs `rounds` read passes with the configured read engine and verifies
-// every byte. Reads are block-aligned: with shared=false client i reads
+// runs `rounds` read passes and verifies every byte. Reads are block-aligned: with shared=false client i reads
 // exactly the blocks ≡ i (mod clients), so the disarmed tier's per-client
 // request identities never race; with shared=true every client reads every
-// block — the cross-client overlap case. A read error in non-collective mode is
-// recorded (not fatal) so the world shuts down cleanly and the test can
-// assert on the error's type.
+// block — the cross-client overlap case. A read error is recorded (not
+// fatal) so the world shuts down cleanly and the test can assert on the
+// error's type.
 func readWorkload(t *testing.T, o readRunOpts) readRunOut {
 	t.Helper()
 	if o.domain == 0 {
@@ -76,7 +71,6 @@ func readWorkload(t *testing.T, o readRunOpts) readRunOut {
 		ServerRanks:       o.servers,
 		ServerCacheBlocks: o.cacheBlks,
 		ReadQuantum:       o.quantum,
-		CollectiveRead:    o.collective,
 		TCIO: tcio.Config{
 			SegmentSize: o.domain / 4, NumSegments: 8,
 			Retry: o.retry,
@@ -123,28 +117,11 @@ func readWorkload(t *testing.T, o readRunOpts) readRunOut {
 				return err
 			}
 			// fail records a read error and shuts the rank down cleanly so
-			// the world (and its stats) still completes; collective failures
-			// propagate instead — a half-failed epoch has no clean exit.
+			// the world (and its stats) still completes.
 			fail := func(err error) error {
-				if o.collective {
-					return err
-				}
 				readErrs[c.Rank()] = err
 				out.stats[c.Rank()] = r.Stats()
 				return r.Close()
-			}
-			type piece struct {
-				off int64
-				dst []byte
-			}
-			verify := func(round int, p piece) error {
-				for i, got := range p.dst {
-					if want := expectByte(0, p.off+int64(i)); got != want {
-						return fmt.Errorf("client %d round %d byte %d: got %d want %d",
-							tr.ClientIndex(), round, p.off+int64(i), got, want)
-					}
-				}
-				return nil
 			}
 			var blks []int64
 			for blk := int64(0); blk < o.fileBlocks; blk++ {
@@ -158,7 +135,6 @@ func readWorkload(t *testing.T, o readRunOpts) readRunOut {
 				if o.orderSeed != 0 {
 					rng.Shuffle(len(blks), func(i, j int) { blks[i], blks[j] = blks[j], blks[i] })
 				}
-				var pieces []piece
 				for i, blk := range blks {
 					first := o.orderSeed != 0 && round == 0 && i == 0
 					if first {
@@ -169,28 +145,19 @@ func readWorkload(t *testing.T, o readRunOpts) readRunOut {
 							runtime.Gosched()
 						}
 					}
-					p := piece{off: blk * o.domain, dst: make([]byte, o.domain)}
-					err := r.ReadAt(p.off, p.dst)
+					off, dst := blk*o.domain, make([]byte, o.domain)
+					err := r.ReadAt(off, dst)
 					if first {
 						close(turns[myTurn+1])
 					}
 					if err != nil {
 						return fail(err)
 					}
-					if !o.collective {
-						if err := verify(round, p); err != nil {
-							return err
+					for j, got := range dst {
+						if want := expectByte(0, off+int64(j)); got != want {
+							return fmt.Errorf("client %d round %d byte %d: got %d want %d",
+								tr.ClientIndex(), round, off+int64(j), got, want)
 						}
-						continue
-					}
-					pieces = append(pieces, p)
-				}
-				if err := r.Fetch(); err != nil {
-					return fail(err)
-				}
-				for _, p := range pieces {
-					if err := verify(round, p); err != nil {
-						return err
 					}
 				}
 			}
@@ -226,8 +193,7 @@ func readWorkload(t *testing.T, o readRunOpts) readRunOut {
 // TestDelegateReadPathDisarmed is the degenerate pin for the read engine:
 // with ServerCacheBlocks == 0 and ReadQuantum == 0 the tier must keep the
 // uncached per-request identity — every client read piece is exactly one
-// file system read of exactly its length, all cache/epoch counters stay
-// zero, no cache-serve events reach the trace, and two runs agree on
+// file system read of exactly its length, all cache counters stay zero, no cache-serve events reach the trace, and two runs agree on
 // every counter.
 func TestDelegateReadPathDisarmed(t *testing.T) {
 	run := func() (readRunOut, map[trace.Kind]trace.KindStats) {
@@ -244,9 +210,6 @@ func TestDelegateReadPathDisarmed(t *testing.T) {
 	for _, s := range o1.servers {
 		if s.CacheHits+s.CacheMisses+s.CacheEvictions != 0 {
 			t.Fatalf("server %d: disarmed cache counted %+v", s.Rank, s)
-		}
-		if s.ReadEpochs != 0 || s.CollectiveBlocks != 0 {
-			t.Fatalf("server %d: disarmed collective counted %+v", s.Rank, s)
 		}
 		fsReads += s.FSReads
 	}
@@ -438,53 +401,9 @@ func TestDelegateCacheHotReread(t *testing.T) {
 	}
 }
 
-// TestDelegateCollectiveRead pins the delegated two-phase read: intents
-// merge across clients, each requested block is fetched once per epoch in
-// one coalesced batch, and with the cache armed later epochs are served
-// from memory entirely.
-func TestDelegateCollectiveRead(t *testing.T) {
-	const blocks = int64(8)
-	o := readWorkload(t, readRunOpts{procs: 5, servers: 1, fileBlocks: blocks, rounds: 2, shared: true, collective: true})
-	s := o.servers[0]
-	if s.ReadReqs != 0 {
-		t.Fatalf("collective mode served %d inline reads", s.ReadReqs)
-	}
-	// Two Fetch rounds stage the blocks; Close's final epoch is empty.
-	if s.ReadEpochs != 3 {
-		t.Fatalf("read epochs = %d, want 3 (2 rounds + close)", s.ReadEpochs)
-	}
-	if s.CollectiveBlocks != 2*blocks {
-		t.Fatalf("collective blocks = %d, want %d", s.CollectiveBlocks, 2*blocks)
-	}
-	// Uncached: each epoch fetches the union once — 4 clients sharing the
-	// pattern collapse to one fetch per block per epoch, not 4.
-	if s.FSReads != 2*blocks {
-		t.Fatalf("fs reads = %d, want %d (union per epoch)", s.FSReads, 2*blocks)
-	}
-	var clientPieces int64
-	for _, st := range o.stats {
-		clientPieces += st.ReadReqs
-	}
-	if clientPieces != 4*2*blocks {
-		t.Fatalf("clients queued %d pieces, want %d", clientPieces, 4*2*blocks)
-	}
-
-	cached := readWorkload(t, readRunOpts{procs: 5, servers: 1, fileBlocks: blocks, rounds: 2, shared: true, collective: true, cacheBlks: int(blocks)})
-	cs := cached.servers[0]
-	if cs.FSReads != blocks {
-		t.Fatalf("cached collective fs reads = %d, want %d (round 2 all hits)", cs.FSReads, blocks)
-	}
-	if cs.CacheMisses != blocks || cs.CacheHits != blocks {
-		t.Fatalf("cached collective hits=%d misses=%d, want %d each", cs.CacheHits, cs.CacheMisses, blocks)
-	}
-	if cs.CacheHits+cs.CacheMisses != cs.CollectiveBlocks {
-		t.Fatalf("hits+misses != collective blocks: %+v", cs)
-	}
-}
-
 // TestDelegateReadChaos is the read-path chaos suite: with OST read
 // faults armed, fault and retry counts must be seed-deterministic across
-// runs with the cache disarmed, armed, under DRR, and in collective mode.
+// runs with the cache disarmed, armed, and under DRR.
 // Cache fills carry the server's identity and the cache never evicts, so
 // no count depends on which client's request arrived first.
 func TestDelegateReadChaos(t *testing.T) {
@@ -496,7 +415,6 @@ func TestDelegateReadChaos(t *testing.T) {
 		{"disarmed", readRunOpts{procs: 5, servers: 1, fileBlocks: blocks, rounds: 2}},
 		{"cached", readRunOpts{procs: 5, servers: 1, fileBlocks: blocks, rounds: 2, cacheBlks: blocks}},
 		{"cached-drr", readRunOpts{procs: 5, servers: 1, fileBlocks: blocks, rounds: 2, cacheBlks: blocks, quantum: 64}},
-		{"collective", readRunOpts{procs: 5, servers: 1, fileBlocks: blocks, rounds: 2, shared: true, collective: true, cacheBlks: blocks}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -604,101 +522,4 @@ func TestDelegateReadExhaustedTyped(t *testing.T) {
 			}
 		})
 	}
-}
-
-// malformedIntents are the shapes a server must turn away before it indexes
-// with them, as payloads for server 0 of 2 over 256-byte domain blocks (it
-// owns the even blocks). FuzzDecodeIntent seeds its corpus with them.
-var malformedIntents = []struct {
-	name    string
-	payload []byte
-}{
-	{"negative offset", extent.AppendRuns(nil, []extent.Extent{{Off: -1, Len: 8}})},
-	{"negative offset and length", extent.AppendRuns(nil, []extent.Extent{{Off: -1, Len: -1}})},
-	{"zero length", extent.AppendRuns(nil, []extent.Extent{{Off: 0, Len: 0}})},
-	{"negative length", extent.AppendRuns(nil, []extent.Extent{{Off: 16, Len: -4}})},
-	{"overflowing end", extent.AppendRuns(nil, []extent.Extent{{Off: math.MaxInt64 - 3, Len: 8}})},
-	{"crosses its block", extent.AppendRuns(nil, []extent.Extent{{Off: 250, Len: 16}})},
-	{"another server's block", extent.AppendRuns(nil, []extent.Extent{{Off: 0, Len: 8}, {Off: 256, Len: 8}})},
-	{"truncated record", extent.AppendRuns(nil, []extent.Extent{{Off: 512, Len: 256}})[:15]},
-}
-
-// TestMalformedReadIntentGetsErrorReply (ROADMAP 5e'): a read intent is
-// bytes off the wire, and closeReadEpoch used to slice and allocate with
-// whatever it decoded to — a server rank panicked, or served a block it does
-// not own. Client 0 hand-builds each bad shape for server 0; it must get an
-// error reply from that server alone, client 1's reads in the same epoch
-// must be served, no rank may panic and the world must not abort; a clean
-// epoch afterwards shows both servers still standing.
-func TestMalformedReadIntentGetsErrorReply(t *testing.T) {
-	for _, bad := range malformedIntents {
-		t.Run(bad.name, func(t *testing.T) {
-			err := rigRead(rigConfig(4, true), func(tr *Tier, r *File) error {
-				if tr.ClientIndex() == 1 {
-					if err := readAll(tr, r); err != nil {
-						return fmt.Errorf("well-formed client in the malformed epoch: %w", err)
-					}
-				} else {
-					for si, payload := range [][]byte{bad.payload, nil} {
-						if err := tr.request(si, &mpi.RPCRequest{Op: mpi.OpReadIntent, Handle: r.handle, Data: payload}); err != nil {
-							return err
-						}
-					}
-					rep, err := r.reply(0, "read")
-					if err == nil {
-						rep.Release()
-					}
-					if err == nil || !strings.Contains(err.Error(), "read intent") {
-						return fmt.Errorf("server 0 answered the malformed intent with %v, want a read-intent error", err)
-					}
-					if rep, err = r.reply(1, "read"); err != nil {
-						return fmt.Errorf("server 1 got a well-formed empty intent and answered %w", err)
-					}
-					rep.Release()
-				}
-				if err := readAll(tr, r); err != nil {
-					return fmt.Errorf("epoch after the malformed one: %w", err)
-				}
-				return nil
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-}
-
-// FuzzDecodeIntent: the read-intent decoder (extent.DecodeRuns) never
-// panics, a payload it accepts re-encodes to the same bytes (ROADMAP 5e),
-// and runs the server's ownership check (server.owned) accepts as well are
-// safe to index with.
-func FuzzDecodeIntent(f *testing.F) {
-	f.Add([]byte(nil))
-	f.Add(extent.AppendRuns(nil, []extent.Extent{{Off: 0, Len: 256}, {Off: 1 << 40, Len: 1}}))
-	f.Add(extent.AppendRuns(nil, []extent.Extent{{Off: -1, Len: -1}}))
-	f.Add(extent.AppendRuns(nil, []extent.Extent{{Off: 512, Len: 256}})[:15])
-	for _, bad := range malformedIntents {
-		f.Add(bad.payload)
-	}
-	srv := &server{domains: extent.Layout{P: 2, SegSize: 256}}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		runs, err := extent.DecodeRuns(nil, data)
-		if err != nil {
-			return
-		}
-		if again := extent.AppendRuns(nil, runs); !bytes.Equal(again, data) {
-			t.Fatalf("accepted intent does not re-encode to itself:\n got %x\nwant %x", again, data)
-		}
-		// What closeReadEpoch indexes with: a block this server owns and a
-		// slice inside it.
-		for _, r := range runs {
-			blk, err := srv.owned("read intent", r)
-			if err != nil {
-				continue
-			}
-			if rel := r.Off - blk*256; blk != r.Off/256 || blk < 0 || blk%2 != 0 || rel < 0 || r.Len <= 0 || rel+r.Len > 256 {
-				t.Fatalf("owned accepted run [%d,+%d) as block %d", r.Off, r.Len, blk)
-			}
-		}
-	})
 }

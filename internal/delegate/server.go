@@ -51,15 +51,15 @@ type ServerStats struct {
 	FSBytes  int64
 	Retries  int64
 	// ReadReqs counts OpRead requests served (inline or via the DRR
-	// scheduler); ReadEpochs collective read epochs closed, and
-	// CollectiveBlocks the merged domain blocks those epochs staged.
-	ReadReqs         int64
-	ReadEpochs       int64
-	CollectiveBlocks int64
+	// scheduler).
+	ReadReqs int64
+	// ReadEpochs is always 0: delegated reads have no collective epoch.
+	// The benchmark's per-layer report still reads it.
+	ReadEpochs int64
 	// CacheHits/CacheMisses/CacheEvictions count hot-block cache
-	// outcomes: every served read request and every collective block is
-	// exactly one hit or miss while the cache is armed, and all three
-	// stay zero while it is disarmed.
+	// outcomes: every served read request is exactly one hit or miss
+	// while the cache is armed, and all three stay zero while it is
+	// disarmed.
 	CacheHits      int64
 	CacheMisses    int64
 	CacheEvictions int64
@@ -94,27 +94,16 @@ type handleFile struct {
 	refs int // clients currently holding the handle open
 	pf   *pfs.File
 	// stores holds one storage client per rank h's reads go out as (see
-	// store); drain is the server's own, which drains, cache fills and the
-	// read epochs' union fetch use.
+	// store); drain is the server's own, which drains and cache fills use.
 	stores map[int]*storage.Client
 	drain  *storage.Client
 	// staged holds the epoch's write requests, unreleased: epochs apply in
 	// (block, client, seq) order, so no record is copied out before closeEpoch.
 	staged []mpi.RPCRequest
 	epoch  int64
-	// quorum holds this epoch's contributions by client rank — a flush
-	// marker each on a write handle, a read intent each on a read handle; the
-	// epoch closes when every client has contributed (contribute).
-	quorum map[int]contribution
-}
-
-// contribution is one client's part of an epoch: the request's sequence
-// number and, for a read intent, the runs it asked for or — for a malformed
-// request — the error its reply will carry in place of data.
-type contribution struct {
-	runs []extent.Extent
-	seq  int64
-	err  error
+	// flushed holds the client ranks whose flush marker this epoch has; the
+	// epoch closes when every client has sent one (flush).
+	flushed map[int]bool
 }
 
 type server struct {
@@ -185,16 +174,13 @@ func (s *server) handle(req mpi.RPCRequest) error {
 		return s.open(&req)
 	case mpi.OpRead:
 		return s.read(&req)
-	case mpi.OpFlush, mpi.OpReadIntent:
-		// A flush marker closes a write epoch and a read intent a read epoch;
-		// no File method sends either on the other kind of handle.
-		if h := s.handles[req.Handle]; h != nil && (req.Op == mpi.OpFlush) != (h.mode == tcio.WriteMode) {
+	case mpi.OpFlush:
+		// A flush marker closes a write epoch; no File method sends one on a
+		// read handle.
+		if h := s.handles[req.Handle]; h != nil && h.mode != tcio.WriteMode {
 			return fmt.Errorf("delegate: %s on %s handle %d", req.Op, h.mode, req.Handle)
 		}
-		if req.Op == mpi.OpFlush {
-			return s.flush(&req)
-		}
-		return s.readIntent(&req)
+		return s.flush(&req)
 	case mpi.OpClose:
 		return s.close(&req)
 	}
@@ -268,11 +254,11 @@ func (s *server) open(req *mpi.RPCRequest) error {
 	h := s.handles[req.Handle]
 	if h == nil {
 		h = &handleFile{
-			name:   name,
-			mode:   mode,
-			pf:     s.c.FS().Open(name),
-			stores: make(map[int]*storage.Client),
-			quorum: make(map[int]contribution),
+			name:    name,
+			mode:    mode,
+			pf:      s.c.FS().Open(name),
+			stores:  make(map[int]*storage.Client),
+			flushed: make(map[int]bool),
 		}
 		h.drain = s.store(h, s.c.Rank())
 		s.handles[req.Handle] = h
@@ -363,8 +349,8 @@ func (s *server) serveHit(ent *cacheEntry, bytes int64) {
 // beside the domain block's four segments, not a knob (DESIGN.md §2e).
 const lineBlocks = 4
 
-// owned checks a run off the wire — a write record, a read, an intent's run —
-// before the server indexes with it: non-empty, non-negative, not overflowing,
+// owned checks a run off the wire — a write record or a read — before the
+// server indexes with it: non-empty, non-negative, not overflowing,
 // and inside one domain block this server owns. It returns the block.
 func (s *server) owned(kind string, r extent.Extent) (int64, error) {
 	if r.Off < 0 || r.Len <= 0 || r.Len > math.MaxInt64-r.Off {
@@ -454,7 +440,7 @@ func (s *server) fillLine(h *handleFile, key blockKey) (*cacheEntry, error) {
 			blks = append(blks, blk)
 		}
 	}
-	bufs, done, filled, err := s.fetch(h, "delegate-fill", blks)
+	bufs, done, filled, err := s.fetch(h, blks)
 	for i, blk := range blks {
 		if i < filled {
 			s.admit(blockKey{name: h.name, blk: blk}, bufs[i], done[i])
@@ -475,14 +461,14 @@ func (s *server) fillLine(h *handleFile, key blockKey) (*cacheEntry, error) {
 // of the blocks, not of whose request arrived first. It leaves the clock
 // alone and returns each block's buffer and completion, and how many blocks
 // were read — issue stops at the first request that exhausts its retries.
-func (s *server) fetch(h *handleFile, op string, blks []int64) (bufs [][]byte, done []simtime.Time, filled int, err error) {
+func (s *server) fetch(h *handleFile, blks []int64) (bufs [][]byte, done []simtime.Time, filled int, err error) {
 	bufs, done = make([][]byte, len(blks)), make([]simtime.Time, len(blks))
 	reqs := make([]storage.Request, len(blks))
 	for i, blk := range blks {
 		bufs[i] = s.c.GetBuf(int(s.domains.SegSize))
 		reqs[i] = storage.Request{Off: s.domains.SegStart(blk), Data: bufs[i], Tag: fmt.Sprintf("blk=%d", blk)}
 	}
-	if s.cache != nil && mutate.Enabled(mutate.DelegateCacheStaleServe) {
+	if mutate.Enabled(mutate.DelegateCacheStaleServe) {
 		// Planted bug: "fetch" the blocks without reading the file system,
 		// so the replies and every later hit serve zeros.
 		for _, b := range bufs {
@@ -490,7 +476,7 @@ func (s *server) fetch(h *handleFile, op string, blks []int64) (bufs [][]byte, d
 		}
 		return bufs, done, len(blks), nil
 	}
-	res, err := h.drain.ReadExtentsEach(op, trace.KindFetch, reqs, s.c.Now(), done)
+	res, err := h.drain.ReadExtentsEach("delegate-fill", trace.KindFetch, reqs, s.c.Now(), done)
 	s.count(res, &s.stats.FSReads)
 	return bufs, done, int(res.Requests), err
 }
@@ -512,46 +498,27 @@ func (s *server) count(res storage.Result, reqs *int64) {
 	s.stats.Retries += res.Retries
 }
 
-// flush counts one client's flush marker toward its handle's write epoch.
-func (s *server) flush(req *mpi.RPCRequest) error {
-	return s.contribute(req, contribution{seq: req.Seq}, s.closeEpoch)
-}
-
-// contribute records one client's part of its handle's epoch and closes the
-// epoch with closeFn once every client has contributed. The quorum is the
+// flush counts one client's flush marker toward its handle's write epoch
+// and closes the epoch once every client has sent one. The quorum is the
 // static client count, not the opens seen so far: a fast client's open,
 // writes, and marker can all arrive before a slow client has even opened
 // the file, and closing on a partial quorum would drain an epoch missing the
 // slow clients' writes. Open is collective over the clients, so every client
-// contributes exactly once per epoch, and FIFO per client orders a
-// contribution after the client's earlier requests.
-func (s *server) contribute(req *mpi.RPCRequest, c contribution, closeFn func(*handleFile) error) error {
+// flushes exactly once per epoch, and FIFO per client orders a marker after
+// the client's earlier requests.
+func (s *server) flush(req *mpi.RPCRequest) error {
 	h, err := s.lookup(req)
 	if err != nil {
 		return err
 	}
-	if _, dup := h.quorum[req.Client]; dup {
+	if h.flushed[req.Client] {
 		return fmt.Errorf("delegate: double %s of handle %d from rank %d", req.Op, req.Handle, req.Client)
 	}
-	h.quorum[req.Client] = c
-	if len(h.quorum) < s.clients {
+	h.flushed[req.Client] = true
+	if len(h.flushed) < s.clients {
 		return nil
 	}
-	return closeFn(h)
-}
-
-// answer sends each contributor of h's epoch its reply in ascending rank
-// order, then clears the quorum for the next epoch.
-func (s *server) answer(h *handleFile, reply func(client int, c contribution) error) error {
-	for cl := range s.c.Size() {
-		if c, ok := h.quorum[cl]; ok {
-			if err := reply(cl, c); err != nil {
-				return err
-			}
-		}
-	}
-	clear(h.quorum)
-	return nil
+	return s.closeEpoch(h)
 }
 
 // blockStage is one domain block's staging buffer during an epoch close.
@@ -563,7 +530,8 @@ type blockStage struct {
 
 // closeEpoch applies the epoch's staged writes block by block, each block's
 // records in (client, seq) order — last write wins, deterministically —
-// coalesces them, drains one batch, and acks every client in rank order.
+// coalesces them, drains one batch, and acks every client in rank order,
+// clearing the quorum for the next epoch.
 // Drained runs write through into live cache entries (and clear the
 // blocks' dirty counters), so post-flush reads hit coherent bytes.
 func (s *server) closeEpoch(h *handleFile) error {
@@ -652,13 +620,20 @@ func (s *server) closeEpoch(h *handleFile) error {
 	s.stats.Epochs++
 	h.epoch++
 	h.staged = nil
-	return s.answer(h, func(cl int, _ contribution) error {
-		rep := &mpi.RPCReply{OK: drainErr == nil, Seq: h.epoch}
-		if drainErr != nil {
-			rep.Code, rep.Err = errCode(drainErr), drainErr.Error()
+	rep := &mpi.RPCReply{OK: drainErr == nil, Seq: h.epoch}
+	if drainErr != nil {
+		rep.Code, rep.Err = errCode(drainErr), drainErr.Error()
+	}
+	for cl := range s.c.Size() {
+		if !h.flushed[cl] {
+			continue
 		}
-		return s.c.SendReply(cl, tagReply, rep)
-	})
+		if err := s.c.SendReply(cl, tagReply, rep); err != nil {
+			return err
+		}
+	}
+	clear(h.flushed)
+	return nil
 }
 
 func (s *server) close(req *mpi.RPCRequest) error {

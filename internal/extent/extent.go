@@ -18,7 +18,7 @@
 //   - Layout (layout.go): the paper's equations (1)-(3) round-robin
 //     offset -> (rank, segment, displacement) mapping, and its piece walk.
 //   - Partition (partition.go): OCIO's equal contiguous file domains.
-//   - PutRun / AppendRuns / DecodeRuns (wire.go): the one wire codec for
+//   - PutRun / DecodeRuns (wire.go): the one wire codec for
 //     run lists.
 //
 // All functions treat a nil list as empty and never return zero-length

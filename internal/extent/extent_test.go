@@ -284,26 +284,25 @@ func TestLayoutPiecesTileTheAccess(t *testing.T) {
 	}
 }
 
-// TestRunWireRoundTrip pins the one run codec every layer ships: 16 bytes
-// per run, little-endian offset then length, appended in place when dst has
-// the room, and decoded whole records only, onto what dst already holds.
+// TestRunWireRoundTrip pins the one run codec: 16 bytes per run,
+// little-endian offset then length, decoded whole records only, onto what
+// dst already holds.
 func TestRunWireRoundTrip(t *testing.T) {
 	runs := []Extent{{Off: 1, Len: 2}, {Off: 1 << 40, Len: 3}, {Off: -1, Len: 0}}
-	slot := make([]byte, 4+RunWire*len(runs))
-	b := AppendRuns(slot[:4], runs)
-	if &b[0] != &slot[0] || len(b) != len(slot) {
-		t.Fatalf("AppendRuns left a slot with room: %d bytes, moved=%v", len(b), &b[0] != &slot[0])
+	b := make([]byte, RunWire*len(runs))
+	for i, r := range runs {
+		PutRun(b[RunWire*i:], r)
 	}
 	prior := []Extent{{Off: 7, Len: 7}}
-	got, err := DecodeRuns(prior, b[4:])
+	got, err := DecodeRuns(prior, b)
 	if err != nil || !slices.Equal(got, append(prior, runs...)) {
 		t.Errorf("DecodeRuns = %v, %v; want %v after %v", got, err, runs, prior)
 	}
-	if want := []byte{1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0}; !reflect.DeepEqual(b[4:4+RunWire], want) {
-		t.Errorf("wire bytes = %v, want %v", b[4:4+RunWire], want)
+	if want := []byte{1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0}; !reflect.DeepEqual(b[:RunWire], want) {
+		t.Errorf("wire bytes = %v, want %v", b[:RunWire], want)
 	}
-	for _, n := range []int{1, RunWire - 1, RunWire + 1, len(b) - 5} {
-		if got, err := DecodeRuns(prior, b[4:4+n]); err == nil || !slices.Equal(got, prior) {
+	for _, n := range []int{1, RunWire - 1, RunWire + 1, len(b) - 1} {
+		if got, err := DecodeRuns(prior, b[:n]); err == nil || !slices.Equal(got, prior) {
 			t.Errorf("a %d-byte list decoded to %v, %v; want an error and dst untouched", n, got, err)
 		}
 	}

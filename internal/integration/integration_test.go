@@ -305,7 +305,12 @@ func TestConcurrentTCIOAndVanillaFiles(t *testing.T) {
 // epoch drain) still posts coalesced, disjoint lists.
 func TestOverlappingWritersDrainDisjointBatches(t *testing.T) {
 	const clients, span = 4, 96 // rank r writes [48r, 48r+96): half overlaps rank r+1
-	program := func(rank int, f *delegate.File) error {
+	type file interface {
+		WriteAt(int64, []byte) error
+		Flush() error
+		Close() error
+	}
+	program := func(rank int, f file) error {
 		for round := 0; round < 2; round++ {
 			data := bytes.Repeat([]byte{byte(16*round + rank + 1)}, span)
 			if err := f.WriteAt(int64(rank)*span/2, data[:span/3]); err != nil {
@@ -332,6 +337,13 @@ func TestOverlappingWritersDrainDisjointBatches(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			fs := sharedFS()
 			_, err := mpi.Run(mpi.Config{Procs: clients + tc.servers, Machine: cluster.Lonestar(), FS: fs}, func(c *mpi.Comm) error {
+				if tc.servers == 0 {
+					f, err := tcio.Open(c, "overlap", tcio.WriteMode, tc.cfg)
+					if err != nil {
+						return err
+					}
+					return program(c.Rank(), f)
+				}
 				return delegate.Run(c, delegate.Config{ServerRanks: tc.servers, TCIO: tc.cfg}, func(tier *delegate.Tier) error {
 					f, err := tier.Open("overlap", tcio.WriteMode)
 					if err != nil {

@@ -27,11 +27,6 @@ const (
 	// OpShutdown retires one client from a server's request loop; the
 	// server exits once every client has sent it.
 	OpShutdown
-	// OpReadIntent ships one client's read-intent vector for a collective
-	// read epoch (Data holds fixed-width off/len run pairs; see
-	// internal/delegate). Appended after OpShutdown so existing wire
-	// values stay stable.
-	OpReadIntent
 )
 
 func (op RPCOp) String() string {
@@ -48,8 +43,6 @@ func (op RPCOp) String() string {
 		return "close"
 	case OpShutdown:
 		return "shutdown"
-	case OpReadIntent:
-		return "read-intent"
 	}
 	return fmt.Sprintf("op(%d)", uint8(op))
 }
