@@ -81,12 +81,12 @@ func TestBadCountIsAnError(t *testing.T) {
 // TestJSONKeepsEverySweep: each sweep used to overwrite the -json file, so
 // only the last one's report survived.
 func TestJSONKeepsEverySweep(t *testing.T) {
-	doc := readJSON(t, "-ablations", "-scale", "-scale-procs", "16", "-scale-maxprocs", "1", "-len-real", "512")
-	if len(doc.Sweeps) != 2 || doc.Sweeps[0].Name != "ablations" || doc.Sweeps[1].Name != "scale" {
+	doc := readJSON(t, "-ablations", "-delegate-read", "-len-real", "512")
+	if len(doc.Sweeps) != 2 || doc.Sweeps[0].Name != "ablations" || doc.Sweeps[1].Name != "delegate-read" {
 		t.Fatalf("entries: %+v", doc.Sweeps)
 	}
 	// Each sweep's rows carry its own table's columns.
-	key := map[string]string{"ablations": "one_sided_msgs", "scale": "virtual_ns"}
+	key := map[string]string{"ablations": "one_sided_msgs", "delegate-read": "fs_reads_cold"}
 	for _, s := range doc.Sweeps {
 		if len(s.Rows) == 0 || s.Rows[0][key[s.Name]] == nil {
 			t.Errorf("%s: rows %+v", s.Name, s.Rows)
@@ -102,14 +102,15 @@ func TestJSONDelegateRead(t *testing.T) {
 	}
 }
 
-// TestCombinationsRunEverySweep: -scale and -crash used to return early, so
-// together only the first ran.
+// TestCombinationsRunEverySweep: two sweeps used to return early, so together
+// only the first ran. -delegate-read, named without -delegate, runs alone.
 func TestCombinationsRunEverySweep(t *testing.T) {
-	code, stdout, stderr := tciobench("-scale", "-scale-procs", "8", "-scale-maxprocs", "1", "-crash", "-quiet")
-	if code != 0 || !strings.Contains(stdout, "Host scale:") || !strings.Contains(stdout, "Crash sweep:") {
+	code, stdout, stderr := tciobench("-tables", "-delegate-read", "-quiet")
+	if code != 0 || !strings.Contains(stdout, "Table III:") || !strings.Contains(stdout, "Delegated reads:") ||
+		strings.Contains(stdout, "I/O delegation:") {
 		t.Errorf("exit %d\n%s%s", code, stdout, stderr)
 	}
-	if code, _, stderr := tciobench(); code != 2 || !strings.Contains(stderr, "[not in -all]") {
+	if code, _, stderr := tciobench(); code != 2 || !strings.Contains(stderr, "[also runs after a clean -delegate]") {
 		t.Errorf("no sweep named: exit %d, usage %q", code, stderr)
 	}
 }

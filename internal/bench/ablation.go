@@ -34,7 +34,6 @@ func ablationSweep(g *synthGeometry) *Sweep {
 	return &Sweep{
 		Name:   "ablations",
 		Help:   "run the TCIO design-choice ablations",
-		InAll:  true,
 		Params: g,
 		Points: func(bool) []any { return points(ablationVariants()) },
 		Env:    g.env,

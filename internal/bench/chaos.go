@@ -44,7 +44,6 @@ func chaosSweep(g *chaosGeometry) *Sweep {
 	return &Sweep{
 		Name:   chaosName,
 		Help:   "run the fault-injection chaos sweep; with sweeps that have a deterministic projection, print that instead",
-		InAll:  true,
 		Flags:  []Flag{{"chaos-procs", "process count for -chaos", &g.Procs}},
 		Params: g,
 		Validate: func() error {

@@ -26,11 +26,9 @@ func Tciobench(fs *flag.FlagSet) *CLI {
 		chaosSweep(defaultChaos()),
 		delegateSweep(defaultDelegate()),
 		delegateReadSweep(defaultDelegateRead()),
-		scaleSweep(defaultScale()),
-		crashSweep(defaultCrash()),
 	})
 	fs.IntVar(&c.LenReal, "len-real", 4<<10, "materialized elements per array per process; must divide a sweep's simulated LENarray")
-	fs.Int64Var(&c.Seed, "seed", 1, "seed of fault injection, kill draws and -conform")
+	fs.Int64Var(&c.Seed, "seed", 1, "seed of fault injection and -conform")
 	return c
 }
 
@@ -50,12 +48,11 @@ type CLI struct {
 func newCLI(fs *flag.FlagSet, sweeps []*Sweep) *CLI {
 	c := &CLI{sweeps: sweeps, on: map[string]*bool{}}
 	for _, s := range sweeps {
-		membership := pick(s.InAll, "in -all", "not in -all")
-		if s.After != "" {
-			membership = "also runs after a clean -" + s.After + ", so with -all"
-		}
 		for name, help := range s.flags() {
-			c.on[name] = fs.Bool(name, false, fmt.Sprintf("%s [%s]", help, membership))
+			if s.After != "" {
+				help += " [also runs after a clean -" + s.After + "]"
+			}
+			c.on[name] = fs.Bool(name, false, help)
 		}
 		for _, f := range s.Flags {
 			switch p := f.Var.(type) {
@@ -68,7 +65,7 @@ func newCLI(fs *flag.FlagSet, sweeps []*Sweep) *CLI {
 			}
 		}
 	}
-	fs.BoolVar(&c.all, "all", false, "run every sweep marked [in -all]")
+	fs.BoolVar(&c.all, "all", false, "run every sweep")
 	fs.BoolVar(&c.csv, "csv", false, "emit CSV instead of aligned tables")
 	fs.BoolVar(&c.quiet, "quiet", false, "suppress progress lines")
 	return c
@@ -106,7 +103,7 @@ func (c *CLI) Run(stdout, stderr io.Writer) ([]*Report, error) {
 	var reports []*Report
 	clean := map[string]bool{} // sweeps that ran unarmed
 	for _, s := range c.sweeps {
-		selected := c.named(s) || c.all && s.InAll || clean[s.After]
+		selected := c.named(s) || c.all || clean[s.After]
 		if !selected || armed && s.Name == chaosName {
 			continue
 		}

@@ -277,7 +277,6 @@ func delegateSweep(g *delegateGeometry) *Sweep {
 	return &Sweep{
 		Name:     "delegate",
 		Help:     "sweep the I/O delegation tier (server ranks x open files x request size), plus the delegated read sweep",
-		InAll:    true,
 		Params:   g,
 		Validate: g.validate,
 		Points: func(chaos bool) []any {

@@ -26,8 +26,7 @@ type Env struct {
 	// Faults, when non-nil, arms chaos injection across the environment's
 	// hardware for every run.
 	Faults  *faults.Injector
-	LenReal int   // materialized LENarray of an environment sized from EnvSpec.LenSim; 0 otherwise
-	Seed    int64 // the run's seed, for sweeps that draw from it themselves
+	LenReal int // materialized LENarray of an environment sized from EnvSpec.LenSim; 0 otherwise
 
 	fresh func() (*Env, error)
 }
@@ -150,7 +149,7 @@ func (o Options) newEnv(spec EnvSpec) (*Env, error) {
 	if err != nil {
 		return nil, err
 	}
-	env.LenReal, env.Seed = lenReal, o.Seed
+	env.LenReal = lenReal
 	env.Faults = spec.Faults
 	if o.Chaos {
 		env.Faults = defaultChaosRules.injector(o.Seed, projectionRate)

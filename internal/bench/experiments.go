@@ -98,7 +98,7 @@ func defaultFig67() *figGeometry {
 
 // synthFigure is a Figs. 5-7 sweep over g's grid.
 func synthFigure(s Sweep, g *figGeometry, x Column, write, read Table) *Sweep {
-	s.InAll, s.Params = true, g
+	s.Params = g
 	s.Points = func(bool) []any {
 		return grid3(g.Procs, g.LenSims, []Method{MethodTCIO, MethodOCIO},
 			func(p, l int, m Method) any { return FigPoint{Procs: p, LenSim: l, Method: m} })
@@ -229,8 +229,7 @@ func runART(g *ARTGeometry, env *Env, p FigPoint) Row {
 // throughput, TCIO vs vanilla MPI-IO. Its rows are FigPoints.
 func ART(g *ARTGeometry) *Sweep {
 	return figure(Sweep{
-		Name:  "fig9/10",
-		InAll: true,
+		Name: "fig9/10",
 		Flags: []Flag{
 			{"procs", "comma-separated process counts", &g.Procs},
 			{"trees", "number of FTT segments (Table IV: 1024)", &g.Trees},
@@ -257,9 +256,8 @@ func ART(g *ARTGeometry) *Sweep {
 // Figure 5's geometry, which Table II describes.
 func tablesSweep(g *figGeometry) *Sweep {
 	return &Sweep{
-		Name:  "tables",
-		Help:  "print Tables I, II and III",
-		InAll: true,
+		Name: "tables",
+		Help: "print Tables I, II and III",
 		Static: func(o Options) ([]stats.Table, error) {
 			if _, err := o.byteScale(g.LenSims[0]); err != nil {
 				return nil, err
@@ -280,7 +278,6 @@ func table4Sweep() *Sweep {
 	return &Sweep{
 		Name:   "table4",
 		Help:   "print Table IV (segment generation)",
-		InAll:  true,
 		Static: func(Options) ([]stats.Table, error) { return []stats.Table{Table4()}, nil },
 	}
 }

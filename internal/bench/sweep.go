@@ -18,7 +18,7 @@ type Options struct {
 	// LenReal is the materialized element count per array per process of
 	// the sweeps sized from a paper-scale LENarray (EnvSpec.LenSim).
 	LenReal int
-	// Seed drives every fault-injection decision and kill-instant draw.
+	// Seed drives every fault-injection decision.
 	Seed int64
 	// Chaos runs the sweep's deterministic projection: the same Run on the
 	// projection's points, a seeded injector armed in every environment,
@@ -107,14 +107,6 @@ var (
 	// delegation, the servers'.
 	colRetries = det("retries", "retries", func(r *Row) any { return r.TCIO.Retries + r.Servers.Retries })
 )
-
-// pick names a two-valued setting.
-func pick(first bool, a, b string) string {
-	if first {
-		return a
-	}
-	return b
-}
 
 // phaseCell formats one throughput cell, or the failure it stands for.
 func phaseCell(pr PhaseResult) string {
@@ -207,8 +199,6 @@ type Sweep struct {
 	// table names its own), the JSON entry's name and the progress prefix.
 	Name string
 	Help string
-	// InAll puts the sweep in -all.
-	InAll bool
 	// After names a sweep whose clean run this one follows: -delegate also
 	// prints the delegated read sweep.
 	After string

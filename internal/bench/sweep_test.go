@@ -17,7 +17,6 @@ import (
 func TestGoldenOutputs(t *testing.T) {
 	for file, args := range map[string]string{
 		"delegate-chaos.txt": "-delegate -chaos -seed 7",
-		"crash.csv":          "-crash -seed 7 -csv",
 		"chaos.txt":          "-chaos -seed 7 -chaos-procs 16",
 		"tables.txt":         "-tables",
 	} {
