@@ -2,10 +2,8 @@
 // (Tables I-III and Figures 5-7) and the reproduction's own sweeps. Its
 // flags are generated from the sweep table in internal/bench: run it with
 // -h for the list. -all runs every sweep, and every sweep named runs;
-// -chaos beside -delegate, the sweep with a deterministic projection,
-// prints that counts-only table instead; -json FILE collects every sweep's
-// rows in one document; -conform runs the randomized differential
-// conformance sweep.
+// -json FILE collects every sweep's rows in one document; -conform runs the
+// randomized differential conformance sweep.
 //
 // Simulated datasets follow the paper (LENarray=4M elements, files up to
 // 48 GB); -len-real controls how many elements are actually materialized

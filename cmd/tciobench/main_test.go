@@ -81,12 +81,12 @@ func TestBadCountIsAnError(t *testing.T) {
 // TestJSONKeepsEverySweep: each sweep used to overwrite the -json file, so
 // only the last one's report survived.
 func TestJSONKeepsEverySweep(t *testing.T) {
-	doc := readJSON(t, "-ablations", "-delegate-read", "-len-real", "512")
-	if len(doc.Sweeps) != 2 || doc.Sweeps[0].Name != "ablations" || doc.Sweeps[1].Name != "delegate-read" {
+	doc := readJSON(t, "-ablations", "-delegate", "-len-real", "512")
+	if len(doc.Sweeps) != 2 || doc.Sweeps[0].Name != "ablations" || doc.Sweeps[1].Name != "delegate" {
 		t.Fatalf("entries: %+v", doc.Sweeps)
 	}
 	// Each sweep's rows carry its own table's columns.
-	key := map[string]string{"ablations": "one_sided_msgs", "delegate-read": "fs_reads_cold"}
+	key := map[string]string{"ablations": "one_sided_msgs", "delegate": "batched_runs"}
 	for _, s := range doc.Sweeps {
 		if len(s.Rows) == 0 || s.Rows[0][key[s.Name]] == nil {
 			t.Errorf("%s: rows %+v", s.Name, s.Rows)
@@ -94,23 +94,20 @@ func TestJSONKeepsEverySweep(t *testing.T) {
 	}
 }
 
-// TestJSONDelegateRead: -delegate-read -json used to write nothing.
-func TestJSONDelegateRead(t *testing.T) {
-	doc := readJSON(t, "-delegate-read")
-	if len(doc.Sweeps) != 1 || len(doc.Sweeps[0].Rows) != 4 || doc.Sweeps[0].Rows[0]["fs_reads_cold"] == nil {
-		t.Fatalf("entries: %+v", doc.Sweeps)
-	}
-}
-
 // TestCombinationsRunEverySweep: two sweeps used to return early, so together
-// only the first ran. -delegate-read, named without -delegate, runs alone.
+// only the first ran. -chaos beside -delegate used to print -delegate's
+// counts-only projection instead of either sweep; now it runs both, clean.
 func TestCombinationsRunEverySweep(t *testing.T) {
-	code, stdout, stderr := tciobench("-tables", "-delegate-read", "-quiet")
-	if code != 0 || !strings.Contains(stdout, "Table III:") || !strings.Contains(stdout, "Delegated reads:") ||
-		strings.Contains(stdout, "I/O delegation:") {
-		t.Errorf("exit %d\n%s%s", code, stdout, stderr)
+	code, stdout, stderr := tciobench("-tables", "-delegate", "-chaos", "-chaos-procs", "4", "-quiet")
+	for _, title := range []string{"Table III:", "I/O delegation:", "Chaos sweep:"} {
+		if code != 0 || !strings.Contains(stdout, title) {
+			t.Errorf("exit %d, no %q\n%s%s", code, title, stdout, stderr)
+		}
 	}
-	if code, _, stderr := tciobench(); code != 2 || !strings.Contains(stderr, "[also runs after a clean -delegate]") {
+	if code, _, stderr := tciobench(); code != 2 || !strings.Contains(stderr, "-delegate") {
 		t.Errorf("no sweep named: exit %d, usage %q", code, stderr)
+	}
+	if code, _, _ := tciobench("-delegate-read"); code != 2 {
+		t.Errorf("retired -delegate-read: exit %d, want 2 (unknown flag)", code)
 	}
 }

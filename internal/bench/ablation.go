@@ -35,7 +35,7 @@ func ablationSweep(g *synthGeometry) *Sweep {
 		Name:   "ablations",
 		Help:   "run the TCIO design-choice ablations",
 		Params: g,
-		Points: func(bool) []any { return points(ablationVariants()) },
+		Points: func() []any { return points(ablationVariants()) },
 		Env:    g.env,
 		Run: func(env *Env, pt any) ([]Row, error) {
 			cfg := g.config(env, MethodTCIO, "ablation")

@@ -42,8 +42,8 @@ type chaosPoint struct {
 func chaosSweep(g *chaosGeometry) *Sweep {
 	at := func(r *Row) chaosPoint { return r.Point.(chaosPoint) }
 	return &Sweep{
-		Name:   chaosName,
-		Help:   "run the fault-injection chaos sweep; with sweeps that have a deterministic projection, print that instead",
+		Name:   "chaos",
+		Help:   "run the fault-injection chaos sweep",
 		Flags:  []Flag{{"chaos-procs", "process count for -chaos", &g.Procs}},
 		Params: g,
 		Validate: func() error {
@@ -52,7 +52,7 @@ func chaosSweep(g *chaosGeometry) *Sweep {
 			}
 			return nil
 		},
-		Points: func(bool) []any {
+		Points: func() []any {
 			return grid2(g.Rates, []Method{MethodTCIO, MethodOCIO},
 				func(rate float64, m Method) any { return chaosPoint{Rate: rate, Method: m} })
 		},
@@ -81,11 +81,13 @@ func chaosSweep(g *chaosGeometry) *Sweep {
 						Cell:  func(r *Row) string { return fmt.Sprintf("%.2f", at(r).Rate) }},
 					det("method", "method", func(r *Row) any { return at(r).Method.String() }),
 					det("phase", "phase", func(r *Row) any { return at(r).Phase }),
-					colInjected, colFSRetries,
+					det("injected", "injected", func(r *Row) any { return r.Injected }),
+					det("fs-retries", "fs_retries", func(r *Row) any { return r.FS.Retries }),
 					det("setup-retries", "setup_retries", func(r *Row) any { return r.Net.SetupRetries }),
 					det("slow-svc", "slow_services", func(r *Row) any { return r.FS.SlowServices }),
 					det("lock-storms", "lock_storms", func(r *Row) any { return r.FS.LockStorms }),
-					colAllocRetries, colResult,
+					det("alloc-retries", "alloc_retries", func(r *Row) any { return r.AllocRetries }),
+					colResult,
 				},
 			}}
 		},

@@ -25,7 +25,6 @@ func Tciobench(fs *flag.FlagSet) *CLI {
 		ablationSweep(defaultAblation()),
 		chaosSweep(defaultChaos()),
 		delegateSweep(defaultDelegate()),
-		delegateReadSweep(defaultDelegateRead()),
 	})
 	fs.IntVar(&c.LenReal, "len-real", 4<<10, "materialized elements per array per process; must divide a sweep's simulated LENarray")
 	fs.Int64Var(&c.Seed, "seed", 1, "seed of fault injection and -conform")
@@ -49,9 +48,6 @@ func newCLI(fs *flag.FlagSet, sweeps []*Sweep) *CLI {
 	c := &CLI{sweeps: sweeps, on: map[string]*bool{}}
 	for _, s := range sweeps {
 		for name, help := range s.flags() {
-			if s.After != "" {
-				help += " [also runs after a clean -" + s.After + "]"
-			}
 			c.on[name] = fs.Bool(name, false, help)
 		}
 		for _, f := range s.Flags {
@@ -81,41 +77,26 @@ func (c *CLI) named(s *Sweep) bool {
 	return false
 }
 
-// chaosName names the sweep whose flag does double duty: beside sweeps that
-// have a deterministic projection (and without -all) -chaos arms those and
-// prints their projections instead of running the chaos sweep itself.
-const chaosName = "chaos"
-
 // Run executes every selected sweep in order, printing each one's tables
 // to stdout as it completes and progress lines to stderr. No report and no
 // error means the command line named no sweep.
 func (c *CLI) Run(stdout, stderr io.Writer) ([]*Report, error) {
-	armed := false
-	if chaos := c.on[chaosName]; chaos != nil && *chaos && !c.all {
-		for _, s := range c.sweeps {
-			armed = armed || c.named(s) && s.Projection != nil
-		}
-	}
 	opts := c.Options
 	if !c.quiet {
 		opts.Progress = func(line string) { fmt.Fprintln(stderr, "  ", line) }
 	}
 	var reports []*Report
-	clean := map[string]bool{} // sweeps that ran unarmed
 	for _, s := range c.sweeps {
-		selected := c.named(s) || c.all || clean[s.After]
-		if !selected || armed && s.Name == chaosName {
+		if !c.named(s) && !c.all {
 			continue
 		}
-		opts.Chaos = armed && s.Projection != nil
-		clean[s.Name] = !opts.Chaos
 		rep, err := Run(s, opts)
 		if err != nil {
 			return reports, err
 		}
 		reports = append(reports, rep)
 		shown := func(flag string) bool {
-			return flag == "" || c.all || *c.on[flag] || clean[s.After]
+			return flag == "" || c.all || *c.on[flag]
 		}
 		for _, t := range rep.Tables(shown) {
 			if err := t.Write(stdout, c.csv); err != nil {

@@ -29,11 +29,35 @@ import (
 
 	"github.com/tcio/tcio/internal/delegate"
 	"github.com/tcio/tcio/internal/mpi"
+	"github.com/tcio/tcio/internal/stats"
 	"github.com/tcio/tcio/internal/tcio"
 )
 
+// delegateGeometry configures the delegation sweep. Procs are the client
+// ranks; delegated cells add server ranks.
+type delegateGeometry struct {
+	Procs int // client rank count of every run
+	// SegSize is the real tcio segment size in bytes; a delegation
+	// file-domain block is four segments.
+	SegSize int64
+	// SegsPerRank is the per-rank segment count; each file is exactly
+	// Procs x SegsPerRank segments.
+	SegsPerRank int
+	Scale       int64   // environment byte scale (simulated bytes per real byte)
+	Servers     []int   // server-rank counts swept (0 = tcio directly)
+	Files       []int   // concurrently-open file counts swept
+	ReqSizes    []int64 // real client request sizes swept
+}
+
+func (g *delegateGeometry) env(Options, any) EnvSpec { return EnvSpec{Scale: g.Scale} }
+
+// fileBytes is the per-file size in real bytes.
+func (g *delegateGeometry) fileBytes() int64 {
+	return g.SegSize * int64(g.SegsPerRank) * int64(g.Procs)
+}
+
 // tierConfig builds the delegation tier's configuration for a server count.
-func (g *segGeometry) tierConfig(servers int) delegate.Config {
+func (g *delegateGeometry) tierConfig(servers int) delegate.Config {
 	return delegate.Config{
 		ServerRanks: servers,
 		TCIO: tcio.Config{
@@ -44,23 +68,15 @@ func (g *segGeometry) tierConfig(servers int) delegate.Config {
 	}
 }
 
-// delegateGeometry configures the delegation sweep.
-type delegateGeometry struct {
-	segGeometry
-	Servers  []int   // server-rank counts swept (0 = tcio directly)
-	Files    []int   // concurrently-open file counts swept
-	ReqSizes []int64 // real client request sizes swept
-}
-
 // defaultDelegate sweeps 0/1/2 servers against 1 and 2 open files and
 // 256 B / 2 KiB (real) requests, over 8 client ranks and 16 KiB (real)
 // segments.
 func defaultDelegate() *delegateGeometry {
 	return &delegateGeometry{
-		segGeometry: segGeometry{Procs: 8, SegSize: 16 << 10, SegsPerRank: 4, Scale: 16},
-		Servers:     []int{0, 1, 2},
-		Files:       []int{1, 2},
-		ReqSizes:    []int64{256, 2 << 10},
+		Procs: 8, SegSize: 16 << 10, SegsPerRank: 4, Scale: 16,
+		Servers:  []int{0, 1, 2},
+		Files:    []int{1, 2},
+		ReqSizes: []int64{256, 2 << 10},
 	}
 }
 
@@ -87,12 +103,9 @@ type tierProgram struct {
 	// Write makes every client write its blocks of every file, flush, and
 	// close.
 	Write bool
-	// Read makes every client then reopen the files and read Passes times
-	// — its own blocks, or with Shared every block — verifying the last
-	// pass against the generator.
-	Read   bool
-	Passes int
-	Shared bool
+	// Read makes every client then reopen the files, read its own blocks
+	// and verify them against the generator.
+	Read bool
 }
 
 // tierFile is an open file of either engine: *tcio.File or *delegate.File.
@@ -106,7 +119,7 @@ type tierFile interface {
 
 // runTier executes the program under cfg, through tcio alone when cfg has no
 // servers. The result totals the clients' file counters and the servers'.
-func (g *segGeometry) runTier(env *Env, cfg delegate.Config, p tierProgram) PhaseResult {
+func (g *delegateGeometry) runTier(env *Env, cfg delegate.Config, p tierProgram) PhaseResult {
 	env.FS.Reset()
 	fileBytes := g.fileBytes()
 	var written int64
@@ -169,42 +182,33 @@ func (g *segGeometry) runTier(env *Env, cfg delegate.Config, p tierProgram) Phas
 			if !p.Read {
 				return nil
 			}
-			first, step := own, stride
-			if p.Shared {
-				first, step = 0, p.ReqSize
-			}
 			return session(tcio.ReadMode, func(handles []tierFile) error {
-				for pass := 0; pass < p.Passes; pass++ {
-					// Issue every read first: tcio reads are lazy until Fetch,
-					// delegated reads fill synchronously.
-					type block struct {
-						fi  int
-						off int64
-						dst []byte
-					}
-					var blocks []block
-					for fi, f := range handles {
-						for off := first; off < fileBytes; off += step {
-							dst := make([]byte, p.ReqSize)
-							if err := f.ReadAt(off, dst); err != nil {
-								return err
-							}
-							blocks = append(blocks, block{fi, off, dst})
-						}
-					}
-					for _, f := range handles {
-						if err := f.Fetch(); err != nil {
+				// Issue every read first: tcio reads are lazy until Fetch,
+				// delegated reads fill synchronously.
+				type block struct {
+					fi  int
+					off int64
+					dst []byte
+				}
+				var blocks []block
+				for fi, f := range handles {
+					for off := own; off < fileBytes; off += stride {
+						dst := make([]byte, p.ReqSize)
+						if err := f.ReadAt(off, dst); err != nil {
 							return err
 						}
+						blocks = append(blocks, block{fi, off, dst})
 					}
-					if pass < p.Passes-1 {
-						continue
+				}
+				for _, f := range handles {
+					if err := f.Fetch(); err != nil {
+						return err
 					}
-					for _, b := range blocks {
-						want := func(off int64) byte { return delegateByte(b.fi, off) }
-						if err := checkBytes(c.Rank(), b.off, b.dst, want); err != nil {
-							return fmt.Errorf("file %d: %w", b.fi, err)
-						}
+				}
+				for _, b := range blocks {
+					want := func(off int64) byte { return delegateByte(b.fi, off) }
+					if err := checkBytes(c.Rank(), b.off, b.dst, want); err != nil {
+						return fmt.Errorf("file %d: %w", b.fi, err)
 					}
 				}
 				return nil
@@ -223,8 +227,18 @@ func (g *segGeometry) runTier(env *Env, cfg delegate.Config, p tierProgram) Phas
 
 func delegateFileName(fi int) string { return fmt.Sprintf("delegate-%d.dat", fi) }
 
-// validate checks the sweep's alignment preconditions.
+// validate checks the shape and that request-size blocks, dealt round-robin
+// to the clients, tile the file exactly.
 func (g *delegateGeometry) validate() error {
+	if g.Procs < 1 || g.SegsPerRank < 1 {
+		return fmt.Errorf("bench: %d procs, %d segments per rank", g.Procs, g.SegsPerRank)
+	}
+	for _, b := range g.ReqSizes {
+		if b < 1 || g.fileBytes()%(b*int64(g.Procs)) != 0 {
+			return fmt.Errorf("bench: file size %d not dealt evenly by %d ranks x %d B blocks",
+				g.fileBytes(), g.Procs, b)
+		}
+	}
 	for _, s := range g.Servers {
 		if s < 0 {
 			return fmt.Errorf("bench: %d server ranks", s)
@@ -235,20 +249,11 @@ func (g *delegateGeometry) validate() error {
 			return fmt.Errorf("bench: %d files", n)
 		}
 	}
-	return g.segGeometry.validate(g.ReqSizes...)
+	return nil
 }
 
 // delegateSweep runs every (servers, files, request size) cell in a fresh
 // environment, write phase plus verified read-back.
-//
-// The projection is a reduced grid at the first request size. Request
-// arrival order at a server races, but the staged-record set, the sorted
-// epoch drain, and hence every fault roll the drain keys are pure functions
-// of the program; credit stalls are deliberately absent (whether a grant
-// beats the next write is a scheduling fact). Its injection count is the
-// write run's alone: in the verifying read-back of a servers = 0 cell tcio
-// ranks demand-populate shared segments, so which rank populates what — and
-// hence the read phase's fault rolls — is a scheduling fact.
 func delegateSweep(g *delegateGeometry) *Sweep {
 	at := func(r *Row) delegatePoint { return r.Point.(delegatePoint) }
 	// Server counters print as "-" in the servers = 0 cells.
@@ -262,28 +267,12 @@ func delegateSweep(g *delegateGeometry) *Sweep {
 				return fmt.Sprint(v(r))
 			}}
 	}
-	servers := det("servers", "servers", func(r *Row) any { return at(r).Servers })
-	files := det("files", "files", func(r *Row) any { return at(r).Files })
-	// Protocol write requests; with no servers, tcio's count of the
-	// application's write calls, the baseline the domain pieces compare against.
-	writeReqs := det("write-reqs", "write_reqs", func(r *Row) any {
-		if at(r).Servers == 0 {
-			return r.TCIO.Writes
-		}
-		return r.Client.WriteReqs
-	})
-	staged := server("staged", "staged_writes", func(r *Row) int64 { return r.Servers.StagedWrites })
-	runs := server("runs", "batched_runs", func(r *Row) int64 { return r.Servers.BatchedRuns })
 	return &Sweep{
 		Name:     "delegate",
-		Help:     "sweep the I/O delegation tier (server ranks x open files x request size), plus the delegated read sweep",
+		Help:     "sweep the I/O delegation tier (server ranks x open files x request size)",
 		Params:   g,
 		Validate: g.validate,
-		Points: func(chaos bool) []any {
-			if chaos {
-				req := g.ReqSizes[0]
-				return []any{delegatePoint{0, 1, req}, delegatePoint{1, 1, req}, delegatePoint{2, 2, req}}
-			}
+		Points: func() []any {
 			return grid3(g.Servers, g.Files, g.ReqSizes,
 				func(s, f int, req int64) any { return delegatePoint{s, f, req} })
 		},
@@ -295,7 +284,7 @@ func delegateSweep(g *delegateGeometry) *Sweep {
 			cfg := g.tierConfig(p.Servers)
 			row := Row{Point: p, PhaseResult: g.runTier(env, cfg, tierProgram{Files: p.Files, ReqSize: p.ReqSize, Write: true})}
 			if !row.Failed {
-				if v := g.runTier(env, cfg, tierProgram{Files: p.Files, ReqSize: p.ReqSize, Read: true, Passes: 1}); v.Failed {
+				if v := g.runTier(env, cfg, tierProgram{Files: p.Files, ReqSize: p.ReqSize, Read: true}); v.Failed {
 					row.Result = "verify: " + v.FailReason
 				}
 			}
@@ -305,17 +294,28 @@ func delegateSweep(g *delegateGeometry) *Sweep {
 			Title: fmt.Sprintf("I/O delegation: strided writes, %d clients, %d B simulated segments",
 				g.Procs, g.SegSize*g.Scale),
 			Columns: []Column{
-				servers, files,
+				det("servers", "servers", func(r *Row) any { return at(r).Servers }),
+				det("files", "files", func(r *Row) any { return at(r).Files }),
 				det("req-size", "req_size", func(r *Row) any { return at(r).ReqSize * g.Scale }),
-				colTime, colMBs, writeReqs, staged, runs, colFSWrites,
+				// A virtual duration prints as one and marshals as nanoseconds.
+				host("time", "virtual_time_ns", func(r *Row) any { return r.Time }, nil),
+				host("MB/s", "mbs", func(r *Row) any { return r.MBs }, func(r *Row) string { return stats.FmtMBs(r.MBs) }),
+				// Protocol write requests; with no servers, tcio's count of the
+				// application's write calls, the baseline the domain pieces
+				// compare against.
+				det("write-reqs", "write_reqs", func(r *Row) any {
+					if at(r).Servers == 0 {
+						return r.TCIO.Writes
+					}
+					return r.Client.WriteReqs
+				}),
+				server("staged", "staged_writes", func(r *Row) int64 { return r.Servers.StagedWrites }),
+				server("runs", "batched_runs", func(r *Row) int64 { return r.Servers.BatchedRuns }),
+				det("fs-writes", "fs_writes", func(r *Row) any { return r.FS.Writes }),
 				host("stalls", "credit_stalls", func(r *Row) any { return r.Client.CreditStalls }, nil),
 				colResult,
 			},
 		}),
-		Projection: &Table{
-			Title:   fmt.Sprintf("I/O delegation chaos: %d clients", g.Procs),
-			Columns: []Column{servers, files, colInjected, colRetries, writeReqs, staged, runs, colFSWrites, colResult},
-		},
 		JSON: []Column{det("procs", "procs", func(r *Row) any { return g.Procs + at(r).Servers })},
 	}
 }

@@ -6,10 +6,10 @@ import "testing"
 // files, 64 B requests.
 func smallDelegateOpts() *delegateGeometry {
 	return &delegateGeometry{
-		segGeometry: segGeometry{Procs: 4, SegSize: 256, SegsPerRank: 2, Scale: 4},
-		Servers:     []int{0, 1, 2},
-		Files:       []int{1, 2},
-		ReqSizes:    []int64{64, 256},
+		Procs: 4, SegSize: 256, SegsPerRank: 2, Scale: 4,
+		Servers:  []int{0, 1, 2},
+		Files:    []int{1, 2},
+		ReqSizes: []int64{64, 256},
 	}
 }
 

@@ -27,8 +27,6 @@ type Env struct {
 	// hardware for every run.
 	Faults  *faults.Injector
 	LenReal int // materialized LENarray of an environment sized from EnvSpec.LenSim; 0 otherwise
-
-	fresh func() (*Env, error)
 }
 
 // NewEnv builds a Lonestar-like environment with the given byte scale.
@@ -55,49 +53,13 @@ type EnvSpec struct {
 	// Scale is the byte scale of sweeps whose geometry is given in real
 	// bytes (used when LenSim is 0).
 	Scale int64
-	// Faults is a sweep's own injector (the chaos sweep's). Projections do
-	// not set it: the runner arms them itself.
+	// Faults, when non-nil, is armed across the environment (the chaos
+	// sweep's injector).
 	Faults *faults.Injector
 }
 
-// segGeometry is the file shape of the sweeps whose geometry is given in
-// level-2 segments: the noncontiguous-read sweep and both delegation sweeps
-// (whose Procs are the client ranks; delegated cells add server ranks).
-type segGeometry struct {
-	Procs int // application rank count of every run
-	// SegSize is the real tcio segment size in bytes; a delegation
-	// file-domain block is four segments.
-	SegSize int64
-	// SegsPerRank is the per-rank segment count; each file is exactly
-	// Procs x SegsPerRank segments.
-	SegsPerRank int
-	Scale       int64 // environment byte scale (simulated bytes per real byte)
-}
-
-func (g *segGeometry) env(Options, any) EnvSpec { return EnvSpec{Scale: g.Scale} }
-
-// fileBytes is the per-file size in real bytes.
-func (g *segGeometry) fileBytes() int64 {
-	return g.SegSize * int64(g.SegsPerRank) * int64(g.Procs)
-}
-
-// validate checks the shape and that blocks of the given sizes, dealt
-// round-robin to the ranks, tile the file exactly.
-func (g *segGeometry) validate(blockSizes ...int64) error {
-	if g.Procs < 1 || g.SegsPerRank < 1 {
-		return fmt.Errorf("bench: %d procs, %d segments per rank", g.Procs, g.SegsPerRank)
-	}
-	for _, b := range blockSizes {
-		if b < 1 || g.fileBytes()%(b*int64(g.Procs)) != 0 {
-			return fmt.Errorf("bench: file size %d not dealt evenly by %d ranks x %d B blocks",
-				g.fileBytes(), g.Procs, b)
-		}
-	}
-	return nil
-}
-
-// chaosRules are the background fault probabilities of the chaos sweep and
-// of every projection; the OST error rate is set per injector.
+// chaosRules are the background fault probabilities of the chaos sweep; the
+// OST error rate is set per injector.
 type chaosRules map[faults.Site]faults.Rule
 
 var defaultChaosRules = chaosRules{
@@ -106,9 +68,6 @@ var defaultChaosRules = chaosRules{
 	faults.SiteMemAlloc: {Prob: 0.005},           // transient allocation pressure
 	faults.SiteWinPut:   {Prob: 0.01},            // dropped one-sided puts (library-retried)
 }
-
-// projectionRate is the OST error rate every projection runs under.
-const projectionRate = 0.01
 
 // injector builds a seeded injector whose OST reads and writes fail at
 // rate. Every injection decision derives from the seed, so two runs with
@@ -134,8 +93,8 @@ func (o Options) byteScale(lenSim int) (int64, error) {
 }
 
 // newEnv builds the environment a point asked for: the byte scale is
-// computed and checked here, once, and a projection's injector is armed on
-// the file system, the network and the memory accountant alike.
+// computed and checked here, once, and an injector is armed on the file
+// system, the network and the memory accountant alike.
 func (o Options) newEnv(spec EnvSpec) (*Env, error) {
 	scale, lenReal := spec.Scale, 0
 	if spec.LenSim > 0 {
@@ -151,21 +110,13 @@ func (o Options) newEnv(spec EnvSpec) (*Env, error) {
 	}
 	env.LenReal = lenReal
 	env.Faults = spec.Faults
-	if o.Chaos {
-		env.Faults = defaultChaosRules.injector(o.Seed, projectionRate)
-	}
 	if env.Faults != nil {
 		fscfg := env.FS.Config()
 		fscfg.Faults = env.Faults
 		env.FS = pfs.New(fscfg)
 	}
-	env.fresh = func() (*Env, error) { return o.newEnv(spec) }
 	return env, nil
 }
-
-// Fresh builds another environment to the same specification (with its own
-// injector, if armed), for points that difference several runs.
-func (e *Env) Fresh() (*Env, error) { return e.fresh() }
 
 // PhaseResult captures one world's run: one phase (write or read) of a
 // benchmark point.

@@ -99,7 +99,7 @@ func defaultFig67() *figGeometry {
 // synthFigure is a Figs. 5-7 sweep over g's grid.
 func synthFigure(s Sweep, g *figGeometry, x Column, write, read Table) *Sweep {
 	s.Params = g
-	s.Points = func(bool) []any {
+	s.Points = func() []any {
 		return grid3(g.Procs, g.LenSims, []Method{MethodTCIO, MethodOCIO},
 			func(p, l int, m Method) any { return FigPoint{Procs: p, LenSim: l, Method: m} })
 	}
@@ -241,7 +241,7 @@ func ART(g *ARTGeometry) *Sweep {
 			}
 			return nil
 		},
-		Points: func(bool) []any {
+		Points: func() []any {
 			return grid2(g.Procs, []Method{MethodTCIO, MethodVanilla},
 				func(p int, m Method) any { return FigPoint{Procs: p, Method: m} })
 		},

@@ -20,10 +20,6 @@ type Options struct {
 	LenReal int
 	// Seed drives every fault-injection decision.
 	Seed int64
-	// Chaos runs the sweep's deterministic projection: the same Run on the
-	// projection's points, a seeded injector armed in every environment,
-	// and only Det columns reported.
-	Chaos bool
 	// Progress, if non-nil, receives one line per completed row.
 	Progress func(string)
 }
@@ -61,9 +57,8 @@ func (r *Row) verdict() string {
 type Column struct {
 	Header string
 	Key    string
-	// Det promises that at every point of the sweep's projection (for a
-	// sweep without one: at every point) the value is a pure function of
-	// the options and the seed, whatever the host schedule.
+	// Det promises that at every point of the sweep the value is a pure
+	// function of the options and the seed, whatever the host schedule.
 	// TestHostOrderRatchet holds every Det cell of its miniatures to it.
 	Det   bool
 	Value func(*Row) any
@@ -90,22 +85,11 @@ func host(header, key string, value func(*Row) any, cell func(*Row) string) Colu
 // Columns shared by several sweeps.
 var (
 	colResult = det("result", "result", func(r *Row) any { return r.Result })
-	// A virtual duration prints as one and marshals as nanoseconds.
-	colTime = host("time", "virtual_time_ns", func(r *Row) any { return r.Time }, nil)
-	colMBs  = host("MB/s", "mbs", func(r *Row) any { return r.MBs },
-		func(r *Row) string { return stats.FmtMBs(r.MBs) })
 	// colWrite and colRead are throughput cells that spell out a failure.
 	colWrite = host("write MB/s", "mbs", func(r *Row) any { return r.MBs },
 		func(r *Row) string { return phaseCell(r.PhaseResult) })
 	colRead = host("read MB/s", "read_mbs", func(r *Row) any { return r.Read.MBs },
 		func(r *Row) string { return phaseCell(r.Read) })
-	colInjected     = det("injected", "injected", func(r *Row) any { return r.Injected })
-	colFSRetries    = det("fs-retries", "fs_retries", func(r *Row) any { return r.FS.Retries })
-	colFSWrites     = det("fs-writes", "fs_writes", func(r *Row) any { return r.FS.Writes })
-	colAllocRetries = det("alloc-retries", "alloc_retries", func(r *Row) any { return r.AllocRetries })
-	// colRetries is the library-level retry count: tcio's own plus, under
-	// delegation, the servers'.
-	colRetries = det("retries", "retries", func(r *Row) any { return r.TCIO.Retries + r.Servers.Retries })
 )
 
 // phaseCell formats one throughput cell, or the failure it stands for.
@@ -130,11 +114,7 @@ type Table struct {
 	// that share an x label merge into one table row, and each distinct
 	// Series value becomes a column of y cells.
 	Series *Column
-	// Where selects the rows the table shows; nil shows all.
-	Where func(*Row) bool
 }
-
-func (v Table) shows(r *Row) bool { return v.Where == nil || v.Where(r) }
 
 // columns lists the view's columns, a figure's series between x and y.
 func (v Table) columns() []Column {
@@ -155,9 +135,6 @@ func (v Table) render(rows []Row) stats.Table {
 	}
 	for i := range rows {
 		r := &rows[i]
-		if !v.shows(r) {
-			continue
-		}
 		if v.Series == nil {
 			cells := make([]string, len(v.Columns))
 			for j, c := range v.Columns {
@@ -199,9 +176,6 @@ type Sweep struct {
 	// table names its own), the JSON entry's name and the progress prefix.
 	Name string
 	Help string
-	// After names a sweep whose clean run this one follows: -delegate also
-	// prints the delegated read sweep.
-	After string
 	// Flags are the sweep's own command-line flags.
 	Flags []Flag
 	// Params is the sweep's geometry, reported as the JSON entry's params.
@@ -209,10 +183,8 @@ type Sweep struct {
 	// Validate checks the geometry's preconditions before anything runs.
 	Validate func() error
 
-	// Points lists the axis settings to measure: the full grid, or with
-	// chaos the projection's points — those whose request stream is a pure
-	// function of the program.
-	Points func(chaos bool) []any
+	// Points lists the axis settings to measure.
+	Points func() []any
 	// Env states the environment a point runs in.
 	Env func(o Options, pt any) EnvSpec
 	// Run measures one point in a fresh environment. It returns one row,
@@ -220,13 +192,8 @@ type Sweep struct {
 	// and its read-back).
 	Run func(env *Env, pt any) ([]Row, error)
 
-	// Tables are the sweep's clean views.
+	// Tables are the sweep's views.
 	Tables func(o Options) []Table
-	// Projection is the deterministic view printed under Options.Chaos —
-	// what used to be a hand-written "…Chaos" twin. It may use Det columns
-	// only, and the runner completes its title with the seed; nil means the
-	// sweep has no projection.
-	Projection *Table
 	// JSON lists columns that appear in JSON rows but in no table.
 	JSON []Column
 
@@ -288,16 +255,15 @@ func (s *Sweep) flags() map[string]string {
 
 // Report is one sweep's outcome.
 type Report struct {
-	Sweep   *Sweep
-	Options Options
-	Rows    []Row
-	views   []Table
-	static  []stats.Table
+	Sweep  *Sweep
+	Rows   []Row
+	views  []Table
+	static []stats.Table
 }
 
 // Run executes the sweep.
 func Run(s *Sweep, o Options) (*Report, error) {
-	rep := &Report{Sweep: s, Options: o}
+	rep := &Report{Sweep: s}
 	if s.Static != nil {
 		var err error
 		if rep.static, err = s.Static(o); err != nil {
@@ -310,21 +276,8 @@ func Run(s *Sweep, o Options) (*Report, error) {
 			return nil, err
 		}
 	}
-	if !o.Chaos {
-		rep.views = s.Tables(o)
-	} else if s.Projection == nil {
-		return nil, fmt.Errorf("bench: sweep %s has no deterministic projection", s.Name)
-	} else {
-		view := *s.Projection
-		view.Title += fmt.Sprintf(", seed %d (counts are seed-deterministic)", o.Seed)
-		rep.views = []Table{view}
-		for _, c := range rep.views[0].Columns {
-			if !c.Det {
-				return nil, fmt.Errorf("bench: %s projection: column %q is not marked Det", s.Name, c.Header)
-			}
-		}
-	}
-	for _, pt := range s.Points(o.Chaos) {
+	rep.views = s.Tables(o)
+	for _, pt := range s.Points() {
 		env, err := o.newEnv(s.Env(o, pt))
 		if err != nil {
 			return nil, err
@@ -344,10 +297,10 @@ func Run(s *Sweep, o Options) (*Report, error) {
 	return rep, nil
 }
 
-// progress renders a row's cells in the views that show it.
+// progress renders a row's cells.
 func (rep *Report) progress(r *Row) string {
 	line := rep.Sweep.Name
-	for _, c := range rep.columns(r) {
+	for _, c := range rep.columns() {
 		if c.Header != "" {
 			line += " " + c.Header + "=" + c.cell(r)
 		}
@@ -366,18 +319,14 @@ func (rep *Report) Tables(show func(flag string) bool) []stats.Table {
 	return out
 }
 
-// columns lists, each once, the columns of the views that show r (nil: of
-// every view) and, for a clean run, the JSON-only ones.
-func (rep *Report) columns(r *Row) []Column {
-	lists := [][]Column{}
+// columns lists, each once, the columns of every view and the JSON-only
+// ones.
+func (rep *Report) columns() []Column {
+	var lists [][]Column
 	for _, v := range rep.views {
-		if r == nil || v.shows(r) {
-			lists = append(lists, v.columns())
-		}
+		lists = append(lists, v.columns())
 	}
-	if !rep.Options.Chaos {
-		lists = append(lists, rep.Sweep.JSON)
-	}
+	lists = append(lists, rep.Sweep.JSON)
 	var out []Column
 	seen := map[string]bool{}
 	for _, cols := range lists {
@@ -398,7 +347,7 @@ func (rep *Report) columns(r *Row) []Column {
 // Det projects every row onto the report's Det columns: what two runs
 // with the same options must agree on.
 func (rep *Report) Det() [][]string {
-	cols := rep.columns(nil)
+	cols := rep.columns()
 	out := make([][]string, len(rep.Rows))
 	for i := range rep.Rows {
 		for _, c := range cols {
@@ -414,15 +363,14 @@ func (rep *Report) Det() [][]string {
 // columns' JSON keys.
 type Entry struct {
 	Name   string           `json:"name"`
-	Chaos  bool             `json:"chaos,omitempty"`
 	Params any              `json:"params,omitempty"`
 	Rows   []map[string]any `json:"rows"`
 }
 
 // Entry renders the report for the -json document.
 func (rep *Report) Entry() Entry {
-	e := Entry{Name: rep.Sweep.Name, Chaos: rep.Options.Chaos, Params: rep.Sweep.Params, Rows: []map[string]any{}}
-	cols := rep.columns(nil)
+	e := Entry{Name: rep.Sweep.Name, Params: rep.Sweep.Params, Rows: []map[string]any{}}
+	cols := rep.columns()
 	for i := range rep.Rows {
 		row := map[string]any{}
 		for _, c := range cols {

@@ -13,6 +13,7 @@ import (
 	"github.com/tcio/tcio/internal/faults"
 	"github.com/tcio/tcio/internal/mpi"
 	"github.com/tcio/tcio/internal/pfs"
+	"github.com/tcio/tcio/internal/simtime"
 	"github.com/tcio/tcio/internal/tcio"
 	"github.com/tcio/tcio/internal/trace"
 )
@@ -43,6 +44,9 @@ type readRunOut struct {
 	img     []byte
 	stats   []Stats
 	servers []ServerStats
+	// passes[client][round] is the virtual time the client spent in the
+	// round's reads.
+	passes  [][]simtime.Duration
 	readErr error // first read error any rank observed (world still completed)
 }
 
@@ -82,6 +86,7 @@ func readWorkload(t *testing.T, o readRunOpts) readRunOut {
 	readErrs := make([]error, o.procs)
 	fileBytes := o.fileBlocks * o.domain
 	clients := o.procs - o.servers
+	out.passes = make([][]simtime.Duration, clients)
 	// turns[i] opens when the client in start position i may send its first
 	// read; it opens turns[i+1] once that read has been answered.
 	turns := make([]chan struct{}, clients+1)
@@ -131,7 +136,9 @@ func readWorkload(t *testing.T, o readRunOpts) readRunOut {
 			}
 			rng := rand.New(rand.NewSource(o.orderSeed*131 + int64(tr.ClientIndex())))
 			myTurn := startPos[tr.ClientIndex()]
+			out.passes[tr.ClientIndex()] = make([]simtime.Duration, o.rounds)
 			for round := 0; round < o.rounds; round++ {
+				start := c.Now()
 				if o.orderSeed != 0 {
 					rng.Shuffle(len(blks), func(i, j int) { blks[i], blks[j] = blks[j], blks[i] })
 				}
@@ -160,6 +167,7 @@ func readWorkload(t *testing.T, o readRunOpts) readRunOut {
 						}
 					}
 				}
+				out.passes[tr.ClientIndex()][round] = c.Now().Sub(start)
 			}
 			out.stats[c.Rank()] = r.Stats()
 			return r.Close()
@@ -399,35 +407,52 @@ func TestDelegateCacheHotReread(t *testing.T) {
 	if !bytes.Equal(cold.img, hot.img) {
 		t.Fatal("cache changed file bytes")
 	}
+	// With one client the server takes its requests in one total order, so
+	// both pass times are exact: the hot re-read, served from server memory,
+	// must beat the cold pass that filled the cache from the file system.
+	t.Run("one-client", func(t *testing.T) {
+		o := readWorkload(t, readRunOpts{procs: 2, servers: 1, fileBlocks: blocks, rounds: 2, cacheBlks: blocks})
+		cold, hot := o.passes[0][0], o.passes[0][1]
+		if hot <= 0 || hot >= cold {
+			t.Fatalf("hot pass %v, cold pass %v: want 0 < hot < cold", hot, cold)
+		}
+		if s := o.servers[0]; s.FSReads != blocks || s.CacheHits+s.CacheMisses != 2*blocks {
+			t.Fatalf("server %+v: want %d fs reads and %d hits+misses", s, blocks, 2*blocks)
+		}
+	})
 }
 
-// TestDelegateReadChaos is the read-path chaos suite: with OST read
-// faults armed, fault and retry counts must be seed-deterministic across
-// runs with the cache disarmed, armed, and under DRR.
-// Cache fills carry the server's identity and the cache never evicts, so
-// no count depends on which client's request arrived first.
+// TestDelegateReadChaos is the tier's chaos suite: with OST read faults
+// armed, fault and retry counts must be seed-deterministic across runs with
+// the cache disarmed, armed, and under DRR; with OST write faults armed, so
+// must the servers' epoch drains. Cache fills carry the server's identity
+// and the cache never evicts, and a drain is the sorted staged-record set,
+// so no count depends on which client's request arrived first.
 func TestDelegateReadChaos(t *testing.T) {
 	const blocks = 12
 	cases := []struct {
 		name string
+		site faults.Site
 		o    readRunOpts
 	}{
-		{"disarmed", readRunOpts{procs: 5, servers: 1, fileBlocks: blocks, rounds: 2}},
-		{"cached", readRunOpts{procs: 5, servers: 1, fileBlocks: blocks, rounds: 2, cacheBlks: blocks}},
-		{"cached-drr", readRunOpts{procs: 5, servers: 1, fileBlocks: blocks, rounds: 2, cacheBlks: blocks, quantum: 64}},
+		{"disarmed", faults.SiteOSTRead, readRunOpts{procs: 5, servers: 1, fileBlocks: blocks, rounds: 2}},
+		{"cached", faults.SiteOSTRead, readRunOpts{procs: 5, servers: 1, fileBlocks: blocks, rounds: 2, cacheBlks: blocks}},
+		{"cached-drr", faults.SiteOSTRead, readRunOpts{procs: 5, servers: 1, fileBlocks: blocks, rounds: 2, cacheBlks: blocks, quantum: 64}},
+		// Two servers own alternate blocks; each drains its six as six runs.
+		{"write-faults", faults.SiteOSTWrite, readRunOpts{procs: 6, servers: 2, fileBlocks: blocks}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			run := func() (readRunOut, int64) {
 				inj := faults.New(1234)
-				inj.Set(faults.SiteOSTRead, faults.Rule{Prob: 0.25})
+				inj.Set(tc.site, faults.Rule{Prob: 0.25})
 				o := tc.o
 				o.inject = inj
 				out := readWorkload(t, o)
 				if out.readErr != nil {
 					t.Fatalf("read failed under the default retry policy: %v", out.readErr)
 				}
-				return out, inj.Injected(faults.SiteOSTRead)
+				return out, inj.Injected(tc.site)
 			}
 			o1, inj1 := run()
 			o2, inj2 := run()
@@ -447,6 +472,9 @@ func TestDelegateReadChaos(t *testing.T) {
 			}
 			if retries == 0 {
 				t.Fatal("no retries absorbed despite injected faults")
+			}
+			if o1.rep.FS.Writes != o2.rep.FS.Writes {
+				t.Fatalf("file system writes differ across chaos runs: %d vs %d", o1.rep.FS.Writes, o2.rep.FS.Writes)
 			}
 			if !bytes.Equal(o1.img, o2.img) {
 				t.Fatal("chaos runs differ in file bytes")

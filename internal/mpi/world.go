@@ -53,9 +53,6 @@ type Config struct {
 	// already carries its own — to the interconnect. The file system keeps
 	// its own pfs.Config.Faults (callers usually share one injector).
 	Faults *faults.Injector
-	// AllocRetry overrides the retry policy Malloc/Reserve use to absorb
-	// transient allocation pressure; nil means faults.DefaultRetryPolicy.
-	AllocRetry *faults.RetryPolicy
 }
 
 // World is the shared state of one job: the network, the file system, the
@@ -68,7 +65,6 @@ type World struct {
 	mem     *cluster.MemTracker
 
 	faults       *faults.Injector
-	allocRetry   faults.RetryPolicy
 	allocRetries atomic.Int64
 
 	ranks []*rankState
@@ -199,19 +195,14 @@ func newWorld(cfg Config) (*World, error) {
 	if cfg.Faults != nil && m.Net.Faults == nil {
 		m.Net.Faults = cfg.Faults
 	}
-	allocRetry := faults.DefaultRetryPolicy()
-	if cfg.AllocRetry != nil {
-		allocRetry = *cfg.AllocRetry
-	}
 	w := &World{
-		nprocs:     cfg.Procs,
-		machine:    m,
-		net:        netsim.New(m.NodesFor(cfg.Procs), m.Net),
-		fs:         fs,
-		mem:        mem,
-		faults:     cfg.Faults,
-		allocRetry: allocRetry,
-		barrier:    newTimeBarrier(cfg.Procs),
+		nprocs:  cfg.Procs,
+		machine: m,
+		net:     netsim.New(m.NodesFor(cfg.Procs), m.Net),
+		fs:      fs,
+		mem:     mem,
+		faults:  cfg.Faults,
+		barrier: newTimeBarrier(cfg.Procs),
 	}
 	w.count.Store(int64(cfg.Procs) << 32)
 	w.ranks = make([]*rankState, cfg.Procs)
@@ -393,8 +384,8 @@ func (c *Comm) clock() *simtime.Clock { return c.w.ranks[c.rank].clock }
 // this rank's node memory share. It fails with an error wrapping
 // cluster.ErrOutOfMemory when the share is exhausted — the mechanism behind
 // the paper's Fig. 6/7 OCIO failure at the 48 GB dataset. Transient
-// injected allocation pressure is absorbed by the world's AllocRetry
-// policy, backing off in virtual time.
+// injected allocation pressure is absorbed by faults.DefaultRetryPolicy,
+// backing off in virtual time.
 func (c *Comm) Malloc(n int64) ([]byte, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("mpi: Malloc(%d)", n)
@@ -413,10 +404,10 @@ func (c *Comm) Reserve(simBytes int64) error {
 }
 
 // alloc charges simulated memory, retrying transient injected pressure
-// with the world's policy. Permanent failures (genuine OOM) pass through
+// with the default policy. Permanent failures (genuine OOM) pass through
 // untouched.
 func (c *Comm) alloc(simBytes int64) error {
-	pol := c.w.allocRetry
+	pol := faults.DefaultRetryPolicy()
 	for attempt := 0; ; attempt++ {
 		c.w.touch(c.rank, "alloc", c.clock().Now())
 		err := c.w.mem.Alloc(c.rank, simBytes)

@@ -74,10 +74,6 @@ type Config struct {
 	// (faults.SiteOSTWrite / SiteOSTRead), slow-service multipliers
 	// (SiteOSTSlow), and lock-revocation storms (SiteLockStorm).
 	Faults *faults.Injector
-	// FaultTimeout is the extra virtual time a request burns before its
-	// injected failure is detected (the client's RPC timeout). 0 means
-	// 2 ms.
-	FaultTimeout simtime.Duration
 }
 
 // DefaultConfig returns a configuration calibrated to the paper's Lustre
@@ -240,13 +236,9 @@ func (fs *FileSystem) Reset() {
 	}
 }
 
-// faultTimeout is the configured (or default) injected-failure RPC timeout.
-func (fs *FileSystem) faultTimeout() simtime.Duration {
-	if fs.cfg.FaultTimeout > 0 {
-		return fs.cfg.FaultTimeout
-	}
-	return 2 * simtime.Millisecond
-}
+// faultTimeout is the extra virtual time a request burns before its
+// injected failure is detected (the client's RPC timeout).
+const faultTimeout = 2 * simtime.Millisecond
 
 // maxPage caps the sparse backing store's page (real bytes; FileSystem.page).
 const maxPage = 64 << 10
@@ -383,7 +375,7 @@ func (f *File) writeAt(client int, off int64, data []byte, now simtime.Time, att
 		f.fs.faultsInjected.Add(1)
 		// The client burns the round trip plus its RPC timeout before the
 		// failure surfaces; no bytes become durable.
-		end := now.Add(f.fs.cfg.RequestOverhead + f.fs.faultTimeout())
+		end := now.Add(f.fs.cfg.RequestOverhead + faultTimeout)
 		return end, fmt.Errorf("pfs: write %s: %w", f.name,
 			inj.Fault(faults.SiteOSTWrite, "client=%d off=%d len=%d", client, off, len(data)))
 	}
@@ -422,7 +414,7 @@ func (f *File) chargeRead(reader int, off, n int64, now simtime.Time, attempt in
 	}
 	if inj := f.fs.cfg.Faults; inj.Should(faults.SiteOSTRead, int64(reader), off, n, attempt) {
 		f.fs.faultsInjected.Add(1)
-		end := now.Add(f.fs.cfg.RequestOverhead + f.fs.faultTimeout())
+		end := now.Add(f.fs.cfg.RequestOverhead + faultTimeout)
 		return end, fmt.Errorf("pfs: read %s: %w", f.name,
 			inj.Fault(faults.SiteOSTRead, "reader=%d off=%d len=%d", reader, off, n))
 	}
@@ -733,7 +725,7 @@ func (f *File) StoreDirect(off int64, data []byte) {
 func (f *File) truncateAt(client int, now simtime.Time, attempt int64) (simtime.Time, error) {
 	if inj := f.fs.cfg.Faults; inj.Should(faults.SiteWALTruncate, int64(client), attempt) {
 		f.fs.faultsInjected.Add(1)
-		end := now.Add(f.fs.cfg.RequestOverhead + f.fs.faultTimeout())
+		end := now.Add(f.fs.cfg.RequestOverhead + faultTimeout)
 		return end, fmt.Errorf("pfs: truncate %s: %w", f.name,
 			inj.Fault(faults.SiteWALTruncate, "client=%d", client))
 	}
