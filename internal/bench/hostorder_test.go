@@ -45,7 +45,7 @@ const (
 // touchSites are the gates production code passes: mpi's own and
 // storage.Client's. Some program must reach each one.
 var touchSites = []string{
-	"send", "recv", "tryrecv", "lock", "put", "get", "collect", "alloc", "free",
+	"send", "recv", "lock", "put", "get", "collect", "alloc", "free",
 	"fs.read", "fs.write", "fs.truncate",
 }
 
@@ -92,8 +92,7 @@ func sweepProgram(name string, s func() *Sweep, o Options, check func(*testing.T
 
 // ratchetPrograms lists the programs: each sweep miniature, a Fig. 5 and an
 // ART miniature, and the conformance sweep over three programs of each knob
-// class. Only the conformance sweep arms a delegation server's DRR read
-// queue (class 6 draws ReadQuantum), so it alone reaches "tryrecv".
+// class.
 func ratchetPrograms() []ratchetProgram {
 	chaosOK := func(t *testing.T, rep *Report) {
 		if len(rep.Rows) != 4 { // TCIO/OCIO x write/read at one rate

@@ -299,8 +299,8 @@ func (p *Program) summarize(tc, oc, va *engineRun, dl *delegateRun, cr *crashRun
 				miss += s.CacheMisses
 				rfs += s.FSReads
 			}
-			fmt.Fprintf(&b, " dread[cache=%d quant=%d req=%d hit=%d miss=%d fs=%d]",
-				p.Knobs.ServerCacheBlocks, p.Knobs.ReadQuantum, rreq, hit, miss, rfs)
+			fmt.Fprintf(&b, " dread[cache=%d req=%d hit=%d miss=%d fs=%d]",
+				p.Knobs.ServerCacheBlocks, rreq, hit, miss, rfs)
 		}
 	}
 	if p.Knobs.Journal {

@@ -76,7 +76,6 @@ func (p *Program) delegateConfig(rec *trace.Recorder) delegate.Config {
 	return delegate.Config{
 		ServerRanks:       k.ServerRanks,
 		ServerCacheBlocks: k.ServerCacheBlocks,
-		ReadQuantum:       k.ReadQuantum,
 		TCIO:              p.tcioConfig(rec),
 	}
 }

@@ -135,13 +135,12 @@ func genKnobs(rng *rand.Rand, class int, seed int64) Knobs {
 		if rng.Intn(3) == 0 {
 			k.DemandPopulate = true // servers = 0 read-path variety
 		}
-		// Read-path knobs. The cache leans armed (the stale-serve mutant
+		// The read-path knob. The cache leans armed (the stale-serve mutant
 		// lives behind it) with a capacity above any program's total block
 		// count, so the one racy counter — eviction order — never reaches
-		// the differential run. The quantum sweeps the DRR scheduler, whose
-		// oracle is that nothing but service order may change.
+		// the differential run.
 		k.ServerCacheBlocks = []int{0, 64, 64, 64}[rng.Intn(4)]
-		k.ReadQuantum = []int64{0, 8, 32, 128}[rng.Intn(4)]
+		rng.Intn(4) // the retired ReadQuantum draw, discarded
 		if rng.Intn(2) == 0 {
 			// The retired CollectiveRead draw. The DemandPopulate it armed
 			// stays, so every seed keeps the rest of its program.

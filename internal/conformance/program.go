@@ -67,11 +67,8 @@ type Knobs struct {
 	ServerRanks int `json:"server_ranks,omitempty"`
 	Files       int `json:"files,omitempty"`
 	// ServerCacheBlocks arms each delegation server's hot-block read
-	// cache (0 = disarmed, one file system read per client piece);
-	// ReadQuantum arms deficit-round-robin read scheduling on the servers
-	// (0 = inline arrival order).
-	ServerCacheBlocks int   `json:"server_cache_blocks,omitempty"`
-	ReadQuantum       int64 `json:"read_quantum,omitempty"`
+	// cache (0 = disarmed, one file system read per client piece).
+	ServerCacheBlocks int `json:"server_cache_blocks,omitempty"`
 
 	// Crash class (class 7). Journal arms tcio's journaled-epoch tier;
 	// CrashKills is the number of simulated crash instants the checker

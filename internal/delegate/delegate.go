@@ -58,12 +58,9 @@ type Config struct {
 	// the cache, leaving the read path's request identity bit-identical
 	// to the uncached tier (pinned by TestDelegateReadPathDisarmed).
 	ServerCacheBlocks int
-	// ReadQuantum is the deficit-round-robin quantum, in bytes, for fair
-	// read scheduling across client ranks: servers queue read requests
-	// and drain them between writes, granting each client quantum bytes
-	// of deficit per round, so one client's large sieved reads cannot
-	// starve another's small reads. 0 serves each read inline in arrival
-	// order, exactly as before.
+	// ReadQuantum is ignored: a server answers every request, reads
+	// included, in arrival order. benchmark/ still sets it; the next
+	// benchmark change (ROADMAP item 19) deletes it.
 	ReadQuantum int64
 	// TCIO supplies the segment geometry the file domains derive from and
 	// the servers' retry policy and trace. Servers keep no journal, so
@@ -82,8 +79,6 @@ func (cfg Config) Normalize(procs int, stripeSize int64) (Config, error) {
 		return cfg, fmt.Errorf("delegate: %d server ranks of %d", cfg.ServerRanks, procs)
 	case cfg.ServerCacheBlocks < 0:
 		return cfg, fmt.Errorf("delegate: server cache blocks %d", cfg.ServerCacheBlocks)
-	case cfg.ReadQuantum < 0:
-		return cfg, fmt.Errorf("delegate: read quantum %d", cfg.ReadQuantum)
 	case cfg.TCIO.Journal:
 		// Servers write the data file themselves and keep no journal.
 		return cfg, fmt.Errorf("delegate: journal with %d server ranks", cfg.ServerRanks)

@@ -326,7 +326,6 @@ func TestDelegateConfigValidation(t *testing.T) {
 		{"servers eat all ranks", Config{ServerRanks: 4}},
 		{"negative servers", Config{ServerRanks: -1}},
 		{"negative cache blocks", Config{ServerRanks: 1, ServerCacheBlocks: -1}},
-		{"negative quantum", Config{ServerRanks: 1, ReadQuantum: -8}},
 		{"no servers", Config{}},
 		{"bad tcio config", Config{ServerRanks: 1, TCIO: tcio.Config{SegmentSize: -1}}},
 		{"journal with servers", Config{ServerRanks: 1, TCIO: tcio.Config{Journal: true}}},
@@ -355,19 +354,16 @@ func TestConfigNormalizeDefaults(t *testing.T) {
 }
 
 // TestServerLoopHandlerError pins that a handler failure aborts the server's
-// request loop with the op and source rank in the error, whether reads are
-// served inline or through the scheduler.
+// request loop with the op and source rank in the error.
 func TestServerLoopHandlerError(t *testing.T) {
-	for _, quantum := range []int64{0, 128} {
-		cfg := Config{ServerRanks: 1, ReadQuantum: quantum, TCIO: tcio.Config{SegmentSize: 64, NumSegments: 8}}
-		_, err := mpi.Run(mpi.Config{Procs: 2, Machine: cluster.Lonestar()}, func(c *mpi.Comm) error {
-			return Run(c, cfg, func(tr *Tier) error {
-				return tr.request(0, &mpi.RPCRequest{Op: mpi.OpFlush, Handle: 7})
-			})
+	cfg := Config{ServerRanks: 1, TCIO: tcio.Config{SegmentSize: 64, NumSegments: 8}}
+	_, err := mpi.Run(mpi.Config{Procs: 2, Machine: cluster.Lonestar()}, func(c *mpi.Comm) error {
+		return Run(c, cfg, func(tr *Tier) error {
+			return tr.request(0, &mpi.RPCRequest{Op: mpi.OpFlush, Handle: 7})
 		})
-		if err == nil || !strings.Contains(err.Error(), "flush from rank") ||
-			!strings.Contains(err.Error(), "unknown handle 7") {
-			t.Fatalf("quantum %d: err = %v, want the failed op, its source and the handler's error", quantum, err)
-		}
+	})
+	if err == nil || !strings.Contains(err.Error(), "flush from rank") ||
+		!strings.Contains(err.Error(), "unknown handle 7") {
+		t.Fatalf("err = %v, want the failed op, its source and the handler's error", err)
 	}
 }

@@ -115,10 +115,10 @@ var malformedRuns = []badRun{
 // negative offset panicked the server rank, a run past its block read past
 // the buffer, another server's block was served. Each bad read must now get
 // an error reply naming the read, and a clean read afterwards shows the
-// server still standing, cache armed or not, reads served inline or through
-// the DRR queue. A DRR-armed server used to queue a read before checking it,
-// then add quantum to the deficit until the oversized one fit: about 2^56
-// rounds, so it never answered.
+// server still standing, cache armed or not, and ReadQuantum set or not.
+// The server ignores ReadQuantum, but the benchmark still sets it; a server
+// that queued reads by quantum used to add it to a deficit until the
+// oversized read fit, about 2^56 rounds, so it never answered.
 func TestMalformedReadGetsErrorReply(t *testing.T) {
 	reads := append(slices.Clip(malformedRuns), badRun{"oversized", 0, 1 << 62})
 	for _, quantum := range []int64{0, 64} {

@@ -34,24 +34,20 @@ type ServerStats struct {
 	Rank int
 	// Requests counts protocol requests served (shutdowns excluded).
 	Requests int64
-	// StagedWrites and StagedBytes count write records admitted.
+	// StagedWrites counts write records admitted.
 	StagedWrites int64
-	StagedBytes  int64
 	// Epochs counts flush epochs closed.
 	Epochs int64
 	// BatchedRuns counts the coalesced extent runs drained — each is one
 	// file system write request, so comparing it against StagedWrites
 	// measures the tier's aggregation factor.
 	BatchedRuns int64
-	// FSWrites/FSReads/FSBytes are the storage-layer request and byte
-	// counts the drains and reads produced; Retries the transient faults
-	// absorbed under chaos.
+	// FSWrites/FSReads are the storage-layer request counts the drains and
+	// reads produced; Retries the transient faults absorbed under chaos.
 	FSWrites int64
 	FSReads  int64
-	FSBytes  int64
 	Retries  int64
-	// ReadReqs counts OpRead requests served (inline or via the DRR
-	// scheduler).
+	// ReadReqs counts OpRead requests served.
 	ReadReqs int64
 	// ReadEpochs is always 0: delegated reads have no collective epoch.
 	// The benchmark's per-layer report still reads it.
@@ -121,9 +117,6 @@ type server struct {
 	// write and its flush epoch never sees bytes the drain hasn't applied.
 	cache *blockCache
 	dirty map[blockKey]int
-	// sched queues reads for deficit-round-robin draining (nil when
-	// ReadQuantum == 0, which serves reads inline in arrival order).
-	sched *drrSched
 }
 
 // newServer builds the server state of rank c among serverRanks.
@@ -143,9 +136,6 @@ func newServer(c *mpi.Comm, cfg Config, serverRanks []int, domains extent.Layout
 	if cfg.ServerCacheBlocks > 0 {
 		srv.cache = newBlockCache(cfg.ServerCacheBlocks)
 		srv.dirty = make(map[blockKey]int)
-	}
-	if cfg.ReadQuantum > 0 {
-		srv.sched = newDRR(cfg.ReadQuantum)
 	}
 	return srv
 }
@@ -187,15 +177,12 @@ func (s *server) handle(req mpi.RPCRequest) error {
 	return fmt.Errorf("delegate: unexpected %s", req.Op)
 }
 
-// loop serves requests until every client has shut down: each request
-// charges serverPerReq of service time before it is handled, and an
-// OpShutdown retires its sender. With ReadQuantum == 0 a read is handled
-// inline like any other request; otherwise a read that passes its checks
-// on arrival is queued into the DRR scheduler, which next drains between
-// arrivals, and any other read is answered at once (with its error).
+// loop serves requests, reads included, in the order they arrive until
+// every client has shut down: each request charges serverPerReq of service
+// time before it is handled, and an OpShutdown retires its sender.
 func (s *server) loop() error {
 	for remaining := s.clients; remaining > 0; {
-		req, err := s.next()
+		req, err := s.c.RecvRequest(mpi.AnySource, tagRequest)
 		if err != nil {
 			return err
 		}
@@ -206,47 +193,11 @@ func (s *server) loop() error {
 			continue
 		}
 		s.stats.Requests++
-		if req.Op == mpi.OpRead && s.sched != nil && s.queueable(&req) {
-			s.sched.push(req.Client, req)
-		} else if err := s.handle(req); err != nil {
-			return serveErr(req.Op, req.Client, err)
+		if err := s.handle(req); err != nil {
+			return fmt.Errorf("delegate: serve tag %d: %s from rank %d: %w", tagRequest, req.Op, req.Client, err)
 		}
 	}
 	return nil
-}
-
-// next returns the next request. While reads are queued it only polls, and
-// serves them one deficit round at a time whenever no new request is
-// waiting — that is, between writes. A blocking receive happens only with an
-// empty read queue, so queued reads cannot be stranded behind it; and a
-// client always collects its read replies before it can send OpShutdown, so
-// loop exit implies an empty scheduler.
-func (s *server) next() (mpi.RPCRequest, error) {
-	for s.sched != nil && s.sched.pending() > 0 {
-		req, ok, err := s.c.TryRecvRequest(mpi.AnySource, tagRequest)
-		if ok || err != nil {
-			return req, err
-		}
-		for _, rq := range s.sched.round() {
-			if err := s.handle(rq); err != nil {
-				return rq, serveErr(rq.Op, rq.Client, err)
-			}
-		}
-	}
-	return s.c.RecvRequest(mpi.AnySource, tagRequest)
-}
-
-// queueable reports whether a read may wait in the DRR queue: its handle is
-// open and its run lies in one block this server owns, so no queued read is
-// longer than a block and every round can serve it.
-func (s *server) queueable(req *mpi.RPCRequest) bool {
-	_, err := s.owned("read", extent.Extent{Off: req.Off, Len: req.Len})
-	return err == nil && s.handles[req.Handle] != nil
-}
-
-// serveErr names the request a failed handler was serving.
-func serveErr(op mpi.RPCOp, client int, err error) error {
-	return fmt.Errorf("delegate: serve tag %d: %s from rank %d: %w", tagRequest, op, client, err)
 }
 
 func (s *server) open(req *mpi.RPCRequest) error {
@@ -292,7 +243,6 @@ func (s *server) write(req mpi.RPCRequest) error {
 	}
 	h.staged = append(h.staged, req)
 	s.stats.StagedWrites++
-	s.stats.StagedBytes += int64(len(req.Data))
 	if s.cache != nil {
 		// The block now has a staged-but-undrained write: reads must
 		// bypass the cache for it until the flush epoch drains (and
@@ -412,7 +362,8 @@ func (s *server) read(req *mpi.RPCRequest) error {
 		res, rep.Ready, err = s.store(h, req.Client).ReadExtentsFrom("delegate-read", trace.KindFetch, []storage.Request{
 			{Off: req.Off, Data: buf, Tag: fmt.Sprintf("c%d", req.Client)},
 		}, s.c.Now())
-		s.count(res, &s.stats.FSReads)
+		s.stats.FSReads += res.Requests
+		s.stats.Retries += res.Retries
 		rep.OK, rep.Data = err == nil, buf
 	}
 	if err != nil {
@@ -477,7 +428,8 @@ func (s *server) fetch(h *handleFile, blks []int64) (bufs [][]byte, done []simti
 		return bufs, done, len(blks), nil
 	}
 	res, err := h.drain.ReadExtentsEach("delegate-fill", trace.KindFetch, reqs, s.c.Now(), done)
-	s.count(res, &s.stats.FSReads)
+	s.stats.FSReads += res.Requests
+	s.stats.Retries += res.Retries
 	return bufs, done, int(res.Requests), err
 }
 
@@ -488,14 +440,6 @@ func (s *server) admit(key blockKey, buf []byte, ready simtime.Time) {
 		s.c.Recycle(victim)
 		s.stats.CacheEvictions++
 	}
-}
-
-// count folds one storage batch into the server's counters, its requests
-// into reqs (FSReads or FSWrites).
-func (s *server) count(res storage.Result, reqs *int64) {
-	*reqs += res.Requests
-	s.stats.FSBytes += res.Bytes
-	s.stats.Retries += res.Retries
 }
 
 // flush counts one client's flush marker toward its handle's write epoch
@@ -596,7 +540,8 @@ func (s *server) closeEpoch(h *handleFile) error {
 		res, err := h.drain.WriteExtents("delegate-drain", trace.KindDrain, reqs)
 		drainErr = err
 		s.stats.BatchedRuns += int64(len(reqs))
-		s.count(res, &s.stats.FSWrites)
+		s.stats.FSWrites += res.Requests
+		s.stats.Retries += res.Retries
 	}
 	// Write the drained runs through into live cache entries so they stay
 	// coherent (a failed drain invalidates instead — the entry's bytes can

@@ -308,12 +308,9 @@ func TestUserEntryPointsRejectRuntimeTags(t *testing.T) {
 	runOK(t, 1, func(c *Comm) error {
 		for _, tag := range []int{-2, -100, -1} {
 			for _, src := range []int{0, AnySource} {
-				_, _, tryErr := c.TryRecvRequest(src, tag)
 				_, recvErr := c.Recv(src, tag)
 				_, reqErr := c.RecvRequest(src, tag)
-				for name, err := range map[string]error{
-					"Recv": recvErr, "RecvRequest": reqErr, "TryRecvRequest": tryErr,
-				} {
+				for name, err := range map[string]error{"Recv": recvErr, "RecvRequest": reqErr} {
 					if err == nil {
 						return fmt.Errorf("%s(%d, %d) accepted the tag", name, src, tag)
 					}
@@ -343,12 +340,9 @@ func TestUserEntryPointsRejectBadSources(t *testing.T) {
 	const procs = 2
 	runOK(t, procs, func(c *Comm) error {
 		for _, src := range []int{procs, -2} {
-			_, _, tryErr := c.TryRecvRequest(src, 3)
 			_, recvErr := c.Recv(src, 3)
 			_, reqErr := c.RecvRequest(src, 3)
-			for name, err := range map[string]error{
-				"Recv": recvErr, "RecvRequest": reqErr, "TryRecvRequest": tryErr,
-			} {
+			for name, err := range map[string]error{"Recv": recvErr, "RecvRequest": reqErr} {
 				if err == nil {
 					return fmt.Errorf("%s(%d, 3) accepted the source", name, src)
 				}
@@ -423,9 +417,6 @@ func TestAbortSeenOnlyWhereARankWouldBlock(t *testing.T) {
 			}
 			if err := win.Unlock(1); err != nil {
 				return fmt.Errorf("unlock: %w", err)
-			}
-			if _, ok, err := c.TryRecvRequest(1, 9); ok || err != nil {
-				return fmt.Errorf("non-blocking receive: ok=%v err=%v", ok, err)
 			}
 			if got, err := c.Recv(1, 1); err != nil || string(got) != "sent before failing" {
 				return fmt.Errorf("buffered receive: %q, %v", got, err)

@@ -201,14 +201,6 @@ func (m *mailbox) take(src, tag int, park func(*sync.Mutex) error) (envelope, er
 	}
 }
 
-// tryTake is take without blocking: it removes and returns a matching
-// message if one is buffered right now, else reports ok == false.
-func (m *mailbox) tryTake(src, tag int) (envelope, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.match(src, tag)
-}
-
 // sendOverhead is the local CPU cost of posting one message.
 const sendOverhead = 400 * simtime.Nanosecond
 

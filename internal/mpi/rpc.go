@@ -215,30 +215,6 @@ func (c *Comm) RecvRequest(src, tag int) (RPCRequest, error) {
 	if err != nil {
 		return RPCRequest{}, err
 	}
-	return c.openRequest(e)
-}
-
-// TryRecvRequest is RecvRequest without blocking: it returns the next
-// matching request if one is already buffered, or ok == false immediately.
-// A scheduler loop uses it to drain queued work whenever no new request
-// has arrived, without ever parking while the queue is non-empty. It never
-// blocks, so it does not look for an abort (see World.park).
-func (c *Comm) TryRecvRequest(src, tag int) (RPCRequest, bool, error) {
-	if err := c.checkRecv("TryRecvRequest", src, tag); err != nil {
-		return RPCRequest{}, false, err
-	}
-	c.w.touch(c.rank, "tryrecv", c.clock().Now())
-	e, ok := c.w.ranks[c.rank].box.tryTake(src, tag)
-	if !ok {
-		return RPCRequest{}, false, nil
-	}
-	req, err := c.openRequest(e)
-	return req, err == nil, err
-}
-
-// openRequest completes a receive: advance to the arrival, then decode.
-func (c *Comm) openRequest(e envelope) (RPCRequest, error) {
-	c.clock().AdvanceTo(e.arrival)
 	req, err := decodeRequest(&c.w.pool, e.data)
 	req.Client = e.src
 	return req, err

@@ -283,46 +283,3 @@ func TestRPCServe(t *testing.T) {
 		}
 	}
 }
-
-// TestTryRecvRequest pins the non-blocking receive path a scheduling
-// server loop depends on: a miss returns immediately without consuming
-// anything, a hit matches FIFO order and fills Client from the envelope
-// source exactly like RecvRequest.
-func TestTryRecvRequest(t *testing.T) {
-	const tag = 88
-	_, err := Run(Config{Procs: 2, Machine: cluster.Lonestar()}, func(c *Comm) error {
-		if c.Rank() == 0 {
-			// Nothing sent yet from rank 1's perspective until the barrier.
-			for s := 0; s < 3; s++ {
-				if err := c.SendRequest(1, tag, &RPCRequest{Op: OpWrite, Seq: int64(s)}); err != nil {
-					return err
-				}
-			}
-			return c.Barrier()
-		}
-		if _, ok, err := c.TryRecvRequest(AnySource, tag+1); err != nil || ok {
-			return fmt.Errorf("empty tryTake: ok=%v err=%v", ok, err)
-		}
-		if err := c.Barrier(); err != nil {
-			return err
-		}
-		// All three requests are buffered now; TryRecvRequest must drain
-		// them in FIFO order and then report a miss.
-		for s := 0; s < 3; s++ {
-			req, ok, err := c.TryRecvRequest(AnySource, tag)
-			if err != nil {
-				return err
-			}
-			if !ok || req.Client != 0 || req.Seq != int64(s) {
-				return fmt.Errorf("drain %d: ok=%v req=%+v", s, ok, req)
-			}
-		}
-		if _, ok, err := c.TryRecvRequest(AnySource, tag); err != nil || ok {
-			return fmt.Errorf("drained mailbox: ok=%v err=%v", ok, err)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
