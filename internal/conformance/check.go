@@ -288,10 +288,9 @@ func (p *Program) summarize(tc, oc, va *engineRun, dl *delegateRun, cr *crashRun
 		fmt.Fprintf(&b, " del[srv=%d files=%d staged=%d runs=%d fs=%d%s]",
 			p.Knobs.ServerRanks, p.Knobs.Files, staged, runs, dl.fsWrites, mark)
 		if len(dl.rservers) > 0 {
-			// Read-phase totals are per-block quantities (first touch fills,
-			// the generator's cache capacity rules out evictions), so hit/miss
-			// sums diff cleanly even though which client triggers a fill
-			// races.
+			// Read-phase totals are per-block quantities (a miss fills its
+			// line and nothing evicts), so hit/miss sums diff cleanly even
+			// though which client triggers a fill races.
 			var rreq, hit, miss, rfs int64
 			for _, s := range dl.rservers {
 				rreq += s.ReadReqs
@@ -299,8 +298,7 @@ func (p *Program) summarize(tc, oc, va *engineRun, dl *delegateRun, cr *crashRun
 				miss += s.CacheMisses
 				rfs += s.FSReads
 			}
-			fmt.Fprintf(&b, " dread[cache=%d req=%d hit=%d miss=%d fs=%d]",
-				p.Knobs.ServerCacheBlocks, rreq, hit, miss, rfs)
+			fmt.Fprintf(&b, " dread[req=%d hit=%d miss=%d fs=%d]", rreq, hit, miss, rfs)
 		}
 	}
 	if p.Knobs.Journal {

@@ -89,7 +89,6 @@ func TestValidateRejectsIllegalKnobs(t *testing.T) {
 			"delegate: journal with 1 server ranks"},
 		{"negative servers", func(k *Knobs) { k.ServerRanks = -1 }, "delegate: -1 server ranks of 2"},
 		{"servers eat all ranks", func(k *Knobs) { k.ServerRanks = 2 }, "delegate: 2 server ranks of 2"},
-		{"server cache blocks", func(k *Knobs) { k.ServerRanks, k.ServerCacheBlocks = 1, -4 }, "delegate: server cache blocks -4"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p := &Program{

@@ -74,9 +74,8 @@ func statsGrid(files, clients int) [][]delegate.Stats {
 func (p *Program) delegateConfig(rec *trace.Recorder) delegate.Config {
 	k := p.Knobs
 	return delegate.Config{
-		ServerRanks:       k.ServerRanks,
-		ServerCacheBlocks: k.ServerCacheBlocks,
-		TCIO:              p.tcioConfig(rec),
+		ServerRanks: k.ServerRanks,
+		TCIO:        p.tcioConfig(rec),
 	}
 }
 
@@ -353,21 +352,10 @@ func (o *Outcome) checkDelegateRead(p *Program, dl *delegateRun) {
 	for _, s := range dl.rservers {
 		readReqs += s.ReadReqs
 		fsReads += s.FSReads
-		if k.ServerCacheBlocks == 0 && s.CacheHits+s.CacheMisses+s.CacheEvictions != 0 {
-			o.diverge("delegate", "stats", "server %d counted cache traffic (%d/%d/%d) with the cache disarmed",
-				s.Rank, s.CacheHits, s.CacheMisses, s.CacheEvictions)
-		}
-		if k.ServerCacheBlocks > 0 {
-			// Every served read request is exactly one hit or one miss while
-			// the cache is armed.
-			if s.CacheHits+s.CacheMisses != s.ReadReqs {
-				o.diverge("delegate", "stats", "server %d cache hits %d + misses %d != reads %d",
-					s.Rank, s.CacheHits, s.CacheMisses, s.ReadReqs)
-			}
-			if s.CacheEvictions > s.CacheMisses {
-				o.diverge("delegate", "stats", "server %d evicted %d blocks but filled only %d",
-					s.Rank, s.CacheEvictions, s.CacheMisses)
-			}
+		// Every served read request is exactly one hit or one miss.
+		if s.CacheHits+s.CacheMisses != s.ReadReqs {
+			o.diverge("delegate", "stats", "server %d cache hits %d + misses %d != reads %d",
+				s.Rank, s.CacheHits, s.CacheMisses, s.ReadReqs)
 		}
 	}
 	if readReqs != pieceSum {
@@ -375,10 +363,5 @@ func (o *Outcome) checkDelegateRead(p *Program, dl *delegateRun) {
 	}
 	if fsReads != dl.fsReads {
 		o.diverge("delegate", "stats", "servers report %d FSReads, file system served %d", fsReads, dl.fsReads)
-	}
-	if k.ServerCacheBlocks == 0 && fsReads != pieceSum {
-		// The disarmed read path keeps the per-request identity: one file
-		// system read of exactly the piece's length per client piece.
-		o.diverge("delegate", "stats", "disarmed read path issued %d fs reads for %d client pieces", fsReads, pieceSum)
 	}
 }

@@ -135,11 +135,7 @@ func genKnobs(rng *rand.Rand, class int, seed int64) Knobs {
 		if rng.Intn(3) == 0 {
 			k.DemandPopulate = true // servers = 0 read-path variety
 		}
-		// The read-path knob. The cache leans armed (the stale-serve mutant
-		// lives behind it) with a capacity above any program's total block
-		// count, so the one racy counter — eviction order — never reaches
-		// the differential run.
-		k.ServerCacheBlocks = []int{0, 64, 64, 64}[rng.Intn(4)]
+		rng.Intn(4) // the retired ServerCacheBlocks draw, discarded
 		rng.Intn(4) // the retired ReadQuantum draw, discarded
 		if rng.Intn(2) == 0 {
 			// The retired CollectiveRead draw. The DemandPopulate it armed

@@ -66,9 +66,6 @@ type Knobs struct {
 	// (0 = the same files through tcio directly).
 	ServerRanks int `json:"server_ranks,omitempty"`
 	Files       int `json:"files,omitempty"`
-	// ServerCacheBlocks arms each delegation server's hot-block read
-	// cache (0 = disarmed, one file system read per client piece).
-	ServerCacheBlocks int `json:"server_cache_blocks,omitempty"`
 
 	// Crash class (class 7). Journal arms tcio's journaled-epoch tier;
 	// CrashKills is the number of simulated crash instants the checker

@@ -19,7 +19,7 @@
 // staging without timestamps.
 //
 // Delegated reads are synchronous: each domain piece is one read request,
-// answered by its owning server. A tier always has servers; an
+// answered by its owning server from the blocks it keeps. A tier always has servers; an
 // application that wants none opens tcio directly.
 package delegate
 
@@ -52,11 +52,9 @@ type Config struct {
 	// ServerRanks is the number of ranks withdrawn from the application
 	// to run as dedicated I/O servers, at least 1.
 	ServerRanks int
-	// ServerCacheBlocks is each server's hot-block cache capacity in
-	// domain blocks: repeat and cross-client reads of a cached block are
-	// served from server memory instead of the file system. 0 disables
-	// the cache, leaving the read path's request identity bit-identical
-	// to the uncached tier (pinned by TestDelegateReadPathDisarmed).
+	// ServerCacheBlocks is ignored: a server keeps every block it reads
+	// until it exits. benchmark/ still sets it; the next benchmark change
+	// (ROADMAP item 19) deletes it.
 	ServerCacheBlocks int
 	// ReadQuantum is ignored: a server answers every request, reads
 	// included, in arrival order. benchmark/ still sets it; the next
@@ -77,8 +75,6 @@ func (cfg Config) Normalize(procs int, stripeSize int64) (Config, error) {
 	switch {
 	case cfg.ServerRanks < 1 || cfg.ServerRanks >= procs:
 		return cfg, fmt.Errorf("delegate: %d server ranks of %d", cfg.ServerRanks, procs)
-	case cfg.ServerCacheBlocks < 0:
-		return cfg, fmt.Errorf("delegate: server cache blocks %d", cfg.ServerCacheBlocks)
 	case cfg.TCIO.Journal:
 		// Servers write the data file themselves and keep no journal.
 		return cfg, fmt.Errorf("delegate: journal with %d server ranks", cfg.ServerRanks)

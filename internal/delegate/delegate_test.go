@@ -325,7 +325,6 @@ func TestDelegateConfigValidation(t *testing.T) {
 	}{
 		{"servers eat all ranks", Config{ServerRanks: 4}},
 		{"negative servers", Config{ServerRanks: -1}},
-		{"negative cache blocks", Config{ServerRanks: 1, ServerCacheBlocks: -1}},
 		{"no servers", Config{}},
 		{"bad tcio config", Config{ServerRanks: 1, TCIO: tcio.Config{SegmentSize: -1}}},
 		{"journal with servers", Config{ServerRanks: 1, TCIO: tcio.Config{Journal: true}}},

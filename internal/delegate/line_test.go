@@ -26,7 +26,6 @@ const lineDS = 256 // the rig's domain block: four 64-byte segments
 
 // lineRig describes one hand-driven run.
 type lineRig struct {
-	cacheBlks int
 	fileBytes int64 // the file holds expectByte(0, ·) up to here
 	clients   int   // client ranks 1..clients collect replies (0 = 1)
 	trace     *trace.Recorder
@@ -102,8 +101,8 @@ const endOfDrive = -1
 func (r lineRig) run(t *testing.T, drive func(d *lineDriver) error) [][]lineReply {
 	t.Helper()
 	cfg := Config{
-		ServerRanks: 1, ServerCacheBlocks: r.cacheBlks,
-		TCIO: tcio.Config{SegmentSize: lineDS / 4, NumSegments: 8, Retry: r.retry, Trace: r.trace},
+		ServerRanks: 1,
+		TCIO:        tcio.Config{SegmentSize: lineDS / 4, NumSegments: 8, Retry: r.retry, Trace: r.trace},
 	}
 	procs := 1 + max(r.clients, 1)
 	got := make([][]lineReply, procs)
@@ -222,10 +221,10 @@ func (d *lineDriver) flush() error {
 	return d.s.flush(&mpi.RPCRequest{Op: mpi.OpFlush, Client: 1, Handle: 1})
 }
 
-// resident lists the blocks the cache holds, ascending.
+// resident lists the blocks the server holds, ascending.
 func (d *lineDriver) resident() []int64 {
 	var blks []int64
-	for key := range d.s.cache.entries {
+	for key := range d.s.blocks {
 		blks = append(blks, key.blk)
 	}
 	slices.Sort(blks)
@@ -233,7 +232,7 @@ func (d *lineDriver) resident() []int64 {
 }
 
 func (d *lineDriver) ready(blk int64) simtime.Time {
-	return d.s.cache.entries[blockKey{name: "line", blk: blk}].Value.(*cacheEntry).ready
+	return d.s.blocks[blockKey{name: "line", blk: blk}].ready
 }
 
 // expectBlock is the rig file's bytes [blk*lineDS, +n).
@@ -256,7 +255,7 @@ func expectBlock(blk, n int64) []byte {
 // block's completion.
 func TestLineFillCriticalBlockFirst(t *testing.T) {
 	rec := &trace.Recorder{}
-	rig := lineRig{cacheBlks: 8, fileBytes: 8 * lineDS, trace: rec}
+	rig := lineRig{fileBytes: 8 * lineDS, trace: rec}
 	reads := []struct{ blk, n int64 }{{1, 32}, {0, 16}, {3, lineDS}, {2, 64}}
 	depart := make([]simtime.Time, len(reads)) // each reply's expected departure
 	replies := rig.run(t, func(d *lineDriver) error {
@@ -322,7 +321,7 @@ func TestLineFillCriticalBlockFirst(t *testing.T) {
 // its reply reaches client 2 before T, while client 1's reaches client 1 at
 // T plus its transfer.
 func TestServerServesDuringFill(t *testing.T) {
-	rig := lineRig{cacheBlks: 8, fileBytes: 8 * lineDS, clients: 2}
+	rig := lineRig{fileBytes: 8 * lineDS, clients: 2}
 	var fill simtime.Time // T: when block 1 lands
 	got := rig.run(t, func(d *lineDriver) error {
 		if err := d.readAs(2, 5, lineDS); err != nil {
@@ -353,7 +352,7 @@ func TestServerServesDuringFill(t *testing.T) {
 func TestLineFillClippedAtEOF(t *testing.T) {
 	for _, size := range []int64{5*lineDS + 100, 6 * lineDS} {
 		rec := &trace.Recorder{}
-		rig := lineRig{cacheBlks: 8, fileBytes: size, trace: rec}
+		rig := lineRig{fileBytes: size, trace: rec}
 		replies := rig.run(t, func(d *lineDriver) error {
 			if err := d.read(4, lineDS); err != nil {
 				return err
@@ -378,37 +377,63 @@ func TestLineFillClippedAtEOF(t *testing.T) {
 	}
 }
 
-// TestLineFillNeverExceedsCapacity: a line is clipped at ServerCacheBlocks,
-// so with room for 1, 2 or 3 blocks a fill never admits more than fit — the
-// first miss evicts nothing, and no moment sees more residents than capacity.
-func TestLineFillNeverExceedsCapacity(t *testing.T) {
-	for capacity := 1; capacity <= 3; capacity++ {
-		rig := lineRig{cacheBlks: capacity, fileBytes: 8 * lineDS}
-		rig.run(t, func(d *lineDriver) error {
-			for i, blk := range []int64{0, 3, 1, 6, 0} {
-				if err := d.read(blk, 8); err != nil {
-					return err
-				}
-				if n := len(d.resident()); n > capacity || d.s.cache.order.Len() != n {
-					return fmt.Errorf("capacity %d: %d resident after reading block %d", capacity, n, blk)
-				}
-				if i == 0 && (d.s.stats.FSReads != int64(capacity) || d.s.stats.CacheEvictions != 0) {
-					return fmt.Errorf("capacity %d: first miss read %d blocks and evicted %d", capacity, d.s.stats.FSReads, d.s.stats.CacheEvictions)
-				}
-			}
-			return nil
-		})
+// TestDelegateCacheCoherence: a resident block changes only through a fill
+// or a successful drain's write-through, so a read of a block with a staged
+// write serves the pre-flush file, whether it is a hit (block 2, resident
+// since the miss on block 0) or a fill (block 5, whose line the read
+// fetches), and after the flush epoch both reads hit the drained bytes.
+func TestDelegateCacheCoherence(t *testing.T) {
+	rig := lineRig{fileBytes: 8 * lineDS}
+	fresh2, fresh5 := bytes.Repeat([]byte{0xA5}, lineDS), bytes.Repeat([]byte{0x5A}, lineDS)
+	replies := rig.run(t, func(d *lineDriver) error {
+		if err := d.read(0, lineDS); err != nil {
+			return err
+		}
+		if err := d.write(2, bytes.Clone(fresh2)); err != nil {
+			return err
+		}
+		if err := d.read(2, lineDS); err != nil { // staged write, hit
+			return err
+		}
+		if err := d.write(5, bytes.Clone(fresh5)); err != nil {
+			return err
+		}
+		if err := d.read(5, lineDS); err != nil { // staged write, fill
+			return err
+		}
+		if got := d.resident(); !slices.Equal(got, []int64{0, 1, 2, 3, 4, 5, 6, 7}) {
+			return fmt.Errorf("resident %v, want both lines", got)
+		}
+		if err := d.flush(); err != nil {
+			return err
+		}
+		if err := d.read(2, lineDS); err != nil {
+			return err
+		}
+		if err := d.read(5, lineDS); err != nil {
+			return err
+		}
+		if st := d.s.stats; st.ReadReqs != 5 || st.FSReads != 8 || st.CacheMisses != 2 || st.CacheHits != 3 ||
+			st.BatchedRuns != 2 || st.FSWrites != 2 {
+			return fmt.Errorf("counters %+v, want 5 reads: 2 line fills of 8 fs reads and 3 hits; 2 drained runs", st)
+		}
+		return nil
+	})[1]
+	// Reply 3 is the flush epoch's ack.
+	for i, want := range [][]byte{expectBlock(0, lineDS), expectBlock(2, lineDS), expectBlock(5, lineDS), nil, fresh2, fresh5} {
+		if !replies[i].ok || !bytes.Equal(replies[i].data, want) {
+			t.Errorf("reply %d: ok=%v, unexpected bytes", i, replies[i].ok)
+		}
 	}
 }
 
-// TestLineFillSkipsDirtyBlocks: a block with staged-but-undrained writes is
-// never admitted by a line. The miss on block 0 fetches 0, 1 and 3 around
-// dirty block 2; a read of block 2 bypasses the cache, without the server
-// waiting for it, and still sees the pre-flush file; after the flush epoch
-// block 2 is clean, misses, fills
-// alone (its line is resident) and serves the new bytes.
+// TestLineFillSkipsDirtyBlocks: a line fill skips a block's staged bytes,
+// not the block. The miss on block 0 admits 0-3 around block 2, whose write
+// is staged, with the file's bytes; a read of block 2 hits them without the
+// server waiting for the file system, and after the flush epoch's
+// write-through the next hit serves the new bytes.
 func TestLineFillSkipsDirtyBlocks(t *testing.T) {
-	rig := lineRig{cacheBlks: 8, fileBytes: 4 * lineDS}
+	rig := lineRig{fileBytes: 4 * lineDS}
 	fresh := bytes.Repeat([]byte{0xA5}, lineDS)
 	replies := rig.run(t, func(d *lineDriver) error {
 		if err := d.write(2, bytes.Clone(fresh)); err != nil {
@@ -417,18 +442,15 @@ func TestLineFillSkipsDirtyBlocks(t *testing.T) {
 		if err := d.read(0, lineDS); err != nil {
 			return err
 		}
-		if got := d.resident(); !slices.Equal(got, []int64{0, 1, 3}) {
-			return fmt.Errorf("resident %v after the miss on block 0, want 0, 1 and 3", got)
+		if got := d.resident(); !slices.Equal(got, []int64{0, 1, 2, 3}) {
+			return fmt.Errorf("resident %v after the miss on block 0, want 0-3", got)
 		}
 		before := d.s.c.Now()
-		if err := d.read(2, lineDS); err != nil { // dirty bypass
+		if err := d.read(2, lineDS); err != nil {
 			return err
 		}
 		if now, want := d.s.c.Now(), before.Add(d.send); now != want {
-			return fmt.Errorf("the bypass read moved the server to %d, want %d: it waited %d for the file system", now, want, now.Sub(want))
-		}
-		if got := d.resident(); !slices.Equal(got, []int64{0, 1, 3}) {
-			return fmt.Errorf("the bypass read cached something: resident %v", got)
+			return fmt.Errorf("the read of block 2 moved the server to %d, want %d: it waited %d for the file system", now, want, now.Sub(want))
 		}
 		if err := d.flush(); err != nil {
 			return err
@@ -436,12 +458,14 @@ func TestLineFillSkipsDirtyBlocks(t *testing.T) {
 		if err := d.read(2, lineDS); err != nil {
 			return err
 		}
-		if st := d.s.stats; st.FSReads != 5 || st.CacheMisses != 3 || st.CacheHits != 0 {
-			return fmt.Errorf("counters %+v, want 5 fs reads (3 + bypass + 1) and 3 misses", st)
+		if st := d.s.stats; st.ReadReqs != 3 || st.FSReads != 4 || st.CacheMisses != 1 || st.CacheHits != 2 ||
+			st.BatchedRuns != 1 || st.FSWrites != 1 {
+			return fmt.Errorf("counters %+v, want 3 reads: 1 line fill of 4 fs reads and 2 hits; 1 drained run", st)
 		}
-		return d.read(2, lineDS)
+		return nil
 	})[1]
-	for i, want := range [][]byte{expectBlock(0, lineDS), expectBlock(2, lineDS), nil, fresh, fresh} {
+	// Reply 2 is the flush epoch's ack.
+	for i, want := range [][]byte{expectBlock(0, lineDS), expectBlock(2, lineDS), nil, fresh} {
 		if !replies[i].ok || !bytes.Equal(replies[i].data, want) {
 			t.Errorf("reply %d: ok=%v, unexpected bytes", i, replies[i].ok)
 		}
@@ -453,7 +477,7 @@ func TestLineFillSkipsDirtyBlocks(t *testing.T) {
 // next read of the block — a hit — sees the new bytes, not the ones the
 // fill read.
 func TestFlushWritesThroughInFlightEntry(t *testing.T) {
-	rig := lineRig{cacheBlks: 8, fileBytes: 4 * lineDS}
+	rig := lineRig{fileBytes: 4 * lineDS}
 	fresh := bytes.Repeat([]byte{0x5A}, 64)
 	replies := rig.run(t, func(d *lineDriver) error {
 		if err := d.read(0, lineDS); err != nil {
@@ -503,7 +527,7 @@ func TestLineFillFailureIsItsOwn(t *testing.T) {
 		}
 	}
 	noRetry := faults.NoRetry()
-	rig := lineRig{cacheBlks: 8, fileBytes: 4 * lineDS, retry: &noRetry,
+	rig := lineRig{fileBytes: 4 * lineDS, retry: &noRetry,
 		inject: faults.New(seed).Set(faults.SiteOSTRead, rule)}
 	replies := rig.run(t, func(d *lineDriver) error {
 		if err := d.read(0, lineDS); err != nil {

@@ -18,10 +18,10 @@ import (
 const rigDomain, rigBlocks = 256, 8
 
 // rigConfig is the rig's tier.
-func rigConfig(cacheBlks int) Config {
+func rigConfig() Config {
 	return Config{
-		ServerRanks: 2, ServerCacheBlocks: cacheBlks,
-		TCIO: tcio.Config{SegmentSize: rigDomain / 4, NumSegments: 8},
+		ServerRanks: 2,
+		TCIO:        tcio.Config{SegmentSize: rigDomain / 4, NumSegments: 8},
 	}
 }
 
@@ -111,38 +111,47 @@ var malformedRuns = []badRun{
 }
 
 // TestMalformedReadGetsErrorReply: an OpRead's offset and length are bytes
-// off the wire, and the server used to slice its cached block with them — a
-// negative offset panicked the server rank, a run past its block read past
+// off the wire, and the server used to slice its resident block with them —
+// a negative offset panicked the server rank, a run past its block read past
 // the buffer, another server's block was served. Each bad read must now get
 // an error reply naming the read, and a clean read afterwards shows the
-// server still standing, cache armed or not, and ReadQuantum set or not.
-// The server ignores ReadQuantum, but the benchmark still sets it; a server
-// that queued reads by quantum used to add it to a deficit until the
-// oversized read fit, about 2^56 rounds, so it never answered.
+// server still standing, whether server 0 holds none of its blocks when the
+// bad read arrives (cache=0: it is client 0's first read, and client 1 reads
+// nothing) or all four (cache=4: client 0 has read the whole file, so the
+// bad read lands beside resident blocks), and ReadQuantum set or not. The
+// server ignores ReadQuantum, but the benchmark still sets it; a server that
+// queued reads by quantum used to add it to a deficit until the oversized
+// read fit, about 2^56 rounds, so it never answered.
 func TestMalformedReadGetsErrorReply(t *testing.T) {
 	reads := append(slices.Clip(malformedRuns), badRun{"oversized", 0, 1 << 62})
 	for _, quantum := range []int64{0, 64} {
-		for _, cacheBlks := range []int{0, 4} {
+		for _, held := range []int{0, rigBlocks / 2} {
 			for _, bad := range reads {
-				name := fmt.Sprintf("cache=%d/%s", cacheBlks, bad.name)
+				name := fmt.Sprintf("cache=%d/%s", held, bad.name)
 				if quantum > 0 {
 					name = fmt.Sprintf("quantum=%d/%s", quantum, name)
 				}
 				t.Run(name, func(t *testing.T) {
-					cfg := rigConfig(cacheBlks)
+					cfg := rigConfig()
 					cfg.ReadQuantum = quantum
 					err := rigRead(cfg, func(tr *Tier, r *File) error {
-						if tr.ClientIndex() == 0 {
-							if err := tr.request(0, &mpi.RPCRequest{Op: mpi.OpRead, Handle: r.handle, Off: bad.off, Len: bad.n}); err != nil {
+						if tr.ClientIndex() != 0 {
+							return nil
+						}
+						if held > 0 {
+							if err := readAll(tr, r); err != nil {
 								return err
 							}
-							rep, err := r.reply(0, "read")
-							if err == nil {
-								rep.Release()
-							}
-							if err == nil || !strings.Contains(err.Error(), "delegate: read run") {
-								return fmt.Errorf("server 0 answered read [%d,+%d) with %v, want a read-run error", bad.off, bad.n, err)
-							}
+						}
+						if err := tr.request(0, &mpi.RPCRequest{Op: mpi.OpRead, Handle: r.handle, Off: bad.off, Len: bad.n}); err != nil {
+							return err
+						}
+						rep, err := r.reply(0, "read")
+						if err == nil {
+							rep.Release()
+						}
+						if err == nil || !strings.Contains(err.Error(), "delegate: read run") {
+							return fmt.Errorf("server 0 answered read [%d,+%d) with %v, want a read-run error", bad.off, bad.n, err)
 						}
 						return readAll(tr, r)
 					})
@@ -165,7 +174,7 @@ func TestMalformedReadGetsErrorReply(t *testing.T) {
 func TestMalformedWriteFailsNamingIt(t *testing.T) {
 	for _, bad := range malformedRuns {
 		t.Run(bad.name, func(t *testing.T) {
-			err := rigRun(rigConfig(4), func(tr *Tier) error {
+			err := rigRun(rigConfig(), func(tr *Tier) error {
 				w, err := tr.Open("bad", tcio.WriteMode)
 				if err != nil {
 					return err
@@ -189,7 +198,7 @@ func TestMalformedWriteFailsNamingIt(t *testing.T) {
 }
 
 // TestNegativeOffsetRejectedLikeTCIO: a negative offset is the caller's
-// error, in tcio.Open's own words, whether the server cache is armed or not.
+// error, in tcio.Open's own words.
 // A delegated WriteAt used to ship it, and the owning server panicked.
 func TestNegativeOffsetRejectedLikeTCIO(t *testing.T) {
 	type file interface {
@@ -223,7 +232,7 @@ func TestNegativeOffsetRejectedLikeTCIO(t *testing.T) {
 	var want [2]string
 	_, err := mpi.Run(mpi.Config{Procs: 2, Machine: cluster.Lonestar()}, func(c *mpi.Comm) error {
 		got, err := rejections(func(name string, mode tcio.Mode) (file, error) {
-			return tcio.Open(c, name, mode, rigConfig(0).TCIO)
+			return tcio.Open(c, name, mode, rigConfig().TCIO)
 		})
 		if c.Rank() == 0 {
 			want = got
@@ -233,16 +242,14 @@ func TestNegativeOffsetRejectedLikeTCIO(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, cacheBlks := range []int{0, 4} {
-		err := rigRun(rigConfig(cacheBlks), func(tr *Tier) error {
-			got, err := rejections(func(name string, mode tcio.Mode) (file, error) { return tr.Open(name, mode) })
-			if err == nil && got != want {
-				err = fmt.Errorf("cache %d: the tier rejects with %q, tcio with %q", cacheBlks, got, want)
-			}
-			return err
-		})
-		if err != nil {
-			t.Fatal(err)
+	err = rigRun(rigConfig(), func(tr *Tier) error {
+		got, err := rejections(func(name string, mode tcio.Mode) (file, error) { return tr.Open(name, mode) })
+		if err == nil && got != want {
+			err = fmt.Errorf("the tier rejects with %q, tcio with %q", got, want)
 		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

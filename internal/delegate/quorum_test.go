@@ -20,7 +20,7 @@ func TestEpochOpMatchesHandleMode(t *testing.T) {
 		{tcio.ReadMode, mpi.OpFlush},
 	} {
 		t.Run(tc.op.String(), func(t *testing.T) {
-			err := rigRun(rigConfig(4), func(tr *Tier) error {
+			err := rigRun(rigConfig(), func(tr *Tier) error {
 				f, err := tr.Open("mode", tc.mode)
 				if err != nil {
 					return err

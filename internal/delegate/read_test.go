@@ -20,11 +20,13 @@ import (
 
 // readRunOpts parameterizes readWorkload.
 type readRunOpts struct {
-	procs      int
-	servers    int
-	domain     int64 // domain block size: four tcio segments (0 = 256)
+	procs   int
+	servers int
+	domain  int64 // domain block size: four tcio segments (0 = 256)
+	// cacheBlks and quantum set Config.ServerCacheBlocks and ReadQuantum,
+	// which the server ignores and the benchmark still sets.
 	cacheBlks  int
-	quantum    int64 // Config.ReadQuantum, which the server ignores
+	quantum    int64
 	rounds     int   // read passes over the pattern (0 = 1)
 	fileBlocks int64 // file size in domain blocks
 	shared     bool  // true: every client reads every block; false: block-disjoint slices
@@ -51,10 +53,10 @@ type readRunOut struct {
 }
 
 // readWorkload writes a file through the tier (fault-free writes), then
-// runs `rounds` read passes and verifies every byte. Reads are block-aligned: with shared=false client i reads
-// exactly the blocks ≡ i (mod clients), so the disarmed tier's per-client
-// request identities never race; with shared=true every client reads every
-// block — the cross-client overlap case. A read error is recorded (not
+// runs `rounds` read passes and verifies every byte. Reads are
+// block-aligned: with shared=false client i reads exactly the blocks ≡ i
+// (mod clients); with shared=true every client reads every block — the
+// cross-client overlap case. A read error is recorded (not
 // fatal) so the world shuts down cleanly and the test can assert on the
 // error's type.
 func readWorkload(t *testing.T, o readRunOpts) readRunOut {
@@ -198,193 +200,25 @@ func readWorkload(t *testing.T, o readRunOpts) readRunOut {
 	return out
 }
 
-// TestDelegateReadPathDisarmed is the degenerate pin for the read engine:
-// with ServerCacheBlocks == 0 the tier must keep the uncached per-request
-// identity — every client read piece is exactly one file system read of
-// exactly its length, all cache counters stay zero, no cache-serve events
-// reach the trace, and two runs agree on every counter.
-func TestDelegateReadPathDisarmed(t *testing.T) {
-	run := func() (readRunOut, map[trace.Kind]trace.KindStats) {
-		rec := &trace.Recorder{}
-		o := readWorkload(t, readRunOpts{
-			procs: 6, servers: 2, fileBlocks: 12, rounds: 2, trace: rec,
-		})
-		return o, rec.Summary()
-	}
-	o1, sum1 := run()
-	o2, _ := run()
-
-	var fsReads, pieces, pieceBytes int64
-	for _, s := range o1.servers {
-		if s.CacheHits+s.CacheMisses+s.CacheEvictions != 0 {
-			t.Fatalf("server %d: disarmed cache counted %+v", s.Rank, s)
-		}
-		fsReads += s.FSReads
-	}
-	for _, st := range o1.stats {
-		pieces += st.ReadReqs
-		pieceBytes += st.ReadBytes
-	}
-	if fsReads != pieces || pieces == 0 {
-		t.Fatalf("per-request identity broken: %d fs reads for %d client pieces", fsReads, pieces)
-	}
-	if o1.rep.FS.Reads != fsReads {
-		t.Fatalf("file system saw %d reads, servers issued %d", o1.rep.FS.Reads, fsReads)
-	}
-	if o1.rep.FS.BytesRead != pieceBytes {
-		t.Fatalf("file system read %d bytes, clients asked for %d", o1.rep.FS.BytesRead, pieceBytes)
-	}
-	if _, ok := sum1[trace.KindCacheServe]; ok {
-		t.Fatal("disarmed run emitted cache-serve trace events")
-	}
-	if !bytes.Equal(o1.img, o2.img) {
-		t.Fatal("two disarmed runs differ in file bytes")
-	}
-	for i := range o1.servers {
-		if o1.servers[i] != o2.servers[i] {
-			t.Fatalf("server %d counters differ across runs:\n%+v\n%+v",
-				o1.servers[i].Rank, o1.servers[i], o2.servers[i])
-		}
-	}
-}
-
-// TestDelegateCacheCoherence drives the coherence protocol end to end on
-// one server: a read fills the cache; a repeat read hits byte-exactly; a
-// staged-but-undrained write forces the block to bypass the cache (the
-// read still sees the pre-flush file bytes); the flush epoch writes the
-// drained runs through; and the next read hits the updated entry.
-func TestDelegateCacheCoherence(t *testing.T) {
-	const ds = int64(256)
-	m := cluster.Lonestar()
-	m.CoresPerNode = 2
-	fs := pfs.New(pfs.DefaultConfig())
-	col := &Collector{}
-	cfg := Config{
-		ServerRanks: 1, ServerCacheBlocks: 4,
-		TCIO:    tcio.Config{SegmentSize: ds / 4, NumSegments: 8},
-		Collect: col,
-	}
-	mk := func(v byte) []byte {
-		b := make([]byte, ds)
-		for i := range b {
-			b[i] = v + byte(i)
-		}
-		return b
-	}
-	_, err := mpi.Run(mpi.Config{Procs: 2, Machine: m, FS: fs}, func(c *mpi.Comm) error {
-		return Run(c, cfg, func(tr *Tier) error {
-			// Seed block 0 with version A and flush it to the file system.
-			w, err := tr.Open("coh", tcio.WriteMode)
-			if err != nil {
-				return err
-			}
-			if err := w.WriteAt(0, mk(1)); err != nil {
-				return err
-			}
-			if err := w.Flush(); err != nil {
-				return err
-			}
-			r, err := tr.Open("coh", tcio.ReadMode)
-			if err != nil {
-				return err
-			}
-			dst := make([]byte, ds)
-			expect := func(step string, want []byte) error {
-				if err := r.ReadAt(0, dst); err != nil {
-					return fmt.Errorf("%s: %w", step, err)
-				}
-				if !bytes.Equal(dst, want) {
-					return fmt.Errorf("%s: read bytes diverge from expected image", step)
-				}
-				return nil
-			}
-			if err := expect("miss+fill", mk(1)); err != nil {
-				return err
-			}
-			if err := expect("hit", mk(1)); err != nil {
-				return err
-			}
-			// Stage version B without flushing: the block is dirty, so the
-			// read must bypass the cache and still see A — the drain has not
-			// run, and a stale cache serve of a half-applied state would be
-			// the bug the dirty counter exists to prevent.
-			if err := w.WriteAt(0, mk(2)); err != nil {
-				return err
-			}
-			if err := expect("dirty bypass", mk(1)); err != nil {
-				return err
-			}
-			if err := w.Flush(); err != nil { // drain + write-through
-				return err
-			}
-			if err := expect("write-through hit", mk(2)); err != nil {
-				return err
-			}
-			if err := w.Close(); err != nil {
-				return err
-			}
-			return r.Close()
-		})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ss := col.Servers()
-	if len(ss) != 1 {
-		t.Fatalf("collected %d servers, want 1", len(ss))
-	}
-	s := ss[0]
-	// miss+fill, hit, dirty-bypass miss, write-through hit.
-	if s.CacheHits != 2 || s.CacheMisses != 2 || s.CacheEvictions != 0 {
-		t.Fatalf("cache counters hits=%d misses=%d evictions=%d, want 2/2/0",
-			s.CacheHits, s.CacheMisses, s.CacheEvictions)
-	}
-	if s.ReadReqs != 4 || s.CacheHits+s.CacheMisses != s.ReadReqs {
-		t.Fatalf("hits+misses != reads served: %+v", s)
-	}
-	// One line fill (the file is a single block) plus one dirty-bypass per-request read.
-	if s.FSReads != 2 {
-		t.Fatalf("fs reads = %d, want 2 (one fill, one dirty bypass)", s.FSReads)
-	}
-}
-
-// TestDelegateCacheHotReread pins the win the cache exists for: with the
-// cache armed and every client re-reading the same blocks, the file
-// system sees each block exactly once; disarmed, it sees every request.
+// TestDelegateCacheHotReread pins the win the block store exists for: four
+// clients each read every block in three passes, and the file system sees
+// each block exactly once — pass 1's line fills serve every later pass.
 func TestDelegateCacheHotReread(t *testing.T) {
 	const blocks = 6
-	cold := readWorkload(t, readRunOpts{procs: 5, servers: 1, fileBlocks: blocks, rounds: 3, shared: true})
-	hot := readWorkload(t, readRunOpts{procs: 5, servers: 1, fileBlocks: blocks, rounds: 3, shared: true, cacheBlks: blocks})
-
-	var coldReads, hotReads, hits, misses int64
-	for _, s := range cold.servers {
-		coldReads += s.FSReads
-	}
-	for _, s := range hot.servers {
-		hotReads += s.FSReads
-		hits += s.CacheHits
-		misses += s.CacheMisses
-	}
+	o := readWorkload(t, readRunOpts{procs: 5, servers: 1, fileBlocks: blocks, rounds: 3, shared: true})
+	s := o.servers[0]
 	const served = 4 * 3 * blocks // 4 clients × 3 rounds × blocks
-	if coldReads != served {
-		t.Fatalf("cold tier issued %d fs reads, want %d", coldReads, served)
-	}
-	if hotReads != blocks {
-		t.Fatalf("hot cache issued %d fs reads, want one fill per block (%d)", hotReads, blocks)
-	}
 	// A miss fills its whole line: blocks 0-3 and 4-5 are two lines.
 	const lines = (blocks + lineBlocks - 1) / lineBlocks
-	if misses != lines || hits != served-lines {
-		t.Fatalf("hits=%d misses=%d for %d served reads, want %d misses", hits, misses, int64(served), lines)
-	}
-	if !bytes.Equal(cold.img, hot.img) {
-		t.Fatal("cache changed file bytes")
+	if s.ReadReqs != served || s.FSReads != blocks || s.CacheMisses != lines || s.CacheHits != served-lines {
+		t.Fatalf("server %+v: want %d reads served by %d fs reads, %d misses and %d hits",
+			s, served, blocks, lines, served-lines)
 	}
 	// With one client the server takes its requests in one total order, so
 	// both pass times are exact: the hot re-read, served from server memory,
-	// must beat the cold pass that filled the cache from the file system.
+	// must beat the cold pass that filled the blocks from the file system.
 	t.Run("one-client", func(t *testing.T) {
-		o := readWorkload(t, readRunOpts{procs: 2, servers: 1, fileBlocks: blocks, rounds: 2, cacheBlks: blocks})
+		o := readWorkload(t, readRunOpts{procs: 2, servers: 1, fileBlocks: blocks, rounds: 2})
 		cold, hot := o.passes[0][0], o.passes[0][1]
 		if hot <= 0 || hot >= cold {
 			t.Fatalf("hot pass %v, cold pass %v: want 0 < hot < cold", hot, cold)
@@ -396,12 +230,14 @@ func TestDelegateCacheHotReread(t *testing.T) {
 }
 
 // TestDelegateReadChaos is the tier's chaos suite: with OST read faults
-// armed, fault and retry counts must be seed-deterministic across runs with
-// the cache disarmed and armed, and armed with a ReadQuantum set (the
-// benchmark still sets one; the server ignores it); with OST write faults
-// armed, so must the servers' epoch drains. Cache fills carry the server's identity
-// and the cache never evicts, and a drain is the sorted staged-record set,
-// so no count depends on which client's request arrived first.
+// armed, fault and retry counts and every server counter must be
+// seed-deterministic across two runs; with OST write faults armed, so must
+// the servers' epoch drains. Line fills carry the server's identity and the
+// block store never evicts, and a drain is the sorted staged-record set, so
+// no count depends on which client's request arrived first. The three read
+// cases differ only in ServerCacheBlocks and ReadQuantum, which the server
+// ignores and the benchmark still sets, so they must agree on every server
+// counter too.
 func TestDelegateReadChaos(t *testing.T) {
 	const blocks = 12
 	cases := []struct {
@@ -415,6 +251,7 @@ func TestDelegateReadChaos(t *testing.T) {
 		// Two servers own alternate blocks; each drains its six as six runs.
 		{"write-faults", faults.SiteOSTWrite, readRunOpts{procs: 6, servers: 2, fileBlocks: blocks}},
 	}
+	var firstRead []ServerStats // the first read case's counters
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			run := func() (readRunOut, int64) {
@@ -447,6 +284,13 @@ func TestDelegateReadChaos(t *testing.T) {
 			if retries == 0 {
 				t.Fatal("no retries absorbed despite injected faults")
 			}
+			if tc.site == faults.SiteOSTRead {
+				if firstRead == nil {
+					firstRead = o1.servers
+				} else if !slices.Equal(o1.servers, firstRead) {
+					t.Fatalf("ignored knobs moved the server counters:\n%+v\n%+v", o1.servers, firstRead)
+				}
+			}
 			if o1.rep.FS.Writes != o2.rep.FS.Writes {
 				t.Fatalf("file system writes differ across chaos runs: %d vs %d", o1.rep.FS.Writes, o2.rep.FS.Writes)
 			}
@@ -471,7 +315,7 @@ func TestFillArrivalOrderIndependent(t *testing.T) {
 		inj := faults.New(1234)
 		inj.Set(faults.SiteOSTRead, faults.Rule{Prob: 0.25})
 		out := readWorkload(t, readRunOpts{
-			procs: 6, servers: 2, fileBlocks: 16, cacheBlks: 16, rounds: 2,
+			procs: 6, servers: 2, fileBlocks: 16, rounds: 2,
 			shared: true, inject: inj, orderSeed: seed,
 		})
 		if out.readErr != nil {
@@ -503,9 +347,8 @@ func TestFillArrivalOrderIndependent(t *testing.T) {
 // TestDelegateReadExhaustedTyped pins the typed error path: with a
 // zero-retry budget and a certain read fault, the client must surface
 // faults.ErrExhaustedRetries through errors.Is — across the wire, where
-// only the reply's code field can carry the class. Both the per-request
-// path (cache disarmed) and the line fill path (cache armed) must
-// round-trip it.
+// only the reply's code field can carry the class — from a failed line
+// fill, whatever the ignored ServerCacheBlocks says.
 func TestDelegateReadExhaustedTyped(t *testing.T) {
 	for _, cacheBlks := range []int{0, 4} {
 		t.Run(fmt.Sprintf("cache=%d", cacheBlks), func(t *testing.T) {

@@ -7,6 +7,15 @@ package delegate
 // nothing order-dependent happens at receive time — records are staged
 // with their (client, seq) identity and every epoch is applied in sorted
 // order, making the drained batch and the file image deterministic.
+//
+// Reads go through the server's block store: the domain blocks it has read,
+// kept until it exits. A hit serves a repeat or cross-client read from
+// server memory; a miss fills the block's whole line through the file
+// system (fillLine) and keeps every block of it, each with the instant its
+// bytes arrive. A resident block changes only through a fill or through a
+// successful drain's write-through, so it always holds the file's bytes: a
+// read between a staged write and its drain sees the pre-flush file, and a
+// read after the drain sees the drained bytes.
 
 import (
 	"cmp"
@@ -52,12 +61,12 @@ type ServerStats struct {
 	// ReadEpochs is always 0: delegated reads have no collective epoch.
 	// The benchmark's per-layer report still reads it.
 	ReadEpochs int64
-	// CacheHits/CacheMisses/CacheEvictions count hot-block cache
-	// outcomes: every served read request is exactly one hit or miss
-	// while the cache is armed, and all three stay zero while it is
-	// disarmed.
-	CacheHits      int64
-	CacheMisses    int64
+	// CacheHits/CacheMisses count block-store outcomes: every served read
+	// request is exactly one hit or one miss.
+	CacheHits   int64
+	CacheMisses int64
+	// CacheEvictions is always 0: the block store never evicts. The
+	// benchmark's per-layer report still reads it.
 	CacheEvictions int64
 }
 
@@ -89,10 +98,8 @@ type handleFile struct {
 	mode tcio.Mode
 	refs int // clients currently holding the handle open
 	pf   *pfs.File
-	// stores holds one storage client per rank h's reads go out as (see
-	// store); drain is the server's own, which drains and cache fills use.
-	stores map[int]*storage.Client
-	drain  *storage.Client
+	// drain is the server's own storage client: drains and line fills.
+	drain *storage.Client
 	// staged holds the epoch's write requests, unreleased: epochs apply in
 	// (block, client, seq) order, so no record is copied out before closeEpoch.
 	staged []mpi.RPCRequest
@@ -111,12 +118,22 @@ type server struct {
 	domains extent.Layout // the owner map; this server owns the blocks Owner deals to index
 	handles map[int32]*handleFile
 	stats   ServerStats
-	// cache is the hot-block cache (nil when ServerCacheBlocks == 0) and
-	// dirty counts staged-but-undrained writes per (file, block): a block
-	// with dirty records bypasses the cache entirely, so a read between a
-	// write and its flush epoch never sees bytes the drain hasn't applied.
-	cache *blockCache
-	dirty map[blockKey]int
+	blocks  map[blockKey]*cacheEntry // the block store; nothing evicts
+}
+
+// blockKey names one domain block of one file.
+type blockKey struct {
+	name string
+	blk  int64
+}
+
+// cacheEntry is one resident block. ready is the instant its fill completes:
+// the bytes exist on the host as soon as the fill is posted, but a reply
+// that carries them departs no earlier than ready (RPCReply.Ready). The
+// server's clock never waits for it.
+type cacheEntry struct {
+	buf   []byte
+	ready simtime.Time
 }
 
 // newServer builds the server state of rank c among serverRanks.
@@ -128,15 +145,12 @@ func newServer(c *mpi.Comm, cfg Config, serverRanks []int, domains extent.Layout
 		index:   slices.Index(serverRanks, c.Rank()),
 		domains: domains,
 		handles: make(map[int32]*handleFile),
+		blocks:  make(map[blockKey]*cacheEntry),
 	}
 	if cfg.TCIO.Retry != nil {
 		srv.retry = *cfg.TCIO.Retry
 	}
 	srv.clients = c.Size() - len(serverRanks)
-	if cfg.ServerCacheBlocks > 0 {
-		srv.cache = newBlockCache(cfg.ServerCacheBlocks)
-		srv.dirty = make(map[blockKey]int)
-	}
 	return srv
 }
 
@@ -208,10 +222,11 @@ func (s *server) open(req *mpi.RPCRequest) error {
 			name:    name,
 			mode:    mode,
 			pf:      s.c.FS().Open(name),
-			stores:  make(map[int]*storage.Client),
 			flushed: make(map[int]bool),
 		}
-		h.drain = s.store(h, s.c.Rank())
+		h.drain = storage.NewClient(h.pf, s.c.Node(), s.c.Rank(), s.c)
+		h.drain.SetRetryPolicy(s.retry)
+		h.drain.SetTrace(s.cfg.TCIO.Trace)
 		s.handles[req.Handle] = h
 	}
 	if h.name != name || h.mode != mode {
@@ -233,9 +248,8 @@ func (s *server) lookup(req *mpi.RPCRequest) (*handleFile, error) {
 
 func (s *server) write(req mpi.RPCRequest) error {
 	h, err := s.lookup(&req)
-	var blk int64
 	if err == nil {
-		blk, err = s.owned("write", extent.Extent{Off: req.Off, Len: int64(len(req.Data))})
+		_, err = s.owned("write", extent.Extent{Off: req.Off, Len: int64(len(req.Data))})
 	}
 	if err != nil {
 		req.Release()
@@ -243,32 +257,8 @@ func (s *server) write(req mpi.RPCRequest) error {
 	}
 	h.staged = append(h.staged, req)
 	s.stats.StagedWrites++
-	if s.cache != nil {
-		// The block now has a staged-but-undrained write: reads must
-		// bypass the cache for it until the flush epoch drains (and
-		// writes through) — see closeEpoch.
-		s.dirty[blockKey{name: h.name, blk: blk}]++
-	}
 	// Grant the admission credit back now that the record is staged.
 	return s.c.Send(req.Client, tagCredit, []byte{1})
-}
-
-// store returns (creating on first use) h's storage client whose reads
-// identify as rank. The bypass reads (cache disarmed, or a dirty block) use
-// the requesting client's, so they keep the undelegated request identity:
-// the parallel file system's readahead window and the fault injector's
-// identity keys see the per-client streams they would without delegation.
-// Nothing that enters the cache goes through a client's: which client's
-// request arrives first is the host's doing.
-func (s *server) store(h *handleFile, rank int) *storage.Client {
-	st := h.stores[rank]
-	if st == nil {
-		st = storage.NewClient(h.pf, s.c.Node(), rank, s.c)
-		st.SetRetryPolicy(s.retry)
-		st.SetTrace(s.cfg.TCIO.Trace)
-		h.stores[rank] = st
-	}
-	return st
 }
 
 // errCode classifies a storage-layer error for the reply's wire code, so
@@ -280,21 +270,21 @@ func errCode(err error) mpi.RPCErrCode {
 	return mpi.RPCErrGeneric
 }
 
-// serveHit counts a cache hit serving bytes of ent and traces it when those
-// bytes can leave: at the block's arrival while it is still in flight, at the
-// server's present once it has landed. The server's clock never waits for
-// the block; the reply carrying it does (RPCReply.Ready).
-func (s *server) serveHit(ent *cacheEntry, bytes int64) {
+// serveHit counts a hit serving bytes of key's resident block ent and traces
+// it when those bytes can leave: at the block's arrival while it is still in
+// flight, at the server's present once it has landed. The server's clock
+// never waits for the block; the reply carrying it does (RPCReply.Ready).
+func (s *server) serveHit(key blockKey, ent *cacheEntry, bytes int64) {
 	s.stats.CacheHits++
 	if s.cfg.TCIO.Trace != nil {
 		s.cfg.TCIO.Trace.Record(trace.Event{
 			Rank: s.c.Rank(), Start: max(s.c.Now(), ent.ready), Kind: trace.KindCacheServe,
-			Bytes: bytes, Detail: fmt.Sprintf("blk=%d", ent.key.blk),
+			Bytes: bytes, Detail: fmt.Sprintf("blk=%d", key.blk),
 		})
 	}
 }
 
-// lineBlocks is the fill line: a cache miss fetches the missed block's
+// lineBlocks is the fill line: a miss fetches the missed block's
 // aligned group of this many of the server's own domain blocks. A constant
 // beside the domain block's four segments, not a knob (DESIGN.md §2e).
 const lineBlocks = 4
@@ -319,12 +309,10 @@ func (s *server) owned(kind string, r extent.Extent) (int64, error) {
 }
 
 // read serves one OpRead, which must lie within one block of this server's
-// (else the sender gets an error reply). With the cache armed, a clean block
-// is served from its entry — a miss first posts the block's fill line; a
-// dirty block (staged-but-undrained writes) bypasses the cache with a
-// per-request read posted at the server's present, exactly the disarmed
-// tier's shape. Either way the reply departs when its bytes exist, the
-// entry's ready or the read's completion, and the server goes on serving.
+// (else the sender gets an error reply), from the block store: a hit from
+// the resident block, a miss from the block's line fill. Either way the reply
+// departs no earlier than the block's arrival, and the server goes on
+// serving.
 func (s *server) read(req *mpi.RPCRequest) error {
 	h, err := s.lookup(req)
 	if err != nil {
@@ -332,69 +320,51 @@ func (s *server) read(req *mpi.RPCRequest) error {
 	}
 	s.stats.ReadReqs++
 	blk, err := s.owned("read", extent.Extent{Off: req.Off, Len: req.Len})
-	key := blockKey{name: h.name, blk: blk}
 	rep := &mpi.RPCReply{Seq: req.Seq}
-	switch {
-	case err != nil:
-		// Malformed: nothing to serve; the reply carries the error.
-	case s.cache != nil && s.dirty[key] == 0:
-		ent, hit := s.cache.get(key)
+	if err == nil {
+		key := blockKey{name: h.name, blk: blk}
+		ent, hit := s.blocks[key]
 		if hit {
-			s.serveHit(ent, req.Len)
+			s.serveHit(key, ent, req.Len)
 		} else {
 			s.stats.CacheMisses++
 			ent, err = s.fillLine(h, key)
 		}
 		if err == nil {
 			// SendReply copies synchronously into its wire staging, so
-			// serving a slice of the live entry is safe and zero-copy.
+			// serving a slice of the resident block is safe and zero-copy.
 			rel := req.Off - s.domains.SegStart(blk)
 			rep.OK, rep.Data, rep.Ready = true, ent.buf[rel:rel+req.Len], ent.ready
 		}
-	default:
-		if s.cache != nil {
-			// Dirty block: served, but never from or into the cache.
-			s.stats.CacheMisses++
-		}
-		buf := s.c.GetBuf(int(req.Len))
-		defer s.c.Recycle(buf)
-		var res storage.Result
-		res, rep.Ready, err = s.store(h, req.Client).ReadExtentsFrom("delegate-read", trace.KindFetch, []storage.Request{
-			{Off: req.Off, Data: buf, Tag: fmt.Sprintf("c%d", req.Client)},
-		}, s.c.Now())
-		s.stats.FSReads += res.Requests
-		s.stats.Retries += res.Retries
-		rep.OK, rep.Data = err == nil, buf
 	}
 	if err != nil {
-		rep.Code, rep.Err, rep.Data = errCode(err), err.Error(), nil
+		rep.Code, rep.Err = errCode(err), err.Error()
 	}
 	return s.c.SendReply(req.Client, tagReply, rep)
 }
 
 // fillLine serves a miss on key critical block first: key's block, then the
-// other clean, non-resident, in-file blocks of its line, as many as the
-// cache holds, are fetched as one batch. Each block is cached with its own
-// completion, and the server waits for none of them: the caller's reply
-// departs at key's. A request that exhausts its retries fails itself (and
-// leaves the rest of the line unissued); the error is the caller's only
-// when it is key's.
+// other non-resident, in-file blocks of its line, are fetched as one batch.
+// Each block is kept with its own completion, and the server waits for none
+// of them: the caller's reply departs at key's. A request that exhausts its
+// retries fails itself (and leaves the rest of the line unissued); the error
+// is the caller's only when it is key's.
 func (s *server) fillLine(h *handleFile, key blockKey) (*cacheEntry, error) {
 	n := int64(s.domains.P)
 	blks := []int64{key.blk}
 	// Walked from the missed block, n at a time: all owned by key's owner.
 	_, slot := s.domains.Owner(key.blk)
 	first := key.blk - slot%lineBlocks*n
-	for blk := first; blk < first+lineBlocks*n && len(blks) < min(lineBlocks, s.cache.cap); blk += n {
-		k := blockKey{name: h.name, blk: blk}
-		if _, resident := s.cache.peek(k); blk != key.blk && !resident && s.dirty[k] == 0 && s.domains.SegStart(blk) < h.pf.Size() {
+	for blk := first; blk < first+lineBlocks*n; blk += n {
+		_, resident := s.blocks[blockKey{name: h.name, blk: blk}]
+		if blk != key.blk && !resident && s.domains.SegStart(blk) < h.pf.Size() {
 			blks = append(blks, blk)
 		}
 	}
 	bufs, done, filled, err := s.fetch(h, blks)
 	for i, blk := range blks {
 		if i < filled {
-			s.admit(blockKey{name: h.name, blk: blk}, bufs[i], done[i])
+			s.blocks[blockKey{name: h.name, blk: blk}] = &cacheEntry{buf: bufs[i], ready: done[i]}
 		} else {
 			s.c.Recycle(bufs[i])
 		}
@@ -402,8 +372,7 @@ func (s *server) fillLine(h *handleFile, key blockKey) (*cacheEntry, error) {
 	if filled == 0 {
 		return nil, err
 	}
-	ent, _ := s.cache.get(key)
-	return ent, nil
+	return s.blocks[key], nil
 }
 
 // fetch posts whole domain blocks blks as one batch departing at the
@@ -431,15 +400,6 @@ func (s *server) fetch(h *handleFile, blks []int64) (bufs [][]byte, done []simti
 	s.stats.FSReads += res.Requests
 	s.stats.Retries += res.Retries
 	return bufs, done, int(res.Requests), err
-}
-
-// admit caches buf, whose bytes arrive at ready, as key's block and retires
-// the block that evicts.
-func (s *server) admit(key blockKey, buf []byte, ready simtime.Time) {
-	if victim := s.cache.put(key, buf, ready); victim != nil {
-		s.c.Recycle(victim)
-		s.stats.CacheEvictions++
-	}
 }
 
 // flush counts one client's flush marker toward its handle's write epoch
@@ -476,21 +436,9 @@ type blockStage struct {
 // records in (client, seq) order — last write wins, deterministically —
 // coalesces them, drains one batch, and acks every client in rank order,
 // clearing the quorum for the next epoch.
-// Drained runs write through into live cache entries (and clear the
-// blocks' dirty counters), so post-flush reads hit coherent bytes.
+// Drained runs write through into resident blocks, so post-flush reads hit
+// the drained bytes.
 func (s *server) closeEpoch(h *handleFile) error {
-	if s.cache != nil {
-		// Every staged record retires with this epoch; a block goes clean
-		// again once its last staged write drains.
-		for i := range h.staged {
-			key := blockKey{name: h.name, blk: s.domains.Segment(h.staged[i].Off)}
-			if n := s.dirty[key]; n <= 1 {
-				delete(s.dirty, key)
-			} else {
-				s.dirty[key] = n - 1
-			}
-		}
-	}
 	bySeq := func(a, b mpi.RPCRequest) int {
 		return cmp.Or(cmp.Compare(a.Client, b.Client), cmp.Compare(a.Seq, b.Seq))
 	}
@@ -543,21 +491,20 @@ func (s *server) closeEpoch(h *handleFile) error {
 		s.stats.FSWrites += res.Requests
 		s.stats.Retries += res.Retries
 	}
-	// Write the drained runs through into live cache entries so they stay
-	// coherent (a failed drain invalidates instead — the entry's bytes can
+	// Write the drained runs through into resident blocks so they keep the
+	// file's bytes (a failed drain drops the block instead — its bytes can
 	// no longer be trusted to match the file), then retire the pooled
 	// staging buffers.
 	for _, st := range stages {
-		if s.cache != nil {
-			key := blockKey{name: h.name, blk: st.blk}
+		key := blockKey{name: h.name, blk: st.blk}
+		if ent := s.blocks[key]; ent != nil {
 			if drainErr == nil {
-				if cbuf, ok := s.cache.peek(key); ok {
-					for _, run := range st.runs {
-						copy(cbuf[run.Off:run.End()], st.buf[run.Off:run.End()])
-					}
+				for _, run := range st.runs {
+					copy(ent.buf[run.Off:run.End()], st.buf[run.Off:run.End()])
 				}
-			} else if cbuf, ok := s.cache.invalidate(key); ok {
-				s.c.Recycle(cbuf)
+			} else {
+				delete(s.blocks, key)
+				s.c.Recycle(ent.buf)
 			}
 		}
 		s.c.Recycle(st.buf)

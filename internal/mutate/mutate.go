@@ -41,9 +41,9 @@ const (
 	// append that seals an epoch: records land but no epoch ever commits,
 	// so recovery after a crash silently discards every journaled byte.
 	WALSkipCommitMarker = "wal.skip-commit-marker"
-	// DelegateCacheStaleServe makes a delegation server's hot-block cache
-	// fill skip the file system read, caching (and serving) zeroed blocks
-	// — the stale-serve bug the cache's coherence rules exist to prevent.
+	// DelegateCacheStaleServe makes a delegation server's line fill skip
+	// the file system read, keeping (and serving) zeroed blocks — the
+	// stale-serve bug the block store's coherence rules exist to prevent.
 	DelegateCacheStaleServe = "delegate.cache-stale-serve"
 )
 

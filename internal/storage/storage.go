@@ -80,8 +80,6 @@ type Result struct {
 	Requests int64
 	// Retries counts the transient faults absorbed with backoff.
 	Retries int64
-	// Bytes counts the real bytes moved by successful requests.
-	Bytes int64
 }
 
 // Client is the pfs-backed access path tcio, mpiio and delegate program
@@ -164,8 +162,8 @@ func (c *Client) HandOverExtents(op string, kind trace.Kind, reqs []Request) (Re
 // ReadExtentsFrom issues the batch departing at start without touching the
 // caller's clock, and returns the batch's completion time alongside the
 // result. This is the detached-start path of posted reads: tcio's segment
-// populations and the delegation server's reads record when their bytes land
-// and let only the consumer of those bytes wait. The request set, ordering,
+// populations record when their bytes land and let only the consumer of
+// those bytes wait. The request set, ordering,
 // and fault-roll identity are exactly those of ReadExtents; only whose clock
 // pays is different.
 func (c *Client) ReadExtentsFrom(op string, kind trace.Kind, reqs []Request, start simtime.Time) (Result, simtime.Time, error) {
@@ -289,7 +287,6 @@ func (c *Client) finish(op string, kind trace.Kind, r Request, start, end simtim
 		return fmt.Errorf("%s %d bytes at %d: %w", op, r.size(), r.Off, err)
 	}
 	res.Requests++
-	res.Bytes += r.size()
 	c.emit(kind, start, end, r.size(), r.Tag)
 	return nil
 }

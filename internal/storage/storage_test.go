@@ -65,8 +65,8 @@ func TestPostedBatchWritesEveryRequest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Requests != 8 || res.Bytes != 8*1024 {
-		t.Fatalf("result %+v", res)
+	if st := fs.Stats(); res.Requests != 8 || st.Writes != 8 || st.BytesWritten != 8*1024 {
+		t.Fatalf("result %+v, file system %+v", res, st)
 	}
 	snap := fs.Open("f").Snapshot()
 	for _, r := range reqs {

@@ -28,8 +28,8 @@ const (
 	KindDrain    Kind = "drain"    // level-2 -> file system write
 	KindRetry    Kind = "retry"    // transient fault absorbed by backoff
 	KindJournal  Kind = "journal"  // epoch record batch appended to the WAL tier
-	// KindCacheServe marks a delegation-server read served from the
-	// hot-block cache instead of the file system.
+	// KindCacheServe marks a delegation-server read served from a block
+	// the server already holds instead of a line fill.
 	KindCacheServe Kind = "cache-serve"
 )
 
