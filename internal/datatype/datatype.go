@@ -4,10 +4,13 @@
 // TCIO combines the blocks of a level-1 buffer into one indexed type so a
 // whole flush travels in a single one-sided operation (§IV.A of the paper).
 //
-// A datatype describes a byte layout as a list of (offset, length) segments
-// relative to the start of one type instance, plus an extent — the stride
-// between consecutive instances. Flatten expands count instances into a
-// single segment list; Pack and Unpack gather and scatter bytes through a
+// A datatype describes a byte layout relative to the start of one type
+// instance as one block of (offset, length) segments repeated count times,
+// stride bytes apart, plus an extent — the stride between consecutive
+// instances. A regular type (a Vector, a Contiguous over a holed base, a
+// Subarray's planes) thus costs one block however large its count; an
+// irregular one is the count-1 case. Flatten expands count instances into
+// a single segment list; Pack and Unpack gather and scatter bytes through a
 // layout.
 package datatype
 
@@ -25,23 +28,22 @@ import (
 // without conversion.
 type Segment = extent.Extent
 
-// Type describes a (possibly non-contiguous) byte layout.
+// Type describes a (possibly non-contiguous) byte layout. Every Type is
+// built by this package's constructors; Flatten(t, 1, 0) lists the runs
+// of one instance.
 type Type interface {
 	// Size is the number of data bytes in one instance (holes excluded).
 	Size() int64
 	// Extent is the span of one instance including holes: instance i of a
 	// flattened sequence begins at i*Extent().
 	Extent() int64
-	// Segments returns the contiguous runs of one instance in layout order.
-	// Callers must not modify the returned slice.
-	Segments() []Segment
 	// String names the type for diagnostics.
 	String() string
 }
 
 // basic builds a named elementary type of fixed width.
 func basic(name string, width int64) Type {
-	return &derived{name: name, size: width, extent: width, segs: []Segment{{Off: 0, Len: width}}}
+	return strided(func() string { return name }, []Segment{{Off: 0, Len: width}}, 1, 0, width)
 }
 
 // Elementary MPI types used by the paper's benchmark (Table I: c, s, i, f, d).
@@ -78,32 +80,77 @@ func ByName(code string) (Type, error) {
 	}
 }
 
-// derived is the common representation of all types; Segments returns the
-// stored list, so walking a layout never allocates.
+// derived is the one representation of every type: block, repeated count
+// times stride bytes apart, is one instance's layout, so segment i is
+// block[i mod B] shifted by (i div B)·stride. block is coalesced and its
+// repeats are disjoint and ascending (block span <= stride), so an
+// instance's segments ascend and Size counts each covered byte once. name
+// formats on demand: a descriptor costs the same bytes whatever its counts.
 type derived struct {
-	name   string
+	name   func() string
 	size   int64
 	extent int64
-	segs   []Segment
+	block  []Segment
+	count  int
+	stride int64
 }
 
-func (d *derived) Size() int64         { return d.size }
-func (d *derived) Extent() int64       { return d.extent }
-func (d *derived) Segments() []Segment { return d.segs }
-func (d *derived) String() string      { return d.name }
+func (d *derived) Size() int64    { return d.size }
+func (d *derived) Extent() int64  { return d.extent }
+func (d *derived) String() string { return d.name() }
+
+// strided builds the type whose instance is the coalesced block repeated
+// count times, stride bytes apart; it keeps block and may change it in
+// place. Repeats of one run that abut become one run; repeats that overlap
+// (block span > stride) are coalesced into a single block, as any irregular
+// layout is.
+func strided(name func() string, block []Segment, count int, stride, extent int64) *derived {
+	if count > 1 && len(block) > 0 {
+		switch span := block[len(block)-1].End() - block[0].Off; {
+		case len(block) == 1 && span == stride:
+			block[0].Len, count = int64(count)*stride, 1
+		case span > stride:
+			block, count = Flatten(&derived{block: block, count: count, stride: stride}, 1, 0), 1
+		}
+	}
+	var size int64
+	for _, s := range block {
+		size += s.Len
+	}
+	return &derived{name: name, size: int64(count) * size, extent: extent, block: block, count: count, stride: stride}
+}
 
 // expand appends count instances of t, each shifted by i*t.Extent()+base,
 // growing dst once to hold them rather than doubling up to its length.
 func expand(dst []Segment, t Type, count int, base int64) []Segment {
-	dst = slices.Grow(dst, max(count, 0)*len(t.Segments()))
-	ext := t.Extent()
+	d := t.(*derived)
+	dst = slices.Grow(dst, max(count, 0)*d.count*len(d.block))
 	for i := 0; i < count; i++ {
-		off := base + int64(i)*ext
-		for _, s := range t.Segments() {
-			dst = append(dst, Segment{Off: off + s.Off, Len: s.Len})
+		for r, at := 0, base+int64(i)*d.extent; r < d.count; r, at = r+1, at+d.stride {
+			for _, s := range d.block {
+				dst = append(dst, Segment{Off: at + s.Off, Len: s.Len})
+			}
 		}
 	}
 	return dst
+}
+
+// scatter copies dense, in layout order, into the runs of count consecutive
+// instances of d in sparse, or with pack the other way.
+func (d *derived) scatter(dense, sparse []byte, count int, pack bool) {
+	pos := int64(0)
+	for i := 0; i < count; i++ {
+		for r, at := 0, int64(i)*d.extent; r < d.count; r, at = r+1, at+d.stride {
+			for _, s := range d.block {
+				to, from := sparse[at+s.Off:at+s.End()], dense[pos:pos+s.Len]
+				if pack {
+					to, from = from, to
+				}
+				copy(to, from)
+				pos += s.Len
+			}
+		}
+	}
 }
 
 // Contiguous builds MPI_Type_contiguous: count repetitions of base laid
@@ -112,13 +159,8 @@ func Contiguous(count int, base Type) (Type, error) {
 	if count < 0 {
 		return nil, fmt.Errorf("datatype: Contiguous count %d < 0", count)
 	}
-	d := &derived{
-		name:   fmt.Sprintf("contig(%d,%s)", count, base),
-		size:   int64(count) * base.Size(),
-		extent: int64(count) * base.Extent(),
-	}
-	d.segs = Coalesce(expand(nil, base, count, 0))
-	return d, nil
+	return strided(func() string { return fmt.Sprintf("contig(%d,%s)", count, base) },
+		Flatten(base, 1, 0), count, base.Extent(), int64(count)*base.Extent()), nil
 }
 
 // Vector builds MPI_Type_vector: count blocks of blocklen base elements,
@@ -134,17 +176,8 @@ func Vector(count, blocklen, stride int, base Type) (Type, error) {
 	if count > 0 {
 		ext = int64(count-1)*int64(stride)*base.Extent() + int64(blocklen)*base.Extent()
 	}
-	d := &derived{
-		name:   fmt.Sprintf("vector(%d,%d,%d,%s)", count, blocklen, stride, base),
-		size:   int64(count) * int64(blocklen) * base.Size(),
-		extent: ext,
-	}
-	segs := make([]Segment, 0, count*blocklen*len(base.Segments()))
-	for i := 0; i < count; i++ {
-		segs = expand(segs, base, blocklen, int64(i)*int64(stride)*base.Extent())
-	}
-	d.segs = Coalesce(segs)
-	return d, nil
+	return strided(func() string { return fmt.Sprintf("vector(%d,%d,%d,%s)", count, blocklen, stride, base) },
+		Flatten(base, blocklen, 0), count, int64(stride)*base.Extent(), ext), nil
 }
 
 // Indexed builds MPI_Type_indexed: len(blocklens) blocks, block i holding
@@ -166,7 +199,8 @@ func Indexed(blocklens, displs []int, base Type) (Type, error) {
 	if err != nil {
 		return nil, err
 	}
-	t.(*derived).name = fmt.Sprintf("indexed(%d,%s)", len(blocklens), base)
+	n := len(blocklens)
+	t.(*derived).name = func() string { return fmt.Sprintf("indexed(%d,%s)", n, base) }
 	return t, nil
 }
 
@@ -176,7 +210,7 @@ func Indexed(blocklens, displs []int, base Type) (Type, error) {
 //
 // The layout is canonicalized by coalescing, so bytes covered by several
 // overlapping blocks appear — and are counted by Size — exactly once. (MPI
-// proper would pack such bytes repeatedly; here Size, Segments, Pack, and
+// proper would pack such bytes repeatedly; here Size, Flatten, Pack, and
 // Unpack must describe the same byte set or view flattening and round
 // trips break, so overlap deduplicates.)
 func Hindexed(blocklens, displs []int64) (Type, error) {
@@ -197,17 +231,8 @@ func Hindexed(blocklens, displs []int64) (Type, error) {
 			ext = end
 		}
 	}
-	merged := Coalesce(segs)
-	var size int64
-	for _, s := range merged {
-		size += s.Len
-	}
-	return &derived{
-		name:   fmt.Sprintf("hindexed(%d)", len(blocklens)),
-		size:   size,
-		extent: ext,
-		segs:   merged,
-	}, nil
+	n := len(blocklens)
+	return strided(func() string { return fmt.Sprintf("hindexed(%d)", n) }, Coalesce(segs), 1, 0, ext), nil
 }
 
 // Struct builds MPI_Type_create_struct: for each i, blocklens[i] elements of
@@ -232,17 +257,8 @@ func Struct(blocklens []int, displs []int64, types []Type) (Type, error) {
 			ext = end
 		}
 	}
-	merged := Coalesce(segs)
-	var size int64
-	for _, s := range merged {
-		size += s.Len
-	}
-	return &derived{
-		name:   fmt.Sprintf("struct(%d)", len(types)),
-		size:   size,
-		extent: ext,
-		segs:   merged,
-	}, nil
+	n := len(types)
+	return strided(func() string { return fmt.Sprintf("struct(%d)", n) }, Coalesce(segs), 1, 0, ext), nil
 }
 
 // Resized returns a copy of t with a new extent (MPI_Type_create_resized),
@@ -251,12 +267,9 @@ func Resized(t Type, extent int64) (Type, error) {
 	if extent < 0 {
 		return nil, fmt.Errorf("datatype: Resized extent %d < 0", extent)
 	}
-	return &derived{
-		name:   fmt.Sprintf("resized(%s,%d)", t, extent),
-		size:   t.Size(),
-		extent: extent,
-		segs:   t.Segments(),
-	}, nil
+	d := *t.(*derived)
+	d.name, d.extent = func() string { return fmt.Sprintf("resized(%s,%d)", t, extent) }, extent
+	return &d, nil
 }
 
 // Coalesce sorts segments by offset and merges adjacent or overlapping runs.
@@ -270,30 +283,35 @@ func Flatten(t Type, count int, base int64) []Segment {
 	return Coalesce(expand(nil, t, count, base))
 }
 
+// reach is how many bytes from offset 0 count instances of t touch: count
+// extents, or more when the last instance's runs end past its extent (a
+// type resized below its span).
+func reach(t Type, count int) int64 {
+	d := t.(*derived)
+	need := int64(count) * d.extent
+	if count > 0 && d.count > 0 && len(d.block) > 0 {
+		need = max(need, int64(count-1)*d.extent+int64(d.count-1)*d.stride+d.block[len(d.block)-1].End())
+	}
+	return need
+}
+
 // Pack gathers count instances of t from src into a dense byte slice.
-// src must cover count*t.Extent() bytes.
+// src must cover count*t.Extent() bytes, and every byte the instances touch.
 func Pack(src []byte, t Type, count int) ([]byte, error) {
 	if count < 0 {
 		return nil, fmt.Errorf("datatype: Pack of %d elements", count)
 	}
-	need := int64(count) * t.Extent()
-	if int64(len(src)) < need {
+	if need := reach(t, count); int64(len(src)) < need {
 		return nil, fmt.Errorf("datatype: Pack needs %d bytes of source, have %d", need, len(src))
 	}
-	dst := make([]byte, 0, int64(count)*t.Size())
-	ext := t.Extent()
-	for i := 0; i < count; i++ {
-		off := int64(i) * ext
-		for _, s := range t.Segments() {
-			dst = append(dst, src[off+s.Off:off+s.Off+s.Len]...)
-		}
-	}
+	dst := make([]byte, int64(count)*t.Size())
+	t.(*derived).scatter(dst, src, count, true)
 	return dst, nil
 }
 
 // Unpack scatters a dense byte slice into count instances of t inside dst.
 // data must hold exactly count*t.Size() bytes and dst must cover
-// count*t.Extent() bytes.
+// count*t.Extent() bytes, and every byte the instances touch.
 func Unpack(data, dst []byte, t Type, count int) error {
 	if count < 0 {
 		return fmt.Errorf("datatype: Unpack of %d elements", count)
@@ -301,18 +319,9 @@ func Unpack(data, dst []byte, t Type, count int) error {
 	if int64(len(data)) != int64(count)*t.Size() {
 		return fmt.Errorf("datatype: Unpack data %d bytes, want %d", len(data), int64(count)*t.Size())
 	}
-	need := int64(count) * t.Extent()
-	if int64(len(dst)) < need {
+	if need := reach(t, count); int64(len(dst)) < need {
 		return fmt.Errorf("datatype: Unpack needs %d bytes of destination, have %d", need, len(dst))
 	}
-	ext := t.Extent()
-	pos := int64(0)
-	for i := 0; i < count; i++ {
-		off := int64(i) * ext
-		for _, s := range t.Segments() {
-			copy(dst[off+s.Off:off+s.Off+s.Len], data[pos:pos+s.Len])
-			pos += s.Len
-		}
-	}
+	t.(*derived).scatter(data, dst, count, false)
 	return nil
 }

@@ -19,7 +19,7 @@ func TestBasicTypes(t *testing.T) {
 		if c.t.Size() != c.size || c.t.Extent() != c.size {
 			t.Errorf("%s: size/extent = %d/%d, want %d", c.t, c.t.Size(), c.t.Extent(), c.size)
 		}
-		segs := c.t.Segments()
+		segs := Flatten(c.t, 1, 0)
 		if len(segs) != 1 || segs[0] != (Segment{Off: 0, Len: c.size}) {
 			t.Errorf("%s: segments = %v", c.t, segs)
 		}
@@ -52,7 +52,7 @@ func TestContiguous(t *testing.T) {
 		t.Fatalf("size/extent = %d/%d", ct.Size(), ct.Extent())
 	}
 	// Adjacent ints coalesce into one run.
-	if segs := ct.Segments(); !reflect.DeepEqual(segs, []Segment{{Off: 0, Len: 12}}) {
+	if segs := Flatten(ct, 1, 0); !reflect.DeepEqual(segs, []Segment{{Off: 0, Len: 12}}) {
 		t.Fatalf("segments = %v", segs)
 	}
 	if _, err := Contiguous(-1, Int); err == nil {
@@ -76,8 +76,8 @@ func TestVectorMatchesPaperExample(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []Segment{{Off: 0, Len: 12}, {Off: 24, Len: 12}, {Off: 48, Len: 12}}
-	if !reflect.DeepEqual(ft.Segments(), want) {
-		t.Fatalf("segments = %v, want %v", ft.Segments(), want)
+	if !reflect.DeepEqual(Flatten(ft, 1, 0), want) {
+		t.Fatalf("segments = %v, want %v", Flatten(ft, 1, 0), want)
 	}
 	if ft.Size() != 36 {
 		t.Fatalf("size = %d, want 36", ft.Size())
@@ -111,8 +111,8 @@ func TestIndexed(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []Segment{{Off: 0, Len: 8}, {Off: 16, Len: 4}}
-	if !reflect.DeepEqual(it.Segments(), want) {
-		t.Fatalf("segments = %v, want %v", it.Segments(), want)
+	if !reflect.DeepEqual(Flatten(it, 1, 0), want) {
+		t.Fatalf("segments = %v, want %v", Flatten(it, 1, 0), want)
 	}
 	if it.Size() != 12 {
 		t.Fatalf("size = %d", it.Size())
@@ -131,8 +131,8 @@ func TestHindexed(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []Segment{{Off: 10, Len: 5}, {Off: 20, Len: 3}}
-	if !reflect.DeepEqual(ht.Segments(), want) {
-		t.Fatalf("segments = %v, want %v", ht.Segments(), want)
+	if !reflect.DeepEqual(Flatten(ht, 1, 0), want) {
+		t.Fatalf("segments = %v, want %v", Flatten(ht, 1, 0), want)
 	}
 	if ht.Size() != 8 || ht.Extent() != 23 {
 		t.Fatalf("size/extent = %d/%d, want 8/23", ht.Size(), ht.Extent())
@@ -147,7 +147,7 @@ func TestHindexedMergesAdjacent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if segs := ht.Segments(); !reflect.DeepEqual(segs, []Segment{{Off: 0, Len: 8}}) {
+	if segs := Flatten(ht, 1, 0); !reflect.DeepEqual(segs, []Segment{{Off: 0, Len: 8}}) {
 		t.Fatalf("adjacent blocks not merged: %v", segs)
 	}
 }
@@ -158,7 +158,7 @@ func TestStruct(t *testing.T) {
 		t.Fatal(err)
 	}
 	// double at [0,8), two ints at [8,16) -> one merged run.
-	if segs := st.Segments(); !reflect.DeepEqual(segs, []Segment{{Off: 0, Len: 16}}) {
+	if segs := Flatten(st, 1, 0); !reflect.DeepEqual(segs, []Segment{{Off: 0, Len: 16}}) {
 		t.Fatalf("segments = %v", segs)
 	}
 	if st.Size() != 16 || st.Extent() != 16 {
@@ -243,6 +243,14 @@ func TestPackUnpackErrors(t *testing.T) {
 	if err := Unpack(make([]byte, 4), make([]byte, 2), Int, 1); err == nil {
 		t.Fatal("short destination should fail")
 	}
+	// A type resized below its span touches bytes past count extents.
+	folded, _ := Resized(Int, 2)
+	if _, err := Pack(make([]byte, 4), folded, 2); err == nil {
+		t.Fatal("source short of the last instance's runs should fail")
+	}
+	if err := Unpack(make([]byte, 8), make([]byte, 4), folded, 2); err == nil {
+		t.Fatal("destination short of the last instance's runs should fail")
+	}
 }
 
 // Property: for random hindexed layouts, Flatten segments are sorted,
@@ -266,7 +274,7 @@ func TestHindexedFlattenInvariants(t *testing.T) {
 		}
 		var total int64
 		prevEnd := int64(-1)
-		for _, s := range ht.Segments() {
+		for _, s := range Flatten(ht, 1, 0) {
 			if s.Off <= prevEnd {
 				return false // overlap or not sorted-with-gap
 			}
@@ -280,32 +288,19 @@ func TestHindexedFlattenInvariants(t *testing.T) {
 	}
 }
 
-// Property: Pack then Unpack restores exactly the bytes the layout touches.
+// Property: Pack then Unpack restores exactly the bytes the layout touches,
+// over random types of every constructor, overlapping repeats included
+// (randomType), and Pack's output is count*Size bytes.
 func TestPackUnpackProperty(t *testing.T) {
 	f := func(seed int64, count uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		c := int(count%4) + 1
-		blocks := rng.Intn(6) + 1
-		lens := make([]int, blocks)
-		displs := make([]int, blocks)
-		pos := 0
-		for i := 0; i < blocks; i++ {
-			pos += rng.Intn(4)
-			displs[i] = pos
-			lens[i] = rng.Intn(5)
-			pos += lens[i]
-		}
-		ty, err := Indexed(lens, displs, Int)
-		if err != nil {
-			return false
-		}
-		if ty.Extent() == 0 {
-			return true
-		}
-		src := make([]byte, int64(c)*ty.Extent())
+		ty := randomType(rng, 2)
+		_, hi := spanOf(ty)
+		src := make([]byte, int64(c)*ty.Extent()+hi)
 		rng.Read(src)
 		packed, err := Pack(src, ty, c)
-		if err != nil {
+		if err != nil || int64(len(packed)) != int64(c)*ty.Size() {
 			return false
 		}
 		dst := make([]byte, len(src))
@@ -327,20 +322,14 @@ func TestPackUnpackProperty(t *testing.T) {
 // TestConstructorsSizeSegmentListOnce pins that a constructor allocates its
 // segment list at its final size instead of doubling up to it: a type ten
 // times larger costs no more allocations — give or take the one the race
-// detector's runtime moves either way; doubling cost two to four more. (The
-// fixed part is the name and the descriptor; counts stay above 255 so boxing
-// them for the name allocates alike.) Fig. 5's file view is the first case.
+// detector's runtime moves either way; doubling cost two to four more. (A
+// Vector holds one block at any count: TestStridedViewBytesFlatOverCount.)
 func TestConstructorsSizeSegmentListOnce(t *testing.T) {
-	etype, err := Contiguous(12, Byte)
-	if err != nil {
-		t.Fatal(err)
-	}
 	pair, err := Struct([]int{1, 1}, []int64{0, 8}, []Type{Int, Double}) // two segments
 	if err != nil {
 		t.Fatal(err)
 	}
 	for name, build := range map[string]func(n int) (Type, error){
-		"Vector":     func(n int) (Type, error) { return Vector(n, 1, 512, etype) },
 		"Contiguous": func(n int) (Type, error) { return Contiguous(n, pair) },
 		"Struct": func(n int) (Type, error) {
 			return Struct([]int{n, n}, []int64{0, int64(n) * 64}, []Type{pair, pair})

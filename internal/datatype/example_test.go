@@ -13,7 +13,7 @@ func Example() {
 		[]datatype.Type{datatype.Int, datatype.Double})
 	filetype, _ := datatype.Vector(3, 1, 2, etype) // 3 blocks, stride = 2 procs
 	fmt.Println("etype size:", etype.Size())
-	fmt.Println("filetype runs:", filetype.Segments())
+	fmt.Println("filetype runs:", datatype.Flatten(filetype, 1, 0))
 	// Output:
 	// etype size: 12
 	// filetype runs: [{0 12} {24 12} {48 12}]
@@ -23,7 +23,7 @@ func Example() {
 // the building block of the intro's 3D-volume decompositions.
 func ExampleSubarray() {
 	st, _ := datatype.Subarray([]int{4, 4}, []int{2, 2}, []int{1, 1}, datatype.Byte)
-	fmt.Println("selected runs:", st.Segments())
+	fmt.Println("selected runs:", datatype.Flatten(st, 1, 0))
 	fmt.Println("bytes selected:", st.Size(), "of", st.Extent())
 	// Output:
 	// selected runs: [{5 2} {9 2}]

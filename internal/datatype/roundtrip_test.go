@@ -12,10 +12,12 @@ import (
 	"testing"
 )
 
-// naiveCovered returns the covered-byte bitmap of one instance of t.
+// naiveCovered returns the covered-byte bitmap of one instance of t, as
+// long as its extent or its last run's end, whichever is further.
 func naiveCovered(t Type) []bool {
-	covered := make([]bool, t.Extent())
-	for _, s := range t.Segments() {
+	_, hi := spanOf(t)
+	covered := make([]bool, max(t.Extent(), hi))
+	for _, s := range Flatten(t, 1, 0) {
 		for i := s.Off; i < s.End(); i++ {
 			covered[i] = true
 		}
@@ -66,7 +68,7 @@ func checkAgainstNaive(t *testing.T, typ Type, count int) {
 		t.Fatalf("%s: Size %d, bitmap covers %d bytes", typ, typ.Size(), want)
 	}
 
-	src := make([]byte, int64(count)*typ.Extent())
+	src := make([]byte, int64(count-1)*typ.Extent()+int64(len(covered)))
 	for i := range src {
 		src[i] = byte(37*i + 11)
 	}
@@ -150,7 +152,7 @@ func TestHindexedOverlapSizeConsistency(t *testing.T) {
 	if typ.Size() != 12 {
 		t.Fatalf("Size = %d, want 12 (overlapping bytes counted once)", typ.Size())
 	}
-	if segs := typ.Segments(); len(segs) != 1 || segs[0] != (Segment{Off: 0, Len: 12}) {
+	if segs := Flatten(typ, 1, 0); len(segs) != 1 || segs[0] != (Segment{Off: 0, Len: 12}) {
 		t.Fatalf("Segments = %v, want one coalesced run [0,12)", segs)
 	}
 	checkAgainstNaive(t, typ, 2)
@@ -166,4 +168,35 @@ func TestStructOverlapRoundTrip(t *testing.T) {
 		t.Fatalf("Size = %d, want 14", typ.Size())
 	}
 	checkAgainstNaive(t, typ, 2)
+}
+
+// TestOverlappingRepeatsSizeMatchesLayout: a Contiguous or Vector over a
+// base resized below its span repeats it onto itself. The layout coalesces
+// the overlap, and Size, Pack, Unpack and a view must count the same 12
+// bytes, not 2 x 8.
+func TestOverlappingRepeatsSizeMatchesLayout(t *testing.T) {
+	folded, err := Resized(mustType(Contiguous(8, Byte)), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, typ := range []Type{mustType(Vector(2, 1, 1, folded)), mustType(Contiguous(2, folded))} {
+		if segs := Flatten(typ, 1, 0); len(segs) != 1 || segs[0] != (Segment{Off: 0, Len: 12}) {
+			t.Fatalf("%s: Flatten = %v, want one run [0,12)", typ, segs)
+		}
+		checkAgainstNaive(t, typ, 1)
+		v, err := NewView(0, typ)
+		if err != nil {
+			t.Fatalf("%s: %v", typ, err)
+		}
+		if got := v.Runs(nil, 0, 12); len(got) != 1 || got[0] != (Segment{Off: 0, Len: 12}) {
+			t.Fatalf("%s: Runs(0, 12) = %v, want one run [0,12)", typ, got)
+		}
+	}
+}
+
+func mustType(t Type, err error) Type {
+	if err != nil {
+		panic(err)
+	}
+	return t
 }

@@ -35,6 +35,15 @@ func Subarray(sizes, subsizes, starts []int, base Type) (Type, error) {
 		sub *= int64(subsizes[d])
 	}
 
+	esz := base.Size()
+	if esz != base.Extent() {
+		return nil, fmt.Errorf("datatype: Subarray requires a dense base type (size == extent)")
+	}
+	name := func() string { return fmt.Sprintf("subarray(%dd,%s)", n, base) }
+	if n == 1 {
+		return strided(name, []Segment{{Off: int64(starts[0]) * esz, Len: sub * esz}}, 1, 0, total*esz), nil
+	}
+
 	// Row-major strides in elements.
 	stride := make([]int64, n)
 	stride[n-1] = 1
@@ -42,39 +51,31 @@ func Subarray(sizes, subsizes, starts []int, base Type) (Type, error) {
 		stride[d] = stride[d+1] * int64(sizes[d+1])
 	}
 
-	// Enumerate the sub-block's contiguous runs: the innermost dimension is
-	// contiguous, every combination of the outer indices contributes one run.
-	esz := base.Size()
-	if esz != base.Extent() {
-		return nil, fmt.Errorf("datatype: Subarray requires a dense base type (size == extent)")
-	}
+	// The block is the sub-block's first plane of the outermost dimension:
+	// the innermost dimension is contiguous, and every combination of the
+	// middle indices contributes one run. The planes repeat subsizes[0]
+	// times, one outermost stride apart.
 	runLen := int64(subsizes[n-1]) * esz
-	idx := make([]int, n-1)
-	segs := make([]Segment, 0, sub/int64(subsizes[n-1]))
+	idx := make([]int, n-1) // idx[0] stays 0: the first plane
+	block := make([]Segment, 0, sub/int64(subsizes[0]*subsizes[n-1]))
 	for {
 		off := int64(starts[n-1])
 		for d := 0; d < n-1; d++ {
 			off += int64(starts[d]+idx[d]) * stride[d]
 		}
-		segs = append(segs, Segment{Off: off * esz, Len: runLen})
-		// Odometer increment over the outer dimensions.
+		block = append(block, Segment{Off: off * esz, Len: runLen})
+		// Odometer increment over the middle dimensions.
 		d := n - 2
-		for ; d >= 0; d-- {
+		for ; d > 0; d-- {
 			idx[d]++
 			if idx[d] < subsizes[d] {
 				break
 			}
 			idx[d] = 0
 		}
-		if d < 0 {
+		if d <= 0 {
 			break
 		}
 	}
-
-	return &derived{
-		name:   fmt.Sprintf("subarray(%dd,%s)", n, base),
-		size:   sub * esz,
-		extent: total * esz,
-		segs:   Coalesce(segs),
-	}, nil
+	return strided(name, Coalesce(block), subsizes[0], stride[0]*esz, total*esz), nil
 }

@@ -22,8 +22,8 @@ func TestSubarray2D(t *testing.T) {
 	}
 	// Rows 1 and 2, columns 2..4: element offsets 8..10 and 14..16.
 	want := []Segment{{Off: 8 * 4, Len: 12}, {Off: 14 * 4, Len: 12}}
-	if !reflect.DeepEqual(st.Segments(), want) {
-		t.Fatalf("segments = %v, want %v", st.Segments(), want)
+	if !reflect.DeepEqual(Flatten(st, 1, 0), want) {
+		t.Fatalf("segments = %v, want %v", Flatten(st, 1, 0), want)
 	}
 }
 
@@ -33,8 +33,8 @@ func TestSubarray1D(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []Segment{{Off: 24, Len: 32}}
-	if !reflect.DeepEqual(st.Segments(), want) {
-		t.Fatalf("segments = %v", st.Segments())
+	if !reflect.DeepEqual(Flatten(st, 1, 0), want) {
+		t.Fatalf("segments = %v", Flatten(st, 1, 0))
 	}
 }
 
@@ -45,7 +45,7 @@ func TestSubarray3DRunCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(st.Segments()); got != 2*3 {
+	if got := len(Flatten(st, 1, 0)); got != 2*3 {
 		t.Fatalf("runs = %d, want 6", got)
 	}
 	if st.Size() != 2*3*4 {
@@ -58,7 +58,7 @@ func TestSubarrayWholeArrayCoalesces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := st.Segments(); !reflect.DeepEqual(got, []Segment{{Off: 0, Len: 60}}) {
+	if got := Flatten(st, 1, 0); !reflect.DeepEqual(got, []Segment{{Off: 0, Len: 60}}) {
 		t.Fatalf("whole-array subarray not one run: %v", got)
 	}
 }

@@ -14,13 +14,13 @@ import (
 // or the filetype instances the range covers (ROMIO's flattened
 // offset-length list, walked by a cursor instead of rebuilt per request).
 type View struct {
-	disp   int64
-	size   int64     // visible bytes per filetype instance
-	extent int64     // stride between instances
-	segs   []Segment // one instance's runs
-	// prefix[i] = visible bytes of an instance before segs[i]. A uniform
-	// filetype, every segment seglen bytes long (a Vector or Subarray of a
-	// contiguous etype), keeps no table: prefix[i] is i*seglen.
+	disp int64
+	// ft is the filetype in its own form, walked by arithmetic: one
+	// instance is ft.block repeated ft.count times, ft.stride bytes apart.
+	ft *derived
+	// prefix[j] = visible bytes of a repeat before block[j]. A uniform
+	// block, every run seglen bytes long (a Vector or Subarray of a
+	// contiguous etype), keeps no table: prefix[j] is j*seglen.
 	prefix []int64
 	seglen int64
 
@@ -40,52 +40,36 @@ func NewView(disp int64, filetype Type) (*View, error) {
 	if filetype.Size() <= 0 {
 		return nil, fmt.Errorf("datatype: view over empty filetype %s", filetype)
 	}
-	v := &View{
-		disp:    disp,
-		size:    filetype.Size(),
-		extent:  filetype.Extent(),
-		segs:    filetype.Segments(),
-		seglen:  filetype.Segments()[0].Len,
-		ordered: true,
-	}
-	var seen, end int64
-	for i, s := range v.segs {
-		if s.Len <= 0 {
-			return nil, fmt.Errorf("datatype: filetype %s has empty segment %d", filetype, i)
-		}
+	ft := filetype.(*derived)
+	v := &View{disp: disp, ft: ft, seglen: ft.block[0].Len}
+	for _, s := range ft.block {
 		if s.Len != v.seglen {
 			v.seglen = 0
 		}
-		seen += s.Len
-		if i > 0 && s.Off < end {
-			v.ordered = false
-		}
-		end = s.End()
-	}
-	if seen != v.size {
-		return nil, fmt.Errorf("datatype: filetype %s has %d segment bytes but size %d", filetype, seen, v.size)
 	}
 	if v.seglen == 0 {
-		v.prefix = make([]int64, len(v.segs))
-		for i := 1; i < len(v.segs); i++ {
-			v.prefix[i] = v.prefix[i-1] + v.segs[i-1].Len
+		v.prefix = make([]int64, len(ft.block))
+		for j := 1; j < len(ft.block); j++ {
+			v.prefix[j] = v.prefix[j-1] + ft.block[j-1].Len
 		}
 	}
-	if v.extent < end-v.segs[0].Off {
-		v.ordered = false
-	}
-	v.dense = len(v.segs) == 1 && v.segs[0].Off == 0 && v.size == v.extent
+	end := ft.block[len(ft.block)-1].End() + int64(ft.count-1)*ft.stride
+	v.ordered = end-ft.block[0].Off <= ft.extent
+	v.dense = ft.count == 1 && len(ft.block) == 1 && ft.block[0].Off == 0 && ft.size == ft.extent
 	return v, nil
 }
 
-// segmentAt returns the index of the segment holding visible byte b of an
-// instance, the last one with prefix <= b, and b's offset in it.
-func (v *View) segmentAt(b int64) (int, int64) {
+// segmentAt returns where visible byte b of an instance lies: its repeat,
+// the block run holding it (the last one with prefix <= b's offset in the
+// repeat), and its offset in that run.
+func (v *View) segmentAt(b int64) (r, j int, skip int64) {
+	bsize := v.ft.size / int64(v.ft.count)
+	r, b = int(b/bsize), b%bsize
 	if v.seglen > 0 {
-		return int(b / v.seglen), b % v.seglen
+		return r, int(b / v.seglen), b % v.seglen
 	}
-	i := sort.Search(len(v.segs), func(k int) bool { return v.prefix[k] > b }) - 1
-	return i, b - v.prefix[i]
+	j = sort.Search(len(v.ft.block), func(k int) bool { return v.prefix[k] > b }) - 1
+	return r, j, b - v.prefix[j]
 }
 
 // Runs appends to dst the absolute file runs holding the n visible bytes
@@ -104,29 +88,35 @@ func (v *View) Runs(dst []Segment, pos, n int64) []Segment {
 	if v.dense {
 		return append(dst, Segment{Off: v.disp + pos, Len: n})
 	}
-	inst := pos / v.size
-	i, skip := v.segmentAt(pos % v.size)
+	ft, block := v.ft, v.ft.block
+	inst := pos / ft.size
+	r, j, skip := v.segmentAt(pos % ft.size)
 	if cap(dst) == 0 {
 		// A handle's first request sizes its scratch to the walk's piece
 		// count (an upper bound: abutting pieces merge) instead of doubling
 		// up to it. One collective call per handle is the whole of
-		// synth-ocio, where this is 37 MB of its 650 MB per rep.
+		// synth-ocio.
 		last := pos + n - 1
-		j, _ := v.segmentAt(last % v.size)
-		dst = make([]Segment, 0, int(last/v.size-inst)*len(v.segs)+j-i+1)
+		lr, lj, _ := v.segmentAt(last % ft.size)
+		b := len(block)
+		dst = make([]Segment, 0, int(last/ft.size-inst)*ft.count*b+(lr-r)*b+lj-j+1)
 	}
-	for base := v.disp + inst*v.extent; n > 0; base += v.extent {
-		for ; i < len(v.segs) && n > 0; i++ {
-			run := Segment{Off: base + v.segs[i].Off + skip, Len: min(v.segs[i].Len-skip, n)}
-			skip = 0
-			n -= run.Len
-			if tail := len(dst) - 1; tail >= start && dst[tail].End() == run.Off {
-				dst[tail].Len += run.Len
-				continue
-			}
+	base := v.disp + inst*ft.extent
+	for at := base + int64(r)*ft.stride; n > 0; {
+		run := Segment{Off: at + block[j].Off + skip, Len: min(block[j].Len-skip, n)}
+		skip, n = 0, n-run.Len
+		if tail := len(dst) - 1; tail >= start && dst[tail].End() == run.Off {
+			dst[tail].Len += run.Len
+		} else {
 			dst = append(dst, run)
 		}
-		i = 0
+		if j++; j == len(block) { // the next repeat, or the next instance
+			j, r, at = 0, r+1, at+ft.stride
+			if r == ft.count {
+				r, base = 0, base+ft.extent
+				at = base
+			}
+		}
 	}
 	if !v.ordered {
 		dst = dst[:start+len(Coalesce(dst[start:]))]

@@ -1,6 +1,7 @@
 package datatype
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -10,14 +11,15 @@ import (
 // refViewRuns is mpiio's per-segment flatten as it stood before View: walk
 // every segment of every filetype instance the request touches (linear skip
 // to the start, one appended Segment per piece), then sort and merge. It is
-// kept as the oracle View.Runs is property-tested against.
+// kept as the oracle View.Runs is property-tested against, and reads the
+// materialized list Flatten builds, not the strided form View walks.
 func refViewRuns(disp int64, filetype Type, pos, n int64) []Segment {
 	if n <= 0 {
 		return nil
 	}
 	ftSize := filetype.Size()
 	ftExtent := filetype.Extent()
-	segs := filetype.Segments()
+	segs := Flatten(filetype, 1, 0)
 
 	out := make([]Segment, 0, 16)
 	inst := pos / ftSize
@@ -51,20 +53,32 @@ func refViewRuns(disp int64, filetype Type, pos, n int64) []Segment {
 }
 
 // randomType draws a datatype from every constructor, nesting derived
-// types as bases up to depth levels deep.
+// types as bases up to depth levels deep. A base is sometimes resized below
+// its span, so the repeats of a Contiguous or Vector over it overlap;
+// overlapDrawn counts the types built so.
 func randomType(rng *rand.Rand, depth int) Type {
 	base := []Type{Byte, Short, Int, Double}[rng.Intn(4)]
 	if depth > 0 && rng.Intn(2) == 0 {
 		base = randomType(rng, depth-1)
 	}
+	if _, hi := spanOf(base); hi > 0 && rng.Intn(4) == 0 {
+		base, _ = Resized(base, int64(rng.Intn(int(hi))))
+	}
 	var t Type
 	var err error
 	switch rng.Intn(7) {
 	case 0:
-		t, err = Contiguous(1+rng.Intn(4), base)
+		count := 1 + rng.Intn(4)
+		t, err = Contiguous(count, base)
+		if err == nil && t.Size() < int64(count)*base.Size() {
+			overlapDrawn++
+		}
 	case 1:
-		blocklen := 1 + rng.Intn(3)
-		t, err = Vector(1+rng.Intn(4), blocklen, blocklen+rng.Intn(4), base)
+		count, blocklen := 1+rng.Intn(4), 1+rng.Intn(3)
+		t, err = Vector(count, blocklen, blocklen+rng.Intn(4), base)
+		if err == nil && t.Size() < int64(count*blocklen)*base.Size() {
+			overlapDrawn++
+		}
 	case 2:
 		k := 1 + rng.Intn(5)
 		lens, displs := make([]int, k), make([]int, k)
@@ -118,8 +132,10 @@ func randomType(rng *rand.Rand, depth int) Type {
 	return t
 }
 
+var overlapDrawn int
+
 func spanOf(t Type) (lo, hi int64) {
-	segs := t.Segments()
+	segs := Flatten(t, 1, 0)
 	if len(segs) == 0 {
 		return 0, 0
 	}
@@ -132,19 +148,21 @@ func spanOf(t Type) (lo, hi int64) {
 func TestViewRunsMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	views, interleaved, dense := 0, 0, 0
+	overlapDrawn = 0
 	for iter := 0; iter < 3000; iter++ {
 		ft := randomType(rng, 2)
 		disp := int64(rng.Intn(100))
 		var segBytes int64
-		for _, s := range ft.Segments() {
+		for _, s := range Flatten(ft, 1, 0) {
 			segBytes += s.Len
 		}
+		if segBytes != ft.Size() {
+			t.Fatalf("iter %d: %s has size %d but its layout holds %d bytes", iter, ft, ft.Size(), segBytes)
+		}
 		v, err := NewView(disp, ft)
-		if segBytes != ft.Size() || ft.Size() == 0 {
-			// A type whose instances overlap inside a Contiguous/Vector
-			// counts bytes its segments do not hold; no view tiles it.
+		if ft.Size() == 0 {
 			if err == nil {
-				t.Fatalf("iter %d: NewView accepted %s with size %d and %d segment bytes", iter, ft, ft.Size(), segBytes)
+				t.Fatalf("iter %d: NewView accepted empty %s", iter, ft)
 			}
 			continue
 		}
@@ -181,13 +199,15 @@ func TestViewRunsMatchesReference(t *testing.T) {
 			}
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("iter %d: view(disp=%d, %s extent=%d segs=%v).Runs(pos=%d, n=%d)\n got  %v\n want %v",
-					iter, disp, ft, ft.Extent(), ft.Segments(), pos, n, got, want)
+					iter, disp, ft, ft.Extent(), Flatten(ft, 1, 0), pos, n, got, want)
 			}
 		}
 	}
-	// The corpus must exercise all three paths, not just the common one.
-	if views < 1000 || interleaved < 100 || dense < 50 || views-interleaved-dense < 500 {
-		t.Fatalf("corpus too thin: %d views, %d interleaved, %d dense", views, interleaved, dense)
+	// The corpus must exercise all three paths, not just the common one,
+	// and types whose repeats overlap.
+	if views < 1000 || interleaved < 100 || dense < 50 || views-interleaved-dense < 500 || overlapDrawn < 100 {
+		t.Fatalf("corpus too thin: %d views, %d interleaved, %d dense, %d overlapping repeats",
+			views, interleaved, dense, overlapDrawn)
 	}
 }
 
@@ -296,7 +316,7 @@ func randomUniformType(rng *rand.Rand) Type {
 	return t
 }
 
-// TestUniformViewMatchesPrefixWalk: a view over a filetype whose segments
+// TestUniformViewMatchesPrefixWalk: a view over a filetype whose block runs
 // share one length keeps no prefix table, and its division-based lookup
 // returns exactly the runs the prefix-table walk returns, over random
 // requests that start and end mid-segment and span instances.
@@ -309,22 +329,22 @@ func TestUniformViewMatchesPrefixWalk(t *testing.T) {
 		if err != nil {
 			t.Fatalf("iter %d: NewView(%s): %v", iter, ft, err)
 		}
-		segs := ft.Segments()
+		block := v.ft.block
 		same := true
-		for _, s := range segs {
-			same = same && s.Len == segs[0].Len
+		for _, s := range block {
+			same = same && s.Len == block[0].Len
 		}
 		if same != (v.prefix == nil) {
-			t.Fatalf("iter %d: %s (segments %v) keeps a prefix table of %d entries", iter, ft, segs, len(v.prefix))
+			t.Fatalf("iter %d: %s (block %v) keeps a prefix table of %d entries", iter, ft, block, len(v.prefix))
 		}
 		if !same {
 			continue
 		}
 		uniform++
 		walk := *v
-		walk.seglen, walk.prefix = 0, make([]int64, len(segs))
-		for i := 1; i < len(segs); i++ {
-			walk.prefix[i] = walk.prefix[i-1] + segs[i-1].Len
+		walk.seglen, walk.prefix = 0, make([]int64, len(block))
+		for i := 1; i < len(block); i++ {
+			walk.prefix[i] = walk.prefix[i-1] + block[i-1].Len
 		}
 		for req := 0; req < 12; req++ {
 			pos := int64(rng.Intn(int(3*ft.Size()) + 1))
@@ -339,38 +359,61 @@ func TestUniformViewMatchesPrefixWalk(t *testing.T) {
 	}
 }
 
-// TestNewViewBytesFlatOverUniformSegments: what NewView allocates does not
-// grow with a uniform filetype's segment count; a ragged filetype's prefix
-// table does, 8 B a segment.
-func TestNewViewBytesFlatOverUniformSegments(t *testing.T) {
-	perView := func(ft Type) int64 {
-		const n = 100
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < n; i++ {
-			viewSink, _ = NewView(0, ft)
-		}
-		runtime.ReadMemStats(&after)
-		return int64(after.TotalAlloc-before.TotalAlloc) / n
+// TestStridedViewBytesFlatOverCount: a strided filetype is held as one
+// block, so building it and its view allocates the same bytes at any count:
+// Fig. 5's vector of 12-byte etypes, resized to the file's stride, and a
+// 2-D subarray over its row count. A ragged filetype's prefix table does
+// grow, 8 B a segment, which shows the measurement sees O(count) storage.
+func TestStridedViewBytesFlatOverCount(t *testing.T) {
+	etype, err := Contiguous(12, Byte)
+	if err != nil {
+		t.Fatal(err)
 	}
-	ragged := func(count int) Type {
+	// TotalAlloc is process-wide: an allocation elsewhere in the process
+	// only adds to a trial, so the least of five is the build's own cost.
+	perView := func(build func(n int) (Type, error), n int) int64 {
+		const runs = 100
+		least := int64(math.MaxInt64)
+		for trial := 0; trial < 5; trial++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < runs; i++ {
+				ft, err := build(n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if viewSink, err = NewView(0, ft); err != nil {
+					t.Fatal(err)
+				}
+			}
+			runtime.ReadMemStats(&after)
+			least = min(least, int64(after.TotalAlloc-before.TotalAlloc)/runs)
+		}
+		return least
+	}
+	for name, build := range map[string]func(n int) (Type, error){
+		"vector": func(n int) (Type, error) {
+			vec, err := Vector(n, 1, 512, etype)
+			if err != nil {
+				return nil, err
+			}
+			return Resized(vec, int64(n)*512*etype.Extent())
+		},
+		"subarray-2d": func(n int) (Type, error) { return Subarray([]int{n, 64}, []int{n, 8}, []int{0, 8}, Byte) },
+	} {
+		if s, l := perView(build, 16), perView(build, 1<<20); s != l {
+			t.Errorf("%s: building the type and its view allocates %d B at 16 repeats, %d B at 1<<20", name, s, l)
+		}
+	}
+	ragged := func(count int) (Type, error) {
 		lens, displs := make([]int, count), make([]int, count)
 		for i := range lens {
 			lens[i], displs[i] = 1+i%2, 3*i
 		}
-		t, err := Indexed(lens, displs, Int)
-		if err != nil {
-			panic(err)
-		}
-		return t
+		return Indexed(lens, displs, Int)
 	}
-	small, _ := Vector(16, 1, 2, Int)
-	large, _ := Vector(4096, 1, 2, Int)
-	if s, l := perView(small), perView(large); l > s+64 {
-		t.Errorf("NewView allocates %d B over a 16-segment vector, %d B over a 4096-segment one", s, l)
-	}
-	if s, l := perView(ragged(16)), perView(ragged(4096)); l < s+8*(4096-16) {
-		t.Errorf("NewView allocates %d B over 16 ragged segments, %d B over 4096: no prefix table measured", s, l)
+	if s, l := perView(ragged, 16), perView(ragged, 4096); l < s+8*(4096-16) {
+		t.Errorf("%d B over 16 ragged segments, %d B over 4096: no prefix table measured", s, l)
 	}
 }
 

@@ -419,7 +419,7 @@ func TestRandomInterleavedCollectiveRoundTrip(t *testing.T) {
 		want := make([]byte, 0)
 		for r := 0; r < procs; r++ {
 			at := 0
-			for _, s := range views[r].Segments() {
+			for _, s := range datatype.Flatten(views[r], 1, 0) {
 				end := int(s.Off + s.Len)
 				if end > len(want) {
 					want = append(want, make([]byte, end-len(want))...)
